@@ -12,15 +12,15 @@ Stage actions are registry-extensible: :func:`register_stage_action` adds
 a handler ``fn(orchestrator, stage)`` under a new action name, and specs
 referring to it replay everywhere the registry is imported.
 
-On the proc backend every worker runs its own orchestrator with
-``scope=(local_nid,)``: fault-controller mutations (partition, heal,
-weather, transport-level crash) apply in every worker -- each controller
-must agree on the plan -- while party-level effects (the crash itself,
-restarts, staged corruption, surge proposals) fire only on the scoped
-node, which is the only party instance the worker hosts.  Non-time
-triggers are polled per worker against local state; a chaos restart on
-proc is a *soft* restart (party-level, in-process) -- real SIGKILL
-respawns remain the crash-restart plan's job (``spec.faults.restarts``).
+On the proc backend every worker arms its own orchestrator over a run
+context that hosts exactly one party: fault-controller mutations
+(partition, heal, weather, transport-level crash) apply in every worker
+-- each controller must agree on the plan -- while party-level effects
+(the crash itself, restarts, staged corruption, surge proposals) reach
+only the hosted party.  Non-time triggers are polled per worker against
+local state; a chaos restart on proc is a *soft* restart (party-level,
+in-process) -- real SIGKILL respawns remain the crash-restart plan's job
+(``spec.faults.restarts``).
 """
 
 from __future__ import annotations
@@ -64,12 +64,9 @@ def count_duplicate_commits(driver, ctx) -> int:
     surge = getattr(driver, "surge_epochs", 0)
     epochs = range(driver.spec.workload.epochs + surge)
     for nid in driver.observers(ctx):
-        # proc workers host a single party (a dict keyed by nid); count
-        # only what is local
-        try:
-            party = ctx.parties[nid]
-        except (KeyError, IndexError):
-            continue
+        if nid not in ctx.parties:
+            continue  # a proc worker counts only the party it hosts
+        party = ctx.party(nid)
         if not hasattr(party, "ordered_log"):
             return 0
         for e in epochs:
@@ -97,37 +94,18 @@ class ChaosOrchestrator:
         self.current_index: Optional[int] = None
         self.ctx = None
         self.faults = None
-        self.scope: Optional[tuple] = None
         self.metrics = None
-        self.crash_fn: Optional[Callable] = None
-        self.restart_fn: Optional[Callable] = None
 
     # -- wiring -------------------------------------------------------------------
-    def install(
-        self,
-        ctx,
-        faults,
-        *,
-        scope: Optional[tuple] = None,
-        metrics=None,
-        crash_fn: Optional[Callable] = None,
-        restart_fn: Optional[Callable] = None,
-    ) -> None:
-        """Arm every stage trigger and the ambient weather.
-
-        ``scope`` limits party-level effects to the listed node ids (the
-        proc backend's one-node workers); ``None`` means all.  ``crash_fn``
-        / ``restart_fn`` perform the backend-appropriate crash/restart of
-        one node id (defaults mutate the fault controller only).
-        """
+    def install(self, ctx, *, metrics=None) -> None:
+        """Arm every stage trigger and the ambient weather on ``ctx``
+        (its fault controller, its scheduler, the parties it hosts);
+        ``metrics`` is the backend's message counters, for metric triggers."""
         self.ctx = ctx
-        self.faults = faults
-        self.scope = tuple(scope) if scope is not None else None
+        self.faults = ctx.faults
         self.metrics = metrics
-        self.crash_fn = crash_fn or (lambda nid: faults.crash(nid))
-        self.restart_fn = restart_fn or (lambda nid: faults.restart(nid))
         if self.chaos.weather is not None:
-            faults.weather = NetworkWeather(
+            self.faults.weather = NetworkWeather(
                 self.chaos.weather, seed=self.spec.seed
             )
         for index, stage in enumerate(self.chaos.stages):
@@ -165,10 +143,7 @@ class ChaosOrchestrator:
 
     # -- trigger predicates --------------------------------------------------------
     def _scoped_observers(self) -> list[int]:
-        nids = self.driver.observers(self.ctx)
-        if self.scope is None:
-            return list(nids)
-        return [nid for nid in nids if nid in self.scope]
+        return [nid for nid in self.driver.observers(self.ctx) if self.in_scope(nid)]
 
     def _satisfied(self, trigger: TriggerSpec) -> bool:
         if trigger.kind == "slot":
@@ -202,7 +177,9 @@ class ChaosOrchestrator:
         return [nid for pid in pids for nid in self.driver.map_pid(pid)]
 
     def in_scope(self, nid: int) -> bool:
-        return self.scope is None or nid in self.scope
+        """Whether party-level effects on ``nid`` apply here (the run
+        context hosts it: always, except on a one-party proc worker)."""
+        return nid in self.ctx.parties
 
     # -- record section ------------------------------------------------------------
     def describe_stages(self) -> list:
@@ -247,22 +224,15 @@ def _stage_heal(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
 @register_stage_action("crash")
 def _stage_crash(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
     for nid in orch.map_nids(stage.param("pids", ())):
-        orch.faults.crash(nid)
-        if orch.in_scope(nid):
-            party = orch.ctx.party(nid)
-            if hasattr(party, "crash"):
-                party.crash()
+        orch.ctx.crash(nid)
 
 
 @register_stage_action("restart")
 def _stage_restart(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
     for nid in orch.map_nids(stage.param("pids", ())):
-        # transport-level un-crash first, so the recovering party's
-        # state-sync traffic is not condemned (same order as the
-        # crash-restart plan's rejoin)
-        orch.faults.restart(nid)
+        orch.ctx.restart(nid)
         if orch.in_scope(nid):
-            orch.restart_fn(nid)
+            orch.driver.restart_node(orch.ctx, nid)
 
 
 @register_stage_action("byzantine")

@@ -11,18 +11,19 @@ postmortem bundle (per-link last-N message trace, queue depths, fault
 and weather counters, the chaos timeline with fired flags) that rides on
 the scenario record instead of a bare ``TimeoutError``.
 
-On the sim backend quiescence is exact (the event queue drained), so the
-watchdog is a post-hoc classifier.  On the live runtimes it is a polled
-stop condition: once the chaos plan has nothing left to fire, sustained
-message-flow quiescence without completion for ``stall_after`` wall
-seconds stops the run early -- a postmortem in ~1 s instead of a burned
-timeout.
+The watchdog is a post-hoc classifier on every backend: *when* a run
+ends is the harness's one stop rule
+(:class:`repro.scenarios.harness._StopRule`) -- the sim runs to exact
+quiescence; the live runtimes stop once the plan has nothing left to
+fire and message flow has gone quiet -- at once when liveness was never
+expected, after ``stall_after`` wall seconds otherwise (a postmortem in
+~1 s instead of a burned timeout) -- so a run that ended without
+completing *is* the stall.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = ["LivenessWatchdog"]
 
@@ -30,63 +31,14 @@ __all__ = ["LivenessWatchdog"]
 class LivenessWatchdog:
     """One run's liveness monitor (see module docstring)."""
 
-    def __init__(
-        self,
-        chaos,
-        *,
-        expect_liveness: bool = True,
-        horizon: float = 0.0,
-    ) -> None:
+    def __init__(self, chaos, *, expect_liveness: bool = True) -> None:
         self.chaos = chaos
         self.stall_after = chaos.stall_after
         self.expect_liveness = expect_liveness
-        #: scenario time after which nothing is scheduled to fire anymore
-        #: (latest chaos stage, heal, epoch start, restart); a stall is
-        #: only declarable past it
-        self.horizon = max(horizon, chaos.latest_time())
         self.stalled = False
-        self._started_at: Optional[float] = None
-        self._quiet_since: Optional[float] = None
-        self._last_messages = -1
 
-    # -- runtime polling ------------------------------------------------------------
-    def stop_condition(self, done: Callable[[], bool]) -> Callable:
-        """A ``stop_when(cluster)`` predicate: done, or stalled.
-
-        Progress means new sends (``metrics.messages`` advancing) or
-        non-quiescent transports/nodes; ``stall_after`` seconds without
-        any -- after the horizon -- declares the stall and stops the run.
-        """
-
-        def check(cluster) -> bool:
-            if done():
-                return True
-            now = time.perf_counter()
-            if self._started_at is None:
-                self._started_at = now
-            if now - self._started_at < self.horizon:
-                self._quiet_since = None
-                return False
-            messages = cluster.metrics.messages
-            quiescent = cluster.transport.quiescent and all(
-                node.idle for node in cluster.nodes
-            )
-            if quiescent and messages == self._last_messages:
-                if self._quiet_since is None:
-                    self._quiet_since = now
-                elif now - self._quiet_since >= self.stall_after:
-                    self.stalled = True
-                    return True
-            else:
-                self._quiet_since = None
-            self._last_messages = messages
-            return False
-
-        return check
-
-    # -- sim classification ---------------------------------------------------------
     def observe_quiescence(self, completed: bool) -> None:
-        """Sim backend: the world ran to quiescence; classify the result."""
+        """The run ended by the stop rule; classify the result."""
         self.stalled = not completed
 
     @property

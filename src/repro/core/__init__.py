@@ -54,34 +54,3 @@ __all__ = [
     "wq_ticket_bound",
     "ws_ticket_bound",
 ]
-
-#: facade names reachable through this module for compatibility; the
-#: canonical home is :mod:`repro.api`
-_API_SHIMS = (
-    "Committee",
-    "CommitteeValidationError",
-    "WeightSource",
-    "SolverPolicy",
-    "TicketAssignmentResult",
-    "solve_with_policy",
-    "register_policy",
-)
-
-
-def __getattr__(name: str):
-    """Thin deprecation shim: the committee-centric facade consolidated
-    the public entry points under :mod:`repro.api`; resolving them
-    through ``repro.core`` still works but warns."""
-    if name in _API_SHIMS:
-        import warnings
-
-        from .. import api
-
-        warnings.warn(
-            f"importing {name!r} from repro.core is deprecated; "
-            f"use repro.api.{name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

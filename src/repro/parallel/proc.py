@@ -16,7 +16,11 @@ the handshake):
    "distribute key material via a spec pickle" sound);
 2. each worker binds ``(host, 0)`` and replies ``("ready", nid, addr)``
    with the kernel-assigned port; the parent broadcasts the collected
-   peer map -- no hardcoded ports, so concurrent clusters never collide;
+   peer map -- no hardcoded ports, so concurrent clusters never collide
+   -- and every worker arms the run's fault plan (the harness's one
+   ``_arm``, over a context hosting just its party) and replies
+   ``("armed", ...)``; only then does ``("start",)`` release the
+   workload, so no frame meets a node that is not yet bound and armed;
 3. the parent polls ``("status",)``; a worker reports its local done
    flag, cumulative frame counters, idleness, and any failure.  Global
    completion is distributed termination detection by frame-count
@@ -128,16 +132,14 @@ async def _worker_main(
 ) -> None:
     from ..runtime.cluster import RuntimeMetrics
     from ..runtime.codec import default_registry
+    from ..runtime.faults import FaultController
     from ..runtime.node import RuntimeNode
     from ..runtime.transport import ProcMeshTransport
-    from ..scenarios.harness import RunContext, _apply_static_faults, _fault_plan, build_driver
+    from ..scenarios.harness import _arm, _context, build_driver
 
     spec = ScenarioSpec.from_dict(spec_dict)
     driver = build_driver(spec, validate=False, state_dir=state_dir)  # parent vetted
-    faults, crashed, groups, links = _fault_plan(spec, driver)
-    live_nodes = tuple(
-        n for n in range(driver.n_nodes) if n not in set(crashed)
-    )
+    faults = FaultController()
     metrics = RuntimeMetrics()
     transport = ProcMeshTransport(
         default_registry(),
@@ -160,11 +162,7 @@ async def _worker_main(
     recovering = incarnation > 0
     party = driver.factory(nid)
     node = RuntimeNode(party, transport, list(range(driver.n_nodes)))
-    ctx = RunContext(
-        parties={nid: node.party},
-        live_nodes=live_nodes,
-        schedule=lambda when, fn: loop.call_later(when, fn),
-    )
+    ctx = _context(spec, driver, {nid: party}, loop.call_later, faults)
     if spec.faults.restarts:
         # self-healing plumbing: persist receive watermarks through the
         # party's WAL and run the heartbeat failure detector, feeding
@@ -179,34 +177,8 @@ async def _worker_main(
             metrics.alive_transitions += 1
 
         transport.enable_heartbeat(on_suspect=_suspect, on_alive=_alive)
-    # The full fault plan goes into every worker's controller; only the
-    # (src, dst == this node) decisions ever fire, so per-worker drop and
-    # delay counts sum to the single-process totals.
-    for crashed_nid in crashed:
-        faults.crash(crashed_nid)
-    _apply_static_faults(faults, groups, links)
-    if driver.adversary is not None:
-        driver.adversary.install_network_faults(faults, driver.map_pid)
-    if spec.faults.heal_at is not None:
-        ctx.at(spec.faults.heal_at, faults.heal)
-    orchestrator = None
-    if spec.chaos is not None:
-        from ..chaos.orchestrator import ChaosOrchestrator
-
-        # Every worker arms the full plan; fault-controller mutations
-        # fire everywhere (the controllers must agree), party-level
-        # effects only on the one hosted node (scope).
-        orchestrator = ChaosOrchestrator(spec, driver)
-        orchestrator.install(
-            ctx,
-            faults,
-            scope=(nid,),
-            metrics=metrics,
-            restart_fn=lambda n: (party.restart(), driver.restart_node(ctx, n)),
-        )
-    if nid in set(crashed):
-        node.party.crash()
-    observer = nid in set(driver.observers(ctx))
+    orchestrator = _arm(spec, driver, ctx, metrics, restart_timers=False)
+    observer = nid in driver.observers(ctx)
     if recovering:
         # Rejoin: replay the WAL into the fresh party (queueing the
         # state-sync broadcast on the outbox), seed the transport's dedup
@@ -229,16 +201,21 @@ async def _worker_main(
             )
         )
     else:
-        node.start()
-        if nid in live_nodes:
-            driver.start_node(ctx, nid)
+        # Armed and bound, not yet started: the parent releases the
+        # workload only once *every* worker is, so no frame can reach a
+        # node before its handler and fault plan exist (it would be
+        # dropped, or dodge a receive-side delay).
+        conn.send(("armed", nid, None))
 
     while True:
         command = await commands.get()
         if command is None or command[0] == "stop":
             break
         kind = command[0]
-        if kind == "peers":
+        if kind == "start":
+            node.start()
+            driver.start(ctx)
+        elif kind == "peers":
             # refreshed address map (a peer respawned on a new port)
             transport.reconfigure(command[1])
         elif kind == "status":
@@ -265,7 +242,7 @@ async def _worker_main(
                         "done": driver.node_done(ctx, nid) if observer else None,
                         "output": driver.node_output(ctx, nid) if observer else None,
                         "observer": observer,
-                        "metrics": metrics.as_dict(),
+                        "metrics": metrics,
                         "dropped": faults.dropped_messages,
                         "delayed": faults.delayed_messages,
                         "os_pid": os.getpid(),
@@ -329,49 +306,26 @@ class ProcCluster:
         poll_interval: float = 0.01,
         state_dir: Optional[str] = None,
     ) -> None:
-        from ..scenarios.harness import (
-            _DRIVERS,
-            RunContext,
-            _chaos_horizon,
-            _fault_plan,
-            build_driver,
-        )
+        from ..runtime.faults import FaultController
+        from ..scenarios.harness import _context, _StopRule, build_driver
 
-        if spec.workload.kind == "service":
-            raise ValueError(
-                "service workloads run on the sim or inproc backends, not proc"
-            )
-        if not _DRIVERS[spec.protocol].proc_capable:
-            raise ValueError(
-                f"protocol {spec.protocol!r} is not supported on the proc "
-                "backend (its outputs need cross-node aggregation)"
-            )
         self.spec = spec
         self.timeout = timeout
         self.host = host
         self.poll_interval = poll_interval
         self.driver = build_driver(spec, committee)
-        _, crashed, _, _ = _fault_plan(spec, self.driver)
-        self.crashed = crashed
-        self.live_nodes = tuple(
-            n for n in range(self.driver.n_nodes) if n not in set(crashed)
+        if not self.driver.proc_capable:
+            raise ValueError(
+                f"protocol {spec.protocol!r} is not supported on the proc "
+                "backend (its outputs need cross-node aggregation)"
+            )
+        # the parent hosts no party: its context only names the live nodes
+        self.observers = self.driver.observers(
+            _context(spec, self.driver, {}, None, FaultController())
         )
-        if not self.live_nodes:
-            raise ValueError("fault plan crashes every node; nothing left to run")
-        parent_ctx = RunContext(
-            parties={}, live_nodes=self.live_nodes, schedule=lambda when, fn: None
-        )
-        self.observers = tuple(self.driver.observers(parent_ctx))
-        self.expect_liveness = (
-            self.driver.adversary.expect_liveness
-            if self.driver.adversary is not None
-            else True
-        )
-        #: settle floor: with a chaos plan, quiescence before the last
-        #: scheduled stage/heal/epoch is *early* quiescence -- late
-        #: stages (a load surge, a byzantine activation) have not fired
-        #: yet, so completion cannot be declared before this elapsed time
-        self.chaos_horizon = _chaos_horizon(spec) if spec.chaos is not None else 0.0
+        #: when the run may end (the harness's one stop rule); its horizon
+        #: floor keeps quiescence before a late stage from ending the run
+        self.stop_rule = _StopRule(spec, self.driver)
         #: the crash-restart plan in node-id terms, ordered by fire time
         self.restarts = sorted(
             (crash_at, restart_at, node_id)
@@ -485,7 +439,8 @@ class ProcCluster:
         return proc, parent_conn
 
     def run(self):
-        from ..scenarios.harness import ScenarioResult
+        from ..scenarios.harness import _assemble
+        from ..sim.network import NetworkMetrics
 
         deadline = time.perf_counter() + self.timeout
         self._mp_ctx = multiprocessing.get_context(
@@ -498,9 +453,10 @@ class ProcCluster:
                 self._procs.append(proc)
                 self._conns.append(conn)
             self._addresses = self._collect_ready(deadline)
+            self._request_all(("peers", self._addresses), "armed", deadline)
             started_at = time.perf_counter()
             for conn in self._conns:
-                conn.send(("peers", self._addresses))
+                conn.send(("start",))
             self._await_completion(deadline, started_at)
             quiesced_at = time.perf_counter()
             results = self._request_all(("finish",), "result", deadline)
@@ -509,10 +465,7 @@ class ProcCluster:
             if self._own_state_dir is not None:
                 shutil.rmtree(self._own_state_dir, ignore_errors=True)
 
-        committee = self.driver.committee
-        messages = bytes_total = 0
-        by_type: dict[str, int] = {}
-        bytes_by_type: dict[str, int] = {}
+        totals = NetworkMetrics()
         dropped = delayed = 0
         decided: dict[str, str] = {}
         workers: dict[str, int] = {}
@@ -543,57 +496,35 @@ class ProcCluster:
         for nid in sorted(results):
             r = results[nid]
             m = r["metrics"]
-            messages += m["messages"]
-            bytes_total += m["bytes"]
-            for key, value in m["by_type"].items():
-                by_type[key] = by_type.get(key, 0) + value
-            for key, value in m["bytes_by_type"].items():
-                bytes_by_type[key] = bytes_by_type.get(key, 0) + value
+            totals.add(m)
             dropped += r["dropped"]
             delayed += r["delayed"]
             workers[str(nid)] = r["os_pid"]
             if recovery is not None and r.get("recovery"):
-                for key in (
-                    "restarts",
-                    "recovered_from_wal",
-                    "recovered_from_peers",
-                    "duplicates_dropped",
-                    "reconnects",
-                    "retries_dropped",
-                ):
-                    recovery[key] += r["recovery"][key]
-                recovery["suspect_transitions"] += m.get("suspect_transitions", 0)
-                recovery["alive_transitions"] += m.get("alive_transitions", 0)
+                for key, value in r["recovery"].items():
+                    recovery[key] += value
+                recovery["suspect_transitions"] += m.suspect_transitions
+                recovery["alive_transitions"] += m.alive_transitions
             if r["observer"]:
                 decided[str(nid)] = r["output"]
                 completed = completed and bool(r["done"])
-        chaos_section = (
-            self._merge_chaos(results, completed) if self.spec.chaos is not None else None
-        )
-        return ScenarioResult(
-            spec=self.spec,
-            backend="proc",
-            n_real=committee.n,
+        return _assemble(
+            self.spec, "proc", self.driver.committee, totals,
             n_nodes=self.driver.n_nodes,
-            weights_digest=committee.weights_digest,
+            count_comparable=self.driver.count_comparable,
+            adversary=self.driver.adversary,
             completed=completed,
             decided=decided,
-            count_comparable=self.driver.count_comparable,
-            messages=messages,
-            bytes=bytes_total,
-            by_type=by_type,
-            bytes_by_type=bytes_by_type,
             dropped_messages=dropped,
             delayed_messages=delayed,
             wall_seconds=quiesced_at - started_at,
-            adversary=(
-                self.driver.adversary.describe()
-                if self.driver.adversary is not None
-                else None
-            ),
             workers=workers,
             recovery=recovery,
-            chaos=chaos_section,
+            chaos=(
+                self._merge_chaos(results, completed)
+                if self.spec.chaos is not None
+                else None
+            ),
         )
 
     def _merge_chaos(self, results: dict, completed: bool) -> dict:
@@ -601,11 +532,11 @@ class ProcCluster:
 
         Stage ``fired`` flags are OR-ed (fault-controller stages fire in
         every worker, party-level stages only on the hosting one), weather
-        counters and duplicate commits are summed, and the parent-side
-        watchdog classifies the outcome -- on a stall the postmortem
-        carries each worker's message trace.
+        counters and duplicate commits are summed, and the shared
+        watchdog section classifies the outcome -- on a stall the
+        postmortem carries each worker's message trace.
         """
-        from ..chaos.watchdog import LivenessWatchdog
+        from ..scenarios.harness import _chaos_section
 
         worker_sections = {
             nid: r["chaos"] for nid, r in results.items() if r.get("chaos")
@@ -638,31 +569,20 @@ class ProcCluster:
                 "counters": weather,
             }
         chaos_section["duplicate_commits"] = duplicate_commits
-        if self.spec.chaos.watchdog:
-            watchdog = LivenessWatchdog(
-                self.spec.chaos,
-                expect_liveness=self.expect_liveness,
-                horizon=self.chaos_horizon,
+        _chaos_section(self.spec, self.driver, completed, chaos_section)
+        postmortem = chaos_section.get("watchdog", {}).get("postmortem")
+        if postmortem is not None:
+            postmortem.update(
+                {
+                    "stages": stages,
+                    "dropped_messages": sum(r["dropped"] for r in results.values()),
+                    "delayed_messages": sum(r["delayed"] for r in results.values()),
+                    "trace": {
+                        str(nid): worker_sections[nid]["trace"]
+                        for nid in sorted(worker_sections)
+                    },
+                }
             )
-            watchdog.observe_quiescence(completed)
-            section = watchdog.report()
-            if "postmortem" in section:
-                section["postmortem"].update(
-                    {
-                        "stages": stages,
-                        "dropped_messages": sum(
-                            r["dropped"] for r in results.values()
-                        ),
-                        "delayed_messages": sum(
-                            r["delayed"] for r in results.values()
-                        ),
-                        "trace": {
-                            str(nid): worker_sections[nid]["trace"]
-                            for nid in sorted(worker_sections)
-                        },
-                    }
-                )
-            chaos_section["watchdog"] = section
         return chaos_section
 
     def _collect_ready(self, deadline: float) -> dict[int, tuple[str, int]]:
@@ -772,11 +692,9 @@ class ProcCluster:
                 for nid in self.observers
                 if nid in statuses
             )
-            if (
-                quiescent
-                and (done or not self.expect_liveness)
-                and elapsed >= self.chaos_horizon
-            ):
+            # there is no separate drain step here, so ending also needs
+            # quiescence, confirmed over consecutive polls
+            if self.stop_rule(elapsed, done, quiescent, sent) and quiescent:
                 stable += 1
                 if stable >= _STABLE_POLLS:
                     return

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
+from ..sim.network import NetworkMetrics
 from ..sim.process import Party
 from .codec import CodecRegistry, default_registry
 from .faults import FaultController
@@ -39,25 +39,15 @@ TRANSPORTS = {"inproc": InProcTransport, "tcp": TcpTransport, "proc": ProcMeshTr
 
 
 @dataclass
-class RuntimeMetrics:
-    """Counters mirroring the sim's ``NetworkMetrics`` plus wall-clock."""
+class RuntimeMetrics(NetworkMetrics):
+    """The sim's message/byte counters plus the live runtime's wall-clock."""
 
-    messages: int = 0
-    bytes: int = 0
-    by_type: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    bytes_by_type: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     elapsed_seconds: float = 0.0
     #: phase name -> seconds since cluster start when the phase was marked
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: failure-detector transitions (proc mesh heartbeats; 0 elsewhere)
     suspect_transitions: int = 0
     alive_transitions: int = 0
-
-    def record(self, type_name: str, size: int) -> None:
-        self.messages += 1
-        self.bytes += size
-        self.by_type[type_name] += 1
-        self.bytes_by_type[type_name] += size
 
     def as_dict(self) -> dict:
         """JSON-friendly snapshot (CLI ``--json`` and benchmark rows)."""

@@ -8,7 +8,7 @@ named scenarios the CLI and CI sweep.
 """
 
 from .harness import BACKENDS, RunContext, ScenarioResult, run_scenario
-from .registry import INPROC_SCENARIOS, SCENARIOS, get_scenario, scenario_names
+from .registry import SCENARIOS, get_scenario, scenario_names
 from .spec import ByzantineSpec, FaultSpec, NetSpec, ScenarioSpec, WeightSpec, WorkloadSpec
 
 __all__ = [
@@ -23,30 +23,6 @@ __all__ = [
     "run_scenario",
     "BACKENDS",
     "SCENARIOS",
-    "INPROC_SCENARIOS",
     "get_scenario",
     "scenario_names",
 ]
-
-#: facade names reachable through this module for compatibility; the
-#: canonical home is :mod:`repro.api`
-_API_SHIMS = ("Committee", "Session", "BackendSpec", "WeightSource")
-
-
-def __getattr__(name: str):
-    """Thin deprecation shim: the execution-facing facade objects moved
-    to :mod:`repro.api`; resolving them through ``repro.scenarios``
-    still works but warns."""
-    if name in _API_SHIMS:
-        import warnings
-
-        from .. import api
-
-        warnings.warn(
-            f"importing {name!r} from repro.scenarios is deprecated; "
-            f"use repro.api.{name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,6 +8,12 @@ share one :class:`~repro.runtime.faults.FaultController` implementation
 (the sim consults it at its delivery point, see
 :mod:`repro.sim.network`), so a fault plan means the same thing on both.
 
+Every run follows one lifecycle, written once below: **arm** the fault
+plan on the backend's :class:`RunContext` (:func:`_arm`), **run** until
+the one stop rule is met (:class:`_StopRule`), and **finish** by
+assembling the record (:func:`_finish`).  What stays per backend is only
+what truly differs: how parties and a clock are built, and how to wait.
+
 The result is a unified, JSON-able metrics record.  On the sim backend
 the record is fully deterministic for a fixed seed -- byte-identical
 across runs -- which the determinism regression test pins down.  Across
@@ -23,7 +29,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..runtime.faults import FaultController
 from ..sim.process import Party
@@ -52,13 +58,17 @@ def _payload(spec: ScenarioSpec, pid: int, epoch: int) -> bytes:
 
 @dataclass
 class RunContext:
-    """What a driver sees of the running backend: the parties, the set of
-    live node ids, and a scenario-time scheduler (sim: virtual seconds via
-    the simulator; runtime: wall seconds via ``loop.call_later``)."""
+    """What a driver and the fault plan see of the running backend: the
+    parties hosted here by node id (all of them on sim/inproc/tcp; a proc
+    worker hosts exactly one), the live node ids, the fault controller
+    every link consults, and a scenario-time scheduler (sim: virtual
+    seconds via the simulator; runtime: wall seconds via
+    ``loop.call_later``)."""
 
-    parties: Sequence[Party]
+    parties: Mapping[int, Party]
     live_nodes: tuple[int, ...]
     schedule: Callable[[float, Callable[[], None]], None]
+    faults: FaultController
 
     def party(self, nid: int) -> Party:
         return self.parties[nid]
@@ -69,6 +79,21 @@ class RunContext:
             fn()
         else:
             self.schedule(when, fn)
+
+    def crash(self, nid: int) -> None:
+        """Full crash: the party (when hosted here) stops reacting AND
+        the node's traffic is dropped."""
+        if nid in self.parties:
+            self.parties[nid].crash()
+        self.faults.crash(nid)
+
+    def restart(self, nid: int) -> None:
+        """Crash-restart rejoin: traffic flows again *first*, so the
+        state-sync request a recoverable party broadcasts from inside
+        ``restart`` (after replaying its WAL) is not condemned."""
+        self.faults.restart(nid)
+        if nid in self.parties:
+            self.parties[nid].restart()
 
 
 # -- protocol drivers ------------------------------------------------------------------
@@ -90,10 +115,9 @@ class ProtocolDriver:
     #: above it could never complete and would only burn the timeout)
     uses_f_w = True
 
-    #: the driver supports the process-per-party backend: its workload,
-    #: completion check, and output are all expressible per node (the
-    #: ``start_node``/``node_done``/``node_output`` forms below), so a
-    #: worker that hosts exactly one party can drive its slice alone
+    #: the driver supports the process-per-party backend: completion and
+    #: output are expressible per node (``node_done``/``node_output``), so
+    #: a worker that hosts exactly one party can report its slice alone
     proc_capable = True
 
     #: the driver's parties implement crash-restart recovery (WAL replay
@@ -143,34 +167,36 @@ class ProtocolDriver:
     def factory(self, nid: int) -> Party:
         raise NotImplementedError
 
+    @property
+    def expect_liveness(self) -> bool:
+        """False when the adversary (or chaos plan) voids the liveness
+        claim: ``done()`` may then never hold, and quiescence is final."""
+        return self.adversary is None or self.adversary.expect_liveness
+
+    @property
+    def epochs(self) -> int:
+        """Workload epochs this driver fires (one-shot protocols: 1)."""
+        return self.spec.workload.epochs
+
+    # -- the workload, per (node, epoch) -----------------------------------------
+
+    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
+        """Node ``nid``'s share of epoch ``epoch``'s workload."""
+        raise NotImplementedError
+
     def start(self, ctx: RunContext) -> None:
-        raise NotImplementedError
+        """Schedule the workload: one event per epoch fires every live
+        node hosted by ``ctx`` in node order (which fixes the sim's event
+        order; a proc worker's context hosts one node, so the same call
+        fires exactly its slice)."""
+        for epoch in range(self.epochs):
 
-    def done(self, ctx: RunContext) -> bool:
-        raise NotImplementedError
+            def fire_epoch(e: int = epoch) -> None:
+                for nid in ctx.live_nodes:
+                    if nid in ctx.parties:
+                        self.fire(ctx, nid, e)
 
-    def outputs(self, ctx: RunContext) -> dict[str, str]:
-        """Canonical decided values per live party (digest strings)."""
-        raise NotImplementedError
-
-    # -- per-node forms (proc backend) ------------------------------------------
-    # One worker hosts one party, so the workload and the correctness
-    # checks must decompose by node.  ``done``/``outputs`` above are (for
-    # proc-capable drivers) exactly the aggregation of these forms over
-    # ``observers(ctx)``; ``start`` stays a separate whole-cluster recipe
-    # because its iteration order fixes the sim backend's event order.
-
-    def start_node(self, ctx: RunContext, nid: int) -> None:
-        """Fire node ``nid``'s share of the workload (and nothing else)."""
-        raise NotImplementedError(f"{type(self).__name__} is not proc-capable")
-
-    def node_done(self, ctx: RunContext, nid: int) -> bool:
-        """Completion as observable by node ``nid`` alone."""
-        raise NotImplementedError(f"{type(self).__name__} is not proc-capable")
-
-    def node_output(self, ctx: RunContext, nid: int) -> str:
-        """Node ``nid``'s canonical decided value (digest string)."""
-        raise NotImplementedError(f"{type(self).__name__} is not proc-capable")
+            ctx.at(self.spec.workload.start_time(epoch), fire_epoch)
 
     def restart_node(self, ctx: RunContext, nid: int) -> None:
         """Rejoin hook fired right after a crash-restarted node comes
@@ -178,10 +204,31 @@ class ProtocolDriver:
         state-sync request); drivers re-fire the node's workload here."""
         raise NotImplementedError(f"{type(self).__name__} has no recoverable party")
 
+    # -- completion and outputs, per node and aggregated ---------------------------
+
+    def node_done(self, ctx: RunContext, nid: int) -> bool:
+        """Completion as observable by node ``nid`` alone."""
+        raise NotImplementedError
+
+    def node_output(self, ctx: RunContext, nid: int) -> str:
+        """Node ``nid``'s canonical decided value (digest string)."""
+        raise NotImplementedError
+
+    def done(self, ctx: RunContext) -> bool:
+        return all(self.node_done(ctx, nid) for nid in self.observers(ctx))
+
+    def outputs(self, ctx: RunContext) -> dict[str, str]:
+        """Canonical decided values per observer (digest strings)."""
+        return {
+            str(nid): self.node_output(ctx, nid) for nid in self.observers(ctx)
+        }
+
 
 class RbcDriver(ProtocolDriver):
     """Weighted Bracha reliable broadcast; the lowest live honest party
     sends -- unless an equivocation strategy claims the sender role."""
+
+    epochs = 1
 
     def __init__(self, spec: ScenarioSpec, committee, adversary=None) -> None:
         super().__init__(spec, committee, adversary)
@@ -198,27 +245,9 @@ class RbcDriver(ProtocolDriver):
 
         return BroadcastParty(nid, self.quorums)
 
-    def start(self, ctx: RunContext) -> None:
-        ctx.at(
-            self.spec.workload.start_time(0),
-            lambda: ctx.party(self.sender).broadcast_value(self.payload),
-        )
-
-    def done(self, ctx: RunContext) -> bool:
-        return all(self.node_done(ctx, nid) for nid in self.observers(ctx))
-
-    def outputs(self, ctx: RunContext) -> dict[str, str]:
-        return {
-            str(nid): self.node_output(ctx, nid) for nid in self.observers(ctx)
-        }
-
-    def start_node(self, ctx: RunContext, nid: int) -> None:
-        if nid != self.sender:
-            return
-        ctx.at(
-            self.spec.workload.start_time(0),
-            lambda: ctx.party(self.sender).broadcast_value(self.payload),
-        )
+    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
+        if nid == self.sender:
+            ctx.party(nid).broadcast_value(self.payload)
 
     def node_done(self, ctx: RunContext, nid: int) -> bool:
         return ctx.party(nid).delivered == self.payload
@@ -244,18 +273,21 @@ class SmrDriver(ProtocolDriver):
 
         self.quorums = committee.quorums(spec.f_w)
         self.coin = deterministic_coin(f"{spec.name}|{spec.seed}")
-        if spec.faults.restarts:
-            # recovery traffic (state sync, re-proposals) depends on
-            # timing, so message counts stop being comparable
-            self.count_comparable = False
         # Reject specs with nothing to certify: a vacuously-true done()
         # would report a successful run in which no epoch committed.
-        if not self._required_epochs():
+        required = self._required_epochs()
+        if not required:
             raise ValueError(
                 "no SMR epoch can commit everywhere under this fault plan: "
                 "a partition needs heal_at and at least one epoch starting "
                 "at or after it"
             )
+        if spec.faults.restarts or len(required) < self.epochs:
+            # recovery traffic (state sync, re-proposals) and how much of
+            # a best-effort epoch's traffic the heal still catches in
+            # flight both depend on timing, so message counts stop being
+            # comparable across backends
+            self.count_comparable = False
 
     def factory(self, nid: int) -> Party:
         from ..protocols.smr import SmrParty
@@ -296,30 +328,8 @@ class SmrDriver(ProtocolDriver):
         floor = max(barriers)
         return [e for e in epochs if self.spec.workload.start_time(e) >= floor]
 
-    def start(self, ctx: RunContext) -> None:
-        for epoch in range(self.spec.workload.epochs):
-
-            def fire(e: int = epoch) -> None:
-                for nid in ctx.live_nodes:
-                    ctx.party(nid).propose_batch(e, _payload(self.spec, nid, e))
-
-            ctx.at(self.spec.workload.start_time(epoch), fire)
-
-    def done(self, ctx: RunContext) -> bool:
-        return all(self.node_done(ctx, nid) for nid in self.observers(ctx))
-
-    def outputs(self, ctx: RunContext) -> dict[str, str]:
-        return {
-            str(nid): self.node_output(ctx, nid) for nid in self.observers(ctx)
-        }
-
-    def start_node(self, ctx: RunContext, nid: int) -> None:
-        for epoch in range(self.spec.workload.epochs):
-
-            def fire(e: int = epoch) -> None:
-                ctx.party(nid).propose_batch(e, _payload(self.spec, nid, e))
-
-            ctx.at(self.spec.workload.start_time(epoch), fire)
+    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
+        ctx.party(nid).propose_batch(epoch, _payload(self.spec, nid, epoch))
 
     def restart_node(self, ctx: RunContext, nid: int) -> None:
         # Re-propose every epoch's batch: receivers absorb duplicates
@@ -327,8 +337,8 @@ class SmrDriver(ProtocolDriver):
         # function of the spec, so re-proposal cannot fork an instance.
         # Needed when the crash predates the original proposal -- no live
         # peer can supply a batch that was never broadcast.
-        for epoch in range(self.spec.workload.epochs):
-            ctx.party(nid).propose_batch(epoch, _payload(self.spec, nid, epoch))
+        for epoch in range(self.epochs):
+            self.fire(ctx, nid, epoch)
 
     def node_done(self, ctx: RunContext, nid: int) -> bool:
         if self.adversary is None:
@@ -375,6 +385,7 @@ class VabaDriver(ProtocolDriver):
     #: real outputs aggregate *all* virtual parties' decisions through
     #: ``runner.real_output``, which no single-node worker can compute
     proc_capable = False
+    epochs = 1
 
     def __init__(self, spec: ScenarioSpec, committee, adversary=None) -> None:
         super().__init__(spec, committee, adversary)
@@ -399,17 +410,11 @@ class VabaDriver(ProtocolDriver):
     def factory(self, nid: int) -> Party:
         return self._parties[nid]
 
-    def start(self, ctx: RunContext) -> None:
-        def fire() -> None:
-            for real in self.live_real:
-                value = _payload(self.spec, real, 0)
-                for vid in self.map_pid(real):
-                    ctx.party(vid).propose(value)
+    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
+        ctx.party(nid).propose(_payload(self.spec, self.setup.vmap.owner(nid), 0))
 
-        ctx.at(self.spec.workload.start_time(0), fire)
-
-    def done(self, ctx: RunContext) -> bool:
-        return all(ctx.party(nid).decided is not None for nid in ctx.live_nodes)
+    def node_done(self, ctx: RunContext, nid: int) -> bool:
+        return ctx.party(nid).decided is not None
 
     def outputs(self, ctx: RunContext) -> dict[str, str]:
         virtual_outputs = {
@@ -457,30 +462,8 @@ class CheckpointDriver(ProtocolDriver):
             beta=self.beta if self.mode == "tight" else None,
         )
 
-    def start(self, ctx: RunContext) -> None:
-        for epoch, checkpoint in enumerate(self.checkpoints):
-
-            def fire(cp: bytes = checkpoint) -> None:
-                for nid in ctx.live_nodes:
-                    ctx.party(nid).sign_checkpoint(cp)
-
-            ctx.at(self.spec.workload.start_time(epoch), fire)
-
-    def done(self, ctx: RunContext) -> bool:
-        return all(self.node_done(ctx, nid) for nid in self.observers(ctx))
-
-    def outputs(self, ctx: RunContext) -> dict[str, str]:
-        return {
-            str(nid): self.node_output(ctx, nid) for nid in self.observers(ctx)
-        }
-
-    def start_node(self, ctx: RunContext, nid: int) -> None:
-        for epoch, checkpoint in enumerate(self.checkpoints):
-
-            def fire(cp: bytes = checkpoint) -> None:
-                ctx.party(nid).sign_checkpoint(cp)
-
-            ctx.at(self.spec.workload.start_time(epoch), fire)
+    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
+        ctx.party(nid).sign_checkpoint(self.checkpoints[epoch])
 
     def node_done(self, ctx: RunContext, nid: int) -> bool:
         return all(cp in ctx.party(nid).certificates for cp in self.checkpoints)
@@ -599,27 +582,6 @@ class ScenarioResult:
 # -- execution -------------------------------------------------------------------------
 
 
-def _fault_plan(
-    spec: ScenarioSpec, driver: ProtocolDriver
-) -> tuple[FaultController, list[int], list[frozenset[int]], list[tuple[int, int, float]]]:
-    """Translate the spec's real-party fault plan into node-id terms."""
-    faults = FaultController()
-    crashed = sorted(
-        {nid for pid in spec.faults.crashes for nid in driver.map_pid(pid)}
-    )
-    groups = [
-        frozenset(nid for pid in group for nid in driver.map_pid(pid))
-        for group in spec.faults.partition
-    ]
-    links = [
-        (s, d, delay)
-        for (src, dst, delay) in spec.faults.link_delays
-        for s in driver.map_pid(src)
-        for d in driver.map_pid(dst)
-    ]
-    return faults, crashed, groups, links
-
-
 def build_driver(
     spec: ScenarioSpec,
     committee=None,
@@ -680,84 +642,71 @@ def build_driver(
     return driver
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    *,
-    backend: str = "sim",
-    timeout: float = 60.0,
-    committee=None,
-    state_dir: Optional[str] = None,
-) -> ScenarioResult:
-    """Execute ``spec`` on ``backend`` and return the unified record.
+# -- the run lifecycle: arm, stop rule, finish -------------------------------------------
 
-    ``backend`` is ``"sim"`` (discrete-event, deterministic, virtual
-    time), ``"inproc"`` (live asyncio queues), ``"tcp"`` (live sockets,
-    one event loop), or ``"proc"`` (process-per-party over TCP).  Runtime
-    backends raise ``TimeoutError`` when the scenario does not complete
-    within ``timeout``; the sim instead runs to quiescence and reports
-    ``completed=False``.  ``committee`` lets a caller that already
-    resolved the spec's weights (e.g. a :class:`repro.api.Session`) skip
-    re-resolving the source.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; one of {BACKENDS}")
-    if spec.workload.kind == "service":
-        # Service workloads (open-loop load + committee rotation) have
-        # their own driver stack; they return the same ScenarioResult.
-        from ..service.scenario import run_service_spec
 
-        if spec.protocol != "smr":
-            raise ValueError("service workloads run on the smr protocol")
-        if backend == "proc":
-            raise ValueError(
-                "service workloads run on the sim or inproc backends, not proc"
-            )
-        return run_service_spec(
-            spec, backend=backend, timeout=timeout, committee=committee
-        )
-    if backend == "proc":
-        from ..parallel.proc import run_proc_scenario
-
-        return run_proc_scenario(
-            spec, timeout=timeout, committee=committee, state_dir=state_dir
-        )
-    driver = build_driver(spec, committee, state_dir=state_dir)
-    committee = driver.committee
-    adversary = driver.adversary
-    faults, crashed, groups, links = _fault_plan(spec, driver)
-    live_nodes = tuple(
-        nid for nid in range(driver.n_nodes) if nid not in set(crashed)
-    )
+def _context(spec, driver, parties, schedule, faults) -> RunContext:
+    """The backend's :class:`RunContext` over ``parties`` (node id ->
+    hosted party); the live nodes are the spec's, in node-id terms."""
+    crashed = {nid for pid in spec.faults.crashes for nid in driver.map_pid(pid)}
+    live_nodes = tuple(nid for nid in range(driver.n_nodes) if nid not in crashed)
     if not live_nodes:
         raise ValueError("fault plan crashes every node; nothing left to run")
-
-    common = dict(
-        spec=spec,
-        backend=backend,
-        n_real=committee.n,
-        n_nodes=driver.n_nodes,
-        weights_digest=committee.weights_digest,
-        count_comparable=driver.count_comparable,
-        adversary=adversary.describe() if adversary is not None else None,
-    )
-
-    if backend == "sim":
-        return _run_sim(spec, driver, faults, crashed, groups, links, live_nodes, common)
-    return _run_runtime(
-        spec, driver, faults, crashed, groups, links, live_nodes, common,
-        transport=backend, timeout=timeout,
+    return RunContext(
+        parties=parties, live_nodes=live_nodes, schedule=schedule, faults=faults
     )
 
 
-def _apply_static_faults(
-    faults: FaultController,
-    groups: Sequence[frozenset[int]],
-    links: Sequence[tuple[int, int, float]],
-) -> None:
-    if groups:
-        faults.partition(*groups)
-    for src, dst, delay in links:
-        faults.delay_link(src, dst, delay)
+def _arm(spec, driver, ctx: RunContext, metrics, *, restart_timers: bool = True):
+    """Arm the spec's whole fault plan on one backend instance.
+
+    The one place a plan is translated from real-party to node-id terms
+    and installed: initial crashes, the static partition and link delays,
+    the adversary's network faults, ``heal_at``, the crash-restart timers
+    and the chaos timeline (returned as its orchestrator, ``None``
+    without a chaos plan).  A proc worker arms the *full* plan too --
+    every worker's controller must agree, and only the (src, dst == its
+    node) decisions ever fire there, so per-worker drop and delay counts
+    sum to the single-process totals -- while party-level effects reach
+    only the party its context hosts.  It passes ``restart_timers=False``:
+    its crash-restart plan is real process death, driven by the parent.
+    """
+    faults = ctx.faults
+    for pid in spec.faults.crashes:
+        for nid in driver.map_pid(pid):
+            ctx.crash(nid)
+    if spec.faults.partition:
+        faults.partition(
+            *(
+                [nid for pid in group for nid in driver.map_pid(pid)]
+                for group in spec.faults.partition
+            )
+        )
+    for src, dst, delay in spec.faults.link_delays:
+        for s in driver.map_pid(src):
+            for d in driver.map_pid(dst):
+                faults.delay_link(s, d, delay)
+    if driver.adversary is not None:
+        driver.adversary.install_network_faults(faults, driver.map_pid)
+    if spec.faults.heal_at is not None:
+        ctx.at(spec.faults.heal_at, faults.heal)
+    if restart_timers:
+        for pid, crash_at, restart_at in spec.faults.restarts:
+            for nid in driver.map_pid(pid):
+
+                def rejoin(nid: int = nid) -> None:
+                    ctx.restart(nid)
+                    driver.restart_node(ctx, nid)
+
+                ctx.at(crash_at, lambda nid=nid: ctx.crash(nid))
+                ctx.at(restart_at, rejoin)
+    if spec.chaos is None:
+        return None
+    from ..chaos.orchestrator import ChaosOrchestrator
+
+    orchestrator = ChaosOrchestrator(spec, driver)
+    orchestrator.install(ctx, metrics=metrics)
+    return orchestrator
 
 
 def _chaos_horizon(spec) -> float:
@@ -774,211 +723,223 @@ def _chaos_horizon(spec) -> float:
     return max(times + [0.0])
 
 
-def _schedule_restarts(spec, driver, ctx, crash_fn, restart_fn) -> None:
-    """Arm the crash-restart plan: crash at T, rejoin at T + delta.
+class _StopRule:
+    """The one rule for when a run may end, polled by the live backends.
 
-    ``restart_fn`` un-crashes the node at the transport level *before*
-    the party's own :meth:`restart` runs, so the state-sync request it
-    broadcasts is not dropped by the fault controller.
+    Never before the plan's horizon (a run that is ``done()`` at 35 ms
+    has not run a crash scheduled for 0.2 s).  Past it: ``done()`` ends
+    the run; so does quiescence when the adversary voids liveness (quiet
+    is then the final answer), or -- with the chaos watchdog on -- quiet
+    sustained for ``stall_after`` seconds, the watchdog's stall.  With
+    neither, only ``done()`` (or the caller's timeout) ends it.
+
+    The sim meets the rule by running to quiescence: every scheduled
+    time up to the horizon has then passed, and quiet without ``done()``
+    *is* the stall.  inproc/tcp poll it from the cluster's stop
+    condition, the proc parent from its status poll; each then drains
+    to quiescence so trailing messages are counted, as on the sim.
     """
-    for pid, crash_at, restart_at in spec.faults.restarts:
-        for nid in driver.map_pid(pid):
 
-            def rejoin(nid: int = nid) -> None:
-                restart_fn(nid)
-                driver.restart_node(ctx, nid)
+    def __init__(self, spec, driver) -> None:
+        self.horizon = _chaos_horizon(spec)
+        #: seconds of sustained quiet that end an undone run (None: never)
+        self.patience: Optional[float] = None
+        if not driver.expect_liveness:
+            self.patience = 0.0
+        elif spec.chaos is not None and spec.chaos.watchdog:
+            self.patience = spec.chaos.stall_after
+        self._quiet_since: Optional[float] = None
+        self._sent = -1
 
-            ctx.at(crash_at, lambda nid=nid: crash_fn(nid))
-            ctx.at(restart_at, rejoin)
+    def __call__(self, elapsed: float, done: bool, quiescent: bool, sent: int) -> bool:
+        """``elapsed`` scenario seconds in; ``sent`` is the cumulative
+        send count (progress between two quiet polls resets the clock)."""
+        if elapsed < self.horizon:
+            return False
+        if done:
+            return True
+        if self.patience is None or not quiescent or sent != self._sent:
+            self._quiet_since, self._sent = None, sent
+            return False
+        if self._quiet_since is None:
+            self._quiet_since = elapsed
+        return elapsed - self._quiet_since >= self.patience
 
 
-def _run_sim(spec, driver, faults, crashed, groups, links, live_nodes, common):
-    from ..sim.network import UniformDelay
-    from ..sim.runner import build_world
+def _assemble(
+    spec, backend, committee, metrics, *, n_nodes, count_comparable, adversary, **fields
+) -> ScenarioResult:
+    """The one place a :class:`ScenarioResult` is put together.
 
-    world = build_world(
-        driver.factory,
-        driver.n_nodes,
-        delay_model=UniformDelay(spec.net.delay_low, spec.net.delay_high),
-        seed=spec.seed,
-        faults=faults,
-        committee=driver.committee,
+    Identity and counter fields derive from the committee and one
+    message-counter object the same way for every backend (and for
+    service workloads); ``fields`` carries the outcome, the fault
+    counters, the backend's clock (``sim_time``/``sim_events`` or
+    ``wall_seconds``) and the optional record sections.
+    """
+    return ScenarioResult(
+        spec=spec,
+        backend=backend,
+        n_real=committee.n,
+        n_nodes=n_nodes,
+        weights_digest=committee.weights_digest,
+        count_comparable=count_comparable,
+        messages=metrics.messages,
+        bytes=metrics.bytes,
+        by_type=dict(metrics.by_type),
+        bytes_by_type=dict(metrics.bytes_by_type),
+        adversary=adversary.describe() if adversary is not None else None,
+        **fields,
     )
-    for nid in crashed:
-        world.party(nid).crash()
-        faults.crash(nid)
-    _apply_static_faults(faults, groups, links)
-    if driver.adversary is not None:
-        driver.adversary.install_network_faults(faults, driver.map_pid)
-    ctx = RunContext(
-        parties=world.parties,
-        live_nodes=live_nodes,
-        schedule=world.simulator.schedule,
-    )
-    if spec.faults.heal_at is not None:
-        ctx.at(spec.faults.heal_at, faults.heal)
-    _schedule_restarts(
-        spec,
-        driver,
-        ctx,
-        lambda nid: (world.party(nid).crash(), faults.crash(nid)),
-        lambda nid: (faults.restart(nid), world.party(nid).restart()),
-    )
-    orchestrator = None
-    if spec.chaos is not None:
-        from ..chaos.orchestrator import ChaosOrchestrator
 
-        orchestrator = ChaosOrchestrator(spec, driver)
-        orchestrator.install(
-            ctx,
-            faults,
-            metrics=world.metrics,
-            restart_fn=lambda nid: (
-                world.party(nid).restart(),
-                driver.restart_node(ctx, nid),
-            ),
-        )
-    driver.start(ctx)
-    world.run()  # to quiescence: trailing messages count, as on the runtime
-    completed = driver.done(ctx)
-    chaos_section = None
-    if orchestrator is not None:
+
+def _chaos_section(spec, driver, completed: bool, section: dict, **postmortem) -> dict:
+    """Close a run's ``chaos`` record section with the watchdog verdict
+    -- unless ``ChaosSpec.watchdog`` turned it off, on every backend
+    alike.  The run already ended by the stop rule, so "not completed"
+    is the stall; ``postmortem`` feeds the bundle of a stalled run."""
+    if spec.chaos.watchdog:
         from ..chaos.watchdog import LivenessWatchdog
 
         watchdog = LivenessWatchdog(
-            spec.chaos,
-            expect_liveness=driver.adversary.expect_liveness,
-            horizon=_chaos_horizon(spec),
+            spec.chaos, expect_liveness=driver.expect_liveness
         )
-        # The sim ran to exact quiescence, so "not done" IS the stall.
         watchdog.observe_quiescence(completed)
-        chaos_section = orchestrator.summary()
-        chaos_section["watchdog"] = watchdog.report(
-            faults=faults, orchestrator=orchestrator
+        section["watchdog"] = watchdog.report(**postmortem)
+    return section
+
+
+def _finish(
+    spec, driver, ctx: RunContext, backend, metrics, orchestrator, *,
+    queue_depths=None, **clock,
+) -> ScenarioResult:
+    """Read the finished single-process run into its record."""
+    completed = driver.done(ctx)
+    chaos = None
+    if orchestrator is not None:
+        chaos = _chaos_section(
+            spec, driver, completed, orchestrator.summary(),
+            faults=ctx.faults, orchestrator=orchestrator, queue_depths=queue_depths,
         )
-    m = world.metrics
-    return ScenarioResult(
+    return _assemble(
+        spec, backend, driver.committee, metrics,
+        n_nodes=driver.n_nodes,
+        count_comparable=driver.count_comparable,
+        adversary=driver.adversary,
         completed=completed,
         decided=driver.outputs(ctx),
-        messages=m.messages,
-        bytes=m.bytes,
-        by_type=dict(m.by_type),
-        bytes_by_type=dict(m.bytes_by_type),
-        dropped_messages=faults.dropped_messages,
-        delayed_messages=faults.delayed_messages,
-        sim_time=world.simulator.now,
-        sim_events=world.simulator.events_processed,
-        chaos=chaos_section,
-        **common,
+        dropped_messages=ctx.faults.dropped_messages,
+        delayed_messages=ctx.faults.delayed_messages,
+        chaos=chaos,
+        **clock,
     )
 
 
-def _run_runtime(
-    spec, driver, faults, crashed, groups, links, live_nodes, common,
-    *, transport, timeout,
-):
+def run_scenario(
+    spec: ScenarioSpec,
+    *,
+    backend: str = "sim",
+    timeout: float = 60.0,
+    committee=None,
+    state_dir: Optional[str] = None,
+) -> ScenarioResult:
+    """Execute ``spec`` on ``backend`` and return the unified record.
+
+    ``backend`` is ``"sim"`` (discrete-event, deterministic, virtual
+    time), ``"inproc"`` (live asyncio queues), ``"tcp"`` (live sockets,
+    one event loop), or ``"proc"`` (process-per-party over TCP).  Every
+    backend arms the same fault plan and ends by the same stop rule
+    (:class:`_StopRule`); a live run that is expected to complete but
+    does not raises ``TimeoutError`` after ``timeout``, while the sim runs
+    to quiescence and reports ``completed=False``.  ``committee`` lets a
+    caller that already resolved the spec's weights (e.g. a
+    :class:`repro.api.Session`) skip re-resolving the source.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; one of {BACKENDS}")
+    if spec.workload.kind == "service":
+        # Service workloads (open-loop load + committee rotation) have
+        # their own driver stack; they return the same ScenarioResult.
+        from ..service.scenario import run_service_spec
+
+        if spec.protocol != "smr":
+            raise ValueError("service workloads run on the smr protocol")
+        return run_service_spec(
+            spec, backend=backend, timeout=timeout, committee=committee
+        )
+    if backend == "proc":
+        from ..parallel.proc import run_proc_scenario
+
+        return run_proc_scenario(
+            spec, timeout=timeout, committee=committee, state_dir=state_dir
+        )
+    driver = build_driver(spec, committee, state_dir=state_dir)
+    faults = FaultController()
+
+    if backend == "sim":
+        from ..sim.network import UniformDelay
+        from ..sim.runner import build_world
+
+        world = build_world(
+            driver.factory,
+            driver.n_nodes,
+            delay_model=UniformDelay(spec.net.delay_low, spec.net.delay_high),
+            seed=spec.seed,
+            faults=faults,
+            committee=driver.committee,
+        )
+        ctx = _context(
+            spec, driver, world.network.parties, world.simulator.schedule, faults
+        )
+        orchestrator = _arm(spec, driver, ctx, world.metrics)
+        driver.start(ctx)
+        world.run()  # to quiescence: how the sim meets the stop rule
+        return _finish(
+            spec, driver, ctx, backend, world.metrics, orchestrator,
+            sim_time=world.simulator.now,
+            sim_events=world.simulator.events_processed,
+        )
+
     import asyncio
+    import time
 
     from ..runtime.cluster import run_cluster
 
-    holder: dict[str, RunContext] = {}
+    rule = _StopRule(spec, driver)
+    run: dict = {}
 
     def setup(cluster) -> None:
-        loop = asyncio.get_running_loop()
-        ctx = RunContext(
-            parties=cluster.parties,
-            live_nodes=live_nodes,
-            schedule=lambda when, fn: loop.call_later(when, fn),
-        )
-        holder["ctx"] = ctx
-        for nid in crashed:
-            cluster.crash_node(nid)
-        _apply_static_faults(faults, groups, links)
-        if driver.adversary is not None:
-            driver.adversary.install_network_faults(faults, driver.map_pid)
-        if spec.faults.heal_at is not None:
-            ctx.at(spec.faults.heal_at, faults.heal)
-        _schedule_restarts(
+        run["t0"] = time.perf_counter()
+        ctx = run["ctx"] = _context(
             spec,
             driver,
-            ctx,
-            cluster.crash_node,
-            cluster.restart_node,
+            dict(enumerate(cluster.parties)),
+            asyncio.get_running_loop().call_later,
+            faults,
         )
-        if orchestrator is not None:
-            orchestrator.install(
-                ctx,
-                faults,
-                metrics=cluster.metrics,
-                restart_fn=lambda nid: (
-                    cluster.restart_node(nid),
-                    driver.restart_node(ctx, nid),
-                ),
-            )
+        run["orchestrator"] = _arm(spec, driver, ctx, cluster.metrics)
         driver.start(ctx)
 
-    # A liveness-breaking strategy (e.g. an equivocating RBC sender) may
-    # legitimately never satisfy done(); settle to quiescence instead of
-    # burning the timeout, mirroring the sim's run-to-quiescence.
-    expect_liveness = (
-        driver.adversary.expect_liveness if driver.adversary is not None else True
-    )
-    orchestrator = None
-    watchdog = None
-    if spec.chaos is not None:
-        from ..chaos.orchestrator import ChaosOrchestrator
-        from ..chaos.watchdog import LivenessWatchdog
+    def stop_when(cluster) -> bool:
+        return rule(
+            time.perf_counter() - run["t0"],
+            driver.done(run["ctx"]),
+            cluster.transport.quiescent and all(node.idle for node in cluster.nodes),
+            cluster.metrics.messages,
+        )
 
-        orchestrator = ChaosOrchestrator(spec, driver)
-        if spec.chaos.watchdog:
-            watchdog = LivenessWatchdog(
-                spec.chaos,
-                expect_liveness=expect_liveness,
-                horizon=_chaos_horizon(spec),
-            )
-    if watchdog is not None:
-        # The watchdog stops a stalled run after ``stall_after`` seconds
-        # of quiescence past the horizon -- a postmortem, not a timeout.
-        stop_when = watchdog.stop_condition(lambda: driver.done(holder["ctx"]))
-    elif expect_liveness:
-        stop_when = lambda c: driver.done(holder["ctx"])  # noqa: E731
-    else:
-        stop_when = None
     cluster = run_cluster(
         driver.factory,
         driver.n_nodes,
-        transport=transport,
+        transport=backend,
         faults=faults,
         setup=setup,
         stop_when=stop_when,
         timeout=timeout,
         committee=driver.committee,
     )
-    ctx = holder["ctx"]
-    completed = driver.done(ctx)
-    chaos_section = None
-    if orchestrator is not None:
-        chaos_section = orchestrator.summary()
-        if watchdog is not None:
-            watchdog.observe_quiescence(completed)
-            chaos_section["watchdog"] = watchdog.report(
-                faults=faults,
-                orchestrator=orchestrator,
-                queue_depths={
-                    node.pid: node.inbox.qsize() for node in cluster.nodes
-                },
-            )
-    m = cluster.metrics
-    return ScenarioResult(
-        completed=completed,
-        decided=driver.outputs(ctx),
-        messages=m.messages,
-        bytes=m.bytes,
-        by_type=dict(m.by_type),
-        bytes_by_type=dict(m.bytes_by_type),
-        dropped_messages=faults.dropped_messages,
-        delayed_messages=faults.delayed_messages,
-        wall_seconds=m.elapsed_seconds,
-        chaos=chaos_section,
-        **common,
+    return _finish(
+        spec, driver, run["ctx"], backend, cluster.metrics, run["orchestrator"],
+        queue_depths={node.pid: node.inbox.qsize() for node in cluster.nodes},
+        wall_seconds=cluster.metrics.elapsed_seconds,
     )

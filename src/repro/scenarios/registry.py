@@ -1,9 +1,10 @@
 """Built-in named scenarios: the regimes the paper evaluates, as specs.
 
 Every scenario here completes on the sim backend (CI smoke-runs the full
-registry); the ``INPROC_SCENARIOS`` subset additionally runs on the live
-in-process runtime with decided values agreeing with the sim -- the
-cross-backend acceptance bar.
+registry), and every batch scenario additionally runs on the live
+in-process runtime (and, proc-marked, on the process-per-party mesh) with
+decided values agreeing with the sim -- the cross-backend acceptance bar
+``tests/scenarios/test_differential.py`` sweeps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from ..chaos.schedule import ChaosSpec, ChaosStage, TriggerSpec
 from ..chaos.weather import WeatherSpec
 from .spec import ByzantineSpec, FaultSpec, NetSpec, ScenarioSpec, WeightSpec, WorkloadSpec
 
-__all__ = ["SCENARIOS", "INPROC_SCENARIOS", "get_scenario", "scenario_names"]
+__all__ = ["SCENARIOS", "get_scenario", "scenario_names"]
 
 #: the paper's running-example stake vector (skewed, n=8, W=100)
 _STAKE = (40, 25, 15, 10, 5, 3, 1, 1)
@@ -244,19 +245,6 @@ _ALL = [
 ]
 
 SCENARIOS: dict[str, ScenarioSpec] = {spec.name: spec for spec in _ALL}
-
-#: scenarios additionally exercised on the live in-process runtime, whose
-#: decided values must agree with the sim (and message counts too, where
-#: the driver marks them comparable)
-INPROC_SCENARIOS = (
-    "uniform-rbc",
-    "zipf-stake-smr",
-    "skewed-quorum-rbc",
-    "vaba-blackbox",
-    "checkpoint-tight",
-    "partition-heal-corrupt-smr",
-)
-
 
 def scenario_names() -> list[str]:
     """Registry names in definition order."""

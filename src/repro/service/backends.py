@@ -28,7 +28,7 @@ from ..runtime.codec import CodecRegistry, default_registry
 from ..runtime.node import RuntimeNode
 from ..runtime.transport import InProcTransport
 from ..sim.events import Simulator
-from ..sim.network import Network, UniformDelay
+from ..sim.network import Network, NetworkMetrics, UniformDelay
 from ..sim.process import Party
 
 __all__ = ["ServiceBackend", "SimServiceBackend", "InprocServiceBackend"]
@@ -76,8 +76,8 @@ class ServiceBackend:
         """Drive ``service`` from :meth:`EpochService.start` to finished."""
         raise NotImplementedError
 
-    def message_totals(self) -> tuple[int, int, dict[str, int], dict[str, int]]:
-        """``(messages, bytes, by_type, bytes_by_type)`` across all groups."""
+    def message_totals(self) -> NetworkMetrics:
+        """Message and byte counters summed across all groups."""
         raise NotImplementedError
 
 
@@ -139,19 +139,11 @@ class SimServiceBackend(ServiceBackend):
                 f"{service.config.max_time}s of virtual time"
             )
 
-    def message_totals(self) -> tuple[int, int, dict[str, int], dict[str, int]]:
-        messages = bytes_total = 0
-        by_type: dict[str, int] = {}
-        bytes_by_type: dict[str, int] = {}
+    def message_totals(self) -> NetworkMetrics:
+        totals = NetworkMetrics()
         for network in self.networks:
-            m = network.metrics
-            messages += m.messages
-            bytes_total += m.bytes
-            for k, v in m.by_type.items():
-                by_type[k] = by_type.get(k, 0) + v
-            for k, v in m.bytes_by_type.items():
-                bytes_by_type[k] = bytes_by_type.get(k, 0) + v
-        return messages, bytes_total, by_type, bytes_by_type
+            totals.add(network.metrics)
+        return totals
 
     @property
     def sim_time(self) -> float:
@@ -238,6 +230,5 @@ class InprocServiceBackend(ServiceBackend):
             self._retired_tasks.clear()
             await self.transport.stop()
 
-    def message_totals(self) -> tuple[int, int, dict[str, int], dict[str, int]]:
-        m = self.metrics
-        return m.messages, m.bytes, dict(m.by_type), dict(m.bytes_by_type)
+    def message_totals(self) -> NetworkMetrics:
+        return self.metrics

@@ -16,8 +16,6 @@ scenarios.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..scenarios.spec import ScenarioSpec
 from .backends import InprocServiceBackend, SimServiceBackend
 from .epoch import DriftSchedule, EpochManager
@@ -52,11 +50,12 @@ def run_service_spec(
 ):
     """Execute a service-workload spec; returns a ``ScenarioResult``."""
     from ..api.committee import Committee
-    from ..scenarios.harness import ScenarioResult
+    from ..scenarios.harness import _assemble
 
     if backend not in SERVICE_BACKENDS:
         raise ValueError(
-            f"service workloads run on {SERVICE_BACKENDS}, not {backend!r}"
+            f"service workloads run on the {' or '.join(SERVICE_BACKENDS)} "
+            f"backends, not {backend}"
         )
     if spec.faults.crashes or spec.faults.partition or spec.faults.link_delays:
         raise ValueError(
@@ -129,32 +128,19 @@ def run_service_spec(
     service_section = result.record()["service"]
     if result.error:
         service_section = {**service_section, "error": result.error}
-    sim_time: Optional[float] = None
-    sim_events: Optional[int] = None
-    wall_seconds: Optional[float] = None
     if backend == "sim":
-        sim_time = svc_backend.sim_time
-        sim_events = svc_backend.sim_events
+        clock = {"sim_time": svc_backend.sim_time, "sim_events": svc_backend.sim_events}
     else:
-        wall_seconds = result.elapsed_seconds
-    return ScenarioResult(
-        spec=spec,
-        backend=backend,
-        n_real=committee.n,
+        clock = {"wall_seconds": result.elapsed_seconds}
+    return _assemble(
+        spec, backend, committee, svc_backend.message_totals(),
         n_nodes=committee.n,
-        weights_digest=committee.weights_digest,
+        count_comparable=False,
+        adversary=adversary,
         completed=result.completed,
         decided=decided,
-        count_comparable=False,
-        messages=result.messages,
-        bytes=result.bytes,
-        by_type=result.by_type,
-        bytes_by_type=result.bytes_by_type,
         dropped_messages=0,
         delayed_messages=0,
-        sim_time=sim_time,
-        sim_events=sim_events,
-        wall_seconds=wall_seconds,
         service=service_section,
-        adversary=adversary.describe() if adversary is not None else None,
+        **clock,
     )

@@ -267,9 +267,7 @@ class EpochService:
         elapsed = (
             self.finished_at if self.finished_at is not None else self.backend.now()
         )
-        messages, total_bytes, by_type, bytes_by_type = (
-            self.backend.message_totals()
-        )
+        totals = self.backend.message_totals()
         return ServiceResult(
             name=self.name,
             backend=self.backend.name,
@@ -277,10 +275,10 @@ class EpochService:
             error=self.error,
             elapsed_seconds=elapsed,
             service=self.metrics.summary(elapsed),
-            messages=messages,
-            bytes=total_bytes,
-            by_type=by_type,
-            bytes_by_type=bytes_by_type,
+            messages=totals.messages,
+            bytes=totals.bytes,
+            by_type=dict(totals.by_type),
+            bytes_by_type=dict(totals.bytes_by_type),
         )
 
     # -- slot cutting ---------------------------------------------------------------

@@ -82,6 +82,16 @@ class NetworkMetrics:
         self.by_type[type_name] += 1
         self.bytes_by_type[type_name] += size
 
+    def add(self, other: "NetworkMetrics") -> None:
+        """Fold ``other``'s counters into this one (per-worker and
+        per-fabric totals)."""
+        self.messages += other.messages
+        self.bytes += other.bytes
+        for type_name, count in other.by_type.items():
+            self.by_type[type_name] += count
+        for type_name, size in other.bytes_by_type.items():
+            self.bytes_by_type[type_name] += size
+
 
 def _default_size(message) -> int:
     """Estimate a message's wire size.

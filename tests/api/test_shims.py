@@ -1,4 +1,4 @@
-"""Compatibility shims and the frozen API surface.
+"""The legacy import surface and the frozen API surface.
 
 Every pre-facade public name must keep importing and keep producing the
 same results through the facade; the facade's own exports are frozen in
@@ -42,29 +42,7 @@ class TestLegacyImportsStillResolve:
         assert legacy.ticket_bound == facade.bound
 
 
-class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "module, name",
-        [
-            (repro.core, "Committee"),
-            (repro.core, "TicketAssignmentResult"),
-            (repro.core, "solve_with_policy"),
-            (repro.scenarios, "Committee"),
-            (repro.scenarios, "Session"),
-            (repro.scenarios, "BackendSpec"),
-        ],
-    )
-    def test_moved_names_resolve_with_deprecation_warning(self, module, name):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            obj = getattr(module, name)
-        assert obj is getattr(repro.api, name)
-
-    def test_unknown_names_still_raise(self):
-        with pytest.raises(AttributeError):
-            repro.core.no_such_thing
-        with pytest.raises(AttributeError):
-            repro.scenarios.no_such_thing
-
+class TestTopLevelReexports:
     def test_top_level_reexports_without_warning(self, recwarn):
         assert repro.Committee is repro.api.Committee
         assert repro.Session is repro.api.Session

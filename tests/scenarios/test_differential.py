@@ -1,0 +1,121 @@
+"""Sim-vs-live differential coverage of the one run lifecycle.
+
+Every batch scenario of the registry runs on the simulator and on the
+live in-process runtime (and, ``proc``-marked, on the process-per-party
+mesh) and must tell the same story: completion, decided values, message
+counts wherever the driver claims them comparable, and which chaos
+stages fired.  The remaining tests pin the three places the backends'
+lifecycles used to diverge: a live run ending before its fault plan's
+horizon, the sim ignoring ``ChaosSpec.watchdog=False``, and a driver
+claiming comparable counts for an epoch that runs inside a partition.
+"""
+
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+
+from repro.chaos.schedule import ChaosStage, TriggerSpec
+from repro.scenarios import SCENARIOS, get_scenario, run_scenario, scenario_names
+
+#: service workloads have their own driver stack (and no proc/tcp form)
+BATCH = tuple(n for n in scenario_names() if SCENARIOS[n].workload.kind == "batch")
+#: VABA's real outputs aggregate every virtual user: no single-node form
+PROC_CAPABLE = tuple(n for n in BATCH if SCENARIOS[n].protocol != "vaba")
+
+
+def _late_weather_spec():
+    """``partition-heal-corrupt-smr`` plus a lossless weather stage long
+    after the protocol has decided: only a run that lasts to the plan's
+    horizon fires it."""
+    spec = get_scenario("partition-heal-corrupt-smr")
+    late = ChaosStage(
+        action="weather",
+        trigger=TriggerSpec(kind="time", value=2.0),
+        params=(("weather", (("jitter", 0.01),)),),
+    )
+    return replace(
+        spec,
+        name="late-weather-smr",
+        chaos=replace(spec.chaos, stages=spec.chaos.stages + (late,)),
+    )
+
+
+_EXTRA = {"late-weather-smr": _late_weather_spec}
+
+
+@lru_cache(maxsize=None)
+def _record(name: str, backend: str) -> dict:
+    spec = _EXTRA[name]() if name in _EXTRA else get_scenario(name)
+    return run_scenario(spec, backend=backend, timeout=60).record()
+
+
+def _fired(record: dict) -> list:
+    return [stage["fired"] for stage in record.get("chaos", {}).get("stages", [])]
+
+
+def _assert_same_story(sim: dict, live: dict) -> None:
+    assert sim["completed"] and live["completed"]
+    assert live["decided"] == sim["decided"]
+    assert live["count_comparable"] == sim["count_comparable"]
+    if sim["count_comparable"]:
+        assert live["by_type"] == sim["by_type"]
+        assert live["messages"] == sim["messages"]
+    assert _fired(live) == _fired(sim)
+
+
+class TestSimVsInproc:
+    @pytest.mark.parametrize("name", BATCH)
+    def test_registry_scenario_agrees(self, name):
+        _assert_same_story(_record(name, "sim"), _record(name, "inproc"))
+
+
+@pytest.mark.proc
+class TestSimVsProc:
+    @pytest.mark.parametrize("name", PROC_CAPABLE)
+    def test_registry_scenario_agrees(self, name):
+        _assert_same_story(_record(name, "sim"), _record(name, "proc"))
+
+
+class TestRunsToTheHorizon:
+    """A live run is not complete before the fault plan's horizon."""
+
+    def test_crash_restart_actually_crashes_and_restarts(self):
+        live = _record("crash-restart-smr", "inproc")
+        assert live["completed"]
+        assert live["wall_seconds"] >= 1.0  # restart_at
+        assert "StateSyncRequest" in live["by_type"]
+        assert "StateSyncRequest" in _record("crash-restart-smr", "sim")["by_type"]
+
+    @pytest.mark.parametrize("name", ["rolling-restart-under-load", "late-weather-smr"])
+    def test_late_stages_fire_on_inproc(self, name):
+        sim = _fired(_record(name, "sim"))
+        assert sim and all(sim)
+        assert _fired(_record(name, "inproc")) == sim
+
+    @pytest.mark.proc
+    @pytest.mark.parametrize("name", ["rolling-restart-under-load", "late-weather-smr"])
+    def test_late_stages_fire_on_proc(self, name):
+        assert _fired(_record(name, "proc")) == _fired(_record(name, "sim"))
+
+
+class TestWatchdogFlag:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_chaos_section_keys_agree_across_backends(self, enabled):
+        spec = get_scenario("partition-heal-corrupt-smr")
+        spec = replace(spec, chaos=replace(spec.chaos, watchdog=enabled))
+        sim = run_scenario(spec, backend="sim").record()["chaos"]
+        live = run_scenario(spec, backend="inproc", timeout=30).record()["chaos"]
+        assert set(sim) == set(live)
+        assert ("watchdog" in sim) == enabled
+
+
+class TestCountComparable:
+    def test_best_effort_epoch_voids_count_comparability(self):
+        # epoch 0 of partition-heal-smr runs inside the partition: how many
+        # of its messages the heal still catches in flight is timing
+        assert not _record("partition-heal-smr", "sim")["count_comparable"]
+        assert not _record("partition-heal-corrupt-smr", "sim")["count_comparable"]
+
+    def test_fault_free_smr_stays_comparable(self):
+        assert _record("zipf-stake-smr", "sim")["count_comparable"]

@@ -1,15 +1,13 @@
 """The scenario registry and its acceptance bar.
 
 Every built-in scenario must complete on the sim backend; the
-cross-backend subset must also pass on the live in-process runtime with
-decided values agreeing with the sim (and message counts agreeing where
-the protocol driver marks them comparable).
+cross-backend bar (every batch scenario on the live runtimes, agreeing
+with the sim) is swept in ``test_differential.py``.
 """
 
 import pytest
 
 from repro.scenarios import (
-    INPROC_SCENARIOS,
     SCENARIOS,
     ScenarioSpec,
     get_scenario,
@@ -103,17 +101,6 @@ class TestSimBackend:
 
 
 class TestInprocBackend:
-    @pytest.mark.parametrize("name", INPROC_SCENARIOS)
-    def test_decided_values_agree_with_sim(self, name):
-        spec = get_scenario(name)
-        sim = run_scenario(spec, backend="sim")
-        live = run_scenario(spec, backend="inproc", timeout=30)
-        assert live.completed
-        assert sim.decided == live.decided, name
-        if sim.count_comparable:
-            assert dict(sim.by_type) == dict(live.by_type), name
-            assert sim.messages == live.messages
-
     def test_partition_heals_on_live_runtime(self):
         result = run_scenario(
             get_scenario("partition-heal-smr"), backend="inproc", timeout=30

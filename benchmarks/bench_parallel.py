@@ -1,17 +1,13 @@
 """Benchmark P -- the parallel execution engine: fan-out speedup and
 byte-identity across ``jobs``.
 
-Two gated rows plus one recorded-only row:
-
-* **campaign**: a 200-episode fuzz campaign (80 in quick mode) run
-  sequentially and with ``jobs=8``, asserting the parallel run's
-  summary and per-episode records are byte-identical to the sequential
-  run before any timing is trusted;
-* **dleq**: chunked batch DLEQ verification over the RFC 3526 2048-bit
-  group, sequential vs ``jobs=8``, verdicts asserted identical;
-* **rs** (recorded, never gated): Reed-Solomon stripe encoding across
-  jobs -- the per-stripe work is too small on CI boxes for a stable
-  speedup, so the row documents rather than gates.
+One gated row, **campaign**: a 200-episode fuzz campaign (80 in quick
+mode) run sequentially and with ``jobs=8``, asserting the parallel run's
+summary and per-episode records are byte-identical to the sequential run
+before any timing is trusted.  (The chunked-DLEQ and RS-stripe rows went
+with their fan-outs: BENCH_8 recorded them at 0.87x and 0.09x, and
+nothing outside this bench called them; ``--check`` skips the baseline
+keys a run lacks.)
 
 Speedup gating is **core-aware**: the useful parallelism of a run is
 ``effective_jobs = min(jobs, cpus)``, and the absolute floor scales
@@ -32,37 +28,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
 
 from repro.adversary import FuzzConfig, run_campaign
 from repro.analysis.report import write_csv_rows, write_json
-from repro.codes.reed_solomon import ReedSolomon
-from repro.crypto.dleq import prove_dleq
-from repro.crypto.group import RFC3526_GROUP_2048
-from repro.parallel import (
-    available_parallelism,
-    encode_blocks_striped,
-    verify_dleq_batch_chunked,
-)
+from repro.parallel import available_parallelism
 
-#: fan-out width for the gated rows (the acceptance bar's "8 cores")
+#: fan-out width for the gated row (the acceptance bar's "8 cores")
 JOBS = 8
 
 #: fuzz episodes in quick mode; --full runs the acceptance-bar 200
 QUICK_EPISODES = 80
 FULL_EPISODES = 200
-
-#: DLEQ statements in quick mode; --full doubles it
-QUICK_STATEMENTS = 48
-DLEQ_CHUNK = 8
-
-#: RS stripe geometry (recorded only)
-RS_K, RS_M = 5, 16
-RS_STRIPES = 12
-RS_STRIPE_BYTES = 4096
 
 #: CI gate: fail when a speedup drops below this fraction of the
 #: committed baseline's (only when effective_jobs match -- see module doc)
@@ -136,75 +115,6 @@ def bench_campaign(*, full: bool) -> dict:
     }
 
 
-def bench_dleq(*, full: bool) -> dict:
-    """Chunked batch-DLEQ fan-out over the 2048-bit production group."""
-    n = QUICK_STATEMENTS * (2 if full else 1)
-    group = RFC3526_GROUP_2048
-    rng = random.Random(0)
-    g1 = group.generator
-    g2 = group.power(group.generator, 0xC0FFEE)
-    statements = []
-    for _ in range(n):
-        x = rng.randrange(1, group.order)
-        y1, y2, proof = prove_dleq(group, x, g1, g2, rng)
-        statements.append((y1, y2, proof))
-
-    def run(jobs):
-        return verify_dleq_batch_chunked(
-            group, g1, g2, statements, jobs=jobs, chunk_size=DLEQ_CHUNK, seed=8
-        )
-
-    repeats = 2 if full else 1
-    t_seq, seq = _time(lambda: run(1), repeats)
-    t_par, par = _time(lambda: run(JOBS), repeats)
-    effective = min(JOBS, available_parallelism())
-    return {
-        "workload": "dleq-batch-verify",
-        "statements": n,
-        "chunk_size": DLEQ_CHUNK,
-        "group_bits": 2048,
-        "jobs": JOBS,
-        "cpus": available_parallelism(),
-        "effective_jobs": effective,
-        "sequential_s": round(t_seq, 6),
-        "parallel_s": round(t_par, 6),
-        "speedup": round(t_seq / max(t_par, 1e-12), 2),
-        "efficiency": round(t_seq / max(t_par, 1e-12) / effective, 3),
-        "verdicts_identical": seq == par,
-        "all_valid": all(seq),
-        "floor": absolute_floor(effective),
-    }
-
-
-def bench_rs(*, full: bool) -> dict:
-    """RS stripe encoding across jobs (recorded only, never gated)."""
-    stripes = [
-        random.Random(i).randbytes(RS_STRIPE_BYTES)
-        for i in range(RS_STRIPES * (2 if full else 1))
-    ]
-    rs = ReedSolomon(RS_K, RS_M)
-
-    def run(jobs):
-        return encode_blocks_striped(RS_K, RS_M, stripes, jobs=jobs, rs=rs)
-
-    t_seq, seq = _time(lambda: run(1))
-    t_par, par = _time(lambda: run(JOBS))
-    return {
-        "workload": "rs-stripe-encode",
-        "k": RS_K,
-        "m": RS_M,
-        "stripes": len(stripes),
-        "stripe_bytes": RS_STRIPE_BYTES,
-        "jobs": JOBS,
-        "cpus": available_parallelism(),
-        "sequential_s": round(t_seq, 6),
-        "parallel_s": round(t_par, 6),
-        "speedup": round(t_seq / max(t_par, 1e-12), 2),
-        "fragments_identical": seq == par,
-        "gated": False,
-    }
-
-
 def run_bench(*, full: bool) -> dict:
     return {
         "bench": "parallel",
@@ -212,26 +122,20 @@ def run_bench(*, full: bool) -> dict:
         "mode": "full" if full else "quick",
         "cpus": available_parallelism(),
         "campaign": bench_campaign(full=full),
-        "dleq": bench_dleq(full=full),
-        "rs": bench_rs(full=full),
     }
 
 
 def gate_failures(record: dict) -> list[str]:
-    """Absolute-floor and identity failures for the two gated rows."""
+    """Absolute-floor and identity failures for the gated row."""
     failures = []
-    for key in ("campaign", "dleq"):
-        row = record[key]
-        identity = row.get("byte_identical", row.get("verdicts_identical"))
-        if not identity:
-            failures.append(f"{key}: parallel output differs from sequential")
-        if row["speedup"] < row["floor"]:
-            failures.append(
-                f"{key}: speedup {row['speedup']:.2f}x < {row['floor']:.2f}x "
-                f"floor at effective_jobs={row['effective_jobs']}"
-            )
-    if not record["rs"]["fragments_identical"]:
-        failures.append("rs: parallel fragments differ from sequential")
+    row = record["campaign"]
+    if not row["byte_identical"]:
+        failures.append("campaign: parallel output differs from sequential")
+    if row["speedup"] < row["floor"]:
+        failures.append(
+            f"campaign: speedup {row['speedup']:.2f}x < {row['floor']:.2f}x "
+            f"floor at effective_jobs={row['effective_jobs']}"
+        )
     return failures
 
 
@@ -245,17 +149,13 @@ def check_against_baseline(record: dict, baseline_path: Path) -> list[str]:
     """
     baseline = json.loads(baseline_path.read_text())
     failures = gate_failures(record)
-    for key in ("campaign", "dleq"):
-        base_row = baseline.get(key)
-        if not base_row:
-            continue
-        row = record[key]
-        if row["effective_jobs"] != base_row.get("effective_jobs"):
-            continue
+    base_row = baseline.get("campaign")
+    row = record["campaign"]
+    if base_row and row["effective_jobs"] == base_row.get("effective_jobs"):
         floor = base_row["speedup"] * REGRESSION_FLOOR
         if row["speedup"] < floor:
             failures.append(
-                f"{key}.speedup: {row['speedup']:.2f}x < {floor:.2f}x "
+                f"campaign.speedup: {row['speedup']:.2f}x < {floor:.2f}x "
                 f"(baseline {base_row['speedup']:.2f}x * {REGRESSION_FLOOR})"
             )
     return failures
@@ -272,11 +172,12 @@ def write_artifacts(record: dict, out_path: Path) -> None:
         ],
         [
             [
-                row["workload"], row["jobs"], row["cpus"],
-                row.get("effective_jobs", min(row["jobs"], row["cpus"])),
-                row["sequential_s"], row["parallel_s"], row["speedup"],
+                record["campaign"][key]
+                for key in (
+                    "workload", "jobs", "cpus", "effective_jobs",
+                    "sequential_s", "parallel_s", "speedup",
+                )
             ]
-            for row in (record["campaign"], record["dleq"], record["rs"])
         ],
     )
 
@@ -292,18 +193,12 @@ def _print_table(record: dict) -> None:
     )
     print(header)
     print("-" * len(header))
-    for key in ("campaign", "dleq", "rs"):
-        row = record[key]
-        identity = row.get(
-            "byte_identical",
-            row.get("verdicts_identical", row.get("fragments_identical")),
-        )
-        eff = row.get("effective_jobs", min(row["jobs"], row["cpus"]))
-        print(
-            f"{row['workload']:>20} {row['jobs']:>5} {eff:>4} "
-            f"{row['sequential_s']:>8.3f}s {row['parallel_s']:>8.3f}s "
-            f"{row['speedup']:>7.2f}x {str(identity):>10}"
-        )
+    row = record["campaign"]
+    print(
+        f"{row['workload']:>20} {row['jobs']:>5} {row['effective_jobs']:>4} "
+        f"{row['sequential_s']:>8.3f}s {row['parallel_s']:>8.3f}s "
+        f"{row['speedup']:>7.2f}x {str(row['byte_identical']):>10}"
+    )
 
 
 # -- pytest entry ----------------------------------------------------------------------

@@ -5,20 +5,19 @@ Two complementary halves, one principle -- *parallelism must never change
 an output record*:
 
 * :class:`ParallelExecutor` fans out **pure work units** (fuzz campaign
-  episodes, scenario-registry sweeps, batch-DLEQ verification chunks, RS
-  block stripes) across worker processes and merges results in index
-  order, so the output is byte-identical to the sequential path
+  episodes, scenario-registry sweeps) across worker processes and merges
+  results in index order, so the output is byte-identical to the sequential path
   regardless of ``jobs``.  Work units carry their own seeds -- an episode
   is a pure function of ``(campaign_seed, episode_index)`` -- so no
   randomness crosses a process boundary.
 * :class:`ProcCluster` hosts every :class:`~repro.runtime.node.RuntimeNode`
-  in its own OS process over a TCP mesh (the ``proc`` backend of
-  :func:`~repro.scenarios.harness.run_scenario`), which is what finally
-  lets an n-party cluster use n cores.
+  in its own OS process, each hosting its one node on the runtime's
+  :class:`~repro.runtime.transport.TcpTransport` mesh (the ``proc``
+  backend of :func:`~repro.scenarios.harness.run_scenario`), which is
+  what finally lets an n-party cluster use n cores.
 
-The heavy halves (the proc orchestrator, the chunked crypto/coding
-fan-outs, the registry sweep) resolve lazily so importing the executor
-stays cheap.
+The heavy halves (the proc orchestrator, the registry sweep) resolve
+lazily so importing the executor stays cheap.
 """
 
 from .executor import ParallelExecutor, available_parallelism, parse_jobs
@@ -28,8 +27,6 @@ _LAZY = {
     "ProcCluster": "proc",
     "ProcError": "proc",
     "run_proc_scenario": "proc",
-    "verify_dleq_batch_chunked": "chunks",
-    "encode_blocks_striped": "chunks",
     "run_specs": "sweep",
 }
 

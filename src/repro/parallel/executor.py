@@ -89,8 +89,8 @@ class ParallelExecutor:
 
         ``progress(index, result)`` fires in index order as results are
         merged.  ``chunksize`` defaults to 1 -- work units here are
-        coarse (an episode, a DLEQ chunk, an RS stripe), so per-item
-        dispatch costs nothing and keeps uneven items load-balanced.
+        coarse (an episode, a scenario), so per-item dispatch costs
+        nothing and keeps uneven items load-balanced.
         """
         items = list(items)
         workers = min(self.jobs, len(items))

@@ -2,9 +2,15 @@
 
 Topology::
 
-    parent (ProcCluster) ── mp.Pipe ──> worker 0 (RuntimeNode over ProcMeshTransport)
+    parent (ProcCluster) ── mp.Pipe ──> worker 0 (RuntimeNode over TcpTransport)
                          ── mp.Pipe ──> worker 1
                          ...                       workers ── TCP mesh ── workers
+
+Each worker hosts exactly one node on the runtime's one TCP mesh (the
+:class:`~repro.runtime.transport.TcpTransport` the ``tcp`` backend hosts
+all ``n`` nodes on): ``listen(nid)`` for itself, ``configure(peers)`` for
+the rest.  Its links leave the process, so a frame's in-flight slot closes
+on drain, reopens at the receiver, and the parent decides quiescence.
 
 Lifecycle, over each control pipe (tuples, strictly request/reply after
 the handshake):
@@ -42,7 +48,7 @@ nid, info)`` -- only then does the parent re-broadcast the refreshed
 peer map (the respawn gets a new kernel-assigned port), so no peer
 learns the new address before the node can absorb traffic.  Peers'
 send failures during the outage park frames on per-link retry queues
-(see :class:`~repro.runtime.transport.ProcMeshTransport`), which drain
+(see :class:`~repro.runtime.transport.TcpTransport`), which drain
 once the link heals.  A SIGKILL destroys the victim's frame counters,
 so restart runs relax termination detection to done-and-idle over
 stable polls; the retry queues keep senders non-idle while any frame
@@ -134,21 +140,21 @@ async def _worker_main(
     from ..runtime.codec import default_registry
     from ..runtime.faults import FaultController
     from ..runtime.node import RuntimeNode
-    from ..runtime.transport import ProcMeshTransport
+    from ..runtime.transport import TcpTransport
     from ..scenarios.harness import _arm, _context, build_driver
 
     spec = ScenarioSpec.from_dict(spec_dict)
     driver = build_driver(spec, validate=False, state_dir=state_dir)  # parent vetted
     faults = FaultController()
     metrics = RuntimeMetrics()
-    transport = ProcMeshTransport(
+    transport = TcpTransport(
         default_registry(),
         faults=faults,
         record=metrics.record,
         host=host,
         incarnation=incarnation,
     )
-    port = await transport.listen()
+    port = await transport.listen(nid)
     loop = asyncio.get_running_loop()
     commands = _command_queue(conn, loop)
     conn.send(("ready", nid, (host, port)))
@@ -157,7 +163,7 @@ async def _worker_main(
     if command is None or command[0] != "peers":
         await transport.stop()
         return
-    transport.configure(nid, command[1])
+    transport.configure(command[1])
 
     recovering = incarnation > 0
     party = driver.factory(nid)
@@ -168,7 +174,9 @@ async def _worker_main(
         # party's WAL and run the heartbeat failure detector, feeding
         # suspect/alive transitions into the run's metrics
         if hasattr(party, "note_watermark"):
-            transport.watermark_sink = party.note_watermark
+            transport.watermark_sink = (
+                lambda src, _dst, seq: party.note_watermark(src, seq)
+            )
 
         def _suspect(_peer: int) -> None:
             metrics.suspect_transitions += 1
@@ -187,7 +195,7 @@ async def _worker_main(
         # address from peers until "rejoined", so nothing arrives before
         # the inbox exists.
         party.restart()
-        transport.restore_watermarks(getattr(party, "watermarks", {}))
+        transport.restore_watermarks(nid, getattr(party, "watermarks", {}))
         node.start()
         driver.restart_node(ctx, nid)
         conn.send(
@@ -217,7 +225,7 @@ async def _worker_main(
             driver.start(ctx)
         elif kind == "peers":
             # refreshed address map (a peer respawned on a new port)
-            transport.reconfigure(command[1])
+            transport.configure(command[1])
         elif kind == "status":
             failure = node.failure or transport.failure
             conn.send(

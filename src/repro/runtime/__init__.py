@@ -1,19 +1,23 @@
-"""Live asyncio execution runtime (second backend beside :mod:`repro.sim`).
+"""Live asyncio execution runtime (the backends beside :mod:`repro.sim`).
 
 Runs the *same* :class:`~repro.sim.process.Party` subclasses that the
 discrete-event simulator executes, but over real concurrent transports:
 in-process asyncio queues (:class:`InProcTransport`) for fast
-deterministic tests, or TCP streams (:class:`TcpTransport`) with one
-listener per node for wall-clock measurements.  Messages are serialized
-through a registry-based binary codec, so reported byte counts are real
-wire payloads rather than the sim's estimates.
+deterministic tests, or the one TCP mesh (:class:`TcpTransport`) -- a
+listener per hosted node, a sequenced self-healing stream per directed
+link -- for wall-clock measurements.  The ``tcp`` backend hosts all
+``n`` nodes of a :class:`Cluster` on that mesh; a ``proc`` worker
+(:mod:`repro.parallel.proc`) hosts one node on the very same class.
+Messages are serialized through a registry-based binary codec, so
+reported byte counts are real wire payloads rather than the sim's
+estimates.
 """
 
 from .cluster import TRANSPORTS, Cluster, RuntimeMetrics, run_cluster
 from .codec import CodecError, CodecRegistry, FrameAssembler, default_registry
 from .faults import DeliveryDecision, FaultController
 from .node import NodeNetwork, RuntimeNode
-from .transport import InProcTransport, ProcMeshTransport, TcpTransport, Transport
+from .transport import InProcTransport, TcpTransport, Transport
 
 __all__ = [
     "Cluster",
@@ -31,5 +35,4 @@ __all__ = [
     "Transport",
     "InProcTransport",
     "TcpTransport",
-    "ProcMeshTransport",
 ]

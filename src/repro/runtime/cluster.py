@@ -27,15 +27,14 @@ from ..sim.process import Party
 from .codec import CodecRegistry, default_registry
 from .faults import FaultController
 from .node import RuntimeNode
-from .transport import InProcTransport, ProcMeshTransport, TcpTransport, Transport
+from .transport import InProcTransport, TcpTransport, Transport
 
 __all__ = ["RuntimeMetrics", "Cluster", "run_cluster", "TRANSPORTS"]
 
-#: transport name -> constructor, for CLI/config selection.  ``proc`` maps
-#: to the worker-side mesh endpoint; a whole-cluster ``proc`` run is
-#: orchestrated by :class:`repro.parallel.proc.ProcCluster` (one process
-#: per party), which a single-loop :class:`Cluster` cannot host.
-TRANSPORTS = {"inproc": InProcTransport, "tcp": TcpTransport, "proc": ProcMeshTransport}
+#: transport name -> constructor, for CLI/config selection (``proc`` is
+#: :class:`TcpTransport` again, one node per worker process, orchestrated
+#: by :class:`repro.parallel.proc.ProcCluster`, not a :class:`Cluster`)
+TRANSPORTS = {"inproc": InProcTransport, "tcp": TcpTransport}
 
 
 @dataclass
@@ -45,7 +44,7 @@ class RuntimeMetrics(NetworkMetrics):
     elapsed_seconds: float = 0.0
     #: phase name -> seconds since cluster start when the phase was marked
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: failure-detector transitions (proc mesh heartbeats; 0 elsewhere)
+    #: failure-detector transitions (TCP mesh heartbeats; 0 where off)
     suspect_transitions: int = 0
     alive_transitions: int = 0
 

@@ -35,7 +35,6 @@ __all__ = [
     "FrameAssembler",
     "default_registry",
     "frame",
-    "read_frame_body",
 ]
 
 _LEN = struct.Struct(">I")
@@ -245,16 +244,6 @@ def frame(body: bytes) -> bytes:
     :class:`FrameAssembler` both build on it.
     """
     return _LEN.pack(len(body)) + body
-
-
-async def read_frame_body(reader) -> bytes:
-    """Read one framed message body from an ``asyncio.StreamReader``.
-
-    Raises ``asyncio.IncompleteReadError`` at EOF, like ``readexactly``.
-    """
-    header = await reader.readexactly(_LEN.size)
-    (n,) = _LEN.unpack(header)
-    return await reader.readexactly(n)
 
 
 class FrameAssembler:

@@ -24,25 +24,23 @@ from typing import Any, Callable, Optional
 
 from ..recovery.backoff import BackoffSchedule
 from ..recovery.heartbeat import HeartbeatMonitor
-from .codec import CodecRegistry, read_frame_body
+from .codec import CodecRegistry
 from .faults import FaultController
 
-__all__ = ["Transport", "InProcTransport", "TcpTransport", "ProcMeshTransport"]
+__all__ = ["Transport", "InProcTransport", "TcpTransport"]
 
-_HELLO = struct.Struct(">I")
-#: proc-mesh hello: (dialer pid, dialer incarnation) -- the incarnation
-#: lets a receiver reset its dedup watermark when a peer comes back
+#: stream hello: (dialer pid, dialer incarnation) -- the incarnation lets
+#: a receiver reset the link's dedup watermark when the dialer comes back
 #: reborn (its link sequence numbers restart from 1)
-_MESH_HELLO = struct.Struct(">II")
-#: proc-mesh per-frame sequence header; seq 0 is reserved for heartbeats
-_SEQ = struct.Struct(">Q")
+_HELLO = struct.Struct(">II")
+#: frame header, read in one piece: (per-link sequence number, codec
+#: payload length); seq 0 is reserved for heartbeats
+_FRAME = struct.Struct(">QI")
 #: persist every Nth watermark advance (recovery only needs an
 #: approximate floor -- protocol handlers absorb redelivered duplicates)
 _WATERMARK_EVERY = 16
-#: an empty frame body's length prefix (heartbeats carry no payload)
-_LEN_ZERO = struct.pack(">I", 0)
-#: default cap on parked frames per destination in the proc mesh's
-#: self-healing retry queue (drop-oldest beyond it; see ``_park``)
+#: default cap on parked frames per link in the mesh's self-healing
+#: retry queue (drop-oldest beyond it; see ``_park``)
 DEFAULT_RETRY_LIMIT = 256
 
 #: synchronous delivery callback: ``handler(src, message)``
@@ -65,7 +63,9 @@ class Transport:
         self.faults = faults or FaultController()
         self._record = record
         self._handlers: dict[int, Handler] = {}
-        self._delayed_tasks: set[asyncio.Task] = set()
+        #: every background task (delay timers, pumps, readers, retry
+        #: loops); :meth:`stop` cancels them all
+        self._tasks: set[asyncio.Task] = set()
         #: messages sent but not yet resolved (delivered, dropped, or lost
         #: to shutdown) -- lets the cluster detect true quiescence even
         #: while messages sit in socket buffers or delay timers
@@ -104,11 +104,17 @@ class Transport:
         raise NotImplementedError
 
     async def stop(self) -> None:
-        for task in list(self._delayed_tasks):
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
-        if self._delayed_tasks:
-            await asyncio.gather(*self._delayed_tasks, return_exceptions=True)
-        self._delayed_tasks.clear()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._tasks.clear()
+
+    def _spawn(self, coro) -> asyncio.Task:
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
 
     async def send(self, src: int, dst: int, message: Any) -> int:
         """Serialize and ship one message; returns payload bytes sent."""
@@ -130,16 +136,6 @@ class Transport:
         self.in_flight += 1
         return data
 
-    def _encode_frame_and_record(self, message: Any) -> bytes:
-        """Stream-transport variant: one single-buffer *framed* encode;
-        metered bytes exclude the 4-byte length prefix so both transports
-        report identical payload counts."""
-        framed = self.registry.encode_frame(message)
-        if self._record is not None:
-            self._record(type(message).__name__, len(framed) - 4)
-        self.in_flight += 1
-        return framed
-
     def _resolve(self) -> None:
         self.in_flight -= 1
 
@@ -150,8 +146,13 @@ class Transport:
         of the message as distinct later arrivals (each holding its own
         in-flight slot), matching the sim network's dispatch."""
         handler = self._handlers.get(dst)
+        if handler is None:
+            # Unbound pid, checked before the fault decision: a delivery
+            # that cannot happen must not be counted as delayed.
+            self._resolve()
+            return
         decision = self.faults.decide(src, dst)
-        if handler is None or not decision.deliver:
+        if not decision.deliver:
             self._resolve()
             return
         try:
@@ -163,25 +164,15 @@ class Transport:
             raise
         for copy in range(decision.duplicates):
             self.in_flight += 1
-            self._dispatch_later(
-                handler, src, message, decision.delay + 0.005 * (copy + 1)
-            )
+            late = decision.delay + 0.005 * (copy + 1)
+            self._spawn(self._deliver_later(handler, src, message, late))
         if decision.delay > 0:
-            self._dispatch_later(handler, src, message, decision.delay)
+            self._spawn(self._deliver_later(handler, src, message, decision.delay))
         else:
             try:
                 handler(src, message)
             finally:
                 self._resolve()
-
-    def _dispatch_later(
-        self, handler: Handler, src: int, message: Any, delay: float
-    ) -> None:
-        task = asyncio.ensure_future(
-            self._deliver_later(handler, src, message, delay)
-        )
-        self._delayed_tasks.add(task)
-        task.add_done_callback(self._delayed_tasks.discard)
 
     async def _deliver_later(
         self, handler: Handler, src: int, message: Any, delay: float
@@ -221,7 +212,7 @@ class InProcTransport(Transport):
 
     def _attach(self, pid: int) -> None:
         self._queues[pid] = asyncio.Queue()
-        self._pumps[pid] = asyncio.ensure_future(self._pump(pid))
+        self._pumps[pid] = self._spawn(self._pump(pid))
 
     def bind(self, pid: int, handler: Handler) -> None:
         super().bind(pid, handler)
@@ -245,14 +236,9 @@ class InProcTransport(Transport):
 
     async def stop(self) -> None:
         self._started = False
-        pumps = list(self._pumps.values())
-        for task in pumps:
-            task.cancel()
-        if pumps:
-            await asyncio.gather(*pumps, return_exceptions=True)
+        await super().stop()
         self._pumps.clear()
         self._queues.clear()
-        await super().stop()
 
     async def send(self, src: int, dst: int, message: Any) -> int:
         queue = self._queues.get(dst)
@@ -274,173 +260,85 @@ class InProcTransport(Transport):
             self._deliver(src, pid, data)
 
 
+class _Link:
+    """Both ends' state of one directed link ``(src, dst)``: the sender's
+    stream, sequence counter and parked frames; the receiver's dedup
+    watermark and the dialer incarnation it last saw."""
+
+    __slots__ = (
+        "src", "dst", "writer", "seq", "backlog", "retry_task",
+        "watermark", "incarnation",
+    )
+
+    def __init__(self, src: int, dst: int) -> None:
+        self.src = src
+        self.dst = dst
+        self.writer: Optional[asyncio.StreamWriter] = None
+        #: last sequence number sent (frames count from 1; 0 = heartbeat)
+        self.seq = 0
+        #: framed bytes awaiting a live connection, and the task draining them
+        self.backlog: deque = deque()
+        self.retry_task: Optional[asyncio.Task] = None
+        #: highest sequence number dispatched
+        self.watermark = 0
+        self.incarnation = 0
+
+
+class _Links(dict):
+    """``(src, dst) -> _Link``, created on first use."""
+
+    def __missing__(self, key: tuple[int, int]) -> _Link:
+        link = self[key] = _Link(*key)
+        return link
+
+
 class TcpTransport(Transport):
-    """One TCP listener per node; lazily-dialed full mesh of streams.
+    """The one TCP mesh: a set of hosted nodes, a listener for each, and
+    a lazily dialed stream per directed link ``(src, dst)``.
 
-    Frames are length-prefixed codec payloads; each outbound connection
-    starts with a 4-byte hello carrying the dialer's node id, after which
-    the link is identified and frames need no per-message source field.
-    Ports are ephemeral (bound to ``host`` with port 0) and discoverable
-    through :meth:`address` -- the cluster orchestrator shares them.
-    """
+    The hosted set is whatever the caller bound: the ``tcp`` backend
+    binds all ``n`` nodes on one loop (every link loops back into this
+    object), a ``proc`` worker binds exactly one (every link but its
+    self-link leaves the process).  Nothing else distinguishes the two.
 
-    def __init__(
-        self,
-        registry: CodecRegistry,
-        *,
-        faults: Optional[FaultController] = None,
-        record: Optional[Recorder] = None,
-        host: str = "127.0.0.1",
-    ) -> None:
-        super().__init__(registry, faults=faults, record=record)
-        self.host = host
-        #: dial/write attempts per send before the error propagates; the
-        #: sleeps between attempts follow a seeded-jitter backoff
-        self.send_retries = 3
-        self.reconnects = 0
-        self._backoff = BackoffSchedule(base=0.02, max_delay=0.5, seed=host)
-        self._servers: dict[int, asyncio.AbstractServer] = {}
-        self._ports: dict[int, int] = {}
-        self._writers: dict[tuple[int, int], asyncio.StreamWriter] = {}
-        self._reader_tasks: set[asyncio.Task] = set()
+    Listeners bind ``(host, 0)``; :meth:`listen` returns the
+    kernel-assigned port and :meth:`address` reports it, so concurrent
+    clusters never collide on a hardcoded port.  A single-loop cluster
+    needs nothing more (:meth:`start` listens for every bound pid); the
+    proc parent collects each worker's address over the control pipe and
+    hands the full map back through :meth:`configure`.
 
-    def address(self, pid: int) -> tuple[str, int]:
-        """The listening ``(host, port)`` of node ``pid`` (after start)."""
-        return (self.host, self._ports[pid])
+    Wire format: a dialer opens with ``(pid, incarnation)``, after which
+    the link is identified and every frame is ``(seq, length, body)``
+    with ``body`` the codec payload.  ``seq`` counts from 1 per link; the
+    receiver keeps a per-link watermark and silently drops anything at or
+    below it, so a frame redelivered from a retry queue is dispatched
+    once.  A reborn dialer restarts its sequence numbers, and its higher
+    incarnation tells the receiver to reset that link's watermark instead
+    of discarding the fresh traffic.  Sequence 0 frames are heartbeats --
+    uncounted, undelivered, feeding the suspect/alive failure detector.
 
-    async def start(self) -> None:
-        for pid in self.node_ids:
-            server = await asyncio.start_server(
-                lambda r, w, dst=pid: self._accept(dst, r, w), self.host, 0
-            )
-            self._servers[pid] = server
-            self._ports[pid] = server.sockets[0].getsockname()[1]
+    Self-healing: a send that hits a dead peer parks the framed bytes on
+    the link's bounded retry queue, drained by a backoff task (bounded
+    exponential, seeded jitter), so a SIGKILLed-and-respawned worker's
+    links heal without losing the frames that failed at the socket and
+    without failing the sending node.  Self-sends never touch a socket.
 
-    async def stop(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        for writer in list(self._writers.values()):
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._writers.clear()
-        for task in list(self._reader_tasks):
-            task.cancel()
-        if self._reader_tasks:
-            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-        self._reader_tasks.clear()
-        for server in self._servers.values():
-            server.close()
-        for server in self._servers.values():
-            await server.wait_closed()
-        self._servers.clear()
-        self._ports.clear()
-        await super().stop()
+    A frame's in-flight slot belongs to whoever can observe its fate.  A
+    frame for a node hosted here keeps the slot ``send`` opened until it
+    is dispatched, so ``quiescent`` covers bytes sitting in socket
+    buffers.  A frame for a remote node closes its slot once drained to
+    the kernel and the receiving endpoint reopens one on arrival; global
+    quiescence is then the proc parent's frame-count conservation --
+    every worker idle and ``sum(frames_sent) == sum(frames_received)``
+    over consecutive polls -- which is why both counters are public.
 
-    # -- outbound -----------------------------------------------------------------
-    async def send(self, src: int, dst: int, message: Any) -> int:
-        if dst not in self._ports:
-            raise KeyError(f"unknown destination {dst}")
-        framed = self._encode_frame_and_record(message)
-        if self.faults.condemn(src, dst):
-            self._resolve()
-            return len(framed) - 4
-        # Self-healing: a dropped stream (peer restarting its listener, a
-        # flaky localhost accept queue) is retried on a fresh connection
-        # with backoff before the failure propagates to the node.
-        attempt = 0
-        while True:
-            try:
-                writer = await self._writer_for(src, dst)
-                writer.write(framed)
-                await writer.drain()
-                self._backoff.reset()
-                return len(framed) - 4
-            except (ConnectionError, OSError):
-                self._writers.pop((src, dst), None)
-                attempt += 1
-                if attempt > self.send_retries:
-                    self._resolve()
-                    raise
-                self.reconnects += 1
-                await asyncio.sleep(self._backoff.next_delay())
-
-    async def _writer_for(self, src: int, dst: int) -> asyncio.StreamWriter:
-        key = (src, dst)
-        writer = self._writers.get(key)
-        if writer is None or writer.is_closing():
-            host, port = self.address(dst)
-            _, writer = await asyncio.open_connection(host, port)
-            writer.write(_HELLO.pack(src))
-            await writer.drain()
-            self._writers[key] = writer
-        return writer
-
-    # -- inbound ------------------------------------------------------------------
-    def _accept(
-        self, dst: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.ensure_future(self._read_loop(dst, reader, writer))
-        self._reader_tasks.add(task)
-        task.add_done_callback(self._reader_tasks.discard)
-
-    async def _read_loop(
-        self, dst: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            hello = await reader.readexactly(_HELLO.size)
-            (src,) = _HELLO.unpack(hello)
-            while True:
-                data = await read_frame_body(reader)
-                self._deliver(src, dst, data)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer hung up; the cluster is stopping or the node crashed
-        finally:
-            writer.close()
-
-
-class ProcMeshTransport(Transport):
-    """One node's endpoint of a process-per-party TCP mesh.
-
-    The ``proc`` backend hosts every :class:`~repro.runtime.node.RuntimeNode`
-    in its own OS process; this transport is the single-node slice each
-    worker owns.  Wire format and handshake are :class:`TcpTransport`'s
-    (length-prefixed codec frames behind a 4-byte dialer-id hello), so a
-    protocol that runs on ``tcp`` runs on ``proc`` unchanged.
-
-    The listener binds ``(host, 0)`` and :meth:`listen` returns the
-    kernel-assigned port; the parent ProcCluster collects every worker's
-    address over the control pipe and broadcasts the peer map back, so
-    concurrent clusters can never collide on a hardcoded port.
-
-    Quiescence is necessarily distributed: a sender cannot observe remote
-    delivery, so an outbound frame is resolved once drained to the kernel
-    and the *receiver* re-accounts it on arrival.  The parent detects
-    global quiescence by frame-count conservation -- every worker idle and
-    ``sum(frames_sent) == sum(frames_received)`` across two consecutive
-    polls -- which is why both counters are public here.
-
-    Fault injection is split by direction: each worker installs the full
-    fault plan into its local :class:`FaultController`, the *sender*
-    evaluates ``condemn(local, dst)`` (terminal faults, incl. weather
-    loss), and the *receiver* evaluates ``decide(src, local)`` (delays,
-    duplication, and the in-flight terminal re-check).  Each message is
-    judged exactly once per point, so drop/delay counts sum across
-    workers to exactly the single-process totals.
-
-    Self-healing (the crash-recovery layer): every non-self frame carries
-    an 8-byte per-link sequence number; the receiver keeps a per-source
-    watermark and silently drops redelivered duplicates.  A send that
-    hits a dead peer parks the framed bytes on a per-destination retry
-    queue drained by a backoff task (bounded exponential, seeded jitter),
-    so a SIGKILLed-and-respawned worker's links heal without losing the
-    frames that failed at the socket.  The hello carries the dialer's
-    *incarnation*: a reborn peer restarts its sequence numbers, and the
-    higher incarnation tells the receiver to reset that source's
-    watermark instead of discarding the fresh traffic as duplicates.
-    Sequence 0 frames are heartbeats -- uncounted, undelivered, feeding
-    the suspect/alive failure detector.
+    Fault injection is split by direction, identically for both hosted
+    sets: the sender evaluates ``condemn(src, dst)`` (terminal faults,
+    incl. weather loss; a condemned frame never touches the frame
+    ledgers), the receiver ``decide(src, dst)`` (delays, duplication, the
+    in-flight terminal re-check).  Each message is judged once per
+    point, so counts summed over proc workers equal one process's.
     """
 
     def __init__(
@@ -454,77 +352,76 @@ class ProcMeshTransport(Transport):
     ) -> None:
         super().__init__(registry, faults=faults, record=record)
         self.host = host
-        self.local_pid: Optional[int] = None
-        self.port: Optional[int] = None
-        #: bumped by the parent on every respawn of this node
+        #: bumped by the proc parent on every respawn of the hosted node
         self.incarnation = incarnation
         #: cumulative frames shipped to / accepted from the mesh (self-sends
-        #: count on both sides) -- the parent's conservation check.  Retry
-        #: resends and dropped duplicates deliberately do not count.
+        #: count on both sides) -- the conservation check.  Retry resends
+        #: and dropped duplicates deliberately do not count.
         self.frames_sent = 0
         self.frames_received = 0
         self.duplicates_dropped = 0
         self.reconnects = 0
-        #: cap on parked frames per destination; beyond it the *oldest*
-        #: parked frame is discarded (counted in ``retries_dropped``) so a
-        #: long partition under load cannot grow memory without bound.
+        #: cap on parked frames per link; beyond it the *oldest* parked
+        #: frame is discarded (counted in ``retries_dropped``) so a long
+        #: partition under load cannot grow memory without bound.
         #: Oldest-first keeps what the reborn peer is most likely to still
         #: need; protocol retransmission covers the discarded prefix.
         self.retry_limit = DEFAULT_RETRY_LIMIT
         self.retries_dropped = 0
-        #: optional persistence hook ``(src, seq)`` for receive watermarks
-        #: (a recoverable party's WAL); sampled every ``_WATERMARK_EVERY``
-        self.watermark_sink: Optional[Callable[[int, int], None]] = None
+        #: optional persistence hook ``(src, dst, seq)`` for receive
+        #: watermarks (a recoverable party's WAL); sampled every
+        #: ``_WATERMARK_EVERY``
+        self.watermark_sink: Optional[Callable[[int, int, int], None]] = None
         self.heartbeat: Optional[HeartbeatMonitor] = None
+        #: hosted pid -> its listener
+        self._servers: dict[int, asyncio.AbstractServer] = {}
+        #: every reachable pid, hosted or remote -> listening address
         self._peers: dict[int, tuple[str, int]] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._reader_tasks: set[asyncio.Task] = set()
-        #: per-destination outbound sequence counters (start at 1; 0 = heartbeat)
-        self._send_seq: dict[int, int] = {}
-        #: per-source receive watermarks (highest seq delivered)
-        self._watermarks: dict[int, int] = {}
-        self._peer_incarnations: dict[int, int] = {}
-        #: per-destination framed bytes awaiting a live connection
-        self._retry: dict[int, deque] = {}
-        self._retry_tasks: dict[int, asyncio.Task] = {}
-        self._heartbeat_task: Optional[asyncio.Task] = None
+        self._links = _Links()
 
-    async def listen(self) -> int:
-        """Bind the kernel-assigned port and return it (before peers)."""
-        self._server = await asyncio.start_server(self._accept, self.host, 0)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
+    # -- wiring -------------------------------------------------------------------
+    async def listen(self, pid: int) -> int:
+        """Host node ``pid``: bind a kernel-assigned port and return it."""
+        server = await asyncio.start_server(
+            lambda reader, writer: self._spawn(self._read_loop(pid, reader, writer)),
+            self.host,
+            0,
+        )
+        self._servers[pid] = server
+        port = server.sockets[0].getsockname()[1]
+        self._peers[pid] = (self.host, port)
+        return port
 
-    def configure(self, local_pid: int, peers: dict[int, tuple[str, int]]) -> None:
-        """Install the identity and peer address map the parent collected."""
-        self.local_pid = local_pid
-        self._peers = {int(pid): (host, int(port)) for pid, (host, port) in peers.items()}
+    def address(self, pid: int) -> tuple[str, int]:
+        """The listening ``(host, port)`` of node ``pid``."""
+        return self._peers[pid]
 
-    def reconfigure(self, peers: dict[int, tuple[str, int]]) -> None:
-        """Adopt a refreshed peer map (a respawned worker has a new
-        kernel-assigned port).  Stale writers are dropped so the next
-        send -- or the retry task already backing off -- re-dials the
-        reborn peer; parked retry frames survive and flush there."""
-        for pid, (host, port) in (
-            {int(p): (h, int(pt)) for p, (h, pt) in peers.items()}
-        ).items():
-            if self._peers.get(pid) != (host, port):
-                self._peers[pid] = (host, port)
-                writer = self._writers.pop(pid, None)
-                if writer is not None:
-                    writer.close()
+    def configure(self, peers: dict[int, tuple[str, int]]) -> None:
+        """Install or refresh peer addresses (the map the proc parent
+        collected; a respawned worker has a new kernel-assigned port).
 
-    def restore_watermarks(self, watermarks: dict[int, int]) -> None:
-        """Seed receive watermarks from a replayed WAL (restart path).
+        Streams to a changed address are dropped so the next send -- or
+        the retry task already backing off -- re-dials the reborn peer;
+        parked retry frames survive and flush there."""
+        for pid, (host, port) in peers.items():
+            pid, address = int(pid), (host, int(port))
+            if self._peers.get(pid) != address:
+                self._peers[pid] = address
+                for link in self._links.values():
+                    if link.dst == pid and link.writer is not None:
+                        link.writer.close()
+                        link.writer = None
+
+    def restore_watermarks(self, dst: int, watermarks: dict[int, int]) -> None:
+        """Seed hosted node ``dst``'s receive watermarks, by source, from
+        a replayed WAL (restart path).
 
         The floor may lag reality by up to ``_WATERMARK_EVERY`` frames;
         the protocol layer's idempotent handlers absorb the resulting
         duplicates, so an approximate floor is sufficient."""
         for src, seq in watermarks.items():
-            self._watermarks[int(src)] = max(
-                self._watermarks.get(int(src), 0), int(seq)
-            )
+            link = self._links[int(src), dst]
+            link.watermark = max(link.watermark, int(seq))
 
     def enable_heartbeat(
         self,
@@ -534,10 +431,12 @@ class ProcMeshTransport(Transport):
         on_suspect: Optional[Callable[[int], None]] = None,
         on_alive: Optional[Callable[[int], None]] = None,
     ) -> None:
-        """Start heartbeat emission and suspect/alive detection (after
-        :meth:`configure`; heartbeats ride existing connections only)."""
+        """Start heartbeat emission and suspect/alive detection of the
+        remote peers (after :meth:`configure`; heartbeats ride existing
+        connections only)."""
+        remote = [pid for pid in self._peers if pid not in self._servers]
         self.heartbeat = HeartbeatMonitor(
-            (pid for pid in self._peers if pid != self.local_pid),
+            remote,
             interval=interval,
             suspect_after=suspect_after,
             on_suspect=on_suspect,
@@ -547,218 +446,190 @@ class ProcMeshTransport(Transport):
         # grace period: every peer starts "just seen" so the detector
         # measures silence from now, not from the monotonic-clock epoch
         now = loop.time()
-        for pid in self._peers:
-            if pid != self.local_pid:
-                self.heartbeat.observe(pid, now)
-        self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop(loop))
+        for pid in remote:
+            self.heartbeat.observe(pid, now)
+        self._spawn(self._heartbeat_loop(loop))
 
     async def _heartbeat_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         assert self.heartbeat is not None
-        beat = _SEQ.pack(0) + _LEN_ZERO
+        beat = _FRAME.pack(0, 0)
         while True:
             await asyncio.sleep(self.heartbeat.interval)
-            now = loop.time()
-            self.heartbeat.check(now)
-            for dst, writer in list(self._writers.items()):
-                if writer.is_closing():
-                    continue
-                try:
-                    writer.write(beat)
-                except (ConnectionError, OSError):  # pragma: no cover
-                    pass
+            self.heartbeat.check(loop.time())
+            for link in self._links.values():
+                if link.writer is not None and not link.writer.is_closing():
+                    link.writer.write(beat)
 
+    # -- lifecycle ----------------------------------------------------------------
     async def start(self) -> None:
-        if self._server is None:
-            await self.listen()
+        for pid in self.node_ids:
+            if pid not in self._servers:
+                await self.listen(pid)
 
     async def stop(self) -> None:
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            try:
-                await self._heartbeat_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._heartbeat_task = None
-        for task in list(self._retry_tasks.values()):
-            task.cancel()
-        if self._retry_tasks:
-            await asyncio.gather(
-                *self._retry_tasks.values(), return_exceptions=True
-            )
-        self._retry_tasks.clear()
-        for backlog in self._retry.values():
-            # frames die with the transport; close their in-flight slots
-            for _ in backlog:
-                self._resolve()
-            backlog.clear()
-        for writer in self._writers.values():
+        links = list(self._links.values())
+        writers = [link.writer for link in links if link.writer is not None]
+        for writer in writers:
             writer.close()
-        for writer in list(self._writers.values()):
+        # readers go before their listeners: a listener waits for its
+        # open connections (Python >= 3.12)
+        await super().stop()
+        for link in links:
+            # parked frames die with the transport; close their slots
+            for _ in link.backlog:
+                self._resolve()
+        for writer in writers:
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        self._writers.clear()
-        for task in list(self._reader_tasks):
-            task.cancel()
-        if self._reader_tasks:
-            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-        self._reader_tasks.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await super().stop()
+        self._links.clear()
+        for server in self._servers.values():
+            server.close()
+        for server in self._servers.values():
+            await server.wait_closed()
+        self._servers.clear()
+        self._peers.clear()
 
     # -- outbound -----------------------------------------------------------------
     async def send(self, src: int, dst: int, message: Any) -> int:
-        if dst == self.local_pid:
-            # Self-sends short-circuit the socket but still round-trip the
-            # codec, and still count on both frame ledgers so the parent's
-            # conservation check balances.
-            data = self._encode_and_record(message)
-            if self.faults.condemn(src, dst):
-                self._resolve()
-                return len(data)
-            self.frames_sent += 1
-            self.frames_received += 1
-            self._deliver(src, dst, data)
-            return len(data)
         if dst not in self._peers:
             raise KeyError(f"unknown destination {dst}")
-        framed = self._encode_frame_and_record(message)
+        data = self._encode_and_record(message)
+        size = len(data)
         # Terminal faults fire before sequencing: a condemned frame never
-        # touches the frame ledgers, so the parent's sent == received
-        # conservation check stays balanced without transmitting it.
+        # touches the frame ledgers, so sent == received stays balanced
+        # without transmitting it.
         if self.faults.condemn(src, dst):
             self._resolve()
-            return len(framed) - 4
-        seq = self._send_seq.get(dst, 0) + 1
-        self._send_seq[dst] = seq
-        framed = _SEQ.pack(seq) + framed
+            return size
         self.frames_sent += 1
-        backlog = self._retry.get(dst)
-        if backlog:
+        if dst == src:
+            # Self-sends short-circuit the socket but still round-trip the
+            # codec, and count on both frame ledgers.
+            self.frames_received += 1
+            self._deliver(src, dst, data)
+            return size
+        link = self._links[src, dst]
+        link.seq = seq = link.seq + 1
+        framed = _FRAME.pack(seq, size) + data
+        if link.backlog:
             # keep per-link FIFO: never overtake frames already parked
-            self._park(dst, framed)
-            return len(framed) - _SEQ.size - 4
+            self._park((src, dst), framed)
+            return size
         try:
-            writer = await self._writer_for(dst)
+            writer = link.writer
+            if writer is None or writer.is_closing():
+                writer = await self._dial(link)
             writer.write(framed)
             await writer.drain()
         except (ConnectionError, OSError):
             # Peer is down (crashed, restarting, or mid-respawn): park the
             # frame for the backoff task instead of failing the node.  The
-            # in-flight slot stays open, so the worker does not look idle
-            # while frames await redelivery.
-            self._writers.pop(dst, None)
-            self._park(dst, framed)
-            return len(framed) - _SEQ.size - 4
-        # Drained to the kernel: the receiving worker's in_flight takes
-        # over the moment the frame arrives, so resolve locally (the
-        # frame's fate is no longer observable here).
-        self._resolve()
-        return len(framed) - _SEQ.size - 4
+            # in-flight slot stays open, so this endpoint does not look
+            # idle while frames await redelivery.
+            link.writer = None
+            self._park((src, dst), framed)
+            return size
+        if dst not in self._servers:
+            # Drained to the kernel and bound for another process: its
+            # fate is no longer observable here, and the receiving
+            # endpoint's in_flight takes over the moment it arrives.
+            self._resolve()
+        return size
 
-    def _park(self, dst: int, framed: bytes) -> None:
-        """Queue a frame for the backoff task, bounding the backlog.
+    def _park(self, key: tuple[int, int], framed: bytes) -> None:
+        """Queue a frame for the link's backoff task, bounding the backlog.
 
         Drop-oldest: the discarded frame's in-flight slot closes (its
         fate is decided -- gone) and ``retries_dropped`` counts it, so
         tests and postmortems can see a partition shedding load."""
-        backlog = self._retry.setdefault(dst, deque())
-        backlog.append(framed)
-        while len(backlog) > self.retry_limit:
-            backlog.popleft()
+        link = self._links[key]
+        link.backlog.append(framed)
+        while len(link.backlog) > self.retry_limit:
+            link.backlog.popleft()
             self.retries_dropped += 1
-            self.faults.trace.append((self.local_pid, dst, "retry-dropped"))
+            self.faults.trace.append((*key, "retry-dropped"))
             self._resolve()
-        self._ensure_retry_task(dst)
+        if link.retry_task is None or link.retry_task.done():
+            link.retry_task = self._spawn(self._retry_loop(link))
 
-    def _ensure_retry_task(self, dst: int) -> None:
-        task = self._retry_tasks.get(dst)
-        if task is None or task.done():
-            self._retry_tasks[dst] = asyncio.ensure_future(self._retry_loop(dst))
+    async def _retry_loop(self, link: _Link) -> None:
+        """Drain the link's parked frames once it heals.
 
-    async def _retry_loop(self, dst: int) -> None:
-        """Drain ``dst``'s parked frames once the link heals.
-
-        Bounded exponential backoff with jitter seeded per (node, link),
-        so a cluster-wide reconnect storm against a reborn worker is
-        spread instead of synchronized.  Runs until the backlog is empty;
-        frames flush in sequence order and the receiver's watermark
-        drops any the crashed peer already processed.
+        Bounded exponential backoff with jitter seeded per link, so a
+        cluster-wide reconnect storm against a reborn worker is spread
+        instead of synchronized.  Runs until the backlog is empty; frames
+        flush in sequence order and the receiver's watermark drops any
+        the crashed peer already processed.
         """
         backoff = BackoffSchedule(
-            base=0.02, max_delay=0.5, seed=f"{self.local_pid}->{dst}"
+            base=0.02, max_delay=0.5, seed=f"{link.src}->{link.dst}"
         )
-        while True:
-            backlog = self._retry.get(dst)
-            if not backlog:
-                return
+        hosted = link.dst in self._servers
+        backlog = link.backlog
+        while backlog:
             await asyncio.sleep(backoff.next_delay())
             try:
-                writer = await self._writer_for(dst)
+                writer = await self._dial(link)
                 while backlog:
-                    framed = backlog[0]
-                    writer.write(framed)
+                    writer.write(backlog[0])
                     await writer.drain()
                     backlog.popleft()
-                    self._resolve()
+                    if not hosted:
+                        self._resolve()
                 backoff.reset()
             except (ConnectionError, OSError):
-                self._writers.pop(dst, None)
+                link.writer = None
                 self.reconnects += 1
 
-    async def _writer_for(self, dst: int) -> asyncio.StreamWriter:
-        writer = self._writers.get(dst)
+    async def _dial(self, link: _Link) -> asyncio.StreamWriter:
+        """The link's live stream, (re)opened with a hello if need be."""
+        writer = link.writer
         if writer is None or writer.is_closing():
-            host, port = self._peers[dst]
+            host, port = self._peers[link.dst]
             _, writer = await asyncio.open_connection(host, port)
-            writer.write(_MESH_HELLO.pack(self.local_pid, self.incarnation))
+            writer.write(_HELLO.pack(link.src, self.incarnation))
             await writer.drain()
-            self._writers[dst] = writer
+            link.writer = writer
         return writer
 
     # -- inbound ------------------------------------------------------------------
-    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._read_loop(reader, writer))
-        self._reader_tasks.add(task)
-        task.add_done_callback(self._reader_tasks.discard)
-
     async def _read_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, dst: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            hello = await reader.readexactly(_MESH_HELLO.size)
-            src, incarnation = _MESH_HELLO.unpack(hello)
-            if incarnation > self._peer_incarnations.get(src, 0):
-                # the peer was reborn: its sequence numbers restart, so
+            src, incarnation = _HELLO.unpack(await reader.readexactly(_HELLO.size))
+            link = self._links[src, dst]
+            if incarnation > link.incarnation:
+                # the dialer was reborn: its sequence numbers restart, so
                 # the old watermark would wrongly discard all new traffic
-                self._peer_incarnations[src] = incarnation
-                self._watermarks[src] = 0
+                link.incarnation = incarnation
+                link.watermark = 0
+            # a hosted sender still holds the slot its send() opened
+            remote = src not in self._servers
             loop = asyncio.get_running_loop()
             while True:
-                seq_raw = await reader.readexactly(_SEQ.size)
-                (seq,) = _SEQ.unpack(seq_raw)
-                data = await read_frame_body(reader)
+                seq, length = _FRAME.unpack(await reader.readexactly(_FRAME.size))
+                data = await reader.readexactly(length)
                 if self.heartbeat is not None:
                     self.heartbeat.observe(src, loop.time())
-                if seq == 0:
-                    continue  # heartbeat: observed above, nothing to deliver
-                if seq <= self._watermarks.get(src, 0):
-                    # redelivered from a retry queue; the first copy was
-                    # already counted and dispatched
-                    self.duplicates_dropped += 1
+                if seq <= link.watermark:
+                    # a heartbeat (seq 0: observed above, nothing to
+                    # deliver), or a frame redelivered from a retry queue
+                    # whose first copy was already counted and dispatched
+                    if seq:
+                        self.duplicates_dropped += 1
                     continue
-                self._watermarks[src] = seq
+                link.watermark = seq
                 if self.watermark_sink is not None and seq % _WATERMARK_EVERY == 0:
-                    self.watermark_sink(src, seq)
+                    self.watermark_sink(src, dst, seq)
                 self.frames_received += 1
-                # The sender resolved on drain; re-open the in-flight slot
-                # here so delays/drops settle through the shared _deliver.
-                self.in_flight += 1
-                self._deliver(src, self.local_pid, data)
+                if remote:
+                    # the sender resolved on drain; re-open the slot here
+                    # so delays/drops settle through the shared _deliver
+                    self.in_flight += 1
+                self._deliver(src, dst, data)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # peer hung up; the cluster is stopping or the node crashed
         finally:

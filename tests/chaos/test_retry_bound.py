@@ -6,13 +6,14 @@ import asyncio
 
 from repro.runtime import FaultController
 from repro.runtime.codec import default_registry
-from repro.runtime.transport import DEFAULT_RETRY_LIMIT, ProcMeshTransport
+from repro.runtime.transport import DEFAULT_RETRY_LIMIT, TcpTransport
+
+
+LINK = (0, 1)
 
 
 def _transport(faults=None):
-    transport = ProcMeshTransport(default_registry(), faults=faults)
-    transport.local_pid = 0
-    return transport
+    return TcpTransport(default_registry(), faults=faults)
 
 
 class TestRetryBound:
@@ -27,9 +28,9 @@ class TestRetryBound:
             # each parked frame holds the in-flight slot send() opened
             transport.in_flight = 5
             for i in range(5):
-                transport._park(1, b"frame-%d" % i)
+                transport._park(LINK, b"frame-%d" % i)
             try:
-                backlog = transport._retry[1]
+                backlog = transport._links[LINK].backlog
                 # oldest-first: the survivors are the newest frames
                 assert list(backlog) == [b"frame-2", b"frame-3", b"frame-4"]
                 assert transport.retries_dropped == 2
@@ -38,8 +39,7 @@ class TestRetryBound:
                 drops = [e for e in faults.trace if e[2] == "retry-dropped"]
                 assert drops == [(0, 1, "retry-dropped")] * 2
             finally:
-                for task in transport._retry_tasks.values():
-                    task.cancel()
+                transport._links[LINK].retry_task.cancel()
 
         asyncio.run(scenario())
 
@@ -49,13 +49,12 @@ class TestRetryBound:
             transport.retry_limit = 3
             transport.in_flight = 3
             for i in range(3):
-                transport._park(1, b"frame-%d" % i)
+                transport._park(LINK, b"frame-%d" % i)
             try:
-                assert len(transport._retry[1]) == 3
+                assert len(transport._links[LINK].backlog) == 3
                 assert transport.retries_dropped == 0
                 assert transport.in_flight == 3
             finally:
-                for task in transport._retry_tasks.values():
-                    task.cancel()
+                transport._links[LINK].retry_task.cancel()
 
         asyncio.run(scenario())

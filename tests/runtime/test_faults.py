@@ -7,7 +7,9 @@ import pytest
 from repro.protocols.reliable_broadcast import BroadcastParty
 from repro.protocols.smr import SmrParty
 from repro.runtime import Cluster, FaultController, run_cluster
+from repro.runtime.codec import default_registry
 from repro.runtime.faults import DeliveryDecision
+from repro.runtime.transport import InProcTransport
 from repro.sim.adversary import heaviest_under
 from repro.weighted.quorum import WeightedQuorums
 
@@ -147,6 +149,18 @@ class TestDeliveryFailures:
                     await cluster.run_until(lambda: False, timeout=1.0)
 
         asyncio.run(drive())
+
+
+class TestUnboundDestination:
+    def test_frame_for_an_unbound_pid_is_not_judged(self):
+        # no handler, no delivery: the fault plan must not count one
+        faults = FaultController()
+        faults.delay_all(0.05)
+        transport = InProcTransport(default_registry(), faults=faults)
+        transport.in_flight = 1  # the slot send() opened for this frame
+        transport._deliver(0, 5, b"")
+        assert faults.delayed_messages == 0
+        assert transport.in_flight == 0  # ... but the slot still resolves
 
 
 class TestDelayInjection:

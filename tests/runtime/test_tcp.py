@@ -5,9 +5,11 @@ import asyncio
 import pytest
 
 from repro.protocols.common_coin import deterministic_coin
-from repro.protocols.reliable_broadcast import BroadcastParty
+from repro.protocols.reliable_broadcast import BroadcastParty, RbcSend
 from repro.protocols.smr import SmrParty
 from repro.runtime import Cluster, run_cluster
+from repro.runtime.codec import default_registry
+from repro.runtime.transport import _FRAME, _HELLO, TcpTransport
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 
 pytestmark = pytest.mark.tcp
@@ -101,3 +103,132 @@ def factory_quorums(quorums):
         return BroadcastParty(pid, quorums)
 
     return factory
+
+
+async def _until(predicate, timeout=5.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition not reached"
+        await asyncio.sleep(0.001)
+
+
+class _Mesh:
+    """A bare ``TcpTransport`` hosting ``hosted`` with recording handlers."""
+
+    def __init__(self, hosted):
+        self.registry = default_registry()
+        self.transport = TcpTransport(self.registry)
+        self.got = {pid: [] for pid in hosted}
+        for pid in hosted:
+            self.transport.bind(
+                pid, lambda src, message, pid=pid: self.got[pid].append((src, message))
+            )
+
+    def watermarks(self):
+        return {key: link.watermark for key, link in self.transport._links.items()}
+
+    def frame(self, seq, message):
+        body = self.registry.encode(message)
+        return _FRAME.pack(seq, len(body)) + body
+
+    async def dial(self, dst, src, incarnation):
+        """A raw dialer posing as (remote) node ``src``."""
+        _, writer = await asyncio.open_connection(*self.transport.address(dst))
+        writer.write(_HELLO.pack(src, incarnation))
+        return writer
+
+
+class TestOneMesh:
+    """What the hosted set decides: slot ownership, dedup, incarnations."""
+
+    def test_hosted_frame_holds_its_slot_until_dispatched(self):
+        async def drive():
+            mesh = _Mesh([0, 1])
+            transport = mesh.transport
+            await transport.start()
+            try:
+                await transport.send(0, 1, RbcSend(b"buffered"))
+                # drained to the kernel, not yet read: still in flight here
+                assert mesh.got[1] == []
+                assert transport.in_flight == 1
+                assert transport.quiescent is False
+                await _until(lambda: mesh.got[1])
+                assert mesh.got[1] == [(0, RbcSend(b"buffered"))]
+                assert transport.in_flight == 0 and transport.quiescent
+                assert transport.frames_sent == transport.frames_received == 1
+            finally:
+                await transport.stop()
+
+        asyncio.run(drive())
+
+    def test_self_send_skips_the_socket(self):
+        async def drive():
+            mesh = _Mesh([0])
+            await mesh.transport.start()
+            try:
+                await mesh.transport.send(0, 0, RbcSend(b"me"))
+                assert mesh.got[0] == [(0, RbcSend(b"me"))]  # synchronously
+                assert not mesh.transport._links  # no stream was ever dialed
+                assert mesh.transport.quiescent
+            finally:
+                await mesh.transport.stop()
+
+        asyncio.run(drive())
+
+    def test_redelivered_frame_is_dropped_on_a_tcp_cluster(self):
+        quorums = WeightedQuorums(WEIGHTS, "1/3")
+
+        async def drive():
+            async with Cluster(factory_quorums(quorums), N, transport="tcp") as cluster:
+                transport = cluster.transport
+                cluster.party(0).broadcast_value(b"once")
+                await cluster.settle()
+                dispatched = cluster.nodes[1].messages_dispatched
+                received = transport.frames_received
+                assert transport._links[0, 1].watermark >= 1
+                # what a retry queue does after a write that half-succeeded
+                body = transport.registry.encode(RbcSend(b"once"))
+                transport._links[0, 1].writer.write(_FRAME.pack(1, len(body)) + body)
+                await _until(lambda: transport.duplicates_dropped == 1)
+                await cluster.settle()
+                assert cluster.nodes[1].messages_dispatched == dispatched
+                assert transport.frames_received == received
+                assert transport.in_flight == 0
+
+        asyncio.run(drive())
+
+    def test_higher_incarnation_resets_only_that_links_watermark(self):
+        async def drive():
+            mesh = _Mesh([1])
+            transport = mesh.transport
+            await transport.start()
+            try:
+                old = {src: await mesh.dial(1, src, 0) for src in (7, 8)}
+                for src, writer in old.items():
+                    for seq in (1, 2, 3):
+                        writer.write(mesh.frame(seq, RbcSend(b"%d" % seq)))
+                await _until(lambda: len(mesh.got[1]) == 6)
+                assert mesh.watermarks() == {(7, 1): 3, (8, 1): 3}
+
+                reborn = await mesh.dial(1, 7, 1)
+                reborn.write(mesh.frame(1, RbcSend(b"reborn")))
+                await _until(lambda: len(mesh.got[1]) == 7)
+                assert mesh.got[1][-1] == (7, RbcSend(b"reborn"))
+                assert mesh.watermarks() == {(7, 1): 1, (8, 1): 3}
+
+                # the other link still dedups below its own watermark, and
+                # the same incarnation dialing again resets nothing
+                old[8].write(mesh.frame(2, RbcSend(b"stale")))
+                again = await mesh.dial(1, 7, 1)
+                again.write(mesh.frame(1, RbcSend(b"stale")))
+                await _until(lambda: transport.duplicates_dropped == 2)
+                assert len(mesh.got[1]) == 7
+                # remote frames reopened a slot on arrival and closed it
+                assert transport.in_flight == 0
+                assert transport.frames_received == 7
+                for writer in (*old.values(), reborn, again):
+                    writer.close()
+            finally:
+                await transport.stop()
+
+        asyncio.run(drive())

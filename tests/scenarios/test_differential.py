@@ -1,8 +1,9 @@
 """Sim-vs-live differential coverage of the one run lifecycle.
 
 Every batch scenario of the registry runs on the simulator and on the
-live in-process runtime (and, ``proc``-marked, on the process-per-party
-mesh) and must tell the same story: completion, decided values, message
+live in-process runtime (and, ``tcp``-marked, on the TCP mesh hosting
+all nodes on one loop; ``proc``-marked, on the same mesh hosting one
+node per worker process) and must tell the same story: completion, decided values, message
 counts wherever the driver claims them comparable, and which chaos
 stages fired.  The remaining tests pin the three places the backends'
 lifecycles used to diverge: a live run ending before its fault plan's
@@ -68,6 +69,13 @@ class TestSimVsInproc:
     @pytest.mark.parametrize("name", BATCH)
     def test_registry_scenario_agrees(self, name):
         _assert_same_story(_record(name, "sim"), _record(name, "inproc"))
+
+
+@pytest.mark.tcp
+class TestSimVsTcp:
+    @pytest.mark.parametrize("name", BATCH)
+    def test_registry_scenario_agrees(self, name):
+        _assert_same_story(_record(name, "sim"), _record(name, "tcp"))
 
 
 @pytest.mark.proc

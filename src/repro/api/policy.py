@@ -19,7 +19,7 @@ from ..core.exact import solve_exact_milp, solve_family_optimal
 from ..core.prices import PriceStream
 from ..core.problems import WeightQualification
 from ..core.solver import Swiper, SwiperResult, is_valid_assignment
-from ..core.types import TicketAssignment, normalize_weights
+from ..core.types import ScaledWeights, TicketAssignment
 
 __all__ = [
     "SolverPolicy",
@@ -54,7 +54,8 @@ class TicketAssignmentResult:
         against the problem definition, ``"unverified"`` when the caller
         skipped the check (large instances).
     elapsed_seconds:
-        Wall-clock duration of the solve (excludes verification).
+        Wall-clock duration of the solve, scaling the weights included
+        (excludes verification).
     probes:
         Family members examined, for policies that search (else ``None``).
     """
@@ -98,6 +99,9 @@ class TicketAssignmentResult:
         }
 
 
+#: parties per block of :meth:`IncrementalSolver._delta`'s comparison
+_DELTA_BLOCK = 512
+
 #: a policy's solve function: (problem, weights) -> assignment-ish
 SolveFn = Callable[[object, Sequence], "TicketAssignment | SwiperResult"]
 
@@ -119,7 +123,14 @@ def register_policy(name: str, fn: SolveFn, *, description: str = "") -> SolverP
 
     ``fn(problem, weights)`` may return a ``TicketAssignment``, a raw
     ticket sequence, or a full ``SwiperResult``; the wrapper normalizes
-    all three.  This is the ``custom`` hook: applications register their
+    all three.  ``weights`` arrives as the committee's
+    :class:`~repro.core.types.ScaledWeights` view: a sequence of exact
+    ``Fraction`` weights (not the raw ints / floats / strings the
+    committee was built from) that also carries the integer scaling
+    (``.ints``, ``.denom``, ``.total``) and that every ``repro.core``
+    entry point accepts in place of a weight list.
+
+    This is the ``custom`` hook: applications register their
     own strategies and the whole facade (``Committee.solve``, the CLI's
     internals, benchmarks) can name them.
     """
@@ -150,21 +161,24 @@ def solve_with_policy(
     ``verify=True`` re-checks the assignment against the problem
     definition with the exact checker -- cheap for typical instances,
     skippable (``verdict="unverified"``) for throughput benchmarks.
+
+    The weights are scaled to integers once; the policy and the re-check
+    both receive that :class:`~repro.core.types.ScaledWeights` view, which
+    reads as the sequence of exact ``Fraction`` weights.
     """
     chosen = get_policy(policy)
-    weights = getattr(committee, "weights", committee)
     start = time.perf_counter()
+    weights = ScaledWeights.of(getattr(committee, "weights", committee))
     raw = chosen.fn(problem, weights)
     elapsed = time.perf_counter() - start
     probes: Optional[int] = None
     if isinstance(raw, SwiperResult):
         assignment = raw.assignment
-        elapsed = raw.elapsed_seconds
         probes = raw.probes
     elif isinstance(raw, TicketAssignment):
         assignment = raw
     else:
-        assignment = TicketAssignment(tuple(raw))
+        assignment = TicketAssignment(raw)
     bound = problem.ticket_bound(len(assignment))
     if verify:
         verdict = (
@@ -229,7 +243,6 @@ class IncrementalSolver:
         self.problem = problem
         self.max_delta = max_delta
         self.verify = verify
-        self._mode = mode
         self._swiper = Swiper(mode=mode, use_quick_test=use_quick_test)
         self._effective = (
             problem.to_restriction()
@@ -238,9 +251,6 @@ class IncrementalSolver:
         )
         self._c = self._effective.rounding_constant
         self._raw: Optional[list] = None
-        self._ws: Optional[tuple] = None
-        self._total = None
-        self._exact: Optional[tuple[list[int], int]] = None
         self._stream: Optional[PriceStream] = None
         #: ``"cold"`` or ``"incremental"`` -- how the last solve ran
         self.last_mode: Optional[str] = None
@@ -255,95 +265,62 @@ class IncrementalSolver:
         old = self._raw
         if old is None or self._stream is None or len(raw) < len(old):
             return None
-        # Numeric equality on the raw values; normalization preserves it,
-        # so unchanged entries can share the cached Fraction objects.
-        changed = [i for i, (a, b) in enumerate(zip(raw, old)) if a != b]
+        # List comparison runs in C: only blocks that differ are scanned.
+        changed = [
+            i
+            for lo in range(0, len(old), _DELTA_BLOCK)
+            if raw[lo : lo + _DELTA_BLOCK] != old[lo : lo + _DELTA_BLOCK]
+            for i in range(lo, min(lo + _DELTA_BLOCK, len(old)))
+            if raw[i] != old[i]
+        ]
         changed.extend(range(len(old), len(raw)))
         if len(changed) > self.max_delta:
             return None
         return changed
-
-    def _patched_exact(
-        self, ws: tuple, changed: list[int]
-    ) -> Optional[tuple[list[int], int]]:
-        """Previous epoch's exact integer scaling patched in O(delta), when
-        the changed weights share the cached common denominator."""
-        if self._exact is None:
-            return None
-        ints, denom = self._exact
-        ints = list(ints) + [0] * (len(ws) - len(ints))
-        for i in changed:
-            scaled = ws[i] * denom
-            if scaled.denominator != 1:
-                return None
-            ints[i] = scaled.numerator
-        return ints, denom
 
     def solve(self, weights: Sequence) -> TicketAssignmentResult:
         """Solve for ``weights``, incrementally when the delta from the
         previous call is small; returns the same
         :class:`TicketAssignmentResult` a cold ``"swiper"`` policy solve
         would (up to timing fields)."""
-        from ..core.types import as_fraction
-        from ..core.verify import make_checker
-
         raw = list(weights)
         changed = self._delta(raw)
-        stream = checker = None
-        total = None
+        stream = None
         if changed is not None:
-            base_ws = self._ws
-            new_ws = list(base_ws) + [None] * (len(raw) - len(base_ws))
-            total = self._total
-            for i in changed:
-                new_ws[i] = as_fraction(raw[i])
-                total += new_ws[i] - (base_ws[i] if i < len(base_ws) else 0)
-            ws = tuple(new_ws)
             try:
-                stream = self._stream if not changed else self._stream.patched(ws)
+                # The patched stream carries the view patched in O(delta).
+                stream = (
+                    self._stream.patched({i: raw[i] for i in changed})
+                    if changed
+                    else self._stream
+                )
             except ValueError:
-                stream = None
+                pass
         if stream is not None:
             self.last_mode = "incremental"
             self.last_changed = len(changed)
             self.incremental_hits += 1
         else:
-            ws = normalize_weights(tuple(weights))
-            total = None
-            changed = None
-            stream = PriceStream(ws, self._c)
+            stream = PriceStream(raw, self._c)
             self.last_mode = "cold"
-            self.last_changed = len(ws)
-        checker = make_checker(
-            self._effective,
-            ws,
-            use_quick_test=self._swiper.use_quick_test,
-            linear_mode=(self._mode == "linear"),
-            total_weight=total,
-        )
-        if changed is not None:
-            exact = self._patched_exact(ws, changed)
-            if exact is not None:
-                checker.ctx._exact = exact
+            self.last_changed = len(raw)
         self.solves += 1
         raw_result = self._swiper.solve(
             self.problem,
-            ws,
+            stream.scaled,
             stream=stream,
             sparse=(self.last_mode == "incremental"),
-            checker=checker,
         )
         self._raw = raw
-        self._ws = ws
         self._stream = (
             stream.compact() if stream._chain >= self._MAX_CHAIN else stream
         )
-        self._total = checker.ctx.total
-        self._exact = checker.ctx._exact
         if self.verify:
             verdict = (
                 "valid"
-                if is_valid_assignment(self.problem, ws, raw_result.assignment)
+                if is_valid_assignment(
+                    self.problem, stream.scaled, raw_result.assignment
+                )
                 else "invalid"
             )
         else:

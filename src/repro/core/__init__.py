@@ -18,7 +18,7 @@ from .problems import (
     WeightSeparation,
 )
 from .solver import Swiper, SwiperResult, is_valid_assignment, solve, solve_with_constant
-from .types import Number, TicketAssignment, as_fraction, normalize_weights
+from .types import Number, ScaledWeights, TicketAssignment, as_fraction, normalize_weights
 from .verify import CheckStats, RestrictionChecker, SeparationChecker, Verdict, make_checker
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "Number",
     "as_fraction",
     "normalize_weights",
+    "ScaledWeights",
     "Verdict",
     "CheckStats",
     "RestrictionChecker",

@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .prices import assignment_for_total
 from .problems import (
@@ -126,7 +125,7 @@ def solve_family_optimal(
     for total in range(1, bound + 1):
         tickets = assignment_for_total(ws, c, total)
         if brute_force_valid(problem, ws, tickets):
-            return TicketAssignment(tuple(tickets))
+            return TicketAssignment(tickets)
     # Theorems 2.1 / 2.4 guarantee the bound itself is valid.
     raise AssertionError(
         "no valid family member within the theorem bound -- theory violated"
@@ -175,11 +174,20 @@ def solve_exact_milp(
     weight-feasible subset.  WQ is solved through the Theorem 2.2
     reduction.  WS adds a row ``t(S1) - t(S2) <= -1`` per (maximal
     low-side, minimal high-side) pair.
+
+    Needs scipy (the ``milp`` extra), imported here so that nothing else in
+    the package pays for loading it.
     """
     ws = normalize_weights(weights)
     n = len(ws)
     if n > _MILP_LIMIT:
         raise ValueError(f"MILP solver limited to n <= {_MILP_LIMIT}")
+    try:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+    except ImportError:
+        raise ImportError(
+            "solve_exact_milp needs scipy: pip install 'repro-swiper[milp]'"
+        ) from None
     if isinstance(problem, WeightQualification):
         reduced = problem.to_restriction()
         result = solve_exact_milp(reduced, ws, ticket_cap=ticket_cap)

@@ -18,15 +18,32 @@ This module provides three tiers, all decided *soundly*:
    bound and an integral greedy + best-single-item value as an achievable
    lower bound.  These implement the paper's conservative/liberal quick
    checks.
+
+Every tier computes on the integers of one
+:class:`~repro.core.types.ScaledWeights` view -- item weights ``a_i``,
+capacities as integer ratios ``cap_num / cap_den`` in the same units.  The
+functions that take :class:`~fractions.Fraction` weights scale them once
+and call the integer forms (:func:`density_order`, :func:`upper_bound`,
+:func:`lower_bound`); the only Fraction a bound builds is the value
+:func:`upper_bound` returns, for the caller's one ``upper < target``.
+
+The density order sorts items by ``t_i / a_i`` through the integer keys
+``(t_i << K) // a_i``.  With ``2**K >= a_max**2`` two distinct densities
+are at least ``2**K / (a_i a_j) >= 1`` apart after the shift, so their
+floors differ in the same direction, and equal densities give equal keys,
+which the stable sort leaves in input order -- the order, ties included,
+of sorting by the exact rational (:mod:`repro.core.types` has the
+argument in full).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .types import SCALE_BITS, scale_ints_rounded, scale_weights_exact
 
 __all__ = [
     "strict_cap_int",
@@ -36,14 +53,13 @@ __all__ = [
     "max_profit_under",
     "min_weight_for_profit_numpy",
     "max_profit_under_numpy",
+    "density_order",
+    "upper_bound",
+    "lower_bound",
     "fractional_upper_bound",
     "greedy_lower_bound",
     "SCALE_BITS",
 ]
-
-#: Relative precision (bits) of the rounded integer scaling used by the
-#: numpy DP tier.  2**40 leaves ample headroom in int64 accumulators.
-SCALE_BITS = 40
 
 _INT64_INF = np.int64(1) << np.int64(62)
 
@@ -60,19 +76,6 @@ def strict_cap_int(capacity: Fraction) -> int:
     return (p - 1) // q
 
 
-def scale_weights_exact(weights: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale rational weights to exact integers.
-
-    Returns ``(int_weights, denominator)`` where
-    ``int_weights[i] == weights[i] * denominator`` exactly, with
-    ``denominator`` the LCM of all weight denominators.
-    """
-    denom = 1
-    for w in weights:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    return [int(w * denom) for w in weights], denom
-
-
 def scale_weights_rounded(
     weights: Sequence[Fraction], total: Fraction, *, round_up: bool
 ) -> np.ndarray:
@@ -82,15 +85,14 @@ def scale_weights_rounded(
     every truly feasible subset stays feasible); ``round_up=True`` rounds
     up (every subset feasible after scaling is truly feasible).
     """
-    scale = Fraction(1 << SCALE_BITS) / total
-    out = np.empty(len(weights), dtype=np.int64)
-    for i, w in enumerate(weights):
-        v = w * scale
-        if round_up:
-            out[i] = -((-v.numerator) // v.denominator)
-        else:
-            out[i] = v.numerator // v.denominator
-    return out
+    ints, denom = scale_weights_exact(weights)
+    scaled_total = total * denom
+    return scale_ints_rounded(
+        ints,
+        scaled_total.denominator << SCALE_BITS,
+        scaled_total.numerator,
+        round_up=round_up,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,68 +218,100 @@ def max_profit_under_numpy(
 # ---------------------------------------------------------------------------
 
 
-def _density_order(
-    weights: Sequence[Fraction], profits: Sequence[int]
+def density_order(
+    int_weights: Sequence[int], profits: Sequence[int], shift: int
 ) -> list[int]:
-    """Indices of profit-bearing items by non-increasing profit density."""
-    items = [i for i, t in enumerate(profits) if t > 0]
-    # Zero-weight profit-bearing items get infinite density; sort first by
-    # the zero-weight flag then by exact rational density.
-    return sorted(
-        items,
-        key=lambda i: (
-            0 if weights[i] == 0 else 1,
-            -Fraction(profits[i], 1) / weights[i] if weights[i] > 0 else 0,
-        ),
-    )
+    """Positions of profit-bearing items by non-increasing profit density
+    ``profits[i] / int_weights[i]``, equal densities in input order.
+
+    ``2**shift`` must be at least the square of the largest weight (a
+    view's ``shift`` is) for the integer keys to order exactly.  Zero-weight
+    profit-bearing items have infinite density and come first.
+    """
+    free = [i for i, t in enumerate(profits) if t > 0 and not int_weights[i]]
+    priced = [i for i, t in enumerate(profits) if t > 0 and int_weights[i]]
+    priced.sort(key=lambda i: (profits[i] << shift) // int_weights[i], reverse=True)
+    return free + priced
 
 
-def fractional_upper_bound(
-    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
+def upper_bound(
+    int_weights: Sequence[int],
+    profits: Sequence[int],
+    order: Sequence[int],
+    cap_num: int,
+    cap_den: int,
 ) -> Fraction:
     """LP-relaxation value: an upper bound on the strict-capacity optimum.
 
-    Fills items in density order, taking a fractional piece of the first
-    item that no longer fits.  Computed with closed capacity, which only
-    weakens (never invalidates) the bound for the strict problem.
+    Fills items in density ``order`` under the capacity ``cap_num /
+    cap_den``, taking a fractional piece of the first item that no longer
+    fits.  Computed with closed capacity, which only weakens (never
+    invalidates) the bound for the strict problem.
     """
-    if capacity <= 0:
+    if cap_num <= 0:
         return Fraction(0)
-    value = Fraction(0)
-    remaining = capacity
-    for i in _density_order(weights, profits):
-        w, t = weights[i], profits[i]
-        if w == 0:
-            value += t
-            continue
-        if w <= remaining:
-            value += t
-            remaining -= w
+    # Integer weights fit the closed capacity iff they fit its floor.
+    room, excess = divmod(cap_num, cap_den)
+    value = 0
+    for i in order:
+        w = int_weights[i]
+        if w <= room:
+            value += profits[i]
+            room -= w
         else:
-            value += Fraction(t) * remaining / w
-            break
-    return value
+            return value + Fraction(profits[i] * (room * cap_den + excess), w * cap_den)
+    return Fraction(value)
 
 
-def greedy_lower_bound(
-    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
+def lower_bound(
+    int_weights: Sequence[int],
+    profits: Sequence[int],
+    order: Sequence[int],
+    cap_num: int,
+    cap_den: int,
 ) -> int:
-    """An *achievable* profit under the strict capacity.
+    """An *achievable* profit under the strict capacity ``cap_num / cap_den``.
 
     Classic half-approximation: max of the density-greedy packing and the
     best single feasible item.  Every value returned is realized by an
     actual subset with ``w(S) < capacity``.
     """
-    if capacity <= 0:
+    if cap_num <= 0:
         return 0
-    packed = 0
-    cum = Fraction(0)
-    best_single = 0
-    for i in _density_order(weights, profits):
-        w, t = weights[i], profits[i]
-        if cum + w < capacity:
+    strict = (cap_num - 1) // cap_den  # largest integer strictly below capacity
+    packed = cum = best_single = 0
+    for i in order:
+        w, t = int_weights[i], profits[i]
+        if cum + w <= strict:
             packed += t
             cum += w
-        if w < capacity and t > best_single:
+        if w <= strict and t > best_single:
             best_single = t
     return max(packed, best_single)
+
+
+def _scaled_instance(
+    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
+) -> tuple[list[int], list[int], int, int]:
+    """Integer weights, their density order and the capacity as
+    ``cap_num / cap_den`` in the same units."""
+    ints, denom = scale_weights_exact(weights)
+    order = density_order(ints, profits, 2 * max(ints, default=0).bit_length())
+    cap = capacity * denom
+    return ints, order, cap.numerator, cap.denominator
+
+
+def fractional_upper_bound(
+    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
+) -> Fraction:
+    """:func:`upper_bound` for rational weights and capacity."""
+    ints, order, cap_num, cap_den = _scaled_instance(weights, profits, capacity)
+    return upper_bound(ints, profits, order, cap_num, cap_den)
+
+
+def greedy_lower_bound(
+    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
+) -> int:
+    """:func:`lower_bound` for rational weights and capacity."""
+    ints, order, cap_num, cap_den = _scaled_instance(weights, profits, capacity)
+    return lower_bound(ints, profits, order, cap_num, cap_den)

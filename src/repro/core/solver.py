@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .prices import PriceStream
@@ -32,7 +31,7 @@ from .problems import (
     WeightRestriction,
     WeightSeparation,
 )
-from .types import Number, TicketAssignment, normalize_weights
+from .types import Number, ScaledWeights, TicketAssignment, as_fraction
 from .verify import CheckStats, make_checker
 
 __all__ = ["Swiper", "SwiperResult", "solve", "is_valid_assignment"]
@@ -106,12 +105,10 @@ class Swiper:
     def solve(
         self,
         problem: WeightReductionProblem,
-        weights: Iterable[Number],
+        weights: "Iterable[Number] | ScaledWeights",
         *,
         stream: Optional[PriceStream] = None,
         sparse: bool = False,
-        checker=None,
-        total_weight=None,
     ) -> SwiperResult:
         """Solve ``problem`` on ``weights``; deterministic for fixed input.
 
@@ -119,18 +116,19 @@ class Swiper:
         system run the solver locally and agree on the ticket assignment
         without any extra protocol (paper, Section 3 "Determinism").
 
-        ``stream`` injects a pre-built (e.g. patched, see
-        :meth:`PriceStream.patched`) price stream for these exact weights;
-        ``sparse`` probes the checker through its holder-only entry point;
-        ``checker`` injects a pre-built fresh checker for these weights and
-        this problem/mode (``total_weight`` likewise short-circuits the
-        exact W sum inside a solver-built checker).  All are pure
-        accelerations: the probe sequence, every verdict, and the final
-        assignment are identical to the default path.
+        The weights are scaled to integers once
+        (:class:`~repro.core.types.ScaledWeights`; a view passed as
+        ``weights`` is used as is) and the price stream and the checker
+        both read that one view.  ``stream`` injects a pre-built (e.g.
+        patched, see :meth:`PriceStream.patched`) price stream for these
+        exact weights; ``sparse`` probes the checker through its
+        holder-only entry point.  Both are pure accelerations: the probe
+        sequence, every verdict, and the final assignment are identical to
+        the default path.
         """
         start = time.perf_counter()
-        ws = normalize_weights(weights)
-        n = len(ws)
+        view = ScaledWeights.of(weights)
+        n = len(view)
         effective = (
             problem.to_restriction()
             if isinstance(problem, WeightQualification)
@@ -138,36 +136,22 @@ class Swiper:
         )
         c = effective.rounding_constant
         bound = problem.ticket_bound(n)
-        if checker is None:
-            checker = make_checker(
-                effective,
-                ws,
-                use_quick_test=self.use_quick_test,
-                linear_mode=(self.mode == "linear"),
-                total_weight=total_weight,
-            )
-        elif (
-            checker.problem != effective
-            or checker.use_quick_test != self.use_quick_test
-            or checker.linear_mode != (self.mode == "linear")
-            or checker.ctx.weights != tuple(ws)
-            or checker.stats.checks
-        ):
-            raise ValueError(
-                "injected checker must be fresh and built for these exact "
-                "weights, this problem, and this solver mode"
-            )
+        checker = make_checker(
+            effective,
+            view,
+            use_quick_test=self.use_quick_test,
+            linear_mode=(self.mode == "linear"),
+        )
         # One memoized price stream serves every probe: the binary search
         # revisits overlapping prefixes of the same cheapest-ticket
-        # sequence, so each ticket's exact-Fraction price is computed once.
+        # sequence, so each ticket's price key is computed once.
         if stream is None:
-            stream = PriceStream(ws, c)
-        elif stream.rounding_constant != c or stream.weights != tuple(ws):
+            stream = PriceStream(view, c)
+        elif stream.rounding_constant != c or stream.scaled != view:
             raise ValueError(
                 "injected price stream was built for different weights or "
                 "rounding constant"
             )
-        use_sparse = sparse and hasattr(checker, "check_sparse")
         # Invariant: family member with total `hi` is valid (members at the
         # theorem bound are valid without checking -- Appendix A), family
         # member with total `lo` is invalid (T = 0 is never viable).
@@ -176,7 +160,7 @@ class Swiper:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             probes += 1
-            if use_sparse:
+            if sparse:
                 indices, counts = stream.sparse_counts(mid)
                 ok = checker.check_sparse(indices, counts, mid)
             else:
@@ -185,7 +169,7 @@ class Swiper:
                 hi = mid
             else:
                 lo = mid
-        final = TicketAssignment(tuple(stream.assignment(hi)))
+        final = TicketAssignment(stream.assignment(hi))
         return SwiperResult(
             problem=problem,
             assignment=final,
@@ -224,10 +208,8 @@ def solve_with_constant(
     The theorem bounds only hold for the optimal ``c``, so the binary
     search anchor is *verified* here and doubled until valid.
     """
-    from .types import as_fraction
-
     start = time.perf_counter()
-    ws = normalize_weights(weights)
+    ws = ScaledWeights.of(weights)
     n = len(ws)
     effective = (
         problem.to_restriction()
@@ -258,7 +240,7 @@ def solve_with_constant(
             hi = mid
         else:
             lo = mid
-    final = TicketAssignment(tuple(stream.assignment(hi)))
+    final = TicketAssignment(stream.assignment(hi))
     return SwiperResult(
         problem=problem,
         assignment=final,
@@ -272,7 +254,7 @@ def solve_with_constant(
 
 def is_valid_assignment(
     problem: WeightReductionProblem,
-    weights: Iterable[Number],
+    weights: "Iterable[Number] | ScaledWeights",
     tickets: Sequence[int] | TicketAssignment,
     *,
     use_quick_test: bool = True,
@@ -281,9 +263,11 @@ def is_valid_assignment(
 
     Unlike the solver this accepts assignments outside the Swiper family
     (e.g. from the exact MILP solver or hand-crafted ones in tests); the
-    decision is always sound and exact.
+    decision is always sound and exact.  Pass the solve's
+    :class:`~repro.core.types.ScaledWeights` view as ``weights`` to
+    re-check without scaling the vector a second time.
     """
-    ws = normalize_weights(weights)
+    ws = ScaledWeights.of(weights)
     ts = list(tickets)
     if len(ts) != len(ws):
         raise ValueError("tickets and weights must have equal length")

@@ -10,6 +10,13 @@ the paper's architecture on top of :mod:`repro.core.knapsack`:
 * a *full test* that resolves ``UNCERTAIN`` with dynamic programming --
   first the sound two-sided numpy tier, then the exact big-integer tier.
 
+The checkers compute on the integers of one
+:class:`~repro.core.types.ScaledWeights` view: capacities ``alpha * W`` as
+integer ratios in the view's units, the density order once per probe and
+shared by that probe's bounds.  The problem's thresholds stay
+:class:`~fractions.Fraction` (:mod:`repro.core.problems`); a probe's only
+Fraction operation is the ``upper < target`` that ends its quick test.
+
 ``--linear`` mode (paper terminology) maps ``UNCERTAIN`` to "invalid",
 which keeps the solver quasilinear and still never violates the theorem
 bounds, at the cost of possibly stopping above the family's local minimum.
@@ -18,9 +25,9 @@ bounds, at the cost of possibly stopping above the family's local minimum.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .problems import (
     WeightRestriction,
     WeightSeparation,
 )
+from .types import Number, ScaledWeights
 
 __all__ = ["Verdict", "CheckStats", "RestrictionChecker", "SeparationChecker", "make_checker"]
 
@@ -73,65 +81,109 @@ class CheckStats:
         self.exact_fallbacks += other.exact_fallbacks
 
 
-def _ceil_frac(x: Fraction) -> int:
-    """Smallest integer >= ``x``."""
-    return -((-x.numerator) // x.denominator)
+def _ceil_ratio(x: Fraction, k: int) -> int:
+    """Smallest integer >= ``x * k``."""
+    return -((-x.numerator * k) // x.denominator)
 
 
-class _WeightsContext:
-    """Per-weight-vector caches shared by the checkers.
+class _Capacity(NamedTuple):
+    """A strict knapsack capacity ``share * W``."""
 
-    Holds the exact integer scaling and the two soundly-rounded int64
-    scalings, each computed lazily (the solver may never need them).
+    #: its exact value ``num / den`` in the view's integer weight units
+    num: int
+    den: int
+    #: largest integer weight (same units) strictly below it
+    strict: int
+    #: the same for weights scaled to ``2**SCALE_BITS / W`` (numpy tier)
+    strict_rounded: int
+
+
+def _holders(tickets: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Ascending holder indices of a dense vector and their ticket counts."""
+    indices = [i for i, t in enumerate(tickets) if t > 0]
+    return indices, [tickets[i] for i in indices]
+
+
+class _Checker:
+    """What the two checkers share: the scaled view, the work counters and
+    the quick-test / linear-mode / DP decision ladder.
+
+    A checker decides on the *holders* of an assignment -- ascending party
+    indices with positive ticket counts.  Every knapsack routine skips
+    zero-ticket items and breaks density ties by input position, so the
+    dense vector and its holder-only form give the same bounds, the same
+    DP values and the same verdict: ``check`` extracts the holders and
+    ``check_sparse`` takes them as given, which saves the ``O(n)`` scans
+    per probe on large committees.
     """
 
     def __init__(
-        self, weights: Sequence[Fraction], total: Optional[Fraction] = None
-    ):
-        self.weights = tuple(weights)
-        # ``total`` lets epoch-style callers that maintain W across small
-        # weight deltas skip the O(n) exact sum; it must equal the true sum.
-        self.total: Fraction = (
-            sum(self.weights, start=Fraction(0)) if total is None else total
+        self,
+        weights: "Sequence[Number] | ScaledWeights",
+        problem,
+        *,
+        use_quick_test: bool = True,
+        linear_mode: bool = False,
+    ) -> None:
+        #: the integer scaling every bound and DP of this checker reads
+        self.scaled = ScaledWeights.of(weights)
+        self.problem = problem
+        self.use_quick_test = use_quick_test
+        self.linear_mode = linear_mode
+        self.stats = CheckStats()
+
+    def _capacity(self, share: Fraction) -> _Capacity:
+        cap = share * self.scaled.total
+        return _Capacity(
+            cap.numerator,
+            cap.denominator,
+            knapsack.strict_cap_int(cap),
+            knapsack.strict_cap_int(share * (1 << knapsack.SCALE_BITS)),
         )
-        if self.total <= 0:
-            raise ValueError("total weight W must be positive")
-        self.n = len(self.weights)
-        self._exact: Optional[tuple[list[int], int]] = None
-        self._down: Optional[np.ndarray] = None
-        self._up: Optional[np.ndarray] = None
 
-    @property
-    def exact_scaled(self) -> tuple[list[int], int]:
-        """``(integer weights, common denominator)`` exact scaling."""
-        if self._exact is None:
-            self._exact = knapsack.scale_weights_exact(self.weights)
-        return self._exact
+    def quick(self, tickets: Sequence[int], total: int) -> Verdict:
+        """Three-valued quick test from the greedy knapsack bounds."""
+        indices, counts = _holders(tickets)
+        ints = self.scaled.ints
+        return self._quick([ints[i] for i in indices], counts, total)
 
-    @property
-    def rounded_down(self) -> np.ndarray:
-        if self._down is None:
-            self._down = knapsack.scale_weights_rounded(
-                self.weights, self.total, round_up=False
-            )
-        return self._down
+    def _decide(
+        self, indices: Sequence[int], counts: Sequence[int], total: int
+    ) -> bool:
+        self.stats.checks += 1
+        if total <= 0:
+            return False
+        ints = self.scaled.ints
+        held = [ints[i] for i in indices]
+        if self.use_quick_test:
+            verdict = self._quick(held, counts, total)
+            if verdict is Verdict.VALID:
+                self.stats.quick_valid += 1
+                return True
+            if verdict is Verdict.INVALID:
+                self.stats.quick_invalid += 1
+                return False
+            self.stats.quick_uncertain += 1
+        if self.linear_mode:
+            # Conservative: cannot certify validity quasilinearly, reject.
+            return False
+        self.stats.dp_calls += 1
+        return self._full(indices, held, counts, total)
 
-    @property
-    def rounded_up(self) -> np.ndarray:
-        if self._up is None:
-            self._up = knapsack.scale_weights_rounded(
-                self.weights, self.total, round_up=True
-            )
-        return self._up
+    def _rounded_holders(self, indices: Sequence[int], *, round_up: bool) -> np.ndarray:
+        """The holders' weights in the numpy tier's units, rounded down
+        (enlarges the feasible family) or up (shrinks it)."""
+        return self.scaled.rounded(round_up=round_up)[np.asarray(indices, dtype=np.intp)]
 
 
-class RestrictionChecker:
+class RestrictionChecker(_Checker):
     """Validity checker for Weight Restriction assignments.
 
     Parameters
     ----------
     weights:
-        Exact rational weights (see :func:`repro.core.types.normalize_weights`).
+        A :class:`~repro.core.types.ScaledWeights` view, or any weight
+        sequence one can be built from.
     problem:
         The :class:`~repro.core.problems.WeightRestriction` instance.
     use_quick_test:
@@ -144,99 +196,67 @@ class RestrictionChecker:
 
     def __init__(
         self,
-        weights: Sequence[Fraction],
+        weights: "Sequence[Number] | ScaledWeights",
         problem: WeightRestriction,
         *,
         use_quick_test: bool = True,
         linear_mode: bool = False,
-        total_weight: Optional[Fraction] = None,
     ) -> None:
-        self.ctx = _WeightsContext(weights, total=total_weight)
-        self.problem = problem
-        self.use_quick_test = use_quick_test
-        self.linear_mode = linear_mode
-        self.stats = CheckStats()
+        super().__init__(
+            weights, problem, use_quick_test=use_quick_test, linear_mode=linear_mode
+        )
         #: strict capacity ``alpha_w * W`` of the violating-subset knapsack
-        self.capacity: Fraction = problem.alpha_w * self.ctx.total
+        self._cap = self._capacity(problem.alpha_w)
 
     def violation_target(self, total: int) -> int:
         """Smallest ticket count that would violate ``t(S) < alpha_n * T``."""
-        return _ceil_frac(self.problem.alpha_n * Fraction(total))
+        return _ceil_ratio(self.problem.alpha_n, total)
 
-    # -- quick (quasilinear) test -------------------------------------------
-    def quick(self, tickets: Sequence[int], total: int) -> Verdict:
-        """Three-valued quick test from the greedy knapsack bounds."""
+    def _quick(self, held: list[int], counts: Sequence[int], total: int) -> Verdict:
         target = self.violation_target(total)
-        upper = knapsack.fractional_upper_bound(
-            self.ctx.weights, tickets, self.capacity
-        )
-        if upper < target:
+        cap = self._cap
+        order = knapsack.density_order(held, counts, self.scaled.shift)
+        if knapsack.upper_bound(held, counts, order, cap.num, cap.den) < target:
             return Verdict.VALID
-        lower = knapsack.greedy_lower_bound(self.ctx.weights, tickets, self.capacity)
-        if lower >= target:
+        if knapsack.lower_bound(held, counts, order, cap.num, cap.den) >= target:
             return Verdict.INVALID
         return Verdict.UNCERTAIN
 
-    # -- full (DP) test -------------------------------------------------------
-    def _dp_violating_subset_exists(self, tickets: Sequence[int], target: int) -> bool:
-        """Does some subset with ``w(S) < capacity`` reach ``target`` tickets?
+    def _full(
+        self,
+        indices: Sequence[int],
+        held: list[int],
+        counts: Sequence[int],
+        total: int,
+    ) -> bool:
+        """No subset with ``w(S) < capacity`` reaches the violation target.
 
         Decided soundly: small instances run the exact DP; large ones run
         the two rounded numpy passes and fall back to exact arithmetic only
         if the passes disagree.
         """
-        self.stats.dp_calls += 1
-        n_items = sum(1 for t in tickets if t > 0)
-        if n_items * target <= _EXACT_DP_CELL_LIMIT:
-            return self._dp_exact(tickets, target)
-        scaled_cap = knapsack.strict_cap_int(
-            self.problem.alpha_w * (1 << knapsack.SCALE_BITS)
-        )
-        mw_down = knapsack.min_weight_for_profit_numpy(
-            self.ctx.rounded_down, tickets, target
-        )
-        exists_down = mw_down is not None and mw_down <= scaled_cap
-        if not exists_down:
-            # Even with under-stated weights no subset violates: certified valid.
-            return False
-        mw_up = knapsack.min_weight_for_profit_numpy(
-            self.ctx.rounded_up, tickets, target
-        )
-        exists_up = mw_up is not None and mw_up <= scaled_cap
-        if exists_up:
-            # With over-stated weights a violating subset exists: certified.
-            return True
-        self.stats.exact_fallbacks += 1
-        return self._dp_exact(tickets, target)
+        target = self.violation_target(total)
+        cap = self._cap
+        if len(counts) * target > _EXACT_DP_CELL_LIMIT:
+            down = self._rounded_holders(indices, round_up=False)
+            mw = knapsack.min_weight_for_profit_numpy(down, counts, target)
+            if mw is None or mw > cap.strict_rounded:
+                # Even with under-stated weights no subset violates.
+                return True
+            up = self._rounded_holders(indices, round_up=True)
+            mw = knapsack.min_weight_for_profit_numpy(up, counts, target)
+            if mw is not None and mw <= cap.strict_rounded:
+                # With over-stated weights a violating subset exists.
+                return False
+            self.stats.exact_fallbacks += 1
+        mw = knapsack.min_weight_for_profit(held, counts, target)
+        return mw is None or mw > cap.strict
 
-    def _dp_exact(self, tickets: Sequence[int], target: int) -> bool:
-        int_weights, denom = self.ctx.exact_scaled
-        cap = knapsack.strict_cap_int(self.capacity * denom)
-        mw = knapsack.min_weight_for_profit(int_weights, tickets, target)
-        return mw is not None and mw <= cap
-
-    # -- public decision -------------------------------------------------------
     def check(self, tickets: Sequence[int], total: Optional[int] = None) -> bool:
         """Decide viability of ``tickets`` for this WR instance."""
         if total is None:
             total = sum(tickets)
-        self.stats.checks += 1
-        if total <= 0:
-            return False
-        if self.use_quick_test:
-            verdict = self.quick(tickets, total)
-            if verdict is Verdict.VALID:
-                self.stats.quick_valid += 1
-                return True
-            if verdict is Verdict.INVALID:
-                self.stats.quick_invalid += 1
-                return False
-            self.stats.quick_uncertain += 1
-        if self.linear_mode:
-            # Conservative: cannot certify validity quasilinearly, reject.
-            return False
-        target = self.violation_target(total)
-        return not self._dp_violating_subset_exists(tickets, target)
+        return self._decide(*_holders(tickets), total)
 
     def check_sparse(
         self, indices: Sequence[int], counts: Sequence[int], total: int
@@ -246,67 +266,11 @@ class RestrictionChecker:
 
         ``indices`` must be ascending and ``counts`` positive (the form
         :meth:`repro.core.prices.PriceStream.sparse_counts` produces).
-        Every knapsack routine already skips zero-ticket items and breaks
-        density ties by input position, so restricting the item arrays to
-        holders changes no bound, no DP value, and no verdict -- it only
-        drops the ``O(n)`` dense scans, the per-probe cost that dominates
-        large-committee re-solves.
         """
-        self.stats.checks += 1
-        if total <= 0:
-            return False
-        w = self.ctx.weights
-        holder_weights = [w[i] for i in indices]
-        if self.use_quick_test:
-            target = self.violation_target(total)
-            upper = knapsack.fractional_upper_bound(
-                holder_weights, counts, self.capacity
-            )
-            if upper < target:
-                self.stats.quick_valid += 1
-                return True
-            lower = knapsack.greedy_lower_bound(
-                holder_weights, counts, self.capacity
-            )
-            if lower >= target:
-                self.stats.quick_invalid += 1
-                return False
-            self.stats.quick_uncertain += 1
-        if self.linear_mode:
-            return False
-        target = self.violation_target(total)
-        self.stats.dp_calls += 1
-        if len(counts) * target <= _EXACT_DP_CELL_LIMIT:
-            return self._dp_exact_sparse(indices, counts, target)
-        scaled_cap = knapsack.strict_cap_int(
-            self.problem.alpha_w * (1 << knapsack.SCALE_BITS)
-        )
-        idx = np.asarray(indices, dtype=np.intp)
-        mw_down = knapsack.min_weight_for_profit_numpy(
-            self.ctx.rounded_down[idx], counts, target
-        )
-        if mw_down is None or mw_down > scaled_cap:
-            return True
-        mw_up = knapsack.min_weight_for_profit_numpy(
-            self.ctx.rounded_up[idx], counts, target
-        )
-        if mw_up is not None and mw_up <= scaled_cap:
-            return False
-        self.stats.exact_fallbacks += 1
-        return self._dp_exact_sparse(indices, counts, target)
-
-    def _dp_exact_sparse(
-        self, indices: Sequence[int], counts: Sequence[int], target: int
-    ) -> bool:
-        int_weights, denom = self.ctx.exact_scaled
-        cap = knapsack.strict_cap_int(self.capacity * denom)
-        mw = knapsack.min_weight_for_profit(
-            [int_weights[i] for i in indices], counts, target
-        )
-        return not (mw is not None and mw <= cap)
+        return self._decide(indices, counts, total)
 
 
-class SeparationChecker:
+class SeparationChecker(_Checker):
     """Validity checker for Weight Separation assignments.
 
     Valid iff ``K(alpha) + K(1 - beta) < T`` where ``K(g)`` is the maximum
@@ -316,181 +280,92 @@ class SeparationChecker:
 
     def __init__(
         self,
-        weights: Sequence[Fraction],
+        weights: "Sequence[Number] | ScaledWeights",
         problem: WeightSeparation,
         *,
         use_quick_test: bool = True,
         linear_mode: bool = False,
-        total_weight: Optional[Fraction] = None,
     ) -> None:
-        self.ctx = _WeightsContext(weights, total=total_weight)
-        self.problem = problem
-        self.use_quick_test = use_quick_test
-        self.linear_mode = linear_mode
-        self.stats = CheckStats()
-        self.cap_low: Fraction = problem.alpha * self.ctx.total
-        self.cap_high: Fraction = (1 - problem.beta) * self.ctx.total
+        super().__init__(
+            weights, problem, use_quick_test=use_quick_test, linear_mode=linear_mode
+        )
+        #: the two strict capacities ``alpha * W`` and ``(1 - beta) * W``
+        self._caps = (self._capacity(problem.alpha), self._capacity(1 - problem.beta))
 
-    # -- quick test -------------------------------------------------------------
-    def quick(self, tickets: Sequence[int], total: int) -> Verdict:
-        """Three-valued quick test from greedy bounds on both knapsacks."""
-        ub = knapsack.fractional_upper_bound(
-            self.ctx.weights, tickets, self.cap_low
-        ) + knapsack.fractional_upper_bound(self.ctx.weights, tickets, self.cap_high)
-        if ub < total:
+    def _quick(self, held: list[int], counts: Sequence[int], total: int) -> Verdict:
+        low, high = self._caps
+        order = knapsack.density_order(held, counts, self.scaled.shift)
+        upper = knapsack.upper_bound(
+            held, counts, order, low.num, low.den
+        ) + knapsack.upper_bound(held, counts, order, high.num, high.den)
+        if upper < total:
             return Verdict.VALID
-        lb = knapsack.greedy_lower_bound(
-            self.ctx.weights, tickets, self.cap_low
-        ) + knapsack.greedy_lower_bound(self.ctx.weights, tickets, self.cap_high)
-        if lb >= total:
+        lower = knapsack.lower_bound(
+            held, counts, order, low.num, low.den
+        ) + knapsack.lower_bound(held, counts, order, high.num, high.den)
+        if lower >= total:
             return Verdict.INVALID
         return Verdict.UNCERTAIN
 
-    # -- full test ---------------------------------------------------------------
-    def _max_profit_exact(self, tickets: Sequence[int], capacity: Fraction) -> int:
-        int_weights, denom = self.ctx.exact_scaled
-        cap = knapsack.strict_cap_int(capacity * denom)
-        return knapsack.max_profit_under(int_weights, tickets, cap)
+    def _full(
+        self,
+        indices: Sequence[int],
+        held: list[int],
+        counts: Sequence[int],
+        total: int,
+    ) -> bool:
+        if len(counts) * total > _EXACT_DP_CELL_LIMIT:
+            # Rounded-down weights enlarge the feasible family => upper bounds.
+            down = self._rounded_holders(indices, round_up=False)
+            if sum(
+                knapsack.max_profit_under_numpy(down, counts, cap.strict_rounded)
+                for cap in self._caps
+            ) < total:
+                return True
+            # Rounded-up weights shrink it => achievable lower bounds.
+            up = self._rounded_holders(indices, round_up=True)
+            if sum(
+                knapsack.max_profit_under_numpy(up, counts, cap.strict_rounded)
+                for cap in self._caps
+            ) >= total:
+                return False
+            self.stats.exact_fallbacks += 1
+        return sum(
+            knapsack.max_profit_under(held, counts, cap.strict) for cap in self._caps
+        ) < total
 
-    def _full(self, tickets: Sequence[int], total: int) -> bool:
-        self.stats.dp_calls += 1
-        n_items = sum(1 for t in tickets if t > 0)
-        if n_items * max(total, 1) <= _EXACT_DP_CELL_LIMIT:
-            k1 = self._max_profit_exact(tickets, self.cap_low)
-            k2 = self._max_profit_exact(tickets, self.cap_high)
-            return k1 + k2 < total
-        scale_total = Fraction(1 << knapsack.SCALE_BITS)
-        cap_low = knapsack.strict_cap_int(self.problem.alpha * scale_total)
-        cap_high = knapsack.strict_cap_int((1 - self.problem.beta) * scale_total)
-        # Rounded-down weights enlarge the feasible family => upper bounds.
-        k1_hi = knapsack.max_profit_under_numpy(self.ctx.rounded_down, tickets, cap_low)
-        k2_hi = knapsack.max_profit_under_numpy(self.ctx.rounded_down, tickets, cap_high)
-        if k1_hi + k2_hi < total:
-            return True
-        # Rounded-up weights shrink it => achievable lower bounds.
-        k1_lo = knapsack.max_profit_under_numpy(self.ctx.rounded_up, tickets, cap_low)
-        k2_lo = knapsack.max_profit_under_numpy(self.ctx.rounded_up, tickets, cap_high)
-        if k1_lo + k2_lo >= total:
-            return False
-        self.stats.exact_fallbacks += 1
-        k1 = self._max_profit_exact(tickets, self.cap_low)
-        k2 = self._max_profit_exact(tickets, self.cap_high)
-        return k1 + k2 < total
-
-    # -- public decision -----------------------------------------------------------
     def check(self, tickets: Sequence[int], total: Optional[int] = None) -> bool:
         """Decide viability of ``tickets`` for this WS instance."""
         if total is None:
             total = sum(tickets)
-        self.stats.checks += 1
-        if total <= 0:
-            return False
-        if self.use_quick_test:
-            verdict = self.quick(tickets, total)
-            if verdict is Verdict.VALID:
-                self.stats.quick_valid += 1
-                return True
-            if verdict is Verdict.INVALID:
-                self.stats.quick_invalid += 1
-                return False
-            self.stats.quick_uncertain += 1
-        if self.linear_mode:
-            return False
-        return self._full(tickets, total)
+        return self._decide(*_holders(tickets), total)
 
     def check_sparse(
         self, indices: Sequence[int], counts: Sequence[int], total: int
     ) -> bool:
         """Identical decision to :meth:`check` on the corresponding dense
         vector (same contract as ``RestrictionChecker.check_sparse``)."""
-        self.stats.checks += 1
-        if total <= 0:
-            return False
-        w = self.ctx.weights
-        holder_weights = [w[i] for i in indices]
-        if self.use_quick_test:
-            ub = knapsack.fractional_upper_bound(
-                holder_weights, counts, self.cap_low
-            ) + knapsack.fractional_upper_bound(holder_weights, counts, self.cap_high)
-            if ub < total:
-                self.stats.quick_valid += 1
-                return True
-            lb = knapsack.greedy_lower_bound(
-                holder_weights, counts, self.cap_low
-            ) + knapsack.greedy_lower_bound(holder_weights, counts, self.cap_high)
-            if lb >= total:
-                self.stats.quick_invalid += 1
-                return False
-            self.stats.quick_uncertain += 1
-        if self.linear_mode:
-            return False
-        self.stats.dp_calls += 1
-        if len(counts) * max(total, 1) <= _EXACT_DP_CELL_LIMIT:
-            return self._full_exact_sparse(indices, counts, total)
-        scale_total = Fraction(1 << knapsack.SCALE_BITS)
-        cap_low = knapsack.strict_cap_int(self.problem.alpha * scale_total)
-        cap_high = knapsack.strict_cap_int((1 - self.problem.beta) * scale_total)
-        idx = np.asarray(indices, dtype=np.intp)
-        down = self.ctx.rounded_down[idx]
-        k1_hi = knapsack.max_profit_under_numpy(down, counts, cap_low)
-        k2_hi = knapsack.max_profit_under_numpy(down, counts, cap_high)
-        if k1_hi + k2_hi < total:
-            return True
-        up = self.ctx.rounded_up[idx]
-        k1_lo = knapsack.max_profit_under_numpy(up, counts, cap_low)
-        k2_lo = knapsack.max_profit_under_numpy(up, counts, cap_high)
-        if k1_lo + k2_lo >= total:
-            return False
-        self.stats.exact_fallbacks += 1
-        return self._full_exact_sparse(indices, counts, total)
-
-    def _full_exact_sparse(
-        self, indices: Sequence[int], counts: Sequence[int], total: int
-    ) -> bool:
-        int_weights, denom = self.ctx.exact_scaled
-        holder_ints = [int_weights[i] for i in indices]
-        k1 = knapsack.max_profit_under(
-            holder_ints, counts, knapsack.strict_cap_int(self.cap_low * denom)
-        )
-        k2 = knapsack.max_profit_under(
-            holder_ints, counts, knapsack.strict_cap_int(self.cap_high * denom)
-        )
-        return k1 + k2 < total
+        return self._decide(indices, counts, total)
 
 
 def make_checker(
     problem: WeightReductionProblem,
-    weights: Sequence[Fraction],
+    weights: "Sequence[Number] | ScaledWeights",
     *,
     use_quick_test: bool = True,
     linear_mode: bool = False,
-    total_weight: Optional[Fraction] = None,
 ) -> "RestrictionChecker | SeparationChecker":
     """Build the appropriate checker; WQ is checked via its WR reduction
-    (Theorem 2.2: the two validity predicates coincide).
-
-    ``total_weight``, when given, must equal ``sum(weights)`` exactly; it
-    lets epoch-style callers skip the O(n) sum on re-solves.
-    """
+    (Theorem 2.2: the two validity predicates coincide)."""
     if linear_mode:
         # Linear mode is *defined* by relying on the quasilinear bounds only.
         use_quick_test = True
     if isinstance(problem, WeightQualification):
         problem = problem.to_restriction()
     if isinstance(problem, WeightRestriction):
-        return RestrictionChecker(
-            weights,
-            problem,
-            use_quick_test=use_quick_test,
-            linear_mode=linear_mode,
-            total_weight=total_weight,
-        )
-    if isinstance(problem, WeightSeparation):
-        return SeparationChecker(
-            weights,
-            problem,
-            use_quick_test=use_quick_test,
-            linear_mode=linear_mode,
-            total_weight=total_weight,
-        )
-    raise TypeError(f"unknown weight reduction problem: {problem!r}")
+        cls = RestrictionChecker
+    elif isinstance(problem, WeightSeparation):
+        cls = SeparationChecker
+    else:
+        raise TypeError(f"unknown weight reduction problem: {problem!r}")
+    return cls(weights, problem, use_quick_test=use_quick_test, linear_mode=linear_mode)

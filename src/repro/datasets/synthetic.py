@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from typing import Callable, Sequence
 
 __all__ = [
@@ -36,19 +37,27 @@ def normalize_to_total(raw: Sequence[float], total: int) -> list[int]:
         raise ValueError("total must be at least the number of parties")
     if any(x < 0 for x in raw) or not any(raw):
         raise ValueError("raw weights must be non-negative, not all zero")
-    # Exact rational scaling: float arithmetic loses integer precision at
+    # Exact scaling: float arithmetic loses integer precision at
     # chain-scale totals (Filecoin's W is 2.5e19), breaking the invariant
-    # sum(weights) == total.
-    from fractions import Fraction
-
-    exact = [Fraction(x) for x in raw]
-    s = sum(exact, start=Fraction(0))
-    scaled = [x * total / s for x in exact]
-    floors = [int(x) for x in scaled]  # Fraction.__int__ truncates = floor (>=0)
+    # sum(weights) == total.  Each raw value is an exact ratio; over their
+    # common denominator the shares are integers r_i with sum s, party i
+    # is due r_i * total / s, and the remainders are compared as integers.
+    ratios = [
+        x.as_integer_ratio()
+        if isinstance(x, (int, float))
+        else Fraction(x).as_integer_ratio()  # numpy integers, Decimals, strings
+        for x in raw
+    ]
+    denom = math.lcm(*(d for _, d in ratios))
+    shares = [p * (denom // d) for p, d in ratios]
+    s = sum(shares)
+    floors, remainders = [], []
+    for r in shares:
+        whole, rest = divmod(r * total, s)
+        floors.append(whole)
+        remainders.append(rest)
     remainder = total - sum(floors)
-    by_frac = sorted(
-        range(len(raw)), key=lambda i: (scaled[i] - floors[i]), reverse=True
-    )
+    by_frac = sorted(range(len(raw)), key=remainders.__getitem__, reverse=True)
     for i in by_frac[:remainder]:
         floors[i] += 1
     # Lift zeros to one unit, taking units from the largest entries.

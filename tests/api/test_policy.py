@@ -1,5 +1,7 @@
 """The solver-policy registry and its uniform result type."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.api import (
@@ -10,7 +12,14 @@ from repro.api import (
     register_policy,
     solve_with_policy,
 )
-from repro.core import TicketAssignment, WeightRestriction, WeightSeparation, is_valid_assignment
+from repro.core import (
+    ScaledWeights,
+    Swiper,
+    TicketAssignment,
+    WeightRestriction,
+    WeightSeparation,
+    is_valid_assignment,
+)
 
 STAKE = (40, 25, 15, 10, 5, 3, 1, 1)
 WR = WeightRestriction("1/3", "1/2")
@@ -41,6 +50,25 @@ class TestRegistry:
             )
         finally:
             del POLICIES["everyone-one"]
+
+    def test_custom_policy_receives_the_scaled_view_and_is_timed_with_it(self):
+        seen = []
+
+        def spy(problem, weights):
+            seen.append((weights, Swiper().solve(problem, weights)))
+            return seen[-1][1]
+
+        register_policy("spy", spy)
+        try:
+            result = Committee.from_weights(STAKE).solve(WR, "spy")
+        finally:
+            del POLICIES["spy"]
+        weights, inner = seen[0]
+        assert isinstance(weights, ScaledWeights)
+        assert list(weights) == [Fraction(w) for w in STAKE]
+        # The wrapper's clock starts before the weights are scaled.
+        assert result.elapsed_seconds >= inner.elapsed_seconds
+        assert result.probes == inner.probes
 
 
 class TestUniformResult:

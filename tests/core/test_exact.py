@@ -1,6 +1,9 @@
 """Tests for the exact reference solvers (brute force, family scan, MILP)."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +94,11 @@ class TestEnumerateFeasibleSubsets:
 
 
 class TestMilp:
+    @pytest.fixture(autouse=True, scope="class")
+    def _needs_scipy(self):
+        # scipy is the optional `milp` extra; nothing else imports it.
+        pytest.importorskip("scipy")
+
     def test_limits_n(self):
         with pytest.raises(ValueError):
             solve_exact_milp(WeightRestriction("1/3", "1/2"), [1] * 17)
@@ -128,3 +136,14 @@ class TestMilp:
         milp_result = solve_exact_milp(problem, weights)
         swiper_result = solve(problem, weights)
         assert milp_result.total <= swiper_result.total_tickets <= problem.ticket_bound(9)
+
+
+def test_importing_the_package_does_not_load_scipy():
+    """scipy (0.6 s, ~44 MiB) is only for ``solve_exact_milp``; every other
+    user of the package must not pay for it at import."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, repro, repro.api; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -1,10 +1,15 @@
 """Unit tests for :mod:`repro.core.types`."""
 
+import pickle
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core.types import (
+    SCALE_BITS,
+    ScaledWeights,
     TicketAssignment,
     as_fraction,
     normalize_weights,
@@ -73,6 +78,79 @@ class TestNormalizeWeights:
         assert sum(ws) == 1
 
 
+class TestScaledWeights:
+    def test_integer_vector_is_its_own_scaling(self):
+        view = ScaledWeights((5, 0, 3))
+        assert (view.ints, view.denom, view.total) == ([5, 0, 3], 1, 8)
+        assert tuple(view) == (Fraction(5), Fraction(0), Fraction(3))
+
+    def test_mixed_inputs_share_one_denominator(self):
+        view = ScaledWeights([1, "1/2", 0.25, Fraction(2, 3)])
+        assert view.denom == 12
+        assert view.ints == [12, 6, 3, 8]
+        assert view.total == 29
+        assert view.fractions == normalize_weights([1, "1/2", 0.25, Fraction(2, 3)])
+        assert len(view) == 4 and view[3] == Fraction(2, 3)
+
+    def test_shift_covers_the_square_of_the_heaviest_weight(self):
+        view = ScaledWeights([3, 2**70 + 1, 9])
+        assert 2**view.shift >= max(view.ints) ** 2
+
+    def test_of_passes_a_view_through(self):
+        view = ScaledWeights([1, 2])
+        assert ScaledWeights.of(view) is view
+        assert ScaledWeights.of([1, 2]) == view
+        assert ScaledWeights.of([2, 4]) != view
+
+    @pytest.mark.parametrize("bad", [[], [1, -1], [0, 0], [True, 1], [Fraction(-1, 2), 1]])
+    def test_rejects_what_normalize_weights_rejects(self, bad):
+        with pytest.raises((ValueError, TypeError)):
+            ScaledWeights(bad)
+
+    def test_patched_changes_and_appends(self):
+        view = ScaledWeights([Fraction(1, 2), 3, 1])
+        new = view.patched({1: 5, 3: Fraction(3, 2)})
+        assert (new.ints, new.denom, new.total) == ([1, 10, 2, 3], 2, 16)
+        assert new.shift == view.shift
+        assert new == ScaledWeights([Fraction(1, 2), 5, 1, Fraction(3, 2)])
+        assert view.ints == [1, 6, 2]  # the base is untouched
+
+    def test_equality_is_of_the_weights_not_of_their_scaling(self):
+        # A patched view keeps its base's denominator (30), a fresh view of
+        # the same weights finds the least one (10).
+        patched = ScaledWeights(
+            [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]
+        ).patched({1: Fraction(1, 2)})
+        fresh = ScaledWeights([Fraction(1, 2), Fraction(1, 2), Fraction(1, 5)])
+        assert (patched.denom, fresh.denom) == (30, 10)
+        assert patched == fresh and fresh == patched
+        assert patched != ScaledWeights([Fraction(1, 2), Fraction(1, 2), Fraction(2, 5)])
+        assert patched != ScaledWeights([Fraction(1, 2), Fraction(1, 2)])
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({0: Fraction(1, 3)}, "denominator"),
+            ({0: 1 << 40}, "precision"),
+            ({0: -1}, "negative"),
+            ({5: 1}, "contiguously"),
+            ({0: 0, 1: 0, 2: 0}, "non-zero"),
+        ],
+    )
+    def test_patched_refuses_what_it_cannot_keep_exact(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            ScaledWeights([4, 2, 1]).patched(changes)
+
+    def test_rounded_scalings_bracket_the_exact_value(self):
+        view = ScaledWeights([Fraction(1, 3), Fraction(2, 3), 1, 0])
+        down, up = view.rounded(round_up=False), view.rounded(round_up=True)
+        assert view.rounded(round_up=False) is down  # cached
+        scale = Fraction(1 << SCALE_BITS) / sum(view)
+        for i, w in enumerate(view):
+            assert down[i] <= w * scale <= up[i]
+            assert up[i] - down[i] <= 1
+
+
 class TestTicketAssignment:
     def test_basic_metrics(self):
         t = TicketAssignment((3, 0, 1, 0, 2))
@@ -108,6 +186,35 @@ class TestTicketAssignment:
     def test_value_equality(self):
         assert TicketAssignment((1, 2)) == TicketAssignment((1, 2))
         assert TicketAssignment((1, 2)) != TicketAssignment((2, 1))
+
+    @pytest.mark.parametrize("top", [0, 255, 256, 2**16, 2**32, 2**64 - 1, 2**64, 2**300])
+    def test_packed_counts_read_back_as_ints(self, top):
+        counts = (top, 0, 1)
+        t = TicketAssignment(counts)
+        assert t.tickets == counts and tuple(t) == counts and t.to_list() == list(counts)
+        assert all(type(x) is int for x in t)
+        assert (t[0], t[-1], t[0:2]) == (top, 1, counts[0:2])
+        assert (t.total, t.max_tickets, t.holders) == (top + 1, max(top, 1), 2 if top else 1)
+        assert t == TicketAssignment(list(counts)) and hash(t) == hash(TicketAssignment(counts))
+        assert t != TicketAssignment((top, 0, 2)) and t != counts
+        assert repr(t) == f"TicketAssignment(tickets={counts})"
+        assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_any_iterable_of_integer_likes(self):
+        assert TicketAssignment(iter([1, 2])).tickets == (1, 2)
+        assert TicketAssignment(tickets=np.array([3, 0])).tickets == (3, 0)
+        assert TicketAssignment([True, 2.0]).tickets == (1, 2)
+        assert TicketAssignment(()).tickets == () and TicketAssignment(()).max_tickets == 0
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            TicketAssignment((1, 2)).tickets = (3, 4)
+
+    def test_a_kept_result_costs_a_byte_a_party(self):
+        # Results outlive solves (one per epoch, per round of an
+        # experiment): n = 42 920 zeros and ones must not cost 8 n bytes.
+        t = TicketAssignment([0, 1] * 21_460)
+        assert sys.getsizeof(t._packed) < 2 * len(t)
 
 
 def test_weight_of():

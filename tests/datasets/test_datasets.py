@@ -1,5 +1,6 @@
 """Tests for synthetic generators, chain snapshots, and bootstrap."""
 
+import hashlib
 import random
 
 import pytest
@@ -49,6 +50,16 @@ class TestNormalizeToTotal:
     def test_proportionality(self):
         out = normalize_to_total([1.0, 3.0], 400)
         assert out == [100, 300]
+
+    def test_accepts_whatever_fraction_accepts(self):
+        import decimal
+
+        import numpy as np
+
+        expected = normalize_to_total([1.0, 2.0, 3.0], 60)
+        assert normalize_to_total(list(np.array([1, 2, 3])), 60) == expected
+        assert normalize_to_total(list(np.array([1.0, 2.0, 3.0])), 60) == expected
+        assert normalize_to_total([decimal.Decimal(1), 2, 3.0], 60) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -139,6 +150,46 @@ class TestChains:
         ws = sorted(snap.weights, reverse=True)
         top = sum(ws[: max(1, snap.n // 10)])
         assert top > snap.total / 2
+
+
+def _digest(weights):
+    return hashlib.sha256(repr(list(weights)).encode()).hexdigest()[:16]
+
+
+class TestPinnedVectors:
+    """``normalize_to_total`` rounds on integer remainders; the vectors it
+    produces are held to the digests of the Fraction-based version it
+    replaced (largest remainder first, ties to the lower index)."""
+
+    @pytest.mark.parametrize(
+        "chain, digest",
+        [
+            ("aptos", "8bdacd3b7261adb9"),
+            ("tezos", "ae4e785762da1314"),
+            ("filecoin", "507236343e091f59"),
+            ("algorand", "30acc268724bc800"),
+        ],
+    )
+    def test_chain_snapshots(self, chain, digest):
+        assert _digest(load_chain(chain).weights) == digest
+
+    def test_every_synthetic_kind(self):
+        from repro.api import SYNTHETIC_KINDS, Committee
+
+        digests = {
+            kind: _digest(
+                Committee.synthetic(kind, n=500, total=10**7 + 3, skew=1.3, seed=5).weights
+            )
+            for kind in SYNTHETIC_KINDS
+        }
+        assert digests == {
+            "constant": "f7828fdd56e3d4a8",
+            "uniform": "a70c7dac6a94c5a7",
+            "zipf": "859a15a6c7078b08",
+            "pareto": "9a46e6b9d70bcc4a",
+            "lognormal": "3a6a4ac3d88c2f97",
+            "exponential": "9a4116cea1f1e1df",
+        }
 
 
 class TestBootstrap:

@@ -47,11 +47,11 @@ state-sync request, re-proposes its batches, and replies ``("rejoined",
 nid, info)`` -- only then does the parent re-broadcast the refreshed
 peer map (the respawn gets a new kernel-assigned port), so no peer
 learns the new address before the node can absorb traffic.  Peers'
-send failures during the outage park frames on per-link retry queues
+frames for the dead worker stay on their per-link outbound queues
 (see :class:`~repro.runtime.transport.TcpTransport`), which drain
 once the link heals.  A SIGKILL destroys the victim's frame counters,
 so restart runs relax termination detection to done-and-idle over
-stable polls; the retry queues keep senders non-idle while any frame
+stable polls; the link queues keep senders non-idle while any frame
 awaits redelivery, which is what makes the relaxation safe.
 
 Failure containment: a worker that dies (or reports a pump failure)
@@ -686,7 +686,7 @@ class ProcCluster:
             received = sum(s["received"] for s in statuses.values())
             # A SIGKILLed worker takes its counters with it, so restart
             # runs cannot balance the books; they rely on done + idle
-            # instead (retry queues keep senders non-idle while any
+            # instead (link queues keep senders non-idle while any
             # frame awaits redelivery).
             conserved = (sent == received) if not self.restarts else True
             quiescent = (

@@ -14,7 +14,7 @@ estimates.
 """
 
 from .cluster import TRANSPORTS, Cluster, RuntimeMetrics, run_cluster
-from .codec import CodecError, CodecRegistry, FrameAssembler, default_registry
+from .codec import CodecError, CodecRegistry, default_registry
 from .faults import DeliveryDecision, FaultController
 from .node import NodeNetwork, RuntimeNode
 from .transport import InProcTransport, TcpTransport, Transport
@@ -26,7 +26,6 @@ __all__ = [
     "TRANSPORTS",
     "CodecError",
     "CodecRegistry",
-    "FrameAssembler",
     "default_registry",
     "DeliveryDecision",
     "FaultController",

@@ -6,52 +6,65 @@ serializes messages for real, so the byte counters it reports are actual
 payload bytes on the wire -- a cross-check of the sim's Table 1 numbers.
 
 Design: a :class:`CodecRegistry` maps message dataclasses to short string
-tags.  Encoding is a tagged, self-describing binary format covering the
-value shapes protocol messages actually use (ints of any size, bytes,
-strings, bools, ``None``, tuples, and nested registered dataclasses such
-as :class:`~repro.codes.reed_solomon.BlockFragment` inside an AVID
-message).  Frames are length-prefixed (4-byte big-endian), so a TCP
-stream can be cut back into messages with :class:`FrameAssembler`.
+tags.  A message is its tag (2-byte length, UTF-8 name) followed by its
+fields in declaration order; a value is a one-byte marker, a 4-byte
+big-endian length where the marker calls for one, and the raw bytes.
+That covers the shapes protocol messages use: ints of any size, bytes,
+strings, bools, ``None``, tuples, and nested registered dataclasses
+(a :class:`~repro.codes.reed_solomon.BlockFragment` inside an AVID
+message).  The codec emits message bodies only; cutting a stream into
+messages is the transport's business.
 
-Bytes payloads ride a zero-copy fast path: block fragments are single
-``bytes`` values appended to the output buffer in one C-level operation
-(no per-symbol marshalling), :meth:`CodecRegistry.encode_frame` builds
-the length prefix and body in one buffer (no concatenation copy), and
-:class:`FrameAssembler` decodes straight out of its stream buffer
-through a memoryview instead of materializing each frame body first.
-The transports encode each message exactly once per send -- the byte
-metric is taken from that same encode, never from a second pass.
+Nothing is reflected per message.  :meth:`CodecRegistry.register`
+compiles a *plan* for the class -- tag header bytes and field names --
+and refuses there a dataclass ``decode`` could not rebuild.  Encoding
+dispatches on the exact type of a value (bytes, int, tuple), then falls
+through to the ``isinstance`` chain the format was defined by (kept as
+the oracle in ``tests/runtime/codec_oracle.py``).  Decoding dispatches on
+the integer marker, checks every length against the end of the buffer
+*before* slicing, so a truncated payload raises ``CodecError("truncated
+frame")`` and constructs nothing, and rebuilds ``cls(*values)``.  A bytes
+payload is appended to, and sliced out of, the buffer in one C-level
+operation (no per-symbol marshalling of block fragments).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Iterator, Optional, Type
+from typing import Any, NamedTuple, Optional, Type
 
 __all__ = [
     "CodecError",
     "CodecRegistry",
-    "FrameAssembler",
     "default_registry",
-    "frame",
 ]
 
 _LEN = struct.Struct(">I")
+_TAG_LEN = struct.Struct(">H")
 
-# one-byte type markers of the value encoding
-_NONE = b"N"
-_TRUE = b"T"
-_FALSE = b"F"
-_INT = b"I"
-_BYTES = b"B"
-_STR = b"S"
-_TUPLE = b"L"
-_DATACLASS = b"D"
+# one-byte type markers of the value encoding: as bytes to append, and as
+# the integers that indexing a ``bytes`` payload yields
+_MARKERS = b"NTFIBSLD"
+_NONE, _TRUE, _FALSE, _INT, _BYTES, _STR, _TUPLE, _DATACLASS = (
+    bytes((marker,)) for marker in _MARKERS
+)
+_M_NONE, _M_TRUE, _M_FALSE, _M_INT, _M_BYTES, _M_STR, _M_TUPLE, _M_DATACLASS = _MARKERS
 
 
 class CodecError(ValueError):
     """Raised on unknown tags, unregistered types, or malformed frames."""
+
+
+class _Plan(NamedTuple):
+    """What ``register`` compiles for one class."""
+
+    cls: Type
+    #: 2-byte tag length + tag: the first bytes of every encoding
+    header: bytes
+    #: field names in declaration order: the order on the wire and the
+    #: positional order of ``cls(*values)``
+    names: tuple[str, ...]
 
 
 class CodecRegistry:
@@ -63,227 +76,176 @@ class CodecRegistry:
     """
 
     def __init__(self) -> None:
-        self._by_tag: dict[str, Type] = {}
-        self._by_cls: dict[Type, str] = {}
+        self._plans: dict[Type, _Plan] = {}
+        #: raw tag bytes, as they sit in a payload -> plan
+        self._by_tag: dict[bytes, _Plan] = {}
 
     # -- registration ------------------------------------------------------------
     def register(self, cls: Type, tag: Optional[str] = None) -> Type:
         """Register ``cls`` (a dataclass) under ``tag`` (default: class name)."""
         if not dataclasses.is_dataclass(cls):
             raise CodecError(f"{cls!r} is not a dataclass")
-        tag = tag or cls.__name__
-        if len(tag.encode()) > 0xFFFF:
+        raw = (tag or cls.__name__).encode()
+        if len(raw) > 0xFFFF:
             raise CodecError("tag too long")
-        existing = self._by_tag.get(tag)
-        if existing is not None and existing is not cls:
-            raise CodecError(f"tag {tag!r} already bound to {existing!r}")
-        self._by_tag[tag] = cls
-        self._by_cls[cls] = tag
+        existing = self._by_tag.get(raw)
+        if existing is not None and existing.cls is not cls:
+            raise CodecError(f"tag {raw.decode()!r} already bound to {existing.cls!r}")
+        fields = dataclasses.fields(cls)
+        for field in fields:
+            if not field.init or field.kw_only:  # decode rebuilds cls(*values)
+                raise CodecError(
+                    f"{cls.__name__}.{field.name} is not a positional init field"
+                )
+        plan = _Plan(cls, _TAG_LEN.pack(len(raw)) + raw, tuple(f.name for f in fields))
+        self._by_tag[raw] = plan
+        self._plans[cls] = plan
         return cls
 
     def registered_types(self) -> list[Type]:
-        return list(self._by_cls)
+        return list(self._plans)
 
     def is_registered(self, cls: Type) -> bool:
-        return cls in self._by_cls
+        return cls in self._plans
 
-    # -- value encoding ----------------------------------------------------------
+    # -- encoding ------------------------------------------------------------------
+    def _encode_body(self, message: Any, out: bytearray) -> None:
+        plan = self._plans.get(type(message))
+        if plan is None:
+            raise CodecError(f"unregistered message type {type(message).__name__}")
+        out += plan.header
+        for name in plan.names:
+            self._encode_value(getattr(message, name), out)
+
     def _encode_value(self, value: Any, out: bytearray) -> None:
-        if value is None:
+        kind = type(value)
+        if kind is bytes:
+            # += appends the buffer directly: no intermediate copy of the
+            # (large) block payloads
+            out += _BYTES
+            out += _LEN.pack(len(value))
+            out += value
+        elif kind is int:
+            raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+            out += _INT
+            out += _LEN.pack(len(raw))
+            out += raw
+        elif kind is tuple:
+            out += _TUPLE
+            out += _LEN.pack(len(value))
+            for item in value:
+                self._encode_value(item, out)
+        # not one of the hot exact types: the chain the format was defined
+        # by, a subclass reduced to the built-in it extends
+        elif value is None:
             out += _NONE
         elif value is True:
             out += _TRUE
         elif value is False:
             out += _FALSE
         elif isinstance(value, int):
-            raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-            out += _INT
-            out += _LEN.pack(len(raw))
-            out += raw
+            self._encode_value(int(value), out)
         elif isinstance(value, (bytes, bytearray)):
-            # Fast path: += on the bytearray appends the buffer directly;
-            # no intermediate bytes() copy for the (large) block payloads.
-            out += _BYTES
-            out += _LEN.pack(len(value))
-            out += value
+            self._encode_value(bytes(value), out)
         elif isinstance(value, str):
             raw = value.encode("utf-8")
             out += _STR
             out += _LEN.pack(len(raw))
             out += raw
         elif isinstance(value, (tuple, list)):
-            out += _TUPLE
-            out += _LEN.pack(len(value))
-            for item in value:
-                self._encode_value(item, out)
+            self._encode_value(tuple(value), out)
         elif dataclasses.is_dataclass(value):
             out += _DATACLASS
             self._encode_body(value, out)
         else:
-            raise CodecError(f"cannot encode value of type {type(value).__name__}")
-
-    def _decode_value(self, buf: memoryview, pos: int) -> tuple[Any, int]:
-        marker = bytes(buf[pos : pos + 1])
-        pos += 1
-        if marker == _NONE:
-            return None, pos
-        if marker == _TRUE:
-            return True, pos
-        if marker == _FALSE:
-            return False, pos
-        if marker == _INT:
-            n, pos = self._read_len(buf, pos)
-            return int.from_bytes(buf[pos : pos + n], "big", signed=True), pos + n
-        if marker == _BYTES:
-            n, pos = self._read_len(buf, pos)
-            return bytes(buf[pos : pos + n]), pos + n
-        if marker == _STR:
-            n, pos = self._read_len(buf, pos)
-            return bytes(buf[pos : pos + n]).decode("utf-8"), pos + n
-        if marker == _TUPLE:
-            n, pos = self._read_len(buf, pos)
-            items = []
-            for _ in range(n):
-                item, pos = self._decode_value(buf, pos)
-                items.append(item)
-            return tuple(items), pos
-        if marker == _DATACLASS:
-            return self._decode_body(buf, pos)
-        raise CodecError(f"unknown value marker {marker!r}")
-
-    @staticmethod
-    def _read_len(buf: memoryview, pos: int) -> tuple[int, int]:
-        if pos + 4 > len(buf):
-            raise CodecError("truncated frame")
-        return _LEN.unpack_from(buf, pos)[0], pos + 4
-
-    # -- message encoding ----------------------------------------------------------
-    def _encode_body(self, message: Any, out: bytearray) -> None:
-        tag = self._by_cls.get(type(message))
-        if tag is None:
-            raise CodecError(f"unregistered message type {type(message).__name__}")
-        raw = tag.encode()
-        out += struct.pack(">H", len(raw))
-        out += raw
-        for field in dataclasses.fields(message):
-            self._encode_value(getattr(message, field.name), out)
-
-    def _decode_body(self, buf: memoryview, pos: int) -> tuple[Any, int]:
-        if pos + 2 > len(buf):
-            raise CodecError("truncated frame")
-        (tag_len,) = struct.unpack_from(">H", buf, pos)
-        pos += 2
-        try:
-            tag = bytes(buf[pos : pos + tag_len]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"malformed message tag: {exc}") from exc
-        pos += tag_len
-        cls = self._by_tag.get(tag)
-        if cls is None:
-            raise CodecError(f"unknown message tag {tag!r}")
-        kwargs = {}
-        for field in dataclasses.fields(cls):
-            value, pos = self._decode_value(buf, pos)
-            kwargs[field.name] = value
-        return cls(**kwargs), pos
+            raise CodecError(f"cannot encode value of type {kind.__name__}")
 
     def encode(self, message: Any) -> bytes:
-        """Serialize one message (no frame prefix)."""
+        """Serialize one message: tag, then fields."""
         out = bytearray()
         self._encode_body(message, out)
         return bytes(out)
 
-    def decode(self, data: bytes) -> Any:
-        """Inverse of :meth:`encode`; raises on trailing garbage."""
-        return self.decode_view(memoryview(data))
-
-    def decode_view(self, buf: memoryview) -> Any:
-        """Decode one message straight out of a memoryview (zero-copy
-        entry point: no frame-body materialization before decoding)."""
-        message, pos = self._decode_body(buf, 0)
-        if pos != len(buf):
-            raise CodecError(f"{len(buf) - pos} trailing bytes after message")
-        return message
-
     def encoded_size(self, message: Any) -> int:
-        """Real payload bytes of ``message`` -- the runtime's metric unit.
-
-        Diagnostic helper only: the transports never call this, they
-        meter the length of the one encode they already perform per send
-        (see ``Transport._encode_and_record``).
-        """
+        """Real payload bytes of ``message`` -- the runtime's metric unit
+        (diagnostic: the transports meter the one encode they perform)."""
         return len(self.encode(message))
 
-    # -- framing -------------------------------------------------------------------
     def encode_frame(self, message: Any) -> bytes:
-        """Length-prefixed encoding suitable for a byte stream.
-
-        Built in a single buffer: the 4-byte prefix is reserved up front
-        and patched after the body is appended, avoiding the
-        concatenation copy of ``frame(encode(message))``.
-        """
+        """:meth:`encode` behind a 4-byte length, built in one buffer."""
+        # No transport calls this (the mesh frames bodies itself): it stays
+        # because the ledger's tracer patches it by name and raises if gone.
         out = bytearray(_LEN.size)
         self._encode_body(message, out)
         _LEN.pack_into(out, 0, len(out) - _LEN.size)
         return bytes(out)
 
-    def decode_frame(self, frame: bytes) -> Any:
-        """Decode one complete length-prefixed frame."""
-        if len(frame) < 4:
-            raise CodecError("short frame")
-        (n,) = _LEN.unpack_from(frame, 0)
-        if len(frame) != 4 + n:
-            raise CodecError("frame length mismatch")
-        return self.decode(frame[4:])
+    # -- decoding ------------------------------------------------------------------
+    def decode(self, data: bytes) -> Any:
+        """Inverse of :meth:`encode`; raises :class:`CodecError` on a
+        truncated payload and on trailing garbage."""
+        if type(data) is not bytes:
+            data = bytes(data)  # so that data[i] is an int and a slice is bytes
+        end = len(data)
+        message, pos = self._decode_body(data, 0, end)
+        if pos != end:
+            raise CodecError(f"{end - pos} trailing bytes after message")
+        return message
 
+    def _decode_body(self, buf: bytes, pos: int, end: int) -> tuple[Any, int]:
+        start = pos + 2
+        if start > end:
+            raise CodecError("truncated frame")
+        stop = start + ((buf[pos] << 8) | buf[pos + 1])
+        if stop > end:
+            raise CodecError("truncated frame")
+        plan = self._by_tag.get(buf[start:stop])
+        if plan is None:
+            raise CodecError(f"unknown message tag {buf[start:stop]!r}")
+        pos = stop
+        values = []
+        for _ in plan.names:
+            value, pos = self._decode_value(buf, pos, end)
+            values.append(value)
+        return plan.cls(*values), pos
 
-def frame(body: bytes) -> bytes:
-    """Wrap an encoded message body in the 4-byte length prefix.
-
-    The single definition of the stream framing -- the TCP transport and
-    :class:`FrameAssembler` both build on it.
-    """
-    return _LEN.pack(len(body)) + body
-
-
-class FrameAssembler:
-    """Incremental frame cutter for a TCP byte stream.
-
-    Feed arbitrary chunks; iterate complete message bodies as they become
-    available.  Keeps at most one partial frame of state.
-    """
-
-    def __init__(self, registry: CodecRegistry) -> None:
-        self.registry = registry
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> Iterator[Any]:
-        self._buffer += chunk
-        while True:
-            if len(self._buffer) < 4:
-                return
-            (n,) = _LEN.unpack_from(self._buffer, 0)
-            if len(self._buffer) < 4 + n:
-                return
-            # Decode straight from the stream buffer (zero-copy): both
-            # views must be released before the buffer can shrink (on
-            # errors the traceback would otherwise keep the slice's
-            # export alive).  The frame is consumed even when decoding
-            # raises, so one bad frame surfaces one error instead of
-            # wedging the stream.
-            view = memoryview(self._buffer)
-            body = view[4 : 4 + n]
+    def _decode_value(self, buf: bytes, pos: int, end: int) -> tuple[Any, int]:
+        if pos >= end:
+            raise CodecError("truncated frame")
+        marker = buf[pos]
+        if marker == _M_NONE:
+            return None, pos + 1
+        if marker == _M_TRUE:
+            return True, pos + 1
+        if marker == _M_FALSE:
+            return False, pos + 1
+        if marker == _M_DATACLASS:
+            return self._decode_body(buf, pos + 1, end)
+        # every other marker is followed by a 4-byte length
+        start = pos + 5
+        if start > end:
+            raise CodecError("truncated frame")
+        (n,) = _LEN.unpack_from(buf, pos + 1)
+        if marker == _M_TUPLE:
+            items = []
+            pos = start
+            for _ in range(n):
+                item, pos = self._decode_value(buf, pos, end)
+                items.append(item)
+            return tuple(items), pos
+        stop = start + n
+        if stop > end:
+            raise CodecError("truncated frame")
+        if marker == _M_BYTES:
+            return buf[start:stop], stop
+        if marker == _M_INT:
+            return int.from_bytes(buf[start:stop], "big", signed=True), stop
+        if marker == _M_STR:
             try:
-                message = self.registry.decode_view(body)
-            finally:
-                body.release()
-                view.release()
-                del self._buffer[: 4 + n]
-            yield message
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
+                return buf[start:stop].decode("utf-8"), stop
+            except UnicodeDecodeError as exc:
+                raise CodecError(f"malformed string: {exc}") from exc
+        raise CodecError(f"unknown value marker {bytes((marker,))!r}")
 
 
 def default_registry() -> CodecRegistry:

@@ -9,7 +9,10 @@ delivery model.
 
 Outbound sends are buffered on a queue and shipped by a sender task;
 that keeps ``Party`` handlers non-async while the actual transport I/O
-awaits freely.
+awaits freely.  An outbox entry is ``(destinations, message)``: a
+broadcast is one entry, and the sender task hands its message object to
+``transport.send`` once per destination back to back, which lets the
+transport encode it once.  A queued message must not be mutated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class NodeNetwork:
 
     def __init__(self, node: "RuntimeNode", peer_ids: Sequence[int]) -> None:
         self._node = node
-        self._peer_ids = sorted(peer_ids)
+        self._peer_ids = tuple(sorted(peer_ids))
 
     @property
     def party_ids(self) -> list[int]:
@@ -42,13 +45,13 @@ class NodeNetwork:
     def send(self, src: int, dst: int, message: Any) -> None:
         if dst not in self._peer_ids:
             raise KeyError(f"unknown destination {dst}")
-        self._node.queue_send(dst, message)
+        self._node.queue_send((dst,), message)
 
     def broadcast(self, src: int, message: Any, *, include_self: bool = True) -> None:
-        for dst in self._peer_ids:
-            if dst == src and not include_self:
-                continue
-            self._node.queue_send(dst, message)
+        dsts = self._peer_ids
+        if not include_self:
+            dsts = tuple(dst for dst in dsts if dst != src)
+        self._node.queue_send(dsts, message)
 
 
 class RuntimeNode:
@@ -101,10 +104,11 @@ class RuntimeNode:
         return tasks
 
     # -- data path ----------------------------------------------------------------
-    def queue_send(self, dst: int, message: Any) -> None:
-        """Called synchronously from inside party handlers."""
+    def queue_send(self, dsts: Sequence[int], message: Any) -> None:
+        """Called synchronously from inside party handlers: one outbox
+        entry, however many destinations."""
         self._pending_sends += 1
-        self.outbox.put_nowait((dst, message))
+        self.outbox.put_nowait((dsts, message))
 
     def _on_delivery(self, src: int, message: Any) -> None:
         """Transport delivery callback."""
@@ -113,9 +117,10 @@ class RuntimeNode:
 
     async def _sender_loop(self) -> None:
         while True:
-            dst, message = await self.outbox.get()
+            dsts, message = await self.outbox.get()
             try:
-                await self.transport.send(self.pid, dst, message)
+                for dst in dsts:
+                    await self.transport.send(self.pid, dst, message)
             except Exception as exc:  # noqa: BLE001 -- recorded, then re-raised
                 if self.failure is None:
                     self.failure = exc

@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import struct
 from collections import deque
+from itertools import chain
 from typing import Any, Callable, Optional
 
 from ..recovery.backoff import BackoffSchedule
@@ -33,15 +34,18 @@ __all__ = ["Transport", "InProcTransport", "TcpTransport"]
 #: a receiver reset the link's dedup watermark when the dialer comes back
 #: reborn (its link sequence numbers restart from 1)
 _HELLO = struct.Struct(">II")
-#: frame header, read in one piece: (per-link sequence number, codec
-#: payload length); seq 0 is reserved for heartbeats
+#: frame header: (per-link sequence number, codec payload length); seq 0
+#: is reserved for heartbeats
 _FRAME = struct.Struct(">QI")
 #: persist every Nth watermark advance (recovery only needs an
 #: approximate floor -- protocol handlers absorb redelivered duplicates)
 _WATERMARK_EVERY = 16
-#: default cap on parked frames per link in the mesh's self-healing
-#: retry queue (drop-oldest beyond it; see ``_park``)
+#: default cap on the frames a *down* link keeps queued for its reborn
+#: peer (drop-oldest beyond it; see ``TcpTransport._shed``)
 DEFAULT_RETRY_LIMIT = 256
+#: most bytes one read takes off a stream; every complete frame in them
+#: is cut out before the next await
+_READ_CHUNK = 1 << 16
 
 #: synchronous delivery callback: ``handler(src, message)``
 Handler = Callable[[int, Any], None]
@@ -73,6 +77,8 @@ class Transport:
         #: first delivery-path exception (e.g. a frame that fails to
         #: decode) -- surfaced by the cluster instead of a silent stall
         self.failure: Optional[BaseException] = None
+        #: the message encoded last and its payload (``_encode_and_record``)
+        self._encoded: tuple[Any, bytes] = (None, b"")
 
     # -- wiring -------------------------------------------------------------------
     def bind(self, pid: int, handler: Handler) -> None:
@@ -127,10 +133,18 @@ class Transport:
 
     # -- shared helpers -------------------------------------------------------------
     def _encode_and_record(self, message: Any) -> bytes:
-        """The single encode of a message's lifetime on the send side;
-        the byte metric is the length of this very buffer (no second
-        metering encode anywhere)."""
-        data = self.registry.encode(message)
+        """What every send starts with: the payload, the byte metric (the
+        length of that very buffer -- no second metering encode) and the
+        in-flight slot.  A broadcast is ``n`` consecutive sends of one
+        message object and is encoded once: the payload of the object
+        encoded last serves the next send of *that same object* (by
+        identity; the reference is held, so an id cannot be reused).
+        Messages are immutable once queued on a node's outbox -- the
+        encode always ran after the handler that sent them returned."""
+        last, data = self._encoded
+        if message is not last:
+            data = self.registry.encode(message)
+            self._encoded = (message, data)
         if self._record is not None:
             self._record(type(message).__name__, len(data))
         self.in_flight += 1
@@ -262,11 +276,11 @@ class InProcTransport(Transport):
 
 class _Link:
     """Both ends' state of one directed link ``(src, dst)``: the sender's
-    stream, sequence counter and parked frames; the receiver's dedup
-    watermark and the dialer incarnation it last saw."""
+    stream, sequence counter, outbound queue and writer task; the
+    receiver's dedup watermark and the dialer incarnation it last saw."""
 
     __slots__ = (
-        "src", "dst", "writer", "seq", "backlog", "retry_task",
+        "src", "dst", "writer", "seq", "queue", "ready", "task", "down",
         "watermark", "incarnation",
     )
 
@@ -276,9 +290,16 @@ class _Link:
         self.writer: Optional[asyncio.StreamWriter] = None
         #: last sequence number sent (frames count from 1; 0 = heartbeat)
         self.seq = 0
-        #: framed bytes awaiting a live connection, and the task draining them
-        self.backlog: deque = deque()
-        self.retry_task: Optional[asyncio.Task] = None
+        #: ``(header, body)`` of frames not yet drained to the kernel, oldest
+        #: first (the body is the one payload a broadcast's destinations
+        #: share); ``ready`` is set after an append and wakes ``task``, the
+        #: one task that writes this queue to the stream
+        self.queue: deque = deque()
+        self.ready = asyncio.Event()
+        self.task: Optional[asyncio.Task] = None
+        #: the writer task is backing off after a failed attempt: only
+        #: then is the queue a retry queue, bounded by ``retry_limit``
+        self.down = False
         #: highest sequence number dispatched
         self.watermark = 0
         self.incarnation = 0
@@ -318,15 +339,24 @@ class TcpTransport(Transport):
     of discarding the fresh traffic.  Sequence 0 frames are heartbeats --
     uncounted, undelivered, feeding the suspect/alive failure detector.
 
-    Self-healing: a send that hits a dead peer parks the framed bytes on
-    the link's bounded retry queue, drained by a backoff task (bounded
-    exponential, seeded jitter), so a SIGKILLed-and-respawned worker's
-    links heal without losing the frames that failed at the socket and
-    without failing the sending node.  Self-sends never touch a socket.
+    Outbound, a link is a queue and one writer task.  ``send`` judges
+    ``condemn``, takes the next sequence number, queues the frame and
+    returns without touching the socket; the writer task ships whatever
+    is queued by then in a single ``write`` + ``drain``, so a burst of k
+    frames is one syscall.  Inbound, ``_read_loop`` cuts every complete
+    frame out of the bytes that have arrived before it awaits again.
+
+    Self-healing is the same code: when the write (or the dial before it)
+    fails, the frames stay queued and the writer backs off and retries,
+    so a SIGKILLed-and-respawned worker's links heal without losing
+    frames and without failing the sending node.  Only while a link is
+    *down* is its queue bounded (drop-oldest past ``retry_limit``); a
+    healthy link's empties every loop turn, and the node outbox in front
+    of it was never bounded either.  Self-sends never touch a socket.
 
     A frame's in-flight slot belongs to whoever can observe its fate.  A
     frame for a node hosted here keeps the slot ``send`` opened until it
-    is dispatched, so ``quiescent`` covers bytes sitting in socket
+    is dispatched, so ``quiescent`` covers link queues and socket
     buffers.  A frame for a remote node closes its slot once drained to
     the kernel and the receiving endpoint reopens one on arrival; global
     quiescence is then the proc parent's frame-count conservation --
@@ -361,11 +391,11 @@ class TcpTransport(Transport):
         self.frames_received = 0
         self.duplicates_dropped = 0
         self.reconnects = 0
-        #: cap on parked frames per link; beyond it the *oldest* parked
-        #: frame is discarded (counted in ``retries_dropped``) so a long
-        #: partition under load cannot grow memory without bound.
-        #: Oldest-first keeps what the reborn peer is most likely to still
-        #: need; protocol retransmission covers the discarded prefix.
+        #: cap on the frames queued on a link that is down; beyond it the
+        #: *oldest* is discarded (``retries_dropped``) so a long partition
+        #: under load cannot grow memory without bound.  Oldest-first keeps
+        #: what the reborn peer is most likely to still need; protocol
+        #: retransmission covers the discarded prefix.
         self.retry_limit = DEFAULT_RETRY_LIMIT
         self.retries_dropped = 0
         #: optional persistence hook ``(src, dst, seq)`` for receive
@@ -400,9 +430,9 @@ class TcpTransport(Transport):
         """Install or refresh peer addresses (the map the proc parent
         collected; a respawned worker has a new kernel-assigned port).
 
-        Streams to a changed address are dropped so the next send -- or
-        the retry task already backing off -- re-dials the reborn peer;
-        parked retry frames survive and flush there."""
+        Streams to a changed address are dropped so the link's writer
+        task -- at its next burst, or when its backoff ends -- re-dials
+        the reborn peer; frames queued meanwhile survive and flush there."""
         for pid, (host, port) in peers.items():
             pid, address = int(pid), (host, int(port))
             if self._peers.get(pid) != address:
@@ -474,10 +504,8 @@ class TcpTransport(Transport):
         # readers go before their listeners: a listener waits for its
         # open connections (Python >= 3.12)
         await super().stop()
-        for link in links:
-            # parked frames die with the transport; close their slots
-            for _ in link.backlog:
-                self._resolve()
+        # queued frames die with the transport; close their slots
+        self.in_flight -= sum(len(link.queue) for link in links)
         for writer in writers:
             try:
                 await writer.wait_closed()
@@ -510,78 +538,66 @@ class TcpTransport(Transport):
             self.frames_received += 1
             self._deliver(src, dst, data)
             return size
+        # The one route to the socket.  A queued frame keeps its in-flight
+        # slot: the endpoint is not idle while one awaits (re)delivery.
         link = self._links[src, dst]
         link.seq = seq = link.seq + 1
-        framed = _FRAME.pack(seq, size) + data
-        if link.backlog:
-            # keep per-link FIFO: never overtake frames already parked
-            self._park((src, dst), framed)
-            return size
-        try:
-            writer = link.writer
-            if writer is None or writer.is_closing():
-                writer = await self._dial(link)
-            writer.write(framed)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            # Peer is down (crashed, restarting, or mid-respawn): park the
-            # frame for the backoff task instead of failing the node.  The
-            # in-flight slot stays open, so this endpoint does not look
-            # idle while frames await redelivery.
-            link.writer = None
-            self._park((src, dst), framed)
-            return size
-        if dst not in self._servers:
-            # Drained to the kernel and bound for another process: its
-            # fate is no longer observable here, and the receiving
-            # endpoint's in_flight takes over the moment it arrives.
-            self._resolve()
+        link.queue.append((_FRAME.pack(seq, size), data))
+        link.ready.set()
+        if link.down:
+            self._shed(link)
+        elif link.task is None:
+            link.task = self._spawn(self._write_loop(link))
         return size
 
-    def _park(self, key: tuple[int, int], framed: bytes) -> None:
-        """Queue a frame for the link's backoff task, bounding the backlog.
-
-        Drop-oldest: the discarded frame's in-flight slot closes (its
-        fate is decided -- gone) and ``retries_dropped`` counts it, so
-        tests and postmortems can see a partition shedding load."""
-        link = self._links[key]
-        link.backlog.append(framed)
-        while len(link.backlog) > self.retry_limit:
-            link.backlog.popleft()
+    def _shed(self, link: _Link) -> None:
+        """Bound the queue of a link that is down, dropping the oldest:
+        the discarded frame's in-flight slot closes (its fate is decided)
+        and ``retries_dropped`` counts it, so tests and postmortems can
+        see a partition shedding load."""
+        queue = link.queue
+        while len(queue) > self.retry_limit:
+            queue.popleft()
             self.retries_dropped += 1
-            self.faults.trace.append((*key, "retry-dropped"))
+            self.faults.trace.append((link.src, link.dst, "retry-dropped"))
             self._resolve()
-        if link.retry_task is None or link.retry_task.done():
-            link.retry_task = self._spawn(self._retry_loop(link))
 
-    async def _retry_loop(self, link: _Link) -> None:
-        """Drain the link's parked frames once it heals.
+    async def _write_loop(self, link: _Link) -> None:
+        """Ship the link's queue, one ``write`` + ``drain`` per burst.
 
-        Bounded exponential backoff with jitter seeded per link, so a
-        cluster-wide reconnect storm against a reborn worker is spread
-        instead of synchronized.  Runs until the backlog is empty; frames
-        flush in sequence order and the receiver's watermark drops any
-        the crashed peer already processed.
-        """
+        A failed attempt leaves the frames queued and backs off (jitter
+        seeded per link, so a reconnect storm against a reborn worker is
+        spread); the receiver's watermark drops what it had processed.
+        ``down`` is never set across the write, so ``send`` cannot shed
+        the frames being written."""
         backoff = BackoffSchedule(
             base=0.02, max_delay=0.5, seed=f"{link.src}->{link.dst}"
         )
-        hosted = link.dst in self._servers
-        backlog = link.backlog
-        while backlog:
-            await asyncio.sleep(backoff.next_delay())
-            try:
-                writer = await self._dial(link)
-                while backlog:
-                    writer.write(backlog[0])
+        queue = link.queue
+        while True:
+            await link.ready.wait()
+            link.ready.clear()
+            while queue:
+                try:
+                    writer = await self._dial(link)
+                    burst = len(queue)
+                    writer.write(b"".join(chain.from_iterable(queue)))
                     await writer.drain()
-                    backlog.popleft()
-                    if not hosted:
-                        self._resolve()
+                except (ConnectionError, OSError):  # peer crashed or mid-respawn
+                    link.writer = None
+                    self.reconnects += 1
+                    link.down = True
+                    self._shed(link)
+                    await asyncio.sleep(backoff.next_delay())
+                    link.down = False
+                    continue
                 backoff.reset()
-            except (ConnectionError, OSError):
-                link.writer = None
-                self.reconnects += 1
+                for _ in range(burst):
+                    queue.popleft()
+                if link.dst not in self._servers:
+                    # Drained to the kernel and bound for another process:
+                    # the receiving endpoint's in_flight takes over.
+                    self.in_flight -= burst
 
     async def _dial(self, link: _Link) -> asyncio.StreamWriter:
         """The link's live stream, (re)opened with a hello if need be."""
@@ -609,9 +625,27 @@ class TcpTransport(Transport):
             # a hosted sender still holds the slot its send() opened
             remote = src not in self._servers
             loop = asyncio.get_running_loop()
+            unpack, header = _FRAME.unpack_from, _FRAME.size
+            buf, pos = b"", 0
             while True:
-                seq, length = _FRAME.unpack(await reader.readexactly(_FRAME.size))
-                data = await reader.readexactly(length)
+                body = pos + header
+                if body > len(buf):
+                    # Hold nothing but a cut-off header across the wait: an
+                    # idle link must not pin the last chunk it read.
+                    buf, pos = buf[pos:], 0
+                    kept = len(buf)
+                    buf += await reader.read(_READ_CHUNK)
+                    if len(buf) == kept:
+                        return  # peer hung up
+                    continue
+                seq, length = unpack(buf, pos)
+                pos = body + length
+                if pos <= len(buf):
+                    data = buf[body:pos]
+                else:
+                    # its tail is still on the way (chunk boundary, big body)
+                    data = buf[body:] + await reader.readexactly(pos - len(buf))
+                    buf, pos = b"", 0
                 if self.heartbeat is not None:
                     self.heartbeat.observe(src, loop.time())
                 if seq <= link.watermark:

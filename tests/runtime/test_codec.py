@@ -20,7 +20,7 @@ from repro.protocols.reliable_broadcast import RbcEcho, RbcReady, RbcSend
 from repro.protocols.smr import BatchEcho, BatchReady, BatchSend
 from repro.protocols.vaba import Commit, Decide, Proposal, Vote, Vouch
 from repro.recovery.smr import StateSyncRequest, StateSyncResponse
-from repro.runtime.codec import CodecError, CodecRegistry, FrameAssembler, default_registry
+from repro.runtime.codec import CodecError, CodecRegistry, default_registry
 
 _PROOF = DleqProof(challenge=2**255 - 19, response=123456789)
 _SHARE = SignatureShare(index=3, value=2**200 + 7, proof=_PROOF)
@@ -80,8 +80,9 @@ class TestRoundTrips:
         assert registry.encoded_size(message) == len(data)
 
     @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
-    def test_frame_round_trip(self, registry, message):
-        assert registry.decode_frame(registry.encode_frame(message)) == message
+    def test_encode_frame_is_length_then_body(self, registry, message):
+        body = registry.encode(message)
+        assert registry.encode_frame(message) == len(body).to_bytes(4, "big") + body
 
     def test_samples_cover_every_registered_type(self, registry):
         sampled = {type(m) for m in SAMPLES}
@@ -100,24 +101,6 @@ class TestRoundTrips:
         reg.register(Probe)
         probe = Probe(a=-(2**300), b=0)
         assert reg.decode(reg.encode(probe)) == probe
-
-
-class TestFrameAssembler:
-    def test_byte_at_a_time_reassembly(self, registry):
-        stream = b"".join(registry.encode_frame(m) for m in SAMPLES)
-        assembler = FrameAssembler(registry)
-        out = []
-        for i in range(len(stream)):
-            out.extend(assembler.feed(stream[i : i + 1]))
-        assert out == SAMPLES
-        assert assembler.pending_bytes == 0
-
-    def test_partial_frame_stays_pending(self, registry):
-        frame = registry.encode_frame(SAMPLES[0])
-        assembler = FrameAssembler(registry)
-        assert list(assembler.feed(frame[:-1])) == []
-        assert assembler.pending_bytes == len(frame) - 1
-        assert list(assembler.feed(frame[-1:])) == [SAMPLES[0]]
 
 
 class TestErrors:
@@ -192,38 +175,6 @@ class TestBytesFastPath:
         message = AvidFragments(commitment=rng.randbytes(32), fragments=fragments)
         data = registry.encode(message)
         assert registry.decode(data) == message
-        assert registry.decode_frame(registry.encode_frame(message)) == message
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_streamed_blocks_reassemble(self, registry, seed):
-        """Large block payloads cut at arbitrary chunk boundaries decode
-        straight out of the assembler's buffer."""
-        import random
-
-        rng = random.Random(100 + seed)
-        messages = [
-            AvidFragments(
-                commitment=rng.randbytes(32),
-                fragments=(BlockFragment(i, rng.randbytes(1024)),),
-            )
-            for i in range(5)
-        ]
-        stream = b"".join(registry.encode_frame(m) for m in messages)
-        assembler = FrameAssembler(registry)
-        out = []
-        pos = 0
-        while pos < len(stream):
-            step = rng.randrange(1, 700)
-            out.extend(assembler.feed(stream[pos : pos + step]))
-            pos += step
-        assert out == messages
-        assert assembler.pending_bytes == 0
-
-    def test_encode_frame_matches_legacy_framing(self, registry):
-        from repro.runtime.codec import frame
-
-        for message in SAMPLES:
-            assert registry.encode_frame(message) == frame(registry.encode(message))
 
 
 class TestSingleEncodePerSend:
@@ -309,15 +260,71 @@ TestSingleEncodePerSend.test_tcp_send_encodes_once = pytest.mark.tcp(
 )
 
 
-class TestMalformedFrames:
-    def test_bad_frame_consumed_stream_recovers(self, registry):
-        """One undecodable frame raises once; later valid frames still
-        deliver (regression: the bad frame used to stay buffered and
-        re-raise on every subsequent feed)."""
-        bad = b"\x00\x00\x00\x03\xff\xff\xff"
-        good = registry.encode_frame(SAMPLES[0])
-        assembler = FrameAssembler(registry)
+class TestTruncation:
+    """A payload cut anywhere raises ``truncated frame`` before anything
+    is constructed (it used to slice short, build the dataclass and only
+    then fail on a negative count of "trailing bytes")."""
+
+    @pytest.mark.parametrize("message", SAMPLES, ids=lambda m: type(m).__name__)
+    def test_every_strict_prefix_is_truncated(self, registry, message):
+        data = registry.encode(message)
+        for cut in range(len(data)):
+            with pytest.raises(CodecError) as caught:
+                registry.decode(data[:cut])
+            assert "trailing" not in str(caught.value), (cut, str(caught.value))
+
+    def test_nothing_is_constructed_from_a_truncated_payload(self):
+        built = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Watched:
+            payload: bytes
+
+            def __post_init__(self):
+                built.append(self)
+
+        reg = CodecRegistry()
+        reg.register(Watched)
+        data = reg.encode(Watched(b"x" * 40))
+        built.clear()
+        with pytest.raises(CodecError, match="truncated frame"):
+            reg.decode(data[:-1])
+        assert built == []
+
+    def test_bytes_like_input_decodes(self, registry):
+        data = registry.encode(SAMPLES[0])
+        assert registry.decode(bytearray(data)) == SAMPLES[0]
+        assert registry.decode(memoryview(data)) == SAMPLES[0]
+
+
+class TestRegistrationRefusals:
+    """``decode`` rebuilds ``cls(*values)``: a dataclass it could not
+    rebuild is refused when registered, not at the receiver."""
+
+    def test_init_false_field_refused(self):
+        @dataclasses.dataclass
+        class Derived:
+            x: int
+            y: int = dataclasses.field(init=False, default=0)
+
+        with pytest.raises(CodecError, match="Derived.y"):
+            CodecRegistry().register(Derived)
+
+    def test_keyword_only_field_refused(self):
+        @dataclasses.dataclass(kw_only=True)
+        class Named:
+            x: int
+
+        with pytest.raises(CodecError, match="Named.x"):
+            CodecRegistry().register(Named)
+
+    def test_refused_class_leaves_no_trace(self):
+        @dataclasses.dataclass
+        class Derived:
+            x: int = dataclasses.field(init=False, default=0)
+
+        reg = CodecRegistry()
         with pytest.raises(CodecError):
-            list(assembler.feed(bad))
-        assert assembler.pending_bytes == 0
-        assert list(assembler.feed(good)) == [SAMPLES[0]]
+            reg.register(Derived)
+        assert not reg.is_registered(Derived)
+        assert reg.registered_types() == []

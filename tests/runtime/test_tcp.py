@@ -1,6 +1,7 @@
 """TCP transport smoke tests (marked ``tcp``: real localhost sockets)."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -148,7 +149,7 @@ class TestOneMesh:
             await transport.start()
             try:
                 await transport.send(0, 1, RbcSend(b"buffered"))
-                # drained to the kernel, not yet read: still in flight here
+                # on the link's queue, not yet written or read: in flight here
                 assert mesh.got[1] == []
                 assert transport.in_flight == 1
                 assert transport.quiescent is False
@@ -232,3 +233,139 @@ class TestOneMesh:
                 await transport.stop()
 
         asyncio.run(drive())
+
+
+class TestLinkQueue:
+    """One outbound queue and one writer task per link: a burst is one
+    write, the queue of a healthy link has no bound, and a reconnect
+    keeps per-link FIFO with the watermark absorbing what was re-sent."""
+
+    @staticmethod
+    def payloads(mesh, pid):
+        return [message.payload for _, message in mesh.got[pid]]
+
+    def test_frames_queued_in_one_turn_make_one_write(self):
+        async def drive():
+            mesh = _Mesh([0, 1])
+            transport = mesh.transport
+            await transport.start()
+            try:
+                await transport.send(0, 1, RbcSend(b"dial"))
+                await _until(lambda: len(mesh.got[1]) == 1)
+                writer = transport._links[0, 1].writer
+                writes = []
+                real_write = writer.write
+                writer.write = lambda data: (writes.append(len(data)), real_write(data))
+                sizes = [
+                    await transport.send(0, 1, RbcSend(b"burst-%d" % i)) for i in range(12)
+                ]
+                assert writes == []  # send() queues; the link's writer task writes
+                await _until(lambda: len(mesh.got[1]) == 13)
+                assert writes == [sum(sizes) + 12 * _FRAME.size]
+                assert self.payloads(mesh, 1)[1:] == [b"burst-%d" % i for i in range(12)]
+                assert transport.in_flight == 0
+            finally:
+                await transport.stop()
+
+        asyncio.run(drive())
+
+    def test_a_healthy_link_sheds_nothing_past_the_retry_limit(self):
+        async def drive():
+            mesh = _Mesh([0, 1])
+            transport = mesh.transport
+            transport.retry_limit = 3
+            await transport.start()
+            try:
+                for i in range(40):
+                    await transport.send(0, 1, RbcSend(b"%d" % i))
+                assert len(transport._links[0, 1].queue) == 40
+                await _until(lambda: len(mesh.got[1]) == 40)
+                assert self.payloads(mesh, 1) == [b"%d" % i for i in range(40)]
+                assert transport.retries_dropped == 0
+                assert transport.frames_sent == transport.frames_received == 40
+            finally:
+                await transport.stop()
+
+        asyncio.run(drive())
+
+    def test_fifo_and_dedup_hold_across_a_forced_reconnect(self):
+        async def drive():
+            mesh = _Mesh([0, 1])
+            transport = mesh.transport
+            await transport.start()
+            try:
+                await transport.send(0, 1, RbcSend(b"0"))
+                await _until(lambda: len(mesh.got[1]) == 1)
+                link = transport._links[0, 1]
+                first = link.writer
+                real_drain = first.drain
+
+                async def drain_then_fail():
+                    await real_drain()  # the burst really left ...
+                    raise ConnectionResetError("forced")  # ... and looks lost
+
+                first.drain = drain_then_fail
+                for i in (1, 2, 3):
+                    await transport.send(0, 1, RbcSend(b"%d" % i))
+                await _until(lambda: link.down)
+                assert len(link.queue) == 3  # kept for the next stream
+                for i in (4, 5):  # queued behind them while the link is down
+                    await transport.send(0, 1, RbcSend(b"%d" % i))
+                await _until(lambda: len(mesh.got[1]) == 6)
+                await _until(lambda: transport.duplicates_dropped == 3)
+                # 1-3 arrived on the first stream and again on the second
+                assert self.payloads(mesh, 1) == [b"%d" % i for i in range(6)]
+                assert transport.reconnects == 1
+                assert link.writer is not first and not link.down
+                assert link.watermark == link.seq == 6
+                assert transport.frames_sent == transport.frames_received == 6
+                await _until(lambda: transport.in_flight == 0)
+                first.close()
+            finally:
+                await transport.stop()
+
+        asyncio.run(drive())
+
+    def test_dead_peer_sheds_then_flushes_in_order_when_it_returns(self):
+        """End to end: the dial fails, the queue becomes a retry queue and
+        is bounded; the peer comes back on a new port, ``configure`` says
+        where, and what was kept flushes there in order."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead = probe.getsockname()
+        # closed: nothing listens on ``dead`` any more
+
+        async def scenario():
+            sender = TcpTransport(default_registry())
+            sender.retry_limit = 3
+            sender.bind(0, lambda src, message: None)
+            await sender.listen(0)
+            sender.configure({1: dead})
+            peer = TcpTransport(default_registry())
+            got = []
+            peer.bind(1, lambda src, message: got.append((src, message.payload)))
+            try:
+                for i in range(5):
+                    await sender.send(0, 1, RbcSend(b"frame-%d" % i))
+                link = sender._links[0, 1]
+                assert len(link.queue) == 5  # not known to be down yet
+                await _until(lambda: sender.retries_dropped == 2)
+                assert [_FRAME.unpack(header)[0] for header, _ in link.queue] == [3, 4, 5]
+                assert sender.in_flight == 3
+                assert sender.reconnects >= 1
+
+                port = await peer.listen(1)
+                sender.configure({1: ("127.0.0.1", port)})
+                await _until(lambda: len(got) == 3)
+                await sender.send(0, 1, RbcSend(b"frame-5"))  # healthy again
+                await _until(lambda: len(got) == 4)
+                assert got == [(0, b"frame-%d" % i) for i in (2, 3, 4, 5)]
+                # bound for another process: slots close on drain, and the
+                # receiving endpoint reopened and closed its own
+                assert sender.in_flight == 0 and peer.in_flight == 0
+                assert sender.retries_dropped == 2 and not link.down
+            finally:
+                await sender.stop()
+                await peer.stop()
+
+        asyncio.run(scenario())

@@ -12,8 +12,9 @@ Two engines share the same code:
 
 * the **per-symbol reference path** (:meth:`ReedSolomon.encode`,
   :meth:`~ReedSolomon.decode_erasures`, :meth:`~ReedSolomon.decode_errors`)
-  -- one Python field operation per symbol, kept as the correctness
-  oracle the vectorized path is tested against;
+  -- one Python field operation per symbol: the package's original
+  public API, and the reference ``tests/codes/test_block_rs.py`` holds
+  the vectorized path to, fragment for fragment;
 * the **block-striped path** (:meth:`~ReedSolomon.encode_blocks` and the
   ``*_blocks`` decoders) -- a payload is striped column-wise into ``k``
   data shards and every fragment is one contiguous byte block; each

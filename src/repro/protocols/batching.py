@@ -1,9 +1,9 @@
 """Verify-in-batches quorum collection, shared by share-combining
 protocols (beacon and checkpointing).
 
-The seed protocols verified every share on arrival -- one DLEQ oracle
-call (four full-width exponentiations) per share, per receiving party.
-The batched engine moves verification to the **quorum decision point**:
+Verifying every share on arrival costs one ``verify_dleq`` call (four
+full-width exponentiations) per share, per receiving party.  This
+collector moves verification to the **quorum decision point**:
 shares buffer unverified until a quorum's worth is pending, then one
 random-linear-combination aggregate checks them all, with the batch
 verifier's bisection isolating any Byzantine shares.
@@ -23,8 +23,8 @@ Byzantine-robustness invariants (a regression test covers the first):
 * State is **bounded**: when the buffered candidates alone reach a
   batch's worth they are verified immediately even without a quorum in
   sight (flooding buys the attacker amortized batch-verification work,
-  the same cost profile as the verify-on-arrival seed path, instead of
-  unbounded memory), and the dedup set is windowed -- overflowing it
+  the same cost profile as verifying on arrival, instead of unbounded
+  memory), and the dedup set is windowed -- overflowing it
   merely lets a replayed share be re-verified once more.
 """
 

@@ -67,3 +67,9 @@ class TestApiSurfaceGuard:
     def test_every_export_resolves(self):
         for name in repro.api.__all__:
             assert getattr(repro.api, name) is not None
+
+    def test_benchmark_json_is_the_one_committed_baseline(self):
+        # A timing is a cell of the ledger BENCHMARK.json declares
+        # (benchmarks/ledger/); per-PR baseline files do not come back.
+        root = Path(__file__).resolve().parents[2]
+        assert [p.name for p in root.glob("BENCH_[0-9]*.json")] == []

@@ -12,12 +12,16 @@ Two performance layers live here:
   (``GF65536`` alone needs ~196k table entries; importing the package
   must not pay for them);
 * **block** arithmetic: multiplying every symbol of a byte block by one
-  field scalar runs as a handful of C-level primitives
-  (``bytes.translate`` against a per-scalar 256-byte row, big-int XOR,
-  strided slicing) instead of one Python call per symbol.  ``GF(2^16)``
-  symbols split into high/low byte planes, each handled by its own
-  translation row -- ``s*(h*z^8 + l) == (s*z^8)*h + s*l`` -- so the same
-  ``translate`` trick covers the 16-bit field.
+  field scalar runs as a handful of C-level primitives (``translate``
+  against a per-scalar 256-byte row, strided slicing) instead of one
+  Python call per symbol.  ``GF(2^16)`` symbols split into high/low byte
+  planes, each handled by its own translation row -- ``s*(h*z^8 + l) ==
+  (s*z^8)*h + s*l`` -- so the same ``translate`` trick covers the 16-bit
+  field; its half-planes are added with :func:`xor_blocks` (big-int
+  XOR).  Adding whole blocks -- the accumulate of a Horner step or a
+  linear combination -- is not done here: :mod:`~repro.codes.reed_solomon`
+  XORs in place through ``numpy`` views, because at fragment size a
+  big-int round trip costs three times the table pass it follows.
 """
 
 from __future__ import annotations

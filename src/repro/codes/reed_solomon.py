@@ -18,13 +18,14 @@ Two engines share the same code:
 * the **block-striped path** (:meth:`~ReedSolomon.encode_blocks` and the
   ``*_blocks`` decoders) -- a payload is striped column-wise into ``k``
   data shards and every fragment is one contiguous byte block; each
-  polynomial step is a scalar-times-block pass through the
-  :mod:`~repro.codes.gf2m` kernel (``bytes.translate`` + big-int XOR),
-  so the per-symbol Python loop disappears from the hot path.  Erasure
-  decoding reuses an LRU-cached Lagrange basis keyed by the fragment
-  index set (AVID retrieval and checkpointing decode repeatedly with the
-  same quorum indices), and a systematic mode makes the first ``k``
-  fragments the data itself.
+  polynomial step is one scalar-times-block table pass through the
+  :mod:`~repro.codes.gf2m` kernel (``translate``) and one in-place
+  ``numpy`` XOR into an accumulator the step owns, so the per-symbol
+  Python loop disappears from the hot path and no block is converted to
+  or from a Python integer.  Erasure decoding reuses an LRU-cached
+  Lagrange basis keyed by the fragment index set (AVID retrieval and
+  checkpointing decode repeatedly with the same quorum indices), and a
+  systematic mode makes the first ``k`` fragments the data itself.
 
 Operation counters expose the decoding *work*, which is what the paper's
 Table 1 computation-overhead columns measure (work grows with the number
@@ -39,7 +40,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .gf2m import GF256, GF65536, GF2m, xor_blocks
+import numpy as np
+
+from .gf2m import GF256, GF65536, GF2m
 
 __all__ = [
     "ReedSolomon",
@@ -82,9 +85,9 @@ def min_message_symbols(k: int, m: int) -> int:
 # -- cached interpolation structures ----------------------------------------------
 #
 # Keyed by (field, evaluation-point tuple): protocols decode over and
-# over with the same quorum's fragment indices, and AVID even constructs
-# a fresh ReedSolomon per retrieval -- so the caches live at module
-# level, shared across instances of the same field.
+# over with the same quorum's fragment indices, and every AVID storer
+# constructs its own ReedSolomon per dispersal -- so the caches live at
+# module level, shared across instances of the same field.
 
 
 @lru_cache(maxsize=64)
@@ -147,6 +150,12 @@ def _eval_matrix(
             tuple(mul(lt, mul(weights[j], inv(ti ^ xj))) for j, xj in enumerate(xs))
         )
     return tuple(rows)
+
+
+def _u8(block) -> np.ndarray:
+    """A ``uint8`` view of a bytes-like block (no copy; writable exactly
+    when the block is)."""
+    return np.frombuffer(block, np.uint8)
 
 
 class ReedSolomon:
@@ -418,12 +427,19 @@ class ReedSolomon:
         return bytes(out[:original_length])
 
     def _eval_block(self, shards: Sequence[bytes], x: int) -> bytes:
-        """Evaluate the shard polynomial at ``x`` via Horner on blocks."""
+        """Evaluate the shard polynomial at ``x`` via Horner on blocks.
+
+        One scalar, hence one cached translation row, per call.  The
+        accumulator is a ``bytearray`` this call owns; each step scales it
+        (a new buffer) and XORs that with the next shard straight back
+        into the accumulator through its ``uint8`` view.
+        """
         scale = self.field.scale_block
-        acc = shards[-1]
+        buf = bytearray(shards[-1])
+        acc = _u8(buf)
         for i in range(self.k - 2, -1, -1):
-            acc = xor_blocks(scale(x, acc), shards[i])
-        return acc
+            np.bitwise_xor(_u8(scale(x, buf)), _u8(shards[i]), out=acc)
+        return bytes(buf)
 
     def encode_blocks(
         self, data: bytes, *, systematic: bool = False
@@ -459,14 +475,14 @@ class ReedSolomon:
     def _combine_blocks(
         self, coeffs: Sequence[int], blocks: Sequence[bytes]
     ) -> bytes:
-        """``XOR_j coeffs[j] * blocks[j]`` accumulated in the int domain."""
+        """``XOR_j coeffs[j] * blocks[j]`` accumulated in place in one
+        ``uint8`` array."""
         scale = self.field.scale_block
-        blen = len(blocks[0])
-        acc = 0
+        acc = np.zeros(len(blocks[0]), np.uint8)
         for c, b in zip(coeffs, blocks):
             if c:
-                acc ^= int.from_bytes(scale(c, b), "little")
-        return acc.to_bytes(blen, "little")
+                acc ^= _u8(scale(c, b))
+        return acc.tobytes()
 
     def _unique_blocks(
         self,
@@ -535,9 +551,13 @@ class ReedSolomon:
         if not blocks[0]:
             return [b""] * self.k
         xs = tuple(self.points[i] for i in indices)
+        if systematic and indices == tuple(range(self.k)):
+            return blocks  # data verbatim: the systematic fast path
+        # Every block is scaled by k scalars below, and CPython's
+        # bytearray.translate skips the changed-byte tracking that
+        # bytes.translate does per byte (0.22 vs 0.45 ms per 700 KB pass).
+        blocks = [bytearray(b) for b in blocks]
         if systematic:
-            if indices == tuple(range(self.k)):
-                return blocks  # data verbatim: the systematic fast path
             matrix = _eval_matrix(
                 self.field, xs, tuple(self.points[: self.k])
             )

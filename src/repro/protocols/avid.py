@@ -139,6 +139,9 @@ class AvidParty(Party):
         self.data_shards = 0
         self.total_shards = 0
         self.original_length = 0
+        #: the code of the accepted dispersal: its geometry is validated
+        #: once, in ``_handle_disperse``, and retrieval decodes with it
+        self._code: Optional[ReedSolomon] = None
         self.retrieved: Optional[bytes] = None
         self._echo_senders: dict[bytes, set[int]] = {}
         self._collected: dict[int, bytes] = {}
@@ -166,7 +169,7 @@ class AvidParty(Party):
         stripes = code.stripe_count(len(data))
         self.bump("encode_symbols", code.m * code.k * max(stripes, 1))
         hash_list = tuple(_hash_fragment(f) for f in fragments)
-        commitment = fragment_digest(fragments)
+        commitment = commitment_from_hashes(hash_list)
         assert self.network is not None
         for party in self.network.party_ids:
             mine = tuple(fragments[v] for v in vmap.virtual_ids(party))
@@ -191,11 +194,14 @@ class AvidParty(Party):
             return
         if commitment_from_hashes(message.hash_list) != message.commitment:
             return  # commitment does not bind this hash list
-        expected = self._expected_block_length(
-            message.data_shards, message.total_shards, message.original_length
-        )
-        if expected is None:
-            return  # invalid (k, m, length) geometry; refuse to echo
+        if message.original_length < 0:
+            return  # invalid geometry; refuse to echo
+        try:
+            # ReedSolomon owns the (k, m) rules and the field selection.
+            code = ReedSolomon(k=message.data_shards, m=message.total_shards)
+        except ValueError:
+            return  # invalid geometry; refuse to echo
+        expected = code.block_length(message.original_length)
         for f in message.fragments:
             if not 0 <= f.index < len(message.hash_list):
                 return  # inconsistent dealer; refuse to echo
@@ -208,6 +214,7 @@ class AvidParty(Party):
         self.data_shards = message.data_shards
         self.total_shards = message.total_shards
         self.original_length = message.original_length
+        self._code = code
         self.broadcast(AvidEcho(message.commitment))
 
     def _handle_echo(self, message: AvidEcho, sender: int) -> None:
@@ -234,15 +241,14 @@ class AvidParty(Party):
             )
 
     def _handle_fragments(self, message: AvidFragments, sender: int) -> None:
-        if self.retrieved is not None or not self.hash_list:
+        code = self._code
+        if self.retrieved is not None or code is None:
             return
         # A Byzantine dealer could have handed different parties blocks
         # of different lengths, each consistent with its own hash-list
         # entry; collecting only the expected length keeps the decode
         # below from ever seeing an inconsistent fragment set.
-        expected = self._expected_block_length(
-            self.data_shards, self.total_shards, self.original_length
-        )
+        expected = code.block_length(self.original_length)
         for f in message.fragments:
             if (
                 0 <= f.index < len(self.hash_list)
@@ -251,25 +257,11 @@ class AvidParty(Party):
             ):
                 self._collected[f.index] = f.block
         if len(self._collected) >= self.data_shards:
-            code = ReedSolomon(k=self.data_shards, m=self.total_shards)
+            work_before = code.work_counter
             data = code.decode_erasures_blocks(
                 self._collected, self.original_length
             )
-            self.bump("decode_symbols", code.work_counter)
+            self.bump("decode_symbols", code.work_counter - work_before)
             self.retrieved = data
             if self.on_retrieved is not None:
                 self.on_retrieved(self.pid, data)
-
-    @staticmethod
-    def _expected_block_length(k: int, m: int, original_length: int) -> Optional[int]:
-        """Fragment block length the (k, m) geometry dictates for the
-        advertised payload length; ``None`` when the geometry itself is
-        invalid (delegates validation and field selection to
-        :class:`ReedSolomon` rather than duplicating its rules)."""
-        if original_length < 0:
-            return None
-        try:
-            code = ReedSolomon(k=k, m=m)
-        except ValueError:
-            return None
-        return code.block_length(original_length)

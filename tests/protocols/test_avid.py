@@ -52,6 +52,32 @@ class TestNominalAvid:
         world.run()
         assert world.party(6).retrieved == data
 
+    def test_one_code_per_accepted_dispersal(self, monkeypatch):
+        """A storer validates the (k, m, length) geometry once, when it
+        accepts the dispersal, and decodes every retrieval with that
+        instance: no code is built per fragments frame, and each decode
+        bumps `decode_symbols` by its own work only."""
+        from repro.protocols import avid
+
+        built = []
+        monkeypatch.setattr(
+            avid, "ReedSolomon", lambda **kw: built.append(kw) or ReedSolomon(**kw)
+        )
+        n, t = 7, 2
+        quorums = NominalQuorums(n=n, t=t)
+        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=2)
+        code = ReedSolomon(k=t + 1, m=n)
+        data = _payload(3, 10 * code.k)
+        commitment = world.party(0).disperse(data, code, VirtualUserMap([1] * n))
+        world.run()
+        retriever = world.party(4)
+        for _ in range(2):
+            retriever.retrieve(commitment)
+            world.run()
+            assert retriever.retrieved == data
+        assert built == [{"k": code.k, "m": code.m}] * n
+        assert retriever.counters["decode_symbols"] == 2 * code.k * code.k * 10
+
 
 class TestWeightedAvid:
     def _setup_world(self, beta_n="1/4", seed=0):
@@ -274,3 +300,67 @@ class TestByzantineDealer:
         )
         world.run()
         assert not world.party(1).my_fragments
+
+
+class TestBulkObjectOnInproc:
+    def test_one_mib_survives_the_crash_and_the_dealer_hashes_each_block_once(
+        self, monkeypatch
+    ):
+        """The ledger's `avid-bulk` shape at a quarter of its size: a
+        1 MiB object on the weighted (6, 22) layout over the in-process
+        runtime, retrieved after the heaviest-holding coalition under a
+        third of the weight has crashed."""
+        import asyncio
+
+        from repro.api import Committee
+        from repro.protocols import avid
+        from repro.runtime import Cluster
+
+        committee = Committee.synthetic("zipf", n=16, total=1600, skew=1.2, seed=0)
+        layout = qualification_setup(committee.weights, "1/3", "1/4")
+        code = ReedSolomon(k=layout.data_shards, m=layout.total_shards)
+        assert (code.k, code.m) == (6, 22)
+        quorums = committee.quorums("1/3")
+        held, stake = list(layout.result.assignment), committee.int_weights
+        crashed, crashed_weight = [], 0
+        for pid in sorted(range(1, committee.n), key=lambda i: (-held[i], stake[i])):
+            if 3 * (crashed_weight + stake[pid]) < sum(stake):
+                crashed.append(pid)
+                crashed_weight += stake[pid]
+        assert crashed
+        committee.validate(f_w="1/3", crashes=crashed)
+        reader = max(set(range(1, committee.n)) - set(crashed))
+
+        hashed = []
+        hash_block = avid._hash_block
+        monkeypatch.setattr(
+            avid, "_hash_block", lambda block: hashed.append(1) or hash_block(block)
+        )
+        data = _payload(17, 2**20)
+
+        async def drive():
+            cluster = Cluster(lambda pid: AvidParty(pid, quorums), committee.n)
+            async with cluster:
+                commitment = cluster.party(0).disperse(data, code, layout.vmap)
+                by_dealer = len(hashed)
+                await cluster.run_until(
+                    lambda: all(
+                        p.stored_commitment == commitment for p in cluster.parties
+                    ),
+                    timeout=30.0,
+                )
+                for pid in crashed:
+                    cluster.crash_node(pid)
+                retriever = cluster.party(reader)
+                retriever.retrieve(commitment)
+                await cluster.run_until(
+                    lambda: retriever.retrieved is not None, timeout=30.0
+                )
+                await cluster.settle()
+                return by_dealer, retriever
+
+        by_dealer, retriever = asyncio.run(drive())
+        assert retriever.retrieved == data
+        assert by_dealer == code.m
+        stripes = code.stripe_count(len(data))
+        assert retriever.counters["decode_symbols"] == code.k * code.k * stripes

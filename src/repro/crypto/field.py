@@ -81,7 +81,7 @@ class PrimeField:
         """Multiplicative inverse; raises ``ZeroDivisionError`` on zero."""
         if a % self.modulus == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return pow(a, self.modulus - 2, self.modulus)
+        return pow(a, -1, self.modulus)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

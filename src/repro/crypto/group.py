@@ -21,8 +21,6 @@ exponentiation substrate the verification-heavy call sites run on:
   products ``prod_i b_i^{e_i}`` -- one shared squaring chain for the
   whole product, which is what batch DLEQ verification and
   Lagrange-in-the-exponent share combines reduce to;
-* a **per-message LRU** for :meth:`SchnorrGroup.hash_to_group`, so
-  signing/verifying/combining the shares of one epoch hashes once;
 * **Jacobi-symbol membership** (:meth:`SchnorrGroup.is_member_fast`):
   for a safe prime the order-``q`` subgroup is exactly the quadratic
   residues, so Euler's criterion collapses from one full
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .field import PrimeField
@@ -261,20 +258,6 @@ def batch_bisect(items, aggregate_holds, oracle, *, leaf_size: int = 2) -> list[
     return [results[i] for i in range(len(items))]
 
 
-@lru_cache(maxsize=4096)
-def _hash_to_group_cached(p: int, message: bytes) -> int:
-    counter = 0
-    while True:
-        digest = hashlib.sha256(message + counter.to_bytes(4, "big")).digest()
-        candidate = int.from_bytes(
-            hashlib.sha512(digest).digest() * ((p.bit_length() // 512) + 1),
-            "big",
-        ) % p
-        if candidate not in (0, 1, p - 1):
-            return candidate * candidate % p
-        counter += 1
-
-
 @dataclass(frozen=True)
 class SchnorrGroup:
     """Prime-order subgroup of ``Z_p^*`` with ``p = 2q + 1``.
@@ -337,7 +320,7 @@ class SchnorrGroup:
         return self.engine.multi_exp(pairs)
 
     def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def exp_g(self, exponent: int) -> int:
         """``g^exponent`` for the fixed generator (fixed-base table)."""
@@ -363,11 +346,19 @@ class SchnorrGroup:
         """Map ``message`` to a subgroup element of unknown discrete log.
 
         Squares ``sha256``-derived material mod ``p``; squares are exactly
-        the order-``q`` subgroup for a safe prime.  Results are LRU-cached
-        per ``(group, message)``: verifying or combining the shares of one
-        epoch hashes the message once, not once per share.
+        the order-``q`` subgroup for a safe prime.
         """
-        return _hash_to_group_cached(self.p, bytes(message))
+        p = self.p
+        counter = 0
+        while True:
+            digest = hashlib.sha256(message + counter.to_bytes(4, "big")).digest()
+            candidate = int.from_bytes(
+                hashlib.sha512(digest).digest() * ((p.bit_length() // 512) + 1),
+                "big",
+            ) % p
+            if candidate not in (0, 1, p - 1):
+                return candidate * candidate % p
+            counter += 1
 
     def hash_to_exponent(self, *parts: bytes) -> int:
         """Fiat-Shamir challenge: hash transcript parts into ``GF(q)``."""

@@ -20,7 +20,6 @@ faithfully exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .dleq import DleqProof, prove_dleq, verify_dleq, verify_indexed_dleq_batch
@@ -68,14 +67,6 @@ class ThresholdSignatureScheme:
         self.k = k
         self._secret_shares: dict[int, int] = {}
         self._keys: ThresholdKeys | None = None
-        # Per-message LRU over H(b"thsig|" + message): signing, verifying,
-        # and combining the T shares of one epoch hash the message once,
-        # not once per share (the paper's work scales with ticket count).
-        # Closes over the (immutable) group rather than self, so the
-        # cache keeps no reference cycle through the scheme.
-        self._message_point = lru_cache(maxsize=256)(
-            lambda message, _group=group: _group.hash_to_group(b"thsig|" + message)
-        )
 
     # -- setup -------------------------------------------------------------------
     def keygen(self, rng) -> ThresholdKeys:
@@ -102,9 +93,8 @@ class ThresholdSignatureScheme:
 
     # -- signing ------------------------------------------------------------------
     def hash_message(self, message: bytes) -> int:
-        """``H(m)``: the group element being raised to the secret key
-        (LRU-cached per message via ``_message_point``)."""
-        return self._message_point(message)
+        """``H(m)``: the group element being raised to the secret key."""
+        return self.group.hash_to_group(b"thsig|" + message)
 
     def sign_share(self, index: int, message: bytes, rng) -> SignatureShare:
         """Produce signer ``index``'s signature share with a DLEQ proof."""

@@ -63,11 +63,14 @@ class RuntimeMetrics(NetworkMetrics):
 
 
 class Cluster:
-    """``n`` parties hosted on one event loop over a live transport."""
+    """Parties hosted on one event loop over a live transport: one group
+    for a batch run (``Cluster(factory, n)``), or successive groups
+    (:meth:`spawn` / :meth:`retire` on a ``Cluster()``, e.g. the epoch
+    service's generations) under one metrics stream and failure check."""
 
     def __init__(
         self,
-        party_factory: Callable[[int], Party],
+        party_factory: Optional[Callable[[int], Party]] = None,
         n: Optional[int] = None,
         *,
         transport: Union[str, Transport] = "inproc",
@@ -75,16 +78,6 @@ class Cluster:
         faults: Optional[FaultController] = None,
         committee=None,
     ) -> None:
-        # A committee (repro.api.committee.Committee) supplies the node
-        # count when n is omitted and is kept for provenance; drivers
-        # hosting virtual users may still size the cluster explicitly.
-        if n is None:
-            if committee is None:
-                raise ValueError("cluster needs n or a committee")
-            n = committee.n
-        if n < 1:
-            raise ValueError("cluster needs at least one node")
-        self.n = n
         self.committee = committee
         self.registry = registry or default_registry()
         self.faults = faults or FaultController()
@@ -106,17 +99,56 @@ class Cluster:
                 self.registry, faults=self.faults, record=self.metrics.record
             )
         self.transport = transport
-        peer_ids = list(range(n))
-        self.nodes = [
-            RuntimeNode(party_factory(pid), self.transport, peer_ids)
-            for pid in peer_ids
-        ]
+        self.nodes: list[RuntimeNode] = []
+        #: pump tasks of retired nodes, cancelled but not yet gathered
+        self._retired_tasks: list[asyncio.Task] = []
         self._started_at: Optional[float] = None
         #: when the final settle() first observed quiescence -- lets
         #: elapsed_seconds exclude the idle-confirmation window
         self._quiesced_at: Optional[float] = None
+        #: what run_until sleeps on between two polls
+        self._nap: Optional[asyncio.Future] = None
+        if party_factory is not None:
+            # A committee (repro.api.committee.Committee) sizes the cluster
+            # when n is omitted; drivers hosting virtual users pass n.
+            if n is None:
+                if committee is None:
+                    raise ValueError("cluster needs n or a committee")
+                n = committee.n
+            if n < 1:
+                raise ValueError("cluster needs at least one node")
+            self.spawn(party_factory, n)
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
 
     # -- lifecycle ----------------------------------------------------------------
+    def spawn(self, party_factory: Callable[[int], Party], n: int) -> list[RuntimeNode]:
+        """Host parties ``0 .. n-1`` as one group (pids a previous group's
+        :meth:`retire` freed may be taken again).  Mid-run the transport
+        wires the new pids on the spot and the nodes pump at once."""
+        peer_ids = list(range(n))
+        nodes = [
+            RuntimeNode(party_factory(pid), self.transport, peer_ids)
+            for pid in peer_ids
+        ]
+        if self._started_at is not None:
+            for node in nodes:
+                node.start()
+        self.nodes.extend(nodes)
+        return nodes
+
+    def retire(self, nodes: list[RuntimeNode]) -> None:
+        """Take a group off the host, as if its nodes had crashed, and free
+        its pids.  Synchronous (callable from a dispatch callback): the pump
+        tasks are cancelled here and gathered by :meth:`stop`."""
+        for node in nodes:
+            node.party.crash()
+            self._retired_tasks.extend(node.detach())
+            self.transport.unbind(node.pid)
+            self.nodes.remove(node)
+
     async def start(self) -> None:
         await self.transport.start()
         for node in self.nodes:
@@ -133,6 +165,7 @@ class Cluster:
             self.metrics.elapsed_seconds = end - self._started_at
         for node in self.nodes:
             await node.stop()
+        await asyncio.gather(*self._retired_tasks, return_exceptions=True)
         await self.transport.stop()
 
     async def __aenter__(self) -> "Cluster":
@@ -183,10 +216,14 @@ class Cluster:
     ) -> None:
         """Poll ``predicate`` until true; raise ``TimeoutError`` otherwise.
 
+        Each poll that finds it false re-raises a pump failure first;
+        :meth:`wake` cuts the sleep between two polls short.
+
         With ``phase``, the satisfaction time is recorded in
         ``metrics.phase_seconds`` -- per-phase latency measurement.
         """
         self._quiesced_at = None
+        loop = asyncio.get_running_loop()
         deadline = time.perf_counter() + timeout
         while not predicate():
             self._raise_node_failures()
@@ -196,9 +233,19 @@ class Cluster:
                     f"stop condition not reached within {timeout}s "
                     f"(inbox backlog per node: {backlog})"
                 )
-            await asyncio.sleep(poll)
+            # asyncio.sleep(poll), except that wake() cuts it short
+            self._nap = loop.create_future()
+            alarm = loop.call_later(poll, self.wake)
+            await self._nap
+            alarm.cancel()
         if phase is not None:
             self.mark_phase(phase)
+
+    def wake(self) -> None:
+        """Have a sleeping :meth:`run_until` poll now (else a no-op);
+        synchronous, callable from a dispatch callback."""
+        if self._nap is not None and not self._nap.done():
+            self._nap.set_result(None)
 
     def _raise_node_failures(self) -> None:
         """Re-raise the first pump-task exception (codec or handler error)."""

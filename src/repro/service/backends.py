@@ -9,27 +9,25 @@ percentiles) and on the live asyncio runtime (wall time, real queues).
 
 Rotation support is the new requirement compared to the scenario
 harness's one-shot runs: a backend must host *successive* party groups
-over one clock and one metrics stream.  The sim backend does it with one
-:class:`~repro.sim.events.Simulator` shared by per-group
-:class:`~repro.sim.network.Network` fabrics; the in-process backend does
-it with mid-run :meth:`~repro.runtime.transport.Transport.bind` /
-``unbind`` on a single :class:`InProcTransport`, so a retiring
-committee's node ids can be handed to its successor.
+over one clock and one metrics stream.  Hosting itself is not done here:
+the sim backend builds one :func:`~repro.sim.runner.build_world` per
+group on a shared :class:`~repro.sim.events.Simulator`, the in-process
+backend spawns and retires groups on one
+:class:`~repro.runtime.cluster.Cluster`.  What a backend adds is a clock.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from ..runtime.cluster import RuntimeMetrics
-from ..runtime.codec import CodecRegistry, default_registry
-from ..runtime.node import RuntimeNode
-from ..runtime.transport import InProcTransport
+from ..runtime.cluster import Cluster
+from ..runtime.codec import CodecRegistry
 from ..sim.events import Simulator
-from ..sim.network import Network, NetworkMetrics, UniformDelay
+from ..sim.network import NetworkMetrics, UniformDelay
 from ..sim.process import Party
+from ..sim.runner import World, build_world
 
 __all__ = ["ServiceBackend", "SimServiceBackend", "InprocServiceBackend"]
 
@@ -40,7 +38,7 @@ class PartyGroup:
     validator set); retired as a unit at rotation."""
 
     parties: list[Party]
-    #: backend-private attachment (sim: the Network; inproc: the nodes)
+    #: backend-private attachment (sim: the World; inproc: the nodes)
     handle: object = None
 
 
@@ -82,8 +80,8 @@ class ServiceBackend:
 
 
 class SimServiceBackend(ServiceBackend):
-    """Deterministic discrete-event backend: one simulator, one network
-    fabric per spawned group, everything a pure function of the seed."""
+    """Deterministic discrete-event backend: one simulator, one world
+    per spawned group, everything a pure function of the seed."""
 
     name = "sim"
 
@@ -92,10 +90,8 @@ class SimServiceBackend(ServiceBackend):
     ) -> None:
         self.simulator = Simulator()
         self.seed = seed
-        self.delay_low = delay_low
-        self.delay_high = delay_high
-        self.networks: list[Network] = []
-        self._spawns = 0
+        self.delay_model = UniformDelay(delay_low, delay_high)
+        self.worlds: list[World] = []
 
     def now(self) -> float:
         return self.simulator.now
@@ -104,21 +100,17 @@ class SimServiceBackend(ServiceBackend):
         self.simulator.schedule(max(delay, 0.0), fn)
 
     def spawn(self, factory: Callable[[int], Party], n: int) -> PartyGroup:
-        # Each generation gets its own fabric (clean pid namespace, no
-        # crosstalk with in-flight messages of the previous committee) but
-        # shares the simulator, so the service's clock and the metrics
-        # stream are continuous across rotations.
-        network = Network(
-            self.simulator,
-            UniformDelay(self.delay_low, self.delay_high),
-            seed=f"{self.seed}|net|{self._spawns}",
+        # One world per generation (clean pid namespace, no crosstalk with
+        # the previous committee's in-flight messages), one simulator clock.
+        world = build_world(
+            factory,
+            n,
+            delay_model=self.delay_model,
+            seed=f"{self.seed}|net|{len(self.worlds)}",
+            simulator=self.simulator,
         )
-        self._spawns += 1
-        parties = [factory(pid) for pid in range(n)]
-        for party in parties:
-            network.register(party)
-        self.networks.append(network)
-        return PartyGroup(parties=parties, handle=network)
+        self.worlds.append(world)
+        return PartyGroup(parties=world.parties, handle=world)
 
     def retire(self, group: PartyGroup) -> None:
         for party in group.parties:
@@ -141,34 +133,21 @@ class SimServiceBackend(ServiceBackend):
 
     def message_totals(self) -> NetworkMetrics:
         totals = NetworkMetrics()
-        for network in self.networks:
-            totals.add(network.metrics)
+        for world in self.worlds:
+            totals.add(world.metrics)
         return totals
-
-    @property
-    def sim_time(self) -> float:
-        return self.simulator.now
-
-    @property
-    def sim_events(self) -> int:
-        return self.simulator.events_processed
 
 
 class InprocServiceBackend(ServiceBackend):
-    """Live asyncio backend: one in-process transport shared by every
-    generation, node ids rebound across rotations."""
+    """Live asyncio backend: every generation is a group on one
+    :class:`~repro.runtime.cluster.Cluster`, node ids reused across rotations."""
 
     name = "inproc"
 
     def __init__(self, *, registry: Optional[CodecRegistry] = None) -> None:
-        self.metrics = RuntimeMetrics()
-        self.registry = registry or default_registry()
-        self.transport = InProcTransport(self.registry, record=self.metrics.record)
+        self.cluster = Cluster(registry=registry)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
-        self._done: Optional[asyncio.Event] = None
-        self._live_groups: list[PartyGroup] = []
-        self._retired_tasks: list[asyncio.Task] = []
 
     def now(self) -> float:
         assert self._loop is not None, "backend is not running"
@@ -179,56 +158,38 @@ class InprocServiceBackend(ServiceBackend):
         self._loop.call_later(max(delay, 0.0), fn)
 
     def spawn(self, factory: Callable[[int], Party], n: int) -> PartyGroup:
-        peer_ids = list(range(n))
-        nodes = [
-            RuntimeNode(factory(pid), self.transport, peer_ids) for pid in peer_ids
-        ]
-        for node in nodes:
-            node.start()
-        group = PartyGroup(parties=[node.party for node in nodes], handle=nodes)
-        self._live_groups.append(group)
-        return group
+        nodes = self.cluster.spawn(factory, n)
+        return PartyGroup(parties=[node.party for node in nodes], handle=nodes)
 
     def retire(self, group: PartyGroup) -> None:
-        # Callable from inside a dispatch callback: detach() cancels the
-        # pump tasks without awaiting (cancellation lands at their next
-        # await), unbind frees the pid for the successor group.
-        for node in group.handle:
-            node.party.crash()
-            self._retired_tasks.extend(node.detach())
-            self.transport.unbind(node.pid)
-        if group in self._live_groups:
-            self._live_groups.remove(group)
+        self.cluster.retire(group.handle)
 
     def notify_done(self) -> None:
-        if self._done is not None:
-            self._done.set()
+        self.cluster.wake()
 
     def run(self, service) -> None:
         asyncio.run(self._drive(service))
 
     async def _drive(self, service) -> None:
         self._loop = asyncio.get_running_loop()
-        self._done = asyncio.Event()
-        await self.transport.start()
-        self._t0 = self._loop.time()
-        service.start()
-        try:
-            await asyncio.wait_for(
-                self._done.wait(), timeout=service.config.max_time
-            )
-        except asyncio.TimeoutError:
-            service.abort(
-                f"service did not finish within max_time="
-                f"{service.config.max_time}s"
-            )
-        finally:
-            for group in list(self._live_groups):
-                self.retire(group)
-            if self._retired_tasks:
-                await asyncio.gather(*self._retired_tasks, return_exceptions=True)
-            self._retired_tasks.clear()
-            await self.transport.stop()
+        config = service.config
+        async with self.cluster:
+            self._t0 = self._loop.time()
+            service.start()
+            try:
+                # notify_done wakes it; a pump failure is seen within a tick
+                await self.cluster.run_until(
+                    lambda: service.finished,
+                    timeout=config.max_time,
+                    poll=config.slot_interval,
+                )
+            except TimeoutError:
+                service.abort(
+                    f"service did not finish within max_time={config.max_time}s"
+                )
+            except RuntimeError as exc:
+                service.abort(f"{exc}: {exc.__cause__!r}")
+                raise
 
     def message_totals(self) -> NetworkMetrics:
-        return self.metrics
+        return self.cluster.metrics

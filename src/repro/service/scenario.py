@@ -24,8 +24,7 @@ from .service import EpochService, ServiceConfig
 
 __all__ = ["run_service_spec", "drift_schedule_for"]
 
-#: backends a service workload runs on (tcp rotation is future work: the
-#: transport would need cross-process rebinding)
+#: backends a service workload runs on
 SERVICE_BACKENDS = ("sim", "inproc")
 
 
@@ -55,9 +54,16 @@ def run_service_spec(
     if backend not in SERVICE_BACKENDS:
         raise ValueError(
             f"service workloads run on the {' or '.join(SERVICE_BACKENDS)} "
-            f"backends, not {backend}"
+            f"backends, not {backend}: a rotation rebinds node ids 0..n-1 "
+            "inside one transport object, and the TCP mesh has no "
+            "cross-process rebind"
         )
-    if spec.faults.crashes or spec.faults.partition or spec.faults.link_delays:
+    if spec.faults.crashes:
+        raise ValueError(
+            "service workloads cannot run a crash plan: a slot commits when "
+            "every replica has (_SlotState.complete), so one crash stalls it"
+        )
+    if spec.faults.partition or spec.faults.link_delays:
         raise ValueError(
             "service workloads take byzantine fault-plan entries only (yet)"
         )
@@ -129,7 +135,8 @@ def run_service_spec(
     if result.error:
         service_section = {**service_section, "error": result.error}
     if backend == "sim":
-        clock = {"sim_time": svc_backend.sim_time, "sim_events": svc_backend.sim_events}
+        simulator = svc_backend.simulator
+        clock = {"sim_time": simulator.now, "sim_events": simulator.events_processed}
     else:
         clock = {"wall_seconds": result.elapsed_seconds}
     return _assemble(

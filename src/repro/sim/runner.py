@@ -59,6 +59,7 @@ def build_world(
     seed: int = 0,
     faults=None,
     committee=None,
+    simulator: Optional[Simulator] = None,
 ) -> World:
     """Create ``n`` parties via ``party_factory(pid)`` on a fresh network.
 
@@ -67,13 +68,15 @@ def build_world(
     the same :class:`~repro.runtime.faults.FaultController` it would hand
     to a live cluster.  ``committee`` (a
     :class:`repro.api.committee.Committee`) supplies the party count when
-    ``n`` is omitted and is kept on the world for provenance.
+    ``n`` is omitted and is kept on the world for provenance.  Worlds
+    built on one ``simulator`` share its clock and nothing else: successive
+    party groups of one run (the epoch service's committee generations).
     """
     if n is None:
         if committee is None:
             raise ValueError("build_world needs n or a committee")
         n = committee.n
-    simulator = Simulator()
+    simulator = simulator or Simulator()
     network = Network(simulator, delay_model or UniformDelay(), seed=seed, faults=faults)
     parties = []
     for pid in range(n):

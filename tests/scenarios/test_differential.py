@@ -5,7 +5,9 @@ live in-process runtime (and, ``tcp``-marked, on the TCP mesh hosting
 all nodes on one loop; ``proc``-marked, on the same mesh hosting one
 node per worker process) and must tell the same story: completion, decided values, message
 counts wherever the driver claims them comparable, and which chaos
-stages fired.  The remaining tests pin the three places the backends'
+stages fired.  The two service scenarios run on the simulator and on the
+in-process runtime and must complete, commit every request and decide one
+digest per backend.  The remaining tests pin the three places the backends'
 lifecycles used to diverge: a live run ending before its fault plan's
 horizon, the sim ignoring ``ChaosSpec.watchdog=False``, and a driver
 claiming comparable counts for an epoch that runs inside a partition.
@@ -19,8 +21,10 @@ import pytest
 from repro.chaos.schedule import ChaosStage, TriggerSpec
 from repro.scenarios import SCENARIOS, get_scenario, run_scenario, scenario_names
 
-#: service workloads have their own driver stack (and no proc/tcp form)
 BATCH = tuple(n for n in scenario_names() if SCENARIOS[n].workload.kind == "batch")
+#: service workloads run on the same two hosts (``World``, ``Cluster``);
+#: a rotation cannot cross processes, so they have no tcp/proc form
+SERVICE = tuple(n for n in scenario_names() if SCENARIOS[n].workload.kind == "service")
 #: VABA's real outputs aggregate every virtual user: no single-node form
 PROC_CAPABLE = tuple(n for n in BATCH if SCENARIOS[n].protocol != "vaba")
 
@@ -69,6 +73,21 @@ class TestSimVsInproc:
     @pytest.mark.parametrize("name", BATCH)
     def test_registry_scenario_agrees(self, name):
         _assert_same_story(_record(name, "sim"), _record(name, "inproc"))
+
+
+class TestServiceOnBothHosts:
+    """Slot cuts are wall-clock on inproc, so logs (and digests) differ
+    between the backends; within one, every replica decides one digest."""
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    @pytest.mark.parametrize("name", SERVICE)
+    def test_completes_with_one_digest(self, name, backend):
+        record = _record(name, backend)
+        assert record["completed"], record["service"].get("error")
+        requests = get_scenario(name).param("requests")
+        assert record["service"]["requests_committed"] == requests
+        assert len(record["decided"]) == record["n_nodes"]
+        assert len(set(record["decided"].values())) == 1
 
 
 @pytest.mark.tcp

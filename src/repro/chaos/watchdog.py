@@ -7,8 +7,8 @@ is only what state the cluster froze in.  A run that was expected to
 complete but went quiescent without doing so is a *genuine stall* -- a
 bug in the protocol or the harness.  The watchdog distinguishes the two
 via the adversary/chaos liveness claim and, either way, assembles a
-postmortem bundle (per-link last-N message trace, queue depths, fault
-and weather counters, the chaos timeline with fired flags) that rides on
+postmortem bundle (per-link last-N message trace, fault and weather
+counters, the chaos timeline with fired flags) that rides on
 the scenario record instead of a bare ``TimeoutError``.
 
 The watchdog is a post-hoc classifier on every backend: *when* a run
@@ -22,8 +22,6 @@ completing *is* the stall.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 __all__ = ["LivenessWatchdog"]
 
@@ -48,14 +46,7 @@ class LivenessWatchdog:
         return "expected-no-liveness" if not self.expect_liveness else "stall"
 
     # -- the postmortem bundle -------------------------------------------------------
-    def report(
-        self,
-        *,
-        faults=None,
-        orchestrator=None,
-        queue_depths: Optional[dict] = None,
-        suspects: Optional[dict] = None,
-    ) -> dict:
+    def report(self, *, faults=None, orchestrator=None) -> dict:
         """The ``watchdog`` record section; a ``postmortem`` key appears
         only for stalled runs (keeping completed records deterministic
         across backends)."""
@@ -77,9 +68,5 @@ class LivenessWatchdog:
             postmortem["trace"] = [list(entry) for entry in faults.trace]
             if faults.weather is not None:
                 postmortem["weather"] = faults.weather.describe()
-        if queue_depths is not None:
-            postmortem["queues"] = {str(k): v for k, v in sorted(queue_depths.items())}
-        if suspects is not None:
-            postmortem["suspects"] = suspects
         section["postmortem"] = postmortem
         return section

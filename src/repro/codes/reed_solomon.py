@@ -120,13 +120,13 @@ def _lagrange_basis(
     return tuple(basis)
 
 
-@lru_cache(maxsize=64)
 def _eval_matrix(
     field: GF2m, xs: tuple[int, ...], targets: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """``matrix[t][j] = L_j(targets[t])`` for the Lagrange basis over
     ``xs`` -- re-evaluation of an interpolated polynomial at new points
-    without going through coefficient form (barycentric, ``O(k^2)``)."""
+    without coefficient form (barycentric, ``O(k^2)``); uncached: only
+    ``systematic=True`` coding calls it, which no protocol uses."""
     k = len(xs)
     mul, inv = field.mul, field.inv
     weights = []

@@ -193,7 +193,7 @@ async def _worker_main(
         # watermarks from the replayed floor, then start pumping and
         # re-propose this node's batches.  The parent withholds our new
         # address from peers until "rejoined", so nothing arrives before
-        # the inbox exists.
+        # the WAL is replayed.
         party.restart()
         transport.restore_watermarks(nid, getattr(party, "watermarks", {}))
         node.start()
@@ -212,7 +212,10 @@ async def _worker_main(
         # Armed and bound, not yet started: the parent releases the
         # workload only once *every* worker is, so no frame can reach a
         # node before its handler and fault plan exist (it would be
-        # dropped, or dodge a receive-side delay).
+        # dropped, or dodge a receive-side delay).  A frame that arrives
+        # between "armed" and "start" -- a peer was released first -- is
+        # handled at once, on the reader task, by this party; whatever it
+        # sends waits in the outbox until node.start().
         conn.send(("armed", nid, None))
 
     while True:

@@ -21,6 +21,7 @@ close epochs at a common cut; our epoch-closed flag is advisory.)
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -99,8 +100,12 @@ class SmrParty(Party):
         self.committed: dict[int, dict[int, tuple[int, bytes]]] = {}
         self._echoed: set[tuple[int, int]] = set()
         self._readied: set[tuple[int, int]] = set()
-        self._echo_senders: dict[tuple[int, int, bytes], set[int]] = {}
-        self._ready_senders: dict[tuple[int, int, bytes], set[int]] = {}
+        #: (epoch, proposer) -> {payload -> senders}, dropped once the
+        #: instance delivers: this replica has sent its READY by then and
+        #: the first commit wins, so later ECHO / READY change nothing
+        self._echo_senders: defaultdict = defaultdict(dict)
+        self._ready_senders: defaultdict = defaultdict(dict)
+        self._delivered: set[tuple[int, int]] = set()
         self.on(BatchSend, self._handle_send)
         self.on(BatchEcho, self._handle_echo)
         self.on(BatchReady, self._handle_ready)
@@ -122,25 +127,32 @@ class SmrParty(Party):
             )
 
     def _handle_echo(self, message: BatchEcho, sender: int) -> None:
-        key = (message.epoch, message.proposer, message.payload)
-        senders = self._echo_senders.setdefault(key, set())
+        key = (message.epoch, message.proposer)
+        if key in self._delivered:
+            return
+        senders = self._echo_senders[key].setdefault(message.payload, set())
         senders.add(sender)
-        if key[:2] not in self._readied and self.quorums.echo_quorum(senders):
-            self._readied.add(key[:2])
+        if key not in self._readied and self.quorums.echo_quorum(senders):
+            self._readied.add(key)
             self.broadcast(
                 BatchReady(message.epoch, message.proposer, message.payload)
             )
 
     def _handle_ready(self, message: BatchReady, sender: int) -> None:
-        key = (message.epoch, message.proposer, message.payload)
-        senders = self._ready_senders.setdefault(key, set())
+        key = (message.epoch, message.proposer)
+        if key in self._delivered:
+            return
+        senders = self._ready_senders[key].setdefault(message.payload, set())
         senders.add(sender)
-        if key[:2] not in self._readied and self.quorums.ready_amplify(senders):
-            self._readied.add(key[:2])
+        if key not in self._readied and self.quorums.ready_amplify(senders):
+            self._readied.add(key)
             self.broadcast(
                 BatchReady(message.epoch, message.proposer, message.payload)
             )
         if self.quorums.deliver_quorum(senders):
+            self._delivered.add(key)
+            self._echo_senders.pop(key, None)
+            del self._ready_senders[key]
             self._commit(message.epoch, message.proposer, message.payload)
 
     # -- commitment --------------------------------------------------------------

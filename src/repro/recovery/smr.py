@@ -174,6 +174,7 @@ class RecoverableSmrParty(SmrParty):
         self._readied.clear()
         self._echo_senders.clear()
         self._ready_senders.clear()
+        self._delivered.clear()
         self._sync_confirmers.clear()
         self.certificates.clear()
         self.watermarks.clear()

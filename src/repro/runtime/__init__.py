@@ -16,7 +16,7 @@ estimates.
 from .cluster import TRANSPORTS, Cluster, RuntimeMetrics, run_cluster
 from .codec import CodecError, CodecRegistry, default_registry
 from .faults import DeliveryDecision, FaultController
-from .node import NodeNetwork, RuntimeNode
+from .node import RuntimeNode
 from .transport import InProcTransport, TcpTransport, Transport
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "default_registry",
     "DeliveryDecision",
     "FaultController",
-    "NodeNetwork",
     "RuntimeNode",
     "Transport",
     "InProcTransport",

@@ -100,7 +100,7 @@ class Cluster:
             )
         self.transport = transport
         self.nodes: list[RuntimeNode] = []
-        #: pump tasks of retired nodes, cancelled but not yet gathered
+        #: sender tasks of retired nodes, cancelled but not yet gathered
         self._retired_tasks: list[asyncio.Task] = []
         self._started_at: Optional[float] = None
         #: when the final settle() first observed quiescence -- lets
@@ -141,8 +141,8 @@ class Cluster:
 
     def retire(self, nodes: list[RuntimeNode]) -> None:
         """Take a group off the host, as if its nodes had crashed, and free
-        its pids.  Synchronous (callable from a dispatch callback): the pump
-        tasks are cancelled here and gathered by :meth:`stop`."""
+        its pids.  Synchronous (callable from a handler): the sender tasks
+        are cancelled here and gathered by :meth:`stop`."""
         for node in nodes:
             node.party.crash()
             self._retired_tasks.extend(node.detach())
@@ -216,7 +216,7 @@ class Cluster:
     ) -> None:
         """Poll ``predicate`` until true; raise ``TimeoutError`` otherwise.
 
-        Each poll that finds it false re-raises a pump failure first;
+        Each poll that finds it false re-raises a node failure first;
         :meth:`wake` cuts the sleep between two polls short.
 
         With ``phase``, the satisfaction time is recorded in
@@ -228,10 +228,11 @@ class Cluster:
         while not predicate():
             self._raise_node_failures()
             if time.perf_counter() > deadline:
-                backlog = {node.pid: node.inbox.qsize() for node in self.nodes}
+                outboxes = {node.pid: node.outbox.qsize() for node in self.nodes}
                 raise TimeoutError(
                     f"stop condition not reached within {timeout}s "
-                    f"(inbox backlog per node: {backlog})"
+                    f"(outbox depth per node: {outboxes}, "
+                    f"transport in flight: {self.transport.in_flight})"
                 )
             # asyncio.sleep(poll), except that wake() cuts it short
             self._nap = loop.create_future()
@@ -243,12 +244,12 @@ class Cluster:
 
     def wake(self) -> None:
         """Have a sleeping :meth:`run_until` poll now (else a no-op);
-        synchronous, callable from a dispatch callback."""
+        synchronous, callable from a handler."""
         if self._nap is not None and not self._nap.done():
             self._nap.set_result(None)
 
     def _raise_node_failures(self) -> None:
-        """Re-raise the first pump-task exception (codec or handler error)."""
+        """Re-raise the first node failure (codec or handler error)."""
         for node in self.nodes:
             if node.failure is not None:
                 raise RuntimeError(
@@ -259,19 +260,23 @@ class Cluster:
                 "transport failed at the delivery point"
             ) from self.transport.failure
 
+    @property
+    def quiescent(self) -> bool:
+        """Every node's outbox is drained AND the transport has no message
+        in flight (its queues, socket buffers, injected delay timers)."""
+        return self.transport.quiescent and all(node.idle for node in self.nodes)
+
     async def settle(self, *, idle_for: float = 0.02, timeout: float = 30.0) -> None:
-        """Wait until the cluster has been quiescent for ``idle_for``
-        seconds -- the runtime's approximation of the simulator running to
-        quiescence.  Quiescent means every node's queues are drained AND
-        the transport has no message in flight (socket buffers, injected
-        delay timers)."""
+        """Wait until the cluster has been :attr:`quiescent` for
+        ``idle_for`` seconds -- the runtime's approximation of the
+        simulator running to quiescence."""
         self._quiesced_at = None
         deadline = time.perf_counter() + timeout
         quiet_since: Optional[float] = None
         while True:
             self._raise_node_failures()
             now = time.perf_counter()
-            if self.transport.quiescent and all(node.idle for node in self.nodes):
+            if self.quiescent:
                 if quiet_since is None:
                     quiet_since = now
                 elif now - quiet_since >= idle_for:

@@ -1,15 +1,23 @@
 """Host one unmodified :class:`~repro.sim.process.Party` on an event loop.
 
 The sim's parties talk to a ``Network`` duck type: ``send``,
-``broadcast``, and ``party_ids``.  :class:`NodeNetwork` implements that
-surface over the runtime, so every existing protocol subclass runs live
-without modification -- handler code stays synchronous and single-
-threaded (one dispatch task per node), exactly like the simulator's
-delivery model.
+``broadcast``, and ``party_ids``.  :class:`RuntimeNode` is that surface
+over the runtime (``party.network`` is the node), so every existing
+protocol subclass runs live without modification.
 
-Outbound sends are buffered on a queue and shipped by a sender task;
-that keeps ``Party`` handlers non-async while the actual transport I/O
-awaits freely.  An outbox entry is ``(destinations, message)``: a
+A message waits in the sender's outbox, then in the transport (a
+per-destination queue on ``inproc``, a link queue and a socket on
+``tcp``) -- and nowhere on arrival: the transport's delivery callback
+*is* the dispatch, so a handler runs on the task that decoded the frame
+(the in-process pump, the TCP reader, a delay timer or, for a TCP
+self-send, this node's sender task).  One loop hosts them all and a
+handler never awaits, so handler code stays synchronous and single-
+threaded, exactly like the simulator's delivery model.
+
+The outbox and its sender task stay because ``send`` / ``broadcast`` may
+only queue: nothing a handler sends (to itself included) is delivered
+before it returns, so no handler runs inside another, and the transport
+I/O awaits freely.  An outbox entry is ``(destinations, message)``: a
 broadcast is one entry, and the sender task hands its message object to
 ``transport.send`` once per destination back to back, which lets the
 transport encode it once.  A queued message must not be mutated.
@@ -23,39 +31,11 @@ from typing import Any, Optional, Sequence
 from ..sim.process import Party
 from .transport import Transport
 
-__all__ = ["NodeNetwork", "RuntimeNode"]
-
-
-class NodeNetwork:
-    """The ``Network`` facade a hosted party sees.
-
-    Implements the attribute surface protocols actually use
-    (``send``/``broadcast``/``party_ids``); anything simulator-specific
-    is deliberately absent.
-    """
-
-    def __init__(self, node: "RuntimeNode", peer_ids: Sequence[int]) -> None:
-        self._node = node
-        self._peer_ids = tuple(sorted(peer_ids))
-
-    @property
-    def party_ids(self) -> list[int]:
-        return list(self._peer_ids)
-
-    def send(self, src: int, dst: int, message: Any) -> None:
-        if dst not in self._peer_ids:
-            raise KeyError(f"unknown destination {dst}")
-        self._node.queue_send((dst,), message)
-
-    def broadcast(self, src: int, message: Any, *, include_self: bool = True) -> None:
-        dsts = self._peer_ids
-        if not include_self:
-            dsts = tuple(dst for dst in dsts if dst != src)
-        self._node.queue_send(dsts, message)
+__all__ = ["RuntimeNode"]
 
 
 class RuntimeNode:
-    """One cluster member: a party, its inbox/outbox, and two pump tasks."""
+    """One cluster member: a party, its ``Network``, outbox and sender task."""
 
     def __init__(
         self, party: Party, transport: Transport, peer_ids: Sequence[int]
@@ -63,25 +43,21 @@ class RuntimeNode:
         self.party = party
         self.pid = party.pid
         self.transport = transport
-        self.inbox: asyncio.Queue = asyncio.Queue()
         self.outbox: asyncio.Queue = asyncio.Queue()
         self.messages_dispatched = 0
-        #: first exception raised by a pump task (send/dispatch), if any --
+        #: first exception raised by a handler or the sender task, if any --
         #: surfaced by the cluster so codec/handler errors fail loudly
         #: instead of silently stalling the node
         self.failure: Optional[BaseException] = None
+        self._peer_ids = tuple(sorted(peer_ids))
         self._pending_sends = 0
-        self._pending_dispatch = 0
         self._tasks: list[asyncio.Task] = []
-        party.network = NodeNetwork(self, peer_ids)
+        party.network = self
         transport.bind(self.pid, self._on_delivery)
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
-        self._tasks = [
-            asyncio.ensure_future(self._sender_loop()),
-            asyncio.ensure_future(self._dispatch_loop()),
-        ]
+        self._tasks = [asyncio.ensure_future(self._sender_loop())]
 
     async def stop(self) -> None:
         for task in self._tasks:
@@ -91,10 +67,10 @@ class RuntimeNode:
         self._tasks.clear()
 
     def detach(self) -> list[asyncio.Task]:
-        """Synchronously cancel the pump tasks (epoch retirement).
+        """Synchronously cancel the sender task (epoch retirement).
 
         Callable from inside protocol callbacks -- cancellation only lands
-        at the tasks' next ``await``, so the caller's synchronous
+        at the task's next ``await``, so the caller's synchronous
         continuation completes first.  The caller must gather the returned
         tasks during shutdown.
         """
@@ -103,17 +79,39 @@ class RuntimeNode:
             task.cancel()
         return tasks
 
+    # -- the ``Network`` a hosted party sees ----------------------------------------
+    @property
+    def party_ids(self) -> list[int]:
+        return list(self._peer_ids)
+
+    def send(self, src: int, dst: int, message: Any) -> None:
+        if dst not in self._peer_ids:
+            raise KeyError(f"unknown destination {dst}")
+        self._queue((dst,), message)
+
+    def broadcast(self, src: int, message: Any, *, include_self: bool = True) -> None:
+        dsts = self._peer_ids
+        if not include_self:
+            dsts = tuple(dst for dst in dsts if dst != src)
+        self._queue(dsts, message)
+
     # -- data path ----------------------------------------------------------------
-    def queue_send(self, dsts: Sequence[int], message: Any) -> None:
-        """Called synchronously from inside party handlers: one outbox
-        entry, however many destinations."""
+    def _queue(self, dsts: Sequence[int], message: Any) -> None:
+        """One outbox entry, however many destinations."""
         self._pending_sends += 1
         self.outbox.put_nowait((dsts, message))
 
     def _on_delivery(self, src: int, message: Any) -> None:
-        """Transport delivery callback."""
-        self._pending_dispatch += 1
-        self.inbox.put_nowait((src, message))
+        """Transport delivery callback: run the handler here, on the task
+        that decoded the frame.  A raising handler fails this node (it is
+        handed nothing further), never the transport's task."""
+        if self.failure is not None:
+            return
+        self.messages_dispatched += 1
+        try:
+            self.party.receive(message, src)
+        except Exception as exc:  # noqa: BLE001 -- recorded for the cluster
+            self.failure = exc
 
     async def _sender_loop(self) -> None:
         while True:
@@ -128,20 +126,7 @@ class RuntimeNode:
             finally:
                 self._pending_sends -= 1
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            src, message = await self.inbox.get()
-            try:
-                self.party.receive(message, src)
-            except Exception as exc:  # noqa: BLE001 -- recorded, then re-raised
-                if self.failure is None:
-                    self.failure = exc
-                raise
-            finally:
-                self.messages_dispatched += 1
-                self._pending_dispatch -= 1
-
     @property
     def idle(self) -> bool:
-        """No inbound or outbound work queued or being pumped right now."""
-        return self._pending_sends == 0 and self._pending_dispatch == 0
+        """Outbox drained: nothing queued and no entry mid-send."""
+        return self._pending_sends == 0

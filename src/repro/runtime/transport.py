@@ -8,7 +8,13 @@ works on :class:`InProcTransport` is guaranteed to serialize for
 
 Delivery semantics match the simulator's network: reliable point-to-point
 links with arbitrary (but finite) delays, no ordering guarantee across
-links.  Fault injection (:class:`~repro.runtime.faults.FaultController`)
+links.  A sent message waits in the transport (the destination's queue
+in process; the link's queue, then the socket, over TCP) and nowhere
+after it: ``_deliver`` decodes it and the bound node runs the party's
+handler right there, on the task that took it out -- ``_pump``,
+``_read_loop``, a ``_deliver_later`` timer, or ``send``'s caller for a
+TCP self-send.  A handler only queues what it sends and never raises
+into that task (its node records the failure).  Fault injection (:class:`~repro.runtime.faults.FaultController`)
 is consulted at two points, identically for every transport: terminal
 faults (crash, partition, weather loss) at the send point via
 ``condemn``, re-timing faults (delay, jitter, duplication) plus an

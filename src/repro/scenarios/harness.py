@@ -810,8 +810,7 @@ def _chaos_section(spec, driver, completed: bool, section: dict, **postmortem) -
 
 
 def _finish(
-    spec, driver, ctx: RunContext, backend, metrics, orchestrator, *,
-    queue_depths=None, **clock,
+    spec, driver, ctx: RunContext, backend, metrics, orchestrator, **clock
 ) -> ScenarioResult:
     """Read the finished single-process run into its record."""
     completed = driver.done(ctx)
@@ -819,7 +818,7 @@ def _finish(
     if orchestrator is not None:
         chaos = _chaos_section(
             spec, driver, completed, orchestrator.summary(),
-            faults=ctx.faults, orchestrator=orchestrator, queue_depths=queue_depths,
+            faults=ctx.faults, orchestrator=orchestrator,
         )
     return _assemble(
         spec, backend, driver.committee, metrics,
@@ -924,7 +923,7 @@ def run_scenario(
         return rule(
             time.perf_counter() - run["t0"],
             driver.done(run["ctx"]),
-            cluster.transport.quiescent and all(node.idle for node in cluster.nodes),
+            cluster.quiescent,
             cluster.metrics.messages,
         )
 
@@ -940,6 +939,5 @@ def run_scenario(
     )
     return _finish(
         spec, driver, run["ctx"], backend, cluster.metrics, run["orchestrator"],
-        queue_depths={node.pid: node.inbox.qsize() for node in cluster.nodes},
         wall_seconds=cluster.metrics.elapsed_seconds,
     )

@@ -121,3 +121,102 @@ class TestNominalSmr:
         world.network.send(3, 0, BatchSend(epoch=0, proposer=5, payload=b"forged"))
         world.run()
         assert world.party(0).ordered_log(0) == []
+
+
+class TestDecidedInstanceIsForgotten:
+    """Once an instance delivers, its ECHO / READY sender sets are dropped
+    and late votes for it are ignored: the replica has sent its READY and
+    the first commit wins, so they could change nothing it does."""
+
+    @staticmethod
+    def _pending(party):
+        return set(party._echo_senders) | set(party._ready_senders)
+
+    def test_long_run_leaves_nothing_behind(self):
+        world = make_world(WeightedQuorums(WEIGHTS, "1/3"), seed=7)
+        for epoch in range(30):
+            for pid in range(N):
+                world.party(pid).propose_batch(epoch, f"e{epoch}-p{pid}".encode())
+        world.run()
+        for pid in range(N):
+            party = world.party(pid)
+            assert party.counters["batches_committed"] == 30 * N
+            assert party._echo_senders == {} and party._ready_senders == {}
+
+    def test_late_votes_after_commit_send_nothing_and_leave_no_entry(self):
+        from repro.protocols.smr import BatchEcho, BatchReady
+
+        # n = 8, t = 2: the deliver quorum (6) is met before the last two
+        # READYs arrive, so every replica sees late votes in any run.
+        world = make_world(NominalQuorums(n=N, t=2), seed=8)
+        world.party(0).propose_batch(0, b"solo")
+        world.run()
+        sent = world.metrics.messages
+        party = world.party(3)
+        for payload in (b"solo", b"other"):
+            party.receive(BatchEcho(0, 0, payload), 5)
+            party.receive(BatchReady(0, 0, payload), 5)
+        world.run()
+        assert world.metrics.messages == sent
+        assert self._pending(party) == set()
+        assert party.ordered_log(0) == [(0, b"solo")]
+
+    def test_the_losing_payload_of_an_equivocator_goes_too(self):
+        from repro.protocols.smr import BatchEcho, BatchReady
+
+        world = make_world(NominalQuorums(n=N, t=2), seed=9)
+        party = world.party(0)
+        for sender in (1, 2):
+            party.receive(BatchEcho(0, 7, b"loses"), sender)
+            party.receive(BatchReady(0, 7, b"loses"), sender)
+        assert self._pending(party) == {(0, 7)}
+        for sender in range(2, N):
+            party.receive(BatchReady(0, 7, b"wins"), sender)
+        assert party.ordered_log(0) == [(7, b"wins")]
+        assert self._pending(party) == set()
+
+    @pytest.fixture
+    def sim_parties(self, monkeypatch):
+        """The parties of the sim world(s) ``run_scenario`` builds."""
+        import repro.sim.runner as runner
+
+        parties = []
+        build_world = runner.build_world
+
+        def capture(*args, **kwargs):
+            world = build_world(*args, **kwargs)
+            parties.append(world.network.parties)
+            return world
+
+        monkeypatch.setattr(runner, "build_world", capture)
+        return parties
+
+    def test_equivocate_smr_keeps_only_the_undecided_instance(self, sim_parties):
+        from repro.scenarios import get_scenario, run_scenario
+
+        result = run_scenario(get_scenario("equivocate-smr"), backend="sim")
+        assert result.completed
+        (parties,) = sim_parties
+        honest = [p for p in parties.values() if isinstance(p, SmrParty)]
+        logs = {tuple(party.ordered_log(0)) for party in honest}
+        assert len(logs) == 1  # one payload per instance, the same everywhere
+        decided = {(0, proposer) for proposer, _ in next(iter(logs))}
+        assert len(decided) == N - 1  # all but the equivocator's own
+        for party in honest:
+            assert self._pending(party).isdisjoint(decided)
+
+    def test_crash_restarted_replica_still_rejoins_and_commits(self, sim_parties):
+        from repro.scenarios import get_scenario, run_scenario
+
+        result = run_scenario(get_scenario("crash-restart-smr"), backend="sim")
+        assert result.completed
+        (parties,) = sim_parties
+        reborn = parties[2]
+        assert reborn.restarts == 1 and reborn.recovered_from_peers > 0
+        assert {epoch: len(log) for epoch, log in reborn.committed.items()} == {
+            0: N,
+            1: N,
+        }
+        # instances it delivered itself after the restart are forgotten
+        assert self._pending(reborn).isdisjoint(reborn._delivered)
+        assert all(self._pending(parties[pid]) == set() for pid in parties if pid != 2)

@@ -209,13 +209,11 @@ class IncrementalSolver:
     probe.  This solver keeps the previous epoch's
     :class:`~repro.core.prices.PriceStream` and, when at most
     ``max_delta`` parties changed, runs the *same* binary search on a
-    patched stream (see :meth:`PriceStream.patched`) with holder-only
-    sparse checks.
+    patched stream (see :meth:`PriceStream.patched`).
 
     The result is equal to a cold solve **by construction**: the patched
     stream enumerates bitwise-identical picks, so every probe sees the
-    same assignment, every checker verdict matches (sparse checks are
-    exact restrictions of the dense ones), and the search walks the same
+    same holders, every checker verdict matches, and the search walks the same
     ``lo``/``hi`` path to the same family member.  This matters because
     family validity is *not* monotone in the total -- a warm-started
     search from the previous answer can land on a different local
@@ -252,6 +250,7 @@ class IncrementalSolver:
         self._c = self._effective.rounding_constant
         self._raw: Optional[list] = None
         self._stream: Optional[PriceStream] = None
+        self._assignment: Optional[TicketAssignment] = None
         #: ``"cold"`` or ``"incremental"`` -- how the last solve ran
         self.last_mode: Optional[str] = None
         #: parties whose weight differed from the cached epoch (cold: n)
@@ -305,12 +304,13 @@ class IncrementalSolver:
             self.last_mode = "cold"
             self.last_changed = len(raw)
         self.solves += 1
-        raw_result = self._swiper.solve(
-            self.problem,
-            stream.scaled,
-            stream=stream,
-            sparse=(self.last_mode == "incremental"),
-        )
+        raw_result = self._swiper.solve(self.problem, stream.scaled, stream=stream)
+        # Results outlive the solve: an epoch that moved no ticket hands
+        # back the previous epoch's object, not a second packed copy.
+        assignment = raw_result.assignment
+        if assignment == self._assignment:
+            assignment = self._assignment
+        self._assignment = assignment
         self._raw = raw
         self._stream = (
             stream.compact() if stream._chain >= self._MAX_CHAIN else stream
@@ -318,9 +318,7 @@ class IncrementalSolver:
         if self.verify:
             verdict = (
                 "valid"
-                if is_valid_assignment(
-                    self.problem, stream.scaled, raw_result.assignment
-                )
+                if is_valid_assignment(self.problem, stream.scaled, assignment)
                 else "invalid"
             )
         else:
@@ -328,9 +326,9 @@ class IncrementalSolver:
         return TicketAssignmentResult(
             problem=self.problem,
             policy="swiper",
-            assignment=raw_result.assignment,
+            assignment=assignment,
             bound=raw_result.ticket_bound,
-            achieved=raw_result.assignment.total,
+            achieved=assignment.total,
             verdict=verdict,
             elapsed_seconds=raw_result.elapsed_seconds,
             probes=raw_result.probes,

@@ -8,16 +8,21 @@ invocations out with quasilinear lower/upper bounds.
 
 This module provides three tiers, all decided *soundly*:
 
-1. exact big-integer DP on weights scaled by their common denominator
-   (the oracle; used directly for small instances and as a fallback);
-2. vectorized numpy DP on weights scaled to ``2**40`` relative precision,
-   run twice -- once with weights rounded *down* (enlarges the feasible
-   family: a "no" here is a certified no) and once rounded *up* (shrinks
-   it: a "yes" here is a certified yes); disagreements fall back to (1);
-3. quasilinear greedy bounds: the fractional (LP) relaxation as an upper
+1. quasilinear greedy bounds: the fractional (LP) relaxation as an upper
    bound and an integral greedy + best-single-item value as an achievable
    lower bound.  These implement the paper's conservative/liberal quick
-   checks.
+   checks and settle most probes;
+2. a vectorized numpy DP on weights scaled to ``2**40`` relative
+   precision, at every instance size: *one table* of minimum weights by
+   profit (:func:`min_weight_table`) that is read at as many capacities as
+   the caller has (:func:`max_profit_in`).  It is built on weights rounded
+   *down* (enlarges the feasible family: a "no" here is a certified no)
+   and, if that did not settle it, rounded *up* (shrinks it: a "yes" here
+   is a certified yes);
+3. exact big-integer DP on weights scaled by their common denominator
+   (:func:`min_weight_for_profit`, :func:`max_profit_under`), run only
+   when the two roundings of (2) disagree -- and the oracle the tests
+   hold (2) to.
 
 Every tier computes on the integers of one
 :class:`~repro.core.types.ScaledWeights` view -- item weights ``a_i``,
@@ -51,8 +56,9 @@ __all__ = [
     "scale_weights_rounded",
     "min_weight_for_profit",
     "max_profit_under",
+    "min_weight_table",
+    "max_profit_in",
     "min_weight_for_profit_numpy",
-    "max_profit_under_numpy",
     "density_order",
     "upper_bound",
     "lower_bound",
@@ -96,7 +102,7 @@ def scale_weights_rounded(
 
 
 # ---------------------------------------------------------------------------
-# Tier 1: exact dynamic programming by profits
+# The exact tier: dynamic programming by profits on big integers
 # ---------------------------------------------------------------------------
 
 
@@ -159,62 +165,66 @@ def max_profit_under(
 
 
 # ---------------------------------------------------------------------------
-# Tier 2: vectorized numpy DP on rounded integer weights
+# The rounded tier: one numpy table of minimum weights by profit
 # ---------------------------------------------------------------------------
+
+
+def min_weight_table(
+    weights64: np.ndarray, profits: Sequence[int], width: int
+) -> np.ndarray:
+    """``table[p]``, ``p = 0..width``: minimum total weight of a subset
+    with profit at least ``p`` (``2**62`` where no subset has).
+
+    The one DP by profits of the rounded tier, a vector operation per
+    item; ``weights64`` is ``int64`` (e.g. from
+    :func:`~repro.core.types.scale_ints_rounded`) and the entries are in
+    its units.  The table is non-decreasing and does not depend on any
+    capacity: :func:`max_profit_in` reads as many capacities off it as the
+    caller has.  A ``width`` below the total profit clips it -- entries
+    ``0..width`` are those of the full table.
+    """
+    dp = np.full(width + 1, _INT64_INF, dtype=np.int64)
+    dp[0] = 0
+    shifted = np.empty_like(dp)
+    reach = 0  # no subset of the items so far has a profit above this
+    for w, t in zip(weights64.tolist(), profits):
+        if t <= 0:
+            continue
+        reach = min(reach + t, width)
+        if t >= reach:
+            # Alone it reaches every profit any subset so far does.
+            np.minimum(dp[1 : reach + 1], w, out=dp[1 : reach + 1])
+            continue
+        # dp[p] = min(dp[p], dp[max(p - t, 0)] + w), and dp[0] is 0.
+        shifted[:t] = w
+        np.add(dp[: reach + 1 - t], w, out=shifted[t : reach + 1])
+        np.minimum(dp[: reach + 1], shifted[: reach + 1], out=dp[: reach + 1])
+    return dp
+
+
+def max_profit_in(table: np.ndarray, cap: int) -> int:
+    """Largest ``p`` with ``table[p] <= cap``: the maximum profit of a
+    subset of weight at most ``cap``, or the table's width if that is
+    smaller.  ``cap < 0`` admits no subset and gives ``0``, the convention
+    of :func:`max_profit_under`."""
+    if cap < 0:
+        return 0
+    return int(np.searchsorted(table, cap, side="right")) - 1
 
 
 def min_weight_for_profit_numpy(
     weights64: np.ndarray, profits: Sequence[int], target: int
 ) -> Optional[int]:
-    """Numpy counterpart of :func:`min_weight_for_profit`.
-
-    ``weights64`` must come from :func:`scale_weights_rounded`; the result
-    is in the same scaled units.
-    """
+    """Numpy counterpart of :func:`min_weight_for_profit`: the last entry
+    of the table of width ``target``, in the units of ``weights64``."""
     if target <= 0:
         return 0
-    dp = np.full(target + 1, _INT64_INF, dtype=np.int64)
-    dp[0] = 0
-    shifted = np.empty_like(dp)
-    for w, t in zip(weights64.tolist(), profits):
-        if t <= 0:
-            continue
-        if t >= target:
-            # Taking this item alone reaches the target from dp[0].
-            if w < dp[target]:
-                dp[target] = w
-            continue
-        shifted[:t] = dp[0] + w
-        shifted[t:] = dp[:-t] + w
-        np.minimum(dp, shifted, out=dp)
-    result = int(dp[target])
+    result = int(min_weight_table(weights64, profits, target)[target])
     return None if result >= int(_INT64_INF) else result
 
 
-def max_profit_under_numpy(
-    weights64: np.ndarray, profits: Sequence[int], cap: int
-) -> int:
-    """Numpy counterpart of :func:`max_profit_under` (scaled units)."""
-    if cap < 0:
-        return 0
-    total_profit = sum(t for t in profits if t > 0)
-    if total_profit == 0:
-        return 0
-    dp = np.full(total_profit + 1, _INT64_INF, dtype=np.int64)
-    dp[0] = 0
-    shifted = np.empty_like(dp)
-    for w, t in zip(weights64.tolist(), profits):
-        if t <= 0:
-            continue
-        shifted[:t] = dp[0] + w
-        shifted[t:] = dp[:-t] + w
-        np.minimum(dp, shifted, out=dp)
-    feasible = np.nonzero(dp <= np.int64(cap))[0]
-    return int(feasible[-1]) if feasible.size else 0
-
-
 # ---------------------------------------------------------------------------
-# Tier 3: quasilinear greedy bounds (the paper's quick checks)
+# The quasilinear tier: greedy bounds (the paper's quick checks)
 # ---------------------------------------------------------------------------
 
 
@@ -228,10 +238,12 @@ def density_order(
     view's ``shift`` is) for the integer keys to order exactly.  Zero-weight
     profit-bearing items have infinite density and come first.
     """
-    free = [i for i, t in enumerate(profits) if t > 0 and not int_weights[i]]
-    priced = [i for i, t in enumerate(profits) if t > 0 and int_weights[i]]
-    priced.sort(key=lambda i: (profits[i] << shift) // int_weights[i], reverse=True)
-    return free + priced
+    bearing = [i for i, t in enumerate(profits) if t > 0]
+    free = [i for i in bearing if not int_weights[i]]
+    priced = [i for i in bearing if int_weights[i]] if free else bearing
+    keys = [(profits[i] << shift) // int_weights[i] for i in priced]
+    by_density = sorted(range(len(priced)), key=keys.__getitem__, reverse=True)
+    return free + [priced[k] for k in by_density]
 
 
 def upper_bound(

@@ -84,6 +84,13 @@ class SwiperResult:
         return self.assignment.holders
 
 
+def _probe(stream: PriceStream, checker, total: int) -> bool:
+    """Is the family member with ``total`` tickets valid?  Decided on its
+    holders (``O(total)`` to list them), never on a dense ``n``-vector."""
+    indices, counts = stream.sparse_counts(total)
+    return checker.check_sparse(indices, counts, total)
+
+
 class Swiper:
     """Deterministic approximate solver for WR / WQ / WS.
 
@@ -108,7 +115,6 @@ class Swiper:
         weights: "Iterable[Number] | ScaledWeights",
         *,
         stream: Optional[PriceStream] = None,
-        sparse: bool = False,
     ) -> SwiperResult:
         """Solve ``problem`` on ``weights``; deterministic for fixed input.
 
@@ -121,10 +127,10 @@ class Swiper:
         ``weights`` is used as is) and the price stream and the checker
         both read that one view.  ``stream`` injects a pre-built (e.g.
         patched, see :meth:`PriceStream.patched`) price stream for these
-        exact weights; ``sparse`` probes the checker through its
-        holder-only entry point.  Both are pure accelerations: the probe
-        sequence, every verdict, and the final assignment are identical to
-        the default path.
+        exact weights -- a pure acceleration: the probe sequence, every
+        verdict, and the final assignment are identical to the default
+        path.  Every probe is judged on its holders alone; the dense
+        ``n``-vector is built once, for the assignment returned.
         """
         start = time.perf_counter()
         view = ScaledWeights.of(weights)
@@ -160,12 +166,7 @@ class Swiper:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             probes += 1
-            if sparse:
-                indices, counts = stream.sparse_counts(mid)
-                ok = checker.check_sparse(indices, counts, mid)
-            else:
-                ok = checker.check(stream.assignment(mid), mid)
-            if ok:
+            if _probe(stream, checker, mid):
                 hi = mid
             else:
                 lo = mid
@@ -224,9 +225,8 @@ def solve_with_constant(
     hi = problem.ticket_bound(n)
     probes = 0
     for _ in range(max_doublings):
-        tickets = stream.assignment(hi)
         probes += 1
-        if checker.check(tickets, hi):
+        if _probe(stream, checker, hi):
             break
         hi *= 2
     else:
@@ -234,9 +234,8 @@ def solve_with_constant(
     lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        tickets = stream.assignment(mid)
         probes += 1
-        if checker.check(tickets, mid):
+        if _probe(stream, checker, mid):
             hi = mid
         else:
             lo = mid

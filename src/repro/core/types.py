@@ -140,7 +140,7 @@ class ScaledWeights(Sequence):
     expected.  Treat ``ints`` as read-only.
     """
 
-    __slots__ = ("ints", "denom", "total", "shift", "_fractions", "_rounded")
+    __slots__ = ("ints", "denom", "total", "shift", "_fractions")
 
     def __init__(self, weights: Iterable[Number]) -> None:
         if isinstance(weights, (tuple, list)) and all(type(w) is int for w in weights):
@@ -169,7 +169,6 @@ class ScaledWeights(Sequence):
         self.total = total
         self.shift = shift
         self._fractions = fractions
-        self._rounded: dict[bool, np.ndarray] = {}
 
     @classmethod
     def of(cls, weights: "Iterable[Number] | ScaledWeights") -> "ScaledWeights":
@@ -222,17 +221,6 @@ class ScaledWeights(Sequence):
             denom = self.denom
             self._fractions = tuple(Fraction(a, denom) for a in self.ints)
         return self._fractions
-
-    def rounded(self, *, round_up: bool) -> np.ndarray:
-        """Weights scaled to ``w_i * 2**SCALE_BITS / W`` as ``int64``,
-        rounded down (never overstates a subset's weight, so every truly
-        feasible subset stays feasible) or up (every subset feasible after
-        scaling is truly feasible)."""
-        if round_up not in self._rounded:
-            self._rounded[round_up] = scale_ints_rounded(
-                self.ints, 1 << SCALE_BITS, self.total, round_up=round_up
-            )
-        return self._rounded[round_up]
 
     def __len__(self) -> int:
         return len(self.ints)

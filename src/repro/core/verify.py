@@ -7,8 +7,13 @@ the paper's architecture on top of :mod:`repro.core.knapsack`:
 
 * a *quick test* built from quasilinear bounds that answers
   ``VALID`` / ``INVALID`` / ``UNCERTAIN`` (conservative + liberal checks);
-* a *full test* that resolves ``UNCERTAIN`` with dynamic programming --
-  first the sound two-sided numpy tier, then the exact big-integer tier.
+* a *full test* that resolves ``UNCERTAIN`` with dynamic programming, at
+  every instance size on one numpy table of minimum weights by profit
+  over the probe's holders.  The table is built on weights rounded down
+  and certifies "valid" as it stands and "invalid" with a margin of one
+  unit per holder (what rounding up could add); a second table, on
+  weights rounded up, is built only inside that margin, and the exact
+  big-integer DP only if the two still disagree.
 
 The checkers compute on the integers of one
 :class:`~repro.core.types.ScaledWeights` view: capacities ``alpha * W`` as
@@ -38,14 +43,9 @@ from .problems import (
     WeightRestriction,
     WeightSeparation,
 )
-from .types import Number, ScaledWeights
+from .types import SCALE_BITS, Number, ScaledWeights, scale_ints_rounded
 
 __all__ = ["Verdict", "CheckStats", "RestrictionChecker", "SeparationChecker", "make_checker"]
-
-#: Instances with ``n * profit_range`` at most this many DP cells skip the
-#: rounded numpy tier and run the exact DP directly (it is fast enough and
-#: avoids any fallback bookkeeping).
-_EXACT_DP_CELL_LIMIT = 2_000_000
 
 
 class Verdict(enum.Enum):
@@ -138,14 +138,14 @@ class _Checker:
             cap.numerator,
             cap.denominator,
             knapsack.strict_cap_int(cap),
-            knapsack.strict_cap_int(share * (1 << knapsack.SCALE_BITS)),
+            knapsack.strict_cap_int(share * (1 << SCALE_BITS)),
         )
 
     def quick(self, tickets: Sequence[int], total: int) -> Verdict:
         """Three-valued quick test from the greedy knapsack bounds."""
         indices, counts = _holders(tickets)
         ints = self.scaled.ints
-        return self._quick([ints[i] for i in indices], counts, total)
+        return self._quick([ints[i] for i in indices], counts, total)[0]
 
     def _decide(
         self, indices: Sequence[int], counts: Sequence[int], total: int
@@ -155,8 +155,9 @@ class _Checker:
             return False
         ints = self.scaled.ints
         held = [ints[i] for i in indices]
+        reach = None
         if self.use_quick_test:
-            verdict = self._quick(held, counts, total)
+            verdict, reach = self._quick(held, counts, total)
             if verdict is Verdict.VALID:
                 self.stats.quick_valid += 1
                 return True
@@ -168,12 +169,16 @@ class _Checker:
             # Conservative: cannot certify validity quasilinearly, reject.
             return False
         self.stats.dp_calls += 1
-        return self._full(indices, held, counts, total)
+        return self._full(held, counts, total, reach)
 
-    def _rounded_holders(self, indices: Sequence[int], *, round_up: bool) -> np.ndarray:
-        """The holders' weights in the numpy tier's units, rounded down
-        (enlarges the feasible family) or up (shrinks it)."""
-        return self.scaled.rounded(round_up=round_up)[np.asarray(indices, dtype=np.intp)]
+    def _rounded(self, held: Sequence[int], *, round_up: bool) -> np.ndarray:
+        """The holders' weights scaled to ``w_i * 2**SCALE_BITS / W`` as
+        ``int64``, rounded down (never overstates a subset's weight, so
+        every truly feasible subset stays feasible) or up (every subset
+        feasible after scaling is truly feasible)."""
+        return scale_ints_rounded(
+            held, 1 << SCALE_BITS, self.scaled.total, round_up=round_up
+        )
 
 
 class RestrictionChecker(_Checker):
@@ -212,43 +217,45 @@ class RestrictionChecker(_Checker):
         """Smallest ticket count that would violate ``t(S) < alpha_n * T``."""
         return _ceil_ratio(self.problem.alpha_n, total)
 
-    def _quick(self, held: list[int], counts: Sequence[int], total: int) -> Verdict:
+    def _quick(
+        self, held: list[int], counts: Sequence[int], total: int
+    ) -> tuple[Verdict, None]:
         target = self.violation_target(total)
         cap = self._cap
         order = knapsack.density_order(held, counts, self.scaled.shift)
         if knapsack.upper_bound(held, counts, order, cap.num, cap.den) < target:
-            return Verdict.VALID
+            return Verdict.VALID, None
         if knapsack.lower_bound(held, counts, order, cap.num, cap.den) >= target:
-            return Verdict.INVALID
-        return Verdict.UNCERTAIN
+            return Verdict.INVALID, None
+        return Verdict.UNCERTAIN, None
 
     def _full(
-        self,
-        indices: Sequence[int],
-        held: list[int],
-        counts: Sequence[int],
-        total: int,
+        self, held: list[int], counts: Sequence[int], total: int, reach: None
     ) -> bool:
         """No subset with ``w(S) < capacity`` reaches the violation target.
 
-        Decided soundly: small instances run the exact DP; large ones run
-        the two rounded numpy passes and fall back to exact arithmetic only
-        if the passes disagree.
+        Decided soundly by the last entry of one table of width ``target``
+        on weights rounded down; a second one, rounded up, only when the
+        first lands within a unit per holder of the capacity, and exact
+        arithmetic only if the two roundings disagree.
         """
         target = self.violation_target(total)
         cap = self._cap
-        if len(counts) * target > _EXACT_DP_CELL_LIMIT:
-            down = self._rounded_holders(indices, round_up=False)
-            mw = knapsack.min_weight_for_profit_numpy(down, counts, target)
-            if mw is None or mw > cap.strict_rounded:
-                # Even with under-stated weights no subset violates.
-                return True
-            up = self._rounded_holders(indices, round_up=True)
-            mw = knapsack.min_weight_for_profit_numpy(up, counts, target)
-            if mw is not None and mw <= cap.strict_rounded:
-                # With over-stated weights a violating subset exists.
-                return False
-            self.stats.exact_fallbacks += 1
+        down = self._rounded(held, round_up=False)
+        mw = knapsack.min_weight_for_profit_numpy(down, counts, target)
+        if mw is None or mw > cap.strict_rounded:
+            # Even with under-stated weights no subset violates.
+            return True
+        if mw + len(held) <= cap.strict_rounded:
+            # Rounding up adds at most one unit per holder, so the same
+            # subset violates with over-stated weights as well.
+            return False
+        up = self._rounded(held, round_up=True)
+        mw = knapsack.min_weight_for_profit_numpy(up, counts, target)
+        if mw is not None and mw <= cap.strict_rounded:
+            # With over-stated weights a violating subset exists.
+            return False
+        self.stats.exact_fallbacks += 1
         mw = knapsack.min_weight_for_profit(held, counts, target)
         return mw is None or mw > cap.strict
 
@@ -292,47 +299,81 @@ class SeparationChecker(_Checker):
         #: the two strict capacities ``alpha * W`` and ``(1 - beta) * W``
         self._caps = (self._capacity(problem.alpha), self._capacity(1 - problem.beta))
 
-    def _quick(self, held: list[int], counts: Sequence[int], total: int) -> Verdict:
-        low, high = self._caps
+    def _reach(
+        self, held: list[int], counts: Sequence[int], order: Sequence[int]
+    ) -> list[Fraction]:
+        """The LP bound on ``K`` at each of the two capacities."""
+        return [
+            knapsack.upper_bound(held, counts, order, cap.num, cap.den)
+            for cap in self._caps
+        ]
+
+    def _quick(
+        self, held: list[int], counts: Sequence[int], total: int
+    ) -> tuple[Verdict, Fraction]:
         order = knapsack.density_order(held, counts, self.scaled.shift)
-        upper = knapsack.upper_bound(
-            held, counts, order, low.num, low.den
-        ) + knapsack.upper_bound(held, counts, order, high.num, high.den)
-        if upper < total:
-            return Verdict.VALID
-        lower = knapsack.lower_bound(
-            held, counts, order, low.num, low.den
-        ) + knapsack.lower_bound(held, counts, order, high.num, high.den)
+        uppers = self._reach(held, counts, order)
+        reach = max(uppers)
+        if sum(uppers) < total:
+            return Verdict.VALID, reach
+        lower = sum(
+            knapsack.lower_bound(held, counts, order, cap.num, cap.den)
+            for cap in self._caps
+        )
         if lower >= total:
-            return Verdict.INVALID
-        return Verdict.UNCERTAIN
+            return Verdict.INVALID, reach
+        return Verdict.UNCERTAIN, reach
 
     def _full(
         self,
-        indices: Sequence[int],
         held: list[int],
         counts: Sequence[int],
         total: int,
+        reach: Optional[Fraction],
     ) -> bool:
-        if len(counts) * total > _EXACT_DP_CELL_LIMIT:
-            # Rounded-down weights enlarge the feasible family => upper bounds.
-            down = self._rounded_holders(indices, round_up=False)
-            if sum(
-                knapsack.max_profit_under_numpy(down, counts, cap.strict_rounded)
-                for cap in self._caps
-            ) < total:
-                return True
-            # Rounded-up weights shrink it => achievable lower bounds.
-            up = self._rounded_holders(indices, round_up=True)
-            if sum(
-                knapsack.max_profit_under_numpy(up, counts, cap.strict_rounded)
-                for cap in self._caps
-            ) >= total:
-                return False
-            self.stats.exact_fallbacks += 1
+        """``K(alpha) + K(1 - beta) < T``, both read off one table.
+
+        The table of minimum weights by profit does not depend on the
+        capacity, so it is built once and read at both.  It is no wider
+        than ``reach``, the LP bound at the larger of the two capacities
+        (the bound grows with the capacity, and the two are not ordered:
+        ``alpha > 1 - beta`` is allowed): no subset under either capacity
+        collects more, so a reading of the rounded-down table stays an
+        upper bound on ``K`` when clipped there, and a reading that is a
+        lower bound on ``K`` never reaches the clip.
+        """
+        if reach is None:  # no quick test ran on this probe
+            order = knapsack.density_order(held, counts, self.scaled.shift)
+            reach = max(self._reach(held, counts, order))
+        width = min(total, reach.numerator // reach.denominator)
+        # Rounded-down weights enlarge the feasible family => upper bounds.
+        table = knapsack.min_weight_table(
+            self._rounded(held, round_up=False), counts, width
+        )
+        if self._tickets_within(table) < total:
+            return True
+        # Rounding up adds at most one unit per holder: a subset that fits
+        # with that much room to spare fits with over-stated weights too.
+        if self._tickets_within(table, spare=len(held)) >= total:
+            return False
+        # Rounded-up weights shrink the family => achievable lower bounds.
+        table = knapsack.min_weight_table(
+            self._rounded(held, round_up=True), counts, width
+        )
+        if self._tickets_within(table) >= total:
+            return False
+        self.stats.exact_fallbacks += 1
         return sum(
             knapsack.max_profit_under(held, counts, cap.strict) for cap in self._caps
         ) < total
+
+    def _tickets_within(self, table: np.ndarray, spare: int = 0) -> int:
+        """``K(alpha) + K(1 - beta)`` as ``table`` has them, each capacity
+        lowered by ``spare`` units of the rounded scale."""
+        return sum(
+            knapsack.max_profit_in(table, cap.strict_rounded - spare)
+            for cap in self._caps
+        )
 
     def check(self, tickets: Sequence[int], total: Optional[int] = None) -> bool:
         """Decide viability of ``tickets`` for this WS instance."""

@@ -158,6 +158,51 @@ class TestFallbacks:
         assert again.assignment.tickets == first.assignment.tickets
 
 
+class TestResultsOutliveTheSolve:
+    """A caller that keeps one result per epoch pays for an assignment
+    once per *change* of the tickets, not once per epoch."""
+
+    def test_an_epoch_that_moves_no_ticket_returns_the_same_object(self):
+        base = _zipf_weights(200)
+        solver = IncrementalSolver(PROBLEM)
+        first = solver.solve(base)
+        # The lightest party gains a unit of stake: it holds no ticket
+        # before or after.
+        light = min(range(len(base)), key=base.__getitem__)
+        drifted = tuple(w + (i == light) for i, w in enumerate(base))
+        second = solver.solve(drifted)
+        assert solver.last_mode == "incremental" and solver.last_changed == 1
+        assert second.assignment is first.assignment
+        assert solver.solve(drifted).assignment is first.assignment
+        cold = _cold(drifted)
+        assert (second.assignment, second.achieved, second.probes) == (
+            cold.assignment,
+            cold.achieved,
+            cold.probes,
+        )
+
+    def test_an_epoch_that_moves_a_ticket_returns_a_fresh_object(self):
+        base = _zipf_weights(200)
+        solver = IncrementalSolver(PROBLEM)
+        first = solver.solve(base)
+        kept = first.assignment.tickets
+        # The heaviest party sheds nine tenths of its stake.
+        heavy = max(range(len(base)), key=base.__getitem__)
+        moved = tuple(w // 10 if i == heavy else w for i, w in enumerate(base))
+        second = solver.solve(moved)
+        assert solver.last_mode == "incremental"
+        assert second.assignment is not first.assignment
+        assert second.assignment != first.assignment
+        assert second.assignment == _cold(moved).assignment
+        # The epoch before keeps what it was handed.
+        assert first.assignment.tickets == kept
+        # Back to the first epoch's weights: equal tickets, but the object
+        # remembered is the last epoch's, so this one is fresh too.
+        third = solver.solve(base)
+        assert third.assignment == first.assignment
+        assert third.assignment is not second.assignment
+
+
 class TestValidation:
     def test_zero_total_weight_raises(self):
         solver = IncrementalSolver(PROBLEM)

@@ -5,11 +5,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import table_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import knapsack
-from repro.core.types import normalize_weights
+from repro.core.types import SCALE_BITS, normalize_weights, scale_ints_rounded
 
 
 def brute_min_weight(weights, profits, target):
@@ -152,17 +153,13 @@ class TestNumpyDP:
             max_size=8,
         ),
         target=st.integers(min_value=0, max_value=20),
-        cap=st.integers(min_value=-1, max_value=3000),
     )
-    def test_agrees_with_exact_on_integer_weights(self, items, target, cap):
+    def test_agrees_with_exact_on_integer_weights(self, items, target):
         weights = np.array([w for w, _ in items], dtype=np.int64)
         profits = [p for _, p in items]
         got = knapsack.min_weight_for_profit_numpy(weights, profits, target)
         want = knapsack.min_weight_for_profit(weights.tolist(), profits, target)
         assert got == want
-        got_mp = knapsack.max_profit_under_numpy(weights, profits, cap)
-        want_mp = knapsack.max_profit_under(weights.tolist(), profits, cap)
-        assert got_mp == want_mp
 
     def test_single_item_reaching_target(self):
         weights = np.array([7, 3], dtype=np.int64)
@@ -171,6 +168,105 @@ class TestNumpyDP:
     def test_unreachable_returns_none(self):
         weights = np.array([7], dtype=np.int64)
         assert knapsack.min_weight_for_profit_numpy(weights, [1], 3) is None
+
+
+_ITEMS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=0, max_value=6),
+    ),
+    min_size=0,
+    max_size=8,
+)
+
+
+class TestOneTableReadTwice:
+    """``min_weight_table`` + ``max_profit_in`` against the per-capacity
+    full-width DP they replaced and against the exact big-integer DP."""
+
+    def test_table_is_min_weight_by_profit(self):
+        table = knapsack.min_weight_table(
+            np.array([3, 2, 5], dtype=np.int64), [1, 1, 2], 4
+        )
+        assert table.tolist() == [0, 2, 5, 7, 10]
+
+    def test_width_zero_is_the_empty_set(self):
+        table = knapsack.min_weight_table(np.array([3], dtype=np.int64), [2], 0)
+        assert table.tolist() == [0]
+        assert knapsack.max_profit_in(table, 10) == 0
+        assert knapsack.max_profit_in(table, -1) == 0
+
+    def test_single_item_worth_more_than_the_width(self):
+        table = knapsack.min_weight_table(np.array([3], dtype=np.int64), [5], 2)
+        assert table.tolist() == [0, 3, 3]
+        assert knapsack.max_profit_in(table, 2) == 0
+        assert knapsack.max_profit_in(table, 3) == 2  # clipped at the width
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        items=_ITEMS,
+        width=st.integers(min_value=0, max_value=50),
+        caps=st.tuples(
+            st.integers(min_value=-1, max_value=3000),
+            st.integers(min_value=-1, max_value=3000),
+        ),
+    )
+    def test_clipped_table_reads_the_clipped_optimum(self, items, width, caps):
+        """Any width, either order of the two capacities: one table gives
+        ``min(K(cap), width)`` at both."""
+        weights = np.array([w for w, _ in items], dtype=np.int64)
+        profits = [p for _, p in items]
+        table = knapsack.min_weight_table(weights, profits, width)
+        assert len(table) == width + 1
+        assert (np.diff(table) >= 0).all()
+        for cap in caps:
+            exact = knapsack.max_profit_under(weights.tolist(), profits, cap)
+            assert table_oracle.max_profit_under_numpy(weights, profits, cap) == exact
+            assert knapsack.max_profit_in(table, cap) == min(exact, width)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        items=_ITEMS.filter(lambda items: any(w for w, _ in items)),
+        shares=st.tuples(
+            st.fractions(min_value=0, max_value=1),
+            st.fractions(min_value=0, max_value=1),
+        ),
+    )
+    def test_both_roundings_clipped_at_the_lp_bound(self, items, shares):
+        """What the separation checker does per probe: weights rounded to
+        ``2**40 / W`` down and up, the table no wider than the LP bound at
+        the larger capacity, read at both.  The clip changes neither
+        rounding's reading unless that reading was above ``K`` anyway, the
+        two readings bracket the exact ``K``, and the rounded-down table
+        read one unit per item lower never reads above the rounded-up."""
+        ints = [w for w, _ in items]
+        profits = [p for _, p in items]
+        total = sum(ints)
+        order = knapsack.density_order(ints, profits, 2 * max(ints).bit_length())
+        caps = [share * total for share in shares]
+        width = max(
+            int(knapsack.upper_bound(ints, profits, order, c.numerator, c.denominator))
+            for c in caps
+        )
+        down, up = (
+            scale_ints_rounded(ints, 1 << SCALE_BITS, total, round_up=round_up)
+            for round_up in (False, True)
+        )
+        tables = [knapsack.min_weight_table(w64, profits, width) for w64 in (down, up)]
+        for share, exact_cap in zip(shares, caps):
+            exact = knapsack.max_profit_under(
+                ints, profits, knapsack.strict_cap_int(exact_cap)
+            )
+            cap = knapsack.strict_cap_int(share * (1 << SCALE_BITS))
+            read_down, read_up = (knapsack.max_profit_in(t, cap) for t in tables)
+            assert read_down == min(
+                table_oracle.max_profit_under_numpy(down, profits, cap), width
+            )
+            assert read_up == table_oracle.max_profit_under_numpy(up, profits, cap)
+            assert read_up <= exact <= read_down
+            # A unit per item is all that rounding up can add: what fits
+            # the rounded-down table with that much to spare fits both.
+            assert knapsack.max_profit_in(tables[0], cap - len(ints)) <= read_up
 
 
 class TestGreedyBounds:

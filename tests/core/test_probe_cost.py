@@ -1,0 +1,100 @@
+"""What a probe may cost, as assertions on the ledger's own cells.
+
+``solve-chains`` times ten cold solves on chain snapshots.  These tests
+run the same ten and hold the counts the timings rest on: the binary
+search examines the same family members it always did (the family is not
+monotone -- a different probe sequence can end on a different local
+minimum), every probe is judged on its holders and never on a dense
+``n``-vector, a probe the quick test leaves uncertain builds one DP table
+however many capacities read it (a second only at the edge of the
+rounding), and none of it depends on the quick test having run.
+"""
+
+from unittest import mock
+
+import pytest
+
+from repro.core import (
+    Swiper,
+    WeightQualification,
+    WeightRestriction,
+    WeightSeparation,
+    knapsack,
+)
+from repro.core.prices import PriceStream
+from repro.core.verify import SeparationChecker
+from repro.datasets import load_chain
+
+PROBLEMS = {
+    "wr": WeightRestriction("1/3", "1/2"),
+    "wq": WeightQualification("1/3", "1/4"),
+    "ws": WeightSeparation("1/3", "1/2"),
+}
+
+#: (chain, problem) -> (family members examined, tickets of the answer)
+LEDGER_CELLS = {
+    ("aptos", "wr"): (7, 63),
+    ("aptos", "wq"): (9, 139),
+    ("aptos", "ws"): (9, 156),
+    ("tezos", "wr"): (9, 125),
+    ("tezos", "wq"): (10, 439),
+    ("tezos", "ws"): (10, 409),
+    ("filecoin", "wr"): (12, 1683),
+    ("filecoin", "wq"): (14, 6811),
+    ("filecoin", "ws"): (13, 6553),
+    ("algorand", "wr"): (16, 97),
+}
+
+
+@pytest.mark.parametrize("chain, problem", LEDGER_CELLS)
+def test_ledger_cells_examine_the_same_family_members(chain, problem):
+    """Same probes, same answer, and the one dense ``n``-vector of a solve
+    is the assignment it returns (algorand: 42 920 parties, 16 probes of
+    under a hundred holders each)."""
+    weights = load_chain(chain).weights
+    with mock.patch.object(
+        PriceStream, "assignment", autospec=True, side_effect=PriceStream.assignment
+    ) as dense:
+        result = Swiper().solve(PROBLEMS[problem], weights)
+    assert (result.probes, result.total_tickets) == LEDGER_CELLS[chain, problem]
+    assert dense.call_count == 1
+    assert len(result.assignment) == len(weights)
+
+
+def test_filecoin_ws_builds_at_most_two_tables_per_dp_probe():
+    """One table serves both capacities, and a second (rounded up) is
+    built only for a probe within a unit per holder of a capacity: none
+    on this snapshot."""
+    builds = mock.Mock(wraps=knapsack.min_weight_table)
+    per_probe = []
+    full = SeparationChecker._full
+
+    def counted_full(self, *args):
+        before = builds.call_count
+        verdict = full(self, *args)
+        per_probe.append(builds.call_count - before)
+        return verdict
+
+    with mock.patch.object(knapsack, "min_weight_table", builds), mock.patch.object(
+        SeparationChecker, "_full", counted_full
+    ):
+        result = Swiper().solve(PROBLEMS["ws"], load_chain("filecoin").weights)
+    assert len(per_probe) == result.stats.dp_calls > 0
+    assert result.stats.exact_fallbacks == 0
+    assert all(1 <= count <= 2 for count in per_probe), per_probe
+    assert per_probe.count(2) == 0
+    # ... each clipped at its probe's LP bound, well short of its tickets.
+    widths = [call.args[2] for call in builds.call_args_list]
+    assert max(widths) < result.total_tickets
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_dp_verdicts_do_not_depend_on_the_quick_test(problem):
+    """With the quick test off every probe goes to the DP, which must then
+    find its own table width: same probes, same assignment."""
+    weights = load_chain("tezos").weights
+    with_quick = Swiper().solve(PROBLEMS[problem], weights)
+    without = Swiper(use_quick_test=False).solve(PROBLEMS[problem], weights)
+    assert without.assignment == with_quick.assignment
+    assert without.probes == with_quick.probes
+    assert without.stats.dp_calls == without.probes >= with_quick.stats.dp_calls

@@ -13,6 +13,7 @@ from repro.core.types import (
     TicketAssignment,
     as_fraction,
     normalize_weights,
+    scale_ints_rounded,
     weight_of,
 )
 
@@ -143,8 +144,10 @@ class TestScaledWeights:
 
     def test_rounded_scalings_bracket_the_exact_value(self):
         view = ScaledWeights([Fraction(1, 3), Fraction(2, 3), 1, 0])
-        down, up = view.rounded(round_up=False), view.rounded(round_up=True)
-        assert view.rounded(round_up=False) is down  # cached
+        down, up = (
+            scale_ints_rounded(view.ints, 1 << SCALE_BITS, view.total, round_up=round_up)
+            for round_up in (False, True)
+        )
         scale = Fraction(1 << SCALE_BITS) / sum(view)
         for i, w in enumerate(view):
             assert down[i] <= w * scale <= up[i]

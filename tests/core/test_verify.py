@@ -1,6 +1,7 @@
 """Tests for the validity checkers against the brute-force oracle."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from repro.core import (
     WeightRestriction,
     WeightSeparation,
     brute_force_valid,
+    knapsack,
     make_checker,
 )
 from repro.core.types import normalize_weights
@@ -174,6 +176,96 @@ class TestSeparationChecker:
         )
         checker = make_checker(problem, ws)
         assert checker.check(ts) == brute_force_valid(problem, ws, ts)
+
+
+    @pytest.mark.parametrize("use_quick_test", [False, True])
+    def test_table_width_follows_the_larger_capacity_not_the_second(
+        self, use_quick_test
+    ):
+        """``alpha W`` and ``(1 - beta) W`` are not ordered.  Here
+        ``alpha = 2/3 > 1 - beta = 1/4``: the LP bound is 1 ticket under
+        the first capacity and 1/2 under the second, so a DP table clipped
+        by the second would be 0 wide, read ``K = 0`` at both and call an
+        assignment valid whose only holder sits below ``alpha W``."""
+        problem = WeightSeparation("2/3", "3/4")
+        ws = normalize_weights([1, 1])
+        assert brute_force_valid(problem, ws, [1, 0]) is False
+        checker = make_checker(problem, ws, use_quick_test=use_quick_test)
+        assert checker.check([1, 0]) is False
+        assert checker.check_sparse([0], [1], 1) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.integers(min_value=0, max_value=50), min_size=1, max_size=8
+        ).filter(any),
+        data=st.data(),
+        alpha=st.sampled_from(["1/4", "1/3", "1/2", "2/3"]),
+        gap=st.sampled_from(["1/12", "1/4", "1/3"]),
+    )
+    def test_dp_alone_matches_oracle_at_any_capacity_order(
+        self, weights, data, alpha, gap
+    ):
+        """Quick test off: the verdict is the table's, whichever of the
+        two capacities is the larger."""
+        beta = Fraction(alpha) + Fraction(gap)
+        problem = WeightSeparation(alpha, min(beta, Fraction(99, 100)))
+        ws = normalize_weights(weights)
+        ts = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=4),
+                min_size=len(ws),
+                max_size=len(ws),
+            )
+        )
+        checker = make_checker(problem, ws, use_quick_test=False)
+        assert checker.check(ts) == brute_force_valid(problem, ws, ts)
+
+
+class TestRoundingLadder:
+    """The DP's three rungs, quick test off so each probe reaches it: one
+    rounded-down table settles whatever is a unit per holder clear of the
+    capacity, a rounded-up table is built only inside that margin, and the
+    exact DP only when the two roundings still disagree."""
+
+    @staticmethod
+    def _check(problem, weights, tickets):
+        checker = make_checker(problem, weights, use_quick_test=False)
+        with mock.patch.object(
+            knapsack, "min_weight_table", wraps=knapsack.min_weight_table
+        ) as builds:
+            verdict = checker.check(tickets)
+        assert verdict == brute_force_valid(problem, normalize_weights(weights), tickets)
+        return verdict, builds.call_count, checker.stats.exact_fallbacks
+
+    @pytest.mark.parametrize(
+        "problem",
+        [WeightRestriction("1/3", "1/2"), WeightSeparation("1/3", "1/2")],
+        ids=["wr", "ws"],
+    )
+    def test_one_table_certifies_a_clear_violation(self, problem):
+        # One party of four holds every ticket with a quarter of the weight.
+        assert self._check(problem, [1, 1, 1, 1], [1, 0, 0, 0]) == (False, 1, 0)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [WeightRestriction("1/3", "1/2"), WeightSeparation("1/3", "1/2")],
+        ids=["wr", "ws"],
+    )
+    def test_one_table_certifies_a_clear_pass(self, problem):
+        assert self._check(problem, [1, 1, 1, 1], [1, 1, 1, 1]) == (True, 1, 0)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [WeightRestriction("1/3", "1/2"), WeightSeparation("1/3", "2/3")],
+        ids=["wr", "ws"],
+    )
+    def test_a_holder_exactly_at_the_capacity_goes_to_the_exact_dp(self, problem):
+        """``w_0 = W / 3`` is not *below* the capacity ``W / 3``, but
+        ``2**40 / 3`` rounds down to a weight that fits and up to one
+        that does not: both tables are built, they disagree, and the
+        big-integer DP has the last word."""
+        assert self._check(problem, [1, 1, 1], [1, 0, 0]) == (True, 2, 1)
 
 
 class TestCheckStats:

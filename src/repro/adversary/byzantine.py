@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 from typing import Sequence
 
 from ..crypto.dleq import DleqProof, _challenge
@@ -24,8 +25,7 @@ from ..crypto.threshold_sig import SignatureShare
 __all__ = [
     "alt_payload",
     "make_silent",
-    "make_rbc_equivocator",
-    "make_smr_equivocator",
+    "make_equivocator",
     "make_garbler",
     "make_share_flooder",
     "forge_share",
@@ -48,70 +48,40 @@ def make_silent(party) -> None:
             setattr(party, entry, lambda *a, **k: None)
 
 
-def _split_send(party, groups, build_message) -> None:
-    """Send ``build_message(0)`` to group 0 and ``build_message(1)`` to
-    group 1 (node ids), instead of one honest broadcast."""
-    for half, dsts in enumerate(groups):
-        message = build_message(half)
-        for dst in dsts:
-            party.send(dst, message)
+def make_equivocator(party, groups: Sequence[Sequence[int]]) -> None:
+    """Equivocating sender: whenever the party broadcasts a SEND (its
+    class's first ``PHASES`` type -- always for its own instance), group 0
+    gets it and group 1 (node ids) gets a conflicting payload; its ECHO /
+    READY votes in every instance go out honestly."""
+    send_type = party.PHASES[0]
+    honest_broadcast = party.broadcast
+
+    def broadcast(message, **kwargs) -> None:
+        if not isinstance(message, send_type):
+            return honest_broadcast(message, **kwargs)
+        conflicting = replace(message, payload=alt_payload(message.payload))
+        for version, dsts in zip((message, conflicting), groups):
+            for dst in dsts:
+                party.send(dst, version)
+
+    party.broadcast = broadcast
 
 
-def make_rbc_equivocator(party, groups: Sequence[Sequence[int]]) -> None:
-    """Equivocating RBC sender: one payload to each weight-half."""
-    from ..protocols.reliable_broadcast import RbcSend
-
-    def broadcast_value(payload: bytes) -> None:
-        payloads = (payload, alt_payload(payload))
-        _split_send(party, groups, lambda half: RbcSend(payloads[half]))
-
-    party.broadcast_value = broadcast_value
-
-
-def make_smr_equivocator(party, groups: Sequence[Sequence[int]]) -> None:
-    """Equivocating SMR proposer: conflicting batches to the two halves
-    of its own RBC instance; other instances proceed honestly."""
-    from ..protocols.smr import BatchSend
-
-    def propose_batch(epoch: int, payload: bytes) -> None:
-        payloads = (payload, alt_payload(payload))
-        _split_send(
-            party,
-            groups,
-            lambda half: BatchSend(epoch=epoch, proposer=party.pid, payload=payloads[half]),
-        )
-
-    party.propose_batch = propose_batch
-
-
-def make_garbler(party, protocol: str) -> None:
+def make_garbler(party) -> None:
     """Wrong-payload voter: echoes a garbled copy of every SEND it sees
     (attacking the content-keyed vote maps) and withholds its honest
     echoes and readies entirely."""
-    if protocol == "rbc":
-        from ..protocols.reliable_broadcast import RbcEcho, RbcReady, RbcSend
+    send_type, echo_type, ready_type = party.PHASES
 
-        def handle_send(message, sender: int) -> None:
-            party.broadcast(RbcEcho(alt_payload(message.payload, "garble")))
+    def handle_send(message, sender: int) -> None:
+        # an ECHO has its SEND's fields: the instance tags, if any, and
+        # the payload
+        fields = dict(vars(message), payload=alt_payload(message.payload, "garble"))
+        party.broadcast(echo_type(**fields))
 
-        party.on(RbcSend, handle_send)
-        party.on(RbcEcho, lambda message, sender: None)
-        party.on(RbcReady, lambda message, sender: None)
-    else:
-        from ..protocols.smr import BatchEcho, BatchReady, BatchSend
-
-        def handle_send(message, sender: int) -> None:
-            party.broadcast(
-                BatchEcho(
-                    message.epoch,
-                    message.proposer,
-                    alt_payload(message.payload, "garble"),
-                )
-            )
-
-        party.on(BatchSend, handle_send)
-        party.on(BatchEcho, lambda message, sender: None)
-        party.on(BatchReady, lambda message, sender: None)
+    party.on(send_type, handle_send)
+    party.on(echo_type, lambda message, sender: None)
+    party.on(ready_type, lambda message, sender: None)
 
 
 def forge_share(scheme, message: bytes, index: int, rng: random.Random) -> SignatureShare:

@@ -137,10 +137,7 @@ class EquivocateStrategy(Strategy):
 
     def corrupt_party(self, party, pid: int) -> None:
         groups = weight_split(self.ctx.weights, range(len(self.ctx.weights)))
-        if self.ctx.protocol == "rbc":
-            byzantine.make_rbc_equivocator(party, groups)
-        else:
-            byzantine.make_smr_equivocator(party, groups)
+        byzantine.make_equivocator(party, groups)
 
 
 class GarbleEchoStrategy(Strategy):
@@ -155,7 +152,7 @@ class GarbleEchoStrategy(Strategy):
         return frozenset(heaviest_under(ctx.weights, ctx.f_w))
 
     def corrupt_party(self, party, pid: int) -> None:
-        byzantine.make_garbler(party, self.ctx.protocol)
+        byzantine.make_garbler(party)
 
 
 class PivotDelayStrategy(Strategy):

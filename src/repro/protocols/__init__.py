@@ -6,22 +6,13 @@ from .avid import AvidParty, fragment_digest
 from .checkpointing import CheckpointParty, CheckpointShare, CheckpointVote
 from .common_coin import BeaconParty, CoinShareMsg, ThresholdCoin
 from .ec_broadcast import EcParty, GarbageEcParty, OnlineDecoder
-from .reliable_broadcast import (
-    BroadcastParty,
-    EquivocatingSender,
-    RbcEcho,
-    RbcReady,
-    RbcSend,
-    SilentParty,
-)
+from .reliable_broadcast import BroadcastParty, RbcEcho, RbcReady, RbcSend
 from .smr import BatchSend, SmrParty, batch_position
 from .ssle import ElectionResult, SsleElection, chain_quality
 from .vaba import VabaParty, WeightedVabaRunner
 
 __all__ = [
     "BroadcastParty",
-    "EquivocatingSender",
-    "SilentParty",
     "RbcSend",
     "RbcEcho",
     "RbcReady",

@@ -218,10 +218,13 @@ class AvidParty(Party):
         self.broadcast(AvidEcho(message.commitment))
 
     def _handle_echo(self, message: AvidEcho, sender: int) -> None:
+        if self.stored_commitment is not None:
+            return  # the first store wins: a late echo changes nothing
         senders = self._echo_senders.setdefault(message.commitment, set())
         senders.add(sender)
-        if self.stored_commitment is None and self.quorums.storage_quorum(senders):
+        if self.quorums.storage_quorum(senders):
             self.stored_commitment = message.commitment
+            self._echo_senders.clear()
             self.bump("stored")
             if self.on_stored is not None:
                 self.on_stored(self.pid, message.commitment)

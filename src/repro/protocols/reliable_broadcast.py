@@ -3,8 +3,15 @@
 The canonical SEND / ECHO / READY protocol [Bracha-Toueg 1985]: totality
 and agreement come from quorum intersection, so the *same* code runs in
 the nominal model (count thresholds) and the weighted model (weighted
-voting) -- the paper's Section 1.2 observation.  Byzantine behaviors used
-by the tests live here too (equivocating sender, silent parties).
+voting) -- the paper's Section 1.2 observation.
+
+:class:`BrachaInstance` is the protocol: the state and the three rules of
+one broadcast instance at one party.  It builds and sends no message, so
+every protocol that runs Bracha holds instances and speaks its own wire
+format around them -- :class:`BroadcastParty` holds one, and
+:class:`~repro.protocols.smr.SmrParty` one per (epoch, proposer).
+Byzantine senders and voters are patched onto honest parties by
+:mod:`repro.adversary.byzantine`.
 """
 
 from __future__ import annotations
@@ -16,13 +23,80 @@ from ..sim.process import Party
 from ..weighted.quorum import QuorumPolicy
 
 __all__ = [
+    "BrachaInstance",
     "RbcSend",
     "RbcEcho",
     "RbcReady",
     "BroadcastParty",
-    "EquivocatingSender",
-    "SilentParty",
 ]
+
+
+class BrachaInstance:
+    """One broadcast instance at one party: who voted for which payload,
+    and what this party has said so far.
+
+    Each rule takes one received vote and answers what the party must now
+    do -- broadcast its ECHO, broadcast its READY, deliver ``payload`` --
+    each at most once.  The caller has already decided that the vote
+    belongs to this instance and that ``sender`` is who the transport
+    says it is.
+
+    Delivery ends the instance: the party has sent its READY by then and
+    the first delivery wins, so the sender sets are dropped and a late
+    vote returns before the quorum policy is consulted.
+    """
+
+    __slots__ = ("echoed", "readied", "delivered", "echo_senders", "ready_senders")
+
+    def __init__(self) -> None:
+        self.echoed = False
+        self.readied = False
+        self.delivered = False
+        #: payload -> senders of an ECHO / a READY for it; ``None`` once
+        #: the instance has delivered
+        self.echo_senders: Optional[dict[bytes, set[int]]] = {}
+        self.ready_senders: Optional[dict[bytes, set[int]]] = {}
+
+    def on_send(self) -> bool:
+        """A SEND arrived; ``True`` when the party must ECHO it (only
+        the first one is)."""
+        if self.echoed:
+            return False
+        self.echoed = True
+        return True
+
+    def on_echo(self, quorums: QuorumPolicy, payload: bytes, sender: int) -> bool:
+        """An ECHO arrived; ``True`` when the party must send READY."""
+        if self.delivered:
+            return False
+        senders = self.echo_senders.get(payload)
+        if senders is None:
+            senders = self.echo_senders[payload] = set()
+        senders.add(sender)
+        if self.readied or not quorums.echo_quorum(senders):
+            return False
+        self.readied = True
+        return True
+
+    def on_ready(
+        self, quorums: QuorumPolicy, payload: bytes, sender: int
+    ) -> tuple[bool, bool]:
+        """A READY arrived; ``(ready, deliver)``: whether the party must
+        send READY (amplification) and whether it must deliver."""
+        if self.delivered:
+            return False, False
+        senders = self.ready_senders.get(payload)
+        if senders is None:
+            senders = self.ready_senders[payload] = set()
+        senders.add(sender)
+        ready = not self.readied and quorums.ready_amplify(senders)
+        if ready:
+            self.readied = True
+        if not quorums.deliver_quorum(senders):
+            return ready, False
+        self.delivered = True
+        self.echo_senders = self.ready_senders = None
+        return ready, True
 
 
 @dataclass(frozen=True)
@@ -47,11 +121,14 @@ class RbcReady:
 
 
 class BroadcastParty(Party):
-    """An honest Bracha participant.
+    """An honest Bracha participant: one :class:`BrachaInstance`.
 
     ``delivered`` holds the delivered payload once totality triggers; the
     ``on_deliver`` callback (if any) fires exactly once.
     """
+
+    #: the wire types of the three phases, SEND / ECHO / READY
+    PHASES = (RbcSend, RbcEcho, RbcReady)
 
     def __init__(
         self,
@@ -64,10 +141,7 @@ class BroadcastParty(Party):
         self.quorums = quorums
         self.on_deliver = on_deliver
         self.delivered: Optional[bytes] = None
-        self._echoed = False
-        self._readied = False
-        self._echo_senders: dict[bytes, set[int]] = {}
-        self._ready_senders: dict[bytes, set[int]] = {}
+        self.instance = BrachaInstance()
         self.on(RbcSend, self._handle_send)
         self.on(RbcEcho, self._handle_echo)
         self.on(RbcReady, self._handle_ready)
@@ -78,47 +152,19 @@ class BroadcastParty(Party):
         self.broadcast(RbcSend(payload))
 
     def _handle_send(self, message: RbcSend, sender: int) -> None:
-        if not self._echoed:
-            self._echoed = True
+        if self.instance.on_send():
             self.broadcast(RbcEcho(message.payload))
 
     def _handle_echo(self, message: RbcEcho, sender: int) -> None:
-        senders = self._echo_senders.setdefault(message.payload, set())
-        senders.add(sender)
-        if not self._readied and self.quorums.echo_quorum(senders):
-            self._readied = True
+        if self.instance.on_echo(self.quorums, message.payload, sender):
             self.broadcast(RbcReady(message.payload))
 
     def _handle_ready(self, message: RbcReady, sender: int) -> None:
-        senders = self._ready_senders.setdefault(message.payload, set())
-        senders.add(sender)
-        if not self._readied and self.quorums.ready_amplify(senders):
-            self._readied = True
+        ready, deliver = self.instance.on_ready(self.quorums, message.payload, sender)
+        if ready:
             self.broadcast(RbcReady(message.payload))
-        if self.delivered is None and self.quorums.deliver_quorum(senders):
+        if deliver:
             self.delivered = message.payload
             self.bump("deliveries")
             if self.on_deliver is not None:
                 self.on_deliver(self.pid, message.payload)
-
-
-class EquivocatingSender(BroadcastParty):
-    """Byzantine sender: sends one payload to half the parties and a
-    different one to the rest.  Agreement must still hold among honest
-    receivers (at most one of the two can gather quorums)."""
-
-    def broadcast_two(self, payload_a: bytes, payload_b: bytes) -> None:
-        assert self.network is not None
-        ids = self.network.party_ids
-        half = len(ids) // 2
-        for dst in ids[:half]:
-            self.send(dst, RbcSend(payload_a))
-        for dst in ids[half:]:
-            self.send(dst, RbcSend(payload_b))
-
-
-class SilentParty(Party):
-    """Byzantine omission: receives everything, says nothing."""
-
-    def receive(self, message, sender: int) -> None:  # noqa: D401
-        return

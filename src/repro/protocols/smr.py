@@ -2,13 +2,15 @@
 
 HoneyBadger-style round structure: in every epoch each party reliably
 broadcasts its transaction batch (Bracha RBC, converted to the weighted
-model by weighted voting); the epoch's common coin (weighted via
-WR(1/3, 1/2), Section 4.1) fixes the ordering.  The paper's point is
-compositional: the broadcast layer keeps resilience ``f_w = 1/3`` through
-weighted voting/WQ, the randomness layer uses a nominal ``alpha_n = 1/2``
-threshold scheme behind WR, and the composed protocol keeps resilience
-1/3 -- "levelling the resilience of different parts without affecting
-the resilience of the composition".
+model by weighted voting: one
+:class:`~repro.protocols.reliable_broadcast.BrachaInstance` per
+(epoch, proposer), the same object an RBC party runs once); the epoch's
+common coin (weighted via WR(1/3, 1/2), Section 4.1) fixes the ordering.
+The paper's point is compositional: the broadcast layer keeps resilience
+``f_w = 1/3`` through weighted voting/WQ, the randomness layer uses a
+nominal ``alpha_n = 1/2`` threshold scheme behind WR, and the composed
+protocol keeps resilience 1/3 -- "levelling the resilience of different
+parts without affecting the resilience of the composition".
 
 Ordering rule: a committed batch's position within its epoch is a pure
 function of ``(proposer, coin, n)`` -- independent of which other batches
@@ -27,6 +29,7 @@ from typing import Callable, Optional
 
 from ..sim.process import Party
 from ..weighted.quorum import QuorumPolicy
+from .reliable_broadcast import BrachaInstance
 
 __all__ = ["BatchSend", "BatchEcho", "BatchReady", "SmrParty", "batch_position"]
 
@@ -77,10 +80,14 @@ def batch_position(proposer: int, coin_value: int, n: int) -> int:
 class SmrParty(Party):
     """One replica of the composed asynchronous SMR.
 
-    Runs one Bracha instance per (epoch, proposer) pair -- multiplexed by
-    tagging the message types with both ids.  ``ordered_log(epoch)``
-    returns the epoch's committed batches in coin order.
+    Runs one Bracha instance per (epoch, proposer) pair -- ``instances``,
+    multiplexed on the wire by tagging the message types with both ids.
+    ``ordered_log(epoch)`` returns the epoch's committed batches in coin
+    order.
     """
+
+    #: the wire types of the three phases, SEND / ECHO / READY
+    PHASES = (BatchSend, BatchEcho, BatchReady)
 
     def __init__(
         self,
@@ -98,14 +105,9 @@ class SmrParty(Party):
         self.on_commit = on_commit
         #: epoch -> {position -> (proposer, payload)}
         self.committed: dict[int, dict[int, tuple[int, bytes]]] = {}
-        self._echoed: set[tuple[int, int]] = set()
-        self._readied: set[tuple[int, int]] = set()
-        #: (epoch, proposer) -> {payload -> senders}, dropped once the
-        #: instance delivers: this replica has sent its READY by then and
-        #: the first commit wins, so later ECHO / READY change nothing
-        self._echo_senders: defaultdict = defaultdict(dict)
-        self._ready_senders: defaultdict = defaultdict(dict)
-        self._delivered: set[tuple[int, int]] = set()
+        #: (epoch, proposer) -> that broadcast's state at this replica,
+        #: made by the first message that names it
+        self.instances: defaultdict = defaultdict(BrachaInstance)
         self.on(BatchSend, self._handle_send)
         self.on(BatchEcho, self._handle_echo)
         self.on(BatchReady, self._handle_ready)
@@ -119,40 +121,26 @@ class SmrParty(Party):
     def _handle_send(self, message: BatchSend, sender: int) -> None:
         if sender != message.proposer:
             return  # only the proposer may originate its instance
-        key = (message.epoch, message.proposer)
-        if key not in self._echoed:
-            self._echoed.add(key)
+        if self.instances[message.epoch, message.proposer].on_send():
             self.broadcast(
                 BatchEcho(message.epoch, message.proposer, message.payload)
             )
 
     def _handle_echo(self, message: BatchEcho, sender: int) -> None:
-        key = (message.epoch, message.proposer)
-        if key in self._delivered:
-            return
-        senders = self._echo_senders[key].setdefault(message.payload, set())
-        senders.add(sender)
-        if key not in self._readied and self.quorums.echo_quorum(senders):
-            self._readied.add(key)
+        instance = self.instances[message.epoch, message.proposer]
+        if instance.on_echo(self.quorums, message.payload, sender):
             self.broadcast(
                 BatchReady(message.epoch, message.proposer, message.payload)
             )
 
     def _handle_ready(self, message: BatchReady, sender: int) -> None:
-        key = (message.epoch, message.proposer)
-        if key in self._delivered:
-            return
-        senders = self._ready_senders[key].setdefault(message.payload, set())
-        senders.add(sender)
-        if key not in self._readied and self.quorums.ready_amplify(senders):
-            self._readied.add(key)
+        instance = self.instances[message.epoch, message.proposer]
+        ready, deliver = instance.on_ready(self.quorums, message.payload, sender)
+        if ready:
             self.broadcast(
                 BatchReady(message.epoch, message.proposer, message.payload)
             )
-        if self.quorums.deliver_quorum(senders):
-            self._delivered.add(key)
-            self._echo_senders.pop(key, None)
-            del self._ready_senders[key]
+        if deliver:
             self._commit(message.epoch, message.proposer, message.payload)
 
     # -- commitment --------------------------------------------------------------

@@ -8,21 +8,22 @@ composed SMR protocol:
 * every commit is appended to a :class:`~repro.recovery.wal.WriteAheadLog`
   *before* it is applied (write-ahead), so a SIGKILL between fsync and
   apply loses at most the in-memory suffix, never corrupts the log;
-* on :meth:`restart` the replica wipes its volatile Bracha state,
-  replays the WAL's intact prefix, then broadcasts a
-  :class:`StateSyncRequest`; live peers answer with their committed
-  entries (and any stored checkpoint certificates) and keep *pushing*
-  each later commit to the requester, so instances whose ECHO/READY
-  traffic predates the crash still reach the recovered replica;
+* on :meth:`restart` the replica wipes its volatile Bracha state (the
+  one ``instances`` container), replays the WAL's intact prefix, then
+  broadcasts a :class:`StateSyncRequest`; live peers answer with their
+  committed entries (and any stored checkpoint certificates) and keep
+  *pushing* each later commit to the requester, so instances whose
+  ECHO/READY traffic predates the crash still reach the recovered replica;
 * a synced entry is applied only once a **deliver quorum by weight** of
   distinct responders vouches for it -- the same amplification rule
   Bracha uses for READY, so up to ``f_w`` Byzantine responders cannot
   forge an entry into the recovered log -- or immediately when it is
   covered by a verified threshold-signed checkpoint certificate.
 
-Duplicate redelivery after recovery is harmless by construction: every
-Bracha handler in :class:`~repro.protocols.smr.SmrParty` keys its state
-by sets, so replays are absorbed idempotently.
+Duplicate redelivery after recovery is harmless by construction: a
+:class:`~repro.protocols.reliable_broadcast.BrachaInstance` keeps its
+voters in sets and says each thing once, so replays are absorbed
+idempotently.
 """
 
 from __future__ import annotations
@@ -170,11 +171,7 @@ class RecoverableSmrParty(SmrParty):
         super().restart()
         self.restarts += 1
         self.committed.clear()
-        self._echoed.clear()
-        self._readied.clear()
-        self._echo_senders.clear()
-        self._ready_senders.clear()
-        self._delivered.clear()
+        self.instances.clear()
         self._sync_confirmers.clear()
         self.certificates.clear()
         self.watermarks.clear()

@@ -332,9 +332,9 @@ class SmrDriver(ProtocolDriver):
         ctx.party(nid).propose_batch(epoch, _payload(self.spec, nid, epoch))
 
     def restart_node(self, ctx: RunContext, nid: int) -> None:
-        # Re-propose every epoch's batch: receivers absorb duplicates
-        # (``_echoed`` dedups per instance) and the payloads are a pure
-        # function of the spec, so re-proposal cannot fork an instance.
+        # Re-propose every epoch's batch: receivers absorb duplicates (a
+        # ``BrachaInstance`` echoes only its first SEND) and the payloads are
+        # a pure function of the spec, so re-proposal cannot fork an instance.
         # Needed when the crash predates the original proposal -- no live
         # peer can supply a batch that was never broadcast.
         for epoch in range(self.epochs):

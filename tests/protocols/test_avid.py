@@ -78,6 +78,32 @@ class TestNominalAvid:
         assert built == [{"k": code.k, "m": code.m}] * n
         assert retriever.counters["decode_symbols"] == 2 * code.k * code.k * 10
 
+    def test_a_stored_party_forgets_its_echo_phase(self):
+        """The first store wins, so once a party has stored, a late echo
+        is dropped before the quorum policy is asked and no echo set --
+        a losing commitment's included -- is kept."""
+        from repro.protocols.avid import AvidEcho
+        from repro.weighted.quorum import QuorumPolicy
+
+        stored = []
+
+        class AskedOnlyBeforeTheStore(QuorumPolicy):
+            def storage_quorum(self, senders):
+                assert not stored, "storage quorum consulted after the store"
+                return NominalQuorums(n=4, t=1).storage_quorum(senders)
+
+        party = AvidParty(
+            0, AskedOnlyBeforeTheStore(), on_stored=lambda pid, c: stored.append(c)
+        )
+        party.receive(AvidEcho(b"loses"), 3)
+        for sender in range(3):  # 2t + 1
+            party.receive(AvidEcho(b"wins"), sender)
+        assert stored == [b"wins"] and party._echo_senders == {}
+        party.receive(AvidEcho(b"wins"), 3)
+        party.receive(AvidEcho(b"loses"), 1)
+        assert stored == [b"wins"] and party._echo_senders == {}
+        assert party.stored_commitment == b"wins" and party.counters["stored"] == 1
+
 
 class TestWeightedAvid:
     def _setup_world(self, beta_n="1/4", seed=0):

@@ -2,26 +2,35 @@
 
 import pytest
 
-from repro.protocols.reliable_broadcast import (
-    BroadcastParty,
-    EquivocatingSender,
-    SilentParty,
-)
+from repro.adversary.byzantine import make_equivocator, make_silent
+from repro.protocols.reliable_broadcast import BroadcastParty
 from repro.sim import TargetedDelay, UniformDelay, build_world
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 
 WEIGHTS = [40, 25, 15, 10, 5, 3, 1, 1]
 
 
-def run_nominal(n=7, t=2, corrupt=(), sender=None, seed=0, delay=None):
-    quorums = NominalQuorums(n=n, t=t)
+def party_factory(quorums, silent=()):
+    """Honest ``BroadcastParty``s, those in ``silent`` patched mute."""
 
     def factory(pid):
-        if pid in corrupt:
-            return SilentParty(pid)
-        return BroadcastParty(pid, quorums)
+        party = BroadcastParty(pid, quorums)
+        if pid in silent:
+            make_silent(party)
+        return party
 
-    world = build_world(factory, n, seed=seed, delay_model=delay)
+    return factory
+
+
+def honest_parties(world, corrupt=()):
+    return [p for p in world.parties if p.pid not in corrupt]
+
+
+def run_nominal(n=7, t=2, corrupt=(), sender=None, seed=0, delay=None):
+    quorums = NominalQuorums(n=n, t=t)
+    world = build_world(
+        party_factory(quorums, corrupt), n, seed=seed, delay_model=delay
+    )
     src = sender if sender is not None else n - 1
     world.party(src).broadcast_value(b"payload")
     world.run()
@@ -37,14 +46,14 @@ class TestNominalBroadcast:
 
     def test_tolerates_t_silent(self):
         world = run_nominal(corrupt=(0, 1))
-        honest = [p for p in world.parties if isinstance(p, BroadcastParty)]
+        honest = honest_parties(world, corrupt=(0, 1))
         assert all(p.delivered == b"payload" for p in honest)
 
     def test_fails_beyond_t_silent(self):
         """With t+1 silent parties (more than tolerated), delivery may
         stall -- totality needs n - t responsive parties."""
         world = run_nominal(corrupt=(0, 1, 2))
-        honest = [p for p in world.parties if isinstance(p, BroadcastParty)]
+        honest = honest_parties(world, corrupt=(0, 1, 2))
         assert all(p.delivered is None for p in honest)
 
     def test_message_complexity_quadratic(self):
@@ -56,14 +65,10 @@ class TestNominalBroadcast:
     def test_agreement_under_equivocation(self):
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-
-        def factory(pid):
-            if pid == 0:
-                return EquivocatingSender(pid, quorums)
-            return BroadcastParty(pid, quorums)
-
-        world = build_world(factory, n, seed=3)
-        world.party(0).broadcast_two(b"A", b"B")
+        world = build_world(party_factory(quorums), n, seed=3)
+        # b"A" to the first half of the parties, a second payload to the rest
+        make_equivocator(world.party(0), (range(n // 2), range(n // 2, n)))
+        world.party(0).broadcast_value(b"A")
         world.run()
         delivered = {
             p.delivered
@@ -95,17 +100,11 @@ class TestWeightedBroadcast:
 
         corrupt = heaviest_under(WEIGHTS, "1/3")
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-
-        def factory(pid):
-            if pid in corrupt:
-                return SilentParty(pid)
-            return BroadcastParty(pid, quorums)
-
-        world = build_world(factory, 8, seed=2)
+        world = build_world(party_factory(quorums, corrupt), 8, seed=2)
         sender = next(p for p in range(8) if p not in corrupt)
         world.party(sender).broadcast_value(b"w")
         world.run()
-        honest = [p for p in world.parties if isinstance(p, BroadcastParty)]
+        honest = honest_parties(world, corrupt)
         assert all(p.delivered == b"w" for p in honest)
 
     def test_same_code_both_models(self):
@@ -119,3 +118,37 @@ class TestWeightedBroadcast:
             world.party(0).broadcast_value(b"x")
             world.run()
             assert all(p.delivered == b"x" for p in world.parties)
+
+
+class TestDecidedInstanceIsForgotten:
+    """The RBC twin of the class of this name in ``test_smr.py``: once the
+    broadcast delivers, the party's one instance drops its ECHO / READY
+    sender sets and ignores late votes."""
+
+    def test_a_finished_run_leaves_nothing_behind(self):
+        quorums = WeightedQuorums(WEIGHTS, "1/3")
+        world = build_world(party_factory(quorums), 8, seed=7)
+        world.party(0).broadcast_value(b"w")
+        world.run()
+        for party in world.parties:
+            assert party.counters["deliveries"] == 1
+            assert party.instance.delivered
+            assert party.instance.echo_senders is None
+            assert party.instance.ready_senders is None
+
+    def test_late_votes_after_delivery_send_nothing_and_leave_no_entry(self):
+        from repro.protocols.reliable_broadcast import RbcEcho, RbcReady
+
+        # n = 7, t = 2: the deliver quorum (5) is met before the last two
+        # READYs arrive, so every party sees late votes in any run.
+        world = run_nominal()
+        sent = world.metrics.messages
+        party = world.party(3)
+        for payload in (b"payload", b"other"):
+            party.receive(RbcEcho(payload), 5)
+            party.receive(RbcReady(payload), 5)
+        world.run()
+        assert world.metrics.messages == sent
+        assert party.instance.echo_senders is None
+        assert party.instance.ready_senders is None
+        assert party.delivered == b"payload" and party.counters["deliveries"] == 1

@@ -130,7 +130,18 @@ class TestDecidedInstanceIsForgotten:
 
     @staticmethod
     def _pending(party):
-        return set(party._echo_senders) | set(party._ready_senders)
+        """Instances of ``party`` that hold an ECHO or a READY sender set."""
+        return {
+            key
+            for key, instance in party.instances.items()
+            if instance.echo_senders or instance.ready_senders
+        }
+
+    @staticmethod
+    def _delivered(party):
+        return {
+            key for key, instance in party.instances.items() if instance.delivered
+        }
 
     def test_long_run_leaves_nothing_behind(self):
         world = make_world(WeightedQuorums(WEIGHTS, "1/3"), seed=7)
@@ -141,7 +152,8 @@ class TestDecidedInstanceIsForgotten:
         for pid in range(N):
             party = world.party(pid)
             assert party.counters["batches_committed"] == 30 * N
-            assert party._echo_senders == {} and party._ready_senders == {}
+            assert self._pending(party) == set()
+            assert len(self._delivered(party)) == 30 * N
 
     def test_late_votes_after_commit_send_nothing_and_leave_no_entry(self):
         from repro.protocols.smr import BatchEcho, BatchReady
@@ -218,5 +230,5 @@ class TestDecidedInstanceIsForgotten:
             1: N,
         }
         # instances it delivered itself after the restart are forgotten
-        assert self._pending(reborn).isdisjoint(reborn._delivered)
+        assert self._pending(reborn).isdisjoint(self._delivered(reborn))
         assert all(self._pending(parties[pid]) == set() for pid in parties if pid != 2)

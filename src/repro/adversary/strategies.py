@@ -22,9 +22,11 @@ here spends that budget differently:
   the flood fires inside every epoch-rotation checkpoint handover.
 
 Strategies are selected by :class:`~repro.scenarios.spec.ByzantineSpec`
-entries in a fault plan and materialize deterministically from the
-committee weights and the scenario seed, so one spec entry is the same
-attack on the sim and the live runtime.
+entries in a fault plan or by a chaos plan's ``byzantine`` stages, and
+materialize deterministically from the committee weights and the
+scenario seed, so one spec entry is the same attack on the sim and the
+live runtime.  One :class:`Adversary` holds both kinds and checks the
+run's whole weight budget once.
 """
 
 from __future__ import annotations
@@ -296,12 +298,23 @@ STRATEGIES: dict[str, type[Strategy]] = {
 class Adversary:
     """The materialized Byzantine adversary of one scenario run.
 
-    Built from a spec's ``faults.byzantine`` entries against a resolved
-    committee; validates the combined corruption budget (crashed plus
-    corrupted weight strictly below ``f_w * W``), wraps the driver's
-    party factory so corrupted parties misbehave identically on every
-    backend, and installs message-scheduling attacks on the shared
-    :class:`~repro.runtime.faults.FaultController`.
+    Built from a spec's fault plan against a resolved committee.  The
+    flat ``faults.byzantine`` entries (:attr:`strategies`) corrupt at
+    party construction: :meth:`wrap_factory` patches their parties
+    identically on every backend, and :meth:`install_network_faults`
+    puts their message-scheduling attacks on the shared
+    :class:`~repro.runtime.faults.FaultController`.  Each chaos
+    ``byzantine`` stage's strategy (:attr:`staged`, by stage index) is
+    materialized up front -- its corrupted set must be deterministic and
+    budget-checked before the run -- but applied only when the stage
+    fires (:meth:`activate`).  ``corrupted`` is the merged set: a party
+    corrupted later carries no correctness claim for any part of the run.
+
+    One budget check covers everything that can be down or lying at
+    once -- corrupted (flat and staged), crashed, crash-restarted and
+    chaos-crashed weight must stay strictly below ``f_w * W``.
+    ``expect_liveness`` is the conjunction of every strategy's claim and
+    the chaos plan's :meth:`~repro.chaos.schedule.ChaosSpec.keeps_liveness`.
     """
 
     def __init__(self, spec, committee, *, protocol: Optional[str] = None) -> None:
@@ -310,37 +323,63 @@ class Adversary:
         protocol = protocol or spec.protocol
         weights = tuple(committee.int_weights)
         f_w = as_fraction(spec.f_w)
+        stages = spec.chaos.stages if spec.chaos is not None else ()
         self.spec = spec
         self.committee = committee
         self.protocol = protocol
         self.strategies: list[Strategy] = []
-        for entry in spec.faults.byzantine:
-            cls = STRATEGIES.get(entry.strategy)
+        #: stage index -> materialized (but not yet applied) strategy
+        self.staged: dict[int, Strategy] = {}
+        entries = [(None, e.strategy, e.params) for e in spec.faults.byzantine] + [
+            (index, stage.param("strategy"), stage.param("params", ()))
+            for index, stage in enumerate(stages)
+            if stage.action == "byzantine"
+        ]
+        for index, name, params in entries:
+            cls = STRATEGIES.get(name)
             if cls is None:
                 raise ValueError(
-                    f"unknown byzantine strategy {entry.strategy!r}; "
+                    f"unknown byzantine strategy {name!r}; "
                     f"options: {sorted(STRATEGIES)}"
                 )
-            ctx = StrategyContext(
-                committee=committee,
-                weights=weights,
-                f_w=f_w,
-                protocol=protocol,
-                seed=spec.seed,
-                params=entry.params,
+            strategy = cls(
+                StrategyContext(
+                    committee=committee,
+                    weights=weights,
+                    f_w=f_w,
+                    protocol=protocol,
+                    seed=spec.seed,
+                    params=tuple(params),
+                )
             )
-            self.strategies.append(cls(ctx))
+            if index is None:
+                self.strategies.append(strategy)
+            else:
+                self.staged[index] = strategy
+        everyone = self.strategies + list(self.staged.values())
         self.corrupted: frozenset[int] = frozenset().union(
-            *(s.corrupted for s in self.strategies)
-        ) if self.strategies else frozenset()
-        budget_set = set(self.corrupted) | set(spec.faults.crashes)
-        self.corrupted_weight = corrupt_weight_fraction(weights, budget_set)
-        if budget_set and self.corrupted_weight >= f_w:
+            *(s.corrupted for s in everyone)
+        )
+        # The record reports corrupted, crashed and chaos-crashed weight;
+        # the check also counts each crash-restarted party, which is down
+        # for a window -- the worst moment of the run.
+        down = self.corrupted | set(spec.faults.crashes) | {
+            pid
+            for stage in stages
+            if stage.action == "crash"
+            for pid in stage.param("pids", ())
+        }
+        self.corrupted_weight = corrupt_weight_fraction(weights, down)
+        worst_set = down | {pid for pid, _, _ in spec.faults.restarts}
+        worst = corrupt_weight_fraction(weights, worst_set)
+        if worst_set and worst >= f_w:
             raise CommitteeValidationError(
-                f"corrupted+crashed weight {self.corrupted_weight} is not "
+                f"corrupted+crashed+restarting weight {worst} is not "
                 f"strictly below the f_w={f_w} adversary budget"
             )
-        self.expect_liveness = all(s.keeps_liveness() for s in self.strategies)
+        self.expect_liveness = all(s.keeps_liveness() for s in everyone) and (
+            spec.chaos is None or spec.chaos.keeps_liveness()
+        )
 
     @property
     def sender_override(self) -> Optional[int]:
@@ -354,16 +393,16 @@ class Adversary:
         return None
 
     def wrap_factory(self, factory: Callable) -> Callable:
-        """The driver's party factory with corruption applied.  Only
+        """The driver's party factory with the flat strategies' corruption
+        applied (staged ones wait for :meth:`activate`).  Only
         identity-mapped protocols take corruption strategies, so the node
         id *is* the real pid."""
 
         def corrupted_factory(nid: int):
             party = factory(nid)
-            if nid in self.corrupted:
-                for s in self.strategies:
-                    if nid in s.corrupted:
-                        s.corrupt_party(party, nid)
+            for s in self.strategies:
+                if nid in s.corrupted:
+                    s.corrupt_party(party, nid)
             return party
 
         return corrupted_factory
@@ -371,6 +410,16 @@ class Adversary:
     def install_network_faults(self, faults, map_pid) -> None:
         for s in self.strategies:
             s.install_network_faults(faults, map_pid)
+
+    def activate(self, index: int, orch) -> None:
+        """Apply chaos stage ``index``'s staged corruption now (mid-run),
+        to the parties the orchestrator's run context hosts."""
+        strategy = self.staged[index]
+        strategy.install_network_faults(orch.faults, orch.driver.map_pid)
+        for pid in sorted(strategy.corrupted):
+            for nid in orch.driver.map_pid(pid):
+                if orch.in_scope(nid):
+                    strategy.corrupt_party(orch.ctx.party(nid), nid)
 
     def wrap_handover_factory(
         self, factory: Callable, *, weights: Sequence[int], epoch: int
@@ -392,10 +441,17 @@ class Adversary:
         return corrupted_factory
 
     def describe(self) -> dict:
-        """The record section: deterministic, JSON-able."""
-        return {
+        """The record section: deterministic, JSON-able; ``staged`` appears
+        exactly when the spec has a chaos plan."""
+        record: dict = {
             "strategies": [s.name for s in self.strategies],
             "corrupted": sorted(self.corrupted),
             "corrupted_weight": str(self.corrupted_weight),
             "expect_liveness": self.expect_liveness,
         }
+        if self.spec.chaos is not None:
+            record["staged"] = [
+                {"stage": index, "strategy": strategy.name}
+                for index, strategy in sorted(self.staged.items())
+            ]
+        return record

@@ -1,40 +1,38 @@
 """Chaos orchestration: staged fault timelines, network weather, and a
 liveness watchdog.
 
-The data layer (:mod:`~repro.chaos.weather`, :mod:`~repro.chaos.schedule`)
-imports eagerly -- :mod:`repro.scenarios.spec` embeds it.  The executable
-layer (:mod:`~repro.chaos.orchestrator`, :mod:`~repro.chaos.watchdog`)
-loads lazily via PEP 562: the orchestrator reaches into the adversary and
-harness packages, which themselves import the spec (and hence this
-package), so eager imports here would cycle.
+The data layer (:mod:`~repro.chaos.weather`, :mod:`~repro.chaos.schedule`,
+with the closed set of stage actions) imports eagerly --
+:mod:`repro.scenarios.spec` embeds it.  The executable layer
+(:mod:`~repro.chaos.orchestrator`: the orchestrator and the watchdog's
+:func:`watchdog_section`) loads lazily via PEP 562: it reaches into the
+harness package, which itself imports the spec (and hence this package),
+so an eager import here would cycle.  Staged corruption is not here: the
+run's one :class:`~repro.adversary.strategies.Adversary` materializes a
+``byzantine`` stage's strategy and applies it when the stage fires.
 """
 
-from .schedule import ChaosSpec, ChaosStage, TriggerSpec
+from .schedule import STAGE_ACTIONS, ChaosSpec, ChaosStage, TriggerSpec
 from .weather import NetworkWeather, WeatherDecision, WeatherSpec
 
 __all__ = [
     "ChaosSpec",
     "ChaosStage",
     "TriggerSpec",
+    "STAGE_ACTIONS",
     "WeatherSpec",
     "WeatherDecision",
     "NetworkWeather",
     "ChaosOrchestrator",
-    "StagedAdversary",
-    "LivenessWatchdog",
-    "STAGE_ACTIONS",
-    "register_stage_action",
     "count_duplicate_commits",
+    "watchdog_section",
 ]
 
 _ORCHESTRATOR_EXPORTS = (
     "ChaosOrchestrator",
-    "StagedAdversary",
-    "STAGE_ACTIONS",
-    "register_stage_action",
     "count_duplicate_commits",
+    "watchdog_section",
 )
-_WATCHDOG_EXPORTS = ("LivenessWatchdog",)
 
 
 def __getattr__(name: str):
@@ -42,8 +40,4 @@ def __getattr__(name: str):
         from . import orchestrator
 
         return getattr(orchestrator, name)
-    if name in _WATCHDOG_EXPORTS:
-        from . import watchdog
-
-        return getattr(watchdog, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,5 @@
-"""The chaos engine's executable half: fire stages, mutate faults.
+"""The chaos engine's executable half: fire stages, mutate faults, and
+classify how the run ended.
 
 A :class:`ChaosOrchestrator` interprets a :class:`~repro.chaos.schedule.ChaosSpec`
 against the *existing* fault machinery -- the shared
@@ -8,9 +9,12 @@ the sim, the in-process runtime, and the process-per-party mesh.  Nothing
 here duplicates fault semantics; every action resolves to a call the
 flat fault plans already make, just later and conditionally.
 
-Stage actions are registry-extensible: :func:`register_stage_action` adds
-a handler ``fn(orchestrator, stage)`` under a new action name, and specs
-referring to it replay everywhere the registry is imported.
+Stage actions are a closed set (:data:`~repro.chaos.schedule.STAGE_ACTIONS`,
+checked when a stage is built, so a misspelt action fails at spec
+construction rather than when its stage fires); :meth:`ChaosOrchestrator._fire`
+is the one place each resolves to a call.  A ``byzantine`` stage applies
+the strategy the run's one :class:`~repro.adversary.strategies.Adversary`
+materialized and budget-checked for it before the run.
 
 On the proc backend every worker arms its own orchestrator over a run
 context that hosts exactly one party: fault-controller mutations
@@ -21,39 +25,30 @@ only the hosted party.  Non-time triggers are polled per worker against
 local state; a chaos restart on proc is a *soft* restart (party-level,
 in-process) -- real SIGKILL respawns remain the crash-restart plan's job
 (``spec.faults.restarts``).
+
+:func:`watchdog_section` is the liveness watchdog.  A run under chaos
+can legitimately never complete (an unhealed partition below the deliver
+quorum, weather that loses messages, an equivocating sender) -- that is
+*expected no-liveness*, and the interesting question is only what state
+the cluster froze in.  A run that was expected to complete but did not
+is a *genuine stall* -- a bug in the protocol or the harness.  *When* a
+run ends is the harness's one stop rule
+(:class:`repro.scenarios.harness._StopRule`), so a run that ended
+without completing *is* the stall; the watchdog only classifies it and
+assembles a postmortem bundle (per-link last-N message trace, fault and
+weather counters, the chaos timeline with fired flags) that rides on the
+scenario record instead of a bare ``TimeoutError``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from .schedule import ChaosSpec, ChaosStage, TriggerSpec
 from .weather import NetworkWeather, WeatherSpec
 
-__all__ = [
-    "STAGE_ACTIONS",
-    "register_stage_action",
-    "ChaosOrchestrator",
-    "StagedAdversary",
-    "count_duplicate_commits",
-]
-
-#: action name -> ``handler(orchestrator, stage)``
-STAGE_ACTIONS: dict[str, Callable] = {}
+__all__ = ["ChaosOrchestrator", "count_duplicate_commits", "watchdog_section"]
 
 #: poll interval for slot/epoch/metric triggers (scenario seconds)
 POLL_INTERVAL = 0.05
-
-
-def register_stage_action(name: str) -> Callable:
-    """Register a chaos stage action (decorator); last writer wins, so a
-    plugin can also override a built-in."""
-
-    def decorate(fn: Callable) -> Callable:
-        STAGE_ACTIONS[name] = fn
-        return fn
-
-    return decorate
 
 
 def count_duplicate_commits(driver, ctx) -> int:
@@ -75,6 +70,32 @@ def count_duplicate_commits(driver, ctx) -> int:
     return total
 
 
+def watchdog_section(
+    *, expect_liveness: bool, completed: bool, faults=None, orchestrator=None
+) -> dict:
+    """The ``watchdog`` record section of a run that ended by the stop
+    rule.  A ``classification`` and a ``postmortem`` appear only for a
+    stalled run (keeping completed records deterministic across
+    backends); ``faults`` and ``orchestrator`` feed the postmortem."""
+    section: dict = {"stalled": not completed, "expect_liveness": expect_liveness}
+    if completed:
+        return section
+    section["classification"] = "stall" if expect_liveness else "expected-no-liveness"
+    postmortem: dict = {}
+    if orchestrator is not None:
+        postmortem["stages"] = orchestrator.describe_stages()
+    if faults is not None:
+        postmortem["dropped_messages"] = faults.dropped_messages
+        postmortem["delayed_messages"] = faults.delayed_messages
+        postmortem["partitioned"] = faults.partitioned
+        postmortem["crashed"] = sorted(faults.crashed)
+        postmortem["trace"] = [list(entry) for entry in faults.trace]
+        if faults.weather is not None:
+            postmortem["weather"] = faults.weather.describe()
+    section["postmortem"] = postmortem
+    return section
+
+
 class ChaosOrchestrator:
     """Arm one scenario's chaos plan on one backend instance.
 
@@ -91,7 +112,6 @@ class ChaosOrchestrator:
         self.driver = driver
         self.fired = [False] * len(self.chaos.stages)
         self.gave_up = [False] * len(self.chaos.stages)
-        self.current_index: Optional[int] = None
         self.ctx = None
         self.faults = None
         self.metrics = None
@@ -131,15 +151,47 @@ class ChaosOrchestrator:
         poll(budget)
 
     def _fire(self, index: int, stage: ChaosStage) -> None:
-        handler = STAGE_ACTIONS.get(stage.action)
-        if handler is None:
-            raise ValueError(
-                f"unknown chaos stage action {stage.action!r}; "
-                f"options: {sorted(STAGE_ACTIONS)}"
-            )
+        """Do stage ``index``'s action now."""
         self.fired[index] = True
-        self.current_index = index  # handlers that need it (byzantine stages)
-        handler(self, stage)
+        action = stage.action
+        if action == "partition":
+            groups = stage.param("groups", ())
+            self.faults.partition(*(frozenset(self.map_nids(g)) for g in groups))
+        elif action == "heal":
+            self.faults.heal()
+        elif action == "crash":
+            for nid in self.map_nids(stage.param("pids", ())):
+                self.ctx.crash(nid)
+        elif action == "restart":
+            for nid in self.map_nids(stage.param("pids", ())):
+                self.ctx.restart(nid)
+                if self.in_scope(nid):
+                    self.driver.restart_node(self.ctx, nid)
+        elif action == "byzantine":
+            self.driver.adversary.activate(index, self)
+        elif action == "weather":
+            spec = WeatherSpec.from_dict(dict(stage.param("weather", ())))
+            self.faults.weather = NetworkWeather(spec, seed=self.spec.seed)
+        else:  # "load-surge", the last of STAGE_ACTIONS
+            self._surge(int(stage.param("epochs", 1)))
+
+    def _surge(self, extra: int) -> None:
+        """Every hosted live party proposes ``extra`` epochs past the
+        workload's."""
+        from ..scenarios.harness import _payload
+
+        # Completion never waits on surge epochs (they are load, not claims),
+        # but the idempotence counter scans them.
+        driver = self.driver
+        driver.surge_epochs = max(getattr(driver, "surge_epochs", 0), extra)
+        base = self.spec.workload.epochs
+        for epoch in range(base, base + extra):
+            for nid in self.ctx.live_nodes:
+                if not self.in_scope(nid):
+                    continue
+                party = self.ctx.party(nid)
+                if hasattr(party, "propose_batch"):
+                    party.propose_batch(epoch, _payload(self.spec, nid, epoch))
 
     # -- trigger predicates --------------------------------------------------------
     def _scoped_observers(self) -> list[int]:
@@ -172,7 +224,7 @@ class ChaosOrchestrator:
             return False
         raise ValueError(f"unarmed trigger kind {trigger.kind!r}")
 
-    # -- helpers for stage handlers ------------------------------------------------
+    # -- helpers for stage actions -------------------------------------------------
     def map_nids(self, pids) -> list[int]:
         return [nid for pid in pids for nid in self.driver.map_pid(pid)]
 
@@ -204,202 +256,3 @@ class ChaosOrchestrator:
             self.driver, self.ctx
         )
         return section
-
-
-# -- built-in stage actions -------------------------------------------------------------
-
-
-@register_stage_action("partition")
-def _stage_partition(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
-    groups = stage.param("groups", ())
-    mapped = [frozenset(orch.map_nids(group)) for group in groups]
-    orch.faults.partition(*mapped)
-
-
-@register_stage_action("heal")
-def _stage_heal(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
-    orch.faults.heal()
-
-
-@register_stage_action("crash")
-def _stage_crash(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
-    for nid in orch.map_nids(stage.param("pids", ())):
-        orch.ctx.crash(nid)
-
-
-@register_stage_action("restart")
-def _stage_restart(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
-    for nid in orch.map_nids(stage.param("pids", ())):
-        orch.ctx.restart(nid)
-        if orch.in_scope(nid):
-            orch.driver.restart_node(orch.ctx, nid)
-
-
-@register_stage_action("byzantine")
-def _stage_byzantine(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
-    adversary = orch.driver.adversary
-    if adversary is None or not isinstance(adversary, StagedAdversary):
-        raise ValueError(
-            "a 'byzantine' chaos stage needs the StagedAdversary the "
-            "harness builds for chaos specs"
-        )
-    adversary.activate(stage, orch)
-
-
-@register_stage_action("weather")
-def _stage_weather(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
-    spec = WeatherSpec.from_dict(dict(stage.param("weather", ())))
-    orch.faults.weather = NetworkWeather(spec, seed=orch.spec.seed)
-
-
-@register_stage_action("load-surge")
-def _stage_load_surge(orch: ChaosOrchestrator, stage: ChaosStage) -> None:
-    from ..scenarios.harness import _payload
-
-    extra = int(stage.param("epochs", 1))
-    base = orch.spec.workload.epochs
-    driver = orch.driver
-    # Completion never waits on surge epochs (they are load, not claims),
-    # but the idempotence counter scans them.
-    driver.surge_epochs = max(getattr(driver, "surge_epochs", 0), extra)
-    for offset in range(extra):
-        epoch = base + offset
-        for nid in orch.ctx.live_nodes:
-            if not orch.in_scope(nid):
-                continue
-            party = orch.ctx.party(nid)
-            if hasattr(party, "propose_batch"):
-                party.propose_batch(epoch, _payload(orch.spec, nid, epoch))
-
-
-# -- the staged adversary ---------------------------------------------------------------
-
-
-def _staged_entries(chaos: ChaosSpec) -> list:
-    """(stage index, strategy name, params) of every byzantine stage."""
-    out = []
-    for index, stage in enumerate(chaos.stages):
-        if stage.action == "byzantine":
-            out.append((index, stage.param("strategy"), stage.param("params", ())))
-    return out
-
-
-class StagedAdversary:
-    """An adversary whose corruptions can arrive *mid-run*.
-
-    Extends the flat :class:`~repro.adversary.strategies.Adversary` with
-    the chaos schedule's ``byzantine`` stages: their strategies are
-    materialized up front (the corrupted set must be deterministic and
-    budget-checked before the run), but their ``corrupt_party`` patches
-    are applied only when the stage fires.  ``corrupted`` reports the
-    *merged* set -- a party that will be corrupted later carries no
-    correctness claim for any part of the run, the conservative reading.
-
-    ``expect_liveness`` is the conjunction of the base strategies', the
-    staged strategies', and the chaos plan's own
-    :meth:`~repro.chaos.schedule.ChaosSpec.keeps_liveness`.
-    """
-
-    def __init__(self, spec, committee, *, protocol: Optional[str] = None) -> None:
-        from ..adversary.strategies import STRATEGIES, Adversary, StrategyContext
-        from ..api.committee import CommitteeValidationError
-        from ..core.types import as_fraction
-        from ..sim.adversary import corrupt_weight_fraction
-
-        self._base = Adversary(spec, committee, protocol=protocol)
-        self.spec = spec
-        self.committee = committee
-        self.protocol = self._base.protocol
-        chaos: ChaosSpec = spec.chaos
-        self.chaos = chaos
-        weights = tuple(committee.int_weights)
-        f_w = as_fraction(spec.f_w)
-        #: stage index -> materialized (but not yet applied) strategy
-        self.staged: dict[int, object] = {}
-        for index, name, params in _staged_entries(chaos):
-            cls = STRATEGIES.get(name)
-            if cls is None:
-                raise ValueError(
-                    f"unknown staged byzantine strategy {name!r}; "
-                    f"options: {sorted(STRATEGIES)}"
-                )
-            ctx = StrategyContext(
-                committee=committee,
-                weights=weights,
-                f_w=f_w,
-                protocol=self.protocol,
-                seed=spec.seed,
-                params=tuple(params),
-            )
-            self.staged[index] = cls(ctx)
-        self.corrupted = frozenset(self._base.corrupted).union(
-            *(s.corrupted for s in self.staged.values())
-        ) if self.staged else frozenset(self._base.corrupted)
-        # Re-validate the budget over everything that can be down or lying
-        # at once: corrupted (flat + staged), crashed, and chaos-crashed.
-        chaos_crashes = {
-            pid
-            for stage in chaos.stages
-            if stage.action == "crash"
-            for pid in stage.param("pids", ())
-        }
-        budget_set = set(self.corrupted) | set(spec.faults.crashes) | chaos_crashes
-        self.corrupted_weight = corrupt_weight_fraction(weights, budget_set)
-        if budget_set and self.corrupted_weight >= f_w:
-            raise CommitteeValidationError(
-                f"staged corrupted+crashed weight {self.corrupted_weight} is "
-                f"not strictly below the f_w={f_w} adversary budget"
-            )
-        self.expect_liveness = (
-            self._base.expect_liveness
-            and all(s.keeps_liveness() for s in self.staged.values())
-            and chaos.keeps_liveness()
-        )
-        #: stage indices whose corruption has been applied (per backend
-        #: instance; postmortem material, not record material)
-        self.activated: list[int] = []
-
-    # -- flat-adversary surface (delegation) ----------------------------------------
-    @property
-    def strategies(self):
-        return self._base.strategies
-
-    @property
-    def sender_override(self):
-        return self._base.sender_override
-
-    def wrap_factory(self, factory: Callable) -> Callable:
-        # Only the *flat* strategies corrupt at construction; staged ones
-        # wait for their stage to fire.
-        return self._base.wrap_factory(factory)
-
-    def install_network_faults(self, faults, map_pid) -> None:
-        self._base.install_network_faults(faults, map_pid)
-
-    def wrap_handover_factory(self, factory, **kwargs):
-        return self._base.wrap_handover_factory(factory, **kwargs)
-
-    def describe(self) -> dict:
-        record = self._base.describe()
-        record["corrupted"] = sorted(self.corrupted)
-        record["corrupted_weight"] = str(self.corrupted_weight)
-        record["expect_liveness"] = self.expect_liveness
-        record["staged"] = [
-            {"stage": index, "strategy": strategy.name}
-            for index, strategy in sorted(self.staged.items())
-        ]
-        return record
-
-    # -- stage activation -----------------------------------------------------------
-    def activate(self, stage: ChaosStage, orch: ChaosOrchestrator) -> None:
-        """Apply one byzantine stage's corruption now (mid-run)."""
-        index = orch.current_index
-        strategy = self.staged.get(index)
-        if strategy is None:  # pragma: no cover -- _fire guards the action
-            return
-        strategy.install_network_faults(orch.faults, orch.driver.map_pid)
-        for pid in sorted(strategy.corrupted):
-            for nid in orch.driver.map_pid(pid):
-                if orch.in_scope(nid):
-                    strategy.corrupt_party(orch.ctx.party(nid), nid)
-        self.activated.append(index)

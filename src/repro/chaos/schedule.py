@@ -7,10 +7,10 @@ scenario/harness imports so :mod:`repro.scenarios.spec` can embed a
 same :class:`~repro.runtime.faults.FaultController` and adversary hooks
 every backend already shares.
 
-A stage is ``(action, trigger, params)``.  Actions are registry-extensible
-(see :data:`repro.chaos.orchestrator.STAGE_ACTIONS`); the built-ins are
-``partition``, ``heal``, ``crash``, ``restart``, ``byzantine``,
-``weather``, and ``load-surge``.  Triggers fire on virtual/wall time
+A stage is ``(action, trigger, params)``.  Actions are the closed set
+:data:`STAGE_ACTIONS` -- ``partition``, ``heal``, ``crash``, ``restart``,
+``byzantine``, ``weather``, and ``load-surge`` -- checked when a stage is
+built, as trigger kinds are.  Triggers fire on virtual/wall time
 (``time``), a committed slot appearing in some honest log (``slot``), an
 epoch rotation committing (``epoch``), or a metric predicate crossing a
 threshold (``metric``); the non-time triggers are polled with a bounded
@@ -25,10 +25,15 @@ from typing import Optional, Tuple
 
 from .weather import WeatherSpec
 
-__all__ = ["TriggerSpec", "ChaosStage", "ChaosSpec"]
+__all__ = ["STAGE_ACTIONS", "TriggerSpec", "ChaosStage", "ChaosSpec"]
 
 #: trigger kinds the orchestrator knows how to arm
 TRIGGER_KINDS = ("time", "slot", "epoch", "metric")
+
+#: stage actions the orchestrator knows how to fire
+STAGE_ACTIONS = (
+    "partition", "heal", "crash", "restart", "byzantine", "weather", "load-surge"
+)
 
 
 def _freeze(value):
@@ -102,6 +107,13 @@ class ChaosStage:
     action: str
     trigger: TriggerSpec = field(default_factory=TriggerSpec)
     params: Tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.action not in STAGE_ACTIONS:
+            raise ValueError(
+                f"unknown chaos stage action {self.action!r}; "
+                f"options: {STAGE_ACTIONS}"
+            )
 
     def param(self, key: str, default=None):
         for k, v in self.params:

@@ -54,10 +54,11 @@ so restart runs relax termination detection to done-and-idle over
 stable polls; the link queues keep senders non-idle while any frame
 awaits redelivery, which is what makes the relaxation safe.
 
-Failure containment: a worker that dies (or reports a pump failure)
-surfaces as :class:`ProcError` with a per-worker postmortem -- OS pid,
-age of the last status heard, and frame counters; the parent reaps
-every child on any exit path, including timeout.
+Failure containment: a worker that dies (or reports a failure of its
+pump, its transport, or a scheduled workload / chaos callback) surfaces
+as :class:`ProcError` with a per-worker postmortem -- OS pid, age of the
+last status heard, and frame counters; the parent reaps every child on
+any exit path, including timeout.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ async def _worker_main(
     from ..runtime.faults import FaultController
     from ..runtime.node import RuntimeNode
     from ..runtime.transport import TcpTransport
-    from ..scenarios.harness import _arm, _context, build_driver
+    from ..scenarios.harness import _arm, _context, _LiveSchedule, build_driver
 
     spec = ScenarioSpec.from_dict(spec_dict)
     driver = build_driver(spec, validate=False, state_dir=state_dir)  # parent vetted
@@ -168,7 +169,7 @@ async def _worker_main(
     recovering = incarnation > 0
     party = driver.factory(nid)
     node = RuntimeNode(party, transport, list(range(driver.n_nodes)))
-    ctx = _context(spec, driver, {nid: party}, loop.call_later, faults)
+    ctx = _context(spec, driver, {nid: party}, _LiveSchedule(loop.call_later), faults)
     if spec.faults.restarts:
         # self-healing plumbing: persist receive watermarks through the
         # party's WAL and run the heartbeat failure detector, feeding
@@ -230,7 +231,7 @@ async def _worker_main(
             # refreshed address map (a peer respawned on a new port)
             transport.configure(command[1])
         elif kind == "status":
-            failure = node.failure or transport.failure
+            failure = node.failure or transport.failure or ctx.schedule.failure
             conn.send(
                 (
                     "status",
@@ -684,7 +685,7 @@ class ProcCluster:
                 details = "; ".join(
                     f"node {nid}: {text}" for nid, text in sorted(failures.items())
                 )
-                raise ProcError(f"proc worker failure at the pump: {details}")
+                raise ProcError(f"proc worker failure: {details}")
             sent = sum(s["sent"] for s in statuses.values())
             received = sum(s["received"] for s in statuses.values())
             # A SIGKILLed worker takes its counters with it, so restart

@@ -132,7 +132,10 @@ class ProtocolDriver:
         #: in-memory WALs; set by ``build_driver`` from ``--state-dir``)
         self.state_dir: Optional[str] = None
         self.weights = committee.int_weights
-        if spec.faults.restarts and not self.supports_restarts:
+        restart_stage = spec.chaos is not None and any(
+            stage.action == "restart" for stage in spec.chaos.stages
+        )
+        if (spec.faults.restarts or restart_stage) and not self.supports_restarts:
             raise ValueError(
                 f"protocol {spec.protocol!r} has no crash-recoverable "
                 "party; crash-restart plans need one (smr)"
@@ -617,19 +620,9 @@ def build_driver(
             epochs=spec.workload.epochs,
         )
     adversary = None
-    if spec.chaos is not None:
-        # Chaos plans always get the staged adversary (even with no
-        # byzantine stages: it carries the merged liveness claim and the
-        # chaos-crash budget check); it delegates flat strategies.
-        from ..chaos.orchestrator import StagedAdversary
-
-        if spec.workload.kind == "service":
-            raise ValueError(
-                "chaos plans run on batch workloads; service workloads "
-                "have their own rotation-driven fault hooks"
-            )
-        adversary = StagedAdversary(spec, committee)
-    elif spec.faults.byzantine:
+    if spec.faults.byzantine or spec.chaos is not None:
+        # A chaos plan always gets the adversary, even with no byzantine
+        # stage: it carries the plan's liveness claim and budget check.
         from ..adversary.strategies import Adversary
 
         adversary = Adversary(spec, committee)
@@ -655,6 +648,29 @@ def _context(spec, driver, parties, schedule, faults) -> RunContext:
     return RunContext(
         parties=parties, live_nodes=live_nodes, schedule=schedule, faults=faults
     )
+
+
+class _LiveSchedule:
+    """A live backend's :class:`RunContext` scheduler over
+    ``loop.call_later`` that keeps the first exception a scheduled
+    callback raises (an epoch's workload, a chaos stage, a trigger
+    poll).  asyncio would only log it and drop the callback; the stop
+    poll re-raises it instead (a proc worker reports it as its failure),
+    so a live run ends on it as the sim's ``world.run()`` does."""
+
+    def __init__(self, call_later: Callable) -> None:
+        self.call_later = call_later
+        self.failure: Optional[Exception] = None
+
+    def __call__(self, delay: float, fn: Callable[[], None]) -> None:
+        def guarded() -> None:
+            try:
+                fn()
+            except Exception as exc:  # noqa: BLE001 -- re-raised by the stop poll
+                if self.failure is None:
+                    self.failure = exc
+
+        self.call_later(delay, guarded)
 
 
 def _arm(spec, driver, ctx: RunContext, metrics, *, restart_timers: bool = True):
@@ -795,17 +811,17 @@ def _assemble(
 
 def _chaos_section(spec, driver, completed: bool, section: dict, **postmortem) -> dict:
     """Close a run's ``chaos`` record section with the watchdog verdict
-    -- unless ``ChaosSpec.watchdog`` turned it off, on every backend
-    alike.  The run already ended by the stop rule, so "not completed"
-    is the stall; ``postmortem`` feeds the bundle of a stalled run."""
+    (:func:`~repro.chaos.orchestrator.watchdog_section`) -- unless
+    ``ChaosSpec.watchdog`` turned it off, on every backend alike.  The
+    run already ended by the stop rule, so "not completed" is the stall;
+    ``postmortem`` (``faults``, ``orchestrator``) feeds the bundle of a
+    stalled run."""
     if spec.chaos.watchdog:
-        from ..chaos.watchdog import LivenessWatchdog
+        from ..chaos.orchestrator import watchdog_section
 
-        watchdog = LivenessWatchdog(
-            spec.chaos, expect_liveness=driver.expect_liveness
+        section["watchdog"] = watchdog_section(
+            expect_liveness=driver.expect_liveness, completed=completed, **postmortem
         )
-        watchdog.observe_quiescence(completed)
-        section["watchdog"] = watchdog.report(**postmortem)
     return section
 
 
@@ -913,13 +929,15 @@ def run_scenario(
             spec,
             driver,
             dict(enumerate(cluster.parties)),
-            asyncio.get_running_loop().call_later,
+            _LiveSchedule(asyncio.get_running_loop().call_later),
             faults,
         )
         run["orchestrator"] = _arm(spec, driver, ctx, cluster.metrics)
         driver.start(ctx)
 
     def stop_when(cluster) -> bool:
+        if run["ctx"].schedule.failure is not None:
+            raise run["ctx"].schedule.failure
         return rule(
             time.perf_counter() - run["t0"],
             driver.done(run["ctx"]),

@@ -67,6 +67,11 @@ def run_service_spec(
         raise ValueError(
             "service workloads take byzantine fault-plan entries only (yet)"
         )
+    if spec.chaos is not None:
+        raise ValueError(
+            "chaos plans run on batch workloads; service workloads have "
+            "their own rotation-driven fault hooks"
+        )
     if committee is None:
         committee = Committee.from_weight_spec(spec.weights, seed=spec.seed)
     committee.validate(

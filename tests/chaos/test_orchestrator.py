@@ -6,8 +6,7 @@ import json
 
 import pytest
 
-from repro.chaos import LivenessWatchdog, register_stage_action
-from repro.chaos.orchestrator import STAGE_ACTIONS
+from repro.chaos import watchdog_section
 from repro.chaos.schedule import ChaosSpec, ChaosStage, TriggerSpec
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.spec import ScenarioSpec, WeightSpec, WorkloadSpec
@@ -136,61 +135,50 @@ class TestWatchdog:
     def test_genuine_stall_classified_distinctly(self):
         # Same quiescence, opposite liveness claim: a run that was
         # expected to finish but went quiet is a bug, not an expectation.
-        watchdog = LivenessWatchdog(ChaosSpec(), expect_liveness=True)
-        watchdog.observe_quiescence(False)
-        assert watchdog.classification == "stall"
-        expected = LivenessWatchdog(ChaosSpec(), expect_liveness=False)
-        expected.observe_quiescence(False)
-        assert expected.classification == "expected-no-liveness"
+        stall = watchdog_section(expect_liveness=True, completed=False)
+        assert stall["classification"] == "stall"
+        expected = watchdog_section(expect_liveness=False, completed=False)
+        assert expected["classification"] == "expected-no-liveness"
+        done = watchdog_section(expect_liveness=True, completed=True)
+        assert done == {"stalled": False, "expect_liveness": True}
 
 
-class TestRegistryExtensibility:
-    def test_custom_stage_action_fires(self):
-        fired = []
+class TestStageActions:
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_restart_stage_needs_a_recoverable_party(self, backend):
+        # like a flat restart plan: rejected when the driver is built,
+        # before any stage can fire
+        def at(t, action):
+            return ChaosStage(
+                action=action,
+                trigger=TriggerSpec(kind="time", value=t),
+                params=(("pids", (3,)),),
+            )
 
-        @register_stage_action("test-beacon")
-        def _beacon(orch, stage):
-            fired.append(stage.param("tag"))
+        spec = ScenarioSpec(
+            name="rbc-restart-stage",
+            protocol="rbc",
+            weights=WeightSpec(kind="explicit", values=(5, 5, 5, 5)),
+            chaos=ChaosSpec(stages=(at(0.0, "crash"), at(0.05, "restart"))),
+        )
+        with pytest.raises(ValueError, match="no crash-recoverable party"):
+            run_scenario(spec, backend=backend, timeout=10)
 
-        try:
-            spec = ScenarioSpec(
-                name="custom-stage",
+    def test_unknown_action_rejected(self):
+        with pytest.raises(ValueError, match="no-such-action"):
+            ScenarioSpec(
+                name="bad-stage",
                 protocol="smr",
                 weights=WeightSpec(kind="explicit", values=(5, 5, 5, 5)),
-                workload=WorkloadSpec(payload_size=16, epochs=1),
                 chaos=ChaosSpec(
                     stages=(
                         ChaosStage(
-                            action="test-beacon",
+                            action="no-such-action",
                             trigger=TriggerSpec(kind="time", value=0.0),
-                            params=(("tag", "hello"),),
                         ),
                     ),
                 ),
             )
-            record = run_scenario(spec, backend="sim").record()
-        finally:
-            STAGE_ACTIONS.pop("test-beacon", None)
-        assert fired == ["hello"]
-        assert record["completed"]
-        assert record["chaos"]["stages"][0]["fired"]
-
-    def test_unknown_action_rejected(self):
-        spec = ScenarioSpec(
-            name="bad-stage",
-            protocol="smr",
-            weights=WeightSpec(kind="explicit", values=(5, 5, 5, 5)),
-            chaos=ChaosSpec(
-                stages=(
-                    ChaosStage(
-                        action="no-such-action",
-                        trigger=TriggerSpec(kind="time", value=0.0),
-                    ),
-                ),
-            ),
-        )
-        with pytest.raises(ValueError, match="no-such-action"):
-            run_scenario(spec, backend="sim")
 
 
 class TestFuzzReplay:

@@ -7,12 +7,15 @@ node per worker process) and must tell the same story: completion, decided value
 counts wherever the driver claims them comparable, and which chaos
 stages fired.  The two service scenarios run on the simulator and on the
 in-process runtime and must complete, commit every request and decide one
-digest per backend.  The remaining tests pin the three places the backends'
+digest per backend.  The remaining tests pin the four places the backends'
 lifecycles used to diverge: a live run ending before its fault plan's
-horizon, the sim ignoring ``ChaosSpec.watchdog=False``, and a driver
-claiming comparable counts for an epoch that runs inside a partition.
+horizon, the sim ignoring ``ChaosSpec.watchdog=False``, a driver
+claiming comparable counts for an epoch that runs inside a partition,
+and a scheduled callback that raises (the sim raised it; a live run
+logged it and ran on to its timeout).
 """
 
+import time
 from dataclasses import replace
 from functools import lru_cache
 
@@ -20,6 +23,8 @@ import pytest
 
 from repro.chaos.schedule import ChaosStage, TriggerSpec
 from repro.scenarios import SCENARIOS, get_scenario, run_scenario, scenario_names
+from repro.scenarios.harness import SmrDriver
+from repro.scenarios.spec import WorkloadSpec
 
 BATCH = tuple(n for n in scenario_names() if SCENARIOS[n].workload.kind == "batch")
 #: service workloads run on the same two hosts (``World``, ``Cluster``);
@@ -135,6 +140,43 @@ class TestWatchdogFlag:
         live = run_scenario(spec, backend="inproc", timeout=30).record()["chaos"]
         assert set(sim) == set(live)
         assert ("watchdog" in sim) == enabled
+
+
+class TestScheduledCallbackFailure:
+    """Epoch 1's workload raises when it fires at t = 0.05: every backend
+    ends the run with that exception, well inside the timeout."""
+
+    TIMEOUT = 20.0
+
+    @pytest.fixture
+    def failing_epoch(self, monkeypatch):
+        fire = SmrDriver.fire
+
+        def faulty(driver, ctx, nid, epoch):
+            if epoch == 1:
+                raise RuntimeError("workload bug")
+            return fire(driver, ctx, nid, epoch)
+
+        monkeypatch.setattr(SmrDriver, "fire", faulty)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "sim",
+            "inproc",
+            pytest.param("tcp", marks=pytest.mark.tcp),
+            pytest.param("proc", marks=pytest.mark.proc),
+        ],
+    )
+    def test_run_ends_with_the_error(self, failing_epoch, backend):
+        spec = replace(
+            get_scenario("zipf-stake-smr"),
+            workload=WorkloadSpec(payload_size=64, epochs=2, epoch_times=(0.0, 0.05)),
+        )
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="workload bug"):
+            run_scenario(spec, backend=backend, timeout=self.TIMEOUT)
+        assert time.perf_counter() - started < self.TIMEOUT / 4
 
 
 class TestCountComparable:

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.chaos import ChaosSpec, ChaosStage, TriggerSpec
 from repro.protocols.smr import SmrParty
 from repro.scenarios import get_scenario, run_scenario
 from repro.service import (
@@ -115,4 +116,15 @@ class TestWhatAServiceWorkloadCannotRun:
         spec = get_scenario("epoch-service")
         spec = replace(spec, faults=replace(spec.faults, **faults))
         with pytest.raises(ValueError, match=reason):
+            run_scenario(spec, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_chaos_plan_rejected(self, backend):
+        unhealed = ChaosStage(
+            action="partition",
+            trigger=TriggerSpec(kind="time", value=0.0),
+            params=(("groups", ((0, 1, 2), (3, 4, 5))),),
+        )
+        spec = replace(get_scenario("epoch-service"), chaos=ChaosSpec(stages=(unhealed,)))
+        with pytest.raises(ValueError, match="chaos plans run on batch workloads"):
             run_scenario(spec, backend=backend)

@@ -74,16 +74,19 @@ def _challenge(
 
 
 def prove_dleq(
-    group: SchnorrGroup, x: int, g1: int, g2: int, rng
+    group: SchnorrGroup, x: int, g1: int, g2: int, rng, *, y1: int | None = None
 ) -> tuple[int, int, DleqProof]:
     """Prove knowledge of ``x`` with ``y1 = g1^x`` and ``y2 = g2^x``.
 
     Returns ``(y1, y2, proof)``.  Exponentiations route through the
     engine's fixed-base tables: the generator is always precomputed and
     ``g2`` (``H(m)`` when signing, ``c1`` when decrypting) gets promoted
-    as soon as shares of the same message/ciphertext recur.
+    as soon as shares of the same message/ciphertext recur.  A signer
+    whose ``g1^x`` is already published (a threshold key share) passes
+    it as ``y1`` and skips recomputing it; the proof is the same.
     """
-    y1 = group.fast_power(g1, x)
+    if y1 is None:
+        y1 = group.fast_power(g1, x)
     y2 = group.fast_power(g2, x)
     w = group.random_exponent(rng)
     a1 = group.fast_power(g1, w)
@@ -176,13 +179,15 @@ def verify_dleq_batch(
             results[i] = False
             continue
         a1, a2 = proof.commit1, proof.commit2
-        if _challenge(group, g1, y1, g2, y2, a1, a2) != c:
-            results[i] = False
-            continue
+        # Membership first: it bounds every element to ``0 < v < p``
+        # before the transcript encodes it at fixed width.
         if not (member(y2) and member(a1) and member(a2)):
             results[i] = False
             continue
         if not assume_y1_member and not member(y1):
+            results[i] = False
+            continue
+        if _challenge(group, g1, y1, g2, y2, a1, a2) != c:
             results[i] = False
             continue
         items.append((i, y1 % p, y2 % p, c, r, a1 % p, a2 % p))

@@ -75,7 +75,10 @@ class ThresholdElGamal:
     def decryption_share(self, index: int, ct: Ciphertext, rng) -> DecryptionShare:
         """Party ``index``'s decryption share with a correctness proof."""
         x_i = self._secret_shares[index]
-        _, d_i, proof = prove_dleq(self.group, x_i, self.group.generator, ct.c1, rng)
+        _, d_i, proof = prove_dleq(
+            self.group, x_i, self.group.generator, ct.c1, rng,
+            y1=self.public_shares[index],
+        )
         return DecryptionShare(index=index, value=d_i, proof=proof)
 
     def verify_share(self, share: DecryptionShare, ct: Ciphertext) -> bool:

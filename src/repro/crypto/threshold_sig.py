@@ -100,7 +100,10 @@ class ThresholdSignatureScheme:
         """Produce signer ``index``'s signature share with a DLEQ proof."""
         x_i = self._secret_shares[index]
         h = self.hash_message(message)
-        _, sigma_i, proof = prove_dleq(self.group, x_i, self.group.generator, h, rng)
+        _, sigma_i, proof = prove_dleq(
+            self.group, x_i, self.group.generator, h, rng,
+            y1=self.keys.public_shares[index],
+        )
         return SignatureShare(index=index, value=sigma_i, proof=proof)
 
     def verify_share(self, share: SignatureShare, message: bytes) -> bool:

@@ -26,6 +26,9 @@ G = TEST_GROUP_256
 #: both shipped groups; the big one only gets small draws to stay fast
 GROUPS = [TEST_GROUP_256, RFC3526_GROUP_2048]
 
+#: group elements a decoded share may carry that lie outside ``(0, p)``
+OUT_OF_RANGE = {"-1": -1, "0": 0, "p": G.p, "2^(bits+8)": 1 << (G.p.bit_length() + 8)}
+
 
 class TestEngine:
     def test_exp_g_matches_pow(self):
@@ -61,6 +64,30 @@ class TestEngine:
                     for b, e in pairs:
                         naive = naive * pow(b, e, group.p) % group.p
                     assert group.multi_exp(pairs) == naive
+
+    @pytest.mark.parametrize("group", GROUPS, ids=["256", "2048"])
+    def test_multi_exp_signed_residues_match_naive_product(self, group):
+        """Exponents around ``q/2`` and ``q`` -- the signed-residue
+        rewrite's boundary and its target -- and mixes of small
+        positive and small negative residues, unreduced in the oracle."""
+        q, p = group.order, group.p
+        rng = random.Random(4)
+        bases = [group.hash_to_group(b"signed-%d" % i) for i in range(6)]
+        for e in (q // 2, q // 2 + 1, q - 1, q + 1, 2 * q - 1):
+            assert group.multi_exp([(bases[0], e)]) == pow(bases[0], e, p), e
+        for draw in range(4):
+            exps = [
+                rng.choice((rng.randrange(1, 1 << 8), q - rng.randrange(1, 1 << 8)))
+                for _ in bases
+            ]
+            if draw == 3:  # one full-width residue keeps the long chain
+                exps[2] = rng.randrange(q)
+            naive = 1
+            for b, e in zip(bases, exps):
+                naive = naive * pow(b, e, p) % p
+            assert group.multi_exp(list(zip(bases, exps))) == naive
+            # Negative exponents are the same residues.
+            assert group.multi_exp([(b, e - q) for b, e in zip(bases, exps)]) == naive
 
     def test_multi_exp_edge_cases(self):
         assert G.multi_exp([]) == 1
@@ -230,6 +257,24 @@ class TestBatchDleq:
             False
         ]
 
+    @pytest.mark.parametrize("field", ["y2", "commit1", "commit2"])
+    @pytest.mark.parametrize("bad", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_element_is_rejected_not_raised(self, field, bad):
+        """A forged share decodes to any signed int: the batch verifier
+        must reject one outside ``(0, p)`` the way the oracle does, not
+        raise while encoding it into the Fiat-Shamir transcript."""
+        h, stmts, rng = self._statements(G, 4, seed=37)
+        y1, y2, pr = stmts[1]
+        if field == "y2":
+            y2 = bad
+        else:
+            commits = {"commit1": pr.commit1, "commit2": pr.commit2, field: bad}
+            pr = DleqProof(pr.challenge, pr.response, **commits)
+        stmts[1] = (y1, y2, pr)
+        got = verify_dleq_batch(G, G.generator, h, stmts, rng=rng)
+        want = [verify_dleq(G, G.generator, a, h, b, c) for a, b, c in stmts]
+        assert got == want == [True, False, True, True]
+
     def test_identity_bases_rejected(self):
         h, stmts, rng = self._statements(G, 3)
         assert verify_dleq_batch(G, 1, h, stmts, rng=rng) == [False] * 3
@@ -289,6 +334,41 @@ class TestSchemeBatch:
             seed_sigma = seed_sigma * G.power(share.value, lam) % G.p
         assert sigma == seed_sigma
         assert scheme.verify(sigma, b"m")
+
+    @pytest.mark.parametrize("group", GROUPS, ids=["256", "2048"])
+    def test_combine_contiguous_and_scattered_quorums(self, group):
+        """A contiguous quorum's Lagrange coefficients are small signed
+        integers (the signed-residue path); a scattered one's are
+        full-width fractions.  Both open the one unique signature."""
+        rng = random.Random(13)
+        scheme = ThresholdSignatureScheme(group, 11, 6)
+        scheme.keygen(rng)
+        shares = {i: scheme.sign_share(i, b"epoch-3", rng) for i in range(1, 12)}
+        for indices in ((1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11), (1, 3, 4, 7, 10, 11)):
+            sigma = scheme.combine([shares[i] for i in indices], b"epoch-3")
+            assert scheme.verify(sigma, b"epoch-3"), indices
+
+    def test_signed_shares_are_pinned(self):
+        """Signing reuses the published key share instead of recomputing
+        ``g^x_i``: values, proofs and RNG draws must stay bit-identical."""
+        import hashlib
+
+        pinned = {
+            "256": "47189297e7f8fd3239e1bb589bc859f121fc4346c7ce039197c3b04a1f505953",
+            "2048": "13f233d4354d90d00ca3d1d22ca9bdcb50daf741a3ee12633002bf7f2aeca356",
+        }
+        cases = {
+            "256": (TEST_GROUP_256, [3, 4, 2], 1, 7),
+            "2048": (RFC3526_GROUP_2048, [1, 2], 1, 3),
+        }
+        for name, (group, tickets, party, epoch) in cases.items():
+            coin = WeightedCoin(group, tickets, "1/2", random.Random("pin|keys"))
+            h = hashlib.sha256()
+            for s in coin.shares_of_party(party, epoch, random.Random("pin|sign")):
+                pr = s.proof
+                fields = (s.index, s.value, pr.challenge, pr.response, pr.commit1, pr.commit2)
+                h.update(repr(fields).encode())
+            assert h.hexdigest() == pinned[name], name
 
     def test_combine_rejects_and_names_bad_share(self):
         scheme, rng = self._scheme(n=6, k=3, seed=3)
@@ -409,6 +489,33 @@ class TestBatchBeaconProtocol:
             proof=honest[0].proof,
         )
         world.party(0).broadcast(CoinShareMsg(epoch=epoch, share=garbled))
+        for pid in setup.vmap.parties_with_tickets():
+            world.party(pid).start_epoch(epoch)
+        world.run()
+        values = {p.values.get(epoch) for p in world.parties}
+        assert len(values) == 1 and None not in values
+        assert any(p.counters["invalid_shares"] > 0 for p in world.parties)
+
+    def test_beacon_opens_past_an_out_of_range_share(self):
+        """A share decoded with ``value = -1`` reaches the batch verifier
+        ahead of an honest quorum: it is counted invalid, not raised on,
+        and every party still opens the epoch."""
+        from repro.protocols.common_coin import BeaconParty, CoinShareMsg
+        from repro.sim import build_world
+        from repro.weighted.transform import blunt_setup
+
+        weights = [40, 25, 15, 10, 5, 3, 1, 1]
+        setup = blunt_setup(weights, "1/3", "1/2")
+        coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(4))
+        world = build_world(
+            lambda pid: BeaconParty(pid, coin, random.Random(1000 + pid)),
+            len(weights),
+            seed=4,
+        )
+        epoch = 1
+        honest = coin.shares_of_party(0, epoch, random.Random(78))[0]
+        forged = SignatureShare(index=honest.index, value=-1, proof=honest.proof)
+        world.party(0).broadcast(CoinShareMsg(epoch=epoch, share=forged))
         for pid in setup.vmap.parties_with_tickets():
             world.party(pid).start_epoch(epoch)
         world.run()

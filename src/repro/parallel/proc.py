@@ -215,8 +215,8 @@ async def _worker_main(
         # node before its handler and fault plan exist (it would be
         # dropped, or dodge a receive-side delay).  A frame that arrives
         # between "armed" and "start" -- a peer was released first -- is
-        # handled at once, on the reader task, by this party; whatever it
-        # sends waits in the outbox until node.start().
+        # handled at once, in the inbound stream's callback, by this
+        # party; whatever it sends waits in the outbox until node.start().
         conn.send(("armed", nid, None))
 
     while True:

@@ -12,6 +12,12 @@ format around them -- :class:`BroadcastParty` holds one, and
 :class:`~repro.protocols.smr.SmrParty` one per (epoch, proposer).
 Byzantine senders and voters are patched onto honest parties by
 :mod:`repro.adversary.byzantine`.
+
+A vote costs one integer add: an instance keeps a running tally per
+payload over the policy's integer vote weights and compares it with the
+policy's integer thresholds (``tally > need``), so no sender set is
+re-summed per vote; the policy's set predicates are the oracle the
+tallies are tested against (``tests/weighted/test_tally.py``).
 """
 
 from __future__ import annotations
@@ -31,6 +37,26 @@ __all__ = [
 ]
 
 
+class _Tally:
+    """The votes of one phase for one payload: who cast them and the
+    integer weight they add up to (``QuorumPolicy.vote_weights``)."""
+
+    __slots__ = ("senders", "weight")
+
+    def __init__(self) -> None:
+        self.senders: set[int] = set()
+        self.weight = 0
+
+    def add(self, sender: int, weights: tuple[int, ...]) -> bool:
+        """Count ``sender``'s vote; ``False`` (and nothing counted) when
+        it has already voted."""
+        if sender in self.senders:
+            return False
+        self.senders.add(sender)
+        self.weight += weights[sender]
+        return True
+
+
 class BrachaInstance:
     """One broadcast instance at one party: who voted for which payload,
     and what this party has said so far.
@@ -41,9 +67,17 @@ class BrachaInstance:
     belongs to this instance and that ``sender`` is who the transport
     says it is.
 
+    The rules are written here and only here, on the policy's integer
+    form: a vote is one :class:`_Tally` per payload, a repeated voter
+    returns before any arithmetic, and a quorum is ``tally.weight >
+    quorums.echo_need`` (ECHO quorum, delivery) or ``> ready_need`` (READY
+    amplification).  The policy's set predicates are the oracle these
+    comparisons are tested against.  ECHOs only decide this party's
+    READY, so once it is sent they are no longer tallied.
+
     Delivery ends the instance: the party has sent its READY by then and
-    the first delivery wins, so the sender sets are dropped and a late
-    vote returns before the quorum policy is consulted.
+    the first delivery wins, so the tallies are dropped and a late vote
+    returns before the quorum policy is consulted.
     """
 
     __slots__ = ("echoed", "readied", "delivered", "echo_senders", "ready_senders")
@@ -52,10 +86,10 @@ class BrachaInstance:
         self.echoed = False
         self.readied = False
         self.delivered = False
-        #: payload -> senders of an ECHO / a READY for it; ``None`` once
+        #: payload -> the tally of ECHOs / READYs for it; ``None`` once
         #: the instance has delivered
-        self.echo_senders: Optional[dict[bytes, set[int]]] = {}
-        self.ready_senders: Optional[dict[bytes, set[int]]] = {}
+        self.echo_senders: Optional[dict[bytes, _Tally]] = {}
+        self.ready_senders: Optional[dict[bytes, _Tally]] = {}
 
     def on_send(self) -> bool:
         """A SEND arrived; ``True`` when the party must ECHO it (only
@@ -67,13 +101,14 @@ class BrachaInstance:
 
     def on_echo(self, quorums: QuorumPolicy, payload: bytes, sender: int) -> bool:
         """An ECHO arrived; ``True`` when the party must send READY."""
-        if self.delivered:
+        if self.readied or self.delivered:
             return False
-        senders = self.echo_senders.get(payload)
-        if senders is None:
-            senders = self.echo_senders[payload] = set()
-        senders.add(sender)
-        if self.readied or not quorums.echo_quorum(senders):
+        tally = self.echo_senders.get(payload)
+        if tally is None:
+            tally = self.echo_senders[payload] = _Tally()
+        if not tally.add(sender, quorums.vote_weights):
+            return False
+        if tally.weight <= quorums.echo_need:
             return False
         self.readied = True
         return True
@@ -85,14 +120,16 @@ class BrachaInstance:
         send READY (amplification) and whether it must deliver."""
         if self.delivered:
             return False, False
-        senders = self.ready_senders.get(payload)
-        if senders is None:
-            senders = self.ready_senders[payload] = set()
-        senders.add(sender)
-        ready = not self.readied and quorums.ready_amplify(senders)
+        tally = self.ready_senders.get(payload)
+        if tally is None:
+            tally = self.ready_senders[payload] = _Tally()
+        if not tally.add(sender, quorums.vote_weights):
+            return False, False
+        weight = tally.weight
+        ready = not self.readied and weight > quorums.ready_need
         if ready:
             self.readied = True
-        if not quorums.deliver_quorum(senders):
+        if weight <= quorums.echo_need:
             return ready, False
         self.delivered = True
         self.echo_senders = self.ready_senders = None

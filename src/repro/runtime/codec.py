@@ -23,9 +23,19 @@ through to the ``isinstance`` chain the format was defined by (kept as
 the oracle in ``tests/runtime/codec_oracle.py``).  Decoding dispatches on
 the integer marker, checks every length against the end of the buffer
 *before* slicing, so a truncated payload raises ``CodecError("truncated
-frame")`` and constructs nothing, and rebuilds ``cls(*values)``.  A bytes
-payload is appended to, and sliced out of, the buffer in one C-level
-operation (no per-symbol marshalling of block fragments).
+frame")`` and constructs nothing, and rebuilds ``cls(*values)``.  The
+loop over a class's fields reads the two markers nearly every field
+carries -- ``I`` and ``B`` -- itself and hands every other marker to
+``_decode_value`` (the recursive decoder it inlines is the oracle's
+``oracle_decode``).  A bytes payload is appended to, and sliced out of,
+the buffer in one C-level operation (no per-symbol marshalling of block
+fragments).
+
+Nesting is bounded: a value sits inside at most ``32`` tuples and nested
+dataclasses (the message itself not counted), and a deeper frame raises
+``CodecError`` rather than exhausting the interpreter's stack.  The
+registered messages nest at most 3 deep (a ``CoinShareMsg`` holds a
+``SignatureShare`` holding a ``DleqProof``).
 """
 
 from __future__ import annotations
@@ -41,7 +51,10 @@ __all__ = [
 ]
 
 _LEN = struct.Struct(">I")
+_unpack_len = _LEN.unpack_from
 _TAG_LEN = struct.Struct(">H")
+#: most tuples and nested dataclasses a decoded value may sit inside
+_MAX_NESTING = 32
 
 # one-byte type markers of the value encoding: as bytes to append, and as
 # the integers that indexing a ``bytes`` payload yields
@@ -187,12 +200,15 @@ class CodecRegistry:
         if type(data) is not bytes:
             data = bytes(data)  # so that data[i] is an int and a slice is bytes
         end = len(data)
-        message, pos = self._decode_body(data, 0, end)
+        message, pos = self._decode_body(data, 0, end, 0)
         if pos != end:
             raise CodecError(f"{end - pos} trailing bytes after message")
         return message
 
-    def _decode_body(self, buf: bytes, pos: int, end: int) -> tuple[Any, int]:
+    def _decode_body(
+        self, buf: bytes, pos: int, end: int, depth: int
+    ) -> tuple[Any, int]:
+        """The registered dataclass at ``pos``, ``depth`` containers deep."""
         start = pos + 2
         if start > end:
             raise CodecError("truncated frame")
@@ -205,11 +221,29 @@ class CodecRegistry:
         pos = stop
         values = []
         for _ in plan.names:
-            value, pos = self._decode_value(buf, pos, end)
-            values.append(value)
+            if pos >= end:
+                raise CodecError("truncated frame")
+            marker = buf[pos]
+            if marker == _M_BYTES or marker == _M_INT:
+                start = pos + 5
+                if start > end:
+                    raise CodecError("truncated frame")
+                pos = start + _unpack_len(buf, pos + 1)[0]
+                if pos > end:
+                    raise CodecError("truncated frame")
+                if marker == _M_BYTES:
+                    values.append(buf[start:pos])
+                else:
+                    values.append(int.from_bytes(buf[start:pos], "big", signed=True))
+            else:
+                value, pos = self._decode_value(buf, pos, end, depth)
+                values.append(value)
         return plan.cls(*values), pos
 
-    def _decode_value(self, buf: bytes, pos: int, end: int) -> tuple[Any, int]:
+    def _decode_value(
+        self, buf: bytes, pos: int, end: int, depth: int
+    ) -> tuple[Any, int]:
+        """The value at ``pos`` inside a container ``depth`` deep."""
         if pos >= end:
             raise CodecError("truncated frame")
         marker = buf[pos]
@@ -219,18 +253,20 @@ class CodecRegistry:
             return True, pos + 1
         if marker == _M_FALSE:
             return False, pos + 1
+        if (marker == _M_DATACLASS or marker == _M_TUPLE) and depth >= _MAX_NESTING:
+            raise CodecError(f"frame nested more than {_MAX_NESTING} deep")
         if marker == _M_DATACLASS:
-            return self._decode_body(buf, pos + 1, end)
+            return self._decode_body(buf, pos + 1, end, depth + 1)
         # every other marker is followed by a 4-byte length
         start = pos + 5
         if start > end:
             raise CodecError("truncated frame")
-        (n,) = _LEN.unpack_from(buf, pos + 1)
+        (n,) = _unpack_len(buf, pos + 1)
         if marker == _M_TUPLE:
             items = []
             pos = start
             for _ in range(n):
-                item, pos = self._decode_value(buf, pos, end)
+                item, pos = self._decode_value(buf, pos, end, depth + 1)
                 items.append(item)
             return tuple(items), pos
         stop = start + n

@@ -127,8 +127,11 @@ class FaultController:
         counted where it is sent -- the same disposition on the sim, the
         in-process queues, and the retrying proc transport, none of which
         can then differ on what they had buffered at heal time.
+
+        With nothing crashed and no partition the terminal check is one
+        branch; the ``"sent"`` entry is traced all the same.
         """
-        if self._severed(src, dst):
+        if (self.crashed or self._groups) and self._severed(src, dst):
             self.dropped_messages += 1
             self.trace.append((src, dst, "condemned"))
             return True
@@ -144,11 +147,15 @@ class FaultController:
         Re-checks the terminal conditions (a fault injected after the
         send still stops the message) and adds the re-timing faults:
         configured link delay plus weather duplication/reorder/jitter.
+        An unarmed controller answers the shared ``DELIVER`` in one
+        branch per kind of fault.
         """
-        if self._severed(src, dst):
+        if (self.crashed or self._groups) and self._severed(src, dst):
             self.dropped_messages += 1
             self.trace.append((src, dst, "dropped"))
             return DeliveryDecision.DROP
+        if not (self._global_delay or self._link_delay or self.weather is not None):
+            return DeliveryDecision.DELIVER
         delay = self._global_delay + self._link_delay.get((src, dst), 0.0)
         duplicates = 0
         if self.weather is not None:

@@ -8,11 +8,12 @@ protocol subclass runs live without modification.
 A message waits in the sender's outbox, then in the transport (a
 per-destination queue on ``inproc``, a link queue and a socket on
 ``tcp``) -- and nowhere on arrival: the transport's delivery callback
-*is* the dispatch, so a handler runs on the task that decoded the frame
-(the in-process pump, the TCP reader, a delay timer or, for a TCP
-self-send, this node's sender task).  One loop hosts them all and a
-handler never awaits, so handler code stays synchronous and single-
-threaded, exactly like the simulator's delivery model.
+*is* the dispatch, so a handler runs where the frame was decoded (the
+in-process pump task, the inbound TCP stream's ``data_received``
+callback, a delay timer or, for a TCP self-send, this node's sender
+task).  One loop hosts them all and a handler never awaits, so handler
+code stays synchronous and single-threaded, exactly like the
+simulator's delivery model.
 
 The outbox and its sender task stay because ``send`` / ``broadcast`` may
 only queue: nothing a handler sends (to itself included) is delivered
@@ -102,9 +103,9 @@ class RuntimeNode:
         self.outbox.put_nowait((dsts, message))
 
     def _on_delivery(self, src: int, message: Any) -> None:
-        """Transport delivery callback: run the handler here, on the task
-        that decoded the frame.  A raising handler fails this node (it is
-        handed nothing further), never the transport's task."""
+        """Transport delivery callback: run the handler here, where the
+        frame was decoded.  A raising handler fails this node (it is
+        handed nothing further), never the transport."""
         if self.failure is not None:
             return
         self.messages_dispatched += 1

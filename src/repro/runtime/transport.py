@@ -1,4 +1,4 @@
-"""Live transports: asyncio queues in-process, asyncio streams over TCP.
+"""Live transports: asyncio queues in-process, sockets over TCP.
 
 Both implementations push every message through the
 :class:`~repro.runtime.codec.CodecRegistry` -- even the in-process one --
@@ -11,14 +11,17 @@ links with arbitrary (but finite) delays, no ordering guarantee across
 links.  A sent message waits in the transport (the destination's queue
 in process; the link's queue, then the socket, over TCP) and nowhere
 after it: ``_deliver`` decodes it and the bound node runs the party's
-handler right there, on the task that took it out -- ``_pump``,
-``_read_loop``, a ``_deliver_later`` timer, or ``send``'s caller for a
-TCP self-send.  A handler only queues what it sends and never raises
-into that task (its node records the failure).  Fault injection (:class:`~repro.runtime.faults.FaultController`)
+handler right there, where it was taken out -- the ``_pump`` task, the
+inbound stream's ``data_received`` callback (no task: the event loop
+calls it with the chunk), a ``_deliver_later`` timer, or ``send``'s
+caller for a TCP self-send.  A handler only queues what it sends and
+never raises into its caller (its node records the failure).  Fault injection (:class:`~repro.runtime.faults.FaultController`)
 is consulted at two points, identically for every transport: terminal
 faults (crash, partition, weather loss) at the send point via
 ``condemn``, re-timing faults (delay, jitter, duplication) plus an
-in-flight terminal re-check at the delivery point via ``decide``.
+in-flight terminal re-check at the delivery point via ``decide``.  An
+unarmed plan costs one branch at each point, and its ``DELIVER`` goes
+straight to the handler.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from typing import Any, Callable, Optional
 from ..recovery.backoff import BackoffSchedule
 from ..recovery.heartbeat import HeartbeatMonitor
 from .codec import CodecRegistry
-from .faults import FaultController
+from .faults import DeliveryDecision, FaultController
 
 __all__ = ["Transport", "InProcTransport", "TcpTransport"]
 
+_DELIVER = DeliveryDecision.DELIVER
 #: stream hello: (dialer pid, dialer incarnation) -- the incarnation lets
 #: a receiver reset the link's dedup watermark when the dialer comes back
 #: reborn (its link sequence numbers restart from 1)
@@ -49,9 +53,6 @@ _WATERMARK_EVERY = 16
 #: default cap on the frames a *down* link keeps queued for its reborn
 #: peer (drop-oldest beyond it; see ``TcpTransport._shed``)
 DEFAULT_RETRY_LIMIT = 256
-#: most bytes one read takes off a stream; every complete frame in them
-#: is cut out before the next await
-_READ_CHUNK = 1 << 16
 
 #: synchronous delivery callback: ``handler(src, message)``
 Handler = Callable[[int, Any], None]
@@ -73,8 +74,8 @@ class Transport:
         self.faults = faults or FaultController()
         self._record = record
         self._handlers: dict[int, Handler] = {}
-        #: every background task (delay timers, pumps, readers, retry
-        #: loops); :meth:`stop` cancels them all
+        #: every background task (delay timers, pumps, link writers,
+        #: heartbeats); :meth:`stop` cancels them all
         self._tasks: set[asyncio.Task] = set()
         #: messages sent but not yet resolved (delivered, dropped, or lost
         #: to shutdown) -- lets the cluster detect true quiescence even
@@ -162,9 +163,11 @@ class Transport:
     def _deliver(self, src: int, dst: int, data: bytes) -> None:
         """Fault check, decode, dispatch -- the common delivery point.
 
-        Weather duplication delivers ``decision.duplicates`` extra copies
-        of the message as distinct later arrivals (each holding its own
-        in-flight slot), matching the sim network's dispatch."""
+        The plain ``DELIVER`` decision (an unarmed fault plan) goes
+        straight to the handler.  Weather duplication delivers
+        ``decision.duplicates`` extra copies of the message as distinct
+        later arrivals (each holding its own in-flight slot), matching the
+        sim network's dispatch."""
         handler = self._handlers.get(dst)
         if handler is None:
             # Unbound pid, checked before the fault decision: a delivery
@@ -182,17 +185,18 @@ class Transport:
                 self.failure = exc
             self._resolve()
             raise
-        for copy in range(decision.duplicates):
-            self.in_flight += 1
-            late = decision.delay + 0.005 * (copy + 1)
-            self._spawn(self._deliver_later(handler, src, message, late))
-        if decision.delay > 0:
-            self._spawn(self._deliver_later(handler, src, message, decision.delay))
-        else:
-            try:
-                handler(src, message)
-            finally:
-                self._resolve()
+        if decision is not _DELIVER:
+            for copy in range(decision.duplicates):
+                self.in_flight += 1
+                late = decision.delay + 0.005 * (copy + 1)
+                self._spawn(self._deliver_later(handler, src, message, late))
+            if decision.delay > 0:
+                self._spawn(self._deliver_later(handler, src, message, decision.delay))
+                return
+        try:
+            handler(src, message)
+        finally:
+            self.in_flight -= 1
 
     async def _deliver_later(
         self, handler: Handler, src: int, message: Any, delay: float
@@ -349,8 +353,13 @@ class TcpTransport(Transport):
     ``condemn``, takes the next sequence number, queues the frame and
     returns without touching the socket; the writer task ships whatever
     is queued by then in a single ``write`` + ``drain``, so a burst of k
-    frames is one syscall.  Inbound, ``_read_loop`` cuts every complete
-    frame out of the bytes that have arrived before it awaits again.
+    frames is one syscall.  Inbound, a listener serves each accepted
+    stream with an :class:`_Inbound` protocol, not a reader coroutine:
+    its ``data_received`` cuts every complete frame out of the chunk the
+    event loop hands it and delivers each one before it returns, holding
+    only a cut-off header -- or the chunks of a body still arriving,
+    joined once -- until the next chunk.  :meth:`stop` closes these
+    streams before it awaits the listeners.
 
     Self-healing is the same code: when the write (or the dial before it)
     fails, the frames stay queued and the writer backs off and retries,
@@ -411,6 +420,8 @@ class TcpTransport(Transport):
         self.heartbeat: Optional[HeartbeatMonitor] = None
         #: hosted pid -> its listener
         self._servers: dict[int, asyncio.AbstractServer] = {}
+        #: every accepted stream still open
+        self._inbound: set[_Inbound] = set()
         #: every reachable pid, hosted or remote -> listening address
         self._peers: dict[int, tuple[str, int]] = {}
         self._links = _Links()
@@ -418,10 +429,8 @@ class TcpTransport(Transport):
     # -- wiring -------------------------------------------------------------------
     async def listen(self, pid: int) -> int:
         """Host node ``pid``: bind a kernel-assigned port and return it."""
-        server = await asyncio.start_server(
-            lambda reader, writer: self._spawn(self._read_loop(pid, reader, writer)),
-            self.host,
-            0,
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self, pid), self.host, 0
         )
         self._servers[pid] = server
         port = server.sockets[0].getsockname()[1]
@@ -507,8 +516,10 @@ class TcpTransport(Transport):
         writers = [link.writer for link in links if link.writer is not None]
         for writer in writers:
             writer.close()
-        # readers go before their listeners: a listener waits for its
-        # open connections (Python >= 3.12)
+        # inbound streams go before their listeners: a listener waits for
+        # its open connections (Python >= 3.12)
+        for inbound in list(self._inbound):
+            inbound.stream.close()
         await super().stop()
         # queued frames die with the transport; close their slots
         self.in_flight -= sum(len(link.queue) for link in links)
@@ -616,61 +627,122 @@ class TcpTransport(Transport):
             link.writer = writer
         return writer
 
-    # -- inbound ------------------------------------------------------------------
-    async def _read_loop(
-        self, dst: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+
+class _Inbound(asyncio.Protocol):
+    """One accepted stream into hosted node ``dst``.
+
+    ``data_received`` is the whole receive path: it reads the hello, then
+    cuts every complete frame out of the chunk it is handed and delivers
+    it before returning -- no reader task, no stream buffer.  Between two
+    chunks it holds at most a cut-off hello or frame header, or the
+    pieces of a body still arriving, joined once when the last one lands:
+    a multi-MiB frame is copied a fixed number of times, never once per
+    chunk, and a header's length claim allocates nothing ahead of the
+    bytes.
+
+    A frame that fails to decode (``_deliver`` has recorded it as the
+    mesh's ``failure``) or a handler that raises closes this stream; the
+    exception is kept as the mesh's ``failure`` if none was, and nothing
+    escapes to the event loop.
+    """
+
+    def __init__(self, mesh: "TcpTransport", dst: int) -> None:
+        self.mesh = mesh
+        self.dst = dst
+        self.stream: Optional[asyncio.Transport] = None
+        #: the link named by the hello (``None`` until it has arrived)
+        self.link: Optional[_Link] = None
+        #: a hosted sender still holds the slot its send() opened; a
+        #: remote one resolved it on drain
+        self.remote = True
+        #: the start of a hello or frame header cut off by a chunk's end
+        self.head = b""
+        #: a frame whose body is still arriving: its sequence number, the
+        #: pieces that have arrived and how many bytes are still missing
+        self.seq = 0
+        self.pieces: list[bytes] = []
+        self.missing = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.stream = transport
+        self.mesh._inbound.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.mesh._inbound.discard(self)
+        self.pieces = []
+
+    def data_received(self, data: bytes) -> None:
         try:
-            src, incarnation = _HELLO.unpack(await reader.readexactly(_HELLO.size))
-            link = self._links[src, dst]
-            if incarnation > link.incarnation:
-                # the dialer was reborn: its sequence numbers restart, so
-                # the old watermark would wrongly discard all new traffic
-                link.incarnation = incarnation
-                link.watermark = 0
-            # a hosted sender still holds the slot its send() opened
-            remote = src not in self._servers
-            loop = asyncio.get_running_loop()
-            unpack, header = _FRAME.unpack_from, _FRAME.size
-            buf, pos = b"", 0
-            while True:
-                body = pos + header
-                if body > len(buf):
-                    # Hold nothing but a cut-off header across the wait: an
-                    # idle link must not pin the last chunk it read.
-                    buf, pos = buf[pos:], 0
-                    kept = len(buf)
-                    buf += await reader.read(_READ_CHUNK)
-                    if len(buf) == kept:
-                        return  # peer hung up
-                    continue
-                seq, length = unpack(buf, pos)
-                pos = body + length
-                if pos <= len(buf):
-                    data = buf[body:pos]
-                else:
-                    # its tail is still on the way (chunk boundary, big body)
-                    data = buf[body:] + await reader.readexactly(pos - len(buf))
-                    buf, pos = b"", 0
-                if self.heartbeat is not None:
-                    self.heartbeat.observe(src, loop.time())
-                if seq <= link.watermark:
-                    # a heartbeat (seq 0: observed above, nothing to
-                    # deliver), or a frame redelivered from a retry queue
-                    # whose first copy was already counted and dispatched
-                    if seq:
-                        self.duplicates_dropped += 1
-                    continue
-                link.watermark = seq
-                if self.watermark_sink is not None and seq % _WATERMARK_EVERY == 0:
-                    self.watermark_sink(src, dst, seq)
-                self.frames_received += 1
-                if remote:
-                    # the sender resolved on drain; re-open the slot here
-                    # so delays/drops settle through the shared _deliver
-                    self.in_flight += 1
-                self._deliver(src, dst, data)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer hung up; the cluster is stopping or the node crashed
-        finally:
-            writer.close()
+            self._receive(data)
+        except Exception as exc:  # noqa: BLE001 -- kept for the cluster
+            if self.mesh.failure is None:
+                self.mesh.failure = exc
+            self.pieces = []
+            self.stream.close()
+
+    def _receive(self, data: bytes) -> None:
+        pos, end = 0, len(data)
+        if self.missing:
+            # a body still arriving: this chunk's first bytes continue it
+            pos = min(self.missing, end)
+            self.pieces.append(data if pos == end else data[:pos])
+            self.missing -= pos
+            if self.missing:
+                return
+            body, self.pieces = b"".join(self.pieces), []
+            self._frame(self.seq, body)
+        elif self.head:
+            data = self.head + data
+            self.head = b""
+            end = len(data)
+        if self.link is None:
+            if end - pos < _HELLO.size:
+                self.head = data[pos:]
+                return
+            self._hello(*_HELLO.unpack_from(data, pos))
+            pos += _HELLO.size
+        unpack, header = _FRAME.unpack_from, _FRAME.size
+        while True:
+            start = pos + header
+            if start > end:
+                if pos < end:
+                    self.head = data[pos:]
+                return
+            seq, length = unpack(data, pos)
+            pos = start + length
+            if pos > end:
+                # its tail is still on the way (chunk boundary, big body)
+                self.seq, self.missing = seq, pos - end
+                self.pieces.append(data[start:])
+                return
+            self._frame(seq, data[start:pos])
+
+    def _hello(self, src: int, incarnation: int) -> None:
+        link = self.link = self.mesh._links[src, self.dst]
+        if incarnation > link.incarnation:
+            # the dialer was reborn: its sequence numbers restart, so the
+            # old watermark would wrongly discard all new traffic
+            link.incarnation = incarnation
+            link.watermark = 0
+        self.remote = src not in self.mesh._servers
+
+    def _frame(self, seq: int, data: bytes) -> None:
+        mesh, link = self.mesh, self.link
+        if mesh.heartbeat is not None:
+            mesh.heartbeat.observe(link.src, asyncio.get_running_loop().time())
+        if seq <= link.watermark:
+            # a heartbeat (seq 0: observed above, nothing to deliver), or
+            # a frame redelivered from a retry queue whose first copy was
+            # already counted and dispatched
+            if seq:
+                mesh.duplicates_dropped += 1
+            return
+        link.watermark = seq
+        if mesh.watermark_sink is not None and seq % _WATERMARK_EVERY == 0:
+            mesh.watermark_sink(link.src, self.dst, seq)
+        mesh.frames_received += 1
+        if self.remote:
+            # the sender resolved on drain; re-open the slot here so
+            # delays/drops settle through the shared _deliver
+            mesh.in_flight += 1
+        mesh._deliver(link.src, self.dst, data)

@@ -6,6 +6,16 @@ Protocols in :mod:`repro.protocols` are parameterized by a
 :class:`QuorumPolicy` so the same code runs nominally or weighted -- the
 paper's observation that weighted voting alone converts the quorum-based
 parts of a protocol with no resilience loss.
+
+A policy says the same thing twice.  The set predicates (``echo_quorum``
+and friends) judge a set of senders from scratch.  The integer form --
+``vote_weights`` and the ``*_need`` thresholds, with the one rule
+``tally > need`` -- lets a protocol keep a running tally and pay one
+integer add per distinct vote: Bracha's ECHO / READY rules
+(:class:`~repro.protocols.reliable_broadcast.BrachaInstance`) run on it,
+and the predicates stay for the set-valued questions (AVID's storage
+phase, recovery's certificates, ``SmrParty.epoch_closed``) and as the
+tally's oracle in ``tests/weighted/``.
 """
 
 from __future__ import annotations
@@ -28,7 +38,19 @@ class QuorumPolicy:
     echo the readiness even without an echo quorum.  ``deliver_quorum``:
     enough READYs to deliver.  ``storage_quorum``: enough stored-fragment
     acks for dispersal completeness (AVID).
+
+    The same thresholds as integers, for running tallies: party ``i``'s
+    vote adds ``vote_weights[i]``, and a tally of distinct senders is an
+    echo quorum -- and, of READYs, a deliver quorum -- iff it is
+    ``> echo_need``, and amplifies a READY iff it is ``> ready_need``.
     """
+
+    #: integer weight of each party's vote, indexed by pid
+    vote_weights: tuple[int, ...]
+    #: ECHO-quorum and delivery threshold of a tally (``tally > need``)
+    echo_need: int
+    #: READY-amplification threshold of a tally (``tally > need``)
+    ready_need: int
 
     def echo_quorum(self, senders: Iterable[int]) -> bool:
         raise NotImplementedError
@@ -46,7 +68,8 @@ class QuorumPolicy:
 @dataclass(frozen=True)
 class NominalQuorums(QuorumPolicy):
     """Classic ``n = 3t + 1`` thresholds: echo/deliver at ``n - t``,
-    ready amplification at ``t + 1``, storage at ``2t + 1``."""
+    ready amplification at ``t + 1``, storage at ``2t + 1``.  Every vote
+    weighs 1."""
 
     n: int
     t: int
@@ -54,6 +77,9 @@ class NominalQuorums(QuorumPolicy):
     def __post_init__(self) -> None:
         if not (self.n >= 3 * self.t + 1 and self.t >= 0):
             raise ValueError("nominal quorums require n >= 3t + 1")
+        object.__setattr__(self, "vote_weights", (1,) * self.n)
+        object.__setattr__(self, "echo_need", self.n - self.t - 1)
+        object.__setattr__(self, "ready_need", self.t)
 
     def _count(self, senders: Iterable[int]) -> int:
         return len(set(senders))
@@ -77,11 +103,13 @@ class WeightedQuorums(QuorumPolicy):
     echo/deliver above ``(1 - f_w) W``, ready amplification above
     ``f_w W``, storage above ``2 f_w W``.
 
-    The predicates run on every message delivery, so they are evaluated
-    in pure integer arithmetic: weights are scaled to a common
-    denominator once at construction and each ``weight > c * W`` check
-    becomes one cross-multiplied integer comparison -- exactly equivalent
-    to the Fraction math, with none of its per-call allocation.
+    Everything is integer arithmetic: weights are scaled to a common
+    denominator once at construction (``vote_weights``) and each
+    ``weight > c * W`` predicate becomes one cross-multiplied integer
+    comparison -- exactly equivalent to the Fraction math, with none of
+    its per-call allocation.  For a tally ``s`` of scaled weights,
+    ``s * q > p * W`` iff ``s > floor(p * W / q)``, which is the ``*_need``
+    of the threshold ``c = p / q``.
     """
 
     weights: tuple[Fraction, ...]
@@ -97,7 +125,7 @@ class WeightedQuorums(QuorumPolicy):
         scale = math.lcm(*(w.denominator for w in self.weights)) if self.weights else 1
         int_weights = tuple(int(w * scale) for w in self.weights)
         total_int = sum(int_weights)
-        object.__setattr__(self, "_int_weights", int_weights)
+        object.__setattr__(self, "vote_weights", int_weights)
         thresholds = {}
         for name, c in (
             ("echo", 1 - self.f_w),
@@ -107,9 +135,12 @@ class WeightedQuorums(QuorumPolicy):
             c = as_fraction(c)
             thresholds[name] = (c.denominator, c.numerator * total_int)
         object.__setattr__(self, "_thresholds", thresholds)
+        for name in ("echo", "ready"):
+            q, bound = thresholds[name]
+            object.__setattr__(self, f"{name}_need", bound // q)
 
     def _over(self, senders: Iterable[int], name: str) -> bool:
-        int_weights = self._int_weights
+        int_weights = self.vote_weights
         q, bound = self._thresholds[name]
         return sum(int_weights[i] for i in set(senders)) * q > bound
 

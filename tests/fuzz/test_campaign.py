@@ -190,20 +190,18 @@ class TestMutationSmoke:
     dropping both gates to the f_w ("ready") threshold lets an
     equivocating sender drive disjoint weight-halves to deliver
     conflicting payloads -- the agreement violation the invariants exist
-    to catch.
+    to catch.  Bracha's tallies read one need for both gates,
+    ``echo_need``: the mutant lowers it to ``ready_need``.
     """
 
     def _weaken(self, monkeypatch):
-        monkeypatch.setattr(
-            WeightedQuorums,
-            "echo_quorum",
-            lambda self, senders: self._over(senders, "ready"),
-        )
-        monkeypatch.setattr(
-            WeightedQuorums,
-            "deliver_quorum",
-            lambda self, senders: self._over(senders, "ready"),
-        )
+        honest = WeightedQuorums.__init__
+
+        def weakened(self, *args, **kwargs):
+            honest(self, *args, **kwargs)
+            object.__setattr__(self, "echo_need", self.ready_need)
+
+        monkeypatch.setattr(WeightedQuorums, "__init__", weakened)
 
     def test_weakened_quorums_are_caught_and_replay_deterministically(
         self, monkeypatch

@@ -113,12 +113,14 @@ def test_one_heavy_vote_both_amplifies_and_delivers():
 
 
 class ConsultedAfterDecision(QuorumPolicy):
-    """Every predicate raises: a decided instance must not get this far."""
+    """Reading a vote weight or a threshold raises, and so does every
+    predicate: a decided instance must not get this far."""
 
-    def _raise(self, senders):
+    def _raise(self, *senders):
         raise AssertionError("quorum policy consulted after delivery")
 
     echo_quorum = ready_amplify = deliver_quorum = storage_quorum = _raise
+    vote_weights = echo_need = ready_need = property(_raise)
 
 
 @pytest.mark.parametrize("quorums", POLICIES)
@@ -159,28 +161,33 @@ class TestDelivery:
 
 
 def test_an_undecided_instance_does_ask_the_policy():
-    # ... so the late-vote test above is not vacuous
+    # ... so the late-vote test above is not vacuous: a first ECHO and a
+    # first READY read the policy's vote weights and thresholds
     with pytest.raises(AssertionError, match="consulted after delivery"):
         BrachaInstance().on_echo(ConsultedAfterDecision(), A, 0)
+    with pytest.raises(AssertionError, match="consulted after delivery"):
+        BrachaInstance().on_ready(ConsultedAfterDecision(), A, 0)
 
 
 def test_the_ready_rules_are_written_in_one_module():
-    """ECHO-quorum and READY-amplification are asked of a quorum policy in
-    ``reliable_broadcast.py`` and nowhere else: a protocol that needs
-    Bracha holds instances, it does not grow another copy of the rules."""
+    """The ECHO-quorum and READY-amplification thresholds are read in
+    ``reliable_broadcast.py`` and nowhere else, and no module asks the
+    matching set predicates: a protocol that needs Bracha holds
+    instances, it does not grow another copy of the rules."""
     import ast
     from pathlib import Path
 
     import repro
 
     root = Path(repro.__file__).parent
-    callers = set()
+    readers, askers = set(), set()
     for path in root.rglob("*.py"):
+        where = path.relative_to(root).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("echo_quorum", "ready_amplify")
-            ):
-                callers.add(path.relative_to(root).as_posix())
-    assert callers - {"weighted/quorum.py"} == {"protocols/reliable_broadcast.py"}
+            if isinstance(node, ast.Attribute):
+                if node.attr in ("echo_need", "ready_need"):
+                    readers.add(where)
+                elif node.attr in ("echo_quorum", "ready_amplify"):
+                    askers.add(where)
+    assert readers - {"weighted/quorum.py"} == {"protocols/reliable_broadcast.py"}
+    assert askers - {"weighted/quorum.py"} == set()

@@ -297,6 +297,45 @@ class TestTruncation:
         assert registry.decode(memoryview(data)) == SAMPLES[0]
 
 
+def _echo_holding(values: bytes) -> bytes:
+    """An ``RbcEcho`` payload whose one field is the raw ``values``."""
+    tag = b"RbcEcho"
+    return len(tag).to_bytes(2, "big") + tag + values
+
+
+class TestNesting:
+    """Nesting is bounded at 32 tuples / nested dataclasses: a frame
+    nested deeper is malformed, and raises ``CodecError`` -- not the
+    interpreter's ``RecursionError``."""
+
+    def test_a_deeply_nested_frame_raises_codec_error(self, registry):
+        one_item_tuple = b"L" + (1).to_bytes(4, "big")
+        frame = _echo_holding(one_item_tuple * 5000 + b"N")
+        assert len(frame) > 25_000
+        with pytest.raises(CodecError, match="nested"):
+            registry.decode(frame)
+
+    def test_deeply_nested_dataclasses_raise_codec_error(self, registry):
+        inner = b"N"
+        for _ in range(5000):
+            inner = b"D" + _echo_holding(inner)
+        with pytest.raises(CodecError, match="nested"):
+            registry.decode(_echo_holding(inner))
+
+    def test_the_bound_is_32(self, registry):
+        value = b"x"
+        for _ in range(32):
+            value = (value,)
+        deepest = RbcEcho(value)
+        assert registry.decode(registry.encode(deepest)) == deepest
+        with pytest.raises(CodecError, match="nested"):
+            registry.decode(registry.encode(RbcEcho((value,))))
+
+    def test_registered_messages_nest_three_deep(self, registry):
+        share = CoinShareMsg(epoch=1, share=_SHARE)
+        assert registry.decode(registry.encode(share)) == share
+
+
 class TestRegistrationRefusals:
     """``decode`` rebuilds ``cls(*values)``: a dataclass it could not
     rebuild is refused when registered, not at the receiver."""

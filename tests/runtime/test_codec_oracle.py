@@ -4,7 +4,10 @@
 when every message was reflected with ``dataclasses.fields()``.  For
 every type ``default_registry()`` knows, with arbitrary field values of
 every shape the format covers, the codec's bytes are the oracle's bytes
-and decoding them gives the message back.
+and decoding them gives the message back.  Its ``oracle_decode`` is the
+recursive decoder the inlined field loop replaced: on every encoding and
+every strict prefix of it, both decoders give the same value or the same
+``CodecError``.
 """
 
 import dataclasses
@@ -61,6 +64,30 @@ def test_bytes_equal_the_oracle_and_round_trip(cls, data):
     assert encoded == oracle.oracle_encode(REGISTRY, message)
     assert REGISTRY.decode(encoded) == message
     assert REGISTRY.encode_frame(message)[4:] == encoded
+
+
+def _decoded(decode, data):
+    """``decode(data)``'s result as a type-sensitive string, or its error."""
+    try:
+        return repr(decode(data))
+    except oracle.CodecError as exc:
+        return f"CodecError: {exc}"
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+@settings(max_examples=10, deadline=None)  # every prefix: quadratic in length
+@given(data=st.data())
+def test_the_inlined_decoder_agrees_with_the_oracle_on_every_prefix(cls, data):
+    """The field loop that reads ``I`` / ``B`` itself decodes what the
+    recursive decoder did, and fails every strict prefix with the same
+    ``CodecError``."""
+    values = [data.draw(VALUES, label=f.name) for f in dataclasses.fields(cls)]
+    encoded = REGISTRY.encode(cls(*values))
+    for cut in range(len(encoded) + 1):
+        prefix = encoded[:cut]
+        assert _decoded(REGISTRY.decode, prefix) == _decoded(
+            lambda raw: oracle.oracle_decode(REGISTRY, raw), prefix
+        ), cut
 
 
 def test_bools_keep_their_own_markers():

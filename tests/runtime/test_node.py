@@ -1,16 +1,18 @@
 """``RuntimeNode``: one class, one queue, one task per live node.
 
-A frame is dispatched where it is decoded -- ``party.receive`` runs on
-the transport task that cut the frame out (the in-process pump, the TCP
-reader, a delay timer, or the node's own sender task for a TCP
-self-send).  The outbox and its sender task are all the machinery a node
-owns; they are what keeps a handler from running inside another handler.
-Every test runs on ``inproc`` and (tcp-marked) on ``tcp``.
+A frame is dispatched where it is decoded -- ``party.receive`` runs
+where the transport took the frame out (the in-process pump task, the
+inbound TCP stream's ``data_received`` callback, a delay timer, or the
+node's own sender task for a TCP self-send).  The outbox and its sender
+task are all the machinery a node owns; they are what keeps a handler
+from running inside another handler.  Every test runs on ``inproc`` and
+(tcp-marked) on ``tcp``.
 """
 
 import asyncio
 import gc
 import logging
+import sys
 import time
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from repro.protocols.reliable_broadcast import RbcEcho, RbcReady, RbcSend
 from repro.runtime import Cluster, RuntimeNode, default_registry
 from repro.runtime.cluster import TRANSPORTS
+from repro.runtime.transport import _Inbound
 from repro.sim.process import Party
 
 N = 3
@@ -27,14 +30,27 @@ TRANSPORT = pytest.mark.parametrize(
 )
 
 
+def _inside_inbound_callback():
+    """Whether the caller runs inside an inbound TCP stream's
+    ``data_received``."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code is _Inbound.data_received.__code__:
+            return True
+        frame = frame.f_back
+    return False
+
+
 class _Probe(Party):
-    """Records what it is handed and on which task; answers a ``RbcSend``
-    with an ``RbcEcho`` broadcast that includes itself."""
+    """Records what it is handed, on which task and whether inside an
+    inbound stream's callback; answers a ``RbcSend`` with an ``RbcEcho``
+    broadcast that includes itself."""
 
     def __init__(self, pid):
         super().__init__(pid)
         self.got = []
         self.tasks = []
+        self.in_callback = []
         self.depth = 0
         self.reentered = False
         self.on(RbcSend, self._handle_send)
@@ -45,6 +61,7 @@ class _Probe(Party):
         self.reentered |= self.depth > 0
         self.got.append((sender, message))
         self.tasks.append(asyncio.current_task())
+        self.in_callback.append(_inside_inbound_callback())
 
     def _handle_send(self, message, sender):
         self._record(message, sender)
@@ -76,7 +93,9 @@ def _run(drive):
 
 @TRANSPORT
 class TestDispatchWhereDecoded:
-    def test_handler_runs_on_the_transport_task_and_the_node_owns_one(self, transport):
+    def test_handler_runs_where_the_frame_is_taken_out_and_the_node_owns_one_task(
+        self, transport
+    ):
         async def drive():
             async with Cluster(_Probe, N, transport=transport) as cluster:
                 assert all(len(node._tasks) == 1 for node in cluster.nodes)
@@ -91,6 +110,8 @@ class TestDispatchWhereDecoded:
                         (
                             party.tasks[0] in cluster.transport._tasks,
                             party.tasks[0] is senders[party.pid],
+                            party.tasks[0] is None,
+                            party.in_callback[0],
                         )
                         for party in cluster.parties
                     ],
@@ -99,10 +120,16 @@ class TestDispatchWhereDecoded:
         got, dispatched, ran_on = _run(drive)
         assert got == [[(0, RbcReady(b"hello"))]] * N
         assert dispatched == [1] * N
-        # (a transport task, the node's own sender task): only a TCP
-        # self-send short-circuits into the sender
-        own = (False, True) if transport == "tcp" else (True, False)
-        assert ran_on == [own, (True, False), (True, False)]
+        # (a transport task, the node's own sender task, no task, inside
+        # an inbound stream's callback)
+        if transport == "tcp":
+            # a self-send short-circuits into the sender task; a remote
+            # frame is handled in the event loop's call of data_received
+            sender = (False, True, False, False)
+            assert ran_on == [sender] + [(False, False, True, True)] * (N - 1)
+        else:
+            # every frame is handled on the destination's pump task
+            assert ran_on == [(True, False, False, False)] * N
 
     def test_one_link_is_fifo(self, transport):
         frames = [RbcEcho(index.to_bytes(2, "big")) for index in range(200)]
@@ -160,8 +187,9 @@ class TestDispatchWhereDecoded:
         assert _run(drive) == [(1, RbcEcho(b"are you there"))]
 
     def test_retire_from_inside_a_handler_during_dispatch(self, transport):
-        """The retiring handler runs on a transport task that has more
-        frames for the same node behind it."""
+        """The retiring handler runs where the transport has more frames
+        for the same node behind it (the pump's queue, the rest of the
+        inbound chunk)."""
 
         async def drive():
             async with Cluster(_Probe, N, transport=transport) as cluster:
@@ -190,7 +218,8 @@ class TestDispatchWhereDecoded:
 @TRANSPORT
 class TestHandlerFailure:
     """One failure path on both transports: recorded once on the node,
-    never raised into the transport's task, surfaced by the cluster."""
+    never raised into the transport (its pump task or inbound stream
+    callback), surfaced by the cluster."""
 
     K = 3
 
@@ -221,7 +250,7 @@ class TestHandlerFailure:
                     await asyncio.sleep(0.001)
                 failed = cluster.nodes[1]
                 first = failed.failure
-                # the transport tasks survived it: the mesh still delivers
+                # the transport survived it: the mesh still delivers
                 cluster.party(2).broadcast(RbcReady(b"still running"))
                 while not (cluster.quiescent and cluster.party(0).got):
                     await asyncio.sleep(0.001)

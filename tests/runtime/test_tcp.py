@@ -1,17 +1,22 @@
 """TCP transport smoke tests (marked ``tcp``: real localhost sockets)."""
 
 import asyncio
+import logging
+import random
 import socket
 
 import pytest
 
+from repro.codes import ReedSolomon
+from repro.protocols.avid import AvidParty
 from repro.protocols.common_coin import deterministic_coin
 from repro.protocols.reliable_broadcast import BroadcastParty, RbcSend
 from repro.protocols.smr import SmrParty
 from repro.runtime import Cluster, run_cluster
-from repro.runtime.codec import default_registry
+from repro.runtime.codec import CodecError, default_registry
 from repro.runtime.transport import _FRAME, _HELLO, TcpTransport
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
+from repro.weighted.transform import qualification_setup
 
 pytestmark = pytest.mark.tcp
 
@@ -233,6 +238,64 @@ class TestOneMesh:
                 await transport.stop()
 
         asyncio.run(drive())
+
+
+class TestInboundOverSockets:
+    """The inbound protocol on real streams: big frames span many reads,
+    and garbage fails the run loudly without a word from asyncio."""
+
+    def test_a_4_mib_avid_object_disperses_and_retrieves_intact(self):
+        weights = [40, 25, 15, 10, 5, 3, 1, 1]
+        layout = qualification_setup(weights, "1/3", "1/4")
+        code = ReedSolomon(k=layout.data_shards, m=layout.total_shards)
+        quorums = WeightedQuorums(weights, "1/3")
+        data = random.Random(4).randbytes(4 << 20)
+
+        async def drive():
+            cluster = Cluster(lambda pid: AvidParty(pid, quorums), len(weights), transport="tcp")
+            async with cluster:
+                commitment = cluster.party(0).disperse(data, code, layout.vmap)
+                await cluster.run_until(
+                    lambda: all(p.stored_commitment == commitment for p in cluster.parties),
+                    timeout=60.0,
+                )
+                retriever = cluster.party(5)
+                retriever.retrieve(commitment)
+                await cluster.run_until(lambda: retriever.retrieved is not None, timeout=60.0)
+                await cluster.settle()
+                metrics = cluster.metrics
+                disperse = metrics.bytes_by_type["AvidDisperse"] / metrics.by_type["AvidDisperse"]
+                return retriever.retrieved, cluster.transport, disperse
+
+        retrieved, transport, disperse = asyncio.run(drive())
+        assert retrieved == data
+        assert disperse > 1 << 19  # frames far larger than one read
+        assert transport.failure is None and transport.duplicates_dropped == 0
+        assert transport.frames_sent == transport.frames_received
+
+    def test_garbage_after_a_valid_hello_fails_the_run_loudly(self, caplog):
+        quorums = WeightedQuorums(WEIGHTS, "1/3")
+        garbage = b"\x00garbage-frame"
+
+        async def drive():
+            async with Cluster(factory_quorums(quorums), N, transport="tcp") as cluster:
+                transport = cluster.transport
+                reader, writer = await asyncio.open_connection(*transport.address(1))
+                writer.write(_HELLO.pack(9, 0) + _FRAME.pack(1, len(garbage)) + garbage)
+                assert await reader.read() == b""  # the receiver hung up
+                writer.close()
+                with pytest.raises(RuntimeError, match="delivery point") as raised:
+                    await cluster.run_until(lambda: False, timeout=5.0)
+                # only that stream closed: the mesh itself still delivers
+                cluster.party(0).broadcast_value(b"still up")
+                await _until(lambda: all(p.delivered == b"still up" for p in cluster.parties))
+                return raised.value.__cause__, transport.in_flight
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            cause, in_flight = asyncio.run(drive())
+        assert isinstance(cause, CodecError)
+        assert in_flight == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 class TestLinkQueue:

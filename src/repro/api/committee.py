@@ -163,14 +163,17 @@ class Committee:
         link_delays: Sequence[tuple] = (),
         payload_size: Optional[int] = None,
         epochs: Optional[int] = None,
+        weight_budget: bool = True,
     ) -> None:
         """Reject infeasible parameter combinations in one place.
 
-        Both CLI entry points (``cluster`` and ``scenario``) and the
-        scenario harness route their feasibility checks through here, so
-        an invalid combination produces the same error text, the same
-        exit status (2), and the same JSON error shape everywhere.
-        Raises :class:`CommitteeValidationError`; passes silently when
+        The scenario harness (hence ``repro cluster`` and ``repro
+        scenario``) and the service route their feasibility checks
+        through here, so an invalid combination produces the same error
+        text, exit status (2) and JSON error shape everywhere.  The crash
+        set must stay under the ``f_w*W`` budget unless ``weight_budget``
+        is off (nominal quorums count parties instead).  Raises
+        :class:`CommitteeValidationError`; passes silently when
         everything is feasible.
         """
         n = self.n
@@ -201,7 +204,7 @@ class Committee:
             raise CommitteeValidationError(
                 "fault plan crashes every party; nothing left to run"
             )
-        if f is not None and crash_set:
+        if f is not None and weight_budget and crash_set:
             # Refuse crash sets that make weighted quorums provably
             # unreachable -- the run would only burn its timeout.
             crashed_weight = self.weight_of(crash_set)

@@ -1,8 +1,8 @@
 """Command-line interface mirroring the paper's prototype solver.
 
 The Swiper prototype is a CLI with a ``--linear`` flag (Section 3.1);
-this module reproduces that interface and extends it with a live-cluster
-runner::
+this module reproduces that interface and extends it with protocol runs
+on every backend::
 
     python -m repro.cli wr --alpha-w 1/3 --alpha-n 1/2 --weights 40 25 15 10
     python -m repro.cli wq --beta-w 2/3 --beta-n 1/2 --weights-file stake.txt
@@ -16,28 +16,34 @@ Weights come from ``--weights`` (inline), ``--weights-file`` (one number
 per line), or ``--chain`` (a calibrated snapshot); all three are parsed
 by the shared :mod:`repro.api.weight_source` module and materialize as a
 :class:`repro.api.Committee`, which also centralizes feasibility
-validation.  Output is the ticket assignment summary, or the full
-per-party list with ``--full-output``; ``--json`` switches every
-subcommand to machine-readable output.  Invalid parameter combinations
-exit with status 2 and -- under ``--json`` -- emit one uniform
-``{"error": ...}`` object on stderr.
+validation.  Solver output is the ticket assignment summary, or the full
+per-party list with ``--full-output``.  A ``cluster`` or ``scenario``
+run is a scenario spec executed by the one scenario engine
+(:mod:`repro.scenarios.harness`): ``cluster`` builds its spec from the
+flags -- nominal ``n = 3t + 1`` quorums when no weight source is given
+-- and reads its output from the run's record, so one argv means the
+same run on ``inproc``, ``tcp`` and ``proc``.  ``--json`` switches
+every subcommand to machine-readable output.  Invalid parameter
+combinations exit with status 2 and -- under ``--json`` -- emit one
+uniform ``{"error": ...}`` object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .api import Committee, weight_source_from_args
+from .api import BackendSpec, Committee, Session, weight_source_from_args
 from .core import (
     WeightQualification,
     WeightRestriction,
     WeightSeparation,
 )
+from .core.types import scale_weights_exact
+from .scenarios import SCENARIOS, FaultSpec, WorkloadSpec, get_scenario
 
 __all__ = ["main", "build_parser"]
 
@@ -111,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="run a weighted protocol live over the asyncio runtime",
         description=(
-            "Execute a protocol over real transports (repro.runtime) and "
-            "report message/byte/latency metrics.  With a weight source the "
+            "Run a protocol as a scenario on a live transport and report "
+            "message/byte/wall-clock metrics.  With a weight source the "
             "protocol uses weighted quorums (resilience --f-w); without one "
             "it falls back to nominal n = 3t + 1 thresholds."
         ),
@@ -413,224 +419,80 @@ def _bound_as_json(bound):
 # -- cluster subcommand ------------------------------------------------------------
 
 
-def _run_cluster_proc(args: argparse.Namespace) -> int:
-    """``cluster --transport proc``: process-per-party over the scenario
-    engine (a single-loop cluster cannot host it).  Quorums are always
-    weighted here -- without a weight source the committee is uniform."""
-    from .scenarios.harness import run_scenario
-    from .scenarios.spec import FaultSpec, ScenarioSpec, WeightSpec, WorkloadSpec
-
-    try:
-        committee = _load_committee(args)
-        crash = tuple(sorted(set(args.crash)))
-        if committee is not None:
-            weights = WeightSpec(kind="explicit", values=tuple(committee.int_weights))
-            layout = "weighted"
-        else:
-            if args.n is None:
-                raise ValueError("need --n or a weight source (--weights/...)")
-            weights = WeightSpec(kind="constant", n=args.n, total=args.n * 100)
-            layout = "uniform"
-        spec = ScenarioSpec(
-            name=f"cluster-{args.protocol}",
-            protocol=args.protocol,
-            weights=weights,
-            f_w=str(args.f_w),
-            faults=FaultSpec(crashes=crash),
-            workload=WorkloadSpec(
-                payload_size=args.payload_size,
-                epochs=args.epochs if args.protocol == "smr" else 1,
-            ),
-        )
-        result = run_scenario(spec, backend="proc", timeout=args.timeout)
-    except (ValueError, ZeroDivisionError, RuntimeError, OSError, TimeoutError) as exc:
-        return _fail(args, exc)
-
-    rec = result.record()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "protocol": args.protocol,
-                    "transport": "proc",
-                    "layout": layout,
-                    "n": rec["n_real"],
-                    "crashed": list(crash),
-                    "epochs": args.epochs if args.protocol == "smr" else None,
-                    "payload_size": args.payload_size,
-                    "completed": rec["completed"],
-                    "workers": rec["workers"],
-                    "metrics": {
-                        "messages": rec["messages"],
-                        "bytes": rec["bytes"],
-                        "by_type": rec["by_type"],
-                        "bytes_by_type": rec["bytes_by_type"],
-                        "elapsed_seconds": rec["wall_seconds"],
-                    },
-                }
-            )
-        )
-        return 0
-
-    print(f"protocol        : {args.protocol} ({layout} quorums)")
-    print("transport       : proc (one OS process per party)")
-    print(f"cluster size    : {rec['n_real']} ({rec['n_real'] - len(crash)} live)")
-    print(f"completed       : {rec['completed']}")
-    print(f"worker pids     : {' '.join(str(p) for p in rec['workers'].values())}")
-    print(f"messages        : {rec['messages']}")
-    print(f"payload bytes   : {rec['bytes']}")
-    print(f"wall clock      : {rec['wall_seconds'] * 1000:.1f} ms")
+def _print_by_type(rec: dict) -> None:
     for type_name in sorted(rec["by_type"]):
         print(
             f"  {type_name:<14}: {rec['by_type'][type_name]} msgs / "
             f"{rec['bytes_by_type'][type_name]} B"
         )
-    return 0
 
 
 def _run_cluster_command(args: argparse.Namespace) -> int:
-    if args.transport == "proc":
-        return _run_cluster_proc(args)
-    from .core.types import as_fraction
-    from .protocols.common_coin import deterministic_coin
-    from .protocols.reliable_broadcast import BroadcastParty
-    from .protocols.smr import SmrParty
-    from .runtime import run_cluster
-    from .weighted.quorum import NominalQuorums
-
+    """``repro cluster``: one scenario spec run by the scenario engine on
+    the chosen transport.  A weight source means weighted quorums at
+    ``--f-w``; without one, ``--n`` equal parties vote with the nominal
+    ``n = 3t + 1`` quorums (``params["quorums"] = "nominal"``)."""
     try:
-        # Validate the f_w domain eagerly even when the nominal layout
-        # ends up ignoring it; the *budget* check against f_w is only
-        # meaningful for weighted quorums and stays out of the nominal path.
-        f_w = as_fraction(args.f_w)
-        if not 0 < f_w < Fraction(1, 2):
-            raise ValueError("f_w must be in (0, 1/2)")
         committee = _load_committee(args)
-        crash = sorted(set(args.crash))
+        params: tuple = ()
         if committee is not None:
-            committee.validate(
-                expect_n=args.n,
-                f_w=args.f_w,
-                crashes=crash,
-                payload_size=args.payload_size,
-                epochs=args.epochs,
-            )
-            n = committee.n
-            quorums = committee.quorums(args.f_w)
-            layout = "weighted"
+            committee.validate(expect_n=args.n)
+            # Quorums are scale-invariant: fractional weights run as the
+            # integers they scale to exactly.
+            ints, _ = scale_weights_exact(committee.normalized)
+            committee = Committee.from_weights(ints, provenance=committee.provenance)
+        elif args.n is None:
+            raise ValueError("need --n or a weight source (--weights/...)")
         else:
-            if args.n is None:
-                raise ValueError("need --n or a weight source (--weights/...)")
-            n = args.n
-            if n < 4:
-                raise ValueError("nominal quorums need n >= 4 (n = 3t + 1, t >= 1)")
-            # The egalitarian committee carries the shared feasibility
-            # checks (crash ids in range, workload sanity); the nominal
-            # t-budget below replaces the weighted f_w*W budget check.
-            committee = Committee.uniform(n)
-            committee.validate(
-                crashes=crash,
-                payload_size=args.payload_size,
-                epochs=args.epochs,
-            )
-            quorums = NominalQuorums(n=n, t=(n - 1) // 3)
-            layout = "nominal"
-            if len(crash) > quorums.t:
-                raise ValueError(
-                    f"--crash set of {len(crash)} exceeds the nominal "
-                    f"fault tolerance t = {quorums.t}; quorums can never form"
-                )
-
-        live = [pid for pid in range(n) if pid not in crash]
-        payload_for = lambda pid, epoch: hashlib.sha256(
-            f"{args.protocol}|{epoch}|{pid}".encode()
-        ).digest() * ((args.payload_size + 31) // 32)
-
-        if args.protocol == "rbc":
-            sender = live[0]
-            expected = payload_for(sender, 0)[: args.payload_size]
-
-            def factory(pid: int) -> BroadcastParty:
-                return BroadcastParty(pid, quorums)
-
-            def setup(cluster) -> None:
-                for pid in crash:
-                    cluster.crash_node(pid)
-                cluster.party(sender).broadcast_value(expected)
-
-            def done(cluster) -> bool:
-                return all(
-                    cluster.party(pid).delivered == expected for pid in live
-                )
-
-        else:  # smr
-            epochs = range(args.epochs)
-
-            coin = deterministic_coin("cli")
-
-            def factory(pid: int) -> SmrParty:
-                return SmrParty(pid, n, quorums, coin)
-
-            def setup(cluster) -> None:
-                for pid in crash:
-                    cluster.crash_node(pid)
-                for epoch in epochs:
-                    for pid in live:
-                        cluster.party(pid).propose_batch(
-                            epoch, payload_for(pid, epoch)[: args.payload_size]
-                        )
-
-            def done(cluster) -> bool:
-                return all(
-                    len(cluster.party(pid).ordered_log(epoch)) == len(live)
-                    for pid in live
-                    for epoch in epochs
-                )
-
-        # The committee sizes the cluster (n == committee.n on both
-        # layouts) and rides along as provenance.
-        cluster = run_cluster(
-            factory,
-            transport=args.transport,
-            setup=setup,
-            stop_when=done,
-            timeout=args.timeout,
+            committee = Committee.uniform(args.n)
+            params = (("quorums", "nominal"),)
+        result = Session(
             committee=committee,
-        )
-    except (ValueError, ZeroDivisionError, OSError, TimeoutError) as exc:
+            protocol=args.protocol,
+            backend=BackendSpec(args.transport, args.timeout),
+            name=f"cluster-{args.protocol}",
+            f_w=str(args.f_w),
+            faults=FaultSpec(crashes=tuple(sorted(set(args.crash)))),
+            workload=WorkloadSpec(payload_size=args.payload_size, epochs=args.epochs),
+            params=params,
+        ).run()
+    except (ValueError, ZeroDivisionError, RuntimeError, OSError, TimeoutError) as exc:
         return _fail(args, exc)
 
-    m = cluster.metrics
+    rec = result.record()
+    spec = result.spec
+    layout = "nominal" if params else "weighted"
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "protocol": args.protocol,
-                    "transport": args.transport,
-                    "layout": layout,
-                    "n": n,
-                    "crashed": crash,
-                    "epochs": args.epochs if args.protocol == "smr" else None,
-                    "payload_size": args.payload_size,
-                    "metrics": m.as_dict(),
-                }
-            )
-        )
+        payload = {
+            "protocol": args.protocol,
+            "transport": args.transport,
+            "layout": layout,
+            "n": rec["n_real"],
+            "crashed": list(spec.faults.crashes),
+            "epochs": spec.workload.epochs if args.protocol == "smr" else None,
+            "payload_size": spec.workload.payload_size,
+            "completed": rec["completed"],
+            "metrics": {
+                **{k: rec[k] for k in ("messages", "bytes", "by_type", "bytes_by_type")},
+                "elapsed_seconds": rec["wall_seconds"],
+            },
+        }
+        if "workers" in rec:
+            payload["workers"] = rec["workers"]
+        print(json.dumps(payload))
         return 0
 
+    live = rec["n_real"] - len(spec.faults.crashes)
     print(f"protocol        : {args.protocol} ({layout} quorums)")
     print(f"transport       : {args.transport}")
-    print(f"cluster size    : {n} ({len(live)} live)")
-    print(f"messages        : {m.messages}")
-    print(f"payload bytes   : {m.bytes}")
-    print(f"wall clock      : {m.elapsed_seconds * 1000:.1f} ms")
-    for name, t in sorted(m.phase_seconds.items()):
-        print(f"phase {name:<10}: {t * 1000:.1f} ms")
-    for type_name in sorted(m.by_type):
-        print(
-            f"  {type_name:<14}: {m.by_type[type_name]} msgs / "
-            f"{m.bytes_by_type[type_name]} B"
-        )
+    print(f"cluster size    : {rec['n_real']} ({live} live)")
+    print(f"completed       : {rec['completed']}")
+    if "workers" in rec:
+        print(f"worker pids     : {' '.join(str(p) for p in rec['workers'].values())}")
+    print(f"messages        : {rec['messages']}")
+    print(f"payload bytes   : {rec['bytes']}")
+    print(f"wall clock      : {rec['wall_seconds'] * 1000:.1f} ms")
+    _print_by_type(rec)
     return 0
 
 
@@ -727,9 +589,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
 
 
 def _run_scenario_command(args: argparse.Namespace) -> int:
-    from .api import Session
-    from .scenarios import SCENARIOS, get_scenario
-
     if args.list:
         if args.json:
             print(
@@ -815,11 +674,7 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
         print(f"sim time        : {rec['sim_time']:.3f} (virtual s, {rec['sim_events']} events)")
     else:
         print(f"wall clock      : {rec['wall_seconds'] * 1000:.1f} ms")
-    for type_name in sorted(rec["by_type"]):
-        print(
-            f"  {type_name:<14}: {rec['by_type'][type_name]} msgs / "
-            f"{rec['bytes_by_type'][type_name]} B"
-        )
+    _print_by_type(rec)
     return 0
 
 

@@ -3,24 +3,25 @@
 The runtime analogue of :func:`repro.sim.runner.build_world`: build the
 parties with a factory, wire them full-mesh over a chosen transport, run
 the protocol to a stop condition, and collect :class:`RuntimeMetrics`
-(message/byte counters like the sim's ``NetworkMetrics``, plus wall-clock
-latency overall and per named phase).
+(message/byte counters like the sim's ``NetworkMetrics``, plus the run's
+wall-clock).
 
 Two entry styles:
 
 * ``async with Cluster(...) as cluster`` for tests and applications that
-  already live on an event loop;
-* :func:`run_cluster` for synchronous callers (CLI, benchmarks): builds
-  the loop, runs setup -> stop condition -> teardown, returns the cluster
-  with its frozen metrics.
+  already live on an event loop (the epoch service, the ledger);
+* :func:`run_cluster` for synchronous callers (the scenario harness's
+  inproc/tcp backends -- and through it ``repro cluster`` -- the tests
+  and ``examples/live_cluster.py``): builds the loop, runs setup -> stop
+  condition -> teardown, returns the cluster with its frozen metrics.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from ..sim.network import NetworkMetrics
 from ..sim.process import Party
@@ -42,24 +43,9 @@ class RuntimeMetrics(NetworkMetrics):
     """The sim's message/byte counters plus the live runtime's wall-clock."""
 
     elapsed_seconds: float = 0.0
-    #: phase name -> seconds since cluster start when the phase was marked
-    phase_seconds: dict[str, float] = field(default_factory=dict)
     #: failure-detector transitions (TCP mesh heartbeats; 0 where off)
     suspect_transitions: int = 0
     alive_transitions: int = 0
-
-    def as_dict(self) -> dict:
-        """JSON-friendly snapshot (CLI ``--json`` and benchmark rows)."""
-        return {
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "by_type": dict(self.by_type),
-            "bytes_by_type": dict(self.bytes_by_type),
-            "elapsed_seconds": self.elapsed_seconds,
-            "phase_seconds": dict(self.phase_seconds),
-            "suspect_transitions": self.suspect_transitions,
-            "alive_transitions": self.alive_transitions,
-        }
 
 
 class Cluster:
@@ -200,27 +186,17 @@ class Cluster:
         self.faults.restart(pid)
         self.party(pid).restart()
 
-    def mark_phase(self, name: str) -> None:
-        """Record wall-clock latency-to-now under ``name``."""
-        if self._started_at is None:
-            raise RuntimeError("cluster is not running")
-        self.metrics.phase_seconds[name] = time.perf_counter() - self._started_at
-
     async def run_until(
         self,
         predicate: Callable[[], bool],
         *,
         timeout: float = 30.0,
         poll: float = 0.002,
-        phase: Optional[str] = None,
     ) -> None:
         """Poll ``predicate`` until true; raise ``TimeoutError`` otherwise.
 
         Each poll that finds it false re-raises a node failure first;
         :meth:`wake` cuts the sleep between two polls short.
-
-        With ``phase``, the satisfaction time is recorded in
-        ``metrics.phase_seconds`` -- per-phase latency measurement.
         """
         self._quiesced_at = None
         loop = asyncio.get_running_loop()
@@ -239,8 +215,6 @@ class Cluster:
             alarm = loop.call_later(poll, self.wake)
             await self._nap
             alarm.cancel()
-        if phase is not None:
-            self.mark_phase(phase)
 
     def wake(self) -> None:
         """Have a sleeping :meth:`run_until` poll now (else a no-op);
@@ -325,9 +299,7 @@ def run_cluster(
             if setup is not None:
                 setup(cluster)
             if stop_when is not None:
-                await cluster.run_until(
-                    lambda: stop_when(cluster), timeout=timeout, phase="stop_condition"
-                )
+                await cluster.run_until(lambda: stop_when(cluster), timeout=timeout)
             # Drain to quiescence even after an explicit stop condition:
             # stop_when can turn true while trailing messages are still
             # queued in outboxes, and cutting them off would make the

@@ -227,15 +227,58 @@ class ProtocolDriver:
         }
 
 
+def _nominal(spec: ScenarioSpec) -> bool:
+    """Whether ``params["quorums"]`` asks for nominal quorums; raises on
+    an unknown value and on a spec the nominal layout cannot honour."""
+    layout = spec.param("quorums", "weighted")
+    if layout not in ("weighted", "nominal"):
+        raise ValueError(f"unknown quorums {layout!r}; one of weighted, nominal")
+    if layout == "weighted":
+        return False
+    if spec.protocol not in ("rbc", "smr"):  # the others vote without a QuorumPolicy
+        raise ValueError(f"nominal quorums run rbc and smr only, not {spec.protocol!r}")
+    if spec.faults.byzantine or spec.chaos is not None:  # an adversary spends f_w*W
+        raise ValueError("nominal quorums take crash plans only, no adversary")
+    return True
+
+
+def _quorums(spec: ScenarioSpec, committee):
+    """The quorum policy an RBC / SMR party votes with, and its crash budget.
+
+    Weighted (the default) is ``committee.quorums(spec.f_w)``; its
+    ``f_w*W`` budget is :func:`build_driver`'s check.  Nominal is the
+    unweighted original's ``n = 3t + 1`` thresholds, ``t = (n - 1) // 3``
+    and one vote per party -- the baseline a weighted protocol's cost is
+    stated against; it tolerates at most ``t`` parties crashed or
+    restarted.
+    """
+    if not _nominal(spec):
+        return committee.quorums(spec.f_w)
+    from ..weighted.quorum import NominalQuorums
+
+    n = committee.n
+    if n < 4:
+        raise ValueError("nominal quorums need n >= 4 (n = 3t + 1, t >= 1)")
+    quorums = NominalQuorums(n=n, t=(n - 1) // 3)
+    down = set(spec.faults.crashes).union(pid for pid, _, _ in spec.faults.restarts)
+    if len(down) > quorums.t:
+        raise ValueError(
+            f"fault plan takes down {len(down)} parties, more than the "
+            f"nominal fault tolerance t = {quorums.t}; quorums can never form"
+        )
+    return quorums
+
+
 class RbcDriver(ProtocolDriver):
-    """Weighted Bracha reliable broadcast; the lowest live honest party
-    sends -- unless an equivocation strategy claims the sender role."""
+    """Bracha reliable broadcast (weighted or nominal quorums, see
+    :func:`_quorums`); the lowest live honest party sends -- unless an
+    equivocation strategy claims the sender role."""
 
     epochs = 1
 
     def __init__(self, spec: ScenarioSpec, committee, adversary=None) -> None:
         super().__init__(spec, committee, adversary)
-        self.quorums = committee.quorums(spec.f_w)
+        self.quorums = _quorums(spec, committee)
         override = adversary.sender_override if adversary is not None else None
         if override is not None:
             self.sender = override
@@ -274,7 +317,7 @@ class SmrDriver(ProtocolDriver):
         super().__init__(spec, committee, adversary)
         from ..protocols.common_coin import deterministic_coin
 
-        self.quorums = committee.quorums(spec.f_w)
+        self.quorums = _quorums(spec, committee)
         self.coin = deterministic_coin(f"{spec.name}|{spec.seed}")
         # Reject specs with nothing to certify: a vacuously-true done()
         # would report a successful run in which no epoch committed.
@@ -606,12 +649,15 @@ def build_driver(
     if committee is None:
         committee = Committee.from_weight_spec(spec.weights, seed=spec.seed)
     driver_cls = _DRIVERS[spec.protocol]
+    nominal = _nominal(spec)
     if validate:
         committee.validate(
             # Restarted parties are down for a window, so the crash
             # budget must cover crashes and restarts *together* -- the
             # conservative check for the worst moment of the run.
             f_w=spec.f_w if driver_cls.uses_f_w else None,
+            # nominal quorums count parties down, not weight (_quorums)
+            weight_budget=not nominal,
             crashes=tuple(spec.faults.crashes)
             + tuple(pid for pid, _, _ in spec.faults.restarts),
             partition=spec.faults.partition,

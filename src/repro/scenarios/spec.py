@@ -218,8 +218,8 @@ class ScenarioSpec:
     net: NetSpec = field(default_factory=NetSpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     seed: int = 0
-    #: free-form protocol options (e.g. checkpoint mode); values must be
-    #: JSON scalars
+    #: free-form protocol options (e.g. checkpoint mode, or ``quorums``:
+    #: ``weighted`` / ``nominal`` for rbc and smr); values are JSON scalars
     params: tuple[tuple[str, object], ...] = ()
     description: str = ""
     #: optional chaos plan: staged fault timeline, ambient network

@@ -72,6 +72,8 @@ def run_service_spec(
             "chaos plans run on batch workloads; service workloads have "
             "their own rotation-driven fault hooks"
         )
+    if spec.param("quorums", "weighted") != "weighted":
+        raise ValueError("service workloads vote with weighted quorums only")
     if committee is None:
         committee = Committee.from_weight_spec(spec.weights, seed=spec.seed)
     committee.validate(

@@ -118,3 +118,99 @@ class TestTcpBackend:
         assert tcp.completed
         assert sim.decided == tcp.decided
         assert dict(sim.by_type) == dict(tcp.by_type)
+
+
+def _nominal_spec(protocol="rbc", n=7, **fields):
+    from repro.scenarios import WeightSpec
+
+    return ScenarioSpec(
+        name=f"nominal-{protocol}",
+        protocol=protocol,
+        weights=WeightSpec(kind="explicit", values=(1,) * n),
+        params=(("quorums", "nominal"),),
+        **fields,
+    )
+
+
+class TestNominalQuorums:
+    """``params["quorums"] = "nominal"``: the unweighted ``n = 3t + 1``
+    original a weighted protocol's cost is stated against."""
+
+    def test_default_spec_encoding_unchanged(self):
+        # the layout is a params entry, not a field: weighted specs (every
+        # registry scenario) serialize as before
+        assert "quorums" not in str(get_scenario("uniform-rbc").to_dict())
+
+    @pytest.mark.parametrize("protocol", ["rbc", "smr"])
+    def test_parties_vote_with_nominal_quorums(self, protocol):
+        from repro.scenarios.harness import build_driver
+        from repro.weighted.quorum import NominalQuorums
+
+        driver = build_driver(_nominal_spec(protocol))
+        assert driver.quorums == NominalQuorums(n=7, t=2)
+        result = run_scenario(_nominal_spec(protocol), backend="sim")
+        assert result.completed
+        assert len(set(result.decided.values())) == 1
+
+    def test_crash_budget_is_t_parties_not_f_w_weight(self):
+        from repro.scenarios import FaultSpec
+
+        # one crash of seven is over f_w*W = 0.7 but within t = 2
+        spec = _nominal_spec(f_w="1/10", faults=FaultSpec(crashes=(0,)))
+        assert run_scenario(spec, backend="sim").completed
+        # three down (two crashed, one restarted) is more than t
+        spec = _nominal_spec(
+            "smr", faults=FaultSpec(crashes=(0, 1), restarts=((2, 0.1, 0.2),))
+        )
+        with pytest.raises(ValueError, match="nominal fault tolerance t = 2"):
+            run_scenario(spec, backend="sim")
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError, match="n >= 4"):
+            run_scenario(_nominal_spec(n=3), backend="sim")
+
+    def test_f_w_domain_still_checked(self):
+        with pytest.raises(ValueError, match="f_w must be in"):
+            run_scenario(_nominal_spec(f_w="2/3"), backend="sim")
+
+    @pytest.mark.parametrize("protocol", ["vaba", "checkpoint"])
+    def test_protocol_without_quorum_policy_rejected(self, protocol):
+        with pytest.raises(ValueError, match="rbc and smr only"):
+            run_scenario(_nominal_spec(protocol), backend="sim")
+
+    def test_byzantine_plan_rejected(self):
+        from repro.scenarios import ByzantineSpec, FaultSpec
+
+        spec = _nominal_spec(
+            faults=FaultSpec(byzantine=(ByzantineSpec("equivocate"),))
+        )
+        with pytest.raises(ValueError, match="crash plans only"):
+            run_scenario(spec, backend="sim")
+
+    def test_chaos_plan_rejected(self):
+        from repro.chaos.schedule import ChaosSpec, ChaosStage, TriggerSpec
+
+        chaos = ChaosSpec(
+            stages=(ChaosStage(action="crash", trigger=TriggerSpec(kind="time"),
+                               params=(("pids", (0,)),)),)
+        )
+        with pytest.raises(ValueError, match="crash plans only"):
+            run_scenario(_nominal_spec(chaos=chaos), backend="sim")
+
+    def test_unknown_layout_rejected(self):
+        from dataclasses import replace
+
+        spec = replace(_nominal_spec(), params=(("quorums", "blunt"),))
+        with pytest.raises(ValueError, match="unknown quorums 'blunt'"):
+            run_scenario(spec, backend="sim")
+
+    def test_service_workload_rejected(self):
+        from dataclasses import replace
+
+        from repro.scenarios import WorkloadSpec
+
+        spec = replace(
+            _nominal_spec("smr"), workload=WorkloadSpec(epochs=2, kind="service")
+        )
+        with pytest.raises(ValueError, match="weighted quorums only"):
+            run_scenario(spec, backend="sim")

@@ -184,6 +184,18 @@ class TestUnifiedJsonErrors:
         assert payload["error"]
 
 
+#: the transports one ``repro cluster`` argv must answer the same way on
+#: (tcp is the same engine as inproc over sockets; ``test_rbc_tcp_json``)
+TRANSPORTS = ["inproc", pytest.param("proc", marks=pytest.mark.proc)]
+
+#: ``cluster --json`` keys on every transport (proc adds ``workers``)
+CLUSTER_KEYS = {
+    "protocol", "transport", "layout", "n", "crashed", "epochs",
+    "payload_size", "completed", "metrics",
+}
+METRIC_KEYS = {"messages", "bytes", "by_type", "bytes_by_type", "elapsed_seconds"}
+
+
 class TestClusterCommand:
     def test_rbc_inproc_weighted(self, capsys):
         code = main(
@@ -203,21 +215,64 @@ class TestClusterCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["protocol"] == "smr"
         assert payload["layout"] == "nominal"
+        assert payload["completed"] is True
         assert payload["metrics"]["messages"] > 0
         assert payload["metrics"]["bytes"] > 0
         assert payload["metrics"]["elapsed_seconds"] > 0
 
-    def test_nominal_crash_not_subject_to_weighted_budget(self, capsys):
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            "inproc",
+            pytest.param("tcp", marks=pytest.mark.tcp),
+            pytest.param("proc", marks=pytest.mark.proc),
+        ],
+    )
+    def test_one_output_shape_and_count(self, transport, capsys):
+        # One engine: the same argv reports the same keys and the same
+        # message count on every transport (7 * 2 epochs * (1 + 7 + 7) * 7).
+        code = main(
+            ["cluster", "smr", "--n", "7", "--epochs", "2",
+             "--transport", transport, "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        extra = {"workers"} if transport == "proc" else set()
+        assert set(payload) == CLUSTER_KEYS | extra
+        assert set(payload["metrics"]) == METRIC_KEYS
+        assert payload["transport"] == transport
+        assert payload["layout"] == "nominal"
+        assert payload["completed"] is True
+        assert payload["metrics"]["messages"] == 1470
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_nominal_crash_not_subject_to_weighted_budget(self, transport, capsys):
         # The f_w*W budget check is a weighted-quorum concept; nominal
         # layouts are governed by t = (n-1)//3 only, so a small --f-w
         # must not reject a crash set the nominal layout tolerates.
         code = main(
-            ["cluster", "rbc", "--n", "7", "--f-w", "1/10", "--crash", "0", "--json"]
+            ["cluster", "rbc", "--n", "7", "--f-w", "1/10", "--crash", "0",
+             "--transport", transport, "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["layout"] == "nominal"
         assert payload["crashed"] == [0]
+        assert payload["completed"] is True
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_fractional_weights_run(self, transport, capsys):
+        # Quorums are scale-invariant, so fractional inline weights run as
+        # the integers they scale to (5 3 1 1), on every transport.
+        code = main(
+            ["cluster", "rbc", "--weights", "0.5", "0.3", "0.1", "0.1",
+             "--transport", transport, "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["layout"] == "weighted"
+        assert payload["completed"] is True
+        assert payload["metrics"]["messages"] == 4 + 16 + 16
 
     def test_rbc_with_crash(self, capsys):
         code = main(
@@ -230,6 +285,7 @@ class TestClusterCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["crashed"] == [6]
 
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize(
         "argv",
         [
@@ -251,8 +307,9 @@ class TestClusterCommand:
             "zero-denominator", "crash-beyond-weight-budget", "crash-beyond-t",
         ],
     )
-    def test_invalid_combinations_exit_2(self, argv, capsys):
-        assert main(argv) == 2
+    def test_invalid_combinations_exit_2(self, argv, transport, capsys):
+        # Every case is refused before a proc worker would spawn.
+        assert main(argv + ["--transport", transport]) == 2
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.tcp

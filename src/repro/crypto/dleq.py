@@ -64,6 +64,17 @@ class DleqProof:
     commit2: int | None = None
 
 
+def _well_typed(y1, y2, proof) -> bool:
+    """Are ``y1``, ``y2`` ints and ``proof`` a :class:`DleqProof` of ints
+    (commitments may be ``None``)?  A decoded Byzantine frame can carry
+    any codec value in any field."""
+    return (
+        isinstance(proof, DleqProof)
+        and all(isinstance(v, int) for v in (y1, y2, proof.challenge, proof.response))
+        and all(v is None or isinstance(v, int) for v in (proof.commit1, proof.commit2))
+    )
+
+
 def _challenge(
     group: SchnorrGroup, g1: int, y1: int, g2: int, y2: int, a1: int, a2: int
 ) -> int:
@@ -79,9 +90,9 @@ def prove_dleq(
     """Prove knowledge of ``x`` with ``y1 = g1^x`` and ``y2 = g2^x``.
 
     Returns ``(y1, y2, proof)``.  Exponentiations route through the
-    engine's fixed-base tables: the generator is always precomputed and
-    ``g2`` (``H(m)`` when signing, ``c1`` when decrypting) gets promoted
-    as soon as shares of the same message/ciphertext recur.  A signer
+    engine's squaring ladders: ``g2`` (``H(m)`` when signing, ``c1``
+    when decrypting) gets one on its first use, and every further share
+    of the same message/ciphertext reuses it.  A signer
     whose ``g1^x`` is already published (a threshold key share) passes
     it as ``y1`` and skips recomputing it; the proof is the same.
     """
@@ -105,9 +116,12 @@ def verify_dleq(
     through modular reduction: the response and challenge must already
     lie in the exponent range ``[0, q)`` (otherwise ``r + q`` would be a
     distinct valid encoding of the same proof), and the bases must not
-    be the identity or the order-2 element ``p - 1``.
+    be the identity or the order-2 element ``p - 1``.  A statement or
+    proof of the wrong types is rejected, not raised on.
     """
     p, q = group.p, group.order
+    if not _well_typed(y1, y2, proof):
+        return False
     if not (0 <= proof.response < q and 0 <= proof.challenge < q):
         return False
     if g1 % p in (0, 1, p - 1) or g2 % p in (0, 1, p - 1):
@@ -171,6 +185,9 @@ def verify_dleq_batch(
     member = group.is_member_fast
     items: list[tuple[int, int, int, int, int, int, int]] = []
     for i, (y1, y2, proof) in enumerate(statements):
+        if not _well_typed(y1, y2, proof):
+            results[i] = False
+            continue
         if proof.commit1 is None or proof.commit2 is None:
             results[i] = verify_dleq(group, g1, y1, g2, y2, proof)
             continue

@@ -132,8 +132,15 @@ class CheckpointParty(Party):
 
     # -- share collection ----------------------------------------------------------
     def _handle_share(self, message: CheckpointShare, sender: int) -> None:
-        """Buffer the share; verify in batches at the quorum point."""
+        """Buffer the share; verify in batches at the quorum point.
+
+        A frame whose checkpoint is not ``bytes``, or whose share is not
+        a :class:`SignatureShare`, is dropped here: the collector or the
+        batch verifier would raise on it.
+        """
         checkpoint = message.checkpoint
+        if not isinstance(checkpoint, bytes) or not isinstance(message.share, SignatureShare):
+            return
         if checkpoint in self.certificates:
             return
         collector = self._collectors.get(checkpoint)

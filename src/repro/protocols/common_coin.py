@@ -134,9 +134,16 @@ class BeaconParty(Party):
         return collector
 
     def _handle_share(self, message: CoinShareMsg, sender: int) -> None:
-        """Buffer the share; verify in batches at the quorum point."""
+        """Buffer the share; verify in batches at the quorum point.
+
+        A frame whose epoch is no 8-byte epoch number, or whose share is
+        not a :class:`SignatureShare`, is dropped here: the collector or
+        the batch verifier would raise on it.
+        """
         epoch = message.epoch
-        if epoch in self.values:
+        if not (isinstance(epoch, int) and 0 <= epoch < 1 << 64):
+            return
+        if not isinstance(message.share, SignatureShare) or epoch in self.values:
             return
         collector = self._collector(epoch)
         outcome = collector.add(message.share)

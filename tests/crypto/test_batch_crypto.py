@@ -39,10 +39,10 @@ class TestEngine:
                 assert group.exp_g(e) == pow(group.generator, e % group.order, group.p)
         assert G.exp_g(0) == 1
 
-    def test_fast_power_matches_pow_and_promotes(self):
+    def test_fast_power_matches_pow_on_a_recurring_base(self):
         rng = random.Random(1)
         base = G.hash_to_group(b"recurring-base")
-        # Enough uses to cross the table-promotion threshold.
+        # The first use builds the base's ladder; the rest reuse it.
         for _ in range(12):
             e = rng.randrange(G.order)
             assert G.fast_power(base, e) == pow(base, e, G.p)

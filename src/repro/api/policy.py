@@ -204,12 +204,12 @@ class IncrementalSolver:
 
     The epoch service re-forms its committee every rotation, usually after
     a small stake delta (one party bonding or unbonding).  A cold Swiper
-    solve rebuilds the whole cheapest-ticket heap; the dominant cost on
-    large committees is extending that heap to the first binary-search
-    probe.  This solver keeps the previous epoch's
-    :class:`~repro.core.prices.PriceStream` and, when at most
-    ``max_delta`` parties changed, runs the *same* binary search on a
-    patched stream (see :meth:`PriceStream.patched`).
+    solve selects the cheapest-ticket prefix afresh, down to the first
+    binary-search probe, over all ``n`` price ladders.  This solver keeps
+    the previous epoch's :class:`~repro.core.prices.PriceStream` and, when
+    at most ``max_delta`` parties changed, runs the *same* binary search on
+    a patched stream (see :meth:`PriceStream.patched`) that replays the
+    kept prefix and merges in only the changed parties' ladders.
 
     The result is equal to a cold solve **by construction**: the patched
     stream enumerates bitwise-identical picks, so every probe sees the

@@ -1,10 +1,8 @@
 """Erasure / error-correcting codes: GF(2^w) arithmetic with a
-vectorized block kernel, Reed-Solomon encoding with erasure (Lagrange)
+vectorized block kernel and Reed-Solomon encoding with erasure (Lagrange)
 and error (Gao) decoding -- per-symbol reference path plus the
-block-striped engine -- and Berlekamp-Massey LFSR synthesis (paper,
-Section 5)."""
+block-striped engine (paper, Section 5)."""
 
-from .berlekamp import berlekamp_massey, chien_search, lfsr_generate
 from .gf2m import GF256, GF65536, GF2m, xor_blocks
 from .reed_solomon import (
     BlockFragment,
@@ -24,7 +22,4 @@ __all__ = [
     "BlockFragment",
     "DecodingFailure",
     "min_message_symbols",
-    "berlekamp_massey",
-    "chien_search",
-    "lfsr_generate",
 ]

@@ -20,26 +20,35 @@ assignment at scale ``s``; tickets priced exactly ``s`` belong to the
 border set ``B_s``.
 
 Prices are :class:`~fractions.Fraction` only where this module hands one
-back (:func:`ticket_price`, :func:`scale_for_total`).  The stream orders
-them as integers: with ``c = p / q`` and the weights scaled to integers
-``a_i = w_i * D`` (:class:`~repro.core.types.ScaledWeights`), the price
-``(m - c) / w_i`` is the positive constant ``D / q`` times
-``(m q - p) / a_i``, and the heap key of that ticket is
-``((m q - p) << K) // a_i`` with ``K`` the view's ``shift``.  Because
-``2**K >= a_max**2``, distinct prices have distinct keys in the same order
-and equal prices have equal keys (the argument is in
-:mod:`repro.core.types`), so ``(key, party)`` tuples sort -- and tie on
-party index -- exactly as ``(price, party)`` tuples would.
+back (:func:`ticket_price`, :func:`scale_for_total`).  With ``c = p / q``
+and the weights scaled to integers ``a_i = w_i * D``
+(:class:`~repro.core.types.ScaledWeights`), the price ``(m - c) / w_i`` is
+the positive constant ``D / q`` times ``(m q - p) / a_i``, and the stream
+orders tickets in two steps:
+
+* by a float key ``log(m q - p) - log a_i``, taken in the log domain so it
+  neither overflows nor underflows for any weight size, and sorted with
+  numpy;
+* then every run of adjacent float keys closer than their error bound is
+  re-sorted on the exact integer key ``((m q - p) << K) // a_i``, ties by
+  party index, with ``K`` the view's ``shift``.  Because
+  ``2**K >= a_max**2``, distinct prices have distinct integer keys in the
+  same order and equal prices have equal keys (the argument is in
+  :mod:`repro.core.types`), so ``(key, party)`` tuples sort -- and tie on
+  party index -- exactly as ``(price, party)`` tuples would.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .types import Number, ScaledWeights
 
@@ -50,6 +59,12 @@ __all__ = [
     "scale_for_total",
     "ticket_price",
 ]
+
+#: Float keys carry a few ulps (2**-52) of error relative to the magnitudes
+#: that enter them; keys closer than this many of those magnitudes are
+#: ordered exactly.  The headroom only costs exact comparisons, never
+#: correctness.
+_KEY_TOLERANCE = 2.0**-40
 
 
 def ticket_price(weight: Fraction, c: Fraction, m: int) -> Fraction:
@@ -65,16 +80,70 @@ def ticket_price(weight: Fraction, c: Fraction, m: int) -> Fraction:
     return (m - c) / weight
 
 
+class _Ladders:
+    """The price ladders of a view's positive-weight parties, keyed in floats.
+
+    In units of ``1 / q``, ticket ``m`` of party ``i`` is keyed
+    ``log((m - 1) + rho) - log a_i`` with ``rho = 1 - c``: the module
+    docstring's ``log(m q - p) - log a_i`` less the constant ``log q``.  A
+    first ticket's ``log rho`` comes from the exact integers, so a ``c``
+    within ``2**-1022`` of 1 is keyed as closely as any other.
+    """
+
+    def __init__(self, view: ScaledWeights, c: Fraction) -> None:
+        ints = view.ints
+        # ``parties``: the positive-weight parties, as C ints like the pick
+        # arrays; ``log_weights``: the logs of their weights.
+        try:
+            floats = np.array(ints, dtype=np.float64)
+        except OverflowError:  # weights past the float range: log the exact ints
+            self.parties = np.array([i for i, a in enumerate(ints) if a], dtype=np.intc)
+            self.log_weights = np.array([math.log(ints[i]) for i in self.parties.tolist()])
+        else:
+            self.parties = np.flatnonzero(floats).astype(np.intc)
+            live = floats[self.parties]
+            self.log_weights = np.log(live, out=live)
+        p, q = c.numerator, c.denominator
+        self.log_rho = math.log(q - p) - math.log(q)
+        self.rho = math.exp(self.log_rho)
+        #: bounds the magnitude of each term of a key, bar the ordinal's
+        self.magnitude = float(self.log_weights.max()) + math.log(q) + 1
+
+    def keys(self, before: np.ndarray, log_a: np.ndarray) -> np.ndarray:
+        """Float keys of ticket ``before + 1`` of the parties whose log
+        weights are ``log_a``."""
+        out = np.full(len(before), self.log_rho)
+        np.log(before + self.rho, out=out, where=before > 0)
+        out -= log_a
+        return out
+
+    def counts(self, theta: float, held: np.ndarray, k: int) -> np.ndarray:
+        """Each party's tickets keyed at most ``theta`` beyond its ``held``
+        ones, capped at ``k`` (more cannot all be among the ``k`` cheapest)."""
+        x = theta + self.log_weights
+        np.minimum(x, 700.0, out=x)  # e**700 tickets: far past any k
+        np.exp(x, out=x)
+        x -= self.rho
+        np.floor(x, out=x)
+        x -= held
+        x += 1
+        np.clip(x, 0, k, out=x)
+        return x.astype(np.int32)
+
+
 class PriceStream:
     """Memoized prefix of the globally-cheapest ticket sequence for one
     ``(weights, c)`` pair.
 
     The solver's binary search probes the family at many different
-    totals; recomputing each probe from scratch repeats the same heap
-    pops.  A stream pops each ticket *once*, caching the party index of
-    the ``k``-th cheapest ticket, so a probe at total ``T`` costs only
-    the extension beyond the deepest total seen so far -- across a whole
-    binary search, ``O(T_max * log n)`` integer operations in total.
+    totals.  A stream selects each ticket *once*, caching the party index
+    and ordinal of the ``k``-th cheapest ticket, so a probe at total ``T``
+    costs only the extension beyond the deepest total seen so far.  An
+    extension by ``k`` tickets is one array selection: a price threshold
+    with at least ``k`` new tickets below it (a few ``O(n)`` numpy passes),
+    one sort of those candidates by float key, and exact integer keys only
+    for the runs the float keys cannot separate -- ``O(n + k log k)``
+    numpy work instead of one Python heap operation per ticket.
 
     ``weights`` is a :class:`~repro.core.types.ScaledWeights` view or
     anything one can be built from; ``scaled`` is the view in use.
@@ -83,33 +152,14 @@ class PriceStream:
     def __init__(self, weights: "Sequence[Number] | ScaledWeights", c: Fraction) -> None:
         self.scaled = ScaledWeights.of(weights)
         self._c = c
-        # Heap entries: (key, party index, ticket ordinal m) with
-        # key = ((m q - p) << K) // a_i -- see the module docstring.  Keys
-        # are exact, so ties fall through to the party index, giving the
-        # deterministic border-set choice the paper requires.
-        self._heap = self._ladder_heads(
-            (i, 1) for i, a in enumerate(self.scaled.ints) if a
-        )
-        #: party index of the k-th cheapest ticket, extended on demand
-        self._picks: list[int] = []
-        #: key of the k-th cheapest ticket (parallel to ``_picks``); kept
-        #: so a later epoch can merge this prefix with a handful of changed
-        #: parties' ladders instead of re-popping the whole heap
-        self._pick_keys: list[int] = []
+        #: party index and ticket ordinal ``m`` of the k-th cheapest ticket
+        self._picks = array("i")
+        self._ords = array("i")
+        self._ladders = _Ladders(self.scaled, c)
         #: parties with positive weight (the ones that have a price ladder)
-        self._live = len(self._heap)
+        self._live = len(self._ladders.parties)
         #: patched-stream chain length above this stream (0 for a plain one)
         self._chain = 0
-
-    def _ladder_heads(
-        self, tickets: Iterable[tuple[int, int]]
-    ) -> list[tuple[int, int, int]]:
-        """A heap of the given ``(party, ticket ordinal)`` pairs."""
-        ints, shift = self.scaled.ints, self.scaled.shift
-        p, q = self._c.numerator, self._c.denominator
-        heap = [(((m * q - p) << shift) // ints[i], i, m) for i, m in tickets]
-        heapq.heapify(heap)
-        return heap
 
     @property
     def rounding_constant(self) -> Fraction:
@@ -121,36 +171,102 @@ class PriceStream:
         return len(self._picks)
 
     def _extend(self, total: int) -> None:
-        heap, picks, keys = self._heap, self._picks, self._pick_keys
-        ints, shift = self.scaled.ints, self.scaled.shift
-        p, q = self._c.numerator, self._c.denominator
-        while len(picks) < total:
-            key, i, m = heap[0]
-            picks.append(i)
-            keys.append(key)
-            m += 1
-            heapq.heapreplace(heap, (((m * q - p) << shift) // ints[i], i, m))
+        if total > len(self._picks):
+            parties, ords = self._select(total - len(self._picks))
+            self._picks.frombytes(parties.tobytes())
+            self._ords.frombytes(ords.tobytes())
+
+    def _select(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` cheapest tickets beyond the memoized prefix, in order:
+        their parties and ordinals as C-int arrays.
+
+        Every ticket outside the prefix sorts after all of it, so the new
+        tickets are the ``k`` cheapest of each party's unpicked ladder.
+        """
+        ladders = self._ladders
+        held = np.bincount(np.array(self._picks, dtype=np.intp), minlength=len(self.scaled))
+        held = held[ladders.parties]
+        # Float keys are off by a few ulps of the magnitudes that enter them.
+        tol = _KEY_TOLERANCE * (ladders.magnitude + math.log(len(self._picks) + k + 1))
+        theta, cnt = self._threshold(held, k, tol)
+        for attempt in range(4):
+            parties = np.repeat(ladders.parties, cnt)
+            # A candidate's ordinal less one: its party's held tickets plus
+            # its rank among the party's candidates.
+            before = np.arange(len(parties)) + np.repeat(held - (np.cumsum(cnt) - cnt), cnt)
+            fk = ladders.keys(before, np.repeat(ladders.log_weights, cnt))
+            order = np.argsort(fk)
+            # Runs of adjacent keys the floats cannot separate are re-sorted
+            # on exact keys, ties by party index.
+            close = np.flatnonzero(np.diff(fk[order]) <= tol)
+            starts = close[np.diff(close, prepend=-2) > 1]
+            ends = close[np.diff(close, append=len(fk) + 1) > 1] + 2
+            for start, end in zip(starts[starts < k].tolist(), ends.tolist()):
+                run = order[start:end]
+                tickets = zip(parties[run].tolist(), (before[run] + 1).tolist(), run.tolist())
+                order[start:end] = [
+                    t for _, _, t in sorted((self._exact_key(i, m), i, t) for i, m, t in tickets)
+                ]
+            chosen = order[:k]
+            cut = float(fk[chosen].max())
+            # The cut holds if each party's first ticket left out is keyed
+            # clearly above the k-th pick (a party with k candidates leaves
+            # out only tickets dearer than one of its own).
+            after = ladders.keys(held + cnt, ladders.log_weights)
+            if np.all((after > cut + tol) | (cnt == k)):
+                return parties[chosen], (before[chosen] + 1).astype(np.intc)
+            theta = max(theta, cut) + 4 * tol * 2**attempt
+            cnt = ladders.counts(theta, held, k)
+        raise AssertionError("price stream cut did not certify")
+
+    def _threshold(self, held: np.ndarray, k: int, tol: float) -> tuple[float, np.ndarray]:
+        """A key threshold with ``k`` to ``2 k`` unpicked tickets at or
+        below it (more only where one jump of tied prices crosses that
+        window), and each party's count of those tickets."""
+        ladders = self._ladders
+        lo, hi = -math.inf, math.inf
+        # The floor assignment at scale e**theta holds about e**theta W tickets.
+        theta = math.log(len(self._picks) + k) - math.log(self.scaled.total)
+        while True:
+            cnt = ladders.counts(theta, held, k)
+            got = int(cnt.sum())
+            if got < k:
+                lo = theta
+            elif got <= 2 * k:
+                return theta, cnt
+            else:
+                hi = theta
+            if hi - lo <= tol:
+                return hi, ladders.counts(hi, held, k)
+            step = theta + math.log((k + 1) / (got + 1))
+            theta = step if lo < step < hi else (lo + hi) / 2
+
+    def _exact_key(self, party: int, m: int) -> int:
+        """The exact integer key of ticket ``m`` of ``party``."""
+        c = self._c
+        return ((m * c.denominator - c.numerator) << self.scaled.shift) // self.scaled.ints[party]
+
+    def _key(self, j: int) -> int:
+        """The exact integer key of the ``j``-th cheapest ticket."""
+        return self._exact_key(self._picks[j], self._ords[j])
+
+    def _prefix(self, total: int) -> np.ndarray:
+        """The parties of the ``total`` cheapest tickets."""
+        if total < 0:
+            raise ValueError("total must be non-negative")
+        self._extend(total)
+        return np.array(self._picks[:total], dtype=np.intp)
 
     def assignment(self, total: int) -> list[int]:
         """The unique family member with exactly ``total`` tickets."""
-        if total < 0:
-            raise ValueError("total must be non-negative")
-        self._extend(total)
-        tickets = [0] * len(self.scaled)
-        for i, count in Counter(self._picks[:total]).items():
-            tickets[i] = count
-        return tickets
+        return np.bincount(self._prefix(total), minlength=len(self.scaled)).tolist()
 
     def sparse_counts(self, total: int) -> tuple[list[int], list[int]]:
         """``assignment(total)`` in sparse form: ascending holder indices
-        and their positive ticket counts.  ``O(total)`` instead of
-        ``O(n + total)`` -- the per-probe win for large committees."""
-        if total < 0:
-            raise ValueError("total must be non-negative")
-        self._extend(total)
-        counts = Counter(self._picks[:total])
-        indices = sorted(counts)
-        return indices, [counts[i] for i in indices]
+        and their positive ticket counts.  One sort of the ``total`` picks,
+        nothing of size ``n`` -- the per-probe win for large committees."""
+        indices, counts = np.unique(self._prefix(total), return_counts=True)
+        return indices.tolist(), counts.tolist()
 
     def patched(self, changes: Mapping[int, Number]) -> "PriceStream":
         """A stream for this stream's weights with ``changes`` (party index
@@ -178,23 +294,19 @@ class PriceStream:
         Flattens a (possibly patched) stream in ``O(depth + n)`` so that
         epoch-over-epoch patching never chains through old base streams.
         """
-        s = PriceStream.__new__(PriceStream)
-        s.scaled = self.scaled
-        s._c = self._c
-        s._picks = list(self._picks)
-        s._pick_keys = list(self._pick_keys)
-        next_m = {i: 1 for i, a in enumerate(self.scaled.ints) if a}
-        for i in s._picks:
-            next_m[i] += 1
-        s._heap = s._ladder_heads(next_m.items())
-        s._live = self._live
-        s._chain = 0
+        s = PriceStream(self.scaled, self._c)
+        s._picks = array("i", self._picks)
+        s._ords = array("i", self._ords)
         return s
 
 
 class _PatchedPriceStream(PriceStream):
     """Lazy merge of a base stream's pick prefix with changed parties'
-    fresh price ladders (see :meth:`PriceStream.patched`)."""
+    fresh price ladders (see :meth:`PriceStream.patched`).
+
+    Its picks and ordinals are lists.  The merge reads exact keys of the
+    base's picks only where it bisects for a changed party's next ticket.
+    """
 
     def __init__(self, base: PriceStream, changes: Mapping[int, Number]) -> None:
         try:
@@ -211,19 +323,19 @@ class _PatchedPriceStream(PriceStream):
         self._c = base._c
         self._base = base
         self._changed = frozenset(changes)
-        self._heap = self._ladder_heads((i, 1) for i in changes if new[i])
+        # Heap entries: (key, party index, ticket ordinal m).
+        self._heap = [(self._exact_key(i, 1), i, 1) for i in changes if new[i]]
+        heapq.heapify(self._heap)
         self._base_ptr = 0
         self._picks = []
-        self._pick_keys = []
+        self._ords = []
         self._live = unchanged + len(self._heap)
         self._chain = base._chain + 1
 
     def _extend(self, total: int) -> None:
         base, changed = self._base, self._changed
-        base_picks, base_keys = base._picks, base._pick_keys
-        heap, picks, keys = self._heap, self._picks, self._pick_keys
-        ints, shift = self.scaled.ints, self.scaled.shift
-        p, q = self._c.numerator, self._c.denominator
+        base_picks, base_ords = base._picks, base._ords
+        heap, picks, ords = self._heap, self._picks, self._ords
         ptr = self._base_ptr
         while len(picks) < total:
             # At most this many more picks come from the base's prefix.
@@ -234,23 +346,22 @@ class _PatchedPriceStream(PriceStream):
             # to changed parties); equal keys tie on the party index.
             stop = end
             if heap:
-                key, i, m = heap[0]
-                stop = bisect_left(base_keys, key, ptr, end)
-                while stop < end and base_keys[stop] == key and base_picks[stop] < i:
+                head, i, m = heap[0]
+                stop = bisect_left(range(end), head, ptr, end, key=base._key)
+                while stop < end and base._key(stop) == head and base_picks[stop] < i:
                     stop += 1
-            run, run_keys = base_picks[ptr:stop], base_keys[ptr:stop]
+            run, run_ords = base_picks[ptr:stop], base_ords[ptr:stop]
             if not changed.isdisjoint(run):
                 keep = [k for k, party in enumerate(run) if party not in changed]
                 run = [run[k] for k in keep]
-                run_keys = [run_keys[k] for k in keep]
+                run_ords = [run_ords[k] for k in keep]
             picks += run
-            keys += run_keys
+            ords += run_ords
             ptr = stop
             if stop < end:
                 picks.append(i)
-                keys.append(key)
-                m += 1
-                heapq.heapreplace(heap, (((m * q - p) << shift) // ints[i], i, m))
+                ords.append(m)
+                heapq.heapreplace(heap, (self._exact_key(i, m + 1), i, m + 1))
         self._base_ptr = ptr
 
 
@@ -259,10 +370,10 @@ def assignment_for_total(
 ) -> list[int]:
     """The unique family member with exactly ``total`` tickets.
 
-    Selects the ``total`` globally cheapest tickets, ``O(total * log n)``.
-    Zero-weight parties never receive tickets (their prices are infinite).
-    One-shot form of :class:`PriceStream`; repeated probes over the same
-    ``(weights, c)`` should share a stream instead.
+    Selects the ``total`` globally cheapest tickets, ``O(n + total log
+    total)``.  Zero-weight parties never receive tickets (their prices are
+    infinite).  One-shot form of :class:`PriceStream`; repeated probes over
+    the same ``(weights, c)`` should share a stream instead.
     """
     return PriceStream(weights, c).assignment(total)
 
@@ -295,6 +406,5 @@ def scale_for_total(
         raise ValueError("total must be >= 1 to define a positive scale")
     stream = PriceStream(weights, c)
     stream._extend(total)
-    last = stream._picks[-1]
-    weight = Fraction(stream.scaled.ints[last], stream.scaled.denom)
-    return ticket_price(weight, c, stream._picks.count(last))
+    weight = Fraction(stream.scaled.ints[stream._picks[-1]], stream.scaled.denom)
+    return ticket_price(weight, c, stream._ords[-1])

@@ -27,9 +27,12 @@ order, and tie, exactly like the Fractions they replace.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -60,9 +63,10 @@ _KEY_SLACK_BITS = 8
 def as_fraction(value: Number) -> Fraction:
     """Convert ``value`` to an exact :class:`~fractions.Fraction`.
 
-    Integers, strings (``"1/3"``, ``"0.25"``), :class:`~fractions.Fraction`
-    and floats are accepted.  Floats are converted *exactly* (binary
-    expansion), which is deterministic and never silently rounds.
+    Integers (numpy's included), strings (``"1/3"``, ``"0.25"``),
+    :class:`~fractions.Fraction` and floats are accepted.  Floats are
+    converted *exactly* (binary expansion), which is deterministic and
+    never silently rounds.
     """
     if isinstance(value, Fraction):
         return value
@@ -70,6 +74,8 @@ def as_fraction(value: Number) -> Fraction:
         raise TypeError("weights and thresholds must be numeric, not bool")
     if isinstance(value, (int, str)):
         return Fraction(value)
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             raise ValueError(f"non-finite value {value!r} is not a weight")
@@ -147,6 +153,9 @@ class ScaledWeights(Sequence):
             # Stake snapshots are plain ints: skipping n Fraction
             # constructions is 67 ms -> 3 ms on Algorand's 42 920 parties.
             ints, denom, fractions = list(weights), 1, None
+            _validate_weights(ints)
+        elif isinstance(weights, np.ndarray) and weights.dtype.kind in "iu":
+            ints, denom, fractions = weights.tolist(), 1, None
             _validate_weights(ints)
         else:
             fractions = normalize_weights(weights)
@@ -247,6 +256,11 @@ class ScaledWeights(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
+def _narrowest(top: int) -> Optional[str]:
+    """The narrowest unsigned :mod:`array` typecode that holds ``top``."""
+    return next((c for c in "BHIQ" if top >> 8 * array(c).itemsize == 0), None)
+
+
 class TicketAssignment:
     """An integer ticket assignment ``t_1..t_n`` (the solver's output).
 
@@ -258,10 +272,13 @@ class TicketAssignment:
     that fits the largest of them (one byte a party for a typical Swiper
     output, against the eight of a tuple slot), because results outlive
     the solve: a service or an experiment that keeps one per epoch or per
-    round would otherwise grow by ``8 n`` bytes each time.
+    round would otherwise grow by ``8 n`` bytes each time.  When few of
+    many parties hold tickets -- Swiper's usual output on a large
+    committee, 97 tickets among Algorand's 42 920 parties -- only the
+    holders' indices and counts are kept, whenever that is smaller.
     """
 
-    __slots__ = ("_packed",)
+    __slots__ = ("_packed", "_holders", "_n")
 
     def __init__(self, tickets: Iterable[int]) -> None:
         if not isinstance(tickets, (tuple, list)):
@@ -271,21 +288,41 @@ class TicketAssignment:
         if tickets and min(tickets) < 0:
             i = next(i for i, t in enumerate(tickets) if t < 0)
             raise ValueError(f"ticket count #{i} is negative ({tickets[i]})")
-        top = max(tickets, default=0)
-        code = next((c for c in "BHIQ" if top >> 8 * array(c).itemsize == 0), None)
-        # Counts past 64 bits (no solver makes them) stay a tuple.
-        self._packed = tuple(tickets) if code is None else array(code, tickets)
+        code = _narrowest(max(tickets, default=0))
+        self._n = len(tickets)
+        #: ascending holder indices when ``_packed`` holds only their counts
+        self._holders: Optional[array] = None
+        if code is None:
+            # Counts past 64 bits (no solver makes them) stay a tuple.
+            self._packed = tuple(tickets)
+            return
+        holders = array(_narrowest(self._n), compress(range(self._n), tickets))
+        size = array(code).itemsize
+        if len(holders) * (holders.itemsize + size) < self._n * size:
+            self._holders = holders
+            self._packed = array(code, [tickets[i] for i in holders])
+        else:
+            self._packed = array(code, tickets)
+
+    def _dense(self):
+        """The counts party by party."""
+        if self._holders is None:
+            return self._packed
+        dense = array(self._packed.typecode, bytes(self._n * self._packed.itemsize))
+        for i, t in zip(self._holders, self._packed):
+            dense[i] = t
+        return dense
 
     @property
     def tickets(self) -> tuple[int, ...]:
         """The counts as a tuple (built on each access)."""
-        return tuple(self._packed)
+        return tuple(self._dense())
 
     def __eq__(self, other: object) -> bool:
         # Equal counts pack alike, so comparing the packed forms is enough.
         if not isinstance(other, TicketAssignment):
             return NotImplemented
-        return self._packed == other._packed
+        return (self._n, self._holders, self._packed) == (other._n, other._holders, other._packed)
 
     def __hash__(self) -> int:
         return hash(self.tickets)
@@ -295,14 +332,19 @@ class TicketAssignment:
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._packed)
+        return self._n
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._packed)
+        return iter(self._dense())
 
     def __getitem__(self, index):
-        item = self._packed[index]
-        return tuple(item) if isinstance(index, slice) else item
+        if isinstance(index, slice):
+            return tuple(self._dense()[index])
+        if self._holders is None:
+            return self._packed[index]
+        i = range(self._n)[index]  # bounds and negative indices as for a tuple
+        k = bisect_left(self._holders, i)
+        return self._packed[k] if k < len(self._holders) and self._holders[k] == i else 0
 
     # -- aggregate metrics used throughout the paper's evaluation -----------
     @property
@@ -313,7 +355,7 @@ class TicketAssignment:
     @property
     def max_tickets(self) -> int:
         """The largest number of tickets held by a single party."""
-        return max(self._packed) if self._packed else 0
+        return max(self._packed, default=0)
 
     @property
     def holders(self) -> int:
@@ -323,15 +365,15 @@ class TicketAssignment:
     @property
     def support(self) -> tuple[int, ...]:
         """Indices of parties holding at least one ticket."""
-        return tuple(i for i, t in enumerate(self._packed) if t > 0)
+        return tuple(compress(range(self._n), self._dense()))
 
     def subset_total(self, subset: Iterable[int]) -> int:
         """``t(S)``: total tickets held by the parties in ``subset``."""
-        return sum(self._packed[i] for i in subset)
+        return sum(self[i] for i in subset)
 
     def to_list(self) -> list[int]:
         """Return the tickets as a plain list (defensive copy)."""
-        return list(self._packed)
+        return list(self._dense())
 
     @staticmethod
     def zeros(n: int) -> "TicketAssignment":

@@ -188,6 +188,8 @@ class AvidParty(Party):
 
     # -- storer side -----------------------------------------------------------------
     def _handle_disperse(self, message: AvidDisperse, sender: int) -> None:
+        if self._code is not None:
+            return  # the first accepted dispersal wins: keep serving it
         # Geometry sanity before any indexing or arithmetic: a Byzantine
         # dealer controls every field of this message.
         if len(message.hash_list) != message.total_shards:

@@ -8,6 +8,7 @@ optimization, never an approximation.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import Committee, IncrementalSolver, solve_with_policy
@@ -65,6 +66,16 @@ class TestOracleEquality:
         oracle = solve_with_policy(PROBLEM, Committee.from_weights(ws), "swiper")
         assert inc.assignment.tickets == oracle.assignment.tickets
         assert inc.achieved == oracle.achieved
+
+    def test_numpy_weights_equal_the_plain_int_solves(self):
+        base = list(_zipf_weights(60))
+        drifted = [base[0] + 5, *base[1:]]
+        expected = [_cold(base).assignment, _cold(drifted).assignment]
+        for as_numpy in (np.array, lambda ws: [np.int64(w) for w in ws]):
+            solver = IncrementalSolver(PROBLEM)
+            assert solver.solve(as_numpy(base)).assignment == expected[0]
+            assert solver.solve(as_numpy(drifted)).assignment == expected[1]
+            assert solver.last_mode == "incremental"
 
     def test_chained_drifts_stay_equal(self):
         ws = list(_zipf_weights(80))

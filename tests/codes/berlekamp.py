@@ -1,21 +1,22 @@
-"""Berlekamp-Massey LFSR synthesis over ``GF(2^w)``.
+"""Berlekamp-Massey LFSR synthesis over ``GF(2^w)``: a test-side decoder
+reference.
 
 The paper cites Berlekamp-Massey as the standard Reed-Solomon decoding
 workhorse whose cost drives the computation-overhead columns of Table 1
 (Section 5.1).  This module implements the algorithm in its general form
 -- shortest linear recurrence (LFSR) for a field sequence -- together
 with the syndrome-domain helpers (Chien search root finding) used by
-classic RS decoders.  The protocol layer uses :mod:`.reed_solomon`'s Gao
-decoder for arbitrary evaluation-point sets; Berlekamp-Massey is exposed
-for the canonical primitive-point layout and validated against it in the
-test suite.
+classic RS decoders.  ``repro.codes`` decodes errors with Gao's algorithm
+for arbitrary evaluation-point sets and never calls into this module; it
+lives under ``tests/`` as a second, independent decoder building block
+for the canonical primitive-point layout.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .gf2m import GF2m
+from repro.codes.gf2m import GF2m
 
 __all__ = ["berlekamp_massey", "chien_search", "lfsr_generate"]
 

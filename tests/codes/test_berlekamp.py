@@ -1,12 +1,12 @@
-"""Tests for Berlekamp-Massey LFSR synthesis and Chien search."""
+"""Tests for the Berlekamp-Massey LFSR synthesis and Chien search oracle."""
 
 import random
 
 import pytest
+from berlekamp import berlekamp_massey, chien_search, lfsr_generate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codes.berlekamp import berlekamp_massey, chien_search, lfsr_generate
 from repro.codes.gf2m import GF256
 
 

@@ -5,7 +5,8 @@ before the solver moved to one integer scaling per weight vector: the
 ``(price, party, ordinal)`` heap, the Fraction-keyed density sort and the
 two greedy bounds.  They share no arithmetic with the integer code, which
 ``test_fraction_oracle.py`` holds equal to them pick for pick, position
-for position and value for value.
+for position and value for value; ``test_price_selection.py`` holds the
+price stream's array selection to :func:`cheapest_picks` as well.
 """
 
 from __future__ import annotations

@@ -91,12 +91,12 @@ class TestPickSequences:
             stream = PriceStream(weights, c)
         assert stream.scaled.shift == _tight_shift(stream.scaled.ints)
         stream.assignment(total)
-        assert stream._picks == oracle.cheapest_picks(normalize_weights(weights), c, total)
+        assert list(stream._picks) == oracle.cheapest_picks(normalize_weights(weights), c, total)
 
     def test_equal_weights_tie_by_party_index(self):
         stream = PriceStream([3, 3, 0, 3], Fraction(1, 3))
         stream.assignment(7)
-        assert stream._picks == [0, 1, 3, 0, 1, 3, 0]
+        assert list(stream._picks) == [0, 1, 3, 0, 1, 3, 0]
 
     def test_equal_prices_of_unequal_weights_tie_by_party_index(self):
         # c = 0: ticket 2 of weight 2 and ticket 1 of weight 1 both cost 1.
@@ -104,7 +104,7 @@ class TestPickSequences:
         assert PriceStream(ws, Fraction(0)).assignment(4) == [1, 2, 1]
         stream = PriceStream(ws, Fraction(0))
         stream.assignment(4)
-        assert stream._picks == oracle.cheapest_picks(ws, Fraction(0), 4) == [1, 0, 1, 2]
+        assert list(stream._picks) == oracle.cheapest_picks(ws, Fraction(0), 4) == [1, 0, 1, 2]
 
 
 # -- density order and the greedy bounds -----------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.core import Swiper, WeightQualification, WeightRestriction, WeightSeparation
 from repro.core.types import (
     SCALE_BITS,
     ScaledWeights,
@@ -43,6 +44,16 @@ class TestAsFraction:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             as_fraction(True)
+
+    @pytest.mark.parametrize("value", [np.int64(7), np.int32(7), np.uint8(7)])
+    def test_numpy_integers(self, value):
+        assert as_fraction(value) == Fraction(7)
+        assert type(as_fraction(value).numerator) is int
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bools_stay_rejected(self, value):
+        with pytest.raises(TypeError):
+            as_fraction(value)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -93,6 +104,13 @@ class TestScaledWeights:
         assert view.fractions == normalize_weights([1, "1/2", 0.25, Fraction(2, 3)])
         assert len(view) == 4 and view[3] == Fraction(2, 3)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_integer_arrays_take_the_int_path(self, dtype):
+        view = ScaledWeights(np.array([5, 0, 3], dtype=dtype))
+        assert (view.ints, view.denom, view.total) == ([5, 0, 3], 1, 8)
+        assert all(type(a) is int for a in view.ints)
+        assert view == ScaledWeights([5, 0, 3])
+
     def test_shift_covers_the_square_of_the_heaviest_weight(self):
         view = ScaledWeights([3, 2**70 + 1, 9])
         assert 2**view.shift >= max(view.ints) ** 2
@@ -103,7 +121,10 @@ class TestScaledWeights:
         assert ScaledWeights.of([1, 2]) == view
         assert ScaledWeights.of([2, 4]) != view
 
-    @pytest.mark.parametrize("bad", [[], [1, -1], [0, 0], [True, 1], [Fraction(-1, 2), 1]])
+    @pytest.mark.parametrize(
+        "bad",
+        [[], [1, -1], [0, 0], [True, 1], [Fraction(-1, 2), 1], np.array([3, -1]), np.array([0, 0])],
+    )
     def test_rejects_what_normalize_weights_rejects(self, bad):
         with pytest.raises((ValueError, TypeError)):
             ScaledWeights(bad)
@@ -219,8 +240,52 @@ class TestTicketAssignment:
         t = TicketAssignment([0, 1] * 21_460)
         assert sys.getsizeof(t._packed) < 2 * len(t)
 
+    def test_few_holders_among_many_keep_only_the_holders(self):
+        # Algorand's shape: ~97 holders among 42 920 parties reads back
+        # like the dense vector but keeps a few hundred bytes, not 42 920.
+        counts = [0] * 42_920
+        for k, i in enumerate(range(7, 42_920, 443)):
+            counts[i] = 1 + k % 3
+        t = TicketAssignment(counts)
+        assert sys.getsizeof(t._packed) + sys.getsizeof(t._holders) < 1_000
+        assert t.tickets == tuple(counts) and list(t) == counts and t.to_list() == counts
+        assert len(t) == len(counts)
+        for i in (0, 7, 8, 450, 42_919, -1, -42_920):
+            assert t[i] == counts[i]
+        with pytest.raises(IndexError):
+            t[42_920]
+        assert t[5:460] == tuple(counts[5:460])
+        assert (t.total, t.max_tickets, t.holders) == (
+            sum(counts), max(counts), sum(1 for c in counts if c)
+        )
+        assert t.support == tuple(i for i, c in enumerate(counts) if c)
+        assert t.subset_total([7, 8, 450]) == counts[7] + counts[450]
+        assert t == TicketAssignment(tuple(counts)) and hash(t) == hash(tuple(counts))
+        assert t != TicketAssignment(counts + [0])
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert TicketAssignment.zeros(10_000).tickets == (0,) * 10_000
+
 
 def test_weight_of():
     ws = normalize_weights([1, 2, 3])
     assert weight_of(ws, [0, 2]) == 4
     assert weight_of(ws, []) == 0
+
+
+class TestNumpyWeightsSolve:
+    """Integer arrays and lists of numpy integers solve to the same tickets
+    as the plain-int vector."""
+
+    WEIGHTS = [40, 25, 15, 10, 5, 3, 1, 1, 0, 7]
+
+    @pytest.mark.parametrize(
+        "problem",
+        [WeightRestriction("1/3", "1/2"), WeightQualification("1/3", "1/4"), WeightSeparation("1/3", "1/2")],
+    )
+    @pytest.mark.parametrize(
+        "as_numpy",
+        [np.array, lambda ws: np.array(ws, dtype=np.int32), lambda ws: [np.int64(w) for w in ws]],
+    )
+    def test_tickets_equal_the_plain_int_solve(self, problem, as_numpy):
+        expected = Swiper().solve(problem, self.WEIGHTS).assignment
+        assert Swiper().solve(problem, as_numpy(self.WEIGHTS)).assignment == expected

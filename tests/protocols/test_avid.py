@@ -78,6 +78,28 @@ class TestNominalAvid:
         assert built == [{"k": code.k, "m": code.m}] * n
         assert retriever.counters["decode_symbols"] == 2 * code.k * code.k * 10
 
+    def test_a_second_dispersal_does_not_replace_the_first(self):
+        """A storer keeps the first valid dispersal it accepts.  A second,
+        different one -- here from another party, every field of it valid
+        -- is not echoed and replaces no fragment, so a retrieval of the
+        first commitment still decodes the first object."""
+        n, t = 7, 2
+        quorums = NominalQuorums(n=n, t=t)
+        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=12)
+        code = ReedSolomon(k=t + 1, m=n)
+        vmap = VirtualUserMap([1] * n)
+        first, second = _payload(20, 30), _payload(21, 30)
+        commitment = world.party(0).disperse(first, code, vmap)
+        world.run()
+        kept = [(p.my_fragments, p.hash_list) for p in world.parties]
+        world.party(5).disperse(second, code, vmap)
+        world.run()
+        assert [(p.my_fragments, p.hash_list) for p in world.parties] == kept
+        assert all(p.stored_commitment == commitment for p in world.parties)
+        world.party(3).retrieve(commitment)
+        world.run()
+        assert world.party(3).retrieved == first
+
     def test_a_stored_party_forgets_its_echo_phase(self):
         """The first store wins, so once a party has stored, a late echo
         is dropped before the quorum policy is asked and no echo set --

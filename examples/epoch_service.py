@@ -47,7 +47,7 @@ def build_service(backend, *, seed=0):
 
 
 def describe(result, service):
-    svc = result.record()["service"]
+    svc = result.service
     print(f"  completed : {result.completed}")
     print(
         f"  requests  : {svc['requests_committed']}/{svc['requests_submitted']} "

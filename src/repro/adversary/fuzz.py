@@ -72,6 +72,12 @@ class FuzzConfig:
     include_chaos: bool = True
     timeout: float = 30.0
 
+    def __post_init__(self) -> None:
+        # Zero episodes is a legal (empty) campaign; a negative count
+        # would run nothing and pass as clean.
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
+
 
 @dataclass
 class EpisodeOutcome:

@@ -9,6 +9,7 @@ on every backend::
     python -m repro.cli ws --alpha 1/3 --beta 1/2 --chain tezos --linear
     python -m repro.cli cluster rbc --n 7 --transport tcp --weights-file stake.txt
     python -m repro.cli cluster smr --n 7 --epochs 2 --json
+    python -m repro.cli serve --drift 1:0:150 --json
     python -m repro.cli scenario --list
     python -m repro.cli scenario zipf-stake-smr --backend inproc --json
 
@@ -17,15 +18,18 @@ per line), or ``--chain`` (a calibrated snapshot); all three are parsed
 by the shared :mod:`repro.api.weight_source` module and materialize as a
 :class:`repro.api.Committee`, which also centralizes feasibility
 validation.  Solver output is the ticket assignment summary, or the full
-per-party list with ``--full-output``.  A ``cluster`` or ``scenario``
-run is a scenario spec executed by the one scenario engine
+per-party list with ``--full-output``.  A ``cluster``, ``serve`` or
+``scenario`` run is a scenario spec executed by the one scenario engine
 (:mod:`repro.scenarios.harness`): ``cluster`` builds its spec from the
 flags -- nominal ``n = 3t + 1`` quorums when no weight source is given
 -- and reads its output from the run's record, so one argv means the
-same run on ``inproc``, ``tcp`` and ``proc``.  ``--json`` switches
-every subcommand to machine-readable output.  Invalid parameter
-combinations exit with status 2 and -- under ``--json`` -- emit one
-uniform ``{"error": ...}`` object on stderr.
+same run on ``inproc``, ``tcp`` and ``proc``; ``serve`` builds a
+``kind="service"`` spec, so its ``--json`` is the record ``repro
+scenario`` prints for the same spec.  Each subparser names its handler
+(``set_defaults(run=...)``) and :func:`main` calls it.  ``--json``
+switches every subcommand to machine-readable output.  Invalid
+parameter combinations exit with status 2 and -- under ``--json`` --
+emit one uniform ``{"error": ...}`` object on stderr.
 """
 
 from __future__ import annotations
@@ -43,12 +47,15 @@ from .core import (
     WeightSeparation,
 )
 from .core.types import scale_weights_exact
-from .scenarios import SCENARIOS, FaultSpec, WorkloadSpec, get_scenario
+from .scenarios import SCENARIOS, FaultSpec, WeightSpec, WorkloadSpec, get_scenario
 
 __all__ = ["main", "build_parser"]
 
 #: solver policies selectable from the command line (registry names)
 _CLI_POLICIES = ("swiper", "swiper-linear", "milp", "brute-force")
+
+#: ``repro serve``'s committee when no weight source is given
+_SERVE_WEIGHTS = WeightSpec("zipf", n=8, total=800, skew=1.2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="calibrated chain snapshot",
         )
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, make_problem) -> None:
         add_weight_source(p, required=True)
         p.add_argument(
             "--linear",
@@ -92,26 +99,22 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="print the complete per-party ticket list",
         )
-        p.add_argument(
-            "--json",
-            action="store_true",
-            help="machine-readable JSON output",
-        )
+        p.set_defaults(run=_run_solver, make_problem=make_problem)
 
     wr = sub.add_parser("wr", help="Weight Restriction (Problem 1)")
     wr.add_argument("--alpha-w", required=True)
     wr.add_argument("--alpha-n", required=True)
-    add_common(wr)
+    add_common(wr, lambda a: WeightRestriction(a.alpha_w, a.alpha_n))
 
     wq = sub.add_parser("wq", help="Weight Qualification (Problem 2)")
     wq.add_argument("--beta-w", required=True)
     wq.add_argument("--beta-n", required=True)
-    add_common(wq)
+    add_common(wq, lambda a: WeightQualification(a.beta_w, a.beta_n))
 
     ws = sub.add_parser("ws", help="Weight Separation (Problem 3)")
     ws.add_argument("--alpha", required=True)
     ws.add_argument("--beta", required=True)
-    add_common(ws)
+    add_common(ws, lambda a: WeightSeparation(a.alpha, a.beta))
 
     cluster = sub.add_parser(
         "cluster",
@@ -151,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--crash", type=int, nargs="*", default=[], help="node ids to crash at start"
     )
-    cluster.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
+    cluster.set_defaults(run=_run_cluster)
 
     serve = sub.add_parser(
         "serve",
@@ -216,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--timeout", type=float, default=60.0, help="hard stop (scenario seconds)"
     )
-    serve.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
+    serve.set_defaults(run=_run_serve)
 
     scenario = sub.add_parser(
         "scenario",
@@ -270,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--save", action="store_true", help="also write the record to results/"
     )
-    scenario.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
+    scenario.set_defaults(run=_run_scenario)
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -321,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         "failures file), or @DIR/ (every line of every file in DIR); "
         "exits 0 clean / 1 violations / 2 error",
     )
-    fuzz.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
+    fuzz.set_defaults(run=_run_fuzz)
 
+    # Last, so it closes every subcommand's usage and option list.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable JSON output")
     return parser
 
 
@@ -332,40 +330,35 @@ def _fail(args: argparse.Namespace, message) -> int:
     """The one error path every subcommand shares: status 2, and under
     ``--json`` the same ``{"error": ...}`` object (on stderr, so piped
     stdout never mixes records with diagnostics)."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"error": str(message)}), file=sys.stderr)
     else:
         print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def _load_committee(args: argparse.Namespace) -> Optional[Committee]:
+def _load_committee(args: argparse.Namespace, seed: int = 0) -> Optional[Committee]:
     """The committee named by the mutually-exclusive weight-source flags
     (``None`` when the subcommand allows running without one)."""
     source = weight_source_from_args(
         weights=args.weights,
         weights_file=args.weights_file,
-        chain=getattr(args, "chain", None),
+        chain=args.chain,
     )
     if source is None:
         return None
-    return Committee.from_source(source)
+    return Committee.from_source(source, seed=seed)
 
 
 # -- solver subcommands (wr / wq / ws) -------------------------------------------------
 
 
-def _run_solver_command(args: argparse.Namespace) -> int:
+def _run_solver(args: argparse.Namespace) -> int:
     policy = args.policy or ("swiper-linear" if args.linear else "swiper")
     if args.linear and args.policy not in (None, "swiper-linear"):
         return _fail(args, "--linear conflicts with the chosen --policy")
     try:
-        if args.problem == "wr":
-            problem = WeightRestriction(args.alpha_w, args.alpha_n)
-        elif args.problem == "wq":
-            problem = WeightQualification(args.beta_w, args.beta_n)
-        else:
-            problem = WeightSeparation(args.alpha, args.beta)
+        problem = args.make_problem(args)
         committee = _load_committee(args)
         assert committee is not None  # the source group is required here
         result = committee.solve(problem, policy, verify=False)
@@ -427,7 +420,7 @@ def _print_by_type(rec: dict) -> None:
         )
 
 
-def _run_cluster_command(args: argparse.Namespace) -> int:
+def _run_cluster(args: argparse.Namespace) -> int:
     """``repro cluster``: one scenario spec run by the scenario engine on
     the chosen transport.  A weight source means weighted quorums at
     ``--f-w``; without one, ``--n`` equal parties vote with the nominal
@@ -499,72 +492,45 @@ def _run_cluster_command(args: argparse.Namespace) -> int:
 # -- serve subcommand --------------------------------------------------------------
 
 
-def _parse_drifts(specs: Sequence[str]) -> tuple[tuple[int, int, int], ...]:
-    drifts = []
-    for text in specs:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"--drift wants E:I:W, got {text!r}")
-        drifts.append((int(parts[0]), int(parts[1]), int(parts[2])))
-    return tuple(drifts)
-
-
-def _run_serve_command(args: argparse.Namespace) -> int:
-    from .service import (
-        DriftSchedule,
-        EpochManager,
-        EpochService,
-        InprocServiceBackend,
-        LoadGenerator,
-        ServiceConfig,
-        SimServiceBackend,
+def _run_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: one ``kind="service"`` scenario spec run by the
+    scenario engine (:func:`repro.service.scenario.run_service_spec`).
+    ``--drift`` entries travel comma-joined in ``params["drift"]``; with
+    no weight source the committee is :data:`_SERVE_WEIGHTS`."""
+    params: tuple = (
+        ("arrival_rate", args.rate),
+        ("requests", args.requests),
+        ("slot_interval", args.slot_interval),
+        ("slots_per_epoch", args.slots_per_epoch),
+        ("epoch_seconds", args.epoch_seconds),
     )
-
+    if args.drift:
+        params += (("drift", ",".join(args.drift)),)
     try:
-        committee = _load_committee(args)
+        committee = _load_committee(args, seed=args.seed)
         if committee is None:
-            committee = Committee.synthetic(
-                "zipf", n=8, total=800, skew=1.2, seed=args.seed
-            )
-        committee.validate(f_w=args.f_w, payload_size=args.payload_size)
-        schedule = DriftSchedule(
-            initial=tuple(committee.int_weights),
-            drifts=_parse_drifts(args.drift),
-        )
-        manager = EpochManager(schedule, f_w=args.f_w)
-        config = ServiceConfig(
+            committee = Committee.from_weight_spec(_SERVE_WEIGHTS, seed=args.seed)
+        result = Session(
+            committee=committee,
+            protocol="smr",
+            backend=BackendSpec(args.backend, args.timeout),
+            name="serve",
             f_w=args.f_w,
-            slot_interval=args.slot_interval,
-            slots_per_epoch=args.slots_per_epoch,
-            epoch_seconds=args.epoch_seconds,
-            max_time=args.timeout,
-        )
-        if args.backend == "sim":
-            backend = SimServiceBackend(seed=args.seed)
-        else:
-            backend = InprocServiceBackend()
-        load = LoadGenerator(
-            args.rate,
-            args.requests,
-            payload_size=args.payload_size,
-            seed=args.seed,
-        )
-        service = EpochService(
-            backend, manager, config, name="serve", seed=args.seed, load=load
-        )
-        result = service.run()
-    except (ValueError, ZeroDivisionError, OSError, TimeoutError) as exc:
+            workload=WorkloadSpec(payload_size=args.payload_size, kind="service"),
+            params=params,
+        ).run()
+    except (ValueError, ZeroDivisionError, RuntimeError, OSError, TimeoutError) as exc:
         return _fail(args, exc)
-    if result.error is not None:
+    rec = result.record()
+    svc = rec["service"]
+    if "error" in svc:
         # Rotation infeasibility (and timeouts) surface through the same
         # uniform {"error": ...} exit-2 path as bad parameters.
-        return _fail(args, result.error)
+        return _fail(args, svc["error"])
 
-    rec = result.record()
     if args.json:
-        print(json.dumps(rec))
+        print(result.record_json())
         return 0
-    svc = rec["service"]
     print(f"backend         : {rec['backend']}")
     print(f"committee       : {committee.n} parties ({committee.provenance})")
     print(f"requests        : {svc['requests_committed']}/{svc['requests_submitted']} committed")
@@ -588,7 +554,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
 # -- scenario subcommand -----------------------------------------------------------
 
 
-def _run_scenario_command(args: argparse.Namespace) -> int:
+def _run_scenario(args: argparse.Namespace) -> int:
     if args.list:
         if args.json:
             print(
@@ -707,7 +673,7 @@ def _load_replay_specs(raw: str) -> list:
     return specs
 
 
-def _run_fuzz_command(args: argparse.Namespace) -> int:
+def _run_fuzz(args: argparse.Namespace) -> int:
     from .adversary import FuzzConfig, replay_episode, run_campaign
 
     if args.replay is not None:
@@ -787,15 +753,7 @@ def _run_fuzz_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.problem == "cluster":
-        return _run_cluster_command(args)
-    if args.problem == "serve":
-        return _run_serve_command(args)
-    if args.problem == "scenario":
-        return _run_scenario_command(args)
-    if args.problem == "fuzz":
-        return _run_fuzz_command(args)
-    return _run_solver_command(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

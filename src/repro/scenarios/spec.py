@@ -178,7 +178,8 @@ class WorkloadSpec:
     ``epochs`` counts committee *generations* (so ``epochs - 1``
     rotations) and the open-loop load is configured through scenario
     params (``arrival_rate``, ``requests``, ``slot_interval``,
-    ``slots_per_epoch``).
+    ``slots_per_epoch``, ``epoch_seconds``, and ``drift``: comma-joined
+    ``E:I:W`` stake changes in place of the derived schedule).
     """
 
     payload_size: int = 32

@@ -27,7 +27,7 @@ Quick start::
         load=LoadGenerator(rate=100.0, requests=40),
     )
     result = service.run()
-    print(result.record()["service"]["ops_per_sec"])
+    print(result.service["ops_per_sec"])
 """
 
 from .backends import InprocServiceBackend, ServiceBackend, SimServiceBackend

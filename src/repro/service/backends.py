@@ -49,8 +49,6 @@ class ServiceBackend:
     (timers and message deliveries), never on its own task.
     """
 
-    name: str
-
     def now(self) -> float:
         """Scenario seconds since the run started."""
         raise NotImplementedError
@@ -82,8 +80,6 @@ class ServiceBackend:
 class SimServiceBackend(ServiceBackend):
     """Deterministic discrete-event backend: one simulator, one world
     per spawned group, everything a pure function of the seed."""
-
-    name = "sim"
 
     def __init__(
         self, *, seed: int = 0, delay_low: float = 0.01, delay_high: float = 0.1
@@ -141,8 +137,6 @@ class SimServiceBackend(ServiceBackend):
 class InprocServiceBackend(ServiceBackend):
     """Live asyncio backend: every generation is a group on one
     :class:`~repro.runtime.cluster.Cluster`, node ids reused across rotations."""
-
-    name = "inproc"
 
     def __init__(self, *, registry: Optional[CodecRegistry] = None) -> None:
         self.cluster = Cluster(registry=registry)

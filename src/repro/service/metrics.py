@@ -4,10 +4,11 @@ The scenario engine's records count messages and bytes; a long-lived
 service additionally needs *request*-level numbers -- how many operations
 committed, how long each took from submission to full commitment, and
 how the committee evolved across epochs.  :class:`ServiceMetrics`
-accumulates those during the run; :class:`ServiceResult` freezes them
-into the same JSON-able shape the scenario engine emits (every value on
-the sim backend is a pure function of the spec, so service records are
-byte-identical across runs, like scenario records).
+accumulates those during the run; :class:`ServiceResult` freezes them,
+and its ``service`` dict is the ``service`` section of the scenario
+record (:func:`repro.service.scenario.run_service_spec`).  Every value
+on the sim backend is a pure function of the spec, so service sections
+are byte-identical across runs, like scenario records.
 
 Latency convention: a request's latency ends when its slot is committed
 by *every* live replica (full commitment), not by the first -- the
@@ -108,32 +109,12 @@ class ServiceMetrics:
 class ServiceResult:
     """The frozen outcome of one service run."""
 
-    name: str
-    backend: str
     completed: bool
-    #: rotation/validation failure message, if the run failed (the CLI
-    #: surfaces this as the uniform ``{"error": ...}`` exit-2 object)
+    #: rotation/validation failure message, if the run failed (the
+    #: scenario record carries it as ``service.error``)
     error: Optional[str]
     elapsed_seconds: float
+    #: the JSON service section (:meth:`ServiceMetrics.summary`)
     service: dict
     messages: int
     bytes: int
-    by_type: dict[str, int]
-    bytes_by_type: dict[str, int]
-
-    def record(self) -> dict:
-        """JSON-able snapshot in the scenario engine's shape."""
-        return {
-            "scenario": self.name,
-            "protocol": "smr",
-            "workload": "service",
-            "backend": self.backend,
-            "completed": self.completed,
-            "error": self.error,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "by_type": dict(sorted(self.by_type.items())),
-            "bytes_by_type": dict(sorted(self.bytes_by_type.items())),
-            "service": self.service,
-        }

@@ -1,9 +1,11 @@
 """Run a ``kind="service"`` workload from a declarative scenario spec.
 
-This is the bridge between the scenario engine and the epoch service:
-:func:`run_service_spec` takes the same :class:`ScenarioSpec` the harness
-takes, derives a deterministic weight-drift schedule (each rotation bumps
-one party's stake, so every re-solve after the first exercises the
+This is the bridge between the scenario engine and the epoch service,
+and the one engine behind both ``repro scenario`` service workloads and
+``repro serve``: :func:`run_service_spec` takes the same
+:class:`ScenarioSpec` the harness takes, reads its weight-drift schedule
+from ``params["drift"]`` or derives a deterministic one (each rotation
+bumps one party's stake, so every re-solve after the first exercises the
 incremental path), and returns the harness's
 :class:`~repro.scenarios.harness.ScenarioResult` shape with the
 service-level numbers (ops/sec, latency percentiles, per-epoch records)
@@ -42,6 +44,18 @@ def drift_schedule_for(
         current[i] = current[i] + max(1, current[i] // 8)
         drifts.append((e, i, current[i]))
     return DriftSchedule(initial=tuple(initial), drifts=tuple(drifts))
+
+
+def _parse_drifts(text: str) -> tuple[tuple[int, int, int], ...]:
+    """``params["drift"]``: comma-joined ``E:I:W`` entries -- from epoch
+    ``E`` on, party ``I`` weighs ``W`` (``I == n`` appends a party)."""
+    drifts = []
+    for entry in text.split(","):
+        parts = entry.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"drift entries are E:I:W, got {entry!r}")
+        drifts.append((int(parts[0]), int(parts[1]), int(parts[2])))
+    return tuple(drifts)
 
 
 def run_service_spec(
@@ -93,17 +107,22 @@ def run_service_spec(
     requests = int(spec.param("requests", 32))
     slot_interval = float(spec.param("slot_interval", 0.05))
     slots_per_epoch = int(spec.param("slots_per_epoch", 3))
+    epoch_seconds = float(spec.param("epoch_seconds", 0.0))
     max_pending = int(spec.param("max_pending", 0))
     request_deadline = float(spec.param("request_deadline", 0.0))
 
-    manager = EpochManager(
-        drift_schedule_for(tuple(committee.int_weights), spec.workload.epochs),
-        f_w=spec.f_w,
-    )
+    initial = tuple(committee.int_weights)
+    drift = spec.param("drift")
+    if drift is None:
+        schedule = drift_schedule_for(initial, spec.workload.epochs)
+    else:
+        schedule = DriftSchedule(initial=initial, drifts=_parse_drifts(drift))
+    manager = EpochManager(schedule, f_w=spec.f_w)
     config = ServiceConfig(
         f_w=spec.f_w,
         slot_interval=slot_interval,
         slots_per_epoch=slots_per_epoch,
+        epoch_seconds=epoch_seconds,
         max_time=timeout,
         max_pending=max_pending,
         request_deadline=request_deadline,
@@ -138,7 +157,7 @@ def run_service_spec(
         if service.epoch_party_digests
         else {}
     )
-    service_section = result.record()["service"]
+    service_section = result.service
     if result.error:
         service_section = {**service_section, "error": result.error}
     if backend == "sim":

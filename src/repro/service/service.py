@@ -97,6 +97,17 @@ class ServiceConfig:
     #: committed uselessly late
     request_deadline: float = 0.0
 
+    def __post_init__(self) -> None:
+        # A non-positive interval re-arms the tick at the same instant, so
+        # the clock never reaches max_time and the run never ends.
+        if self.slot_interval <= 0:
+            raise ValueError(f"slot_interval must be positive, got {self.slot_interval}")
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        for name in ("slots_per_epoch", "epoch_seconds", "max_pending", "request_deadline"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 class _SlotState:
     """Commitment progress of one cut slot across its committee."""
@@ -269,16 +280,12 @@ class EpochService:
         )
         totals = self.backend.message_totals()
         return ServiceResult(
-            name=self.name,
-            backend=self.backend.name,
             completed=self.completed,
             error=self.error,
             elapsed_seconds=elapsed,
             service=self.metrics.summary(elapsed),
             messages=totals.messages,
             bytes=totals.bytes,
-            by_type=dict(totals.by_type),
-            bytes_by_type=dict(totals.bytes_by_type),
         )
 
     # -- slot cutting ---------------------------------------------------------------

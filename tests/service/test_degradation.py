@@ -54,7 +54,7 @@ class TestBackpressure:
         service = _run_service(max_pending=4, rate=400.0, requests=40)
         result = service.result()
         assert result.completed, result.error
-        section = result.record()["service"]
+        section = result.service
         assert section["requests_rejected"] > 0
         # retry-until-accepted: every request still lands
         assert section["requests_committed"] == 40
@@ -93,12 +93,12 @@ class TestBackpressure:
 
     def test_unbounded_queue_never_rejects(self):
         service = _run_service(max_pending=0, rate=400.0, requests=40)
-        assert service.result().record()["service"]["requests_rejected"] == 0
+        assert service.result().service["requests_rejected"] == 0
 
     def test_backpressure_run_is_byte_deterministic(self):
         a = _run_service(max_pending=4, rate=400.0, requests=40)
         b = _run_service(max_pending=4, rate=400.0, requests=40)
-        assert a.result().record() == b.result().record()
+        assert a.result() == b.result()
 
 
 class TestDrainedSubmit:
@@ -144,7 +144,7 @@ class TestDeadlineShedding:
         service = _run_service(
             request_deadline=0.02, rate=400.0, requests=40
         )
-        section = service.result().record()["service"]
+        section = service.result().service
         assert section["requests_shed"] > 0
         assert (
             section["requests_committed"] + section["requests_shed"]
@@ -155,7 +155,7 @@ class TestDeadlineShedding:
         service = _run_service(request_deadline=30.0, rate=60.0, requests=36)
         result = service.result()
         assert result.completed, result.error
-        section = result.record()["service"]
+        section = result.service
         assert section["requests_shed"] == 0
         assert section["requests_committed"] == 36
 
@@ -170,7 +170,7 @@ class TestScenarioParams:
         )
         result = run_scenario(spec, backend="sim")
         assert result.completed
-        assert result.record()["service"]["requests_rejected"] > 0
+        assert result.service["requests_rejected"] > 0
         # deterministic like every sim scenario
         assert (
             run_scenario(spec, backend="sim").record_json()

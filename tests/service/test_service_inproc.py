@@ -33,7 +33,7 @@ def test_inproc_rotation_commits_everything():
     result = service.run()
 
     assert result.completed, result.error
-    section = result.record()["service"]
+    section = result.service
     assert section["requests_committed"] == 12
     assert section["rotations"] >= 1
 

@@ -6,8 +6,6 @@ log, identical per-party epoch digests, the incremental re-solve fast
 path on small stake drifts, and byte-identical records across runs.
 """
 
-import json
-
 import pytest
 
 from repro.api import Committee, CommitteeValidationError
@@ -50,7 +48,7 @@ class TestRotation:
     def test_runs_through_at_least_three_epochs(self, service):
         result = service.result()
         assert result.completed, result.error
-        section = result.record()["service"]
+        section = result.service
         assert section["requests_committed"] == 36
         assert section["rotations"] >= 2
         assert len(section["epochs"]) >= 3
@@ -98,9 +96,7 @@ class TestCommittedLog:
 class TestDeterminism:
     def test_two_runs_are_byte_identical(self, service):
         again = _run_service()
-        a = json.dumps(service.result().record(), sort_keys=True)
-        b = json.dumps(again.result().record(), sort_keys=True)
-        assert a == b
+        assert again.result() == service.result()
         assert again.committed_log == service.committed_log
 
 
@@ -140,4 +136,64 @@ class TestHarnessRouting:
             workload=spec.workload,
         )
         with pytest.raises(ValueError, match="smr"):
+            run_scenario(bad, backend="sim")
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("slot_interval", 0),
+            ("slot_interval", -0.01),
+            ("max_batch", 0),
+            ("slots_per_epoch", -1),
+            ("epoch_seconds", -0.5),
+            ("max_pending", -1),
+            ("request_deadline", -1.0),
+        ],
+    )
+    def test_unrunnable_values_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_zero_turns_triggers_and_limits_off(self):
+        config = ServiceConfig(
+            slots_per_epoch=0, epoch_seconds=0.0, max_pending=0, request_deadline=0.0
+        )
+        assert config.slots_per_epoch == 0 and config.epoch_seconds == 0.0
+
+
+class TestDriftParam:
+    def test_drift_param_is_the_explicit_schedule(self):
+        # params["drift"] replaces drift_schedule_for with the listed
+        # E:I:W entries -- the same run as a hand-built DriftSchedule.
+        committee = Committee.synthetic("zipf", n=N, total=600, skew=1.2, seed=0)
+        weights = tuple(committee.int_weights)
+        drifts = ((1, 2, weights[2] + 40), (2, N, 25))
+        spec = get_scenario("epoch-service")
+        spec = type(spec)(
+            name="service",
+            protocol="smr",
+            weights=spec.weights,
+            workload=spec.workload,
+            params=(
+                *spec.params,
+                ("drift", ",".join(f"{e}:{i}:{w}" for e, i, w in drifts)),
+            ),
+        )
+        section = run_scenario(spec, backend="sim").record()["service"]
+        direct = _run_service(DriftSchedule(initial=weights, drifts=drifts))
+        assert section == direct.result().service
+        assert [e["n"] for e in section["epochs"]] == [N, N, N + 1]
+
+    def test_malformed_drift_param_is_refused(self):
+        spec = get_scenario("epoch-service")
+        bad = type(spec)(
+            name="bad",
+            protocol="smr",
+            weights=spec.weights,
+            workload=spec.workload,
+            params=(("drift", "1:2"),),
+        )
+        with pytest.raises(ValueError, match="E:I:W"):
             run_scenario(bad, backend="sim")

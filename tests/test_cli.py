@@ -1,13 +1,50 @@
 """Tests for the CLI mirroring the paper's prototype interface."""
 
+import contextlib
 import json
+import pathlib
+import signal
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios import ScenarioSpec, WeightSpec, WorkloadSpec, run_scenario
+
+#: ``--help`` of the top level and of every subcommand, captured with
+#: ``COLUMNS=80`` (argparse wraps to the terminal width)
+HELP_DIR = pathlib.Path(__file__).parent / "cli_help"
+SUBCOMMANDS = ["wr", "wq", "ws", "cluster", "serve", "scenario", "fuzz"]
+
+
+class _Hung(BaseException):
+    """Raised by :func:`_deadline`; no CLI ``except`` clause catches it."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail a call that would otherwise never return."""
+
+    def expire(signum, frame):
+        raise _Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParser:
+    @pytest.mark.parametrize("name", ["top", *SUBCOMMANDS])
+    def test_help_is_byte_identical_to_the_golden(self, name, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if name == "top" else [name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (HELP_DIR / f"{name}.txt").read_text()
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -385,7 +422,7 @@ class TestServe:
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["completed"] is True
-        assert record["workload"] == "service"
+        assert record["scenario"] == "serve"
         svc = record["service"]
         assert svc["requests_committed"] == 24
         assert svc["rotations"] >= 1
@@ -444,8 +481,90 @@ class TestServe:
         assert record["completed"] is True
         assert record["service"]["requests_committed"] == 24
 
+    def test_json_is_the_scenario_record_of_the_same_spec(self, capsys):
+        # One engine: `repro serve` is a service spec run by run_scenario.
+        assert main(["serve", "--drift", "1:0:150", "--json"]) == 0
+        spec = ScenarioSpec(
+            name="serve",
+            protocol="smr",
+            weights=WeightSpec("zipf", n=8, total=800, skew=1.2),
+            workload=WorkloadSpec(kind="service"),
+            params=(
+                ("arrival_rate", 100.0),
+                ("requests", 50),
+                ("slot_interval", 0.05),
+                ("slots_per_epoch", 4),
+                ("epoch_seconds", 0.0),
+                ("drift", "1:0:150"),
+            ),
+        )
+        expected = run_scenario(spec).record_json()
+        assert capsys.readouterr().out == expected + "\n"
+        record = json.loads(expected)
+        assert record["messages"] == 5464 and record["bytes"] == 649600
+        assert len(set(record["decided"].values())) == 1
+
+    def test_clock_trigger_rotates_the_same_on_spec_and_cli(self, capsys):
+        spec = ScenarioSpec(
+            name="serve",
+            protocol="smr",
+            weights=WeightSpec("explicit", values=(40, 30, 20, 10)),
+            workload=WorkloadSpec(kind="service"),
+            params=(
+                ("arrival_rate", 150.0),
+                ("requests", 24),
+                ("slot_interval", 0.02),
+                ("slots_per_epoch", 0),
+                ("epoch_seconds", 0.06),
+            ),
+        )
+        svc = run_scenario(spec).record()["service"]
+        assert svc["rotations"] >= 1
+        assert svc["requests_committed"] == 24
+        argv = [*self._BASE, "--slots-per-epoch", "0", "--epoch-seconds", "0.06"]
+        assert main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["service"] == svc
+
+    def test_zero_slot_interval_spec_is_refused(self):
+        # The same hang through the scenario engine (`repro scenario`).
+        spec = ScenarioSpec(
+            name="serve",
+            protocol="smr",
+            weights=WeightSpec("explicit", values=(40, 30, 20, 10)),
+            workload=WorkloadSpec(kind="service"),
+            params=(("slot_interval", 0),),
+        )
+        with _deadline(10), pytest.raises(ValueError, match="slot_interval"):
+            run_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--slot-interval", "0"],
+            ["--slot-interval", "-0.01"],
+            ["--slots-per-epoch", "-1"],
+            ["--epoch-seconds", "-1"],
+        ],
+        ids=["zero-interval", "negative-interval", "negative-slots", "negative-clock"],
+    )
+    def test_unrunnable_service_settings_exit_2(self, flags, capsys):
+        # A non-positive slot interval used to spin at one virtual instant
+        # forever; negative rotation triggers were silently ignored.
+        with _deadline(10):
+            code = main([*self._BASE, *flags, "--json"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error"} and "must be" in err["error"]
+
 
 class TestFuzz:
+    def test_negative_episodes_exit_2(self, capsys):
+        # A campaign that runs nothing must not pass as clean.
+        assert main(["fuzz", "--episodes", "-3", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "episodes" in json.loads(captured.err)["error"]
+
     def test_clean_campaign_exits_0_with_summary(self, capsys):
         code = main(["fuzz", "--episodes", "12", "--seed", "5", "--json"])
         assert code == 0

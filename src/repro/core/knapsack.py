@@ -6,49 +6,61 @@ of tickets?".  The paper solves it with *dynamic programming by profits*
 ([Kellerer-Pferschy-Pisinger, Lemma 2.3.2], ``O(n * T)``) and filters most
 invocations out with quasilinear lower/upper bounds.
 
-This module provides three tiers, all decided *soundly*:
+This module provides three tiers, all decided *soundly*, all on a probe's
+holders as arrays:
 
-1. quasilinear greedy bounds: the fractional (LP) relaxation as an upper
-   bound and an integral greedy + best-single-item value as an achievable
-   lower bound.  These implement the paper's conservative/liberal quick
-   checks and settle most probes;
-2. a vectorized numpy DP on weights scaled to ``2**40`` relative
-   precision, at every instance size: *one table* of minimum weights by
-   profit (:func:`min_weight_table`) that is read at as many capacities as
-   the caller has (:func:`max_profit_in`).  It is built on weights rounded
-   *down* (enlarges the feasible family: a "no" here is a certified no)
-   and, if that did not settle it, rounded *up* (shrinks it: a "yes" here
-   is a certified yes);
+1. quasilinear greedy bounds (:class:`DensityOrder`): the fractional (LP)
+   relaxation as an upper bound and an integral greedy + best-single-item
+   value as an achievable lower bound -- the paper's conservative/liberal
+   quick checks, which settle most probes.  The holders are put in density
+   order by one numpy sort of float keys (exact keys only where floats
+   cannot separate them), and both bounds read cumulative sums in that
+   order: float sums locate where a capacity is crossed, exact integer
+   sums on the view's limbs decide it;
+2. a numpy DP on weights scaled to ``2**40`` relative precision, at every
+   instance size (:class:`FoldedTable`): *one table* of minimum weights by
+   profit (:func:`min_weight_table`) over every holder but the largest
+   group with equal ticket counts -- on Swiper probes, the one-ticket
+   holders -- which is folded in at read time, at as many capacities as
+   the caller has.  It is built on weights rounded *down* (enlarges the
+   feasible family: a "no" here is a certified no) and, if that did not
+   settle it, rounded *up* (shrinks it: a "yes" here is a certified yes);
 3. exact big-integer DP on weights scaled by their common denominator
    (:func:`min_weight_for_profit`, :func:`max_profit_under`), run only
    when the two roundings of (2) disagree -- and the oracle the tests
    hold (2) to.
 
-Every tier computes on the integers of one
-:class:`~repro.core.types.ScaledWeights` view -- item weights ``a_i``,
-capacities as integer ratios ``cap_num / cap_den`` in the same units.  The
-functions that take :class:`~fractions.Fraction` weights scale them once
-and call the integer forms (:func:`density_order`, :func:`upper_bound`,
-:func:`lower_bound`); the only Fraction a bound builds is the value
-:func:`upper_bound` returns, for the caller's one ``upper < target``.
+Every tier computes on one :class:`~repro.core.types.ScaledWeights` view --
+item weights ``a_i``, capacities as integer ratios ``cap_num / cap_den`` in
+the same units; the only Fraction a bound builds is the value
+:meth:`DensityOrder.upper_bound` returns, for the caller's one ``upper <
+target``.
 
-The density order sorts items by ``t_i / a_i`` through the integer keys
-``(t_i << K) // a_i``.  With ``2**K >= a_max**2`` two distinct densities
-are at least ``2**K / (a_i a_j) >= 1`` apart after the shift, so their
-floors differ in the same direction, and equal densities give equal keys,
-which the stable sort leaves in input order -- the order, ties included,
-of sorting by the exact rational (:mod:`repro.core.types` has the
-argument in full).
+The density order is that of the exact rationals ``t_i / a_i``, ties in
+holder order: float keys ``log a_i - log t_i`` sort, and every run of keys
+closer than their error bound is re-sorted on the integer keys ``(t_i <<
+K) // a_i``.  With ``2**K >= a_max**2`` two distinct densities are at
+least ``2**K / (a_i a_j) >= 1`` apart after the shift, so their floors
+differ in the same direction, and equal densities give equal keys
+(:mod:`repro.core.types` has the argument in full).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .types import SCALE_BITS, scale_ints_rounded, scale_weights_exact
+from .types import (
+    KEY_TOLERANCE,
+    SCALE_BITS,
+    ScaledWeights,
+    close_runs,
+    scale_ints_rounded,
+    scale_weights_exact,
+)
 
 __all__ = [
     "strict_cap_int",
@@ -57,13 +69,8 @@ __all__ = [
     "min_weight_for_profit",
     "max_profit_under",
     "min_weight_table",
-    "max_profit_in",
-    "min_weight_for_profit_numpy",
-    "density_order",
-    "upper_bound",
-    "lower_bound",
-    "fractional_upper_bound",
-    "greedy_lower_bound",
+    "FoldedTable",
+    "DensityOrder",
     "SCALE_BITS",
 ]
 
@@ -179,8 +186,7 @@ def min_weight_table(
     item; ``weights64`` is ``int64`` (e.g. from
     :func:`~repro.core.types.scale_ints_rounded`) and the entries are in
     its units.  The table is non-decreasing and does not depend on any
-    capacity: :func:`max_profit_in` reads as many capacities off it as the
-    caller has.  A ``width`` below the total profit clips it -- entries
+    capacity.  A ``width`` below the total profit clips it -- entries
     ``0..width`` are those of the full table.
     """
     dp = np.full(width + 1, _INT64_INF, dtype=np.int64)
@@ -202,25 +208,51 @@ def min_weight_table(
     return dp
 
 
-def max_profit_in(table: np.ndarray, cap: int) -> int:
-    """Largest ``p`` with ``table[p] <= cap``: the maximum profit of a
-    subset of weight at most ``cap``, or the table's width if that is
-    smaller.  ``cap < 0`` admits no subset and gives ``0``, the convention
-    of :func:`max_profit_under`."""
-    if cap < 0:
-        return 0
-    return int(np.searchsorted(table, cap, side="right")) - 1
+class FoldedTable:
+    """Minimum weights by profit over items with non-negative ``int64``
+    weights and profits, clipped at ``width``; the largest group of items
+    with equal positive profits is folded in at read time, and items of
+    zero profit are skipped, as :func:`min_weight_table` skips them.
 
+    The table proper is :func:`min_weight_table` over the other items.
+    The group -- the one-ticket holders of a Swiper probe, most of them on
+    a large committee -- is kept as ``lightest[k]``, the total weight of
+    its ``k`` lightest members, and each reading is one vector expression
+    over the table.  Both readings are exact: among the subsets that take
+    ``k`` items of one equal-profit group, those taking the ``k`` lightest
+    weigh the least.
+    """
 
-def min_weight_for_profit_numpy(
-    weights64: np.ndarray, profits: Sequence[int], target: int
-) -> Optional[int]:
-    """Numpy counterpart of :func:`min_weight_for_profit`: the last entry
-    of the table of width ``target``, in the units of ``weights64``."""
-    if target <= 0:
-        return 0
-    result = int(min_weight_table(weights64, profits, target)[target])
-    return None if result >= int(_INT64_INF) else result
+    def __init__(self, weights64: np.ndarray, profits: np.ndarray, width: int) -> None:
+        values, sizes = np.unique(profits[profits > 0], return_counts=True)
+        #: the group's common profit
+        self.step = int(values[np.argmax(sizes)]) if len(values) else 1
+        group = profits == self.step
+        rest = ~group
+        self.table = min_weight_table(weights64[rest], profits[rest].tolist(), width)
+        self.lightest = np.concatenate(([0], np.cumsum(np.sort(weights64[group]))))
+
+    def min_weight(self, target: int) -> Optional[int]:
+        """Minimum total weight of a subset with profit at least ``target``
+        (``0 <= target <= width``), ``None`` if no subset has:
+        ``min_j table[j] + lightest[ceil((target - j) / step)]``."""
+        step = self.step
+        j = np.arange(max(0, target - step * (len(self.lightest) - 1)), target + 1)
+        best = int((self.table[j] + self.lightest[(target - j + step - 1) // step]).min())
+        return None if best >= _INT64_INF else best
+
+    def max_profit(self, cap: int) -> int:
+        """Maximum profit of a subset of total weight at most ``cap``, or
+        the width if that is smaller: ``max_j j + step * #{k >= 1 :
+        lightest[k] <= cap - table[j]}`` over the ``j`` with ``table[j] <=
+        cap``.  ``cap < 0`` admits no subset and gives ``0``, the
+        convention of :func:`max_profit_under`."""
+        if cap < 0:
+            return 0
+        room = cap - self.table[: np.searchsorted(self.table, cap, side="right")]
+        extra = np.searchsorted(self.lightest, room, side="right") - 1
+        best = int((np.arange(len(room)) + self.step * extra).max())
+        return min(len(self.table) - 1, best)
 
 
 # ---------------------------------------------------------------------------
@@ -228,102 +260,134 @@ def min_weight_for_profit_numpy(
 # ---------------------------------------------------------------------------
 
 
-def density_order(
-    int_weights: Sequence[int], profits: Sequence[int], shift: int
-) -> list[int]:
-    """Positions of profit-bearing items by non-increasing profit density
-    ``profits[i] / int_weights[i]``, equal densities in input order.
-
-    ``2**shift`` must be at least the square of the largest weight (a
-    view's ``shift`` is) for the integer keys to order exactly.  Zero-weight
-    profit-bearing items have infinite density and come first.
+class DensityOrder:
+    """A probe's holders -- ascending party ``indices`` of ``view`` with
+    positive ticket ``counts`` -- by non-increasing profit density
+    ``t_i / a_i``, equal densities in holder order (zero weights, of
+    infinite density, first), with the prefix sums both greedy bounds
+    read: float sums locate a capacity's crossing, exact sums on the
+    view's limbs decide it.
     """
-    bearing = [i for i, t in enumerate(profits) if t > 0]
-    free = [i for i in bearing if not int_weights[i]]
-    priced = [i for i in bearing if int_weights[i]] if free else bearing
-    keys = [(profits[i] << shift) // int_weights[i] for i in priced]
-    by_density = sorted(range(len(priced)), key=keys.__getitem__, reverse=True)
-    return free + [priced[k] for k in by_density]
 
+    def __init__(
+        self, view: ScaledWeights, indices: np.ndarray, counts: np.ndarray
+    ) -> None:
+        arrays = view.arrays
+        self._ints = view.ints
+        logs = arrays.logs[indices]
+        keys = logs - np.log(counts)
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        free = int(keys.searchsorted(-math.inf, side="right"))
+        # Float keys are off by a few ulps of the logs that enter them.
+        tol = KEY_TOLERANCE * (logs.max(initial=0.0) + math.log(counts.max(initial=1)) + 1)
+        members, runs = close_runs(keys[free:], tol)
+        if len(members):
+            members += free
+            run = order[members]
+            exact = [
+                -((t << view.shift) // self._ints[i])
+                for t, i in zip(counts[run].tolist(), indices[run].tolist())
+            ]
+            order[members] = [p for *_, p in sorted(zip(runs.tolist(), exact, run.tolist()))]
+        self.parties = indices[order]
+        self._t = counts[order]
+        # Cumulative sums: entry k - 1 sums the first k items.
+        self._tcum = self._t.cumsum()
+        self._approx = arrays.floats[self.parties]
+        self._acum = self._approx.cumsum()
+        self._float_shift = arrays.float_shift
+        self._cum = arrays.limbs[:, self.parties].cumsum(axis=1)
+        self._limb_bits = arrays.limb_bits
 
-def upper_bound(
-    int_weights: Sequence[int],
-    profits: Sequence[int],
-    order: Sequence[int],
-    cap_num: int,
-    cap_den: int,
-) -> Fraction:
-    """LP-relaxation value: an upper bound on the strict-capacity optimum.
+    def _float(self, x: int) -> float:
+        """``x`` in the units of the float sums (monotone in ``x``)."""
+        return float(x >> self._float_shift)
 
-    Fills items in density ``order`` under the capacity ``cap_num /
-    cap_den``, taking a fractional piece of the first item that no longer
-    fits.  Computed with closed capacity, which only weakens (never
-    invalidates) the bound for the strict problem.
-    """
-    if cap_num <= 0:
-        return Fraction(0)
-    # Integer weights fit the closed capacity iff they fit its floor.
-    room, excess = divmod(cap_num, cap_den)
-    value = 0
-    for i in order:
-        w = int_weights[i]
-        if w <= room:
-            value += profits[i]
-            room -= w
+    def _weight(self, k: int) -> int:
+        """The exact weight of the ``k``-th item (from 0)."""
+        return self._ints[int(self.parties[k])]
+
+    def _tickets(self, k: int) -> int:
+        """The total profit of the first ``k`` items."""
+        return int(self._tcum[k - 1]) if k else 0
+
+    def _prefix(self, k: int) -> int:
+        """The exact total weight of the first ``k`` items."""
+        if not k:
+            return 0
+        bits = self._limb_bits
+        return sum(v << (bits * l) for l, v in enumerate(self._cum[:, k - 1].tolist()))
+
+    def _fit(self, x: int) -> int:
+        """How many leading items weigh at most ``x >= 0`` together: the
+        float sums' guess, confirmed on two exact sums (bisected on exact
+        sums only when the guess is off)."""
+        k = int(self._acum.searchsorted(self._float(x), side="right"))
+        if self._prefix(k) <= x:
+            if k == len(self._t) or self._prefix(k + 1) > x:
+                return k
+            lo, hi = k + 1, len(self._t)
         else:
-            return value + Fraction(profits[i] * (room * cap_den + excess), w * cap_den)
-    return Fraction(value)
+            lo, hi = 0, k - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self._prefix(mid) <= x:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
+    def upper_bound(self, cap_num: int, cap_den: int) -> Fraction:
+        """LP-relaxation value: an upper bound on the strict-capacity optimum.
 
-def lower_bound(
-    int_weights: Sequence[int],
-    profits: Sequence[int],
-    order: Sequence[int],
-    cap_num: int,
-    cap_den: int,
-) -> int:
-    """An *achievable* profit under the strict capacity ``cap_num / cap_den``.
+        Fills items in density order under the capacity ``cap_num /
+        cap_den``, taking a fractional piece of the first item that no
+        longer fits.  Computed with closed capacity, which only weakens
+        (never invalidates) the bound for the strict problem.
+        """
+        if cap_num <= 0:
+            return Fraction(0)
+        # Integer weights fit the closed capacity iff they fit its floor.
+        room, excess = divmod(cap_num, cap_den)
+        j = self._fit(room)
+        value = self._tickets(j)
+        if j == len(self._t):
+            return Fraction(value)
+        left = room - self._prefix(j)
+        return value + Fraction(
+            int(self._t[j]) * (left * cap_den + excess), self._weight(j) * cap_den
+        )
 
-    Classic half-approximation: max of the density-greedy packing and the
-    best single feasible item.  Every value returned is realized by an
-    actual subset with ``w(S) < capacity``.
-    """
-    if cap_num <= 0:
-        return 0
-    strict = (cap_num - 1) // cap_den  # largest integer strictly below capacity
-    packed = cum = best_single = 0
-    for i in order:
-        w, t = int_weights[i], profits[i]
-        if cum + w <= strict:
-            packed += t
-            cum += w
-        if w <= strict and t > best_single:
-            best_single = t
-    return max(packed, best_single)
+    def lower_bound(self, cap_num: int, cap_den: int) -> int:
+        """An *achievable* profit under the strict capacity ``cap_num /
+        cap_den``.
 
-
-def _scaled_instance(
-    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
-) -> tuple[list[int], list[int], int, int]:
-    """Integer weights, their density order and the capacity as
-    ``cap_num / cap_den`` in the same units."""
-    ints, denom = scale_weights_exact(weights)
-    order = density_order(ints, profits, 2 * max(ints, default=0).bit_length())
-    cap = capacity * denom
-    return ints, order, cap.numerator, cap.denominator
-
-
-def fractional_upper_bound(
-    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
-) -> Fraction:
-    """:func:`upper_bound` for rational weights and capacity."""
-    ints, order, cap_num, cap_den = _scaled_instance(weights, profits, capacity)
-    return upper_bound(ints, profits, order, cap_num, cap_den)
-
-
-def greedy_lower_bound(
-    weights: Sequence[Fraction], profits: Sequence[int], capacity: Fraction
-) -> int:
-    """:func:`lower_bound` for rational weights and capacity."""
-    ints, order, cap_num, cap_den = _scaled_instance(weights, profits, capacity)
-    return lower_bound(ints, profits, order, cap_num, cap_den)
+        Classic half-approximation: max of the density-greedy packing
+        (which skips an item that does not fit and goes on) and the best
+        single feasible item.  Every value returned is realized by an
+        actual subset with ``w(S) < capacity``.
+        """
+        if cap_num <= 0:
+            return 0
+        strict = (cap_num - 1) // cap_den  # largest integer strictly below capacity
+        j = self._fit(strict)
+        packed = self._tickets(j)
+        # Past the crossing only an item no heavier than what is left can
+        # fit, and what is left only shrinks.
+        left = strict - self._prefix(j)
+        tail = j + 1 + (self._approx[j + 1 :] <= self._float(left)).nonzero()[0]
+        ints = self._ints
+        for i, t in zip(self.parties[tail].tolist(), self._t[tail].tolist()):
+            w = ints[i]
+            if w <= left:
+                packed += t
+                left -= w
+        # The best single item: a float below the capacity's proves a fit,
+        # above it a miss; only equal floats need the exact weight.
+        at = self._float(strict)
+        single = int(self._t[self._approx < at].max(initial=0))
+        for k in ((self._approx == at) & (self._t > single)).nonzero()[0].tolist():
+            if self._weight(k) <= strict:
+                single = max(single, int(self._t[k]))
+        return max(packed, single)

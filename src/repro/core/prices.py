@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import Number, ScaledWeights
+from .types import KEY_TOLERANCE, Number, ScaledWeights, close_runs
 
 __all__ = [
     "PriceStream",
@@ -59,12 +59,6 @@ __all__ = [
     "scale_for_total",
     "ticket_price",
 ]
-
-#: Float keys carry a few ulps (2**-52) of error relative to the magnitudes
-#: that enter them; keys closer than this many of those magnitudes are
-#: ordered exactly.  The headroom only costs exact comparisons, never
-#: correctness.
-_KEY_TOLERANCE = 2.0**-40
 
 
 def ticket_price(weight: Fraction, c: Fraction, m: int) -> Fraction:
@@ -91,18 +85,12 @@ class _Ladders:
     """
 
     def __init__(self, view: ScaledWeights, c: Fraction) -> None:
-        ints = view.ints
         # ``parties``: the positive-weight parties, as C ints like the pick
-        # arrays; ``log_weights``: the logs of their weights.
-        try:
-            floats = np.array(ints, dtype=np.float64)
-        except OverflowError:  # weights past the float range: log the exact ints
-            self.parties = np.array([i for i, a in enumerate(ints) if a], dtype=np.intc)
-            self.log_weights = np.array([math.log(ints[i]) for i in self.parties.tolist()])
-        else:
-            self.parties = np.flatnonzero(floats).astype(np.intc)
-            live = floats[self.parties]
-            self.log_weights = np.log(live, out=live)
+        # arrays; ``log_weights``: the logs of their weights -- the view's
+        # own array when no weight is zero.
+        logs = view.arrays.logs
+        self.parties = np.flatnonzero(logs > -math.inf).astype(np.intc)
+        self.log_weights = logs if len(self.parties) == len(logs) else logs[self.parties]
         p, q = c.numerator, c.denominator
         self.log_rho = math.log(q - p) - math.log(q)
         self.rho = math.exp(self.log_rho)
@@ -187,7 +175,7 @@ class PriceStream:
         held = np.bincount(np.array(self._picks, dtype=np.intp), minlength=len(self.scaled))
         held = held[ladders.parties]
         # Float keys are off by a few ulps of the magnitudes that enter them.
-        tol = _KEY_TOLERANCE * (ladders.magnitude + math.log(len(self._picks) + k + 1))
+        tol = KEY_TOLERANCE * (ladders.magnitude + math.log(len(self._picks) + k + 1))
         theta, cnt = self._threshold(held, k, tol)
         for attempt in range(4):
             parties = np.repeat(ladders.parties, cnt)
@@ -197,16 +185,18 @@ class PriceStream:
             fk = ladders.keys(before, np.repeat(ladders.log_weights, cnt))
             order = np.argsort(fk)
             # Runs of adjacent keys the floats cannot separate are re-sorted
-            # on exact keys, ties by party index.
-            close = np.flatnonzero(np.diff(fk[order]) <= tol)
-            starts = close[np.diff(close, prepend=-2) > 1]
-            ends = close[np.diff(close, append=len(fk) + 1) > 1] + 2
-            for start, end in zip(starts[starts < k].tolist(), ends.tolist()):
-                run = order[start:end]
-                tickets = zip(parties[run].tolist(), (before[run] + 1).tolist(), run.tolist())
-                order[start:end] = [
-                    t for _, _, t in sorted((self._exact_key(i, m), i, t) for i, m, t in tickets)
-                ]
+            # on exact keys, ties by party index; only the runs that start
+            # among the k cheapest matter.
+            members, runs = close_runs(fk[order], tol)
+            keep = members[np.searchsorted(runs, runs)] < k
+            members, runs = members[keep], runs[keep]
+            run = order[members]
+            tickets = zip(
+                runs.tolist(), parties[run].tolist(), (before[run] + 1).tolist(), run.tolist()
+            )
+            order[members] = [
+                t for *_, t in sorted((r, self._exact_key(i, m), i, t) for r, i, m, t in tickets)
+            ]
             chosen = order[:k]
             cut = float(fk[chosen].max())
             # The cut holds if each party's first ticket left out is keyed
@@ -261,12 +251,12 @@ class PriceStream:
         """The unique family member with exactly ``total`` tickets."""
         return np.bincount(self._prefix(total), minlength=len(self.scaled)).tolist()
 
-    def sparse_counts(self, total: int) -> tuple[list[int], list[int]]:
+    def sparse_counts(self, total: int) -> tuple[np.ndarray, np.ndarray]:
         """``assignment(total)`` in sparse form: ascending holder indices
-        and their positive ticket counts.  One sort of the ``total`` picks,
-        nothing of size ``n`` -- the per-probe win for large committees."""
-        indices, counts = np.unique(self._prefix(total), return_counts=True)
-        return indices.tolist(), counts.tolist()
+        and their positive ticket counts, as arrays.  One sort of the
+        ``total`` picks, nothing of size ``n`` -- the per-probe win for
+        large committees."""
+        return np.unique(self._prefix(total), return_counts=True)
 
     def patched(self, changes: Mapping[int, Number]) -> "PriceStream":
         """A stream for this stream's weights with ``changes`` (party index

@@ -266,9 +266,5 @@ def is_valid_assignment(
     :class:`~repro.core.types.ScaledWeights` view as ``weights`` to
     re-check without scaling the vector a second time.
     """
-    ws = ScaledWeights.of(weights)
-    ts = list(tickets)
-    if len(ts) != len(ws):
-        raise ValueError("tickets and weights must have equal length")
-    checker = make_checker(problem, ws, use_quick_test=use_quick_test)
-    return checker.check(ts)
+    checker = make_checker(problem, weights, use_quick_test=use_quick_test)
+    return checker.check(tickets)

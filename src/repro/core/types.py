@@ -22,6 +22,11 @@ With ``2**K >= a_max**2`` the shifted values ``2**K N1 / a_i`` and
 ``2**K N2 / a_j`` are at least ``1`` apart, so their floors differ, in the
 same direction; equal rationals have equal floors.  The keys therefore
 order, and tie, exactly like the Fractions they replace.
+
+Array code orders by float keys first (logs, so that no weight size
+overflows them) and computes the exact key only inside the runs of
+adjacent float keys closer than their error bound (:func:`close_runs`);
+sums of weights are exact on the view's limbs (:class:`WeightArrays`).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -46,6 +51,7 @@ __all__ = [
     "scale_weights_exact",
     "scale_ints_rounded",
     "ScaledWeights",
+    "WeightArrays",
     "TicketAssignment",
     "SCALE_BITS",
 ]
@@ -58,6 +64,16 @@ SCALE_BITS = 40
 #: base's shift (the keys of both must stay comparable), so the heaviest
 #: party may grow 2**8-fold across patches before a fresh scaling is needed.
 _KEY_SLACK_BITS = 8
+
+#: Float keys carry a few ulps (2**-52) of error relative to the magnitudes
+#: that enter them; keys closer than this many of those magnitudes are
+#: ordered exactly.  The headroom only costs exact comparisons, never
+#: correctness.
+KEY_TOLERANCE = 2.0**-40
+
+#: Limb width of :attr:`WeightArrays.limbs` when the total overflows int64:
+#: a cumulative sum of up to 2**32 such limbs still fits.
+_LIMB_BITS = 31
 
 
 def as_fraction(value: Number) -> Fraction:
@@ -131,6 +147,60 @@ def scale_ints_rounded(
     return np.array([(a * num + bump) // den for a in ints], dtype=np.int64)
 
 
+def close_runs(keys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in sorted float ``keys`` that a float sort cannot be
+    trusted to order -- the runs whose adjacent members are at most
+    ``tol`` apart -- ascending, and the number (from 0) of each one's run,
+    so that one exact sort by ``(run, exact key)`` re-orders them all."""
+    linked = np.zeros(len(keys) + 1, dtype=bool)  # key i is close to key i - 1
+    np.less_equal(keys[1:] - keys[:-1], tol, out=linked[1:-1])
+    members = (linked[:-1] | linked[1:]).nonzero()[0]
+    return members, (~linked[members]).cumsum() - 1
+
+
+class WeightArrays(NamedTuple):
+    """A view's weights as numpy arrays, built once per view.
+
+    The float forms order and locate; the limbs decide.  ``floats`` are
+    ``a_i >> float_shift``, with the shift chosen so that the total (and so
+    any capacity or prefix sum, all at most ``W``) converts to a finite
+    float; float rounding is monotone, so ``floats[i] > float(x >>
+    float_shift)`` proves ``a_i > x``.  The limbs are exact:
+    ``a_i == sum(limbs[l, i] << (limb_bits * l))``, one int64 row of the
+    weights themselves when the total fits int64 and 31-bit limbs when it
+    does not, so a cumulative sum of any row never overflows.
+    """
+
+    #: ``log a_i``; ``-inf`` for a zero weight
+    logs: np.ndarray
+    floats: np.ndarray
+    float_shift: int
+    limbs: np.ndarray
+    limb_bits: int
+
+    @classmethod
+    def of(cls, ints: list[int], total: int) -> "WeightArrays":
+        """The arrays of weights ``ints`` that sum to ``total``, which sets
+        the layout: the float shift and the limb width and count."""
+        # Below 2**1000, every sum of weights is a finite float (< 2**1024).
+        shift = max(0, total.bit_length() - 1000)
+        if shift:  # past the float range: logs of the exact ints
+            floats = np.array([a >> shift for a in ints], dtype=np.float64)
+            logs = np.array([math.log(a) if a else -math.inf for a in ints])
+        else:
+            floats = np.array(ints, dtype=np.float64)
+            logs = np.log(floats, out=np.full(len(ints), -math.inf), where=floats > 0)
+        if total >> 63 == 0:
+            return cls(logs, floats, shift, np.array([ints], dtype=np.int64), 63)
+        exact = np.array(ints, dtype=object)
+        count = -(-total.bit_length() // _LIMB_BITS)
+        limbs = np.array(
+            [(exact >> (_LIMB_BITS * l)) & ((1 << _LIMB_BITS) - 1) for l in range(count)],
+            dtype=np.int64,
+        )
+        return cls(logs, floats, shift, limbs, _LIMB_BITS)
+
+
 class ScaledWeights(Sequence):
     """The one exact integer scaling of a weight vector that a solve reads.
 
@@ -143,10 +213,12 @@ class ScaledWeights(Sequence):
 
     As a sequence the view yields the weights as :class:`Fraction` (built
     on first use), so it can stand wherever a normalized weight vector is
-    expected.  Treat ``ints`` as read-only.
+    expected.  Its numpy forms, :attr:`arrays`, are built on first use
+    too, and shared by the price stream and the checker.  Treat ``ints``
+    as read-only.
     """
 
-    __slots__ = ("ints", "denom", "total", "shift", "_fractions")
+    __slots__ = ("ints", "denom", "total", "shift", "_fractions", "_arrays")
 
     def __init__(self, weights: Iterable[Number]) -> None:
         if isinstance(weights, (tuple, list)) and all(type(w) is int for w in weights):
@@ -178,6 +250,14 @@ class ScaledWeights(Sequence):
         self.total = total
         self.shift = shift
         self._fractions = fractions
+        self._arrays: Optional[WeightArrays] = None
+
+    @property
+    def arrays(self) -> WeightArrays:
+        """The weights' log, float and limb arrays (built on first use)."""
+        if self._arrays is None:
+            self._arrays = WeightArrays.of(self.ints, self.total)
+        return self._arrays
 
     @classmethod
     def of(cls, weights: "Iterable[Number] | ScaledWeights") -> "ScaledWeights":

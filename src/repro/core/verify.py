@@ -6,21 +6,27 @@ tickets.  Deciding this is a Knapsack instance; the checkers below layer
 the paper's architecture on top of :mod:`repro.core.knapsack`:
 
 * a *quick test* built from quasilinear bounds that answers
-  ``VALID`` / ``INVALID`` / ``UNCERTAIN`` (conservative + liberal checks);
+  ``VALID`` / ``INVALID`` / ``UNCERTAIN`` (conservative + liberal checks):
+  one :class:`~repro.core.knapsack.DensityOrder` per probe -- an argsort
+  of the holders and prefix sums, float to locate, exact to decide --
+  read by every bound of that probe;
 * a *full test* that resolves ``UNCERTAIN`` with dynamic programming, at
   every instance size on one numpy table of minimum weights by profit
-  over the probe's holders.  The table is built on weights rounded down
-  and certifies "valid" as it stands and "invalid" with a margin of one
-  unit per holder (what rounding up could add); a second table, on
-  weights rounded up, is built only inside that margin, and the exact
-  big-integer DP only if the two still disagree.
+  over the probe's holders, the one-ticket holders folded in at read time
+  (:class:`~repro.core.knapsack.FoldedTable`).  The table is built on
+  weights rounded down and certifies "valid" as it stands and "invalid"
+  with a margin of one unit per holder (what rounding up could add); a
+  second table, on weights rounded up, is built only inside that margin,
+  and the exact big-integer DP only if the two still disagree.
 
-The checkers compute on the integers of one
-:class:`~repro.core.types.ScaledWeights` view: capacities ``alpha * W`` as
-integer ratios in the view's units, the density order once per probe and
-shared by that probe's bounds.  The problem's thresholds stay
+The checkers compute on one :class:`~repro.core.types.ScaledWeights`
+view -- its integers and the arrays built from them once per view:
+capacities ``alpha * W`` as integer ratios in the view's units, a probe's
+holders as index and count arrays.  The problem's thresholds stay
 :class:`~fractions.Fraction` (:mod:`repro.core.problems`); a probe's only
 Fraction operation is the ``upper < target`` that ends its quick test.
+A dense assignment must hold one non-negative count per party; anything
+else raises :class:`ValueError` instead of being judged.
 
 ``--linear`` mode (paper terminology) maps ``UNCERTAIN`` to "invalid",
 which keeps the solver quasilinear and still never violates the theorem
@@ -98,23 +104,17 @@ class _Capacity(NamedTuple):
     strict_rounded: int
 
 
-def _holders(tickets: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Ascending holder indices of a dense vector and their ticket counts."""
-    indices = [i for i, t in enumerate(tickets) if t > 0]
-    return indices, [tickets[i] for i in indices]
-
-
 class _Checker:
     """What the two checkers share: the scaled view, the work counters and
     the quick-test / linear-mode / DP decision ladder.
 
     A checker decides on the *holders* of an assignment -- ascending party
-    indices with positive ticket counts.  Every knapsack routine skips
-    zero-ticket items and breaks density ties by input position, so the
-    dense vector and its holder-only form give the same bounds, the same
-    DP values and the same verdict: ``check`` extracts the holders and
-    ``check_sparse`` takes them as given, which saves the ``O(n)`` scans
-    per probe on large committees.
+    indices with positive ticket counts, as arrays.  Zero-ticket parties
+    add nothing to any bound or table and density ties break in party
+    order, so the dense vector and its holder-only form get the same
+    verdict: ``check`` extracts the holders and ``check_sparse`` takes
+    them as given, which saves the ``O(n)`` scans per probe on large
+    committees.
     """
 
     def __init__(
@@ -143,21 +143,28 @@ class _Checker:
 
     def quick(self, tickets: Sequence[int], total: int) -> Verdict:
         """Three-valued quick test from the greedy knapsack bounds."""
-        indices, counts = _holders(tickets)
-        ints = self.scaled.ints
-        return self._quick([ints[i] for i in indices], counts, total)[0]
+        order = knapsack.DensityOrder(self.scaled, *self._holders(tickets))
+        return self._quick(order, total)[0]
 
-    def _decide(
-        self, indices: Sequence[int], counts: Sequence[int], total: int
-    ) -> bool:
+    def _holders(self, tickets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending holder indices of a dense vector and their counts."""
+        dense = np.fromiter(tickets, dtype=np.int64)
+        if len(dense) != len(self.scaled):
+            raise ValueError("tickets and weights must have equal length")
+        if dense.min(initial=0) < 0:
+            i = int(np.argmax(dense < 0))
+            raise ValueError(f"ticket count #{i} is negative ({dense[i]})")
+        indices = np.flatnonzero(dense)
+        return indices, dense[indices]
+
+    def _decide(self, indices: np.ndarray, counts: np.ndarray, total: int) -> bool:
         self.stats.checks += 1
         if total <= 0:
             return False
-        ints = self.scaled.ints
-        held = [ints[i] for i in indices]
         reach = None
         if self.use_quick_test:
-            verdict, reach = self._quick(held, counts, total)
+            order = knapsack.DensityOrder(self.scaled, indices, counts)
+            verdict, reach = self._quick(order, total)
             if verdict is Verdict.VALID:
                 self.stats.quick_valid += 1
                 return True
@@ -169,16 +176,24 @@ class _Checker:
             # Conservative: cannot certify validity quasilinearly, reject.
             return False
         self.stats.dp_calls += 1
-        return self._full(held, counts, total, reach)
+        return self._full(indices, counts, total, reach)
 
-    def _rounded(self, held: Sequence[int], *, round_up: bool) -> np.ndarray:
-        """The holders' weights scaled to ``w_i * 2**SCALE_BITS / W`` as
-        ``int64``, rounded down (never overstates a subset's weight, so
-        every truly feasible subset stays feasible) or up (every subset
-        feasible after scaling is truly feasible)."""
-        return scale_ints_rounded(
+    def _table(
+        self, held: list[int], counts: np.ndarray, width: int, *, round_up: bool
+    ) -> knapsack.FoldedTable:
+        """The DP table of the holders' weights scaled to ``w_i *
+        2**SCALE_BITS / W`` as ``int64``, rounded down (never overstates a
+        subset's weight, so every truly feasible subset stays feasible) or
+        up (every subset feasible after scaling is truly feasible)."""
+        weights64 = scale_ints_rounded(
             held, 1 << SCALE_BITS, self.scaled.total, round_up=round_up
         )
+        return knapsack.FoldedTable(weights64, counts, width)
+
+    def _held(self, indices: np.ndarray) -> list[int]:
+        """The holders' exact weights."""
+        ints = self.scaled.ints
+        return [ints[i] for i in indices.tolist()]
 
 
 class RestrictionChecker(_Checker):
@@ -218,31 +233,30 @@ class RestrictionChecker(_Checker):
         return _ceil_ratio(self.problem.alpha_n, total)
 
     def _quick(
-        self, held: list[int], counts: Sequence[int], total: int
+        self, order: knapsack.DensityOrder, total: int
     ) -> tuple[Verdict, None]:
         target = self.violation_target(total)
         cap = self._cap
-        order = knapsack.density_order(held, counts, self.scaled.shift)
-        if knapsack.upper_bound(held, counts, order, cap.num, cap.den) < target:
+        if order.upper_bound(cap.num, cap.den) < target:
             return Verdict.VALID, None
-        if knapsack.lower_bound(held, counts, order, cap.num, cap.den) >= target:
+        if order.lower_bound(cap.num, cap.den) >= target:
             return Verdict.INVALID, None
         return Verdict.UNCERTAIN, None
 
     def _full(
-        self, held: list[int], counts: Sequence[int], total: int, reach: None
+        self, indices: np.ndarray, counts: np.ndarray, total: int, reach: None
     ) -> bool:
         """No subset with ``w(S) < capacity`` reaches the violation target.
 
-        Decided soundly by the last entry of one table of width ``target``
-        on weights rounded down; a second one, rounded up, only when the
-        first lands within a unit per holder of the capacity, and exact
-        arithmetic only if the two roundings disagree.
+        Decided soundly by one table of width ``target`` on weights
+        rounded down; a second one, rounded up, only when the first lands
+        within a unit per holder of the capacity, and exact arithmetic only
+        if the two roundings disagree.
         """
         target = self.violation_target(total)
         cap = self._cap
-        down = self._rounded(held, round_up=False)
-        mw = knapsack.min_weight_for_profit_numpy(down, counts, target)
+        held = self._held(indices)
+        mw = self._table(held, counts, target, round_up=False).min_weight(target)
         if mw is None or mw > cap.strict_rounded:
             # Even with under-stated weights no subset violates.
             return True
@@ -250,28 +264,26 @@ class RestrictionChecker(_Checker):
             # Rounding up adds at most one unit per holder, so the same
             # subset violates with over-stated weights as well.
             return False
-        up = self._rounded(held, round_up=True)
-        mw = knapsack.min_weight_for_profit_numpy(up, counts, target)
+        mw = self._table(held, counts, target, round_up=True).min_weight(target)
         if mw is not None and mw <= cap.strict_rounded:
             # With over-stated weights a violating subset exists.
             return False
         self.stats.exact_fallbacks += 1
-        mw = knapsack.min_weight_for_profit(held, counts, target)
+        mw = knapsack.min_weight_for_profit(held, counts.tolist(), target)
         return mw is None or mw > cap.strict
 
     def check(self, tickets: Sequence[int], total: Optional[int] = None) -> bool:
-        """Decide viability of ``tickets`` for this WR instance."""
-        if total is None:
-            total = sum(tickets)
-        return self._decide(*_holders(tickets), total)
+        """Decide viability of ``tickets`` for this WR instance: one
+        non-negative count per party (:class:`ValueError` otherwise)."""
+        indices, counts = self._holders(tickets)
+        return self._decide(indices, counts, int(counts.sum()) if total is None else total)
 
-    def check_sparse(
-        self, indices: Sequence[int], counts: Sequence[int], total: int
-    ) -> bool:
+    def check_sparse(self, indices: np.ndarray, counts: np.ndarray, total: int) -> bool:
         """Identical decision to :meth:`check` on the dense vector with
         ``counts[k]`` tickets at party ``indices[k]`` and zero elsewhere.
 
-        ``indices`` must be ascending and ``counts`` positive (the form
+        ``indices`` must be an ascending integer array and ``counts`` an
+        ``int64`` array of positive counts (the arrays
         :meth:`repro.core.prices.PriceStream.sparse_counts` produces).
         """
         return self._decide(indices, counts, total)
@@ -299,35 +311,25 @@ class SeparationChecker(_Checker):
         #: the two strict capacities ``alpha * W`` and ``(1 - beta) * W``
         self._caps = (self._capacity(problem.alpha), self._capacity(1 - problem.beta))
 
-    def _reach(
-        self, held: list[int], counts: Sequence[int], order: Sequence[int]
-    ) -> list[Fraction]:
+    def _reach(self, order: knapsack.DensityOrder) -> list[Fraction]:
         """The LP bound on ``K`` at each of the two capacities."""
-        return [
-            knapsack.upper_bound(held, counts, order, cap.num, cap.den)
-            for cap in self._caps
-        ]
+        return [order.upper_bound(cap.num, cap.den) for cap in self._caps]
 
     def _quick(
-        self, held: list[int], counts: Sequence[int], total: int
+        self, order: knapsack.DensityOrder, total: int
     ) -> tuple[Verdict, Fraction]:
-        order = knapsack.density_order(held, counts, self.scaled.shift)
-        uppers = self._reach(held, counts, order)
+        uppers = self._reach(order)
         reach = max(uppers)
         if sum(uppers) < total:
             return Verdict.VALID, reach
-        lower = sum(
-            knapsack.lower_bound(held, counts, order, cap.num, cap.den)
-            for cap in self._caps
-        )
-        if lower >= total:
+        if sum(order.lower_bound(cap.num, cap.den) for cap in self._caps) >= total:
             return Verdict.INVALID, reach
         return Verdict.UNCERTAIN, reach
 
     def _full(
         self,
-        held: list[int],
-        counts: Sequence[int],
+        indices: np.ndarray,
+        counts: np.ndarray,
         total: int,
         reach: Optional[Fraction],
     ) -> bool:
@@ -343,13 +345,11 @@ class SeparationChecker(_Checker):
         lower bound on ``K`` never reaches the clip.
         """
         if reach is None:  # no quick test ran on this probe
-            order = knapsack.density_order(held, counts, self.scaled.shift)
-            reach = max(self._reach(held, counts, order))
+            reach = max(self._reach(knapsack.DensityOrder(self.scaled, indices, counts)))
         width = min(total, reach.numerator // reach.denominator)
+        held = self._held(indices)
         # Rounded-down weights enlarge the feasible family => upper bounds.
-        table = knapsack.min_weight_table(
-            self._rounded(held, round_up=False), counts, width
-        )
+        table = self._table(held, counts, width, round_up=False)
         if self._tickets_within(table) < total:
             return True
         # Rounding up adds at most one unit per holder: a subset that fits
@@ -357,33 +357,26 @@ class SeparationChecker(_Checker):
         if self._tickets_within(table, spare=len(held)) >= total:
             return False
         # Rounded-up weights shrink the family => achievable lower bounds.
-        table = knapsack.min_weight_table(
-            self._rounded(held, round_up=True), counts, width
-        )
-        if self._tickets_within(table) >= total:
+        if self._tickets_within(self._table(held, counts, width, round_up=True)) >= total:
             return False
         self.stats.exact_fallbacks += 1
+        profits = counts.tolist()
         return sum(
-            knapsack.max_profit_under(held, counts, cap.strict) for cap in self._caps
+            knapsack.max_profit_under(held, profits, cap.strict) for cap in self._caps
         ) < total
 
-    def _tickets_within(self, table: np.ndarray, spare: int = 0) -> int:
+    def _tickets_within(self, table: knapsack.FoldedTable, spare: int = 0) -> int:
         """``K(alpha) + K(1 - beta)`` as ``table`` has them, each capacity
         lowered by ``spare`` units of the rounded scale."""
-        return sum(
-            knapsack.max_profit_in(table, cap.strict_rounded - spare)
-            for cap in self._caps
-        )
+        return sum(table.max_profit(cap.strict_rounded - spare) for cap in self._caps)
 
     def check(self, tickets: Sequence[int], total: Optional[int] = None) -> bool:
-        """Decide viability of ``tickets`` for this WS instance."""
-        if total is None:
-            total = sum(tickets)
-        return self._decide(*_holders(tickets), total)
+        """Decide viability of ``tickets`` for this WS instance (same
+        contract as ``RestrictionChecker.check``)."""
+        indices, counts = self._holders(tickets)
+        return self._decide(indices, counts, int(counts.sum()) if total is None else total)
 
-    def check_sparse(
-        self, indices: Sequence[int], counts: Sequence[int], total: int
-    ) -> bool:
+    def check_sparse(self, indices: np.ndarray, counts: np.ndarray, total: int) -> bool:
         """Identical decision to :meth:`check` on the corresponding dense
         vector (same contract as ``RestrictionChecker.check_sparse``)."""
         return self._decide(indices, counts, total)

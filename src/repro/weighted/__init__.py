@@ -1,13 +1,6 @@
-"""The weighted-model layer: access structures, quorum policies, virtual
-users, and the paper's transformations (Sections 4-5)."""
+"""The weighted-model layer: quorum policies, virtual users, and the
+paper's transformations (Sections 4-5)."""
 
-from .access import (
-    NominalThresholdAccess,
-    TicketThresholdAccess,
-    WeightedAdversaryStructure,
-    WeightedThresholdAccess,
-    is_blunt_for,
-)
 from .quorum import NominalQuorums, QuorumPolicy, WeightedQuorums
 from .tight import TightGate
 from .transform import (
@@ -23,11 +16,6 @@ from .transform import (
 from .virtual import VirtualUserMap
 
 __all__ = [
-    "NominalThresholdAccess",
-    "WeightedThresholdAccess",
-    "TicketThresholdAccess",
-    "WeightedAdversaryStructure",
-    "is_blunt_for",
     "QuorumPolicy",
     "NominalQuorums",
     "WeightedQuorums",

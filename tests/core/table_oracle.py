@@ -1,17 +1,21 @@
-"""The numpy tier's ``K(cap)`` as it was computed before one table served
-both capacities: a full-width table per capacity, read by a scan.
+"""The numpy tier's readings as they were computed before the folded table.
 
-``repro.core.knapsack`` now builds the table once per rounding, no wider
-than the probe's LP bound, and reads each capacity off it
-(``min_weight_table`` + ``max_profit_in``); ``test_knapsack.py`` holds
-that pair to this function and to the exact ``max_profit_under``.
+``max_profit_under_numpy`` is ``K(cap)`` before one table served both
+capacities: a full-width table per capacity, read by a scan.
+``min_weight_for_profit_numpy`` and ``max_profit_in`` read one
+``min_weight_table`` over *every* item, the largest equal-profit group
+included.  ``repro.core.knapsack.FoldedTable`` builds the table without
+that group and folds it in at read time; ``test_knapsack.py`` holds its
+readings to these functions and to the exact big-integer DP.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+
+from repro.core.knapsack import min_weight_table
 
 _INT64_INF = np.int64(1) << np.int64(62)
 
@@ -36,3 +40,23 @@ def max_profit_under_numpy(
         np.minimum(dp, shifted, out=dp)
     feasible = np.nonzero(dp <= np.int64(cap))[0]
     return int(feasible[-1]) if feasible.size else 0
+
+
+def max_profit_in(table: np.ndarray, cap: int) -> int:
+    """Largest ``p`` with ``table[p] <= cap``: the maximum profit of a
+    subset of weight at most ``cap``, or the table's width if that is
+    smaller; ``0`` for ``cap < 0``."""
+    if cap < 0:
+        return 0
+    return int(np.searchsorted(table, cap, side="right")) - 1
+
+
+def min_weight_for_profit_numpy(
+    weights64: np.ndarray, profits: Sequence[int], target: int
+) -> Optional[int]:
+    """The last entry of the table of width ``target`` over every item, in
+    the units of ``weights64``; ``None`` where no subset reaches it."""
+    if target <= 0:
+        return 0
+    result = int(min_weight_table(weights64, profits, target)[target])
+    return None if result >= int(_INT64_INF) else result

@@ -3,11 +3,12 @@
 ``fraction_oracle`` holds the price heap, the density sort and the two
 greedy bounds as they were written on ``Fraction`` values.  The solver
 now orders prices and densities through integer keys over one
-``ScaledWeights`` view; these tests hold it to the oracle pick for pick
-(ties by party index included), position for position and value for
-value -- on integer, mixed-denominator, float-derived and 300-bit
-weights, with equal and zero weights, at the tightest key shift the
-exactness argument allows.
+``ScaledWeights`` view; these tests hold it -- and the list forms of the
+quick test in ``knapsack_oracle`` -- to the oracle pick for pick (ties by
+party index included), position for position and value for value -- on
+integer, mixed-denominator, float-derived and 300-bit weights, with equal
+and zero weights, at the tightest key shift the exactness argument
+allows.
 """
 
 from collections import Counter
@@ -15,6 +16,8 @@ from fractions import Fraction
 from unittest import mock
 
 import fraction_oracle as oracle
+import knapsack_oracle
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,8 +82,8 @@ class TestPickSequences:
             expected = Counter(picks[:total])
             assert stream.assignment(total) == [expected[i] for i in range(len(ws))]
             indices, counts = stream.sparse_counts(total)
-            assert indices == sorted(expected)
-            assert counts == [expected[i] for i in indices]
+            assert indices.tolist() == sorted(expected)
+            assert counts.tolist() == [expected[i] for i in indices.tolist()]
 
     @settings(max_examples=150, deadline=None)
     @given(weights=WEIGHTS, c=CONSTANTS, total=st.integers(1, 40))
@@ -127,24 +130,38 @@ ITEMS = st.lists(
 class TestDensityOrder:
     @settings(max_examples=200, deadline=None)
     @given(items=ITEMS)
-    def test_dense_and_sparse_forms_equal_the_fraction_sort(self, items):
+    def test_dense_sparse_and_array_forms_equal_the_fraction_sort(self, items):
         ws = [Fraction(w) for w, _ in items]
         profits = [t for _, t in items]
         expected = oracle.density_order(ws, profits)
         ints, _ = knapsack.scale_weights_exact(ws)
         shift = _tight_shift(ints)
-        assert knapsack.density_order(ints, profits, shift) == expected
+        assert knapsack_oracle.density_order(ints, profits, shift) == expected
         # Holder-only form: positions map back to the same parties.
         holders = [i for i, t in enumerate(profits) if t > 0]
-        sparse = knapsack.density_order(
+        sparse = knapsack_oracle.density_order(
             [ints[i] for i in holders], [profits[i] for i in holders], shift
         )
         assert [holders[k] for k in sparse] == expected
+        if any(ws):
+            counts = np.array([profits[i] for i in holders], dtype=np.int64)
+            order = knapsack.DensityOrder(
+                ScaledWeights(ws), np.array(holders, dtype=np.intp), counts
+            )
+            assert order.parties.tolist() == expected
 
     def test_equal_densities_keep_input_order_and_zero_weights_lead(self):
         ints = [4, 0, 2, 1, 0, 6]
         profits = [2, 1, 1, 0, 3, 3]  # densities 1/2, inf, 1/2, -, inf, 1/2
-        assert knapsack.density_order(ints, profits, _tight_shift(ints)) == [1, 4, 0, 2, 5]
+        expected = [1, 4, 0, 2, 5]
+        assert knapsack_oracle.density_order(ints, profits, _tight_shift(ints)) == expected
+        holders = sorted(expected)
+        order = knapsack.DensityOrder(
+            ScaledWeights(ints),
+            np.array(holders),
+            np.array([profits[i] for i in holders], dtype=np.int64),
+        )
+        assert order.parties.tolist() == expected
 
 
 class TestGreedyBounds:
@@ -156,12 +173,19 @@ class TestGreedyBounds:
     def test_both_bounds_equal_the_fraction_bounds(self, items, capacity):
         ws = [Fraction(w) for w, _ in items]
         profits = [t for _, t in items]
-        assert knapsack.fractional_upper_bound(
-            ws, profits, capacity
-        ) == oracle.fractional_upper_bound(ws, profits, capacity)
-        assert knapsack.greedy_lower_bound(
-            ws, profits, capacity
-        ) == oracle.greedy_lower_bound(ws, profits, capacity)
+        upper = oracle.fractional_upper_bound(ws, profits, capacity)
+        lower = oracle.greedy_lower_bound(ws, profits, capacity)
+        assert knapsack_oracle.fractional_upper_bound(ws, profits, capacity) == upper
+        assert knapsack_oracle.greedy_lower_bound(ws, profits, capacity) == lower
+        if any(ws):
+            view = ScaledWeights(ws)
+            holders = np.array([i for i, t in enumerate(profits) if t > 0], dtype=np.intp)
+            order = knapsack.DensityOrder(
+                view, holders, np.array(profits, dtype=np.int64)[holders]
+            )
+            cap = capacity * view.denom
+            assert order.upper_bound(cap.numerator, cap.denominator) == upper
+            assert order.lower_bound(cap.numerator, cap.denominator) == lower
 
     @staticmethod
     def _oracle_verdict(ws, tickets, caps, target):

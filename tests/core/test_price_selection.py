@@ -80,8 +80,8 @@ class TestPickForPick:
             dense = [0] * len(weights)
             for i in expected[:total]:
                 dense[i] += 1
-            assert indices == [i for i, t in enumerate(dense) if t]
-            assert counts == [t for t in dense if t]
+            assert indices.tolist() == [i for i, t in enumerate(dense) if t]
+            assert counts.tolist() == [t for t in dense if t]
         assert list(stream._picks) == expected[: stream.depth]
         assert stream.depth == max(totals)
 

@@ -4,7 +4,7 @@
 run the same ten and hold the counts the timings rest on: the binary
 search examines the same family members it always did (the family is not
 monotone -- a different probe sequence can end on a different local
-minimum), every probe is judged on its holders and never on a dense
+minimum), each settled on the same rung of the verdict ladder, every probe is judged on its holders and never on a dense
 ``n``-vector, a probe the quick test leaves uncertain builds one DP table
 however many capacities read it (a second only at the edge of the
 rounding), and none of it depends on the quick test having run.
@@ -45,6 +45,21 @@ LEDGER_CELLS = {
     ("algorand", "wr"): (16, 97),
 }
 
+#: (chain, problem) -> the verdict ladder of its solve: (checks,
+#: quick_valid, quick_invalid, quick_uncertain, dp_calls, exact_fallbacks)
+VERDICT_LADDER = {
+    ("aptos", "wr"): (7, 3, 4, 0, 0, 0),
+    ("aptos", "wq"): (9, 1, 8, 0, 0, 0),
+    ("aptos", "ws"): (9, 2, 6, 1, 1, 0),
+    ("tezos", "wr"): (9, 3, 6, 0, 0, 0),
+    ("tezos", "wq"): (10, 4, 6, 0, 0, 0),
+    ("tezos", "ws"): (10, 5, 4, 1, 1, 0),
+    ("filecoin", "wr"): (12, 5, 5, 2, 2, 0),
+    ("filecoin", "wq"): (14, 6, 8, 0, 0, 0),
+    ("filecoin", "ws"): (13, 9, 1, 3, 3, 0),
+    ("algorand", "wr"): (16, 10, 3, 3, 3, 0),
+}
+
 
 @pytest.mark.parametrize("chain, problem", LEDGER_CELLS)
 def test_ledger_cells_examine_the_same_family_members(chain, problem):
@@ -59,6 +74,17 @@ def test_ledger_cells_examine_the_same_family_members(chain, problem):
     assert (result.probes, result.total_tickets) == LEDGER_CELLS[chain, problem]
     assert dense.call_count == 1
     assert len(result.assignment) == len(weights)
+    # Each probe is settled on the same rung as ever: the quick test's
+    # verdicts, the DP calls and the (absent) exact fallbacks.
+    stats = result.stats
+    assert (
+        stats.checks,
+        stats.quick_valid,
+        stats.quick_invalid,
+        stats.quick_uncertain,
+        stats.dp_calls,
+        stats.exact_fallbacks,
+    ) == VERDICT_LADDER[chain, problem]
 
 
 def test_filecoin_ws_builds_at_most_two_tables_per_dp_probe():

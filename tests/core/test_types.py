@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.core.types`."""
 
+import math
 import pickle
 import sys
 from fractions import Fraction
@@ -173,6 +174,54 @@ class TestScaledWeights:
         for i, w in enumerate(view):
             assert down[i] <= w * scale <= up[i]
             assert up[i] - down[i] <= 1
+
+
+class TestWeightArrays:
+    """The view's numpy forms: exact limbs, monotone floats, logs."""
+
+    @pytest.mark.parametrize(
+        "weights, limb_bits",
+        [
+            ([5, 0, 3, 1 << 40], 63),
+            ([(1 << 62) + 1, 3, 0, (1 << 62) - 1], 31),  # the total overflows int64
+            ([10**400, 7, 0, 3 * 10**399], 31),  # past the float range
+            ([Fraction(1, 10**400), Fraction(2, 3), 0], 31),
+        ],
+    )
+    def test_limbs_are_exact_and_floats_order(self, weights, limb_bits):
+        view = ScaledWeights(weights)
+        arrays = view.arrays
+        assert arrays is view.arrays  # built once per view
+        assert arrays.limb_bits == limb_bits
+        rebuilt = [
+            sum(int(v) << (limb_bits * l) for l, v in enumerate(column))
+            for column in arrays.limbs.T.tolist()
+        ]
+        assert rebuilt == view.ints
+        assert float(view.total >> arrays.float_shift) < float("inf")
+        shifted = [float(a >> arrays.float_shift) for a in view.ints]
+        assert arrays.floats.tolist() == shifted
+        assert [x == -np.inf for x in arrays.logs.tolist()] == [a == 0 for a in view.ints]
+        for a, log in zip(view.ints, arrays.logs.tolist()):
+            if a:
+                assert log == pytest.approx(math.log(a), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {1: 9},
+            {0: 0, 3: 2},
+            {4: 7, 5: 0},  # joining parties
+            {2: 1 << 62},  # the total outgrows int64: another layout
+        ],
+    )
+    def test_a_patched_view_has_the_arrays_of_a_fresh_one(self, changes):
+        base = ScaledWeights([5, 0, 3, (1 << 62) - 1])
+        assert base.arrays.limb_bits == 63
+        patched = base.patched(changes)
+        fresh = ScaledWeights(patched.ints).arrays
+        for got, want in zip(patched.arrays, fresh):
+            assert np.array_equal(got, want)
 
 
 class TestTicketAssignment:

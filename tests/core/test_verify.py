@@ -3,6 +3,7 @@
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from repro.core import (
     WeightRestriction,
     WeightSeparation,
     brute_force_valid,
+    is_valid_assignment,
     knapsack,
     make_checker,
 )
@@ -192,7 +194,7 @@ class TestSeparationChecker:
         assert brute_force_valid(problem, ws, [1, 0]) is False
         checker = make_checker(problem, ws, use_quick_test=use_quick_test)
         assert checker.check([1, 0]) is False
-        assert checker.check_sparse([0], [1], 1) is False
+        assert checker.check_sparse(np.array([0]), np.array([1]), 1) is False
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -301,3 +303,72 @@ class TestCheckStats:
         assert checker.stats.quick_valid == 0
         assert checker.stats.quick_uncertain == 0
         assert checker.stats.dp_calls == 1
+
+
+class TestMalformedAssignments:
+    """A dense assignment has one non-negative count per party; anything
+    else is refused, never judged on whatever holders it happens to have."""
+
+    WEIGHTS = [5, 3, 2, 1]
+
+    @pytest.mark.parametrize(
+        "problem",
+        [WeightRestriction("1/3", "1/2"), WeightSeparation("1/3", "1/2")],
+        ids=["wr", "ws"],
+    )
+    @pytest.mark.parametrize(
+        "tickets, message",
+        [
+            ([1, 1, 0], "equal length"),
+            ([1, 1, 0, 0, 5], "equal length"),
+            ([], "equal length"),
+            ([1, -1, 1, 0], "#1 is negative"),
+            ([0, 0, 0, -2], "#3 is negative"),
+        ],
+    )
+    def test_check_and_quick_raise(self, problem, tickets, message):
+        checker = make_checker(problem, self.WEIGHTS)
+        with pytest.raises(ValueError, match=message):
+            checker.check(tickets)
+        with pytest.raises(ValueError, match=message):
+            checker.quick(tickets, 3)
+        with pytest.raises(ValueError, match=message):
+            is_valid_assignment(problem, self.WEIGHTS, tickets)
+        assert checker.stats.checks == 0
+
+    def test_well_formed_vectors_still_decide(self):
+        checker = make_checker(WeightRestriction("1/3", "1/2"), self.WEIGHTS)
+        assert checker.check([1, 1, 0, 0]) == brute_force_valid(
+            WeightRestriction("1/3", "1/2"), normalize_weights(self.WEIGHTS), [1, 1, 0, 0]
+        )
+        assert checker.check((0, 0, 0, 0)) is False
+
+
+class TestZeroWeightHolders:
+    """A zero-weight party holding tickets fits under every positive
+    capacity: the dense check must count it, on the quick test and on the
+    DP alike."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 6), min_size=2, max_size=8).filter(
+            lambda ws: any(ws) and not all(ws)
+        ),
+        data=st.data(),
+        problem=st.sampled_from(
+            [WeightRestriction("1/3", "1/2"), WeightSeparation("1/3", "1/2")]
+        ),
+        use_quick_test=st.booleans(),
+    )
+    def test_dense_check_matches_brute_force(self, weights, data, problem, use_quick_test):
+        ws = normalize_weights(weights)
+        zero = weights.index(0)
+        ts = data.draw(st.lists(st.integers(0, 3), min_size=len(ws), max_size=len(ws)))
+        ts[zero] = data.draw(st.integers(1, 3))
+        checker = make_checker(problem, ws, use_quick_test=use_quick_test)
+        assert checker.check(ts) == brute_force_valid(problem, ws, ts)
+
+    def test_only_zero_weight_holders_are_invalid(self):
+        checker = make_checker(WeightRestriction("1/3", "1/2"), [0, 4, 4])
+        assert checker.quick([2, 0, 0], 2) is Verdict.INVALID
+        assert checker.check([2, 0, 0]) is False

@@ -1,6 +1,8 @@
-"""Access and adversary structures (paper, Section 4.2).
+"""Access and adversary structures (paper, Section 4.2), as set predicates.
 
-An *access structure* is the family of party sets able to perform a
+The protocols decide with ticket tallies and quorum policies
+(``repro.weighted.quorum``); these definitions are what the tests hold
+those to.  An *access structure* is the family of party sets able to perform a
 protected action; an *adversary structure* is the family of sets the
 adversary may corrupt simultaneously.  The paper's key definition is the
 *blunt* access structure: it excludes every corruptible set and contains
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..core.types import Number, as_fraction, normalize_weights
+from repro.core.types import Number, as_fraction, normalize_weights
 
 __all__ = [
     "NominalThresholdAccess",

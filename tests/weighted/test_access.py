@@ -3,15 +3,15 @@
 from fractions import Fraction
 
 import pytest
-
-from repro import WeightRestriction, solve
-from repro.weighted.access import (
+from access_oracle import (
     NominalThresholdAccess,
     TicketThresholdAccess,
     WeightedAdversaryStructure,
     WeightedThresholdAccess,
     is_blunt_for,
 )
+
+from repro import WeightRestriction, solve
 
 
 class TestNominalThresholdAccess:

@@ -36,7 +36,7 @@ def main() -> None:
     for transport in ("inproc", "tcp"):
         section(f"Bracha RBC over {transport}")
         cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, QUORUMS),
+            lambda pid: BroadcastParty(pid, QUORUMS, 0),
             N,
             transport=transport,
             setup=lambda c: c.party(0).broadcast_value(PAYLOAD),
@@ -49,11 +49,11 @@ def main() -> None:
 
     # -- 2. Real bytes vs the simulator's estimates --------------------------------
     section("Codec bytes vs simulator estimates (same RBC run)")
-    world = build_world(lambda pid: BroadcastParty(pid, QUORUMS), N, seed=1)
+    world = build_world(lambda pid: BroadcastParty(pid, QUORUMS, 0), N, seed=1)
     world.party(0).broadcast_value(PAYLOAD)
     world.run()
     live = run_cluster(
-        lambda pid: BroadcastParty(pid, QUORUMS),
+        lambda pid: BroadcastParty(pid, QUORUMS, 0),
         N,
         setup=lambda c: c.party(0).broadcast_value(PAYLOAD),
         stop_when=lambda c: all(p.delivered == PAYLOAD for p in c.parties),
@@ -95,7 +95,7 @@ def main() -> None:
         c.party(survivors[0]).broadcast_value(b"still-alive")
 
     cluster = run_cluster(
-        lambda pid: BroadcastParty(pid, QUORUMS),
+        lambda pid: BroadcastParty(pid, QUORUMS, survivors[0]),
         N,
         faults=faults,
         setup=setup,

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ..chaos.schedule import compile_timeline
 from ..core.types import as_fraction
 from ..sim.adversary import corrupt_weight_fraction, heaviest_under, most_tickets_under
 from . import byzantine
@@ -360,17 +361,15 @@ class Adversary:
         self.corrupted: frozenset[int] = frozenset().union(
             *(s.corrupted for s in everyone)
         )
-        # The record reports corrupted, crashed and chaos-crashed weight;
-        # the check also counts each crash-restarted party, which is down
-        # for a window -- the worst moment of the run.
-        down = self.corrupted | set(spec.faults.crashes) | {
-            pid
-            for stage in stages
-            if stage.action == "crash"
-            for pid in stage.param("pids", ())
-        }
-        self.corrupted_weight = corrupt_weight_fraction(weights, down)
-        worst_set = down | {pid for pid, _, _ in spec.faults.restarts}
+        # The check counts every party the timeline crashes, restarted
+        # ones too (down for a window); the record leaves flat restarts out.
+        timeline = compile_timeline(spec)
+        crashed = timeline.pids("crash")
+        restarted = timeline.pids("restart", timeline.stages[: timeline.flat])
+        self.corrupted_weight = corrupt_weight_fraction(
+            weights, self.corrupted | (crashed - restarted)
+        )
+        worst_set = self.corrupted | crashed
         worst = corrupt_weight_fraction(weights, worst_set)
         if worst_set and worst >= f_w:
             raise CommitteeValidationError(

@@ -106,10 +106,8 @@ _RECOVERY_EXPORTS = (
     "open_wal",
 )
 
-#: chaos-engine names re-exported from :mod:`repro.chaos`, lazily because
-#: the orchestrator half reaches into the harness layer (the
-#: spec-level half would be safe, but one rule for the whole package is
-#: simpler to audit).
+#: chaos-engine names re-exported from :mod:`repro.chaos`, lazily like
+#: every subsystem above (one rule for the whole package is simpler to audit).
 _CHAOS_EXPORTS = (
     "ChaosOrchestrator",
     "ChaosSpec",

@@ -2,16 +2,16 @@
 liveness watchdog.
 
 The data layer (:mod:`~repro.chaos.weather`, :mod:`~repro.chaos.schedule`,
-with the closed set of stage actions) imports eagerly --
-:mod:`repro.scenarios.spec` embeds it.  The executable layer
-(:mod:`~repro.chaos.orchestrator`: the orchestrator and the watchdog's
-:func:`watchdog_section`) loads lazily via PEP 562: it reaches into the
-harness package, which itself imports the spec (and hence this package),
-so an eager import here would cycle.  Staged corruption is not here: the
-run's one :class:`~repro.adversary.strategies.Adversary` materializes a
+with the closed set of stage actions and the compiler of a flat fault
+plan into one timeline) is what :mod:`repro.scenarios.spec` embeds; the
+executable layer (:mod:`~repro.chaos.orchestrator`: the one interpreter
+of that timeline, and the watchdog's :func:`watchdog_section`) imports
+nothing above this package.  Staged corruption is not here: the run's
+one :class:`~repro.adversary.strategies.Adversary` materializes a
 ``byzantine`` stage's strategy and applies it when the stage fires.
 """
 
+from .orchestrator import ChaosOrchestrator, count_duplicate_commits, watchdog_section
 from .schedule import STAGE_ACTIONS, ChaosSpec, ChaosStage, TriggerSpec
 from .weather import NetworkWeather, WeatherDecision, WeatherSpec
 
@@ -27,17 +27,3 @@ __all__ = [
     "count_duplicate_commits",
     "watchdog_section",
 ]
-
-_ORCHESTRATOR_EXPORTS = (
-    "ChaosOrchestrator",
-    "count_duplicate_commits",
-    "watchdog_section",
-)
-
-
-def __getattr__(name: str):
-    if name in _ORCHESTRATOR_EXPORTS:
-        from . import orchestrator
-
-        return getattr(orchestrator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

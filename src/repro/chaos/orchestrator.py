@@ -1,13 +1,13 @@
 """The chaos engine's executable half: fire stages, mutate faults, and
 classify how the run ended.
 
-A :class:`ChaosOrchestrator` interprets a :class:`~repro.chaos.schedule.ChaosSpec`
-against the *existing* fault machinery -- the shared
+A :class:`ChaosOrchestrator` is the one interpreter of a fault plan: it
+arms a :class:`~repro.chaos.schedule.FaultTimeline` (the flat
+:class:`~repro.scenarios.spec.FaultSpec` compiled into stages, then the
+chaos plan's own) against the shared
 :class:`~repro.runtime.faults.FaultController`, the party objects, and
-the adversary hooks -- so a staged attack means exactly the same thing on
-the sim, the in-process runtime, and the process-per-party mesh.  Nothing
-here duplicates fault semantics; every action resolves to a call the
-flat fault plans already make, just later and conditionally.
+the adversary hooks, so a fault means exactly the same thing on the sim,
+the in-process runtime, and the process-per-party mesh.
 
 Stage actions are a closed set (:data:`~repro.chaos.schedule.STAGE_ACTIONS`,
 checked when a stage is built, so a misspelt action fails at spec
@@ -23,8 +23,8 @@ context that hosts exactly one party: fault-controller mutations
 (the crash itself, restarts, staged corruption, surge proposals) reach
 only the hosted party.  Non-time triggers are polled per worker against
 local state; a chaos restart on proc is a *soft* restart (party-level,
-in-process) -- real SIGKILL respawns remain the crash-restart plan's job
-(``spec.faults.restarts``).
+in-process) -- real SIGKILL respawns remain the flat crash-restart
+plan's job (``spec.faults.restarts``, compiled out of a worker's timeline).
 
 :func:`watchdog_section` is the liveness watchdog.  A run under chaos
 can legitimately never complete (an unhealed partition below the deliver
@@ -42,7 +42,9 @@ scenario record instead of a bare ``TimeoutError``.
 
 from __future__ import annotations
 
-from .schedule import ChaosSpec, ChaosStage, TriggerSpec
+from typing import Optional
+
+from .schedule import ChaosStage, FaultTimeline, TriggerSpec
 from .weather import NetworkWeather, WeatherSpec
 
 __all__ = ["ChaosOrchestrator", "count_duplicate_commits", "watchdog_section"]
@@ -97,38 +99,45 @@ def watchdog_section(
 
 
 class ChaosOrchestrator:
-    """Arm one scenario's chaos plan on one backend instance.
+    """Arm one scenario's fault timeline on one backend instance.
 
     Construction is pure; :meth:`install` wires triggers into the run
-    context and is the only entry point a backend calls.  ``fired`` and
-    ``gave_up`` track each stage for the record and the postmortem.
+    context and is the only entry point a backend calls; ``timeline``
+    defaults to the driver's.  ``fired`` and ``gave_up`` track each stage
+    for the record and the postmortem, which list ``spec.chaos``'s only.
     """
 
-    def __init__(self, spec, driver) -> None:
+    def __init__(self, spec, driver, timeline: Optional[FaultTimeline] = None) -> None:
         self.spec = spec  # the full ScenarioSpec
-        self.chaos: ChaosSpec = spec.chaos
-        if self.chaos is None:
-            raise ValueError("scenario has no chaos section")
         self.driver = driver
-        self.fired = [False] * len(self.chaos.stages)
-        self.gave_up = [False] * len(self.chaos.stages)
+        self.timeline = driver.timeline if timeline is None else timeline
+        self.fired = [False] * len(self.timeline.stages)
+        self.gave_up = [False] * len(self.timeline.stages)
         self.ctx = None
         self.faults = None
         self.metrics = None
 
     # -- wiring -------------------------------------------------------------------
     def install(self, ctx, *, metrics=None) -> None:
-        """Arm every stage trigger and the ambient weather on ``ctx``
-        (its fault controller, its scheduler, the parties it hosts);
+        """Arm the ambient state (link delays, the flat adversary's
+        network faults, weather), then every stage trigger, on ``ctx``;
         ``metrics`` is the backend's message counters, for metric triggers."""
         self.ctx = ctx
         self.faults = ctx.faults
         self.metrics = metrics
-        if self.chaos.weather is not None:
-            self.faults.weather = NetworkWeather(
-                self.chaos.weather, seed=self.spec.seed
+        for src, dst, delay in self.timeline.link_delays:
+            for s in self.map_nids((src,)):
+                for d in self.map_nids((dst,)):
+                    self.faults.delay_link(s, d, delay)
+        if self.driver.adversary is not None:
+            self.driver.adversary.install_network_faults(
+                self.faults, self.driver.map_pid
             )
-        for index, stage in enumerate(self.chaos.stages):
+        if self.timeline.weather is not None:
+            self.faults.weather = NetworkWeather(
+                self.timeline.weather, seed=self.spec.seed
+            )
+        for index, stage in enumerate(self.timeline.stages):
             self._arm(index, stage)
 
     def _arm(self, index: int, stage: ChaosStage) -> None:
@@ -167,8 +176,8 @@ class ChaosOrchestrator:
                 self.ctx.restart(nid)
                 if self.in_scope(nid):
                     self.driver.restart_node(self.ctx, nid)
-        elif action == "byzantine":
-            self.driver.adversary.activate(index, self)
+        elif action == "byzantine":  # numbered as in spec.chaos
+            self.driver.adversary.activate(index - self.timeline.flat, self)
         elif action == "weather":
             spec = WeatherSpec.from_dict(dict(stage.param("weather", ())))
             self.faults.weather = NetworkWeather(spec, seed=self.spec.seed)
@@ -235,8 +244,11 @@ class ChaosOrchestrator:
 
     # -- record section ------------------------------------------------------------
     def describe_stages(self) -> list:
+        flat = self.timeline.flat
         out = []
-        for stage, fired, gave_up in zip(self.chaos.stages, self.fired, self.gave_up):
+        for stage, fired, gave_up in zip(
+            self.timeline.stages[flat:], self.fired[flat:], self.gave_up[flat:]
+        ):
             entry = {
                 "action": stage.action,
                 "trigger": stage.trigger.to_dict(),

@@ -2,10 +2,10 @@
 
 Pure data -- the (de)serializable half of the chaos engine, kept free of
 scenario/harness imports so :mod:`repro.scenarios.spec` can embed a
-:class:`ChaosSpec` without an import cycle.  The executable half lives in
-:mod:`repro.chaos.orchestrator`, which interprets these specs against the
-same :class:`~repro.runtime.faults.FaultController` and adversary hooks
-every backend already shares.
+:class:`ChaosSpec` without an import cycle.  The flat fault plan is sugar:
+:func:`compile_timeline` turns it into stages ahead of the chaos plan's,
+one :class:`FaultTimeline` that every reader asks and one interpreter,
+:class:`repro.chaos.orchestrator.ChaosOrchestrator`, fires.
 
 A stage is ``(action, trigger, params)``.  Actions are the closed set
 :data:`STAGE_ACTIONS` -- ``partition``, ``heal``, ``crash``, ``restart``,
@@ -25,7 +25,8 @@ from typing import Optional, Tuple
 
 from .weather import WeatherSpec
 
-__all__ = ["STAGE_ACTIONS", "TriggerSpec", "ChaosStage", "ChaosSpec"]
+__all__ = ["STAGE_ACTIONS", "TriggerSpec", "ChaosStage", "ChaosSpec", "FaultTimeline",
+           "compile_timeline"]
 
 #: trigger kinds the orchestrator knows how to arm
 TRIGGER_KINDS = ("time", "slot", "epoch", "metric")
@@ -137,25 +138,9 @@ class ChaosStage:
         )
 
 
-@dataclass(frozen=True)
-class ChaosSpec:
-    """A full chaos plan: staged timeline + ambient weather + watchdog.
+class _Timeline:
+    """What a timeline of ``stages`` under ambient ``weather`` answers."""
 
-    ``stall_after`` is how long committed-slot progress and message flow
-    may both be quiescent (with the run incomplete) before the watchdog
-    declares a stall and assembles a postmortem.
-    """
-
-    stages: Tuple[ChaosStage, ...] = ()
-    weather: Optional[WeatherSpec] = None
-    watchdog: bool = True
-    stall_after: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.stall_after <= 0:
-            raise ValueError(f"stall_after must be positive: {self.stall_after}")
-
-    # -- liveness reasoning ---------------------------------------------------------
     def partition_window(self) -> tuple:
         """``(start, heal)`` of the first time-triggered partition stage,
         with ``heal=None`` when no later heal stage exists (an unhealed
@@ -208,6 +193,25 @@ class ChaosSpec:
                      if s.trigger.kind != "time"]
         return max(times + deadlines + [0.0])
 
+
+@dataclass(frozen=True)
+class ChaosSpec(_Timeline):
+    """A full chaos plan: staged timeline + ambient weather + watchdog.
+
+    ``stall_after`` is how long committed-slot progress and message flow
+    may both be quiescent (with the run incomplete) before the watchdog
+    declares a stall and assembles a postmortem.
+    """
+
+    stages: Tuple[ChaosStage, ...] = ()
+    weather: Optional[WeatherSpec] = None
+    watchdog: bool = True
+    stall_after: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.stall_after <= 0:
+            raise ValueError(f"stall_after must be positive: {self.stall_after}")
+
     # -- serialization ---------------------------------------------------------------
     def to_dict(self) -> dict:
         record: dict = {}
@@ -232,3 +236,53 @@ class ChaosSpec:
             watchdog=bool(record.get("watchdog", True)),
             stall_after=float(record.get("stall_after", 1.0)),
         )
+
+
+@dataclass(frozen=True)
+class FaultTimeline(_Timeline):
+    """A scenario's whole fault plan: the flat plan's stages (the first
+    ``flat``), then the chaos plan's, plus the ambient state installed
+    before any stage fires -- the weather and the flat ``link_delays``."""
+
+    stages: Tuple[ChaosStage, ...] = ()
+    flat: int = 0
+    weather: Optional[WeatherSpec] = None
+    link_delays: Tuple[Tuple[int, int, float], ...] = ()
+
+    def pids(self, action: str, stages=None) -> frozenset:
+        """Every pid a ``stages`` entry (default: all) does ``action`` to."""
+        stages = self.stages if stages is None else stages
+        return frozenset(
+            pid for s in stages if s.action == action for pid in s.param("pids", ())
+        )
+
+
+def _at(action: str, when: float, **params) -> ChaosStage:
+    frozen = tuple((k, _freeze(v)) for k, v in params.items())
+    return ChaosStage(action, TriggerSpec(kind="time", value=when), frozen)
+
+
+def compile_timeline(spec, *, restarts: bool = True) -> FaultTimeline:
+    """``spec``'s fault plan as one :class:`FaultTimeline`: ``spec.faults``
+    first, in arming order -- ``crashes`` and ``partition`` at t=0, then
+    ``heal_at``, then each ``restarts`` entry's crash and restart (left
+    out with ``restarts=False``: a proc worker's restarts are its parent's
+    SIGKILLs) -- then ``spec.chaos``'s stages.  ``byzantine`` entries are
+    no timeline: the adversary applies them as parties are built."""
+    faults, chaos = spec.faults, spec.chaos
+    flat = []
+    if faults.crashes:
+        flat.append(_at("crash", 0.0, pids=faults.crashes))
+    if faults.partition:
+        flat.append(_at("partition", 0.0, groups=faults.partition))
+    if faults.heal_at is not None:
+        flat.append(_at("heal", faults.heal_at))
+    for pid, crash_at, restart_at in faults.restarts if restarts else ():
+        flat.append(_at("crash", crash_at, pids=(pid,)))
+        flat.append(_at("restart", restart_at, pids=(pid,)))
+    return FaultTimeline(
+        stages=tuple(flat) + (chaos.stages if chaos is not None else ()),
+        flat=len(flat),
+        weather=chaos.weather if chaos is not None else None,
+        link_delays=tuple(faults.link_delays),
+    )

@@ -276,18 +276,10 @@ async def _worker_main(
                         ),
                         "chaos": (
                             {
-                                "stages": orchestrator.describe_stages(),
-                                "weather": (
-                                    faults.weather.counters()
-                                    if faults.weather is not None
-                                    else None
-                                ),
-                                "duplicate_commits": (
-                                    orchestrator.summary()["duplicate_commits"]
-                                ),
+                                **orchestrator.summary(),
                                 "trace": [list(e) for e in faults.trace],
                             }
-                            if orchestrator is not None
+                            if spec.chaos is not None
                             else None
                         ),
                     },
@@ -566,20 +558,15 @@ class ProcCluster:
                     merged["fired"] = merged["fired"] or local["fired"]
                     if local.get("gave_up") and not merged["fired"]:
                         merged["gave_up"] = True
-            if section.get("weather"):
+            local = section.get("weather")
+            if local is not None:
                 if weather is None:
-                    weather = dict.fromkeys(section["weather"], 0)
-                for key, value in section["weather"].items():
-                    weather[key] += value
+                    weather = {**local, "counters": dict.fromkeys(local["counters"], 0)}
+                for key, value in local["counters"].items():
+                    weather["counters"][key] += value
         chaos_section: dict = {"stages": stages}
         if weather is not None:
-            chaos_section["weather"] = {
-                "spec": self.spec.chaos.weather.to_dict()
-                if self.spec.chaos.weather is not None
-                else None,
-                "seed": self.spec.seed,
-                "counters": weather,
-            }
+            chaos_section["weather"] = weather
         chaos_section["duplicate_commits"] = duplicate_commits
         _chaos_section(self.spec, self.driver, completed, chaos_section)
         postmortem = chaos_section.get("watchdog", {}).get("postmortem")

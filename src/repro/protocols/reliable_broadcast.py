@@ -80,9 +80,12 @@ class BrachaInstance:
     returns before the quorum policy is consulted.
     """
 
-    __slots__ = ("echoed", "readied", "delivered", "echo_senders", "ready_senders")
+    __slots__ = (
+        "origin", "echoed", "readied", "delivered", "echo_senders", "ready_senders"
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, origin: int) -> None:
+        self.origin = origin
         self.echoed = False
         self.readied = False
         self.delivered = False
@@ -91,10 +94,11 @@ class BrachaInstance:
         self.echo_senders: Optional[dict[bytes, _Tally]] = {}
         self.ready_senders: Optional[dict[bytes, _Tally]] = {}
 
-    def on_send(self) -> bool:
-        """A SEND arrived; ``True`` when the party must ECHO it (only
-        the first one is)."""
-        if self.echoed:
+    def on_send(self, sender: int) -> bool:
+        """A SEND arrived from ``sender``; ``True`` when the party must
+        ECHO it.  Only the origin's first one is: a broadcast has one
+        origin, so no other party can start it with its own value."""
+        if sender != self.origin or self.echoed:
             return False
         self.echoed = True
         return True
@@ -158,7 +162,7 @@ class RbcReady:
 
 
 class BroadcastParty(Party):
-    """An honest Bracha participant: one :class:`BrachaInstance`.
+    """An honest Bracha participant: one :class:`BrachaInstance` of ``sender``'s.
 
     ``delivered`` holds the delivered payload once totality triggers; the
     ``on_deliver`` callback (if any) fires exactly once.
@@ -171,6 +175,7 @@ class BroadcastParty(Party):
         self,
         pid: int,
         quorums: QuorumPolicy,
+        sender: int,
         *,
         on_deliver: Optional[Callable[[int, bytes], None]] = None,
     ) -> None:
@@ -178,7 +183,7 @@ class BroadcastParty(Party):
         self.quorums = quorums
         self.on_deliver = on_deliver
         self.delivered: Optional[bytes] = None
-        self.instance = BrachaInstance()
+        self.instance = BrachaInstance(sender)
         self.on(RbcSend, self._handle_send)
         self.on(RbcEcho, self._handle_echo)
         self.on(RbcReady, self._handle_ready)
@@ -189,7 +194,7 @@ class BroadcastParty(Party):
         self.broadcast(RbcSend(payload))
 
     def _handle_send(self, message: RbcSend, sender: int) -> None:
-        if self.instance.on_send():
+        if self.instance.on_send(sender):
             self.broadcast(RbcEcho(message.payload))
 
     def _handle_echo(self, message: RbcEcho, sender: int) -> None:

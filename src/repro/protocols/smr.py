@@ -23,7 +23,6 @@ close epochs at a common cut; our epoch-closed flag is advisory.)
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -77,6 +76,15 @@ def batch_position(proposer: int, coin_value: int, n: int) -> int:
     return (proposer + coin_value) % n
 
 
+class _Instances(dict):
+    """(epoch, proposer) -> its instance, made by the first message that
+    names it, with the proposer as origin."""
+
+    def __missing__(self, key: tuple[int, int]) -> BrachaInstance:
+        instance = self[key] = BrachaInstance(key[1])
+        return instance
+
+
 class SmrParty(Party):
     """One replica of the composed asynchronous SMR.
 
@@ -105,9 +113,8 @@ class SmrParty(Party):
         self.on_commit = on_commit
         #: epoch -> {position -> (proposer, payload)}
         self.committed: dict[int, dict[int, tuple[int, bytes]]] = {}
-        #: (epoch, proposer) -> that broadcast's state at this replica,
-        #: made by the first message that names it
-        self.instances: defaultdict = defaultdict(BrachaInstance)
+        #: (epoch, proposer) -> that broadcast's state at this replica
+        self.instances = _Instances()
         self.on(BatchSend, self._handle_send)
         self.on(BatchEcho, self._handle_echo)
         self.on(BatchReady, self._handle_ready)
@@ -119,9 +126,7 @@ class SmrParty(Party):
 
     # -- per-instance Bracha --------------------------------------------------------
     def _handle_send(self, message: BatchSend, sender: int) -> None:
-        if sender != message.proposer:
-            return  # only the proposer may originate its instance
-        if self.instances[message.epoch, message.proposer].on_send():
+        if self.instances[message.epoch, message.proposer].on_send(sender):
             self.broadcast(
                 BatchEcho(message.epoch, message.proposer, message.payload)
             )

@@ -6,10 +6,11 @@ backend needs -- a party factory, workload entry points, a completion
 predicate, and a fault plan -- via per-protocol *drivers*.  Both backends
 share one :class:`~repro.runtime.faults.FaultController` implementation
 (the sim consults it at its delivery point, see
-:mod:`repro.sim.network`), so a fault plan means the same thing on both.
+:mod:`repro.sim.network`), so a fault plan means the same thing on both;
+a driver holds the plan as one compiled ``timeline``.
 
 Every run follows one lifecycle, written once below: **arm** the fault
-plan on the backend's :class:`RunContext` (:func:`_arm`), **run** until
+timeline on the backend's :class:`RunContext` (:func:`_arm`), **run** until
 the one stop rule is met (:class:`_StopRule`), and **finish** by
 assembling the record (:func:`_finish`).  What stays per backend is only
 what truly differs: how parties and a clock are built, and how to wait.
@@ -31,6 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+from ..chaos.orchestrator import ChaosOrchestrator, watchdog_section
+from ..chaos.schedule import compile_timeline
 from ..runtime.faults import FaultController
 from ..sim.process import Party
 from .spec import ScenarioSpec
@@ -132,10 +135,9 @@ class ProtocolDriver:
         #: in-memory WALs; set by ``build_driver`` from ``--state-dir``)
         self.state_dir: Optional[str] = None
         self.weights = committee.int_weights
-        restart_stage = spec.chaos is not None and any(
-            stage.action == "restart" for stage in spec.chaos.stages
-        )
-        if (spec.faults.restarts or restart_stage) and not self.supports_restarts:
+        self.timeline = compile_timeline(spec)  # the whole fault plan
+        restart = any(stage.action == "restart" for stage in self.timeline.stages)
+        if restart and not self.supports_restarts:
             raise ValueError(
                 f"protocol {spec.protocol!r} has no crash-recoverable "
                 "party; crash-restart plans need one (smr)"
@@ -289,7 +291,7 @@ class RbcDriver(ProtocolDriver):
     def factory(self, nid: int) -> Party:
         from ..protocols.reliable_broadcast import BroadcastParty
 
-        return BroadcastParty(nid, self.quorums)
+        return BroadcastParty(nid, self.quorums, self.sender)
 
     def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
         if nid == self.sender:
@@ -308,7 +310,7 @@ class SmrDriver(ProtocolDriver):
     Epochs started while a partition is active are best-effort (the
     cross-partition RBC instances lose messages and cannot commit
     everywhere); completion requires full logs only for epochs started at
-    or after ``heal_at``.
+    or after the timeline's heal.
     """
 
     supports_restarts = True
@@ -353,26 +355,15 @@ class SmrDriver(ProtocolDriver):
 
     def _required_epochs(self) -> list[int]:
         epochs = range(self.spec.workload.epochs)
-        barriers = []
-        if self.spec.faults.partition:
-            heal = self.spec.faults.heal_at
-            if heal is None:
-                return []  # never heals: no epoch can commit everywhere
-            barriers.append(heal)
-        if self.spec.chaos is not None:
-            start, heal = self.spec.chaos.partition_window()
-            if start is not None:
-                if heal is None:
-                    # A chaos partition that never heals is the watchdog's
-                    # stall case: keep every epoch required so done() stays
-                    # unsatisfiable and the stall is classified, not hidden
-                    # behind a vacuous completion.
-                    return list(epochs)
-                barriers.append(heal)
-        if not barriers:
+        start, heal = self.timeline.partition_window()
+        if start is None:
             return list(epochs)
-        floor = max(barriers)
-        return [e for e in epochs if self.spec.workload.start_time(e) >= floor]
+        if heal is None:
+            # No epoch commits everywhere.  A chaos plan keeps them all
+            # required, so the watchdog classifies the stall rather than
+            # a vacuous done() hiding it; a flat plan is rejected.
+            return list(epochs) if self.spec.chaos is not None else []
+        return [e for e in epochs if self.spec.workload.start_time(e) >= heal]
 
     def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
         ctx.party(nid).propose_batch(epoch, _payload(self.spec, nid, epoch))
@@ -720,69 +711,29 @@ class _LiveSchedule:
 
 
 def _arm(spec, driver, ctx: RunContext, metrics, *, restart_timers: bool = True):
-    """Arm the spec's whole fault plan on one backend instance.
+    """Arm the spec's whole fault plan on one backend instance: install
+    one :class:`~repro.chaos.orchestrator.ChaosOrchestrator`, the plan's
+    one interpreter, over the driver's compiled timeline, and return it.
 
-    The one place a plan is translated from real-party to node-id terms
-    and installed: initial crashes, the static partition and link delays,
-    the adversary's network faults, ``heal_at``, the crash-restart timers
-    and the chaos timeline (returned as its orchestrator, ``None``
-    without a chaos plan).  A proc worker arms the *full* plan too --
-    every worker's controller must agree, and only the (src, dst == its
-    node) decisions ever fire there, so per-worker drop and delay counts
-    sum to the single-process totals -- while party-level effects reach
-    only the party its context hosts.  It passes ``restart_timers=False``:
-    its crash-restart plan is real process death, driven by the parent.
+    A proc worker arms the *full* plan too -- every worker's controller
+    must agree, and only the (src, dst == its node) decisions ever fire
+    there, so per-worker drop and delay counts sum to the single-process
+    totals -- while party-level effects reach only the party its context
+    hosts.  It passes ``restart_timers=False``, compiling the flat
+    crash-restart plan out: that is real process death, the parent's job.
     """
-    faults = ctx.faults
-    for pid in spec.faults.crashes:
-        for nid in driver.map_pid(pid):
-            ctx.crash(nid)
-    if spec.faults.partition:
-        faults.partition(
-            *(
-                [nid for pid in group for nid in driver.map_pid(pid)]
-                for group in spec.faults.partition
-            )
-        )
-    for src, dst, delay in spec.faults.link_delays:
-        for s in driver.map_pid(src):
-            for d in driver.map_pid(dst):
-                faults.delay_link(s, d, delay)
-    if driver.adversary is not None:
-        driver.adversary.install_network_faults(faults, driver.map_pid)
-    if spec.faults.heal_at is not None:
-        ctx.at(spec.faults.heal_at, faults.heal)
-    if restart_timers:
-        for pid, crash_at, restart_at in spec.faults.restarts:
-            for nid in driver.map_pid(pid):
-
-                def rejoin(nid: int = nid) -> None:
-                    ctx.restart(nid)
-                    driver.restart_node(ctx, nid)
-
-                ctx.at(crash_at, lambda nid=nid: ctx.crash(nid))
-                ctx.at(restart_at, rejoin)
-    if spec.chaos is None:
-        return None
-    from ..chaos.orchestrator import ChaosOrchestrator
-
-    orchestrator = ChaosOrchestrator(spec, driver)
+    timeline = None if restart_timers else compile_timeline(spec, restarts=False)
+    orchestrator = ChaosOrchestrator(spec, driver, timeline)
     orchestrator.install(ctx, metrics=metrics)
     return orchestrator
 
 
-def _chaos_horizon(spec) -> float:
+def _chaos_horizon(spec, timeline) -> float:
     """Latest scenario time at which anything is *scheduled* to fire
-    (epoch starts, heal, restarts, chaos stages): before it, quiet is
+    (epoch starts and the fault timeline's stages): before it, quiet is
     just waiting; after it, quiet without completion is a stall."""
-    times = [spec.workload.start_time(e) for e in range(spec.workload.epochs)]
-    if spec.faults.heal_at is not None:
-        times.append(spec.faults.heal_at)
-    for _pid, _crash_at, restart_at in spec.faults.restarts:
-        times.append(restart_at)
-    if spec.chaos is not None:
-        times.append(spec.chaos.latest_time())
-    return max(times + [0.0])
+    starts = [spec.workload.start_time(e) for e in range(spec.workload.epochs)]
+    return max(starts + [timeline.latest_time()])
 
 
 class _StopRule:
@@ -803,7 +754,7 @@ class _StopRule:
     """
 
     def __init__(self, spec, driver) -> None:
-        self.horizon = _chaos_horizon(spec)
+        self.horizon = _chaos_horizon(spec, driver.timeline)
         #: seconds of sustained quiet that end an undone run (None: never)
         self.patience: Optional[float] = None
         if not driver.expect_liveness:
@@ -857,14 +808,12 @@ def _assemble(
 
 def _chaos_section(spec, driver, completed: bool, section: dict, **postmortem) -> dict:
     """Close a run's ``chaos`` record section with the watchdog verdict
-    (:func:`~repro.chaos.orchestrator.watchdog_section`) -- unless
+    (:func:`watchdog_section`) -- unless
     ``ChaosSpec.watchdog`` turned it off, on every backend alike.  The
     run already ended by the stop rule, so "not completed" is the stall;
     ``postmortem`` (``faults``, ``orchestrator``) feeds the bundle of a
     stalled run."""
     if spec.chaos.watchdog:
-        from ..chaos.orchestrator import watchdog_section
-
         section["watchdog"] = watchdog_section(
             expect_liveness=driver.expect_liveness, completed=completed, **postmortem
         )
@@ -877,7 +826,7 @@ def _finish(
     """Read the finished single-process run into its record."""
     completed = driver.done(ctx)
     chaos = None
-    if orchestrator is not None:
+    if spec.chaos is not None:
         chaos = _chaos_section(
             spec, driver, completed, orchestrator.summary(),
             faults=ctx.faults, orchestrator=orchestrator,

@@ -118,9 +118,12 @@ class ByzantineSpec:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """The fault plan, in scenario time (sim: virtual seconds; runtime:
-    wall seconds -- both regimes use sub-second horizons).
+    """The flat fault plan, in scenario time (sim: virtual seconds;
+    runtime: wall seconds -- both regimes use sub-second horizons).
 
+    Sugar for chaos stages: :func:`~repro.chaos.schedule.compile_timeline`
+    compiles every field but ``byzantine`` into the run's one timeline,
+    which :class:`~repro.chaos.orchestrator.ChaosOrchestrator` fires.
     ``crashes`` fire at t=0.  ``partition`` (a tuple of pid groups) is
     active from t=0 until ``heal_at`` (``None`` = never heals).
     ``link_delays`` adds fixed latency to directed links for the whole

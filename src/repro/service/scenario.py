@@ -18,6 +18,9 @@ scenarios.
 
 from __future__ import annotations
 
+import json
+
+from ..chaos.schedule import compile_timeline
 from ..scenarios.spec import ScenarioSpec
 from .backends import InprocServiceBackend, SimServiceBackend
 from .epoch import DriftSchedule, EpochManager
@@ -72,19 +75,15 @@ def run_service_spec(
             "inside one transport object, and the TCP mesh has no "
             "cross-process rebind"
         )
-    if spec.faults.crashes:
+    timeline = compile_timeline(spec)
+    armed = [json.dumps(stage.to_dict(), sort_keys=True) for stage in timeline.stages]
+    armed += [f"link delay {list(delay)}" for delay in timeline.link_delays]
+    if timeline.weather is not None:
+        armed.append(f"weather {timeline.weather.to_dict()}")
+    if armed:
         raise ValueError(
-            "service workloads cannot run a crash plan: a slot commits when "
-            "every replica has (_SlotState.complete), so one crash stalls it"
-        )
-    if spec.faults.partition or spec.faults.link_delays:
-        raise ValueError(
-            "service workloads take byzantine fault-plan entries only (yet)"
-        )
-    if spec.chaos is not None:
-        raise ValueError(
-            "chaos plans run on batch workloads; service workloads have "
-            "their own rotation-driven fault hooks"
+            "service workloads arm no fault timeline (byzantine fault-plan "
+            f"entries only), got {armed[0]}"
         )
     if spec.param("quorums", "weighted") != "weighted":
         raise ValueError("service workloads vote with weighted quorums only")

@@ -128,7 +128,7 @@ class TestCommittee:
         committee = Committee.from_weights(STAKE)
         quorums = committee.quorums("1/3")
         world = build_world(
-            lambda pid: BroadcastParty(pid, quorums), committee=committee
+            lambda pid: BroadcastParty(pid, quorums, 0), committee=committee
         )
         assert len(world.parties) == committee.n
         assert world.committee is committee
@@ -136,7 +136,7 @@ class TestCommittee:
         world.run()
         assert all(p.delivered == b"hi" for p in world.parties)
         with pytest.raises(ValueError, match="needs n or a committee"):
-            build_world(lambda pid: BroadcastParty(pid, quorums))
+            build_world(lambda pid: BroadcastParty(pid, quorums, 0))
 
     def test_committee_sizes_live_cluster(self):
         # run_cluster likewise: no explicit n, the committee decides.
@@ -146,7 +146,7 @@ class TestCommittee:
         committee = Committee.from_weights(STAKE)
         quorums = committee.quorums("1/3")
         cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, quorums),
+            lambda pid: BroadcastParty(pid, quorums, 0),
             setup=lambda c: c.party(0).broadcast_value(b"hi"),
             stop_when=lambda c: all(p.delivered == b"hi" for p in c.parties),
             committee=committee,
@@ -154,7 +154,7 @@ class TestCommittee:
         assert cluster.n == committee.n
         assert cluster.committee is committee
         with pytest.raises(ValueError, match="needs n or a committee"):
-            run_cluster(lambda pid: BroadcastParty(pid, quorums))
+            run_cluster(lambda pid: BroadcastParty(pid, quorums, 0))
 
     def test_analysis_layers_accept_committee(self):
         from fractions import Fraction as F

@@ -100,7 +100,7 @@ class TestInProcTransport:
         sim_faults = FaultController()
         sim_faults.partition(*groups)
         net = Network(sim, UniformDelay(), seed=0, faults=sim_faults)
-        sim_parties = [BroadcastParty(i, quorums) for i in range(4)]
+        sim_parties = [BroadcastParty(i, quorums, 0) for i in range(4)]
         for p in sim_parties:
             net.register(p)
         sim_parties[0].broadcast_value(b"split")
@@ -113,7 +113,7 @@ class TestInProcTransport:
             cluster.party(0).broadcast_value(b"split")
 
         run_cluster(
-            lambda pid: BroadcastParty(pid, quorums),
+            lambda pid: BroadcastParty(pid, quorums, 0),
             4,
             faults=live_faults,
             setup=setup,

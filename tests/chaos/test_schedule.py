@@ -1,10 +1,12 @@
-"""Chaos schedules: the pure-data timeline specs and their liveness claims."""
+"""Chaos schedules: the pure-data timeline specs, their liveness claims,
+and the compiler that turns a flat fault plan into stages."""
 
 import pytest
 
-from repro.chaos.schedule import ChaosSpec, ChaosStage, TriggerSpec
+from repro.chaos.schedule import ChaosSpec, ChaosStage, TriggerSpec, compile_timeline
 from repro.chaos.weather import WeatherSpec
-from repro.scenarios.spec import ScenarioSpec, WeightSpec
+from repro.scenarios import get_scenario
+from repro.scenarios.spec import FaultSpec, ScenarioSpec, WeightSpec
 
 
 def _plan(*stages, **kwargs):
@@ -121,3 +123,89 @@ class TestScenarioSpecEmbedding:
         encoded = self._spec().to_dict()
         assert "chaos" not in encoded
         assert ScenarioSpec.from_dict(encoded).chaos is None
+
+
+def _flat_spec(faults=FaultSpec(), chaos=None):
+    return ScenarioSpec(
+        name="flat",
+        protocol="smr",
+        weights=WeightSpec(kind="explicit", values=(5,) * 8),
+        faults=faults,
+        chaos=chaos,
+    )
+
+
+def _steps(stages):
+    return [(s.action, s.trigger.kind, s.trigger.value, dict(s.params)) for s in stages]
+
+
+class TestCompileTimeline:
+    FAULTS = FaultSpec(
+        crashes=(7, 6),
+        partition=((0, 1, 2), (3, 4, 5)),
+        heal_at=0.25,
+        link_delays=((0, 5, 0.12), (5, 0, 0.1)),
+        restarts=((4, 0.1, 0.8), (2, 0.3, 0.5)),
+    )
+
+    def test_each_flat_field_compiles_to_its_stages_in_arming_order(self):
+        timeline = compile_timeline(_flat_spec(self.FAULTS))
+        assert _steps(timeline.stages) == [
+            ("crash", "time", 0.0, {"pids": (7, 6)}),
+            ("partition", "time", 0.0, {"groups": ((0, 1, 2), (3, 4, 5))}),
+            ("heal", "time", 0.25, {}),
+            ("crash", "time", 0.1, {"pids": (4,)}),
+            ("restart", "time", 0.8, {"pids": (4,)}),
+            ("crash", "time", 0.3, {"pids": (2,)}),
+            ("restart", "time", 0.5, {"pids": (2,)}),
+        ]
+        assert timeline.flat == len(timeline.stages)
+        # link delays are ambient state, not a stage
+        assert timeline.link_delays == ((0, 5, 0.12), (5, 0, 0.1))
+        assert timeline.weather is None
+
+    def test_a_proc_worker_compiles_the_restarts_out(self):
+        timeline = compile_timeline(_flat_spec(self.FAULTS), restarts=False)
+        assert [s.action for s in timeline.stages] == ["crash", "partition", "heal"]
+        assert timeline.flat == 3
+
+    def test_flat_stages_come_before_the_chaos_plan(self):
+        chaos = _plan(
+            _partition(0.1), _heal(0.4), weather=WeatherSpec(duplicate=0.1)
+        )
+        timeline = compile_timeline(
+            _flat_spec(FaultSpec(crashes=(7,), heal_at=0.2), chaos)
+        )
+        assert timeline.flat == 2
+        assert [s.action for s in timeline.stages[:2]] == ["crash", "heal"]
+        assert timeline.stages[2:] == chaos.stages
+        assert timeline.weather == chaos.weather
+
+    def test_an_empty_plan_compiles_to_nothing(self):
+        timeline = compile_timeline(_flat_spec())
+        assert timeline.stages == () and timeline.flat == 0
+        assert timeline.link_delays == () and timeline.weather is None
+        assert timeline.latest_time() == 0.0
+        assert timeline.partition_window() == (None, None)
+
+    def test_pids_reads_one_action_over_a_stage_range(self):
+        timeline = compile_timeline(_flat_spec(self.FAULTS))
+        assert timeline.pids("crash") == {7, 6, 4, 2}
+        assert timeline.pids("restart") == {4, 2}
+        assert timeline.pids("restart", timeline.stages[:3]) == frozenset()
+
+    @pytest.mark.parametrize(
+        "name", ["partition-heal-smr", "crash-restart-mixed-smr", "link-delay-rbc"]
+    )
+    def test_latest_time_is_the_flat_plans_last_scheduled_fault(self, name):
+        faults = get_scenario(name).faults
+        scheduled = [faults.heal_at] if faults.heal_at is not None else []
+        scheduled += [restart_at for _, _, restart_at in faults.restarts]
+        timeline = compile_timeline(get_scenario(name))
+        assert timeline.latest_time() == max(scheduled + [0.0])
+
+    def test_a_flat_partition_has_the_chaos_partitions_window(self):
+        timeline = compile_timeline(get_scenario("partition-heal-smr"))
+        assert timeline.partition_window() == (0.0, 0.15)
+        unhealed = FaultSpec(partition=((0, 1), (2, 3)))
+        assert compile_timeline(_flat_spec(unhealed)).partition_window() == (0.0, None)

@@ -26,17 +26,25 @@ POLICIES = [
 ]
 
 A, B = b"payload-a", b"payload-b"
+#: the party whose broadcast every instance here is
+ORIGIN = 0
 NOTHING = (False, False)
 READY = (True, False)
 DELIVER = (False, True)
 
-#: name -> steps; a step is ``("send", expected)`` or
+#: name -> steps; a step is ``("send", sender, expected)`` or
 #: ``("echo" | "ready", payload, sender, expected)``
 CASES = {
     "only the first SEND echoes": [
-        ("send", True),
-        ("send", False),
-        ("send", False),
+        ("send", ORIGIN, True),
+        ("send", ORIGIN, False),
+        ("send", ORIGIN, False),
+    ],
+    "only the origin's SEND echoes": [
+        ("send", 3, False),
+        ("send", 1, False),
+        ("send", ORIGIN, True),
+        ("send", 3, False),
     ],
     "READY by echo quorum, once": [
         ("echo", A, 3, False),
@@ -92,7 +100,7 @@ CASES = {
 def play(instance, quorums, steps):
     for number, step in enumerate(steps):
         if step[0] == "send":
-            got, expected = instance.on_send(), step[1]
+            got, expected = instance.on_send(step[1]), step[2]
         else:
             rule, payload, sender, expected = step
             got = getattr(instance, f"on_{rule}")(quorums, payload, sender)
@@ -102,14 +110,14 @@ def play(instance, quorums, steps):
 @pytest.mark.parametrize("quorums", POLICIES)
 @pytest.mark.parametrize("name", CASES)
 def test_rule_table(name, quorums):
-    play(BrachaInstance(), quorums, CASES[name])
+    play(BrachaInstance(ORIGIN), quorums, CASES[name])
 
 
 def test_one_heavy_vote_both_amplifies_and_delivers():
     # weights 2 then 3 of 7: the second READY crosses 7/3 and 14/3 at once
     # (never so under n = 3t + 1 counting, where t + 1 < n - t)
     steps = [("ready", A, 1, NOTHING), ("ready", A, 0, (True, True))]
-    play(BrachaInstance(), WeightedQuorums((3, 2, 1, 1), "1/3"), steps)
+    play(BrachaInstance(ORIGIN), WeightedQuorums((3, 2, 1, 1), "1/3"), steps)
 
 
 class ConsultedAfterDecision(QuorumPolicy):
@@ -127,12 +135,12 @@ class ConsultedAfterDecision(QuorumPolicy):
 class TestDelivery:
     @staticmethod
     def delivered_with_a_loser_in_flight(quorums):
-        instance = BrachaInstance()
+        instance = BrachaInstance(ORIGIN)
         play(
             instance,
             quorums,
             [
-                ("send", True),
+                ("send", ORIGIN, True),
                 ("echo", B, 2, False),
                 ("ready", B, 2, NOTHING),
                 ("echo", A, 3, False),
@@ -156,7 +164,7 @@ class TestDelivery:
             for sender in range(4):
                 assert instance.on_echo(late, payload, sender) is False
                 assert instance.on_ready(late, payload, sender) == NOTHING
-        assert instance.on_send() is False
+        assert instance.on_send(ORIGIN) is False
         assert instance.echo_senders is None and instance.ready_senders is None
 
 
@@ -164,9 +172,9 @@ def test_an_undecided_instance_does_ask_the_policy():
     # ... so the late-vote test above is not vacuous: a first ECHO and a
     # first READY read the policy's vote weights and thresholds
     with pytest.raises(AssertionError, match="consulted after delivery"):
-        BrachaInstance().on_echo(ConsultedAfterDecision(), A, 0)
+        BrachaInstance(ORIGIN).on_echo(ConsultedAfterDecision(), A, 0)
     with pytest.raises(AssertionError, match="consulted after delivery"):
-        BrachaInstance().on_ready(ConsultedAfterDecision(), A, 0)
+        BrachaInstance(ORIGIN).on_ready(ConsultedAfterDecision(), A, 0)
 
 
 def test_the_ready_rules_are_written_in_one_module():

@@ -3,18 +3,19 @@
 import pytest
 
 from repro.adversary.byzantine import make_equivocator, make_silent
-from repro.protocols.reliable_broadcast import BroadcastParty
+from repro.protocols.reliable_broadcast import BroadcastParty, RbcSend
 from repro.sim import TargetedDelay, UniformDelay, build_world
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 
 WEIGHTS = [40, 25, 15, 10, 5, 3, 1, 1]
 
 
-def party_factory(quorums, silent=()):
-    """Honest ``BroadcastParty``s, those in ``silent`` patched mute."""
+def party_factory(quorums, sender, silent=()):
+    """Honest ``BroadcastParty``s of ``sender``'s broadcast, those in
+    ``silent`` patched mute."""
 
     def factory(pid):
-        party = BroadcastParty(pid, quorums)
+        party = BroadcastParty(pid, quorums, sender)
         if pid in silent:
             make_silent(party)
         return party
@@ -28,10 +29,10 @@ def honest_parties(world, corrupt=()):
 
 def run_nominal(n=7, t=2, corrupt=(), sender=None, seed=0, delay=None):
     quorums = NominalQuorums(n=n, t=t)
-    world = build_world(
-        party_factory(quorums, corrupt), n, seed=seed, delay_model=delay
-    )
     src = sender if sender is not None else n - 1
+    world = build_world(
+        party_factory(quorums, src, corrupt), n, seed=seed, delay_model=delay
+    )
     world.party(src).broadcast_value(b"payload")
     world.run()
     return world
@@ -65,7 +66,7 @@ class TestNominalBroadcast:
     def test_agreement_under_equivocation(self):
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(party_factory(quorums), n, seed=3)
+        world = build_world(party_factory(quorums, 0), n, seed=3)
         # b"A" to the first half of the parties, a second payload to the rest
         make_equivocator(world.party(0), (range(n // 2), range(n // 2, n)))
         world.party(0).broadcast_value(b"A")
@@ -90,7 +91,7 @@ class TestNominalBroadcast:
 class TestWeightedBroadcast:
     def test_all_deliver(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = build_world(lambda pid: BroadcastParty(pid, quorums), 8, seed=1)
+        world = build_world(party_factory(quorums, 0), 8, seed=1)
         world.party(0).broadcast_value(b"w")
         world.run()
         assert all(p.delivered == b"w" for p in world.parties)
@@ -100,8 +101,8 @@ class TestWeightedBroadcast:
 
         corrupt = heaviest_under(WEIGHTS, "1/3")
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = build_world(party_factory(quorums, corrupt), 8, seed=2)
         sender = next(p for p in range(8) if p not in corrupt)
+        world = build_world(party_factory(quorums, sender, corrupt), 8, seed=2)
         world.party(sender).broadcast_value(b"w")
         world.run()
         honest = honest_parties(world, corrupt)
@@ -114,10 +115,29 @@ class TestWeightedBroadcast:
         nominal = NominalQuorums(n=n, t=1)
         weighted = WeightedQuorums([1] * n, "1/3")
         for quorums in (nominal, weighted):
-            world = build_world(lambda pid: BroadcastParty(pid, quorums), n, seed=5)
+            world = build_world(party_factory(quorums, 0), n, seed=5)
             world.party(0).broadcast_value(b"x")
             world.run()
             assert all(p.delivered == b"x" for p in world.parties)
+
+
+class TestOneOrigin:
+    """A broadcast has one origin: a SEND from anyone else is not echoed,
+    so a party far inside the budget cannot start the designated
+    sender's broadcast with its own value (Bracha validity)."""
+
+    def test_a_forged_send_cannot_hijack_the_broadcast(self):
+        weights = (30, 25, 20, 10, 5, 5, 3, 2)
+        quorums = WeightedQuorums(weights, "1/3")
+        hijacked = []
+        for seed in range(20):
+            world = build_world(party_factory(quorums, 0), len(weights), seed=seed)
+            world.party(7).broadcast(RbcSend(b"forged"))  # 2 % of the weight
+            world.party(0).broadcast_value(b"honest")
+            world.run()
+            if any(world.party(pid).delivered != b"honest" for pid in range(7)):
+                hijacked.append(seed)
+        assert hijacked == []
 
 
 class TestDecidedInstanceIsForgotten:
@@ -127,7 +147,7 @@ class TestDecidedInstanceIsForgotten:
 
     def test_a_finished_run_leaves_nothing_behind(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = build_world(party_factory(quorums), 8, seed=7)
+        world = build_world(party_factory(quorums, 0), 8, seed=7)
         world.party(0).broadcast_value(b"w")
         world.run()
         for party in world.parties:

@@ -64,7 +64,7 @@ class TestCrashInjection:
             cluster.party(sender).broadcast_value(b"survive")
 
         cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, QUORUMS),
+            lambda pid: BroadcastParty(pid, QUORUMS, sender),
             N,
             faults=faults,
             setup=setup,
@@ -103,7 +103,7 @@ class TestPartitionInjection:
         async def drive():
             faults = FaultController()
             async with Cluster(
-                lambda pid: BroadcastParty(pid, QUORUMS), N, faults=faults
+                lambda pid: BroadcastParty(pid, QUORUMS, 0), N, faults=faults
             ) as cluster:
                 # Split so that no side holds an echo quorum of the weight.
                 faults.partition({0, 6}, {1, 2, 3, 4, 5})
@@ -139,7 +139,7 @@ class TestDeliveryFailures:
         # leak in_flight into a permanent non-quiescent state).
         async def drive():
             async with Cluster(
-                lambda pid: BroadcastParty(pid, QUORUMS), N
+                lambda pid: BroadcastParty(pid, QUORUMS, 0), N
             ) as cluster:
                 transport = cluster.transport
                 transport.in_flight += 1  # as if a peer had sent the frame
@@ -174,7 +174,7 @@ class TestDelayInjection:
 
         async def drive():
             async with Cluster(
-                lambda pid: BroadcastParty(pid, QUORUMS), N, faults=faults
+                lambda pid: BroadcastParty(pid, QUORUMS, 0), N, faults=faults
             ) as cluster:
                 cluster.party(0).broadcast_value(b"patience")
                 await cluster.settle(idle_for=0.01)
@@ -188,7 +188,7 @@ class TestDelayInjection:
         faults.delay_link(0, 3, 0.02)
 
         cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, QUORUMS),
+            lambda pid: BroadcastParty(pid, QUORUMS, 0),
             N,
             faults=faults,
             setup=lambda c: c.party(0).broadcast_value(b"slow"),

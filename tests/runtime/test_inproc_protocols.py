@@ -25,7 +25,7 @@ _coin = deterministic_coin("eq")
 
 
 def _sim_rbc(quorums):
-    world = build_world(lambda pid: BroadcastParty(pid, quorums), N, seed=7)
+    world = build_world(lambda pid: BroadcastParty(pid, quorums, 0), N, seed=7)
     world.party(0).broadcast_value(PAYLOAD)
     world.run()
     return world
@@ -33,7 +33,7 @@ def _sim_rbc(quorums):
 
 def _runtime_rbc(quorums):
     return run_cluster(
-        lambda pid: BroadcastParty(pid, quorums),
+        lambda pid: BroadcastParty(pid, quorums, 0),
         N,
         transport="inproc",
         setup=lambda c: c.party(0).broadcast_value(PAYLOAD),
@@ -131,7 +131,7 @@ class TestClusterApi:
 
         async def drive():
             async with Cluster(
-                lambda pid: BroadcastParty(pid, quorums), N
+                lambda pid: BroadcastParty(pid, quorums, 0), N
             ) as cluster:
                 cluster.party(0).broadcast_value(b"ctx")
                 await cluster.run_until(
@@ -148,7 +148,7 @@ class TestClusterApi:
 
         async def drive():
             async with Cluster(
-                lambda pid: BroadcastParty(pid, quorums), N
+                lambda pid: BroadcastParty(pid, quorums, 0), N
             ) as cluster:
                 cluster.party(0).broadcast_value(b"quiesce")
                 await cluster.settle()
@@ -161,7 +161,7 @@ class TestClusterApi:
 
         async def drive():
             async with Cluster(
-                lambda pid: BroadcastParty(pid, quorums), N
+                lambda pid: BroadcastParty(pid, quorums, 0), N
             ) as cluster:
                 try:
                     await cluster.run_until(lambda: False, timeout=0.05)
@@ -187,7 +187,7 @@ class TestClusterApi:
 
         async def drive():
             async with Cluster(
-                lambda pid: BroadcastParty(pid, quorums), N
+                lambda pid: BroadcastParty(pid, quorums, 0), N
             ) as cluster:
                 cluster.party(0).broadcast(Unregistered(b"boom"))
                 await cluster.run_until(lambda: False, timeout=5.0)
@@ -202,7 +202,7 @@ class TestClusterApi:
     def test_unknown_transport_rejected(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
         try:
-            Cluster(lambda pid: BroadcastParty(pid, quorums), N, transport="carrier-pigeon")
+            Cluster(lambda pid: BroadcastParty(pid, quorums, 0), N, transport="carrier-pigeon")
         except ValueError as exc:
             assert "unknown transport" in str(exc)
         else:

@@ -31,7 +31,7 @@ class TestTcpSmoke:
     def test_rbc_over_tcp_n4(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
         cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, quorums),
+            lambda pid: BroadcastParty(pid, quorums, 0),
             N,
             transport="tcp",
             setup=lambda c: c.party(0).broadcast_value(b"over-the-wire"),
@@ -69,7 +69,7 @@ class TestTcpSmoke:
         quorums = WeightedQuorums(WEIGHTS, "1/3")
 
         def factory(pid):
-            return BroadcastParty(pid, quorums)
+            return BroadcastParty(pid, quorums, 1)
 
         results = {}
         for transport in ("inproc", "tcp"):
@@ -106,7 +106,7 @@ class TestTcpSmoke:
 
 def factory_quorums(quorums):
     def factory(pid):
-        return BroadcastParty(pid, quorums)
+        return BroadcastParty(pid, quorums, 0)
 
     return factory
 

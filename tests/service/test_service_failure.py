@@ -9,12 +9,13 @@ inside ``max_time`` reports so and returns, and a spec the service cannot
 run is rejected with the reason.
 """
 
+import json
 import time
 from dataclasses import replace
 
 import pytest
 
-from repro.chaos import ChaosSpec, ChaosStage, TriggerSpec
+from repro.chaos import ChaosSpec, ChaosStage, TriggerSpec, WeatherSpec
 from repro.protocols.smr import SmrParty
 from repro.scenarios import get_scenario, run_scenario
 from repro.service import (
@@ -103,20 +104,35 @@ class TestWhatAServiceWorkloadCannotRun:
     """The rejections say why, in protocol terms."""
 
     @pytest.mark.parametrize(
-        "backend, faults, reason",
+        "backend, reason",
         [
-            ("tcp", {}, "rebinds node ids 0..n-1 inside one transport object"),
-            ("proc", {}, "no cross-process rebind"),
-            ("sim", {"crashes": (1,)}, r"every replica has \(_SlotState.complete\)"),
-            ("inproc", {"crashes": (1,)}, "one crash stalls it"),
-            ("sim", {"partition": ((0, 1), (2, 3))}, "byzantine fault-plan entries only"),
+            ("tcp", "rebinds node ids 0..n-1 inside one transport object"),
+            ("proc", "no cross-process rebind"),
         ],
     )
-    def test_rejection_names_the_reason(self, backend, faults, reason):
+    def test_rejection_names_the_reason(self, backend, reason):
+        with pytest.raises(ValueError, match=reason):
+            run_scenario(get_scenario("epoch-service"), backend=backend)
+
+    @pytest.mark.parametrize(
+        "backend, faults, entry",
+        [
+            ("sim", {"crashes": (1,)}, '"action": "crash"'),
+            ("inproc", {"crashes": (1,)}, '"pids": [1]'),
+            ("sim", {"partition": ((0, 1), (2, 3))}, '"groups": [[0, 1], [2, 3]]'),
+            ("sim", {"heal_at": 0.2}, '"action": "heal"'),
+            ("sim", {"link_delays": ((0, 1, 0.05),)}, "link delay [0, 1, 0.05]"),
+            # a crash-restart plan used to run fault-free without a word
+            ("sim", {"restarts": ((1, 0.1, 0.5),)}, '"value": 0.1'),
+            ("inproc", {"restarts": ((1, 0.1, 0.5),)}, '"action": "crash"'),
+        ],
+    )
+    def test_a_fault_timeline_is_rejected_naming_its_entry(self, backend, faults, entry):
         spec = get_scenario("epoch-service")
         spec = replace(spec, faults=replace(spec.faults, **faults))
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(ValueError, match="service workloads arm no fault timeline") as err:
             run_scenario(spec, backend=backend)
+        assert entry in str(err.value), str(err.value)
 
     @pytest.mark.parametrize("backend", ["sim", "inproc"])
     def test_chaos_plan_rejected(self, backend):
@@ -126,5 +142,23 @@ class TestWhatAServiceWorkloadCannotRun:
             params=(("groups", ((0, 1, 2), (3, 4, 5))),),
         )
         spec = replace(get_scenario("epoch-service"), chaos=ChaosSpec(stages=(unhealed,)))
-        with pytest.raises(ValueError, match="chaos plans run on batch workloads"):
+        with pytest.raises(ValueError, match='no fault timeline.*"action": "partition"'):
             run_scenario(spec, backend=backend)
+
+    def test_chaos_weather_rejected(self):
+        weather = ChaosSpec(weather=WeatherSpec(duplicate=0.1))
+        spec = replace(get_scenario("epoch-service"), chaos=weather)
+        with pytest.raises(ValueError, match="no fault timeline.*weather"):
+            run_scenario(spec, backend="sim")
+
+    def test_the_cli_exits_2_on_a_restart_plan(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.scenarios import SCENARIOS
+
+        spec = get_scenario("epoch-service")
+        restarted = replace(spec, faults=replace(spec.faults, restarts=((1, 0.1, 0.5),)))
+        monkeypatch.setitem(SCENARIOS, "epoch-service", restarted)
+        assert main(["scenario", "epoch-service", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no fault timeline" in json.loads(captured.err)["error"]

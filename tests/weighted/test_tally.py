@@ -140,7 +140,7 @@ def test_an_instance_answers_what_the_set_rules_answer(quorums, data):
     )
     # every vote at least once more, somewhere later: duplicates abound
     votes += data.draw(st.permutations(votes))
-    instance, reference = BrachaInstance(), SetRules()
+    instance, reference = BrachaInstance(0), SetRules()
     for step, (rule, payload, sender) in enumerate(votes):
         got = getattr(instance, f"on_{rule}")(quorums, payload, sender)
         expected = getattr(reference, f"on_{rule}")(quorums, payload, sender)
@@ -154,14 +154,14 @@ def test_an_instance_answers_what_the_set_rules_answer(quorums, data):
 def test_every_policy_readies_and_delivers_on_everyone(quorums):
     # ... so the replay above reaches both decisions
     parties = range(len(quorums.vote_weights))
-    instance = BrachaInstance()
+    instance = BrachaInstance(0)
     assert any(instance.on_echo(quorums, b"a", pid) for pid in parties)
     assert any(instance.on_ready(quorums, b"a", pid)[1] for pid in parties)
 
 
 def test_a_repeated_vote_adds_nothing():
     quorums = WeightedQuorums((3, 2, 1, 1), "1/3")
-    instance = BrachaInstance()
+    instance = BrachaInstance(0)
     for _ in range(5):
         instance.on_ready(quorums, b"a", 1)
     tally = instance.ready_senders[b"a"]

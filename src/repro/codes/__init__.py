@@ -1,13 +1,12 @@
-"""Erasure / error-correcting codes: GF(2^w) arithmetic with a
-vectorized block kernel and Reed-Solomon encoding with erasure (Lagrange)
-and error (Gao) decoding -- per-symbol reference path plus the
-block-striped engine (paper, Section 5)."""
+"""Erasure / error-correcting codes: GF(2^w) arithmetic with a bit-plane
+block kernel, and Reed-Solomon coding of byte payloads as bit-plane
+blocks with erasure (Lagrange) and error (Gao) decoding (paper,
+Section 5)."""
 
-from .gf2m import GF256, GF65536, GF2m, xor_blocks
+from .gf2m import GF256, GF65536, GF2m
 from .reed_solomon import (
     BlockFragment,
     DecodingFailure,
-    Fragment,
     ReedSolomon,
     min_message_symbols,
 )
@@ -16,9 +15,7 @@ __all__ = [
     "GF2m",
     "GF256",
     "GF65536",
-    "xor_blocks",
     "ReedSolomon",
-    "Fragment",
     "BlockFragment",
     "DecodingFailure",
     "min_message_symbols",

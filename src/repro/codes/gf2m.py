@@ -1,53 +1,35 @@
 """Binary extension fields ``GF(2^w)`` with log/antilog tables and a
-vectorized *block kernel*.
+bit-plane *block kernel*.
 
 Reed-Solomon coding (paper, Section 5) works over a finite field whose
 size bounds the number of fragments: the weighted protocols need up to
 ``T`` fragments where ``T`` can exceed 255, so both ``GF(2^8)`` (classic,
 fast) and ``GF(2^16)`` (up to 65535 fragments) are provided.
 
-Two performance layers live here:
+Two layers live here:
 
 * **scalar** arithmetic via exp/log tables, built *lazily* on first use
   (``GF65536`` alone needs ~196k table entries; importing the package
   must not pay for them);
-* **block** arithmetic: multiplying every symbol of a byte block by one
-  field scalar runs as a handful of C-level primitives (``translate``
-  against a per-scalar 256-byte row, strided slicing) instead of one
-  Python call per symbol.  ``GF(2^16)`` symbols split into high/low byte
-  planes, each handled by its own translation row -- ``s*(h*z^8 + l) ==
-  (s*z^8)*h + s*l`` -- so the same ``translate`` trick covers the 16-bit
-  field; its half-planes are added with :func:`xor_blocks` (big-int
-  XOR).  Adding whole blocks -- the accumulate of a Horner step or a
-  linear combination -- is not done here: :mod:`~repro.codes.reed_solomon`
-  XORs in place through ``numpy`` views, because at fragment size a
-  big-int round trip costs three times the table pass it follows.
+* **block** arithmetic on *bit planes*.  A block of ``B`` bytes is ``w``
+  planes of ``B / w`` bytes, and bit ``b`` of symbol ``s`` is bit ``s``
+  of plane ``b`` (byte ``s // 8``, least significant bit first).  In
+  this layout multiplying every symbol by ``alpha`` moves plane ``b`` to
+  plane ``b + 1`` and XORs the old top plane into the planes of the
+  primitive polynomial's low terms, and ``c * X`` is the XOR of the
+  doublings ``X * 2^b`` over the set bits of ``c`` -- so every linear
+  map of blocks is whole-plane ``numpy`` XORs, with no table pass and no
+  per-symbol Python (Blömer et al., "An XOR-Based Erasure-Resilient
+  Coding Scheme", 1995).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["GF2m", "GF256", "GF65536", "xor_blocks"]
+import numpy as np
 
-#: per-scalar translation rows are cached on the field; GF(2^8) tops out
-#: at 256 entries (64 KiB) but GF(2^16) could reach 65535 x ~1 KiB, so
-#: the cache is bounded (coding touches far fewer distinct scalars).
-_ROW_CACHE_MAX = 8192
-
-
-def xor_blocks(a: bytes, b: bytes) -> bytes:
-    """Bytewise XOR of two equal-length blocks at C speed.
-
-    Characteristic-2 block addition: both operands are reinterpreted as
-    one big integer each, XORed, and written back -- three C-level
-    operations regardless of block length.
-    """
-    if len(a) != len(b):
-        raise ValueError("cannot XOR blocks of different lengths")
-    return (
-        int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-    ).to_bytes(len(a), "little")
+__all__ = ["GF2m", "GF256", "GF65536"]
 
 
 class GF2m:
@@ -65,8 +47,9 @@ class GF2m:
         self.width = width
         self.size = 1 << width
         self.primitive_poly = primitive_poly
-        #: scalar -> translation row(s) for the block kernel
-        self._rows: dict = {}
+        #: planes the top plane is XORed into when a block is doubled:
+        #: the primitive polynomial's terms between ``x^0`` and ``x^w``
+        self.taps = tuple(t for t in range(1, width) if primitive_poly >> t & 1)
 
     # -- lazy tables ------------------------------------------------------------
     def __getattr__(self, name: str):
@@ -143,95 +126,125 @@ class GF2m:
         """``alpha^i``: canonical distinct non-zero evaluation points."""
         return self.exp[i % (self.size - 1)]
 
-    # -- block kernel -----------------------------------------------------------
+    # -- bit-plane block kernel ----------------------------------------------------
     @property
     def sym_bytes(self) -> int:
-        """Bytes per symbol in block form (block ops need width 8 or 16)."""
+        """Payload bytes per symbol (block ops need width 8 or 16)."""
         if self.width not in (8, 16):
             raise ValueError("block operations need width 8 or 16")
         return self.width // 8
 
-    def _row8(self, s: int) -> bytes:
-        """256-byte translation row: ``row[v] == s * v`` (width 8)."""
-        row = self._rows.get(s)
-        if row is None:
-            exp, log = self.exp, self.log
-            ls = log[s]
-            row = bytes([0] + [exp[ls + log[v]] for v in range(1, 256)])
-            if len(self._rows) >= _ROW_CACHE_MAX:
-                self._rows.clear()
-            self._rows[s] = row
-        return row
+    def combine(
+        self, rows: Sequence[Sequence[int]], blocks: Sequence
+    ) -> list[np.ndarray]:
+        """The linear map ``outs[o] = XOR_j rows[o][j] * blocks[j]``.
 
-    def _planes16(self, s: int) -> tuple[bytes, bytes, bytes, bytes]:
-        """Four 256-byte rows realizing 16-bit scalar multiplication.
-
-        A symbol ``v = (h << 8) | l`` satisfies ``s*v = (s*z^8)*h ^ s*l``
-        where ``z^8`` is the field element ``0x100``; the two byte-input
-        products each split into high/low output planes:
-        ``(A_hi, A_lo, B_hi, B_lo)`` with ``A[v] = (s*0x100)*v`` and
-        ``B[v] = s*v``.
+        ``blocks`` are equal-length bytes-like plane blocks and are only
+        read; ``outs`` are fresh ``(w, B / w)`` ``uint8`` arrays.  For each block in turn the loop
+        walks its doublings ``D = block * 2^b`` and XORs ``D`` into every
+        output whose coefficient has bit ``b`` set, so one block's worth
+        of scratch is live beyond the outputs.  ``D`` is doubled in place
+        as a ring of planes: plane ``p`` of ``D`` sits at row
+        ``(p + r) % w``, and a doubling steps ``r`` back by one (the old
+        top plane becomes plane 0 where it lies) and XORs it into the tap
+        planes.  An output's first term is copied rather than XORed
+        into zeros, and an output with no term is zeroed.
         """
-        planes = self._rows.get(s)
-        if planes is None:
-            exp, log = self.exp, self.log
-            lb = log[s]
-            la = log[self.mul(s, 0x100)]
-            arow = [0] + [exp[la + log[v]] for v in range(1, 256)]
-            brow = [0] + [exp[lb + log[v]] for v in range(1, 256)]
-            planes = (
-                bytes(e >> 8 for e in arow),
-                bytes(e & 0xFF for e in arow),
-                bytes(e >> 8 for e in brow),
-                bytes(e & 0xFF for e in brow),
+        w, taps = self.width, self.taps
+        plane = memoryview(blocks[0]).nbytes // w
+        outs = [np.empty((w, plane), np.uint8) for _ in rows]
+        # halves[o][r]: output o cut where a ring rotated by r wraps,
+        # built on first use and kept (slicing costs as much as a small XOR)
+        halves: list[list] = [[None] * w for _ in outs]
+        fresh = [True] * len(outs)
+        for j, block in enumerate(blocks):
+            terms = [(row[j], o) for o, row in enumerate(rows) if row[j]]
+            if not terms:
+                continue
+            top_bit = max(c for c, _ in terms).bit_length()
+            # the previous block's doublings go before this one is copied
+            d = ring = np.frombuffer(block, np.uint8).reshape(w, plane)
+            r = 0
+            for b in range(top_bit):
+                tail, head = d[r:], d[:r]
+                for c, o in terms:
+                    if not c >> b & 1:
+                        continue
+                    h = halves[o][r]
+                    if h is None:
+                        h = halves[o][r] = (outs[o][: w - r], outs[o][w - r :])
+                    if fresh[o]:
+                        fresh[o] = False
+                        h[0][...] = tail
+                        if r:
+                            h[1][...] = head
+                    else:
+                        np.bitwise_xor(h[0], tail, out=h[0])
+                        if r:
+                            np.bitwise_xor(h[1], head, out=h[1])
+                if b + 1 < top_bit:
+                    if b == 0:
+                        d = d.copy()
+                        ring = list(d)
+                    r = (r - 1) % w
+                    for t in taps:
+                        i = (t + r) % w
+                        np.bitwise_xor(ring[i], ring[r], out=ring[i])
+        for out, unused in zip(outs, fresh):
+            if unused:
+                out.fill(0)
+        return outs
+
+    def fold(self, block) -> int:
+        """``XOR_s alpha^s * X[s]`` over the symbols ``X[s]`` of a plane
+        block.  GF-linear, so a codeword of blocks folds to a codeword of
+        scalars; weighted by position, so an error hides only if its
+        symbols cancel under the weights (every byte XOR a constant
+        hides only when a plane is a multiple of ``2^w - 1`` bytes).
+
+        Byte ``q`` of plane ``b``, read as a field element, carries the
+        weight ``alpha^(8q + b)``.  ``alpha`` has order ``2^w - 1``, so
+        each plane is first XORed down to one period of bytes; the planes
+        shifted by ``b`` bits then make one polynomial in ``alpha``,
+        wrapped modulo ``x^(2^w - 1) - 1`` and evaluated by Horner's rule
+        on its ``w``-bit words.
+        """
+        w, period = self.width, self.size - 1
+        planes = np.frombuffer(block, np.uint8).reshape(w, -1)
+        cut = planes.shape[1] - planes.shape[1] % period
+        if cut:
+            rest = planes[:, cut:]
+            planes = np.bitwise_xor.reduce(
+                planes[:, :cut].reshape(w, -1, period), axis=1
             )
-            if len(self._rows) >= _ROW_CACHE_MAX:
-                self._rows.clear()
-            self._rows[s] = planes
-        return planes
+            planes[:, : rest.shape[1]] ^= rest
+        poly = 0
+        for b, plane in enumerate(planes):
+            poly ^= int.from_bytes(plane.tobytes(), "little") << b
+        mask = (1 << period) - 1
+        while poly >> period:
+            poly = (poly & mask) ^ (poly >> period)
+        size = -(-poly.bit_length() // w) * self.sym_bytes
+        words = np.frombuffer(poly.to_bytes(size, "little"), f"<u{self.sym_bytes}")
+        shift, acc = self.exp[w], 0
+        for word in reversed(words.tolist()):
+            acc = self.mul(acc, shift) ^ word
+        return acc
 
-    def scale_block(self, s: int, block: bytes) -> bytes:
-        """Multiply every symbol of ``block`` by the scalar ``s``.
-
-        ``block`` packs big-endian symbols of :attr:`sym_bytes` bytes
-        each.  The whole pass is C-level: one ``translate`` for width 8;
-        two strided slices, four ``translate``s, two big-int XORs and two
-        strided writes for width 16.
-        """
-        if not block:
-            return b""
-        if s == 0:
-            return bytes(len(block))
-        if s == 1:
-            return bytes(block)
-        if self.width == 8:
-            return block.translate(self._row8(s))
-        if self.width == 16:
-            a_hi, a_lo, b_hi, b_lo = self._planes16(s)
-            hi = block[0::2]
-            lo = block[1::2]
-            out = bytearray(len(block))
-            out[0::2] = xor_blocks(hi.translate(a_hi), lo.translate(b_hi))
-            out[1::2] = xor_blocks(hi.translate(a_lo), lo.translate(b_lo))
-            return bytes(out)
-        raise ValueError("block operations need width 8 or 16")
+    def block_to_symbols(self, block) -> list[int]:
+        """The symbols of a plane block, in order."""
+        planes = np.frombuffer(block, np.uint8).reshape(self.width, -1)
+        bits = np.unpackbits(planes, axis=1, bitorder="little").astype(np.int64)
+        weights = np.left_shift(1, np.arange(self.width, dtype=np.int64))
+        return (weights @ bits).tolist()
 
     def symbols_to_block(self, symbols: Sequence[int]) -> bytes:
-        """Pack symbols into their big-endian block representation."""
-        if self.sym_bytes == 1:
-            return bytes(symbols)
-        out = bytearray()
-        for s in symbols:
-            out += s.to_bytes(2, "big")
-        return bytes(out)
-
-    def block_to_symbols(self, block: bytes) -> list[int]:
-        """Inverse of :meth:`symbols_to_block`."""
-        if self.sym_bytes == 1:
-            return list(block)
-        return [
-            (block[i] << 8) | block[i + 1] for i in range(0, len(block), 2)
-        ]
+        """Inverse of :meth:`block_to_symbols`; zero symbols pad the
+        planes to whole bytes."""
+        values = np.asarray(symbols, dtype=np.int64)
+        shifts = np.arange(self.width, dtype=np.int64)[:, None]
+        bits = ((values[None, :] >> shifts) & 1).astype(np.uint8)
+        return np.packbits(bits, axis=1, bitorder="little").tobytes()
 
     # -- polynomials (coefficient lists, index = degree) -------------------------
     def poly_eval(self, poly: Sequence[int], x: int) -> int:

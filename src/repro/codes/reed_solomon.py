@@ -8,30 +8,25 @@ are wrong, Gao's extended-Euclidean decoder recovers ``f`` (error
 decoding) -- matching the correction capability the paper assumes for the
 online-error-correction broadcast (Section 5.2).
 
-Two engines share the same code:
-
-* the **per-symbol reference path** (:meth:`ReedSolomon.encode`,
-  :meth:`~ReedSolomon.decode_erasures`, :meth:`~ReedSolomon.decode_errors`)
-  -- one Python field operation per symbol: the package's original
-  public API, and the reference ``tests/codes/test_block_rs.py`` holds
-  the vectorized path to, fragment for fragment;
-* the **block-striped path** (:meth:`~ReedSolomon.encode_blocks` and the
-  ``*_blocks`` decoders) -- a payload is striped column-wise into ``k``
-  data shards and every fragment is one contiguous byte block; each
-  polynomial step is one scalar-times-block table pass through the
-  :mod:`~repro.codes.gf2m` kernel (``translate``) and one in-place
-  ``numpy`` XOR into an accumulator the step owns, so the per-symbol
-  Python loop disappears from the hot path and no block is converted to
-  or from a Python integer.  Erasure decoding reuses an LRU-cached
-  Lagrange basis keyed by the fragment index set (AVID retrieval and
-  checkpointing decode repeatedly with the same quorum indices), and a
-  systematic mode makes the first ``k`` fragments the data itself.
+The engine codes whole byte payloads as *bit-plane blocks* (see
+:mod:`~repro.codes.gf2m`): a payload is zero-padded to ``k`` blocks and
+data shard ``i`` is the contiguous slice ``payload[i*B:(i+1)*B]``, read
+as ``w`` planes; symbol ``s`` of every shard and fragment forms one
+codeword.  Encoding, erasure decoding, systematic parity and the error
+decoder's re-encode check are each one call of the field's plane kernel
+(:meth:`~repro.codes.gf2m.GF2m.combine`) with a coefficient matrix:
+powers of the evaluation points, the LRU-cached Lagrange basis keyed by
+the fragment index set (AVID retrieval and checkpointing decode
+repeatedly with the same quorum indices), or the barycentric evaluation
+matrix.  A systematic mode makes the first ``k`` fragments the data
+itself.
 
 Operation counters expose the decoding *work*, which is what the paper's
 Table 1 computation-overhead columns measure (work grows with the number
 of fragments ``m``, i.e. with the ticket count in the weighted setting).
-The block path counts the same symbol-equivalent work units so nominal
-vs weighted overhead ratios stay comparable.
+They count symbol-equivalent field operations per ``k``-symbol stripe of
+the payload (:meth:`ReedSolomon.stripe_count`), so nominal vs weighted
+overhead ratios stay comparable.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from .gf2m import GF256, GF65536, GF2m
 
 __all__ = [
     "ReedSolomon",
-    "Fragment",
     "BlockFragment",
     "DecodingFailure",
     "min_message_symbols",
@@ -58,16 +52,8 @@ class DecodingFailure(Exception):
 
 
 @dataclass(frozen=True)
-class Fragment:
-    """One coded symbol: position ``index`` (0-based) and its ``value``."""
-
-    index: int
-    value: int
-
-
-@dataclass(frozen=True)
 class BlockFragment:
-    """One coded *block*: position ``index`` and a contiguous byte block
+    """One coded *block*: position ``index`` and the bit-plane byte block
     holding this fragment's symbol for every stripe of the payload."""
 
     index: int
@@ -152,12 +138,6 @@ def _eval_matrix(
     return tuple(rows)
 
 
-def _u8(block) -> np.ndarray:
-    """A ``uint8`` view of a bytes-like block (no copy; writable exactly
-    when the block is)."""
-    return np.frombuffer(block, np.uint8)
-
-
 class ReedSolomon:
     """A ``(k, m)`` Reed-Solomon code over ``GF(2^w)``.
 
@@ -186,10 +166,6 @@ class ReedSolomon:
         self.points = [field.element_at(i) for i in range(m)]
         #: cumulative decoding work counter (field multiplications, approx)
         self.work_counter = 0
-        # Block-engine caches: online decoders retry with a growing but
-        # mostly-unchanged fragment set, so folds (immutable per block)
-        # and the scalar-decode probe are reused across attempts.
-        self._fold_cache: dict[bytes, int] = {}
         self._scalar_probe: Optional["ReedSolomon"] = None
 
     @property
@@ -197,76 +173,7 @@ class ReedSolomon:
         """Code rate ``k / m``."""
         return self.k / self.m
 
-    # -- encoding ---------------------------------------------------------------
-    def encode(self, data: Sequence[int]) -> list[Fragment]:
-        """Encode ``k`` data symbols into ``m`` fragments."""
-        if len(data) != self.k:
-            raise ValueError(f"data must have exactly k={self.k} symbols")
-        for s in data:
-            if not 0 <= s < self.field.size:
-                raise ValueError(f"symbol {s} outside GF(2^{self.field.width})")
-        out = []
-        for j, x in enumerate(self.points):
-            out.append(Fragment(index=j, value=self.field.poly_eval(data, x)))
-        self.work_counter += self.m * self.k
-        return out
-
-    # -- erasure decoding ---------------------------------------------------------
-    def decode_erasures(self, fragments: Sequence[Fragment]) -> list[int]:
-        """Reconstruct data from any ``k`` correct fragments (Lagrange)."""
-        unique = {f.index: f for f in fragments}
-        if len(unique) < self.k:
-            raise DecodingFailure(
-                f"need {self.k} fragments, got {len(unique)} distinct"
-            )
-        chosen = list(unique.values())[: self.k]
-        xs = [self.points[f.index] for f in chosen]
-        ys = [f.value for f in chosen]
-        data = self._interpolate(xs, ys)
-        self.work_counter += self.k * self.k
-        if len(data) > self.k:
-            raise DecodingFailure("interpolation exceeded expected degree")
-        return data + [0] * (self.k - len(data))
-
-    def _interpolate(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-        """Coefficients of the unique poly of degree < len(xs) through points."""
-        f = self.field
-        result: list[int] = []
-        for i, (xi, yi) in enumerate(zip(xs, ys)):
-            num = [1]
-            den = 1
-            for j, xj in enumerate(xs):
-                if i == j:
-                    continue
-                num = f.poly_mul(num, [xj, 1])  # (x - xj) == (x + xj) in char 2
-                den = f.mul(den, xi ^ xj)
-            term = f.poly_scale(num, f.div(yi, den))
-            result = f.poly_add(result, term)
-        return result
-
     # -- error decoding (Gao) --------------------------------------------------------
-    def decode_errors(self, fragments: Sequence[Fragment]) -> list[int]:
-        """Reconstruct from fragments containing up to
-        ``(len(fragments) - k) // 2`` wrong values (Gao's decoder).
-
-        Raises :class:`DecodingFailure` when the error budget is exceeded.
-        """
-        unique = {f.index: f for f in fragments}
-        received = list(unique.values())
-        r = len(received)
-        if r < self.k:
-            raise DecodingFailure(f"need at least k={self.k} fragments, got {r}")
-        f = self.field
-        xs = [self.points[frag.index] for frag in received]
-        ys = [frag.value for frag in received]
-        # g0 = prod (x - x_i); g1 interpolates the received word.
-        g0 = [1]
-        for x in xs:
-            g0 = f.poly_mul(g0, [x, 1])
-        g1 = self._interpolate(xs, ys)
-        self.work_counter += r * r
-        return self._gao_finish(xs, ys, g0, g1, r)
-
     def _gao_finish(
         self,
         xs: Sequence[int],
@@ -319,9 +226,8 @@ class ReedSolomon:
 
     def _decode_errors_scalars(self, received: Mapping[int, int]) -> list[int]:
         """Gao decoding of one scalar word using the LRU-cached Lagrange
-        basis for interpolation (``O(r^2)`` instead of the reference
-        path's naive ``O(r^3)``) -- the block engine's locator workhorse,
-        algorithmically identical to :meth:`decode_errors`."""
+        basis for interpolation (``O(r^2)``) -- the block error decoder's
+        locator and per-stripe fallback."""
         r = len(received)
         if r < self.k:
             raise DecodingFailure(f"need at least k={self.k} fragments, got {r}")
@@ -345,46 +251,12 @@ class ReedSolomon:
         self.work_counter += r * r
         return self._gao_finish(xs, ys, g0, g1, r)
 
-    # -- byte-level convenience (reference path) --------------------------------------
-    def encode_bytes(self, data: bytes) -> tuple[list[list[Fragment]], int]:
-        """Encode an arbitrary byte string block-by-block (reference path).
-
-        Returns ``(blocks, original_length)`` where each block is the
-        fragment list of one ``k``-symbol chunk.  Symbols are single bytes
-        for GF(2^8), byte pairs for GF(2^16).
-        """
-        sym_bytes = self.field.width // 8
-        chunk = self.k * sym_bytes
-        padded = data + b"\x00" * ((-len(data)) % chunk)
-        blocks = []
-        for off in range(0, len(padded), chunk):
-            piece = padded[off : off + chunk]
-            symbols = [
-                int.from_bytes(piece[i : i + sym_bytes], "big")
-                for i in range(0, len(piece), sym_bytes)
-            ]
-            blocks.append(self.encode(symbols))
-        return blocks, len(data)
-
-    def decode_bytes(
-        self, blocks: Sequence[Sequence[Fragment]], original_length: int
-    ) -> bytes:
-        """Inverse of :meth:`encode_bytes` using erasure decoding."""
-        sym_bytes = self.field.width // 8
-        out = bytearray()
-        for fragments in blocks:
-            symbols = self.decode_erasures(list(fragments))
-            for s in symbols:
-                out += s.to_bytes(sym_bytes, "big")
-        return bytes(out[:original_length])
-
-    # -- block-striped engine -----------------------------------------------------
+    # -- the block engine -------------------------------------------------------------
     #
-    # A payload of L bytes is padded to a whole number of k-symbol
-    # codewords ("stripes") and striped column-wise: data shard i holds
-    # the i-th symbol of every stripe, fragment j holds f_s(alpha^j) for
-    # every stripe s.  One scalar-times-block kernel pass per polynomial
-    # step replaces the per-symbol Python loop of the reference path.
+    # A payload of L bytes is zero-padded to k blocks of B bytes; data
+    # shard i is bytes [i*B, (i+1)*B), read as w bit planes, and fragment
+    # j holds f_s(alpha^j) at every symbol position s.  Every map below is
+    # one GF2m.combine call with a k- or m-row coefficient matrix.
 
     def stripe_count(self, payload_len: int) -> int:
         """Number of ``k``-symbol codewords covering ``payload_len`` bytes."""
@@ -392,97 +264,61 @@ class ReedSolomon:
         return -(-payload_len // chunk)
 
     def block_length(self, payload_len: int) -> int:
-        """Bytes per fragment block for a payload of ``payload_len`` bytes."""
-        return self.stripe_count(payload_len) * self.field.sym_bytes
+        """Bytes per fragment block: ``w`` planes of one bit per stripe,
+        rounded up to whole bytes."""
+        return self.field.width * -(-self.stripe_count(payload_len) // 8)
 
-    def _split_shards(self, data: bytes) -> list[bytes]:
-        """Stripe ``data`` column-wise into ``k`` equal byte shards."""
-        sb = self.field.sym_bytes
-        chunk = self.k * sb
-        padded = data + b"\x00" * ((-len(data)) % chunk)
-        if sb == 1:
-            return [padded[i::chunk] for i in range(self.k)]
-        shards = []
-        blen = len(padded) // self.k
-        for i in range(self.k):
-            shard = bytearray(blen)
-            shard[0::2] = padded[2 * i :: chunk]
-            shard[1::2] = padded[2 * i + 1 :: chunk]
-            shards.append(bytes(shard))
-        return shards
+    def _powers(self, indices: Iterable[int]) -> list[list[int]]:
+        """Rows ``(1, x, ..., x^(k-1))`` for ``x = alpha^i``, ``i`` in
+        ``indices``: evaluation of the coefficient shards at those points."""
+        at = self.field.element_at
+        return [[at(i * e) for e in range(self.k)] for i in indices]
 
-    def _merge_shards(self, shards: Sequence[bytes], original_length: int) -> bytes:
-        """Inverse of :meth:`_split_shards` (drops the padding)."""
-        sb = self.field.sym_bytes
-        blen = len(shards[0])
-        out = bytearray(blen * self.k)
-        chunk = self.k * sb
-        if sb == 1:
-            for i, shard in enumerate(shards):
-                out[i::chunk] = shard
-        else:
-            for i, shard in enumerate(shards):
-                out[2 * i :: chunk] = shard[0::2]
-                out[2 * i + 1 :: chunk] = shard[1::2]
-        return bytes(out[:original_length])
-
-    def _eval_block(self, shards: Sequence[bytes], x: int) -> bytes:
-        """Evaluate the shard polynomial at ``x`` via Horner on blocks.
-
-        One scalar, hence one cached translation row, per call.  The
-        accumulator is a ``bytearray`` this call owns; each step scales it
-        (a new buffer) and XORs that with the next shard straight back
-        into the accumulator through its ``uint8`` view.
-        """
-        scale = self.field.scale_block
-        buf = bytearray(shards[-1])
-        acc = _u8(buf)
-        for i in range(self.k - 2, -1, -1):
-            np.bitwise_xor(_u8(scale(x, buf)), _u8(shards[i]), out=acc)
-        return bytes(buf)
+    def _map(self, rows: Sequence[Sequence[int]], blocks: Sequence) -> list[bytes]:
+        """``combine`` into fresh blocks, each handed out as ``bytes`` and
+        its array dropped as soon as it is copied."""
+        outs = self.field.combine(rows, blocks)
+        result = []
+        for o in range(len(outs)):
+            result.append(outs[o].tobytes())
+            outs[o] = None
+        return result
 
     def encode_blocks(
         self, data: bytes, *, systematic: bool = False
     ) -> list[bytes]:
-        """Encode a byte payload into ``m`` fragment blocks.
+        """Encode a bytes-like payload into ``m`` fragment blocks.
 
-        The default (non-systematic) layout produces, stripe for stripe,
-        exactly the fragments of the per-symbol :meth:`encode_bytes`
-        reference path.  With ``systematic=True`` the first ``k``
-        fragments *are* the data shards (zero coding work; decoding from
-        indices ``0..k-1`` is a copy) and only ``m - k`` parity blocks
-        are computed.
+        Symbol for symbol, the default (non-systematic) layout gives each
+        codeword ``(f(alpha^0), ..., f(alpha^(m-1)))`` of the data symbols
+        ``f``.  With ``systematic=True`` the first ``k`` fragments *are*
+        the data shards (zero coding work; decoding from indices
+        ``0..k-1`` is a copy) and only ``m - k`` parity blocks are
+        computed.  ``data`` is only read.
         """
-        data = bytes(data)
-        if not data:
+        view = memoryview(data).cast("B")
+        blen = self.block_length(len(view))
+        if not blen:
             return [b""] * self.m
-        shards = self._split_shards(data)
-        stripes = len(shards[0]) // self.field.sym_bytes
+        stripes = self.stripe_count(len(view))
+        shards = []
+        for i in range(self.k):
+            shard = view[i * blen : (i + 1) * blen]
+            if len(shard) < blen:
+                shard = bytes(shard) + bytes(blen - len(shard))
+            shards.append(shard)
         if systematic:
-            out = list(shards)
             matrix = _eval_matrix(
                 self.field,
                 tuple(self.points[: self.k]),
                 tuple(self.points[self.k : self.m]),
             )
-            out.extend(self._combine_blocks(row, shards) for row in matrix)
+            out = [bytes(shard) for shard in shards] + self._map(matrix, shards)
             self.work_counter += (self.m - self.k) * self.k * stripes
         else:
-            out = [self._eval_block(shards, x) for x in self.points]
+            out = self._map(self._powers(range(self.m)), shards)
             self.work_counter += self.m * self.k * stripes
         return out
-
-    def _combine_blocks(
-        self, coeffs: Sequence[int], blocks: Sequence[bytes]
-    ) -> bytes:
-        """``XOR_j coeffs[j] * blocks[j]`` accumulated in place in one
-        ``uint8`` array."""
-        scale = self.field.scale_block
-        acc = np.zeros(len(blocks[0]), np.uint8)
-        for c, b in zip(coeffs, blocks):
-            if c:
-                acc ^= _u8(scale(c, b))
-        return acc.tobytes()
 
     def _unique_blocks(
         self,
@@ -491,8 +327,7 @@ class ReedSolomon:
             Iterable[Union[BlockFragment, tuple[int, bytes]]],
         ],
     ) -> dict[int, bytes]:
-        """Normalize fragment input to ``{index: block}`` (last value wins,
-        mirroring the reference decoders' dict construction)."""
+        """Normalize fragment input to ``{index: block}`` (last value wins)."""
         if isinstance(fragments, Mapping):
             items = fragments.items()
         else:
@@ -500,16 +335,16 @@ class ReedSolomon:
                 (f.index, f.block) if isinstance(f, BlockFragment) else tuple(f)
                 for f in fragments
             )
-        sym_bytes = self.field.sym_bytes
+        width = self.field.width
         out: dict[int, bytes] = {}
         for index, block in items:
             if not 0 <= index < self.m:
                 raise DecodingFailure(f"fragment index {index} out of range")
             block = bytes(block)
-            if len(block) % sym_bytes:
+            if len(block) % width:
                 raise DecodingFailure(
-                    f"fragment block length {len(block)} not a multiple of "
-                    f"the {sym_bytes}-byte symbol size"
+                    f"fragment block length {len(block)} is not {width} "
+                    "whole-byte bit planes"
                 )
             out[index] = block
         lengths = {len(b) for b in out.values()}
@@ -537,37 +372,22 @@ class ReedSolomon:
                 f"need {self.k} fragments, got {len(unique)} distinct"
             )
         chosen = list(unique.items())[: self.k]
-        shards = self._shards_from_blocks(chosen, systematic=systematic)
-        stripes = len(chosen[0][1]) // self.field.sym_bytes
-        self.work_counter += self.k * self.k * max(stripes, 1)
-        return self._merge_shards(shards, original_length)
-
-    def _shards_from_blocks(
-        self, chosen: Sequence[tuple[int, bytes]], *, systematic: bool
-    ) -> list[bytes]:
-        """Data shards from exactly ``k`` (index, block) pairs."""
+        self.work_counter += (
+            self.k * self.k * max(self.stripe_count(original_length), 1)
+        )
         indices = tuple(i for i, _ in chosen)
         blocks = [b for _, b in chosen]
         if not blocks[0]:
-            return [b""] * self.k
-        xs = tuple(self.points[i] for i in indices)
+            return b""
         if systematic and indices == tuple(range(self.k)):
-            return blocks  # data verbatim: the systematic fast path
-        # Every block is scaled by k scalars below, and CPython's
-        # bytearray.translate skips the changed-byte tracking that
-        # bytes.translate does per byte (0.22 vs 0.45 ms per 700 KB pass).
-        blocks = [bytearray(b) for b in blocks]
+            return b"".join(blocks)[:original_length]  # the data verbatim
+        xs = tuple(self.points[i] for i in indices)
         if systematic:
-            matrix = _eval_matrix(
-                self.field, xs, tuple(self.points[: self.k])
-            )
-            return [self._combine_blocks(row, blocks) for row in matrix]
-        basis = _lagrange_basis(self.field, xs)
-        # coefficient i of the interpolant: XOR_j basis[j][i] * y_j
-        return [
-            self._combine_blocks([basis[j][i] for j in range(self.k)], blocks)
-            for i in range(self.k)
-        ]
+            rows = _eval_matrix(self.field, xs, tuple(self.points[: self.k]))
+        else:
+            # coefficient i of the interpolant: XOR_j basis[j][i] * y_j
+            rows = tuple(zip(*_lagrange_basis(self.field, xs)))
+        return b"".join(self.field.combine(rows, blocks))[:original_length]
 
     def _probe(self) -> "ReedSolomon":
         """A same-geometry instance for scalar sub-decodes whose work
@@ -575,36 +395,6 @@ class ReedSolomon:
         if self._scalar_probe is None:
             self._scalar_probe = ReedSolomon(self.k, self.m, field=self.field)
         return self._scalar_probe
-
-    def _fold_cached(self, block: bytes) -> int:
-        value = self._fold_cache.get(block)
-        if value is None:
-            if len(self._fold_cache) >= 4096:
-                self._fold_cache.clear()
-            value = self._fold(block)
-            self._fold_cache[block] = value
-        return value
-
-    def _fold(self, block: bytes) -> int:
-        """Collapse a fragment block to one scalar: the block's stripe
-        polynomial evaluated at ``alpha`` (GF-linear, so a codeword of
-        blocks folds to a codeword of scalars)."""
-        f = self.field
-        size, poly = f.size, f.primitive_poly
-        acc = 0
-        if f.sym_bytes == 1:
-            for s in block:
-                acc <<= 1
-                if acc & size:
-                    acc ^= poly
-                acc ^= s
-        else:
-            for i in range(0, len(block), 2):
-                acc <<= 1
-                if acc & size:
-                    acc ^= poly
-                acc ^= (block[i] << 8) | block[i + 1]
-        return acc
 
     def decode_errors_blocks(
         self,
@@ -616,42 +406,41 @@ class ReedSolomon:
         """Reconstruct a byte payload from fragment blocks containing up
         to ``(r - k) // 2`` corrupted blocks (``r`` = distinct fragments).
 
-        Fast path: every block folds to one scalar (evaluation at
-        ``alpha``); the scalar word is Gao-decoded to *locate* corrupted
-        fragments, the survivors erasure-decode at block speed, and the
-        result is verified by re-encoding at every received index.  A
-        corruption pattern that hides from the fold (possible only if the
-        per-fragment error polynomial has ``alpha`` as a root) fails
-        verification and falls back to the per-stripe reference decoder,
-        so correctness never depends on the fold.
+        Fast path: every block folds to one scalar, the position-weighted
+        sum of its symbols (:meth:`~repro.codes.gf2m.GF2m.fold`); the
+        scalar word is Gao-decoded to *locate* corrupted fragments, the
+        survivors erasure-decode at block speed, and the result is
+        verified by re-encoding at every other received index.  A
+        corruption pattern that hides from the fold (a fragment's error
+        symbols cancel under the weights) fails verification and falls
+        back to the per-stripe decoder, so correctness never depends on
+        the fold.
         """
         unique = self._unique_blocks(fragments)
         r = len(unique)
         if r < self.k:
             raise DecodingFailure(f"need at least k={self.k} fragments, got {r}")
-        budget = (r - self.k) // 2
         if not next(iter(unique.values())):
             return b""
-        stripes = len(next(iter(unique.values()))) // self.field.sym_bytes
-        self.work_counter += r * r * max(stripes, 1)
-        shards = self._locate_and_decode(unique, budget)
-        if shards is None:
-            shards = self._decode_errors_per_stripe(unique, budget)
+        self.work_counter += r * r * max(self.stripe_count(original_length), 1)
+        coeffs = self._locate_and_decode(unique, (r - self.k) // 2)
+        if coeffs is None:
+            coeffs = self._decode_errors_per_stripe(unique)
         if systematic:
             # Systematic payloads are the polynomial's values at the
             # first k points, not its coefficients.
-            shards = [self._eval_block(shards, x) for x in self.points[: self.k]]
-        return self._merge_shards(shards, original_length)
+            coeffs = self.field.combine(self._powers(range(self.k)), coeffs)
+        return b"".join(coeffs)[:original_length]
 
     def _locate_and_decode(
         self, unique: Mapping[int, bytes], budget: int
     ) -> Optional[list[bytes]]:
-        """Fold-locate-verify fast path; ``None`` means fall back."""
+        """Fold-locate-verify fast path: the coefficient shards, or
+        ``None`` to fall back."""
         f = self.field
-        folded = {idx: self._fold_cached(block) for idx, block in unique.items()}
-        probe = self._probe()
+        folded = {idx: f.fold(block) for idx, block in unique.items()}
         try:
-            folded_data = probe._decode_errors_scalars(folded)
+            folded_data = self._probe()._decode_errors_scalars(folded)
         except DecodingFailure:
             return None
         bad = {
@@ -661,35 +450,38 @@ class ReedSolomon:
         }
         if len(bad) > budget or len(unique) - len(bad) < self.k:
             return None
-        good = [(i, b) for i, b in unique.items() if i not in bad][: self.k]
-        shards = self._shards_from_blocks(good, systematic=False)
-        # Full verification: the decoded word must disagree with at most
-        # `budget` received fragments (the reference decoder's check).
-        errors = 0
-        for idx, block in unique.items():
-            if self._eval_block(shards, self.points[idx]) != block:
-                errors += 1
-                if errors > budget:
-                    return None
-        return shards
+        good = [i for i in unique if i not in bad][: self.k]
+        basis = _lagrange_basis(f, tuple(self.points[i] for i in good))
+        coeffs = self._map(tuple(zip(*basis)), [unique[i] for i in good])
+        # Verification: the decoded word passes through the k blocks it
+        # was interpolated from and must disagree with at most `budget`
+        # of the others (the scalar decoder's consistency check).
+        others = [i for i in unique if i not in good]
+        if others:
+            encoded = f.combine(self._powers(others), coeffs)
+            errors = sum(
+                not np.array_equal(block.ravel(), np.frombuffer(unique[i], np.uint8))
+                for i, block in zip(others, encoded)
+            )
+            if errors > budget:
+                return None
+        return coeffs
 
-    def _decode_errors_per_stripe(
-        self, unique: Mapping[int, bytes], budget: int
-    ) -> list[bytes]:
-        """Reference fallback: scalar Gao decoding, one stripe at a time.
+    def _decode_errors_per_stripe(self, unique: Mapping[int, bytes]) -> list[bytes]:
+        """Fallback: scalar Gao decoding, one symbol position at a time.
 
-        Always correct; only reached for corruption patterns the fold
-        cannot see (or fold decodes beyond budget), so the slow path is
-        adversarial-corner-case territory, not the common case.
+        Always correct; reached only when the fold-locate fast path
+        fails: a corruption whose error symbols cancel under the fold's
+        weights (by chance about one fragment in ``2^w``, or a garbling
+        built against them), or folds that decode beyond the budget.
         """
         f = self.field
-        sb = f.sym_bytes
-        blen = len(next(iter(unique.values())))
         symbol_lists = {i: f.block_to_symbols(b) for i, b in unique.items()}
+        positions = len(next(iter(symbol_lists.values())))
         shard_symbols: list[list[int]] = [[] for _ in range(self.k)]
         probe = self._probe()
         work_before = probe.work_counter
-        for s in range(blen // sb):
+        for s in range(positions):
             received = {i: syms[s] for i, syms in symbol_lists.items()}
             data = probe._decode_errors_scalars(received)
             for i in range(self.k):

@@ -8,11 +8,11 @@ makes the data *stored* (retrievable despite ``f`` faults).  Retrieval
 collects hash-verified fragments and erasure-decodes.
 
 Payloads are arbitrary byte strings carried as *block fragments*: the
-payload is striped column-wise by the vectorized coding engine
-(:meth:`~repro.codes.reed_solomon.ReedSolomon.encode_blocks`) so each
-party holds one contiguous byte block per ticket, end to end -- on the
-discrete-event simulator and on the live runtime, whose codec ships the
-blocks through its bytes fast path without per-symbol marshalling.
+coding engine (:meth:`~repro.codes.reed_solomon.ReedSolomon.encode_blocks`)
+reads the payload as ``k`` contiguous bit-plane shards, so each party
+holds one byte block per ticket, end to end -- on the discrete-event
+simulator and on the live runtime, whose codec ships the blocks through
+its bytes fast path without per-symbol marshalling.
 Retrieval decodes with the LRU-cached Lagrange basis, so repeated
 retrievals against the same storage quorum skip interpolation setup.
 

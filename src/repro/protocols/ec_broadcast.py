@@ -14,7 +14,7 @@ Payloads are byte strings carried as *block fragments* from the
 vectorized coding engine: one contiguous byte block per virtual user,
 end to end on both execution backends, decoded by
 :meth:`~repro.codes.reed_solomon.ReedSolomon.decode_errors_blocks`
-(fold-locate-verify fast path with a per-stripe reference fallback).
+(fold-locate-verify fast path with a per-stripe fallback).
 
 Weighted layout (Section 5.2): solve ``WQ(beta_w = 1 - f_w, beta_n)``
 with ``beta_n >= r + (1 - beta_n)`` i.e. ``beta_n = r/2 + 1/2``; honest

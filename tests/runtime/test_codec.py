@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.codes.reed_solomon import BlockFragment, Fragment
+from repro.codes.reed_solomon import BlockFragment
 from repro.crypto.dleq import DleqProof
 from repro.crypto.threshold_sig import SignatureShare
 from repro.protocols.avid import (
@@ -27,7 +27,6 @@ _SHARE = SignatureShare(index=3, value=2**200 + 7, proof=_PROOF)
 
 #: one representative instance of every type default_registry() knows
 SAMPLES = [
-    Fragment(index=5, value=1023),
     BlockFragment(index=7, block=bytes(range(64))),
     _PROOF,
     _SHARE,

@@ -5,8 +5,9 @@ model from weights, through ticket assignment, to protocol execution.
 Run:  PYTHONPATH=src python examples/quickstart_api.py
 """
 
-from repro.api import Committee, Session
+from repro.api import Committee
 from repro.core import WeightRestriction
+from repro.scenarios import ScenarioSpec, WeightSpec, run_scenario
 
 # 1. A committee from any weight source -- here a seeded Zipf stake
 #    distribution; Committee.from_chain / from_file / from_weights work
@@ -25,11 +26,17 @@ for policy in ("swiper", "swiper-linear", "brute-force"):
         f"max={r.max_tickets}, holders={r.holders}, verdict={r.verdict}"
     )
 
-# 3. Tickets -> execution.  A Session binds the committee to a protocol
-#    and a backend and emits the scenario engine's unified record.
-session = Session(committee=committee, protocol="rbc", name="api-quickstart")
-sim = session.run()  # deterministic discrete-event simulation
-live = session.with_backend("inproc", timeout=30.0).run()  # real asyncio run
+# 3. Tickets -> execution.  A ScenarioSpec names the protocol and pins the
+#    committee's resolved weights; run_scenario executes it on a backend
+#    and emits the scenario engine's unified record.
+spec = ScenarioSpec(
+    name="api-quickstart",
+    protocol="rbc",
+    weights=WeightSpec("explicit", values=tuple(committee.int_weights)),
+    seed=committee.seed,
+)
+sim = run_scenario(spec, committee=committee)  # deterministic discrete-event simulation
+live = run_scenario(spec, backend="inproc", timeout=30.0, committee=committee)  # real asyncio run
 
 print(f"\nsim            : {sim.messages} msgs, {sim.bytes} B, "
       f"completed={sim.completed}")

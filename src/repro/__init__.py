@@ -70,8 +70,6 @@ __all__ = [
 #: lazy so ``import repro`` does not pull the scenario/runtime stack
 _API_EXPORTS = (
     "Committee",
-    "Session",
-    "BackendSpec",
     "WeightSource",
     "TicketAssignmentResult",
 )

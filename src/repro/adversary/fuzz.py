@@ -77,6 +77,8 @@ class FuzzConfig:
         # would run nothing and pass as clean.
         if self.episodes < 0:
             raise ValueError(f"episodes must be >= 0, got {self.episodes}")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
 
 
 @dataclass

@@ -45,9 +45,6 @@ class OverheadRow:
     paper_comm: Optional[float] = None
     paper_comp: Optional[float] = None
 
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.comm_overhead), float(self.comp_overhead)
-
 
 def _ticket_factor_wr(alpha_w: Fraction, alpha_n: Fraction) -> Fraction:
     """``T/n`` upper bound for WR (Theorem 2.1, without the ceil)."""

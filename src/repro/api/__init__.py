@@ -2,12 +2,17 @@
 
 One facade over the whole pipeline::
 
-    from repro.api import Committee, Session, BackendSpec
+    from repro.api import Committee
     from repro.core import WeightRestriction
+    from repro.scenarios import ScenarioSpec, WeightSpec, run_scenario
 
     committee = Committee.synthetic("zipf", n=10, total=1000, skew=1.2)
     tickets = committee.solve(WeightRestriction("1/3", "1/2"))   # -> TicketAssignmentResult
-    record = Session(committee=committee, protocol="rbc").run()  # -> unified JSON record
+    spec = ScenarioSpec(
+        name="rbc", protocol="rbc", seed=committee.seed,
+        weights=WeightSpec("explicit", values=tuple(committee.int_weights)),
+    )
+    result = run_scenario(spec, committee=committee)            # -> unified JSON record
 
 * :class:`WeightSource` and its implementations say where weights come
   from (inline, file, chain snapshot, synthetic distribution);
@@ -16,12 +21,13 @@ One facade over the whole pipeline::
 * the :mod:`~repro.api.policy` registry maps policy names (``swiper``,
   ``swiper-linear``, ``milp``, ``brute-force``, or custom registrations)
   to a uniform :class:`TicketAssignmentResult`;
-* :class:`Session` executes a committee + protocol + backend and emits
-  the scenario engine's unified record;
+* a run is a :class:`~repro.scenarios.ScenarioSpec` executed by
+  :func:`~repro.scenarios.run_scenario` on a backend, which accepts an
+  already-resolved committee and emits the scenario engine's unified
+  record; a spec whose workload has ``kind="service"`` routes to the
+  service stack automatically;
 * the :mod:`repro.service` epoch-service names (:class:`EpochService`,
-  :class:`EpochManager`, ...) are re-exported here for one-stop imports;
-  a ``Session`` whose workload has ``kind="service"`` routes to the
-  service stack automatically.
+  :class:`EpochManager`, ...) are re-exported here for one-stop imports.
 
 The CLI, the scenario engine, and the examples all consume this facade;
 adding a backend or a solver strategy is one registration, not a
@@ -39,7 +45,6 @@ from .policy import (
     register_policy,
     solve_with_policy,
 )
-from .session import BackendSpec, Session
 from .weight_source import (
     SYNTHETIC_KINDS,
     ChainWeights,
@@ -102,7 +107,6 @@ _RECOVERY_EXPORTS = (
     "StateSyncResponse",
     "WalError",
     "WriteAheadLog",
-    "entries_digest",
     "open_wal",
 )
 
@@ -134,8 +138,6 @@ __all__ = [
     "register_policy",
     "get_policy",
     "solve_with_policy",
-    "BackendSpec",
-    "Session",
     *_SERVICE_EXPORTS,
     *_ADVERSARY_EXPORTS,
     *_PARALLEL_EXPORTS,

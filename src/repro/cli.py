@@ -40,14 +40,22 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .api import BackendSpec, Committee, Session, weight_source_from_args
+from .api import Committee, weight_source_from_args
 from .core import (
     WeightQualification,
     WeightRestriction,
     WeightSeparation,
 )
 from .core.types import scale_weights_exact
-from .scenarios import SCENARIOS, FaultSpec, WeightSpec, WorkloadSpec, get_scenario
+from .scenarios import (
+    SCENARIOS,
+    FaultSpec,
+    ScenarioSpec,
+    WeightSpec,
+    WorkloadSpec,
+    get_scenario,
+    run_scenario,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -412,6 +420,16 @@ def _bound_as_json(bound):
 # -- cluster subcommand ------------------------------------------------------------
 
 
+def _committee_spec(committee: Committee, **fields) -> ScenarioSpec:
+    """A spec over ``committee``'s already-resolved weights, pinned as an
+    explicit vector so a sampled source is not resampled by the run."""
+    return ScenarioSpec(
+        weights=WeightSpec("explicit", values=tuple(committee.int_weights)),
+        seed=committee.seed,
+        **fields,
+    )
+
+
 def _print_by_type(rec: dict) -> None:
     for type_name in sorted(rec["by_type"]):
         print(
@@ -439,21 +457,22 @@ def _run_cluster(args: argparse.Namespace) -> int:
         else:
             committee = Committee.uniform(args.n)
             params = (("quorums", "nominal"),)
-        result = Session(
-            committee=committee,
-            protocol=args.protocol,
-            backend=BackendSpec(args.transport, args.timeout),
+        spec = _committee_spec(
+            committee,
             name=f"cluster-{args.protocol}",
+            protocol=args.protocol,
             f_w=str(args.f_w),
             faults=FaultSpec(crashes=tuple(sorted(set(args.crash)))),
             workload=WorkloadSpec(payload_size=args.payload_size, epochs=args.epochs),
             params=params,
-        ).run()
+        )
+        result = run_scenario(
+            spec, backend=args.transport, timeout=args.timeout, committee=committee
+        )
     except (ValueError, ZeroDivisionError, RuntimeError, OSError, TimeoutError) as exc:
         return _fail(args, exc)
 
     rec = result.record()
-    spec = result.spec
     layout = "nominal" if params else "weighted"
     if args.json:
         payload = {
@@ -510,15 +529,17 @@ def _run_serve(args: argparse.Namespace) -> int:
         committee = _load_committee(args, seed=args.seed)
         if committee is None:
             committee = Committee.from_weight_spec(_SERVE_WEIGHTS, seed=args.seed)
-        result = Session(
-            committee=committee,
-            protocol="smr",
-            backend=BackendSpec(args.backend, args.timeout),
+        spec = _committee_spec(
+            committee,
             name="serve",
+            protocol="smr",
             f_w=args.f_w,
             workload=WorkloadSpec(payload_size=args.payload_size, kind="service"),
             params=params,
-        ).run()
+        )
+        result = run_scenario(
+            spec, backend=args.backend, timeout=args.timeout, committee=committee
+        )
     except (ValueError, ZeroDivisionError, RuntimeError, OSError, TimeoutError) as exc:
         return _fail(args, exc)
     rec = result.record()
@@ -609,13 +630,12 @@ def _run_scenario(args: argparse.Namespace) -> int:
         spec = get_scenario(args.name)
         if args.seed is not None:
             spec = spec.with_seed(args.seed)
-        session = Session.from_spec(
+        result = run_scenario(
             spec,
             backend=args.backend,
             timeout=args.timeout,
             state_dir=args.state_dir,
         )
-        result = session.run()
     except (KeyError, ValueError, RuntimeError, TimeoutError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         return _fail(args, message)

@@ -87,10 +87,6 @@ class ThresholdSignatureScheme:
             raise RuntimeError("keygen() has not been run")
         return self._keys
 
-    def secret_share(self, index: int) -> int:
-        """The secret share of signer ``index`` (simulation accessor)."""
-        return self._secret_shares[index]
-
     # -- signing ------------------------------------------------------------------
     def hash_message(self, message: bytes) -> int:
         """``H(m)``: the group element being raised to the secret key."""

@@ -10,7 +10,7 @@ detection, and a recoverable SMR replica that rejoins via a
 
 from .backoff import BackoffSchedule
 from .heartbeat import HeartbeatMonitor
-from .smr import RecoverableSmrParty, StateSyncRequest, StateSyncResponse, entries_digest
+from .smr import RecoverableSmrParty, StateSyncRequest, StateSyncResponse
 from .wal import InMemoryWal, WalError, WriteAheadLog, open_wal
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "StateSyncResponse",
     "WalError",
     "WriteAheadLog",
-    "entries_digest",
     "open_wal",
 ]

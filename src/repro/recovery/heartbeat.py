@@ -65,19 +65,6 @@ class HeartbeatMonitor:
                     self.on_suspect(peer)
         return newly
 
-    def forget(self, peer: int) -> None:
-        """Stop tracking a retired peer (no transition fired)."""
-        self._last_seen.pop(peer, None)
-        self._suspected.discard(peer)
-
     # -- views --------------------------------------------------------------------
     def is_suspected(self, peer: int) -> bool:
         return peer in self._suspected
-
-    @property
-    def suspected(self) -> list[int]:
-        return sorted(self._suspected)
-
-    def last_seen_age(self, peer: int, now: float) -> Optional[float]:
-        seen = self._last_seen.get(peer)
-        return None if seen is None else now - seen

@@ -1,9 +1,6 @@
 """Crash-recoverable SMR replica: WAL-backed commits and state sync.
 
-The paper's checkpointing protocol exists so a recovering party can
-resume from a threshold-signed digest instead of replaying history from
-genesis.  This module supplies the party half of that story for the
-composed SMR protocol:
+The composed SMR protocol's party half of crash recovery:
 
 * every commit is appended to a :class:`~repro.recovery.wal.WriteAheadLog`
   *before* it is applied (write-ahead), so a SIGKILL between fsync and
@@ -11,14 +8,14 @@ composed SMR protocol:
 * on :meth:`restart` the replica wipes its volatile Bracha state (the
   one ``instances`` container), replays the WAL's intact prefix, then
   broadcasts a :class:`StateSyncRequest`; live peers answer with their
-  committed entries (and any stored checkpoint certificates) and keep
-  *pushing* each later commit to the requester, so instances whose
-  ECHO/READY traffic predates the crash still reach the recovered replica;
+  committed entries and keep *pushing* each later commit to the
+  requester, so instances whose ECHO/READY traffic predates the crash
+  still reach the recovered replica;
 * a synced entry is applied only once a **deliver quorum by weight** of
   distinct responders vouches for it -- the same amplification rule
   Bracha uses for READY, so up to ``f_w`` Byzantine responders cannot
-  forge an entry into the recovered log -- or immediately when it is
-  covered by a verified threshold-signed checkpoint certificate.
+  forge an entry into the recovered log.  An entry that is not an
+  ``(epoch, proposer, payload)`` triple of the right types is dropped.
 
 Duplicate redelivery after recovery is harmless by construction: a
 :class:`~repro.protocols.reliable_broadcast.BrachaInstance` keeps its
@@ -28,7 +25,6 @@ idempotently.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,7 +32,7 @@ from ..protocols.smr import SmrParty, batch_position
 from ..weighted.quorum import QuorumPolicy
 from .wal import InMemoryWal, WriteAheadLog
 
-__all__ = ["StateSyncRequest", "StateSyncResponse", "RecoverableSmrParty", "entries_digest"]
+__all__ = ["StateSyncRequest", "StateSyncResponse", "RecoverableSmrParty"]
 
 
 @dataclass(frozen=True)
@@ -51,33 +47,19 @@ class StateSyncRequest:
 
 @dataclass(frozen=True)
 class StateSyncResponse:
-    """One peer's committed entries (and checkpoint certificates).
+    """One peer's committed entries, ``((epoch, proposer, payload), ...)``.
 
-    ``entries`` is ``((epoch, proposer, payload), ...)``; ``certificates``
-    is ``((epoch, digest, certificate), ...)``.  Sent once as a snapshot
-    when the request arrives and then incrementally (one entry at a
-    time) for every later commit, so a recovering replica converges even
-    on instances that were still in flight when it crashed.
+    Sent once as a snapshot when the request arrives and then
+    incrementally (one entry at a time) for every later commit, so a
+    recovering replica converges even on instances that were still in
+    flight when it crashed.
     """
 
     responder: int
     entries: tuple = ()
-    certificates: tuple = ()
 
     def wire_size(self) -> int:
-        return 64 + sum(24 + len(p) for _, _, p in self.entries) + sum(
-            24 + len(d) + len(c) for _, d, c in self.certificates
-        )
-
-
-def entries_digest(entries: list[tuple[int, int, bytes]]) -> bytes:
-    """Order-independent digest of one epoch's committed entries; what a
-    checkpoint certificate is checked against during state sync."""
-    h = hashlib.sha256()
-    for proposer, payload in sorted((p, pl) for _, p, pl in entries):
-        h.update(proposer.to_bytes(8, "big"))
-        h.update(hashlib.sha256(payload).digest())
-    return h.digest()
+        return 64 + sum(24 + len(p) for _, _, p in self.entries)
 
 
 class RecoverableSmrParty(SmrParty):
@@ -92,13 +74,9 @@ class RecoverableSmrParty(SmrParty):
         *,
         wal=None,
         on_commit: Optional[Callable[[int, int, int, bytes], None]] = None,
-        verify_cert: Optional[Callable[[int, bytes, bytes], bool]] = None,
     ) -> None:
         super().__init__(pid, n, quorums, coin_source, on_commit=on_commit)
         self.wal = wal if wal is not None else InMemoryWal()
-        self.verify_cert = verify_cert
-        #: epoch -> (digest, certificate) from checkpointing / state sync
-        self.certificates: dict[int, tuple[bytes, bytes]] = {}
         #: per-source receive watermarks persisted for the transport layer
         self.watermarks: dict[int, int] = {}
         self.restarts = 0
@@ -144,20 +122,6 @@ class RecoverableSmrParty(SmrParty):
             for peer in sorted(self._sync_subscribers):
                 self.send(peer, push)
 
-    def store_certificate(self, epoch: int, digest: bytes, certificate: bytes) -> None:
-        """Persist a threshold-signed checkpoint certificate."""
-        if self.certificates.get(epoch) == (digest, certificate):
-            return
-        self.wal.append(
-            {
-                "kind": "cert",
-                "epoch": epoch,
-                "digest": digest.hex(),
-                "cert": certificate.hex(),
-            }
-        )
-        self.certificates[epoch] = (digest, certificate)
-
     def note_watermark(self, src: int, seq: int) -> None:
         """Persist the transport's per-source receive watermark."""
         if self.watermarks.get(src, -1) >= seq:
@@ -173,7 +137,6 @@ class RecoverableSmrParty(SmrParty):
         self.committed.clear()
         self.instances.clear()
         self._sync_confirmers.clear()
-        self.certificates.clear()
         self.watermarks.clear()
         self.recovered_from_wal = self.replay_wal()
         self.broadcast(StateSyncRequest(requester=self.pid))
@@ -192,11 +155,6 @@ class RecoverableSmrParty(SmrParty):
                 )
                 recovered += int(
                     len(self.committed.get(record["epoch"], {})) > before
-                )
-            elif kind == "cert":
-                self.certificates[record["epoch"]] = (
-                    bytes.fromhex(record["digest"]),
-                    bytes.fromhex(record["cert"]),
                 )
             elif kind == "watermark":
                 src, seq = record["src"], record["seq"]
@@ -217,49 +175,39 @@ class RecoverableSmrParty(SmrParty):
         if sender == self.pid or sender != message.requester:
             return
         self._sync_subscribers.add(sender)
-        certificates = tuple(
-            (epoch, digest, cert)
-            for epoch, (digest, cert) in sorted(self.certificates.items())
-        )
         self.send(
             sender,
-            StateSyncResponse(
-                responder=self.pid,
-                entries=self._snapshot_entries(),
-                certificates=certificates,
-            ),
+            StateSyncResponse(responder=self.pid, entries=self._snapshot_entries()),
         )
 
     def _handle_sync_response(self, message: StateSyncResponse, sender: int) -> None:
-        if sender != message.responder:
+        if sender != message.responder or not isinstance(message.entries, tuple):
             return
-        # certificate fast path: a verified threshold signature over an
-        # epoch digest lets the whole epoch apply without per-entry quorums
-        verified_epochs: set[int] = set()
-        if self.verify_cert is not None:
-            for epoch, digest, cert in message.certificates:
-                digest, cert = bytes(digest), bytes(cert)
-                if self.verify_cert(epoch, digest, cert):
-                    self.certificates.setdefault(epoch, (digest, cert))
-                    by_epoch = [e for e in message.entries if e[0] == epoch]
-                    if by_epoch and entries_digest(
-                        [(e, p, bytes(pl)) for e, p, pl in by_epoch]
-                    ) == digest:
-                        verified_epochs.add(epoch)
-        for epoch, proposer, payload in message.entries:
-            payload = bytes(payload)
-            if epoch in verified_epochs:
-                self._committed_via_sync(epoch, proposer, payload)
+        for entry in message.entries:
+            if not self._well_formed(entry):
                 continue
-            key = (epoch, proposer, payload)
+            epoch, proposer, payload = entry
             position = batch_position(proposer, self.coin_source(epoch), self.n)
             if position in self.committed.get(epoch, {}):
                 continue
-            confirmers = self._sync_confirmers.setdefault(key, set())
+            confirmers = self._sync_confirmers.setdefault(entry, set())
             confirmers.add(sender)
             if self.quorums.deliver_quorum(confirmers):
-                del self._sync_confirmers[key]
+                del self._sync_confirmers[entry]
                 self._committed_via_sync(epoch, proposer, payload)
+
+    def _well_formed(self, entry) -> bool:
+        """An ``(epoch, proposer, payload)`` triple a peer could have sent."""
+        if not (isinstance(entry, tuple) and len(entry) == 3):
+            return False
+        epoch, proposer, payload = entry
+        return (
+            type(epoch) is int
+            and epoch >= 0
+            and type(proposer) is int
+            and 0 <= proposer < self.n
+            and type(payload) is bytes
+        )
 
     def _committed_via_sync(self, epoch: int, proposer: int, payload: bytes) -> None:
         position = batch_position(proposer, self.coin_source(epoch), self.n)

@@ -862,11 +862,13 @@ def run_scenario(
     (:class:`_StopRule`); a live run that is expected to complete but
     does not raises ``TimeoutError`` after ``timeout``, while the sim runs
     to quiescence and reports ``completed=False``.  ``committee`` lets a
-    caller that already resolved the spec's weights (e.g. a
-    :class:`repro.api.Session`) skip re-resolving the source.
+    caller that already resolved the spec's weights (e.g. the CLI's
+    weight sources) skip re-resolving the source.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; one of {BACKENDS}")
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
     if spec.workload.kind == "service":
         # Service workloads (open-loop load + committee rotation) have
         # their own driver stack; they return the same ScenarioResult.

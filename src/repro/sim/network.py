@@ -194,7 +194,3 @@ class Network:
             if dst == src and not include_self:
                 continue
             self.send(src, dst, message)
-
-    def run(self, **kwargs) -> None:
-        """Convenience passthrough to the simulator."""
-        self.simulator.run(**kwargs)

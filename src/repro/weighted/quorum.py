@@ -14,7 +14,7 @@ and friends) judge a set of senders from scratch.  The integer form --
 integer add per distinct vote: Bracha's ECHO / READY rules
 (:class:`~repro.protocols.reliable_broadcast.BrachaInstance`) run on it,
 and the predicates stay for the set-valued questions (AVID's storage
-phase, recovery's certificates, ``SmrParty.epoch_closed``) and as the
+phase, recovery's state sync, ``SmrParty.epoch_closed``) and as the
 tally's oracle in ``tests/weighted/``.
 """
 

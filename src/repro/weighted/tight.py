@@ -40,10 +40,6 @@ class TightGate:
         self._weight = Fraction(0)
 
     @property
-    def voters(self) -> frozenset[int]:
-        return frozenset(self._voters)
-
-    @property
     def voted_weight(self) -> Fraction:
         return self._weight
 

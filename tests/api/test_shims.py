@@ -45,7 +45,6 @@ class TestLegacyImportsStillResolve:
 class TestTopLevelReexports:
     def test_top_level_reexports_without_warning(self, recwarn):
         assert repro.Committee is repro.api.Committee
-        assert repro.Session is repro.api.Session
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
     def test_top_level_exports_discoverable(self):

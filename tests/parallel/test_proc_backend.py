@@ -154,8 +154,3 @@ class TestGuards:
     def test_single_loop_cluster_rejects_the_proc_transport(self):
         with pytest.raises(ValueError, match="process-per-party"):
             Cluster(lambda pid: None, 4, transport="proc")
-
-    def test_backend_spec_accepts_proc(self):
-        from repro.api import BackendSpec
-
-        assert BackendSpec(name="proc").name == "proc"

@@ -1,10 +1,12 @@
-"""A Byzantine share frame of the wrong shape is dropped, not raised on.
+"""A Byzantine frame of the wrong shape is dropped, not raised on.
 
 The codec decodes any value into any field, so a share message can
 arrive with a ``bytes`` share value, a ``str`` challenge, no proof, an
 epoch that is no 8-byte number, or a checkpoint that is not ``bytes``.
 Each such frame, sent ahead of the honest traffic, must leave the epoch
-or checkpoint certifying from the honest shares alone.
+or checkpoint certifying from the honest shares alone.  A state-sync
+response whose entries are not ``(epoch, proposer, payload)`` triples
+must leave a recovering replica's log and vote tallies untouched.
 """
 
 import random
@@ -18,8 +20,10 @@ from repro.crypto.group import TEST_GROUP_256 as G
 from repro.crypto.threshold_sig import ThresholdSignatureScheme
 from repro.protocols.checkpointing import CheckpointParty, CheckpointShare
 from repro.protocols.common_coin import BeaconParty, CoinShareMsg
+from repro.recovery.smr import RecoverableSmrParty, StateSyncResponse
 from repro.runtime import default_registry
 from repro.sim import build_world
+from repro.weighted.quorum import NominalQuorums
 from repro.weighted.transform import blunt_setup
 
 WEIGHTS = [40, 25, 15, 10, 5, 3, 1, 1]
@@ -140,3 +144,56 @@ def test_checkpoint_drops_a_malformed_share_frame(bad):
     certs = {p.certificates.get(cp) for p in world.parties}
     assert len(certs) == 1 and None not in certs
     assert all(list(p.certificates) == [cp] for p in world.parties)
+
+
+#: ``StateSyncResponse.entries`` values no honest responder sends
+MALFORMED_ENTRIES = {
+    "pair": ((0, 1),),
+    "proposer-str": ((0, "x", b"p"),),
+    "epoch-none": ((None, 1, b"p"),),
+    "epoch-negative": ((-1, 1, b"p"),),
+    "epoch-bool": ((True, 1, b"p"),),
+    "proposer-out-of-range": ((0, 4, b"p"),),
+    "payload-int": ((0, 1, 1 << 20),),
+    "payload-str": ((0, 1, "p"),),
+    "entry-bytes": (b"p",),
+    "entries-bytes": b"entries",
+    "entries-int": 7,
+    "entries-none": None,
+}
+
+
+def _recovering_world():
+    """Four recoverable replicas; party 0 is the one being synced."""
+    return build_world(
+        lambda pid: RecoverableSmrParty(pid, 4, NominalQuorums(n=4, t=1), lambda epoch: 0),
+        4,
+        seed=9,
+    )
+
+
+def _sync(world, entries, responders=(1, 2, 3)):
+    # Handed straight to party 0: the sim sizes a frame at its sender,
+    # and a live peer's codec never does.
+    party = world.party(0)
+    for pid in responders:
+        party.receive(_wire(StateSyncResponse(responder=pid, entries=entries)), pid)
+    return party
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_ENTRIES))
+def test_state_sync_drops_a_malformed_entry(kind):
+    # Every other replica vouches for it: a deliver quorum would apply it.
+    party = _sync(_recovering_world(), MALFORMED_ENTRIES[kind])
+    assert party.committed == {}
+    assert party._sync_confirmers == {}
+    assert party.recovered_from_peers == 0
+
+
+def test_state_sync_applies_a_well_formed_entry_on_a_deliver_quorum():
+    world = _recovering_world()
+    party = _sync(world, ((0, 1, b"p"),), responders=(1, 2))
+    assert party.committed == {}
+    party = _sync(world, ((0, 1, b"p"),), responders=(3,))
+    assert party.committed == {0: {1: (1, b"p")}}
+    assert party.recovered_from_peers == 1

@@ -61,7 +61,6 @@ SAMPLES = [
     StateSyncResponse(
         responder=2,
         entries=((0, 1, b"payload-0"), (1, 3, b"payload-1")),
-        certificates=((1, b"\x0e" * 32, b"cert-bytes"),),
     ),
 ]
 

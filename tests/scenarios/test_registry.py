@@ -66,6 +66,35 @@ class TestRegistryShape:
         with pytest.raises(ValueError, match="crashes every party"):
             run_scenario(spec, backend="sim")
 
+    def test_over_budget_crash_plan_rejected_up_front(self):
+        # Crashing weight >= f_w*W can never reach a quorum; the run must
+        # fail fast at validation instead of burning the backend timeout
+        # (or, on sim, silently reporting completed=False).
+        from repro.scenarios import FaultSpec, WeightSpec
+
+        spec = ScenarioSpec(
+            name="over-budget",
+            protocol="rbc",
+            weights=WeightSpec(kind="explicit", values=(10, 10, 10)),
+            f_w="1/3",
+            faults=FaultSpec(crashes=(0,)),
+        )
+        with pytest.raises(ValueError, match="quorums can never form"):
+            run_scenario(spec, backend="sim")
+
+    @pytest.mark.parametrize(
+        "options, error",
+        [
+            ({"backend": "quic"}, "unknown backend"),
+            ({"timeout": 0}, "timeout must be positive"),
+            ({"timeout": -1}, "timeout must be positive"),
+        ],
+        ids=["backend", "timeout-0", "timeout-negative"],
+    )
+    def test_bad_run_options_rejected(self, options, error):
+        with pytest.raises(ValueError, match=error):
+            run_scenario(get_scenario("uniform-rbc"), **options)
+
     def test_never_healing_smr_partition_rejected(self):
         # A vacuously-true completion predicate must not masquerade as a
         # successful run: SMR under a permanent partition has no epoch

@@ -1,6 +1,7 @@
 """Tests for the CLI mirroring the paper's prototype interface."""
 
 import contextlib
+import hashlib
 import json
 import pathlib
 import signal
@@ -220,6 +221,24 @@ class TestUnifiedJsonErrors:
         assert set(payload) == {"error"}
         assert payload["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "uniform-rbc"],
+            ["scenario", "--all"],
+            ["scenario", "--all", "--backend", "inproc"],
+            ["cluster", "rbc", "--n", "4"],
+            ["serve"],
+            ["fuzz"],
+        ],
+        ids=["scenario", "all-sim", "all-inproc", "cluster", "serve", "fuzz"],
+    )
+    def test_non_positive_timeout_is_one_error(self, argv, capsys):
+        assert main([*argv, "--timeout", "-1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "timeout must be positive"}
+
 
 #: the transports one ``repro cluster`` argv must answer the same way on
 #: (tcp is the same engine as inproc over sockets; ``test_rbc_tcp_json``)
@@ -410,6 +429,13 @@ class TestScenarioCommand:
         assert "error" in capsys.readouterr().err
 
 
+#: sha256 of the sim ``repro serve`` stdout, for argv suffixes
+SERVE_DIGESTS = {
+    (): "f88b96d4ae83d93eeb4494f01585c28fb7d5ff418c0485948c5f5ce11ff197a8",
+    ("--drift", "1:0:150"): "af9cb582e13541202155b757d24f5bccd4e1eabc33e13e0952a0a33a04cdd027",
+}
+
+
 class TestServe:
     _BASE = [
         "serve", "--weights", "40", "30", "20", "10",
@@ -480,6 +506,12 @@ class TestServe:
         record = json.loads(capsys.readouterr().out)
         assert record["completed"] is True
         assert record["service"]["requests_committed"] == 24
+
+    @pytest.mark.parametrize("extra", sorted(SERVE_DIGESTS), ids=["plain", "drift"])
+    def test_json_output_is_pinned(self, extra, capsys):
+        assert main(["serve", *extra, "--json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == SERVE_DIGESTS[extra]
 
     def test_json_is_the_scenario_record_of_the_same_spec(self, capsys):
         # One engine: `repro serve` is a service spec run by run_scenario.

@@ -10,9 +10,8 @@ import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).parent.parent / "examples").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
@@ -31,3 +30,11 @@ def test_examples_exist():
     names = {p.stem for p in EXAMPLES}
     assert "quickstart" in names
     assert len(names) >= 3, "paper reproduction requires >= 3 examples"
+
+
+def test_readme_public_api_snippet_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    assert "```python\n" in section, "the Public API section lost its snippet"
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, "README.md (Public API)", "exec"), {})

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from ..crypto.dleq import DleqProof, _challenge
 from ..crypto.threshold_sig import SignatureShare
+from ..protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
 
 __all__ = [
     "alt_payload",
@@ -49,15 +50,14 @@ def make_silent(party) -> None:
 
 
 def make_equivocator(party, groups: Sequence[Sequence[int]]) -> None:
-    """Equivocating sender: whenever the party broadcasts a SEND (its
-    class's first ``PHASES`` type -- always for its own instance), group 0
-    gets it and group 1 (node ids) gets a conflicting payload; its ECHO /
-    READY votes in every instance go out honestly."""
-    send_type = party.PHASES[0]
+    """Equivocating sender: whenever the party broadcasts a
+    :class:`BrachaSend` (always for its own instance), group 0 gets it and
+    group 1 (node ids) gets a conflicting payload; its ECHO / READY votes
+    in every instance go out honestly."""
     honest_broadcast = party.broadcast
 
     def broadcast(message, **kwargs) -> None:
-        if not isinstance(message, send_type):
+        if not isinstance(message, BrachaSend):
             return honest_broadcast(message, **kwargs)
         conflicting = replace(message, payload=alt_payload(message.payload))
         for version, dsts in zip((message, conflicting), groups):
@@ -71,17 +71,14 @@ def make_garbler(party) -> None:
     """Wrong-payload voter: echoes a garbled copy of every SEND it sees
     (attacking the content-keyed vote maps) and withholds its honest
     echoes and readies entirely."""
-    send_type, echo_type, ready_type = party.PHASES
 
-    def handle_send(message, sender: int) -> None:
-        # an ECHO has its SEND's fields: the instance tags, if any, and
-        # the payload
-        fields = dict(vars(message), payload=alt_payload(message.payload, "garble"))
-        party.broadcast(echo_type(**fields))
+    def handle_send(message: BrachaSend, sender: int) -> None:
+        garbled = alt_payload(message.payload, "garble")
+        party.broadcast(BrachaEcho(message.epoch, message.origin, garbled))
 
-    party.on(send_type, handle_send)
-    party.on(echo_type, lambda message, sender: None)
-    party.on(ready_type, lambda message, sender: None)
+    party.on(BrachaSend, handle_send)
+    party.on(BrachaEcho, lambda message, sender: None)
+    party.on(BrachaReady, lambda message, sender: None)
 
 
 def forge_share(scheme, message: bytes, index: int, rng: random.Random) -> SignatureShare:

@@ -6,16 +6,16 @@ from .avid import AvidParty, fragment_digest
 from .checkpointing import CheckpointParty, CheckpointShare, CheckpointVote
 from .common_coin import BeaconParty, CoinShareMsg, ThresholdCoin
 from .ec_broadcast import EcParty, GarbageEcParty, OnlineDecoder
-from .reliable_broadcast import BroadcastParty, RbcEcho, RbcReady, RbcSend
-from .smr import BatchSend, SmrParty, batch_position
+from .reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend, BroadcastParty
+from .smr import SmrParty, batch_position
 from .ssle import ElectionResult, SsleElection, chain_quality
 from .vaba import VabaParty, WeightedVabaRunner
 
 __all__ = [
     "BroadcastParty",
-    "RbcSend",
-    "RbcEcho",
-    "RbcReady",
+    "BrachaSend",
+    "BrachaEcho",
+    "BrachaReady",
     "AvidParty",
     "fragment_digest",
     "EcParty",
@@ -27,7 +27,6 @@ __all__ = [
     "VabaParty",
     "WeightedVabaRunner",
     "SmrParty",
-    "BatchSend",
     "batch_position",
     "SsleElection",
     "ElectionResult",

@@ -6,12 +6,15 @@ the nominal model (count thresholds) and the weighted model (weighted
 voting) -- the paper's Section 1.2 observation.
 
 :class:`BrachaInstance` is the protocol: the state and the three rules of
-one broadcast instance at one party.  It builds and sends no message, so
-every protocol that runs Bracha holds instances and speaks its own wire
-format around them -- :class:`BroadcastParty` holds one, and
-:class:`~repro.protocols.smr.SmrParty` one per (epoch, proposer).
-Byzantine senders and voters are patched onto honest parties by
-:mod:`repro.adversary.byzantine`.
+one broadcast instance at one party.  It builds and sends no message.
+:class:`BrachaHost` is the one party that runs instances: it keys them
+by ``(epoch, origin)``, speaks the one wire family
+(:class:`BrachaSend` / :class:`BrachaEcho` / :class:`BrachaReady`) and
+hands each delivery to its subclass.  :class:`BroadcastParty` is the
+host with the one key ``(0, sender)``, and
+:class:`~repro.protocols.smr.SmrParty` the host with one key per
+(epoch, proposer).  Byzantine senders and voters are patched onto honest
+parties by :mod:`repro.adversary.byzantine`.
 
 A vote costs one integer add: an instance keeps a running tally per
 payload over the policy's integer vote weights and compares it with the
@@ -30,10 +33,12 @@ from ..weighted.quorum import QuorumPolicy
 
 __all__ = [
     "BrachaInstance",
-    "RbcSend",
-    "RbcEcho",
-    "RbcReady",
+    "BrachaSend",
+    "BrachaEcho",
+    "BrachaReady",
+    "BrachaHost",
     "BroadcastParty",
+    "well_formed",
 ]
 
 
@@ -141,72 +146,147 @@ class BrachaInstance:
 
 
 @dataclass(frozen=True)
-class RbcSend:
-    """Sender's initial message carrying the broadcast payload."""
+class BrachaSend:
+    """SEND: the origin's payload, opening instance ``(epoch, origin)``."""
 
+    epoch: int
+    origin: int
     payload: bytes
 
 
 @dataclass(frozen=True)
-class RbcEcho:
-    """Second-phase echo of the payload."""
+class BrachaEcho:
+    """ECHO of the payload a SEND carried in ``(epoch, origin)``."""
 
+    epoch: int
+    origin: int
     payload: bytes
 
 
 @dataclass(frozen=True)
-class RbcReady:
-    """Third-phase readiness declaration."""
+class BrachaReady:
+    """READY for a payload of ``(epoch, origin)``."""
 
+    epoch: int
+    origin: int
     payload: bytes
 
 
-class BroadcastParty(Party):
-    """An honest Bracha participant: one :class:`BrachaInstance` of ``sender``'s.
+def well_formed(epoch, origin, payload, n: int) -> bool:
+    """Whether ``(epoch, origin, payload)`` can name a broadcast of one of
+    ``n`` parties: an ``int`` epoch ``>= 0``, an ``int`` origin in
+    ``range(n)`` and a ``bytes`` payload.  The codec carries any value in
+    any field, so a peer's frame is only what this says it is."""
+    return (
+        type(epoch) is int
+        and epoch >= 0
+        and type(origin) is int
+        and 0 <= origin < n
+        and type(payload) is bytes
+    )
 
-    ``delivered`` holds the delivered payload once totality triggers; the
-    ``on_deliver`` callback (if any) fires exactly once.
+
+class _Instances(dict):
+    """(epoch, origin) -> its instance, made by the first message that
+    names a key its host admits, with the origin as origin.  A key the
+    host does not admit maps to ``None`` and is not stored."""
+
+    __slots__ = ("admits",)
+
+    def __init__(self, admits: Callable[[object, object], bool]) -> None:
+        super().__init__()
+        self.admits = admits
+
+    def __missing__(self, key: tuple[int, int]) -> Optional[BrachaInstance]:
+        if not self.admits(*key):
+            return None
+        instance = self[key] = BrachaInstance(key[1])
+        return instance
+
+
+class BrachaHost(Party):
+    """A party that runs Bracha broadcasts: ``instances`` and the SEND /
+    ECHO / READY handlers around them.
+
+    A frame whose payload is not ``bytes`` is dropped; its key is checked
+    (:meth:`_admits`) only when it would open an instance.  Each instance
+    that delivers calls :meth:`_commit` once.  A ``bool`` key equals its
+    ``int`` twin, so it reaches that instance; what the party then says
+    or delivers names the ``int`` key.
     """
 
-    #: the wire types of the three phases, SEND / ECHO / READY
-    PHASES = (RbcSend, RbcEcho, RbcReady)
-
-    def __init__(
-        self,
-        pid: int,
-        quorums: QuorumPolicy,
-        sender: int,
-        *,
-        on_deliver: Optional[Callable[[int, bytes], None]] = None,
-    ) -> None:
+    def __init__(self, pid: int, quorums: QuorumPolicy) -> None:
         super().__init__(pid)
         self.quorums = quorums
-        self.on_deliver = on_deliver
-        self.delivered: Optional[bytes] = None
-        self.instance = BrachaInstance(sender)
-        self.on(RbcSend, self._handle_send)
-        self.on(RbcEcho, self._handle_echo)
-        self.on(RbcReady, self._handle_ready)
+        #: (epoch, origin) -> that broadcast's state at this party
+        self.instances = _Instances(self._admits)
+        self.on(BrachaSend, self._handle_send)
+        self.on(BrachaEcho, self._handle_echo)
+        self.on(BrachaReady, self._handle_ready)
 
-    # -- protocol steps ----------------------------------------------------------
+    def _admits(self, epoch, origin) -> bool:
+        """Whether a frame naming ``(epoch, origin)`` may open it."""
+        raise NotImplementedError
+
+    def _commit(self, epoch: int, origin: int, payload: bytes) -> None:
+        """Instance ``(epoch, origin)`` delivered ``payload``."""
+        raise NotImplementedError
+
+    def _handle_send(self, message: BrachaSend, sender: int) -> None:
+        payload = message.payload
+        if type(payload) is not bytes:
+            return
+        instance = self.instances[message.epoch, message.origin]
+        if instance is not None and instance.on_send(sender):
+            self.broadcast(BrachaEcho(int(message.epoch), instance.origin, payload))
+
+    def _handle_echo(self, message: BrachaEcho, sender: int) -> None:
+        payload = message.payload
+        if type(payload) is not bytes:
+            return
+        instance = self.instances[message.epoch, message.origin]
+        if instance is not None and instance.on_echo(self.quorums, payload, sender):
+            self.broadcast(BrachaReady(int(message.epoch), instance.origin, payload))
+
+    def _handle_ready(self, message: BrachaReady, sender: int) -> None:
+        payload = message.payload
+        if type(payload) is not bytes:
+            return
+        instance = self.instances[message.epoch, message.origin]
+        if instance is None:
+            return
+        ready, deliver = instance.on_ready(self.quorums, payload, sender)
+        if ready:
+            self.broadcast(BrachaReady(int(message.epoch), instance.origin, payload))
+        if deliver:
+            self._commit(int(message.epoch), instance.origin, payload)
+
+
+class BroadcastParty(BrachaHost):
+    """An honest Bracha participant in ``sender``'s one broadcast, the
+    instance ``(0, sender)``: no other key opens an instance, so neither
+    another party nor a second epoch of the sender's starts a second one.
+
+    ``delivered`` holds the delivered payload once totality triggers.
+    """
+
+    def __init__(self, pid: int, quorums: QuorumPolicy, sender: int) -> None:
+        super().__init__(pid, quorums)
+        self.sender = sender
+        self.delivered: Optional[bytes] = None
+
     def broadcast_value(self, payload: bytes) -> None:
         """Initiate a broadcast as the designated sender."""
-        self.broadcast(RbcSend(payload))
+        self.broadcast(BrachaSend(0, self.pid, payload))
 
-    def _handle_send(self, message: RbcSend, sender: int) -> None:
-        if self.instance.on_send(sender):
-            self.broadcast(RbcEcho(message.payload))
+    def _admits(self, epoch, origin) -> bool:
+        return (
+            type(epoch) is int
+            and epoch == 0
+            and type(origin) is int
+            and origin == self.sender
+        )
 
-    def _handle_echo(self, message: RbcEcho, sender: int) -> None:
-        if self.instance.on_echo(self.quorums, message.payload, sender):
-            self.broadcast(RbcReady(message.payload))
-
-    def _handle_ready(self, message: RbcReady, sender: int) -> None:
-        ready, deliver = self.instance.on_ready(self.quorums, message.payload, sender)
-        if ready:
-            self.broadcast(RbcReady(message.payload))
-        if deliver:
-            self.delivered = message.payload
-            self.bump("deliveries")
-            if self.on_deliver is not None:
-                self.on_deliver(self.pid, message.payload)
+    def _commit(self, epoch: int, origin: int, payload: bytes) -> None:
+        self.delivered = payload
+        self.bump("deliveries")

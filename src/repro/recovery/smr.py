@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..protocols.reliable_broadcast import well_formed
 from ..protocols.smr import SmrParty, batch_position
 from ..weighted.quorum import QuorumPolicy
 from .wal import InMemoryWal, WriteAheadLog
@@ -197,16 +198,10 @@ class RecoverableSmrParty(SmrParty):
                 self._committed_via_sync(epoch, proposer, payload)
 
     def _well_formed(self, entry) -> bool:
-        """An ``(epoch, proposer, payload)`` triple a peer could have sent."""
-        if not (isinstance(entry, tuple) and len(entry) == 3):
-            return False
-        epoch, proposer, payload = entry
+        """An ``(epoch, proposer, payload)`` triple a peer could have sent:
+        the rule a Bracha frame's key and payload are held to."""
         return (
-            type(epoch) is int
-            and epoch >= 0
-            and type(proposer) is int
-            and 0 <= proposer < self.n
-            and type(payload) is bytes
+            isinstance(entry, tuple) and len(entry) == 3 and well_formed(*entry, self.n)
         )
 
     def _committed_via_sync(self, epoch: int, proposer: int, payload: bytes) -> None:

@@ -297,8 +297,7 @@ def default_registry() -> CodecRegistry:
     from ..protocols.checkpointing import CheckpointShare, CheckpointVote
     from ..protocols.common_coin import CoinShareMsg
     from ..protocols.ec_broadcast import EcFragment, EcRequest
-    from ..protocols.reliable_broadcast import RbcEcho, RbcReady, RbcSend
-    from ..protocols.smr import BatchEcho, BatchReady, BatchSend
+    from ..protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
     from ..protocols.vaba import Commit, Decide, Proposal, Vote, Vouch
     from ..recovery.smr import StateSyncRequest, StateSyncResponse
 
@@ -308,14 +307,10 @@ def default_registry() -> CodecRegistry:
         BlockFragment,
         DleqProof,
         SignatureShare,
-        # Bracha RBC
-        RbcSend,
-        RbcEcho,
-        RbcReady,
-        # SMR batches
-        BatchSend,
-        BatchEcho,
-        BatchReady,
+        # Bracha broadcast: RBC and SMR batches
+        BrachaSend,
+        BrachaEcho,
+        BrachaReady,
         # AVID
         AvidDisperse,
         AvidEcho,

@@ -71,7 +71,7 @@ class TestInProcTransport:
         async def scenario():
             faults = FaultController()
             faults.partition({0}, {1})
-            from repro.protocols.reliable_broadcast import RbcSend
+            from repro.protocols.reliable_broadcast import BrachaSend
             from repro.runtime.codec import default_registry
 
             transport = InProcTransport(default_registry(), faults=faults)
@@ -79,7 +79,7 @@ class TestInProcTransport:
             transport.bind(0, lambda src, m: received.append((src, m)))
             transport.bind(1, lambda src, m: received.append((src, m)))
             await transport.start()
-            await transport.send(0, 1, RbcSend(payload=b"doomed"))
+            await transport.send(0, 1, BrachaSend(0, 0, payload=b"doomed"))
             assert transport.quiescent  # fate decided at send: no in-flight
             await transport.stop()
             return faults.dropped_messages, received

@@ -7,7 +7,7 @@ are in ``tests/runtime/test_tcp.py::TestLinkQueue``."""
 
 import asyncio
 
-from repro.protocols.reliable_broadcast import RbcSend
+from repro.protocols.reliable_broadcast import BrachaSend
 from repro.runtime import FaultController
 from repro.runtime.codec import default_registry
 from repro.runtime.transport import _FRAME, DEFAULT_RETRY_LIMIT, TcpTransport
@@ -44,7 +44,7 @@ class TestRetryBound:
             transport.retry_limit = 3
             link = _down(transport)
             for i in range(5):
-                await transport.send(*LINK, RbcSend(b"frame-%d" % i))
+                await transport.send(*LINK, BrachaSend(0, 0, b"frame-%d" % i))
             # oldest-first: the survivors are the newest frames
             assert _seqs(link) == [3, 4, 5]
             assert link.queue[-1][1].endswith(b"frame-4")
@@ -63,7 +63,7 @@ class TestRetryBound:
             transport.retry_limit = 3
             link = _down(transport)
             for i in range(3):
-                await transport.send(*LINK, RbcSend(b"frame-%d" % i))
+                await transport.send(*LINK, BrachaSend(0, 0, b"frame-%d" % i))
             assert _seqs(link) == [1, 2, 3]
             assert transport.retries_dropped == 0
             assert transport.in_flight == 3

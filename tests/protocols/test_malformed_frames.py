@@ -6,7 +6,9 @@ epoch that is no 8-byte number, or a checkpoint that is not ``bytes``.
 Each such frame, sent ahead of the honest traffic, must leave the epoch
 or checkpoint certifying from the honest shares alone.  A state-sync
 response whose entries are not ``(epoch, proposer, payload)`` triples
-must leave a recovering replica's log and vote tallies untouched.
+must leave a recovering replica's log and vote tallies untouched, and a
+Bracha SEND / ECHO / READY of that shape must open no instance and
+deliver nothing while the honest broadcasts complete.
 """
 
 import random
@@ -20,6 +22,13 @@ from repro.crypto.group import TEST_GROUP_256 as G
 from repro.crypto.threshold_sig import ThresholdSignatureScheme
 from repro.protocols.checkpointing import CheckpointParty, CheckpointShare
 from repro.protocols.common_coin import BeaconParty, CoinShareMsg
+from repro.protocols.reliable_broadcast import (
+    BrachaEcho,
+    BrachaReady,
+    BrachaSend,
+    BroadcastParty,
+)
+from repro.protocols.smr import SmrParty
 from repro.recovery.smr import RecoverableSmrParty, StateSyncResponse
 from repro.runtime import default_registry
 from repro.sim import build_world
@@ -197,3 +206,55 @@ def test_state_sync_applies_a_well_formed_entry_on_a_deliver_quorum():
     party = _sync(world, ((0, 1, b"p"),), responders=(3,))
     assert party.committed == {0: {1: (1, b"p")}}
     assert party.recovered_from_peers == 1
+
+
+#: ``(epoch, origin, payload)`` of Bracha frames party 3 of four sends:
+#: a payload that is no ``bytes`` under its own key, or a key that names
+#: no instance of four parties
+MALFORMED_BRACHA = {
+    "payload-none": (0, 3, None),
+    "payload-int": (0, 3, 7),
+    "payload-str": (0, 3, "s"),
+    "payload-tuple": (0, 3, (b"a",)),
+    "epoch-none": (None, 3, b"bad"),
+    "epoch-str": ("e", 3, b"bad"),
+    "epoch-negative": (-5, 3, b"bad"),
+    "epoch-bool": (True, 3, b"bad"),
+    "origin-n": (0, 4, b"bad"),
+    "origin-negative": (0, -1, b"bad"),
+    "origin-str": (0, "0", b"bad"),
+}
+
+#: the three Bracha hosts, each built for party ``pid`` of four
+BRACHA_HOSTS = {
+    "smr": lambda pid: SmrParty(pid, 4, NominalQuorums(n=4, t=1), lambda epoch: 0),
+    "recoverable-smr": lambda pid: RecoverableSmrParty(
+        pid, 4, NominalQuorums(n=4, t=1), lambda epoch: 0
+    ),
+    "rbc": lambda pid: BroadcastParty(pid, NominalQuorums(n=4, t=1), 3),
+}
+
+
+@pytest.mark.parametrize("host", sorted(BRACHA_HOSTS))
+@pytest.mark.parametrize("kind", sorted(MALFORMED_BRACHA))
+def test_bracha_host_drops_a_malformed_frame(host, kind):
+    world = build_world(BRACHA_HOSTS[host], 4, seed=10)
+    byzantine = world.party(3)
+    for phase in (BrachaSend, BrachaEcho, BrachaReady):
+        byzantine.broadcast(_wire(phase(*MALFORMED_BRACHA[kind])))
+    if host == "rbc":
+        byzantine.broadcast_value(b"honest")
+    else:
+        for pid in range(4):
+            world.party(pid).propose_batch(0, b"batch-%d" % pid)
+    world.run()
+    for party in world.parties:
+        if host == "rbc":
+            assert party.delivered == b"honest"
+            assert party.counters["deliveries"] == 1
+            assert list(party.instances) == [(0, 3)]
+        else:
+            # coin 0: proposer p's batch sits at position p
+            assert party.committed == {0: {p: (p, b"batch-%d" % p) for p in range(4)}}
+            assert party.counters["batches_committed"] == 4
+            assert sorted(party.instances) == [(0, p) for p in range(4)]

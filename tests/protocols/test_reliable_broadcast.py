@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adversary.byzantine import make_equivocator, make_silent
-from repro.protocols.reliable_broadcast import BroadcastParty, RbcSend
+from repro.protocols.reliable_broadcast import BrachaSend, BroadcastParty
 from repro.sim import TargetedDelay, UniformDelay, build_world
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 
@@ -126,16 +126,33 @@ class TestOneOrigin:
     so a party far inside the budget cannot start the designated
     sender's broadcast with its own value (Bracha validity)."""
 
-    def test_a_forged_send_cannot_hijack_the_broadcast(self):
+    @pytest.mark.parametrize(
+        "pid, frame",
+        [
+            (7, BrachaSend(0, 0, b"forged")),  # 2 % of the weight
+            (7, BrachaSend(0, 7, b"forged")),
+            (0, BrachaSend(1, 0, b"second")),
+        ],
+        ids=["sender-key", "own-key", "second-epoch"],
+    )
+    def test_a_forged_send_cannot_hijack_the_broadcast(self, pid, frame):
+        # Under the sender's key the SEND is not the origin's; under any
+        # other key -- the forger's own, the sender's second epoch -- it
+        # opens no instance: only ``(0, sender)`` does.
         weights = (30, 25, 20, 10, 5, 5, 3, 2)
         quorums = WeightedQuorums(weights, "1/3")
         hijacked = []
         for seed in range(20):
             world = build_world(party_factory(quorums, 0), len(weights), seed=seed)
-            world.party(7).broadcast(RbcSend(b"forged"))  # 2 % of the weight
+            world.party(pid).broadcast(frame)
             world.party(0).broadcast_value(b"honest")
             world.run()
-            if any(world.party(pid).delivered != b"honest" for pid in range(7)):
+            if any(
+                party.delivered != b"honest"
+                or party.counters["deliveries"] != 1
+                or list(party.instances) != [(0, 0)]
+                for party in world.parties
+            ):
                 hijacked.append(seed)
         assert hijacked == []
 
@@ -152,12 +169,13 @@ class TestDecidedInstanceIsForgotten:
         world.run()
         for party in world.parties:
             assert party.counters["deliveries"] == 1
-            assert party.instance.delivered
-            assert party.instance.echo_senders is None
-            assert party.instance.ready_senders is None
+            instance = party.instances[0, 0]
+            assert instance.delivered
+            assert instance.echo_senders is None
+            assert instance.ready_senders is None
 
     def test_late_votes_after_delivery_send_nothing_and_leave_no_entry(self):
-        from repro.protocols.reliable_broadcast import RbcEcho, RbcReady
+        from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady
 
         # n = 7, t = 2: the deliver quorum (5) is met before the last two
         # READYs arrive, so every party sees late votes in any run.
@@ -165,10 +183,10 @@ class TestDecidedInstanceIsForgotten:
         sent = world.metrics.messages
         party = world.party(3)
         for payload in (b"payload", b"other"):
-            party.receive(RbcEcho(payload), 5)
-            party.receive(RbcReady(payload), 5)
+            party.receive(BrachaEcho(0, 6, payload), 5)
+            party.receive(BrachaReady(0, 6, payload), 5)
         world.run()
         assert world.metrics.messages == sent
-        assert party.instance.echo_senders is None
-        assert party.instance.ready_senders is None
+        assert party.instances[0, 6].echo_senders is None
+        assert party.instances[0, 6].ready_senders is None
         assert party.delivered == b"payload" and party.counters["deliveries"] == 1

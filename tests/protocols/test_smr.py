@@ -115,12 +115,31 @@ class TestNominalSmr:
     def test_non_proposer_send_ignored(self):
         quorums = NominalQuorums(n=N, t=2)
         world = make_world(quorums, seed=6)
-        from repro.protocols.smr import BatchSend
+        from repro.protocols.reliable_broadcast import BrachaSend
 
         # Party 3 forges a SEND claiming to be proposer 5.
-        world.network.send(3, 0, BatchSend(epoch=0, proposer=5, payload=b"forged"))
+        world.network.send(3, 0, BrachaSend(epoch=0, origin=5, payload=b"forged"))
         world.run()
         assert world.party(0).ordered_log(0) == []
+
+    def test_a_bool_key_is_answered_under_its_int_twin(self):
+        from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
+
+        # ``True == 1``, so a frame keyed ``(True, 1)`` reaches the open
+        # instance ``(1, 1)``; what the replica says and commits names 1.
+        world = make_world(NominalQuorums(n=N, t=2), seed=10)
+        party = world.party(0)
+        said = []
+        party.broadcast = lambda message, **kwargs: said.append(message)
+        party.receive(BrachaEcho(1, 1, b"p"), 2)  # opens (1, 1)
+        party.receive(BrachaSend(True, 1, b"p"), 1)
+        for sender in range(1, N):
+            party.receive(BrachaReady(True, 1, b"p"), sender)
+        assert [type(message) for message in said] == [BrachaEcho, BrachaReady]
+        assert [type(message.epoch) for message in said] == [int, int]
+        assert party.ordered_log(1) == [(1, b"p")]
+        assert [type(epoch) for epoch in party.committed] == [int]
+        assert [type(epoch) for epoch, _ in party.instances] == [int]
 
 
 class TestDecidedInstanceIsForgotten:
@@ -156,7 +175,7 @@ class TestDecidedInstanceIsForgotten:
             assert len(self._delivered(party)) == 30 * N
 
     def test_late_votes_after_commit_send_nothing_and_leave_no_entry(self):
-        from repro.protocols.smr import BatchEcho, BatchReady
+        from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady
 
         # n = 8, t = 2: the deliver quorum (6) is met before the last two
         # READYs arrive, so every replica sees late votes in any run.
@@ -166,24 +185,24 @@ class TestDecidedInstanceIsForgotten:
         sent = world.metrics.messages
         party = world.party(3)
         for payload in (b"solo", b"other"):
-            party.receive(BatchEcho(0, 0, payload), 5)
-            party.receive(BatchReady(0, 0, payload), 5)
+            party.receive(BrachaEcho(0, 0, payload), 5)
+            party.receive(BrachaReady(0, 0, payload), 5)
         world.run()
         assert world.metrics.messages == sent
         assert self._pending(party) == set()
         assert party.ordered_log(0) == [(0, b"solo")]
 
     def test_the_losing_payload_of_an_equivocator_goes_too(self):
-        from repro.protocols.smr import BatchEcho, BatchReady
+        from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady
 
         world = make_world(NominalQuorums(n=N, t=2), seed=9)
         party = world.party(0)
         for sender in (1, 2):
-            party.receive(BatchEcho(0, 7, b"loses"), sender)
-            party.receive(BatchReady(0, 7, b"loses"), sender)
+            party.receive(BrachaEcho(0, 7, b"loses"), sender)
+            party.receive(BrachaReady(0, 7, b"loses"), sender)
         assert self._pending(party) == {(0, 7)}
         for sender in range(2, N):
-            party.receive(BatchReady(0, 7, b"wins"), sender)
+            party.receive(BrachaReady(0, 7, b"wins"), sender)
         assert party.ordered_log(0) == [(7, b"wins")]
         assert self._pending(party) == set()
 

@@ -8,7 +8,7 @@ import asyncio
 import pytest
 
 from repro.api import Committee
-from repro.protocols.reliable_broadcast import RbcEcho, RbcSend
+from repro.protocols.reliable_broadcast import BrachaEcho, BrachaSend
 from repro.runtime import Cluster, FaultController
 from repro.runtime.transport import InProcTransport
 from repro.sim.process import Party
@@ -20,8 +20,8 @@ class _Sink(Party):
     def __init__(self, pid):
         super().__init__(pid)
         self.got = []
-        self.on(RbcSend, lambda message, sender: self.got.append((sender, message)))
-        self.on(RbcEcho, lambda message, sender: self.got.append((sender, message)))
+        self.on(BrachaSend, lambda message, sender: self.got.append((sender, message)))
+        self.on(BrachaEcho, lambda message, sender: self.got.append((sender, message)))
 
 
 def _run(drive):
@@ -71,24 +71,24 @@ class TestSpawnRetire:
         async def drive():
             async with Cluster() as cluster:
                 nodes = cluster.spawn(_Sink, N)
-                nodes[0].party.send(1, RbcEcho(b"first"))  # no await in between
+                nodes[0].party.send(1, BrachaEcho(0, 0, b"first"))  # no await in between
                 await cluster.settle()
                 return cluster.n, cluster.party(1).got
 
         n, got = _run(drive)
         assert n == N
-        assert got == [(0, RbcEcho(b"first"))]
+        assert got == [(0, BrachaEcho(0, 0, b"first"))]
 
     def test_spawn_before_start_waits_for_start(self):
         async def drive():
             cluster = Cluster()
             nodes = cluster.spawn(_Sink, N)
-            nodes[3].party.broadcast(RbcSend(b"queued"))
+            nodes[3].party.broadcast(BrachaSend(0, 0, b"queued"))
             async with cluster:
                 await cluster.settle()
             return [party.got for party in cluster.parties]
 
-        assert _run(drive) == [[(3, RbcSend(b"queued"))]] * N
+        assert _run(drive) == [[(3, BrachaSend(0, 0, b"queued"))]] * N
 
     def test_retire_then_spawn_reuses_the_pids_on_one_transport(self):
         async def drive():
@@ -96,7 +96,7 @@ class TestSpawnRetire:
             async with Cluster(faults=faults) as cluster:
                 transport = cluster.transport
                 old = cluster.spawn(_Sink, N)
-                old[0].party.broadcast(RbcSend(b"old generation"))
+                old[0].party.broadcast(BrachaSend(0, 0, b"old generation"))
                 await cluster.settle()
                 counted = cluster.metrics.messages
                 assert counted == N
@@ -105,11 +105,11 @@ class TestSpawnRetire:
                 # places a frame can wait: a destination's queue and a
                 # delay timer.
                 faults.delay_link(2, 3, 0.05)
-                old[2].party.send(3, RbcEcho(b"on a timer"))
+                old[2].party.send(3, BrachaEcho(0, 0, b"on a timer"))
                 while faults.delayed_messages < 1:
                     await asyncio.sleep(0)
                 faults.delay_link(2, 3, 0.0)
-                await transport.send(0, 1, RbcEcho(b"queued"))  # never suspends
+                await transport.send(0, 1, BrachaEcho(0, 0, b"queued"))  # never suspends
                 assert transport.in_flight == 2
                 cluster.retire(old)
                 assert cluster.nodes == [] and transport.node_ids == []
@@ -118,7 +118,7 @@ class TestSpawnRetire:
                 new = cluster.spawn(_Sink, N)
                 assert [node.pid for node in new] == list(range(N))
                 assert cluster.nodes == new and cluster.party(1) is new[1].party
-                new[1].party.broadcast(RbcSend(b"new generation"))
+                new[1].party.broadcast(BrachaSend(0, 0, b"new generation"))
                 await cluster.settle(idle_for=0.06)
                 assert transport.quiescent and all(node.idle for node in new)
                 assert cluster.metrics.messages == counted + 2 + N
@@ -127,7 +127,8 @@ class TestSpawnRetire:
         old, new = _run(drive)
         assert all(party.crashed for party in old)
         assert all(len(party.got) == 1 for party in old)  # nothing after retiring
-        assert [party.got for party in new] == [[(1, RbcSend(b"new generation"))]] * N
+        fresh = [(1, BrachaSend(0, 0, b"new generation"))]
+        assert [party.got for party in new] == [fresh] * N
 
     def test_retire_from_inside_a_handler(self):
         """The epoch service retires a generation from the handler that
@@ -136,15 +137,15 @@ class TestSpawnRetire:
         async def drive():
             async with Cluster() as cluster:
                 nodes = cluster.spawn(_Sink, N)
-                nodes[1].party.on(RbcEcho, lambda message, sender: cluster.retire(nodes))
-                nodes[0].party.send(1, RbcEcho(b"last commit"))
+                nodes[1].party.on(BrachaEcho, lambda message, sender: cluster.retire(nodes))
+                nodes[0].party.send(1, BrachaEcho(0, 0, b"last commit"))
                 await cluster.run_until(lambda: cluster.n == 0, timeout=5.0)
                 successors = cluster.spawn(_Sink, 2)
-                successors[0].party.send(1, RbcSend(b"next"))
+                successors[0].party.send(1, BrachaSend(0, 0, b"next"))
                 await cluster.settle()
                 return successors[1].party.got
 
-        assert _run(drive) == [(0, RbcSend(b"next"))]
+        assert _run(drive) == [(0, BrachaSend(0, 0, b"next"))]
 
     def test_a_failure_in_a_spawned_group_is_raised(self):
         def broken(message, sender):
@@ -153,8 +154,8 @@ class TestSpawnRetire:
         async def drive():
             async with Cluster() as cluster:
                 nodes = cluster.spawn(_Sink, N)
-                nodes[2].party.on(RbcEcho, broken)
-                nodes[0].party.send(2, RbcEcho(b"boom"))
+                nodes[2].party.on(BrachaEcho, broken)
+                nodes[0].party.send(2, BrachaEcho(0, 0, b"boom"))
                 await cluster.run_until(lambda: False, timeout=5.0)
 
         with pytest.raises(RuntimeError, match="node 2 failed while pumping") as info:

@@ -16,8 +16,7 @@ from repro.protocols.avid import (
 from repro.protocols.checkpointing import CheckpointShare, CheckpointVote
 from repro.protocols.common_coin import CoinShareMsg
 from repro.protocols.ec_broadcast import EcFragment, EcRequest
-from repro.protocols.reliable_broadcast import RbcEcho, RbcReady, RbcSend
-from repro.protocols.smr import BatchEcho, BatchReady, BatchSend
+from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
 from repro.protocols.vaba import Commit, Decide, Proposal, Vote, Vouch
 from repro.recovery.smr import StateSyncRequest, StateSyncResponse
 from repro.runtime.codec import CodecError, CodecRegistry, default_registry
@@ -30,12 +29,12 @@ SAMPLES = [
     BlockFragment(index=7, block=bytes(range(64))),
     _PROOF,
     _SHARE,
-    RbcSend(payload=b"hello world"),
-    RbcEcho(payload=b""),
-    RbcReady(payload=bytes(range(256))),
-    BatchSend(epoch=0, proposer=6, payload=b"batch-0"),
-    BatchEcho(epoch=3, proposer=0, payload=b"x" * 1000),
-    BatchReady(epoch=2**40, proposer=1, payload=b"big epoch"),
+    BrachaSend(0, 0, b"hello world"),
+    BrachaEcho(0, 0, b""),
+    BrachaReady(0, 0, bytes(range(256))),
+    BrachaSend(epoch=0, origin=6, payload=b"batch-0"),
+    BrachaEcho(epoch=3, origin=0, payload=b"x" * 1000),
+    BrachaReady(epoch=2**40, origin=1, payload=b"big epoch"),
     AvidDisperse(
         fragments=(BlockFragment(0, b"\x07\x08"), BlockFragment(1, b"\x09\x0a")),
         hash_list=(b"\x00" * 32, b"\xff" * 32),
@@ -194,7 +193,7 @@ class TestSingleEncodePerSend:
     def test_inproc_send_encodes_once(self):
         import asyncio
 
-        from repro.protocols.reliable_broadcast import RbcSend
+        from repro.protocols.reliable_broadcast import BrachaSend
         from repro.runtime.transport import InProcTransport
 
         registry, counts = self._counting_registry()
@@ -208,7 +207,7 @@ class TestSingleEncodePerSend:
             transport.bind(0, lambda src, m: got.append(m))
             transport.bind(1, lambda src, m: got.append(m))
             await transport.start()
-            message = RbcSend(payload=b"x" * 512)
+            message = BrachaSend(0, 0, payload=b"x" * 512)
             sent = await transport.send(0, 1, message)
             while not got:
                 await asyncio.sleep(0.001)
@@ -217,14 +216,14 @@ class TestSingleEncodePerSend:
 
         got, sent = asyncio.run(drive())
         # one encode for the send -- nested dataclasses would add to the
-        # count only if the message contained any, RbcSend does not
+        # count only if the message contained any, BrachaSend does not
         assert counts["encode"] == 1
-        assert recorded == [("RbcSend", sent)]
+        assert recorded == [("BrachaSend", sent)]
 
     def test_tcp_send_encodes_once(self):
         import asyncio
 
-        from repro.protocols.reliable_broadcast import RbcSend
+        from repro.protocols.reliable_broadcast import BrachaSend
         from repro.runtime.transport import TcpTransport
 
         registry, counts = self._counting_registry()
@@ -238,7 +237,7 @@ class TestSingleEncodePerSend:
             transport.bind(0, lambda src, m: got.append(m))
             transport.bind(1, lambda src, m: got.append(m))
             await transport.start()
-            message = RbcSend(payload=b"y" * 512)
+            message = BrachaSend(0, 0, payload=b"y" * 512)
             sent = await transport.send(0, 1, message)
             for _ in range(2000):
                 if got:
@@ -249,8 +248,8 @@ class TestSingleEncodePerSend:
 
         got, sent = asyncio.run(drive())
         assert counts["encode"] == 1
-        assert got == [RbcSend(payload=b"y" * 512)]
-        assert recorded == [("RbcSend", sent)]
+        assert got == [BrachaSend(0, 0, payload=b"y" * 512)]
+        assert recorded == [("BrachaSend", sent)]
 
 
 TestSingleEncodePerSend.test_tcp_send_encodes_once = pytest.mark.tcp(
@@ -295,10 +294,13 @@ class TestTruncation:
         assert registry.decode(memoryview(data)) == SAMPLES[0]
 
 
+#: a ``BrachaEcho(0, 0, ...)`` frame up to its payload field
+_ECHO_HEAD = default_registry().encode(BrachaEcho(0, 0, None))[: -len(b"N")]
+
+
 def _echo_holding(values: bytes) -> bytes:
-    """An ``RbcEcho`` payload whose one field is the raw ``values``."""
-    tag = b"RbcEcho"
-    return len(tag).to_bytes(2, "big") + tag + values
+    """A ``BrachaEcho(0, 0, ...)`` frame whose payload is the raw ``values``."""
+    return _ECHO_HEAD + values
 
 
 class TestNesting:
@@ -324,10 +326,10 @@ class TestNesting:
         value = b"x"
         for _ in range(32):
             value = (value,)
-        deepest = RbcEcho(value)
+        deepest = BrachaEcho(0, 0, value)
         assert registry.decode(registry.encode(deepest)) == deepest
         with pytest.raises(CodecError, match="nested"):
-            registry.decode(registry.encode(RbcEcho((value,))))
+            registry.decode(registry.encode(BrachaEcho(0, 0, (value,))))
 
     def test_registered_messages_nest_three_deep(self, registry):
         share = CoinShareMsg(epoch=1, share=_SHARE)

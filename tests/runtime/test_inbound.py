@@ -9,7 +9,7 @@ chunk kept as it came, joined once), so a large frame costs linear time.
 
 import pytest
 
-from repro.protocols.reliable_broadcast import RbcEcho, RbcSend
+from repro.protocols.reliable_broadcast import BrachaEcho, BrachaSend
 from repro.runtime.codec import CodecError, default_registry
 from repro.runtime.transport import _FRAME, _HELLO, TcpTransport, _Inbound
 
@@ -46,7 +46,12 @@ class _Receiver:
             self.protocol.data_received(data[start:stop])
 
 
-MESSAGES = [RbcSend(b"a"), RbcEcho(b""), RbcEcho(bytes(range(200))), RbcSend(b"z" * 40)]
+MESSAGES = [
+    BrachaSend(0, 0, b"a"),
+    BrachaEcho(0, 0, b""),
+    BrachaEcho(0, 0, bytes(range(200))),
+    BrachaSend(0, 0, b"z" * 40),
+]
 
 
 def _stream_of(receiver, first_seq=1):
@@ -78,7 +83,7 @@ def test_every_single_cut_point():
 def test_a_large_body_is_held_as_the_chunks_that_brought_it():
     receiver = _Receiver()
     payload = bytes(range(256)) * 4096  # 1 MiB
-    data = _HELLO.pack(SRC, 0) + receiver.frame(1, RbcSend(payload))
+    data = _HELLO.pack(SRC, 0) + receiver.frame(1, BrachaSend(0, 0, payload))
     chunk = 4096
     chunks = [data[i : i + chunk] for i in range(0, len(data), chunk)]
     receiver.protocol.data_received(chunks[0])
@@ -89,7 +94,7 @@ def test_a_large_body_is_held_as_the_chunks_that_brought_it():
         assert len(receiver.protocol.pieces) == index + 1
     assert receiver.got == []
     receiver.protocol.data_received(chunks[-1])
-    assert receiver.got == [(SRC, RbcSend(payload))]
+    assert receiver.got == [(SRC, BrachaSend(0, 0, payload))]
     assert receiver.protocol.pieces == [] and receiver.protocol.missing == 0
 
 
@@ -104,7 +109,7 @@ def test_a_length_claim_allocates_nothing_ahead_of_the_bytes():
 def test_frames_at_or_below_the_watermark_are_counted_not_dispatched():
     receiver = _Receiver()
     receiver.feed(_stream_of(receiver), [])
-    again = b"".join(receiver.frame(seq, RbcSend(b"again")) for seq in (2, 4))
+    again = b"".join(receiver.frame(seq, BrachaSend(0, 0, b"again")) for seq in (2, 4))
     receiver.protocol.data_received(again)
     assert receiver.mesh.duplicates_dropped == 2
     assert receiver.got == [(SRC, m) for m in MESSAGES]
@@ -116,15 +121,15 @@ def test_garbage_sets_the_failure_and_closes_only_this_stream():
     garbage = b"\x00garbage-frame"
     data = (
         _HELLO.pack(SRC, 0)
-        + receiver.frame(1, RbcSend(b"before"))
+        + receiver.frame(1, BrachaSend(0, 0, b"before"))
         + _FRAME.pack(2, len(garbage))
         + garbage
-        + receiver.frame(3, RbcSend(b"after"))
+        + receiver.frame(3, BrachaSend(0, 0, b"after"))
     )
     receiver.protocol.data_received(data)  # must not raise
     assert isinstance(receiver.mesh.failure, CodecError)
     assert receiver.stream.closed
-    assert receiver.got == [(SRC, RbcSend(b"before"))]
+    assert receiver.got == [(SRC, BrachaSend(0, 0, b"before"))]
     assert receiver.mesh.in_flight == 0
 
 
@@ -144,6 +149,8 @@ def test_a_reborn_dialer_resets_the_watermark():
     receiver.feed(_stream_of(receiver), [])
     reborn = _Inbound(receiver.mesh, DST)
     reborn.connection_made(_Stream())
-    reborn.data_received(_HELLO.pack(SRC, 1) + receiver.frame(1, RbcSend(b"fresh")))
-    assert receiver.got[-1] == (SRC, RbcSend(b"fresh"))
+    reborn.data_received(
+        _HELLO.pack(SRC, 1) + receiver.frame(1, BrachaSend(0, 0, b"fresh"))
+    )
+    assert receiver.got[-1] == (SRC, BrachaSend(0, 0, b"fresh"))
     assert receiver.mesh._links[SRC, DST].watermark == 1

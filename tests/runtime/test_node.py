@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.protocols.reliable_broadcast import RbcEcho, RbcReady, RbcSend
+from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
 from repro.runtime import Cluster, RuntimeNode, default_registry
 from repro.runtime.cluster import TRANSPORTS
 from repro.runtime.transport import _Inbound
@@ -43,7 +43,7 @@ def _inside_inbound_callback():
 
 class _Probe(Party):
     """Records what it is handed, on which task and whether inside an
-    inbound stream's callback; answers a ``RbcSend`` with an ``RbcEcho``
+    inbound stream's callback; answers a ``BrachaSend`` with an ``BrachaEcho``
     broadcast that includes itself."""
 
     def __init__(self, pid):
@@ -53,9 +53,9 @@ class _Probe(Party):
         self.in_callback = []
         self.depth = 0
         self.reentered = False
-        self.on(RbcSend, self._handle_send)
-        self.on(RbcEcho, self._record)
-        self.on(RbcReady, self._record)
+        self.on(BrachaSend, self._handle_send)
+        self.on(BrachaEcho, self._record)
+        self.on(BrachaReady, self._record)
 
     def _record(self, message, sender):
         self.reentered |= self.depth > 0
@@ -66,7 +66,7 @@ class _Probe(Party):
     def _handle_send(self, message, sender):
         self._record(message, sender)
         self.depth += 1
-        self.broadcast(RbcEcho(message.payload), include_self=True)
+        self.broadcast(BrachaEcho(0, 0, message.payload), include_self=True)
         self.depth -= 1
 
 
@@ -99,7 +99,7 @@ class TestDispatchWhereDecoded:
         async def drive():
             async with Cluster(_Probe, N, transport=transport) as cluster:
                 assert all(len(node._tasks) == 1 for node in cluster.nodes)
-                cluster.party(0).broadcast(RbcReady(b"hello"))
+                cluster.party(0).broadcast(BrachaReady(0, 0, b"hello"))
                 await cluster.settle()
                 assert all(len(node._tasks) == 1 for node in cluster.nodes)
                 senders = {node.pid: node._tasks[0] for node in cluster.nodes}
@@ -118,7 +118,7 @@ class TestDispatchWhereDecoded:
                 )
 
         got, dispatched, ran_on = _run(drive)
-        assert got == [[(0, RbcReady(b"hello"))]] * N
+        assert got == [[(0, BrachaReady(0, 0, b"hello"))]] * N
         assert dispatched == [1] * N
         # (a transport task, the node's own sender task, no task, inside
         # an inbound stream's callback)
@@ -132,7 +132,7 @@ class TestDispatchWhereDecoded:
             assert ran_on == [(True, False, False, False)] * N
 
     def test_one_link_is_fifo(self, transport):
-        frames = [RbcEcho(index.to_bytes(2, "big")) for index in range(200)]
+        frames = [BrachaEcho(0, 0, index.to_bytes(2, "big")) for index in range(200)]
 
         async def drive():
             async with Cluster(_Probe, N, transport=transport) as cluster:
@@ -146,14 +146,14 @@ class TestDispatchWhereDecoded:
     def test_a_handler_never_sees_its_own_send_before_it_returns(self, transport):
         async def drive():
             async with Cluster(_Probe, N, transport=transport) as cluster:
-                cluster.party(1).send(1, RbcSend(b"to myself"))
-                cluster.party(0).broadcast(RbcSend(b"to all"))
+                cluster.party(1).send(1, BrachaSend(0, 0, b"to myself"))
+                cluster.party(0).broadcast(BrachaSend(0, 0, b"to all"))
                 await cluster.settle()
                 return cluster.parties
 
         parties = _run(drive)
         assert not any(party.reentered for party in parties)
-        # every RbcSend handled was echoed to everyone, the echoer included
+        # every BrachaSend handled was echoed to everyone, the echoer included
         assert sorted(len(party.got) for party in parties) == [1 + 4, 1 + 4, 2 + 4]
 
     def test_a_bound_node_handles_frames_before_start_and_ships_after(self, transport):
@@ -167,11 +167,11 @@ class TestDispatchWhereDecoded:
             await mesh.start()
             early.start()
             try:
-                early.party.send(1, RbcSend(b"are you there"))
+                early.party.send(1, BrachaSend(0, 0, b"are you there"))
                 while not late.party.got:
                     await asyncio.sleep(0.001)
                 await asyncio.sleep(0.02)
-                assert late.party.got == [(0, RbcSend(b"are you there"))]
+                assert late.party.got == [(0, BrachaSend(0, 0, b"are you there"))]
                 assert late.outbox.qsize() == 1 and not late.idle and late._tasks == []
                 assert early.party.got == [] and mesh.quiescent
                 late.start()
@@ -184,7 +184,7 @@ class TestDispatchWhereDecoded:
                 await late.stop()
                 await mesh.stop()
 
-        assert _run(drive) == [(1, RbcEcho(b"are you there"))]
+        assert _run(drive) == [(1, BrachaEcho(0, 0, b"are you there"))]
 
     def test_retire_from_inside_a_handler_during_dispatch(self, transport):
         """The retiring handler runs where the transport has more frames
@@ -199,20 +199,21 @@ class TestDispatchWhereDecoded:
                 def last_commit(message, sender):
                     seen.append(message)
                     cluster.retire([victim])
-                    victim.party.broadcast(RbcReady(b"never shipped"))
+                    victim.party.broadcast(BrachaReady(0, 0, b"never shipped"))
 
-                victim.party.on(RbcEcho, last_commit)
+                victim.party.on(BrachaEcho, last_commit)
                 for index in range(5):
-                    cluster.party(0).send(1, RbcEcho(bytes([index])))
-                cluster.party(0).broadcast(RbcReady(b"to the living"))
+                    cluster.party(0).send(1, BrachaEcho(0, 0, bytes([index])))
+                cluster.party(0).broadcast(BrachaReady(0, 0, b"to the living"))
                 await cluster.settle()
                 assert cluster.quiescent
                 return seen, [node.pid for node in cluster.nodes], cluster.parties
 
         seen, live, parties = _run(drive)
-        assert seen == [RbcEcho(b"\x00")]  # the four behind it died with the node
+        assert seen == [BrachaEcho(0, 0, b"\x00")]  # the four behind it died with the node
         assert live == [0, 2]
-        assert [party.got for party in parties] == [[(0, RbcReady(b"to the living"))]] * 2
+        living = [(0, BrachaReady(0, 0, b"to the living"))]
+        assert [party.got for party in parties] == [living] * 2
 
 
 @TRANSPORT
@@ -234,7 +235,7 @@ class TestHandlerFailure:
                 raised.setdefault("at", time.perf_counter())
                 raise ValueError(f"handler bug #{len(faulty.got)}")
 
-        faulty.on(RbcEcho, bug)
+        faulty.on(BrachaEcho, bug)
         return cluster, raised
 
     def test_failure_is_recorded_once_and_the_node_is_handed_nothing_more(
@@ -244,14 +245,14 @@ class TestHandlerFailure:
             cluster, _ = self._cluster(transport)
             async with cluster:
                 for index in range(6):
-                    cluster.party(0).send(1, RbcEcho(bytes([index])))
-                    cluster.party(0).send(2, RbcEcho(bytes([index])))
+                    cluster.party(0).send(1, BrachaEcho(0, 0, bytes([index])))
+                    cluster.party(0).send(2, BrachaEcho(0, 0, bytes([index])))
                 while not cluster.quiescent:
                     await asyncio.sleep(0.001)
                 failed = cluster.nodes[1]
                 first = failed.failure
                 # the transport survived it: the mesh still delivers
-                cluster.party(2).broadcast(RbcReady(b"still running"))
+                cluster.party(2).broadcast(BrachaReady(0, 0, b"still running"))
                 while not (cluster.quiescent and cluster.party(0).got):
                     await asyncio.sleep(0.001)
                 assert failed.failure is first and cluster.transport.failure is None
@@ -265,7 +266,7 @@ class TestHandlerFailure:
         assert cause == f"handler bug #{self.K}"
         assert dispatched == self.K and len(parties[1].got) == self.K
         assert len(parties[2].got) == 6 + 1
-        assert parties[0].got == [(2, RbcReady(b"still running"))]
+        assert parties[0].got == [(2, BrachaReady(0, 0, b"still running"))]
 
     @pytest.mark.parametrize("wait", ["run_until", "settle"])
     def test_the_cluster_raises_it_within_one_poll(self, transport, wait):
@@ -275,7 +276,7 @@ class TestHandlerFailure:
             cluster, raised = self._cluster(transport)
             async with cluster:
                 for index in range(self.K):
-                    cluster.party(0).send(1, RbcEcho(bytes([index])))
+                    cluster.party(0).send(1, BrachaEcho(0, 0, bytes([index])))
                 try:
                     if wait == "run_until":
                         await cluster.run_until(lambda: False, timeout=5.0, poll=0.01)

@@ -7,7 +7,7 @@ import asyncio
 
 import pytest
 
-from repro.protocols.reliable_broadcast import RbcEcho, RbcSend
+from repro.protocols.reliable_broadcast import BrachaEcho, BrachaSend
 from repro.runtime import TRANSPORTS, Cluster, FaultController
 from repro.runtime.codec import default_registry
 from repro.sim.process import Party
@@ -19,8 +19,8 @@ class _Sink(Party):
     def __init__(self, pid):
         super().__init__(pid)
         self.got = []
-        self.on(RbcSend, lambda message, sender: self.got.append((sender, message)))
-        self.on(RbcEcho, lambda message, sender: self.got.append((sender, message)))
+        self.on(BrachaSend, lambda message, sender: self.got.append((sender, message)))
+        self.on(BrachaEcho, lambda message, sender: self.got.append((sender, message)))
 
 
 class _Counts:
@@ -58,32 +58,35 @@ def _broadcast_counts(transport):
             transport, lambda name, size: recorded.append((name, size))
         ) as cluster:
             node = cluster.nodes[2]
-            message = RbcSend(b"to-everyone" * 20)
+            message = BrachaSend(0, 0, b"to-everyone" * 20)
             node.party.broadcast(message)
             assert node.outbox.qsize() == 1  # one entry, not N
             await cluster.settle()
             # the same value again, as a new object: a second encode
-            node.party.broadcast(RbcSend(b"to-everyone" * 20), include_self=False)
-            node.party.send(4, RbcEcho(b"just-one"))
+            again = BrachaSend(0, 0, b"to-everyone" * 20)
+            node.party.broadcast(again, include_self=False)
+            node.party.send(4, BrachaEcho(0, 0, b"just-one"))
             await cluster.settle()
             assert cluster.transport.in_flight == 0
             return message, [party.got for party in cluster.parties]
 
     message, got = asyncio.run(drive())
     size = len(default_registry().encode(message))
-    assert [type(m).__name__ for m in counts.encodes] == ["RbcSend", "RbcSend", "RbcEcho"]
+    names = [type(m).__name__ for m in counts.encodes]
+    assert names == ["BrachaSend", "BrachaSend", "BrachaEcho"]
     assert counts.encodes[0] is message
     assert counts.condemned == (
         [(2, dst) for dst in range(N)]
         + [(2, dst) for dst in range(N) if dst != 2]
         + [(2, 4)]
     )
-    assert recorded[: 2 * N - 1] == [("RbcSend", size)] * (2 * N - 1)
-    assert recorded[2 * N - 1 :] == [("RbcEcho", len(default_registry().encode(RbcEcho(b"just-one"))))]
+    assert recorded[: 2 * N - 1] == [("BrachaSend", size)] * (2 * N - 1)
+    echo_size = len(default_registry().encode(BrachaEcho(0, 0, b"just-one")))
+    assert recorded[2 * N - 1 :] == [("BrachaEcho", echo_size)]
     for pid, seen in enumerate(got):
         expected = [(2, message)] * (1 if pid == 2 else 2)
         if pid == 4:
-            expected.append((2, RbcEcho(b"just-one")))
+            expected.append((2, BrachaEcho(0, 0, b"just-one")))
         assert seen == expected
 
 
@@ -107,7 +110,7 @@ def test_condemned_destinations_still_count_and_share_the_encode():
             "inproc", lambda name, size: recorded.append(name)
         ) as cluster:
             counts.faults.crash(3)
-            cluster.party(0).broadcast(RbcSend(b"x"))
+            cluster.party(0).broadcast(BrachaSend(0, 0, b"x"))
             await cluster.settle()
             return [len(party.got) for party in cluster.parties]
 

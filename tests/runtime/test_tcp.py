@@ -10,7 +10,7 @@ import pytest
 from repro.codes import ReedSolomon
 from repro.protocols.avid import AvidParty
 from repro.protocols.common_coin import deterministic_coin
-from repro.protocols.reliable_broadcast import BroadcastParty, RbcSend
+from repro.protocols.reliable_broadcast import BroadcastParty, BrachaSend
 from repro.protocols.smr import SmrParty
 from repro.runtime import Cluster, run_cluster
 from repro.runtime.codec import CodecError, default_registry
@@ -41,9 +41,9 @@ class TestTcpSmoke:
         )
         # n SENDs + n^2 ECHOs + n^2 READYs, all actually serialized.
         assert cluster.metrics.by_type == {
-            "RbcSend": N,
-            "RbcEcho": N * N,
-            "RbcReady": N * N,
+            "BrachaSend": N,
+            "BrachaEcho": N * N,
+            "BrachaReady": N * N,
         }
         assert cluster.metrics.bytes > 0
         assert cluster.metrics.elapsed_seconds > 0
@@ -153,13 +153,13 @@ class TestOneMesh:
             transport = mesh.transport
             await transport.start()
             try:
-                await transport.send(0, 1, RbcSend(b"buffered"))
+                await transport.send(0, 1, BrachaSend(0, 0, b"buffered"))
                 # on the link's queue, not yet written or read: in flight here
                 assert mesh.got[1] == []
                 assert transport.in_flight == 1
                 assert transport.quiescent is False
                 await _until(lambda: mesh.got[1])
-                assert mesh.got[1] == [(0, RbcSend(b"buffered"))]
+                assert mesh.got[1] == [(0, BrachaSend(0, 0, b"buffered"))]
                 assert transport.in_flight == 0 and transport.quiescent
                 assert transport.frames_sent == transport.frames_received == 1
             finally:
@@ -172,8 +172,8 @@ class TestOneMesh:
             mesh = _Mesh([0])
             await mesh.transport.start()
             try:
-                await mesh.transport.send(0, 0, RbcSend(b"me"))
-                assert mesh.got[0] == [(0, RbcSend(b"me"))]  # synchronously
+                await mesh.transport.send(0, 0, BrachaSend(0, 0, b"me"))
+                assert mesh.got[0] == [(0, BrachaSend(0, 0, b"me"))]  # synchronously
                 assert not mesh.transport._links  # no stream was ever dialed
                 assert mesh.transport.quiescent
             finally:
@@ -193,7 +193,7 @@ class TestOneMesh:
                 received = transport.frames_received
                 assert transport._links[0, 1].watermark >= 1
                 # what a retry queue does after a write that half-succeeded
-                body = transport.registry.encode(RbcSend(b"once"))
+                body = transport.registry.encode(BrachaSend(0, 0, b"once"))
                 transport._links[0, 1].writer.write(_FRAME.pack(1, len(body)) + body)
                 await _until(lambda: transport.duplicates_dropped == 1)
                 await cluster.settle()
@@ -212,21 +212,21 @@ class TestOneMesh:
                 old = {src: await mesh.dial(1, src, 0) for src in (7, 8)}
                 for src, writer in old.items():
                     for seq in (1, 2, 3):
-                        writer.write(mesh.frame(seq, RbcSend(b"%d" % seq)))
+                        writer.write(mesh.frame(seq, BrachaSend(0, 0, b"%d" % seq)))
                 await _until(lambda: len(mesh.got[1]) == 6)
                 assert mesh.watermarks() == {(7, 1): 3, (8, 1): 3}
 
                 reborn = await mesh.dial(1, 7, 1)
-                reborn.write(mesh.frame(1, RbcSend(b"reborn")))
+                reborn.write(mesh.frame(1, BrachaSend(0, 0, b"reborn")))
                 await _until(lambda: len(mesh.got[1]) == 7)
-                assert mesh.got[1][-1] == (7, RbcSend(b"reborn"))
+                assert mesh.got[1][-1] == (7, BrachaSend(0, 0, b"reborn"))
                 assert mesh.watermarks() == {(7, 1): 1, (8, 1): 3}
 
                 # the other link still dedups below its own watermark, and
                 # the same incarnation dialing again resets nothing
-                old[8].write(mesh.frame(2, RbcSend(b"stale")))
+                old[8].write(mesh.frame(2, BrachaSend(0, 0, b"stale")))
                 again = await mesh.dial(1, 7, 1)
-                again.write(mesh.frame(1, RbcSend(b"stale")))
+                again.write(mesh.frame(1, BrachaSend(0, 0, b"stale")))
                 await _until(lambda: transport.duplicates_dropped == 2)
                 assert len(mesh.got[1]) == 7
                 # remote frames reopened a slot on arrival and closed it
@@ -313,14 +313,15 @@ class TestLinkQueue:
             transport = mesh.transport
             await transport.start()
             try:
-                await transport.send(0, 1, RbcSend(b"dial"))
+                await transport.send(0, 1, BrachaSend(0, 0, b"dial"))
                 await _until(lambda: len(mesh.got[1]) == 1)
                 writer = transport._links[0, 1].writer
                 writes = []
                 real_write = writer.write
                 writer.write = lambda data: (writes.append(len(data)), real_write(data))
                 sizes = [
-                    await transport.send(0, 1, RbcSend(b"burst-%d" % i)) for i in range(12)
+                    await transport.send(0, 1, BrachaSend(0, 0, b"burst-%d" % i))
+                    for i in range(12)
                 ]
                 assert writes == []  # send() queues; the link's writer task writes
                 await _until(lambda: len(mesh.got[1]) == 13)
@@ -340,7 +341,7 @@ class TestLinkQueue:
             await transport.start()
             try:
                 for i in range(40):
-                    await transport.send(0, 1, RbcSend(b"%d" % i))
+                    await transport.send(0, 1, BrachaSend(0, 0, b"%d" % i))
                 assert len(transport._links[0, 1].queue) == 40
                 await _until(lambda: len(mesh.got[1]) == 40)
                 assert self.payloads(mesh, 1) == [b"%d" % i for i in range(40)]
@@ -357,7 +358,7 @@ class TestLinkQueue:
             transport = mesh.transport
             await transport.start()
             try:
-                await transport.send(0, 1, RbcSend(b"0"))
+                await transport.send(0, 1, BrachaSend(0, 0, b"0"))
                 await _until(lambda: len(mesh.got[1]) == 1)
                 link = transport._links[0, 1]
                 first = link.writer
@@ -369,11 +370,11 @@ class TestLinkQueue:
 
                 first.drain = drain_then_fail
                 for i in (1, 2, 3):
-                    await transport.send(0, 1, RbcSend(b"%d" % i))
+                    await transport.send(0, 1, BrachaSend(0, 0, b"%d" % i))
                 await _until(lambda: link.down)
                 assert len(link.queue) == 3  # kept for the next stream
                 for i in (4, 5):  # queued behind them while the link is down
-                    await transport.send(0, 1, RbcSend(b"%d" % i))
+                    await transport.send(0, 1, BrachaSend(0, 0, b"%d" % i))
                 await _until(lambda: len(mesh.got[1]) == 6)
                 await _until(lambda: transport.duplicates_dropped == 3)
                 # 1-3 arrived on the first stream and again on the second
@@ -409,7 +410,7 @@ class TestLinkQueue:
             peer.bind(1, lambda src, message: got.append((src, message.payload)))
             try:
                 for i in range(5):
-                    await sender.send(0, 1, RbcSend(b"frame-%d" % i))
+                    await sender.send(0, 1, BrachaSend(0, 0, b"frame-%d" % i))
                 link = sender._links[0, 1]
                 assert len(link.queue) == 5  # not known to be down yet
                 await _until(lambda: sender.retries_dropped == 2)
@@ -420,7 +421,7 @@ class TestLinkQueue:
                 port = await peer.listen(1)
                 sender.configure({1: ("127.0.0.1", port)})
                 await _until(lambda: len(got) == 3)
-                await sender.send(0, 1, RbcSend(b"frame-5"))  # healthy again
+                await sender.send(0, 1, BrachaSend(0, 0, b"frame-5"))  # healthy again
                 await _until(lambda: len(got) == 4)
                 assert got == [(0, b"frame-%d" % i) for i in (2, 3, 4, 5)]
                 # bound for another process: slots close on drain, and the

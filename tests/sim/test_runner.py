@@ -1,7 +1,7 @@
 """``build_world`` as the one sim host: worlds built on one simulator are
 successive party groups of one run -- one clock, nothing else shared."""
 
-from repro.protocols.reliable_broadcast import RbcEcho
+from repro.protocols.reliable_broadcast import BrachaEcho
 from repro.sim import Simulator, build_world
 from repro.sim.process import Party
 
@@ -10,7 +10,7 @@ class _Sink(Party):
     def __init__(self, pid):
         super().__init__(pid)
         self.got = []
-        self.on(RbcEcho, lambda message, sender: self.got.append((sender, message)))
+        self.on(BrachaEcho, lambda message, sender: self.got.append((sender, message)))
 
 
 def test_worlds_on_one_simulator_share_the_clock_and_nothing_else():
@@ -23,11 +23,11 @@ def test_worlds_on_one_simulator_share_the_clock_and_nothing_else():
     assert sorted(first.network.parties) == [0, 1, 2]
     assert sorted(second.network.parties) == [0, 1]
 
-    first.party(0).broadcast(RbcEcho(b"first"))
-    second.party(1).send(0, RbcEcho(b"second"))
+    first.party(0).broadcast(BrachaEcho(0, 0, b"first"))
+    second.party(1).send(0, BrachaEcho(0, 0, b"second"))
     second.run()  # either world's run drives the one clock
-    assert [p.got for p in first.parties] == [[(0, RbcEcho(b"first"))]] * 3
-    assert [p.got for p in second.parties] == [[(1, RbcEcho(b"second"))], []]
+    assert [p.got for p in first.parties] == [[(0, BrachaEcho(0, 0, b"first"))]] * 3
+    assert [p.got for p in second.parties] == [[(1, BrachaEcho(0, 0, b"second"))], []]
     assert (first.metrics.messages, second.metrics.messages) == (3, 1)
     assert simulator.now > 0 and simulator.events_processed == 4
 

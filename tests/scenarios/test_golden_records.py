@@ -18,32 +18,32 @@ from repro.scenarios import get_scenario, run_scenario, scenario_names
 
 #: sha256 of ``run_scenario(spec, backend="sim").record_json()``
 SCENARIO_DIGESTS = {
-    "uniform-rbc": "3c62627812920f951f636548f9e6e8f86d6ed65ea85a15148efd132dd4586ee4",
-    "zipf-stake-smr": "8106606914f2ab972a3105390559159e13c9565aacf468323481f2ebe5d85d6a",
-    "real-chain-rbc": "67aee53cd01e85cf29e63262f6d3998caf68d288ce774480c599fdbd1575be81",
-    "crash-f-rbc": "fa709eccb0cfc7770ca63def0ec130f7c6fa4a19e6fecf7319c30bab09cb8fd0",
-    "partition-heal-smr": "fc686855b532468bfd67ab84c87eedd212672b073627f7ba38d5bab1930b660d",
-    "link-delay-rbc": "d4f1af22f8e313d483d22c2f29b8b84bb921217721d63f5ae11d94d5bd64abe0",
-    "large-batch-smr": "3589c25aedbc35ce30dba4a56652c9f250bf82d4e4bf9d2f3364877becf54f8d",
-    "skewed-quorum-rbc": "0459399ec34a1cc93e60fd69eb1216c845bd585eb991caef002402fd0b2c5f86",
+    "uniform-rbc": "ef25399ac41d68c32446159cb8a1685c491cdccdf4eb4effbb816317bea74f46",
+    "zipf-stake-smr": "4366dda378f7298b846da598be91e462b4439b42e9442d770e87ec67776640a6",
+    "real-chain-rbc": "eb173697edba2544196ecb14efda2b677ccafdb3445d424039b072325d6cf321",
+    "crash-f-rbc": "a4d9356cabb8d7d65bfa774f00d5209369951748cc18fa38f3ba0821d7028e8d",
+    "partition-heal-smr": "b1912b471501ca194045d187f77034b67b2c27e38cb97c7579f63a5374327ba7",
+    "link-delay-rbc": "c47efd574c6a868ff5cc2574419afcb5401e865ad075decdc54eacb92a25a241",
+    "large-batch-smr": "8f74fbd8ba1fc0139897945066505f9f845d89a1c91bc56986fbad1c4ecc8a43",
+    "skewed-quorum-rbc": "0ba0bf3578327cbe5b6d344c2996c3c73185de6745c248e4aa75191701b8ccfc",
     "vaba-blackbox": "8ae360edfa22045d900d6dbbcd325ffe0a43159234ce9cf400c4869871244465",
     "checkpoint-tight": "8be9c8989073176ad674a8bddf53a471f9fda49769b659044cdb3c43a81964dc",
-    "epoch-service": "0cd9f4048ed48a91b1408a386562c48ff0e176354fb33cf93f89ee32b529a206",
-    "crash-restart-smr": "33d24cfc0973118b771e69b6ac3c0541a39df79d6e83c5b72aa22fc1c41b74dd",
-    "crash-restart-mixed-smr": "6cbba7527e405d24036428ad386ae7d04b953cef3fe72f5ab71122e5b6aa9877",
-    "equivocate-smr": "6004281a361979728bb71cd93b9dd5cf4a623c0dd88217a85e518835a0773d48",
-    "garble-rbc": "fca74855fe88e17cbfe11fc30cbe29231d755bd7effe7789b9339095001e368e",
-    "pivot-delay-smr": "8b7609226add1515a2d6688e2c2153c72454ec390935ac692e640121a710341a",
-    "adaptive-silence-smr": "cf2a254cc0709e4faa3ac361ed68778fabe4ca11ee299f44eda63361a9d51fb9",
+    "epoch-service": "75f6d50aefc0ca01da22a35e7bb0453a783cfd8b92fdc51554998e416d594849",
+    "crash-restart-smr": "16a684d8c68f1fba0b41340abc37d981ae60ca4e6bd6604b17f25a8abb4cab50",
+    "crash-restart-mixed-smr": "5e19655d18d015d9922c0985515692f21695b6777de1bd5f420025bfa4428f7f",
+    "equivocate-smr": "7bd71d63b423da95c2a82b70ad2fab4d2970a8de2f40c74cbd1f95ce1fc68357",
+    "garble-rbc": "5758238c8b42bb55a712f4d39739ee8d3dadbe5f4b9096c549edc9bbc7be0ed0",
+    "pivot-delay-smr": "732bb36a7c2baea91431ea575ca3dbc7b336847f0a36ada3ae9905b5589e0437",
+    "adaptive-silence-smr": "0e6b54791bc8d2865a2d34532cb22584ce688a0eaccedd4ce6a526c878608955",
     "share-flood-checkpoint": "3896f8620ced2c13b234badc1f18b335b9b7aa730d1fb00f8af520d55b618c14",
-    "partition-heal-corrupt-smr": "5e290a4ca22abd470c590f09afee6cc6b0ea6a357a1abac17ed068b81f9cdc37",
-    "weather-storm-smr": "9f40254faa4899131516125c1f6e4c545d6b9dcb27a778af7f1cadebda48d89d",
-    "rolling-restart-under-load": "5783372561495aad48620fc076dfa5f1199e12689acbf89a305203e8510c7f70",
-    "bad-handover-service": "dd1a3f797b2bda32999975d9f184359d960456f62e92aaad101af0f3a968f154",
+    "partition-heal-corrupt-smr": "a659e1e9ebf09a8fdcb6cb6493664ebd67ee511bf984c76c3b0e7d6a5216036b",
+    "weather-storm-smr": "a07cc8150675a708d31684a45bb83fcbe24b2d1cf48503a5c51de9f865cd9f7a",
+    "rolling-restart-under-load": "b10790d573d74fb17d15d1b68fb4a54828551b08b3a360e8df5417b9d704d582",
+    "bad-handover-service": "f9d2b7c68c18783afa20087afc99176484efc3d08805879774e6a23647e4796a",
 }
 
 #: :func:`campaign_digest` of ``FuzzConfig(episodes=50, seed=0)``
-CAMPAIGN_DIGEST = "a459473e107a9a648c3f751b834e1120bc2100a4b8e77f8f994122063a725909"
+CAMPAIGN_DIGEST = "476ebe322792fb6d7220d57e665a491b0b350bd05b77a64fcb19f1fe54f32b88"
 
 
 def scenario_digest(name: str) -> str:

@@ -431,8 +431,8 @@ class TestScenarioCommand:
 
 #: sha256 of the sim ``repro serve`` stdout, for argv suffixes
 SERVE_DIGESTS = {
-    (): "f88b96d4ae83d93eeb4494f01585c28fb7d5ff418c0485948c5f5ce11ff197a8",
-    ("--drift", "1:0:150"): "af9cb582e13541202155b757d24f5bccd4e1eabc33e13e0952a0a33a04cdd027",
+    (): "419c816c6ebfed90a475b315bfd76ae4e89d2b1971c398ce18832960b70c9cff",
+    ("--drift", "1:0:150"): "6feec73588eae3a962bf332357f03bf4ef83fe43ec8667387bd1eec34d8b6ef9",
 }
 
 

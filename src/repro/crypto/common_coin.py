@@ -11,14 +11,30 @@ always hold enough shares to open the coin, corrupt parties never do.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..core.types import TicketAssignment
+from ..weighted.virtual import VirtualUserMap
 from .group import SchnorrGroup
 from .threshold_sig import SignatureShare, ThresholdSignatureScheme
 
-__all__ = ["CommonCoin", "WeightedCoin"]
+__all__ = ["EPOCH_PREFIX", "CommonCoin", "WeightedCoin", "coin_value", "epoch_message"]
+
+#: the first bytes of every epoch message; an 8-byte epoch number follows
+EPOCH_PREFIX = b"coin-epoch|"
+
+
+def epoch_message(epoch: int) -> bytes:
+    """The message whose unique threshold signature is ``epoch``'s coin."""
+    return EPOCH_PREFIX + epoch.to_bytes(8, "big")
+
+
+def coin_value(sigma: int) -> int:
+    """The random value of an epoch: a hash of its unique signature."""
+    digest = hashlib.sha256(
+        b"coin-value|" + sigma.to_bytes((sigma.bit_length() + 7) // 8 or 1, "big")
+    ).digest()
+    return int.from_bytes(digest, "big")
 
 
 class CommonCoin:
@@ -30,17 +46,13 @@ class CommonCoin:
         self.n = n
         self.k = k
 
-    @staticmethod
-    def _epoch_message(epoch: int) -> bytes:
-        return b"coin-epoch|" + epoch.to_bytes(8, "big")
-
     def share(self, signer: int, epoch: int, rng) -> SignatureShare:
         """Signer's coin share for ``epoch`` (signers are 1-based)."""
-        return self.scheme.sign_share(signer, self._epoch_message(epoch), rng)
+        return self.scheme.sign_share(signer, epoch_message(epoch), rng)
 
     def verify_share(self, share: SignatureShare, epoch: int) -> bool:
         """Publicly verify a coin share (per-share oracle)."""
-        return self.scheme.verify_share(share, self._epoch_message(epoch))
+        return self.scheme.verify_share(share, epoch_message(epoch))
 
     def verify_shares(
         self, shares: Sequence[SignatureShare], epoch: int, *, rng=None
@@ -53,7 +65,7 @@ class CommonCoin:
         chains.  Agrees with :meth:`verify_share` per share.
         """
         return self.scheme.verify_shares_batch(
-            shares, self._epoch_message(epoch), rng=rng
+            shares, epoch_message(epoch), rng=rng
         )
 
     def open(
@@ -66,11 +78,7 @@ class CommonCoin:
         Callers that already batch-verified at the quorum point pass
         ``verify=False`` to skip the (batched) re-verification.
         """
-        sigma = self.scheme.combine(shares, self._epoch_message(epoch), verify=verify)
-        digest = hashlib.sha256(
-            b"coin-value|" + sigma.to_bytes((sigma.bit_length() + 7) // 8 or 1, "big")
-        ).digest()
-        return int.from_bytes(digest, "big")
+        return coin_value(self.scheme.combine(shares, epoch_message(epoch), verify=verify))
 
     def toss(self, shares: Sequence[SignatureShare], epoch: int) -> int:
         """A single common coin bit for ``epoch``."""
@@ -95,26 +103,19 @@ class WeightedCoin:
         from fractions import Fraction
         import math
 
-        tickets = list(assignment)
-        total = sum(tickets)
+        #: ticket -> signer layout: virtual id ``v`` signs as index ``v + 1``
+        self.vmap = VirtualUserMap(assignment)
+        total = self.vmap.total_virtual
         if total == 0:
             raise ValueError("assignment has no tickets")
         alpha = Fraction(alpha_n)
         self.threshold = math.ceil(alpha * total)
         self.total_shares = total
         self.coin = CommonCoin(group, n=total, k=self.threshold, rng=rng)
-        # Virtual signer indices (1-based) owned by each party.
-        self.virtual_of_party: list[tuple[int, ...]] = []
-        cursor = 1
-        for t in tickets:
-            self.virtual_of_party.append(tuple(range(cursor, cursor + t)))
-            cursor += t
 
     def shares_of_party(self, party: int, epoch: int, rng) -> list[SignatureShare]:
         """All coin shares party ``party`` contributes (one per ticket)."""
-        return [
-            self.coin.share(v, epoch, rng) for v in self.virtual_of_party[party]
-        ]
+        return [self.coin.share(v + 1, epoch, rng) for v in self.vmap.virtual_ids(party)]
 
     def verify_shares(
         self, shares: Sequence[SignatureShare], epoch: int, *, rng=None
@@ -133,5 +134,5 @@ class WeightedCoin:
 
     def coalition_can_open(self, parties: Sequence[int]) -> bool:
         """Does the coalition control at least ``threshold`` virtual signers?"""
-        held = sum(len(self.virtual_of_party[p]) for p in parties)
+        held = sum(self.vmap.tickets[p] for p in parties)
         return held >= self.threshold

@@ -153,18 +153,3 @@ class ThresholdSignatureScheme:
         return self.group.multi_exp(
             [(share.value, lam) for lam, share in zip(lambdas, chosen)]
         )
-
-    def verify(self, signature: int, message: bytes) -> bool:
-        """Verify a combined signature.
-
-        Pairing substitute: recompute ``H(m)^x`` from the dealer transcript
-        (the scheme object holds the shares in simulation).  Uniqueness
-        makes this well-defined; see the module docstring.
-        """
-        xs = sorted(self._secret_shares)[: self.k]
-        lambdas = lagrange_coefficients_at(self.field, xs, 0)
-        x = self.field.sum(
-            self.field.mul(lam, self._secret_shares[i]) for lam, i in zip(lambdas, xs)
-        )
-        expected = self.group.power(self.hash_message(message), x)
-        return signature == expected

@@ -4,7 +4,7 @@ SSLE, and PoS checkpointing (paper, Sections 4-6)."""
 
 from .avid import AvidParty, fragment_digest
 from .checkpointing import CheckpointParty, CheckpointShare, CheckpointVote
-from .common_coin import BeaconParty, CoinShareMsg, ThresholdCoin
+from .common_coin import BeaconParty
 from .ec_broadcast import EcParty, GarbageEcParty, OnlineDecoder
 from .reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend, BroadcastParty
 from .smr import SmrParty, batch_position
@@ -22,8 +22,6 @@ __all__ = [
     "GarbageEcParty",
     "OnlineDecoder",
     "BeaconParty",
-    "ThresholdCoin",
-    "CoinShareMsg",
     "VabaParty",
     "WeightedVabaRunner",
     "SmrParty",

@@ -14,6 +14,11 @@ Two flavors:
   ``A_w(beta)`` at the cost of exactly one message delay per checkpoint
   (the paper's claim, measured by the benchmark).
 
+The randomness beacon is this protocol too: a
+:class:`~repro.protocols.common_coin.BeaconParty` is a blunt party whose
+checkpoints are epoch messages; it overrides the
+:meth:`CheckpointParty._admits` predicate to refuse any other.
+
 Certificate assembly is a hot path when checkpoints are frequent: the
 share combine interpolates at zero over the quorum's share indices,
 which stabilize after the first certificate -- the Lagrange coefficients
@@ -101,7 +106,10 @@ class CheckpointParty(Party):
         self._collectors: dict[bytes, BatchedQuorumCollector] = {}
         self._gates: dict[bytes, TightGate] = {}
         self._shared: set[bytes] = set()
-        self.on(CheckpointVote, self._handle_vote)
+        # A blunt party has no vote round: a stray vote is an unhandled
+        # type, which ``Party.receive`` drops.
+        if mode == "tight":
+            self.on(CheckpointVote, self._handle_vote)
         self.on(CheckpointShare, self._handle_share)
 
     # -- initiation -----------------------------------------------------------
@@ -131,17 +139,22 @@ class CheckpointParty(Party):
             self._reveal_shares(message.checkpoint)
 
     # -- share collection ----------------------------------------------------------
+    def _admits(self, checkpoint: bytes) -> bool:
+        """Whether to collect shares on ``checkpoint``: any bytes here."""
+        return True
+
     def _handle_share(self, message: CheckpointShare, sender: int) -> None:
         """Buffer the share; verify in batches at the quorum point.
 
         A frame whose checkpoint is not ``bytes``, or whose share is not
         a :class:`SignatureShare`, is dropped here: the collector or the
-        batch verifier would raise on it.
+        batch verifier would raise on it.  So is one on a checkpoint
+        :meth:`_admits` refuses, before it makes a collector.
         """
         checkpoint = message.checkpoint
         if not isinstance(checkpoint, bytes) or not isinstance(message.share, SignatureShare):
             return
-        if checkpoint in self.certificates:
+        if checkpoint in self.certificates or not self._admits(checkpoint):
             return
         collector = self._collectors.get(checkpoint)
         if collector is None:

@@ -1,37 +1,32 @@
 """Distributed randomness beacon protocol (paper, Sections 4.1 and 6.1).
 
-Wraps :class:`repro.crypto.common_coin.WeightedCoin` in network messages:
-each party broadcasts the signature shares of all its virtual signers for
-an epoch; every party combines the first ``ceil(alpha_n T)`` verified
-shares it receives and obtains the *same* value (threshold uniqueness).
+The beacon is PoS checkpointing in blunt mode
+(:class:`~repro.protocols.checkpointing.CheckpointParty`) on one message
+per epoch, :func:`~repro.crypto.common_coin.epoch_message`: each party
+broadcasts one :class:`~repro.protocols.checkpointing.CheckpointShare`
+per ticket of a :class:`~repro.crypto.common_coin.WeightedCoin`; every
+party combines the first ``ceil(alpha_n T)`` verified shares it receives
+into the *same* unique signature (threshold uniqueness), hashed by
+:func:`~repro.crypto.common_coin.coin_value` into the epoch's value.
 Corrupt parties cannot predict the value before some honest party starts
 the epoch, because they hold fewer than ``alpha_n T`` shares (WR).
 
-Share verification is **batched at the quorum decision point**
-(:class:`~repro.protocols.batching.BatchedQuorumCollector`): arriving
-shares are buffered unverified, and only once a quorum's worth is
-pending does one random-linear-combination aggregate
-(:meth:`~repro.crypto.common_coin.CommonCoin.verify_shares`) check them
-all -- a weighted coin with thousands of tickets opens in a handful of
-multi-exponentiations instead of thousands of scalar ``pow`` chains.
-Invalid shares are pinpointed by the batch verifier's bisection and only
-the survivors count toward the threshold.
+Share verification is batched at the quorum decision point, as for
+every checkpoint: a weighted coin with thousands of tickets opens in a
+handful of multi-exponentiations, and Byzantine shares are pinpointed by
+the batch verifier's bisection.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..crypto.common_coin import CommonCoin, WeightedCoin
-from ..crypto.group import SchnorrGroup
-from ..crypto.threshold_sig import SignatureShare
-from ..sim.process import Party
-from .batching import BatchedQuorumCollector
+from ..crypto.common_coin import EPOCH_PREFIX, WeightedCoin, coin_value, epoch_message
+from .checkpointing import CheckpointParty
 
-__all__ = ["CoinShareMsg", "BeaconParty", "ThresholdCoin", "deterministic_coin"]
+__all__ = ["BeaconParty", "deterministic_coin"]
 
 
 def deterministic_coin(tag: str) -> Callable[[int], int]:
@@ -49,57 +44,13 @@ def deterministic_coin(tag: str) -> Callable[[int], int]:
     return coin
 
 
-@dataclass(frozen=True)
-class CoinShareMsg:
-    """One virtual signer's coin share for an epoch."""
+class BeaconParty(CheckpointParty):
+    """One beacon participant controlling ``t_i`` virtual signers.
 
-    epoch: int
-    share: SignatureShare
-
-    def wire_size(self) -> int:
-        # share value + DLEQ proof (challenge, response, and the two
-        # Sigma commitments that make the proof batch-verifiable)
-        return 64 + 96 + 128
-
-
-class ThresholdCoin:
-    """A threshold-signature round coin pluggable into VABA.
-
-    Callable as ``coin(round) -> int``: the dealer-trusted simulation
-    setup signs one share per virtual signer, batch-verifies them in a
-    single aggregate at the moment the round's value is demanded (the
-    quorum decision point in :class:`~repro.protocols.vaba.VabaParty`),
-    and opens the unique signature.  Values are cached per round, so
-    every party sharing one instance -- the same trust model as the
-    ``coin_seed`` hash stand-in it replaces -- sees the same leader at a
-    fraction of the per-share verification cost.
+    A blunt checkpointing party on ``coin``'s scheme and ticket layout
+    that admits only epoch messages; an epoch's certificate is its
+    value.
     """
-
-    def __init__(self, group: SchnorrGroup, n: int, k: int, rng) -> None:
-        self.coin = CommonCoin(group, n=n, k=k, rng=rng)
-        self.n = n
-        self.k = k
-        self.rng = rng
-        self._values: dict[int, int] = {}
-        #: total shares batch-verified (exposed for benchmarks/tests)
-        self.shares_verified = 0
-
-    def __call__(self, rnd: int) -> int:
-        value = self._values.get(rnd)
-        if value is None:
-            shares = [self.coin.share(i, rnd, self.rng) for i in range(1, self.k + 1)]
-            valid = [
-                s
-                for s, ok in zip(shares, self.coin.verify_shares(shares, rnd))
-                if ok
-            ]
-            self.shares_verified += len(shares)
-            value = self._values[rnd] = self.coin.open(valid, rnd, verify=False)
-        return value
-
-
-class BeaconParty(Party):
-    """One beacon participant controlling ``t_i`` virtual signers."""
 
     def __init__(
         self,
@@ -109,55 +60,21 @@ class BeaconParty(Party):
         *,
         on_value: Optional[Callable[[int, int, int], None]] = None,
     ) -> None:
-        super().__init__(pid)
-        self.coin = coin
-        self.rng = rng
+        super().__init__(pid, coin.coin.scheme, coin.vmap, rng, on_certified=self._opened)
         self.on_value = on_value
         self.values: dict[int, int] = {}
-        #: per-epoch verify-in-batches quorum state
-        self._collectors: dict[int, BatchedQuorumCollector] = {}
-        self.on(CoinShareMsg, self._handle_share)
 
     def start_epoch(self, epoch: int) -> None:
         """Contribute this party's shares for ``epoch`` (one per ticket)."""
-        for share in self.coin.shares_of_party(self.pid, epoch, self.rng):
-            self.bump("shares_signed")
-            self.broadcast(CoinShareMsg(epoch=epoch, share=share))
+        self.sign_checkpoint(epoch_message(epoch))
 
-    def _collector(self, epoch: int) -> BatchedQuorumCollector:
-        collector = self._collectors.get(epoch)
-        if collector is None:
-            collector = self._collectors[epoch] = BatchedQuorumCollector(
-                self.coin.threshold,
-                lambda batch, epoch=epoch: self.coin.verify_shares(batch, epoch),
-            )
-        return collector
+    def _admits(self, checkpoint: bytes) -> bool:
+        """Only an epoch message: the prefix and an 8-byte epoch number."""
+        return len(checkpoint) == len(EPOCH_PREFIX) + 8 and checkpoint.startswith(EPOCH_PREFIX)
 
-    def _handle_share(self, message: CoinShareMsg, sender: int) -> None:
-        """Buffer the share; verify in batches at the quorum point.
-
-        A frame whose epoch is no 8-byte epoch number, or whose share is
-        not a :class:`SignatureShare`, is dropped here: the collector or
-        the batch verifier would raise on it.
-        """
-        epoch = message.epoch
-        if not (isinstance(epoch, int) and 0 <= epoch < 1 << 64):
-            return
-        if not isinstance(message.share, SignatureShare) or epoch in self.values:
-            return
-        collector = self._collector(epoch)
-        outcome = collector.add(message.share)
-        if outcome is None:
-            return
-        accepted, rejected = outcome
-        if accepted:
-            self.bump("shares_verified", accepted)
-        if rejected:
-            self.bump("invalid_shares", rejected)
-        if collector.has_quorum:
-            value = self.coin.coin.open(collector.quorum_shares(), epoch, verify=False)
-            self.values[epoch] = value
-            del self._collectors[epoch]
-            self.bump("epochs_opened")
-            if self.on_value is not None:
-                self.on_value(self.pid, epoch, value)
+    def _opened(self, pid: int, checkpoint: bytes, sigma: int) -> None:
+        epoch = int.from_bytes(checkpoint[len(EPOCH_PREFIX) :], "big")
+        value = self.values[epoch] = coin_value(sigma)
+        self.bump("epochs_opened")
+        if self.on_value is not None:
+            self.on_value(self.pid, epoch, value)

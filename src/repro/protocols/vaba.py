@@ -107,10 +107,10 @@ class VabaParty(Party):
     are never proposed, voted for, or decided by honest parties.
 
     ``coin`` optionally replaces the hash stand-in with a real round
-    coin, e.g. :class:`~repro.protocols.common_coin.ThresholdCoin`: the
-    coin is only demanded at the quorum decision point (``n - t``
-    proposals in), which is where the threshold coin batch-verifies its
-    shares -- verify-in-batches rather than verify-on-arrival.
+    coin, any ``coin(round) -> int``: it is only demanded at the quorum
+    decision point (``n - t`` proposals in), which is where a threshold-
+    signature coin batch-verifies its shares -- verify-in-batches rather
+    than verify-on-arrival.
     """
 
     def __init__(

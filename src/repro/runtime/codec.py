@@ -34,7 +34,7 @@ fragments).
 Nesting is bounded: a value sits inside at most ``32`` tuples and nested
 dataclasses (the message itself not counted), and a deeper frame raises
 ``CodecError`` rather than exhausting the interpreter's stack.  The
-registered messages nest at most 3 deep (a ``CoinShareMsg`` holds a
+registered messages nest at most 3 deep (a ``CheckpointShare`` holds a
 ``SignatureShare`` holding a ``DleqProof``).
 """
 
@@ -295,7 +295,6 @@ def default_registry() -> CodecRegistry:
     from ..crypto.threshold_sig import SignatureShare
     from ..protocols.avid import AvidDisperse, AvidEcho, AvidFragments, AvidRetrieveRequest
     from ..protocols.checkpointing import CheckpointShare, CheckpointVote
-    from ..protocols.common_coin import CoinShareMsg
     from ..protocols.ec_broadcast import EcFragment, EcRequest
     from ..protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
     from ..protocols.vaba import Commit, Decide, Proposal, Vote, Vouch
@@ -316,9 +315,7 @@ def default_registry() -> CodecRegistry:
         AvidEcho,
         AvidRetrieveRequest,
         AvidFragments,
-        # randomness beacon
-        CoinShareMsg,
-        # checkpointing
+        # checkpointing and the randomness beacon
         CheckpointVote,
         CheckpointShare,
         # erasure-coded broadcast

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import repro.crypto.group as group_mod
 from fixed_base_oracle import FixedBaseTable, PromotingEngine
-from repro.crypto.common_coin import WeightedCoin
+from repro.crypto.common_coin import WeightedCoin, epoch_message
 from repro.crypto.group import (
     RFC3526_GROUP_2048,
     TEST_GROUP_256,
@@ -165,7 +165,7 @@ class TestTripwires:
                     await cluster.run_until(
                         lambda: len(values.get(epoch, ())) == len(weights), timeout=30
                     )
-                    h = coin.coin.scheme.hash_message(coin.coin._epoch_message(epoch))
+                    h = coin.coin.scheme.hash_message(epoch_message(epoch))
                     assert built[-1] == h and len(built) == ladders, epoch
 
         asyncio.run(drive())

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.crypto import ThresholdSignatureScheme, WeightedCoin
+from repro.crypto.common_coin import epoch_message
 from repro.crypto.group import TEST_GROUP_256 as G
 from repro.protocols.checkpointing import CheckpointParty
 from repro.protocols.common_coin import BeaconParty
@@ -63,6 +64,27 @@ class TestBeaconProtocol:
         world.run()
         signed = sum(p.counters["shares_signed"] for p in world.parties)
         assert signed == setup.total_virtual
+
+    def test_a_party_signs_what_shares_of_party_signs(self):
+        # The beacon signs through CheckpointParty: the same shares, in
+        # the same order, from the same RNG draws.
+        setup, coin, world = self._world(seed=4)
+        party = world.party(0)
+        sent = []
+        party.broadcast = sent.append
+        party.start_epoch(3)
+        assert {m.checkpoint for m in sent} == {epoch_message(3)}
+        assert [m.share for m in sent] == coin.shares_of_party(0, 3, random.Random(1000))
+
+    def test_the_value_is_the_coins_open_value(self):
+        setup, coin, world = self._world(seed=5)
+        for pid in setup.vmap.parties_with_tickets():
+            world.party(pid).start_epoch(2)
+        world.run()
+        rng = random.Random(6)
+        shares = [s for pid in range(len(WEIGHTS)) for s in coin.shares_of_party(pid, 2, rng)]
+        oracle = coin.coin.open(shares[-coin.threshold :], 2)
+        assert {p.values[2] for p in world.parties} == {oracle}
 
 
 class TestNominalVaba:

@@ -1,27 +1,29 @@
 """A Byzantine frame of the wrong shape is dropped, not raised on.
 
 The codec decodes any value into any field, so a share message can
-arrive with a ``bytes`` share value, a ``str`` challenge, no proof, an
-epoch that is no 8-byte number, or a checkpoint that is not ``bytes``.
+arrive with a ``bytes`` share value, a ``str`` challenge, no proof, or a
+checkpoint that is not ``bytes`` (or, at a beacon, no epoch message).
 Each such frame, sent ahead of the honest traffic, must leave the epoch
-or checkpoint certifying from the honest shares alone.  A state-sync
+or checkpoint certifying from the honest shares alone, and so must a
+tight-mode vote sent to a blunt party.  A state-sync
 response whose entries are not ``(epoch, proposer, payload)`` triples
 must leave a recovering replica's log and vote tallies untouched, and a
 Bracha SEND / ECHO / READY of that shape must open no instance and
 deliver nothing while the honest broadcasts complete.
 """
 
+import asyncio
 import random
 from dataclasses import replace
 
 import pytest
 
-from repro.crypto.common_coin import WeightedCoin
+from repro.crypto.common_coin import WeightedCoin, epoch_message
 from repro.crypto.dleq import verify_dleq, verify_dleq_batch
 from repro.crypto.group import TEST_GROUP_256 as G
 from repro.crypto.threshold_sig import ThresholdSignatureScheme
-from repro.protocols.checkpointing import CheckpointParty, CheckpointShare
-from repro.protocols.common_coin import BeaconParty, CoinShareMsg
+from repro.protocols.checkpointing import CheckpointParty, CheckpointShare, CheckpointVote
+from repro.protocols.common_coin import BeaconParty
 from repro.protocols.reliable_broadcast import (
     BrachaEcho,
     BrachaReady,
@@ -30,7 +32,7 @@ from repro.protocols.reliable_broadcast import (
 )
 from repro.protocols.smr import SmrParty
 from repro.recovery.smr import RecoverableSmrParty, StateSyncResponse
-from repro.runtime import default_registry
+from repro.runtime import Cluster, default_registry
 from repro.sim import build_world
 from repro.weighted.quorum import NominalQuorums
 from repro.weighted.transform import blunt_setup
@@ -99,45 +101,74 @@ def _run_beacon(setup, world):
     assert len(values) == 1 and None not in values
 
 
+def _epoch_share(share, checkpoint=epoch_message(EPOCH)):
+    return _wire(CheckpointShare(checkpoint=checkpoint, share=share))
+
+
 @pytest.mark.parametrize("kind", MALFORMED)
 def test_beacon_drops_a_malformed_share(kind):
     setup, coin, world = _beacon(seed=5)
     honest = coin.shares_of_party(0, EPOCH, random.Random(79))[0]
-    forged = _wire(CoinShareMsg(epoch=EPOCH, share=_malformed(honest)[kind]))
-    world.party(0).broadcast(forged)
+    world.party(0).broadcast(_epoch_share(_malformed(honest)[kind]))
     _run_beacon(setup, world)
 
 
-@pytest.mark.parametrize("epoch", ["e", -1, 2**64], ids=["str", "-1", "2^64"])
-def test_beacon_drops_an_epoch_that_is_no_epoch_number(epoch):
+#: checkpoints that are no epoch message: no 8-byte epoch number after
+#: the prefix, or no ``bytes`` at all
+NOT_EPOCH_MESSAGES = {
+    "junk": b"junk",
+    "short": epoch_message(EPOCH)[:-1],
+    "long": epoch_message(EPOCH) + b"\0",
+    "prefix-str": "coin-epoch|",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_EPOCH_MESSAGES))
+def test_beacon_drops_a_checkpoint_that_is_no_epoch_message(kind):
     # Every honest share re-labelled: enough distinct signers to run a
-    # batch under the bad epoch.
+    # batch under the bad checkpoint.
     setup, coin, world = _beacon(seed=6)
     rng = random.Random(80)
     for pid in range(len(WEIGHTS)):
         for share in coin.shares_of_party(pid, EPOCH, rng):
-            world.party(0).broadcast(_wire(CoinShareMsg(epoch=epoch, share=share)))
+            world.party(0).broadcast(_epoch_share(share, NOT_EPOCH_MESSAGES[kind]))
     _run_beacon(setup, world)
-    assert all(set(p.values) == {EPOCH} for p in world.parties)
+    for party in world.parties:
+        assert set(party.values) == {EPOCH}
+        assert party._collectors == {}
 
 
 @pytest.mark.parametrize("share", [None, 7], ids=["none", "int"])
 def test_beacon_drops_a_share_that_is_no_signature_share(share):
     setup, coin, world = _beacon(seed=7)
-    world.party(0).broadcast(_wire(CoinShareMsg(epoch=EPOCH, share=share)))
+    world.party(0).broadcast(_epoch_share(share))
     _run_beacon(setup, world)
+
+
+def _checkpointing(seed):
+    setup = blunt_setup(WEIGHTS, "1/3", "1/2")
+    scheme = ThresholdSignatureScheme(G, setup.total_virtual, setup.threshold)
+    scheme.keygen(random.Random(seed))
+    world = build_world(
+        lambda pid: CheckpointParty(pid, scheme, setup.vmap, random.Random(5000 + pid)),
+        len(WEIGHTS),
+        seed=seed,
+    )
+    return setup, scheme, world
+
+
+def _certify(world, cp):
+    for party in world.parties:
+        party.sign_checkpoint(cp)
+    world.run()
+    certs = {p.certificates.get(cp) for p in world.parties}
+    assert len(certs) == 1 and None not in certs
+    assert all(list(p.certificates) == [cp] for p in world.parties)
 
 
 @pytest.mark.parametrize("bad", ["checkpoint-str", "share-none"])
 def test_checkpoint_drops_a_malformed_share_frame(bad):
-    setup = blunt_setup(WEIGHTS, "1/3", "1/2")
-    scheme = ThresholdSignatureScheme(G, setup.total_virtual, setup.threshold)
-    scheme.keygen(random.Random(8))
-    world = build_world(
-        lambda pid: CheckpointParty(pid, scheme, setup.vmap, random.Random(5000 + pid)),
-        len(WEIGHTS),
-        seed=8,
-    )
+    setup, scheme, world = _checkpointing(seed=8)
     cp = b"cp-400"
     if bad == "share-none":
         world.party(0).broadcast(_wire(CheckpointShare(checkpoint=cp, share=None)))
@@ -147,12 +178,46 @@ def test_checkpoint_drops_a_malformed_share_frame(bad):
         for index in range(1, setup.total_virtual + 1):
             share = scheme.sign_share(index, cp, rng)
             world.party(0).broadcast(_wire(CheckpointShare(checkpoint="cp-400", share=share)))
-    for pid in range(len(WEIGHTS)):
-        world.party(pid).sign_checkpoint(cp)
-    world.run()
-    certs = {p.certificates.get(cp) for p in world.parties}
-    assert len(certs) == 1 and None not in certs
-    assert all(list(p.certificates) == [cp] for p in world.parties)
+    _certify(world, cp)
+
+
+def test_a_live_blunt_party_drops_a_stray_vote():
+    # On a live backend a handler that raises fails its node.
+    setup = blunt_setup(WEIGHTS, "1/3", "1/2")
+    scheme = ThresholdSignatureScheme(G, setup.total_virtual, setup.threshold)
+    scheme.keygen(random.Random(12))
+    cp = b"cp-400"
+
+    async def drive():
+        async with Cluster(
+            lambda pid: CheckpointParty(pid, scheme, setup.vmap, random.Random(pid)),
+            len(WEIGHTS),
+        ) as cluster:
+            cluster.parties[-1].broadcast(CheckpointVote(cp))
+            for party in cluster.parties:
+                party.sign_checkpoint(cp)
+            await cluster.run_until(
+                lambda: all(cp in p.certificates for p in cluster.parties), timeout=30
+            )
+            await cluster.settle()  # re-raises a node failure
+            return {p.certificates[cp] for p in cluster.parties}
+
+    assert len(asyncio.run(drive())) == 1
+
+
+@pytest.mark.parametrize("host", ["checkpoint", "beacon"])
+def test_blunt_party_drops_a_stray_vote(host):
+    # A blunt party runs no vote round: a vote is a type it does not
+    # handle, not a tight gate with no weights.
+    byzantine = len(WEIGHTS) - 1
+    if host == "beacon":
+        setup, coin, world = _beacon(seed=11)
+        world.party(byzantine).broadcast(_wire(CheckpointVote(epoch_message(EPOCH))))
+        _run_beacon(setup, world)
+    else:
+        setup, scheme, world = _checkpointing(seed=11)
+        world.party(byzantine).broadcast(_wire(CheckpointVote(b"cp-400")))
+        _certify(world, b"cp-400")
 
 
 #: ``StateSyncResponse.entries`` values no honest responder sends

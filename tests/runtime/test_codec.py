@@ -14,7 +14,6 @@ from repro.protocols.avid import (
     AvidRetrieveRequest,
 )
 from repro.protocols.checkpointing import CheckpointShare, CheckpointVote
-from repro.protocols.common_coin import CoinShareMsg
 from repro.protocols.ec_broadcast import EcFragment, EcRequest
 from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
 from repro.protocols.vaba import Commit, Decide, Proposal, Vote, Vouch
@@ -46,7 +45,6 @@ SAMPLES = [
     AvidEcho(commitment=b"\x01" * 32),
     AvidRetrieveRequest(commitment=b"\x02" * 32),
     AvidFragments(commitment=b"\x03" * 32, fragments=(BlockFragment(2, b"\x04"),)),
-    CoinShareMsg(epoch=9, share=_SHARE),
     CheckpointVote(checkpoint=b"cp-hash"),
     CheckpointShare(checkpoint=b"cp-hash", share=_SHARE),
     EcRequest(),
@@ -332,7 +330,7 @@ class TestNesting:
             registry.decode(registry.encode(BrachaEcho(0, 0, (value,))))
 
     def test_registered_messages_nest_three_deep(self, registry):
-        share = CoinShareMsg(epoch=1, share=_SHARE)
+        share = CheckpointShare(checkpoint=b"coin-epoch|" + bytes(8), share=_SHARE)
         assert registry.decode(registry.encode(share)) == share
 
 

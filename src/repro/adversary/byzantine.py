@@ -19,7 +19,7 @@ import random
 from dataclasses import replace
 from typing import Sequence
 
-from ..crypto.dleq import DleqProof, _challenge
+from ..crypto.dleq import DleqProof, _root_challenge
 from ..crypto.threshold_sig import SignatureShare
 from ..protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
 
@@ -86,19 +86,20 @@ def forge_share(scheme, message: bytes, index: int, rng: random.Random) -> Signa
     survive every cheap per-item check of the batch verifier.
 
     The Fiat-Shamir challenge is computed honestly over forged values and
-    all elements are real group members, so the forgery passes the range,
-    membership, and challenge-recomputation checks and reaches the
-    random-linear-combination aggregate -- which fails, driving the
-    bisection down to the per-share oracle.  This is the most expensive
-    rejection path a Byzantine share can force.
+    every element is sent as its canonical root, so the forgery passes
+    the range, root-decoding, and challenge-recomputation checks and
+    reaches the random-linear-combination aggregate -- which fails,
+    driving the bisection down to the per-share oracle.  This is the
+    most expensive rejection path a Byzantine share can force.
     """
     group = scheme.group
-    g, h = group.generator, scheme.hash_message(message)
+    canon = group.canonical_root
+    g, h = group.generator_root, scheme.message_root(message)
     y1 = scheme.keys.public_shares[index]
-    y2 = group.fast_power(h, group.random_exponent(rng))
-    a1 = group.fast_power(g, group.random_exponent(rng))
-    a2 = group.fast_power(h, group.random_exponent(rng))
-    c = _challenge(group, g, y1, h, y2, a1, a2)
+    y2 = canon(group.fast_power(h, group.random_exponent(rng)))
+    a1 = canon(group.fast_power(g, group.random_exponent(rng)))
+    a2 = canon(group.fast_power(h, group.random_exponent(rng)))
+    c = _root_challenge(group, g, y1, h, y2, a1, a2)
     r = group.random_exponent(rng)
     return SignatureShare(
         index=index, value=y2, proof=DleqProof(challenge=c, response=r, commit1=a1, commit2=a2)

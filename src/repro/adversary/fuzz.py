@@ -364,13 +364,14 @@ def run_dleq_probe(probe_seed: int) -> tuple[list[str], dict]:
     """Forged-share flood against the batch DLEQ verifier: every batch
     verdict must equal the per-proof oracle's, for floods including
     all-bad and all-but-one-bad batches."""
-    from ..crypto.dleq import _challenge, prove_dleq, verify_dleq, verify_dleq_batch
+    from ..crypto.dleq import _root_challenge, prove_dleq, verify_dleq, verify_dleq_batch
     from ..crypto.dleq import DleqProof
     from ..crypto.group import TEST_GROUP_256 as group
 
     rng = random.Random(f"dleq|{probe_seed}")
-    g1 = group.generator
-    g2 = group.fast_power(g1, group.random_exponent(rng))
+    canon = group.canonical_root
+    g1 = group.generator_root
+    g2 = canon(group.fast_power(g1, group.random_exponent(rng)))
     n = rng.randint(4, 10)
     n_bad = rng.choice((1, n // 2, n - 1, n))
     bad_positions = set(rng.sample(range(n), n_bad))
@@ -382,13 +383,13 @@ def run_dleq_probe(probe_seed: int) -> tuple[list[str], dict]:
             mode = rng.choice(("forged", "tampered", "stripped", "range"))
             if mode == "forged":
                 # Survives every cheap check, dies in the aggregate.
-                y2 = group.fast_power(g2, group.random_exponent(rng))
-                a1 = group.fast_power(g1, group.random_exponent(rng))
-                a2 = group.fast_power(g2, group.random_exponent(rng))
-                c = _challenge(group, g1, y1, g2, y2, a1, a2)
+                y2 = canon(group.fast_power(g2, group.random_exponent(rng)))
+                a1 = canon(group.fast_power(g1, group.random_exponent(rng)))
+                a2 = canon(group.fast_power(g2, group.random_exponent(rng)))
+                c = _root_challenge(group, g1, y1, g2, y2, a1, a2)
                 proof = DleqProof(c, group.random_exponent(rng), a1, a2)
             elif mode == "tampered":
-                y2 = y2 * g2 % group.p
+                y2 = canon(y2 * g2)
             elif mode == "stripped":
                 proof = DleqProof(proof.challenge, (proof.response + 1) % group.order)
             else:  # the r + q malleability must stay closed

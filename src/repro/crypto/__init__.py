@@ -1,6 +1,6 @@
 """Cryptographic substrate: fields, groups, secret sharing, VSS, DLEQ
-proofs, unique threshold signatures, threshold ElGamal, and common coins
-(paper, Sections 4 and 6)."""
+proofs, unique threshold signatures, and common coins (paper, Sections 4
+and 6)."""
 
 from .common_coin import CommonCoin, WeightedCoin
 from .dleq import DleqProof, prove_dleq, verify_dleq, verify_dleq_batch
@@ -9,7 +9,6 @@ from .field import DEFAULT_FIELD, PrimeField
 from .group import RFC3526_GROUP_2048, TEST_GROUP_256, GroupEngine, SchnorrGroup
 from .polynomial import Polynomial, interpolate_at, lagrange_coefficients_at
 from .shamir import SecretSharing, Share, WeightedSharing, deal_weighted
-from .threshold_enc import Ciphertext, DecryptionShare, ThresholdElGamal
 from .threshold_sig import SignatureShare, ThresholdKeys, ThresholdSignatureScheme
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "ThresholdSignatureScheme",
     "ThresholdKeys",
     "SignatureShare",
-    "ThresholdElGamal",
-    "Ciphertext",
-    "DecryptionShare",
     "CommonCoin",
     "WeightedCoin",
 ]

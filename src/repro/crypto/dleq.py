@@ -24,6 +24,16 @@ Batching needs the commitments ``(a1, a2) = (g1^w, g2^w)`` on the wire
 (the challenge-only form forces the per-proof hash round-trip), so
 :class:`DleqProof` carries them; proofs without commitments fall back to
 the oracle inside the batch path.
+
+What travels: the bases ``g1``, ``g2``, the second element ``y2`` and both
+commitments are given by their *canonical roots* -- the square root in
+``[1, q]`` (:meth:`~repro.crypto.group.SchnorrGroup.decode_root`).  A
+root in range stands for a subgroup member by construction, so the
+verifiers square it instead of testing membership, and its twin
+``p - r`` is refused, leaving each element one encoding.  ``y1`` (a
+dealer-published key share) stays an element; an untrusted one still
+pays the Jacobi symbol.  The Fiat-Shamir transcript hashes the squared
+elements, so challenges and responses are those of the element form.
 """
 
 from __future__ import annotations
@@ -52,10 +62,10 @@ class DleqProof:
     """A non-interactive equality-of-discrete-log proof.
 
     ``(challenge, response)`` is the compressed Schnorr form the oracle
-    verifies; ``commit1``/``commit2`` are the Sigma commitments
-    ``(g1^w, g2^w)`` that make the proof batch-verifiable.  Proofs
-    produced before the batch engine (or stripped in transit) carry
-    ``None`` there and verify per-proof only.
+    verifies; ``commit1``/``commit2`` are the canonical roots of the
+    Sigma commitments ``(g1^w, g2^w)`` that make the proof
+    batch-verifiable.  Proofs produced before the batch engine (or
+    stripped in transit) carry ``None`` there and verify per-proof only.
     """
 
     challenge: int
@@ -84,25 +94,38 @@ def _challenge(
     )
 
 
+def _root_challenge(
+    group: SchnorrGroup, g1: int, y1: int, g2: int, y2: int, a1: int, a2: int
+) -> int:
+    """:func:`_challenge` of a root-form statement: the elements the
+    roots ``g1, g2, y2, a1, a2`` stand for, and ``y1`` as it is."""
+    p = group.p
+    return _challenge(group, g1**2 % p, y1, g2**2 % p, y2**2 % p, a1**2 % p, a2**2 % p)
+
+
 def prove_dleq(
     group: SchnorrGroup, x: int, g1: int, g2: int, rng, *, y1: int | None = None
 ) -> tuple[int, int, DleqProof]:
     """Prove knowledge of ``x`` with ``y1 = g1^x`` and ``y2 = g2^x``.
 
-    Returns ``(y1, y2, proof)``.  Exponentiations route through the
-    engine's squaring ladders: ``g2`` (``H(m)`` when signing, ``c1``
-    when decrypting) gets one on its first use, and every further share
-    of the same message/ciphertext reuses it.  A signer
-    whose ``g1^x`` is already published (a threshold key share) passes
-    it as ``y1`` and skips recomputing it; the proof is the same.
+    ``g1`` and ``g2`` are canonical roots of the bases.  Returns ``(y1,
+    y2, proof)``: ``y1`` an element, ``y2`` and the commitments canonical
+    roots -- the root of ``g^x`` is ``canon(root(g)^x)``, so they cost no
+    extra exponentiation.  Exponentiations route through the engine's
+    squaring ladders: ``g2`` (``H(m)``'s root when signing) gets one on
+    its first use, and every further share of the same message reuses
+    it.  A signer whose ``g1^x`` is already published (a threshold key
+    share) passes it as ``y1`` and skips recomputing it; the proof is
+    the same.
     """
+    p, canon = group.p, group.canonical_root
     if y1 is None:
-        y1 = group.fast_power(g1, x)
-    y2 = group.fast_power(g2, x)
+        y1 = group.fast_power(g1, x) ** 2 % p
+    y2 = canon(group.fast_power(g2, x))
     w = group.random_exponent(rng)
-    a1 = group.fast_power(g1, w)
-    a2 = group.fast_power(g2, w)
-    c = _challenge(group, g1, y1, g2, y2, a1, a2)
+    a1 = canon(group.fast_power(g1, w))
+    a2 = canon(group.fast_power(g2, w))
+    c = _root_challenge(group, g1, y1, g2, y2, a1, a2)
     r = (w - c * x) % group.order
     return y1, y2, DleqProof(challenge=c, response=r, commit1=a1, commit2=a2)
 
@@ -112,11 +135,12 @@ def verify_dleq(
 ) -> bool:
     """Verify a :class:`DleqProof` for the statement ``log_g1 y1 == log_g2 y2``.
 
+    ``g1``, ``g2`` and ``y2`` are canonical roots, ``y1`` an element.
     Malformed Byzantine proofs are rejected up front instead of passing
     through modular reduction: the response and challenge must already
     lie in the exponent range ``[0, q)`` (otherwise ``r + q`` would be a
-    distinct valid encoding of the same proof), and the bases must not
-    be the identity or the order-2 element ``p - 1``.  A statement or
+    distinct valid encoding of the same proof), every root must lie in
+    ``[1, q]``, and the bases must not be the identity.  A statement or
     proof of the wrong types is rejected, not raised on.
     """
     p, q = group.p, group.order
@@ -124,17 +148,18 @@ def verify_dleq(
         return False
     if not (0 <= proof.response < q and 0 <= proof.challenge < q):
         return False
-    if g1 % p in (0, 1, p - 1) or g2 % p in (0, 1, p - 1):
+    h1, h2, v2 = group.decode_root(g1), group.decode_root(g2), group.decode_root(y2)
+    if h1 in (None, 1) or h2 in (None, 1) or v2 is None or not group.is_member(y1):
         return False
-    if not (group.is_member(y1) and group.is_member(y2)):
-        return False
-    a1 = group.power(g1, proof.response) * group.power(y1, proof.challenge) % p
-    a2 = group.power(g2, proof.response) * group.power(y2, proof.challenge) % p
-    if proof.commit1 is not None and (proof.commit1 != a1 or proof.commit2 != a2):
+    a1 = group.power(h1, proof.response) * group.power(y1, proof.challenge) % p
+    a2 = group.power(h2, proof.response) * group.power(v2, proof.challenge) % p
+    if proof.commit1 is not None and (
+        group.decode_root(proof.commit1) != a1 or group.decode_root(proof.commit2) != a2
+    ):
         # Commitments, when present, must be the recomputed values --
         # otherwise the compressed and the batch form would disagree.
         return False
-    return _challenge(group, g1, y1, g2, y2, a1, a2) == proof.challenge
+    return _challenge(group, h1, y1, h2, v2, a1, a2) == proof.challenge
 
 
 def verify_dleq_batch(
@@ -148,9 +173,10 @@ def verify_dleq_batch(
 ) -> list[bool]:
     """Batch-verify DLEQ proofs sharing the base pair ``(g1, g2)``.
 
-    ``statements`` is a sequence of ``(y1, y2, proof)``.  Returns one
-    bool per statement, equal to what :func:`verify_dleq` would return
-    (up to the ~2^-64 soundness error of the random linear combination).
+    ``statements`` is a sequence of ``(y1, y2, proof)``, in the root form
+    :func:`verify_dleq` takes.  Returns one bool per statement, equal to
+    what :func:`verify_dleq` would return (up to the ~2^-64 soundness
+    error of the random linear combination).
 
     The happy path costs two Straus multi-exponentiations for the whole
     batch: with random ``z_i, z'_i`` of :data:`_BATCH_EXP_BITS` bits,
@@ -161,28 +187,30 @@ def verify_dleq_batch(
     holds for honest proofs by substituting ``a = g^r y^c``; a cheat in
     any position breaks the equation except with negligible probability
     over the ``z``.  Per-statement work is limited to the Fiat-Shamir
-    hash and Jacobi-symbol membership checks.  When the aggregate fails,
-    the batch is bisected (re-randomizing each level) and the leaves are
-    settled by the per-proof oracle -- one corrupted share in a batch of
-    64 costs ~log2(64) extra aggregates, and the remaining 63 still
-    verify in aggregate.
+    hash and squaring three roots.  The fixed-base side runs on the
+    roots' ladders: ``g1^{r1} g2^{r2} = (root(g1)^{r1} root(g2)^{r2})^2``.
+    When the aggregate fails, the batch is bisected (re-randomizing each
+    level) and the leaves are settled by the per-proof oracle -- one
+    corrupted share in a batch of 64 costs ~log2(64) extra aggregates,
+    and the remaining 63 still verify in aggregate.
 
-    ``assume_y1_member`` skips the membership check on the ``y1`` side
-    for callers whose first elements are trusted (dealer-published
-    public key shares); ``rng`` defaults to a system RNG -- verifier
-    randomness never needs to be reproducible.
+    ``assume_y1_member`` skips the Jacobi-symbol membership check on the
+    ``y1`` side for callers whose first elements are trusted
+    (dealer-published public key shares); ``rng`` defaults to a system
+    RNG -- verifier randomness never needs to be reproducible.
     """
     n = len(statements)
     if n == 0:
         return []
     p, q = group.p, group.order
     results: list[bool | None] = [None] * n
-    if g1 % p in (0, 1, p - 1) or g2 % p in (0, 1, p - 1):
+    h1, h2 = group.decode_root(g1), group.decode_root(g2)
+    if h1 in (None, 1) or h2 in (None, 1):
         return [False] * n
     if rng is None:
         rng = _random.SystemRandom()
 
-    member = group.is_member_fast
+    root = group.decode_root
     items: list[tuple[int, int, int, int, int, int, int]] = []
     for i, (y1, y2, proof) in enumerate(statements):
         if not _well_typed(y1, y2, proof):
@@ -195,19 +223,19 @@ def verify_dleq_batch(
         if not (0 <= r < q and 0 <= c < q):
             results[i] = False
             continue
-        a1, a2 = proof.commit1, proof.commit2
-        # Membership first: it bounds every element to ``0 < v < p``
+        # Decoding first: it bounds every element to ``0 < v < p``
         # before the transcript encodes it at fixed width.
-        if not (member(y2) and member(a1) and member(a2)):
+        v2, a1, a2 = root(y2), root(proof.commit1), root(proof.commit2)
+        if v2 is None or a1 is None or a2 is None:
             results[i] = False
             continue
-        if not assume_y1_member and not member(y1):
+        if not assume_y1_member and not group.is_member_fast(y1):
             results[i] = False
             continue
-        if _challenge(group, g1, y1, g2, y2, a1, a2) != c:
+        if _challenge(group, h1, y1, h2, v2, a1, a2) != c:
             results[i] = False
             continue
-        items.append((i, y1 % p, y2 % p, c, r, a1 % p, a2 % p))
+        items.append((i, y1 % p, v2, c, r, a1, a2))
 
     def aggregate_holds(chunk: list[tuple[int, int, int, int, int, int, int]]) -> bool:
         lhs_pairs: list[tuple[int, int]] = []
@@ -223,8 +251,8 @@ def verify_dleq_batch(
             r1 += z * r
             r2 += zp * r
         lhs = group.multi_exp(lhs_pairs)
-        rhs = group.fast_power(g1, r1 % q) * group.fast_power(g2, r2 % q) % p
-        rhs = rhs * group.multi_exp(rhs_pairs) % p
+        fixed = group.fast_power(g1, r1 % q) * group.fast_power(g2, r2 % q) % p
+        rhs = fixed * fixed % p * group.multi_exp(rhs_pairs) % p
         return lhs == rhs
 
     def oracle(item: tuple[int, int, int, int, int, int, int]) -> bool:
@@ -248,10 +276,10 @@ def verify_indexed_dleq_batch(
 
     The common shape of threshold-signature and threshold-decryption
     share verification: each ``share`` has ``.index``/``.value``/``.proof``,
-    proves DLEQ against the bases ``(g, g2)``, and its ``y1`` is the
-    public key share ``public_shares[share.index]``.  Unknown indices
-    are invalid; public key shares come from the dealer transcript, so
-    their membership check is skipped.
+    proves DLEQ against the bases ``(g, g2)`` (``g2`` a canonical root),
+    and its ``y1`` is the public key share ``public_shares[share.index]``.
+    Unknown indices are invalid; public key shares come from the dealer
+    transcript, so their membership check is skipped.
     """
     statements: list[tuple[int, int, DleqProof]] = []
     known: list[int] = []
@@ -264,7 +292,7 @@ def verify_indexed_dleq_batch(
         statements.append((pk_i, share.value, share.proof))
     verdicts = verify_dleq_batch(
         group,
-        group.generator,
+        group.generator_root,
         g2,
         statements,
         rng=rng,

@@ -1,9 +1,9 @@
 """A Schnorr group: the prime-order subgroup of ``Z_p^*`` for a safe prime.
 
-Threshold signatures and threshold ElGamal (paper, Sections 4.1-4.3 and 6)
-need a cyclic group of prime order ``q`` with hard discrete log.  For a
-safe prime ``p = 2q + 1`` the quadratic residues form such a subgroup; any
-square generates it.  Hash-to-group squares a hash output, landing in the
+Unique threshold signatures (paper, Sections 4.1-4.3 and 6) need a cyclic
+group of prime order ``q`` with hard discrete log.  For a safe prime
+``p = 2q + 1`` the quadratic residues form such a subgroup; any square
+generates it.  Hash-to-group squares a hash output, landing in the
 subgroup at an unknown discrete log -- exactly what BLS-style unique
 signatures require.
 
@@ -14,8 +14,8 @@ Each group carries a lazily-built :class:`GroupEngine` -- the batched
 exponentiation substrate the verification-heavy call sites run on:
 
 * **fixed-base squaring ladders** for every base that goes through
-  :meth:`GroupEngine.power` (the generator, ``H(m)``, ciphertext
-  ``c1``): the first use stores ``base^(2^(w*j))`` for every base-``2^w``
+  :meth:`GroupEngine.power` (the roots of the generator and of
+  ``H(m)``): the first use stores ``base^(2^(w*j))`` for every base-``2^w``
   digit position -- the squarings of one exponentiation, 20 ms against
   24 ms for a native ``pow`` at 2048 bits on one Intel Xeon core --
   and every exponent is then Yao's bucket method over those rungs,
@@ -34,12 +34,21 @@ exponentiation substrate the verification-heavy call sites run on:
   2048) no longer force a full-width squaring chain.  It pays only when
   every exponent is small on one side or the other; random and
   scattered-quorum exponents are left as they are;
-* **Jacobi-symbol membership** (:meth:`SchnorrGroup.is_member_fast`):
-  for a safe prime the order-``q`` subgroup is exactly the quadratic
-  residues, so Euler's criterion collapses from one full
-  exponentiation to a GCD-shaped symbol computation that strips all
-  factors of two in one shift per step: 0.38 ms against 25 ms for
-  ``pow(a, q, p)`` at 2048 bits on one Intel Xeon core.
+* **canonical roots** (:meth:`SchnorrGroup.canonical_root`,
+  :meth:`SchnorrGroup.decode_root`): ``p = 2q + 1`` is ``3 (mod 4)``, so
+  every subgroup element ``x`` has the two square roots ``+-r`` and
+  exactly one of them lies in ``[1, q]``.  An element sent as that root
+  is a member by construction: the receiver checks ``1 <= r <= q`` and
+  squares.  DLEQ statements (share values, proof commitments, the bases
+  ``g`` and ``H(m)``) travel this way, and the generator's ladder is
+  built on its root ``g^((p+1)/4)``;
+* **Jacobi-symbol membership** (:meth:`SchnorrGroup.is_member_fast`) for
+  elements that arrive as themselves -- Feldman commitments and an
+  untrusted DLEQ ``y1``: for a safe prime the order-``q`` subgroup is
+  exactly the quadratic residues, so Euler's criterion collapses from
+  one full exponentiation to a GCD-shaped symbol computation that
+  strips all factors of two in one shift per step: 0.38 ms against
+  25 ms for ``pow(a, q, p)`` at 2048 bits on one Intel Xeon core.
 """
 
 from __future__ import annotations
@@ -150,35 +159,46 @@ class GroupEngine:
     Every base that goes through :meth:`power` or :meth:`generator_power`
     gets a squaring :class:`_Ladder` on first use -- about one native
     ``pow`` of work, so even a base used once costs little more -- and
-    keeps it: the generator's is never evicted, the others sit in an LRU
-    of :data:`_MAX_TABLES` (``H(m)`` for the epoch being signed, a
-    ciphertext's ``c1`` during decryption).  The engine also runs the
-    Straus simultaneous multi-exponentiation loop.  Obtained via
-    :meth:`SchnorrGroup.engine`; one engine is shared by all equal group
-    instances.
+    keeps it: the generator's, built on its canonical root
+    ``generator_root``, is never evicted; the others sit in an LRU of
+    :data:`_MAX_TABLES` (the root of ``H(m)`` for the epoch being
+    signed).  The engine also runs the Straus simultaneous
+    multi-exponentiation loop.  Obtained via :meth:`SchnorrGroup.engine`;
+    one engine is shared by all equal group instances.
     """
 
-    __slots__ = ("p", "order", "generator", "_gen_ladder", "_ladders")
+    __slots__ = ("p", "order", "generator_root", "_gen_ladder", "_ladders")
 
     def __init__(self, p: int, order: int, generator: int) -> None:
         self.p = p
         self.order = order
-        self.generator = generator % p
+        root = pow(generator, (p + 1) // 4, p)
+        self.generator_root = root if root <= order else p - root
         self._gen_ladder: _Ladder | None = None
         self._ladders: dict[int, _Ladder] = {}
 
     # -- fixed-base paths --------------------------------------------------------
-    def generator_power(self, exponent: int) -> int:
-        """``g^exponent`` through the generator's ladder."""
+    def _root_power(self, exponent: int) -> int:
+        """``generator_root^exponent``, up to sign, through its ladder."""
         if self._gen_ladder is None:
-            self._gen_ladder = _Ladder(self.generator, self.p, self.order.bit_length())
+            self._gen_ladder = _Ladder(self.generator_root, self.p, self.order.bit_length())
         return self._gen_ladder.power(exponent % self.order)
 
+    def generator_power(self, exponent: int) -> int:
+        """``g^exponent``: the square of its root's power."""
+        r = self._root_power(exponent)
+        return r * r % self.p
+
     def power(self, base: int, exponent: int) -> int:
-        """``base^exponent`` through ``base``'s ladder, built on first use."""
+        """``base^exponent`` through ``base``'s ladder, built on first use.
+
+        The exponent is reduced mod ``q``, so for a base of order ``2q``
+        (a canonical root may be one) the power is right up to sign:
+        squaring it, or taking its canonical root, removes the sign.
+        """
         b = base % self.p
-        if b == self.generator:
-            return self.generator_power(exponent)
+        if b == self.generator_root:
+            return self._root_power(exponent)
         ladder = self._ladders.pop(b, None)
         if ladder is None:
             if len(self._ladders) >= _MAX_TABLES:
@@ -195,9 +215,10 @@ class GroupEngine:
         squarings plus ``2^w - 2 + max_bits/w`` multiplications *per
         base*, instead of ``max_bits`` squarings per base for independent
         ``pow`` calls.  Exponents are reduced mod ``q`` -- bases must lie
-        in the order-``q`` subgroup, as everywhere in this module -- and
-        that same fact lets a residue just below ``q`` be read as a small
-        negative one: ``b^e == (b^-1)^(q - e)``.  When ``q - e`` has at
+        in the order-``q`` subgroup, or be canonical roots whose product
+        the caller squares (the rewrites below change it only in sign) --
+        and that same fact lets a residue just below ``q`` be read as a
+        small negative one: ``b^e == (b^-1)^(q - e)``.  When ``q - e`` has at
         most half the bits of ``e`` the pair is rewritten at the price of
         one modular inverse, so ``max_bits`` is set by the short side.
         Lagrange coefficients of a contiguous index set (``6, -15, 20,
@@ -246,6 +267,10 @@ class GroupEngine:
 #: engines shared by value-equal group instances, keyed by (p, generator)
 _ENGINES: dict[tuple[int, int], GroupEngine] = {}
 
+#: exponent fields shared by every group of one order: building one runs
+#: Miller-Rabin on ``q`` (~0.35 s at 2047 bits)
+_FIELDS: dict[int, PrimeField] = {}
+
 
 def batch_bisect(items, aggregate_holds, oracle, *, leaf_size: int = 2) -> list[bool]:
     """Per-item verdicts via aggregate-accept / bisect-on-failure.
@@ -293,8 +318,8 @@ class SchnorrGroup:
     generator: int
 
     def __post_init__(self) -> None:
-        if self.p % 2 == 0 or self.p < 7:
-            raise ValueError("modulus must be an odd prime >= 7")
+        if self.p % 4 != 3 or self.p < 7:
+            raise ValueError("modulus must be a safe prime >= 7")
         q = (self.p - 1) // 2
         if pow(self.generator, q, self.p) != 1 or self.generator in (0, 1):
             raise ValueError("generator must generate the order-q subgroup")
@@ -307,7 +332,10 @@ class SchnorrGroup:
     @property
     def exponent_field(self) -> PrimeField:
         """``GF(q)``: the field Shamir polynomials over this group use."""
-        return PrimeField(self.order)
+        field = _FIELDS.get(self.order)
+        if field is None:
+            field = _FIELDS[self.order] = PrimeField(self.order)
+        return field
 
     # -- engine ------------------------------------------------------------------
     @property
@@ -342,8 +370,29 @@ class SchnorrGroup:
         return pow(a, -1, self.p)
 
     def exp_g(self, exponent: int) -> int:
-        """``g^exponent`` for the fixed generator (its squaring ladder)."""
+        """``g^exponent`` for the fixed generator (its root's ladder)."""
         return self.engine.generator_power(exponent)
+
+    # -- canonical roots -----------------------------------------------------------
+    @property
+    def generator_root(self) -> int:
+        """The canonical root of the generator, ``g^((p+1)/4)`` or its twin."""
+        return self.engine.generator_root
+
+    def canonical_root(self, r: int) -> int:
+        """The one of ``+-r`` in ``[1, q]``: the canonical root of ``r^2``."""
+        r %= self.p
+        return r if r <= self.order else self.p - r
+
+    def decode_root(self, r) -> int | None:
+        """The element ``r^2`` a canonical root stands for, or ``None``.
+
+        Anything but an ``int`` (``bool`` included) in ``[1, q]`` is
+        refused, so each element has exactly one encoding.
+        """
+        if type(r) is not int or not 0 < r <= self.order:
+            return None
+        return r * r % self.p
 
     def is_member(self, a: int) -> bool:
         """Subgroup membership: ``a^q == 1`` and ``0 < a < p``."""
@@ -362,11 +411,11 @@ class SchnorrGroup:
         return 0 < a < self.p and _jacobi(a, self.p) == 1
 
     # -- hashing -----------------------------------------------------------------
-    def hash_to_group(self, message: bytes) -> int:
-        """Map ``message`` to a subgroup element of unknown discrete log.
+    def hash_to_root(self, message: bytes) -> int:
+        """The canonical root of :meth:`hash_to_group`'s element.
 
-        Squares ``sha256``-derived material mod ``p``; squares are exactly
-        the order-``q`` subgroup for a safe prime.
+        ``sha256``-derived material ``u`` mod ``p``; ``u^2`` is the
+        element, so its root costs nothing.
         """
         p = self.p
         counter = 0
@@ -377,8 +426,17 @@ class SchnorrGroup:
                 "big",
             ) % p
             if candidate not in (0, 1, p - 1):
-                return candidate * candidate % p
+                return self.canonical_root(candidate)
             counter += 1
+
+    def hash_to_group(self, message: bytes) -> int:
+        """Map ``message`` to a subgroup element of unknown discrete log.
+
+        Squares ``sha256``-derived material mod ``p``; squares are exactly
+        the order-``q`` subgroup for a safe prime.
+        """
+        r = self.hash_to_root(message)
+        return r * r % self.p
 
     def hash_to_exponent(self, *parts: bytes) -> int:
         """Fiat-Shamir challenge: hash transcript parts into ``GF(q)``."""

@@ -15,6 +15,13 @@ value interpolated from verified shares (or, equivalently, against
 verified shares).  All quantities the paper measures -- shares generated,
 shares verified, combination work proportional to ticket counts -- are
 faithfully exercised.
+
+Wire form: a share's value and its proof's commitments travel as
+canonical roots (see :mod:`~repro.crypto.dleq`), signed on the ladder of
+``H(m)``'s root ``u`` -- ``sigma_i = canon(u^{x_i})`` -- which verifiers
+reuse for ``H(m)^e = (u^e)^2``.  The combine runs on the roots and
+squares once: ``sigma = (prod_i sigma_i^{lambda_i})^2``, the same
+signature the element form gives.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ __all__ = ["SignatureShare", "ThresholdSignatureScheme", "ThresholdKeys"]
 
 @dataclass(frozen=True)
 class SignatureShare:
-    """Signer ``index``'s share ``H(m)^{x_index}`` plus its DLEQ proof."""
+    """Signer ``index``'s share: the canonical root of ``H(m)^{x_index}``
+    plus its DLEQ proof."""
 
     index: int
     value: int
@@ -88,28 +96,27 @@ class ThresholdSignatureScheme:
         return self._keys
 
     # -- signing ------------------------------------------------------------------
-    def hash_message(self, message: bytes) -> int:
-        """``H(m)``: the group element being raised to the secret key."""
-        return self.group.hash_to_group(b"thsig|" + message)
+    def message_root(self, message: bytes) -> int:
+        """The canonical root of ``H(m)``, the element raised to the key."""
+        return self.group.hash_to_root(b"thsig|" + message)
 
     def sign_share(self, index: int, message: bytes, rng) -> SignatureShare:
         """Produce signer ``index``'s signature share with a DLEQ proof."""
         x_i = self._secret_shares[index]
-        h = self.hash_message(message)
         _, sigma_i, proof = prove_dleq(
-            self.group, x_i, self.group.generator, h, rng,
+            self.group, x_i, self.group.generator_root, self.message_root(message), rng,
             y1=self.keys.public_shares[index],
         )
         return SignatureShare(index=index, value=sigma_i, proof=proof)
 
     def verify_share(self, share: SignatureShare, message: bytes) -> bool:
         """Check a share against the signer's public key share."""
-        h = self.hash_message(message)
         pk_i = self.keys.public_shares.get(share.index)
         if pk_i is None:
             return False
         return verify_dleq(
-            self.group, self.group.generator, pk_i, h, share.value, share.proof
+            self.group, self.group.generator_root, pk_i, self.message_root(message),
+            share.value, share.proof,
         )
 
     def verify_shares_batch(
@@ -125,7 +132,7 @@ class ThresholdSignatureScheme:
         """
         return verify_indexed_dleq_batch(
             self.group,
-            self.hash_message(message),
+            self.message_root(message),
             self.keys.public_shares,
             shares,
             rng=rng,
@@ -138,7 +145,8 @@ class ThresholdSignatureScheme:
         ``H(m)^x``.  With ``verify=True`` (default) invalid shares raise
         (located by the batch verifier).  The combine itself is
         Lagrange-in-the-exponent as a single Straus product over the
-        LRU-cached coefficients."""
+        roots and the LRU-cached coefficients, squared once: a root's
+        power is right up to sign, and the square removes it."""
         unique = list({s.index: s for s in shares}.values())
         if len(unique) < self.k:
             raise ValueError(f"need {self.k} distinct shares, got {len(unique)}")
@@ -150,6 +158,7 @@ class ThresholdSignatureScheme:
         lambdas = lagrange_coefficients_at(
             self.field, [s.index for s in chosen], 0
         )
-        return self.group.multi_exp(
+        root = self.group.multi_exp(
             [(share.value, lam) for lam, share in zip(lambdas, chosen)]
         )
+        return root * root % self.group.p

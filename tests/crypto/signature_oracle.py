@@ -14,4 +14,6 @@ def verify_signature(scheme, signature: int, message: bytes) -> bool:
     xs = sorted(secrets)[: scheme.k]
     lambdas = lagrange_coefficients_at(scheme.field, xs, 0)
     x = scheme.field.sum(scheme.field.mul(lam, secrets[i]) for lam, i in zip(lambdas, xs))
-    return signature == scheme.group.power(scheme.hash_message(message), x)
+    group = scheme.group
+    h = group.decode_root(scheme.message_root(message))
+    return signature == group.power(h, x)

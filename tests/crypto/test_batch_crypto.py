@@ -18,7 +18,7 @@ from repro.crypto.dleq import (
 from repro.crypto.feldman import FeldmanVSS
 from repro.crypto.group import RFC3526_GROUP_2048, TEST_GROUP_256, SchnorrGroup
 from repro.crypto.shamir import Share
-from repro.crypto.threshold_enc import ThresholdElGamal
+from threshold_enc import ThresholdElGamal
 from repro.crypto.threshold_sig import SignatureShare, ThresholdSignatureScheme
 from signature_oracle import verify_signature
 
@@ -27,8 +27,12 @@ G = TEST_GROUP_256
 #: both shipped groups; the big one only gets small draws to stay fast
 GROUPS = [TEST_GROUP_256, RFC3526_GROUP_2048]
 
-#: group elements a decoded share may carry that lie outside ``(0, p)``
-OUT_OF_RANGE = {"-1": -1, "0": 0, "p": G.p, "2^(bits+8)": 1 << (G.p.bit_length() + 8)}
+#: roots a decoded share may carry that lie outside ``[1, q]``; ``None``
+#: stands for the twin ``p - r`` of the honest root in the forged field
+OUT_OF_RANGE = {
+    "-1": -1, "0": 0, "p": G.p, "2^(bits+8)": 1 << (G.p.bit_length() + 8),
+    "q+1": G.order + 1, "p-r": None,
+}
 
 
 class TestEngine:
@@ -121,11 +125,11 @@ class TestEngine:
 class TestBatchDleq:
     def _statements(self, group, n, seed=0):
         rng = random.Random(seed)
-        h = group.hash_to_group(b"batch-base")
+        h = group.hash_to_root(b"batch-base")
         stmts = []
         for _ in range(n):
             x = group.random_exponent(rng)
-            y1, y2, proof = prove_dleq(group, x, group.generator, h, rng)
+            y1, y2, proof = prove_dleq(group, x, group.generator_root, h, rng)
             stmts.append((y1, y2, proof))
         return h, stmts, rng
 
@@ -133,7 +137,7 @@ class TestBatchDleq:
     def test_honest_batch_verifies(self, group):
         n = 16 if group is G else 4
         h, stmts, rng = self._statements(group, n)
-        assert verify_dleq_batch(group, group.generator, h, stmts, rng=rng) == [
+        assert verify_dleq_batch(group, group.generator_root, h, stmts, rng=rng) == [
             True
         ] * n
 
@@ -149,8 +153,8 @@ class TestBatchDleq:
                 y1, y2, pr = mutated[i]
                 kind = rng.randrange(5)
                 if kind == 0:  # wrong share value
-                    mutated[i] = (y1, G.mul(y2, h), pr)
-                elif kind == 1:  # non-member share value
+                    mutated[i] = (y1, G.canonical_root(G.mul(y2, h)), pr)
+                elif kind == 1:  # the share value's twin root
                     mutated[i] = (y1, G.p - y2, pr)
                 elif kind == 2:  # out-of-range response
                     mutated[i] = (
@@ -162,13 +166,16 @@ class TestBatchDleq:
                     mutated[i] = (
                         y1,
                         y2,
-                        DleqProof(pr.challenge, pr.response, G.mul(pr.commit1, h), pr.commit2),
+                        DleqProof(
+                            pr.challenge, pr.response, G.canonical_root(G.mul(pr.commit1, h)),
+                            pr.commit2,
+                        ),
                     )
                 else:  # commitment-stripped honest proof (oracle fallback)
                     mutated[i] = (y1, y2, DleqProof(pr.challenge, pr.response))
-            got = verify_dleq_batch(G, G.generator, h, mutated, rng=rng)
+            got = verify_dleq_batch(G, G.generator_root, h, mutated, rng=rng)
             want = [
-                verify_dleq(G, G.generator, y1, h, y2, pr)
+                verify_dleq(G, G.generator_root, y1, h, y2, pr)
                 for (y1, y2, pr) in mutated
             ]
             assert got == want, f"trial {trial}"
@@ -179,26 +186,27 @@ class TestBatchDleq:
         h, stmts, rng = self._statements(G, 64, seed=11)
         bad_pos = 41
         y1, y2, pr = stmts[bad_pos]
-        stmts[bad_pos] = (y1, G.mul(y2, G.exp_g(1)), pr)
-        got = verify_dleq_batch(G, G.generator, h, stmts, rng=rng)
+        stmts[bad_pos] = (y1, G.canonical_root(G.mul(y2, G.generator_root)), pr)
+        got = verify_dleq_batch(G, G.generator_root, h, stmts, rng=rng)
         assert got == [i != bad_pos for i in range(64)]
 
     def test_empty_batch(self):
-        assert verify_dleq_batch(G, G.generator, G.hash_to_group(b"h"), []) == []
+        assert verify_dleq_batch(G, G.generator_root, G.hash_to_root(b"h"), []) == []
 
     def _forged(self, h, rng):
         """A forgery that survives every cheap per-item check (range,
-        membership, Fiat-Shamir recomputation) and dies only in the
+        root decoding, Fiat-Shamir recomputation) and dies only in the
         random-linear-combination aggregate -- the worst-case input for
         the bisection."""
-        from repro.crypto.dleq import _challenge
+        from repro.crypto.dleq import _root_challenge
 
+        g, canon = G.generator_root, G.canonical_root
         x = G.random_exponent(rng)
         y1 = G.exp_g(x)
-        y2 = G.fast_power(h, G.random_exponent(rng))
-        a1 = G.exp_g(G.random_exponent(rng))
-        a2 = G.fast_power(h, G.random_exponent(rng))
-        c = _challenge(G, G.generator, y1, h, y2, a1, a2)
+        y2 = canon(G.fast_power(h, G.random_exponent(rng)))
+        a1 = canon(G.fast_power(g, G.random_exponent(rng)))
+        a2 = canon(G.fast_power(h, G.random_exponent(rng)))
+        c = _root_challenge(G, g, y1, h, y2, a1, a2)
         return (y1, y2, DleqProof(c, G.random_exponent(rng), a1, a2))
 
     def _count_oracle_calls(self, monkeypatch):
@@ -220,11 +228,11 @@ class TestBatchDleq:
         settled by exactly one per-share oracle call -- no looping, no
         re-verification."""
         rng = random.Random(23)
-        h = G.hash_to_group(b"batch-base")
+        h = G.hash_to_root(b"batch-base")
         n = 16  # power of two: the bisection tree is perfectly balanced
         stmts = [self._forged(h, rng) for _ in range(n)]
         calls = self._count_oracle_calls(monkeypatch)
-        got = verify_dleq_batch(G, G.generator, h, stmts, rng=rng)
+        got = verify_dleq_batch(G, G.generator_root, h, stmts, rng=rng)
         assert got == [False] * n
         assert len(calls) == n
 
@@ -234,14 +242,14 @@ class TestBatchDleq:
         still bottoms out at one oracle call per share -- and the honest
         share's verdict must match the per-share oracle (True)."""
         rng = random.Random(29)
-        h = G.hash_to_group(b"batch-base")
+        h = G.hash_to_root(b"batch-base")
         n, good_pos = 16, 7
         stmts = [self._forged(h, rng) for _ in range(n)]
         x = G.random_exponent(rng)
-        y1, y2, proof = prove_dleq(G, x, G.generator, h, rng)
+        y1, y2, proof = prove_dleq(G, x, G.generator_root, h, rng)
         stmts[good_pos] = (y1, y2, proof)
         calls = self._count_oracle_calls(monkeypatch)
-        got = verify_dleq_batch(G, G.generator, h, stmts, rng=rng)
+        got = verify_dleq_batch(G, G.generator_root, h, stmts, rng=rng)
         assert got == [i == good_pos for i in range(n)]
         assert len(calls) == n
 
@@ -250,11 +258,11 @@ class TestBatchDleq:
         # per-share oracle verdict is False, but a batch of size one is
         # the aggregate itself -- both paths must reject it.
         rng = random.Random(31)
-        h = G.hash_to_group(b"batch-base")
+        h = G.hash_to_root(b"batch-base")
         y1, y2, proof = self._forged(h, rng)
         assert proof.commit1 is not None  # not the oracle-fallback path
-        assert not verify_dleq(G, G.generator, y1, h, y2, proof)
-        assert verify_dleq_batch(G, G.generator, h, [(y1, y2, proof)], rng=rng) == [
+        assert not verify_dleq(G, G.generator_root, y1, h, y2, proof)
+        assert verify_dleq_batch(G, G.generator_root, h, [(y1, y2, proof)], rng=rng) == [
             False
         ]
 
@@ -262,43 +270,47 @@ class TestBatchDleq:
     @pytest.mark.parametrize("bad", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
     def test_out_of_range_element_is_rejected_not_raised(self, field, bad):
         """A forged share decodes to any signed int: the batch verifier
-        must reject one outside ``(0, p)`` the way the oracle does, not
+        must reject a root outside ``[1, q]`` the way the oracle does, not
         raise while encoding it into the Fiat-Shamir transcript."""
         h, stmts, rng = self._statements(G, 4, seed=37)
         y1, y2, pr = stmts[1]
         if field == "y2":
-            y2 = bad
+            y2 = G.p - y2 if bad is None else bad
         else:
-            commits = {"commit1": pr.commit1, "commit2": pr.commit2, field: bad}
+            honest = getattr(pr, field)
+            commits = {"commit1": pr.commit1, "commit2": pr.commit2}
+            commits[field] = G.p - honest if bad is None else bad
             pr = DleqProof(pr.challenge, pr.response, **commits)
         stmts[1] = (y1, y2, pr)
-        got = verify_dleq_batch(G, G.generator, h, stmts, rng=rng)
-        want = [verify_dleq(G, G.generator, a, h, b, c) for a, b, c in stmts]
+        got = verify_dleq_batch(G, G.generator_root, h, stmts, rng=rng)
+        want = [verify_dleq(G, G.generator_root, a, h, b, c) for a, b, c in stmts]
         assert got == want == [True, False, True, True]
 
     def test_identity_bases_rejected(self):
         h, stmts, rng = self._statements(G, 3)
         assert verify_dleq_batch(G, 1, h, stmts, rng=rng) == [False] * 3
-        assert verify_dleq_batch(G, G.generator, G.p - 1, stmts, rng=rng) == [False] * 3
+        assert verify_dleq_batch(G, G.generator_root, G.p - 1, stmts, rng=rng) == [False] * 3
 
     def test_hardened_oracle_rejects_malformed(self):
         h, stmts, _ = self._statements(G, 1)
         y1, y2, pr = stmts[0]
-        assert verify_dleq(G, G.generator, y1, h, y2, pr)
+        g = G.generator_root
+        assert verify_dleq(G, g, y1, h, y2, pr)
         # Exponent-range malleability (r + q) is rejected, not reduced.
         assert not verify_dleq(
-            G, G.generator, y1, h, y2, DleqProof(pr.challenge, pr.response + G.order)
+            G, g, y1, h, y2, DleqProof(pr.challenge, pr.response + G.order)
         )
         assert not verify_dleq(
-            G, G.generator, y1, h, y2, DleqProof(pr.challenge + G.order, pr.response)
+            G, g, y1, h, y2, DleqProof(pr.challenge + G.order, pr.response)
         )
         assert not verify_dleq(
-            G, G.generator, y1, h, y2, DleqProof(pr.challenge, -1)
+            G, g, y1, h, y2, DleqProof(pr.challenge, -1)
         )
-        # Identity / order-2 bases.
+        # Identity bases and roots out of range.
         assert not verify_dleq(G, 1, y1, h, y2, pr)
         assert not verify_dleq(G, 0, y1, h, y2, pr)
-        assert not verify_dleq(G, G.generator, y1, G.p - 1, y2, pr)
+        assert not verify_dleq(G, g, y1, G.p - 1, y2, pr)
+        assert not verify_dleq(G, G.p - g, y1, h, y2, pr)
 
 
 class TestSchemeBatch:
@@ -313,7 +325,8 @@ class TestSchemeBatch:
         shares = [scheme.sign_share(i, b"epoch-1", rng) for i in range(1, 13)]
         # Corrupt two, fake one index.
         shares[3] = SignatureShare(
-            index=shares[3].index, value=G.mul(shares[3].value, G.exp_g(2)),
+            index=shares[3].index,
+            value=G.canonical_root(G.mul(shares[3].value, G.generator_root)),
             proof=shares[3].proof,
         )
         shares[8] = SignatureShare(index=99, value=shares[8].value, proof=shares[8].proof)
@@ -332,7 +345,7 @@ class TestSchemeBatch:
         lambdas = lagrange_coefficients_at(scheme.field, [s.index for s in shares[:4]], 0)
         seed_sigma = 1
         for lam, share in zip(lambdas, shares[:4]):
-            seed_sigma = seed_sigma * G.power(share.value, lam) % G.p
+            seed_sigma = seed_sigma * G.power(G.decode_root(share.value), lam) % G.p
         assert sigma == seed_sigma
         assert verify_signature(scheme, sigma, b"m")
 
@@ -351,7 +364,9 @@ class TestSchemeBatch:
 
     def test_signed_shares_are_pinned(self):
         """Signing reuses the published key share instead of recomputing
-        ``g^x_i``: values, proofs and RNG draws must stay bit-identical."""
+        ``g^x_i``: values, proofs and RNG draws must stay bit-identical.
+        The digests are over the elements the roots stand for, pinned
+        when shares travelled as those elements."""
         import hashlib
 
         pinned = {
@@ -367,7 +382,8 @@ class TestSchemeBatch:
             h = hashlib.sha256()
             for s in coin.shares_of_party(party, epoch, random.Random("pin|sign")):
                 pr = s.proof
-                fields = (s.index, s.value, pr.challenge, pr.response, pr.commit1, pr.commit2)
+                value, a1, a2 = map(group.decode_root, (s.value, pr.commit1, pr.commit2))
+                fields = (s.index, value, pr.challenge, pr.response, a1, a2)
                 h.update(repr(fields).encode())
             assert h.hexdigest() == pinned[name], name
 
@@ -387,10 +403,12 @@ class TestSchemeBatch:
         shares = [scheme.decryption_share(i, ct, rng) for i in range(1, 10)]
         got = scheme.verify_shares_batch(shares, ct)
         assert got == [True] * 9
-        from repro.crypto.threshold_enc import DecryptionShare
+        from threshold_enc import DecryptionShare
 
         shares[2] = DecryptionShare(
-            index=shares[2].index, value=G.mul(shares[2].value, msg), proof=shares[2].proof
+            index=shares[2].index,
+            value=G.canonical_root(G.mul(shares[2].value, msg)),
+            proof=shares[2].proof,
         )
         got = scheme.verify_shares_batch(shares, ct)
         want = [scheme.verify_share(s, ct) for s in shares]
@@ -440,7 +458,7 @@ class TestBatchCoin:
         )
         sigma = 1
         for lam, share in zip(lambdas, oracle_shares):
-            sigma = sigma * G.power(share.value, lam) % G.p
+            sigma = sigma * G.power(G.decode_root(share.value), lam) % G.p
         import hashlib
 
         digest = hashlib.sha256(
@@ -454,7 +472,7 @@ class TestBatchCoin:
         shares = [coin.share(i, epoch=2, rng=rng) for i in range(1, 7)]
         shares[1] = SignatureShare(
             index=shares[1].index,
-            value=G.mul(shares[1].value, G.exp_g(7)),
+            value=G.canonical_root(G.mul(shares[1].value, G.exp_g(7))),
             proof=shares[1].proof,
         )
         verdicts = coin.verify_shares(shares, 2, rng=rng)

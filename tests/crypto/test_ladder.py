@@ -148,7 +148,7 @@ class TestTripwires:
         weights = [40, 25, 15, 10, 5, 3, 1, 1]
         setup = blunt_setup(weights, "1/3", "1/2")
         coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(1))
-        assert built == [G.generator]  # keygen
+        assert built == [G.generator_root]  # keygen
         values = {}
 
         def on_value(pid, epoch, value):
@@ -165,7 +165,7 @@ class TestTripwires:
                     await cluster.run_until(
                         lambda: len(values.get(epoch, ())) == len(weights), timeout=30
                     )
-                    h = coin.coin.scheme.hash_message(epoch_message(epoch))
+                    h = coin.coin.scheme.message_root(epoch_message(epoch))
                     assert built[-1] == h and len(built) == ladders, epoch
 
         asyncio.run(drive())
@@ -181,7 +181,7 @@ class TestTripwires:
             e = rng.randrange(G.order)
             assert G.fast_power(base, e) == pow(base, e, G.p)
             assert G.exp_g(e) == pow(G.generator, e, G.p)
-        assert built == [base, G.generator]
+        assert built == [base, G.generator_root]
 
     def test_ladders_held_are_bounded(self, built):
         G = TEST_GROUP_256

@@ -9,7 +9,7 @@ from repro.crypto.common_coin import CommonCoin, WeightedCoin
 from repro.crypto.dleq import prove_dleq, verify_dleq
 from repro.crypto.feldman import FeldmanVSS
 from repro.crypto.group import TEST_GROUP_256 as G
-from repro.crypto.threshold_enc import ThresholdElGamal
+from threshold_enc import ThresholdElGamal
 from repro.crypto.threshold_sig import ThresholdSignatureScheme
 from signature_oracle import verify_signature
 
@@ -44,26 +44,27 @@ class TestDleq:
     def test_roundtrip(self):
         rng = random.Random(0)
         x = G.random_exponent(rng)
-        h = G.hash_to_group(b"base2")
-        y1, y2, proof = prove_dleq(G, x, G.generator, h, rng)
+        h = G.hash_to_root(b"base2")
+        y1, y2, proof = prove_dleq(G, x, G.generator_root, h, rng)
         assert y1 == G.exp_g(x)
-        assert y2 == G.power(h, x)
-        assert verify_dleq(G, G.generator, y1, h, y2, proof)
+        assert G.decode_root(y2) == G.power(G.hash_to_group(b"base2"), x)
+        assert verify_dleq(G, G.generator_root, y1, h, y2, proof)
 
     def test_wrong_statement_rejected(self):
         rng = random.Random(0)
         x = G.random_exponent(rng)
-        h = G.hash_to_group(b"base2")
-        y1, y2, proof = prove_dleq(G, x, G.generator, h, rng)
-        assert not verify_dleq(G, G.generator, y1, h, G.mul(y2, h), proof)
-        assert not verify_dleq(G, G.generator, G.mul(y1, h), h, y2, proof)
+        h = G.hash_to_root(b"base2")
+        g = G.generator_root
+        y1, y2, proof = prove_dleq(G, x, g, h, rng)
+        assert not verify_dleq(G, g, y1, h, G.canonical_root(G.mul(y2, h)), proof)
+        assert not verify_dleq(G, g, G.mul(y1, G.decode_root(h)), h, y2, proof)
 
     def test_nonmember_rejected(self):
         rng = random.Random(0)
         x = G.random_exponent(rng)
-        h = G.hash_to_group(b"b")
-        y1, y2, proof = prove_dleq(G, x, G.generator, h, rng)
-        assert not verify_dleq(G, G.generator, 0, h, y2, proof)
+        h = G.hash_to_root(b"b")
+        y1, y2, proof = prove_dleq(G, x, G.generator_root, h, rng)
+        assert not verify_dleq(G, G.generator_root, 0, h, y2, proof)
 
 
 class TestFeldman:
@@ -155,6 +156,18 @@ class TestThresholdSignatures:
         shares = [scheme.sign_share(i, b"m1", rng) for i in (1, 2, 3)]
         sig = scheme.combine(shares, b"m1")
         assert not verify_signature(scheme, sig, b"m2")
+
+    def test_two_schemes_on_one_group_test_q_once(self, monkeypatch):
+        import repro.crypto.field as field_mod
+        import repro.crypto.group as group_mod
+
+        calls = []
+        real = field_mod._is_probable_prime
+        monkeypatch.setattr(field_mod, "_is_probable_prime", lambda n: calls.append(n) or real(n))
+        monkeypatch.setattr(group_mod, "_FIELDS", {})
+        first, second = ThresholdSignatureScheme(G, 5, 3), ThresholdSignatureScheme(G, 7, 4)
+        assert first.field is second.field
+        assert calls == [G.order]
 
     def test_keygen_required(self):
         scheme = ThresholdSignatureScheme(G, 3, 2)

@@ -1,10 +1,12 @@
 """Threshold ElGamal encryption (paper rows: "Blunt/Tight Threshold
-Encryption", Sections 4.2-4.3).
+Encryption", Sections 4.2-4.3), kept as a second consumer of the DLEQ
+layer's root form; never imported from ``src/``.
 
-Fully real construction, no simulation shortcuts: the key is Shamir-shared;
-a ciphertext is ``(g^r, m * pk^r)``; decryption shares ``c1^{x_i}`` carry
-DLEQ proofs against the public key shares, and ``k`` verified shares
-Lagrange-combine into ``c1^x``, unblinding the message.
+The key is Shamir-shared; a ciphertext is ``(g^r, m * pk^r)`` with
+``c1 = g^r`` carried as its canonical root, because each decryption share
+``c1^{x_i}`` (a canonical root too) proves DLEQ with ``c1`` as the second
+base.  ``k`` verified shares Lagrange-combine into ``c1^x``, unblinding
+the message.
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dleq import DleqProof, prove_dleq, verify_dleq, verify_indexed_dleq_batch
-from .group import SchnorrGroup
-from .polynomial import Polynomial, lagrange_coefficients_at
+from repro.crypto.dleq import DleqProof, prove_dleq, verify_dleq, verify_indexed_dleq_batch
+from repro.crypto.group import SchnorrGroup
+from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at
 
 __all__ = ["Ciphertext", "DecryptionShare", "ThresholdElGamal"]
 
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """ElGamal pair ``(c1, c2) = (g^r, m * pk^r)``."""
+    """ElGamal pair ``(c1, c2) = (g^r, m * pk^r)``, ``c1`` as its canonical root."""
 
     c1: int
     c2: int
@@ -29,7 +31,8 @@ class Ciphertext:
 
 @dataclass(frozen=True)
 class DecryptionShare:
-    """Party ``index``'s share ``c1^{x_index}`` plus DLEQ proof."""
+    """Party ``index``'s share: the canonical root of ``c1^{x_index}``
+    plus DLEQ proof."""
 
     index: int
     value: int
@@ -66,17 +69,18 @@ class ThresholdElGamal:
             raise RuntimeError("keygen() has not been run")
         if not self.group.is_member(message):
             raise ValueError("message must be a group element")
-        r = self.group.random_exponent(rng)
+        group = self.group
+        r = group.random_exponent(rng)
         return Ciphertext(
-            c1=self.group.exp_g(r),
-            c2=message * self.group.power(self.public_key, r) % self.group.p,
+            c1=group.canonical_root(group.fast_power(group.generator_root, r)),
+            c2=message * group.power(self.public_key, r) % group.p,
         )
 
     def decryption_share(self, index: int, ct: Ciphertext, rng) -> DecryptionShare:
         """Party ``index``'s decryption share with a correctness proof."""
         x_i = self._secret_shares[index]
         _, d_i, proof = prove_dleq(
-            self.group, x_i, self.group.generator, ct.c1, rng,
+            self.group, x_i, self.group.generator_root, ct.c1, rng,
             y1=self.public_shares[index],
         )
         return DecryptionShare(index=index, value=d_i, proof=proof)
@@ -87,7 +91,7 @@ class ThresholdElGamal:
         if pk_i is None:
             return False
         return verify_dleq(
-            self.group, self.group.generator, pk_i, ct.c1, share.value, share.proof
+            self.group, self.group.generator_root, pk_i, ct.c1, share.value, share.proof
         )
 
     def verify_shares_batch(
@@ -113,7 +117,8 @@ class ThresholdElGamal:
         """Recover the plaintext from ``k`` decryption shares.
 
         Verification is batched; the Lagrange-in-the-exponent unblinding
-        runs as a single Straus multi-exponentiation.
+        runs as a single Straus multi-exponentiation over the share roots,
+        squared once.
         """
         unique = list({s.index: s for s in shares}.values())
         if len(unique) < self.k:
@@ -124,7 +129,7 @@ class ThresholdElGamal:
                 if not ok:
                     raise ValueError(f"invalid decryption share from {share.index}")
         lambdas = lagrange_coefficients_at(self.field, [s.index for s in chosen], 0)
-        blind = self.group.multi_exp(
+        root = self.group.multi_exp(
             [(share.value, lam) for lam, share in zip(lambdas, chosen)]
         )
-        return ct.c2 * self.group.inv(blind) % self.group.p
+        return ct.c2 * self.group.inv(root * root) % self.group.p

@@ -75,7 +75,7 @@ def _wire(message):
 def test_dleq_verifiers_reject_wrong_types(kind):
     scheme, honest = _honest_share()
     bad = _malformed(honest)[kind]
-    g, h = G.generator, scheme.hash_message(b"m")
+    g, h = G.generator_root, scheme.message_root(b"m")
     y1 = scheme.keys.public_shares[1]
     assert verify_dleq(G, g, y1, h, honest.value, honest.proof)
     assert not verify_dleq(G, g, y1, h, bad.value, bad.proof)

@@ -241,11 +241,15 @@ class PriceStream:
         return self._exact_key(self._picks[j], self._ords[j])
 
     def _prefix(self, total: int) -> np.ndarray:
-        """The parties of the ``total`` cheapest tickets."""
+        """The parties of the ``total`` cheapest tickets.  A plain stream's
+        are a view of its ``array("i")`` picks: drop it before the stream
+        extends (an array exporting its buffer cannot grow)."""
         if total < 0:
             raise ValueError("total must be non-negative")
         self._extend(total)
-        return np.array(self._picks[:total], dtype=np.intp)
+        if isinstance(self._picks, array):
+            return np.frombuffer(self._picks, dtype=np.intc, count=total)
+        return np.fromiter(self._picks, dtype=np.intc, count=total)
 
     def assignment(self, total: int) -> list[int]:
         """The unique family member with exactly ``total`` tickets."""
@@ -255,7 +259,8 @@ class PriceStream:
         """``assignment(total)`` in sparse form: ascending holder indices
         and their positive ticket counts, as arrays.  One sort of the
         ``total`` picks, nothing of size ``n`` -- the per-probe win for
-        large committees."""
+        large committees, and the form the assignment a solve returns is
+        packed from, too (:meth:`TicketAssignment.from_holders`)."""
         return np.unique(self._prefix(total), return_counts=True)
 
     def patched(self, changes: Mapping[int, Number]) -> "PriceStream":

@@ -129,8 +129,9 @@ class Swiper:
         patched, see :meth:`PriceStream.patched`) price stream for these
         exact weights -- a pure acceleration: the probe sequence, every
         verdict, and the final assignment are identical to the default
-        path.  Every probe is judged on its holders alone; the dense
-        ``n``-vector is built once, for the assignment returned.
+        path.  Every probe is judged on its holders alone, and the
+        assignment returned is packed from its holders: past the scaling
+        of the weights, no dense ``n``-vector is built.
         """
         start = time.perf_counter()
         view = ScaledWeights.of(weights)
@@ -170,7 +171,7 @@ class Swiper:
                 hi = mid
             else:
                 lo = mid
-        final = TicketAssignment(stream.assignment(hi))
+        final = TicketAssignment.from_holders(n, *stream.sparse_counts(hi))
         return SwiperResult(
             problem=problem,
             assignment=final,
@@ -239,7 +240,7 @@ def solve_with_constant(
             hi = mid
         else:
             lo = mid
-    final = TicketAssignment(stream.assignment(hi))
+    final = TicketAssignment.from_holders(n, *stream.sparse_counts(hi))
     return SwiperResult(
         problem=problem,
         assignment=final,

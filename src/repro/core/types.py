@@ -167,8 +167,11 @@ class WeightArrays(NamedTuple):
     float; float rounding is monotone, so ``floats[i] > float(x >>
     float_shift)`` proves ``a_i > x``.  The limbs are exact:
     ``a_i == sum(limbs[l, i] << (limb_bits * l))``, one int64 row of the
-    weights themselves when the total fits int64 and 31-bit limbs when it
-    does not, so a cumulative sum of any row never overflows.
+    weights themselves when the total fits int64 (the floats are converted
+    from that row) and 31-bit limbs when it does not, so a cumulative sum
+    of any row never overflows.  Every entry of party ``i`` depends on
+    ``a_i`` and the layout alone, which lets a patched view rewrite only
+    the parties it changed (:meth:`patched`).
     """
 
     #: ``log a_i``; ``-inf`` for a zero weight
@@ -184,21 +187,45 @@ class WeightArrays(NamedTuple):
         the layout: the float shift and the limb width and count."""
         # Below 2**1000, every sum of weights is a finite float (< 2**1024).
         shift = max(0, total.bit_length() - 1000)
+        if total >> 63 == 0:  # one conversion: the floats are the row's
+            limb_bits, limbs = 63, np.array([ints], dtype=np.int64)
+            floats = limbs[0].astype(np.float64)
+        else:
+            limb_bits, exact = _LIMB_BITS, np.array(ints, dtype=object)
+            count = -(-total.bit_length() // _LIMB_BITS)
+            limbs = np.array(
+                [(exact >> (_LIMB_BITS * l)) & ((1 << _LIMB_BITS) - 1) for l in range(count)],
+                dtype=np.int64,
+            )
+            floats = np.array([a >> shift for a in ints] if shift else ints, dtype=np.float64)
         if shift:  # past the float range: logs of the exact ints
-            floats = np.array([a >> shift for a in ints], dtype=np.float64)
             logs = np.array([math.log(a) if a else -math.inf for a in ints])
         else:
-            floats = np.array(ints, dtype=np.float64)
             logs = np.log(floats, out=np.full(len(ints), -math.inf), where=floats > 0)
-        if total >> 63 == 0:
-            return cls(logs, floats, shift, np.array([ints], dtype=np.int64), 63)
-        exact = np.array(ints, dtype=object)
-        count = -(-total.bit_length() // _LIMB_BITS)
-        limbs = np.array(
-            [(exact >> (_LIMB_BITS * l)) & ((1 << _LIMB_BITS) - 1) for l in range(count)],
-            dtype=np.int64,
-        )
-        return cls(logs, floats, shift, limbs, _LIMB_BITS)
+        return cls(logs, floats, shift, limbs, limb_bits)
+
+    def patched(
+        self, ints: list[int], total: int, changed: list[int]
+    ) -> Optional["WeightArrays"]:
+        """The arrays of ``ints`` (summing to ``total``), which differ from
+        these arrays' weights only at the ascending indices ``changed``
+        (indices from the old length up are joining parties): a copy with
+        those parties rewritten, bitwise equal to ``WeightArrays.of(ints,
+        total)``.  ``None`` when ``total`` calls for another layout."""
+        new = WeightArrays.of([ints[i] for i in changed], total)
+        if (new.float_shift, new.limb_bits, len(new.limbs)) != (
+            self.float_shift, self.limb_bits, len(self.limbs)
+        ):
+            return None
+        out = []
+        for old, column in zip(
+            (self.logs, self.floats, self.limbs), (new.logs, new.floats, new.limbs)
+        ):
+            arr = np.empty(old.shape[:-1] + (len(ints),), old.dtype)
+            arr[..., : old.shape[-1]] = old
+            arr[..., changed] = column
+            out.append(arr)
+        return new._replace(logs=out[0], floats=out[1], limbs=out[2])
 
 
 class ScaledWeights(Sequence):
@@ -221,7 +248,7 @@ class ScaledWeights(Sequence):
     __slots__ = ("ints", "denom", "total", "shift", "_fractions", "_arrays")
 
     def __init__(self, weights: Iterable[Number]) -> None:
-        if isinstance(weights, (tuple, list)) and all(type(w) is int for w in weights):
+        if isinstance(weights, (tuple, list)) and set(map(type, weights)) <= {int}:
             # Stake snapshots are plain ints: skipping n Fraction
             # constructions is 67 ms -> 3 ms on Algorand's 42 920 parties.
             ints, denom, fractions = list(weights), 1, None
@@ -274,9 +301,14 @@ class ScaledWeights(Sequence):
         cannot be kept exact -- a new weight is not a multiple of
         ``1 / denom``, or is too heavy for ``shift`` -- and a fresh scaling
         has to be built instead.
+
+        When this view's :attr:`arrays` exist and the new total keeps their
+        layout, the result's are a copy with only the changed and joining
+        parties rewritten (:meth:`WeightArrays.patched`); otherwise they
+        are built on first use, as for any view.
         """
-        ints, total = self.ints.copy(), self.total
-        for i in sorted(changes):
+        ints, total, changed = self.ints.copy(), self.total, sorted(changes)
+        for i in changed:
             scaled = as_fraction(changes[i]) * self.denom
             a = scaled.numerator
             if scaled.denominator != 1:
@@ -301,6 +333,8 @@ class ScaledWeights(Sequence):
                 raise ValueError("joining parties must extend the vector contiguously")
         view = object.__new__(ScaledWeights)
         view._set(ints, self.denom, total, self.shift, None)
+        if self._arrays is not None:
+            view._arrays = self._arrays.patched(ints, total, changed)
         return view
 
     @property
@@ -341,12 +375,22 @@ def _narrowest(top: int) -> Optional[str]:
     return next((c for c in "BHIQ" if top >> 8 * array(c).itemsize == 0), None)
 
 
+def _count(i: int, t) -> int:
+    """Ticket count ``#i`` as an ``int``: counts are ints or numpy
+    integers, never ``bool`` and never floats, integral or not."""
+    if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
+        return int(t)
+    raise TypeError(f"ticket count #{i} must be an integer, not {type(t).__name__}")
+
+
 class TicketAssignment:
     """An integer ticket assignment ``t_1..t_n`` (the solver's output).
 
     Instances are immutable value objects.  ``tickets[i]`` is the number of
     tickets given to party ``i``; the paper calls the units of the assigned
-    integer weights "tickets".
+    integer weights "tickets".  A count is an ``int`` or a numpy integer
+    (:class:`TypeError` otherwise: a ``bool``, a float even when integral)
+    and never negative (:class:`ValueError`).
 
     The counts are held packed, in the narrowest unsigned :mod:`array`
     that fits the largest of them (one byte a party for a typical Swiper
@@ -356,6 +400,8 @@ class TicketAssignment:
     many parties hold tickets -- Swiper's usual output on a large
     committee, 97 tickets among Algorand's 42 920 parties -- only the
     holders' indices and counts are kept, whenever that is smaller.
+    Either form is packed from the holders (:meth:`from_holders`), so a
+    solver that has only its holders never builds the dense vector.
     """
 
     __slots__ = ("_packed", "_holders", "_n")
@@ -364,25 +410,60 @@ class TicketAssignment:
         if not isinstance(tickets, (tuple, list)):
             tickets = tuple(tickets)
         if not set(map(type, tickets)) <= {int}:
-            tickets = [int(t) for t in tickets]
+            tickets = [_count(i, t) for i, t in enumerate(tickets)]
         if tickets and min(tickets) < 0:
             i = next(i for i, t in enumerate(tickets) if t < 0)
             raise ValueError(f"ticket count #{i} is negative ({tickets[i]})")
-        code = _narrowest(max(tickets, default=0))
-        self._n = len(tickets)
+        holders = list(compress(range(len(tickets)), tickets))
+        self._pack(len(tickets), holders, [tickets[i] for i in holders])
+
+    @classmethod
+    def from_holders(cls, n: int, holders, counts) -> "TicketAssignment":
+        """The assignment over ``n`` parties with ``counts[k]`` tickets at
+        party ``holders[k]`` and none elsewhere, packed exactly as the
+        dense vector would be.  ``holders`` ascend and ``counts`` are
+        positive: sequences or integer arrays, such as
+        :meth:`repro.core.prices.PriceStream.sparse_counts` returns."""
+        assignment = object.__new__(cls)
+        assignment._pack(n, holders, counts)
+        return assignment
+
+    def _pack(self, n: int, holders, counts) -> None:
+        self._n = n
         #: ascending holder indices when ``_packed`` holds only their counts
         self._holders: Optional[array] = None
+        code = _narrowest(
+            int(counts.max(initial=0)) if isinstance(counts, np.ndarray) else max(counts, default=0)
+        )
         if code is None:
-            # Counts past 64 bits (no solver makes them) stay a tuple.
-            self._packed = tuple(tickets)
+            # Counts past 64 bits (no solver makes them) stay a dense tuple.
+            dense = [0] * n
+            for i, t in zip(holders, counts):
+                dense[i] = t
+            self._packed = tuple(dense)
             return
-        holders = array(_narrowest(self._n), compress(range(self._n), tickets))
-        size = array(code).itemsize
-        if len(holders) * (holders.itemsize + size) < self._n * size:
-            self._holders = holders
-            self._packed = array(code, [tickets[i] for i in holders])
+        packed = np.asarray(counts, dtype=code)  # numpy reads array typecodes
+        at = np.asarray(holders, dtype=np.intp)
+        index = _narrowest(n)
+        if len(at) * (np.dtype(index).itemsize + packed.itemsize) < n * packed.itemsize:
+            self._holders = array(index, at.astype(index).tobytes())
         else:
-            self._packed = array(code, tickets)
+            dense = np.zeros(n, dtype=code)
+            dense[at] = packed
+            packed = dense
+        self._packed = array(code, packed.tobytes())
+
+    def sparse_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending holder indices (``intp``) and their positive counts
+        (of the packed unsigned type, objects past 64 bits), as arrays."""
+        if isinstance(self._packed, tuple):
+            counts = np.array(self._packed, dtype=object)
+        else:
+            counts = np.array(self._packed)  # numpy reads the buffer's typecode
+        if self._holders is not None:
+            return np.array(self._holders, dtype=np.intp), counts
+        indices = np.flatnonzero(counts)
+        return indices, counts[indices]
 
     def _dense(self):
         """The counts party by party."""
@@ -458,7 +539,7 @@ class TicketAssignment:
     @staticmethod
     def zeros(n: int) -> "TicketAssignment":
         """The all-zero assignment over ``n`` parties (never *viable*)."""
-        return TicketAssignment((0,) * n)
+        return TicketAssignment.from_holders(n, (), ())
 
 
 def weight_of(weights: Sequence[Fraction], subset: Iterable[int]) -> Fraction:

@@ -25,8 +25,9 @@ capacities ``alpha * W`` as integer ratios in the view's units, a probe's
 holders as index and count arrays.  The problem's thresholds stay
 :class:`~fractions.Fraction` (:mod:`repro.core.problems`); a probe's only
 Fraction operation is the ``upper < target`` that ends its quick test.
-A dense assignment must hold one non-negative count per party; anything
-else raises :class:`ValueError` instead of being judged.
+``check`` reads an assignment's holders off its
+:class:`~repro.core.types.TicketAssignment`: one integer count per party,
+non-negative and within ``int64``, or it raises instead of judging.
 
 ``--linear`` mode (paper terminology) maps ``UNCERTAIN`` to "invalid",
 which keeps the solver quasilinear and still never violates the theorem
@@ -49,7 +50,7 @@ from .problems import (
     WeightRestriction,
     WeightSeparation,
 )
-from .types import SCALE_BITS, Number, ScaledWeights, scale_ints_rounded
+from .types import SCALE_BITS, Number, ScaledWeights, TicketAssignment, scale_ints_rounded
 
 __all__ = ["Verdict", "CheckStats", "RestrictionChecker", "SeparationChecker", "make_checker"]
 
@@ -87,6 +88,10 @@ class CheckStats:
         self.exact_fallbacks += other.exact_fallbacks
 
 
+#: the largest ticket count the greedy bounds and the DP tables hold
+_INT64_MAX = 2**63 - 1
+
+
 def _ceil_ratio(x: Fraction, k: int) -> int:
     """Smallest integer >= ``x * k``."""
     return -((-x.numerator * k) // x.denominator)
@@ -112,9 +117,10 @@ class _Checker:
     indices with positive ticket counts, as arrays.  Zero-ticket parties
     add nothing to any bound or table and density ties break in party
     order, so the dense vector and its holder-only form get the same
-    verdict: ``check`` extracts the holders and ``check_sparse`` takes
-    them as given, which saves the ``O(n)`` scans per probe on large
-    committees.
+    verdict: ``check`` reads the holders off the assignment's
+    :class:`~repro.core.types.TicketAssignment` and ``check_sparse``
+    takes them as given, which saves the ``O(n)`` scans per probe on
+    large committees.
     """
 
     def __init__(
@@ -143,19 +149,23 @@ class _Checker:
 
     def quick(self, tickets: Sequence[int], total: int) -> Verdict:
         """Three-valued quick test from the greedy knapsack bounds."""
-        order = knapsack.DensityOrder(self.scaled, *self._holders(tickets))
+        order = knapsack.DensityOrder(self.scaled, *self._holders(tickets)[:2])
         return self._quick(order, total)[0]
 
-    def _holders(self, tickets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending holder indices of a dense vector and their counts."""
-        dense = np.fromiter(tickets, dtype=np.int64)
-        if len(dense) != len(self.scaled):
+    def _holders(self, tickets: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
+        """Ascending holder indices, ``int64`` counts and total of an
+        assignment, read off its (validated) :class:`TicketAssignment`."""
+        if not isinstance(tickets, TicketAssignment):
+            tickets = TicketAssignment(tickets)
+        if len(tickets) != len(self.scaled):
             raise ValueError("tickets and weights must have equal length")
-        if dense.min(initial=0) < 0:
-            i = int(np.argmax(dense < 0))
-            raise ValueError(f"ticket count #{i} is negative ({dense[i]})")
-        indices = np.flatnonzero(dense)
-        return indices, dense[indices]
+        indices, counts = tickets.sparse_counts()
+        total = tickets.total
+        if total > _INT64_MAX:
+            over = np.flatnonzero(counts > _INT64_MAX)
+            what = f"ticket count #{indices[over[0]]}" if len(over) else "the ticket total"
+            raise ValueError(f"{what} is past the checker's int64 limit, 2**63 - 1")
+        return indices, counts.astype(np.int64), total
 
     def _decide(self, indices: np.ndarray, counts: np.ndarray, total: int) -> bool:
         self.stats.checks += 1
@@ -273,10 +283,13 @@ class RestrictionChecker(_Checker):
         return mw is None or mw > cap.strict
 
     def check(self, tickets: Sequence[int], total: Optional[int] = None) -> bool:
-        """Decide viability of ``tickets`` for this WR instance: one
-        non-negative count per party (:class:`ValueError` otherwise)."""
-        indices, counts = self._holders(tickets)
-        return self._decide(indices, counts, int(counts.sum()) if total is None else total)
+        """Decide viability of ``tickets`` (a :class:`TicketAssignment` or
+        one count per party) for this WR instance, on its holders.  A
+        count that is no integer raises :class:`TypeError`; a negative
+        one, a count or total past ``2**63 - 1`` (the bounds and the DP
+        are ``int64``) or a wrong length raises :class:`ValueError`."""
+        indices, counts, exact = self._holders(tickets)
+        return self._decide(indices, counts, exact if total is None else total)
 
     def check_sparse(self, indices: np.ndarray, counts: np.ndarray, total: int) -> bool:
         """Identical decision to :meth:`check` on the dense vector with
@@ -372,9 +385,9 @@ class SeparationChecker(_Checker):
 
     def check(self, tickets: Sequence[int], total: Optional[int] = None) -> bool:
         """Decide viability of ``tickets`` for this WS instance (same
-        contract as ``RestrictionChecker.check``)."""
-        indices, counts = self._holders(tickets)
-        return self._decide(indices, counts, int(counts.sum()) if total is None else total)
+        contract, and errors, as ``RestrictionChecker.check``)."""
+        indices, counts, exact = self._holders(tickets)
+        return self._decide(indices, counts, exact if total is None else total)
 
     def check_sparse(self, indices: np.ndarray, counts: np.ndarray, total: int) -> bool:
         """Identical decision to :meth:`check` on the corresponding dense

@@ -7,7 +7,9 @@ monotone -- a different probe sequence can end on a different local
 minimum), each settled on the same rung of the verdict ladder, every probe is judged on its holders and never on a dense
 ``n``-vector, a probe the quick test leaves uncertain builds one DP table
 however many capacities read it (a second only at the edge of the
-rounding), and none of it depends on the quick test having run.
+rounding), and none of it depends on the quick test having run.  Nor
+is a dense ``n``-vector built around the probes: the assignment returned
+is packed from its holders, and a re-check reads them back.
 """
 
 from unittest import mock
@@ -21,7 +23,9 @@ from repro.core import (
     WeightSeparation,
     knapsack,
 )
+from repro.api import IncrementalSolver, solve_with_policy
 from repro.core.prices import PriceStream
+from repro.core.types import TicketAssignment
 from repro.core.verify import SeparationChecker
 from repro.datasets import load_chain
 
@@ -63,16 +67,16 @@ VERDICT_LADDER = {
 
 @pytest.mark.parametrize("chain, problem", LEDGER_CELLS)
 def test_ledger_cells_examine_the_same_family_members(chain, problem):
-    """Same probes, same answer, and the one dense ``n``-vector of a solve
-    is the assignment it returns (algorand: 42 920 parties, 16 probes of
-    under a hundred holders each)."""
+    """Same probes, same answer, and no dense ``n``-vector of picks: the
+    assignment returned is packed from the stream's holders (algorand:
+    42 920 parties, 16 probes of under a hundred holders each)."""
     weights = load_chain(chain).weights
     with mock.patch.object(
         PriceStream, "assignment", autospec=True, side_effect=PriceStream.assignment
     ) as dense:
         result = Swiper().solve(PROBLEMS[problem], weights)
     assert (result.probes, result.total_tickets) == LEDGER_CELLS[chain, problem]
-    assert dense.call_count == 1
+    assert dense.call_count == 0
     assert len(result.assignment) == len(weights)
     # Each probe is settled on the same rung as ever: the quick test's
     # verdicts, the DP calls and the (absent) exact fallbacks.
@@ -124,3 +128,40 @@ def test_dp_verdicts_do_not_depend_on_the_quick_test(problem):
     assert without.assignment == with_quick.assignment
     assert without.probes == with_quick.probes
     assert without.stats.dp_calls == without.probes >= with_quick.stats.dp_calls
+
+
+def _no_dense_expansion():
+    """Fails a test that expands a :class:`TicketAssignment` party by party."""
+    return mock.patch.multiple(
+        TicketAssignment,
+        _dense=mock.Mock(side_effect=AssertionError("dense expansion")),
+        __iter__=mock.Mock(side_effect=AssertionError("dense iteration")),
+    )
+
+
+def test_a_verified_algorand_solve_expands_no_assignment():
+    """The re-check of ``verify=True`` reads the result's holders."""
+    weights = load_chain("algorand").weights
+    with mock.patch.object(
+        PriceStream, "assignment", autospec=True, side_effect=PriceStream.assignment
+    ) as dense, _no_dense_expansion():
+        result = solve_with_policy(PROBLEMS["wr"], weights, "swiper", verify=True)
+    assert (result.verdict, result.achieved) == ("valid", LEDGER_CELLS["algorand", "wr"][1])
+    assert dense.call_count == 0
+
+
+def test_a_patched_re_solve_expands_no_assignment():
+    """An incremental re-solve on a patched stream, verified, builds no
+    dense vector either: not of picks, not of its result."""
+    weights = list(load_chain("algorand").weights)
+    solver = IncrementalSolver(PROBLEMS["wr"], verify=True)
+    first = solver.solve(weights)
+    weights[3] += 1_000
+    weights.append(5)
+    with mock.patch.object(
+        PriceStream, "assignment", autospec=True, side_effect=PriceStream.assignment
+    ) as dense, _no_dense_expansion():
+        result = solver.solve(weights)
+    assert solver.last_mode == "incremental"
+    assert result.verdict == first.verdict == "valid"
+    assert dense.call_count == 0

@@ -276,7 +276,8 @@ class TestTicketAssignment:
     def test_any_iterable_of_integer_likes(self):
         assert TicketAssignment(iter([1, 2])).tickets == (1, 2)
         assert TicketAssignment(tickets=np.array([3, 0])).tickets == (3, 0)
-        assert TicketAssignment([True, 2.0]).tickets == (1, 2)
+        t = TicketAssignment([np.int64(1), np.uint8(2)])
+        assert t.tickets == (1, 2) and all(type(x) is int for x in t)
         assert TicketAssignment(()).tickets == () and TicketAssignment(()).max_tickets == 0
 
     def test_immutable(self):

@@ -17,7 +17,7 @@ from repro.core import (
     knapsack,
     make_checker,
 )
-from repro.core.types import normalize_weights
+from repro.core.types import TicketAssignment, normalize_weights
 from repro.core.verify import Verdict
 
 
@@ -335,6 +335,43 @@ class TestMalformedAssignments:
         with pytest.raises(ValueError, match=message):
             is_valid_assignment(problem, self.WEIGHTS, tickets)
         assert checker.stats.checks == 0
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, None, np.float64(1.0), np.True_])
+    def test_non_integral_counts_raise_type_error(self, bad):
+        # A float count was truncated by the int64 conversion, and a bool
+        # read as 1: both got judged as if they were integer counts.
+        tickets = [1, 1, bad, 0]
+        with pytest.raises(TypeError, match="ticket count #2 must be an integer"):
+            TicketAssignment(tickets)
+        for problem in (WeightRestriction("1/3", "1/2"), WeightSeparation("1/3", "1/2")):
+            with pytest.raises(TypeError, match="ticket count #2 must be an integer"):
+                is_valid_assignment(problem, self.WEIGHTS, tickets)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        problem = WeightRestriction("1/3", "1/2")
+        plain = is_valid_assignment(problem, self.WEIGHTS, [1, 1, 1, 0])
+        for tickets in (
+            [np.int64(1), np.int32(1), np.uint8(1), 0],
+            np.array([1, 1, 1, 0]),
+            np.array([1, 1, 1, 0], dtype=np.uint16),
+        ):
+            assert TicketAssignment(tickets).tickets == (1, 1, 1, 0)
+            assert is_valid_assignment(problem, self.WEIGHTS, tickets) is plain
+
+    @pytest.mark.parametrize("top", [2**63, 2**64 - 1, 2**70])
+    @pytest.mark.parametrize("shape", [list, TicketAssignment])
+    def test_counts_past_int64_raise_value_error(self, top, shape):
+        # The greedy bounds and the DP are int64: such a count used to
+        # escape numpy's conversion as a raw OverflowError.
+        tickets = shape([1, top, 1, 0])
+        for problem in (WeightRestriction("1/3", "1/2"), WeightSeparation("1/3", "1/2")):
+            with pytest.raises(ValueError, match=r"#1 .*int64 limit, 2\*\*63 - 1"):
+                is_valid_assignment(problem, self.WEIGHTS, tickets)
+        # ... and so does a total past it, of counts that each fit.
+        with pytest.raises(ValueError, match=r"ticket total is past .*int64 limit"):
+            make_checker(WeightRestriction("1/3", "1/2"), self.WEIGHTS).check(
+                shape([1, 2**63 - 1, 1, 0])
+            )
 
     def test_well_formed_vectors_still_decide(self):
         checker = make_checker(WeightRestriction("1/3", "1/2"), self.WEIGHTS)

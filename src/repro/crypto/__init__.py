@@ -1,19 +1,17 @@
-"""Cryptographic substrate: fields, groups, secret sharing, VSS, DLEQ
+"""Cryptographic substrate: fields, groups, the Feldman dealing, DLEQ
 proofs, unique threshold signatures, and common coins (paper, Sections 4
 and 6)."""
 
 from .common_coin import CommonCoin, WeightedCoin
 from .dleq import DleqProof, prove_dleq, verify_dleq, verify_dleq_batch
-from .feldman import FeldmanCommitment, FeldmanDealing, FeldmanVSS
-from .field import DEFAULT_FIELD, PrimeField
+from .feldman import FeldmanCommitment, FeldmanDealing, FeldmanVSS, Share
+from .field import PrimeField
 from .group import RFC3526_GROUP_2048, TEST_GROUP_256, GroupEngine, SchnorrGroup
 from .polynomial import Polynomial, interpolate_at, lagrange_coefficients_at
-from .shamir import SecretSharing, Share, WeightedSharing, deal_weighted
 from .threshold_sig import SignatureShare, ThresholdKeys, ThresholdSignatureScheme
 
 __all__ = [
     "PrimeField",
-    "DEFAULT_FIELD",
     "SchnorrGroup",
     "GroupEngine",
     "TEST_GROUP_256",
@@ -22,9 +20,6 @@ __all__ = [
     "lagrange_coefficients_at",
     "interpolate_at",
     "Share",
-    "SecretSharing",
-    "WeightedSharing",
-    "deal_weighted",
     "FeldmanVSS",
     "FeldmanCommitment",
     "FeldmanDealing",

@@ -11,10 +11,13 @@ always hold enough shares to open the coin, corrupt parties never do.
 from __future__ import annotations
 
 import hashlib
+import math
+from fractions import Fraction
 from typing import Sequence
 
 from ..core.types import TicketAssignment
 from ..weighted.virtual import VirtualUserMap
+from .feldman import Share
 from .group import SchnorrGroup
 from .threshold_sig import SignatureShare, ThresholdSignatureScheme
 
@@ -38,17 +41,19 @@ def coin_value(sigma: int) -> int:
 
 
 class CommonCoin:
-    """Nominal common coin over ``n`` signers with threshold ``k``."""
+    """Nominal common coin over ``n`` signers with threshold ``k``; the
+    trusted dealer, holding every signer's secret share."""
 
     def __init__(self, group: SchnorrGroup, n: int, k: int, rng) -> None:
         self.scheme = ThresholdSignatureScheme(group, n, k)
-        self.scheme.keygen(rng)
+        #: signer ``i``'s secret share is ``shares[i - 1]``
+        self.shares = self.scheme.keygen(rng).shares
         self.n = n
         self.k = k
 
     def share(self, signer: int, epoch: int, rng) -> SignatureShare:
         """Signer's coin share for ``epoch`` (signers are 1-based)."""
-        return self.scheme.sign_share(signer, epoch_message(epoch), rng)
+        return self.scheme.sign_share(self.shares[signer - 1], epoch_message(epoch), rng)
 
     def verify_share(self, share: SignatureShare, epoch: int) -> bool:
         """Publicly verify a coin share (per-share oracle)."""
@@ -86,11 +91,14 @@ class CommonCoin:
 
 
 class WeightedCoin:
-    """Weighted coin: party ``i`` controls ``t_i`` virtual signers.
+    """The weighted threshold setup: party ``i`` controls ``t_i`` virtual
+    signers of one dealing, for the beacon's coin and for checkpoints
+    alike (the name stays because the ledger imports it).
 
     Built from a Weight Restriction solution (paper, Theorem 4.2): with
     ``alpha_w = f_w`` and ``alpha_n <= 1/2`` the resulting blunt access
-    structure gives honest liveness and adversary exclusion.
+    structure gives honest liveness and adversary exclusion.  It is the
+    trusted dealer; a party is handed only its own :meth:`key`.
     """
 
     def __init__(
@@ -100,18 +108,18 @@ class WeightedCoin:
         alpha_n,
         rng,
     ) -> None:
-        from fractions import Fraction
-        import math
-
         #: ticket -> signer layout: virtual id ``v`` signs as index ``v + 1``
         self.vmap = VirtualUserMap(assignment)
         total = self.vmap.total_virtual
         if total == 0:
             raise ValueError("assignment has no tickets")
-        alpha = Fraction(alpha_n)
-        self.threshold = math.ceil(alpha * total)
+        self.threshold = math.ceil(Fraction(alpha_n) * total)
         self.total_shares = total
         self.coin = CommonCoin(group, n=total, k=self.threshold, rng=rng)
+
+    def key(self, party: int) -> tuple[Share, ...]:
+        """Party ``party``'s secret key: the shares of its tickets."""
+        return tuple(self.coin.shares[v] for v in self.vmap.virtual_ids(party))
 
     def shares_of_party(self, party: int, epoch: int, rng) -> list[SignatureShare]:
         """All coin shares party ``party`` contributes (one per ticket)."""

@@ -1,10 +1,14 @@
-"""Feldman verifiable secret sharing (paper application, Section 4.2).
+"""Feldman verifiable secret sharing: the one dealing (paper, Sections
+4.1-4.2).
 
-Extends Shamir with public commitments ``C_j = g^{a_j}`` to the polynomial
-coefficients so every shareholder can verify its share against
-``g^{f(i)} = prod_j C_j^{i^j}`` without interaction.  The weighted version
-is obtained exactly as for plain Shamir: hand each party one share per
-ticket of a Weight Restriction solution.
+The dealer draws a random degree-``k-1`` polynomial ``f`` (Shamir), hands
+out ``f(1), ..., f(n)`` and publishes commitments ``C_j = g^{a_j}`` to its
+coefficients, so every shareholder can verify its share against
+``g^{f(i)} = prod_j C_j^{i^j}`` without interaction.  Every threshold key
+in this package is such a dealing
+(:meth:`~repro.crypto.threshold_sig.ThresholdSignatureScheme.keygen`);
+the weighted layout hands each party one share per ticket of a Weight
+Restriction solution (:class:`~repro.crypto.common_coin.WeightedCoin`).
 """
 
 from __future__ import annotations
@@ -15,9 +19,16 @@ from typing import Sequence
 
 from .group import SchnorrGroup, batch_bisect
 from .polynomial import Polynomial, interpolate_at
-from .shamir import Share
 
-__all__ = ["FeldmanCommitment", "FeldmanVSS", "FeldmanDealing"]
+__all__ = ["Share", "FeldmanCommitment", "FeldmanVSS", "FeldmanDealing"]
+
+
+@dataclass(frozen=True)
+class Share:
+    """One secret share: the evaluation ``value = f(index)``, ``index >= 1``."""
+
+    index: int
+    value: int
 
 
 @dataclass(frozen=True)
@@ -100,13 +111,16 @@ class FeldmanVSS:
     def __init__(self, group: SchnorrGroup, n: int, k: int) -> None:
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if n >= group.order:
+            raise ValueError("field too small for the share count")
         self.group = group
         self.field = group.exponent_field
         self.n = n
         self.k = k
 
-    def deal(self, secret: int, rng) -> FeldmanDealing:
-        """Share ``secret`` (an exponent) with public verifiability."""
+    def deal(self, secret: int | None, rng) -> FeldmanDealing:
+        """Share ``secret`` (an exponent; ``None`` draws a random one) with
+        public verifiability."""
         poly = Polynomial.random(self.field, self.k - 1, rng, constant=secret)
         coeffs = poly.coefficients + (0,) * (self.k - len(poly.coefficients))
         commitment = FeldmanCommitment(

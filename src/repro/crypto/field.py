@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["PrimeField", "DEFAULT_FIELD"]
+__all__ = ["PrimeField"]
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -109,11 +109,3 @@ class PrimeField:
     def random_nonzero(self, rng) -> int:
         """Uniform non-zero element."""
         return rng.randrange(1, self.modulus)
-
-
-#: A 256-bit prime field used as the default Shamir coefficient field when
-#: no group is involved (the order of the secp256k1 curve group -- any
-#: well-known large prime works; nothing curve-specific is used).
-DEFAULT_FIELD = PrimeField(
-    0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
-)

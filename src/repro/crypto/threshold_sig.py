@@ -1,11 +1,13 @@
 """Unique threshold signatures (BLS-style, pairing-free verification).
 
-Structure (paper, Sections 4.1-4.2 and 6.2-6.3): a dealer Shamir-shares a
-key ``x``; signer ``i`` publishes ``sigma_i = H(m)^{x_i}`` and any ``k``
-shares combine via Lagrange interpolation *in the exponent* into the
-unique signature ``sigma = H(m)^x``.  Uniqueness (the combined value is
-independent of which shares were used) is precisely the property
-randomness beacons need (Section 4.1).
+Structure (paper, Sections 4.1-4.2 and 6.2-6.3): a dealer shares a key
+``x`` by a Feldman dealing (:class:`~repro.crypto.feldman.FeldmanVSS`)
+and hands each signer its shares; signer ``i`` publishes
+``sigma_i = H(m)^{x_i}`` and any ``k`` shares combine via Lagrange
+interpolation *in the exponent* into the unique signature
+``sigma = H(m)^x``.  Uniqueness (the combined value is independent of
+which shares were used) is precisely the property randomness beacons
+need (Section 4.1).
 
 Pairing substitution: instead of the BLS pairing check each share carries
 a Chaum-Pedersen DLEQ proof against the signer's public key share
@@ -30,8 +32,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .dleq import DleqProof, prove_dleq, verify_dleq, verify_indexed_dleq_batch
+from .feldman import FeldmanDealing, FeldmanVSS, Share
 from .group import SchnorrGroup
-from .polynomial import Polynomial, lagrange_coefficients_at
+from .polynomial import lagrange_coefficients_at
 
 __all__ = ["SignatureShare", "ThresholdSignatureScheme", "ThresholdKeys"]
 
@@ -50,8 +53,9 @@ class SignatureShare:
 class ThresholdKeys:
     """Public output of key generation.
 
-    ``public_key = g^x``; ``public_shares[i] = g^{x_i}`` for share index
-    ``i`` (1-based, exposed as a dict).
+    ``public_key = g^x`` (the dealing's commitment ``C_0``);
+    ``public_shares[i] = g^{x_i}`` for share index ``i`` (1-based,
+    exposed as a dict).
     """
 
     public_key: int
@@ -59,11 +63,15 @@ class ThresholdKeys:
 
 
 class ThresholdSignatureScheme:
-    """``(n, k)`` unique threshold signatures over a Schnorr group.
+    """``(n, k)`` unique threshold signatures over a Schnorr group: the
+    public operations only.
 
-    The dealer-based keygen models the trusted setup the paper assumes for
-    its randomness beacons; a DKG could replace it without changing any
-    interface.
+    The scheme holds no secret.  :meth:`keygen` is the trusted dealer the
+    paper assumes for its randomness beacons: it keeps the public
+    :class:`ThresholdKeys` and returns the dealing, whose shares its
+    caller hands to the signers; a signer passes its own
+    :class:`~repro.crypto.feldman.Share` to :meth:`sign_share`.  A DKG
+    could replace the dealer without changing any other interface.
     """
 
     def __init__(self, group: SchnorrGroup, n: int, k: int) -> None:
@@ -73,21 +81,18 @@ class ThresholdSignatureScheme:
         self.field = group.exponent_field
         self.n = n
         self.k = k
-        self._secret_shares: dict[int, int] = {}
         self._keys: ThresholdKeys | None = None
 
     # -- setup -------------------------------------------------------------------
-    def keygen(self, rng) -> ThresholdKeys:
-        """Deal a fresh key; returns the public material."""
-        poly = Polynomial.random(self.field, self.k - 1, rng)
-        self._secret_shares = {i: poly.evaluate(i) for i in range(1, self.n + 1)}
+    def keygen(self, rng) -> FeldmanDealing:
+        """Deal a fresh random key; keeps the public material and returns
+        the dealing (the secret shares travel no further than the caller)."""
+        dealing = FeldmanVSS(self.group, self.n, self.k).deal(None, rng)
         self._keys = ThresholdKeys(
-            public_key=self.group.exp_g(poly.evaluate(0)),
-            public_shares={
-                i: self.group.exp_g(v) for i, v in self._secret_shares.items()
-            },
+            public_key=dealing.commitment.public_key,
+            public_shares={s.index: self.group.exp_g(s.value) for s in dealing.shares},
         )
-        return self._keys
+        return dealing
 
     @property
     def keys(self) -> ThresholdKeys:
@@ -100,14 +105,14 @@ class ThresholdSignatureScheme:
         """The canonical root of ``H(m)``, the element raised to the key."""
         return self.group.hash_to_root(b"thsig|" + message)
 
-    def sign_share(self, index: int, message: bytes, rng) -> SignatureShare:
-        """Produce signer ``index``'s signature share with a DLEQ proof."""
-        x_i = self._secret_shares[index]
+    def sign_share(self, share: Share, message: bytes, rng) -> SignatureShare:
+        """Sign with the secret ``share``: its signature share with a DLEQ
+        proof."""
         _, sigma_i, proof = prove_dleq(
-            self.group, x_i, self.group.generator_root, self.message_root(message), rng,
-            y1=self.keys.public_shares[index],
+            self.group, share.value, self.group.generator_root, self.message_root(message),
+            rng, y1=self.keys.public_shares[share.index],
         )
-        return SignatureShare(index=index, value=sigma_i, proof=proof)
+        return SignatureShare(index=share.index, value=sigma_i, proof=proof)
 
     def verify_share(self, share: SignatureShare, message: bytes) -> bool:
         """Check a share against the signer's public key share."""

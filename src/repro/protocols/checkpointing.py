@@ -38,10 +38,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..crypto.threshold_sig import SignatureShare, ThresholdSignatureScheme
+from ..crypto.common_coin import WeightedCoin
+from ..crypto.threshold_sig import SignatureShare
 from ..sim.process import Party
 from ..weighted.tight import TightGate
-from ..weighted.virtual import VirtualUserMap
 from .batching import BatchedQuorumCollector
 
 __all__ = ["CheckpointVote", "CheckpointShare", "CheckpointParty"]
@@ -73,15 +73,17 @@ class CheckpointShare:
 class CheckpointParty(Party):
     """A validator in the checkpointing protocol.
 
-    ``mode`` is ``"blunt"`` or ``"tight"``; tight mode wires a
-    :class:`TightGate` per checkpoint before revealing shares.
+    It holds its key -- ``setup.key(pid)``, the secret shares of its own
+    tickets -- next to ``setup``'s public scheme and ticket layout, and
+    nothing else of the dealing.  ``mode`` is ``"blunt"`` or ``"tight"``;
+    tight mode wires a :class:`TightGate` per checkpoint before revealing
+    shares.
     """
 
     def __init__(
         self,
         pid: int,
-        scheme: ThresholdSignatureScheme,
-        vmap: VirtualUserMap,
+        setup: WeightedCoin,
         rng: random.Random,
         *,
         mode: str = "blunt",
@@ -94,8 +96,9 @@ class CheckpointParty(Party):
             raise ValueError("mode must be 'blunt' or 'tight'")
         if mode == "tight" and (weights is None or beta is None):
             raise ValueError("tight mode needs weights and beta")
-        self.scheme = scheme
-        self.vmap = vmap
+        self.scheme = setup.coin.scheme
+        self.vmap = setup.vmap
+        self.key = setup.key(pid)
         self.rng = rng
         self.mode = mode
         self.weights = weights
@@ -124,13 +127,17 @@ class CheckpointParty(Party):
         if checkpoint in self._shared:
             return
         self._shared.add(checkpoint)
-        for vid in self.vmap.virtual_ids(self.pid):
-            share = self.scheme.sign_share(vid + 1, checkpoint, self.rng)
+        for secret in self.key:
+            share = self.scheme.sign_share(secret, checkpoint, self.rng)
             self.bump("shares_signed")
             self.broadcast(CheckpointShare(checkpoint=checkpoint, share=share))
 
     # -- tight-mode vote round ---------------------------------------------------
     def _handle_vote(self, message: CheckpointVote, sender: int) -> None:
+        """A vote whose checkpoint is not ``bytes`` is dropped before it
+        makes a gate, as :meth:`_handle_share` drops such a share."""
+        if not isinstance(message.checkpoint, bytes):
+            return
         gate = self._gates.get(message.checkpoint)
         if gate is None:
             gate = TightGate(self.weights, self.beta)

@@ -47,9 +47,9 @@ def deterministic_coin(tag: str) -> Callable[[int], int]:
 class BeaconParty(CheckpointParty):
     """One beacon participant controlling ``t_i`` virtual signers.
 
-    A blunt checkpointing party on ``coin``'s scheme and ticket layout
-    that admits only epoch messages; an epoch's certificate is its
-    value.
+    A blunt checkpointing party on ``coin``'s scheme, ticket layout and
+    its own key that admits only epoch messages; an epoch's certificate
+    is its value.
     """
 
     def __init__(
@@ -60,7 +60,7 @@ class BeaconParty(CheckpointParty):
         *,
         on_value: Optional[Callable[[int, int, int], None]] = None,
     ) -> None:
-        super().__init__(pid, coin.coin.scheme, coin.vmap, rng, on_certified=self._opened)
+        super().__init__(pid, coin, rng, on_certified=self._opened)
         self.on_value = on_value
         self.values: dict[int, int] = {}
 

@@ -471,17 +471,14 @@ class CheckpointDriver(ProtocolDriver):
 
     def __init__(self, spec: ScenarioSpec, committee, adversary=None) -> None:
         super().__init__(spec, committee, adversary)
+        from ..crypto.common_coin import WeightedCoin
         from ..crypto.group import TEST_GROUP_256
-        from ..crypto.threshold_sig import ThresholdSignatureScheme
         from ..weighted.transform import blunt_setup
 
         self.mode = str(spec.param("mode", "blunt"))
         self.beta = str(spec.param("beta", "1/2"))
-        self.setup = blunt_setup(self.weights, spec.f_w, "1/2")
-        self.scheme = ThresholdSignatureScheme(
-            TEST_GROUP_256, self.setup.total_virtual, self.setup.threshold
-        )
-        self.scheme.keygen(random.Random(spec.seed))
+        tickets = blunt_setup(self.weights, spec.f_w, "1/2").result.assignment
+        self.coin = WeightedCoin(TEST_GROUP_256, tickets, "1/2", random.Random(spec.seed))
         self.checkpoints = [
             _payload(spec, 0, epoch) for epoch in range(spec.workload.epochs)
         ]
@@ -491,8 +488,7 @@ class CheckpointDriver(ProtocolDriver):
 
         return CheckpointParty(
             nid,
-            self.scheme,
-            self.setup.vmap,
+            self.coin,
             random.Random(f"{self.spec.seed}|{nid}"),
             mode=self.mode,
             weights=self.weights if self.mode == "tight" else None,
@@ -631,7 +627,7 @@ def build_driver(
     Every piece is a deterministic function of the spec, which is what
     makes the ``proc`` backend possible: each worker process rebuilds an
     *identical* driver -- same committee, same corruption set, same key
-    material (the checkpoint keygen draws from ``random.Random(seed)``) --
+    material (the checkpoint dealing draws from ``random.Random(seed)``) --
     from nothing but the pickled spec dict.  Workers pass
     ``validate=False`` because the parent already vetted the spec.
     """

@@ -32,12 +32,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..api.committee import Committee, CommitteeValidationError
+from ..crypto.common_coin import WeightedCoin
 from ..crypto.group import TEST_GROUP_256
-from ..crypto.threshold_sig import ThresholdSignatureScheme
 from ..protocols.checkpointing import CheckpointParty
 from ..protocols.common_coin import deterministic_coin
 from ..protocols.smr import SmrParty
-from ..weighted.virtual import VirtualUserMap
 from .backends import PartyGroup, ServiceBackend
 from .epoch import EpochManager
 from .load import LoadGenerator
@@ -428,17 +427,15 @@ class EpochService:
         # Theorem 4.2 setup, but from the epoch's *existing* ticket
         # assignment (the same WR(f_w, 1/2) solution the manager computed
         # at activation) -- no second solve.
-        vmap = VirtualUserMap(self.tickets.assignment)
-        total = vmap.total_virtual
-        threshold = -((-total) // 2)  # ceil(T/2) = ceil(alpha_n * T)
-        scheme = ThresholdSignatureScheme(TEST_GROUP_256, total, threshold)
-        scheme.keygen(random.Random(f"{self.seed}|ckpt|{self.epoch}"))
+        setup = WeightedCoin(
+            TEST_GROUP_256, self.tickets.assignment, "1/2",
+            random.Random(f"{self.seed}|ckpt|{self.epoch}"),
+        )
 
         def factory(pid: int) -> CheckpointParty:
             return CheckpointParty(
                 pid,
-                scheme,
-                vmap,
+                setup,
                 random.Random(f"{self.seed}|ckpt|{self.epoch}|{pid}"),
                 mode="blunt",
                 on_certified=self._on_certified,

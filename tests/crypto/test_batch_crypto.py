@@ -15,9 +15,8 @@ from repro.crypto.dleq import (
     verify_dleq,
     verify_dleq_batch,
 )
-from repro.crypto.feldman import FeldmanVSS
+from repro.crypto.feldman import FeldmanVSS, Share
 from repro.crypto.group import RFC3526_GROUP_2048, TEST_GROUP_256, SchnorrGroup
-from repro.crypto.shamir import Share
 from threshold_enc import ThresholdElGamal
 from repro.crypto.threshold_sig import SignatureShare, ThresholdSignatureScheme
 from signature_oracle import verify_signature
@@ -317,12 +316,11 @@ class TestSchemeBatch:
     def _scheme(self, n=12, k=5, seed=0):
         rng = random.Random(seed)
         scheme = ThresholdSignatureScheme(G, n, k)
-        scheme.keygen(rng)
-        return scheme, rng
+        return scheme, scheme.keygen(rng).shares, rng
 
     def test_verify_shares_batch_equals_per_share(self):
-        scheme, rng = self._scheme()
-        shares = [scheme.sign_share(i, b"epoch-1", rng) for i in range(1, 13)]
+        scheme, keys, rng = self._scheme()
+        shares = [scheme.sign_share(key, b"epoch-1", rng) for key in keys]
         # Corrupt two, fake one index.
         shares[3] = SignatureShare(
             index=shares[3].index,
@@ -336,8 +334,8 @@ class TestSchemeBatch:
         assert got.count(False) == 2
 
     def test_combine_uses_batch_and_matches_seed_combine(self):
-        scheme, rng = self._scheme(n=8, k=4, seed=2)
-        shares = [scheme.sign_share(i, b"m", rng) for i in range(1, 9)]
+        scheme, keys, rng = self._scheme(n=8, k=4, seed=2)
+        shares = [scheme.sign_share(key, b"m", rng) for key in keys]
         sigma = scheme.combine(shares[:4], b"m")
         # Seed-path combine: scalar pow chain over the same coefficients.
         from repro.crypto.polynomial import lagrange_coefficients_at
@@ -347,7 +345,7 @@ class TestSchemeBatch:
         for lam, share in zip(lambdas, shares[:4]):
             seed_sigma = seed_sigma * G.power(G.decode_root(share.value), lam) % G.p
         assert sigma == seed_sigma
-        assert verify_signature(scheme, sigma, b"m")
+        assert verify_signature(scheme, keys, sigma, b"m")
 
     @pytest.mark.parametrize("group", GROUPS, ids=["256", "2048"])
     def test_combine_contiguous_and_scattered_quorums(self, group):
@@ -356,11 +354,11 @@ class TestSchemeBatch:
         full-width fractions.  Both open the one unique signature."""
         rng = random.Random(13)
         scheme = ThresholdSignatureScheme(group, 11, 6)
-        scheme.keygen(rng)
-        shares = {i: scheme.sign_share(i, b"epoch-3", rng) for i in range(1, 12)}
+        keys = scheme.keygen(rng).shares
+        shares = {key.index: scheme.sign_share(key, b"epoch-3", rng) for key in keys}
         for indices in ((1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11), (1, 3, 4, 7, 10, 11)):
             sigma = scheme.combine([shares[i] for i in indices], b"epoch-3")
-            assert verify_signature(scheme, sigma, b"epoch-3"), indices
+            assert verify_signature(scheme, keys, sigma, b"epoch-3"), indices
 
     def test_signed_shares_are_pinned(self):
         """Signing reuses the published key share instead of recomputing
@@ -388,8 +386,8 @@ class TestSchemeBatch:
             assert h.hexdigest() == pinned[name], name
 
     def test_combine_rejects_and_names_bad_share(self):
-        scheme, rng = self._scheme(n=6, k=3, seed=3)
-        shares = [scheme.sign_share(i, b"m", rng) for i in (1, 2)]
+        scheme, keys, rng = self._scheme(n=6, k=3, seed=3)
+        shares = [scheme.sign_share(key, b"m", rng) for key in keys[:2]]
         bad = SignatureShare(index=5, value=G.generator, proof=shares[0].proof)
         with pytest.raises(ValueError, match="from 5"):
             scheme.combine(shares + [bad], b"m")

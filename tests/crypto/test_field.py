@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.field import DEFAULT_FIELD, PrimeField
+from repro.crypto.field import PrimeField
 
 SMALL = PrimeField(97)
 
@@ -21,7 +21,9 @@ class TestConstruction:
             PrimeField(1)
 
     def test_accepts_large_prime(self):
-        assert DEFAULT_FIELD.modulus.bit_length() == 256
+        # the order of the secp256k1 curve group
+        field = PrimeField(0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141)
+        assert field.modulus.bit_length() == 256
 
 
 class TestArithmetic:

@@ -79,8 +79,7 @@ def _forgeries(honest: SignatureShare) -> dict[str, SignatureShare]:
 def test_batch_and_oracle_agree_on_root_forgeries():
     rng = random.Random(1)
     scheme = ThresholdSignatureScheme(G, 6, 3)
-    scheme.keygen(rng)
-    honest = [scheme.sign_share(i, b"m", rng) for i in range(1, 7)]
+    honest = [scheme.sign_share(key, b"m", rng) for key in scheme.keygen(rng).shares]
     forged = _forgeries(honest[2])
     assert len(forged) == 12
     for name, bad in forged.items():

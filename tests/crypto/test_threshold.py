@@ -79,7 +79,7 @@ class TestFeldman:
         rng = random.Random(1)
         vss = FeldmanVSS(G, 5, 2)
         dealing = vss.deal(7, rng)
-        from repro.crypto.shamir import Share
+        from repro.crypto.feldman import Share
 
         bad = Share(index=1, value=(dealing.shares[0].value + 1) % G.order)
         assert not dealing.commitment.verify_share(bad)
@@ -108,18 +108,17 @@ class TestThresholdSignatures:
     def _scheme(self, n=5, k=3, seed=0):
         rng = random.Random(seed)
         scheme = ThresholdSignatureScheme(G, n, k)
-        scheme.keygen(rng)
-        return scheme, rng
+        return scheme, scheme.keygen(rng).shares, rng
 
     def test_share_verification(self):
-        scheme, rng = self._scheme()
-        share = scheme.sign_share(2, b"msg", rng)
+        scheme, keys, rng = self._scheme()
+        share = scheme.sign_share(keys[1], b"msg", rng)
         assert scheme.verify_share(share, b"msg")
         assert not scheme.verify_share(share, b"other")
 
     def test_unknown_signer_rejected(self):
-        scheme, rng = self._scheme()
-        share = scheme.sign_share(1, b"m", rng)
+        scheme, keys, rng = self._scheme()
+        share = scheme.sign_share(keys[0], b"m", rng)
         from repro.crypto.threshold_sig import SignatureShare
 
         fake = SignatureShare(index=99, value=share.value, proof=share.proof)
@@ -128,17 +127,17 @@ class TestThresholdSignatures:
     def test_uniqueness(self):
         """The signature is independent of the combining share subset --
         the property randomness beacons rely on (Section 4.1)."""
-        scheme, rng = self._scheme(n=6, k=3)
-        shares = [scheme.sign_share(i, b"epoch-9", rng) for i in range(1, 7)]
+        scheme, keys, rng = self._scheme(n=6, k=3)
+        shares = [scheme.sign_share(key, b"epoch-9", rng) for key in keys]
         sig_a = scheme.combine(shares[:3], b"epoch-9")
         sig_b = scheme.combine(shares[3:], b"epoch-9")
         sig_c = scheme.combine([shares[0], shares[2], shares[4]], b"epoch-9")
         assert sig_a == sig_b == sig_c
-        assert verify_signature(scheme, sig_a, b"epoch-9")
+        assert verify_signature(scheme, keys, sig_a, b"epoch-9")
 
     def test_combine_rejects_invalid_share(self):
-        scheme, rng = self._scheme()
-        shares = [scheme.sign_share(i, b"m", rng) for i in (1, 2)]
+        scheme, keys, rng = self._scheme()
+        shares = [scheme.sign_share(key, b"m", rng) for key in keys[:2]]
         from repro.crypto.threshold_sig import SignatureShare
 
         bad = SignatureShare(index=3, value=G.generator, proof=shares[0].proof)
@@ -146,16 +145,16 @@ class TestThresholdSignatures:
             scheme.combine(shares + [bad], b"m")
 
     def test_combine_needs_k_distinct(self):
-        scheme, rng = self._scheme()
-        s1 = scheme.sign_share(1, b"m", rng)
+        scheme, keys, rng = self._scheme()
+        s1 = scheme.sign_share(keys[0], b"m", rng)
         with pytest.raises(ValueError):
             scheme.combine([s1, s1, s1], b"m")
 
     def test_verify_rejects_wrong_message(self):
-        scheme, rng = self._scheme()
-        shares = [scheme.sign_share(i, b"m1", rng) for i in (1, 2, 3)]
+        scheme, keys, rng = self._scheme()
+        shares = [scheme.sign_share(key, b"m1", rng) for key in keys[:3]]
         sig = scheme.combine(shares, b"m1")
-        assert not verify_signature(scheme, sig, b"m2")
+        assert not verify_signature(scheme, keys, sig, b"m2")
 
     def test_two_schemes_on_one_group_test_q_once(self, monkeypatch):
         import repro.crypto.field as field_mod

@@ -2,7 +2,7 @@
 Encryption", Sections 4.2-4.3), kept as a second consumer of the DLEQ
 layer's root form; never imported from ``src/``.
 
-The key is Shamir-shared; a ciphertext is ``(g^r, m * pk^r)`` with
+The key is dealt by :class:`~repro.crypto.feldman.FeldmanVSS`; a ciphertext is ``(g^r, m * pk^r)`` with
 ``c1 = g^r`` carried as its canonical root, because each decryption share
 ``c1^{x_i}`` (a canonical root too) proves DLEQ with ``c1`` as the second
 base.  ``k`` verified shares Lagrange-combine into ``c1^x``, unblinding
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.crypto.dleq import DleqProof, prove_dleq, verify_dleq, verify_indexed_dleq_batch
+from repro.crypto.feldman import FeldmanVSS
 from repro.crypto.group import SchnorrGroup
-from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at
+from repro.crypto.polynomial import lagrange_coefficients_at
 
 __all__ = ["Ciphertext", "DecryptionShare", "ThresholdElGamal"]
 
@@ -55,9 +56,9 @@ class ThresholdElGamal:
 
     def keygen(self, rng) -> int:
         """Deal a fresh key pair; returns the public key ``g^x``."""
-        poly = Polynomial.random(self.field, self.k - 1, rng)
-        self._secret_shares = {i: poly.evaluate(i) for i in range(1, self.n + 1)}
-        self.public_key = self.group.exp_g(poly.evaluate(0))
+        dealing = FeldmanVSS(self.group, self.n, self.k).deal(None, rng)
+        self._secret_shares = {s.index: s.value for s in dealing.shares}
+        self.public_key = dealing.commitment.public_key
         self.public_shares = {
             i: self.group.exp_g(v) for i, v in self._secret_shares.items()
         }

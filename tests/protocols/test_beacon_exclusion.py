@@ -1,0 +1,65 @@
+"""Theorem 4.2 at the protocol: on a chain's ``blunt_setup(WR 1/3 -> 1/2)``
+beacon, the heaviest coalition under a third of the weight cannot open
+an epoch with its own keys, and the fewest parties holding the
+threshold's tickets can.
+
+Only the coalition starts the epoch, so every share in flight is signed
+with a key it holds; no honest party signs.
+"""
+
+import random
+
+import pytest
+
+from repro.crypto.common_coin import WeightedCoin
+from repro.crypto.group import TEST_GROUP_256 as G
+from repro.datasets.chains import load_chain
+from repro.protocols.common_coin import BeaconParty
+from repro.sim import build_world
+from repro.sim.adversary import heaviest_under
+from repro.weighted.transform import blunt_setup
+
+EPOCH = 0
+
+
+def _beacon(chain: str):
+    weights = load_chain(chain).weights
+    setup = blunt_setup(weights, "1/3", "1/2")
+    coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(chain))
+    world = build_world(
+        lambda pid: BeaconParty(pid, coin, random.Random(f"{chain}|{pid}")),
+        len(weights),
+        seed=0,
+    )
+    return weights, coin, world
+
+
+def _start(world, coalition) -> int:
+    """The coalition starts the epoch; returns the key shares it holds."""
+    for pid in coalition:
+        world.party(pid).start_epoch(EPOCH)
+    world.run()
+    return sum(len(world.party(pid).key) for pid in coalition)
+
+
+@pytest.mark.parametrize("chain", ["aptos", "tezos"])
+def test_a_coalition_under_a_third_cannot_open_an_epoch(chain):
+    weights, coin, world = _beacon(chain)
+    coalition = sorted(heaviest_under(weights, "1/3"))
+    held = _start(world, coalition)
+    assert 0 < held < coin.threshold
+    assert all(EPOCH not in party.values for party in world.parties)
+
+
+@pytest.mark.parametrize(
+    "chain", ["aptos", pytest.param("tezos", marks=pytest.mark.slow)]
+)
+def test_the_fewest_parties_holding_the_threshold_open_an_epoch(chain):
+    weights, coin, world = _beacon(chain)
+    by_tickets = sorted(range(len(weights)), key=lambda p: (-coin.vmap.tickets[p], p))
+    coalition = []
+    while sum(coin.vmap.tickets[p] for p in coalition) < coin.threshold:
+        coalition.append(by_tickets[len(coalition)])
+    assert _start(world, coalition) >= coin.threshold
+    values = {party.values.get(EPOCH) for party in world.parties}
+    assert len(values) == 1 and None not in values

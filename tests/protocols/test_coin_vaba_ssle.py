@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto import ThresholdSignatureScheme, WeightedCoin
+from repro.crypto import WeightedCoin
 from repro.crypto.common_coin import epoch_message
 from repro.crypto.group import TEST_GROUP_256 as G
 from repro.protocols.checkpointing import CheckpointParty
@@ -228,14 +228,12 @@ class TestCheckpointing:
     def _world(self, mode, seed=0):
         rng = random.Random(seed)
         setup = blunt_setup(WEIGHTS, "1/3", "1/2")
-        scheme = ThresholdSignatureScheme(G, setup.total_virtual, setup.threshold)
-        scheme.keygen(rng)
+        coin = WeightedCoin(G, setup.result.assignment, "1/2", rng)
 
         def factory(pid):
             return CheckpointParty(
                 pid,
-                scheme,
-                setup.vmap,
+                coin,
                 random.Random(5000 + pid),
                 mode=mode,
                 weights=WEIGHTS if mode == "tight" else None,
@@ -285,9 +283,8 @@ class TestCheckpointing:
 
     def test_mode_validation(self):
         setup = blunt_setup(WEIGHTS, "1/3", "1/2")
-        scheme = ThresholdSignatureScheme(G, setup.total_virtual, setup.threshold)
-        scheme.keygen(random.Random(0))
+        coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(0))
         with pytest.raises(ValueError):
-            CheckpointParty(0, scheme, setup.vmap, random.Random(0), mode="loose")
+            CheckpointParty(0, coin, random.Random(0), mode="loose")
         with pytest.raises(ValueError):
-            CheckpointParty(0, scheme, setup.vmap, random.Random(0), mode="tight")
+            CheckpointParty(0, coin, random.Random(0), mode="tight")

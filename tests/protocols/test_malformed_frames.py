@@ -5,7 +5,8 @@ arrive with a ``bytes`` share value, a ``str`` challenge, no proof, or a
 checkpoint that is not ``bytes`` (or, at a beacon, no epoch message).
 Each such frame, sent ahead of the honest traffic, must leave the epoch
 or checkpoint certifying from the honest shares alone, and so must a
-tight-mode vote sent to a blunt party.  A state-sync
+tight-mode vote sent to a blunt party, or one whose checkpoint is not
+``bytes`` sent to a tight party.  A state-sync
 response whose entries are not ``(epoch, proposer, payload)`` triples
 must leave a recovering replica's log and vote tallies untouched, and a
 Bracha SEND / ECHO / READY of that shape must open no instance and
@@ -43,8 +44,8 @@ EPOCH = 1
 
 def _honest_share():
     scheme = ThresholdSignatureScheme(G, 4, 2)
-    scheme.keygen(random.Random(0))
-    return scheme, scheme.sign_share(1, b"m", random.Random(1))
+    key = scheme.keygen(random.Random(0)).shares[0]
+    return scheme, scheme.sign_share(key, b"m", random.Random(1))
 
 
 def _malformed(share):
@@ -145,16 +146,15 @@ def test_beacon_drops_a_share_that_is_no_signature_share(share):
     _run_beacon(setup, world)
 
 
-def _checkpointing(seed):
+def _checkpointing(seed, **tight):
     setup = blunt_setup(WEIGHTS, "1/3", "1/2")
-    scheme = ThresholdSignatureScheme(G, setup.total_virtual, setup.threshold)
-    scheme.keygen(random.Random(seed))
+    coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(seed))
     world = build_world(
-        lambda pid: CheckpointParty(pid, scheme, setup.vmap, random.Random(5000 + pid)),
+        lambda pid: CheckpointParty(pid, coin, random.Random(5000 + pid), **tight),
         len(WEIGHTS),
         seed=seed,
     )
-    return setup, scheme, world
+    return setup, coin, world
 
 
 def _certify(world, cp):
@@ -168,15 +168,15 @@ def _certify(world, cp):
 
 @pytest.mark.parametrize("bad", ["checkpoint-str", "share-none"])
 def test_checkpoint_drops_a_malformed_share_frame(bad):
-    setup, scheme, world = _checkpointing(seed=8)
+    setup, coin, world = _checkpointing(seed=8)
     cp = b"cp-400"
     if bad == "share-none":
         world.party(0).broadcast(_wire(CheckpointShare(checkpoint=cp, share=None)))
     else:
         # Every signer re-labelled: enough to run a batch under "cp-400".
         rng = random.Random(81)
-        for index in range(1, setup.total_virtual + 1):
-            share = scheme.sign_share(index, cp, rng)
+        for key in coin.coin.shares:
+            share = coin.coin.scheme.sign_share(key, cp, rng)
             world.party(0).broadcast(_wire(CheckpointShare(checkpoint="cp-400", share=share)))
     _certify(world, cp)
 
@@ -184,13 +184,12 @@ def test_checkpoint_drops_a_malformed_share_frame(bad):
 def test_a_live_blunt_party_drops_a_stray_vote():
     # On a live backend a handler that raises fails its node.
     setup = blunt_setup(WEIGHTS, "1/3", "1/2")
-    scheme = ThresholdSignatureScheme(G, setup.total_virtual, setup.threshold)
-    scheme.keygen(random.Random(12))
+    coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(12))
     cp = b"cp-400"
 
     async def drive():
         async with Cluster(
-            lambda pid: CheckpointParty(pid, scheme, setup.vmap, random.Random(pid)),
+            lambda pid: CheckpointParty(pid, coin, random.Random(pid)),
             len(WEIGHTS),
         ) as cluster:
             cluster.parties[-1].broadcast(CheckpointVote(cp))
@@ -215,9 +214,33 @@ def test_blunt_party_drops_a_stray_vote(host):
         world.party(byzantine).broadcast(_wire(CheckpointVote(epoch_message(EPOCH))))
         _run_beacon(setup, world)
     else:
-        setup, scheme, world = _checkpointing(seed=11)
+        setup, coin, world = _checkpointing(seed=11)
         world.party(byzantine).broadcast(_wire(CheckpointVote(b"cp-400")))
         _certify(world, b"cp-400")
+
+
+#: tight-mode vote checkpoints that are no ``bytes``
+NOT_BYTES_VOTES = {"list": [1, 2], "str": "cp-str", "int": 7, "none": None}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_BYTES_VOTES))
+def test_tight_party_drops_a_vote_that_is_no_bytes(kind):
+    # A vote of the wrong shape opens no gate: every party holds the one
+    # gate of the honest checkpoint and the certificate of a clean run.
+    cp = b"cp-400"
+    tight = {"mode": "tight", "weights": WEIGHTS, "beta": "1/2"}
+    certificates = []
+    registry = default_registry()
+    # the codec carries a list as a tuple, which a dict can key
+    bad_vote = registry.decode(registry.encode(CheckpointVote(NOT_BYTES_VOTES[kind])))
+    for bad in (None, bad_vote):
+        setup, coin, world = _checkpointing(seed=13, **tight)
+        if bad is not None:
+            world.party(len(WEIGHTS) - 1).broadcast(bad)
+        _certify(world, cp)
+        assert all(list(p._gates) == [cp] for p in world.parties)
+        certificates.append(world.party(0).certificates[cp])
+    assert certificates[0] == certificates[1]
 
 
 #: ``StateSyncResponse.entries`` values no honest responder sends

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from ..codes.reed_solomon import BlockFragment, ReedSolomon
 from ..sim.process import Party
-from ..weighted.quorum import QuorumPolicy
+from ..weighted.quorum import QuorumPolicy, Tally
 from ..weighted.virtual import VirtualUserMap
 
 __all__ = [
@@ -143,7 +143,8 @@ class AvidParty(Party):
         #: once, in ``_handle_disperse``, and retrieval decodes with it
         self._code: Optional[ReedSolomon] = None
         self.retrieved: Optional[bytes] = None
-        self._echo_senders: dict[bytes, set[int]] = {}
+        #: the echo phase, one commitment per sender; ``None`` once stored
+        self._echoes: Optional[Tally] = Tally()
         self._collected: dict[int, bytes] = {}
         self.on(AvidDisperse, self._handle_disperse)
         self.on(AvidEcho, self._handle_echo)
@@ -220,16 +221,21 @@ class AvidParty(Party):
         self.broadcast(AvidEcho(message.commitment))
 
     def _handle_echo(self, message: AvidEcho, sender: int) -> None:
-        if self.stored_commitment is not None:
-            return  # the first store wins: a late echo changes nothing
-        senders = self._echo_senders.setdefault(message.commitment, set())
-        senders.add(sender)
-        if self.quorums.storage_quorum(senders):
-            self.stored_commitment = message.commitment
-            self._echo_senders.clear()
-            self.bump("stored")
-            if self.on_stored is not None:
-                self.on_stored(self.pid, message.commitment)
+        """A sender's first echo counts; once a commitment has echoes of
+        weight ``> storage_need`` it is stored, and the first store wins:
+        a late echo changes nothing.  An echo whose commitment is not
+        ``bytes`` is dropped."""
+        commitment = message.commitment
+        if self._echoes is None or type(commitment) is not bytes:
+            return
+        quorums = self.quorums
+        if self._echoes.add(sender, commitment, quorums.vote_weights) <= quorums.storage_need:
+            return
+        self.stored_commitment = commitment
+        self._echoes = None
+        self.bump("stored")
+        if self.on_stored is not None:
+            self.on_stored(self.pid, commitment)
 
     # -- retriever side ----------------------------------------------------------------
     def retrieve(self, commitment: bytes) -> None:

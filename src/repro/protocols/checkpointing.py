@@ -8,11 +8,14 @@ Two flavors:
   virtual signers; a checkpoint certificate forms when ``ceil(alpha_n T)``
   shares combine.  Safety/liveness follow from the blunt access
   structure (Theorem 4.2).
-* **tight** -- one extra vote round (:class:`~repro.weighted.tight.TightGate`):
-  shares are only revealed after votes of weight above ``beta W``
-  arrived, upgrading the access structure to the weighted threshold
-  ``A_w(beta)`` at the cost of exactly one message delay per checkpoint
-  (the paper's claim, measured by the benchmark).
+* **tight** -- one extra vote round (paper, Section 4.3): an honest
+  party first broadcasts a weightless vote and reveals its shares only
+  once votes of weight above ``beta W`` arrived, upgrading the access
+  structure to the weighted threshold ``A_w(beta)`` at the cost of
+  exactly one message delay per checkpoint (the paper's claim, measured
+  by the benchmark).  A checkpoint's votes are one
+  :class:`~repro.weighted.quorum.Tally`, the gate's threshold
+  ``WeightedQuorums(weights).need(beta)``.
 
 The randomness beacon is this protocol too: a
 :class:`~repro.protocols.common_coin.BeaconParty` is a blunt party whose
@@ -41,7 +44,7 @@ from typing import Callable, Optional
 from ..crypto.common_coin import WeightedCoin
 from ..crypto.threshold_sig import SignatureShare
 from ..sim.process import Party
-from ..weighted.tight import TightGate
+from ..weighted.quorum import Tally, WeightedQuorums
 from .batching import BatchedQuorumCollector
 
 __all__ = ["CheckpointVote", "CheckpointShare", "CheckpointParty"]
@@ -76,8 +79,8 @@ class CheckpointParty(Party):
     It holds its key -- ``setup.key(pid)``, the secret shares of its own
     tickets -- next to ``setup``'s public scheme and ticket layout, and
     nothing else of the dealing.  ``mode`` is ``"blunt"`` or ``"tight"``;
-    tight mode wires a :class:`TightGate` per checkpoint before revealing
-    shares.
+    tight mode gates each checkpoint's shares on a vote round, whose
+    ``beta`` must lie in ``(0, 1)``.
     """
 
     def __init__(
@@ -107,11 +110,16 @@ class CheckpointParty(Party):
         self.certificates: dict[bytes, int] = {}
         #: per-checkpoint verify-in-batches quorum state
         self._collectors: dict[bytes, BatchedQuorumCollector] = {}
-        self._gates: dict[bytes, TightGate] = {}
+        #: tight mode: checkpoint -> its votes (the gate), opening above
+        #: ``_gate_need`` over ``_vote_weights``
+        self._gates: dict[bytes, Tally] = {}
         self._shared: set[bytes] = set()
         # A blunt party has no vote round: a stray vote is an unhandled
         # type, which ``Party.receive`` drops.
         if mode == "tight":
+            quorums = WeightedQuorums(weights)
+            self._vote_weights = quorums.vote_weights
+            self._gate_need = quorums.need(beta)
             self.on(CheckpointVote, self._handle_vote)
         self.on(CheckpointShare, self._handle_share)
 
@@ -134,16 +142,19 @@ class CheckpointParty(Party):
 
     # -- tight-mode vote round ---------------------------------------------------
     def _handle_vote(self, message: CheckpointVote, sender: int) -> None:
-        """A vote whose checkpoint is not ``bytes`` is dropped before it
-        makes a gate, as :meth:`_handle_share` drops such a share."""
-        if not isinstance(message.checkpoint, bytes):
+        """Count a sender's first vote on a checkpoint; the gate opens --
+        the party reveals its shares -- once the votes weigh more than
+        ``beta W``.  A vote whose checkpoint is not ``bytes`` is dropped
+        before it makes a gate, as :meth:`_handle_share` drops such a
+        share."""
+        checkpoint = message.checkpoint
+        if not isinstance(checkpoint, bytes):
             return
-        gate = self._gates.get(message.checkpoint)
+        gate = self._gates.get(checkpoint)
         if gate is None:
-            gate = TightGate(self.weights, self.beta)
-            self._gates[message.checkpoint] = gate
-        if gate.add_vote(sender):
-            self._reveal_shares(message.checkpoint)
+            gate = self._gates[checkpoint] = Tally()
+        if gate.add(sender, checkpoint, self._vote_weights) > self._gate_need:
+            self._reveal_shares(checkpoint)
 
     # -- share collection ----------------------------------------------------------
     def _admits(self, checkpoint: bytes) -> bool:

@@ -16,10 +16,10 @@ host with the one key ``(0, sender)``, and
 (epoch, proposer).  Byzantine senders and voters are patched onto honest
 parties by :mod:`repro.adversary.byzantine`.
 
-A vote costs one integer add: an instance keeps a running tally per
-payload over the policy's integer vote weights and compares it with the
-policy's integer thresholds (``tally > need``), so no sender set is
-re-summed per vote; the policy's set predicates are the oracle the
+A vote costs one integer add: each phase of an instance is one
+:class:`~repro.weighted.quorum.Tally` (a sender's first payload counts,
+a later one is dropped), compared with the policy's integer thresholds
+(``weight > need``); the policy's set predicates are the oracle the
 tallies are tested against (``tests/weighted/test_tally.py``).
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..sim.process import Party
-from ..weighted.quorum import QuorumPolicy
+from ..weighted.quorum import QuorumPolicy, Tally
 
 __all__ = [
     "BrachaInstance",
@@ -40,26 +40,6 @@ __all__ = [
     "BroadcastParty",
     "well_formed",
 ]
-
-
-class _Tally:
-    """The votes of one phase for one payload: who cast them and the
-    integer weight they add up to (``QuorumPolicy.vote_weights``)."""
-
-    __slots__ = ("senders", "weight")
-
-    def __init__(self) -> None:
-        self.senders: set[int] = set()
-        self.weight = 0
-
-    def add(self, sender: int, weights: tuple[int, ...]) -> bool:
-        """Count ``sender``'s vote; ``False`` (and nothing counted) when
-        it has already voted."""
-        if sender in self.senders:
-            return False
-        self.senders.add(sender)
-        self.weight += weights[sender]
-        return True
 
 
 class BrachaInstance:
@@ -73,31 +53,31 @@ class BrachaInstance:
     says it is.
 
     The rules are written here and only here, on the policy's integer
-    form: a vote is one :class:`_Tally` per payload, a repeated voter
-    returns before any arithmetic, and a quorum is ``tally.weight >
-    quorums.echo_need`` (ECHO quorum, delivery) or ``> ready_need`` (READY
-    amplification).  The policy's set predicates are the oracle these
-    comparisons are tested against.  ECHOs only decide this party's
-    READY, so once it is sent they are no longer tallied.
+    form: the ECHOs and the READYs are one :class:`Tally` each, keyed by
+    sender, so a sender's first ECHO (READY) counts and any later one --
+    for the same payload or another -- returns before any arithmetic; a
+    quorum is a payload's weight ``> quorums.echo_need`` (ECHO quorum,
+    delivery) or ``> ready_need`` (READY amplification).  The policy's set
+    predicates are the oracle these comparisons are tested against.
+    ECHOs only decide this party's READY, so once it is sent they are no
+    longer tallied.
 
     Delivery ends the instance: the party has sent its READY by then and
     the first delivery wins, so the tallies are dropped and a late vote
     returns before the quorum policy is consulted.
     """
 
-    __slots__ = (
-        "origin", "echoed", "readied", "delivered", "echo_senders", "ready_senders"
-    )
+    __slots__ = ("origin", "echoed", "readied", "delivered", "echoes", "readies")
 
     def __init__(self, origin: int) -> None:
         self.origin = origin
         self.echoed = False
         self.readied = False
         self.delivered = False
-        #: payload -> the tally of ECHOs / READYs for it; ``None`` once
+        #: the ECHO / READY tallies (choices are payloads); ``None`` once
         #: the instance has delivered
-        self.echo_senders: Optional[dict[bytes, _Tally]] = {}
-        self.ready_senders: Optional[dict[bytes, _Tally]] = {}
+        self.echoes: Optional[Tally] = Tally()
+        self.readies: Optional[Tally] = Tally()
 
     def on_send(self, sender: int) -> bool:
         """A SEND arrived from ``sender``; ``True`` when the party must
@@ -112,12 +92,7 @@ class BrachaInstance:
         """An ECHO arrived; ``True`` when the party must send READY."""
         if self.readied or self.delivered:
             return False
-        tally = self.echo_senders.get(payload)
-        if tally is None:
-            tally = self.echo_senders[payload] = _Tally()
-        if not tally.add(sender, quorums.vote_weights):
-            return False
-        if tally.weight <= quorums.echo_need:
+        if self.echoes.add(sender, payload, quorums.vote_weights) <= quorums.echo_need:
             return False
         self.readied = True
         return True
@@ -129,19 +104,14 @@ class BrachaInstance:
         send READY (amplification) and whether it must deliver."""
         if self.delivered:
             return False, False
-        tally = self.ready_senders.get(payload)
-        if tally is None:
-            tally = self.ready_senders[payload] = _Tally()
-        if not tally.add(sender, quorums.vote_weights):
-            return False, False
-        weight = tally.weight
+        weight = self.readies.add(sender, payload, quorums.vote_weights)
         ready = not self.readied and weight > quorums.ready_need
         if ready:
             self.readied = True
         if weight <= quorums.echo_need:
             return ready, False
         self.delivered = True
-        self.echo_senders = self.ready_senders = None
+        self.echoes = self.readies = None
         return ready, True
 
 

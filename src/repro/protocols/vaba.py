@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..sim.process import Party
+from ..weighted.quorum import Tally
 from ..weighted.virtual import VirtualUserMap
 
 __all__ = ["Proposal", "Vote", "Decide", "Vouch", "VabaParty", "WeightedVabaRunner"]
@@ -88,6 +89,10 @@ class Vouch:
         return 64 + len(self.value)
 
 
+def _is_round(rnd) -> bool:
+    return type(rnd) is int and rnd >= 0
+
+
 def _coin_value(seed: int, rnd: int, n: int) -> int:
     """Deterministic unpredictable-enough round coin for the simulation.
 
@@ -104,7 +109,15 @@ class VabaParty(Party):
     """Nominal VABA participant (n parties, < n/3 Byzantine).
 
     ``validity_predicate`` implements external validity; invalid values
-    are never proposed, voted for, or decided by honest parties.
+    are never proposed, voted for, or decided by honest parties.  A frame
+    whose round is not an ``int >= 0`` or whose value is not ``bytes`` is
+    dropped before the predicate sees it.
+
+    Each round's votes, the commits and the decides are one
+    :class:`~repro.weighted.quorum.Tally` each, every vote weighing 1: a
+    sender's first value counts, and a value is backed by a quorum at
+    more than ``n - t - 1`` votes and by an honest party at more than
+    ``t``.
 
     ``coin`` optionally replaces the hash stand-in with a real round
     coin, any ``coin(round) -> int``: it is only demanded at the quorum
@@ -138,10 +151,13 @@ class VabaParty(Party):
         self._proposals: dict[int, dict[int, bytes]] = {}
         self._voted_rounds: set[int] = set()
         self._advanced_rounds: set[int] = set()
-        self._votes: dict[tuple[int, bytes], set[int]] = {}
+        #: every vote weighs 1
+        self._ones = (1,) * n
+        #: round -> that round's votes
+        self._votes: dict[int, Tally] = {}
         self.committed: Optional[bytes] = None
-        self._commit_senders: dict[bytes, set[int]] = {}
-        self._decide_senders: dict[bytes, set[int]] = {}
+        self._commits = Tally()
+        self._decides = Tally()
         self.on(Proposal, self._handle_proposal)
         self.on(Vote, self._handle_vote)
         self.on(Commit, self._handle_commit)
@@ -162,8 +178,16 @@ class VabaParty(Party):
         assert self.input_value is not None
         self.broadcast(Proposal(round=rnd, value=self.input_value))
 
+    def _valid(self, value) -> bool:
+        """``bytes`` that satisfy the validity predicate.  The codec
+        carries any value in any field, so a peer's frame holds a value
+        only when this says so."""
+        return type(value) is bytes and self.validity(value)
+
     def _handle_proposal(self, message: Proposal, sender: int) -> None:
-        if self.decided is not None or not self.validity(message.value):
+        if self.decided is not None or not _is_round(message.round):
+            return
+        if not self._valid(message.value):
             return
         bucket = self._proposals.setdefault(message.round, {})
         bucket.setdefault(sender, message.value)
@@ -200,13 +224,14 @@ class VabaParty(Party):
             self._start_round(rnd + 1)
 
     def _handle_vote(self, message: Vote, sender: int) -> None:
-        if self.decided is not None or not self.validity(message.value):
+        rnd, value = message.round, message.value
+        if self.decided is not None or not _is_round(rnd) or not self._valid(value):
             return
-        key = (message.round, message.value)
-        senders = self._votes.setdefault(key, set())
-        senders.add(sender)
-        if len(senders) >= self.n - self.t:
-            self._commit(message.value)
+        votes = self._votes.get(rnd)
+        if votes is None:
+            votes = self._votes[rnd] = Tally()
+        if votes.add(sender, value, self._ones) > self.n - self.t - 1:
+            self._commit(value)
 
     def _commit(self, value: bytes) -> None:
         """Commit once, forever: the safety anchor (see :class:`Commit`)."""
@@ -217,15 +242,15 @@ class VabaParty(Party):
         self.broadcast(Commit(value=value))
 
     def _handle_commit(self, message: Commit, sender: int) -> None:
-        if not self.validity(message.value):
+        value = message.value
+        if not self._valid(value):
             return
-        senders = self._commit_senders.setdefault(message.value, set())
-        senders.add(sender)
+        weight = self._commits.add(sender, value, self._ones)
         # Amplify: t+1 commits contain an honest one, safe to join.
-        if len(senders) >= self.t + 1:
-            self._commit(message.value)
-        if len(senders) >= self.n - self.t:
-            self._decide(message.value)
+        if weight > self.t:
+            self._commit(value)
+        if weight > self.n - self.t - 1:
+            self._decide(value)
 
     def _decide(self, value: bytes) -> None:
         if self.decided is not None:
@@ -237,12 +262,11 @@ class VabaParty(Party):
             self.on_decide(self.pid, value)
 
     def _handle_decide(self, message: Decide, sender: int) -> None:
-        if not self.validity(message.value):
+        value = message.value
+        if not self._valid(value):
             return
-        senders = self._decide_senders.setdefault(message.value, set())
-        senders.add(sender)
-        if len(senders) >= self.t + 1:
-            self._decide(message.value)
+        if self._decides.add(sender, value, self._ones) > self.t:
+            self._decide(value)
 
 
 class WeightedVabaRunner:

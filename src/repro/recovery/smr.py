@@ -12,15 +12,18 @@ The composed SMR protocol's party half of crash recovery:
   requester, so instances whose ECHO/READY traffic predates the crash
   still reach the recovered replica;
 * a synced entry is applied only once a **deliver quorum by weight** of
-  distinct responders vouches for it -- the same amplification rule
-  Bracha uses for READY, so up to ``f_w`` Byzantine responders cannot
-  forge an entry into the recovered log.  An entry that is not an
-  ``(epoch, proposer, payload)`` triple of the right types is dropped.
+  distinct responders vouches for it -- the same rule Bracha uses to
+  deliver on READYs, so up to ``f_w`` Byzantine responders cannot forge
+  an entry into the recovered log.  Each ``(epoch, proposer)`` slot's
+  vouches are one :class:`~repro.weighted.quorum.Tally`: a responder's
+  first payload for the slot counts and a later one is dropped.  An
+  entry that is not an ``(epoch, proposer, payload)`` triple of the
+  right types is dropped.
 
 Duplicate redelivery after recovery is harmless by construction: a
-:class:`~repro.protocols.reliable_broadcast.BrachaInstance` keeps its
-voters in sets and says each thing once, so replays are absorbed
-idempotently.
+:class:`~repro.protocols.reliable_broadcast.BrachaInstance` counts each
+sender's first vote per phase and says each thing once, so replays are
+absorbed idempotently.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Optional
 
 from ..protocols.reliable_broadcast import well_formed
 from ..protocols.smr import SmrParty, batch_position
-from ..weighted.quorum import QuorumPolicy
+from ..weighted.quorum import QuorumPolicy, Tally
 from .wal import InMemoryWal, WriteAheadLog
 
 __all__ = ["StateSyncRequest", "StateSyncResponse", "RecoverableSmrParty"]
@@ -85,8 +88,8 @@ class RecoverableSmrParty(SmrParty):
         self.recovered_from_peers = 0
         #: peers currently rejoining; every commit is pushed to them
         self._sync_subscribers: set[int] = set()
-        #: (epoch, proposer, payload) -> responders vouching for it
-        self._sync_confirmers: dict[tuple[int, int, bytes], set[int]] = {}
+        #: (epoch, proposer) -> the responders' vouches for its payload
+        self._sync_votes: dict[tuple[int, int], Tally] = {}
         self.on(StateSyncRequest, self._handle_sync_request)
         self.on(StateSyncResponse, self._handle_sync_response)
 
@@ -137,7 +140,7 @@ class RecoverableSmrParty(SmrParty):
         self.restarts += 1
         self.committed.clear()
         self.instances.clear()
-        self._sync_confirmers.clear()
+        self._sync_votes.clear()
         self.watermarks.clear()
         self.recovered_from_wal = self.replay_wal()
         self.broadcast(StateSyncRequest(requester=self.pid))
@@ -191,10 +194,13 @@ class RecoverableSmrParty(SmrParty):
             position = batch_position(proposer, self.coin_source(epoch), self.n)
             if position in self.committed.get(epoch, {}):
                 continue
-            confirmers = self._sync_confirmers.setdefault(entry, set())
-            confirmers.add(sender)
-            if self.quorums.deliver_quorum(confirmers):
-                del self._sync_confirmers[entry]
+            slot = (epoch, proposer)
+            votes = self._sync_votes.get(slot)
+            if votes is None:
+                votes = self._sync_votes[slot] = Tally()
+            quorums = self.quorums
+            if votes.add(sender, payload, quorums.vote_weights) > quorums.echo_need:
+                del self._sync_votes[slot]
                 self._committed_via_sync(epoch, proposer, payload)
 
     def _well_formed(self, entry) -> bool:

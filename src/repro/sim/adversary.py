@@ -3,9 +3,9 @@
 The weighted model lets the adversary corrupt any party set holding less
 than a fraction ``f_w`` of the total weight (paper, Section 1.1).  Which
 set an adversary *should* pick depends on its goal; the strategies here
-include the one most damaging to weight reduction -- maximizing captured
-*tickets* per unit of weight -- used by the adversarial-attack tests and
-the "hybrid distribution" future-work experiment (Section 9).
+include a greedy attack on weight reduction -- capturing *tickets* in
+order of tickets per unit of weight -- used by the adversarial-attack
+tests and the "hybrid distribution" future-work experiment (Section 9).
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ def heaviest_under(weights: Sequence[Number], fraction: Number) -> set[int]:
 def most_tickets_under(
     weights: Sequence[Number], tickets: Sequence[int], fraction: Number
 ) -> set[int]:
-    """Greedy knapsack: capture the most *tickets* while staying strictly
-    below the weight budget -- the worst case for a ticket assignment."""
+    """Greedy knapsack: pick parties in decreasing tickets-per-weight
+    order while staying strictly below the weight budget.  A heuristic
+    with no optimality guarantee: it can hold fewer tickets than the
+    exact worst-case coalition under the same budget."""
     ws = normalize_weights(weights)
     if len(tickets) != len(ws):
         raise ValueError("tickets and weights must have equal length")

@@ -1,8 +1,7 @@
 """The weighted-model layer: quorum policies, virtual users, and the
 paper's transformations (Sections 4-5)."""
 
-from .quorum import NominalQuorums, QuorumPolicy, WeightedQuorums
-from .tight import TightGate
+from .quorum import NominalQuorums, QuorumPolicy, Tally, WeightedQuorums
 from .transform import (
     BlackBoxSetup,
     BluntSetup,
@@ -19,8 +18,8 @@ __all__ = [
     "QuorumPolicy",
     "NominalQuorums",
     "WeightedQuorums",
+    "Tally",
     "VirtualUserMap",
-    "TightGate",
     "BluntSetup",
     "BlackBoxSetup",
     "QualificationSetup",

@@ -1,4 +1,4 @@
-"""Quorum policies: nominal counting vs. weighted voting (Section 1.2).
+"""Quorum policies and the one vote tally (Section 1.2).
 
 Many protocols only need "wait until enough confirmations"; the weighted
 translation replaces a count threshold with a weight-fraction threshold.
@@ -7,15 +7,17 @@ Protocols in :mod:`repro.protocols` are parameterized by a
 paper's observation that weighted voting alone converts the quorum-based
 parts of a protocol with no resilience loss.
 
-A policy says the same thing twice.  The set predicates (``echo_quorum``
-and friends) judge a set of senders from scratch.  The integer form --
-``vote_weights`` and the ``*_need`` thresholds, with the one rule
-``tally > need`` -- lets a protocol keep a running tally and pay one
-integer add per distinct vote: Bracha's ECHO / READY rules
-(:class:`~repro.protocols.reliable_broadcast.BrachaInstance`) run on it,
-and the predicates stay for the set-valued questions (AVID's storage
-phase, recovery's state sync, ``SmrParty.epoch_closed``) and as the
-tally's oracle in ``tests/weighted/``.
+Every quorum in the protocols is one rule.  A phase's votes are one
+:class:`Tally`: each sender's first choice counts, a later vote of the
+same sender is dropped before any arithmetic, and each choice carries
+one integer weight over the policy's ``vote_weights``.  A choice has a
+quorum when its weight is ``> need``, for one of the policy's integer
+thresholds (``echo_need``, ``ready_need``, ``storage_need``) or, for
+any other fraction ``c`` of the total weight, ``WeightedQuorums.need(c)``.
+The set predicates (``echo_quorum`` and friends) judge a sender set on
+the same thresholds; no protocol asks them, and they stay as the
+tallies' oracle in ``tests/weighted/`` and as the ledger's wrapped
+``weighted.quorum`` cell.
 """
 
 from __future__ import annotations
@@ -27,22 +29,54 @@ from typing import Iterable, Sequence
 
 from ..core.types import Number, as_fraction, normalize_weights
 
-__all__ = ["QuorumPolicy", "NominalQuorums", "WeightedQuorums"]
+__all__ = ["QuorumPolicy", "NominalQuorums", "WeightedQuorums", "Tally"]
+
+
+class Tally:
+    """The votes of one phase: ``sender -> choice`` and one integer weight
+    per choice.
+
+    A sender's first vote counts; any later one -- for the same choice or
+    another -- is dropped before any arithmetic, so a phase holds at most
+    ``n`` senders and ``n`` choices however many frames arrive.
+    """
+
+    __slots__ = ("votes", "totals")
+
+    def __init__(self) -> None:
+        #: sender -> the choice its first vote named
+        self.votes: dict[int, object] = {}
+        #: choice -> the summed vote weight of the senders that chose it
+        self.totals: dict[object, int] = {}
+
+    def add(self, sender: int, choice, vote_weights: Sequence[int]) -> int:
+        """Count ``sender``'s vote for ``choice``: the weight behind
+        ``choice`` after it, or 0 when ``sender`` has voted before.  A
+        quorum is ``weight > need``, and every need is ``>= 0``, so a
+        dropped vote never makes one."""
+        votes = self.votes
+        if sender in votes:
+            return 0
+        totals = self.totals
+        weight = totals[choice] = totals.get(choice, 0) + vote_weights[sender]
+        votes[sender] = choice
+        return weight
 
 
 class QuorumPolicy:
-    """Threshold predicates a Bracha-style broadcast needs.
+    """Threshold rules a Bracha-style broadcast needs, as integers.
 
-    ``echo_quorum``: enough ECHOs to become ready (intersects any other
-    echo quorum in an honest party).  ``ready_amplify``: enough READYs to
-    echo the readiness even without an echo quorum.  ``deliver_quorum``:
-    enough READYs to deliver.  ``storage_quorum``: enough stored-fragment
-    acks for dispersal completeness (AVID).
+    Party ``i``'s vote adds ``vote_weights[i]`` to a :class:`Tally`, and a
+    tally's weight is an ECHO quorum -- and, of READYs, a deliver quorum --
+    iff it is ``> echo_need``, amplifies a READY iff it is ``>
+    ready_need``, and stores an AVID dispersal iff it is ``> storage_need``.
 
-    The same thresholds as integers, for running tallies: party ``i``'s
-    vote adds ``vote_weights[i]``, and a tally of distinct senders is an
-    echo quorum -- and, of READYs, a deliver quorum -- iff it is
-    ``> echo_need``, and amplifies a READY iff it is ``> ready_need``.
+    The set predicates say the same of a set of senders from scratch:
+    ``echo_quorum`` (enough ECHOs to become ready; intersects any other
+    echo quorum in an honest party), ``ready_amplify`` (enough READYs to
+    echo the readiness even without an echo quorum), ``deliver_quorum``
+    (enough READYs to deliver) and ``storage_quorum`` (enough
+    stored-fragment acks for dispersal completeness).
     """
 
     #: integer weight of each party's vote, indexed by pid
@@ -51,18 +85,24 @@ class QuorumPolicy:
     echo_need: int
     #: READY-amplification threshold of a tally (``tally > need``)
     ready_need: int
+    #: AVID storage threshold of a tally (``tally > need``)
+    storage_need: int
+
+    def _weight(self, senders: Iterable[int]) -> int:
+        weights = self.vote_weights
+        return sum(weights[i] for i in set(senders))
 
     def echo_quorum(self, senders: Iterable[int]) -> bool:
-        raise NotImplementedError
+        return self._weight(senders) > self.echo_need
 
     def ready_amplify(self, senders: Iterable[int]) -> bool:
-        raise NotImplementedError
+        return self._weight(senders) > self.ready_need
 
     def deliver_quorum(self, senders: Iterable[int]) -> bool:
-        raise NotImplementedError
+        return self._weight(senders) > self.echo_need
 
     def storage_quorum(self, senders: Iterable[int]) -> bool:
-        raise NotImplementedError
+        return self._weight(senders) > self.storage_need
 
 
 @dataclass(frozen=True)
@@ -80,21 +120,7 @@ class NominalQuorums(QuorumPolicy):
         object.__setattr__(self, "vote_weights", (1,) * self.n)
         object.__setattr__(self, "echo_need", self.n - self.t - 1)
         object.__setattr__(self, "ready_need", self.t)
-
-    def _count(self, senders: Iterable[int]) -> int:
-        return len(set(senders))
-
-    def echo_quorum(self, senders: Iterable[int]) -> bool:
-        return self._count(senders) >= self.n - self.t
-
-    def ready_amplify(self, senders: Iterable[int]) -> bool:
-        return self._count(senders) >= self.t + 1
-
-    def deliver_quorum(self, senders: Iterable[int]) -> bool:
-        return self._count(senders) >= self.n - self.t
-
-    def storage_quorum(self, senders: Iterable[int]) -> bool:
-        return self._count(senders) >= 2 * self.t + 1
+        object.__setattr__(self, "storage_need", 2 * self.t)
 
 
 @dataclass(frozen=True)
@@ -104,45 +130,38 @@ class WeightedQuorums(QuorumPolicy):
     ``f_w W``, storage above ``2 f_w W``.
 
     Everything is integer arithmetic: weights are scaled to a common
-    denominator once at construction (``vote_weights``) and each
-    ``weight > c * W`` predicate becomes one cross-multiplied integer
-    comparison -- exactly equivalent to the Fraction math, with none of
-    its per-call allocation.  For a tally ``s`` of scaled weights,
-    ``s * q > p * W`` iff ``s > floor(p * W / q)``, which is the ``*_need``
-    of the threshold ``c = p / q``.
+    denominator once at construction (``vote_weights``), and each
+    threshold "weight above ``c W``" is one integer, :meth:`need`.
     """
 
     weights: tuple[Fraction, ...]
     f_w: Fraction
+
+    # Bound here too, so the performance ledger can wrap them on this class.
+    echo_quorum = QuorumPolicy.echo_quorum
+    ready_amplify = QuorumPolicy.ready_amplify
+    deliver_quorum = QuorumPolicy.deliver_quorum
+    storage_quorum = QuorumPolicy.storage_quorum
 
     def __init__(self, weights: Sequence[Number], f_w: Number = Fraction(1, 3)) -> None:
         object.__setattr__(self, "weights", normalize_weights(weights))
         object.__setattr__(self, "f_w", as_fraction(f_w))
         if not 0 < self.f_w < Fraction(1, 2):
             raise ValueError("f_w must be in (0, 1/2)")
-        # Integer fast path: w_i * D with D the common denominator; the
-        # predicate `sum > (p/q) * W` becomes `sum_int * q > p * W_int`.
         scale = math.lcm(*(w.denominator for w in self.weights)) if self.weights else 1
-        int_weights = tuple(int(w * scale) for w in self.weights)
-        total_int = sum(int_weights)
-        object.__setattr__(self, "vote_weights", int_weights)
-        thresholds = {}
-        for name, c in (
-            ("echo", 1 - self.f_w),
-            ("ready", self.f_w),
-            ("storage", 2 * self.f_w),
-        ):
-            c = as_fraction(c)
-            thresholds[name] = (c.denominator, c.numerator * total_int)
-        object.__setattr__(self, "_thresholds", thresholds)
-        for name in ("echo", "ready"):
-            q, bound = thresholds[name]
-            object.__setattr__(self, f"{name}_need", bound // q)
+        object.__setattr__(self, "vote_weights", tuple(int(w * scale) for w in self.weights))
+        object.__setattr__(self, "echo_need", self.need(1 - self.f_w))
+        object.__setattr__(self, "ready_need", self.need(self.f_w))
+        object.__setattr__(self, "storage_need", self.need(2 * self.f_w))
 
-    def _over(self, senders: Iterable[int], name: str) -> bool:
-        int_weights = self.vote_weights
-        q, bound = self._thresholds[name]
-        return sum(int_weights[i] for i in set(senders)) * q > bound
+    def need(self, c: Number) -> int:
+        """The integer threshold of "weight above ``c W``", ``0 < c < 1``:
+        for a tally ``s`` of scaled weights and ``c = p / q``, ``s * q >
+        p * W`` iff ``s > floor(p * W / q)``."""
+        c = as_fraction(c)
+        if not 0 < c < 1:
+            raise ValueError("a quorum fraction must be in (0, 1)")
+        return c.numerator * sum(self.vote_weights) // c.denominator
 
     @classmethod
     def for_committee(
@@ -158,15 +177,3 @@ class WeightedQuorums(QuorumPolicy):
 
     def weight(self, senders: Iterable[int]) -> Fraction:
         return sum((self.weights[i] for i in set(senders)), start=Fraction(0))
-
-    def echo_quorum(self, senders: Iterable[int]) -> bool:
-        return self._over(senders, "echo")
-
-    def ready_amplify(self, senders: Iterable[int]) -> bool:
-        return self._over(senders, "ready")
-
-    def deliver_quorum(self, senders: Iterable[int]) -> bool:
-        return self._over(senders, "echo")  # same (1 - f_w) W bound
-
-    def storage_quorum(self, senders: Iterable[int]) -> bool:
-        return self._over(senders, "storage")

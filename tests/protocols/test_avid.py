@@ -102,28 +102,35 @@ class TestNominalAvid:
 
     def test_a_stored_party_forgets_its_echo_phase(self):
         """The first store wins, so once a party has stored, a late echo
-        is dropped before the quorum policy is asked and no echo set --
-        a losing commitment's included -- is kept."""
+        is dropped before the quorum policy is read and the echo tally --
+        a losing commitment's votes included -- is gone."""
         from repro.protocols.avid import AvidEcho
         from repro.weighted.quorum import QuorumPolicy
 
         stored = []
+        nominal = NominalQuorums(n=4, t=1)
 
-        class AskedOnlyBeforeTheStore(QuorumPolicy):
-            def storage_quorum(self, senders):
-                assert not stored, "storage quorum consulted after the store"
-                return NominalQuorums(n=4, t=1).storage_quorum(senders)
+        def read_before_the_store(name):
+            def read(self):
+                assert not stored, "quorum policy read after the store"
+                return getattr(nominal, name)
+
+            return property(read)
+
+        class ReadOnlyBeforeTheStore(QuorumPolicy):
+            vote_weights = read_before_the_store("vote_weights")
+            storage_need = read_before_the_store("storage_need")
 
         party = AvidParty(
-            0, AskedOnlyBeforeTheStore(), on_stored=lambda pid, c: stored.append(c)
+            0, ReadOnlyBeforeTheStore(), on_stored=lambda pid, c: stored.append(c)
         )
         party.receive(AvidEcho(b"loses"), 3)
         for sender in range(3):  # 2t + 1
             party.receive(AvidEcho(b"wins"), sender)
-        assert stored == [b"wins"] and party._echo_senders == {}
+        assert stored == [b"wins"] and party._echoes is None
         party.receive(AvidEcho(b"wins"), 3)
         party.receive(AvidEcho(b"loses"), 1)
-        assert stored == [b"wins"] and party._echo_senders == {}
+        assert stored == [b"wins"] and party._echoes is None
         assert party.stored_commitment == b"wins" and party.counters["stored"] == 1
 
 

@@ -67,6 +67,20 @@ CASES = {
         ("ready", A, 3, NOTHING),
         ("ready", B, 1, NOTHING),
     ],
+    "a sender's second ECHO, for another payload, is dropped": [
+        ("echo", A, 3, False),
+        ("echo", B, 3, False),
+        ("echo", B, 2, False),
+        ("echo", B, 0, False),  # with 3's dropped ECHO: a quorum
+        ("echo", B, 1, True),
+    ],
+    "a sender's second READY, for another payload, is dropped": [
+        ("ready", A, 3, NOTHING),
+        ("ready", B, 3, NOTHING),
+        ("ready", B, 1, NOTHING),  # with 3's dropped READY: amplify
+        ("ready", B, 2, READY),
+        ("ready", B, 0, DELIVER),
+    ],
     "READY by amplification with no echo quorum": [
         ("echo", A, 3, False),
         ("ready", A, 3, NOTHING),
@@ -128,7 +142,7 @@ class ConsultedAfterDecision(QuorumPolicy):
         raise AssertionError("quorum policy consulted after delivery")
 
     echo_quorum = ready_amplify = deliver_quorum = storage_quorum = _raise
-    vote_weights = echo_need = ready_need = property(_raise)
+    vote_weights = echo_need = ready_need = storage_need = property(_raise)
 
 
 @pytest.mark.parametrize("quorums", POLICIES)
@@ -148,14 +162,14 @@ class TestDelivery:
                 ("ready", A, 1, READY),
             ],
         )
-        assert set(instance.echo_senders) == set(instance.ready_senders) == {A, B}
+        assert set(instance.echoes.totals) == set(instance.readies.totals) == {A, B}
         play(instance, quorums, [("ready", A, 0, DELIVER)])
         return instance
 
-    def test_every_sender_set_is_gone_the_losers_too(self, quorums):
+    def test_every_tally_is_gone_the_losers_too(self, quorums):
         instance = self.delivered_with_a_loser_in_flight(quorums)
         assert instance.delivered and instance.readied and instance.echoed
-        assert instance.echo_senders is None and instance.ready_senders is None
+        assert instance.echoes is None and instance.readies is None
 
     def test_late_votes_answer_no_before_the_policy_is_asked(self, quorums):
         instance = self.delivered_with_a_loser_in_flight(quorums)
@@ -165,7 +179,7 @@ class TestDelivery:
                 assert instance.on_echo(late, payload, sender) is False
                 assert instance.on_ready(late, payload, sender) == NOTHING
         assert instance.on_send(ORIGIN) is False
-        assert instance.echo_senders is None and instance.ready_senders is None
+        assert instance.echoes is None and instance.readies is None
 
 
 def test_an_undecided_instance_does_ask_the_policy():
@@ -179,9 +193,11 @@ def test_an_undecided_instance_does_ask_the_policy():
 
 def test_the_ready_rules_are_written_in_one_module():
     """The ECHO-quorum and READY-amplification thresholds are read in
-    ``reliable_broadcast.py`` and nowhere else, and no module asks the
-    matching set predicates: a protocol that needs Bracha holds
-    instances, it does not grow another copy of the rules."""
+    ``reliable_broadcast.py`` -- and, for a deliver quorum of a set that
+    is no Bracha phase, by state sync and ``SmrParty.epoch_closed`` --
+    and nowhere else, and no module asks any of the four set predicates:
+    a protocol that needs Bracha holds instances, and every other quorum
+    is a tally, so none grows another copy of the rules."""
     import ast
     from pathlib import Path
 
@@ -195,7 +211,13 @@ def test_the_ready_rules_are_written_in_one_module():
             if isinstance(node, ast.Attribute):
                 if node.attr in ("echo_need", "ready_need"):
                     readers.add(where)
-                elif node.attr in ("echo_quorum", "ready_amplify"):
+                elif node.attr in (
+                    "echo_quorum", "ready_amplify", "deliver_quorum", "storage_quorum"
+                ):
                     askers.add(where)
-    assert readers - {"weighted/quorum.py"} == {"protocols/reliable_broadcast.py"}
+    assert readers - {"weighted/quorum.py"} == {
+        "protocols/reliable_broadcast.py",
+        "recovery/smr.py",  # state sync: a deliver quorum of responders
+        "protocols/smr.py",  # epoch_closed: a deliver quorum of proposers
+    }
     assert askers - {"weighted/quorum.py"} == set()

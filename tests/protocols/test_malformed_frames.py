@@ -10,7 +10,11 @@ tight-mode vote sent to a blunt party, or one whose checkpoint is not
 response whose entries are not ``(epoch, proposer, payload)`` triples
 must leave a recovering replica's log and vote tallies untouched, and a
 Bracha SEND / ECHO / READY of that shape must open no instance and
-deliver nothing while the honest broadcasts complete.
+deliver nothing while the honest broadcasts complete.  An AVID echo
+whose commitment is not ``bytes``, and a VABA proposal, vote, commit or
+decide whose round is not an ``int >= 0`` or whose value is not
+``bytes``, must reach no tally: it takes none of its sender's votes,
+and the run stores or decides as a clean one does.
 """
 
 import asyncio
@@ -22,7 +26,9 @@ import pytest
 from repro.crypto.common_coin import WeightedCoin, epoch_message
 from repro.crypto.dleq import verify_dleq, verify_dleq_batch
 from repro.crypto.group import TEST_GROUP_256 as G
+from repro.codes import ReedSolomon
 from repro.crypto.threshold_sig import ThresholdSignatureScheme
+from repro.protocols.avid import AvidEcho, AvidParty
 from repro.protocols.checkpointing import CheckpointParty, CheckpointShare, CheckpointVote
 from repro.protocols.common_coin import BeaconParty
 from repro.protocols.reliable_broadcast import (
@@ -32,11 +38,13 @@ from repro.protocols.reliable_broadcast import (
     BroadcastParty,
 )
 from repro.protocols.smr import SmrParty
+from repro.protocols.vaba import Commit, Decide, Proposal, VabaParty, Vote
 from repro.recovery.smr import RecoverableSmrParty, StateSyncResponse
 from repro.runtime import Cluster, default_registry
 from repro.sim import build_world
 from repro.weighted.quorum import NominalQuorums
 from repro.weighted.transform import blunt_setup
+from repro.weighted.virtual import VirtualUserMap
 
 WEIGHTS = [40, 25, 15, 10, 5, 3, 1, 1]
 EPOCH = 1
@@ -283,7 +291,7 @@ def test_state_sync_drops_a_malformed_entry(kind):
     # Every other replica vouches for it: a deliver quorum would apply it.
     party = _sync(_recovering_world(), MALFORMED_ENTRIES[kind])
     assert party.committed == {}
-    assert party._sync_confirmers == {}
+    assert party._sync_votes == {}
     assert party.recovered_from_peers == 0
 
 
@@ -346,3 +354,69 @@ def test_bracha_host_drops_a_malformed_frame(host, kind):
             assert party.committed == {0: {p: (p, b"batch-%d" % p) for p in range(4)}}
             assert party.counters["batches_committed"] == 4
             assert sorted(party.instances) == [(0, p) for p in range(4)]
+
+
+#: frames party 3 of four sends ahead of its own honest part of an AVID
+#: or VABA run, as the simulator hands them over: a commitment or value
+#: that is no ``bytes``, a round that is no ``int >= 0``
+MALFORMED_VOTES = {
+    "avid-echo-list": AvidEcho([1]),
+    "avid-echo-bytearray": AvidEcho(bytearray(b"c")),
+    "avid-echo-str": AvidEcho("c"),
+    "avid-echo-none": AvidEcho(None),
+    "proposal-round-list": Proposal([0], b"v"),
+    "proposal-round-str": Proposal("0", b"v"),
+    "proposal-round-negative": Proposal(-1, b"v"),
+    "proposal-round-bool": Proposal(False, b"v"),
+    "proposal-value-list": Proposal(0, [1]),
+    "vote-round-list": Vote([0], b"v"),
+    "vote-round-none": Vote(None, b"v"),
+    "vote-value-list": Vote(0, [1]),
+    "vote-value-str": Vote(0, "v"),
+    "commit-value-list": Commit([1]),
+    "commit-value-str": Commit("v"),
+    "decide-value-list": Decide([1]),
+    "decide-value-tuple": Decide((b"v",)),
+}
+
+#: party 2 is crashed, so every quorum of three needs party 3's own vote
+LIVE = (0, 1, 3)
+
+
+def _avid_run(world):
+    assert all(world.party(p)._echoes.votes == {} for p in LIVE)
+    code, vmap = ReedSolomon(k=2, m=4), VirtualUserMap([1] * 4)
+    commitment = world.party(0).disperse(b"stored", code, vmap)
+    world.run()
+    assert all(world.party(p).stored_commitment == commitment for p in LIVE)
+
+
+def _vaba_run(world):
+    for pid in LIVE:
+        world.party(pid).propose(b"v%d" % pid)
+    world.run()
+    decided = {world.party(p).decided for p in LIVE}
+    assert len(decided) == 1 and None not in decided
+    for pid in LIVE:
+        party = world.party(pid)
+        rounds = [*party._proposals, *party._votes]
+        assert all(type(r) is int and r >= 0 for r in rounds), rounds
+        tallies = [*party._votes.values(), party._commits, party._decides]
+        values = [v for bucket in party._proposals.values() for v in bucket.values()]
+        values += [choice for tally in tallies for choice in tally.totals]
+        assert all(type(v) is bytes for v in values), values
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_VOTES))
+def test_avid_and_vaba_drop_a_malformed_frame(kind):
+    bad = MALFORMED_VOTES[kind]
+    avid = isinstance(bad, AvidEcho)
+    if avid:
+        quorums = NominalQuorums(n=4, t=1)
+        world = build_world(lambda pid: AvidParty(pid, quorums), 4, seed=14)
+    else:
+        world = build_world(lambda pid: VabaParty(pid, 4, 1), 4, seed=14)
+    world.party(2).crash()
+    world.party(3).broadcast(bad)
+    world.run()
+    (_avid_run if avid else _vaba_run)(world)

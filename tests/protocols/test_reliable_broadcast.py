@@ -160,7 +160,7 @@ class TestOneOrigin:
 class TestDecidedInstanceIsForgotten:
     """The RBC twin of the class of this name in ``test_smr.py``: once the
     broadcast delivers, the party's one instance drops its ECHO / READY
-    sender sets and ignores late votes."""
+    tallies and ignores late votes."""
 
     def test_a_finished_run_leaves_nothing_behind(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
@@ -171,8 +171,8 @@ class TestDecidedInstanceIsForgotten:
             assert party.counters["deliveries"] == 1
             instance = party.instances[0, 0]
             assert instance.delivered
-            assert instance.echo_senders is None
-            assert instance.ready_senders is None
+            assert instance.echoes is None
+            assert instance.readies is None
 
     def test_late_votes_after_delivery_send_nothing_and_leave_no_entry(self):
         from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady
@@ -187,6 +187,6 @@ class TestDecidedInstanceIsForgotten:
             party.receive(BrachaReady(0, 6, payload), 5)
         world.run()
         assert world.metrics.messages == sent
-        assert party.instances[0, 6].echo_senders is None
-        assert party.instances[0, 6].ready_senders is None
+        assert party.instances[0, 6].echoes is None
+        assert party.instances[0, 6].readies is None
         assert party.delivered == b"payload" and party.counters["deliveries"] == 1

@@ -143,17 +143,18 @@ class TestNominalSmr:
 
 
 class TestDecidedInstanceIsForgotten:
-    """Once an instance delivers, its ECHO / READY sender sets are dropped
+    """Once an instance delivers, its ECHO / READY tallies are dropped
     and late votes for it are ignored: the replica has sent its READY and
     the first commit wins, so they could change nothing it does."""
 
     @staticmethod
     def _pending(party):
-        """Instances of ``party`` that hold an ECHO or a READY sender set."""
+        """Instances of ``party`` that hold an ECHO or a READY vote."""
         return {
             key
             for key, instance in party.instances.items()
-            if instance.echo_senders or instance.ready_senders
+            if instance.echoes is not None
+            and (instance.echoes.votes or instance.readies.votes)
         }
 
     @staticmethod
@@ -201,7 +202,9 @@ class TestDecidedInstanceIsForgotten:
             party.receive(BrachaEcho(0, 7, b"loses"), sender)
             party.receive(BrachaReady(0, 7, b"loses"), sender)
         assert self._pending(party) == {(0, 7)}
-        for sender in range(2, N):
+        # a deliver quorum (6) of READYs from senders that voted no other
+        # payload: 1 and 2 have cast their READY, so theirs are dropped
+        for sender in (1, 2, 0, *range(3, N)):
             party.receive(BrachaReady(0, 7, b"wins"), sender)
         assert party.ordered_log(0) == [(7, b"wins")]
         assert self._pending(party) == set()

@@ -1,4 +1,4 @@
-"""Tests for virtual-user maps, the transformations, and the tight gate."""
+"""Tests for virtual-user maps and the transformations."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro import WeightRestriction, solve
 from repro.sim.adversary import most_tickets_under
-from repro.weighted.tight import TightGate
 from repro.weighted.transform import (
     black_box_setup,
     blunt_setup,
@@ -137,41 +136,3 @@ class TestQualificationSetup:
     def test_rate_close_to_beta_n(self):
         setup = qualification_setup(WEIGHTS, "1/3", "1/4")
         assert setup.rate >= Fraction(1, 4)
-
-
-class TestTightGate:
-    def test_opens_above_threshold(self):
-        gate = TightGate([40, 25, 15, 10, 5, 3, 1, 1], "1/2")
-        assert not gate.add_vote(0)  # 40/100
-        assert gate.add_vote(1)  # 65/100 > 1/2
-        assert gate.open
-
-    def test_strictly_above(self):
-        gate = TightGate([1, 1], "1/2")
-        assert not gate.add_vote(0)  # exactly 1/2
-        assert gate.add_vote(1)
-
-    def test_idempotent_votes(self):
-        gate = TightGate([10, 1], "1/2")
-        gate.add_vote(1)
-        gate.add_vote(1)
-        assert gate.voted_weight == 1
-        assert not gate.open
-
-    def test_missing_weight(self):
-        gate = TightGate([2, 2], "1/2")
-        assert gate.missing_weight() == 2
-        gate.add_vote(0)
-        assert gate.missing_weight() == 0  # 2 == threshold; need strictly more
-        assert not gate.open
-        gate.add_vote(1)
-        assert gate.open
-
-    def test_unknown_voter(self):
-        gate = TightGate([1, 1], "1/2")
-        with pytest.raises(IndexError):
-            gate.add_vote(5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TightGate([1, 1], "0")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..sim.process import Party
-from ..weighted.quorum import Tally
+from ..weighted.quorum import NominalQuorums, Tally
 from ..weighted.virtual import VirtualUserMap
 
 __all__ = ["Proposal", "Vote", "Decide", "Vouch", "VabaParty", "WeightedVabaRunner"]
@@ -114,10 +114,10 @@ class VabaParty(Party):
     dropped before the predicate sees it.
 
     Each round's votes, the commits and the decides are one
-    :class:`~repro.weighted.quorum.Tally` each, every vote weighing 1: a
-    sender's first value counts, and a value is backed by a quorum at
-    more than ``n - t - 1`` votes and by an honest party at more than
-    ``t``.
+    :class:`~repro.weighted.quorum.Tally` each over ``NominalQuorums(n,
+    t)``: a sender's first value counts, and a value is backed by a
+    quorum above ``echo_need`` (``n - t`` votes) and by an honest party
+    above ``ready_need`` (``t + 1``).
 
     ``coin`` optionally replaces the hash stand-in with a real round
     coin, any ``coin(round) -> int``: it is only demanded at the quorum
@@ -151,8 +151,7 @@ class VabaParty(Party):
         self._proposals: dict[int, dict[int, bytes]] = {}
         self._voted_rounds: set[int] = set()
         self._advanced_rounds: set[int] = set()
-        #: every vote weighs 1
-        self._ones = (1,) * n
+        self.quorums = NominalQuorums(n, t)
         #: round -> that round's votes
         self._votes: dict[int, Tally] = {}
         self.committed: Optional[bytes] = None
@@ -166,6 +165,8 @@ class VabaParty(Party):
     # -- protocol ----------------------------------------------------------------
     def propose(self, value: bytes) -> None:
         """Start the protocol with an externally valid input."""
+        if type(value) is not bytes:
+            raise TypeError("a VABA input is bytes")
         if not self.validity(value):
             raise ValueError("input does not satisfy the validity predicate")
         self.input_value = value
@@ -230,7 +231,8 @@ class VabaParty(Party):
         votes = self._votes.get(rnd)
         if votes is None:
             votes = self._votes[rnd] = Tally()
-        if votes.add(sender, value, self._ones) > self.n - self.t - 1:
+        quorums = self.quorums
+        if votes.add(sender, value, quorums.vote_weights) > quorums.echo_need:
             self._commit(value)
 
     def _commit(self, value: bytes) -> None:
@@ -245,11 +247,12 @@ class VabaParty(Party):
         value = message.value
         if not self._valid(value):
             return
-        weight = self._commits.add(sender, value, self._ones)
+        quorums = self.quorums
+        weight = self._commits.add(sender, value, quorums.vote_weights)
         # Amplify: t+1 commits contain an honest one, safe to join.
-        if weight > self.t:
+        if weight > quorums.ready_need:
             self._commit(value)
-        if weight > self.n - self.t - 1:
+        if weight > quorums.echo_need:
             self._decide(value)
 
     def _decide(self, value: bytes) -> None:
@@ -265,7 +268,8 @@ class VabaParty(Party):
         value = message.value
         if not self._valid(value):
             return
-        if self._decides.add(sender, value, self._ones) > self.t:
+        quorums = self.quorums
+        if self._decides.add(sender, value, quorums.vote_weights) > quorums.ready_need:
             self._decide(value)
 
 

@@ -14,10 +14,13 @@ one integer weight over the policy's ``vote_weights``.  A choice has a
 quorum when its weight is ``> need``, for one of the policy's integer
 thresholds (``echo_need``, ``ready_need``, ``storage_need``) or, for
 any other fraction ``c`` of the total weight, ``WeightedQuorums.need(c)``.
-The set predicates (``echo_quorum`` and friends) judge a sender set on
-the same thresholds; no protocol asks them, and they stay as the
-tallies' oracle in ``tests/weighted/`` and as the ledger's wrapped
-``weighted.quorum`` cell.
+The set predicates (``echo_quorum`` and friends) judge a sender set from
+scratch, by their own rules: nominal counts (``>= n - t``, ``>= t + 1``,
+``>= 2t + 1``) and weighted cross-multiplied comparisons (``s * q > p *
+W`` for ``c = p / q``), never through the ``*_need`` integers.  No
+protocol asks them; they stay as the tallies' independent oracle in
+``tests/weighted/`` and as the ledger's wrapped ``weighted.quorum``
+cell.
 """
 
 from __future__ import annotations
@@ -88,21 +91,17 @@ class QuorumPolicy:
     #: AVID storage threshold of a tally (``tally > need``)
     storage_need: int
 
-    def _weight(self, senders: Iterable[int]) -> int:
-        weights = self.vote_weights
-        return sum(weights[i] for i in set(senders))
-
     def echo_quorum(self, senders: Iterable[int]) -> bool:
-        return self._weight(senders) > self.echo_need
+        raise NotImplementedError
 
     def ready_amplify(self, senders: Iterable[int]) -> bool:
-        return self._weight(senders) > self.ready_need
+        raise NotImplementedError
 
     def deliver_quorum(self, senders: Iterable[int]) -> bool:
-        return self._weight(senders) > self.echo_need
+        raise NotImplementedError
 
     def storage_quorum(self, senders: Iterable[int]) -> bool:
-        return self._weight(senders) > self.storage_need
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,21 @@ class NominalQuorums(QuorumPolicy):
         object.__setattr__(self, "ready_need", self.t)
         object.__setattr__(self, "storage_need", 2 * self.t)
 
+    def _count(self, senders: Iterable[int]) -> int:
+        return len(set(senders))
+
+    def echo_quorum(self, senders: Iterable[int]) -> bool:
+        return self._count(senders) >= self.n - self.t
+
+    def ready_amplify(self, senders: Iterable[int]) -> bool:
+        return self._count(senders) >= self.t + 1
+
+    def deliver_quorum(self, senders: Iterable[int]) -> bool:
+        return self._count(senders) >= self.n - self.t
+
+    def storage_quorum(self, senders: Iterable[int]) -> bool:
+        return self._count(senders) >= 2 * self.t + 1
+
 
 @dataclass(frozen=True)
 class WeightedQuorums(QuorumPolicy):
@@ -136,12 +150,6 @@ class WeightedQuorums(QuorumPolicy):
 
     weights: tuple[Fraction, ...]
     f_w: Fraction
-
-    # Bound here too, so the performance ledger can wrap them on this class.
-    echo_quorum = QuorumPolicy.echo_quorum
-    ready_amplify = QuorumPolicy.ready_amplify
-    deliver_quorum = QuorumPolicy.deliver_quorum
-    storage_quorum = QuorumPolicy.storage_quorum
 
     def __init__(self, weights: Sequence[Number], f_w: Number = Fraction(1, 3)) -> None:
         object.__setattr__(self, "weights", normalize_weights(weights))
@@ -177,3 +185,22 @@ class WeightedQuorums(QuorumPolicy):
 
     def weight(self, senders: Iterable[int]) -> Fraction:
         return sum((self.weights[i] for i in set(senders)), start=Fraction(0))
+
+    def _over(self, senders: Iterable[int], c: Fraction) -> bool:
+        # The oracle form: "weight above c W" cross-multiplied on the
+        # scaled weights, ``s * q > p * W``, never through ``need``.
+        weights = self.vote_weights
+        mine = sum(weights[i] for i in set(senders))
+        return mine * c.denominator > c.numerator * sum(weights)
+
+    def echo_quorum(self, senders: Iterable[int]) -> bool:
+        return self._over(senders, 1 - self.f_w)
+
+    def ready_amplify(self, senders: Iterable[int]) -> bool:
+        return self._over(senders, self.f_w)
+
+    def deliver_quorum(self, senders: Iterable[int]) -> bool:
+        return self._over(senders, 1 - self.f_w)  # same (1 - f_w) W bound
+
+    def storage_quorum(self, senders: Iterable[int]) -> bool:
+        return self._over(senders, 2 * self.f_w)

@@ -194,8 +194,8 @@ def test_an_undecided_instance_does_ask_the_policy():
 def test_the_ready_rules_are_written_in_one_module():
     """The ECHO-quorum and READY-amplification thresholds are read in
     ``reliable_broadcast.py`` -- and, for a deliver quorum of a set that
-    is no Bracha phase, by state sync and ``SmrParty.epoch_closed`` --
-    and nowhere else, and no module asks any of the four set predicates:
+    is no Bracha phase, by state sync and ``SmrParty.epoch_closed``, and
+    by VABA's nominal vote / commit / decide tallies -- and nowhere else, and no module asks any of the four set predicates:
     a protocol that needs Bracha holds instances, and every other quorum
     is a tally, so none grows another copy of the rules."""
     import ast
@@ -219,5 +219,6 @@ def test_the_ready_rules_are_written_in_one_module():
         "protocols/reliable_broadcast.py",
         "recovery/smr.py",  # state sync: a deliver quorum of responders
         "protocols/smr.py",  # epoch_closed: a deliver quorum of proposers
+        "protocols/vaba.py",  # vote / commit / decide tallies, nominal
     }
     assert askers - {"weighted/quorum.py"} == set()

@@ -130,6 +130,9 @@ class TestNominalVaba:
         )
         with pytest.raises(ValueError):
             world.party(0).propose(b"bad")
+        # peers drop a non-bytes value, so the caller hears of it here
+        with pytest.raises(TypeError):
+            world.party(0).propose(bytearray(b"ok"))
         for pid in range(n):
             world.party(pid).propose(b"ok" + bytes([pid]))
         world.run()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.report import write_csv_rows
 from repro.protocols.ssle import SsleElection, chain_quality
-from repro.protocols.vaba import VabaParty, WeightedVabaRunner
+from repro.protocols.vaba import VabaParty, black_box_parties
 from repro.sim import build_world
 from repro.sim.adversary import most_tickets_under
 from repro.weighted import black_box_setup
@@ -30,20 +30,19 @@ def _run_nominal_vaba(n, seed=0):
 
 
 def _run_blackbox_vaba(setup, seed=0):
-    runner = WeightedVabaRunner(setup.vmap, WEIGHTS, setup.f_w, coin_seed=seed)
     outputs = {}
-    parties = runner.build_parties(
-        setup.f_n, on_decide=lambda vid, v: outputs.setdefault(vid, v)
+    parties = black_box_parties(
+        setup, coin_seed=seed, on_decide=lambda vid, v: outputs.setdefault(vid, v)
     )
-    world = build_world(lambda vid: parties[vid], runner.n_virtual, seed=seed)
+    world = build_world(lambda vid: parties[vid], setup.total_virtual, seed=seed)
     for real in range(N):
         for vid in setup.vmap.virtual_ids(real):
             world.party(vid).propose(b"value")
     world.run()
     assert len(set(outputs.values())) == 1
-    real_out = runner.real_output(outputs)
+    real_out = setup.real_outputs(outputs)
     assert len(real_out) == N
-    return world.metrics, runner.n_virtual
+    return world.metrics, setup.total_virtual
 
 
 def test_blackbox_vaba_overhead(benchmark):

@@ -6,7 +6,7 @@ the SSLE chain-quality relaxation.
 Run:  python examples/consensus_blackbox.py
 """
 
-from repro.protocols import SsleElection, WeightedVabaRunner, chain_quality
+from repro.protocols import SsleElection, black_box_parties, chain_quality
 from repro.sim import build_world
 from repro.sim.adversary import most_tickets_under
 from repro.weighted import black_box_setup
@@ -27,10 +27,11 @@ def main() -> None:
     )
 
     # --- weighted consensus by simulating the nominal protocol -------------
-    runner = WeightedVabaRunner(setup.vmap, weights, setup.f_w, coin_seed=3)
     outputs: dict[int, bytes] = {}
-    parties = runner.build_parties(setup.f_n, on_decide=lambda vid, v: outputs.setdefault(vid, v))
-    world = build_world(lambda vid: parties[vid], runner.n_virtual, seed=1)
+    parties = black_box_parties(
+        setup, coin_seed=3, on_decide=lambda vid, v: outputs.setdefault(vid, v)
+    )
+    world = build_world(lambda vid: parties[vid], setup.total_virtual, seed=1)
     for real in range(len(weights)):
         value = f"block-from-{real}".encode()
         for vid in setup.vmap.virtual_ids(real):
@@ -39,7 +40,7 @@ def main() -> None:
 
     decided = set(outputs.values())
     assert len(decided) == 1, decided
-    real_out = runner.real_output(outputs)
+    real_out = setup.real_outputs(outputs)
     print(f"consensus: all {len(real_out)} real parties output {next(iter(decided))!r}")
     print(f"network: {world.metrics.messages} messages among virtual users")
 

@@ -66,24 +66,3 @@ __all__ = [
     "__version__",
 ]
 
-#: facade objects re-exported lazily (canonical home: :mod:`repro.api`);
-#: lazy so ``import repro`` does not pull the scenario/runtime stack
-_API_EXPORTS = (
-    "Committee",
-    "WeightSource",
-    "TicketAssignmentResult",
-)
-
-__all__ += list(_API_EXPORTS)  # PEP 562 keeps their import lazy
-
-
-def __getattr__(name: str):
-    if name in _API_EXPORTS:
-        from . import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

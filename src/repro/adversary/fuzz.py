@@ -552,18 +552,9 @@ def run_campaign(
 
     from ..parallel.executor import ParallelExecutor
 
-    executor = ParallelExecutor(jobs)
-    if executor.jobs > 1:
-        outcomes = executor.map(
-            functools.partial(_campaign_episode, config),
-            range(config.episodes),
-            progress=progress,
-        )
-        return CampaignResult(config=config, outcomes=outcomes)
-    outcomes = []
-    for index in range(config.episodes):
-        outcome = _campaign_episode(config, index)
-        outcomes.append(outcome)
-        if progress is not None:
-            progress(index, outcome)
+    outcomes = ParallelExecutor(jobs).map(
+        functools.partial(_campaign_episode, config),
+        range(config.episodes),
+        progress=progress,
+    )
     return CampaignResult(config=config, outcomes=outcomes)

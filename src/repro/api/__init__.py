@@ -25,9 +25,11 @@ One facade over the whole pipeline::
   :func:`~repro.scenarios.run_scenario` on a backend, which accepts an
   already-resolved committee and emits the scenario engine's unified
   record; a spec whose workload has ``kind="service"`` routes to the
-  service stack automatically;
-* the :mod:`repro.service` epoch-service names (:class:`EpochService`,
-  :class:`EpochManager`, ...) are re-exported here for one-stop imports.
+  service stack automatically.
+
+Every other layer is imported from its own package (:mod:`repro.service`,
+:mod:`repro.adversary`, :mod:`repro.parallel`, :mod:`repro.recovery`,
+:mod:`repro.chaos`, ...): this module exports only what it defines.
 
 The CLI, the scenario engine, and the examples all consume this facade;
 adding a backend or a solver strategy is one registration, not a
@@ -55,72 +57,6 @@ from .weight_source import (
     weight_source_from_args,
 )
 
-#: epoch-service names re-exported from :mod:`repro.service`.  Resolved
-#: lazily (PEP 562) because the service package itself imports
-#: ``repro.api.committee`` / ``repro.api.policy`` -- an eager re-import
-#: here would be circular whenever ``repro.service`` is imported first.
-_SERVICE_EXPORTS = (
-    "DriftSchedule",
-    "EpochManager",
-    "EpochService",
-    "InprocServiceBackend",
-    "LoadGenerator",
-    "ServiceConfig",
-    "ServiceResult",
-    "SimServiceBackend",
-    "WeightSchedule",
-)
-
-#: adversary / fuzz-campaign names re-exported from
-#: :mod:`repro.adversary`, lazily for the same circularity reason (the
-#: adversary package imports the scenario and crypto layers).
-_ADVERSARY_EXPORTS = (
-    "Adversary",
-    "CampaignResult",
-    "FuzzConfig",
-    "STRATEGIES",
-    "check_record",
-    "replay_episode",
-    "run_campaign",
-)
-
-#: parallel-engine names re-exported from :mod:`repro.parallel`, lazily
-#: because the proc orchestrator imports the scenario harness (which
-#: imports this facade's committee module).
-_PARALLEL_EXPORTS = (
-    "ParallelExecutor",
-    "ProcCluster",
-    "parse_jobs",
-    "run_proc_scenario",
-    "run_specs",
-)
-
-#: crash-recovery names re-exported from :mod:`repro.recovery`, lazily
-#: because the recoverable party imports the protocol layer (which
-#: reaches back into this facade via the scenario harness).
-_RECOVERY_EXPORTS = (
-    "BackoffSchedule",
-    "HeartbeatMonitor",
-    "InMemoryWal",
-    "RecoverableSmrParty",
-    "StateSyncRequest",
-    "StateSyncResponse",
-    "WalError",
-    "WriteAheadLog",
-    "open_wal",
-)
-
-#: chaos-engine names re-exported from :mod:`repro.chaos`, lazily like
-#: every subsystem above (one rule for the whole package is simpler to audit).
-_CHAOS_EXPORTS = (
-    "ChaosOrchestrator",
-    "ChaosSpec",
-    "ChaosStage",
-    "NetworkWeather",
-    "TriggerSpec",
-    "WeatherSpec",
-)
-
 __all__ = [
     "Committee",
     "CommitteeValidationError",
@@ -138,33 +74,5 @@ __all__ = [
     "register_policy",
     "get_policy",
     "solve_with_policy",
-    *_SERVICE_EXPORTS,
-    *_ADVERSARY_EXPORTS,
-    *_PARALLEL_EXPORTS,
-    *_RECOVERY_EXPORTS,
-    *_CHAOS_EXPORTS,
 ]
 
-
-def __getattr__(name: str):
-    if name in _SERVICE_EXPORTS:
-        from .. import service
-
-        return getattr(service, name)
-    if name in _ADVERSARY_EXPORTS:
-        from .. import adversary
-
-        return getattr(adversary, name)
-    if name in _PARALLEL_EXPORTS:
-        from .. import parallel
-
-        return getattr(parallel, name)
-    if name in _RECOVERY_EXPORTS:
-        from .. import recovery
-
-        return getattr(recovery, name)
-    if name in _CHAOS_EXPORTS:
-        from .. import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,7 @@ from .ec_broadcast import EcParty, GarbageEcParty, OnlineDecoder
 from .reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend, BroadcastParty
 from .smr import SmrParty, batch_position
 from .ssle import ElectionResult, SsleElection, chain_quality
-from .vaba import VabaParty, WeightedVabaRunner
+from .vaba import VabaParty, black_box_parties
 
 __all__ = [
     "BroadcastParty",
@@ -23,7 +23,7 @@ __all__ = [
     "OnlineDecoder",
     "BeaconParty",
     "VabaParty",
-    "WeightedVabaRunner",
+    "black_box_parties",
     "SmrParty",
     "batch_position",
     "SsleElection",

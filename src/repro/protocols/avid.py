@@ -118,6 +118,18 @@ def _hash_fragment(f: BlockFragment) -> bytes:
     return _hash_block(f.block)
 
 
+def _is_fragments(fragments) -> bool:
+    """A tuple of block fragments, each an ``int`` index and a ``bytes``
+    block: the shape honest parties send.  The codec carries any value in
+    any field, so a peer's frame holds fragments only when this says so."""
+    if type(fragments) is not tuple:
+        return False
+    for f in fragments:
+        if type(f) is not BlockFragment or type(f.index) is not int or type(f.block) is not bytes:
+            return False
+    return True
+
+
 class AvidParty(Party):
     """One AVID participant (dealer, storer, and potential retriever)."""
 
@@ -191,8 +203,17 @@ class AvidParty(Party):
     def _handle_disperse(self, message: AvidDisperse, sender: int) -> None:
         if self._code is not None:
             return  # the first accepted dispersal wins: keep serving it
-        # Geometry sanity before any indexing or arithmetic: a Byzantine
-        # dealer controls every field of this message.
+        # Types, then geometry, before any indexing or arithmetic: a
+        # Byzantine dealer controls every field of this message.
+        if not (
+            type(message.hash_list) is tuple
+            and all(type(h) is bytes for h in message.hash_list)
+            and _is_fragments(message.fragments)
+            and type(message.data_shards) is int
+            and type(message.total_shards) is int
+            and type(message.original_length) is int
+        ):
+            return
         if len(message.hash_list) != message.total_shards:
             return
         if commitment_from_hashes(message.hash_list) != message.commitment:
@@ -254,6 +275,8 @@ class AvidParty(Party):
     def _handle_fragments(self, message: AvidFragments, sender: int) -> None:
         code = self._code
         if self.retrieved is not None or code is None:
+            return
+        if not _is_fragments(message.fragments):
             return
         # A Byzantine dealer could have handed different parties blocks
         # of different lengths, each consistent with its own hash-list

@@ -9,11 +9,12 @@ asynchronous adversary controls message timing through the simulator's
 delay model; the coin's unpredictability makes the leader un-biasable, so
 the protocol terminates in expected O(1) rounds.
 
-The black-box weighted version (:class:`WeightedVabaParty`) runs the
-*same* nominal logic among ``T`` virtual users mapped onto real parties
-by a ``WR(f_n - eps, f_n)`` solution; real parties with zero tickets
-receive the output from vouching messages of weight more than ``f_w W``
-(the Section 4.4 output rule).
+The black-box weighted version (:func:`black_box_parties`) runs the
+*same* nominal logic among the ``T`` virtual users of a ``WR(f_n - eps,
+f_n)`` solution (:func:`~repro.weighted.transform.black_box_setup`);
+:meth:`~repro.weighted.transform.BlackBoxSetup.real_outputs` maps their
+decisions back to real parties, zero-ticket ones included, by the
+Section 4.4 output rule.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ..sim.process import Party
 from ..weighted.quorum import NominalQuorums, Tally
-from ..weighted.virtual import VirtualUserMap
+from ..weighted.transform import BlackBoxSetup
 
-__all__ = ["Proposal", "Vote", "Decide", "Vouch", "VabaParty", "WeightedVabaRunner"]
+__all__ = ["Proposal", "Vote", "Decide", "VabaParty", "black_box_parties"]
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,6 @@ class Commit:
 @dataclass(frozen=True)
 class Decide:
     """Decision announcement (forwarded for totality)."""
-
-    value: bytes
-
-    def wire_size(self) -> int:
-        return 64 + len(self.value)
-
-
-@dataclass(frozen=True)
-class Vouch:
-    """Weighted output rule: real parties vouch for the decided value so
-    zero-ticket parties can output (Section 4.4, output mapping)."""
 
     value: bytes
 
@@ -273,88 +263,10 @@ class VabaParty(Party):
             self._decide(value)
 
 
-class WeightedVabaRunner:
-    """Black-box weighted VABA: virtual users inside one real network.
-
-    Builds one :class:`VabaParty` per *virtual* user; real party ``i``
-    drives the virtual parties ``vmap.virtual_ids(i)`` with its input and
-    takes the output of its first virtual identity (Section 4.4's
-    input/output mapping).  Zero-ticket parties receive ``Vouch``
-    messages and output once vouches of weight above ``f_w W`` agree.
-    """
-
-    def __init__(
-        self,
-        vmap: VirtualUserMap,
-        weights: Sequence,
-        f_w,
-        *,
-        coin_seed: int = 0,
-        coin: Optional[Callable[[int], int]] = None,
-        validity_predicate: Optional[Callable[[bytes], bool]] = None,
-    ) -> None:
-        from fractions import Fraction
-
-        from ..core.types import as_fraction, normalize_weights
-
-        self.vmap = vmap
-        self.weights = normalize_weights(weights)
-        self.f_w = as_fraction(f_w)
-        self.total_weight = sum(self.weights, start=Fraction(0))
-        self.coin_seed = coin_seed
-        self.coin = coin
-        self.validity = validity_predicate
-        total = vmap.total_virtual
-        # Nominal fault budget: strictly below f_n * T corrupted virtual
-        # users is guaranteed by WR; the nominal protocol gets t = that max.
-        self.n_virtual = total
-        self.outputs: dict[int, bytes] = {}
-
-    def virtual_fault_budget(self, f_n) -> int:
-        from ..core.types import as_fraction
-
-        value = as_fraction(f_n) * self.n_virtual
-        if value.denominator == 1:
-            return value.numerator - 1
-        return value.numerator // value.denominator
-
-    def build_parties(self, f_n, on_decide: Callable[[int, bytes], None]):
-        """One VabaParty per virtual user (pids are virtual ids)."""
-        t = self.virtual_fault_budget(f_n)
-        return [
-            VabaParty(
-                vid,
-                self.n_virtual,
-                t,
-                coin_seed=self.coin_seed,
-                coin=self.coin,
-                validity_predicate=self.validity,
-                on_decide=on_decide,
-            )
-            for vid in range(self.n_virtual)
-        ]
-
-    def real_output(self, virtual_outputs: dict[int, bytes]) -> dict[int, bytes]:
-        """Map virtual decisions back to real parties.
-
-        Parties with tickets output their first virtual identity's value;
-        zero-ticket parties take the value vouched for by real parties of
-        weight above ``f_w * W``.
-        """
-        from fractions import Fraction
-
-        real: dict[int, bytes] = {}
-        vouch_weight: dict[bytes, Fraction] = {}
-        for party in range(self.vmap.n_parties):
-            ids = self.vmap.virtual_ids(party)
-            if len(ids) > 0 and ids[0] in virtual_outputs:
-                value = virtual_outputs[ids[0]]
-                real[party] = value
-                vouch_weight[value] = vouch_weight.get(value, Fraction(0)) + self.weights[party]
-        threshold = self.f_w * self.total_weight
-        vouched = [v for v, w in vouch_weight.items() if w > threshold]
-        if vouched:
-            fallback = vouched[0]
-            for party in range(self.vmap.n_parties):
-                real.setdefault(party, fallback)
-        return real
+def black_box_parties(setup: BlackBoxSetup, **kwargs) -> list[VabaParty]:
+    """Section 4.4's nominal protocol: one :class:`VabaParty` per virtual
+    user of ``setup`` (pids are virtual ids), with the nominal fault
+    budget; ``kwargs`` go to every party.  Real party ``i`` drives
+    ``setup.vmap.virtual_ids(i)`` with its input."""
+    n, t = setup.total_virtual, setup.nominal_fault_budget()
+    return [VabaParty(vid, n, t, **kwargs) for vid in range(n)]

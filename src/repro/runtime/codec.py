@@ -297,7 +297,7 @@ def default_registry() -> CodecRegistry:
     from ..protocols.checkpointing import CheckpointShare, CheckpointVote
     from ..protocols.ec_broadcast import EcFragment, EcRequest
     from ..protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
-    from ..protocols.vaba import Commit, Decide, Proposal, Vote, Vouch
+    from ..protocols.vaba import Commit, Decide, Proposal, Vote
     from ..recovery.smr import StateSyncRequest, StateSyncResponse
 
     registry = CodecRegistry()
@@ -326,7 +326,6 @@ def default_registry() -> CodecRegistry:
         Vote,
         Commit,
         Decide,
-        Vouch,
         # crash recovery (always registered: the fault-free wire format
         # is unchanged because these are only ever sent after a restart)
         StateSyncRequest,

@@ -420,22 +420,19 @@ class VabaDriver(ProtocolDriver):
     #: resilience comes from the WR(f_n - eps, f_n) params, not spec.f_w
     uses_f_w = False
     #: real outputs aggregate *all* virtual parties' decisions through
-    #: ``runner.real_output``, which no single-node worker can compute
+    #: ``setup.real_outputs``, which no single-node worker can compute
     proc_capable = False
     epochs = 1
 
     def __init__(self, spec: ScenarioSpec, committee, adversary=None) -> None:
         super().__init__(spec, committee, adversary)
-        from ..protocols.vaba import WeightedVabaRunner
+        from ..protocols.vaba import black_box_parties
         from ..weighted.transform import black_box_setup
 
         f_n = str(spec.param("f_n", "1/3"))
         epsilon = str(spec.param("epsilon", "1/12"))
         self.setup = black_box_setup(self.weights, f_n, epsilon)
-        self.runner = WeightedVabaRunner(
-            self.setup.vmap, self.weights, self.setup.f_w, coin_seed=spec.seed
-        )
-        self._parties = self.runner.build_parties(f_n, on_decide=lambda vid, v: None)
+        self._parties = black_box_parties(self.setup, coin_seed=spec.seed)
 
     @property
     def n_nodes(self) -> int:
@@ -457,7 +454,7 @@ class VabaDriver(ProtocolDriver):
         virtual_outputs = {
             p.pid: p.decided for p in self._parties if p.decided is not None
         }
-        real = self.runner.real_output(virtual_outputs)
+        real = self.setup.real_outputs(virtual_outputs)
         return {
             str(pid): _digest(value)
             for pid, value in sorted(real.items())

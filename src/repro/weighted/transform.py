@@ -7,7 +7,8 @@
 * :func:`black_box_setup` -- Section 4.4: for a nominal protocol with
   resilience ``f_n``, choose ``f_w = f_n - epsilon`` and solve
   ``WR(f_w, f_n)``; the nominal protocol then runs among ``T`` virtual
-  users of which the adversary controls less than a fraction ``f_n``.
+  users of which the adversary controls less than a fraction ``f_n``,
+  and :meth:`BlackBoxSetup.real_outputs` maps their outputs back.
 * :func:`qualification_setup` -- Section 5: solve ``WQ(beta_w, beta_n)``
   for erasure/error-coded protocols, returning the fragment layout.
 """
@@ -17,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..core.problems import WeightQualification, WeightRestriction
 from ..core.solver import Swiper, SwiperResult
-from ..core.types import Number, TicketAssignment, as_fraction
+from ..core.types import Number, TicketAssignment, as_fraction, normalize_weights
+from .quorum import Tally, WeightedQuorums
 from .virtual import VirtualUserMap
 
 __all__ = [
@@ -85,13 +87,15 @@ class BlackBoxSetup:
 
     Run the nominal protocol among ``vmap.total_virtual`` virtual users
     with nominal resilience ``f_n``; the weighted protocol tolerates
-    corrupt weight below ``f_w = f_n - epsilon``.
+    corrupt weight below ``f_w = f_n - epsilon``.  ``weights`` are the
+    weights the WR problem was solved on.
     """
 
     result: SwiperResult
     vmap: VirtualUserMap
     f_n: Fraction
     f_w: Fraction
+    weights: tuple[Fraction, ...]
 
     @property
     def total_virtual(self) -> int:
@@ -105,6 +109,30 @@ class BlackBoxSetup:
         if value.denominator == 1:
             return value.numerator - 1
         return value.numerator // value.denominator
+
+    def real_outputs(self, virtual_outputs: Mapping[int, bytes]) -> dict[int, bytes]:
+        """Section 4.4's output mapping: virtual decisions -> real parties.
+
+        A ticket holder outputs its first virtual user's decision.  The
+        holders' values are one :class:`~repro.weighted.quorum.Tally`
+        over the weights; once a value has weight above ``f_w W``, every
+        other party outputs the first such value to appear, in party
+        order.
+        """
+        quorums = WeightedQuorums(self.weights)
+        holders = Tally()
+        real: dict[int, bytes] = {}
+        for party in range(self.vmap.n_parties):
+            ids = self.vmap.virtual_ids(party)
+            if len(ids) > 0 and ids[0] in virtual_outputs:
+                value = real[party] = virtual_outputs[ids[0]]
+                holders.add(party, value, quorums.vote_weights)
+        need = quorums.need(self.f_w)
+        backed = [value for value, weight in holders.totals.items() if weight > need]
+        if backed:
+            for party in range(self.vmap.n_parties):
+                real.setdefault(party, backed[0])
+        return real
 
 
 def black_box_setup(
@@ -120,12 +148,14 @@ def black_box_setup(
     if eps <= 0 or eps >= fn:
         raise ValueError("need 0 < epsilon < f_n")
     fw = fn - eps
+    weights = normalize_weights(weights)
     result = Swiper(mode=mode).solve(WeightRestriction(fw, fn), weights)
     return BlackBoxSetup(
         result=result,
         vmap=VirtualUserMap(result.assignment),
         f_n=fn,
         f_w=fw,
+        weights=weights,
     )
 
 

@@ -42,18 +42,6 @@ class TestLegacyImportsStillResolve:
         assert legacy.ticket_bound == facade.bound
 
 
-class TestTopLevelReexports:
-    def test_top_level_reexports_without_warning(self, recwarn):
-        assert repro.Committee is repro.api.Committee
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
-
-    def test_top_level_exports_discoverable(self):
-        # The lazy re-exports must be visible to `from repro import *`
-        # and dir(), not just resolvable by name.
-        assert set(repro._API_EXPORTS) <= set(repro.__all__)
-        assert set(repro._API_EXPORTS) <= set(dir(repro))
-
-
 class TestApiSurfaceGuard:
     def test_all_matches_checked_in_snapshot(self):
         snapshot = Path(__file__).resolve().parents[2] / "api_surface.txt"

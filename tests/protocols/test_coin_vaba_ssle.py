@@ -10,7 +10,7 @@ from repro.crypto.group import TEST_GROUP_256 as G
 from repro.protocols.checkpointing import CheckpointParty
 from repro.protocols.common_coin import BeaconParty
 from repro.protocols.ssle import SsleElection, chain_quality
-from repro.protocols.vaba import VabaParty, WeightedVabaRunner
+from repro.protocols.vaba import VabaParty, black_box_parties
 from repro.sim import build_world
 from repro.sim.adversary import heaviest_under, most_tickets_under
 from repro.weighted.transform import black_box_setup, blunt_setup
@@ -151,14 +151,11 @@ class TestNominalVaba:
 class TestBlackBoxVaba:
     def test_weighted_agreement_via_virtual_users(self):
         setup = black_box_setup(WEIGHTS, "1/3", "1/12")
-        runner = WeightedVabaRunner(setup.vmap, WEIGHTS, setup.f_w, coin_seed=5)
         outputs: dict[int, bytes] = {}
-        parties = runner.build_parties(
-            setup.f_n, on_decide=lambda vid, v: outputs.setdefault(vid, v)
+        parties = black_box_parties(
+            setup, coin_seed=5, on_decide=lambda vid, v: outputs.setdefault(vid, v)
         )
-        from repro.sim import build_world as bw
-
-        world = bw(lambda vid: parties[vid], runner.n_virtual, seed=6)
+        world = build_world(lambda vid: parties[vid], setup.total_virtual, seed=6)
         # Real party i injects its input through all its virtual users.
         for real in range(len(WEIGHTS)):
             value = f"real-{real}".encode()
@@ -166,18 +163,47 @@ class TestBlackBoxVaba:
                 world.party(vid).propose(value)
         world.run()
         assert len(set(outputs.values())) == 1
-        real_out = runner.real_output(outputs)
+        real_out = setup.real_outputs(outputs)
         # Every real party (including zero-ticket ones) gets the value.
         assert set(real_out) == set(range(len(WEIGHTS)))
         assert len(set(real_out.values())) == 1
 
-    def test_virtual_fault_budget_matches_wr(self):
-        setup = black_box_setup(WEIGHTS, "1/3", "1/12")
-        runner = WeightedVabaRunner(setup.vmap, WEIGHTS, setup.f_w)
-        tickets = setup.result.assignment.to_list()
-        corrupt = most_tickets_under(WEIGHTS, tickets, setup.f_w)
-        corrupt_virtual = len(setup.vmap.corrupted_virtual(corrupt))
-        assert corrupt_virtual <= runner.virtual_fault_budget(setup.f_n)
+
+#: W = 100 and f_w = 1/4: parties 0-6 hold one ticket each, 7-9 none
+FLAT = [14, 13, 12, 11, 11, 10, 10, 9, 5, 5]
+
+
+class TestRealOutputs:
+    """Section 4.4's output rule: a ticket holder outputs its first
+    virtual user's decision; everyone else outputs once the holders of
+    one value weigh more than ``f_w W``."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        setup = black_box_setup(FLAT, "1/3", "1/12")
+        assert setup.result.assignment.to_list() == [1] * 7 + [0] * 3
+        return setup
+
+    @staticmethod
+    def _decided(setup, values):
+        """Virtual outputs where real party ``p`` decided ``values[p]``."""
+        return {setup.vmap.virtual_ids(p)[0]: v for p, v in values.items()}
+
+    def test_holders_of_exactly_f_w_w_leave_the_others_without_output(self, setup):
+        # 13 + 12 = 25 = f_w W: not above it
+        real = setup.real_outputs(self._decided(setup, {1: b"v", 2: b"v"}))
+        assert real == {1: b"v", 2: b"v"}
+        # one more holder (10) lifts the value above f_w W
+        real = setup.real_outputs(self._decided(setup, {1: b"v", 2: b"v", 5: b"v"}))
+        assert real == {p: b"v" for p in range(len(FLAT))}
+
+    def test_the_first_backed_value_in_party_order_wins(self, setup):
+        # both above 25: b"z" (27) first in party order, b"a" (34) heavier
+        # and smaller
+        values = {0: b"z", 1: b"z", 2: b"a", 3: b"a", 4: b"a"}
+        real = setup.real_outputs(self._decided(setup, values))
+        assert {p: real[p] for p in values} == values
+        assert {real[p] for p in range(5, len(FLAT))} == {b"z"}
 
 
 class TestSsle:

@@ -14,10 +14,14 @@ deliver nothing while the honest broadcasts complete.  An AVID echo
 whose commitment is not ``bytes``, and a VABA proposal, vote, commit or
 decide whose round is not an ``int >= 0`` or whose value is not
 ``bytes``, must reach no tally: it takes none of its sender's votes,
-and the run stores or decides as a clean one does.
+and the run stores or decides as a clean one does.  An AVID dispersal
+or retrieval frame whose hash list, fragments or geometry are not of the
+honest dealer's types must be dropped before any length, comparison or
+hash, and the honest dispersal must still store and retrieve.
 """
 
 import asyncio
+import hashlib
 import random
 from dataclasses import replace
 
@@ -26,9 +30,15 @@ import pytest
 from repro.crypto.common_coin import WeightedCoin, epoch_message
 from repro.crypto.dleq import verify_dleq, verify_dleq_batch
 from repro.crypto.group import TEST_GROUP_256 as G
-from repro.codes import ReedSolomon
+from repro.codes import BlockFragment, ReedSolomon
 from repro.crypto.threshold_sig import ThresholdSignatureScheme
-from repro.protocols.avid import AvidEcho, AvidParty
+from repro.protocols.avid import (
+    AvidDisperse,
+    AvidEcho,
+    AvidFragments,
+    AvidParty,
+    commitment_from_hashes,
+)
 from repro.protocols.checkpointing import CheckpointParty, CheckpointShare, CheckpointVote
 from repro.protocols.common_coin import BeaconParty
 from repro.protocols.reliable_broadcast import (
@@ -420,3 +430,61 @@ def test_avid_and_vaba_drop_a_malformed_frame(kind):
     world.party(3).broadcast(bad)
     world.run()
     (_avid_run if avid else _vaba_run)(world)
+
+
+def _forged_dispersal():
+    """Party 3's well-formed dispersal of its own payload (k=2, m=4)."""
+    blocks = ReedSolomon(k=2, m=4).encode_blocks(b"forged")
+    hash_list = tuple(hashlib.sha256(block).digest() for block in blocks)
+    return AvidDisperse(
+        fragments=(BlockFragment(3, blocks[3]),),
+        hash_list=hash_list,
+        commitment=commitment_from_hashes(hash_list),
+        data_shards=2,
+        total_shards=4,
+        original_length=6,
+    )
+
+
+_FORGED = _forged_dispersal()
+_BLOCK = _FORGED.fragments[0].block
+
+#: dispersal and retrieval frames whose fields are not of the types the
+#: honest dealer and storers send; every other field is well formed
+MALFORMED_AVID = {
+    "disperse-hash-list-int": replace(_FORGED, hash_list=5),
+    "disperse-hash-list-ints": replace(_FORGED, hash_list=[1, 2, 3, 4]),
+    "disperse-fragments-int": replace(_FORGED, fragments=7),
+    "disperse-fragment-int": replace(_FORGED, fragments=(5,)),
+    "disperse-length-str": replace(_FORGED, original_length="10"),
+    "disperse-data-shards-str": replace(_FORGED, data_shards="2"),
+    "fragments-none": AvidFragments(b"c", None),
+    "fragments-item-int": AvidFragments(b"c", (5,)),
+    "fragments-index-str": AvidFragments(b"c", (BlockFragment("3", _BLOCK),)),
+    "fragments-block-int": AvidFragments(b"c", (BlockFragment(3, 5),)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_AVID))
+def test_avid_drops_a_malformed_dispersal_or_retrieval_frame(kind):
+    # Handed straight to the parties: the sim sizes a frame at its
+    # sender, and a live peer's codec never does.
+    bad = MALFORMED_AVID[kind]
+    quorums = NominalQuorums(n=4, t=1)
+    world = build_world(lambda pid: AvidParty(pid, quorums), 4, seed=15)
+    world.party(2).crash()
+    if isinstance(bad, AvidDisperse):
+        for pid in LIVE:
+            world.party(pid).receive(bad, 3)
+        assert all(world.party(p)._code is None for p in LIVE)
+    code, vmap = ReedSolomon(k=2, m=4), VirtualUserMap([1] * 4)
+    commitment = world.party(0).disperse(b"stored", code, vmap)
+    world.run()
+    assert all(world.party(p).stored_commitment == commitment for p in LIVE)
+    retriever = world.party(0)
+    retriever.retrieve(commitment)
+    if isinstance(bad, AvidFragments):
+        retriever.receive(bad, 3)
+        assert retriever._collected == {}
+    world.run()
+    assert retriever.retrieved == b"stored"

@@ -16,7 +16,7 @@ from repro.protocols.avid import (
 from repro.protocols.checkpointing import CheckpointShare, CheckpointVote
 from repro.protocols.ec_broadcast import EcFragment, EcRequest
 from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
-from repro.protocols.vaba import Commit, Decide, Proposal, Vote, Vouch
+from repro.protocols.vaba import Commit, Decide, Proposal, Vote
 from repro.recovery.smr import StateSyncRequest, StateSyncResponse
 from repro.runtime.codec import CodecError, CodecRegistry, default_registry
 
@@ -53,7 +53,6 @@ SAMPLES = [
     Vote(round=2, value=b"v"),
     Commit(value=b"c"),
     Decide(value=b"d"),
-    Vouch(value=b"w"),
     StateSyncRequest(requester=4),
     StateSyncResponse(
         responder=2,

@@ -25,7 +25,7 @@ class TestVabaEquivalence:
         assert sim.completed and live.completed
         assert sim.decided == live.decided
         # every real party outputs, including those the WR solution gave
-        # zero tickets (they learn the value through Vouch messages)
+        # zero tickets (BlackBoxSetup.real_outputs' Section 4.4 rule)
         n_real = len(spec.weights.values)
         assert set(sim.decided) == {str(pid) for pid in range(n_real)}
         assert len(set(sim.decided.values())) == 1

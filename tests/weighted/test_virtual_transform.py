@@ -100,6 +100,10 @@ class TestBlackBoxSetup:
         t = setup.nominal_fault_budget()
         assert Fraction(t) < setup.f_n * setup.total_virtual
         assert Fraction(t + 1) >= setup.f_n * setup.total_virtual
+        # WR(f_w, f_n): corrupt weight below f_w buys at most t virtual users
+        tickets = setup.result.assignment.to_list()
+        corrupt = most_tickets_under(WEIGHTS, tickets, setup.f_w)
+        assert len(setup.vmap.corrupted_virtual(corrupt)) <= t
 
     def test_adversary_below_nominal_resilience(self):
         """Corrupt weight < f_w implies corrupt virtual users < f_n * T --

@@ -89,9 +89,6 @@ class Cluster:
         #: sender tasks of retired nodes, cancelled but not yet gathered
         self._retired_tasks: list[asyncio.Task] = []
         self._started_at: Optional[float] = None
-        #: when the final settle() first observed quiescence -- lets
-        #: elapsed_seconds exclude the idle-confirmation window
-        self._quiesced_at: Optional[float] = None
         #: what run_until sleeps on between two polls
         self._nap: Optional[asyncio.Future] = None
         if party_factory is not None:
@@ -143,12 +140,7 @@ class Cluster:
 
     async def stop(self) -> None:
         if self._started_at is not None:
-            end = (
-                self._quiesced_at
-                if self._quiesced_at is not None
-                else time.perf_counter()
-            )
-            self.metrics.elapsed_seconds = end - self._started_at
+            self.metrics.elapsed_seconds = time.perf_counter() - self._started_at
         for node in self.nodes:
             await node.stop()
         await asyncio.gather(*self._retired_tasks, return_exceptions=True)
@@ -198,7 +190,6 @@ class Cluster:
         Each poll that finds it false re-raises a node failure first;
         :meth:`wake` cuts the sleep between two polls short.
         """
-        self._quiesced_at = None
         loop = asyncio.get_running_loop()
         deadline = time.perf_counter() + timeout
         while not predicate():
@@ -240,27 +231,17 @@ class Cluster:
         in flight (its queues, socket buffers, injected delay timers)."""
         return self.transport.quiescent and all(node.idle for node in self.nodes)
 
-    async def settle(self, *, idle_for: float = 0.02, timeout: float = 30.0) -> None:
-        """Wait until the cluster has been :attr:`quiescent` for
-        ``idle_for`` seconds -- the runtime's approximation of the
-        simulator running to quiescence."""
-        self._quiesced_at = None
-        deadline = time.perf_counter() + timeout
-        quiet_since: Optional[float] = None
-        while True:
-            self._raise_node_failures()
-            now = time.perf_counter()
-            if self.quiescent:
-                if quiet_since is None:
-                    quiet_since = now
-                elif now - quiet_since >= idle_for:
-                    self._quiesced_at = quiet_since
-                    return
-            else:
-                quiet_since = None
-            if now > deadline:
-                raise TimeoutError(f"cluster did not settle within {timeout}s")
-            await asyncio.sleep(idle_for / 4)
+    async def settle(self, *, timeout: float = 30.0) -> None:
+        """Wait until the cluster is :attr:`quiescent` -- the runtime's
+        simulator-run-to-quiescence -- and re-raise a node failure.
+
+        The first quiescent poll is final: one loop hosts every node, and
+        a frame holds its in-flight slot until its handler has returned,
+        after queuing whatever that handler sent on its node's outbox, so
+        nothing but a caller can make a quiescent cluster busy again.
+        """
+        await self.run_until(lambda: self.quiescent, timeout=timeout)
+        self._raise_node_failures()
 
 
 def run_cluster(

@@ -44,7 +44,7 @@ class TestConstruction:
 
         async def drive():
             async with cluster:
-                await cluster.settle(idle_for=0.0)
+                await cluster.settle()
 
         _run(drive)
         assert cluster.metrics.messages == 0
@@ -119,7 +119,7 @@ class TestSpawnRetire:
                 assert [node.pid for node in new] == list(range(N))
                 assert cluster.nodes == new and cluster.party(1) is new[1].party
                 new[1].party.broadcast(BrachaSend(0, 0, b"new generation"))
-                await cluster.settle(idle_for=0.06)
+                await cluster.settle()
                 assert transport.quiescent and all(node.idle for node in new)
                 assert cluster.metrics.messages == counted + 2 + N
                 return [node.party for node in old], [node.party for node in new]

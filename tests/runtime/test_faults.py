@@ -177,7 +177,7 @@ class TestDelayInjection:
                 lambda pid: BroadcastParty(pid, QUORUMS, 0), N, faults=faults
             ) as cluster:
                 cluster.party(0).broadcast_value(b"patience")
-                await cluster.settle(idle_for=0.01)
+                await cluster.settle()
                 return [p.delivered for p in cluster.parties]
 
         assert asyncio.run(drive()) == [b"patience"] * N

@@ -281,7 +281,7 @@ class TestHandlerFailure:
                     if wait == "run_until":
                         await cluster.run_until(lambda: False, timeout=5.0, poll=0.01)
                     else:
-                        await cluster.settle(idle_for=0.04, timeout=5.0)
+                        await cluster.settle(timeout=5.0)
                 finally:
                     raised_at["late"] = time.perf_counter() - raised["at"]
 

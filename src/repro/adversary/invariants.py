@@ -36,7 +36,7 @@ EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()[:16]
 def _expected_rbc_digest(spec, record) -> str | None:
     """The honest sender's payload digest, or ``None`` when the sender is
     corrupted (no validity claim to check)."""
-    from ..scenarios.harness import _digest, _payload
+    from ..scenarios.drivers import digest, payload
 
     adversary = record.get("adversary") or {}
     corrupted = set(adversary.get("corrupted", ()))
@@ -50,7 +50,7 @@ def _expected_rbc_digest(spec, record) -> str | None:
     # An equivocation strategy takes over the sender role entirely.
     if "equivocate" in adversary.get("strategies", ()):
         return None
-    return _digest(_payload(spec, sender, 0))
+    return digest(payload(spec, sender, 0))
 
 
 def _check_service(record: dict) -> list[str]:

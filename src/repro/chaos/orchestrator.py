@@ -187,7 +187,7 @@ class ChaosOrchestrator:
     def _surge(self, extra: int) -> None:
         """Every hosted live party proposes ``extra`` epochs past the
         workload's."""
-        from ..scenarios.harness import _payload
+        from ..scenarios.drivers import payload
 
         # Completion never waits on surge epochs (they are load, not claims),
         # but the idempotence counter scans them.
@@ -200,7 +200,7 @@ class ChaosOrchestrator:
                     continue
                 party = self.ctx.party(nid)
                 if hasattr(party, "propose_batch"):
-                    party.propose_batch(epoch, _payload(self.spec, nid, epoch))
+                    party.propose_batch(epoch, payload(self.spec, nid, epoch))
 
     # -- trigger predicates --------------------------------------------------------
     def _scoped_observers(self) -> list[int]:

@@ -84,6 +84,9 @@ CRASH_ENV = "REPRO_PROC_TEST_CRASH"
 #: snapshot (one poll can race a frame between counters)
 _STABLE_POLLS = 2
 
+#: seconds between two of the parent's status polls
+_POLL_INTERVAL = 0.01
+
 
 class ProcError(RuntimeError):
     """A worker process died, wedged, or reported a failure."""
@@ -307,7 +310,6 @@ class ProcCluster:
         timeout: float = 60.0,
         committee=None,
         host: str = "127.0.0.1",
-        poll_interval: float = 0.01,
         state_dir: Optional[str] = None,
     ) -> None:
         from ..runtime.faults import FaultController
@@ -316,7 +318,6 @@ class ProcCluster:
         self.spec = spec
         self.timeout = timeout
         self.host = host
-        self.poll_interval = poll_interval
         self.driver = build_driver(spec, committee)
         if not self.driver.proc_capable:
             raise ValueError(
@@ -709,7 +710,7 @@ class ProcCluster:
                     f"(done={done}, in-flight frames={sent - received})"
                     f"{postmortems}"
                 )
-            time.sleep(self.poll_interval)
+            time.sleep(_POLL_INTERVAL)
 
     def _teardown(self) -> None:
         for nid in self._live_workers():

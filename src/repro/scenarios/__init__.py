@@ -3,8 +3,9 @@
 ``ScenarioSpec`` describes a workload (protocol, weights, faults,
 network, payloads, seed); :func:`run_scenario` executes it on the
 discrete-event simulator or the live asyncio runtime and returns a
-unified metrics record; :data:`SCENARIOS` is the registry of built-in
-named scenarios the CLI and CI sweep.
+unified metrics record, driving the protocol through its driver in
+:mod:`.drivers`; :data:`SCENARIOS` is the registry of built-in named
+scenarios the CLI and CI sweep.
 """
 
 from .harness import BACKENDS, RunContext, ScenarioResult, run_scenario

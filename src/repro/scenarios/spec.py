@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..chaos.schedule import ChaosSpec
+from .drivers import PROTOCOLS
 
 __all__ = [
     "WeightSpec",
@@ -206,10 +207,6 @@ class WorkloadSpec:
         return self.epoch_times[epoch] if self.epoch_times else 0.0
 
 
-#: protocols the harness knows how to drive
-PROTOCOLS = ("rbc", "smr", "vaba", "checkpoint")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One complete, executable scenario description."""
@@ -223,7 +220,8 @@ class ScenarioSpec:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     seed: int = 0
     #: free-form protocol options (e.g. checkpoint mode, or ``quorums``:
-    #: ``weighted`` / ``nominal`` for rbc and smr); values are JSON scalars
+    #: ``weighted`` / ``nominal`` for a driver that ``takes_nominal``);
+    #: values are JSON scalars
     params: tuple[tuple[str, object], ...] = ()
     description: str = ""
     #: optional chaos plan: staged fault timeline, ambient network

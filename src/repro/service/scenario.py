@@ -68,6 +68,8 @@ def run_service_spec(
     from ..api.committee import Committee
     from ..scenarios.harness import _assemble
 
+    if spec.protocol != "smr":
+        raise ValueError("service workloads run on the smr protocol")
     if backend not in SERVICE_BACKENDS:
         raise ValueError(
             f"service workloads run on the {' or '.join(SERVICE_BACKENDS)} "

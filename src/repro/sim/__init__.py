@@ -1,13 +1,7 @@
 """Asynchronous network simulation: discrete-event scheduler, message
 fabric with metrics, party abstraction, and adversary strategies."""
 
-from .adversary import (
-    corrupt_weight_fraction,
-    heaviest_under,
-    most_tickets_under,
-    nominal_corruption,
-    random_under,
-)
+from .adversary import corrupt_weight_fraction, heaviest_under, most_tickets_under
 from .events import Simulator
 from .network import DelayModel, Network, NetworkMetrics, TargetedDelay, UniformDelay
 from .process import Party
@@ -23,9 +17,7 @@ __all__ = [
     "Party",
     "World",
     "build_world",
-    "nominal_corruption",
     "heaviest_under",
     "most_tickets_under",
-    "random_under",
     "corrupt_weight_fraction",
 ]

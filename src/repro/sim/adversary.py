@@ -1,4 +1,4 @@
-"""Corruption strategies for nominal and weighted adversaries.
+"""Corruption strategies for weighted adversaries.
 
 The weighted model lets the adversary corrupt any party set holding less
 than a fraction ``f_w`` of the total weight (paper, Section 1.1).  Which
@@ -10,26 +10,16 @@ tests and the "hybrid distribution" future-work experiment (Section 9).
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core.types import Number, as_fraction, normalize_weights
 
 __all__ = [
-    "nominal_corruption",
     "heaviest_under",
     "most_tickets_under",
-    "random_under",
     "corrupt_weight_fraction",
 ]
-
-
-def nominal_corruption(n: int, t: int) -> set[int]:
-    """Corrupt the first ``t`` of ``n`` parties (nominal model)."""
-    if not 0 <= t <= n:
-        raise ValueError("need 0 <= t <= n")
-    return set(range(t))
 
 
 def _budget(weights: Sequence[Fraction], fraction: Fraction) -> Fraction:
@@ -75,23 +65,6 @@ def most_tickets_under(
     # include the lightest ones that fit.
     for i in sorted(range(len(ws)), key=lambda i: (ws[i], i)):
         if i not in chosen and used + ws[i] < budget:
-            chosen.add(i)
-            used += ws[i]
-    return chosen
-
-
-def random_under(
-    weights: Sequence[Number], fraction: Number, rng: random.Random
-) -> set[int]:
-    """Random corruption set below the weight budget."""
-    ws = normalize_weights(weights)
-    budget = _budget(ws, as_fraction(fraction))
-    order = list(range(len(ws)))
-    rng.shuffle(order)
-    chosen: set[int] = set()
-    used = Fraction(0)
-    for i in order:
-        if used + ws[i] < budget:
             chosen.add(i)
             used += ws[i]
     return chosen

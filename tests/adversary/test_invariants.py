@@ -74,10 +74,10 @@ class TestLiveness:
 
 class TestRbcValidity:
     def test_delivering_a_non_sender_payload_violates_validity(self):
-        from repro.scenarios.harness import _digest, _payload
+        from repro.scenarios.drivers import digest, payload
 
         spec = _spec("rbc")
-        honest = _digest(_payload(spec, 0, 0))
+        honest = digest(payload(spec, 0, 0))
         assert check_record(spec, _record(decided={"0": honest})) == []
         violations = check_record(spec, _record(decided={"0": "ffff"}))
         assert any(v.startswith("validity") for v in violations)

@@ -23,8 +23,8 @@ import pytest
 
 from repro.chaos.schedule import ChaosStage, TriggerSpec
 from repro.scenarios import SCENARIOS, get_scenario, run_scenario, scenario_names
-from repro.scenarios.harness import SmrDriver
-from repro.scenarios.spec import WorkloadSpec
+from repro.scenarios.drivers import SmrDriver
+from repro.scenarios.spec import ScenarioSpec, WeightSpec, WorkloadSpec
 
 BATCH = tuple(n for n in scenario_names() if SCENARIOS[n].workload.kind == "batch")
 #: service workloads run on the same two hosts (``World``, ``Cluster``);
@@ -129,6 +129,25 @@ class TestRunsToTheHorizon:
     @pytest.mark.parametrize("name", ["rolling-restart-under-load", "late-weather-smr"])
     def test_late_stages_fire_on_proc(self, name):
         assert _fired(_record(name, "proc")) == _fired(_record(name, "sim"))
+
+    @pytest.mark.parametrize(
+        "backend", ["inproc", pytest.param("proc", marks=pytest.mark.proc)]
+    )
+    def test_an_epoch_the_driver_never_fires_sets_no_horizon(self, backend):
+        # RBC fires epoch 0 only: the second epoch's start at 1.5 s
+        # schedules nothing, so the run ends when it is done
+        spec = ScenarioSpec(
+            name="rbc-two-epoch-times",
+            protocol="rbc",
+            weights=WeightSpec(kind="explicit", values=(3, 2, 1, 1, 1)),
+            workload=WorkloadSpec(epochs=2, epoch_times=(0.0, 1.5)),
+        )
+        live = run_scenario(spec, backend=backend, timeout=30).record()
+        sim = run_scenario(spec, backend="sim").record()
+        assert live["completed"]
+        assert live["wall_seconds"] < 1.0
+        assert live["messages"] == sim["messages"]
+        assert live["decided"] == sim["decided"]
 
 
 class TestWatchdogFlag:

@@ -1,6 +1,5 @@
 """Tests for corruption strategies."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,19 +10,7 @@ from repro.sim.adversary import (
     corrupt_weight_fraction,
     heaviest_under,
     most_tickets_under,
-    nominal_corruption,
-    random_under,
 )
-
-
-class TestNominal:
-    def test_basic(self):
-        assert nominal_corruption(7, 2) == {0, 1}
-        assert nominal_corruption(5, 0) == set()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            nominal_corruption(3, 4)
 
 
 class TestBudgetRespected:
@@ -40,11 +27,6 @@ class TestBudgetRespected:
         tickets = [3, 2, 1, 1, 0, 0, 0, 0]
         corrupt = most_tickets_under(self.WEIGHTS, tickets, "1/3")
         self._check_budget(corrupt, "1/3")
-
-    def test_random(self):
-        for seed in range(5):
-            corrupt = random_under(self.WEIGHTS, "1/3", random.Random(seed))
-            self._check_budget(corrupt, "1/3")
 
     def test_most_tickets_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -81,7 +63,6 @@ class TestGreedyQuality:
         for strategy in (
             lambda: heaviest_under(weights, fraction),
             lambda: most_tickets_under(weights, [1] * len(weights), fraction),
-            lambda: random_under(weights, fraction, random.Random(1)),
         ):
             corrupt = strategy()
             assert corrupt_weight_fraction(weights, corrupt) < fraction

@@ -15,11 +15,18 @@ as ``w`` planes; symbol ``s`` of every shard and fragment forms one
 codeword.  Encoding, erasure decoding, systematic parity and the error
 decoder's re-encode check are each one call of the field's plane kernel
 (:meth:`~repro.codes.gf2m.GF2m.combine`) with a coefficient matrix:
-powers of the evaluation points, the LRU-cached Lagrange basis keyed by
-the fragment index set (AVID retrieval and checkpointing decode
-repeatedly with the same quorum indices), or the barycentric evaluation
-matrix.  A systematic mode makes the first ``k`` fragments the data
-itself.
+powers of the evaluation points, the Lagrange basis keyed by the
+fragment index set, or the barycentric evaluation matrix keyed by the
+index set and the target points.  Both matrices are LRU-cached (AVID
+retrieval and checkpointing decode repeatedly with the same quorum
+indices).
+
+The systematic mode is AVID's layout: the first ``k`` fragments *are*
+the data shards, so encoding computes only the ``m - k`` parity blocks,
+and an erasure decode keeps every data shard it holds as it is and
+combines rows only for the shards it lacks (none, from the ``k`` data
+fragments).  Either layout's decoder hands the payload back in one copy:
+the last shard is cut to the payload's length before the final join.
 
 Operation counters expose the decoding *work*, which is what the paper's
 Table 1 computation-overhead columns measure (work grows with the number
@@ -106,13 +113,15 @@ def _lagrange_basis(
     return tuple(basis)
 
 
+@lru_cache(maxsize=64)
 def _eval_matrix(
     field: GF2m, xs: tuple[int, ...], targets: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """``matrix[t][j] = L_j(targets[t])`` for the Lagrange basis over
     ``xs`` -- re-evaluation of an interpolated polynomial at new points
-    without coefficient form (barycentric, ``O(k^2)``); uncached: only
-    ``systematic=True`` coding calls it, which no protocol uses."""
+    without coefficient form (barycentric, ``O(k^2)``).  Systematic
+    coding calls it: the encoder's parity rows (one key per geometry) and
+    a decoder's rows for the data shards it lacks (one key per quorum)."""
     k = len(xs)
     mul, inv = field.mul, field.inv
     weights = []
@@ -136,6 +145,20 @@ def _eval_matrix(
             tuple(mul(lt, mul(weights[j], inv(ti ^ xj))) for j, xj in enumerate(xs))
         )
     return tuple(rows)
+
+
+def _join_prefix(shards: Sequence, length: int) -> bytes:
+    """The first ``length`` bytes of the shards laid end to end, copied
+    once: the shard holding the payload's end is cut to it before the
+    join, and the padding after it is never copied."""
+    parts = []
+    for shard in shards:
+        if length <= 0:
+            break
+        view = memoryview(shard).cast("B")
+        parts.append(view[:length])
+        length -= len(view)
+    return b"".join(parts)
 
 
 class ReedSolomon:
@@ -362,32 +385,39 @@ class ReedSolomon:
         """Reconstruct a byte payload from any ``k`` correct fragment blocks.
 
         ``fragments`` is a mapping ``index -> block`` or an iterable of
-        :class:`BlockFragment` / ``(index, block)`` pairs.  The Lagrange
-        basis for the chosen index set is LRU-cached, so repeated decodes
-        with the same quorum indices skip the interpolation setup.
+        :class:`BlockFragment` / ``(index, block)`` pairs.  The default
+        layout interpolates through the first ``k`` of them.  The
+        systematic layout keeps every data shard (index below ``k``) it
+        holds as it is and fills up to ``k`` with the first others; only
+        the shards it lacks are combined, one row each.  The matrix for
+        the chosen index set is LRU-cached, so repeated decodes with the
+        same quorum indices skip the interpolation setup.
         """
         unique = self._unique_blocks(fragments)
-        if len(unique) < self.k:
-            raise DecodingFailure(
-                f"need {self.k} fragments, got {len(unique)} distinct"
-            )
-        chosen = list(unique.items())[: self.k]
-        self.work_counter += (
-            self.k * self.k * max(self.stripe_count(original_length), 1)
-        )
-        indices = tuple(i for i, _ in chosen)
-        blocks = [b for _, b in chosen]
+        k = self.k
+        if len(unique) < k:
+            raise DecodingFailure(f"need {k} fragments, got {len(unique)} distinct")
+        self.work_counter += k * k * max(self.stripe_count(original_length), 1)
+        if systematic:
+            held = [i for i in range(k) if i in unique]
+            chosen = held + [i for i in unique if i >= k][: k - len(held)]
+        else:
+            chosen = list(unique)[:k]
+        blocks = [unique[i] for i in chosen]
         if not blocks[0]:
             return b""
-        if systematic and indices == tuple(range(self.k)):
-            return b"".join(blocks)[:original_length]  # the data verbatim
-        xs = tuple(self.points[i] for i in indices)
-        if systematic:
-            rows = _eval_matrix(self.field, xs, tuple(self.points[: self.k]))
-        else:
+        xs = tuple(self.points[i] for i in chosen)
+        if not systematic:
             # coefficient i of the interpolant: XOR_j basis[j][i] * y_j
             rows = tuple(zip(*_lagrange_basis(self.field, xs)))
-        return b"".join(self.field.combine(rows, blocks))[:original_length]
+            return _join_prefix(self.field.combine(rows, blocks), original_length)
+        lacking = tuple(i for i in range(k) if i not in unique)
+        rebuilt = {}
+        if lacking:
+            rows = _eval_matrix(self.field, xs, tuple(self.points[i] for i in lacking))
+            rebuilt = dict(zip(lacking, self.field.combine(rows, blocks)))
+        shards = [unique[i] if i in unique else rebuilt[i] for i in range(k)]
+        return _join_prefix(shards, original_length)
 
     def _probe(self) -> "ReedSolomon":
         """A same-geometry instance for scalar sub-decodes whose work
@@ -430,7 +460,7 @@ class ReedSolomon:
             # Systematic payloads are the polynomial's values at the
             # first k points, not its coefficients.
             coeffs = self.field.combine(self._powers(range(self.k)), coeffs)
-        return b"".join(coeffs)[:original_length]
+        return _join_prefix(coeffs, original_length)
 
     def _locate_and_decode(
         self, unique: Mapping[int, bytes], budget: int

@@ -13,8 +13,15 @@ reads the payload as ``k`` contiguous bit-plane shards, so each party
 holds one byte block per ticket, end to end -- on the discrete-event
 simulator and on the live runtime, whose codec ships the blocks through
 its bytes fast path without per-symbol marshalling.
-Retrieval decodes with the LRU-cached Lagrange basis, so repeated
-retrievals against the same storage quorum skip interpolation setup.
+
+The code is *systematic*, as in practical Cachin-Tessaro dispersal:
+fragments ``0..k-1`` are the payload's shards themselves and the dealer
+codes only the ``m - k`` parity fragments; the hash list still commits
+to all ``m``.  Retrieval keeps the data shards it collected as they are
+and rebuilds only the ones it lacks, with the evaluation matrix cached
+per index set, so repeated retrievals against the same storage quorum
+skip interpolation setup (and a retrieval holding every data shard
+combines nothing).
 
 Nominal layout: ``(t+1, n)`` coding, one fragment per party, storage
 quorum ``2t + 1``.  Weighted layout (``qualification_setup``): ``(ceil(
@@ -172,12 +179,13 @@ class AvidParty(Party):
     ) -> bytes:
         """Encode the ``data`` payload and send each party its fragments.
 
-        ``vmap`` maps fragment indices to parties (one fragment per
-        virtual user); the nominal case uses the identity assignment.
+        The first ``code.k`` fragments are ``data``'s shards (systematic
+        layout).  ``vmap`` maps fragment indices to parties (one fragment
+        per virtual user); the nominal case uses the identity assignment.
         Returns the commitment.
         """
         data = bytes(data)
-        blocks = code.encode_blocks(data)
+        blocks = code.encode_blocks(data, systematic=True)
         fragments = [BlockFragment(j, b) for j, b in enumerate(blocks)]
         stripes = code.stripe_count(len(data))
         self.bump("encode_symbols", code.m * code.k * max(stripes, 1))
@@ -293,7 +301,7 @@ class AvidParty(Party):
         if len(self._collected) >= self.data_shards:
             work_before = code.work_counter
             data = code.decode_erasures_blocks(
-                self._collected, self.original_length
+                self._collected, self.original_length, systematic=True
             )
             self.bump("decode_symbols", code.work_counter - work_before)
             self.retrieved = data

@@ -27,9 +27,10 @@ frame")`` and constructs nothing, and rebuilds ``cls(*values)``.  The
 loop over a class's fields reads the two markers nearly every field
 carries -- ``I`` and ``B`` -- itself and hands every other marker to
 ``_decode_value`` (the recursive decoder it inlines is the oracle's
-``oracle_decode``).  A bytes payload is appended to, and sliced out of,
-the buffer in one C-level operation (no per-symbol marshalling of block
-fragments).
+``oracle_decode``).  Encoding collects a message's parts in a list --
+a bytes payload by reference -- and joins them once, so each payload
+byte is copied once; decoding slices a payload out of the buffer in one
+C-level operation (no per-symbol marshalling of block fragments).
 
 Nesting is bounded: a value sits inside at most ``32`` tuples and nested
 dataclasses (the message itself not counted), and a deeper frame raises
@@ -52,17 +53,20 @@ __all__ = [
 
 _LEN = struct.Struct(">I")
 _unpack_len = _LEN.unpack_from
+#: a marker byte and the 4-byte length that follows it, packed together
+_head = struct.Struct(">BI").pack
 _TAG_LEN = struct.Struct(">H")
 #: most tuples and nested dataclasses a decoded value may sit inside
 _MAX_NESTING = 32
 
-# one-byte type markers of the value encoding: as bytes to append, and as
-# the integers that indexing a ``bytes`` payload yields
+# one-byte type markers of the value encoding, as the integers that
+# indexing a ``bytes`` payload yields (and ``_head`` packs); the four
+# that no length follows also as bytes to append
 _MARKERS = b"NTFIBSLD"
-_NONE, _TRUE, _FALSE, _INT, _BYTES, _STR, _TUPLE, _DATACLASS = (
-    bytes((marker,)) for marker in _MARKERS
-)
 _M_NONE, _M_TRUE, _M_FALSE, _M_INT, _M_BYTES, _M_STR, _M_TUPLE, _M_DATACLASS = _MARKERS
+_NONE, _TRUE, _FALSE, _DATACLASS = (
+    bytes((marker,)) for marker in (_M_NONE, _M_TRUE, _M_FALSE, _M_DATACLASS)
+)
 
 
 class CodecError(ValueError):
@@ -122,62 +126,58 @@ class CodecRegistry:
         return cls in self._plans
 
     # -- encoding ------------------------------------------------------------------
-    def _encode_body(self, message: Any, out: bytearray) -> None:
+    def _encode_body(self, message: Any, out: list) -> None:
         plan = self._plans.get(type(message))
         if plan is None:
             raise CodecError(f"unregistered message type {type(message).__name__}")
-        out += plan.header
+        out.append(plan.header)
         for name in plan.names:
             self._encode_value(getattr(message, name), out)
 
-    def _encode_value(self, value: Any, out: bytearray) -> None:
+    def _encode_value(self, value: Any, out: list) -> None:
         kind = type(value)
         if kind is bytes:
-            # += appends the buffer directly: no intermediate copy of the
-            # (large) block payloads
-            out += _BYTES
-            out += _LEN.pack(len(value))
-            out += value
+            # the (large) block payloads are referenced, not copied: their
+            # one copy is encode's final join
+            out.append(_head(_M_BYTES, len(value)))
+            out.append(value)
         elif kind is int:
             raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-            out += _INT
-            out += _LEN.pack(len(raw))
-            out += raw
+            out.append(_head(_M_INT, len(raw)))
+            out.append(raw)
         elif kind is tuple:
-            out += _TUPLE
-            out += _LEN.pack(len(value))
+            out.append(_head(_M_TUPLE, len(value)))
             for item in value:
                 self._encode_value(item, out)
         # not one of the hot exact types: the chain the format was defined
         # by, a subclass reduced to the built-in it extends
         elif value is None:
-            out += _NONE
+            out.append(_NONE)
         elif value is True:
-            out += _TRUE
+            out.append(_TRUE)
         elif value is False:
-            out += _FALSE
+            out.append(_FALSE)
         elif isinstance(value, int):
             self._encode_value(int(value), out)
         elif isinstance(value, (bytes, bytearray)):
             self._encode_value(bytes(value), out)
         elif isinstance(value, str):
             raw = value.encode("utf-8")
-            out += _STR
-            out += _LEN.pack(len(raw))
-            out += raw
+            out.append(_head(_M_STR, len(raw)))
+            out.append(raw)
         elif isinstance(value, (tuple, list)):
             self._encode_value(tuple(value), out)
         elif dataclasses.is_dataclass(value):
-            out += _DATACLASS
+            out.append(_DATACLASS)
             self._encode_body(value, out)
         else:
             raise CodecError(f"cannot encode value of type {kind.__name__}")
 
     def encode(self, message: Any) -> bytes:
-        """Serialize one message: tag, then fields."""
-        out = bytearray()
+        """Serialize one message: tag, then fields, joined once."""
+        out: list = []
         self._encode_body(message, out)
-        return bytes(out)
+        return b"".join(out)
 
     def encoded_size(self, message: Any) -> int:
         """Real payload bytes of ``message`` -- the runtime's metric unit
@@ -185,13 +185,11 @@ class CodecRegistry:
         return len(self.encode(message))
 
     def encode_frame(self, message: Any) -> bytes:
-        """:meth:`encode` behind a 4-byte length, built in one buffer."""
+        """:meth:`encode` behind a 4-byte length."""
         # No transport calls this (the mesh frames bodies itself): it stays
         # because the ledger's tracer patches it by name and raises if gone.
-        out = bytearray(_LEN.size)
-        self._encode_body(message, out)
-        _LEN.pack_into(out, 0, len(out) - _LEN.size)
-        return bytes(out)
+        body = self.encode(message)
+        return _LEN.pack(len(body)) + body
 
     # -- decoding ------------------------------------------------------------------
     def decode(self, data: bytes) -> Any:

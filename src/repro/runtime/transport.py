@@ -32,10 +32,10 @@ from collections import deque
 from itertools import chain
 from typing import Any, Callable, Optional
 
-from ..recovery.backoff import BackoffSchedule
-from ..recovery.heartbeat import HeartbeatMonitor
+from .backoff import BackoffSchedule
 from .codec import CodecRegistry
 from .faults import DeliveryDecision, FaultController
+from .heartbeat import HeartbeatMonitor
 
 __all__ = ["Transport", "InProcTransport", "TcpTransport"]
 

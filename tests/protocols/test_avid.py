@@ -419,3 +419,139 @@ class TestBulkObjectOnInproc:
         assert by_dealer == code.m
         stripes = code.stripe_count(len(data))
         assert retriever.counters["decode_symbols"] == code.k * code.k * stripes
+
+
+class TestSystematicLayout:
+    """AVID disperses on the systematic layout: fragments ``0..k-1`` are
+    the payload's shards, and a retrieval combines only the shards it
+    lacks."""
+
+    N, T = 7, 2
+
+    def _stored(self, seed: int):
+        quorums = NominalQuorums(n=self.N, t=self.T)
+        world = build_world(lambda pid: AvidParty(pid, quorums), self.N, seed=seed)
+        code = ReedSolomon(k=self.T + 1, m=self.N)
+        data = _payload(seed, 100)  # 40-byte blocks: every data shard holds data
+        commitment = world.party(0).disperse(data, code, VirtualUserMap([1] * self.N))
+        world.run()
+        assert all(p.stored_commitment == commitment for p in world.parties)
+        return world, code, data, commitment
+
+    @staticmethod
+    def _count_combines(monkeypatch) -> list:
+        from repro.codes.gf2m import GF2m
+
+        rows_per_call = []
+        combine = GF2m.combine
+
+        def counted(self, rows, blocks):
+            rows_per_call.append(len(rows))
+            return combine(self, rows, blocks)
+
+        monkeypatch.setattr(GF2m, "combine", counted)
+        return rows_per_call
+
+    def test_the_dealers_first_k_blocks_are_the_payload(self):
+        world, code, data, _ = self._stored(seed=30)
+        blocks = [world.party(j).my_fragments[0].block for j in range(code.k)]
+        assert all(world.party(j).my_fragments[0].index == j for j in range(code.k))
+        padded = b"".join(blocks)
+        assert padded == data + bytes(len(padded) - len(data))
+
+    def test_a_retrieval_from_the_data_shards_combines_nothing(self, monkeypatch):
+        world, code, data, commitment = self._stored(seed=31)
+        for pid in range(code.k, self.N):
+            world.party(pid).crash()
+        rows_per_call = self._count_combines(monkeypatch)
+        world.party(0).retrieve(commitment)
+        world.run()
+        assert world.party(0).retrieved == data
+        assert rows_per_call == []
+
+    def test_a_mixed_retrieval_combines_one_row_per_lacking_shard(self, monkeypatch):
+        world, code, data, commitment = self._stored(seed=32)
+        for pid in (1, 2):  # data shards 1 and 2 are lost; shard 0 is held
+            world.party(pid).crash()
+        rows_per_call = self._count_combines(monkeypatch)
+        world.party(0).retrieve(commitment)
+        world.run()
+        assert world.party(0).retrieved == data
+        assert rows_per_call == [2]
+
+
+def _fewest_tickets_above(weights, tickets, num: int, den: int) -> list[int]:
+    """The set of parties heavier than ``num/den`` of the total weight that
+    holds the fewest tickets, by an exact integer knapsack: ``best[c]`` is
+    the heaviest set holding at most ``c`` tickets.  Zero-ticket parties
+    join every set (they add weight for free)."""
+    total = sum(weights)
+    budget = sum(tickets)
+    best = [0] * (budget + 1)
+    taken = []  # taken[i][c]: party i is in best[c] after party i's pass
+    for w, t in zip(weights, tickets):
+        row = [False] * (budget + 1)
+        for c in range(budget, t - 1, -1):
+            if best[c - t] + w > best[c]:
+                best[c] = best[c - t] + w
+                row[c] = True
+        taken.append(row)
+    c = next(c for c in range(budget + 1) if best[c] * den > total * num)
+    members = []
+    for i in range(len(weights) - 1, -1, -1):
+        if taken[i][c]:
+            members.append(i)
+            c -= tickets[i]
+    return sorted(members)
+
+
+class TestWqBoundaryOnAptos:
+    """Section 5.1's argument at its exact boundary: on the aptos
+    ``qualification_setup(1/3, 1/4)`` layout the lightest-in-tickets set
+    heavier than a third of the weight holds exactly ``k`` fragments (WQ
+    has zero slack), which suffices for retrieval; one ticket holder
+    fewer does not."""
+
+    @pytest.fixture(scope="class")
+    def aptos(self):
+        from repro.datasets.chains import load_chain
+
+        weights = load_chain("aptos").weights
+        setup = qualification_setup(weights, "1/3", "1/4")
+        tickets = list(setup.vmap.tickets)
+        members = _fewest_tickets_above(weights, tickets, 1, 3)
+        return weights, setup, tickets, members
+
+    def test_the_fewest_tickets_above_a_third_are_exactly_k(self, aptos):
+        weights, setup, tickets, members = aptos
+        assert (setup.data_shards, setup.total_shards) == (35, 139)
+        assert 3 * sum(weights[p] for p in members) > sum(weights)
+        assert sum(tickets[p] for p in members) == setup.data_shards == 35
+
+    def _retrieve_from(self, aptos, serving) -> tuple[bytes, object]:
+        weights, setup, _, _ = aptos
+        quorums = WeightedQuorums(weights, "1/3")
+        code = ReedSolomon(k=setup.data_shards, m=setup.total_shards)
+        world = build_world(lambda pid: AvidParty(pid, quorums), len(weights), seed=40)
+        data = _payload(40, 3 * code.k)
+        commitment = world.party(0).disperse(data, code, setup.vmap)
+        world.run()
+        assert all(p.stored_commitment == commitment for p in world.parties)
+        for pid in set(range(len(weights))) - set(serving):
+            world.party(pid).crash()
+        retriever = world.party(min(serving))
+        retriever.retrieve(commitment)
+        world.run()
+        return data, retriever
+
+    def test_that_set_alone_serves_a_retrieval(self, aptos):
+        members = aptos[3]
+        data, retriever = self._retrieve_from(aptos, members)
+        assert retriever.retrieved == data
+
+    def test_without_its_lightest_ticket_holder_retrieval_does_not_complete(self, aptos):
+        weights, _, tickets, members = aptos
+        lightest = min((p for p in members if tickets[p]), key=lambda p: weights[p])
+        _, retriever = self._retrieve_from(aptos, [p for p in members if p != lightest])
+        assert retriever.retrieved is None
+        assert len(retriever._collected) == 35 - tickets[lightest]

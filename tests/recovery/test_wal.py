@@ -13,14 +13,9 @@ import random
 
 import pytest
 
-from repro.recovery import (
-    BackoffSchedule,
-    HeartbeatMonitor,
-    InMemoryWal,
-    WalError,
-    WriteAheadLog,
-    open_wal,
-)
+from repro.recovery import InMemoryWal, WalError, WriteAheadLog, open_wal
+from repro.runtime.backoff import BackoffSchedule
+from repro.runtime.heartbeat import HeartbeatMonitor
 
 RECORDS = [
     {"kind": "commit", "epoch": 0, "proposer": 3, "payload": "aa" * 16},

@@ -76,8 +76,8 @@ class DleqProof:
 
 def _well_typed(y1, y2, proof) -> bool:
     """Are ``y1``, ``y2`` ints and ``proof`` a :class:`DleqProof` of ints
-    (commitments may be ``None``)?  A decoded Byzantine frame can carry
-    any codec value in any field."""
+    (commitments may be ``None``)?  The verifiers are public entry points:
+    their callers pass statements no ``Party.receive`` has checked."""
     return (
         isinstance(proof, DleqProof)
         and all(isinstance(v, int) for v in (y1, y2, proof.challenge, proof.response))

@@ -29,6 +29,8 @@ beta_n T), T)`` coding, ``t_i`` fragments for party ``i``, storage quorum
 weight above ``2 f_w W`` -- the fragments held by the honest part (weight
 above ``f_w W``) of any storage quorum suffice to reconstruct because the
 WQ constraint qualifies every such subset (Section 5.1's argument).
+Field types are checked at the door (``Party.receive``); the handlers
+check geometry, lengths and hashes.
 """
 
 from __future__ import annotations
@@ -125,18 +127,6 @@ def _hash_fragment(f: BlockFragment) -> bytes:
     return _hash_block(f.block)
 
 
-def _is_fragments(fragments) -> bool:
-    """A tuple of block fragments, each an ``int`` index and a ``bytes``
-    block: the shape honest parties send.  The codec carries any value in
-    any field, so a peer's frame holds fragments only when this says so."""
-    if type(fragments) is not tuple:
-        return False
-    for f in fragments:
-        if type(f) is not BlockFragment or type(f.index) is not int or type(f.block) is not bytes:
-            return False
-    return True
-
-
 class AvidParty(Party):
     """One AVID participant (dealer, storer, and potential retriever)."""
 
@@ -185,10 +175,10 @@ class AvidParty(Party):
         Returns the commitment.
         """
         data = bytes(data)
+        work_before = code.work_counter
         blocks = code.encode_blocks(data, systematic=True)
+        self.bump("encode_symbols", code.work_counter - work_before)
         fragments = [BlockFragment(j, b) for j, b in enumerate(blocks)]
-        stripes = code.stripe_count(len(data))
-        self.bump("encode_symbols", code.m * code.k * max(stripes, 1))
         hash_list = tuple(_hash_fragment(f) for f in fragments)
         commitment = commitment_from_hashes(hash_list)
         assert self.network is not None
@@ -211,17 +201,8 @@ class AvidParty(Party):
     def _handle_disperse(self, message: AvidDisperse, sender: int) -> None:
         if self._code is not None:
             return  # the first accepted dispersal wins: keep serving it
-        # Types, then geometry, before any indexing or arithmetic: a
-        # Byzantine dealer controls every field of this message.
-        if not (
-            type(message.hash_list) is tuple
-            and all(type(h) is bytes for h in message.hash_list)
-            and _is_fragments(message.fragments)
-            and type(message.data_shards) is int
-            and type(message.total_shards) is int
-            and type(message.original_length) is int
-        ):
-            return
+        # Geometry before any indexing: a Byzantine dealer controls every
+        # field of this message.
         if len(message.hash_list) != message.total_shards:
             return
         if commitment_from_hashes(message.hash_list) != message.commitment:
@@ -252,10 +233,9 @@ class AvidParty(Party):
     def _handle_echo(self, message: AvidEcho, sender: int) -> None:
         """A sender's first echo counts; once a commitment has echoes of
         weight ``> storage_need`` it is stored, and the first store wins:
-        a late echo changes nothing.  An echo whose commitment is not
-        ``bytes`` is dropped."""
+        a late echo changes nothing."""
         commitment = message.commitment
-        if self._echoes is None or type(commitment) is not bytes:
+        if self._echoes is None:
             return
         quorums = self.quorums
         if self._echoes.add(sender, commitment, quorums.vote_weights) <= quorums.storage_need:
@@ -283,8 +263,6 @@ class AvidParty(Party):
     def _handle_fragments(self, message: AvidFragments, sender: int) -> None:
         code = self._code
         if self.retrieved is not None or code is None:
-            return
-        if not _is_fragments(message.fragments):
             return
         # A Byzantine dealer could have handed different parties blocks
         # of different lengths, each consistent with its own hash-list

@@ -32,7 +32,9 @@ one Straus multi-exponentiation.  Share verification is batched at the
 quorum decision point: shares buffer unverified until ``k`` are pending,
 then one random-linear-combination aggregate
 (:meth:`~repro.crypto.threshold_sig.ThresholdSignatureScheme.verify_shares_batch`)
-checks them all, with bisection isolating Byzantine shares.
+checks them all, with bisection isolating Byzantine shares.  A frame's
+field types, down to the share's DLEQ proof, are checked at the door
+(``Party.receive``), before it makes a gate or a collector.
 """
 
 from __future__ import annotations
@@ -144,12 +146,8 @@ class CheckpointParty(Party):
     def _handle_vote(self, message: CheckpointVote, sender: int) -> None:
         """Count a sender's first vote on a checkpoint; the gate opens --
         the party reveals its shares -- once the votes weigh more than
-        ``beta W``.  A vote whose checkpoint is not ``bytes`` is dropped
-        before it makes a gate, as :meth:`_handle_share` drops such a
-        share."""
+        ``beta W``."""
         checkpoint = message.checkpoint
-        if not isinstance(checkpoint, bytes):
-            return
         gate = self._gates.get(checkpoint)
         if gate is None:
             gate = self._gates[checkpoint] = Tally()
@@ -164,14 +162,10 @@ class CheckpointParty(Party):
     def _handle_share(self, message: CheckpointShare, sender: int) -> None:
         """Buffer the share; verify in batches at the quorum point.
 
-        A frame whose checkpoint is not ``bytes``, or whose share is not
-        a :class:`SignatureShare`, is dropped here: the collector or the
-        batch verifier would raise on it.  So is one on a checkpoint
-        :meth:`_admits` refuses, before it makes a collector.
+        A share on a checkpoint :meth:`_admits` refuses is dropped before
+        it makes a collector.
         """
         checkpoint = message.checkpoint
-        if not isinstance(checkpoint, bytes) or not isinstance(message.share, SignatureShare):
-            return
         if checkpoint in self.certificates or not self._admits(checkpoint):
             return
         collector = self._collectors.get(checkpoint)

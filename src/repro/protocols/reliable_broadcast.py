@@ -20,7 +20,9 @@ A vote costs one integer add: each phase of an instance is one
 :class:`~repro.weighted.quorum.Tally` (a sender's first payload counts,
 a later one is dropped), compared with the policy's integer thresholds
 (``weight > need``); the policy's set predicates are the oracle the
-tallies are tested against (``tests/weighted/test_tally.py``).
+tallies are tested against (``tests/weighted/test_tally.py``).  Field
+types are checked at the door (``Party.receive``); the handlers check
+only what a type cannot say (:func:`well_formed`).
 """
 
 from __future__ import annotations
@@ -142,18 +144,10 @@ class BrachaReady:
     payload: bytes
 
 
-def well_formed(epoch, origin, payload, n: int) -> bool:
-    """Whether ``(epoch, origin, payload)`` can name a broadcast of one of
-    ``n`` parties: an ``int`` epoch ``>= 0``, an ``int`` origin in
-    ``range(n)`` and a ``bytes`` payload.  The codec carries any value in
-    any field, so a peer's frame is only what this says it is."""
-    return (
-        type(epoch) is int
-        and epoch >= 0
-        and type(origin) is int
-        and 0 <= origin < n
-        and type(payload) is bytes
-    )
+def well_formed(epoch: int, origin: int, n: int) -> bool:
+    """Whether ``(epoch, origin)`` can name a broadcast of one of ``n``
+    parties: an epoch ``>= 0`` and an origin in ``range(n)``."""
+    return epoch >= 0 and 0 <= origin < n
 
 
 class _Instances(dict):
@@ -163,7 +157,7 @@ class _Instances(dict):
 
     __slots__ = ("admits",)
 
-    def __init__(self, admits: Callable[[object, object], bool]) -> None:
+    def __init__(self, admits: Callable[[int, int], bool]) -> None:
         super().__init__()
         self.admits = admits
 
@@ -178,11 +172,10 @@ class BrachaHost(Party):
     """A party that runs Bracha broadcasts: ``instances`` and the SEND /
     ECHO / READY handlers around them.
 
-    A frame whose payload is not ``bytes`` is dropped; its key is checked
-    (:meth:`_admits`) only when it would open an instance.  Each instance
-    that delivers calls :meth:`_commit` once.  A ``bool`` key equals its
-    ``int`` twin, so it reaches that instance; what the party then says
-    or delivers names the ``int`` key.
+    A frame reaches a handler well typed (:meth:`Party.receive` drops and
+    counts any other); its key is checked (:meth:`_admits`) only when it
+    would open an instance.  Each instance that delivers calls
+    :meth:`_commit` once.
     """
 
     def __init__(self, pid: int, quorums: QuorumPolicy) -> None:
@@ -194,7 +187,7 @@ class BrachaHost(Party):
         self.on(BrachaEcho, self._handle_echo)
         self.on(BrachaReady, self._handle_ready)
 
-    def _admits(self, epoch, origin) -> bool:
+    def _admits(self, epoch: int, origin: int) -> bool:
         """Whether a frame naming ``(epoch, origin)`` may open it."""
         raise NotImplementedError
 
@@ -203,33 +196,27 @@ class BrachaHost(Party):
         raise NotImplementedError
 
     def _handle_send(self, message: BrachaSend, sender: int) -> None:
-        payload = message.payload
-        if type(payload) is not bytes:
-            return
-        instance = self.instances[message.epoch, message.origin]
+        epoch, origin, payload = message.epoch, message.origin, message.payload
+        instance = self.instances[epoch, origin]
         if instance is not None and instance.on_send(sender):
-            self.broadcast(BrachaEcho(int(message.epoch), instance.origin, payload))
+            self.broadcast(BrachaEcho(epoch, origin, payload))
 
     def _handle_echo(self, message: BrachaEcho, sender: int) -> None:
-        payload = message.payload
-        if type(payload) is not bytes:
-            return
-        instance = self.instances[message.epoch, message.origin]
+        epoch, origin, payload = message.epoch, message.origin, message.payload
+        instance = self.instances[epoch, origin]
         if instance is not None and instance.on_echo(self.quorums, payload, sender):
-            self.broadcast(BrachaReady(int(message.epoch), instance.origin, payload))
+            self.broadcast(BrachaReady(epoch, origin, payload))
 
     def _handle_ready(self, message: BrachaReady, sender: int) -> None:
-        payload = message.payload
-        if type(payload) is not bytes:
-            return
-        instance = self.instances[message.epoch, message.origin]
+        epoch, origin, payload = message.epoch, message.origin, message.payload
+        instance = self.instances[epoch, origin]
         if instance is None:
             return
         ready, deliver = instance.on_ready(self.quorums, payload, sender)
         if ready:
-            self.broadcast(BrachaReady(int(message.epoch), instance.origin, payload))
+            self.broadcast(BrachaReady(epoch, origin, payload))
         if deliver:
-            self._commit(int(message.epoch), instance.origin, payload)
+            self._commit(epoch, origin, payload)
 
 
 class BroadcastParty(BrachaHost):
@@ -249,13 +236,8 @@ class BroadcastParty(BrachaHost):
         """Initiate a broadcast as the designated sender."""
         self.broadcast(BrachaSend(0, self.pid, payload))
 
-    def _admits(self, epoch, origin) -> bool:
-        return (
-            type(epoch) is int
-            and epoch == 0
-            and type(origin) is int
-            and origin == self.sender
-        )
+    def _admits(self, epoch: int, origin: int) -> bool:
+        return epoch == 0 and origin == self.sender
 
     def _commit(self, epoch: int, origin: int, payload: bytes) -> None:
         self.delivered = payload

@@ -70,9 +70,8 @@ class SmrParty(BrachaHost):
         """Reliably broadcast this replica's batch for ``epoch``."""
         self.broadcast(BrachaSend(epoch, self.pid, payload))
 
-    def _admits(self, epoch, origin) -> bool:
-        # the payload's type is tested on every frame, before the key
-        return well_formed(epoch, origin, b"", self.n)
+    def _admits(self, epoch: int, origin: int) -> bool:
+        return well_formed(epoch, origin, self.n)
 
     # -- commitment --------------------------------------------------------------
     def _commit(self, epoch: int, proposer: int, payload: bytes) -> None:

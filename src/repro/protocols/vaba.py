@@ -14,7 +14,9 @@ The black-box weighted version (:func:`black_box_parties`) runs the
 f_n)`` solution (:func:`~repro.weighted.transform.black_box_setup`);
 :meth:`~repro.weighted.transform.BlackBoxSetup.real_outputs` maps their
 decisions back to real parties, zero-ticket ones included, by the
-Section 4.4 output rule.
+Section 4.4 output rule.  Field types are checked at the door
+(``Party.receive``); the handlers check a round's range and a value's
+validity.
 """
 
 from __future__ import annotations
@@ -79,10 +81,6 @@ class Decide:
         return 64 + len(self.value)
 
 
-def _is_round(rnd) -> bool:
-    return type(rnd) is int and rnd >= 0
-
-
 def _coin_value(seed: int, rnd: int, n: int) -> int:
     """Deterministic unpredictable-enough round coin for the simulation.
 
@@ -100,8 +98,7 @@ class VabaParty(Party):
 
     ``validity_predicate`` implements external validity; invalid values
     are never proposed, voted for, or decided by honest parties.  A frame
-    whose round is not an ``int >= 0`` or whose value is not ``bytes`` is
-    dropped before the predicate sees it.
+    whose round is negative is dropped before the predicate sees it.
 
     Each round's votes, the commits and the decides are one
     :class:`~repro.weighted.quorum.Tally` each over ``NominalQuorums(n,
@@ -169,16 +166,10 @@ class VabaParty(Party):
         assert self.input_value is not None
         self.broadcast(Proposal(round=rnd, value=self.input_value))
 
-    def _valid(self, value) -> bool:
-        """``bytes`` that satisfy the validity predicate.  The codec
-        carries any value in any field, so a peer's frame holds a value
-        only when this says so."""
-        return type(value) is bytes and self.validity(value)
-
     def _handle_proposal(self, message: Proposal, sender: int) -> None:
-        if self.decided is not None or not _is_round(message.round):
+        if self.decided is not None or message.round < 0:
             return
-        if not self._valid(message.value):
+        if not self.validity(message.value):
             return
         bucket = self._proposals.setdefault(message.round, {})
         bucket.setdefault(sender, message.value)
@@ -216,7 +207,7 @@ class VabaParty(Party):
 
     def _handle_vote(self, message: Vote, sender: int) -> None:
         rnd, value = message.round, message.value
-        if self.decided is not None or not _is_round(rnd) or not self._valid(value):
+        if self.decided is not None or rnd < 0 or not self.validity(value):
             return
         votes = self._votes.get(rnd)
         if votes is None:
@@ -235,7 +226,7 @@ class VabaParty(Party):
 
     def _handle_commit(self, message: Commit, sender: int) -> None:
         value = message.value
-        if not self._valid(value):
+        if not self.validity(value):
             return
         quorums = self.quorums
         weight = self._commits.add(sender, value, quorums.vote_weights)
@@ -256,7 +247,7 @@ class VabaParty(Party):
 
     def _handle_decide(self, message: Decide, sender: int) -> None:
         value = message.value
-        if not self._valid(value):
+        if not self.validity(value):
             return
         quorums = self.quorums
         if self._decides.add(sender, value, quorums.vote_weights) > quorums.ready_need:

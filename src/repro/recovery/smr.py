@@ -16,9 +16,9 @@ The composed SMR protocol's party half of crash recovery:
   deliver on READYs, so up to ``f_w`` Byzantine responders cannot forge
   an entry into the recovered log.  Each ``(epoch, proposer)`` slot's
   vouches are one :class:`~repro.weighted.quorum.Tally`: a responder's
-  first payload for the slot counts and a later one is dropped.  An
-  entry that is not an ``(epoch, proposer, payload)`` triple of the
-  right types is dropped.
+  first payload for the slot counts and a later one is dropped.  Entry
+  types are checked at the door (``Party.receive``); an entry whose key
+  names no broadcast is skipped.
 
 Duplicate redelivery after recovery is harmless by construction: a
 :class:`~repro.protocols.reliable_broadcast.BrachaInstance` counts each
@@ -60,7 +60,7 @@ class StateSyncResponse:
     """
 
     responder: int
-    entries: tuple = ()
+    entries: tuple[tuple[int, int, bytes], ...] = ()
 
     def wire_size(self) -> int:
         return 64 + sum(24 + len(p) for _, _, p in self.entries)
@@ -185,12 +185,11 @@ class RecoverableSmrParty(SmrParty):
         )
 
     def _handle_sync_response(self, message: StateSyncResponse, sender: int) -> None:
-        if sender != message.responder or not isinstance(message.entries, tuple):
+        if sender != message.responder:
             return
-        for entry in message.entries:
-            if not self._well_formed(entry):
+        for epoch, proposer, payload in message.entries:
+            if not well_formed(epoch, proposer, self.n):
                 continue
-            epoch, proposer, payload = entry
             position = batch_position(proposer, self.coin_source(epoch), self.n)
             if position in self.committed.get(epoch, {}):
                 continue
@@ -202,13 +201,6 @@ class RecoverableSmrParty(SmrParty):
             if votes.add(sender, payload, quorums.vote_weights) > quorums.echo_need:
                 del self._sync_votes[slot]
                 self._committed_via_sync(epoch, proposer, payload)
-
-    def _well_formed(self, entry) -> bool:
-        """An ``(epoch, proposer, payload)`` triple a peer could have sent:
-        the rule a Bracha frame's key and payload are held to."""
-        return (
-            isinstance(entry, tuple) and len(entry) == 3 and well_formed(*entry, self.n)
-        )
 
     def _committed_via_sync(self, epoch: int, proposer: int, payload: bytes) -> None:
         position = batch_position(proposer, self.coin_source(epoch), self.n)

@@ -229,10 +229,10 @@ class TestByzantineDealer:
         quorums = NominalQuorums(n=n, t=t)
         world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=9)
         code = ReedSolomon(k=t + 1, m=n)
-        data = b"\x01\x02\x03\x04\x05\x06"  # 2 stripes -> blocks of 2 bytes
-        blocks = code.encode_blocks(data)
+        data = bytes(range(1, 21))  # 8-byte blocks: data in all three data shards
+        blocks = code.encode_blocks(data, systematic=True)
         fragments = [BlockFragment(j, b) for j, b in enumerate(blocks)]
-        # dealer equivocates: fragment 1's hash covers a 4-byte block
+        # dealer equivocates: fragment 1's hash covers a 10-byte block
         long_block = blocks[1] + b"\x00\x00"
         mixed = list(fragments)
         mixed[1] = BlockFragment(1, long_block)
@@ -451,6 +451,12 @@ class TestSystematicLayout:
 
         monkeypatch.setattr(GF2m, "combine", counted)
         return rows_per_call
+
+    def test_the_dealer_counts_only_the_parity_it_codes(self):
+        world, code, data, _ = self._stored(seed=29)
+        stripes = code.stripe_count(len(data))
+        encoded = world.party(0).counters["encode_symbols"]
+        assert encoded == (code.m - code.k) * code.k * stripes
 
     def test_the_dealers_first_k_blocks_are_the_payload(self):
         world, code, data, _ = self._stored(seed=30)

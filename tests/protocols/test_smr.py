@@ -122,11 +122,11 @@ class TestNominalSmr:
         world.run()
         assert world.party(0).ordered_log(0) == []
 
-    def test_a_bool_key_is_answered_under_its_int_twin(self):
+    def test_a_bool_key_is_dropped_at_the_door(self):
         from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
 
-        # ``True == 1``, so a frame keyed ``(True, 1)`` reaches the open
-        # instance ``(1, 1)``; what the replica says and commits names 1.
+        # ``True == 1``, but a frame keyed ``(True, 1)`` is not well typed:
+        # it never reaches the open instance ``(1, 1)``, and each is counted.
         world = make_world(NominalQuorums(n=N, t=2), seed=10)
         party = world.party(0)
         said = []
@@ -135,11 +135,12 @@ class TestNominalSmr:
         party.receive(BrachaSend(True, 1, b"p"), 1)
         for sender in range(1, N):
             party.receive(BrachaReady(True, 1, b"p"), sender)
-        assert [type(message) for message in said] == [BrachaEcho, BrachaReady]
-        assert [type(message.epoch) for message in said] == [int, int]
-        assert party.ordered_log(1) == [(1, b"p")]
-        assert [type(epoch) for epoch in party.committed] == [int]
-        assert [type(epoch) for epoch, _ in party.instances] == [int]
+        assert said == []
+        assert party.counters["malformed"] == N
+        assert party.committed == {}
+        assert list(party.instances) == [(1, 1)]
+        instance = party.instances[1, 1]
+        assert not instance.echoed and instance.readies.votes == {}
 
 
 class TestDecidedInstanceIsForgotten:

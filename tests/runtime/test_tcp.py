@@ -10,7 +10,7 @@ import pytest
 from repro.codes import ReedSolomon
 from repro.protocols.avid import AvidParty
 from repro.protocols.common_coin import deterministic_coin
-from repro.protocols.reliable_broadcast import BroadcastParty, BrachaSend
+from repro.protocols.reliable_broadcast import BrachaEcho, BroadcastParty, BrachaSend
 from repro.protocols.smr import SmrParty
 from repro.runtime import Cluster, run_cluster
 from repro.runtime.codec import CodecError, default_registry
@@ -86,6 +86,26 @@ class TestTcpSmoke:
                 dict(cluster.metrics.by_type),
             )
         assert results["inproc"] == results["tcp"]
+
+    def test_a_wrong_typed_echo_is_dropped_at_the_door(self):
+        # The codec carries a ``str`` payload over the socket; the
+        # receiver's door counts it, and the honest broadcast completes.
+        quorums = WeightedQuorums(WEIGHTS, "1/3")
+
+        async def drive():
+            async with Cluster(factory_quorums(quorums), N, transport="tcp") as cluster:
+                cluster.party(3).send(1, BrachaEcho(0, 0, "not-bytes"))
+                cluster.party(0).broadcast_value(b"honest")
+                await cluster.run_until(
+                    lambda: all(p.delivered == b"honest" for p in cluster.parties),
+                    timeout=10,
+                )
+                await cluster.settle()
+                return cluster.parties
+
+        parties = asyncio.run(drive())
+        assert [p.delivered for p in parties] == [b"honest"] * N
+        assert [p.counters["malformed"] for p in parties] == [0, 1, 0, 0]
 
     def test_listeners_close_on_stop(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")

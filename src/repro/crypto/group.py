@@ -320,8 +320,9 @@ class SchnorrGroup:
     def __post_init__(self) -> None:
         if self.p % 4 != 3 or self.p < 7:
             raise ValueError("modulus must be a safe prime >= 7")
-        q = (self.p - 1) // 2
-        if pow(self.generator, q, self.p) != 1 or self.generator in (0, 1):
+        # Euler's criterion: g^q == 1 iff (g/p) == 1 -- the Jacobi symbol
+        # decides it without a full-width exponentiation at import
+        if _jacobi(self.generator, self.p) != 1 or self.generator in (0, 1):
             raise ValueError("generator must generate the order-q subgroup")
 
     @property
@@ -456,9 +457,9 @@ class SchnorrGroup:
         return a.to_bytes(width, "big")
 
 
-#: RFC 3526, group 14 (2048-bit MODP).  p is a safe prime; 2 generates the
-#: subgroup of quadratic residues... in fact 2 has order 2q in this group,
-#: so we use 4 = 2^2, a square and hence an order-q generator.
+#: RFC 3526, group 14 (2048-bit MODP).  p is a safe prime with
+#: p = 7 (mod 8), so 2 is a quadratic residue and already has order q;
+#: the generator is 4 = 2^2, a square and hence of order q as well.
 _RFC3526_P = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E08"
     "8A67CC74020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B"

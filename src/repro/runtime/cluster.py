@@ -110,7 +110,7 @@ class Cluster:
     def spawn(self, party_factory: Callable[[int], Party], n: int) -> list[RuntimeNode]:
         """Host parties ``0 .. n-1`` as one group (pids a previous group's
         :meth:`retire` freed may be taken again).  Mid-run the transport
-        wires the new pids on the spot and the nodes pump at once."""
+        wires the new pids on the spot and the nodes send at once."""
         peer_ids = list(range(n))
         nodes = [
             RuntimeNode(party_factory(pid), self.transport, peer_ids)
@@ -195,7 +195,7 @@ class Cluster:
         while not predicate():
             self._raise_node_failures()
             if time.perf_counter() > deadline:
-                outboxes = {node.pid: node.outbox.qsize() for node in self.nodes}
+                outboxes = {node.pid: len(node.outbox) for node in self.nodes}
                 raise TimeoutError(
                     f"stop condition not reached within {timeout}s "
                     f"(outbox depth per node: {outboxes}, "

@@ -5,28 +5,30 @@ The sim's parties talk to a ``Network`` duck type: ``send``,
 over the runtime (``party.network`` is the node), so every existing
 protocol subclass runs live without modification.
 
-A message waits in the sender's outbox, then in the transport (a
-per-destination queue on ``inproc``, a link queue and a socket on
-``tcp``) -- and nowhere on arrival: the transport's delivery callback
-*is* the dispatch, so a handler runs where the frame was decoded (the
-in-process pump task, the inbound TCP stream's ``data_received``
-callback, a delay timer or, for a TCP self-send, this node's sender
-task).  One loop hosts them all and a handler never awaits, so handler
-code stays synchronous and single-threaded, exactly like the
-simulator's delivery model.
+A message waits in the sender's outbox, then in the transport (the
+frame FIFO on ``inproc``, a link queue and a socket on ``tcp``) -- and
+nowhere on arrival: the transport's delivery callback *is* the
+dispatch, so a handler runs where the frame was decoded (the in-process
+drain callback, the inbound TCP stream's ``data_received`` callback, a
+delay timer or, for a TCP self-send, this node's sender task).  One loop
+hosts them all and a handler never awaits, so handler code stays
+synchronous and single-threaded, exactly like the simulator's delivery
+model.
 
 The outbox and its sender task stay because ``send`` / ``broadcast`` may
 only queue: nothing a handler sends (to itself included) is delivered
 before it returns, so no handler runs inside another, and the transport
-I/O awaits freely.  An outbox entry is ``(destinations, message)``: a
-broadcast is one entry, and the sender task hands its message object to
-``transport.send`` once per destination back to back, which lets the
+I/O awaits freely.  The outbox is a deque, and the sender task awaits a
+future only while it is empty.  An entry is ``(destinations, message)``:
+a broadcast is one entry, and the sender task hands its message object
+to ``transport.send`` once per destination back to back, which lets the
 transport encode it once.  A queued message must not be mutated.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any, Optional, Sequence
 
 from ..sim.process import Party
@@ -44,7 +46,7 @@ class RuntimeNode:
         self.party = party
         self.pid = party.pid
         self.transport = transport
-        self.outbox: asyncio.Queue = asyncio.Queue()
+        self.outbox: deque = deque()
         self.messages_dispatched = 0
         #: first exception raised by a handler or the sender task, if any --
         #: surfaced by the cluster so codec/handler errors fail loudly
@@ -52,6 +54,8 @@ class RuntimeNode:
         self.failure: Optional[BaseException] = None
         self._peer_ids = tuple(sorted(peer_ids))
         self._pending_sends = 0
+        #: what the sender task awaits while the outbox is empty
+        self._wakeup: Optional[asyncio.Future] = None
         self._tasks: list[asyncio.Task] = []
         party.network = self
         transport.bind(self.pid, self._on_delivery)
@@ -61,11 +65,7 @@ class RuntimeNode:
         self._tasks = [asyncio.ensure_future(self._sender_loop())]
 
     async def stop(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
+        await asyncio.gather(*self.detach(), return_exceptions=True)
 
     def detach(self) -> list[asyncio.Task]:
         """Synchronously cancel the sender task (epoch retirement).
@@ -100,7 +100,10 @@ class RuntimeNode:
     def _queue(self, dsts: Sequence[int], message: Any) -> None:
         """One outbox entry, however many destinations."""
         self._pending_sends += 1
-        self.outbox.put_nowait((dsts, message))
+        self.outbox.append((dsts, message))
+        wakeup = self._wakeup
+        if wakeup is not None and not wakeup.done():  # done: set, or cancelled
+            wakeup.set_result(None)
 
     def _on_delivery(self, src: int, message: Any) -> None:
         """Transport delivery callback: run the handler here, where the
@@ -115,8 +118,12 @@ class RuntimeNode:
             self.failure = exc
 
     async def _sender_loop(self) -> None:
+        outbox, loop = self.outbox, asyncio.get_running_loop()
         while True:
-            dsts, message = await self.outbox.get()
+            if not outbox:
+                self._wakeup = loop.create_future()
+                await self._wakeup
+            dsts, message = outbox.popleft()
             try:
                 for dst in dsts:
                     await self.transport.send(self.pid, dst, message)

@@ -1,4 +1,4 @@
-"""Live transports: asyncio queues in-process, sockets over TCP.
+"""Live transports: one frame FIFO in-process, sockets over TCP.
 
 Both implementations push every message through the
 :class:`~repro.runtime.codec.CodecRegistry` -- even the in-process one --
@@ -8,20 +8,20 @@ works on :class:`InProcTransport` is guaranteed to serialize for
 
 Delivery semantics match the simulator's network: reliable point-to-point
 links with arbitrary (but finite) delays, no ordering guarantee across
-links.  A sent message waits in the transport (the destination's queue
-in process; the link's queue, then the socket, over TCP) and nowhere
-after it: ``_deliver`` decodes it and the bound node runs the party's
-handler right there, where it was taken out -- the ``_pump`` task, the
-inbound stream's ``data_received`` callback (no task: the event loop
-calls it with the chunk), a ``_deliver_later`` timer, or ``send``'s
-caller for a TCP self-send.  A handler only queues what it sends and
-never raises into its caller (its node records the failure).  Fault injection (:class:`~repro.runtime.faults.FaultController`)
-is consulted at two points, identically for every transport: terminal
-faults (crash, partition, weather loss) at the send point via
-``condemn``, re-timing faults (delay, jitter, duplication) plus an
-in-flight terminal re-check at the delivery point via ``decide``.  An
-unarmed plan costs one branch at each point, and its ``DELIVER`` goes
-straight to the handler.
+links.  A sent message waits in the transport (the one FIFO in process;
+the link's queue, then the socket, over TCP) and nowhere after it:
+``_deliver`` decodes it and the bound node runs the party's handler right
+there, where it was taken out -- the in-process ``_drain`` callback or
+the inbound stream's ``data_received`` callback (no task: the event loop
+calls either), a ``_deliver_later`` timer, or ``send``'s caller for a TCP
+self-send.  A handler only queues what it sends and never raises into
+its caller (its node records the failure).  Fault injection
+(:class:`~repro.runtime.faults.FaultController`) is consulted at two
+points, identically for every transport: terminal faults (crash,
+partition, weather loss) at the send point via ``condemn``, re-timing
+faults (delay, jitter, duplication) plus an in-flight terminal re-check
+at the delivery point via ``decide``.  An unarmed plan costs one branch
+at each point, and its ``DELIVER`` goes straight to the handler.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class Transport:
         self.faults = faults or FaultController()
         self._record = record
         self._handlers: dict[int, Handler] = {}
-        #: every background task (delay timers, pumps, link writers,
-        #: heartbeats); :meth:`stop` cancels them all
+        #: every background task (delay timers, link writers, heartbeats);
+        #: :meth:`stop` cancels them all
         self._tasks: set[asyncio.Task] = set()
         #: messages sent but not yet resolved (delivered, dropped, or lost
         #: to shutdown) -- lets the cluster detect true quiescence even
@@ -103,8 +103,8 @@ class Transport:
         """Detach node ``pid`` so the id can be rebound (epoch rotation).
 
         Messages already addressed to the node are dropped, exactly as if
-        it had crashed; subclasses additionally release any per-node
-        delivery machinery.
+        it had crashed; the in-process FIFO also drops the frames it
+        holds for the pid, so a successor bound to it never sees them.
         """
         self._handlers.pop(pid, None)
 
@@ -114,7 +114,7 @@ class Transport:
 
     # -- lifecycle ----------------------------------------------------------------
     async def start(self) -> None:
-        raise NotImplementedError
+        """Open what delivery needs (nothing, in process)."""
 
     async def stop(self) -> None:
         tasks = list(self._tasks)
@@ -209,10 +209,12 @@ class Transport:
 
 
 class InProcTransport(Transport):
-    """All nodes on one event loop, linked by per-destination queues.
+    """All nodes on one event loop, linked by one FIFO of frames.
 
-    The fast deterministic backend: no sockets, no syscalls, FIFO per
-    destination.  Messages still round-trip the codec, so byte counts and
+    The fast deterministic backend: no sockets, no syscalls, no delivery
+    task.  ``send`` appends ``(src, dst, payload)``, and the first send
+    finding no drain armed arms one ``call_soon`` drain, so the whole mesh
+    is FIFO.  Messages still round-trip the codec: byte counts and
     serialization failures are identical to TCP.
     """
 
@@ -224,64 +226,54 @@ class InProcTransport(Transport):
         record: Optional[Recorder] = None,
     ) -> None:
         super().__init__(registry, faults=faults, record=record)
-        self._queues: dict[int, asyncio.Queue] = {}
-        self._pumps: dict[int, asyncio.Task] = {}
-        self._started = False
-
-    async def start(self) -> None:
-        self._started = True
-        for pid in self.node_ids:
-            if pid not in self._queues:
-                self._attach(pid)
-
-    def _attach(self, pid: int) -> None:
-        self._queues[pid] = asyncio.Queue()
-        self._pumps[pid] = self._spawn(self._pump(pid))
-
-    def bind(self, pid: int, handler: Handler) -> None:
-        super().bind(pid, handler)
-        # Mid-run bind (epoch rotation): wire the queue and pump now; the
-        # usual pre-start binds get theirs in start().
-        if self._started:
-            self._attach(pid)
+        #: frames sent and not yet taken out, oldest first; while a drain
+        #: runs, ``None`` marks the end of the frames it owns
+        self._fifo: deque = deque()
+        #: the drain ``send`` armed, until it starts
+        self._armed: Optional[asyncio.Handle] = None
 
     def unbind(self, pid: int) -> None:
         super().unbind(pid)
-        pump = self._pumps.pop(pid, None)
-        if pump is not None:
-            pump.cancel()
-        queue = self._queues.pop(pid, None)
-        if queue is not None:
-            # Queued messages die with the node; resolve them so
-            # quiescence tracking doesn't count them in flight forever.
-            while not queue.empty():
-                queue.get_nowait()
-                self._resolve()
+        # Drop its queued frames and close their slots, in place: a drain
+        # running now keeps its end marker.
+        fifo = self._fifo
+        kept = [frame for frame in fifo if frame is None or frame[1] != pid]
+        self.in_flight -= len(fifo) - len(kept)
+        fifo.clear()
+        fifo.extend(kept)
 
     async def stop(self) -> None:
-        self._started = False
+        # queued frames die with the transport (an armed drain finds none)
+        self.in_flight -= len(self._fifo)
+        self._fifo.clear()
         await super().stop()
-        self._pumps.clear()
-        self._queues.clear()
 
     async def send(self, src: int, dst: int, message: Any) -> int:
-        queue = self._queues.get(dst)
-        if queue is None:
+        if dst not in self._handlers:
             raise KeyError(f"unknown destination {dst}")
         data = self._encode_and_record(message)
         # Terminal faults fire at the send point (metrics already counted,
-        # matching the sim): a condemned message never enters the queue.
+        # matching the sim): a condemned message never enters the FIFO.
         if self.faults.condemn(src, dst):
             self._resolve()
             return len(data)
-        queue.put_nowait((src, data))
+        self._fifo.append((src, dst, data))
+        if self._armed is None:
+            self._armed = asyncio.get_running_loop().call_soon(self._drain)
         return len(data)
 
-    async def _pump(self, pid: int) -> None:
-        queue = self._queues[pid]
-        while True:
-            src, data = await queue.get()
-            self._deliver(src, pid, data)
+    def _drain(self) -> None:
+        """Deliver the frames queued before this call and only those (one
+        sent meanwhile arms the next drain).  A frame that fails (to decode,
+        say) is kept as ``self.failure`` for the cluster; the rest flow on."""
+        self._armed = None
+        fifo, deliver = self._fifo, self._deliver
+        fifo.append(None)
+        for src, dst, data in iter(fifo.popleft, None):
+            try:
+                deliver(src, dst, data)
+            except Exception as exc:  # noqa: BLE001 -- kept for the cluster
+                self.failure = self.failure or exc
 
 
 class _Link:

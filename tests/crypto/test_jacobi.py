@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi_oracle import jacobi as oracle_jacobi
-from repro.crypto.group import RFC3526_GROUP_2048, TEST_GROUP_256, _jacobi
+from repro.crypto.group import (
+    _RFC3526_P,
+    _TEST_P,
+    RFC3526_GROUP_2048,
+    TEST_GROUP_256,
+    SchnorrGroup,
+    _jacobi,
+)
 
 GROUPS = [TEST_GROUP_256, RFC3526_GROUP_2048]
 IDS = ["256", "2048"]
@@ -89,3 +96,18 @@ def test_small_odd_moduli_including_composites():
 )
 def test_agrees_with_oracle_on_arbitrary_odd_moduli(a, n):
     assert _jacobi(a, n) == oracle_jacobi(a, n)
+
+
+def test_the_generator_check_is_eulers_criterion():
+    # SchnorrGroup checks its generator by the Jacobi symbol, not by a
+    # full-width g^q: both shipped groups construct (4 is a square), and
+    # so does 2 in the 2048-bit group, where p = 7 (mod 8) makes 2 a
+    # residue of order q.  A non-residue, 0 and 1 are refused.
+    for p in (_TEST_P, _RFC3526_P):
+        assert SchnorrGroup(p=p, generator=4).is_member(4)
+    assert _RFC3526_P % 8 == 7 and RFC3526_GROUP_2048.is_member(2)
+    assert SchnorrGroup(p=_RFC3526_P, generator=2).generator == 2
+    assert SchnorrGroup(p=23, generator=4).order == 11
+    for generator in (5, 0, 1, 23):
+        with pytest.raises(ValueError, match="order-q subgroup"):
+            SchnorrGroup(p=23, generator=generator)

@@ -1,9 +1,9 @@
 """``RuntimeNode``: one class, one queue, one task per live node.
 
 A frame is dispatched where it is decoded -- ``party.receive`` runs
-where the transport took the frame out (the in-process pump task, the
-inbound TCP stream's ``data_received`` callback, a delay timer, or the
-node's own sender task for a TCP self-send).  The outbox and its sender
+where the transport took the frame out (the in-process drain callback,
+the inbound TCP stream's ``data_received`` callback, a delay timer, or
+the node's own sender task for a TCP self-send).  The outbox and its sender
 task are all the machinery a node owns; they are what keeps a handler
 from running inside another handler.  Every test runs on ``inproc`` and
 (tcp-marked) on ``tcp``.
@@ -128,8 +128,8 @@ class TestDispatchWhereDecoded:
             sender = (False, True, False, False)
             assert ran_on == [sender] + [(False, False, True, True)] * (N - 1)
         else:
-            # every frame is handled on the destination's pump task
-            assert ran_on == [(True, False, False, False)] * N
+            # every frame is handled in the transport's drain callback
+            assert ran_on == [(False, False, True, False)] * N
 
     def test_one_link_is_fifo(self, transport):
         frames = [BrachaEcho(0, 0, index.to_bytes(2, "big")) for index in range(200)]
@@ -172,7 +172,7 @@ class TestDispatchWhereDecoded:
                     await asyncio.sleep(0.001)
                 await asyncio.sleep(0.02)
                 assert late.party.got == [(0, BrachaSend(0, 0, b"are you there"))]
-                assert late.outbox.qsize() == 1 and not late.idle and late._tasks == []
+                assert len(late.outbox) == 1 and not late.idle and late._tasks == []
                 assert early.party.got == [] and mesh.quiescent
                 late.start()
                 while not (early.party.got and len(late.party.got) == 2):

@@ -4,8 +4,8 @@
 Everything in ``repro.protocols`` is a transport-agnostic ``Party`` state
 machine.  This example runs weighted Bracha RBC and one SMR epoch over
 the *live* asyncio runtime -- first on in-process queues, then on real
-TCP sockets -- and injects a crash fault, comparing real serialized bytes
-with the simulator's wire-size estimates.
+TCP sockets -- and injects a crash fault, comparing its serialized bytes
+with the simulator's (both sized by the one codec).
 
 Run:  PYTHONPATH=src python examples/live_cluster.py
 """
@@ -47,8 +47,8 @@ def main() -> None:
         print(f"  {m.messages} messages, {m.bytes} real payload bytes")
         print(f"  wall clock: {m.elapsed_seconds * 1000:.2f} ms")
 
-    # -- 2. Real bytes vs the simulator's estimates --------------------------------
-    section("Codec bytes vs simulator estimates (same RBC run)")
+    # -- 2. Live bytes vs the simulator's (one codec sizes both) ------------------
+    section("Live bytes vs simulator bytes (same RBC run)")
     world = build_world(lambda pid: BroadcastParty(pid, QUORUMS, 0), N, seed=1)
     world.party(0).broadcast_value(PAYLOAD)
     world.run()
@@ -58,12 +58,12 @@ def main() -> None:
         setup=lambda c: c.party(0).broadcast_value(PAYLOAD),
         stop_when=lambda c: all(p.delivered == PAYLOAD for p in c.parties),
     )
-    print(f"  {'type':<10} {'msgs':>5} {'sim est. B':>11} {'real B':>8}")
+    print(f"  {'type':<11} {'sim msgs':>8} {'sim B':>6} {'live msgs':>9} {'live B':>6}")
     for name in sorted(live.metrics.by_type):
         print(
-            f"  {name:<10} {live.metrics.by_type[name]:>5} "
-            f"{world.metrics.bytes_by_type[name]:>11} "
-            f"{live.metrics.bytes_by_type[name]:>8}"
+            f"  {name:<11} {world.metrics.by_type[name]:>8} "
+            f"{world.metrics.bytes_by_type[name]:>6} "
+            f"{live.metrics.by_type[name]:>9} {live.metrics.bytes_by_type[name]:>6}"
         )
 
     # -- 3. One SMR epoch over TCP ---------------------------------------------------

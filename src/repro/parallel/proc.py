@@ -55,7 +55,7 @@ stable polls; the link queues keep senders non-idle while any frame
 awaits redelivery, which is what makes the relaxation safe.
 
 Failure containment: a worker that dies (or reports a failure of its
-pump, its transport, or a scheduled workload / chaos callback) surfaces
+node, its transport, or a scheduled workload / chaos callback) surfaces
 as :class:`ProcError` with a per-worker postmortem -- OS pid, age of the
 last status heard, and frame counters; the parent reaps every child on
 any exit path, including timeout.
@@ -194,8 +194,8 @@ async def _worker_main(
     if recovering:
         # Rejoin: replay the WAL into the fresh party (queueing the
         # state-sync broadcast on the outbox), seed the transport's dedup
-        # watermarks from the replayed floor, then start pumping and
-        # re-propose this node's batches.  The parent withholds our new
+        # watermarks from the replayed floor, then start the node's sender
+        # and re-propose this node's batches.  The parent withholds our new
         # address from peers until "rejoined", so nothing arrives before
         # the WAL is replayed.
         party.restart()

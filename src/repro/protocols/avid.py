@@ -83,19 +83,12 @@ class AvidDisperse:
     total_shards: int
     original_length: int
 
-    def wire_size(self) -> int:
-        payload = sum(4 + len(f.block) for f in self.fragments)
-        return 64 + payload + 32 * len(self.hash_list)
-
 
 @dataclass(frozen=True)
 class AvidEcho:
     """Party -> all: my fragments are consistent with this commitment."""
 
     commitment: bytes
-
-    def wire_size(self) -> int:
-        return 64 + 32
 
 
 @dataclass(frozen=True)
@@ -104,9 +97,6 @@ class AvidRetrieveRequest:
 
     commitment: bytes
 
-    def wire_size(self) -> int:
-        return 64 + 32
-
 
 @dataclass(frozen=True)
 class AvidFragments:
@@ -114,9 +104,6 @@ class AvidFragments:
 
     commitment: bytes
     fragments: tuple[BlockFragment, ...]
-
-    def wire_size(self) -> int:
-        return 64 + 32 + sum(4 + len(f.block) for f in self.fragments)
 
 
 def _hash_block(block: bytes) -> bytes:

@@ -58,9 +58,6 @@ class CheckpointVote:
 
     checkpoint: bytes
 
-    def wire_size(self) -> int:
-        return 64 + 32
-
 
 @dataclass(frozen=True)
 class CheckpointShare:
@@ -68,11 +65,6 @@ class CheckpointShare:
 
     checkpoint: bytes
     share: SignatureShare
-
-    def wire_size(self) -> int:
-        # checkpoint hash + share value + DLEQ proof (challenge,
-        # response, and the two batch-enabling Sigma commitments)
-        return 64 + 32 + 96 + 128
 
 
 class CheckpointParty(Party):

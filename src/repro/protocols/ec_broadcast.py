@@ -41,18 +41,12 @@ _GARBLE = bytes(b ^ 0x2A for b in range(256))
 class EcRequest:
     """Reconstructor -> all: send me your fragments."""
 
-    def wire_size(self) -> int:
-        return 64
-
 
 @dataclass(frozen=True)
 class EcFragment:
     """Party -> reconstructor: one fragment (possibly garbage if Byzantine)."""
 
     fragment: BlockFragment
-
-    def wire_size(self) -> int:
-        return 64 + 4 + len(self.fragment.block)
 
 
 class OnlineDecoder:

@@ -40,9 +40,6 @@ class Proposal:
     round: int
     value: bytes
 
-    def wire_size(self) -> int:
-        return 64 + len(self.value)
-
 
 @dataclass(frozen=True)
 class Vote:
@@ -50,9 +47,6 @@ class Vote:
 
     round: int
     value: bytes
-
-    def wire_size(self) -> int:
-        return 64 + len(self.value)
 
 
 @dataclass(frozen=True)
@@ -67,18 +61,12 @@ class Commit:
 
     value: bytes
 
-    def wire_size(self) -> int:
-        return 64 + len(self.value)
-
 
 @dataclass(frozen=True)
 class Decide:
     """Decision announcement (forwarded for totality)."""
 
     value: bytes
-
-    def wire_size(self) -> int:
-        return 64 + len(self.value)
 
 
 def _coin_value(seed: int, rnd: int, n: int) -> int:

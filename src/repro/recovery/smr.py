@@ -45,9 +45,6 @@ class StateSyncRequest:
 
     requester: int
 
-    def wire_size(self) -> int:
-        return 16
-
 
 @dataclass(frozen=True)
 class StateSyncResponse:
@@ -61,9 +58,6 @@ class StateSyncResponse:
 
     responder: int
     entries: tuple[tuple[int, int, bytes], ...] = ()
-
-    def wire_size(self) -> int:
-        return 64 + sum(24 + len(p) for _, _, p in self.entries)
 
 
 class RecoverableSmrParty(SmrParty):

@@ -9,8 +9,8 @@ link -- for wall-clock measurements.  The ``tcp`` backend hosts all
 ``n`` nodes of a :class:`Cluster` on that mesh; a ``proc`` worker
 (:mod:`repro.parallel.proc`) hosts one node on the very same class.
 Messages are serialized through a registry-based binary codec, so
-reported byte counts are real wire payloads rather than the sim's
-estimates.
+reported byte counts are real wire payloads; the simulator sizes its
+messages with the same codec, so the counts agree across backends.
 """
 
 from .cluster import TRANSPORTS, Cluster, RuntimeMetrics, run_cluster

@@ -1,9 +1,10 @@
-"""Binary message codec for the live runtime.
+"""Binary message codec: the one definition of the wire format.
 
-The discrete-event simulator charges messages an *estimated* wire size
-(``wire_size()`` or a flat header plus payload length).  The runtime
-serializes messages for real, so the byte counters it reports are actual
-payload bytes on the wire -- a cross-check of the sim's Table 1 numbers.
+The live transports serialize every message with it, and the
+discrete-event simulator sizes every message with it
+(:meth:`CodecRegistry.encoded_size`), so the byte counters of every
+backend -- the communication columns of the paper's Table 1 -- are the
+payload bytes this codec puts on the wire.
 
 Design: a :class:`CodecRegistry` maps message dataclasses to short string
 tags.  A message is its tag (2-byte length, UTF-8 name) followed by its
@@ -180,8 +181,8 @@ class CodecRegistry:
         return b"".join(out)
 
     def encoded_size(self, message: Any) -> int:
-        """Real payload bytes of ``message`` -- the runtime's metric unit
-        (diagnostic: the transports meter the one encode they perform)."""
+        """Payload bytes of ``message``: what the simulator meters (the
+        live transports meter the one encode they perform)."""
         return len(self.encode(message))
 
     def encode_frame(self, message: Any) -> bytes:

@@ -171,7 +171,7 @@ class InprocServiceBackend(ServiceBackend):
             self._t0 = self._loop.time()
             service.start()
             try:
-                # notify_done wakes it; a pump failure is seen within a tick
+                # notify_done wakes it; a node failure is seen within a tick
                 await self.cluster.run_until(
                     lambda: service.finished,
                     timeout=config.max_time,

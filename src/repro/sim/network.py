@@ -4,8 +4,14 @@ Messages between honest parties are delivered after finite delays drawn
 from a :class:`DelayModel`; the adversarial variant can stretch delays to
 and from targeted parties (but never drop honest-to-honest traffic --
 that would violate asynchrony rather than model it).  The network counts
-messages and payload bytes per type, which is how the benchmark harness
-measures the communication-overhead columns of the paper's Table 1.
+messages and bytes per type, which is how the benchmark harness measures
+the communication-overhead columns of the paper's Table 1.  A message's
+bytes are its length under the runtime codec
+(:func:`repro.runtime.codec.default_registry`), the unit the live
+transports meter, so the wire format lives in that one module and a sim
+run's byte counts equal a live run's.  A message type the codec has not
+registered raises :class:`~repro.runtime.codec.CodecError` at the send,
+as it does on a live transport.
 
 Injected faults are consulted through the same two-point interface the
 live runtime's :class:`~repro.runtime.faults.FaultController` exposes:
@@ -22,7 +28,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .events import Simulator
 
@@ -93,21 +99,6 @@ class NetworkMetrics:
             self.bytes_by_type[type_name] += size
 
 
-def _default_size(message) -> int:
-    """Estimate a message's wire size.
-
-    Messages may provide ``wire_size()``; otherwise a flat header cost is
-    charged plus the length of any ``payload`` bytes attribute.
-    """
-    if hasattr(message, "wire_size"):
-        return int(message.wire_size())
-    size = 64
-    payload = getattr(message, "payload", None)
-    if isinstance(payload, (bytes, bytearray)):
-        size += len(payload)
-    return size
-
-
 class Network:
     """The message fabric connecting :class:`~repro.sim.process.Party` objects."""
 
@@ -124,6 +115,12 @@ class Network:
         self.rng = random.Random(seed)
         self.parties: dict[int, "Party"] = {}
         self.metrics = NetworkMetrics()
+        # imported here: the runtime package imports this module
+        from ..runtime.codec import default_registry
+
+        #: the codec that sizes every message (register a test's own
+        #: message types on it)
+        self.registry = default_registry()
         #: optional fault plan with a ``decide(src, dst)`` method (duck-typed
         #: so :class:`repro.runtime.faults.FaultController` plugs in without
         #: the sim importing the runtime package)
@@ -151,15 +148,7 @@ class Network:
         """
         if dst not in self.parties:
             raise KeyError(f"unknown destination {dst}")
-        self.metrics.record(type(message).__name__, _default_size(message))
-        condemn = getattr(self.faults, "condemn", None)
-        if condemn is not None and condemn(src, dst):
-            return
-        delay = self.delay_model.delay(src, dst, self.rng)
-        receiver = self.parties[dst]
-        self.simulator.schedule(
-            delay, lambda m=message, s=src, r=receiver: self._deliver(s, r, m)
-        )
+        self._post(src, (dst,), message)
 
     def _deliver(self, src: int, receiver: "Party", message) -> None:
         """Fault check at the delivery point, then dispatch.
@@ -190,7 +179,25 @@ class Network:
 
     def broadcast(self, src: int, message, *, include_self: bool = True) -> None:
         """Send ``message`` to every registered party."""
-        for dst in self.party_ids:
-            if dst == src and not include_self:
+        dsts = self.party_ids
+        if not include_self:
+            dsts = [dst for dst in dsts if dst != src]
+        self._post(src, dsts, message)
+
+    def _post(self, src: int, dsts: Iterable[int], message) -> None:
+        """Size ``message`` once with the codec (an unregistered type
+        raises here, before anything is counted), then count and schedule
+        one copy per destination, in order."""
+        size = self.registry.encoded_size(message)
+        type_name = type(message).__name__
+        record = self.metrics.record
+        condemn = getattr(self.faults, "condemn", None)
+        for dst in dsts:
+            record(type_name, size)
+            if condemn is not None and condemn(src, dst):
                 continue
-            self.send(src, dst, message)
+            delay = self.delay_model.delay(src, dst, self.rng)
+            receiver = self.parties[dst]
+            self.simulator.schedule(
+                delay, lambda m=message, s=src, r=receiver: self._deliver(s, r, m)
+            )

@@ -55,6 +55,7 @@ class TestSimNetwork:
         faults = FaultController()
         faults.partition({0}, {1})
         net = Network(sim, UniformDelay(), seed=0, faults=faults)
+        net.registry.register(Ping)
         a, b = Recorder(0), Recorder(1)
         net.register(a)
         net.register(b)

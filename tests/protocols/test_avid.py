@@ -16,6 +16,8 @@ from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 from repro.weighted.transform import qualification_setup
 from repro.weighted.virtual import VirtualUserMap
 
+from extremal import fewest_tickets_above
+
 WEIGHTS = [40, 25, 15, 10, 5, 3, 1, 1]
 
 
@@ -486,31 +488,6 @@ class TestSystematicLayout:
         assert rows_per_call == [2]
 
 
-def _fewest_tickets_above(weights, tickets, num: int, den: int) -> list[int]:
-    """The set of parties heavier than ``num/den`` of the total weight that
-    holds the fewest tickets, by an exact integer knapsack: ``best[c]`` is
-    the heaviest set holding at most ``c`` tickets.  Zero-ticket parties
-    join every set (they add weight for free)."""
-    total = sum(weights)
-    budget = sum(tickets)
-    best = [0] * (budget + 1)
-    taken = []  # taken[i][c]: party i is in best[c] after party i's pass
-    for w, t in zip(weights, tickets):
-        row = [False] * (budget + 1)
-        for c in range(budget, t - 1, -1):
-            if best[c - t] + w > best[c]:
-                best[c] = best[c - t] + w
-                row[c] = True
-        taken.append(row)
-    c = next(c for c in range(budget + 1) if best[c] * den > total * num)
-    members = []
-    for i in range(len(weights) - 1, -1, -1):
-        if taken[i][c]:
-            members.append(i)
-            c -= tickets[i]
-    return sorted(members)
-
-
 class TestWqBoundaryOnAptos:
     """Section 5.1's argument at its exact boundary: on the aptos
     ``qualification_setup(1/3, 1/4)`` layout the lightest-in-tickets set
@@ -525,7 +502,7 @@ class TestWqBoundaryOnAptos:
         weights = load_chain("aptos").weights
         setup = qualification_setup(weights, "1/3", "1/4")
         tickets = list(setup.vmap.tickets)
-        members = _fewest_tickets_above(weights, tickets, 1, 3)
+        members = fewest_tickets_above(weights, tickets, "1/3")
         return weights, setup, tickets, members
 
     def test_the_fewest_tickets_above_a_third_are_exactly_k(self, aptos):

@@ -1,7 +1,11 @@
 """Theorem 4.2 at the protocol: on a chain's ``blunt_setup(WR 1/3 -> 1/2)``
 beacon, the heaviest coalition under a third of the weight cannot open
 an epoch with its own keys, and the fewest parties holding the
-threshold's tickets can.
+threshold's tickets can.  On aptos the theorem is also met at its exact
+boundary: the coalition under a third that holds the most tickets (an
+exact knapsack, :mod:`extremal`) holds ``k - 1`` of them and cannot open
+the epoch; the cheapest party that brings it to ``k`` crosses a third of
+the weight, and then it can.
 
 Only the coalition starts the epoch, so every share in flight is signed
 with a key it holds; no honest party signs.
@@ -10,6 +14,7 @@ with a key it holds; no honest party signs.
 import random
 
 import pytest
+from extremal import most_tickets_under
 
 from repro.crypto.common_coin import WeightedCoin
 from repro.crypto.group import TEST_GROUP_256 as G
@@ -61,5 +66,42 @@ def test_the_fewest_parties_holding_the_threshold_open_an_epoch(chain):
     while sum(coin.vmap.tickets[p] for p in coalition) < coin.threshold:
         coalition.append(by_tickets[len(coalition)])
     assert _start(world, coalition) >= coin.threshold
+    values = {party.values.get(EPOCH) for party in world.parties}
+    assert len(values) == 1 and None not in values
+
+
+def _worst_under_a_third(weights, coin) -> list[int]:
+    """The coalition under a third of the weight holding the most tickets."""
+    coalition = most_tickets_under(weights, coin.vmap.tickets, "1/3")
+    assert 3 * sum(weights[p] for p in coalition) < sum(weights)
+    return coalition
+
+
+def test_the_exact_worst_coalition_under_a_third_cannot_open_an_epoch():
+    weights, coin, world = _beacon("aptos")
+    coalition = _worst_under_a_third(weights, coin)
+    greedy = sum(coin.vmap.tickets[p] for p in heaviest_under(weights, "1/3"))
+    assert (coin.vmap.total_virtual, coin.threshold, greedy) == (63, 32, 27)
+    assert _start(world, coalition) == coin.threshold - 1 == 31
+    assert all(EPOCH not in party.values for party in world.parties)
+
+
+def test_the_cheapest_party_that_reaches_k_opens_it():
+    weights, coin, world = _beacon("aptos")
+    tickets = coin.vmap.tickets
+    coalition = _worst_under_a_third(weights, coin)
+    held = sum(tickets[p] for p in coalition)
+    cheapest = min(
+        (
+            p
+            for p in range(len(weights))
+            if p not in coalition and held + tickets[p] >= coin.threshold
+        ),
+        key=lambda p: (weights[p], p),
+    )
+    opened = coalition + [cheapest]
+    # Theorem 4.2 from the other side: k tickets weigh at least a third
+    assert 3 * sum(weights[p] for p in opened) >= sum(weights)
+    assert _start(world, opened) >= coin.threshold
     values = {party.values.get(EPOCH) for party in world.parties}
     assert len(values) == 1 and None not in values

@@ -188,7 +188,7 @@ class TestDispatchWhereDecoded:
 
     def test_retire_from_inside_a_handler_during_dispatch(self, transport):
         """The retiring handler runs where the transport has more frames
-        for the same node behind it (the pump's queue, the rest of the
+        for the same node behind it (the in-process FIFO, the rest of the
         inbound chunk)."""
 
         async def drive():
@@ -219,7 +219,7 @@ class TestDispatchWhereDecoded:
 @TRANSPORT
 class TestHandlerFailure:
     """One failure path on both transports: recorded once on the node,
-    never raised into the transport (its pump task or inbound stream
+    never raised into the transport (its FIFO drain or inbound stream
     callback), surfaced by the cluster."""
 
     K = 3

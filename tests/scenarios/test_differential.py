@@ -4,8 +4,8 @@ Every batch scenario of the registry runs on the simulator and on the
 live in-process runtime (and, ``tcp``-marked, on the TCP mesh hosting
 all nodes on one loop; ``proc``-marked, on the same mesh hosting one
 node per worker process) and must tell the same story: completion, decided values, message
-counts wherever the driver claims them comparable, and which chaos
-stages fired.  The two service scenarios run on the simulator and on the
+counts and bytes per message type wherever the driver claims them
+comparable, and which chaos stages fired.  The two service scenarios run on the simulator and on the
 in-process runtime and must complete, commit every request and decide one
 digest per backend.  The remaining tests pin the four places the backends'
 lifecycles used to diverge: a live run ending before its fault plan's
@@ -71,6 +71,7 @@ def _assert_same_story(sim: dict, live: dict) -> None:
     if sim["count_comparable"]:
         assert live["by_type"] == sim["by_type"]
         assert live["messages"] == sim["messages"]
+        assert live["bytes_by_type"] == sim["bytes_by_type"]
     assert _fired(live) == _fired(sim)
 
 

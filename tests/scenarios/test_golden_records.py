@@ -18,32 +18,32 @@ from repro.scenarios import get_scenario, run_scenario, scenario_names
 
 #: sha256 of ``run_scenario(spec, backend="sim").record_json()``
 SCENARIO_DIGESTS = {
-    "uniform-rbc": "ef25399ac41d68c32446159cb8a1685c491cdccdf4eb4effbb816317bea74f46",
-    "zipf-stake-smr": "4366dda378f7298b846da598be91e462b4439b42e9442d770e87ec67776640a6",
-    "real-chain-rbc": "eb173697edba2544196ecb14efda2b677ccafdb3445d424039b072325d6cf321",
-    "crash-f-rbc": "a4d9356cabb8d7d65bfa774f00d5209369951748cc18fa38f3ba0821d7028e8d",
-    "partition-heal-smr": "b1912b471501ca194045d187f77034b67b2c27e38cb97c7579f63a5374327ba7",
-    "link-delay-rbc": "c47efd574c6a868ff5cc2574419afcb5401e865ad075decdc54eacb92a25a241",
-    "large-batch-smr": "8f74fbd8ba1fc0139897945066505f9f845d89a1c91bc56986fbad1c4ecc8a43",
-    "skewed-quorum-rbc": "0ba0bf3578327cbe5b6d344c2996c3c73185de6745c248e4aa75191701b8ccfc",
-    "vaba-blackbox": "8ae360edfa22045d900d6dbbcd325ffe0a43159234ce9cf400c4869871244465",
-    "checkpoint-tight": "8be9c8989073176ad674a8bddf53a471f9fda49769b659044cdb3c43a81964dc",
-    "epoch-service": "75f6d50aefc0ca01da22a35e7bb0453a783cfd8b92fdc51554998e416d594849",
-    "crash-restart-smr": "16a684d8c68f1fba0b41340abc37d981ae60ca4e6bd6604b17f25a8abb4cab50",
-    "crash-restart-mixed-smr": "5e19655d18d015d9922c0985515692f21695b6777de1bd5f420025bfa4428f7f",
-    "equivocate-smr": "7bd71d63b423da95c2a82b70ad2fab4d2970a8de2f40c74cbd1f95ce1fc68357",
-    "garble-rbc": "5758238c8b42bb55a712f4d39739ee8d3dadbe5f4b9096c549edc9bbc7be0ed0",
-    "pivot-delay-smr": "732bb36a7c2baea91431ea575ca3dbc7b336847f0a36ada3ae9905b5589e0437",
-    "adaptive-silence-smr": "0e6b54791bc8d2865a2d34532cb22584ce688a0eaccedd4ce6a526c878608955",
-    "share-flood-checkpoint": "3896f8620ced2c13b234badc1f18b335b9b7aa730d1fb00f8af520d55b618c14",
-    "partition-heal-corrupt-smr": "a659e1e9ebf09a8fdcb6cb6493664ebd67ee511bf984c76c3b0e7d6a5216036b",
-    "weather-storm-smr": "a07cc8150675a708d31684a45bb83fcbe24b2d1cf48503a5c51de9f865cd9f7a",
-    "rolling-restart-under-load": "b10790d573d74fb17d15d1b68fb4a54828551b08b3a360e8df5417b9d704d582",
-    "bad-handover-service": "f9d2b7c68c18783afa20087afc99176484efc3d08805879774e6a23647e4796a",
+    "uniform-rbc": "7b3f04c5b2905c1e26a591f69b9bd37dd323a267edac63c51e13664303def466",
+    "zipf-stake-smr": "81434ba61456d374c022e31e8ba845025edbd6f2bdf68220b9ccb59431b0fafe",
+    "real-chain-rbc": "ca1b30695d585c1d60dcef377aa23dd9e0e36ff626a5087b3072f6db07be7edc",
+    "crash-f-rbc": "e8aa2f03b3f08d4a0171ab95e7e2dfb48063da4a0a322fc1bd2ff45aba7a9e00",
+    "partition-heal-smr": "a86058cd58680407095438a8c65d58ec849cbda863d20b746963aadee2d7a633",
+    "link-delay-rbc": "1a65350801eabb34c8f89f0d1fb51ba85ab03c22716ee9f98fb00a14fccee606",
+    "large-batch-smr": "eea023b7fba8a30dc6cfb0caa24d28cf31f731b3ec431be72b8f46f4c3980621",
+    "skewed-quorum-rbc": "4b420d83784a364014351e54891163a8fa06c37bcaa51af369073cba7697b8bf",
+    "vaba-blackbox": "413987bcb661de21c959d254073469babefb05e0eef7ce5f22a86712b827423e",
+    "checkpoint-tight": "945bc4194575e43acbdbebea165b0f0dd4db91bb6aae69e3ea9110900107ceb6",
+    "epoch-service": "824d8ae859ad86b17551ab7a44067c3b7324f6903943111988cdb8180b1af7c5",
+    "crash-restart-smr": "2383394a45ab56212ef1b68257702d785df15b446fe83432c3428db5fd0827ef",
+    "crash-restart-mixed-smr": "5915b54cfb0f123db20312c89b603be97e3fbec4b2d38f36606c1a0d8f610c15",
+    "equivocate-smr": "20c0ebcb8aec475725ebef2f8a5a2b3213a0dfa78bb87bd6d82b8886704832f3",
+    "garble-rbc": "b537aa3ee2d68f502df7c2ccee6b698567b1e0469285e983777d90279e3832dd",
+    "pivot-delay-smr": "b4701483005c1b9cb8e9d750cc3cbf033d0c60bd73321473ec45fe707484aa91",
+    "adaptive-silence-smr": "600919b635f6aec1cc1cba53a5356106a15044b5792d8eb5ff23ce420f0bdb2b",
+    "share-flood-checkpoint": "cbf2c09a3fa09568ae2fa7bf93f477f58eb02aabe5417b5127a4131db6208dcd",
+    "partition-heal-corrupt-smr": "b60856f15fc3daff68c2499c889e96ce4596e07fcc58e6c233f9eb38306e89e8",
+    "weather-storm-smr": "3cc4ca0012e7ec0c01effda86b79ecc62dea925c7479bf775da9758be0c855b9",
+    "rolling-restart-under-load": "fd47aa1842542fcd4e875585892595010eb631be1b01240045f13bd935742c2f",
+    "bad-handover-service": "e5485ab302f5cb7daf0f8a5d5d3067b02220eeeda641d0267446f51f093db9cf",
 }
 
 #: :func:`campaign_digest` of ``FuzzConfig(episodes=50, seed=0)``
-CAMPAIGN_DIGEST = "476ebe322792fb6d7220d57e665a491b0b350bd05b77a64fcb19f1fe54f32b88"
+CAMPAIGN_DIGEST = "f37c46855362189bf283e49477a2c5cfd73e80bff714df3ae3138f2252ca0daf"
 
 
 def scenario_digest(name: str) -> str:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.runtime.codec import CodecError
 from repro.sim.events import Simulator
 from repro.sim.network import Network, TargetedDelay, UniformDelay
 from repro.sim.process import Party
@@ -25,6 +26,7 @@ class Recorder(Party):
 def make_net(n=3, seed=0, delay=None):
     sim = Simulator()
     net = Network(sim, delay or UniformDelay(), seed=seed)
+    net.registry.register(Ping)
     parties = [Recorder(i) for i in range(n)]
     for p in parties:
         net.register(p)
@@ -90,19 +92,43 @@ class TestMetrics:
         net.send(0, 2, Ping())
         assert net.metrics.messages == 2
         assert net.metrics.by_type["Ping"] == 2
-        # 64-byte header + 4 payload bytes for the first message.
-        assert net.metrics.bytes == 64 + 4 + 64
+        # the codec's lengths: the tag (2-byte length + "Ping"), then the
+        # bytes field (marker, 4-byte length, the bytes themselves)
+        assert net.metrics.bytes == (6 + 5 + 4) + (6 + 5)
 
-    def test_wire_size_hook(self):
+    def test_unregistered_type_raises_before_metering(self):
         @dataclass(frozen=True)
-        class Sized:
-            def wire_size(self):
-                return 1000
+        class Stray:
+            payload: bytes = b""
 
         sim, net, parties = make_net()
-        parties[0].on(Sized, lambda m, s: None)
-        net.send(1, 0, Sized())
-        assert net.metrics.bytes == 1000
+        with pytest.raises(CodecError):
+            net.send(0, 1, Stray())
+        with pytest.raises(CodecError):
+            net.broadcast(0, Stray())
+        assert net.metrics.messages == 0
+        assert net.metrics.bytes == 0
+        assert dict(net.metrics.by_type) == {}
+        assert sim.pending == 0
+
+    def test_broadcast_encodes_once(self):
+        n = 5
+        sim, net, parties = make_net(n=n)
+        calls = []
+        encode = net.registry.encode
+
+        def counting_encode(message):
+            calls.append(message)
+            return encode(message)
+
+        net.registry.encode = counting_encode
+        net.broadcast(0, Ping(payload=b"xyz"))
+        assert len(calls) == 1
+        size = len(encode(Ping(payload=b"xyz")))
+        assert net.metrics.messages == n
+        assert net.metrics.bytes == n * size
+        assert net.metrics.bytes_by_type == {"Ping": n * size}
+        assert sim.pending == n
 
 
 class TestDelayModels:

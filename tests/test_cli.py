@@ -431,8 +431,8 @@ class TestScenarioCommand:
 
 #: sha256 of the sim ``repro serve`` stdout, for argv suffixes
 SERVE_DIGESTS = {
-    (): "419c816c6ebfed90a475b315bfd76ae4e89d2b1971c398ce18832960b70c9cff",
-    ("--drift", "1:0:150"): "6feec73588eae3a962bf332357f03bf4ef83fe43ec8667387bd1eec34d8b6ef9",
+    (): "1d685220787674da2ed6faf25b17002a5368d997e13f3c91816e8e0cbb980d29",
+    ("--drift", "1:0:150"): "6bb828a31d525eb9ed769bec6c6ac40c2218e46ee6e737dda9c8f0b6cfbf80f6",
 }
 
 
@@ -533,7 +533,7 @@ class TestServe:
         expected = run_scenario(spec).record_json()
         assert capsys.readouterr().out == expected + "\n"
         record = json.loads(expected)
-        assert record["messages"] == 5464 and record["bytes"] == 649600
+        assert record["messages"] == 5464 and record["bytes"] == 460656
         assert len(set(record["decided"].values())) == 1
 
     def test_clock_trigger_rotates_the_same_on_spec_and_cli(self, capsys):

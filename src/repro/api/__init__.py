@@ -14,10 +14,11 @@ One facade over the whole pipeline::
     )
     result = run_scenario(spec, committee=committee)            # -> unified JSON record
 
-* :class:`WeightSource` and its implementations say where weights come
-  from (inline, file, chain snapshot, synthetic distribution);
 * :class:`Committee` is the immutable weighted party set every layer
-  shares, with one :meth:`~Committee.validate` for infeasible inputs;
+  shares, built from inline values, a weights file, a chain snapshot or
+  a :class:`~repro.datasets.WeightSpec` (the one recipe for where
+  weights come from), with one :meth:`~Committee.validate` for
+  infeasible inputs;
 * the :mod:`~repro.api.policy` registry maps policy names (``swiper``,
   ``swiper-linear``, ``milp``, ``brute-force``, or custom registrations)
   to a uniform :class:`TicketAssignmentResult`;
@@ -47,26 +48,10 @@ from .policy import (
     register_policy,
     solve_with_policy,
 )
-from .weight_source import (
-    SYNTHETIC_KINDS,
-    ChainWeights,
-    FileWeights,
-    InlineWeights,
-    SyntheticWeights,
-    WeightSource,
-    weight_source_from_args,
-)
 
 __all__ = [
     "Committee",
     "CommitteeValidationError",
-    "WeightSource",
-    "InlineWeights",
-    "FileWeights",
-    "ChainWeights",
-    "SyntheticWeights",
-    "SYNTHETIC_KINDS",
-    "weight_source_from_args",
     "SolverPolicy",
     "TicketAssignmentResult",
     "IncrementalSolver",

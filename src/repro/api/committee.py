@@ -3,9 +3,10 @@
 A committee is the noun every layer of the pipeline shares: the solvers
 take its weights, the quorum policies take its normalized fractions, the
 scenario harness sizes clusters from it, and the CLI validates user
-input against it.  It is immutable, constructible from every
-:class:`~repro.api.weight_source.WeightSource`, and deterministic --
-building the same source with the same seed yields an equal committee.
+input against it.  It is immutable, built from inline values, a weights
+file, a chain snapshot or any :class:`~repro.datasets.WeightSpec`, and
+deterministic -- building the same spec with the same seed yields an
+equal committee.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ..core.types import Number, as_fraction, normalize_weights
-from .weight_source import (
-    ChainWeights,
-    FileWeights,
-    InlineWeights,
-    SyntheticWeights,
-    WeightSource,
-)
+from ..datasets import WeightSpec, load_chain
 
 __all__ = ["Committee", "CommitteeValidationError"]
 
@@ -44,10 +39,10 @@ class CommitteeValidationError(ValueError):
 class Committee:
     """An immutable weighted party set.
 
-    ``weights`` are kept exactly as resolved from the source (ints for
-    every built-in source; fraction strings survive untouched until
-    normalization).  ``normalized`` is the exact-rational view consumed
-    by solvers and quorum policies.
+    ``weights`` are kept exactly as given (ints for every
+    :class:`~repro.datasets.WeightSpec`; fraction strings survive
+    untouched until normalization).  ``normalized`` is the exact-rational
+    view consumed by solvers and quorum policies.
     """
 
     weights: tuple[Number, ...]
@@ -63,15 +58,6 @@ class Committee:
 
     # -- constructors ------------------------------------------------------------------
     @classmethod
-    def from_source(cls, source: WeightSource, *, seed: int = 0) -> "Committee":
-        """Resolve ``source`` (deterministically in ``seed``)."""
-        return cls(
-            weights=tuple(source.resolve(seed)),
-            provenance=source.describe(),
-            seed=seed,
-        )
-
-    @classmethod
     def from_weights(
         cls, values: Iterable[Number], *, provenance: str = "inline"
     ) -> "Committee":
@@ -79,17 +65,24 @@ class Committee:
 
     @classmethod
     def from_file(cls, path: str) -> "Committee":
-        return cls.from_source(FileWeights(path))
+        """One weight per line; blank lines are skipped (CLI ``--weights-file``)."""
+        with open(path) as fh:
+            values = [line.strip() for line in fh if line.strip()]
+        if not values:
+            raise ValueError(f"weights file {path!r} contains no weights")
+        return cls(weights=tuple(values), provenance=f"file:{path}")
 
     @classmethod
-    def from_chain(cls, chain: str, *, n: Optional[int] = None) -> "Committee":
-        return cls.from_source(ChainWeights(chain, n=n))
+    def from_chain(cls, chain: str) -> "Committee":
+        """A full calibrated chain snapshot, in snapshot order."""
+        return cls(weights=load_chain(chain).weights, provenance=f"chain:{chain}")
 
     @classmethod
     def synthetic(
         cls, kind: str, n: int, total: int, *, skew: float = 1.0, seed: int = 0
     ) -> "Committee":
-        return cls.from_source(SyntheticWeights(kind, n, total, skew=skew), seed=seed)
+        spec = WeightSpec(kind, n=n, total=total, skew=skew)
+        return cls.from_weight_spec(spec, seed=seed)
 
     @classmethod
     def uniform(cls, n: int) -> "Committee":
@@ -99,10 +92,11 @@ class Committee:
         return cls(weights=(1,) * n, provenance=f"uniform[{n}]")
 
     @classmethod
-    def from_weight_spec(cls, spec, *, seed: int = 0) -> "Committee":
-        """Build from a scenario ``WeightSpec`` (duck-typed: anything with
-        ``to_source()``), preserving the spec's materialization exactly."""
-        return cls.from_source(spec.to_source(), seed=seed)
+    def from_weight_spec(cls, spec: WeightSpec, *, seed: int = 0) -> "Committee":
+        """Materialize ``spec`` (deterministically in ``seed``)."""
+        return cls(
+            weights=tuple(spec.materialize(seed)), provenance=spec.describe(), seed=seed
+        )
 
     # -- views -------------------------------------------------------------------------
     @property

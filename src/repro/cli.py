@@ -14,9 +14,9 @@ on every backend::
     python -m repro.cli scenario zipf-stake-smr --backend inproc --json
 
 Weights come from ``--weights`` (inline), ``--weights-file`` (one number
-per line), or ``--chain`` (a calibrated snapshot); all three are parsed
-by the shared :mod:`repro.api.weight_source` module and materialize as a
-:class:`repro.api.Committee`, which also centralizes feasibility
+per line), or ``--chain`` (a calibrated snapshot); each flag has its
+own constructor on :class:`repro.api.Committee`, which builds the
+committee the subcommand runs on and also centralizes feasibility
 validation.  Solver output is the ticket assignment summary, or the full
 per-party list with ``--full-output``.  A ``cluster``, ``serve`` or
 ``scenario`` run is a scenario spec executed by the one scenario engine
@@ -37,16 +37,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .api import Committee, weight_source_from_args
+from .api import Committee
 from .core import (
     WeightQualification,
     WeightRestriction,
     WeightSeparation,
 )
 from .core.types import scale_weights_exact
+from .datasets import ALL_CHAINS
 from .scenarios import (
     SCENARIOS,
     FaultSpec,
@@ -83,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--weights-file", help="file with one weight per line"
         )
         source.add_argument(
-            "--chain",
-            choices=["aptos", "tezos", "filecoin", "algorand"],
-            help="calibrated chain snapshot",
+            "--chain", choices=list(ALL_CHAINS), help="calibrated chain snapshot"
         )
 
     def add_common(p: argparse.ArgumentParser, make_problem) -> None:
@@ -348,14 +348,18 @@ def _fail(args: argparse.Namespace, message) -> int:
 def _load_committee(args: argparse.Namespace, seed: int = 0) -> Optional[Committee]:
     """The committee named by the mutually-exclusive weight-source flags
     (``None`` when the subcommand allows running without one)."""
-    source = weight_source_from_args(
-        weights=args.weights,
-        weights_file=args.weights_file,
-        chain=args.chain,
-    )
-    if source is None:
+    if args.weights is not None:
+        n = len(args.weights)
+        committee = Committee.from_weights(args.weights, provenance=f"inline[{n}]")
+    elif args.weights_file is not None:
+        committee = Committee.from_file(args.weights_file)
+    elif args.chain is not None:
+        committee = Committee.from_chain(args.chain)
+    else:
         return None
-    return Committee.from_source(source, seed=seed)
+    # ``_committee_spec`` copies this seed into the spec a run executes;
+    # ``replace`` normalizes the weights again, so only a seeded run pays.
+    return replace(committee, seed=seed) if seed else committee
 
 
 # -- solver subcommands (wr / wq / ws) -------------------------------------------------

@@ -1,5 +1,6 @@
-"""Weight-distribution datasets: synthetic generators, calibrated chain
-snapshots, and the bootstrap harness (paper, Section 7)."""
+"""Weight-distribution datasets: the :class:`WeightSpec` recipe, synthetic
+generators, calibrated chain snapshots, and the bootstrap harness
+(paper, Section 7)."""
 
 from .bootstrap import BootstrapResult, bootstrap_average, resample
 from .chains import ALL_CHAINS, ChainSnapshot, algorand, aptos, filecoin, load_chain, tezos
@@ -13,8 +14,12 @@ from .synthetic import (
     uniform_weights,
     zipf_weights,
 )
+from .weights import SYNTHETIC_KINDS, WEIGHT_KINDS, WeightSpec
 
 __all__ = [
+    "WeightSpec",
+    "SYNTHETIC_KINDS",
+    "WEIGHT_KINDS",
     "ChainSnapshot",
     "ALL_CHAINS",
     "load_chain",

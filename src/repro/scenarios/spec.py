@@ -11,7 +11,8 @@ protocol x distribution x fault-model matrix on both backends.
 Specs are plain data: every field round-trips through ``to_dict`` /
 ``from_dict`` (hence JSON), and materialization is deterministic for a
 fixed seed -- two runs of the same spec draw identical weight vectors,
-payloads, and fault timings.
+payloads, and fault timings.  The weight recipe, :class:`WeightSpec`,
+lives in :mod:`repro.datasets.weights` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..chaos.schedule import ChaosSpec
+from ..datasets.weights import WeightSpec
 from .drivers import PROTOCOLS
 
 __all__ = [
@@ -30,67 +32,6 @@ __all__ = [
     "WorkloadSpec",
     "ScenarioSpec",
 ]
-
-#: weight-distribution kinds understood by :meth:`WeightSpec.materialize`
-WEIGHT_KINDS = (
-    "explicit",
-    "constant",
-    "uniform",
-    "zipf",
-    "pareto",
-    "lognormal",
-    "exponential",
-    "chain",
-)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Where a scenario's weight vector comes from.
-
-    ``kind`` selects a generator from :mod:`repro.datasets.synthetic`, a
-    calibrated chain snapshot from :mod:`repro.datasets.chains` (truncated
-    to the ``n`` heaviest parties so the resulting cluster stays
-    runnable), or an explicit vector.
-    """
-
-    kind: str
-    n: int = 0
-    total: int = 0
-    #: skew parameter: ``s`` for zipf, ``alpha`` for pareto, ``sigma`` for
-    #: lognormal, ``rate`` for exponential (unused otherwise)
-    skew: float = 1.0
-    #: chain name for ``kind="chain"``
-    chain: str = ""
-    #: the vector itself for ``kind="explicit"``
-    values: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}; one of {WEIGHT_KINDS}")
-        if self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit weights need a non-empty values tuple")
-        elif self.kind == "chain":
-            if not self.chain or self.n < 1:
-                raise ValueError("chain weights need a chain name and n >= 1")
-        elif self.n < 1 or self.total < self.n:
-            raise ValueError("generated weights need n >= 1 and total >= n")
-
-    def to_source(self):
-        """This spec as a :class:`repro.api.weight_source.WeightSource`
-        (the canonical resolution recipe; ``materialize`` delegates here)."""
-        from ..api.weight_source import ChainWeights, InlineWeights, SyntheticWeights
-
-        if self.kind == "explicit":
-            return InlineWeights(self.values)
-        if self.kind == "chain":
-            return ChainWeights(self.chain, n=self.n)
-        return SyntheticWeights(self.kind, self.n, self.total, skew=self.skew)
-
-    def materialize(self, seed: int) -> list[int]:
-        """The concrete integer weight vector (deterministic in ``seed``)."""
-        return self.to_source().resolve(seed)
 
 
 @dataclass(frozen=True)

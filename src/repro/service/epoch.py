@@ -11,9 +11,9 @@ the resulting ticket assignment is identical to a cold solve by
 construction.
 
 Weight evolution is described by a :class:`WeightSchedule` -- the
-service-side analogue of :class:`~repro.api.weight_source.WeightSource`:
-where a source resolves one vector per seed, a schedule resolves one
-vector per *epoch*.  :class:`DriftSchedule` is the built-in
+service-side analogue of :class:`~repro.datasets.WeightSpec`: where a
+spec materializes one vector per seed, a schedule resolves one vector
+per *epoch*.  :class:`DriftSchedule` is the built-in
 implementation: an initial vector plus dated per-party deltas, with
 optional scenario-time events that *trigger* rotations (the third
 rotation trigger next to slot-count and wall-clock).

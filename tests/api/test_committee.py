@@ -1,69 +1,93 @@
-"""The Committee value object and the WeightSource abstraction."""
+"""The Committee value object and the WeightSpec recipe it builds from."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.api import (
-    ChainWeights,
-    Committee,
-    CommitteeValidationError,
-    FileWeights,
-    InlineWeights,
-    SyntheticWeights,
-    weight_source_from_args,
-)
+from repro.api import Committee, CommitteeValidationError
+from repro.datasets import SYNTHETIC_KINDS, WEIGHT_KINDS, WeightSpec, load_chain
 
 STAKE = (40, 25, 15, 10, 5, 3, 1, 1)
 
 
 class TestWeightSources:
     def test_inline_round_trips_verbatim(self):
-        src = InlineWeights(["1/2", 3, 0.25])
-        assert src.resolve() == ["1/2", 3, 0.25]
-        assert src.resolve(seed=9) == src.resolve(seed=0)  # seed ignored
+        assert Committee.from_weights(["1/2", 3, 0.25]).weights == ("1/2", 3, 0.25)
+        spec = WeightSpec("explicit", values=STAKE)
+        assert spec.materialize(9) == spec.materialize(0) == list(STAKE)  # seed ignored
 
     def test_inline_rejects_empty(self):
-        with pytest.raises(ValueError):
-            InlineWeights([])
+        with pytest.raises(ValueError, match="non-empty"):
+            WeightSpec("explicit")
 
     def test_file_skips_blank_lines(self, tmp_path):
         f = tmp_path / "w.txt"
         f.write_text("100\n50\n\n25\n")
-        assert FileWeights(str(f)).resolve() == ["100", "50", "25"]
+        assert Committee.from_file(str(f)).weights == ("100", "50", "25")
 
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("\n\n")
         with pytest.raises(ValueError, match="no weights"):
-            FileWeights(str(f)).resolve()
+            Committee.from_file(str(f))
 
     def test_chain_full_and_truncated(self):
-        from repro.datasets import load_chain
-
-        full = ChainWeights("tezos").resolve()
-        assert full == list(load_chain("tezos").weights)
-        top = ChainWeights("tezos", n=12).resolve()
-        assert len(top) == 12
+        full = list(load_chain("tezos").weights)
+        assert list(Committee.from_chain("tezos").weights) == full
+        top = WeightSpec("chain", chain="tezos", n=12).materialize(0)
         assert top == sorted(full, reverse=True)[:12]
 
+    def test_chain_name_follows_load_chain_case_rule(self):
+        assert WeightSpec("chain", chain="APTOS", n=3).materialize(0) == sorted(
+            load_chain("aptos").weights, reverse=True
+        )[:3]
+
+    def test_unknown_chain_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown chain 'nope'"):
+            WeightSpec("chain", chain="nope", n=5)
+
+    def test_chain_shorter_than_n_rejected(self):
+        spec = WeightSpec("chain", chain="aptos", n=500)
+        with pytest.raises(ValueError, match="104 parties, fewer than n=500"):
+            spec.materialize(0)
+        with pytest.raises(ValueError, match="fewer than n=500"):
+            Committee.from_weight_spec(spec)
+
     def test_synthetic_deterministic_in_seed(self):
-        src = SyntheticWeights("zipf", n=50, total=5000, skew=1.2)
-        assert src.resolve(seed=3) == src.resolve(seed=3)
-        assert src.resolve(seed=3) != src.resolve(seed=4)
-        assert sum(src.resolve(seed=3)) == 5000
+        spec = WeightSpec("zipf", n=50, total=5000, skew=1.2)
+        assert spec.materialize(3) == spec.materialize(3)
+        assert spec.materialize(3) != spec.materialize(4)
+        assert sum(spec.materialize(3)) == 5000
+        assert Committee.synthetic("zipf", 50, 5000, skew=1.2, seed=3).int_weights == (
+            spec.materialize(3)
+        )
 
     def test_synthetic_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown synthetic kind"):
-            SyntheticWeights("cauchy", n=5, total=50)
+        with pytest.raises(ValueError, match="unknown weight kind 'cauchy'"):
+            WeightSpec("cauchy", n=5, total=50)
+        with pytest.raises(ValueError, match="unknown weight kind"):
+            Committee.synthetic("cauchy", n=5, total=50)
 
-    def test_from_args_dispatch(self, tmp_path):
-        assert weight_source_from_args() is None
-        assert isinstance(weight_source_from_args(weights=[1, 2]), InlineWeights)
-        assert isinstance(weight_source_from_args(weights_file="x"), FileWeights)
-        assert isinstance(weight_source_from_args(chain="aptos"), ChainWeights)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            weight_source_from_args(weights=[1], chain="aptos")
+    def test_kind_list_exists_once(self):
+        assert WEIGHT_KINDS == ("explicit", *SYNTHETIC_KINDS, "chain")
+
+    def test_one_recipe_type(self):
+        import repro.scenarios
+        import repro.scenarios.spec
+
+        assert repro.scenarios.WeightSpec is repro.scenarios.spec.WeightSpec is WeightSpec
+
+    def test_provenance_strings(self, tmp_path):
+        f = tmp_path / "w.txt"
+        f.write_text("3\n2\n")
+        assert WeightSpec("explicit", values=(3, 2, 1)).describe() == "inline[3]"
+        assert WeightSpec("chain", chain="aptos", n=12).describe() == "chain:aptos[top 12]"
+        assert (
+            Committee.synthetic("zipf", n=8, total=800, skew=1.2).provenance
+            == "zipf(n=8, total=800, skew=1.2)"
+        )
+        assert Committee.from_file(str(f)).provenance == f"file:{f}"
+        assert Committee.from_chain("aptos").provenance == "chain:aptos"
 
 
 class TestCommittee:
@@ -102,8 +126,6 @@ class TestCommittee:
         assert a == b
 
     def test_from_weight_spec_matches_materialize(self):
-        from repro.scenarios import WeightSpec
-
         spec = WeightSpec(kind="lognormal", n=20, total=2000, skew=1.5)
         c = Committee.from_weight_spec(spec, seed=11)
         assert c.int_weights == spec.materialize(11)

@@ -174,7 +174,8 @@ class TestPinnedVectors:
         assert _digest(load_chain(chain).weights) == digest
 
     def test_every_synthetic_kind(self):
-        from repro.api import SYNTHETIC_KINDS, Committee
+        from repro.api import Committee
+        from repro.datasets import SYNTHETIC_KINDS
 
         digests = {
             kind: _digest(

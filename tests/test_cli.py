@@ -513,6 +513,46 @@ class TestServe:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == SERVE_DIGESTS[extra]
 
+    @pytest.mark.parametrize("flag", ["--weights", "--weights-file"])
+    def test_seed_is_recorded_for_a_weight_flag(self, flag, tmp_path, capsys):
+        stake = ["40", "25", "15", "10", "5", "3", "1", "1"]
+        if flag == "--weights-file":
+            f = tmp_path / "w.txt"
+            f.write_text("\n".join(stake) + "\n")
+            source = [flag, str(f)]
+        else:
+            source = [flag, *stake]
+        assert main(["serve", *source, "--seed", "3", "--requests", "8", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--weights", "40", "30", "20", "10"], ["--weights-file"], ["--chain", "aptos"]],
+        ids=["weights", "weights-file", "chain"],
+    )
+    def test_every_weight_flag_carries_the_seed_into_the_spec(
+        self, source, tmp_path, monkeypatch, capsys
+    ):
+        # The spec is captured, not run: a 104-party aptos service run
+        # takes about a minute.
+        import repro.cli
+
+        if source == ["--weights-file"]:
+            f = tmp_path / "w.txt"
+            f.write_text("40\n30\n20\n10\n")
+            source = [*source, str(f)]
+        runs = []
+
+        def capture(spec, **kwargs):
+            runs.append((spec, kwargs["committee"]))
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(repro.cli, "run_scenario", capture)
+        assert main(["serve", *source, "--seed", "3", "--json"]) == 2
+        assert "captured" in capsys.readouterr().err
+        [(spec, committee)] = runs
+        assert spec.seed == committee.seed == 3
+
     def test_json_is_the_scenario_record_of_the_same_spec(self, capsys):
         # One engine: `repro serve` is a service spec run by run_scenario.
         assert main(["serve", "--drift", "1:0:150", "--json"]) == 0

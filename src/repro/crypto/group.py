@@ -272,20 +272,24 @@ _ENGINES: dict[tuple[int, int], GroupEngine] = {}
 _FIELDS: dict[int, PrimeField] = {}
 
 
-def batch_bisect(items, aggregate_holds, oracle, *, leaf_size: int = 2) -> list[bool]:
+#: chunks of at most this many items skip the aggregate and go to the oracle
+_BISECT_LEAF = 2
+
+
+def batch_bisect(items, aggregate_holds, oracle) -> list[bool]:
     """Per-item verdicts via aggregate-accept / bisect-on-failure.
 
     The shared skeleton of every random-linear-combination batch
     verifier: a chunk whose ``aggregate_holds`` check passes is accepted
     wholesale; a failing chunk is split in half (the caller's aggregate
     draws fresh randomness each call, re-randomizing every level); chunks
-    of at most ``leaf_size`` are settled by the per-item ``oracle``.
+    of at most ``_BISECT_LEAF`` are settled by the per-item ``oracle``.
     Returns one bool per item, positionally.
     """
     results: dict[int, bool] = {}
 
     def resolve(chunk: list) -> None:
-        if len(chunk) <= leaf_size:
+        if len(chunk) <= _BISECT_LEAF:
             for pos, item in chunk:
                 results[pos] = oracle(item)
             return

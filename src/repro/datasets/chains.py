@@ -128,9 +128,9 @@ ALL_CHAINS: dict[str, Callable[..., ChainSnapshot]] = {
 
 
 def load_chain(name: str, seed: int = 2023) -> ChainSnapshot:
-    """Load a calibrated snapshot by chain name."""
-    try:
-        factory = ALL_CHAINS[name.lower()]
-    except KeyError:
-        raise KeyError(f"unknown chain {name!r}; options: {sorted(ALL_CHAINS)}")
+    """Load a calibrated snapshot by chain name (case-insensitive); an
+    unknown name is a ``ValueError``, as in :class:`~repro.datasets.WeightSpec`."""
+    factory = ALL_CHAINS.get(name.lower())
+    if factory is None:
+        raise ValueError(f"unknown chain {name!r}; options: {sorted(ALL_CHAINS)}")
     return factory(seed=seed)

@@ -83,13 +83,12 @@ class ParallelExecutor:
         items: Iterable[Any],
         *,
         progress: Optional[Callable[[int, Any], None]] = None,
-        chunksize: Optional[int] = None,
     ) -> list:
         """Apply ``fn`` to every item; results in submission order.
 
         ``progress(index, result)`` fires in index order as results are
-        merged.  ``chunksize`` defaults to 1 -- work units here are
-        coarse (an episode, a scenario), so per-item dispatch costs
+        merged.  Items are dispatched one at a time -- work units here
+        are coarse (an episode, a scenario), so per-item dispatch costs
         nothing and keeps uneven items load-balanced.
         """
         items = list(items)
@@ -105,9 +104,7 @@ class ParallelExecutor:
         ctx = multiprocessing.get_context(self._start_method)
         with ctx.Pool(processes=workers) as pool:
             out = []
-            for index, result in enumerate(
-                pool.imap(fn, items, chunksize or 1)
-            ):
+            for index, result in enumerate(pool.imap(fn, items)):
                 out.append(result)
                 if progress is not None:
                     progress(index, result)

@@ -22,6 +22,15 @@ The randomness beacon is this protocol too: a
 checkpoints are epoch messages; it overrides the
 :meth:`CheckpointParty._admits` predicate to refuse any other.
 
+Key custody: a party holds the public scheme, the ticket layout and its
+own key -- nothing else of the dealing
+(``tests/protocols/test_key_custody.py``) -- so Theorem 4.2's exclusion
+is checked at the protocol: the heaviest coalition under a third of the
+weight starts an epoch with its own keys and no party opens it
+(``tests/protocols/test_beacon_exclusion.py``).  The dealer is trusted,
+as the paper's setup assumes; holders do not check their shares against
+the commitment.
+
 Certificate assembly is a hot path when checkpoints are frequent: the
 share combine interpolates at zero over the quorum's share indices,
 which stabilize after the first certificate -- the Lagrange coefficients

@@ -53,6 +53,10 @@ _WATERMARK_EVERY = 16
 #: default cap on the frames a *down* link keeps queued for its reborn
 #: peer (drop-oldest beyond it; see ``TcpTransport._shed``)
 DEFAULT_RETRY_LIMIT = 256
+#: heartbeat period (seconds) and the silent periods after which a remote
+#: peer is suspected
+_HEARTBEAT_INTERVAL = 0.2
+_HEARTBEAT_SUSPECT_AFTER = 3
 
 #: synchronous delivery callback: ``handler(src, message)``
 Handler = Callable[[int, Any], None]
@@ -463,8 +467,6 @@ class TcpTransport(Transport):
     def enable_heartbeat(
         self,
         *,
-        interval: float = 0.2,
-        suspect_after: int = 3,
         on_suspect: Optional[Callable[[int], None]] = None,
         on_alive: Optional[Callable[[int], None]] = None,
     ) -> None:
@@ -474,8 +476,8 @@ class TcpTransport(Transport):
         remote = [pid for pid in self._peers if pid not in self._servers]
         self.heartbeat = HeartbeatMonitor(
             remote,
-            interval=interval,
-            suspect_after=suspect_after,
+            interval=_HEARTBEAT_INTERVAL,
+            suspect_after=_HEARTBEAT_SUSPECT_AFTER,
             on_suspect=on_suspect,
             on_alive=on_alive,
         )

@@ -17,6 +17,20 @@ the one stop rule is met (:class:`_StopRule`), and **finish** by
 assembling the record (:func:`_finish`).  What stays per backend is only
 what truly differs: how parties and a clock are built, and how to wait.
 
+There is one host of each kind: a :class:`~repro.sim.runner.World` on
+the simulator (virtual time) and a :class:`~repro.runtime.cluster.Cluster`
+on a live transport (wall time since ``start()``); service runs host
+their generations on one of them too.  Only the proc worker wires its
+single node itself, because its parent's commands drive its life cycle.
+A failure ends the run the same way everywhere.  A handler that raises
+propagates out of ``World.run`` on the sim; on a live backend its node
+records it and is handed nothing more, and the cluster's next poll
+raises ``RuntimeError("node N failed while pumping messages")`` chained
+to it (a proc worker reports it, and the parent raises ``ProcError``).
+A scheduled callback that raises -- an epoch's workload, a chaos stage,
+a trigger poll -- is kept by :class:`_LiveSchedule` and re-raised the
+same way.
+
 The result is a unified, JSON-able metrics record.  On the sim backend
 the record is fully deterministic for a fixed seed -- byte-identical
 across runs -- which the determinism regression test pins down.  Across

@@ -31,7 +31,7 @@ Quick start::
 """
 
 from .backends import InprocServiceBackend, ServiceBackend, SimServiceBackend
-from .epoch import DriftSchedule, EpochManager, WeightSchedule
+from .epoch import DriftSchedule, EpochManager
 from .load import LoadGenerator
 from .metrics import EpochRecord, ServiceMetrics, ServiceResult
 from .scenario import run_service_spec
@@ -49,6 +49,5 @@ __all__ = [
     "ServiceMetrics",
     "ServiceResult",
     "SimServiceBackend",
-    "WeightSchedule",
     "run_service_spec",
 ]

@@ -10,11 +10,10 @@ the previous epoch's memoized price stream instead of re-solving cold;
 the resulting ticket assignment is identical to a cold solve by
 construction.
 
-Weight evolution is described by a :class:`WeightSchedule` -- the
+Weight evolution is described by a :class:`DriftSchedule` -- the
 service-side analogue of :class:`~repro.datasets.WeightSpec`: where a
 spec materializes one vector per seed, a schedule resolves one vector
-per *epoch*.  :class:`DriftSchedule` is the built-in
-implementation: an initial vector plus dated per-party deltas, with
+per *epoch*: an initial vector plus dated per-party deltas, with
 optional scenario-time events that *trigger* rotations (the third
 rotation trigger next to slot-count and wall-clock).
 """
@@ -22,33 +21,18 @@ rotation trigger next to slot-count and wall-clock).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..api.committee import Committee, CommitteeValidationError
 from ..api.policy import IncrementalSolver, TicketAssignmentResult
 from ..core.problems import WeightRestriction
 from ..core.types import Number
 
-__all__ = ["WeightSchedule", "DriftSchedule", "EpochManager"]
-
-
-class WeightSchedule:
-    """Where each epoch's weight vector comes from.
-
-    Subclasses implement :meth:`resolve`; :meth:`event_times` optionally
-    names scenario times at which the schedule *changes* -- the service
-    turns those into weight-delta rotation triggers.
-    """
-
-    def resolve(self, epoch: int) -> Sequence[Number]:
-        raise NotImplementedError
-
-    def event_times(self) -> tuple[float, ...]:
-        return ()
+__all__ = ["DriftSchedule", "EpochManager"]
 
 
 @dataclass(frozen=True)
-class DriftSchedule(WeightSchedule):
+class DriftSchedule:
     """An initial vector plus dated stake deltas.
 
     ``drifts`` entries are ``(epoch, party, new_weight)``: from ``epoch``
@@ -90,6 +74,8 @@ class DriftSchedule(WeightSchedule):
         return ws
 
     def event_times(self) -> tuple[float, ...]:
+        """Scenario times at which the service rotates because the
+        schedule changed."""
         return self.times
 
 
@@ -105,18 +91,15 @@ class EpochManager:
 
     def __init__(
         self,
-        schedule: WeightSchedule,
+        schedule: DriftSchedule,
         *,
         f_w: Number = "1/3",
-        problem=None,
-        max_delta: int = 16,
     ) -> None:
         self.schedule = schedule
         self.f_w = f_w
         # WR(f_w, 1/2) is the service's threshold-primitive problem (the
         # common-coin / checkpoint transformation of Sections 4.1 / 4.3).
-        self.problem = problem or WeightRestriction(f_w, "1/2")
-        self.solver = IncrementalSolver(self.problem, max_delta=max_delta)
+        self.solver = IncrementalSolver(WeightRestriction(f_w, "1/2"))
 
     def next_committee(
         self, epoch: int

@@ -5,7 +5,7 @@ batches them into pipelined consensus *slots* driven by the composed SMR
 of Section 6.1 (one weighted Bracha RBC per proposer per slot, coin-keyed
 ordering), and rotates its committee between epochs: on a trigger (slot
 count, scenario clock, or a weight-delta event from the
-:class:`~repro.service.epoch.WeightSchedule`) it drains the open slots,
+:class:`~repro.service.epoch.DriftSchedule`) it drains the open slots,
 certifies the epoch's log digest with the blunt weighted threshold
 signature of Section 4.3 (the checkpoint handover), re-forms the
 committee via the :class:`~repro.service.epoch.EpochManager` -- whose
@@ -70,6 +70,10 @@ def decode_batch(data: bytes) -> list[tuple[int, bytes]]:
     return out
 
 
+#: most requests batched into one slot (across all proposers)
+MAX_BATCH = 256
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one service run."""
@@ -79,8 +83,6 @@ class ServiceConfig:
     #: seconds between slot-cut attempts (a slot is only cut when requests
     #: are pending, so an idle service sends nothing)
     slot_interval: float = 0.05
-    #: most requests batched into one slot (across all proposers)
-    max_batch: int = 256
     #: rotate after this many slots in an epoch (0 = no slot-count trigger)
     slots_per_epoch: int = 0
     #: rotate after this much scenario time in an epoch (0 = no clock trigger)
@@ -101,8 +103,6 @@ class ServiceConfig:
         # the clock never reaches max_time and the run never ends.
         if self.slot_interval <= 0:
             raise ValueError(f"slot_interval must be positive, got {self.slot_interval}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         for name in ("slots_per_epoch", "epoch_seconds", "max_pending", "request_deadline"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -315,7 +315,7 @@ class EpochService:
             self._shed_expired(now)
             if not self.pending:
                 return
-        take = min(len(self.pending), self.config.max_batch)
+        take = min(len(self.pending), MAX_BATCH)
         assigned: list[list[tuple[int, bytes]]] = [[] for _ in range(self.n)]
         for j in range(take):
             assigned[j % self.n].append(self.pending.popleft())

@@ -65,8 +65,6 @@ def blunt_setup(
     weights: Sequence[Number],
     f_w: Number,
     alpha_n: Number,
-    *,
-    mode: str = "full",
 ) -> BluntSetup:
     """Solve ``WR(f_w, alpha_n)`` (requires ``alpha_n <= 1/2`` for the
     honest-liveness half of bluntness) and package the virtual-user map."""
@@ -75,7 +73,7 @@ def blunt_setup(
         raise ValueError(
             "blunt access structures need alpha_n <= 1/2 (Theorem 4.2)"
         )
-    result = Swiper(mode=mode).solve(WeightRestriction(aw, an), weights)
+    result = Swiper().solve(WeightRestriction(aw, an), weights)
     vmap = VirtualUserMap(result.assignment)
     threshold = _ceil_frac(an * vmap.total_virtual)
     return BluntSetup(result=result, vmap=vmap, alpha_n=an, threshold=threshold)
@@ -139,8 +137,6 @@ def black_box_setup(
     weights: Sequence[Number],
     f_n: Number,
     epsilon: Number,
-    *,
-    mode: str = "full",
 ) -> BlackBoxSetup:
     """Solve ``WR(f_n - epsilon, f_n)`` for the black-box transformation."""
     fn = as_fraction(f_n)
@@ -149,7 +145,7 @@ def black_box_setup(
         raise ValueError("need 0 < epsilon < f_n")
     fw = fn - eps
     weights = normalize_weights(weights)
-    result = Swiper(mode=mode).solve(WeightRestriction(fw, fn), weights)
+    result = Swiper().solve(WeightRestriction(fw, fn), weights)
     return BlackBoxSetup(
         result=result,
         vmap=VirtualUserMap(result.assignment),
@@ -191,14 +187,12 @@ def qualification_setup(
     weights: Sequence[Number],
     beta_w: Number,
     beta_n: Number,
-    *,
-    mode: str = "full",
 ) -> QualificationSetup:
     """Solve ``WQ(beta_w, beta_n)``: any subset heavier than ``beta_w W``
     holds more than ``beta_n T`` fragments, hence at least
     ``ceil(beta_n T)`` -- enough to reconstruct."""
     bw, bn = as_fraction(beta_w), as_fraction(beta_n)
-    result = Swiper(mode=mode).solve(WeightQualification(bw, bn), weights)
+    result = Swiper().solve(WeightQualification(bw, bn), weights)
     return QualificationSetup(
         result=result, vmap=VirtualUserMap(result.assignment), beta_n=bn
     )
@@ -244,8 +238,6 @@ def error_correction_setup(
     weights: Sequence[Number],
     f_w: Number = Fraction(1, 3),
     rate: Number = Fraction(1, 4),
-    *,
-    mode: str = "full",
 ) -> ErrorCorrectionSetup:
     """Section 5.2's parameterization: ``beta_w = 1 - f_w`` (the honest
     weight fraction) and ``beta_n = rate/2 + 1/2`` so that honest
@@ -259,7 +251,7 @@ def error_correction_setup(
         )
     beta_w = 1 - fw
     beta_n = r / 2 + Fraction(1, 2)
-    result = Swiper(mode=mode).solve(WeightQualification(beta_w, beta_n), weights)
+    result = Swiper().solve(WeightQualification(beta_w, beta_n), weights)
     return ErrorCorrectionSetup(
         result=result,
         vmap=VirtualUserMap(result.assignment),

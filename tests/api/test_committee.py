@@ -46,6 +46,10 @@ class TestWeightSources:
         with pytest.raises(ValueError, match="unknown chain 'nope'"):
             WeightSpec("chain", chain="nope", n=5)
 
+    def test_unknown_chain_is_one_error_type(self):
+        with pytest.raises(ValueError, match="unknown chain 'nope'"):
+            Committee.from_chain("nope")
+
     def test_chain_shorter_than_n_rejected(self):
         spec = WeightSpec("chain", chain="aptos", n=500)
         with pytest.raises(ValueError, match="104 parties, fewer than n=500"):

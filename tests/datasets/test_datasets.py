@@ -136,7 +136,7 @@ class TestChains:
     def test_registry(self):
         assert set(ALL_CHAINS) == {"aptos", "tezos", "filecoin", "algorand"}
         assert load_chain("Tezos").name == "tezos"
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown chain"):
             load_chain("bitcoin")
 
     def test_determinism(self):

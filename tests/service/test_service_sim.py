@@ -145,7 +145,6 @@ class TestConfigValidation:
         [
             ("slot_interval", 0),
             ("slot_interval", -0.01),
-            ("max_batch", 0),
             ("slots_per_epoch", -1),
             ("epoch_seconds", -0.5),
             ("max_pending", -1),

@@ -17,18 +17,18 @@ Run:  PYTHONPATH=src python examples/epoch_service.py
 """
 
 from repro.api import Committee
+from repro.runtime import LiveHost
 from repro.service import (
     DriftSchedule,
     EpochManager,
     EpochService,
-    InprocServiceBackend,
     LoadGenerator,
     ServiceConfig,
-    SimServiceBackend,
 )
+from repro.sim import SimHost
 
 
-def build_service(backend, *, seed=0):
+def build_service(host, *, seed=0):
     committee = Committee.synthetic("zipf", n=6, total=600, skew=1.2, seed=seed)
     committee.validate(f_w="1/3")
     weights = tuple(committee.int_weights)
@@ -43,7 +43,7 @@ def build_service(backend, *, seed=0):
     manager = EpochManager(schedule, f_w="1/3")
     config = ServiceConfig(slot_interval=0.05, slots_per_epoch=3, max_time=60.0)
     load = LoadGenerator(rate=60.0, requests=36, payload_size=32, seed=seed)
-    return EpochService(backend, manager, config, seed=seed, load=load)
+    return EpochService(host, manager, config, seed=seed, load=load)
 
 
 def describe(result, service):
@@ -70,7 +70,7 @@ def describe(result, service):
 
 def main():
     print("== sim backend (virtual time, fully deterministic) ==")
-    sim_service = build_service(SimServiceBackend(seed=0))
+    sim_service = build_service(SimHost())
     sim_result = sim_service.run()
     describe(sim_result, sim_service)
     modes = [e.solver_mode for e in sim_service.metrics.epochs]
@@ -79,12 +79,12 @@ def main():
           f"incremental re-solve(s)")
 
     print("\n== inproc backend (live asyncio runtime, wall clock) ==")
-    live_service = build_service(InprocServiceBackend())
+    live_service = build_service(LiveHost())
     live_result = live_service.run()
     describe(live_result, live_service)
 
     assert sim_result.completed and live_result.completed
-    print("\nSame service, two execution backends, gap-free logs on both.")
+    print("\nSame service, two hosts, gap-free logs on both.")
 
 
 if __name__ == "__main__":

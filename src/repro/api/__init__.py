@@ -25,8 +25,8 @@ One facade over the whole pipeline::
 * a run is a :class:`~repro.scenarios.ScenarioSpec` executed by
   :func:`~repro.scenarios.run_scenario` on a backend, which accepts an
   already-resolved committee and emits the scenario engine's unified
-  record; a spec whose workload has ``kind="service"`` routes to the
-  service stack automatically.
+  record; a spec whose workload has ``kind="service"`` runs the epoch
+  service through the same lifecycle.
 
 Every other layer is imported from its own package (:mod:`repro.service`,
 :mod:`repro.adversary`, :mod:`repro.parallel`, :mod:`repro.recovery`,

@@ -517,7 +517,7 @@ def _run_cluster(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """``repro serve``: one ``kind="service"`` scenario spec run by the
-    scenario engine (:func:`repro.service.scenario.run_service_spec`).
+    scenario engine (as a :class:`repro.service.scenario.ServiceDriver`).
     ``--drift`` entries travel comma-joined in ``params["drift"]``; with
     no weight source the committee is :data:`_SERVE_WEIGHTS`."""
     params: tuple = (
@@ -671,7 +671,8 @@ def _run_scenario(args: argparse.Namespace) -> int:
 def _load_replay_specs(raw: str) -> list:
     """Replay-spec sources: an inline JSON line, ``@FILE`` (every JSON
     line of the file), or ``@DIR/`` (every JSON line of every file in the
-    directory, sorted by name)."""
+    directory, sorted by name).  An empty source replays nothing: the
+    ``--failures-out`` file of a clean campaign is empty."""
     import os
 
     if not raw.startswith("@"):
@@ -692,8 +693,6 @@ def _load_replay_specs(raw: str) -> list:
                 line = line.strip()
                 if line:
                     specs.append(json.loads(line))
-    if not specs:
-        raise ValueError(f"no replay specs found under {path!r}")
     return specs
 
 
@@ -753,7 +752,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
             timeout=args.timeout,
         )
         result = run_campaign(config, jobs=jobs)
-        if args.failures_out is not None and result.failures:
+        if args.failures_out is not None:
             result.write_failures(args.failures_out)
     except (ValueError, RuntimeError, TimeoutError, OSError) as exc:
         return _fail(args, exc)

@@ -318,12 +318,7 @@ class ProcCluster:
         self.spec = spec
         self.timeout = timeout
         self.host = host
-        self.driver = build_driver(spec, committee)
-        if not self.driver.proc_capable:
-            raise ValueError(
-                f"protocol {spec.protocol!r} is not supported on the proc "
-                "backend (its outputs need cross-node aggregation)"
-            )
+        self.driver = build_driver(spec, committee, backend="proc")
         # the parent hosts no party: its context only names the live nodes
         self.observers = self.driver.observers(
             _context(spec, self.driver, {}, None, FaultController())

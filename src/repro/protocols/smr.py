@@ -89,11 +89,3 @@ class SmrParty(BrachaHost):
         """The epoch's committed batches in deterministic coin order."""
         epoch_map = self.committed.get(epoch, {})
         return [epoch_map[pos] for pos in sorted(epoch_map)]
-
-    def epoch_closed(self, epoch: int) -> bool:
-        """Advisory: batches from a deliver quorum of proposers committed
-        (their vote weight ``> echo_need``; a position holds one
-        proposer's batch, so no proposer counts twice)."""
-        weights = self.quorums.vote_weights
-        committed = self.committed.get(epoch, {}).values()
-        return sum(weights[p] for p, _ in committed) > self.quorums.echo_need

@@ -13,7 +13,7 @@ reported byte counts are real wire payloads; the simulator sizes its
 messages with the same codec, so the counts agree across backends.
 """
 
-from .cluster import TRANSPORTS, Cluster, RuntimeMetrics, run_cluster
+from .cluster import TRANSPORTS, Cluster, LiveHost, RuntimeMetrics, run_cluster
 from .codec import CodecError, CodecRegistry, default_registry
 from .faults import DeliveryDecision, FaultController
 from .node import RuntimeNode
@@ -21,6 +21,7 @@ from .transport import InProcTransport, TcpTransport, Transport
 
 __all__ = [
     "Cluster",
+    "LiveHost",
     "RuntimeMetrics",
     "run_cluster",
     "TRANSPORTS",

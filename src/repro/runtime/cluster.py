@@ -9,11 +9,11 @@ wall-clock).
 Two entry styles:
 
 * ``async with Cluster(...) as cluster`` for tests and applications that
-  already live on an event loop (the epoch service, the ledger);
-* :func:`run_cluster` for synchronous callers (the scenario harness's
-  inproc/tcp backends -- and through it ``repro cluster`` -- the tests
-  and ``examples/live_cluster.py``): builds the loop, runs setup -> stop
-  condition -> teardown, returns the cluster with its frozen metrics.
+  already live on an event loop (the ledger);
+* :class:`LiveHost` for synchronous callers (the scenario harness's
+  inproc/tcp backends, the epoch service; :func:`run_cluster` for one
+  generation): builds the loop, runs setup -> stop condition -> drain
+  -> teardown.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .faults import FaultController
 from .node import RuntimeNode
 from .transport import InProcTransport, TcpTransport, Transport
 
-__all__ = ["RuntimeMetrics", "Cluster", "run_cluster", "TRANSPORTS"]
+__all__ = ["RuntimeMetrics", "Cluster", "LiveHost", "run_cluster", "TRANSPORTS"]
 
 #: transport name -> constructor, for CLI/config selection (``proc`` is
 #: :class:`TcpTransport` again, one node per worker process, orchestrated
@@ -244,6 +244,74 @@ class Cluster:
         self._raise_node_failures()
 
 
+class LiveHost:
+    """One run's generations of parties on one :class:`Cluster`, on a
+    wall clock that starts with the run: the live twin of
+    :class:`repro.sim.runner.SimHost`, with the same surface."""
+
+    def __init__(self, cluster: Optional[Cluster] = None) -> None:
+        self.cluster = cluster if cluster is not None else Cluster()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._t0 = 0.0
+
+    @property
+    def metrics(self) -> RuntimeMetrics:
+        return self.cluster.metrics
+
+    @property
+    def quiescent(self) -> bool:
+        return self.cluster.quiescent
+
+    def now(self) -> float:
+        assert self._loop is not None, "host is not running"
+        return self._loop.time() - self._t0
+
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        assert self._loop is not None, "host is not running"
+        self._loop.call_later(max(delay, 0.0), fn)
+
+    def spawn(self, factory: Callable[[int], Party], n: int, *, seed=None) -> list[Party]:
+        # a live link draws no delays, so it takes no network seed
+        return [node.party for node in self.cluster.spawn(factory, n)]
+
+    def retire(self, parties: list[Party]) -> None:
+        doomed = {id(party) for party in parties}
+        self.cluster.retire(
+            [node for node in self.cluster.nodes if id(node.party) in doomed]
+        )
+
+    def wake(self) -> None:
+        self.cluster.wake()
+
+    def run(
+        self,
+        setup: Callable[[], None],
+        stop_when: Callable[[], bool],
+        *,
+        timeout: float = 30.0,
+        poll: float = 0.002,
+        drain: bool = True,
+    ) -> None:
+        """Start, ``setup()``, poll ``stop_when()`` (``Cluster.run_until``),
+        settle to quiescence when ``drain``, stop; one ``timeout`` bounds
+        the wait and the drain together."""
+        asyncio.run(self._run(setup, stop_when, timeout, poll, drain))
+
+    async def _run(self, setup, stop_when, timeout, poll, drain) -> None:
+        self._loop = asyncio.get_running_loop()
+        deadline = time.perf_counter() + timeout
+        async with self.cluster:
+            self._t0 = self._loop.time()
+            setup()
+            await self.cluster.run_until(stop_when, timeout=timeout, poll=poll)
+            if drain:
+                # stop_when can turn true while trailing messages are still
+                # queued in outboxes; cutting them off would make the run's
+                # message/byte counts nondeterministic.
+                remaining = max(deadline - time.perf_counter(), 0.05)
+                await self.cluster.settle(timeout=remaining)
+
+
 def run_cluster(
     party_factory: Callable[[int], Party],
     n: Optional[int] = None,
@@ -263,30 +331,17 @@ def run_cluster(
     (default: settle to quiescence).  Returns the stopped cluster, whose
     ``metrics`` then hold the run's counters and latency.
     """
-
-    async def _drive() -> Cluster:
-        cluster = Cluster(
-            party_factory,
-            n,
-            transport=transport,
-            registry=registry,
-            faults=faults,
-            committee=committee,
-        )
-        # One deadline covers the stop condition AND the post-condition
-        # drain, so the caller's timeout bounds total wall time.
-        deadline = time.perf_counter() + timeout
-        async with cluster:
-            if setup is not None:
-                setup(cluster)
-            if stop_when is not None:
-                await cluster.run_until(lambda: stop_when(cluster), timeout=timeout)
-            # Drain to quiescence even after an explicit stop condition:
-            # stop_when can turn true while trailing messages are still
-            # queued in outboxes, and cutting them off would make the
-            # run's message/byte counts nondeterministic.
-            remaining = max(deadline - time.perf_counter(), 0.05)
-            await cluster.settle(timeout=remaining)
-        return cluster
-
-    return asyncio.run(_drive())
+    cluster = Cluster(
+        party_factory,
+        n,
+        transport=transport,
+        registry=registry,
+        faults=faults,
+        committee=committee,
+    )
+    LiveHost(cluster).run(
+        (lambda: setup(cluster)) if setup is not None else (lambda: None),
+        (lambda: stop_when(cluster)) if stop_when is not None else (lambda: True),
+        timeout=timeout,
+    )
+    return cluster

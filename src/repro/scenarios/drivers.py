@@ -66,6 +66,24 @@ class ProtocolDriver:
     #: ``n = 3t + 1`` thresholds (:func:`_quorums`)
     takes_nominal = False
 
+    #: the protocol a byzantine strategy must attack (None: the spec's)
+    attacked_as: Optional[str] = None
+
+    #: the run drains to quiescence once the stop rule is met
+    drains = True
+
+    #: seconds between two stop-rule polls on a live backend
+    poll = 0.002
+
+    @classmethod
+    def check(cls, spec: ScenarioSpec, backend: str) -> None:
+        """Refuse a spec this driver cannot run on ``backend``."""
+        if backend == "proc" and not cls.proc_capable:
+            raise ValueError(
+                f"protocol {spec.protocol!r} is not supported on the proc "
+                "backend (its outputs need cross-node aggregation)"
+            )
+
     @classmethod
     def nominal(cls, spec: ScenarioSpec) -> bool:
         """Whether ``params["quorums"]`` asks for nominal quorums; raises on
@@ -91,6 +109,8 @@ class ProtocolDriver:
         #: directory for durable per-party write-ahead logs (``None`` =
         #: in-memory WALs; set by ``build_driver`` from ``--state-dir``)
         self.state_dir: Optional[str] = None
+        #: the run's time budget (set by ``build_driver``)
+        self.timeout = 60.0
         self.weights = committee.int_weights
         self.timeline = compile_timeline(spec)  # the whole fault plan
         restart = any(stage.action == "restart" for stage in self.timeline.stages)
@@ -146,6 +166,10 @@ class ProtocolDriver:
         """Node ``nid``'s share of epoch ``epoch``'s workload."""
         raise NotImplementedError
 
+    def spawn(self, ctx: RunContext) -> None:
+        """Host the run's one generation, before the plan is armed."""
+        ctx.parties = dict(enumerate(ctx.spawn(self.factory, self.n_nodes)))
+
     def start(self, ctx: RunContext) -> None:
         """Schedule the workload: one event per epoch fires every live
         node hosted by ``ctx`` in node order (which fixes the sim's event
@@ -178,6 +202,13 @@ class ProtocolDriver:
 
     def done(self, ctx: RunContext) -> bool:
         return all(self.node_done(ctx, nid) for nid in self.observers(ctx))
+
+    def completed(self, ctx: RunContext) -> bool:
+        return self.done(ctx)
+
+    def sections(self, ctx: RunContext) -> dict:
+        """The driver's own record sections, by field name."""
+        return {}
 
     def outputs(self, ctx: RunContext) -> dict[str, str]:
         """Canonical decided values per observer (digest strings)."""

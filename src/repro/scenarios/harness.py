@@ -3,8 +3,9 @@ discrete-event simulator or the live asyncio runtime.
 
 The harness translates a declarative spec into the pieces an execution
 backend needs -- a party factory, workload entry points, a completion
-predicate, and a fault plan -- via the spec's protocol driver, looked up
-in :data:`repro.scenarios.drivers.DRIVERS`; nothing here names a
+predicate, and a fault plan -- via the spec's driver: the protocol's,
+looked up in :data:`repro.scenarios.drivers.DRIVERS`, or the epoch
+service's for a ``kind="service"`` workload; nothing here names a
 protocol.  Both backends
 share one :class:`~repro.runtime.faults.FaultController` implementation
 (the sim consults it at its delivery point, see
@@ -17,11 +18,14 @@ the one stop rule is met (:class:`_StopRule`), and **finish** by
 assembling the record (:func:`_finish`).  What stays per backend is only
 what truly differs: how parties and a clock are built, and how to wait.
 
-There is one host of each kind: a :class:`~repro.sim.runner.World` on
-the simulator (virtual time) and a :class:`~repro.runtime.cluster.Cluster`
-on a live transport (wall time since ``start()``); service runs host
-their generations on one of them too.  Only the proc worker wires its
-single node itself, because its parent's commands drive its life cycle.
+There is one host of each kind, and it hosts generations of parties: a
+:class:`~repro.sim.runner.SimHost` (one ``World`` per generation on one
+simulator, virtual time) and a :class:`~repro.runtime.cluster.LiveHost`
+(one ``Cluster`` on a live transport, wall time since the run started).
+A batch driver is one generation, spawned before the plan is armed; the
+epoch service spawns and retires its committees as it runs.  Only the
+proc worker wires its single node itself, because its parent's commands
+drive its life cycle.
 A failure ends the run the same way everywhere.  A handler that raises
 propagates out of ``World.run`` on the sim; on a live backend its node
 records it and is handed nothing more, and the cluster's next poll
@@ -64,14 +68,34 @@ class RunContext:
     """What a driver and the fault plan see of the running backend: the
     parties hosted here by node id (all of them on sim/inproc/tcp; a proc
     worker hosts exactly one), the live node ids, the fault controller
-    every link consults, and a scenario-time scheduler (sim: virtual
+    every link consults, a scenario-time scheduler (sim: virtual
     seconds via the simulator; runtime: wall seconds via
-    ``loop.call_later``)."""
+    ``loop.call_later``), and the host whose clock and generations
+    :meth:`now`, :meth:`spawn` and :meth:`retire` reach (none in a proc
+    worker, which wires its one party itself)."""
 
     parties: Mapping[int, Party]
     live_nodes: tuple[int, ...]
     schedule: Callable[[float, Callable[[], None]], None]
     faults: FaultController
+    host: Optional[object] = None
+
+    def now(self) -> float:
+        return self.host.now()
+
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        self.schedule(max(delay, 0.0), fn)
+
+    def spawn(self, factory: Callable[[int], Party], n: int, *, seed=None) -> list[Party]:
+        """Host parties ``0 .. n-1`` as a new generation."""
+        return self.host.spawn(factory, n, seed=seed)
+
+    def retire(self, group: list[Party]) -> None:
+        self.host.retire(group)
+
+    def wake(self) -> None:
+        """Have a live stop poll look now."""
+        self.host.wake()
 
     def party(self, nid: int) -> Party:
         return self.parties[nid]
@@ -204,10 +228,15 @@ def build_driver(
     spec: ScenarioSpec,
     committee=None,
     *,
+    backend: str = "sim",
+    timeout: float = 60.0,
     validate: bool = True,
     state_dir: Optional[str] = None,
 ) -> ProtocolDriver:
-    """Construct the spec's driver (committee resolved, adversary wired).
+    """Construct the spec's driver (committee resolved, adversary wired)
+    for one run of at most ``timeout`` seconds on ``backend``, which it
+    may refuse: the protocol's, or for a ``kind="service"`` workload a
+    :class:`~repro.service.scenario.ServiceDriver`.
 
     Every piece is a deterministic function of the spec, which is what
     makes the ``proc`` backend possible: each worker process rebuilds an
@@ -218,9 +247,18 @@ def build_driver(
     """
     from ..api.committee import Committee
 
+    if spec.workload.kind == "service":
+        # imported on use: the service loads the protocol modules, which
+        # importing the scenario engine must not
+        from ..service.scenario import ServiceDriver
+
+        driver_cls = ServiceDriver
+    else:
+        driver_cls = DRIVERS[spec.protocol]
+    if validate:
+        driver_cls.check(spec, backend)
     if committee is None:
         committee = Committee.from_weight_spec(spec.weights, seed=spec.seed)
-    driver_cls = DRIVERS[spec.protocol]
     nominal = driver_cls.nominal(spec)
     if validate:
         committee.validate(
@@ -243,9 +281,10 @@ def build_driver(
         # stage: it carries the plan's liveness claim and budget check.
         from ..adversary.strategies import Adversary
 
-        adversary = Adversary(spec, committee)
+        adversary = Adversary(spec, committee, protocol=driver_cls.attacked_as)
     driver = driver_cls(spec, committee, adversary)
     driver.state_dir = state_dir
+    driver.timeout = timeout
     if adversary is not None:
         # Corrupt at construction: every backend builds every party
         # through this factory, so the corruption is backend-agnostic.
@@ -256,7 +295,7 @@ def build_driver(
 # -- the run lifecycle: arm, stop rule, finish -------------------------------------------
 
 
-def _context(spec, driver, parties, schedule, faults) -> RunContext:
+def _context(spec, driver, parties, schedule, faults, host=None) -> RunContext:
     """The backend's :class:`RunContext` over ``parties`` (node id ->
     hosted party); the live nodes are the spec's, in node-id terms."""
     crashed = {nid for pid in spec.faults.crashes for nid in driver.map_pid(pid)}
@@ -264,7 +303,7 @@ def _context(spec, driver, parties, schedule, faults) -> RunContext:
     if not live_nodes:
         raise ValueError("fault plan crashes every node; nothing left to run")
     return RunContext(
-        parties=parties, live_nodes=live_nodes, schedule=schedule, faults=faults
+        parties=parties, live_nodes=live_nodes, schedule=schedule, faults=faults, host=host
     )
 
 
@@ -323,7 +362,8 @@ class _StopRule:
     time up to the horizon has then passed, and quiet without ``done()``
     *is* the stall.  inproc/tcp poll it from the cluster's stop
     condition, the proc parent from its status poll; each then drains
-    to quiescence so trailing messages are counted, as on the sim.
+    to quiescence so trailing messages are counted, as on the sim -- or
+    end at once, for a driver that does not drain (the epoch service).
     """
 
     def __init__(self, spec, driver) -> None:
@@ -361,10 +401,10 @@ def _assemble(
     """The one place a :class:`ScenarioResult` is put together.
 
     Identity and counter fields derive from the committee and one
-    message-counter object the same way for every backend (and for
-    service workloads); ``fields`` carries the outcome, the fault
-    counters, the backend's clock (``sim_time``/``sim_events`` or
-    ``wall_seconds``) and the optional record sections.
+    message-counter object the same way for every backend; ``fields``
+    carries the outcome, the fault counters, the backend's clock
+    (``sim_time``/``sim_events`` or ``wall_seconds``) and the optional
+    record sections.
     """
     return ScenarioResult(
         spec=spec,
@@ -400,7 +440,7 @@ def _finish(
     spec, driver, ctx: RunContext, backend, metrics, orchestrator, **clock
 ) -> ScenarioResult:
     """Read the finished single-process run into its record."""
-    completed = driver.done(ctx)
+    completed = driver.completed(ctx)
     chaos = None
     if spec.chaos is not None:
         chaos = _chaos_section(
@@ -417,6 +457,7 @@ def _finish(
         dropped_messages=ctx.faults.dropped_messages,
         delayed_messages=ctx.faults.delayed_messages,
         chaos=chaos,
+        **driver.sections(ctx),
         **clock,
     )
 
@@ -437,7 +478,8 @@ def run_scenario(
     backend arms the same fault plan and ends by the same stop rule
     (:class:`_StopRule`); a live run that is expected to complete but
     does not raises ``TimeoutError`` after ``timeout``, while the sim runs
-    to quiescence and reports ``completed=False``.  ``committee`` lets a
+    to quiescence and reports ``completed=False`` (a service workload
+    ends itself at ``timeout``, failed, on both).  ``committee`` lets a
     caller that already resolved the spec's weights (e.g. the CLI's
     weight sources) skip re-resolving the source.
     """
@@ -445,88 +487,48 @@ def run_scenario(
         raise ValueError(f"unknown backend {backend!r}; one of {BACKENDS}")
     if timeout <= 0:
         raise ValueError("timeout must be positive")
-    if spec.workload.kind == "service":
-        # Service workloads (open-loop load + committee rotation) have
-        # their own driver stack; they return the same ScenarioResult.
-        from ..service.scenario import run_service_spec
-
-        return run_service_spec(
-            spec, backend=backend, timeout=timeout, committee=committee
-        )
     if backend == "proc":
         from ..parallel.proc import run_proc_scenario
 
         return run_proc_scenario(
             spec, timeout=timeout, committee=committee, state_dir=state_dir
         )
-    driver = build_driver(spec, committee, state_dir=state_dir)
+    driver = build_driver(
+        spec, committee, backend=backend, timeout=timeout, state_dir=state_dir
+    )
     faults = FaultController()
-
     if backend == "sim":
         from ..sim.network import UniformDelay
-        from ..sim.runner import build_world
+        from ..sim.runner import SimHost
 
-        world = build_world(
-            driver.factory,
-            driver.n_nodes,
-            delay_model=UniformDelay(spec.net.delay_low, spec.net.delay_high),
-            seed=spec.seed,
-            faults=faults,
-            committee=driver.committee,
-        )
-        ctx = _context(
-            spec, driver, world.network.parties, world.simulator.schedule, faults
-        )
-        orchestrator = _arm(spec, driver, ctx, world.metrics)
-        driver.start(ctx)
-        world.run()  # to quiescence: how the sim meets the stop rule
-        return _finish(
-            spec, driver, ctx, backend, world.metrics, orchestrator,
-            sim_time=world.simulator.now,
-            sim_events=world.simulator.events_processed,
-        )
+        delays = UniformDelay(spec.net.delay_low, spec.net.delay_high)
+        host = SimHost(spec.seed, delay_model=delays, faults=faults)
+        schedule = host.simulator.schedule
+    else:
+        from ..runtime.cluster import Cluster, LiveHost
 
-    import asyncio
-    import time
-
-    from ..runtime.cluster import run_cluster
-
+        host = LiveHost(Cluster(transport=backend, faults=faults))
+        schedule = _LiveSchedule(host.call_later)
+    ctx = _context(spec, driver, {}, schedule, faults, host)
+    driver.spawn(ctx)  # before the plan is armed: a crash at 0 finds its party
     rule = _StopRule(spec, driver)
-    run: dict = {}
+    armed = []
 
-    def setup(cluster) -> None:
-        run["t0"] = time.perf_counter()
-        ctx = run["ctx"] = _context(
-            spec,
-            driver,
-            dict(enumerate(cluster.parties)),
-            _LiveSchedule(asyncio.get_running_loop().call_later),
-            faults,
-        )
-        run["orchestrator"] = _arm(spec, driver, ctx, cluster.metrics)
+    def setup() -> None:
+        armed.append(_arm(spec, driver, ctx, host.metrics))
         driver.start(ctx)
 
-    def stop_when(cluster) -> bool:
-        if run["ctx"].schedule.failure is not None:
-            raise run["ctx"].schedule.failure
-        return rule(
-            time.perf_counter() - run["t0"],
-            driver.done(run["ctx"]),
-            cluster.quiescent,
-            cluster.metrics.messages,
-        )
+    def stop_when() -> bool:
+        # a live callback's exception (the simulator raises it at once)
+        failure = getattr(schedule, "failure", None)
+        if failure is not None:
+            raise failure
+        return rule(ctx.now(), driver.done(ctx), host.quiescent, host.metrics.messages)
 
-    cluster = run_cluster(
-        driver.factory,
-        driver.n_nodes,
-        transport=backend,
-        faults=faults,
-        setup=setup,
-        stop_when=stop_when,
-        timeout=timeout,
-        committee=driver.committee,
-    )
-    return _finish(
-        spec, driver, run["ctx"], backend, cluster.metrics, run["orchestrator"],
-        wall_seconds=cluster.metrics.elapsed_seconds,
-    )
+    host.run(setup, stop_when, timeout=timeout, poll=driver.poll, drain=driver.drains)
+    if backend == "sim":
+        simulator = host.simulator
+        clock = {"sim_time": simulator.now, "sim_events": simulator.events_processed}
+    else:
+        clock = {"wall_seconds": host.metrics.elapsed_seconds}
+    return _finish(spec, driver, ctx, backend, host.metrics, armed[0], **clock)

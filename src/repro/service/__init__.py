@@ -15,26 +15,33 @@ Quick start::
 
     from repro.service import (
         DriftSchedule, EpochManager, EpochService, LoadGenerator,
-        ServiceConfig, SimServiceBackend,
+        ServiceConfig,
     )
+    from repro.sim import SimHost
 
     schedule = DriftSchedule(initial=(40, 25, 15, 10, 5, 3, 1, 1),
                              drifts=((1, 2, 18), (2, 5, 4)))
     manager = EpochManager(schedule, f_w="1/3")
-    backend = SimServiceBackend(seed=0)
     service = EpochService(
-        backend, manager, ServiceConfig(slots_per_epoch=3),
+        SimHost(), manager, ServiceConfig(slots_per_epoch=3),
         load=LoadGenerator(rate=100.0, requests=40),
     )
     result = service.run()
     print(result.service["ops_per_sec"])
+
+The host is the run's clock and the keeper of its party generations: a
+:class:`~repro.sim.runner.SimHost` (virtual time, deterministic) or a
+:class:`~repro.runtime.cluster.LiveHost` (wall time, in-process
+transport) -- the same two hosts the scenario harness runs every
+workload on; a ``kind="service"`` spec runs this service there through
+:class:`~repro.service.scenario.ServiceDriver`.
 """
 
-from .backends import InprocServiceBackend, ServiceBackend, SimServiceBackend
+# the ledger benchmark's name for the live host
+from ..runtime.cluster import LiveHost as InprocServiceBackend  # noqa: F401
 from .epoch import DriftSchedule, EpochManager
 from .load import LoadGenerator
 from .metrics import EpochRecord, ServiceMetrics, ServiceResult
-from .scenario import run_service_spec
 from .service import EpochService, ServiceConfig
 
 __all__ = [
@@ -42,12 +49,8 @@ __all__ = [
     "EpochManager",
     "EpochRecord",
     "EpochService",
-    "InprocServiceBackend",
     "LoadGenerator",
-    "ServiceBackend",
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceResult",
-    "SimServiceBackend",
-    "run_service_spec",
 ]

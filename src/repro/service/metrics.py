@@ -4,9 +4,10 @@ The scenario engine's records count messages and bytes; a long-lived
 service additionally needs *request*-level numbers -- how many operations
 committed, how long each took from submission to full commitment, and
 how the committee evolved across epochs.  :class:`ServiceMetrics`
-accumulates those during the run; :class:`ServiceResult` freezes them,
-and its ``service`` dict is the ``service`` section of the scenario
-record (:func:`repro.service.scenario.run_service_spec`).  Every value
+accumulates those during the run; its summary is the ``service``
+section of the scenario record (written by
+:class:`repro.service.scenario.ServiceDriver`) and of the
+:class:`ServiceResult` a standalone run returns.  Every value
 on the sim backend is a pure function of the spec, so service sections
 are byte-identical across runs, like scenario records.
 

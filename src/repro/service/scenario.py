@@ -1,15 +1,15 @@
-"""Run a ``kind="service"`` workload from a declarative scenario spec.
+"""The epoch service as a scenario driver.
 
-This is the bridge between the scenario engine and the epoch service,
-and the one engine behind both ``repro scenario`` service workloads and
-``repro serve``: :func:`run_service_spec` takes the same
-:class:`ScenarioSpec` the harness takes, reads its weight-drift schedule
-from ``params["drift"]`` or derives a deterministic one (each rotation
-bumps one party's stake, so every re-solve after the first exercises the
-incremental path), and returns the harness's
-:class:`~repro.scenarios.harness.ScenarioResult` shape with the
-service-level numbers (ops/sec, latency percentiles, per-epoch records)
-attached under ``service``.
+A ``kind="service"`` spec -- ``repro scenario`` service workloads and
+``repro serve`` alike -- runs through the scenario harness like every
+batch workload: :func:`~repro.scenarios.harness.build_driver` returns a
+:class:`ServiceDriver`, and the harness hosts it, arms its (empty) fault
+plan, applies the stop rule and assembles the record.  The driver reads
+the weight-drift schedule from ``params["drift"]`` or derives a
+deterministic one (each rotation bumps one party's stake, so every
+re-solve after the first exercises the incremental path), and attaches
+the service-level numbers (ops/sec, latency percentiles, per-epoch
+records) under ``service``.
 
 On the sim backend the whole record -- arrivals, slot cuts, rotations,
 percentiles -- is a pure function of the spec, exactly like batch
@@ -19,15 +19,17 @@ scenarios.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from typing import Optional
 
 from ..chaos.schedule import compile_timeline
+from ..scenarios.drivers import ProtocolDriver
 from ..scenarios.spec import ScenarioSpec
-from .backends import InprocServiceBackend, SimServiceBackend
 from .epoch import DriftSchedule, EpochManager
 from .load import LoadGenerator
 from .service import EpochService, ServiceConfig
 
-__all__ = ["run_service_spec", "drift_schedule_for"]
+__all__ = ["ServiceDriver", "drift_schedule_for"]
 
 #: backends a service workload runs on
 SERVICE_BACKENDS = ("sim", "inproc")
@@ -61,120 +63,109 @@ def _parse_drifts(text: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(drifts)
 
 
-def run_service_spec(
-    spec: ScenarioSpec, *, backend: str = "sim", timeout: float = 60.0, committee=None
-):
-    """Execute a service-workload spec; returns a ``ScenarioResult``."""
-    from ..api.committee import Committee
-    from ..scenarios.harness import _assemble
+class ServiceDriver(ProtocolDriver):
+    """The epoch service, run by the scenario harness.
 
-    if spec.protocol != "smr":
-        raise ValueError("service workloads run on the smr protocol")
-    if backend not in SERVICE_BACKENDS:
-        raise ValueError(
-            f"service workloads run on the {' or '.join(SERVICE_BACKENDS)} "
-            f"backends, not {backend}: a rotation rebinds node ids 0..n-1 "
-            "inside one transport object, and the TCP mesh has no "
-            "cross-process rebind"
-        )
-    timeline = compile_timeline(spec)
-    armed = [json.dumps(stage.to_dict(), sort_keys=True) for stage in timeline.stages]
-    armed += [f"link delay {list(delay)}" for delay in timeline.link_delays]
-    if timeline.weather is not None:
-        armed.append(f"weather {timeline.weather.to_dict()}")
-    if armed:
-        raise ValueError(
-            "service workloads arm no fault timeline (byzantine fault-plan "
-            f"entries only), got {armed[0]}"
-        )
-    if spec.param("quorums", "weighted") != "weighted":
-        raise ValueError("service workloads vote with weighted quorums only")
-    if committee is None:
-        committee = Committee.from_weight_spec(spec.weights, seed=spec.seed)
-    committee.validate(
-        f_w=spec.f_w,
-        payload_size=spec.workload.payload_size,
-        epochs=spec.workload.epochs,
-    )
-    adversary = None
-    if spec.faults.byzantine:
-        from ..adversary.strategies import Adversary
+    :meth:`start` builds an :class:`EpochService` on the run context,
+    whose host spawns and retires the service's generations (one per
+    committee, one per checkpoint handover).  The run is done when the
+    service finishes, completed or not, and ends right there: what is
+    still pending then is the next slot tick and deliveries to retired
+    parties, so draining would only move the clock.
+    """
 
-        # Service workloads attack the epoch machinery, not one protocol
-        # instance, so strategies must support the "service" protocol.
-        adversary = Adversary(spec, committee, protocol="service")
+    count_comparable = False
+    proc_capable = False
+    # strategies attack the epoch machinery, not one protocol instance
+    attacked_as = "service"
+    drains = False
 
-    rate = float(spec.param("arrival_rate", 100.0))
-    requests = int(spec.param("requests", 32))
-    slot_interval = float(spec.param("slot_interval", 0.05))
-    slots_per_epoch = int(spec.param("slots_per_epoch", 3))
-    epoch_seconds = float(spec.param("epoch_seconds", 0.0))
-    max_pending = int(spec.param("max_pending", 0))
-    request_deadline = float(spec.param("request_deadline", 0.0))
+    @classmethod
+    def check(cls, spec: ScenarioSpec, backend: str) -> None:
+        if spec.protocol != "smr":
+            raise ValueError("service workloads run on the smr protocol")
+        if backend not in SERVICE_BACKENDS:
+            raise ValueError(
+                f"service workloads run on the {' or '.join(SERVICE_BACKENDS)} "
+                f"backends, not {backend}: a rotation rebinds node ids 0..n-1 "
+                "inside one transport object, and the TCP mesh has no "
+                "cross-process rebind"
+            )
+        timeline = compile_timeline(spec)
+        armed = [json.dumps(stage.to_dict(), sort_keys=True) for stage in timeline.stages]
+        armed += [f"link delay {list(delay)}" for delay in timeline.link_delays]
+        if timeline.weather is not None:
+            armed.append(f"weather {timeline.weather.to_dict()}")
+        if armed:
+            raise ValueError(
+                "service workloads arm no fault timeline (byzantine fault-plan "
+                f"entries only), got {armed[0]}"
+            )
+        if spec.param("quorums", "weighted") != "weighted":
+            raise ValueError("service workloads vote with weighted quorums only")
 
-    initial = tuple(committee.int_weights)
-    drift = spec.param("drift")
-    if drift is None:
-        schedule = drift_schedule_for(initial, spec.workload.epochs)
-    else:
-        schedule = DriftSchedule(initial=initial, drifts=_parse_drifts(drift))
-    manager = EpochManager(schedule, f_w=spec.f_w)
-    config = ServiceConfig(
-        f_w=spec.f_w,
-        slot_interval=slot_interval,
-        slots_per_epoch=slots_per_epoch,
-        epoch_seconds=epoch_seconds,
-        max_time=timeout,
-        max_pending=max_pending,
-        request_deadline=request_deadline,
-    )
-    if backend == "sim":
-        svc_backend = SimServiceBackend(
+    def __init__(self, spec: ScenarioSpec, committee, adversary=None) -> None:
+        super().__init__(spec, committee, adversary)
+        self.load = LoadGenerator(
+            float(spec.param("arrival_rate", 100.0)),
+            int(spec.param("requests", 32)),
+            payload_size=spec.workload.payload_size,
             seed=spec.seed,
-            delay_low=spec.net.delay_low,
-            delay_high=spec.net.delay_high,
         )
-    else:
-        svc_backend = InprocServiceBackend()
-    load = LoadGenerator(
-        rate,
-        requests,
-        payload_size=spec.workload.payload_size,
-        seed=spec.seed,
-    )
-    service = EpochService(
-        svc_backend,
-        manager,
-        config,
-        name=spec.name,
-        seed=spec.seed,
-        load=load,
-        adversary=adversary,
-    )
-    result = service.run()
+        #: max_time is the run's timeout, set at start
+        self.config = ServiceConfig(
+            f_w=spec.f_w,
+            slot_interval=float(spec.param("slot_interval", 0.05)),
+            slots_per_epoch=int(spec.param("slots_per_epoch", 3)),
+            epoch_seconds=float(spec.param("epoch_seconds", 0.0)),
+            max_pending=int(spec.param("max_pending", 0)),
+            request_deadline=float(spec.param("request_deadline", 0.0)),
+        )
+        # the stop poll runs at the slot tick, and the service wakes it
+        # when it finishes
+        self.poll = self.config.slot_interval
+        initial = tuple(committee.int_weights)
+        drift = spec.param("drift")
+        if drift is None:
+            schedule = drift_schedule_for(initial, spec.workload.epochs)
+        else:
+            schedule = DriftSchedule(initial=initial, drifts=_parse_drifts(drift))
+        self.manager = EpochManager(schedule, f_w=spec.f_w)
+        self.service: Optional[EpochService] = None
 
-    decided = (
-        {str(pid): d for pid, d in sorted(service.epoch_party_digests[-1].items())}
-        if service.epoch_party_digests
-        else {}
-    )
-    service_section = result.service
-    if result.error:
-        service_section = {**service_section, "error": result.error}
-    if backend == "sim":
-        simulator = svc_backend.simulator
-        clock = {"sim_time": simulator.now, "sim_events": simulator.events_processed}
-    else:
-        clock = {"wall_seconds": result.elapsed_seconds}
-    return _assemble(
-        spec, backend, committee, svc_backend.message_totals(),
-        n_nodes=committee.n,
-        count_comparable=False,
-        adversary=adversary,
-        completed=result.completed,
-        decided=decided,
-        dropped_messages=0,
-        delayed_messages=0,
-        service=service_section,
-        **clock,
-    )
+    @property
+    def epochs(self) -> int:
+        return 0  # the service cuts its own slots; the harness fires none
+
+    def spawn(self, ctx) -> None:
+        """Nothing yet: the service spawns each generation as it goes."""
+
+    def start(self, ctx) -> None:
+        self.service = EpochService(
+            ctx,
+            self.manager,
+            replace(self.config, max_time=self.timeout),
+            name=self.spec.name,
+            seed=self.spec.seed,
+            load=self.load,
+            adversary=self.adversary,
+        )
+        self.service.start()
+
+    def done(self, ctx) -> bool:
+        return self.service.finished
+
+    def completed(self, ctx) -> bool:
+        return self.service.completed
+
+    def outputs(self, ctx) -> dict[str, str]:
+        """The last epoch's per-replica log digests."""
+        digests = self.service.epoch_party_digests
+        return {str(pid): d for pid, d in sorted(digests[-1].items())} if digests else {}
+
+    def sections(self, ctx) -> dict:
+        service = self.service
+        section = service.metrics.summary(service.elapsed)
+        if service.error:
+            section = {**section, "error": service.error}
+        return {"service": section}

@@ -18,8 +18,10 @@ slot id) and the committed log are continuous across rotations.  A
 request's latency runs from :meth:`submit` to its slot being committed by
 *every* replica of its committee -- the conservative end-to-end number.
 
-Everything here is synchronous and backend-agnostic; scheduling and
-party hosting go through :class:`~repro.service.backends.ServiceBackend`.
+Everything here is synchronous and backend-agnostic: the clock, timers
+and party generations are the *backend*'s -- a
+:class:`~repro.sim.runner.SimHost` or :class:`~repro.runtime.cluster.LiveHost`,
+or under the scenario harness the run's context over one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..api.committee import Committee, CommitteeValidationError
 from ..crypto.common_coin import WeightedCoin
@@ -37,7 +39,7 @@ from ..crypto.group import TEST_GROUP_256
 from ..protocols.checkpointing import CheckpointParty
 from ..protocols.common_coin import deterministic_coin
 from ..protocols.smr import SmrParty
-from .backends import PartyGroup, ServiceBackend
+from ..sim.process import Party
 from .epoch import EpochManager
 from .load import LoadGenerator
 from .metrics import EpochRecord, ServiceMetrics, ServiceResult
@@ -133,15 +135,16 @@ class EpochService:
     """Long-lived SMR service over rotating weighted committees.
 
     Lifecycle: construct with a backend, an :class:`EpochManager`, and a
-    config; optionally attach a :class:`LoadGenerator`; then
-    ``backend.run(service)`` (or :meth:`run`) drives it to completion.
+    config; optionally attach a :class:`LoadGenerator`; then :meth:`run`
+    drives it to completion on a host (the scenario harness calls
+    :meth:`start` on its run context and runs the host itself).
     ``on_committed(slot, position, payload)`` fires for every committed
     batch in global ``(slot, position)`` order -- the subscription API.
     """
 
     def __init__(
         self,
-        backend: ServiceBackend,
+        backend,
         manager: EpochManager,
         config: Optional[ServiceConfig] = None,
         *,
@@ -170,7 +173,8 @@ class EpochService:
         self.epoch = -1
         self.committee: Optional[Committee] = None
         self.tickets = None
-        self.group: Optional[PartyGroup] = None
+        #: the current committee's parties, by pid
+        self.group: Sequence[Party] = ()
         self.n = 0
         #: per-epoch {pid: log digest} over the epoch's slots -- equal
         #: digests across pids are the prefix-consistency evidence
@@ -199,7 +203,9 @@ class EpochService:
         self._epoch_slots = 0
         self._epoch_meta: dict = {}
         self._rotation_started_at = 0.0
-        self._ckpt_group: Optional[PartyGroup] = None
+        self._ckpt_group: Sequence[Party] = ()
+        #: generations spawned so far (each one's network seed is its own)
+        self._generations = 0
         self._ckpt_digest: Optional[bytes] = None
 
         # outcome
@@ -223,16 +229,32 @@ class EpochService:
             self._fail(str(exc))
             return
         self.backend.call_later(self.config.slot_interval, self._tick)
+        self.backend.call_later(self.config.max_time, self.abort)
 
     def run(self) -> ServiceResult:
-        """Drive to completion on the backend and return the result."""
-        self.backend.run(self)
+        """Drive to completion on the backend (a host) and return the
+        result; a node failure fails the service, then raises."""
+        try:
+            self.backend.run(
+                self.start,
+                lambda: self.finished,
+                timeout=self.config.max_time,
+                poll=self.config.slot_interval,
+                drain=False,
+            )
+        except TimeoutError:
+            self.abort()  # the host's deadline beat the service's own
+        except RuntimeError as exc:
+            self.abort(f"{exc}: {exc.__cause__!r}")
+            raise
         return self.result()
 
-    def abort(self, message: str) -> None:
-        """Backend-initiated failure (timeout); idempotent."""
+    def abort(self, message: Optional[str] = None) -> None:
+        """Fail the run from outside its slot logic: at ``max_time`` (no
+        ``message``) or on a node failure; idempotent."""
         if not self.finished:
-            self._fail(message)
+            late = f"service did not finish within max_time={self.config.max_time}s"
+            self._fail(message or late)
 
     # -- public API -----------------------------------------------------------------
     def submit(self, payload: bytes):
@@ -273,11 +295,14 @@ class EpochService:
         if not self._incomplete:
             self._start_checkpoint()
 
+    @property
+    def elapsed(self) -> float:
+        """Scenario seconds from start to finish (to now while running)."""
+        return self.finished_at if self.finished_at is not None else self.backend.now()
+
     def result(self) -> ServiceResult:
-        elapsed = (
-            self.finished_at if self.finished_at is not None else self.backend.now()
-        )
-        totals = self.backend.message_totals()
+        elapsed = self.elapsed
+        totals = self.backend.metrics
         return ServiceResult(
             completed=self.completed,
             error=self.error,
@@ -292,11 +317,6 @@ class EpochService:
         if self.finished:
             return
         now = self.backend.now()
-        if now >= self.config.max_time:
-            self._fail(
-                f"service did not finish within max_time={self.config.max_time}s"
-            )
-            return
         if self.phase == "running":
             clock_due = (
                 self.config.epoch_seconds > 0
@@ -328,7 +348,7 @@ class EpochService:
         # Every replica proposes -- an empty batch if it drew no requests --
         # so slot completion is uniform: n committed positions everywhere.
         for pid in range(self.n):
-            self.group.parties[pid].propose_batch(slot, encode_batch(assigned[pid]))
+            self.group[pid].propose_batch(slot, encode_batch(assigned[pid]))
         if (
             self.config.slots_per_epoch > 0
             and self._epoch_slots >= self.config.slots_per_epoch
@@ -408,7 +428,7 @@ class EpochService:
         for pid in range(self.n):
             h = hashlib.sha256()
             for slot in range(self._epoch_first_slot, self.next_slot):
-                for proposer, payload in self.group.parties[pid].ordered_log(slot):
+                for proposer, payload in self.group[pid].ordered_log(slot):
                     h.update(f"{slot}|{proposer}|".encode())
                     h.update(payload)
             out[pid] = h.hexdigest()[:16]
@@ -450,8 +470,8 @@ class EpochService:
                 weights=tuple(self.committee.int_weights),
                 epoch=self.epoch,
             )
-        self._ckpt_group = self.backend.spawn(build, self.n)
-        for party in self._ckpt_group.parties:
+        self._ckpt_group = self._spawn(build, self.n)
+        for party in self._ckpt_group:
             party.sign_checkpoint(self._ckpt_digest)
 
     def _on_certified(self, pid: int, checkpoint: bytes, signature: int) -> None:
@@ -459,7 +479,7 @@ class EpochService:
             return
         self.phase = "rotating"  # first certificate wins; ignore the rest
         self.backend.retire(self._ckpt_group)
-        self._ckpt_group = None
+        self._ckpt_group = ()
         self._close_epoch_record()
         next_epoch = self.epoch + 1
         try:
@@ -487,7 +507,7 @@ class EpochService:
                 pid, committee.n, quorums, self.coin, on_commit=self._on_commit
             )
 
-        self.group = self.backend.spawn(factory, committee.n)
+        self.group = self._spawn(factory, committee.n)
         self._epoch_first_slot = self.next_slot
         self._epoch_started_at = self.backend.now()
         self._epoch_slots = 0
@@ -497,6 +517,12 @@ class EpochService:
             "rotation_seconds": rotation_seconds,
         }
         self.phase = "running"
+
+    def _spawn(self, factory: Callable[[int], Party], n: int) -> Sequence[Party]:
+        """The next generation, its simulated network seeded from ours."""
+        seed = f"{self.seed}|net|{self._generations}"
+        self._generations += 1
+        return self.backend.spawn(factory, n, seed=seed)
 
     def _close_epoch_record(self) -> None:
         self.metrics.epochs.append(
@@ -532,7 +558,7 @@ class EpochService:
         self.finished_at = self.backend.now()
         self.finished = True
         self.phase = "done" if completed else "failed"
-        self.backend.notify_done()
+        self.backend.wake()
 
     def _fail(self, message: str) -> None:
         if self._epoch_meta:

@@ -5,7 +5,7 @@ from .adversary import corrupt_weight_fraction, heaviest_under, most_tickets_und
 from .events import Simulator
 from .network import DelayModel, Network, NetworkMetrics, TargetedDelay, UniformDelay
 from .process import Party
-from .runner import World, build_world
+from .runner import SimHost, World, build_world
 
 __all__ = [
     "Simulator",
@@ -17,6 +17,7 @@ __all__ = [
     "Party",
     "World",
     "build_world",
+    "SimHost",
     "heaviest_under",
     "most_tickets_under",
     "corrupt_weight_fraction",

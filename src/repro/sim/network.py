@@ -109,12 +109,14 @@ class Network:
         *,
         seed: int = 0,
         faults=None,
+        metrics: Optional[NetworkMetrics] = None,
     ) -> None:
         self.simulator = simulator
         self.delay_model = delay_model or UniformDelay()
         self.rng = random.Random(seed)
         self.parties: dict[int, "Party"] = {}
-        self.metrics = NetworkMetrics()
+        #: message counters (shared by every generation of a SimHost)
+        self.metrics = metrics if metrics is not None else NetworkMetrics()
         # imported here: the runtime package imports this module
         from ..runtime.codec import default_registry
 

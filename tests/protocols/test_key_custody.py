@@ -73,9 +73,9 @@ def test_a_service_checkpoint_party_holds_only_its_key(monkeypatch):
         EpochService,
         LoadGenerator,
         ServiceConfig,
-        SimServiceBackend,
     )
     from repro.service.scenario import drift_schedule_for
+    from repro.sim import SimHost
 
     coins: list[WeightedCoin] = []
     captured = {}
@@ -85,19 +85,19 @@ def test_a_service_checkpoint_party_holds_only_its_key(monkeypatch):
             super().__init__(*args)
             coins.append(self)
 
-    class RecordingBackend(SimServiceBackend):
-        def spawn(self, factory, n):
-            # the first group spawned after a dealing is its checkpoint group
+    class RecordingHost(SimHost):
+        def spawn(self, factory, n, *, seed=None):
+            # the first generation spawned after a dealing is its checkpoint group
             if coins and not captured:
                 captured.update(factory=factory, coin=coins[-1])
-            return super().spawn(factory, n)
+            return super().spawn(factory, n, seed=seed)
 
     monkeypatch.setattr(service_mod, "WeightedCoin", RecordingCoin)
     committee = Committee.synthetic("zipf", n=6, total=600, skew=1.2, seed=0)
     manager = EpochManager(drift_schedule_for(tuple(committee.int_weights), 2), f_w="1/3")
     config = ServiceConfig(f_w="1/3", slot_interval=0.05, slots_per_epoch=2, max_time=60.0)
     load = LoadGenerator(60.0, 12, payload_size=32, seed=0)
-    EpochService(RecordingBackend(seed=0), manager, config, seed=0, load=load).run()
+    EpochService(RecordingHost(), manager, config, seed=0, load=load).run()
     assert isinstance(captured["factory"](0), CheckpointParty)
     _assert_custody(captured["factory"], captured["coin"])
 

@@ -98,7 +98,6 @@ class TestSmrEquivalence:
         assert len(sim_log) == N
         for pid in range(N):
             assert cluster.party(pid).ordered_log(0) == sim_log
-        assert all(p.epoch_closed(0) for p in cluster.parties)
 
     def test_smr_epoch_same_message_counts_as_sim(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")

@@ -18,9 +18,9 @@ from repro.service import (
     EpochService,
     LoadGenerator,
     ServiceConfig,
-    SimServiceBackend,
 )
 from repro.service.scenario import drift_schedule_for
+from repro.sim import SimHost
 
 N = 6
 
@@ -39,7 +39,7 @@ def _run_service(*, max_pending=0, request_deadline=0.0, rate=60.0,
     )
     load = LoadGenerator(rate, requests, payload_size=32, seed=seed)
     service = EpochService(
-        SimServiceBackend(seed=seed),
+        SimHost(),
         EpochManager(schedule, f_w="1/3"),
         config,
         seed=seed,
@@ -66,7 +66,7 @@ class TestBackpressure:
         # refill the queue manually: the run has finished, so exercise the
         # overload shape on a fresh service instead
         fresh = EpochService(
-            SimServiceBackend(seed=1),
+            SimHost(),
             EpochManager(
                 drift_schedule_for(
                     tuple(

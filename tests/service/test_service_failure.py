@@ -17,26 +17,26 @@ import pytest
 
 from repro.chaos import ChaosSpec, ChaosStage, TriggerSpec, WeatherSpec
 from repro.protocols.smr import SmrParty
+from repro.runtime import LiveHost
 from repro.scenarios import get_scenario, run_scenario
 from repro.service import (
     EpochManager,
     EpochService,
-    InprocServiceBackend,
     LoadGenerator,
     ServiceConfig,
-    SimServiceBackend,
 )
 from repro.service.scenario import drift_schedule_for
+from repro.sim import SimHost
 
 WEIGHTS = (40, 30, 20, 10)
-BACKENDS = {"sim": lambda: SimServiceBackend(seed=1), "inproc": InprocServiceBackend}
+HOSTS = {"sim": SimHost, "inproc": LiveHost}
 
 
 def _service(backend, *, rate=200.0, requests=12, **config):
     manager = EpochManager(drift_schedule_for(WEIGHTS, epochs=1), f_w="1/3")
     load = LoadGenerator(rate, requests, payload_size=16, seed=1)
     return EpochService(
-        BACKENDS[backend](), manager, ServiceConfig(**config), seed=1, load=load
+        HOSTS[backend](), manager, ServiceConfig(**config), seed=1, load=load
     )
 
 
@@ -85,8 +85,8 @@ class TestDeadline:
     @pytest.mark.parametrize(
         "backend, max_time",
         [
-            ("sim", 0.25),  # a tick lands on the deadline: EpochService._tick
-            ("sim", 0.27),  # no tick does: the backend's own `until`
+            ("sim", 0.25),  # the deadline lands on a slot tick
+            ("sim", 0.27),  # and between two
             ("inproc", 0.25),
         ],
     )

@@ -9,10 +9,10 @@ sim tests pin those deterministically.
 from dataclasses import replace
 
 from repro.api import Committee
+from repro.runtime import LiveHost
 from repro.service import (
     EpochManager,
     EpochService,
-    InprocServiceBackend,
     LoadGenerator,
     ServiceConfig,
 )
@@ -32,7 +32,7 @@ def test_inproc_rotation_commits_everything():
     config = ServiceConfig(f_w="1/3", slot_interval=0.02, max_time=30.0)
     load = LoadGenerator(200.0, 12, payload_size=16, seed=1)
     service = EpochService(
-        InprocServiceBackend(), manager, config, seed=1, load=load
+        LiveHost(), manager, config, seed=1, load=load
     )
     result = service.run()
 

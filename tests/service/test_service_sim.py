@@ -16,9 +16,9 @@ from repro.service import (
     EpochService,
     LoadGenerator,
     ServiceConfig,
-    SimServiceBackend,
 )
 from repro.service.scenario import drift_schedule_for
+from repro.sim import SimHost
 
 N = 6
 
@@ -33,7 +33,7 @@ def _run_service(schedule=None, *, epochs=3, requests=36, rate=60.0, seed=0):
     )
     load = LoadGenerator(rate, requests, payload_size=32, seed=seed)
     service = EpochService(
-        SimServiceBackend(seed=seed), manager, config, seed=seed, load=load
+        SimHost(), manager, config, seed=seed, load=load
     )
     service.run()
     return service

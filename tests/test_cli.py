@@ -692,14 +692,19 @@ class TestFuzz:
         err = json.loads(captured.err)
         assert set(err) == {"error"}
 
-    def test_failures_out_is_not_written_on_a_clean_campaign(self, tmp_path):
+    def test_a_clean_campaign_writes_an_empty_failures_file_that_replays(
+        self, tmp_path, capsys
+    ):
         path = tmp_path / "failures.jsonl"
         code = main(
             ["fuzz", "--episodes", "6", "--seed", "5",
              "--failures-out", str(path), "--json"]
         )
         assert code == 0
-        assert not path.exists()
+        assert path.read_text() == ""
+        capsys.readouterr()
+        assert main(["fuzz", "--replay", f"@{path}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"replayed": [], "violations": 0}
 
 
 class TestJobsFlag:

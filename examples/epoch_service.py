@@ -17,7 +17,7 @@ Run:  PYTHONPATH=src python examples/epoch_service.py
 """
 
 from repro.api import Committee
-from repro.runtime import LiveHost
+from repro.runtime import Cluster
 from repro.service import (
     DriftSchedule,
     EpochManager,
@@ -79,7 +79,7 @@ def main():
           f"incremental re-solve(s)")
 
     print("\n== inproc backend (live asyncio runtime, wall clock) ==")
-    live_service = build_service(LiveHost())
+    live_service = build_service(Cluster())
     live_result = live_service.run()
     describe(live_result, live_service)
 

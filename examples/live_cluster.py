@@ -13,7 +13,7 @@ Run:  PYTHONPATH=src python examples/live_cluster.py
 from repro.protocols.common_coin import deterministic_coin
 from repro.protocols.reliable_broadcast import BroadcastParty
 from repro.protocols.smr import SmrParty
-from repro.runtime import FaultController, run_cluster
+from repro.runtime import Cluster, FaultController
 from repro.sim import build_world
 from repro.sim.adversary import heaviest_under
 from repro.weighted.quorum import WeightedQuorums
@@ -35,12 +35,10 @@ def main() -> None:
     # -- 1. Weighted RBC over both live transports ---------------------------------
     for transport in ("inproc", "tcp"):
         section(f"Bracha RBC over {transport}")
-        cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, QUORUMS, 0),
-            N,
-            transport=transport,
-            setup=lambda c: c.party(0).broadcast_value(PAYLOAD),
-            stop_when=lambda c: all(p.delivered == PAYLOAD for p in c.parties),
+        cluster = Cluster(lambda pid: BroadcastParty(pid, QUORUMS, 0), N, transport=transport)
+        cluster.run(
+            lambda: cluster.party(0).broadcast_value(PAYLOAD),
+            lambda: all(p.delivered == PAYLOAD for p in cluster.parties),
         )
         m = cluster.metrics
         print(f"  delivered by all {N} parties")
@@ -52,11 +50,10 @@ def main() -> None:
     world = build_world(lambda pid: BroadcastParty(pid, QUORUMS, 0), N, seed=1)
     world.party(0).broadcast_value(PAYLOAD)
     world.run()
-    live = run_cluster(
-        lambda pid: BroadcastParty(pid, QUORUMS, 0),
-        N,
-        setup=lambda c: c.party(0).broadcast_value(PAYLOAD),
-        stop_when=lambda c: all(p.delivered == PAYLOAD for p in c.parties),
+    live = Cluster(lambda pid: BroadcastParty(pid, QUORUMS, 0), N)
+    live.run(
+        lambda: live.party(0).broadcast_value(PAYLOAD),
+        lambda: all(p.delivered == PAYLOAD for p in live.parties),
     )
     print(f"  {'type':<11} {'sim msgs':>8} {'sim B':>6} {'live msgs':>9} {'live B':>6}")
     for name in sorted(live.metrics.by_type):
@@ -68,15 +65,13 @@ def main() -> None:
 
     # -- 3. One SMR epoch over TCP ---------------------------------------------------
     section("SMR epoch over tcp (HoneyBadger-style composition)")
-    cluster = run_cluster(
-        lambda pid: SmrParty(pid, N, QUORUMS, coin),
-        N,
-        transport="tcp",
-        setup=lambda c: [
-            c.party(pid).propose_batch(0, f"txbatch-{pid}".encode())
+    cluster = Cluster(lambda pid: SmrParty(pid, N, QUORUMS, coin), N, transport="tcp")
+    cluster.run(
+        lambda: [
+            cluster.party(pid).propose_batch(0, f"txbatch-{pid}".encode())
             for pid in range(N)
         ],
-        stop_when=lambda c: all(len(p.ordered_log(0)) == N for p in c.parties),
+        lambda: all(len(p.ordered_log(0)) == N for p in cluster.parties),
     )
     log = cluster.party(0).ordered_log(0)
     assert all(cluster.party(pid).ordered_log(0) == log for pid in range(N))
@@ -89,19 +84,15 @@ def main() -> None:
     survivors = [pid for pid in range(N) if pid not in corrupt]
     faults = FaultController()
 
-    def setup(c):
-        for pid in corrupt:
-            c.crash_node(pid)
-        c.party(survivors[0]).broadcast_value(b"still-alive")
+    cluster = Cluster(lambda pid: BroadcastParty(pid, QUORUMS, survivors[0]), N, faults=faults)
 
-    cluster = run_cluster(
-        lambda pid: BroadcastParty(pid, QUORUMS, survivors[0]),
-        N,
-        faults=faults,
-        setup=setup,
-        stop_when=lambda c: all(
-            c.party(pid).delivered == b"still-alive" for pid in survivors
-        ),
+    def setup():
+        for pid in corrupt:
+            cluster.crash_node(pid)
+        cluster.party(survivors[0]).broadcast_value(b"still-alive")
+
+    cluster.run(
+        setup, lambda: all(cluster.party(pid).delivered == b"still-alive" for pid in survivors)
     )
     print(f"  crashed parties {sorted(corrupt)}; survivors still delivered")
     print(f"  transport dropped {faults.dropped_messages} messages at crashed links")

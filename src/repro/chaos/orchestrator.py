@@ -155,7 +155,7 @@ class ChaosOrchestrator:
             elif remaining <= 1:
                 self.gave_up[index] = True
             else:
-                self.ctx.schedule(POLL_INTERVAL, lambda: poll(remaining - 1))
+                self.ctx.call_later(POLL_INTERVAL, lambda: poll(remaining - 1))
 
         poll(budget)
 

@@ -10,8 +10,8 @@ an output record*:
   regardless of ``jobs``.  Work units carry their own seeds -- an episode
   is a pure function of ``(campaign_seed, episode_index)`` -- so no
   randomness crosses a process boundary.
-* :class:`ProcCluster` hosts every :class:`~repro.runtime.node.RuntimeNode`
-  in its own OS process, each hosting its one node on the runtime's
+* :class:`ProcCluster` hosts every party in its own OS process, each on
+  a one-node :class:`~repro.runtime.cluster.Cluster` over the runtime's
   :class:`~repro.runtime.transport.TcpTransport` mesh (the ``proc``
   backend of :func:`~repro.scenarios.harness.run_scenario`), which is
   what finally lets an n-party cluster use n cores.

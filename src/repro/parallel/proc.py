@@ -2,15 +2,18 @@
 
 Topology::
 
-    parent (ProcCluster) ── mp.Pipe ──> worker 0 (RuntimeNode over TcpTransport)
+    parent (ProcCluster) ── mp.Pipe ──> worker 0 (one-node Cluster over TcpTransport)
                          ── mp.Pipe ──> worker 1
                          ...                       workers ── TCP mesh ── workers
 
-Each worker hosts exactly one node on the runtime's one TCP mesh (the
-:class:`~repro.runtime.transport.TcpTransport` the ``tcp`` backend hosts
-all ``n`` nodes on): ``listen(nid)`` for itself, ``configure(peers)`` for
-the rest.  Its links leave the process, so a frame's in-flight slot closes
-on drain, reopens at the receiver, and the parent decides quiescence.
+Each worker hosts exactly one node on the runtime's one live host and
+TCP mesh: a :class:`~repro.runtime.cluster.Cluster` with ``node_id=nid``
+over the :class:`~repro.runtime.transport.TcpTransport` the ``tcp``
+backend hosts all ``n`` nodes on, spawned through the driver's one
+``spawn`` as on every backend; ``listen(nid)`` for itself,
+``configure(peers)`` for the rest.  Its links leave the process, so a
+frame's in-flight slot closes on drain, reopens at the receiver, and the
+parent decides quiescence.
 
 Lifecycle, over each control pipe (tuples, strictly request/reply after
 the handshake):
@@ -20,7 +23,7 @@ the handshake):
    threshold keys -- via :func:`~repro.scenarios.harness.build_driver`
    (every piece is a pure function of the spec, which is what makes
    "distribute key material via a spec pickle" sound);
-2. each worker binds ``(host, 0)`` and replies ``("ready", nid, addr)``
+2. each worker binds a loopback port and replies ``("ready", nid, addr)``
    with the kernel-assigned port; the parent broadcasts the collected
    peer map -- no hardcoded ports, so concurrent clusters never collide
    -- and every worker arms the run's fault plan (the harness's one
@@ -28,7 +31,8 @@ the handshake):
    ``("armed", ...)``; only then does ``("start",)`` release the
    workload, so no frame meets a node that is not yet bound and armed;
 3. the parent polls ``("status",)``; a worker reports its local done
-   flag, cumulative frame counters, idleness, and any failure.  Global
+   flag (always true at a node that is no observer), cumulative frame
+   counters, and its cluster's quiescence and failure.  Global
    completion is distributed termination detection by frame-count
    conservation: every worker idle and ``sum(sent) == sum(received)``
    over consecutive polls (a Mattern-style counting argument -- matching
@@ -99,14 +103,13 @@ def _worker_entry(
     spec_dict: dict,
     nid: int,
     conn,
-    host: str,
     state_dir: Optional[str] = None,
     incarnation: int = 0,
 ) -> None:
     if os.environ.get(CRASH_ENV) == str(nid):
         os._exit(3)
     try:
-        asyncio.run(_worker_main(spec_dict, nid, conn, host, state_dir, incarnation))
+        asyncio.run(_worker_main(spec_dict, nid, conn, state_dir, incarnation))
     except BaseException:  # noqa: BLE001 -- last-resort report, then die
         try:
             conn.send(("crashed", nid, traceback.format_exc(limit=8)))
@@ -136,43 +139,32 @@ async def _worker_main(
     spec_dict: dict,
     nid: int,
     conn,
-    host: str,
     state_dir: Optional[str],
     incarnation: int,
 ) -> None:
-    from ..runtime.cluster import RuntimeMetrics
-    from ..runtime.codec import default_registry
+    from ..runtime.cluster import Cluster
     from ..runtime.faults import FaultController
-    from ..runtime.node import RuntimeNode
-    from ..runtime.transport import TcpTransport
-    from ..scenarios.harness import _arm, _context, _LiveSchedule, build_driver
+    from ..scenarios.harness import _arm, _context, build_driver
 
     spec = ScenarioSpec.from_dict(spec_dict)
     driver = build_driver(spec, validate=False, state_dir=state_dir)  # parent vetted
     faults = FaultController()
-    metrics = RuntimeMetrics()
-    transport = TcpTransport(
-        default_registry(),
-        faults=faults,
-        record=metrics.record,
-        host=host,
-        incarnation=incarnation,
-    )
-    port = await transport.listen(nid)
-    loop = asyncio.get_running_loop()
-    commands = _command_queue(conn, loop)
-    conn.send(("ready", nid, (host, port)))
+    cluster = Cluster(transport="tcp", faults=faults, node_id=nid)
+    transport, metrics = cluster.transport, cluster.metrics
+    transport.incarnation = incarnation
+    await transport.listen(nid)
+    commands = _command_queue(conn, asyncio.get_running_loop())
+    conn.send(("ready", nid, transport.address(nid)))
 
     command = await commands.get()
     if command is None or command[0] != "peers":
-        await transport.stop()
+        await cluster.stop()
         return
     transport.configure(command[1])
 
-    recovering = incarnation > 0
-    party = driver.factory(nid)
-    node = RuntimeNode(party, transport, list(range(driver.n_nodes)))
-    ctx = _context(spec, driver, {nid: party}, _LiveSchedule(loop.call_later), faults)
+    ctx = _context(spec, driver, faults, cluster)
+    driver.spawn(ctx)  # this worker's one party; its node starts with the cluster
+    party = ctx.party(nid)
     if spec.faults.restarts:
         # self-healing plumbing: persist receive watermarks through the
         # party's WAL and run the heartbeat failure detector, feeding
@@ -191,7 +183,7 @@ async def _worker_main(
         transport.enable_heartbeat(on_suspect=_suspect, on_alive=_alive)
     orchestrator = _arm(spec, driver, ctx, metrics, restart_timers=False)
     observer = nid in driver.observers(ctx)
-    if recovering:
+    if incarnation > 0:
         # Rejoin: replay the WAL into the fresh party (queueing the
         # state-sync broadcast on the outbox), seed the transport's dedup
         # watermarks from the replayed floor, then start the node's sender
@@ -200,7 +192,7 @@ async def _worker_main(
         # the WAL is replayed.
         party.restart()
         transport.restore_watermarks(nid, getattr(party, "watermarks", {}))
-        node.start()
+        await cluster.start()
         driver.restart_node(ctx, nid)
         conn.send(
             (
@@ -219,7 +211,8 @@ async def _worker_main(
         # dropped, or dodge a receive-side delay).  A frame that arrives
         # between "armed" and "start" -- a peer was released first -- is
         # handled at once, in the inbound stream's callback, by this
-        # party; whatever it sends waits in the outbox until node.start().
+        # party; whatever it sends waits in the outbox until the cluster
+        # starts.
         conn.send(("armed", nid, None))
 
     while True:
@@ -228,13 +221,13 @@ async def _worker_main(
             break
         kind = command[0]
         if kind == "start":
-            node.start()
+            await cluster.start()
             driver.start(ctx)
         elif kind == "peers":
             # refreshed address map (a peer respawned on a new port)
             transport.configure(command[1])
         elif kind == "status":
-            failure = node.failure or transport.failure or ctx.schedule.failure
+            failure = cluster.failure
             conn.send(
                 (
                     "status",
@@ -243,8 +236,8 @@ async def _worker_main(
                         "done": driver.node_done(ctx, nid) if observer else True,
                         "sent": transport.frames_sent,
                         "received": transport.frames_received,
-                        "idle": node.idle and transport.quiescent,
-                        "failure": repr(failure) if failure is not None else None,
+                        "idle": cluster.quiescent,
+                        "failure": _describe(failure),
                     },
                 )
             )
@@ -288,8 +281,15 @@ async def _worker_main(
                     },
                 )
             )
-    await node.stop()
-    await transport.stop()
+    await cluster.stop()
+
+
+def _describe(failure: Optional[BaseException]) -> Optional[str]:
+    """A status report's failure text: the exception and its cause."""
+    if failure is None:
+        return None
+    cause = failure.__cause__
+    return repr(failure) + (f" from {cause!r}" if cause is not None else "")
 
 
 # -- parent side -----------------------------------------------------------------------
@@ -309,20 +309,13 @@ class ProcCluster:
         *,
         timeout: float = 60.0,
         committee=None,
-        host: str = "127.0.0.1",
         state_dir: Optional[str] = None,
     ) -> None:
-        from ..runtime.faults import FaultController
-        from ..scenarios.harness import _context, _StopRule, build_driver
+        from ..scenarios.harness import _StopRule, build_driver
 
         self.spec = spec
         self.timeout = timeout
-        self.host = host
         self.driver = build_driver(spec, committee, backend="proc")
-        # the parent hosts no party: its context only names the live nodes
-        self.observers = self.driver.observers(
-            _context(spec, self.driver, {}, None, FaultController())
-        )
         #: when the run may end (the harness's one stop rule); its horizon
         #: floor keeps quiescence before a late stage from ending the run
         self.stop_rule = _StopRule(spec, self.driver)
@@ -423,14 +416,7 @@ class ProcCluster:
         suffix = f"-r{incarnation}" if incarnation else ""
         proc = self._mp_ctx.Process(
             target=_worker_entry,
-            args=(
-                self._spec_dict,
-                nid,
-                child_conn,
-                self.host,
-                self.state_dir,
-                incarnation,
-            ),
+            args=(self._spec_dict, nid, child_conn, self.state_dir, incarnation),
             name=f"repro-proc-{self.spec.name}-{nid}{suffix}",
             daemon=True,
         )
@@ -682,11 +668,7 @@ class ProcCluster:
                 and not events
                 and not self._down
             )
-            done = all(
-                statuses[nid]["done"]
-                for nid in self.observers
-                if nid in statuses
-            )
+            done = all(s["done"] for s in statuses.values())
             # there is no separate drain step here, so ending also needs
             # quiescence, confirmed over consecutive polls
             if self.stop_rule(elapsed, done, quiescent, sent) and quiescent:

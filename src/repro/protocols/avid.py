@@ -115,18 +115,24 @@ def _hash_fragment(f: BlockFragment) -> bytes:
 
 
 class AvidParty(Party):
-    """One AVID participant (dealer, storer, and potential retriever)."""
+    """One AVID participant (dealer, storer, and potential retriever).
+
+    A dispersal has one dealer, ``dealer``: an ``AvidDisperse`` from any
+    other sender is dropped, so no party can plant a dispersal of its
+    own."""
 
     def __init__(
         self,
         pid: int,
         quorums: QuorumPolicy,
         *,
+        dealer: int = 0,
         on_stored: Optional[Callable[[int, bytes], None]] = None,
         on_retrieved: Optional[Callable[[int, bytes], None]] = None,
     ) -> None:
         super().__init__(pid)
         self.quorums = quorums
+        self.dealer = dealer
         self.on_stored = on_stored
         self.on_retrieved = on_retrieved
         self.stored_commitment: Optional[bytes] = None
@@ -186,6 +192,8 @@ class AvidParty(Party):
 
     # -- storer side -----------------------------------------------------------------
     def _handle_disperse(self, message: AvidDisperse, sender: int) -> None:
+        if sender != self.dealer:
+            return  # one dealer: no other party plants a dispersal
         if self._code is not None:
             return  # the first accepted dispersal wins: keep serving it
         # Geometry before any indexing: a Byzantine dealer controls every

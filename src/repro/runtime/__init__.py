@@ -5,15 +5,16 @@ discrete-event simulator executes, but over real concurrent transports:
 in-process asyncio queues (:class:`InProcTransport`) for fast
 deterministic tests, or the one TCP mesh (:class:`TcpTransport`) -- a
 listener per hosted node, a sequenced self-healing stream per directed
-link -- for wall-clock measurements.  The ``tcp`` backend hosts all
-``n`` nodes of a :class:`Cluster` on that mesh; a ``proc`` worker
-(:mod:`repro.parallel.proc`) hosts one node on the very same class.
+link -- for wall-clock measurements.  :class:`Cluster` is the one live
+host: the ``inproc`` and ``tcp`` backends host all ``n`` nodes of a run
+on one, and a ``proc`` worker (:mod:`repro.parallel.proc`) hosts its one
+node on one over the very same mesh.
 Messages are serialized through a registry-based binary codec, so
 reported byte counts are real wire payloads; the simulator sizes its
 messages with the same codec, so the counts agree across backends.
 """
 
-from .cluster import TRANSPORTS, Cluster, LiveHost, RuntimeMetrics, run_cluster
+from .cluster import TRANSPORTS, Cluster, RuntimeMetrics
 from .codec import CodecError, CodecRegistry, default_registry
 from .faults import DeliveryDecision, FaultController
 from .node import RuntimeNode
@@ -21,9 +22,7 @@ from .transport import InProcTransport, TcpTransport, Transport
 
 __all__ = [
     "Cluster",
-    "LiveHost",
     "RuntimeMetrics",
-    "run_cluster",
     "TRANSPORTS",
     "CodecError",
     "CodecRegistry",

@@ -1,19 +1,20 @@
-"""Cluster orchestration: spin up ``n`` live nodes, run, measure.
+"""Cluster orchestration: host live parties on one event loop, run, measure.
 
-The runtime analogue of :func:`repro.sim.runner.build_world`: build the
+The runtime analogue of :class:`repro.sim.runner.SimHost`: build the
 parties with a factory, wire them full-mesh over a chosen transport, run
-the protocol to a stop condition, and collect :class:`RuntimeMetrics`
-(message/byte counters like the sim's ``NetworkMetrics``, plus the run's
-wall-clock).
+to a stop condition, and collect :class:`RuntimeMetrics` (message/byte
+counters like the sim's ``NetworkMetrics``, plus the run's wall-clock).
 
-Two entry styles:
+:class:`Cluster` is the one live host.  A scenario on ``inproc`` or
+``tcp``, the epoch service's committee generations, a ``proc`` worker's
+one node and the ledger's workloads all run on one.  Two entry styles:
 
-* ``async with Cluster(...) as cluster`` for tests and applications that
-  already live on an event loop (the ledger);
-* :class:`LiveHost` for synchronous callers (the scenario harness's
-  inproc/tcp backends, the epoch service; :func:`run_cluster` for one
-  generation): builds the loop, runs setup -> stop condition -> drain
-  -> teardown.
+* ``async with Cluster(...) as cluster`` for code that already lives on
+  an event loop (the ledger, a proc worker);
+* :meth:`Cluster.run` for synchronous callers (the scenario harness, the
+  epoch service, tests): builds the loop and runs setup -> stop
+  condition -> drain -> teardown, with ``SimHost``'s surface (``now``,
+  ``call_later``, ``spawn``, ``retire``, ``wake``, ``run``).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .faults import FaultController
 from .node import RuntimeNode
 from .transport import InProcTransport, TcpTransport, Transport
 
-__all__ = ["RuntimeMetrics", "Cluster", "LiveHost", "run_cluster", "TRANSPORTS"]
+__all__ = ["RuntimeMetrics", "Cluster", "TRANSPORTS"]
 
 #: transport name -> constructor, for CLI/config selection (``proc`` is
-#: :class:`TcpTransport` again, one node per worker process, orchestrated
-#: by :class:`repro.parallel.proc.ProcCluster`, not a :class:`Cluster`)
+#: :class:`TcpTransport` again, one :class:`Cluster` hosting one node per
+#: worker process, orchestrated by :class:`repro.parallel.proc.ProcCluster`)
 TRANSPORTS = {"inproc": InProcTransport, "tcp": TcpTransport}
 
 
@@ -52,7 +53,9 @@ class Cluster:
     """Parties hosted on one event loop over a live transport: one group
     for a batch run (``Cluster(factory, n)``), or successive groups
     (:meth:`spawn` / :meth:`retire` on a ``Cluster()``, e.g. the epoch
-    service's generations) under one metrics stream and failure check."""
+    service's generations) under one clock, metrics stream and failure
+    check.  A proc worker's cluster hosts only its own ``node_id`` of
+    each group; its peers are other processes on the TCP mesh."""
 
     def __init__(
         self,
@@ -63,11 +66,13 @@ class Cluster:
         registry: Optional[CodecRegistry] = None,
         faults: Optional[FaultController] = None,
         committee=None,
+        node_id: Optional[int] = None,
     ) -> None:
         self.committee = committee
         self.registry = registry or default_registry()
         self.faults = faults or FaultController()
         self.metrics = RuntimeMetrics()
+        self.node_id = node_id
         if isinstance(transport, str):
             if transport == "proc":
                 raise ValueError(
@@ -88,9 +93,14 @@ class Cluster:
         self.nodes: list[RuntimeNode] = []
         #: sender tasks of retired nodes, cancelled but not yet gathered
         self._retired_tasks: list[asyncio.Task] = []
-        self._started_at: Optional[float] = None
+        #: the loop :meth:`start` ran on, and its time then: the zero of
+        #: :meth:`now` (which still reads after the run, e.g. a late abort)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._t0: Optional[float] = None
         #: what run_until sleeps on between two polls
         self._nap: Optional[asyncio.Future] = None
+        #: the first exception a :meth:`call_later` callback raised
+        self._callback_failure: Optional[Exception] = None
         if party_factory is not None:
             # A committee (repro.api.committee.Committee) sizes the cluster
             # when n is omitted; drivers hosting virtual users pass n.
@@ -106,41 +116,100 @@ class Cluster:
     def n(self) -> int:
         return len(self.nodes)
 
-    # -- lifecycle ----------------------------------------------------------------
-    def spawn(self, party_factory: Callable[[int], Party], n: int) -> list[RuntimeNode]:
-        """Host parties ``0 .. n-1`` as one group (pids a previous group's
-        :meth:`retire` freed may be taken again).  Mid-run the transport
-        wires the new pids on the spot and the nodes send at once."""
+    # -- the host surface (SimHost's) ----------------------------------------------
+    def now(self) -> float:
+        """Seconds since :meth:`start`, on the event loop's clock."""
+        return self._loop.time() - self._t0
+
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        """Run ``fn`` after ``delay`` seconds.  The first exception a
+        callback raises is kept, and the next poll re-raises it
+        (:meth:`run_until`, :attr:`failure`): asyncio would only log it,
+        and a run would wait out its timeout instead."""
+
+        def guarded() -> None:
+            try:
+                fn()
+            except Exception as exc:  # noqa: BLE001 -- re-raised by the next poll
+                if self._callback_failure is None:
+                    self._callback_failure = exc
+                self.wake()
+
+        asyncio.get_running_loop().call_later(max(delay, 0.0), guarded)
+
+    def spawn(
+        self, party_factory: Callable[[int], Party], n: int, *, seed=None
+    ) -> list[Party]:
+        """Host parties ``0 .. n-1`` (only ``node_id``'s, when set) as one
+        group and return them; pids a previous group's :meth:`retire`
+        freed may be taken again.  Mid-run the transport wires the new
+        pids on the spot and the nodes send at once.  A live link draws
+        no delays, so there is no network ``seed`` to take."""
         peer_ids = list(range(n))
+        hosted = peer_ids if self.node_id is None else [self.node_id]
         nodes = [
-            RuntimeNode(party_factory(pid), self.transport, peer_ids)
-            for pid in peer_ids
+            RuntimeNode(party_factory(pid), self.transport, peer_ids) for pid in hosted
         ]
-        if self._started_at is not None:
+        if self._t0 is not None:
             for node in nodes:
                 node.start()
         self.nodes.extend(nodes)
-        return nodes
+        return [node.party for node in nodes]
 
-    def retire(self, nodes: list[RuntimeNode]) -> None:
-        """Take a group off the host, as if its nodes had crashed, and free
-        its pids.  Synchronous (callable from a handler): the sender tasks
-        are cancelled here and gathered by :meth:`stop`."""
-        for node in nodes:
-            node.party.crash()
+    def retire(self, parties: list[Party]) -> None:
+        """Take a group off the host, as if its parties had crashed, and
+        free their pids.  Synchronous (callable from a handler): the
+        sender tasks are cancelled here and gathered by :meth:`stop`."""
+        for party in parties:
+            node = party.network  # a hosted party's network is its node
+            party.crash()
             self._retired_tasks.extend(node.detach())
             self.transport.unbind(node.pid)
             self.nodes.remove(node)
 
+    def wake(self) -> None:
+        """Have a sleeping :meth:`run_until` poll now (else a no-op);
+        synchronous, callable from a handler."""
+        if self._nap is not None and not self._nap.done():
+            self._nap.set_result(None)
+
+    def run(
+        self,
+        setup: Callable[[], None],
+        stop_when: Callable[[], bool],
+        *,
+        timeout: float = 30.0,
+        poll: float = 0.002,
+        drain: bool = True,
+    ) -> None:
+        """Start, ``setup()``, poll ``stop_when()`` (:meth:`run_until`),
+        :meth:`settle` when ``drain``, stop; one ``timeout`` bounds the
+        wait and the drain together."""
+        asyncio.run(self._run(setup, stop_when, timeout, poll, drain))
+
+    async def _run(self, setup, stop_when, timeout, poll, drain) -> None:
+        deadline = time.perf_counter() + timeout
+        async with self:
+            setup()
+            await self.run_until(stop_when, timeout=timeout, poll=poll)
+            if drain:
+                # stop_when can turn true while trailing messages are still
+                # queued in outboxes; cutting them off would make the run's
+                # message/byte counts nondeterministic.
+                remaining = max(deadline - time.perf_counter(), 0.05)
+                await self.settle(timeout=remaining)
+
+    # -- lifecycle ----------------------------------------------------------------
     async def start(self) -> None:
         await self.transport.start()
         for node in self.nodes:
             node.start()
-        self._started_at = time.perf_counter()
+        self._loop = asyncio.get_running_loop()
+        self._t0 = self._loop.time()
 
     async def stop(self) -> None:
-        if self._started_at is not None:
-            self.metrics.elapsed_seconds = time.perf_counter() - self._started_at
+        if self._t0 is not None:
+            self.metrics.elapsed_seconds = self.now()
         for node in self.nodes:
             await node.stop()
         await asyncio.gather(*self._retired_tasks, return_exceptions=True)
@@ -171,13 +240,6 @@ class Cluster:
         self.party(pid).crash()
         self.faults.crash(pid)
 
-    def restart_node(self, pid: int) -> None:
-        """Crash-restart rejoin: traffic flows again first, then the
-        party recovers (recoverable parties replay their WAL and
-        broadcast a state-sync request from inside ``restart``)."""
-        self.faults.restart(pid)
-        self.party(pid).restart()
-
     async def run_until(
         self,
         predicate: Callable[[], bool],
@@ -187,13 +249,13 @@ class Cluster:
     ) -> None:
         """Poll ``predicate`` until true; raise ``TimeoutError`` otherwise.
 
-        Each poll that finds it false re-raises a node failure first;
+        Each poll that finds it false re-raises a :attr:`failure` first;
         :meth:`wake` cuts the sleep between two polls short.
         """
         loop = asyncio.get_running_loop()
         deadline = time.perf_counter() + timeout
         while not predicate():
-            self._raise_node_failures()
+            self._raise_failure()
             if time.perf_counter() > deadline:
                 outboxes = {node.pid: len(node.outbox) for node in self.nodes}
                 raise TimeoutError(
@@ -207,23 +269,29 @@ class Cluster:
             await self._nap
             alarm.cancel()
 
-    def wake(self) -> None:
-        """Have a sleeping :meth:`run_until` poll now (else a no-op);
-        synchronous, callable from a handler."""
-        if self._nap is not None and not self._nap.done():
-            self._nap.set_result(None)
-
-    def _raise_node_failures(self) -> None:
-        """Re-raise the first node failure (codec or handler error)."""
+    @property
+    def failure(self) -> Optional[BaseException]:
+        """What the next poll raises, or ``None``: a scheduled callback's
+        exception itself, else the first node failure (codec or handler
+        error) or the transport's at its delivery point, as a
+        ``RuntimeError`` chained to it."""
+        if self._callback_failure is not None:
+            return self._callback_failure
         for node in self.nodes:
             if node.failure is not None:
-                raise RuntimeError(
-                    f"node {node.pid} failed while pumping messages"
-                ) from node.failure
+                return _chained(
+                    f"node {node.pid} failed while pumping messages", node.failure
+                )
         if self.transport.failure is not None:
-            raise RuntimeError(
-                "transport failed at the delivery point"
-            ) from self.transport.failure
+            return _chained(
+                "transport failed at the delivery point", self.transport.failure
+            )
+        return None
+
+    def _raise_failure(self) -> None:
+        failure = self.failure
+        if failure is not None:
+            raise failure
 
     @property
     def quiescent(self) -> bool:
@@ -233,7 +301,7 @@ class Cluster:
 
     async def settle(self, *, timeout: float = 30.0) -> None:
         """Wait until the cluster is :attr:`quiescent` -- the runtime's
-        simulator-run-to-quiescence -- and re-raise a node failure.
+        simulator-run-to-quiescence -- and re-raise a :attr:`failure`.
 
         The first quiescent poll is final: one loop hosts every node, and
         a frame holds its in-flight slot until its handler has returned,
@@ -241,107 +309,11 @@ class Cluster:
         nothing but a caller can make a quiescent cluster busy again.
         """
         await self.run_until(lambda: self.quiescent, timeout=timeout)
-        self._raise_node_failures()
+        self._raise_failure()
 
 
-class LiveHost:
-    """One run's generations of parties on one :class:`Cluster`, on a
-    wall clock that starts with the run: the live twin of
-    :class:`repro.sim.runner.SimHost`, with the same surface."""
-
-    def __init__(self, cluster: Optional[Cluster] = None) -> None:
-        self.cluster = cluster if cluster is not None else Cluster()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._t0 = 0.0
-
-    @property
-    def metrics(self) -> RuntimeMetrics:
-        return self.cluster.metrics
-
-    @property
-    def quiescent(self) -> bool:
-        return self.cluster.quiescent
-
-    def now(self) -> float:
-        assert self._loop is not None, "host is not running"
-        return self._loop.time() - self._t0
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        assert self._loop is not None, "host is not running"
-        self._loop.call_later(max(delay, 0.0), fn)
-
-    def spawn(self, factory: Callable[[int], Party], n: int, *, seed=None) -> list[Party]:
-        # a live link draws no delays, so it takes no network seed
-        return [node.party for node in self.cluster.spawn(factory, n)]
-
-    def retire(self, parties: list[Party]) -> None:
-        doomed = {id(party) for party in parties}
-        self.cluster.retire(
-            [node for node in self.cluster.nodes if id(node.party) in doomed]
-        )
-
-    def wake(self) -> None:
-        self.cluster.wake()
-
-    def run(
-        self,
-        setup: Callable[[], None],
-        stop_when: Callable[[], bool],
-        *,
-        timeout: float = 30.0,
-        poll: float = 0.002,
-        drain: bool = True,
-    ) -> None:
-        """Start, ``setup()``, poll ``stop_when()`` (``Cluster.run_until``),
-        settle to quiescence when ``drain``, stop; one ``timeout`` bounds
-        the wait and the drain together."""
-        asyncio.run(self._run(setup, stop_when, timeout, poll, drain))
-
-    async def _run(self, setup, stop_when, timeout, poll, drain) -> None:
-        self._loop = asyncio.get_running_loop()
-        deadline = time.perf_counter() + timeout
-        async with self.cluster:
-            self._t0 = self._loop.time()
-            setup()
-            await self.cluster.run_until(stop_when, timeout=timeout, poll=poll)
-            if drain:
-                # stop_when can turn true while trailing messages are still
-                # queued in outboxes; cutting them off would make the run's
-                # message/byte counts nondeterministic.
-                remaining = max(deadline - time.perf_counter(), 0.05)
-                await self.cluster.settle(timeout=remaining)
-
-
-def run_cluster(
-    party_factory: Callable[[int], Party],
-    n: Optional[int] = None,
-    *,
-    transport: Union[str, Transport] = "inproc",
-    setup: Optional[Callable[[Cluster], None]] = None,
-    stop_when: Optional[Callable[[Cluster], bool]] = None,
-    registry: Optional[CodecRegistry] = None,
-    faults: Optional[FaultController] = None,
-    timeout: float = 30.0,
-    committee=None,
-) -> Cluster:
-    """Synchronous convenience driver: start, setup, run, stop.
-
-    ``setup(cluster)`` fires protocol entry points (proposals, broadcast
-    initiations); ``stop_when(cluster)`` is the completion predicate
-    (default: settle to quiescence).  Returns the stopped cluster, whose
-    ``metrics`` then hold the run's counters and latency.
-    """
-    cluster = Cluster(
-        party_factory,
-        n,
-        transport=transport,
-        registry=registry,
-        faults=faults,
-        committee=committee,
-    )
-    LiveHost(cluster).run(
-        (lambda: setup(cluster)) if setup is not None else (lambda: None),
-        (lambda: stop_when(cluster)) if stop_when is not None else (lambda: True),
-        timeout=timeout,
-    )
-    return cluster
+def _chained(message: str, cause: BaseException) -> RuntimeError:
+    """``RuntimeError(message)``, raised later as if ``from cause``."""
+    error = RuntimeError(message)
+    error.__cause__ = cause
+    return error

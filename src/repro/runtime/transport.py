@@ -57,6 +57,8 @@ DEFAULT_RETRY_LIMIT = 256
 #: peer is suspected
 _HEARTBEAT_INTERVAL = 0.2
 _HEARTBEAT_SUSPECT_AFTER = 3
+#: the address every listener binds: the mesh is one machine's loopback
+_HOST = "127.0.0.1"
 
 #: synchronous delivery callback: ``handler(src, message)``
 Handler = Callable[[int, Any], None]
@@ -328,7 +330,7 @@ class TcpTransport(Transport):
     object), a ``proc`` worker binds exactly one (every link but its
     self-link leaves the process).  Nothing else distinguishes the two.
 
-    Listeners bind ``(host, 0)``; :meth:`listen` returns the
+    Listeners bind ``("127.0.0.1", 0)``; :meth:`listen` returns the
     kernel-assigned port and :meth:`address` reports it, so concurrent
     clusters never collide on a hardcoded port.  A single-loop cluster
     needs nothing more (:meth:`start` listens for every bound pid); the
@@ -388,13 +390,11 @@ class TcpTransport(Transport):
         *,
         faults: Optional[FaultController] = None,
         record: Optional[Recorder] = None,
-        host: str = "127.0.0.1",
-        incarnation: int = 0,
     ) -> None:
         super().__init__(registry, faults=faults, record=record)
-        self.host = host
         #: bumped by the proc parent on every respawn of the hosted node
-        self.incarnation = incarnation
+        #: (set before the first dial: the hello carries it)
+        self.incarnation = 0
         #: cumulative frames shipped to / accepted from the mesh (self-sends
         #: count on both sides) -- the conservation check.  Retry resends
         #: and dropped duplicates deliberately do not count.
@@ -426,11 +426,11 @@ class TcpTransport(Transport):
     async def listen(self, pid: int) -> int:
         """Host node ``pid``: bind a kernel-assigned port and return it."""
         server = await asyncio.get_running_loop().create_server(
-            lambda: _Inbound(self, pid), self.host, 0
+            lambda: _Inbound(self, pid), _HOST, 0
         )
         self._servers[pid] = server
         port = server.sockets[0].getsockname()[1]
-        self._peers[pid] = (self.host, port)
+        self._peers[pid] = (_HOST, port)
         return port
 
     def address(self, pid: int) -> tuple[str, int]:

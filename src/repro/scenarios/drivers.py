@@ -168,7 +168,8 @@ class ProtocolDriver:
 
     def spawn(self, ctx: RunContext) -> None:
         """Host the run's one generation, before the plan is armed."""
-        ctx.parties = dict(enumerate(ctx.spawn(self.factory, self.n_nodes)))
+        group = ctx.spawn(self.factory, self.n_nodes)  # a proc worker's: one party
+        ctx.parties = {party.pid: party for party in group}
 
     def start(self, ctx: RunContext) -> None:
         """Schedule the workload: one event per epoch fires every live

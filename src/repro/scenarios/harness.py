@@ -20,20 +20,20 @@ what truly differs: how parties and a clock are built, and how to wait.
 
 There is one host of each kind, and it hosts generations of parties: a
 :class:`~repro.sim.runner.SimHost` (one ``World`` per generation on one
-simulator, virtual time) and a :class:`~repro.runtime.cluster.LiveHost`
-(one ``Cluster`` on a live transport, wall time since the run started).
-A batch driver is one generation, spawned before the plan is armed; the
-epoch service spawns and retires its committees as it runs.  Only the
-proc worker wires its single node itself, because its parent's commands
-drive its life cycle.
+simulator, virtual time) and a :class:`~repro.runtime.cluster.Cluster`
+(on a live transport, wall time since the run started).  A batch driver
+is one generation, spawned before the plan is armed; the epoch service
+spawns and retires its committees as it runs.  A proc worker spawns the
+same generation on a ``Cluster`` that hosts only its own node, whose
+life cycle its parent's commands drive.
 A failure ends the run the same way everywhere.  A handler that raises
 propagates out of ``World.run`` on the sim; on a live backend its node
 records it and is handed nothing more, and the cluster's next poll
 raises ``RuntimeError("node N failed while pumping messages")`` chained
 to it (a proc worker reports it, and the parent raises ``ProcError``).
 A scheduled callback that raises -- an epoch's workload, a chaos stage,
-a trigger poll -- is kept by :class:`_LiveSchedule` and re-raised the
-same way.
+a trigger poll -- is kept by ``Cluster.call_later`` and re-raised by
+that same poll.
 
 The result is a unified, JSON-able metrics record.  On the sim backend
 the record is fully deterministic for a fixed seed -- byte-identical
@@ -68,23 +68,20 @@ class RunContext:
     """What a driver and the fault plan see of the running backend: the
     parties hosted here by node id (all of them on sim/inproc/tcp; a proc
     worker hosts exactly one), the live node ids, the fault controller
-    every link consults, a scenario-time scheduler (sim: virtual
-    seconds via the simulator; runtime: wall seconds via
-    ``loop.call_later``), and the host whose clock and generations
-    :meth:`now`, :meth:`spawn` and :meth:`retire` reach (none in a proc
-    worker, which wires its one party itself)."""
+    every link consults, and the host whose clock, timers and
+    generations :meth:`now`, :meth:`call_later`, :meth:`spawn` and
+    :meth:`retire` reach (sim: virtual seconds; live: wall seconds)."""
 
     parties: Mapping[int, Party]
     live_nodes: tuple[int, ...]
-    schedule: Callable[[float, Callable[[], None]], None]
     faults: FaultController
-    host: Optional[object] = None
+    host: object
 
     def now(self) -> float:
         return self.host.now()
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        self.schedule(max(delay, 0.0), fn)
+        self.host.call_later(delay, fn)
 
     def spawn(self, factory: Callable[[int], Party], n: int, *, seed=None) -> list[Party]:
         """Host parties ``0 .. n-1`` as a new generation."""
@@ -105,7 +102,7 @@ class RunContext:
         if when <= 0:
             fn()
         else:
-            self.schedule(when, fn)
+            self.call_later(when, fn)
 
     def crash(self, nid: int) -> None:
         """Full crash: the party (when hosted here) stops reacting AND
@@ -295,39 +292,15 @@ def build_driver(
 # -- the run lifecycle: arm, stop rule, finish -------------------------------------------
 
 
-def _context(spec, driver, parties, schedule, faults, host=None) -> RunContext:
-    """The backend's :class:`RunContext` over ``parties`` (node id ->
-    hosted party); the live nodes are the spec's, in node-id terms."""
+def _context(spec, driver, faults, host) -> RunContext:
+    """The backend's :class:`RunContext` over ``host``, hosting no party
+    until ``driver.spawn``; the live nodes are the spec's, in node-id
+    terms."""
     crashed = {nid for pid in spec.faults.crashes for nid in driver.map_pid(pid)}
     live_nodes = tuple(nid for nid in range(driver.n_nodes) if nid not in crashed)
     if not live_nodes:
         raise ValueError("fault plan crashes every node; nothing left to run")
-    return RunContext(
-        parties=parties, live_nodes=live_nodes, schedule=schedule, faults=faults, host=host
-    )
-
-
-class _LiveSchedule:
-    """A live backend's :class:`RunContext` scheduler over
-    ``loop.call_later`` that keeps the first exception a scheduled
-    callback raises (an epoch's workload, a chaos stage, a trigger
-    poll).  asyncio would only log it and drop the callback; the stop
-    poll re-raises it instead (a proc worker reports it as its failure),
-    so a live run ends on it as the sim's ``world.run()`` does."""
-
-    def __init__(self, call_later: Callable) -> None:
-        self.call_later = call_later
-        self.failure: Optional[Exception] = None
-
-    def __call__(self, delay: float, fn: Callable[[], None]) -> None:
-        def guarded() -> None:
-            try:
-                fn()
-            except Exception as exc:  # noqa: BLE001 -- re-raised by the stop poll
-                if self.failure is None:
-                    self.failure = exc
-
-        self.call_later(delay, guarded)
+    return RunContext(parties={}, live_nodes=live_nodes, faults=faults, host=host)
 
 
 def _arm(spec, driver, ctx: RunContext, metrics, *, restart_timers: bool = True):
@@ -503,13 +476,11 @@ def run_scenario(
 
         delays = UniformDelay(spec.net.delay_low, spec.net.delay_high)
         host = SimHost(spec.seed, delay_model=delays, faults=faults)
-        schedule = host.simulator.schedule
     else:
-        from ..runtime.cluster import Cluster, LiveHost
+        from ..runtime.cluster import Cluster
 
-        host = LiveHost(Cluster(transport=backend, faults=faults))
-        schedule = _LiveSchedule(host.call_later)
-    ctx = _context(spec, driver, {}, schedule, faults, host)
+        host = Cluster(transport=backend, faults=faults)
+    ctx = _context(spec, driver, faults, host)
     driver.spawn(ctx)  # before the plan is armed: a crash at 0 finds its party
     rule = _StopRule(spec, driver)
     armed = []
@@ -519,10 +490,6 @@ def run_scenario(
         driver.start(ctx)
 
     def stop_when() -> bool:
-        # a live callback's exception (the simulator raises it at once)
-        failure = getattr(schedule, "failure", None)
-        if failure is not None:
-            raise failure
         return rule(ctx.now(), driver.done(ctx), host.quiescent, host.metrics.messages)
 
     host.run(setup, stop_when, timeout=timeout, poll=driver.poll, drain=driver.drains)

@@ -31,14 +31,14 @@ Quick start::
 
 The host is the run's clock and the keeper of its party generations: a
 :class:`~repro.sim.runner.SimHost` (virtual time, deterministic) or a
-:class:`~repro.runtime.cluster.LiveHost` (wall time, in-process
+:class:`~repro.runtime.cluster.Cluster` (wall time, in-process
 transport) -- the same two hosts the scenario harness runs every
 workload on; a ``kind="service"`` spec runs this service there through
 :class:`~repro.service.scenario.ServiceDriver`.
 """
 
 # the ledger benchmark's name for the live host
-from ..runtime.cluster import LiveHost as InprocServiceBackend  # noqa: F401
+from ..runtime.cluster import Cluster as InprocServiceBackend  # noqa: F401
 from .epoch import DriftSchedule, EpochManager
 from .load import LoadGenerator
 from .metrics import EpochRecord, ServiceMetrics, ServiceResult

@@ -20,7 +20,7 @@ request's latency runs from :meth:`submit` to its slot being committed by
 
 Everything here is synchronous and backend-agnostic: the clock, timers
 and party generations are the *backend*'s -- a
-:class:`~repro.sim.runner.SimHost` or :class:`~repro.runtime.cluster.LiveHost`,
+:class:`~repro.sim.runner.SimHost` or :class:`~repro.runtime.cluster.Cluster`,
 or under the scenario harness the run's context over one.
 """
 

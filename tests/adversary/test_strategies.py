@@ -28,6 +28,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.harness import RunContext, build_driver
+from repro.sim import SimHost
 
 #: the paper's running-example stake vector (skewed, n=8, W=100)
 STAKE = (40, 25, 15, 10, 5, 3, 1, 1)
@@ -207,8 +208,8 @@ class TestStaged:
         ctx = RunContext(
             parties=parties,
             live_nodes=tuple(parties),
-            schedule=lambda delay, fn: None,  # the stage never fires on its own
             faults=FaultController(),
+            host=SimHost(),  # never run: the stage never fires on its own
         )
         orchestrator = ChaosOrchestrator(spec, driver)
         orchestrator.install(ctx)

@@ -165,22 +165,21 @@ class TestCommittee:
             build_world(lambda pid: BroadcastParty(pid, quorums, 0))
 
     def test_committee_sizes_live_cluster(self):
-        # run_cluster likewise: no explicit n, the committee decides.
+        # Cluster likewise: no explicit n, the committee decides.
         from repro.protocols.reliable_broadcast import BroadcastParty
-        from repro.runtime import run_cluster
+        from repro.runtime import Cluster
 
         committee = Committee.from_weights(STAKE)
         quorums = committee.quorums("1/3")
-        cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, quorums, 0),
-            setup=lambda c: c.party(0).broadcast_value(b"hi"),
-            stop_when=lambda c: all(p.delivered == b"hi" for p in c.parties),
-            committee=committee,
+        cluster = Cluster(lambda pid: BroadcastParty(pid, quorums, 0), committee=committee)
+        cluster.run(
+            lambda: cluster.party(0).broadcast_value(b"hi"),
+            lambda: all(p.delivered == b"hi" for p in cluster.parties),
         )
         assert cluster.n == committee.n
         assert cluster.committee is committee
         with pytest.raises(ValueError, match="needs n or a committee"):
-            run_cluster(lambda pid: BroadcastParty(pid, quorums, 0))
+            Cluster(lambda pid: BroadcastParty(pid, quorums, 0))
 
     def test_analysis_layers_accept_committee(self):
         from fractions import Fraction as F

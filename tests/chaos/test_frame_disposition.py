@@ -6,7 +6,7 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.protocols.reliable_broadcast import BroadcastParty
-from repro.runtime import FaultController, run_cluster
+from repro.runtime import Cluster, FaultController
 from repro.runtime.transport import InProcTransport
 from repro.sim.events import Simulator
 from repro.sim.network import Network, UniformDelay
@@ -108,16 +108,12 @@ class TestInProcTransport:
         sim.run()
 
         live_faults = FaultController()
+        cluster = Cluster(lambda pid: BroadcastParty(pid, quorums, 0), 4, faults=live_faults)
 
-        def setup(cluster):
+        def setup():
             live_faults.partition(*groups)
             cluster.party(0).broadcast_value(b"split")
 
-        run_cluster(
-            lambda pid: BroadcastParty(pid, quorums, 0),
-            4,
-            faults=live_faults,
-            setup=setup,
-        )
+        cluster.run(setup, lambda: True)
         assert sim_faults.dropped_messages > 0
         assert live_faults.dropped_messages == sim_faults.dropped_messages

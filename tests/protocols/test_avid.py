@@ -359,6 +359,44 @@ class TestByzantineDealer:
         assert not world.party(1).my_fragments
 
 
+class TestOneDealer:
+    """A dispersal has one dealer: ``AvidParty(pid, quorums, dealer=0)``
+    drops an ``AvidDisperse`` from any other sender, so a dispersal that
+    party 4 sends is stored nowhere -- on the simulator and live alike."""
+
+    N, T = 7, 2
+
+    def _disperse_from_4(self, backend, **party_args):
+        quorums = NominalQuorums(n=self.N, t=self.T)
+        code, vmap = ReedSolomon(k=self.T + 1, m=self.N), VirtualUserMap([1] * self.N)
+        data = _payload(28, 40)
+
+        def factory(pid):
+            return AvidParty(pid, quorums, **party_args)
+
+        if backend == "sim":
+            world = build_world(factory, self.N, seed=28)
+            commitment = world.party(4).disperse(data, code, vmap)
+            world.run()
+            return commitment, world.parties
+        from repro.runtime import Cluster
+
+        cluster, sent = Cluster(factory, self.N), []
+        disperse = cluster.party(4).disperse
+        cluster.run(lambda: sent.append(disperse(data, code, vmap)), lambda: True)
+        return sent[0], cluster.parties
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_a_dispersal_from_a_party_that_is_not_the_dealer_is_stored_nowhere(self, backend):
+        _, parties = self._disperse_from_4(backend)
+        assert all(p.stored_commitment is None and not p.my_fragments for p in parties)
+
+    @pytest.mark.parametrize("backend", ["sim", "inproc"])
+    def test_the_designated_dealer_disperses(self, backend):
+        commitment, parties = self._disperse_from_4(backend, dealer=4)
+        assert all(p.stored_commitment == commitment for p in parties)
+
+
 class TestBulkObjectOnInproc:
     def test_one_mib_survives_the_crash_and_the_dealer_hashes_each_block_once(
         self, monkeypatch

@@ -1,10 +1,11 @@
 """Theorem 4.2 at the protocol: on a chain's ``blunt_setup(WR 1/3 -> 1/2)``
 beacon, the heaviest coalition under a third of the weight cannot open
 an epoch with its own keys, and the fewest parties holding the
-threshold's tickets can.  On aptos the theorem is also met at its exact
-boundary: the coalition under a third that holds the most tickets (an
-exact knapsack, :mod:`extremal`) holds ``k - 1`` of them and cannot open
-the epoch; the cheapest party that brings it to ``k`` crosses a third of
+threshold's tickets can.  On aptos and tezos the theorem is also met at
+its exact boundary: the coalition under a third that holds the most
+tickets (an exact knapsack, :mod:`extremal`) holds ``k - 1`` of them and
+cannot open the epoch, where the greedy heaviest coalition holds fewer.
+On aptos the cheapest party that brings it to ``k`` crosses a third of
 the weight, and then it can.
 
 Only the coalition starts the epoch, so every share in flight is signed
@@ -77,12 +78,20 @@ def _worst_under_a_third(weights, coin) -> list[int]:
     return coalition
 
 
-def test_the_exact_worst_coalition_under_a_third_cannot_open_an_epoch():
-    weights, coin, world = _beacon("aptos")
+@pytest.mark.parametrize(
+    "chain, shape, held",
+    [
+        # (tickets T, threshold k, greedy coalition's tickets), worst's held
+        ("aptos", (63, 32, 27), 31),
+        pytest.param("tezos", (125, 63, 57), 62, marks=pytest.mark.slow),
+    ],
+)
+def test_the_exact_worst_coalition_under_a_third_cannot_open_an_epoch(chain, shape, held):
+    weights, coin, world = _beacon(chain)
     coalition = _worst_under_a_third(weights, coin)
     greedy = sum(coin.vmap.tickets[p] for p in heaviest_under(weights, "1/3"))
-    assert (coin.vmap.total_virtual, coin.threshold, greedy) == (63, 32, 27)
-    assert _start(world, coalition) == coin.threshold - 1 == 31
+    assert (coin.vmap.total_virtual, coin.threshold, greedy) == shape
+    assert _start(world, coalition) == coin.threshold - 1 == held
     assert all(EPOCH not in party.values for party in world.parties)
 
 

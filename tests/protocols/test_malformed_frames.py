@@ -433,7 +433,7 @@ def test_avid_and_vaba_drop_a_malformed_frame(kind):
 
 
 def _forged_dispersal():
-    """Party 3's well-formed dispersal of its own payload (k=2, m=4)."""
+    """A well-formed dispersal of a forged payload (k=2, m=4)."""
     blocks = ReedSolomon(k=2, m=4).encode_blocks(b"forged")
     hash_list = tuple(hashlib.sha256(block).digest() for block in blocks)
     return AvidDisperse(
@@ -475,7 +475,7 @@ def test_avid_drops_a_malformed_dispersal_or_retrieval_frame(kind):
     world.party(2).crash()
     if isinstance(bad, AvidDisperse):
         for pid in LIVE:
-            world.party(pid).receive(bad, 3)
+            world.party(pid).receive(bad, 0)  # from the dealer: the door drops it
         assert all(world.party(p)._code is None for p in LIVE)
     code, vmap = ReedSolomon(k=2, m=4), VirtualUserMap([1] * 4)
     commitment = world.party(0).disperse(b"stored", code, vmap)

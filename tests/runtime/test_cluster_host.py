@@ -1,9 +1,11 @@
-"""``Cluster`` as a host of successive party groups: ``spawn`` / ``retire``
-on one transport, one metrics stream and one failure check -- what the
-epoch service's committee generations run on.
+"""``Cluster`` as the one live host: successive party groups (``spawn`` /
+``retire``) on one transport, one clock, one metrics stream and one
+failure check -- what the epoch service's committee generations and
+every live scenario run on.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -70,8 +72,8 @@ class TestSpawnRetire:
     def test_spawn_mid_run_delivers_a_frame_sent_in_the_same_turn(self):
         async def drive():
             async with Cluster() as cluster:
-                nodes = cluster.spawn(_Sink, N)
-                nodes[0].party.send(1, BrachaEcho(0, 0, b"first"))  # no await in between
+                parties = cluster.spawn(_Sink, N)
+                parties[0].send(1, BrachaEcho(0, 0, b"first"))  # no await in between
                 await cluster.settle()
                 return cluster.n, cluster.party(1).got
 
@@ -82,8 +84,8 @@ class TestSpawnRetire:
     def test_spawn_before_start_waits_for_start(self):
         async def drive():
             cluster = Cluster()
-            nodes = cluster.spawn(_Sink, N)
-            nodes[3].party.broadcast(BrachaSend(0, 0, b"queued"))
+            parties = cluster.spawn(_Sink, N)
+            parties[3].broadcast(BrachaSend(0, 0, b"queued"))
             async with cluster:
                 await cluster.settle()
             return [party.got for party in cluster.parties]
@@ -96,7 +98,7 @@ class TestSpawnRetire:
             async with Cluster(faults=faults) as cluster:
                 transport = cluster.transport
                 old = cluster.spawn(_Sink, N)
-                old[0].party.broadcast(BrachaSend(0, 0, b"old generation"))
+                old[0].broadcast(BrachaSend(0, 0, b"old generation"))
                 await cluster.settle()
                 counted = cluster.metrics.messages
                 assert counted == N
@@ -105,7 +107,7 @@ class TestSpawnRetire:
                 # places a frame can wait: a destination's queue and a
                 # delay timer.
                 faults.delay_link(2, 3, 0.05)
-                old[2].party.send(3, BrachaEcho(0, 0, b"on a timer"))
+                old[2].send(3, BrachaEcho(0, 0, b"on a timer"))
                 while faults.delayed_messages < 1:
                     await asyncio.sleep(0)
                 faults.delay_link(2, 3, 0.0)
@@ -116,13 +118,13 @@ class TestSpawnRetire:
                 assert transport.in_flight == 1  # the queued one died with its node
 
                 new = cluster.spawn(_Sink, N)
-                assert [node.pid for node in new] == list(range(N))
-                assert cluster.nodes == new and cluster.party(1) is new[1].party
-                new[1].party.broadcast(BrachaSend(0, 0, b"new generation"))
+                assert [party.pid for party in new] == list(range(N))
+                assert cluster.parties == new and cluster.party(1) is new[1]
+                new[1].broadcast(BrachaSend(0, 0, b"new generation"))
                 await cluster.settle()
-                assert transport.quiescent and all(node.idle for node in new)
+                assert transport.quiescent and all(node.idle for node in cluster.nodes)
                 assert cluster.metrics.messages == counted + 2 + N
-                return [node.party for node in old], [node.party for node in new]
+                return old, new
 
         old, new = _run(drive)
         assert all(party.crashed for party in old)
@@ -136,14 +138,14 @@ class TestSpawnRetire:
 
         async def drive():
             async with Cluster() as cluster:
-                nodes = cluster.spawn(_Sink, N)
-                nodes[1].party.on(BrachaEcho, lambda message, sender: cluster.retire(nodes))
-                nodes[0].party.send(1, BrachaEcho(0, 0, b"last commit"))
+                parties = cluster.spawn(_Sink, N)
+                parties[1].on(BrachaEcho, lambda message, sender: cluster.retire(parties))
+                parties[0].send(1, BrachaEcho(0, 0, b"last commit"))
                 await cluster.run_until(lambda: cluster.n == 0, timeout=5.0)
                 successors = cluster.spawn(_Sink, 2)
-                successors[0].party.send(1, BrachaSend(0, 0, b"next"))
+                successors[0].send(1, BrachaSend(0, 0, b"next"))
                 await cluster.settle()
-                return successors[1].party.got
+                return successors[1].got
 
         assert _run(drive) == [(0, BrachaSend(0, 0, b"next"))]
 
@@ -153,9 +155,9 @@ class TestSpawnRetire:
 
         async def drive():
             async with Cluster() as cluster:
-                nodes = cluster.spawn(_Sink, N)
-                nodes[2].party.on(BrachaEcho, broken)
-                nodes[0].party.send(2, BrachaEcho(0, 0, b"boom"))
+                parties = cluster.spawn(_Sink, N)
+                parties[2].on(BrachaEcho, broken)
+                parties[0].send(2, BrachaEcho(0, 0, b"boom"))
                 await cluster.run_until(lambda: False, timeout=5.0)
 
         with pytest.raises(RuntimeError, match="node 2 failed while pumping") as info:
@@ -176,3 +178,45 @@ class TestWake:
                 return loop.time() - started
 
         assert 0.04 < _run(drive) < 1.0
+
+
+class TestHostSurface:
+    """What the harness and the epoch service reach through a host."""
+
+    def test_a_raising_callback_ends_the_run_with_its_exception(self):
+        cluster = Cluster(_Sink, N)
+        started = time.perf_counter()
+        with pytest.raises(ZeroDivisionError):
+            cluster.run(
+                lambda: cluster.call_later(0.01, lambda: 1 / 0), lambda: False, timeout=5.0
+            )
+        assert time.perf_counter() - started < 1.0
+        assert isinstance(cluster.failure, ZeroDivisionError)
+
+    def test_only_the_first_callback_failure_is_kept(self):
+        async def drive():
+            async with Cluster() as cluster:
+                cluster.call_later(0.0, lambda: 1 / 0)
+                cluster.call_later(0.0, lambda: [][0])
+                await asyncio.sleep(0.01)
+                return cluster.failure
+
+        assert isinstance(_run(drive), ZeroDivisionError)
+
+    def test_now_counts_from_start_and_call_later_fires_on_it(self):
+        cluster = Cluster()
+        fired = []
+        cluster.run(
+            lambda: cluster.call_later(0.05, lambda: fired.append(cluster.now())),
+            lambda: bool(fired),
+            timeout=5.0,
+        )
+        assert 0.05 <= fired[0] < 1.0
+        assert cluster.metrics.elapsed_seconds >= fired[0]
+
+    def test_a_node_id_hosts_only_that_node_of_each_group(self):
+        cluster = Cluster(transport="tcp", node_id=2)
+        group = cluster.spawn(_Sink, N)
+        assert [party.pid for party in group] == [2] and cluster.parties == group
+        assert cluster.nodes[0].party_ids == list(range(N))
+        assert cluster.transport.node_ids == [2]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.protocols.reliable_broadcast import BroadcastParty
 from repro.protocols.smr import SmrParty
-from repro.runtime import Cluster, FaultController, run_cluster
+from repro.runtime import Cluster, FaultController
 from repro.runtime.codec import default_registry
 from repro.runtime.faults import DeliveryDecision
 from repro.runtime.transport import InProcTransport
@@ -58,19 +58,15 @@ class TestCrashInjection:
         sender = live[0]
         faults = FaultController()
 
-        def setup(cluster):
+        cluster = Cluster(lambda pid: BroadcastParty(pid, QUORUMS, sender), N, faults=faults)
+
+        def setup():
             for pid in corrupt:
                 cluster.crash_node(pid)
             cluster.party(sender).broadcast_value(b"survive")
 
-        cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, QUORUMS, sender),
-            N,
-            faults=faults,
-            setup=setup,
-            stop_when=lambda c: all(
-                c.party(pid).delivered == b"survive" for pid in live
-            ),
+        cluster.run(
+            setup, lambda: all(cluster.party(pid).delivered == b"survive" for pid in live)
         )
         for pid in corrupt:
             assert cluster.party(pid).delivered is None
@@ -80,19 +76,17 @@ class TestCrashInjection:
         corrupt = heaviest_under(WEIGHTS, "1/3")
         live = [pid for pid in range(N) if pid not in corrupt]
 
-        def setup(cluster):
+        cluster = Cluster(lambda pid: SmrParty(pid, N, QUORUMS, lambda epoch: 42), N)
+
+        def setup():
             for pid in corrupt:
                 cluster.crash_node(pid)
             for pid in live:
                 cluster.party(pid).propose_batch(0, f"b{pid}".encode())
 
-        cluster = run_cluster(
-            lambda pid: SmrParty(pid, N, QUORUMS, lambda epoch: 42),
-            N,
-            setup=setup,
-            stop_when=lambda c: all(
-                len(c.party(pid).ordered_log(0)) == len(live) for pid in live
-            ),
+        cluster.run(
+            setup,
+            lambda: all(len(cluster.party(pid).ordered_log(0)) == len(live) for pid in live),
         )
         logs = {tuple(cluster.party(pid).ordered_log(0)) for pid in live}
         assert len(logs) == 1
@@ -187,12 +181,10 @@ class TestDelayInjection:
         faults.delay_all(0.005)
         faults.delay_link(0, 3, 0.02)
 
-        cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, QUORUMS, 0),
-            N,
-            faults=faults,
-            setup=lambda c: c.party(0).broadcast_value(b"slow"),
-            stop_when=lambda c: all(p.delivered == b"slow" for p in c.parties),
+        cluster = Cluster(lambda pid: BroadcastParty(pid, QUORUMS, 0), N, faults=faults)
+        cluster.run(
+            lambda: cluster.party(0).broadcast_value(b"slow"),
+            lambda: all(p.delivered == b"slow" for p in cluster.parties),
         )
         assert faults.delayed_messages > 0
         # Two delivery hops through >= 5ms links bound the wall clock below.

@@ -156,15 +156,15 @@ class TestRebind:
                     cluster.retire(old)
                     new.extend(cluster.spawn(Sink, 3))
 
-                old[1].party.on(BrachaEcho, last_commit)
+                old[1].on(BrachaEcho, last_commit)
                 frames = [(1, b"last"), (2, b"stale"), (1, b"stale"), (0, b"stale")]
                 for dst, tag in frames:
                     await cluster.transport.send(0, dst, _echo(tag))
                 await cluster.settle()
-                new[0].party.broadcast(_echo(b"fresh"))
+                new[0].broadcast(_echo(b"fresh"))
                 await cluster.settle()
                 assert cluster.transport.in_flight == 0
-                return [n.party.got for n in old], [n.party.got for n in new]
+                return [p.got for p in old], [p.got for p in new]
 
         old, new = _checked(drive)
         assert old == [[], [], []]

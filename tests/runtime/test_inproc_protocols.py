@@ -12,7 +12,7 @@ import asyncio
 from repro.protocols.common_coin import deterministic_coin
 from repro.protocols.reliable_broadcast import BroadcastParty
 from repro.protocols.smr import SmrParty
-from repro.runtime import Cluster, run_cluster
+from repro.runtime import Cluster
 from repro.sim import build_world
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 
@@ -32,13 +32,12 @@ def _sim_rbc(quorums):
 
 
 def _runtime_rbc(quorums):
-    return run_cluster(
-        lambda pid: BroadcastParty(pid, quorums, 0),
-        N,
-        transport="inproc",
-        setup=lambda c: c.party(0).broadcast_value(PAYLOAD),
-        stop_when=lambda c: all(p.delivered is not None for p in c.parties),
+    cluster = Cluster(lambda pid: BroadcastParty(pid, quorums, 0), N, transport="inproc")
+    cluster.run(
+        lambda: cluster.party(0).broadcast_value(PAYLOAD),
+        lambda: all(p.delivered is not None for p in cluster.parties),
     )
+    return cluster
 
 
 class TestRbcEquivalence:
@@ -82,16 +81,10 @@ class TestSmrEquivalence:
             world.party(pid).propose_batch(0, payloads[pid])
         world.run()
 
-        cluster = run_cluster(
-            lambda pid: SmrParty(pid, N, quorums, _coin),
-            N,
-            transport="inproc",
-            setup=lambda c: [
-                c.party(pid).propose_batch(0, payloads[pid]) for pid in range(N)
-            ],
-            stop_when=lambda c: all(
-                len(p.ordered_log(0)) == N for p in c.parties
-            ),
+        cluster = Cluster(lambda pid: SmrParty(pid, N, quorums, _coin), N, transport="inproc")
+        cluster.run(
+            lambda: [cluster.party(pid).propose_batch(0, payloads[pid]) for pid in range(N)],
+            lambda: all(len(p.ordered_log(0)) == N for p in cluster.parties),
         )
 
         sim_log = world.party(0).ordered_log(0)
@@ -110,16 +103,10 @@ class TestSmrEquivalence:
             world.party(pid).propose_batch(1, payloads[pid])
         world.run()
 
-        cluster = run_cluster(
-            lambda pid: SmrParty(pid, N, quorums, _coin),
-            N,
-            transport="inproc",
-            setup=lambda c: [
-                c.party(pid).propose_batch(1, payloads[pid]) for pid in range(N)
-            ],
-            stop_when=lambda c: all(
-                len(p.ordered_log(1)) == N for p in c.parties
-            ),
+        cluster = Cluster(lambda pid: SmrParty(pid, N, quorums, _coin), N, transport="inproc")
+        cluster.run(
+            lambda: [cluster.party(pid).propose_batch(1, payloads[pid]) for pid in range(N)],
+            lambda: all(len(p.ordered_log(1)) == N for p in cluster.parties),
         )
         assert dict(cluster.metrics.by_type) == dict(world.metrics.by_type)
 

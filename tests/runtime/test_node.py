@@ -198,7 +198,7 @@ class TestDispatchWhereDecoded:
 
                 def last_commit(message, sender):
                     seen.append(message)
-                    cluster.retire([victim])
+                    cluster.retire([victim.party])
                     victim.party.broadcast(BrachaReady(0, 0, b"never shipped"))
 
                 victim.party.on(BrachaEcho, last_commit)

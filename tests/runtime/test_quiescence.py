@@ -105,9 +105,9 @@ class TestSettleIsExact:
             async with Cluster(
                 _Sink, 4, transport=transport, faults=faults
             ) as cluster:
-                old = list(cluster.nodes)
+                old = cluster.parties
                 faults.delay_link(2, 3, 0.05)
-                old[2].party.send(3, BrachaEcho(0, 0, b"on a timer"))
+                old[2].send(3, BrachaEcho(0, 0, b"on a timer"))
                 while faults.delayed_messages < 1:
                     await asyncio.sleep(0.001)
                 faults.delay_link(2, 3, 0.0)
@@ -117,10 +117,10 @@ class TestSettleIsExact:
                 await cluster.settle()
                 await _assert_settled_for_good(cluster)
                 new = cluster.spawn(_Sink, 4)
-                new[1].party.broadcast(BrachaEcho(0, 0, b"new generation"))
+                new[1].broadcast(BrachaEcho(0, 0, b"new generation"))
                 await cluster.settle()
                 await _assert_settled_for_good(cluster)
-                return [node.party for node in old], [node.party for node in new]
+                return old, new
 
         old, new = asyncio.run(drive())
         assert all(party.got == [] for party in old)

@@ -12,7 +12,7 @@ from repro.protocols.avid import AvidParty
 from repro.protocols.common_coin import deterministic_coin
 from repro.protocols.reliable_broadcast import BrachaEcho, BroadcastParty, BrachaSend
 from repro.protocols.smr import SmrParty
-from repro.runtime import Cluster, run_cluster
+from repro.runtime import Cluster
 from repro.runtime.codec import CodecError, default_registry
 from repro.runtime.transport import _FRAME, _HELLO, TcpTransport
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
@@ -30,14 +30,10 @@ _coin = deterministic_coin("tcp")
 class TestTcpSmoke:
     def test_rbc_over_tcp_n4(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        cluster = run_cluster(
-            lambda pid: BroadcastParty(pid, quorums, 0),
-            N,
-            transport="tcp",
-            setup=lambda c: c.party(0).broadcast_value(b"over-the-wire"),
-            stop_when=lambda c: all(
-                p.delivered == b"over-the-wire" for p in c.parties
-            ),
+        cluster = Cluster(lambda pid: BroadcastParty(pid, quorums, 0), N, transport="tcp")
+        cluster.run(
+            lambda: cluster.party(0).broadcast_value(b"over-the-wire"),
+            lambda: all(p.delivered == b"over-the-wire" for p in cluster.parties),
         )
         # n SENDs + n^2 ECHOs + n^2 READYs, all actually serialized.
         assert cluster.metrics.by_type == {
@@ -50,17 +46,13 @@ class TestTcpSmoke:
 
     def test_smr_epoch_over_tcp_n4(self):
         quorums = NominalQuorums(n=N, t=1)
-        cluster = run_cluster(
-            lambda pid: SmrParty(pid, N, quorums, _coin),
-            N,
-            transport="tcp",
-            setup=lambda c: [
-                c.party(pid).propose_batch(0, f"tcp-batch-{pid}".encode())
+        cluster = Cluster(lambda pid: SmrParty(pid, N, quorums, _coin), N, transport="tcp")
+        cluster.run(
+            lambda: [
+                cluster.party(pid).propose_batch(0, f"tcp-batch-{pid}".encode())
                 for pid in range(N)
             ],
-            stop_when=lambda c: all(
-                len(p.ordered_log(0)) == N for p in c.parties
-            ),
+            lambda: all(len(p.ordered_log(0)) == N for p in cluster.parties),
         )
         logs = {tuple(p.ordered_log(0)) for p in cluster.parties}
         assert len(logs) == 1 and len(next(iter(logs))) == N
@@ -73,12 +65,10 @@ class TestTcpSmoke:
 
         results = {}
         for transport in ("inproc", "tcp"):
-            cluster = run_cluster(
-                factory,
-                N,
-                transport=transport,
-                setup=lambda c: c.party(1).broadcast_value(b"same-everywhere"),
-                stop_when=lambda c: all(p.delivered for p in c.parties),
+            cluster = Cluster(factory, N, transport=transport)
+            cluster.run(
+                lambda: cluster.party(1).broadcast_value(b"same-everywhere"),
+                lambda: all(p.delivered for p in cluster.parties),
             )
             results[transport] = (
                 [p.delivered for p in cluster.parties],

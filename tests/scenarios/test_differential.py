@@ -1,18 +1,20 @@
 """Sim-vs-live differential coverage of the one run lifecycle.
 
-Every batch scenario of the registry runs on the simulator and on the
-live in-process runtime (and, ``tcp``-marked, on the TCP mesh hosting
-all nodes on one loop; ``proc``-marked, on the same mesh hosting one
-node per worker process) and must tell the same story: completion, decided values, message
-counts and bytes per message type wherever the driver claims them
-comparable, and which chaos stages fired.  The two service scenarios run on the simulator and on the
-in-process runtime and must complete, commit every request and decide one
-digest per backend.  The remaining tests pin the four places the backends'
-lifecycles used to diverge: a live run ending before its fault plan's
-horizon, the sim ignoring ``ChaosSpec.watchdog=False``, a driver
-claiming comparable counts for an epoch that runs inside a partition,
-and a scheduled callback that raises (the sim raised it; a live run
-logged it and ran on to its timeout).
+Every batch scenario of the registry runs on the simulator's host and
+on the one live host, a ``Cluster``: in process, and (``tcp``-marked)
+over the TCP mesh with all nodes on one loop, and (``proc``-marked) over
+the same mesh with a one-node ``Cluster`` per worker process.  Each must
+tell the same story: completion, decided values, message counts and
+bytes per message type wherever the driver claims them comparable, and
+which chaos stages fired.  The two service scenarios run on the
+simulator and on the in-process runtime and must complete, commit every
+request and decide one digest per backend.  The remaining tests pin the
+four places the backends' lifecycles used to diverge: a live run ending
+before its fault plan's horizon, the sim ignoring
+``ChaosSpec.watchdog=False``, a driver claiming comparable counts for an
+epoch that runs inside a partition, and a scheduled callback that raises
+(the sim raised it; a live run logged it and ran on to its timeout,
+where ``Cluster.call_later`` now keeps it for the next poll to raise).
 """
 
 import time

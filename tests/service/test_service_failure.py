@@ -2,9 +2,10 @@
 
 A handler that raises is a bug in the program, not a fault to ride out:
 on the live backend the run ends within a few ticks with the error a
-batch ``run_cluster`` gives for the same bug (the service is hosted on
-the same ``Cluster``), on the simulator the exception propagates out of
-``run()`` as it does from ``World.run``.  A run that merely cannot finish
+batch run gives for the same bug (both are hosted on a ``Cluster``), on
+the simulator the exception propagates out of ``run()`` as it does from
+``World.run``.  So does a scheduled callback that raises, such as the
+load's: a live run ends with that exception, not with a timeout.  A run that merely cannot finish
 inside ``max_time`` reports so and returns, and a spec the service cannot
 run is rejected with the reason.
 """
@@ -17,7 +18,7 @@ import pytest
 
 from repro.chaos import ChaosSpec, ChaosStage, TriggerSpec, WeatherSpec
 from repro.protocols.smr import SmrParty
-from repro.runtime import LiveHost
+from repro.runtime import Cluster
 from repro.scenarios import get_scenario, run_scenario
 from repro.service import (
     EpochManager,
@@ -29,12 +30,12 @@ from repro.service.scenario import drift_schedule_for
 from repro.sim import SimHost
 
 WEIGHTS = (40, 30, 20, 10)
-HOSTS = {"sim": SimHost, "inproc": LiveHost}
+HOSTS = {"sim": SimHost, "inproc": Cluster}
 
 
-def _service(backend, *, rate=200.0, requests=12, **config):
+def _service(backend, *, rate=200.0, requests=12, load_class=LoadGenerator, **config):
     manager = EpochManager(drift_schedule_for(WEIGHTS, epochs=1), f_w="1/3")
-    load = LoadGenerator(rate, requests, payload_size=16, seed=1)
+    load = load_class(rate, requests, payload_size=16, seed=1)
     return EpochService(
         HOSTS[backend](), manager, ServiceConfig(**config), seed=1, load=load
     )
@@ -77,6 +78,25 @@ class TestHandlerFailure:
     def test_sim_propagates_the_exception(self, failing_handler):
         with pytest.raises(RuntimeError, match="^handler bug$"):
             _service("sim", max_time=30.0).run()
+
+
+class _BrokenLoad(LoadGenerator):
+    """A load whose fourth arrival raises, inside its scheduled callback."""
+
+    def payload(self, index: int) -> bytes:
+        if index == 3:
+            raise ZeroDivisionError("load bug")
+        return super().payload(index)
+
+
+class TestCallbackFailure:
+    @pytest.mark.parametrize("backend", sorted(HOSTS))
+    def test_a_raising_load_ends_the_run_with_its_exception(self, backend):
+        service = _service(backend, load_class=_BrokenLoad, max_time=5.0)
+        started = time.perf_counter()
+        with pytest.raises(ZeroDivisionError, match="load bug"):
+            service.run()
+        assert time.perf_counter() - started < 1.0
 
 
 class TestDeadline:

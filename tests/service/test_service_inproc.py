@@ -9,7 +9,7 @@ sim tests pin those deterministically.
 from dataclasses import replace
 
 from repro.api import Committee
-from repro.runtime import LiveHost
+from repro.runtime import Cluster
 from repro.service import (
     EpochManager,
     EpochService,
@@ -31,9 +31,7 @@ def test_inproc_rotation_commits_everything():
     manager = EpochManager(replace(schedule, times=(0.02,)), f_w="1/3")
     config = ServiceConfig(f_w="1/3", slot_interval=0.02, max_time=30.0)
     load = LoadGenerator(200.0, 12, payload_size=16, seed=1)
-    service = EpochService(
-        LiveHost(), manager, config, seed=1, load=load
-    )
+    service = EpochService(Cluster(), manager, config, seed=1, load=load)
     result = service.run()
 
     assert result.completed, result.error

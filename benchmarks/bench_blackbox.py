@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.report import write_csv_rows
 from repro.protocols.ssle import SsleElection, chain_quality
 from repro.protocols.vaba import VabaParty, black_box_parties
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import most_tickets_under
 from repro.weighted import black_box_setup
 
@@ -21,12 +21,12 @@ N = len(WEIGHTS)
 
 def _run_nominal_vaba(n, seed=0):
     t = (n - 1) // 3
-    world = build_world(lambda pid: VabaParty(pid, n, t, coin_seed=seed), n, seed=seed)
+    host = SimHost(lambda pid: VabaParty(pid, n, t, coin_seed=seed), n, seed=seed)
     for pid in range(n):
-        world.party(pid).propose(b"value")
-    world.run()
-    assert all(p.decided == b"value" for p in world.parties)
-    return world.metrics
+        host.party(pid).propose(b"value")
+    host.simulator.run()
+    assert all(p.decided == b"value" for p in host.parties)
+    return host.metrics
 
 
 def _run_blackbox_vaba(setup, seed=0):
@@ -34,15 +34,15 @@ def _run_blackbox_vaba(setup, seed=0):
     parties = black_box_parties(
         setup, coin_seed=seed, on_decide=lambda vid, v: outputs.setdefault(vid, v)
     )
-    world = build_world(lambda vid: parties[vid], setup.total_virtual, seed=seed)
+    host = SimHost(lambda vid: parties[vid], setup.total_virtual, seed=seed)
     for real in range(N):
         for vid in setup.vmap.virtual_ids(real):
-            world.party(vid).propose(b"value")
-    world.run()
+            host.party(vid).propose(b"value")
+    host.simulator.run()
     assert len(set(outputs.values())) == 1
     real_out = setup.real_outputs(outputs)
     assert len(real_out) == N
-    return world.metrics, setup.total_virtual
+    return host.metrics, setup.total_virtual
 
 
 def test_blackbox_vaba_overhead(benchmark):

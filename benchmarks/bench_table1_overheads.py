@@ -25,7 +25,7 @@ from repro.analysis.table1 import build_table1, format_table1
 from repro.codes import BlockFragment, ReedSolomon
 from repro.protocols.avid import AvidParty
 from repro.protocols.ec_broadcast import EcParty, GarbageEcParty, OnlineDecoder
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import heaviest_under
 from repro.weighted import (
     NominalQuorums,
@@ -63,23 +63,23 @@ def _run_avid(weighted: bool, seed=0):
         code = ReedSolomon(k=t + 1, m=N)
         vmap = VirtualUserMap([1] * N)
         quorums = NominalQuorums(n=N, t=t)
-    world = build_world(lambda pid: AvidParty(pid, quorums), N, seed=seed)
+    host = SimHost(lambda pid: AvidParty(pid, quorums), N, seed=seed)
     rng = random.Random(seed)
     # One stripe's worth of payload keeps the work counters directly
     # comparable with the paper's per-codeword accounting.
     data = rng.randbytes(code.k * code.field.sym_bytes)
-    commitment = world.party(0).disperse(data, code, vmap)
-    world.run()
-    world.party(N - 1).retrieve(commitment)
-    world.run()
-    assert world.party(N - 1).retrieved == data
-    decode_work = world.party(N - 1).counters["decode_symbols"]
+    commitment = host.party(0).disperse(data, code, vmap)
+    host.simulator.run()
+    host.party(N - 1).retrieve(commitment)
+    host.simulator.run()
+    assert host.party(N - 1).retrieved == data
+    decode_work = host.party(N - 1).counters["decode_symbols"]
     return {
         "fragments": code.m,
         "rate": code.rate,
         "decode_work": decode_work,
-        "messages": world.metrics.messages,
-        "bytes": world.metrics.bytes,
+        "messages": host.metrics.messages,
+        "bytes": host.metrics.bytes,
     }
 
 
@@ -131,15 +131,15 @@ def _run_ec(weighted: bool, seed=1):
         cls = GarbageEcParty if pid in corrupt else EcParty
         return cls(pid, code, vmap)
 
-    world = build_world(factory, N, seed=seed)
+    host = SimHost(factory, N, seed=seed)
     for pid in range(N):
         mine = [fragments[v] for v in vmap.virtual_ids(pid)]
-        world.party(pid).install(mine, data_hash, len(data))
+        host.party(pid).install(mine, data_hash, len(data))
     reconstructor = next(p for p in range(N) if p not in corrupt)
-    world.party(reconstructor).reconstruct()
-    world.run()
-    assert world.party(reconstructor).reconstructed == data
-    counters = world.party(reconstructor).counters
+    host.party(reconstructor).reconstruct()
+    host.simulator.run()
+    assert host.party(reconstructor).reconstructed == data
+    counters = host.party(reconstructor).counters
     # Deterministic per-decode cost: one error decode over the FULL
     # fragment set with every adversary-owned fragment garbled.  The
     # online run above depends on arrival luck; this is the structural

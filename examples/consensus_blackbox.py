@@ -7,7 +7,7 @@ Run:  python examples/consensus_blackbox.py
 """
 
 from repro.protocols import SsleElection, black_box_parties, chain_quality
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import most_tickets_under
 from repro.weighted import black_box_setup
 
@@ -31,18 +31,18 @@ def main() -> None:
     parties = black_box_parties(
         setup, coin_seed=3, on_decide=lambda vid, v: outputs.setdefault(vid, v)
     )
-    world = build_world(lambda vid: parties[vid], setup.total_virtual, seed=1)
+    host = SimHost(lambda vid: parties[vid], setup.total_virtual, seed=1)
     for real in range(len(weights)):
         value = f"block-from-{real}".encode()
         for vid in setup.vmap.virtual_ids(real):
-            world.party(vid).propose(value)
-    world.run()
+            host.party(vid).propose(value)
+    host.simulator.run()
 
     decided = set(outputs.values())
     assert len(decided) == 1, decided
     real_out = setup.real_outputs(outputs)
     print(f"consensus: all {len(real_out)} real parties output {next(iter(decided))!r}")
-    print(f"network: {world.metrics.messages} messages among virtual users")
+    print(f"network: {host.metrics.messages} messages among virtual users")
 
     # --- SSLE chain quality -------------------------------------------------
     corrupt = most_tickets_under(weights, setup.result.assignment.to_list(), setup.f_w)

@@ -10,7 +10,7 @@ import random
 
 from repro.codes import ReedSolomon
 from repro.protocols import AvidParty
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import heaviest_under
 from repro.weighted import WeightedQuorums, qualification_setup
 
@@ -32,32 +32,32 @@ def main() -> None:
 
     code = ReedSolomon(k=setup.data_shards, m=setup.total_shards)
     quorums = WeightedQuorums(weights, "1/3")
-    world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=11)
+    host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=11)
 
     rng = random.Random(0)
     data = rng.randbytes(4 * code.k)  # a few stripes of payload
     print(f"\ndispersing a {len(data)}-byte payload as block fragments...")
-    commitment = world.party(0).disperse(data, code, setup.vmap)
-    world.run()
-    stored = sum(1 for p in world.parties if p.stored_commitment == commitment)
+    commitment = host.party(0).disperse(data, code, setup.vmap)
+    host.simulator.run()
+    stored = sum(1 for p in host.parties if p.stored_commitment == commitment)
     print(f"stored: {stored}/{n} parties confirmed the commitment")
 
     # Fault injection: crash the heaviest coalition under 1/3 weight.
     corrupt = heaviest_under(weights, "1/3")
     for pid in corrupt:
-        world.party(pid).crash()
+        host.party(pid).crash()
     print(f"crashing parties {sorted(corrupt)} (weight {sum(weights[i] for i in corrupt)}/100)")
 
     retriever = next(p for p in range(n) if p not in corrupt)
-    world.party(retriever).retrieve(commitment)
-    world.run()
-    ok = world.party(retriever).retrieved == data
+    host.party(retriever).retrieve(commitment)
+    host.simulator.run()
+    ok = host.party(retriever).retrieved == data
     print(f"party {retriever} retrieval after crashes: {'SUCCESS' if ok else 'FAILED'}")
     assert ok
 
     print(
-        f"\nnetwork: {world.metrics.messages} messages; "
-        f"fragment bytes by type: { {k: v for k, v in world.metrics.bytes_by_type.items()} }"
+        f"\nnetwork: {host.metrics.messages} messages; "
+        f"fragment bytes by type: { {k: v for k, v in host.metrics.bytes_by_type.items()} }"
     )
 
 

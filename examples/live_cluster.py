@@ -14,7 +14,7 @@ from repro.protocols.common_coin import deterministic_coin
 from repro.protocols.reliable_broadcast import BroadcastParty
 from repro.protocols.smr import SmrParty
 from repro.runtime import Cluster, FaultController
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import heaviest_under
 from repro.weighted.quorum import WeightedQuorums
 
@@ -29,38 +29,39 @@ def section(title: str) -> None:
     print(f"\n=== {title} ===")
 
 
+def rbc(host):
+    """Party 0 broadcasts ``PAYLOAD``: one body for either host."""
+    host.run(
+        lambda: host.party(0).broadcast_value(PAYLOAD),
+        lambda: all(p.delivered == PAYLOAD for p in host.parties),
+    )
+    return host.metrics
+
+
+def broadcaster(pid: int) -> BroadcastParty:
+    return BroadcastParty(pid, QUORUMS, 0)
+
+
 def main() -> None:
     print(f"Cluster: n={N}, weights={WEIGHTS}, weighted quorums f_w=1/3")
 
     # -- 1. Weighted RBC over both live transports ---------------------------------
     for transport in ("inproc", "tcp"):
         section(f"Bracha RBC over {transport}")
-        cluster = Cluster(lambda pid: BroadcastParty(pid, QUORUMS, 0), N, transport=transport)
-        cluster.run(
-            lambda: cluster.party(0).broadcast_value(PAYLOAD),
-            lambda: all(p.delivered == PAYLOAD for p in cluster.parties),
-        )
-        m = cluster.metrics
+        m = rbc(Cluster(broadcaster, N, transport=transport))
         print(f"  delivered by all {N} parties")
         print(f"  {m.messages} messages, {m.bytes} real payload bytes")
         print(f"  wall clock: {m.elapsed_seconds * 1000:.2f} ms")
 
     # -- 2. Live bytes vs the simulator's (one codec sizes both) ------------------
     section("Live bytes vs simulator bytes (same RBC run)")
-    world = build_world(lambda pid: BroadcastParty(pid, QUORUMS, 0), N, seed=1)
-    world.party(0).broadcast_value(PAYLOAD)
-    world.run()
-    live = Cluster(lambda pid: BroadcastParty(pid, QUORUMS, 0), N)
-    live.run(
-        lambda: live.party(0).broadcast_value(PAYLOAD),
-        lambda: all(p.delivered == PAYLOAD for p in live.parties),
-    )
+    sim = rbc(SimHost(broadcaster, N, seed=1))
+    live = rbc(Cluster(broadcaster, N))
     print(f"  {'type':<11} {'sim msgs':>8} {'sim B':>6} {'live msgs':>9} {'live B':>6}")
-    for name in sorted(live.metrics.by_type):
+    for name in sorted(live.by_type):
         print(
-            f"  {name:<11} {world.metrics.by_type[name]:>8} "
-            f"{world.metrics.bytes_by_type[name]:>6} "
-            f"{live.metrics.by_type[name]:>9} {live.metrics.bytes_by_type[name]:>6}"
+            f"  {name:<11} {sim.by_type[name]:>8} {sim.bytes_by_type[name]:>6} "
+            f"{live.by_type[name]:>9} {live.bytes_by_type[name]:>6}"
         )
 
     # -- 3. One SMR epoch over TCP ---------------------------------------------------

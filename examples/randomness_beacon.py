@@ -18,7 +18,7 @@ from repro.crypto import WeightedCoin
 from repro.crypto.group import TEST_GROUP_256
 from repro.datasets import tezos
 from repro.protocols import BeaconParty
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import most_tickets_under
 from repro.weighted import blunt_setup
 
@@ -50,29 +50,29 @@ def main() -> None:
     )
 
     # Run three beacon epochs over the asynchronous network.
-    world = build_world(
+    host = SimHost(
         lambda pid: BeaconParty(pid, coin, random.Random(1000 + pid)),
         len(weights),
         seed=7,
     )
     for epoch in (1, 2, 3):
         for pid in setup.vmap.parties_with_tickets():
-            world.party(pid).start_epoch(epoch)
-    world.run()
+            host.party(pid).start_epoch(epoch)
+    host.simulator.run()
 
     for epoch in (1, 2, 3):
-        values = {p.values.get(epoch) for p in world.parties}
+        values = {p.values.get(epoch) for p in host.parties}
         assert len(values) == 1, "all parties must agree"
         print(f"epoch {epoch}: beacon value = {next(iter(values)) % 10**12:012d}... (agreed by all)")
 
-    total_shares = sum(p.counters["shares_signed"] for p in world.parties)
+    total_shares = sum(p.counters["shares_signed"] for p in host.parties)
     per_epoch = total_shares / 3
     print(
         f"\nwork: {per_epoch:.0f} signature shares per epoch (= T = {tickets.total}; "
         f"a nominal protocol with n = {len(weights)} parties signs {len(weights)} "
         f"-- overhead x{per_epoch / len(weights):.2f}, paper worst-case bound x1.33)"
     )
-    print(f"network: {world.metrics.messages} messages, {world.metrics.bytes:,} bytes")
+    print(f"network: {host.metrics.messages} messages, {host.metrics.bytes:,} bytes")
 
     # -- part two: a 1024-ticket coin through the batch engine ----------------
     print("\n-- batched opening at beacon scale --")

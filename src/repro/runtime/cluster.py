@@ -13,8 +13,12 @@ one node and the ledger's workloads all run on one.  Two entry styles:
   an event loop (the ledger, a proc worker);
 * :meth:`Cluster.run` for synchronous callers (the scenario harness, the
   epoch service, tests): builds the loop and runs setup -> stop
-  condition -> drain -> teardown, with ``SimHost``'s surface (``now``,
-  ``call_later``, ``spawn``, ``retire``, ``wake``, ``run``).
+  condition -> drain -> teardown.
+
+Both hosts share one surface (``party``, ``parties``, ``spawn``,
+``retire``, ``run``, ``metrics``, ``now``, ``call_later``, ``wake``,
+``quiescent``), so a test written once against ``host.run(setup,
+stop_when)`` runs on either.
 """
 
 from __future__ import annotations
@@ -65,10 +69,8 @@ class Cluster:
         transport: Union[str, Transport] = "inproc",
         registry: Optional[CodecRegistry] = None,
         faults: Optional[FaultController] = None,
-        committee=None,
         node_id: Optional[int] = None,
     ) -> None:
-        self.committee = committee
         self.registry = registry or default_registry()
         self.faults = faults or FaultController()
         self.metrics = RuntimeMetrics()
@@ -90,7 +92,8 @@ class Cluster:
                 self.registry, faults=self.faults, record=self.metrics.record
             )
         self.transport = transport
-        self.nodes: list[RuntimeNode] = []
+        #: the hosted nodes (spawned and not retired), by pid
+        self._nodes: dict[int, RuntimeNode] = {}
         #: sender tasks of retired nodes, cancelled but not yet gathered
         self._retired_tasks: list[asyncio.Task] = []
         #: the loop :meth:`start` ran on, and its time then: the zero of
@@ -102,21 +105,11 @@ class Cluster:
         #: the first exception a :meth:`call_later` callback raised
         self._callback_failure: Optional[Exception] = None
         if party_factory is not None:
-            # A committee (repro.api.committee.Committee) sizes the cluster
-            # when n is omitted; drivers hosting virtual users pass n.
-            if n is None:
-                if committee is None:
-                    raise ValueError("cluster needs n or a committee")
-                n = committee.n
-            if n < 1:
+            if n is None or n < 1:
                 raise ValueError("cluster needs at least one node")
             self.spawn(party_factory, n)
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    # -- the host surface (SimHost's) ----------------------------------------------
+    # -- the host surface (both hosts') ------------------------------------------
     def now(self) -> float:
         """Seconds since :meth:`start`, on the event loop's clock."""
         return self._loop.time() - self._t0
@@ -153,7 +146,7 @@ class Cluster:
         if self._t0 is not None:
             for node in nodes:
                 node.start()
-        self.nodes.extend(nodes)
+        self._nodes.update((node.pid, node) for node in nodes)
         return [node.party for node in nodes]
 
     def retire(self, parties: list[Party]) -> None:
@@ -165,7 +158,7 @@ class Cluster:
             party.crash()
             self._retired_tasks.extend(node.detach())
             self.transport.unbind(node.pid)
-            self.nodes.remove(node)
+            del self._nodes[node.pid]
 
     def wake(self) -> None:
         """Have a sleeping :meth:`run_until` poll now (else a no-op);
@@ -202,7 +195,7 @@ class Cluster:
     # -- lifecycle ----------------------------------------------------------------
     async def start(self) -> None:
         await self.transport.start()
-        for node in self.nodes:
+        for node in self._nodes.values():
             node.start()
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
@@ -223,16 +216,16 @@ class Cluster:
         await self.stop()
 
     # -- access -------------------------------------------------------------------
+    @property
+    def nodes(self) -> list[RuntimeNode]:
+        return list(self._nodes.values())
+
     def party(self, pid: int) -> Party:
-        return self.nodes[pid].party
+        return self._nodes[pid].party
 
     @property
     def parties(self) -> list[Party]:
-        return [node.party for node in self.nodes]
-
-    def total_counter(self, name: str) -> int:
-        """Sum a named computation counter over all parties (sim parity)."""
-        return sum(p.counters.get(name, 0) for p in self.parties)
+        return [node.party for node in self._nodes.values()]
 
     # -- control ------------------------------------------------------------------
     def crash_node(self, pid: int) -> None:
@@ -257,7 +250,7 @@ class Cluster:
         while not predicate():
             self._raise_failure()
             if time.perf_counter() > deadline:
-                outboxes = {node.pid: len(node.outbox) for node in self.nodes}
+                outboxes = {node.pid: len(node.outbox) for node in self._nodes.values()}
                 raise TimeoutError(
                     f"stop condition not reached within {timeout}s "
                     f"(outbox depth per node: {outboxes}, "
@@ -277,7 +270,7 @@ class Cluster:
         ``RuntimeError`` chained to it."""
         if self._callback_failure is not None:
             return self._callback_failure
-        for node in self.nodes:
+        for node in self._nodes.values():
             if node.failure is not None:
                 return _chained(
                     f"node {node.pid} failed while pumping messages", node.failure
@@ -297,7 +290,7 @@ class Cluster:
     def quiescent(self) -> bool:
         """Every node's outbox is drained AND the transport has no message
         in flight (its queues, socket buffers, injected delay timers)."""
-        return self.transport.quiescent and all(node.idle for node in self.nodes)
+        return self.transport.quiescent and all(node.idle for node in self._nodes.values())
 
     async def settle(self, *, timeout: float = 30.0) -> None:
         """Wait until the cluster is :attr:`quiescent` -- the runtime's

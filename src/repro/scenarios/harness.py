@@ -19,7 +19,7 @@ assembling the record (:func:`_finish`).  What stays per backend is only
 what truly differs: how parties and a clock are built, and how to wait.
 
 There is one host of each kind, and it hosts generations of parties: a
-:class:`~repro.sim.runner.SimHost` (one ``World`` per generation on one
+:class:`~repro.sim.runner.SimHost` (one network per generation on one
 simulator, virtual time) and a :class:`~repro.runtime.cluster.Cluster`
 (on a live transport, wall time since the run started).  A batch driver
 is one generation, spawned before the plan is armed; the epoch service
@@ -27,7 +27,7 @@ spawns and retires its committees as it runs.  A proc worker spawns the
 same generation on a ``Cluster`` that hosts only its own node, whose
 life cycle its parent's commands drive.
 A failure ends the run the same way everywhere.  A handler that raises
-propagates out of ``World.run`` on the sim; on a live backend its node
+propagates out of ``SimHost.run`` on the sim; on a live backend its node
 records it and is handed nothing more, and the cluster's next poll
 raises ``RuntimeError("node N failed while pumping messages")`` chained
 to it (a proc worker reports it, and the parent raises ``ProcError``).
@@ -475,7 +475,7 @@ def run_scenario(
         from ..sim.runner import SimHost
 
         delays = UniformDelay(spec.net.delay_low, spec.net.delay_high)
-        host = SimHost(spec.seed, delay_model=delays, faults=faults)
+        host = SimHost(seed=spec.seed, delay_model=delays, faults=faults)
     else:
         from ..runtime.cluster import Cluster
 

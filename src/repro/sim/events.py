@@ -72,31 +72,15 @@ class Simulator:
             return True
         return False
 
-    def run(
-        self,
-        *,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        """Drain the event queue.
-
-        Stops when the queue empties, simulated time passes ``until``,
-        ``max_events`` have been processed, or ``stop_when()`` turns true.
-        """
+    def run(self, *, stop_when: Optional[Callable[[], bool]] = None) -> None:
+        """Drain the event queue, or stop once ``stop_when()`` turns true
+        (polled before every event)."""
         queue = self._queue
         callbacks = self._callbacks
-        processed = 0
         while queue:
             if stop_when is not None and stop_when():
                 return
-            if max_events is not None and processed >= max_events:
-                return
-            time, seq = queue[0]
-            if seq not in callbacks:
-                heapq.heappop(queue)
+            if queue[0][1] not in callbacks:
+                heapq.heappop(queue)  # cancelled
                 continue
-            if until is not None and time > until:
-                return
             self.step()
-            processed += 1

@@ -145,42 +145,6 @@ class TestCommittee:
         assert q.ready_amplify([0])  # the whale alone exceeds f_w * W
         assert not q.deliver_quorum([0])
 
-    def test_committee_sizes_sim_world(self):
-        # build_world derives n from the committee and keeps it for
-        # provenance -- the sim-layer half of the facade rewiring.
-        from repro.protocols.reliable_broadcast import BroadcastParty
-        from repro.sim import build_world
-
-        committee = Committee.from_weights(STAKE)
-        quorums = committee.quorums("1/3")
-        world = build_world(
-            lambda pid: BroadcastParty(pid, quorums, 0), committee=committee
-        )
-        assert len(world.parties) == committee.n
-        assert world.committee is committee
-        world.party(0).broadcast_value(b"hi")
-        world.run()
-        assert all(p.delivered == b"hi" for p in world.parties)
-        with pytest.raises(ValueError, match="needs n or a committee"):
-            build_world(lambda pid: BroadcastParty(pid, quorums, 0))
-
-    def test_committee_sizes_live_cluster(self):
-        # Cluster likewise: no explicit n, the committee decides.
-        from repro.protocols.reliable_broadcast import BroadcastParty
-        from repro.runtime import Cluster
-
-        committee = Committee.from_weights(STAKE)
-        quorums = committee.quorums("1/3")
-        cluster = Cluster(lambda pid: BroadcastParty(pid, quorums, 0), committee=committee)
-        cluster.run(
-            lambda: cluster.party(0).broadcast_value(b"hi"),
-            lambda: all(p.delivered == b"hi" for p in cluster.parties),
-        )
-        assert cluster.n == committee.n
-        assert cluster.committee is committee
-        with pytest.raises(ValueError, match="needs n or a committee"):
-            Cluster(lambda pid: BroadcastParty(pid, quorums, 0))
-
     def test_analysis_layers_accept_committee(self):
         from fractions import Fraction as F
 

@@ -521,14 +521,14 @@ class TestBatchBeaconProtocol:
         by the batch verifier at the quorum point; honest shares open."""
         from repro.protocols.checkpointing import CheckpointShare
         from repro.protocols.common_coin import BeaconParty
-        from repro.sim import build_world
+        from repro.sim import SimHost
         from repro.weighted.transform import blunt_setup
 
         weights = [40, 25, 15, 10, 5, 3, 1, 1]
         rng = random.Random(3)
         setup = blunt_setup(weights, "1/3", "1/2")
         coin = WeightedCoin(G, setup.result.assignment, "1/2", rng)
-        world = build_world(
+        host = SimHost(
             lambda pid: BeaconParty(pid, coin, random.Random(1000 + pid)),
             len(weights),
             seed=3,
@@ -541,15 +541,15 @@ class TestBatchBeaconProtocol:
             value=G.mul(honest[0].value, G.exp_g(5)),
             proof=honest[0].proof,
         )
-        world.party(0).broadcast(
+        host.party(0).broadcast(
             CheckpointShare(checkpoint=epoch_message(epoch), share=garbled)
         )
         for pid in setup.vmap.parties_with_tickets():
-            world.party(pid).start_epoch(epoch)
-        world.run()
-        values = {p.values.get(epoch) for p in world.parties}
+            host.party(pid).start_epoch(epoch)
+        host.simulator.run()
+        values = {p.values.get(epoch) for p in host.parties}
         assert len(values) == 1 and None not in values
-        assert any(p.counters["invalid_shares"] > 0 for p in world.parties)
+        assert any(p.counters["invalid_shares"] > 0 for p in host.parties)
 
     def test_beacon_opens_past_an_out_of_range_share(self):
         """A share decoded with ``value = -1`` reaches the batch verifier
@@ -557,13 +557,13 @@ class TestBatchBeaconProtocol:
         and every party still opens the epoch."""
         from repro.protocols.checkpointing import CheckpointShare
         from repro.protocols.common_coin import BeaconParty
-        from repro.sim import build_world
+        from repro.sim import SimHost
         from repro.weighted.transform import blunt_setup
 
         weights = [40, 25, 15, 10, 5, 3, 1, 1]
         setup = blunt_setup(weights, "1/3", "1/2")
         coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(4))
-        world = build_world(
+        host = SimHost(
             lambda pid: BeaconParty(pid, coin, random.Random(1000 + pid)),
             len(weights),
             seed=4,
@@ -571,15 +571,15 @@ class TestBatchBeaconProtocol:
         epoch = 1
         honest = coin.shares_of_party(0, epoch, random.Random(78))[0]
         forged = SignatureShare(index=honest.index, value=-1, proof=honest.proof)
-        world.party(0).broadcast(
+        host.party(0).broadcast(
             CheckpointShare(checkpoint=epoch_message(epoch), share=forged)
         )
         for pid in setup.vmap.parties_with_tickets():
-            world.party(pid).start_epoch(epoch)
-        world.run()
-        values = {p.values.get(epoch) for p in world.parties}
+            host.party(pid).start_epoch(epoch)
+        host.simulator.run()
+        values = {p.values.get(epoch) for p in host.parties}
         assert len(values) == 1 and None not in values
-        assert any(p.counters["invalid_shares"] > 0 for p in world.parties)
+        assert any(p.counters["invalid_shares"] > 0 for p in host.parties)
 
     def test_forged_index_cannot_block_honest_share(self):
         """Liveness regression: a Byzantine sender broadcasting garbage
@@ -587,14 +587,14 @@ class TestBatchBeaconProtocol:
         must not blacklist those indices -- the beacon still opens."""
         from repro.protocols.checkpointing import CheckpointShare
         from repro.protocols.common_coin import BeaconParty
-        from repro.sim import build_world
+        from repro.sim import SimHost
         from repro.weighted.transform import blunt_setup
 
         weights = [40, 25, 15, 10, 5, 3, 1, 1]
         rng = random.Random(8)
         setup = blunt_setup(weights, "1/3", "1/2")
         coin = WeightedCoin(G, setup.result.assignment, "1/2", rng)
-        world = build_world(
+        host = SimHost(
             lambda pid: BeaconParty(pid, coin, random.Random(1000 + pid)),
             len(weights),
             seed=8,
@@ -607,18 +607,18 @@ class TestBatchBeaconProtocol:
             forged = SignatureShare(
                 index=index, value=G.exp_g(index + 12345), proof=probe.proof
             )
-            world.party(0).broadcast(
+            host.party(0).broadcast(
             CheckpointShare(checkpoint=epoch_message(epoch), share=forged)
         )
         for pid in setup.vmap.parties_with_tickets():
-            world.party(pid).start_epoch(epoch)
-        world.run()
-        values = {p.values.get(epoch) for p in world.parties}
+            host.party(pid).start_epoch(epoch)
+        host.simulator.run()
+        values = {p.values.get(epoch) for p in host.parties}
         assert len(values) == 1 and None not in values, "forgeries blocked the coin"
         # At least one party had to reject forgeries on its way to quorum
         # (parties that reached quorum on honest shares alone never pay
         # for the buffered forgeries -- that laziness is the point).
-        assert any(p.counters["invalid_shares"] > 0 for p in world.parties)
+        assert any(p.counters["invalid_shares"] > 0 for p in host.parties)
 
     def test_batched_quorum_collector_unit(self):
         from repro.protocols.batching import BatchedQuorumCollector
@@ -650,16 +650,16 @@ class TestBatchBeaconProtocol:
 
     def test_vaba_with_threshold_coin(self):
         from repro.protocols.vaba import VabaParty
-        from repro.sim import build_world
+        from repro.sim import SimHost
 
         n = 5
         coin = ThresholdCoin(G, n=6, k=3, rng=random.Random(12))
-        world = build_world(
+        host = SimHost(
             lambda pid: VabaParty(pid, n, 1, coin=coin), n, seed=12
         )
         for pid in range(n):
-            world.party(pid).propose(f"v{pid}".encode())
-        world.run()
-        decided = {p.decided for p in world.parties}
+            host.party(pid).propose(f"v{pid}".encode())
+        host.simulator.run()
+        decided = {p.decided for p in host.parties}
         assert len(decided) == 1 and None not in decided
         assert coin.shares_verified > 0

@@ -9,7 +9,8 @@ import pytest
 
 from repro.codes import ReedSolomon
 from repro.protocols.avid import AvidParty, fragment_digest
-from repro.sim import build_world
+from repro.runtime import Cluster
+from repro.sim import SimHost
 from repro.sim.adversary import heaviest_under
 from repro.sim.process import Party
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
@@ -29,30 +30,30 @@ class TestNominalAvid:
     def test_disperse_store_retrieve(self):
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=0)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=0)
         code = ReedSolomon(k=t + 1, m=n)  # the (t+1, n) layout of [17]
         data = _payload(1, 100)
         vmap = VirtualUserMap([1] * n)
-        commitment = world.party(0).disperse(data, code, vmap)
-        world.run()
-        assert all(p.stored_commitment == commitment for p in world.parties)
-        world.party(3).retrieve(commitment)
-        world.run()
-        assert world.party(3).retrieved == data
+        commitment = host.party(0).disperse(data, code, vmap)
+        host.simulator.run()
+        assert all(p.stored_commitment == commitment for p in host.parties)
+        host.party(3).retrieve(commitment)
+        host.simulator.run()
+        assert host.party(3).retrieved == data
 
     def test_retrieval_with_t_crashes_after_storage(self):
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=1)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=1)
         code = ReedSolomon(k=t + 1, m=n)
         data = b"\x05\x06\x07"
-        commitment = world.party(0).disperse(data, code, VirtualUserMap([1] * n))
-        world.run()
+        commitment = host.party(0).disperse(data, code, VirtualUserMap([1] * n))
+        host.simulator.run()
         for pid in (1, 2):
-            world.party(pid).crash()
-        world.party(6).retrieve(commitment)
-        world.run()
-        assert world.party(6).retrieved == data
+            host.party(pid).crash()
+        host.party(6).retrieve(commitment)
+        host.simulator.run()
+        assert host.party(6).retrieved == data
 
     def test_one_code_per_accepted_dispersal(self, monkeypatch):
         """A storer validates the (k, m, length) geometry once, when it
@@ -67,15 +68,15 @@ class TestNominalAvid:
         )
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=2)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=2)
         code = ReedSolomon(k=t + 1, m=n)
         data = _payload(3, 10 * code.k)
-        commitment = world.party(0).disperse(data, code, VirtualUserMap([1] * n))
-        world.run()
-        retriever = world.party(4)
+        commitment = host.party(0).disperse(data, code, VirtualUserMap([1] * n))
+        host.simulator.run()
+        retriever = host.party(4)
         for _ in range(2):
             retriever.retrieve(commitment)
-            world.run()
+            host.simulator.run()
             assert retriever.retrieved == data
         assert built == [{"k": code.k, "m": code.m}] * n
         assert retriever.counters["decode_symbols"] == 2 * code.k * code.k * 10
@@ -87,20 +88,20 @@ class TestNominalAvid:
         first commitment still decodes the first object."""
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=12)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=12)
         code = ReedSolomon(k=t + 1, m=n)
         vmap = VirtualUserMap([1] * n)
         first, second = _payload(20, 30), _payload(21, 30)
-        commitment = world.party(0).disperse(first, code, vmap)
-        world.run()
-        kept = [(p.my_fragments, p.hash_list) for p in world.parties]
-        world.party(5).disperse(second, code, vmap)
-        world.run()
-        assert [(p.my_fragments, p.hash_list) for p in world.parties] == kept
-        assert all(p.stored_commitment == commitment for p in world.parties)
-        world.party(3).retrieve(commitment)
-        world.run()
-        assert world.party(3).retrieved == first
+        commitment = host.party(0).disperse(first, code, vmap)
+        host.simulator.run()
+        kept = [(p.my_fragments, p.hash_list) for p in host.parties]
+        host.party(5).disperse(second, code, vmap)
+        host.simulator.run()
+        assert [(p.my_fragments, p.hash_list) for p in host.parties] == kept
+        assert all(p.stored_commitment == commitment for p in host.parties)
+        host.party(3).retrieve(commitment)
+        host.simulator.run()
+        assert host.party(3).retrieved == first
 
     def test_a_stored_party_forgets_its_echo_phase(self):
         """The first store wins, so once a party has stored, a late echo
@@ -137,50 +138,63 @@ class TestNominalAvid:
 
 
 class TestWeightedAvid:
-    def _setup_world(self, beta_n="1/4", seed=0):
+    def _setup_host(self, beta_n="1/4", seed=0):
         setup = qualification_setup(WEIGHTS, "1/3", beta_n)
         quorums = WeightedQuorums(WEIGHTS, "1/3")
         code = ReedSolomon(k=setup.data_shards, m=setup.total_shards)
-        world = build_world(lambda pid: AvidParty(pid, quorums), len(WEIGHTS), seed=seed)
-        return setup, code, world
+        host = SimHost(lambda pid: AvidParty(pid, quorums), len(WEIGHTS), seed=seed)
+        return setup, code, host
 
     def test_disperse_store_retrieve(self):
-        setup, code, world = self._setup_world()
+        setup, code, host = self._setup_host()
         data = _payload(2, 5 * code.k)  # several stripes
-        commitment = world.party(0).disperse(data, code, setup.vmap)
-        world.run()
-        assert all(p.stored_commitment == commitment for p in world.parties)
-        world.party(7).retrieve(commitment)
-        world.run()
-        assert world.party(7).retrieved == data
+        commitment = host.party(0).disperse(data, code, setup.vmap)
+        host.simulator.run()
+        assert all(p.stored_commitment == commitment for p in host.parties)
+        host.party(7).retrieve(commitment)
+        host.simulator.run()
+        assert host.party(7).retrieved == data
+
+    @pytest.mark.parametrize("echoing, stored", [((0, 1, 6), False), ((0, 1, 6, 7), True)])
+    def test_storage_needs_echoes_above_two_thirds_of_the_weight(self, echoing, stored):
+        """W = 100, so the storage need is 66: echoes of weight exactly 66
+        (parties 0, 1 and 6) store nothing, and one unit more stores."""
+        setup, code, host = self._setup_host(seed=5)
+        assert host.party(0).quorums.storage_need == 66
+        for pid in set(range(len(WEIGHTS))) - set(echoing):
+            host.party(pid).crash()
+        commitment = host.party(0).disperse(b"\x02" * code.k, code, setup.vmap)
+        host.simulator.run()
+        expected = commitment if stored else None
+        assert [host.party(pid).stored_commitment for pid in echoing] == [expected] * len(echoing)
 
     def test_fragments_follow_tickets(self):
-        setup, code, world = self._setup_world()
+        setup, code, host = self._setup_host()
         data = b"\x01" * code.k
-        world.party(0).disperse(data, code, setup.vmap)
-        world.run()
+        host.party(0).disperse(data, code, setup.vmap)
+        host.simulator.run()
         for pid in range(len(WEIGHTS)):
-            assert len(world.party(pid).my_fragments) == setup.vmap.tickets[pid]
+            assert len(host.party(pid).my_fragments) == setup.vmap.tickets[pid]
 
     def test_retrieval_despite_corrupt_weight(self):
         """After storage, parties holding < f_w weight crash; the honest
         part of the storage quorum still reconstructs (Section 5.1)."""
-        setup, code, world = self._setup_world(seed=3)
+        setup, code, host = self._setup_host(seed=3)
         data = _payload(3, 2 * code.k + 1)  # padding exercised
-        commitment = world.party(0).disperse(data, code, setup.vmap)
-        world.run()
+        commitment = host.party(0).disperse(data, code, setup.vmap)
+        host.simulator.run()
         corrupt = heaviest_under(WEIGHTS, "1/3")
         for pid in corrupt:
-            world.party(pid).crash()
+            host.party(pid).crash()
         retriever = next(p for p in range(len(WEIGHTS)) if p not in corrupt)
-        world.party(retriever).retrieve(commitment)
-        world.run()
-        assert world.party(retriever).retrieved == data
+        host.party(retriever).retrieve(commitment)
+        host.simulator.run()
+        assert host.party(retriever).retrieved == data
 
     def test_inconsistent_dealer_not_stored(self):
         """A dealer whose fragments do not match the hash list gets no
         echoes and the data is never marked stored."""
-        setup, code, world = self._setup_world(seed=4)
+        setup, code, host = self._setup_host(seed=4)
         blocks = code.encode_blocks(b"\x09" * code.k)
         from repro.codes import BlockFragment
         from repro.protocols.avid import AvidDisperse
@@ -195,9 +209,9 @@ class TestWeightedAvid:
             total_shards=code.m,
             original_length=code.k,
         )
-        world.network.send(0, 1, msg)
-        world.run()
-        assert all(p.stored_commitment is None for p in world.parties)
+        host.party(0).send(1, msg)
+        host.simulator.run()
+        assert all(p.stored_commitment is None for p in host.parties)
 
 
 class TestFragmentDigest:
@@ -229,7 +243,7 @@ class TestByzantineDealer:
 
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=9)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=9)
         code = ReedSolomon(k=t + 1, m=n)
         data = bytes(range(1, 21))  # 8-byte blocks: data in all three data shards
         blocks = code.encode_blocks(data, systematic=True)
@@ -244,8 +258,7 @@ class TestByzantineDealer:
         commitment = fragment_digest(mixed)
 
         def disperse_to(pid, frag):
-            world.network.send(
-                0,
+            host.party(0).send(
                 pid,
                 AvidDisperse(
                     fragments=(frag,),
@@ -259,12 +272,12 @@ class TestByzantineDealer:
 
         for pid in range(n):
             disperse_to(pid, mixed[pid])
-        world.run()
+        host.simulator.run()
         # party 1 got the over-long block: it must refuse to echo it
-        assert not world.party(1).my_fragments
+        assert not host.party(1).my_fragments
         # force-feed a retriever the mismatched fragment directly: it is
         # dropped, and a later decode with consistent fragments succeeds
-        retriever = world.party(6)
+        retriever = host.party(6)
         retriever._handle_fragments(
             AvidFragments(commitment=commitment, fragments=(mixed[1],)), sender=1
         )
@@ -284,7 +297,7 @@ class TestByzantineDealer:
 
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=10)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=10)
 
         def send_disperse(**overrides):
             fields = dict(
@@ -296,7 +309,7 @@ class TestByzantineDealer:
                 original_length=3,
             )
             fields.update(overrides)
-            world.network.send(0, 1, AvidDisperse(**fields))
+            host.party(0).send(1, AvidDisperse(**fields))
 
         send_disperse(data_shards=0)                      # div-by-zero bait
         send_disperse(data_shards=9)                      # k > m
@@ -304,15 +317,15 @@ class TestByzantineDealer:
         send_disperse(fragments=(BlockFragment(99, b"\x01"),))
         send_disperse(fragments=(BlockFragment(-1, b"\x01"),))
         send_disperse(hash_list=(b"\x00" * 32,))          # wrong list length
-        world.run()  # must not raise
-        assert all(p.stored_commitment is None for p in world.parties)
+        host.simulator.run()  # must not raise
+        assert all(p.stored_commitment is None for p in host.parties)
 
         # negative index on the retrieval path is dropped, not collected
         code = ReedSolomon(k=t + 1, m=n)
         data = b"\x01\x02\x03"
-        commitment = world.party(0).disperse(data, code, VirtualUserMap([1] * n))
-        world.run()
-        retriever = world.party(5)
+        commitment = host.party(0).disperse(data, code, VirtualUserMap([1] * n))
+        host.simulator.run()
+        retriever = host.party(5)
         block = retriever.my_fragments[0].block
         retriever.retrieve(commitment)
         retriever._handle_fragments(
@@ -332,7 +345,7 @@ class TestByzantineDealer:
 
         n, t = 7, 2
         quorums = NominalQuorums(n=n, t=t)
-        world = build_world(lambda pid: AvidParty(pid, quorums), n, seed=11)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), n, seed=11)
         code = ReedSolomon(k=t + 1, m=n)
         blocks_a = code.encode_blocks(b"\x01\x02\x03")
         blocks_b = code.encode_blocks(b"\x04\x05\x06")
@@ -343,8 +356,7 @@ class TestByzantineDealer:
 
         hashes_b = tuple(hashlib.sha256(f.block).digest() for f in frags_b)
         # commitment of list A shipped with list B: must be refused
-        world.network.send(
-            0,
+        host.party(0).send(
             1,
             AvidDisperse(
                 fragments=(frags_b[1],),
@@ -355,8 +367,8 @@ class TestByzantineDealer:
                 original_length=3,
             ),
         )
-        world.run()
-        assert not world.party(1).my_fragments
+        host.simulator.run()
+        assert not host.party(1).my_fragments
 
 
 class TestOneDealer:
@@ -366,34 +378,26 @@ class TestOneDealer:
 
     N, T = 7, 2
 
-    def _disperse_from_4(self, backend, **party_args):
+    def _disperse_from_4(self, host_type, **party_args):
         quorums = NominalQuorums(n=self.N, t=self.T)
         code, vmap = ReedSolomon(k=self.T + 1, m=self.N), VirtualUserMap([1] * self.N)
         data = _payload(28, 40)
+        host = host_type(lambda pid: AvidParty(pid, quorums, **party_args), self.N)
+        sent = []
+        disperse = host.party(4).disperse
+        host.run(lambda: sent.append(disperse(data, code, vmap)), lambda: True)
+        return sent[0], host.parties
 
-        def factory(pid):
-            return AvidParty(pid, quorums, **party_args)
-
-        if backend == "sim":
-            world = build_world(factory, self.N, seed=28)
-            commitment = world.party(4).disperse(data, code, vmap)
-            world.run()
-            return commitment, world.parties
-        from repro.runtime import Cluster
-
-        cluster, sent = Cluster(factory, self.N), []
-        disperse = cluster.party(4).disperse
-        cluster.run(lambda: sent.append(disperse(data, code, vmap)), lambda: True)
-        return sent[0], cluster.parties
-
-    @pytest.mark.parametrize("backend", ["sim", "inproc"])
-    def test_a_dispersal_from_a_party_that_is_not_the_dealer_is_stored_nowhere(self, backend):
-        _, parties = self._disperse_from_4(backend)
+    @pytest.mark.parametrize("host_type", [SimHost, Cluster], ids=["sim", "inproc"])
+    def test_a_dispersal_from_a_party_that_is_not_the_dealer_is_stored_nowhere(
+        self, host_type
+    ):
+        _, parties = self._disperse_from_4(host_type)
         assert all(p.stored_commitment is None and not p.my_fragments for p in parties)
 
-    @pytest.mark.parametrize("backend", ["sim", "inproc"])
-    def test_the_designated_dealer_disperses(self, backend):
-        commitment, parties = self._disperse_from_4(backend, dealer=4)
+    @pytest.mark.parametrize("host_type", [SimHost, Cluster], ids=["sim", "inproc"])
+    def test_the_designated_dealer_disperses(self, host_type):
+        commitment, parties = self._disperse_from_4(host_type, dealer=4)
         assert all(p.stored_commitment == commitment for p in parties)
 
 
@@ -409,7 +413,6 @@ class TestBulkObjectOnInproc:
 
         from repro.api import Committee
         from repro.protocols import avid
-        from repro.runtime import Cluster
 
         committee = Committee.synthetic("zipf", n=16, total=1600, skew=1.2, seed=0)
         layout = qualification_setup(committee.weights, "1/3", "1/4")
@@ -470,13 +473,13 @@ class TestSystematicLayout:
 
     def _stored(self, seed: int):
         quorums = NominalQuorums(n=self.N, t=self.T)
-        world = build_world(lambda pid: AvidParty(pid, quorums), self.N, seed=seed)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), self.N, seed=seed)
         code = ReedSolomon(k=self.T + 1, m=self.N)
         data = _payload(seed, 100)  # 40-byte blocks: every data shard holds data
-        commitment = world.party(0).disperse(data, code, VirtualUserMap([1] * self.N))
-        world.run()
-        assert all(p.stored_commitment == commitment for p in world.parties)
-        return world, code, data, commitment
+        commitment = host.party(0).disperse(data, code, VirtualUserMap([1] * self.N))
+        host.simulator.run()
+        assert all(p.stored_commitment == commitment for p in host.parties)
+        return host, code, data, commitment
 
     @staticmethod
     def _count_combines(monkeypatch) -> list:
@@ -493,36 +496,36 @@ class TestSystematicLayout:
         return rows_per_call
 
     def test_the_dealer_counts_only_the_parity_it_codes(self):
-        world, code, data, _ = self._stored(seed=29)
+        host, code, data, _ = self._stored(seed=29)
         stripes = code.stripe_count(len(data))
-        encoded = world.party(0).counters["encode_symbols"]
+        encoded = host.party(0).counters["encode_symbols"]
         assert encoded == (code.m - code.k) * code.k * stripes
 
     def test_the_dealers_first_k_blocks_are_the_payload(self):
-        world, code, data, _ = self._stored(seed=30)
-        blocks = [world.party(j).my_fragments[0].block for j in range(code.k)]
-        assert all(world.party(j).my_fragments[0].index == j for j in range(code.k))
+        host, code, data, _ = self._stored(seed=30)
+        blocks = [host.party(j).my_fragments[0].block for j in range(code.k)]
+        assert all(host.party(j).my_fragments[0].index == j for j in range(code.k))
         padded = b"".join(blocks)
         assert padded == data + bytes(len(padded) - len(data))
 
     def test_a_retrieval_from_the_data_shards_combines_nothing(self, monkeypatch):
-        world, code, data, commitment = self._stored(seed=31)
+        host, code, data, commitment = self._stored(seed=31)
         for pid in range(code.k, self.N):
-            world.party(pid).crash()
+            host.party(pid).crash()
         rows_per_call = self._count_combines(monkeypatch)
-        world.party(0).retrieve(commitment)
-        world.run()
-        assert world.party(0).retrieved == data
+        host.party(0).retrieve(commitment)
+        host.simulator.run()
+        assert host.party(0).retrieved == data
         assert rows_per_call == []
 
     def test_a_mixed_retrieval_combines_one_row_per_lacking_shard(self, monkeypatch):
-        world, code, data, commitment = self._stored(seed=32)
+        host, code, data, commitment = self._stored(seed=32)
         for pid in (1, 2):  # data shards 1 and 2 are lost; shard 0 is held
-            world.party(pid).crash()
+            host.party(pid).crash()
         rows_per_call = self._count_combines(monkeypatch)
-        world.party(0).retrieve(commitment)
-        world.run()
-        assert world.party(0).retrieved == data
+        host.party(0).retrieve(commitment)
+        host.simulator.run()
+        assert host.party(0).retrieved == data
         assert rows_per_call == [2]
 
 
@@ -553,16 +556,16 @@ class TestWqBoundaryOnAptos:
         weights, setup, _, _ = aptos
         quorums = WeightedQuorums(weights, "1/3")
         code = ReedSolomon(k=setup.data_shards, m=setup.total_shards)
-        world = build_world(lambda pid: AvidParty(pid, quorums), len(weights), seed=40)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), len(weights), seed=40)
         data = _payload(40, 3 * code.k)
-        commitment = world.party(0).disperse(data, code, setup.vmap)
-        world.run()
-        assert all(p.stored_commitment == commitment for p in world.parties)
+        commitment = host.party(0).disperse(data, code, setup.vmap)
+        host.simulator.run()
+        assert all(p.stored_commitment == commitment for p in host.parties)
         for pid in set(range(len(weights))) - set(serving):
-            world.party(pid).crash()
-        retriever = world.party(min(serving))
+            host.party(pid).crash()
+        retriever = host.party(min(serving))
         retriever.retrieve(commitment)
-        world.run()
+        host.simulator.run()
         return data, retriever
 
     def test_that_set_alone_serves_a_retrieval(self, aptos):

@@ -15,7 +15,7 @@ from extremal import most_tickets_under
 
 from repro.datasets.chains import load_chain
 from repro.protocols.vaba import black_box_parties
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.weighted.transform import black_box_setup
 
 
@@ -42,15 +42,15 @@ def test_every_honest_party_decides_with_the_worst_coalition_crashed(aptos):
     parties = black_box_parties(
         setup, coin_seed=5, on_decide=lambda vid, v: outputs.setdefault(vid, v)
     )
-    world = build_world(lambda vid: parties[vid], setup.total_virtual, seed=6)
+    host = SimHost(lambda vid: parties[vid], setup.total_virtual, seed=6)
     crashed = {vid for p in coalition for vid in setup.vmap.virtual_ids(p)}
     for vid in crashed:
-        world.party(vid).crash()
+        host.party(vid).crash()
     honest = [p for p in range(len(weights)) if p not in coalition]
     for real in honest:
         for vid in setup.vmap.virtual_ids(real):
-            world.party(vid).propose(f"real-{real}".encode())
-    world.run()
+            host.party(vid).propose(f"real-{real}".encode())
+    host.simulator.run()
 
     assert set(outputs) == set(range(setup.total_virtual)) - crashed
     assert len(outputs) == 63

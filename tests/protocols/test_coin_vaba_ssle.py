@@ -11,7 +11,7 @@ from repro.protocols.checkpointing import CheckpointParty
 from repro.protocols.common_coin import BeaconParty
 from repro.protocols.ssle import SsleElection, chain_quality
 from repro.protocols.vaba import VabaParty, black_box_parties
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import heaviest_under, most_tickets_under
 from repro.weighted.transform import black_box_setup, blunt_setup
 
@@ -19,57 +19,57 @@ WEIGHTS = [40, 25, 15, 10, 5, 3, 1, 1]
 
 
 class TestBeaconProtocol:
-    def _world(self, seed=0):
+    def _host(self, seed=0):
         rng = random.Random(seed)
         setup = blunt_setup(WEIGHTS, "1/3", "1/2")
         coin = WeightedCoin(G, setup.result.assignment, "1/2", rng)
-        world = build_world(
+        host = SimHost(
             lambda pid: BeaconParty(pid, coin, random.Random(1000 + pid)),
             len(WEIGHTS),
             seed=seed,
         )
-        return setup, coin, world
+        return setup, coin, host
 
     def test_all_parties_agree_on_value(self):
-        setup, coin, world = self._world()
+        setup, coin, host = self._host()
         for pid in setup.vmap.parties_with_tickets():
-            world.party(pid).start_epoch(1)
-        world.run()
-        values = {p.values.get(1) for p in world.parties}
+            host.party(pid).start_epoch(1)
+        host.simulator.run()
+        values = {p.values.get(1) for p in host.parties}
         assert len(values) == 1 and None not in values
 
     def test_multiple_epochs_differ(self):
-        setup, coin, world = self._world(seed=1)
+        setup, coin, host = self._host(seed=1)
         for epoch in (1, 2):
             for pid in setup.vmap.parties_with_tickets():
-                world.party(pid).start_epoch(epoch)
-        world.run()
-        p0 = world.party(0)
+                host.party(pid).start_epoch(epoch)
+        host.simulator.run()
+        p0 = host.party(0)
         assert p0.values[1] != p0.values[2]
 
     def test_corrupt_coalition_cannot_open_alone(self):
-        setup, coin, world = self._world(seed=2)
+        setup, coin, host = self._host(seed=2)
         tickets = setup.result.assignment.to_list()
         corrupt = most_tickets_under(WEIGHTS, tickets, "1/3")
         for pid in sorted(corrupt):
-            world.party(pid).start_epoch(5)
-        world.run()
+            host.party(pid).start_epoch(5)
+        host.simulator.run()
         # Nobody reaches the threshold with only corrupt shares.
-        assert all(5 not in p.values for p in world.parties)
+        assert all(5 not in p.values for p in host.parties)
 
     def test_share_counters(self):
-        setup, coin, world = self._world(seed=3)
+        setup, coin, host = self._host(seed=3)
         for pid in setup.vmap.parties_with_tickets():
-            world.party(pid).start_epoch(1)
-        world.run()
-        signed = sum(p.counters["shares_signed"] for p in world.parties)
+            host.party(pid).start_epoch(1)
+        host.simulator.run()
+        signed = sum(p.counters["shares_signed"] for p in host.parties)
         assert signed == setup.total_virtual
 
     def test_a_party_signs_what_shares_of_party_signs(self):
         # The beacon signs through CheckpointParty: the same shares, in
         # the same order, from the same RNG draws.
-        setup, coin, world = self._world(seed=4)
-        party = world.party(0)
+        setup, coin, host = self._host(seed=4)
+        party = host.party(0)
         sent = []
         party.broadcast = sent.append
         party.start_epoch(3)
@@ -77,74 +77,74 @@ class TestBeaconProtocol:
         assert [m.share for m in sent] == coin.shares_of_party(0, 3, random.Random(1000))
 
     def test_the_value_is_the_coins_open_value(self):
-        setup, coin, world = self._world(seed=5)
+        setup, coin, host = self._host(seed=5)
         for pid in setup.vmap.parties_with_tickets():
-            world.party(pid).start_epoch(2)
-        world.run()
+            host.party(pid).start_epoch(2)
+        host.simulator.run()
         rng = random.Random(6)
         shares = [s for pid in range(len(WEIGHTS)) for s in coin.shares_of_party(pid, 2, rng)]
         oracle = coin.coin.open(shares[-coin.threshold :], 2)
-        assert {p.values[2] for p in world.parties} == {oracle}
+        assert {p.values[2] for p in host.parties} == {oracle}
 
 
 class TestNominalVaba:
     def run_vaba(self, n, t, inputs, crashed=(), seed=0, coin_seed=0):
-        world = build_world(
+        host = SimHost(
             lambda pid: VabaParty(pid, n, t, coin_seed=coin_seed), n, seed=seed
         )
         for pid in crashed:
-            world.party(pid).crash()
+            host.party(pid).crash()
         for pid, value in inputs.items():
             if pid not in crashed:
-                world.party(pid).propose(value)
-        world.run()
-        return world
+                host.party(pid).propose(value)
+        host.simulator.run()
+        return host
 
     def test_agreement_and_liveness(self):
         n = 7
         inputs = {i: f"v{i}".encode() for i in range(n)}
-        world = self.run_vaba(n, 2, inputs)
-        decided = {p.decided for p in world.parties}
+        host = self.run_vaba(n, 2, inputs)
+        decided = {p.decided for p in host.parties}
         assert len(decided) == 1 and None not in decided
 
     def test_integrity(self):
         """All-honest run decides some party's input (Definition 4.3)."""
         n = 4
         inputs = {i: f"input-{i}".encode() for i in range(n)}
-        world = self.run_vaba(n, 1, inputs, seed=2)
-        decided = next(iter({p.decided for p in world.parties}))
+        host = self.run_vaba(n, 1, inputs, seed=2)
+        decided = next(iter({p.decided for p in host.parties}))
         assert decided in inputs.values()
 
     def test_tolerates_t_crashes(self):
         n, t = 10, 3
         inputs = {i: b"shared" for i in range(n)}
-        world = self.run_vaba(n, t, inputs, crashed=(0, 1, 2), seed=3)
-        live = [world.party(p).decided for p in range(3, n)]
+        host = self.run_vaba(n, t, inputs, crashed=(0, 1, 2), seed=3)
+        live = [host.party(p).decided for p in range(3, n)]
         assert all(d == b"shared" for d in live)
 
     def test_external_validity(self):
         n = 4
         valid = lambda v: v.startswith(b"ok")
-        world = build_world(
+        host = SimHost(
             lambda pid: VabaParty(pid, n, 1, validity_predicate=valid), n, seed=4
         )
         with pytest.raises(ValueError):
-            world.party(0).propose(b"bad")
+            host.party(0).propose(b"bad")
         # peers drop a non-bytes value, so the caller hears of it here
         with pytest.raises(TypeError):
-            world.party(0).propose(bytearray(b"ok"))
+            host.party(0).propose(bytearray(b"ok"))
         for pid in range(n):
-            world.party(pid).propose(b"ok" + bytes([pid]))
-        world.run()
-        decided = next(iter({p.decided for p in world.parties}))
+            host.party(pid).propose(b"ok" + bytes([pid]))
+        host.simulator.run()
+        decided = next(iter({p.decided for p in host.parties}))
         assert decided.startswith(b"ok")
 
     def test_agreement_over_many_seeds(self):
         for seed in range(6):
             n = 4
             inputs = {i: f"s{seed}-{i}".encode() for i in range(n)}
-            world = self.run_vaba(n, 1, inputs, seed=seed, coin_seed=seed)
-            decided = {p.decided for p in world.parties}
+            host = self.run_vaba(n, 1, inputs, seed=seed, coin_seed=seed)
+            decided = {p.decided for p in host.parties}
             assert len(decided) == 1 and None not in decided, (seed, decided)
 
 
@@ -155,13 +155,13 @@ class TestBlackBoxVaba:
         parties = black_box_parties(
             setup, coin_seed=5, on_decide=lambda vid, v: outputs.setdefault(vid, v)
         )
-        world = build_world(lambda vid: parties[vid], setup.total_virtual, seed=6)
+        host = SimHost(lambda vid: parties[vid], setup.total_virtual, seed=6)
         # Real party i injects its input through all its virtual users.
         for real in range(len(WEIGHTS)):
             value = f"real-{real}".encode()
             for vid in setup.vmap.virtual_ids(real):
-                world.party(vid).propose(value)
-        world.run()
+                host.party(vid).propose(value)
+        host.simulator.run()
         assert len(set(outputs.values())) == 1
         real_out = setup.real_outputs(outputs)
         # Every real party (including zero-ticket ones) gets the value.
@@ -254,7 +254,7 @@ class TestSsle:
 
 
 class TestCheckpointing:
-    def _world(self, mode, seed=0):
+    def _host(self, mode, seed=0):
         rng = random.Random(seed)
         setup = blunt_setup(WEIGHTS, "1/3", "1/2")
         coin = WeightedCoin(G, setup.result.assignment, "1/2", rng)
@@ -269,46 +269,46 @@ class TestCheckpointing:
                 beta="1/2" if mode == "tight" else None,
             )
 
-        return setup, build_world(factory, len(WEIGHTS), seed=seed)
+        return setup, SimHost(factory, len(WEIGHTS), seed=seed)
 
     def test_blunt_certification(self):
-        setup, world = self._world("blunt")
+        setup, host = self._host("blunt")
         cp = b"cp-100"
         for pid in range(len(WEIGHTS)):
-            world.party(pid).sign_checkpoint(cp)
-        world.run()
-        certs = {p.certificates.get(cp) for p in world.parties}
+            host.party(pid).sign_checkpoint(cp)
+        host.simulator.run()
+        certs = {p.certificates.get(cp) for p in host.parties}
         assert len(certs) == 1 and None not in certs
 
     def test_tight_requires_weighted_votes(self):
-        setup, world = self._world("tight", seed=1)
+        setup, host = self._host("tight", seed=1)
         cp = b"cp-200"
         # Only a light coalition (< beta weight) signs: no certificate.
         for pid in (4, 5, 6, 7):  # weight 10 of 100
-            world.party(pid).sign_checkpoint(cp)
-        world.run()
-        assert all(cp not in p.certificates for p in world.parties)
+            host.party(pid).sign_checkpoint(cp)
+        host.simulator.run()
+        assert all(cp not in p.certificates for p in host.parties)
         # The heavy parties join: certificate forms.
         for pid in (0, 1, 2, 3):
-            world.party(pid).sign_checkpoint(cp)
-        world.run()
-        assert all(cp in p.certificates for p in world.parties)
+            host.party(pid).sign_checkpoint(cp)
+        host.simulator.run()
+        assert all(cp in p.certificates for p in host.parties)
 
     def test_tight_mode_extra_round_costs_messages(self):
         """Tight mode sends the extra vote round (paper: +1 message delay
         per checkpoint)."""
-        _, blunt_world = self._world("blunt", seed=2)
-        _, tight_world = self._world("tight", seed=2)
+        _, blunt_host = self._host("blunt", seed=2)
+        _, tight_host = self._host("tight", seed=2)
         cp = b"cp-300"
-        for world in (blunt_world, tight_world):
+        for host in (blunt_host, tight_host):
             for pid in range(len(WEIGHTS)):
-                world.party(pid).sign_checkpoint(cp)
-            world.run()
+                host.party(pid).sign_checkpoint(cp)
+            host.simulator.run()
         assert (
-            tight_world.metrics.by_type.get("CheckpointVote", 0)
+            tight_host.metrics.by_type.get("CheckpointVote", 0)
             > 0
         )
-        assert blunt_world.metrics.by_type.get("CheckpointVote", 0) == 0
+        assert blunt_host.metrics.by_type.get("CheckpointVote", 0) == 0
 
     def test_mode_validation(self):
         setup = blunt_setup(WEIGHTS, "1/3", "1/2")

@@ -9,7 +9,7 @@ import pytest
 
 from repro.codes import BlockFragment, ReedSolomon
 from repro.protocols.ec_broadcast import EcParty, GarbageEcParty, OnlineDecoder
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.sim.adversary import heaviest_under, most_tickets_under
 from repro.weighted.transform import error_correction_setup
 
@@ -71,7 +71,7 @@ class TestOnlineDecoder:
 
 
 class TestEcProtocol:
-    def _world(self, rate="1/4", seed=0, corrupt=frozenset(), size=48):
+    def _host(self, rate="1/4", seed=0, corrupt=frozenset(), size=48):
         # Section 5.2 layout: f_w = 1/3, code rate 1/4, beta_n = 5/8.
         setup = error_correction_setup(WEIGHTS, "1/3", rate)
         code = ReedSolomon(k=setup.data_shards, m=setup.total_shards)
@@ -84,27 +84,27 @@ class TestEcProtocol:
             cls = GarbageEcParty if pid in corrupt else EcParty
             return cls(pid, code, setup.vmap)
 
-        world = build_world(factory, len(WEIGHTS), seed=seed)
+        host = SimHost(factory, len(WEIGHTS), seed=seed)
         for pid in range(len(WEIGHTS)):
             mine = [fragments[v] for v in setup.vmap.virtual_ids(pid)]
-            world.party(pid).install(mine, data_hash, len(data))
-        return setup, data, world
+            host.party(pid).install(mine, data_hash, len(data))
+        return setup, data, host
 
     def test_all_honest_reconstruct(self):
-        setup, data, world = self._world()
-        world.party(0).reconstruct()
-        world.run()
-        assert world.party(0).reconstructed == data
+        setup, data, host = self._host()
+        host.party(0).reconstruct()
+        host.simulator.run()
+        assert host.party(0).reconstructed == data
 
     def test_reconstruction_despite_garbage_byzantine(self):
         """Corrupt parties (weight < 1/3) answer with garbage; the
         error-correction budget absorbs them (Section 5.2)."""
         corrupt = frozenset(heaviest_under(WEIGHTS, "1/3"))
-        setup, data, world = self._world(seed=1, corrupt=corrupt)
+        setup, data, host = self._host(seed=1, corrupt=corrupt)
         reconstructor = next(p for p in range(len(WEIGHTS)) if p not in corrupt)
-        world.party(reconstructor).reconstruct()
-        world.run()
-        assert world.party(reconstructor).reconstructed == data
+        host.party(reconstructor).reconstruct()
+        host.simulator.run()
+        assert host.party(reconstructor).reconstructed == data
 
     def test_reconstruction_against_ticket_greedy_adversary(self):
         """The worst adversary for the layout -- grabbing the most
@@ -113,19 +113,19 @@ class TestEcProtocol:
         probe = error_correction_setup(WEIGHTS, "1/3", "1/4")
         tickets = probe.result.assignment.to_list()
         corrupt = frozenset(most_tickets_under(WEIGHTS, tickets, "1/3"))
-        setup, data, world = self._world(seed=5, corrupt=corrupt)
+        setup, data, host = self._host(seed=5, corrupt=corrupt)
         corrupt_frags = sum(setup.vmap.tickets[i] for i in corrupt)
         assert corrupt_frags <= setup.error_budget(setup.total_shards)
         reconstructor = next(p for p in range(len(WEIGHTS)) if p not in corrupt)
-        world.party(reconstructor).reconstruct()
-        world.run()
-        assert world.party(reconstructor).reconstructed == data
+        host.party(reconstructor).reconstruct()
+        host.simulator.run()
+        assert host.party(reconstructor).reconstructed == data
 
     def test_fragment_position_authenticated(self):
         """Fragments claimed for indices the sender does not own are
         dropped (channel identity authenticates positions in ADD)."""
-        setup, data, world = self._world(seed=2)
-        party = world.party(0)
+        setup, data, host = self._host(seed=2)
+        party = host.party(0)
         party.reconstruct()
         from repro.protocols.ec_broadcast import EcFragment
 
@@ -138,16 +138,16 @@ class TestEcProtocol:
         assert party.decoder.fragments == before
 
     def test_requires_install(self):
-        setup, data, world = self._world(seed=3)
-        fresh = EcParty(99, world.party(0).code, setup.vmap)
+        setup, data, host = self._host(seed=3)
+        fresh = EcParty(99, host.party(0).code, setup.vmap)
         with pytest.raises(RuntimeError):
             fresh.reconstruct()
 
     def test_decode_work_counted(self):
-        setup, data, world = self._world(seed=4)
-        world.party(0).reconstruct()
-        world.run()
-        assert world.party(0).counters["decode_work"] > 0
+        setup, data, host = self._host(seed=4)
+        host.party(0).reconstruct()
+        host.simulator.run()
+        assert host.party(0).counters["decode_work"] > 0
 
 
 class TestMalformedBlocks:

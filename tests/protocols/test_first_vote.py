@@ -22,7 +22,7 @@ from repro.protocols.avid import AvidEcho, AvidParty
 from repro.protocols.checkpointing import CheckpointParty, CheckpointVote
 from repro.protocols.vaba import Commit, Decide, VabaParty, Vote
 from repro.recovery.smr import RecoverableSmrParty, StateSyncResponse
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 from repro.weighted.transform import blunt_setup
 
@@ -44,7 +44,7 @@ def test_avid_storage():
 
 def _vaba():
     """Party 0 of four VABA parties (t = 1: a quorum is 3, amplification 2)."""
-    return build_world(lambda pid: VabaParty(pid, 4, 1), 4, seed=0).party(0)
+    return SimHost(lambda pid: VabaParty(pid, 4, 1), 4, seed=0).party(0)
 
 
 def test_vaba_vote():
@@ -82,14 +82,14 @@ def test_vaba_decide():
 def _tight(beta="1/2"):
     setup = blunt_setup(WEIGHTS, "1/3", "1/2")
     coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(0))
-    world = build_world(
+    host = SimHost(
         lambda pid: CheckpointParty(
             pid, coin, random.Random(pid), mode="tight", weights=WEIGHTS, beta=beta
         ),
         len(WEIGHTS),
         seed=0,
     )
-    return world.party(0)
+    return host.party(0)
 
 
 def test_tight_gate():
@@ -113,7 +113,7 @@ def test_tight_gate_refuses_a_beta_outside_zero_one_at_construction(beta):
 
 def test_state_sync():
     # n = 4, t = 1: a deliver quorum is 3 responders, of the other three
-    party = build_world(
+    party = SimHost(
         lambda pid: RecoverableSmrParty(pid, 4, NominalQuorums(n=4, t=1), lambda e: 0),
         4,
         seed=0,

@@ -4,7 +4,7 @@ secret shares and no other share of the dealing.
 Each party is built the way a run builds it -- by the scenario driver's
 factory, by the epoch service's checkpoint factory, or as a beacon party
 on a :class:`~repro.crypto.common_coin.WeightedCoin` -- before it is
-attached to a world.  A walk over its attributes (its scheme's among
+attached to a host.  A walk over its attributes (its scheme's among
 them), through containers but not into callbacks or other parties, finds
 no secret share value except those of its own key.
 """

@@ -51,7 +51,7 @@ from repro.protocols.smr import SmrParty
 from repro.protocols.vaba import Commit, Decide, Proposal, VabaParty, Vote
 from repro.recovery.smr import RecoverableSmrParty, StateSyncResponse
 from repro.runtime import Cluster, default_registry
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.weighted.quorum import NominalQuorums
 from repro.weighted.transform import blunt_setup
 from repro.weighted.virtual import VirtualUserMap
@@ -106,17 +106,17 @@ def test_dleq_verifiers_reject_wrong_types(kind):
 def _beacon(seed):
     setup = blunt_setup(WEIGHTS, "1/3", "1/2")
     coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(seed))
-    world = build_world(
+    host = SimHost(
         lambda pid: BeaconParty(pid, coin, random.Random(1000 + pid)), len(WEIGHTS), seed=seed
     )
-    return setup, coin, world
+    return setup, coin, host
 
 
-def _run_beacon(setup, world):
+def _run_beacon(setup, host):
     for pid in setup.vmap.parties_with_tickets():
-        world.party(pid).start_epoch(EPOCH)
-    world.run()
-    values = {p.values.get(EPOCH) for p in world.parties}
+        host.party(pid).start_epoch(EPOCH)
+    host.simulator.run()
+    values = {p.values.get(EPOCH) for p in host.parties}
     assert len(values) == 1 and None not in values
 
 
@@ -126,10 +126,10 @@ def _epoch_share(share, checkpoint=epoch_message(EPOCH)):
 
 @pytest.mark.parametrize("kind", MALFORMED)
 def test_beacon_drops_a_malformed_share(kind):
-    setup, coin, world = _beacon(seed=5)
+    setup, coin, host = _beacon(seed=5)
     honest = coin.shares_of_party(0, EPOCH, random.Random(79))[0]
-    world.party(0).broadcast(_epoch_share(_malformed(honest)[kind]))
-    _run_beacon(setup, world)
+    host.party(0).broadcast(_epoch_share(_malformed(honest)[kind]))
+    _run_beacon(setup, host)
 
 
 #: checkpoints that are no epoch message: no 8-byte epoch number after
@@ -146,57 +146,57 @@ NOT_EPOCH_MESSAGES = {
 def test_beacon_drops_a_checkpoint_that_is_no_epoch_message(kind):
     # Every honest share re-labelled: enough distinct signers to run a
     # batch under the bad checkpoint.
-    setup, coin, world = _beacon(seed=6)
+    setup, coin, host = _beacon(seed=6)
     rng = random.Random(80)
     for pid in range(len(WEIGHTS)):
         for share in coin.shares_of_party(pid, EPOCH, rng):
-            world.party(0).broadcast(_epoch_share(share, NOT_EPOCH_MESSAGES[kind]))
-    _run_beacon(setup, world)
-    for party in world.parties:
+            host.party(0).broadcast(_epoch_share(share, NOT_EPOCH_MESSAGES[kind]))
+    _run_beacon(setup, host)
+    for party in host.parties:
         assert set(party.values) == {EPOCH}
         assert party._collectors == {}
 
 
 @pytest.mark.parametrize("share", [None, 7], ids=["none", "int"])
 def test_beacon_drops_a_share_that_is_no_signature_share(share):
-    setup, coin, world = _beacon(seed=7)
-    world.party(0).broadcast(_epoch_share(share))
-    _run_beacon(setup, world)
+    setup, coin, host = _beacon(seed=7)
+    host.party(0).broadcast(_epoch_share(share))
+    _run_beacon(setup, host)
 
 
 def _checkpointing(seed, **tight):
     setup = blunt_setup(WEIGHTS, "1/3", "1/2")
     coin = WeightedCoin(G, setup.result.assignment, "1/2", random.Random(seed))
-    world = build_world(
+    host = SimHost(
         lambda pid: CheckpointParty(pid, coin, random.Random(5000 + pid), **tight),
         len(WEIGHTS),
         seed=seed,
     )
-    return setup, coin, world
+    return setup, coin, host
 
 
-def _certify(world, cp):
-    for party in world.parties:
+def _certify(host, cp):
+    for party in host.parties:
         party.sign_checkpoint(cp)
-    world.run()
-    certs = {p.certificates.get(cp) for p in world.parties}
+    host.simulator.run()
+    certs = {p.certificates.get(cp) for p in host.parties}
     assert len(certs) == 1 and None not in certs
-    assert all(list(p.certificates) == [cp] for p in world.parties)
+    assert all(list(p.certificates) == [cp] for p in host.parties)
 
 
 @pytest.mark.parametrize("bad", ["checkpoint-str", "share-none"])
 def test_checkpoint_drops_a_malformed_share_frame(bad):
-    setup, coin, world = _checkpointing(seed=8)
+    setup, coin, host = _checkpointing(seed=8)
     cp = b"cp-400"
     if bad == "share-none":
-        world.party(0).broadcast(_wire(CheckpointShare(checkpoint=cp, share=None)))
+        host.party(0).broadcast(_wire(CheckpointShare(checkpoint=cp, share=None)))
     else:
         # Every signer re-labelled: enough to run a batch under "cp-400".
         rng = random.Random(81)
         for key in coin.coin.shares:
             share = coin.coin.scheme.sign_share(key, cp, rng)
-            world.party(0).broadcast(_wire(CheckpointShare(checkpoint="cp-400", share=share)))
-    _certify(world, cp)
+            host.party(0).broadcast(_wire(CheckpointShare(checkpoint="cp-400", share=share)))
+    _certify(host, cp)
 
 
 def test_a_live_blunt_party_drops_a_stray_vote():
@@ -222,19 +222,19 @@ def test_a_live_blunt_party_drops_a_stray_vote():
     assert len(asyncio.run(drive())) == 1
 
 
-@pytest.mark.parametrize("host", ["checkpoint", "beacon"])
-def test_blunt_party_drops_a_stray_vote(host):
+@pytest.mark.parametrize("protocol", ["checkpoint", "beacon"])
+def test_blunt_party_drops_a_stray_vote(protocol):
     # A blunt party runs no vote round: a vote is a type it does not
     # handle, not a tight gate with no weights.
     byzantine = len(WEIGHTS) - 1
-    if host == "beacon":
-        setup, coin, world = _beacon(seed=11)
-        world.party(byzantine).broadcast(_wire(CheckpointVote(epoch_message(EPOCH))))
-        _run_beacon(setup, world)
+    if protocol == "beacon":
+        setup, coin, host = _beacon(seed=11)
+        host.party(byzantine).broadcast(_wire(CheckpointVote(epoch_message(EPOCH))))
+        _run_beacon(setup, host)
     else:
-        setup, coin, world = _checkpointing(seed=11)
-        world.party(byzantine).broadcast(_wire(CheckpointVote(b"cp-400")))
-        _certify(world, b"cp-400")
+        setup, coin, host = _checkpointing(seed=11)
+        host.party(byzantine).broadcast(_wire(CheckpointVote(b"cp-400")))
+        _certify(host, b"cp-400")
 
 
 #: tight-mode vote checkpoints that are no ``bytes``
@@ -252,12 +252,12 @@ def test_tight_party_drops_a_vote_that_is_no_bytes(kind):
     # the codec carries a list as a tuple, which a dict can key
     bad_vote = registry.decode(registry.encode(CheckpointVote(NOT_BYTES_VOTES[kind])))
     for bad in (None, bad_vote):
-        setup, coin, world = _checkpointing(seed=13, **tight)
+        setup, coin, host = _checkpointing(seed=13, **tight)
         if bad is not None:
-            world.party(len(WEIGHTS) - 1).broadcast(bad)
-        _certify(world, cp)
-        assert all(list(p._gates) == [cp] for p in world.parties)
-        certificates.append(world.party(0).certificates[cp])
+            host.party(len(WEIGHTS) - 1).broadcast(bad)
+        _certify(host, cp)
+        assert all(list(p._gates) == [cp] for p in host.parties)
+        certificates.append(host.party(0).certificates[cp])
     assert certificates[0] == certificates[1]
 
 
@@ -278,19 +278,19 @@ MALFORMED_ENTRIES = {
 }
 
 
-def _recovering_world():
+def _recovering_host():
     """Four recoverable replicas; party 0 is the one being synced."""
-    return build_world(
+    return SimHost(
         lambda pid: RecoverableSmrParty(pid, 4, NominalQuorums(n=4, t=1), lambda epoch: 0),
         4,
         seed=9,
     )
 
 
-def _sync(world, entries, responders=(1, 2, 3)):
+def _sync(host, entries, responders=(1, 2, 3)):
     # Handed straight to party 0: the sim sizes a frame at its sender,
     # and a live peer's codec never does.
-    party = world.party(0)
+    party = host.party(0)
     for pid in responders:
         party.receive(_wire(StateSyncResponse(responder=pid, entries=entries)), pid)
     return party
@@ -299,17 +299,17 @@ def _sync(world, entries, responders=(1, 2, 3)):
 @pytest.mark.parametrize("kind", sorted(MALFORMED_ENTRIES))
 def test_state_sync_drops_a_malformed_entry(kind):
     # Every other replica vouches for it: a deliver quorum would apply it.
-    party = _sync(_recovering_world(), MALFORMED_ENTRIES[kind])
+    party = _sync(_recovering_host(), MALFORMED_ENTRIES[kind])
     assert party.committed == {}
     assert party._sync_votes == {}
     assert party.recovered_from_peers == 0
 
 
 def test_state_sync_applies_a_well_formed_entry_on_a_deliver_quorum():
-    world = _recovering_world()
-    party = _sync(world, ((0, 1, b"p"),), responders=(1, 2))
+    host = _recovering_host()
+    party = _sync(host, ((0, 1, b"p"),), responders=(1, 2))
     assert party.committed == {}
-    party = _sync(world, ((0, 1, b"p"),), responders=(3,))
+    party = _sync(host, ((0, 1, b"p"),), responders=(3,))
     assert party.committed == {0: {1: (1, b"p")}}
     assert party.recovered_from_peers == 1
 
@@ -341,21 +341,21 @@ BRACHA_HOSTS = {
 }
 
 
-@pytest.mark.parametrize("host", sorted(BRACHA_HOSTS))
+@pytest.mark.parametrize("protocol", sorted(BRACHA_HOSTS))
 @pytest.mark.parametrize("kind", sorted(MALFORMED_BRACHA))
-def test_bracha_host_drops_a_malformed_frame(host, kind):
-    world = build_world(BRACHA_HOSTS[host], 4, seed=10)
-    byzantine = world.party(3)
+def test_bracha_host_drops_a_malformed_frame(protocol, kind):
+    host = SimHost(BRACHA_HOSTS[protocol], 4, seed=10)
+    byzantine = host.party(3)
     for phase in (BrachaSend, BrachaEcho, BrachaReady):
         byzantine.broadcast(_wire(phase(*MALFORMED_BRACHA[kind])))
-    if host == "rbc":
+    if protocol == "rbc":
         byzantine.broadcast_value(b"honest")
     else:
         for pid in range(4):
-            world.party(pid).propose_batch(0, b"batch-%d" % pid)
-    world.run()
-    for party in world.parties:
-        if host == "rbc":
+            host.party(pid).propose_batch(0, b"batch-%d" % pid)
+    host.simulator.run()
+    for party in host.parties:
+        if protocol == "rbc":
             assert party.delivered == b"honest"
             assert party.counters["deliveries"] == 1
             assert list(party.instances) == [(0, 3)]
@@ -393,22 +393,22 @@ MALFORMED_VOTES = {
 LIVE = (0, 1, 3)
 
 
-def _avid_run(world):
-    assert all(world.party(p)._echoes.votes == {} for p in LIVE)
+def _avid_run(host):
+    assert all(host.party(p)._echoes.votes == {} for p in LIVE)
     code, vmap = ReedSolomon(k=2, m=4), VirtualUserMap([1] * 4)
-    commitment = world.party(0).disperse(b"stored", code, vmap)
-    world.run()
-    assert all(world.party(p).stored_commitment == commitment for p in LIVE)
+    commitment = host.party(0).disperse(b"stored", code, vmap)
+    host.simulator.run()
+    assert all(host.party(p).stored_commitment == commitment for p in LIVE)
 
 
-def _vaba_run(world):
+def _vaba_run(host):
     for pid in LIVE:
-        world.party(pid).propose(b"v%d" % pid)
-    world.run()
-    decided = {world.party(p).decided for p in LIVE}
+        host.party(pid).propose(b"v%d" % pid)
+    host.simulator.run()
+    decided = {host.party(p).decided for p in LIVE}
     assert len(decided) == 1 and None not in decided
     for pid in LIVE:
-        party = world.party(pid)
+        party = host.party(pid)
         rounds = [*party._proposals, *party._votes]
         assert all(type(r) is int and r >= 0 for r in rounds), rounds
         tallies = [*party._votes.values(), party._commits, party._decides]
@@ -423,13 +423,13 @@ def test_avid_and_vaba_drop_a_malformed_frame(kind):
     avid = isinstance(bad, AvidEcho)
     if avid:
         quorums = NominalQuorums(n=4, t=1)
-        world = build_world(lambda pid: AvidParty(pid, quorums), 4, seed=14)
+        host = SimHost(lambda pid: AvidParty(pid, quorums), 4, seed=14)
     else:
-        world = build_world(lambda pid: VabaParty(pid, 4, 1), 4, seed=14)
-    world.party(2).crash()
-    world.party(3).broadcast(bad)
-    world.run()
-    (_avid_run if avid else _vaba_run)(world)
+        host = SimHost(lambda pid: VabaParty(pid, 4, 1), 4, seed=14)
+    host.party(2).crash()
+    host.party(3).broadcast(bad)
+    host.simulator.run()
+    (_avid_run if avid else _vaba_run)(host)
 
 
 def _forged_dispersal():
@@ -471,20 +471,20 @@ def test_avid_drops_a_malformed_dispersal_or_retrieval_frame(kind):
     # sender, and a live peer's codec never does.
     bad = MALFORMED_AVID[kind]
     quorums = NominalQuorums(n=4, t=1)
-    world = build_world(lambda pid: AvidParty(pid, quorums), 4, seed=15)
-    world.party(2).crash()
+    host = SimHost(lambda pid: AvidParty(pid, quorums), 4, seed=15)
+    host.party(2).crash()
     if isinstance(bad, AvidDisperse):
         for pid in LIVE:
-            world.party(pid).receive(bad, 0)  # from the dealer: the door drops it
-        assert all(world.party(p)._code is None for p in LIVE)
+            host.party(pid).receive(bad, 0)  # from the dealer: the door drops it
+        assert all(host.party(p)._code is None for p in LIVE)
     code, vmap = ReedSolomon(k=2, m=4), VirtualUserMap([1] * 4)
-    commitment = world.party(0).disperse(b"stored", code, vmap)
-    world.run()
-    assert all(world.party(p).stored_commitment == commitment for p in LIVE)
-    retriever = world.party(0)
+    commitment = host.party(0).disperse(b"stored", code, vmap)
+    host.simulator.run()
+    assert all(host.party(p).stored_commitment == commitment for p in LIVE)
+    retriever = host.party(0)
     retriever.retrieve(commitment)
     if isinstance(bad, AvidFragments):
         retriever.receive(bad, 3)
         assert retriever._collected == {}
-    world.run()
+    host.simulator.run()
     assert retriever.retrieved == b"stored"

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.protocols.smr import SmrParty, batch_position
-from repro.sim import TargetedDelay, UniformDelay, build_world
+from repro.sim import SimHost, TargetedDelay, UniformDelay
 from repro.sim.adversary import heaviest_under
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 
@@ -19,16 +19,16 @@ def deterministic_coin(epoch: int) -> int:
     return int.from_bytes(hashlib.sha256(f"smr|{epoch}".encode()).digest()[:4], "big")
 
 
-def make_world(quorums, seed=0, delay=None, crashed=()):
-    world = build_world(
+def make_host(quorums, seed=0, delay=None, crashed=()):
+    host = SimHost(
         lambda pid: SmrParty(pid, N, quorums, deterministic_coin),
         N,
         seed=seed,
         delay_model=delay,
     )
     for pid in crashed:
-        world.party(pid).crash()
-    return world
+        host.party(pid).crash()
+    return host
 
 
 class TestBatchPosition:
@@ -45,27 +45,27 @@ class TestBatchPosition:
 class TestWeightedSmr:
     def test_all_replicas_same_log(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = make_world(quorums, seed=1)
+        host = make_host(quorums, seed=1)
         for epoch in (0, 1):
             for pid in range(N):
-                world.party(pid).propose_batch(epoch, f"e{epoch}-p{pid}".encode())
-        world.run()
-        reference = world.party(0).ordered_log(0)
+                host.party(pid).propose_batch(epoch, f"e{epoch}-p{pid}".encode())
+        host.simulator.run()
+        reference = host.party(0).ordered_log(0)
         assert len(reference) == N
         for pid in range(1, N):
-            assert world.party(pid).ordered_log(0) == reference
-            assert world.party(pid).ordered_log(1) == world.party(0).ordered_log(1)
+            assert host.party(pid).ordered_log(0) == reference
+            assert host.party(pid).ordered_log(1) == host.party(0).ordered_log(1)
 
     def test_liveness_with_corrupt_weight_crashed(self):
         corrupt = heaviest_under(WEIGHTS, "1/3")
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = make_world(quorums, seed=2, crashed=tuple(corrupt))
+        host = make_host(quorums, seed=2, crashed=tuple(corrupt))
         for pid in range(N):
             if pid not in corrupt:
-                world.party(pid).propose_batch(0, f"b{pid}".encode())
-        world.run()
+                host.party(pid).propose_batch(0, f"b{pid}".encode())
+        host.simulator.run()
         honest = [p for p in range(N) if p not in corrupt]
-        logs = {tuple(world.party(p).ordered_log(0)) for p in honest}
+        logs = {tuple(host.party(p).ordered_log(0)) for p in honest}
         assert len(logs) == 1
 
     def test_positions_agree_under_adversarial_scheduling(self):
@@ -73,34 +73,34 @@ class TestWeightedSmr:
         delay = TargetedDelay(
             base=UniformDelay(), slow_parties=frozenset({2, 5}), factor=30.0
         )
-        world = make_world(quorums, seed=3, delay=delay)
+        host = make_host(quorums, seed=3, delay=delay)
         for pid in range(N):
-            world.party(pid).propose_batch(0, bytes([pid]))
-        world.run()
-        logs = {tuple(world.party(p).ordered_log(0)) for p in range(N)}
+            host.party(pid).propose_batch(0, bytes([pid]))
+        host.simulator.run()
+        logs = {tuple(host.party(p).ordered_log(0)) for p in range(N)}
         assert len(logs) == 1
 
     def test_commit_counters(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = make_world(quorums, seed=4)
-        world.party(0).propose_batch(0, b"solo")
-        world.run()
+        host = make_host(quorums, seed=4)
+        host.party(0).propose_batch(0, b"solo")
+        host.simulator.run()
         assert all(
-            world.party(p).counters["batches_committed"] == 1 for p in range(N)
+            host.party(p).counters["batches_committed"] == 1 for p in range(N)
         )
 
 
 class TestNominalSmr:
     def test_same_code_runs_nominal(self):
         def run(quorums):
-            world = make_world(quorums, seed=5)
+            host = make_host(quorums, seed=5)
             for pid in range(N):
-                world.party(pid).propose_batch(7, f"n{pid}".encode())
-            world.run()
-            logs = {tuple(world.party(p).ordered_log(7)) for p in range(N)}
+                host.party(pid).propose_batch(7, f"n{pid}".encode())
+            host.simulator.run()
+            logs = {tuple(host.party(p).ordered_log(7)) for p in range(N)}
             assert len(logs) == 1
             assert len(next(iter(logs))) == N
-            return world.metrics
+            return host.metrics
 
         nominal = run(NominalQuorums(n=N, t=2))
         # Table 1, first row: weighted voting changes the quorum arithmetic,
@@ -110,21 +110,21 @@ class TestNominalSmr:
 
     def test_non_proposer_send_ignored(self):
         quorums = NominalQuorums(n=N, t=2)
-        world = make_world(quorums, seed=6)
+        host = make_host(quorums, seed=6)
         from repro.protocols.reliable_broadcast import BrachaSend
 
         # Party 3 forges a SEND claiming to be proposer 5.
-        world.network.send(3, 0, BrachaSend(epoch=0, origin=5, payload=b"forged"))
-        world.run()
-        assert world.party(0).ordered_log(0) == []
+        host.party(3).send(0, BrachaSend(epoch=0, origin=5, payload=b"forged"))
+        host.simulator.run()
+        assert host.party(0).ordered_log(0) == []
 
     def test_a_bool_key_is_dropped_at_the_door(self):
         from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady, BrachaSend
 
         # ``True == 1``, but a frame keyed ``(True, 1)`` is not well typed:
         # it never reaches the open instance ``(1, 1)``, and each is counted.
-        world = make_world(NominalQuorums(n=N, t=2), seed=10)
-        party = world.party(0)
+        host = make_host(NominalQuorums(n=N, t=2), seed=10)
+        party = host.party(0)
         said = []
         party.broadcast = lambda message, **kwargs: said.append(message)
         party.receive(BrachaEcho(1, 1, b"p"), 2)  # opens (1, 1)
@@ -161,13 +161,13 @@ class TestDecidedInstanceIsForgotten:
         }
 
     def test_long_run_leaves_nothing_behind(self):
-        world = make_world(WeightedQuorums(WEIGHTS, "1/3"), seed=7)
+        host = make_host(WeightedQuorums(WEIGHTS, "1/3"), seed=7)
         for epoch in range(30):
             for pid in range(N):
-                world.party(pid).propose_batch(epoch, f"e{epoch}-p{pid}".encode())
-        world.run()
+                host.party(pid).propose_batch(epoch, f"e{epoch}-p{pid}".encode())
+        host.simulator.run()
         for pid in range(N):
-            party = world.party(pid)
+            party = host.party(pid)
             assert party.counters["batches_committed"] == 30 * N
             assert self._pending(party) == set()
             assert len(self._delivered(party)) == 30 * N
@@ -177,24 +177,24 @@ class TestDecidedInstanceIsForgotten:
 
         # n = 8, t = 2: the deliver quorum (6) is met before the last two
         # READYs arrive, so every replica sees late votes in any run.
-        world = make_world(NominalQuorums(n=N, t=2), seed=8)
-        world.party(0).propose_batch(0, b"solo")
-        world.run()
-        sent = world.metrics.messages
-        party = world.party(3)
+        host = make_host(NominalQuorums(n=N, t=2), seed=8)
+        host.party(0).propose_batch(0, b"solo")
+        host.simulator.run()
+        sent = host.metrics.messages
+        party = host.party(3)
         for payload in (b"solo", b"other"):
             party.receive(BrachaEcho(0, 0, payload), 5)
             party.receive(BrachaReady(0, 0, payload), 5)
-        world.run()
-        assert world.metrics.messages == sent
+        host.simulator.run()
+        assert host.metrics.messages == sent
         assert self._pending(party) == set()
         assert party.ordered_log(0) == [(0, b"solo")]
 
     def test_the_losing_payload_of_an_equivocator_goes_too(self):
         from repro.protocols.reliable_broadcast import BrachaEcho, BrachaReady
 
-        world = make_world(NominalQuorums(n=N, t=2), seed=9)
-        party = world.party(0)
+        host = make_host(NominalQuorums(n=N, t=2), seed=9)
+        party = host.party(0)
         for sender in (1, 2):
             party.receive(BrachaEcho(0, 7, b"loses"), sender)
             party.receive(BrachaReady(0, 7, b"loses"), sender)
@@ -208,18 +208,16 @@ class TestDecidedInstanceIsForgotten:
 
     @pytest.fixture
     def sim_parties(self, monkeypatch):
-        """The parties of the sim world(s) ``run_scenario`` builds."""
-        import repro.sim.runner as runner
-
+        """The parties of the sim host(s) ``run_scenario`` builds."""
         parties = []
-        build_world = runner.build_world
+        spawn = SimHost.spawn
 
-        def capture(*args, **kwargs):
-            world = build_world(*args, **kwargs)
-            parties.append(world.network.parties)
-            return world
+        def capture(host, *args, **kwargs):
+            group = spawn(host, *args, **kwargs)
+            parties.append({party.pid: party for party in group})
+            return group
 
-        monkeypatch.setattr(runner, "build_world", capture)
+        monkeypatch.setattr(SimHost, "spawn", capture)
         return parties
 
     def test_equivocate_smr_keeps_only_the_undecided_instance(self, sim_parties):

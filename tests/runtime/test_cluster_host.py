@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from repro.api import Committee
 from repro.protocols.reliable_broadcast import BrachaEcho, BrachaSend
 from repro.runtime import Cluster, FaultController
 from repro.runtime.transport import InProcTransport
+from repro.sim import SimHost
 from repro.sim.process import Party
 
 N = 4
@@ -40,7 +40,7 @@ def _run(drive):
 class TestConstruction:
     def test_no_factory_is_an_empty_host(self):
         cluster = Cluster()
-        assert cluster.n == 0 and cluster.nodes == [] and cluster.parties == []
+        assert cluster.nodes == [] and cluster.parties == []
         assert isinstance(cluster.transport, InProcTransport)
         assert cluster.transport.node_ids == []
 
@@ -53,16 +53,13 @@ class TestConstruction:
 
     def test_factory_is_one_spawn(self):
         cluster = Cluster(_Sink, N)
-        assert cluster.n == N
+        assert len(cluster.parties) == N
         assert [node.pid for node in cluster.nodes] == list(range(N))
         assert cluster.transport.node_ids == list(range(N))
         assert cluster.party(2) is cluster.nodes[2].party
 
-    def test_committee_sizes_it_and_n_is_checked(self):
-        committee = Committee.from_weights((4, 3, 2, 1))
-        cluster = Cluster(_Sink, committee=committee)
-        assert cluster.n == 4 and cluster.committee is committee
-        with pytest.raises(ValueError, match="needs n or a committee"):
+    def test_n_is_checked(self):
+        with pytest.raises(ValueError, match="at least one node"):
             Cluster(_Sink)
         with pytest.raises(ValueError, match="at least one node"):
             Cluster(_Sink, 0)
@@ -75,7 +72,7 @@ class TestSpawnRetire:
                 parties = cluster.spawn(_Sink, N)
                 parties[0].send(1, BrachaEcho(0, 0, b"first"))  # no await in between
                 await cluster.settle()
-                return cluster.n, cluster.party(1).got
+                return len(cluster.parties), cluster.party(1).got
 
         n, got = _run(drive)
         assert n == N
@@ -141,7 +138,7 @@ class TestSpawnRetire:
                 parties = cluster.spawn(_Sink, N)
                 parties[1].on(BrachaEcho, lambda message, sender: cluster.retire(parties))
                 parties[0].send(1, BrachaEcho(0, 0, b"last commit"))
-                await cluster.run_until(lambda: cluster.n == 0, timeout=5.0)
+                await cluster.run_until(lambda: not cluster.parties, timeout=5.0)
                 successors = cluster.spawn(_Sink, 2)
                 successors[0].send(1, BrachaSend(0, 0, b"next"))
                 await cluster.settle()
@@ -163,6 +160,35 @@ class TestSpawnRetire:
         with pytest.raises(RuntimeError, match="node 2 failed while pumping") as info:
             _run(drive)
         assert str(info.value.__cause__) == "handler bug"
+
+
+class TestPartyByPid:
+    """``party(pid)`` and ``crash_node(pid)`` find a hosted party by its
+    pid, not by its place among the hosted nodes."""
+
+    @pytest.mark.parametrize("host_type", [SimHost, Cluster], ids=["sim", "inproc"])
+    def test_retiring_a_middle_party_leaves_the_others_at_their_pids(self, host_type):
+        host = host_type(_Sink, 3)
+        middle = host.party(1)
+        host.retire([middle])
+        assert middle.crashed
+        assert [party.pid for party in host.parties] == [0, 2]
+        assert (host.party(0).pid, host.party(2).pid) == (0, 2)
+        with pytest.raises(KeyError):
+            host.party(1)
+
+    def test_crash_node_crashes_the_party_with_that_pid(self):
+        cluster = Cluster(_Sink, 3)
+        cluster.retire([cluster.party(0)])
+        cluster.crash_node(2)
+        assert [party.crashed for party in cluster.parties] == [False, True]
+        assert cluster.faults.crashed == {2}
+
+    def test_a_node_id_cluster_finds_its_one_party_by_pid(self):
+        cluster = Cluster(_Sink, N, transport="tcp", node_id=2)
+        assert cluster.party(2).pid == 2
+        with pytest.raises(KeyError):
+            cluster.party(0)
 
 
 class TestWake:

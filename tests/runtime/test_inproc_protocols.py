@@ -13,7 +13,7 @@ from repro.protocols.common_coin import deterministic_coin
 from repro.protocols.reliable_broadcast import BroadcastParty
 from repro.protocols.smr import SmrParty
 from repro.runtime import Cluster
-from repro.sim import build_world
+from repro.sim import SimHost
 from repro.weighted.quorum import NominalQuorums, WeightedQuorums
 
 WEIGHTS = [40, 25, 15, 10, 5, 3, 1]
@@ -24,91 +24,69 @@ PAYLOAD = b"swiper-live-payload"
 _coin = deterministic_coin("eq")
 
 
-def _sim_rbc(quorums):
-    world = build_world(lambda pid: BroadcastParty(pid, quorums, 0), N, seed=7)
-    world.party(0).broadcast_value(PAYLOAD)
-    world.run()
-    return world
-
-
-def _runtime_rbc(quorums):
-    cluster = Cluster(lambda pid: BroadcastParty(pid, quorums, 0), N, transport="inproc")
-    cluster.run(
-        lambda: cluster.party(0).broadcast_value(PAYLOAD),
-        lambda: all(p.delivered is not None for p in cluster.parties),
+def _rbc(host_type, quorums):
+    """One weighted RBC from party 0, on either host."""
+    host = host_type(lambda pid: BroadcastParty(pid, quorums, 0), N)
+    host.run(
+        lambda: host.party(0).broadcast_value(PAYLOAD),
+        lambda: all(p.delivered is not None for p in host.parties),
     )
-    return cluster
+    return host
+
+
+def _smr_epoch(host_type, quorums, epoch):
+    """One SMR epoch with a batch from every replica, on either host."""
+    payloads = {pid: f"e{epoch}-p{pid}".encode() for pid in range(N)}
+    host = host_type(lambda pid: SmrParty(pid, N, quorums, _coin), N)
+    host.run(
+        lambda: [host.party(pid).propose_batch(epoch, payloads[pid]) for pid in range(N)],
+        lambda: all(len(p.ordered_log(epoch)) == N for p in host.parties),
+    )
+    return host
 
 
 class TestRbcEquivalence:
     def test_weighted_rbc_same_outputs_as_sim(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = _sim_rbc(quorums)
-        cluster = _runtime_rbc(quorums)
+        sim = _rbc(SimHost, quorums)
+        cluster = _rbc(Cluster, quorums)
         assert [p.delivered for p in cluster.parties] == [
-            world.party(pid).delivered for pid in range(N)
+            sim.party(pid).delivered for pid in range(N)
         ]
         assert all(p.delivered == PAYLOAD for p in cluster.parties)
 
     def test_weighted_rbc_same_message_counts_as_sim(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        world = _sim_rbc(quorums)
-        cluster = _runtime_rbc(quorums)
-        assert dict(cluster.metrics.by_type) == dict(world.metrics.by_type)
-        assert cluster.metrics.messages == world.metrics.messages
+        sim = _rbc(SimHost, quorums)
+        cluster = _rbc(Cluster, quorums)
+        assert dict(cluster.metrics.by_type) == dict(sim.metrics.by_type)
+        assert cluster.metrics.messages == sim.metrics.messages
 
     def test_nominal_rbc_same_outputs_as_sim(self):
         quorums = NominalQuorums(n=N, t=2)
-        world = _sim_rbc(quorums)
-        cluster = _runtime_rbc(quorums)
+        sim = _rbc(SimHost, quorums)
+        cluster = _rbc(Cluster, quorums)
         assert [p.delivered for p in cluster.parties] == [
-            world.party(pid).delivered for pid in range(N)
+            sim.party(pid).delivered for pid in range(N)
         ]
 
 
 class TestSmrEquivalence:
-    def _payloads(self, epoch):
-        return {pid: f"e{epoch}-p{pid}".encode() for pid in range(N)}
-
     def test_smr_epoch_same_log_as_sim(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        payloads = self._payloads(0)
+        sim = _smr_epoch(SimHost, quorums, 0)
+        cluster = _smr_epoch(Cluster, quorums, 0)
 
-        world = build_world(
-            lambda pid: SmrParty(pid, N, quorums, _coin), N, seed=11
-        )
-        for pid in range(N):
-            world.party(pid).propose_batch(0, payloads[pid])
-        world.run()
-
-        cluster = Cluster(lambda pid: SmrParty(pid, N, quorums, _coin), N, transport="inproc")
-        cluster.run(
-            lambda: [cluster.party(pid).propose_batch(0, payloads[pid]) for pid in range(N)],
-            lambda: all(len(p.ordered_log(0)) == N for p in cluster.parties),
-        )
-
-        sim_log = world.party(0).ordered_log(0)
+        sim_log = sim.party(0).ordered_log(0)
         assert len(sim_log) == N
         for pid in range(N):
             assert cluster.party(pid).ordered_log(0) == sim_log
 
     def test_smr_epoch_same_message_counts_as_sim(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")
-        payloads = self._payloads(1)
-
-        world = build_world(
-            lambda pid: SmrParty(pid, N, quorums, _coin), N, seed=13
-        )
-        for pid in range(N):
-            world.party(pid).propose_batch(1, payloads[pid])
-        world.run()
-
-        cluster = Cluster(lambda pid: SmrParty(pid, N, quorums, _coin), N, transport="inproc")
-        cluster.run(
-            lambda: [cluster.party(pid).propose_batch(1, payloads[pid]) for pid in range(N)],
-            lambda: all(len(p.ordered_log(1)) == N for p in cluster.parties),
-        )
-        assert dict(cluster.metrics.by_type) == dict(world.metrics.by_type)
+        sim = _smr_epoch(SimHost, quorums, 1)
+        cluster = _smr_epoch(Cluster, quorums, 1)
+        assert dict(cluster.metrics.by_type) == dict(sim.metrics.by_type)
 
 
 class TestClusterApi:
@@ -127,7 +105,7 @@ class TestClusterApi:
 
         cluster = asyncio.run(drive())
         assert cluster.metrics.elapsed_seconds > 0
-        assert cluster.total_counter("deliveries") == N
+        assert sum(p.counters["deliveries"] for p in cluster.parties) == N
 
     def test_settle_reaches_quiescence(self):
         quorums = WeightedQuorums(WEIGHTS, "1/3")

@@ -29,7 +29,7 @@ from repro.scenarios.drivers import SmrDriver
 from repro.scenarios.spec import ScenarioSpec, WeightSpec, WorkloadSpec
 
 BATCH = tuple(n for n in scenario_names() if SCENARIOS[n].workload.kind == "batch")
-#: service workloads run on the same two hosts (``World``, ``Cluster``);
+#: service workloads run on the same two hosts (``SimHost``, ``Cluster``);
 #: a rotation cannot cross processes, so they have no tcp/proc form
 SERVICE = tuple(n for n in scenario_names() if SCENARIOS[n].workload.kind == "service")
 #: VABA's real outputs aggregate every virtual user: no single-node form

@@ -3,8 +3,8 @@
 A handler that raises is a bug in the program, not a fault to ride out:
 on the live backend the run ends within a few ticks with the error a
 batch run gives for the same bug (both are hosted on a ``Cluster``), on
-the simulator the exception propagates out of ``run()`` as it does from
-``World.run``.  So does a scheduled callback that raises, such as the
+the simulator the exception propagates out of ``SimHost.run`` as it does
+for a batch run.  So does a scheduled callback that raises, such as the
 load's: a live run ends with that exception, not with a timeout.  A run that merely cannot finish
 inside ``max_time`` reports so and returns, and a spec the service cannot
 run is rejected with the reason.

@@ -70,24 +70,6 @@ class TestCancellation:
 
 
 class TestRunLimits:
-    def test_until(self):
-        sim = Simulator()
-        ran = []
-        sim.schedule(1.0, lambda: ran.append(1))
-        sim.schedule(10.0, lambda: ran.append(2))
-        sim.run(until=5.0)
-        assert ran == [1]
-        sim.run()
-        assert ran == [1, 2]
-
-    def test_max_events(self):
-        sim = Simulator()
-        ran = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: ran.append(i))
-        sim.run(max_events=2)
-        assert ran == [0, 1]
-
     def test_stop_when(self):
         sim = Simulator()
         ran = []

@@ -410,15 +410,16 @@ class Adversary:
         for s in self.strategies:
             s.install_network_faults(faults, map_pid)
 
-    def activate(self, index: int, orch) -> None:
-        """Apply chaos stage ``index``'s staged corruption now (mid-run),
-        to the parties the orchestrator's run context hosts."""
+    def activate(self, index: int, host, map_pid) -> None:
+        """Apply chaos stage ``index``'s staged corruption now (mid-run):
+        its network faults on ``host``'s controller, and its corruption
+        to the parties ``host`` hosts (``map_pid``: real pid -> node ids)."""
         strategy = self.staged[index]
-        strategy.install_network_faults(orch.faults, orch.driver.map_pid)
+        strategy.install_network_faults(host.faults, map_pid)
         for pid in sorted(strategy.corrupted):
-            for nid in orch.driver.map_pid(pid):
-                if orch.in_scope(nid):
-                    strategy.corrupt_party(orch.ctx.party(nid), nid)
+            for nid in map_pid(pid):
+                if host.hosts(nid):
+                    strategy.corrupt_party(host.party(nid), nid)
 
     def wrap_handover_factory(
         self, factory: Callable, *, weights: Sequence[int], epoch: int

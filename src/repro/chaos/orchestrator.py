@@ -16,8 +16,8 @@ is the one place each resolves to a call.  A ``byzantine`` stage applies
 the strategy the run's one :class:`~repro.adversary.strategies.Adversary`
 materialized and budget-checked for it before the run.
 
-On the proc backend every worker arms its own orchestrator over a run
-context that hosts exactly one party: fault-controller mutations
+On the proc backend every worker arms its own orchestrator over a
+``Cluster`` that hosts exactly one party: fault-controller mutations
 (partition, heal, weather, transport-level crash) apply in every worker
 -- each controller must agree on the plan -- while party-level effects
 (the crash itself, restarts, staged corruption, surge proposals) reach
@@ -42,28 +42,37 @@ scenario record instead of a bare ``TimeoutError``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .schedule import ChaosStage, FaultTimeline, TriggerSpec
 from .weather import NetworkWeather, WeatherSpec
 
-__all__ = ["ChaosOrchestrator", "count_duplicate_commits", "watchdog_section"]
+__all__ = ["ChaosOrchestrator", "at", "count_duplicate_commits", "watchdog_section"]
 
 #: poll interval for slot/epoch/metric triggers (scenario seconds)
 POLL_INTERVAL = 0.05
 
 
-def count_duplicate_commits(driver, ctx) -> int:
+def at(host, when: float, fn: Callable[[], None]) -> None:
+    """Run ``fn`` at scenario time ``when`` on ``host``: now when
+    ``when <= 0``, since a zero-delay event on the sim would run after
+    every event already queued."""
+    if when <= 0:
+        fn()
+    else:
+        host.call_later(when, fn)
+
+
+def count_duplicate_commits(driver, host) -> int:
     """Total duplicate entries (same proposer twice in one epoch's log)
     across every observer -- the delivery-idempotence invariant's counter.
     Zero on protocols without an ordered log."""
     total = 0
-    surge = getattr(driver, "surge_epochs", 0)
-    epochs = range(driver.spec.workload.epochs + surge)
-    for nid in driver.observers(ctx):
-        if nid not in ctx.parties:
+    epochs = range(driver.spec.workload.epochs + driver.surge_epochs)
+    for nid in driver.observers:
+        if not host.hosts(nid):
             continue  # a proc worker counts only the party it hosts
-        party = ctx.party(nid)
+        party = host.party(nid)
         if not hasattr(party, "ordered_log"):
             return 0
         for e in epochs:
@@ -101,8 +110,8 @@ def watchdog_section(
 class ChaosOrchestrator:
     """Arm one scenario's fault timeline on one backend instance.
 
-    Construction is pure; :meth:`install` wires triggers into the run
-    context and is the only entry point a backend calls; ``timeline``
+    Construction is pure; :meth:`install` wires triggers into the host
+    and is the only entry point a backend calls; ``timeline``
     defaults to the driver's.  ``fired`` and ``gave_up`` track each stage
     for the record and the postmortem, which list ``spec.chaos``'s only.
     """
@@ -113,18 +122,17 @@ class ChaosOrchestrator:
         self.timeline = driver.timeline if timeline is None else timeline
         self.fired = [False] * len(self.timeline.stages)
         self.gave_up = [False] * len(self.timeline.stages)
-        self.ctx = None
+        self.host = None
         self.faults = None
-        self.metrics = None
 
     # -- wiring -------------------------------------------------------------------
-    def install(self, ctx, *, metrics=None) -> None:
+    def install(self, host) -> None:
         """Arm the ambient state (link delays, the flat adversary's
-        network faults, weather), then every stage trigger, on ``ctx``;
-        ``metrics`` is the backend's message counters, for metric triggers."""
-        self.ctx = ctx
-        self.faults = ctx.faults
-        self.metrics = metrics
+        network faults, weather), then every stage trigger, on ``host``:
+        its fault controller, and its message counters for metric
+        triggers."""
+        self.host = host
+        self.faults = host.faults
         for src, dst, delay in self.timeline.link_delays:
             for s in self.map_nids((src,)):
                 for d in self.map_nids((dst,)):
@@ -143,7 +151,7 @@ class ChaosOrchestrator:
     def _arm(self, index: int, stage: ChaosStage) -> None:
         trigger = stage.trigger
         if trigger.kind == "time":
-            self.ctx.at(trigger.value, lambda: self._fire(index, stage))
+            at(self.host, trigger.value, lambda: self._fire(index, stage))
             return
         budget = max(1, int(trigger.deadline / POLL_INTERVAL))
 
@@ -155,29 +163,38 @@ class ChaosOrchestrator:
             elif remaining <= 1:
                 self.gave_up[index] = True
             else:
-                self.ctx.call_later(POLL_INTERVAL, lambda: poll(remaining - 1))
+                self.host.call_later(POLL_INTERVAL, lambda: poll(remaining - 1))
 
         poll(budget)
 
     def _fire(self, index: int, stage: ChaosStage) -> None:
         """Do stage ``index``'s action now."""
         self.fired[index] = True
-        action = stage.action
+        action, host = stage.action, self.host
         if action == "partition":
             groups = stage.param("groups", ())
             self.faults.partition(*(frozenset(self.map_nids(g)) for g in groups))
         elif action == "heal":
             self.faults.heal()
         elif action == "crash":
+            # the party (where hosted) stops reacting AND its traffic drops
             for nid in self.map_nids(stage.param("pids", ())):
-                self.ctx.crash(nid)
+                if host.hosts(nid):
+                    host.party(nid).crash()
+                self.faults.crash(nid)
         elif action == "restart":
+            # Traffic flows again *first*, so the state-sync request a
+            # recoverable party broadcasts from inside ``restart`` (after
+            # replaying its WAL) is not condemned.
             for nid in self.map_nids(stage.param("pids", ())):
-                self.ctx.restart(nid)
-                if self.in_scope(nid):
-                    self.driver.restart_node(self.ctx, nid)
+                self.faults.restart(nid)
+                if host.hosts(nid):
+                    host.party(nid).restart()
+                    self.driver.restart_node(host, nid)
         elif action == "byzantine":  # numbered as in spec.chaos
-            self.driver.adversary.activate(index - self.timeline.flat, self)
+            self.driver.adversary.activate(
+                index - self.timeline.flat, host, self.driver.map_pid
+            )
         elif action == "weather":
             spec = WeatherSpec.from_dict(dict(stage.param("weather", ())))
             self.faults.weather = NetworkWeather(spec, seed=self.spec.seed)
@@ -192,25 +209,25 @@ class ChaosOrchestrator:
         # Completion never waits on surge epochs (they are load, not claims),
         # but the idempotence counter scans them.
         driver = self.driver
-        driver.surge_epochs = max(getattr(driver, "surge_epochs", 0), extra)
+        driver.surge_epochs = max(driver.surge_epochs, extra)
         base = self.spec.workload.epochs
         for epoch in range(base, base + extra):
-            for nid in self.ctx.live_nodes:
-                if not self.in_scope(nid):
+            for nid in driver.live_nodes:
+                if not self.host.hosts(nid):
                     continue
-                party = self.ctx.party(nid)
+                party = self.host.party(nid)
                 if hasattr(party, "propose_batch"):
                     party.propose_batch(epoch, payload(self.spec, nid, epoch))
 
     # -- trigger predicates --------------------------------------------------------
     def _scoped_observers(self) -> list[int]:
-        return [nid for nid in self.driver.observers(self.ctx) if self.in_scope(nid)]
+        return [nid for nid in self.driver.observers if self.host.hosts(nid)]
 
     def _satisfied(self, trigger: TriggerSpec) -> bool:
         if trigger.kind == "slot":
             epochs = range(self.spec.workload.epochs)
             for nid in self._scoped_observers():
-                party = self.ctx.party(nid)
+                party = self.host.party(nid)
                 if not hasattr(party, "ordered_log"):
                     continue
                 committed = sum(len(party.ordered_log(e)) for e in epochs)
@@ -219,14 +236,14 @@ class ChaosOrchestrator:
             return False
         if trigger.kind == "epoch":
             for nid in self._scoped_observers():
-                party = self.ctx.party(nid)
+                party = self.host.party(nid)
                 if hasattr(party, "ordered_log") and party.ordered_log(
                     int(trigger.value)
                 ):
                     return True
             return False
         if trigger.kind == "metric":
-            for source in (self.metrics, self.faults):
+            for source in (self.host.metrics, self.faults):
                 value = getattr(source, trigger.metric, None)
                 if value is not None:
                     return value >= trigger.value
@@ -236,11 +253,6 @@ class ChaosOrchestrator:
     # -- helpers for stage actions -------------------------------------------------
     def map_nids(self, pids) -> list[int]:
         return [nid for pid in pids for nid in self.driver.map_pid(pid)]
-
-    def in_scope(self, nid: int) -> bool:
-        """Whether party-level effects on ``nid`` apply here (the run
-        context hosts it: always, except on a one-party proc worker)."""
-        return nid in self.ctx.parties
 
     # -- record section ------------------------------------------------------------
     def describe_stages(self) -> list:
@@ -264,7 +276,5 @@ class ChaosOrchestrator:
         section: dict = {"stages": self.describe_stages()}
         if self.faults is not None and self.faults.weather is not None:
             section["weather"] = self.faults.weather.describe()
-        section["duplicate_commits"] = count_duplicate_commits(
-            self.driver, self.ctx
-        )
+        section["duplicate_commits"] = count_duplicate_commits(self.driver, self.host)
         return section

@@ -26,7 +26,6 @@ from .executor import ParallelExecutor, available_parallelism, parse_jobs
 _LAZY = {
     "ProcCluster": "proc",
     "ProcError": "proc",
-    "run_proc_scenario": "proc",
     "run_specs": "sweep",
 }
 

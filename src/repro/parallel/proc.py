@@ -27,7 +27,7 @@ the handshake):
    with the kernel-assigned port; the parent broadcasts the collected
    peer map -- no hardcoded ports, so concurrent clusters never collide
    -- and every worker arms the run's fault plan (the harness's one
-   ``_arm``, over a context hosting just its party) and replies
+   ``_arm``, over its cluster, which hosts just its party) and replies
    ``("armed", ...)``; only then does ``("start",)`` release the
    workload, so no frame meets a node that is not yet bound and armed;
 3. the parent polls ``("status",)``; a worker reports its local done
@@ -78,7 +78,7 @@ from typing import Any, Optional
 
 from ..scenarios.spec import ScenarioSpec
 
-__all__ = ["ProcCluster", "ProcError", "run_proc_scenario", "CRASH_ENV"]
+__all__ = ["ProcCluster", "ProcError", "CRASH_ENV"]
 
 #: test hook: a worker whose node id matches this env var's value exits
 #: hard at startup, exercising the parent's crash surface
@@ -143,14 +143,12 @@ async def _worker_main(
     incarnation: int,
 ) -> None:
     from ..runtime.cluster import Cluster
-    from ..runtime.faults import FaultController
-    from ..scenarios.harness import _arm, _context, build_driver
+    from ..scenarios.harness import _arm, build_driver
 
     spec = ScenarioSpec.from_dict(spec_dict)
     driver = build_driver(spec, validate=False, state_dir=state_dir)  # parent vetted
-    faults = FaultController()
-    cluster = Cluster(transport="tcp", faults=faults, node_id=nid)
-    transport, metrics = cluster.transport, cluster.metrics
+    cluster = Cluster(transport="tcp", node_id=nid)
+    transport, metrics, faults = cluster.transport, cluster.metrics, cluster.faults
     transport.incarnation = incarnation
     await transport.listen(nid)
     commands = _command_queue(conn, asyncio.get_running_loop())
@@ -162,9 +160,8 @@ async def _worker_main(
         return
     transport.configure(command[1])
 
-    ctx = _context(spec, driver, faults, cluster)
-    driver.spawn(ctx)  # this worker's one party; its node starts with the cluster
-    party = ctx.party(nid)
+    driver.spawn(cluster)  # this worker's one party; its node starts with the cluster
+    party = cluster.party(nid)
     if spec.faults.restarts:
         # self-healing plumbing: persist receive watermarks through the
         # party's WAL and run the heartbeat failure detector, feeding
@@ -181,8 +178,8 @@ async def _worker_main(
             metrics.alive_transitions += 1
 
         transport.enable_heartbeat(on_suspect=_suspect, on_alive=_alive)
-    orchestrator = _arm(spec, driver, ctx, metrics, restart_timers=False)
-    observer = nid in driver.observers(ctx)
+    orchestrator = _arm(spec, driver, cluster, restart_timers=False)
+    observer = nid in driver.observers
     if incarnation > 0:
         # Rejoin: replay the WAL into the fresh party (queueing the
         # state-sync broadcast on the outbox), seed the transport's dedup
@@ -193,7 +190,7 @@ async def _worker_main(
         party.restart()
         transport.restore_watermarks(nid, getattr(party, "watermarks", {}))
         await cluster.start()
-        driver.restart_node(ctx, nid)
+        driver.restart_node(cluster, nid)
         conn.send(
             (
                 "rejoined",
@@ -222,7 +219,7 @@ async def _worker_main(
         kind = command[0]
         if kind == "start":
             await cluster.start()
-            driver.start(ctx)
+            driver.start(cluster)
         elif kind == "peers":
             # refreshed address map (a peer respawned on a new port)
             transport.configure(command[1])
@@ -233,7 +230,7 @@ async def _worker_main(
                     "status",
                     nid,
                     {
-                        "done": driver.node_done(ctx, nid) if observer else True,
+                        "done": driver.node_done(cluster, nid) if observer else True,
                         "sent": transport.frames_sent,
                         "received": transport.frames_received,
                         "idle": cluster.quiescent,
@@ -247,8 +244,8 @@ async def _worker_main(
                     "result",
                     nid,
                     {
-                        "done": driver.node_done(ctx, nid) if observer else None,
-                        "output": driver.node_output(ctx, nid) if observer else None,
+                        "done": driver.node_done(cluster, nid) if observer else None,
+                        "output": driver.node_output(cluster, nid) if observer else None,
                         "observer": observer,
                         "metrics": metrics,
                         "dropped": faults.dropped_messages,
@@ -713,16 +710,3 @@ class ProcCluster:
         self._conns.clear()
         self._down.clear()
 
-
-def run_proc_scenario(
-    spec: ScenarioSpec,
-    *,
-    timeout: float = 60.0,
-    committee=None,
-    state_dir: Optional[str] = None,
-):
-    """Execute ``spec`` process-per-party; the ``proc`` branch of
-    :func:`~repro.scenarios.harness.run_scenario`."""
-    return ProcCluster(
-        spec, timeout=timeout, committee=committee, state_dir=state_dir
-    ).run()

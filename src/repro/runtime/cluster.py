@@ -15,9 +15,9 @@ one node and the ledger's workloads all run on one.  Two entry styles:
   epoch service, tests): builds the loop and runs setup -> stop
   condition -> drain -> teardown.
 
-Both hosts share one surface (``party``, ``parties``, ``spawn``,
-``retire``, ``run``, ``metrics``, ``now``, ``call_later``, ``wake``,
-``quiescent``), so a test written once against ``host.run(setup,
+Both hosts share one surface (``party``, ``parties``, ``hosts``,
+``spawn``, ``retire``, ``run``, ``metrics``, ``faults``, ``now``,
+``call_later``, ``wake``, ``quiescent``), so a test written once against ``host.run(setup,
 stop_when)`` runs on either.
 """
 
@@ -222,6 +222,11 @@ class Cluster:
 
     def party(self, pid: int) -> Party:
         return self._nodes[pid].party
+
+    def hosts(self, pid: int) -> bool:
+        """Whether ``pid``'s party is hosted here (on a proc worker's
+        cluster, only its own ``node_id``)."""
+        return pid in self._nodes
 
     @property
     def parties(self) -> list[Party]:

@@ -8,7 +8,7 @@ unified metrics record, driving the protocol through its driver in
 scenarios the CLI and CI sweep.
 """
 
-from .harness import BACKENDS, RunContext, ScenarioResult, run_scenario
+from .harness import BACKENDS, ScenarioResult, run_scenario
 from .registry import SCENARIOS, get_scenario, scenario_names
 from .spec import ByzantineSpec, FaultSpec, NetSpec, ScenarioSpec, WeightSpec, WorkloadSpec
 
@@ -20,7 +20,6 @@ __all__ = [
     "NetSpec",
     "WorkloadSpec",
     "ScenarioResult",
-    "RunContext",
     "run_scenario",
     "BACKENDS",
     "SCENARIOS",

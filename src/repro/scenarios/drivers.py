@@ -2,7 +2,12 @@
 name -> driver class; :data:`PROTOCOLS` is its keys).  The run lifecycle
 in :mod:`repro.scenarios.harness` runs every driver the same way and names
 no protocol.  The spec module imports this one for the keys; this one
-imports the spec and the harness for type checking only, so no cycle."""
+imports the spec for type checking only, so no cycle.
+
+Every hook takes the run's host -- a :class:`~repro.sim.runner.SimHost`
+or a :class:`~repro.runtime.cluster.Cluster` -- and reads parties through
+``host.party(nid)``; ``host.hosts(nid)`` is false only on a proc
+worker's one-node cluster, for every node but its own."""
 
 from __future__ import annotations
 
@@ -10,11 +15,11 @@ import hashlib
 import random
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ..chaos.orchestrator import at
 from ..chaos.schedule import compile_timeline
 
 if TYPE_CHECKING:
     from ..sim.process import Party
-    from .harness import RunContext
     from .spec import ScenarioSpec
 
 __all__ = [
@@ -41,7 +46,8 @@ class ProtocolDriver:
 
     ``map_pid`` translates a *real* party id from the fault plan into the
     node ids hosting it -- identity except for the black-box VABA driver,
-    whose nodes are virtual users.
+    whose nodes are virtual users (it builds them before this class's
+    constructor, which maps the plan's crashes onto ``live_nodes``).
     """
 
     #: message counts match across backends (phase messages sent exactly once)
@@ -74,6 +80,9 @@ class ProtocolDriver:
 
     #: seconds between two stop-rule polls on a live backend
     poll = 0.002
+
+    #: epochs a chaos ``load-surge`` stage proposed past the workload's
+    surge_epochs = 0
 
     @classmethod
     def check(cls, spec: ScenarioSpec, backend: str) -> None:
@@ -130,14 +139,15 @@ class ProtocolDriver:
         self.honest_real = tuple(
             pid for pid in self.live_real if pid not in corrupted
         )
-
-    def observers(self, ctx: RunContext) -> tuple[int, ...]:
-        """The nodes whose outputs carry correctness claims: live honest
-        nodes (corrupted parties stay live but their state means nothing)."""
-        if self.adversary is None:
-            return tuple(ctx.live_nodes)
-        corrupted = self.adversary.corrupted
-        return tuple(nid for nid in ctx.live_nodes if nid not in corrupted)
+        crashed = {nid for pid in spec.faults.crashes for nid in self.map_pid(pid)}
+        #: the nodes the flat plan leaves up (``build_driver`` refuses a
+        #: plan that leaves none)
+        self.live_nodes = tuple(
+            nid for nid in range(self.n_nodes) if nid not in crashed
+        )
+        #: the nodes whose outputs carry correctness claims: live honest
+        #: nodes (corrupted parties stay live but their state means nothing)
+        self.observers = tuple(nid for nid in self.live_nodes if nid not in corrupted)
 
     @property
     def n_nodes(self) -> int:
@@ -162,30 +172,29 @@ class ProtocolDriver:
 
     # -- the workload, per (node, epoch) -----------------------------------------
 
-    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
+    def fire(self, host, nid: int, epoch: int) -> None:
         """Node ``nid``'s share of epoch ``epoch``'s workload."""
         raise NotImplementedError
 
-    def spawn(self, ctx: RunContext) -> None:
+    def spawn(self, host) -> None:
         """Host the run's one generation, before the plan is armed."""
-        group = ctx.spawn(self.factory, self.n_nodes)  # a proc worker's: one party
-        ctx.parties = {party.pid: party for party in group}
+        host.spawn(self.factory, self.n_nodes)  # a proc worker's: one party
 
-    def start(self, ctx: RunContext) -> None:
+    def start(self, host) -> None:
         """Schedule the workload: one event per epoch fires every live
-        node hosted by ``ctx`` in node order (which fixes the sim's event
-        order; a proc worker's context hosts one node, so the same call
+        node ``host`` hosts in node order (which fixes the sim's event
+        order; a proc worker's cluster hosts one node, so the same call
         fires exactly its slice)."""
         for epoch in range(self.epochs):
 
             def fire_epoch(e: int = epoch) -> None:
-                for nid in ctx.live_nodes:
-                    if nid in ctx.parties:
-                        self.fire(ctx, nid, e)
+                for nid in self.live_nodes:
+                    if host.hosts(nid):
+                        self.fire(host, nid, e)
 
-            ctx.at(self.spec.workload.start_time(epoch), fire_epoch)
+            at(host, self.spec.workload.start_time(epoch), fire_epoch)
 
-    def restart_node(self, ctx: RunContext, nid: int) -> None:
+    def restart_node(self, host, nid: int) -> None:
         """Rejoin hook fired right after a crash-restarted node comes
         back (its party has already replayed its WAL and broadcast the
         state-sync request); drivers re-fire the node's workload here."""
@@ -193,28 +202,28 @@ class ProtocolDriver:
 
     # -- completion and outputs, per node and aggregated ---------------------------
 
-    def node_done(self, ctx: RunContext, nid: int) -> bool:
+    def node_done(self, host, nid: int) -> bool:
         """Completion as observable by node ``nid`` alone."""
         raise NotImplementedError
 
-    def node_output(self, ctx: RunContext, nid: int) -> str:
+    def node_output(self, host, nid: int) -> str:
         """Node ``nid``'s canonical decided value (digest string)."""
         raise NotImplementedError
 
-    def done(self, ctx: RunContext) -> bool:
-        return all(self.node_done(ctx, nid) for nid in self.observers(ctx))
+    def done(self, host) -> bool:
+        return all(self.node_done(host, nid) for nid in self.observers)
 
-    def completed(self, ctx: RunContext) -> bool:
-        return self.done(ctx)
+    def completed(self, host) -> bool:
+        return self.done(host)
 
-    def sections(self, ctx: RunContext) -> dict:
+    def sections(self, host) -> dict:
         """The driver's own record sections, by field name."""
         return {}
 
-    def outputs(self, ctx: RunContext) -> dict[str, str]:
+    def outputs(self, host) -> dict[str, str]:
         """Canonical decided values per observer (digest strings)."""
         return {
-            str(nid): self.node_output(ctx, nid) for nid in self.observers(ctx)
+            str(nid): self.node_output(host, nid) for nid in self.observers
         }
 
 
@@ -269,15 +278,15 @@ class RbcDriver(ProtocolDriver):
 
         return BroadcastParty(nid, self.quorums, self.sender)
 
-    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
+    def fire(self, host, nid: int, epoch: int) -> None:
         if nid == self.sender:
-            ctx.party(nid).broadcast_value(self.payload)
+            host.party(nid).broadcast_value(self.payload)
 
-    def node_done(self, ctx: RunContext, nid: int) -> bool:
-        return ctx.party(nid).delivered == self.payload
+    def node_done(self, host, nid: int) -> bool:
+        return host.party(nid).delivered == self.payload
 
-    def node_output(self, ctx: RunContext, nid: int) -> str:
-        return digest(ctx.party(nid).delivered or b"")
+    def node_output(self, host, nid: int) -> str:
+        return digest(host.party(nid).delivered or b"")
 
 
 class SmrDriver(ProtocolDriver):
@@ -342,23 +351,23 @@ class SmrDriver(ProtocolDriver):
             return list(epochs) if self.spec.chaos is not None else []
         return [e for e in epochs if self.spec.workload.start_time(e) >= heal]
 
-    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
-        ctx.party(nid).propose_batch(epoch, payload(self.spec, nid, epoch))
+    def fire(self, host, nid: int, epoch: int) -> None:
+        host.party(nid).propose_batch(epoch, payload(self.spec, nid, epoch))
 
-    def restart_node(self, ctx: RunContext, nid: int) -> None:
+    def restart_node(self, host, nid: int) -> None:
         # Re-propose every epoch's batch: receivers absorb duplicates (a
         # ``BrachaInstance`` echoes only its first SEND) and the payloads are
         # a pure function of the spec, so re-proposal cannot fork an instance.
         # Needed when the crash predates the original proposal -- no live
         # peer can supply a batch that was never broadcast.
         for epoch in range(self.epochs):
-            self.fire(ctx, nid, epoch)
+            self.fire(host, nid, epoch)
 
-    def node_done(self, ctx: RunContext, nid: int) -> bool:
+    def node_done(self, host, nid: int) -> bool:
         if self.adversary is None:
-            want = len(ctx.live_nodes)
+            want = len(self.live_nodes)
             return all(
-                len(ctx.party(nid).ordered_log(e)) == want
+                len(host.party(nid).ordered_log(e)) == want
                 for e in self._required_epochs()
             )
         # Under an active adversary only the honest proposers' batches are
@@ -366,15 +375,15 @@ class SmrDriver(ProtocolDriver):
         # terminate); require every honest log to contain all of them.
         honest = set(self.honest_real)
         return all(
-            honest <= {p for p, _ in ctx.party(nid).ordered_log(e)}
+            honest <= {p for p, _ in host.party(nid).ordered_log(e)}
             for e in self._required_epochs()
         )
 
-    def node_output(self, ctx: RunContext, nid: int) -> str:
+    def node_output(self, host, nid: int) -> str:
         honest = set(self.honest_real)
         h = hashlib.sha256()
         for e in self._required_epochs():
-            for proposer, batch in ctx.party(nid).ordered_log(e):
+            for proposer, batch in host.party(nid).ordered_log(e):
                 # A Byzantine proposer's batch may legitimately commit
                 # at some honest parties and not others; the agreement
                 # claim covers the honest proposers' sub-log.
@@ -402,14 +411,15 @@ class VabaDriver(ProtocolDriver):
     epochs = 1
 
     def __init__(self, spec: ScenarioSpec, committee, adversary=None) -> None:
-        super().__init__(spec, committee, adversary)
         from ..protocols.vaba import black_box_parties
         from ..weighted.transform import black_box_setup
 
         f_n = str(spec.param("f_n", "1/3"))
         epsilon = str(spec.param("epsilon", "1/12"))
-        self.setup = black_box_setup(self.weights, f_n, epsilon)
+        # the virtual users first: the base maps crashes onto them
+        self.setup = black_box_setup(committee.int_weights, f_n, epsilon)
         self._parties = black_box_parties(self.setup, coin_seed=spec.seed)
+        super().__init__(spec, committee, adversary)
 
     @property
     def n_nodes(self) -> int:
@@ -421,13 +431,13 @@ class VabaDriver(ProtocolDriver):
     def factory(self, nid: int) -> Party:
         return self._parties[nid]
 
-    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
-        ctx.party(nid).propose(payload(self.spec, self.setup.vmap.owner(nid), 0))
+    def fire(self, host, nid: int, epoch: int) -> None:
+        host.party(nid).propose(payload(self.spec, self.setup.vmap.owner(nid), 0))
 
-    def node_done(self, ctx: RunContext, nid: int) -> bool:
-        return ctx.party(nid).decided is not None
+    def node_done(self, host, nid: int) -> bool:
+        return host.party(nid).decided is not None
 
-    def outputs(self, ctx: RunContext) -> dict[str, str]:
+    def outputs(self, host) -> dict[str, str]:
         virtual_outputs = {
             p.pid: p.decided for p in self._parties if p.decided is not None
         }
@@ -469,14 +479,14 @@ class CheckpointDriver(ProtocolDriver):
             beta=self.beta if self.mode == "tight" else None,
         )
 
-    def fire(self, ctx: RunContext, nid: int, epoch: int) -> None:
-        ctx.party(nid).sign_checkpoint(self.checkpoints[epoch])
+    def fire(self, host, nid: int, epoch: int) -> None:
+        host.party(nid).sign_checkpoint(self.checkpoints[epoch])
 
-    def node_done(self, ctx: RunContext, nid: int) -> bool:
-        return all(cp in ctx.party(nid).certificates for cp in self.checkpoints)
+    def node_done(self, host, nid: int) -> bool:
+        return all(cp in host.party(nid).certificates for cp in self.checkpoints)
 
-    def node_output(self, ctx: RunContext, nid: int) -> str:
-        certs = ctx.party(nid).certificates
+    def node_output(self, host, nid: int) -> str:
+        certs = host.party(nid).certificates
         blob = "|".join(str(certs.get(cp, "")) for cp in self.checkpoints)
         return digest(blob.encode())
 

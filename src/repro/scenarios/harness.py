@@ -13,19 +13,23 @@ share one :class:`~repro.runtime.faults.FaultController` implementation
 a driver holds the plan as one compiled ``timeline``.
 
 Every run follows one lifecycle, written once below: **arm** the fault
-timeline on the backend's :class:`RunContext` (:func:`_arm`), **run** until
-the one stop rule is met (:class:`_StopRule`), and **finish** by
-assembling the record (:func:`_finish`).  What stays per backend is only
-what truly differs: how parties and a clock are built, and how to wait.
+timeline on the backend's host (:func:`_arm`), **run** until the one
+stop rule is met (:class:`_StopRule`), and **finish** by assembling the
+record (:func:`_finish`).  What stays per backend is only what truly
+differs: how parties and a clock are built, and how to wait.
 
-There is one host of each kind, and it hosts generations of parties: a
-:class:`~repro.sim.runner.SimHost` (one network per generation on one
-simulator, virtual time) and a :class:`~repro.runtime.cluster.Cluster`
-(on a live transport, wall time since the run started).  A batch driver
-is one generation, spawned before the plan is armed; the epoch service
-spawns and retires its committees as it runs.  A proc worker spawns the
-same generation on a ``Cluster`` that hosts only its own node, whose
-life cycle its parent's commands drive.
+There is one host of each kind, and it is all a driver and the fault
+plan see of the run: a :class:`~repro.sim.runner.SimHost` (one network
+per generation on one simulator, virtual time) and a
+:class:`~repro.runtime.cluster.Cluster` (on a live transport, wall time
+since the run started).  Both have one surface: the clock (``now``,
+``call_later``), the generations (``spawn``, ``retire``), the hosted
+parties (``party``, ``parties``, ``hosts``), ``wake``, ``metrics`` and
+the ``faults`` controller every link consults.  A batch driver is one
+generation, spawned before the plan is armed; the epoch service spawns
+and retires its committees as it runs.  A proc worker spawns the same
+generation on a ``Cluster`` that hosts only its own node, whose life
+cycle its parent's commands drive.
 A failure ends the run the same way everywhere.  A handler that raises
 propagates out of ``SimHost.run`` on the sim; on a live backend its node
 records it and is handed nothing more, and the cluster's next poll
@@ -46,79 +50,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Optional
 
 from ..chaos.orchestrator import ChaosOrchestrator, watchdog_section
 from ..chaos.schedule import compile_timeline
 from ..runtime.faults import FaultController
-from ..sim.process import Party
 from .drivers import DRIVERS, ProtocolDriver
 from .spec import ScenarioSpec
 
-__all__ = ["ScenarioResult", "RunContext", "run_scenario", "build_driver", "BACKENDS"]
+__all__ = ["ScenarioResult", "run_scenario", "build_driver", "BACKENDS"]
 
 #: execution backends ``run_scenario`` accepts; ``proc`` is
 #: process-per-party (one OS process per node), orchestrated by
 #: :mod:`repro.parallel.proc`
 BACKENDS = ("sim", "inproc", "tcp", "proc")
-
-
-@dataclass
-class RunContext:
-    """What a driver and the fault plan see of the running backend: the
-    parties hosted here by node id (all of them on sim/inproc/tcp; a proc
-    worker hosts exactly one), the live node ids, the fault controller
-    every link consults, and the host whose clock, timers and
-    generations :meth:`now`, :meth:`call_later`, :meth:`spawn` and
-    :meth:`retire` reach (sim: virtual seconds; live: wall seconds)."""
-
-    parties: Mapping[int, Party]
-    live_nodes: tuple[int, ...]
-    faults: FaultController
-    host: object
-
-    def now(self) -> float:
-        return self.host.now()
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        self.host.call_later(delay, fn)
-
-    def spawn(self, factory: Callable[[int], Party], n: int, *, seed=None) -> list[Party]:
-        """Host parties ``0 .. n-1`` as a new generation."""
-        return self.host.spawn(factory, n, seed=seed)
-
-    def retire(self, group: list[Party]) -> None:
-        self.host.retire(group)
-
-    def wake(self) -> None:
-        """Have a live stop poll look now."""
-        self.host.wake()
-
-    def party(self, nid: int) -> Party:
-        return self.parties[nid]
-
-    def at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at scenario time ``when`` (immediately when 0)."""
-        if when <= 0:
-            fn()
-        else:
-            self.call_later(when, fn)
-
-    def crash(self, nid: int) -> None:
-        """Full crash: the party (when hosted here) stops reacting AND
-        the node's traffic is dropped."""
-        if nid in self.parties:
-            self.parties[nid].crash()
-        self.faults.crash(nid)
-
-    def restart(self, nid: int) -> None:
-        """Crash-restart rejoin: traffic flows again *first*, so the
-        state-sync request a recoverable party broadcasts from inside
-        ``restart`` (after replaying its WAL) is not condemned."""
-        self.faults.restart(nid)
-        if nid in self.parties:
-            self.parties[nid].restart()
-
 
 
 # -- results ---------------------------------------------------------------------------
@@ -280,6 +225,8 @@ def build_driver(
 
         adversary = Adversary(spec, committee, protocol=driver_cls.attacked_as)
     driver = driver_cls(spec, committee, adversary)
+    if not driver.live_nodes:
+        raise ValueError("fault plan crashes every node; nothing left to run")
     driver.state_dir = state_dir
     driver.timeout = timeout
     if adversary is not None:
@@ -292,18 +239,7 @@ def build_driver(
 # -- the run lifecycle: arm, stop rule, finish -------------------------------------------
 
 
-def _context(spec, driver, faults, host) -> RunContext:
-    """The backend's :class:`RunContext` over ``host``, hosting no party
-    until ``driver.spawn``; the live nodes are the spec's, in node-id
-    terms."""
-    crashed = {nid for pid in spec.faults.crashes for nid in driver.map_pid(pid)}
-    live_nodes = tuple(nid for nid in range(driver.n_nodes) if nid not in crashed)
-    if not live_nodes:
-        raise ValueError("fault plan crashes every node; nothing left to run")
-    return RunContext(parties={}, live_nodes=live_nodes, faults=faults, host=host)
-
-
-def _arm(spec, driver, ctx: RunContext, metrics, *, restart_timers: bool = True):
+def _arm(spec, driver, host, *, restart_timers: bool = True):
     """Arm the spec's whole fault plan on one backend instance: install
     one :class:`~repro.chaos.orchestrator.ChaosOrchestrator`, the plan's
     one interpreter, over the driver's compiled timeline, and return it.
@@ -311,13 +247,13 @@ def _arm(spec, driver, ctx: RunContext, metrics, *, restart_timers: bool = True)
     A proc worker arms the *full* plan too -- every worker's controller
     must agree, and only the (src, dst == its node) decisions ever fire
     there, so per-worker drop and delay counts sum to the single-process
-    totals -- while party-level effects reach only the party its context
+    totals -- while party-level effects reach only the party its cluster
     hosts.  It passes ``restart_timers=False``, compiling the flat
     crash-restart plan out: that is real process death, the parent's job.
     """
     timeline = None if restart_timers else compile_timeline(spec, restarts=False)
     orchestrator = ChaosOrchestrator(spec, driver, timeline)
-    orchestrator.install(ctx, metrics=metrics)
+    orchestrator.install(host)
     return orchestrator
 
 
@@ -409,28 +345,26 @@ def _chaos_section(spec, driver, completed: bool, section: dict, **postmortem) -
     return section
 
 
-def _finish(
-    spec, driver, ctx: RunContext, backend, metrics, orchestrator, **clock
-) -> ScenarioResult:
+def _finish(spec, driver, host, backend, orchestrator, **clock) -> ScenarioResult:
     """Read the finished single-process run into its record."""
-    completed = driver.completed(ctx)
+    completed = driver.completed(host)
     chaos = None
     if spec.chaos is not None:
         chaos = _chaos_section(
             spec, driver, completed, orchestrator.summary(),
-            faults=ctx.faults, orchestrator=orchestrator,
+            faults=host.faults, orchestrator=orchestrator,
         )
     return _assemble(
-        spec, backend, driver.committee, metrics,
+        spec, backend, driver.committee, host.metrics,
         n_nodes=driver.n_nodes,
         count_comparable=driver.count_comparable,
         adversary=driver.adversary,
         completed=completed,
-        decided=driver.outputs(ctx),
-        dropped_messages=ctx.faults.dropped_messages,
-        delayed_messages=ctx.faults.delayed_messages,
+        decided=driver.outputs(host),
+        dropped_messages=host.faults.dropped_messages,
+        delayed_messages=host.faults.delayed_messages,
         chaos=chaos,
-        **driver.sections(ctx),
+        **driver.sections(host),
         **clock,
     )
 
@@ -461,36 +395,34 @@ def run_scenario(
     if timeout <= 0:
         raise ValueError("timeout must be positive")
     if backend == "proc":
-        from ..parallel.proc import run_proc_scenario
+        from ..parallel.proc import ProcCluster
 
-        return run_proc_scenario(
+        return ProcCluster(
             spec, timeout=timeout, committee=committee, state_dir=state_dir
-        )
+        ).run()
     driver = build_driver(
         spec, committee, backend=backend, timeout=timeout, state_dir=state_dir
     )
-    faults = FaultController()
     if backend == "sim":
         from ..sim.network import UniformDelay
         from ..sim.runner import SimHost
 
         delays = UniformDelay(spec.net.delay_low, spec.net.delay_high)
-        host = SimHost(seed=spec.seed, delay_model=delays, faults=faults)
+        host = SimHost(seed=spec.seed, delay_model=delays, faults=FaultController())
     else:
         from ..runtime.cluster import Cluster
 
-        host = Cluster(transport=backend, faults=faults)
-    ctx = _context(spec, driver, faults, host)
-    driver.spawn(ctx)  # before the plan is armed: a crash at 0 finds its party
+        host = Cluster(transport=backend)
+    driver.spawn(host)  # before the plan is armed: a crash at 0 finds its party
     rule = _StopRule(spec, driver)
     armed = []
 
     def setup() -> None:
-        armed.append(_arm(spec, driver, ctx, host.metrics))
-        driver.start(ctx)
+        armed.append(_arm(spec, driver, host))
+        driver.start(host)
 
     def stop_when() -> bool:
-        return rule(ctx.now(), driver.done(ctx), host.quiescent, host.metrics.messages)
+        return rule(host.now(), driver.done(host), host.quiescent, host.metrics.messages)
 
     host.run(setup, stop_when, timeout=timeout, poll=driver.poll, drain=driver.drains)
     if backend == "sim":
@@ -498,4 +430,4 @@ def run_scenario(
         clock = {"sim_time": simulator.now, "sim_events": simulator.events_processed}
     else:
         clock = {"wall_seconds": host.metrics.elapsed_seconds}
-    return _finish(spec, driver, ctx, backend, host.metrics, armed[0], **clock)
+    return _finish(spec, driver, host, backend, armed[0], **clock)

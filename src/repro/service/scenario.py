@@ -66,8 +66,8 @@ def _parse_drifts(text: str) -> tuple[tuple[int, int, int], ...]:
 class ServiceDriver(ProtocolDriver):
     """The epoch service, run by the scenario harness.
 
-    :meth:`start` builds an :class:`EpochService` on the run context,
-    whose host spawns and retires the service's generations (one per
+    :meth:`start` builds an :class:`EpochService` on the run's host,
+    which spawns and retires the service's generations (one per
     committee, one per checkpoint handover).  The run is done when the
     service finishes, completed or not, and ends right there: what is
     still pending then is the next slot tick and deliveries to retired
@@ -137,12 +137,12 @@ class ServiceDriver(ProtocolDriver):
     def epochs(self) -> int:
         return 0  # the service cuts its own slots; the harness fires none
 
-    def spawn(self, ctx) -> None:
+    def spawn(self, host) -> None:
         """Nothing yet: the service spawns each generation as it goes."""
 
-    def start(self, ctx) -> None:
+    def start(self, host) -> None:
         self.service = EpochService(
-            ctx,
+            host,
             self.manager,
             replace(self.config, max_time=self.timeout),
             name=self.spec.name,
@@ -152,18 +152,18 @@ class ServiceDriver(ProtocolDriver):
         )
         self.service.start()
 
-    def done(self, ctx) -> bool:
+    def done(self, host) -> bool:
         return self.service.finished
 
-    def completed(self, ctx) -> bool:
+    def completed(self, host) -> bool:
         return self.service.completed
 
-    def outputs(self, ctx) -> dict[str, str]:
+    def outputs(self, host) -> dict[str, str]:
         """The last epoch's per-replica log digests."""
         digests = self.service.epoch_party_digests
         return {str(pid): d for pid, d in sorted(digests[-1].items())} if digests else {}
 
-    def sections(self, ctx) -> dict:
+    def sections(self, host) -> dict:
         service = self.service
         section = service.metrics.summary(service.elapsed)
         if service.error:

@@ -21,7 +21,7 @@ request's latency runs from :meth:`submit` to its slot being committed by
 Everything here is synchronous and backend-agnostic: the clock, timers
 and party generations are the *backend*'s -- a
 :class:`~repro.sim.runner.SimHost` or :class:`~repro.runtime.cluster.Cluster`,
-or under the scenario harness the run's context over one.
+the same host the scenario harness runs.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class EpochService:
     Lifecycle: construct with a backend, an :class:`EpochManager`, and a
     config; optionally attach a :class:`LoadGenerator`; then :meth:`run`
     drives it to completion on a host (the scenario harness calls
-    :meth:`start` on its run context and runs the host itself).
+    :meth:`start` and runs the host itself).
     ``on_committed(slot, position, payload)`` fires for every committed
     batch in global ``(slot, position)`` order -- the subscription API.
     """

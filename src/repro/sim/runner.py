@@ -96,6 +96,9 @@ class SimHost:
     def party(self, pid: int) -> Party:
         return self._parties[pid]
 
+    def hosts(self, pid: int) -> bool:
+        return pid in self._parties
+
     @property
     def parties(self) -> list[Party]:
         return list(self._parties.values())

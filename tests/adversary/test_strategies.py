@@ -27,7 +27,7 @@ from repro.scenarios import (
     get_scenario,
     run_scenario,
 )
-from repro.scenarios.harness import RunContext, build_driver
+from repro.scenarios.harness import build_driver
 from repro.sim import SimHost
 
 #: the paper's running-example stake vector (skewed, n=8, W=100)
@@ -203,17 +203,13 @@ class TestStaged:
             # make_silent replaces the instance's receive
             return {nid for nid, party in parties.items() if "receive" in vars(party)}
 
-        parties = {nid: driver.factory(nid) for nid in range(driver.n_nodes)}
+        # never run: the stage never fires on its own
+        host = SimHost(driver.factory, driver.n_nodes, faults=FaultController())
+        parties = {party.pid: party for party in host.parties}
         assert silenced(parties) == set()
-        ctx = RunContext(
-            parties=parties,
-            live_nodes=tuple(parties),
-            faults=FaultController(),
-            host=SimHost(),  # never run: the stage never fires on its own
-        )
-        orchestrator = ChaosOrchestrator(spec, driver)
-        orchestrator.install(ctx)
-        adversary.activate(0, orchestrator)
+        ChaosOrchestrator(spec, driver).install(host)
+        assert silenced(parties) == set()
+        adversary.activate(0, host, driver.map_pid)
         assert silenced(parties) == corrupted
 
     def test_describe_has_staged_iff_a_chaos_plan_is_set(self):

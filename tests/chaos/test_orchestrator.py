@@ -8,7 +8,9 @@ import pytest
 
 from repro.chaos import watchdog_section
 from repro.chaos.schedule import ChaosSpec, ChaosStage, TriggerSpec
+from repro.runtime import Cluster
 from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios.harness import _arm, build_driver
 from repro.scenarios.spec import ScenarioSpec, WeightSpec, WorkloadSpec
 
 #: record keys that legitimately differ between backends: clocks, event
@@ -179,6 +181,39 @@ class TestStageActions:
                     ),
                 ),
             )
+
+
+class TestProcWorkerScope:
+    """A proc worker's scope rule, without a process: its one-node
+    cluster (never started) hosts only its own party, so a fault plan's
+    party-level effects and the workload reach that party alone, while
+    the controller takes the whole plan."""
+
+    def test_crash_stage_and_workload_reach_only_the_hosted_party(self):
+        crash = ChaosStage(
+            action="crash",
+            trigger=TriggerSpec(kind="time", value=0.0),
+            params=(("pids", (1, 3)),),
+        )
+        spec = ScenarioSpec(
+            name="worker-scope",
+            protocol="smr",
+            weights=WeightSpec(kind="explicit", values=(5,) * 7),
+            workload=WorkloadSpec(payload_size=32, epochs=1),
+            chaos=ChaosSpec(stages=(crash,)),
+        )
+        driver = build_driver(spec, backend="proc")
+        fired = []
+        driver.fire = lambda host, nid, epoch: fired.append((nid, epoch))
+        host = Cluster(transport="tcp", node_id=2)
+        driver.spawn(host)
+        assert [party.pid for party in host.parties] == [2]
+        # t = 0 runs now: neither the stage nor epoch 0 needs a loop
+        _arm(spec, driver, host, restart_timers=False)
+        driver.start(host)
+        assert host.faults.crashed == {1, 3}
+        assert not host.party(2).crashed
+        assert fired == [(2, 0)]
 
 
 class TestFuzzReplay:

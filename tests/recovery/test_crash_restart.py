@@ -86,14 +86,12 @@ class TestSimCrashRestart:
 @pytest.mark.proc
 class TestProcSigkillRecovery:
     def test_sigkilled_worker_rejoins_and_matches_fault_free(self):
-        from repro.parallel import run_proc_scenario
-
         spec = get_scenario("crash-restart-smr")
-        result = run_proc_scenario(spec, timeout=60.0)
+        result = run_scenario(spec, backend="proc", timeout=60.0)
         assert result.completed
         digests = set(result.decided.values())
         assert len(digests) == 1
-        clean = run_proc_scenario(_fault_free(spec), timeout=60.0)
+        clean = run_scenario(_fault_free(spec), backend="proc", timeout=60.0)
         assert clean.completed
         assert digests == set(clean.decided.values())
 
@@ -111,10 +109,8 @@ class TestProcSigkillRecovery:
         assert result.record()["recovery"]["restarts"] >= 1
 
     def test_recovery_section_lands_in_the_unified_record(self):
-        from repro.parallel import run_proc_scenario
-
         spec = get_scenario("crash-restart-smr")
-        rec = run_proc_scenario(spec, timeout=60.0).record()
+        rec = run_scenario(spec, backend="proc", timeout=60.0).record()
         for key in (
             "restarts",
             "recovered_from_wal",

@@ -174,10 +174,10 @@ class TestScheduledCallbackFailure:
     def failing_epoch(self, monkeypatch):
         fire = SmrDriver.fire
 
-        def faulty(driver, ctx, nid, epoch):
+        def faulty(driver, host, nid, epoch):
             if epoch == 1:
                 raise RuntimeError("workload bug")
-            return fire(driver, ctx, nid, epoch)
+            return fire(driver, host, nid, epoch)
 
         monkeypatch.setattr(SmrDriver, "fire", faulty)
 

@@ -5,8 +5,8 @@ signature scheme into a weighted common coin.
 
 Part two opens a coin with T > 1000 tickets through the batched crypto
 engine: all quorum shares are verified in one random-linear-combination
-aggregate and combined with one Straus multi-exponentiation, instead of
-thousands of scalar ``pow`` chains.
+aggregate and combined with one multi-exponentiation over signed
+residues, instead of thousands of scalar ``pow`` chains.
 
 Run:  python examples/randomness_beacon.py
 """

@@ -85,10 +85,6 @@ class CommonCoin:
         """
         return coin_value(self.scheme.combine(shares, epoch_message(epoch), verify=verify))
 
-    def toss(self, shares: Sequence[SignatureShare], epoch: int) -> int:
-        """A single common coin bit for ``epoch``."""
-        return self.open(shares, epoch) & 1
-
 
 class WeightedCoin:
     """The weighted threshold setup: party ``i`` controls ``t_i`` virtual

@@ -15,10 +15,10 @@ Two verification paths ship:
   Byzantine inputs (exponent range checks, identity-base rejection).
 * :func:`verify_dleq_batch` -- N proofs sharing the base pair
   ``(g1, g2)`` checked with one small-exponent random-linear-combination
-  aggregate: two Straus multi-exponentiations for the whole batch
-  instead of four full-width exponentiations per proof.  An aggregate
-  failure bisects down to the oracle, pinpointing the bad proofs while
-  the rest still verify in aggregate.
+  aggregate: two multi-exponentiations and two fixed-base powers for
+  the whole batch instead of four full-width exponentiations per proof.
+  An aggregate failure bisects down to the oracle, pinpointing the bad
+  proofs while the rest still verify in aggregate.
 
 Batching needs the commitments ``(a1, a2) = (g1^w, g2^w)`` on the wire
 (the challenge-only form forces the per-proof hash round-trip), so
@@ -111,10 +111,8 @@ def prove_dleq(
     ``g1`` and ``g2`` are canonical roots of the bases.  Returns ``(y1,
     y2, proof)``: ``y1`` an element, ``y2`` and the commitments canonical
     roots -- the root of ``g^x`` is ``canon(root(g)^x)``, so they cost no
-    extra exponentiation.  Exponentiations route through the engine's
-    squaring ladders: ``g2`` (``H(m)``'s root when signing) gets one on
-    its first use, and every further share of the same message reuses
-    it.  A signer whose ``g1^x`` is already published (a threshold key
+    extra exponentiation.  Exponentiations run on the engine's kernel.
+    A signer whose ``g1^x`` is already published (a threshold key
     share) passes it as ``y1`` and skips recomputing it; the proof is
     the same.
     """
@@ -178,8 +176,9 @@ def verify_dleq_batch(
     what :func:`verify_dleq` would return (up to the ~2^-64 soundness
     error of the random linear combination).
 
-    The happy path costs two Straus multi-exponentiations for the whole
-    batch: with random ``z_i, z'_i`` of :data:`_BATCH_EXP_BITS` bits,
+    The happy path costs two multi-exponentiations and two fixed-base
+    powers for the whole batch: with random ``z_i, z'_i`` of
+    :data:`_BATCH_EXP_BITS` bits,
 
     ``prod_i a1_i^{z_i} a2_i^{z'_i}  ==
     g1^{sum z_i r_i} g2^{sum z'_i r_i} prod_i y1_i^{z_i c_i} y2_i^{z'_i c_i}``
@@ -187,8 +186,8 @@ def verify_dleq_batch(
     holds for honest proofs by substituting ``a = g^r y^c``; a cheat in
     any position breaks the equation except with negligible probability
     over the ``z``.  Per-statement work is limited to the Fiat-Shamir
-    hash and squaring three roots.  The fixed-base side runs on the
-    roots' ladders: ``g1^{r1} g2^{r2} = (root(g1)^{r1} root(g2)^{r2})^2``.
+    hash and squaring three roots.  The fixed-base side is taken on the
+    roots: ``g1^{r1} g2^{r2} = (root(g1)^{r1} root(g2)^{r2})^2``.
     When the aggregate fails, the batch is bisected (re-randomizing each
     level) and the leaves are settled by the per-proof oracle -- one
     corrupted share in a batch of 64 costs ~log2(64) extra aggregates,

@@ -44,7 +44,7 @@ class FeldmanCommitment:
         return self.values[0]
 
     def expected_share_commitment(self, index: int) -> int:
-        """``g^{f(index)}`` as one Straus product ``prod_j C_j^{index^j}``."""
+        """``g^{f(index)}`` as one multi-exponentiation ``prod_j C_j^{index^j}``."""
         q = self.group.order
         pairs = []
         power = 1
@@ -66,9 +66,9 @@ class FeldmanCommitment:
 
         ``g^{sum_i z_i v_i}  ==  prod_j C_j^{sum_i z_i i^j}``
 
-        -- one fixed-base exponentiation plus one ``k``-base Straus
-        product for the *whole* batch.  On aggregate failure (or a
-        non-subgroup commitment, which only a Byzantine dealer
+        -- one fixed-base exponentiation plus one ``k``-base
+        multi-exponentiation for the *whole* batch.  On aggregate failure
+        (or a non-subgroup commitment, which only a Byzantine dealer
         produces), falls back to bisection ending in the per-share
         oracle, so results always agree with :meth:`verify_share`.
         """

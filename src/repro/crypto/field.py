@@ -13,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .modexp import mod_exp
+
 __all__ = ["PrimeField"]
 
 
 def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit, probabilistic above."""
+    """Miller-Rabin (deterministic for 64-bit ``n``), its rounds on
+    :func:`~repro.crypto.modexp.mod_exp`: ``n`` is odd past trial division."""
     if n < 2:
         return False
     small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -28,8 +31,9 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    power = mod_exp(n)
     for a in small_primes:
-        x = pow(a, d, n)
+        x = power(a, d)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -71,9 +75,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.modulus
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
 
@@ -83,23 +84,11 @@ class PrimeField:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, -1, self.modulus)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.modulus)
-
     def sum(self, values: Iterable[int]) -> int:
         total = 0
         for v in values:
             total += v
         return total % self.modulus
-
-    def prod(self, values: Iterable[int]) -> int:
-        total = 1
-        for v in values:
-            total = total * v % self.modulus
-        return total
 
     # -- sampling ----------------------------------------------------------------
     def random_element(self, rng) -> int:

@@ -10,29 +10,22 @@ signatures require.
 Two groups ship by default: the RFC 3526 2048-bit MODP group (realistic
 parameter sizes) and a small 256-bit group for fast tests and simulations.
 
-Each group carries a lazily-built :class:`GroupEngine` -- the batched
-exponentiation substrate the verification-heavy call sites run on:
+Each group carries a lazily-built :class:`GroupEngine` -- the
+exponentiation substrate the signing and verification call sites run on:
 
-* **fixed-base squaring ladders** for every base that goes through
-  :meth:`GroupEngine.power` (the roots of the generator and of
-  ``H(m)``): the first use stores ``base^(2^(w*j))`` for every base-``2^w``
-  digit position -- the squarings of one exponentiation, 20 ms against
-  24 ms for a native ``pow`` at 2048 bits on one Intel Xeon core --
-  and every exponent is then Yao's bucket method over those rungs,
-  ~``bits/w + 2^(w+1)`` multiplications and no squarings (4.9 ms).
-  ``w`` is :func:`_straus_window` of the exponent width, 6 at 2047 bits
-  and 4 at 255.  The ladder replaced a promote-after-four-uses window
-  table of ``base^(d << w*j)`` whose w=5 build alone took 163 ms and
-  3.9 MB (5.5 ms per exponent), against 0.1 MB for a ladder;
-* **simultaneous multi-exponentiation** (Straus interleaving) for
-  products ``prod_i b_i^{e_i}`` -- one shared squaring chain for the
-  whole product, which is what batch DLEQ verification and
-  Lagrange-in-the-exponent share combines reduce to.  Exponents are
-  *signed residues*: one within half its bit length of ``q`` is
-  rewritten as ``(b^-1)^(q - e)``, so the small negative Lagrange
-  coefficients of a contiguous quorum (``-15 mod q`` is 2047 bits at
-  2048) no longer force a full-width squaring chain.  It pays only when
-  every exponent is small on one side or the other; random and
+* **one Montgomery kernel** (:mod:`~repro.crypto.modexp`): every power
+  the engine computes is one ``BN_mod_exp_mont_consttime`` call into the
+  process's libcrypto, 2.4-2.7 ms for a full-width (2047-bit) exponent
+  at 2048 bits against 29-33 ms for builtin ``pow``, and 0.021-0.026 ms
+  against 0.14-0.19 ms at 256 bits, on one core of a shared 2-vCPU Intel
+  Xeon VM.  Fixed-base squaring ladders and Straus interleaving written
+  in Python took 6.1 ms per full-width power, so no base or product is
+  special-cased;
+* **signed residues** in :meth:`GroupEngine.multi_exp`: an exponent
+  within half its bit length of ``q`` is rewritten as ``(b^-1)^(q - e)``,
+  so the small negative Lagrange coefficients of a contiguous quorum
+  (``-15 mod q`` is 2047 bits at 2048) cost an inverse and a one-word
+  power (0.44 + 0.14 ms at 2048 bits), not a full-width one.  Random and
   scattered-quorum exponents are left as they are;
 * **canonical roots** (:meth:`SchnorrGroup.canonical_root`,
   :meth:`SchnorrGroup.decode_root`): ``p = 2q + 1`` is ``3 (mod 4)``, so
@@ -40,15 +33,18 @@ exponentiation substrate the verification-heavy call sites run on:
   exactly one of them lies in ``[1, q]``.  An element sent as that root
   is a member by construction: the receiver checks ``1 <= r <= q`` and
   squares.  DLEQ statements (share values, proof commitments, the bases
-  ``g`` and ``H(m)``) travel this way, and the generator's ladder is
-  built on its root ``g^((p+1)/4)``;
+  ``g`` and ``H(m)``) travel this way, and the generator's powers are
+  taken on its root ``g^((p+1)/4)``;
 * **Jacobi-symbol membership** (:meth:`SchnorrGroup.is_member_fast`) for
   elements that arrive as themselves -- Feldman commitments and an
   untrusted DLEQ ``y1``: for a safe prime the order-``q`` subgroup is
   exactly the quadratic residues, so Euler's criterion collapses from
   one full exponentiation to a GCD-shaped symbol computation that
-  strips all factors of two in one shift per step: 0.38 ms against
-  25 ms for ``pow(a, q, p)`` at 2048 bits on one Intel Xeon core.
+  strips all factors of two in one shift per step: 0.45-0.78 ms against
+  2.4-2.7 ms for the kernel's ``a^q`` at 2048 bits on the same core.
+
+:meth:`SchnorrGroup.power` and :meth:`SchnorrGroup.is_member` stay on
+builtin ``pow``: they are the oracles the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -58,6 +54,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .field import PrimeField
+from .modexp import mod_exp
 
 __all__ = [
     "SchnorrGroup",
@@ -90,144 +87,58 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _straus_window(max_bits: int) -> int:
-    """Window width minimizing per-base work ``2^w - 2 + ceil(bits/w)``."""
-    best_w, best_cost = 1, None
-    for w in range(1, 9):
-        cost = (1 << w) - 2 + -(-max_bits // w)
-        if best_cost is None or cost < best_cost:
-            best_w, best_cost = w, cost
-    return best_w
-
-
-class _Ladder:
-    """The squaring ladder ``rungs[j] = base^(2^(w*j)) mod p`` of one base.
-
-    Building it is the squaring chain of one full-width exponentiation,
-    stopping every ``w`` squarings to keep the rung.  An exponent with
-    base-``2^w`` digits ``d_j`` is then ``prod_j rungs[j]^d_j``, evaluated
-    by Yao's method: multiply each rung into the bucket of its digit, and
-    sweep the buckets from ``2^w - 1`` down keeping a running product --
-    bucket ``d`` is in that product ``d`` times.  That is ``~bits/w``
-    multiplications to fill the buckets and ``2 (2^w - 1)`` to sweep, no
-    squarings; ``w`` is :func:`_straus_window`, whose cost shape it is.
-    """
-
-    __slots__ = ("p", "window", "rungs")
-
-    def __init__(self, base: int, p: int, exponent_bits: int) -> None:
-        self.p = p
-        self.window = w = _straus_window(exponent_bits)
-        b = base % p
-        rungs = [b]
-        for _ in range(-(-exponent_bits // w) - 1):
-            b = pow(b, 1 << w, p)
-            rungs.append(b)
-        self.rungs = rungs
-
-    def power(self, exponent: int) -> int:
-        """``base^exponent`` for ``0 <= exponent < 2^exponent_bits``."""
-        p, w = self.p, self.window
-        mask = (1 << w) - 1
-        buckets: list[int | None] = [None] * (mask + 1)
-        for rung in self.rungs:
-            if not exponent:
-                break
-            d = exponent & mask
-            if d:
-                held = buckets[d]
-                buckets[d] = rung if held is None else held * rung % p
-            exponent >>= w
-        acc = run = None
-        for d in range(mask, 0, -1):
-            held = buckets[d]
-            if held is not None:
-                run = held if run is None else run * held % p
-            if run is not None:
-                acc = run if acc is None else acc * run % p
-        return 1 if acc is None else acc
-
-
-#: at most this many ladders of non-generator bases are kept per engine
-#: (LRU eviction); the generator's ladder is held apart
-_MAX_TABLES = 6
-
-
 class GroupEngine:
-    """Batched exponentiation engine for one Schnorr group.
+    """The exponentiation engine of one Schnorr group.
 
-    Every base that goes through :meth:`power` or :meth:`generator_power`
-    gets a squaring :class:`_Ladder` on first use -- about one native
-    ``pow`` of work, so even a base used once costs little more -- and
-    keeps it: the generator's, built on its canonical root
-    ``generator_root``, is never evicted; the others sit in an LRU of
-    :data:`_MAX_TABLES` (the root of ``H(m)`` for the epoch being
-    signed).  The engine also runs the Straus simultaneous
-    multi-exponentiation loop.  Obtained via :meth:`SchnorrGroup.engine`;
-    one engine is shared by all equal group instances.
+    Every power -- :meth:`power`, :meth:`generator_power`, each pair of
+    :meth:`multi_exp` and the canonical root ``generator_root`` itself --
+    is one call of :attr:`kernel`, libcrypto's Montgomery exponentiation
+    for ``p`` (:func:`~repro.crypto.modexp.mod_exp`).  Obtained via
+    :meth:`SchnorrGroup.engine`; one engine is shared by all equal group
+    instances.
     """
 
-    __slots__ = ("p", "order", "generator_root", "_gen_ladder", "_ladders")
+    __slots__ = ("p", "order", "generator_root", "kernel")
 
     def __init__(self, p: int, order: int, generator: int) -> None:
         self.p = p
         self.order = order
-        root = pow(generator, (p + 1) // 4, p)
+        self.kernel = mod_exp(p)
+        root = self.kernel(generator, (p + 1) // 4)
         self.generator_root = root if root <= order else p - root
-        self._gen_ladder: _Ladder | None = None
-        self._ladders: dict[int, _Ladder] = {}
-
-    # -- fixed-base paths --------------------------------------------------------
-    def _root_power(self, exponent: int) -> int:
-        """``generator_root^exponent``, up to sign, through its ladder."""
-        if self._gen_ladder is None:
-            self._gen_ladder = _Ladder(self.generator_root, self.p, self.order.bit_length())
-        return self._gen_ladder.power(exponent % self.order)
 
     def generator_power(self, exponent: int) -> int:
         """``g^exponent``: the square of its root's power."""
-        r = self._root_power(exponent)
+        r = self.kernel(self.generator_root, exponent % self.order)
         return r * r % self.p
 
     def power(self, base: int, exponent: int) -> int:
-        """``base^exponent`` through ``base``'s ladder, built on first use.
+        """``base^exponent`` with the exponent reduced mod ``q``.
 
-        The exponent is reduced mod ``q``, so for a base of order ``2q``
-        (a canonical root may be one) the power is right up to sign:
-        squaring it, or taking its canonical root, removes the sign.
+        For a base of order ``2q`` (a canonical root may be one) the power
+        is right up to sign: squaring it, or taking its canonical root,
+        removes the sign.
         """
-        b = base % self.p
-        if b == self.generator_root:
-            return self._root_power(exponent)
-        ladder = self._ladders.pop(b, None)
-        if ladder is None:
-            if len(self._ladders) >= _MAX_TABLES:
-                del self._ladders[next(iter(self._ladders))]
-            ladder = _Ladder(b, self.p, self.order.bit_length())
-        self._ladders[b] = ladder  # dicts keep insertion order: LRU last
-        return ladder.power(exponent % self.order)
+        return self.kernel(base, exponent % self.order)
 
-    # -- simultaneous multi-exponentiation ---------------------------------------
     def multi_exp(self, pairs: Iterable[tuple[int, int]]) -> int:
-        """``prod_i base_i^{exp_i} mod p`` via signed-residue Straus.
+        """``prod_i base_i^{exp_i} mod p`` over signed residues.
 
-        All bases share one squaring chain: the cost is ``max_bits``
-        squarings plus ``2^w - 2 + max_bits/w`` multiplications *per
-        base*, instead of ``max_bits`` squarings per base for independent
-        ``pow`` calls.  Exponents are reduced mod ``q`` -- bases must lie
-        in the order-``q`` subgroup, or be canonical roots whose product
-        the caller squares (the rewrites below change it only in sign) --
-        and that same fact lets a residue just below ``q`` be read as a
-        small negative one: ``b^e == (b^-1)^(q - e)``.  When ``q - e`` has at
-        most half the bits of ``e`` the pair is rewritten at the price of
-        one modular inverse, so ``max_bits`` is set by the short side.
-        Lagrange coefficients of a contiguous index set (``6, -15, 20,
-        -15, 6, -1`` for ``{1..6}``) then cost a few squarings instead of
-        a full-width chain; a scattered set's coefficients are full-width
-        fractions on both sides and keep the full-width chain.
+        Exponents are reduced mod ``q`` -- bases must lie in the order-``q``
+        subgroup, or be canonical roots whose product the caller squares
+        (the rewrite below changes it only in sign) -- and that same fact
+        lets a residue just below ``q`` be read as a small negative one:
+        ``b^e == (b^-1)^(q - e)``.  When ``q - e`` has at most half the bits
+        of ``e`` the pair is rewritten at the price of one modular
+        inverse, and the kernel's cost follows the exponent's length in
+        64-bit words.  Lagrange coefficients of a contiguous index set
+        (``6, -15, 20, -15, 6, -1`` for ``{1..6}``; ``-15 mod q`` is 2047
+        bits at 2048) then cost a one-word power each instead of a
+        full-width one; a scattered set's coefficients are full-width on
+        both sides.
         """
-        p, q = self.p, self.order
-        items: list[tuple[int, int]] = []
+        p, q, kernel = self.p, self.order, self.kernel
+        acc = 1
         for base, exp in pairs:
             e = exp % q
             b = base % p
@@ -237,30 +148,7 @@ class GroupEngine:
                 return 0
             if (q - e).bit_length() <= e.bit_length() >> 1:
                 b, e = pow(b, -1, p), q - e
-            items.append((b, e))
-        if not items:
-            return 1 % p
-        max_bits = max(e.bit_length() for _, e in items)
-        w = _straus_window(max_bits)
-        size = 1 << w
-        mask = size - 1
-        tables: list[list[int]] = []
-        for b, _ in items:
-            row = [1] * size
-            row[1] = b
-            for d in range(2, size):
-                row[d] = row[d - 1] * b % p
-            tables.append(row)
-        acc = 1
-        for j in range(-(-max_bits // w) - 1, -1, -1):
-            if acc != 1:
-                for _ in range(w):
-                    acc = acc * acc % p
-            shift = j * w
-            for (b, e), row in zip(items, tables):
-                d = (e >> shift) & mask
-                if d:
-                    acc = acc * row[d] % p
+            acc = acc * kernel(b, e) % p
         return acc
 
 
@@ -268,7 +156,7 @@ class GroupEngine:
 _ENGINES: dict[tuple[int, int], GroupEngine] = {}
 
 #: exponent fields shared by every group of one order: building one runs
-#: Miller-Rabin on ``q`` (~0.35 s at 2047 bits)
+#: Miller-Rabin on ``q`` (~0.044 s at 2047 bits)
 _FIELDS: dict[int, PrimeField] = {}
 
 
@@ -345,7 +233,7 @@ class SchnorrGroup:
     # -- engine ------------------------------------------------------------------
     @property
     def engine(self) -> GroupEngine:
-        """The batched exponentiation engine (shared across equal groups)."""
+        """The exponentiation engine (shared across equal groups)."""
         key = (self.p, self.generator)
         engine = _ENGINES.get(key)
         if engine is None:
@@ -360,22 +248,18 @@ class SchnorrGroup:
         return pow(base, exponent % self.order, self.p)
 
     def fast_power(self, base: int, exponent: int) -> int:
-        """``base^exponent`` through the engine's squaring ladders.
-
-        Identical values to :meth:`power` (property-tested); a base's
-        ladder is built on its first use and kept while it recurs.
-        """
+        """``base^exponent`` on the engine's kernel; :meth:`power`'s value."""
         return self.engine.power(base, exponent)
 
     def multi_exp(self, pairs: Sequence[tuple[int, int]]) -> int:
-        """``prod_i base_i^{exp_i}`` as one Straus interleaved product."""
+        """``prod_i base_i^{exp_i}`` over signed residues (the engine's)."""
         return self.engine.multi_exp(pairs)
 
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 
     def exp_g(self, exponent: int) -> int:
-        """``g^exponent`` for the fixed generator (its root's ladder)."""
+        """``g^exponent`` for the fixed generator (its root's square)."""
         return self.engine.generator_power(exponent)
 
     # -- canonical roots -----------------------------------------------------------
@@ -409,8 +293,9 @@ class SchnorrGroup:
         For a safe prime the order-``q`` subgroup is exactly the
         quadratic residues, and Euler's criterion says ``a^q == 1`` iff
         ``(a/p) == 1`` -- so the Jacobi symbol decides membership
-        without a full-width exponentiation (0.38 ms against 25 ms for
-        ``pow(a, q, p)`` at 2048 bits on one Intel Xeon core).
+        without a full-width exponentiation (0.45-0.78 ms against
+        2.4-2.7 ms for the kernel's ``a^q`` at 2048 bits on one core of a
+        shared 2-vCPU Intel Xeon VM).
         Agrees with :meth:`is_member` on every input (property-tested).
         """
         return 0 < a < self.p and _jacobi(a, self.p) == 1

@@ -19,9 +19,9 @@ shares verified, combination work proportional to ticket counts -- are
 faithfully exercised.
 
 Wire form: a share's value and its proof's commitments travel as
-canonical roots (see :mod:`~repro.crypto.dleq`), signed on the ladder of
-``H(m)``'s root ``u`` -- ``sigma_i = canon(u^{x_i})`` -- which verifiers
-reuse for ``H(m)^e = (u^e)^2``.  The combine runs on the roots and
+canonical roots (see :mod:`~repro.crypto.dleq`), signed on ``H(m)``'s
+root ``u`` -- ``sigma_i = canon(u^{x_i})`` -- which verifiers reuse for
+``H(m)^e = (u^e)^2``.  The combine runs on the roots and
 squares once: ``sigma = (prod_i sigma_i^{lambda_i})^2``, the same
 signature the element form gives.
 """
@@ -149,7 +149,7 @@ class ThresholdSignatureScheme:
         """Lagrange-combine ``k`` shares into the unique signature
         ``H(m)^x``.  With ``verify=True`` (default) invalid shares raise
         (located by the batch verifier).  The combine itself is
-        Lagrange-in-the-exponent as a single Straus product over the
+        Lagrange-in-the-exponent as one multi-exponentiation over the
         roots and the LRU-cached coefficients, squared once: a root's
         power is right up to sign, and the square removes it."""
         unique = list({s.index: s for s in shares}.values())

@@ -37,9 +37,9 @@ which stabilize after the first certificate -- the Lagrange coefficients
 are LRU-cached by index set
 (:func:`~repro.crypto.polynomial.lagrange_coefficients_at`), so every
 subsequent checkpoint pays only the exponentiations -- and those run as
-one Straus multi-exponentiation.  Share verification is batched at the
-quorum decision point: shares buffer unverified until ``k`` are pending,
-then one random-linear-combination aggregate
+one multi-exponentiation over signed residues.  Share verification is
+batched at the quorum decision point: shares buffer unverified until
+``k`` are pending, then one random-linear-combination aggregate
 (:meth:`~repro.crypto.threshold_sig.ThresholdSignatureScheme.verify_shares_batch`)
 checks them all, with bisection isolating Byzantine shares.  A frame's
 field types, down to the share's DLEQ proof, are checked at the door

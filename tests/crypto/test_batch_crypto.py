@@ -46,7 +46,6 @@ class TestEngine:
     def test_fast_power_matches_pow_on_a_recurring_base(self):
         rng = random.Random(1)
         base = G.hash_to_group(b"recurring-base")
-        # The first use builds the base's ladder; the rest reuse it.
         for _ in range(12):
             e = rng.randrange(G.order)
             assert G.fast_power(base, e) == pow(base, e, G.p)

@@ -240,12 +240,6 @@ class TestCommonCoin:
         assert coin.verify_share(share, 9)
         assert not coin.verify_share(share, 10)
 
-    def test_toss_is_bit(self):
-        rng = random.Random(0)
-        coin = CommonCoin(G, n=4, k=2, rng=rng)
-        shares = [coin.share(i, 3, rng) for i in (1, 2)]
-        assert coin.toss(shares, 3) in (0, 1)
-
 
 class TestWeightedCoin:
     def test_honest_coalition_opens_adversary_cannot(self):

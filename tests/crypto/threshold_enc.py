@@ -118,7 +118,7 @@ class ThresholdElGamal:
         """Recover the plaintext from ``k`` decryption shares.
 
         Verification is batched; the Lagrange-in-the-exponent unblinding
-        runs as a single Straus multi-exponentiation over the share roots,
+        runs as a single multi-exponentiation over the share roots,
         squared once.
         """
         unique = list({s.index: s for s in shares}.values())

@@ -6,11 +6,11 @@ The composed SMR protocol's party half of crash recovery:
   *before* it is applied (write-ahead), so a SIGKILL between fsync and
   apply loses at most the in-memory suffix, never corrupts the log;
 * on :meth:`restart` the replica wipes its volatile Bracha state (the
-  one ``instances`` container), replays the WAL's intact prefix, then
-  broadcasts a :class:`StateSyncRequest`; live peers answer with their
-  committed entries and keep *pushing* each later commit to the
-  requester, so instances whose ECHO/READY traffic predates the crash
-  still reach the recovered replica;
+  one ``instances`` container), replays the WAL's intact prefix and
+  truncates the log to it, then broadcasts a :class:`StateSyncRequest`;
+  live peers answer with their committed entries and keep *pushing*
+  each later commit to the requester, so instances whose ECHO/READY
+  traffic predates the crash still reach the recovered replica;
 * a synced entry is applied only once a **deliver quorum by weight** of
   distinct responders vouches for it -- the same rule Bracha uses to
   deliver on READYs, so up to ``f_w`` Byzantine responders cannot forge
@@ -137,6 +137,8 @@ class RecoverableSmrParty(SmrParty):
         self._sync_votes.clear()
         self.watermarks.clear()
         self.recovered_from_wal = self.replay_wal()
+        # drop a torn tail, or every later append would sit behind it
+        self.wal.truncate_torn_tail()
         self.broadcast(StateSyncRequest(requester=self.pid))
 
     def replay_wal(self) -> int:

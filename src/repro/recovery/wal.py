@@ -7,7 +7,10 @@ a flipped bit from a bad disk -- fails the frame check and replay stops
 there.  Everything *before* the first bad frame is intact by
 construction (records are appended, never rewritten), which is exactly
 the recovery contract a restarted party needs: replay the durable
-prefix, refetch the rest from live peers.
+prefix, refetch the rest from live peers.  A restart then truncates the
+file to that prefix (:meth:`WriteAheadLog.truncate_torn_tail`) before it
+appends again: the log opens for append, so a record written after a
+torn tail would sit behind it, where no replay reaches.
 
 ``fsync_every`` batches the expensive ``os.fsync`` across appends;
 records between the last fsync and a crash may be lost but never

@@ -5,17 +5,18 @@ delivered after finite but adversarially chosen delays.  The simulator
 realizes this as a priority queue of timed events; delay models and
 adversarial schedulers (see :mod:`repro.sim.network`) choose the times.
 
-The queue holds plain ``(time, seq)`` tuples -- cheaper to compare and
-push than ordered dataclass instances -- with callbacks kept in a side
-table keyed by sequence number.  Cancellation removes the callback from
-the table (the heap entry is skipped lazily on pop), which also makes
-:attr:`Simulator.pending` a constant-time ``len`` instead of a queue
-scan.
+An event is one plain ``(time, seq, fn, args)`` tuple on a heap: the
+``seq`` counter breaks time ties in scheduling order (and is unique, so
+the comparison never reaches ``fn``), and running the event is
+``fn(*args)``.  A queued message therefore holds its heap entry and its
+argument tuple and nothing else -- no closure per event, no side table
+-- which is what keeps a chain-scale run's memory and garbage-collector
+walks small.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 __all__ = ["Simulator"]
@@ -30,57 +31,40 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[tuple[float, int]] = []
-        self._callbacks: dict[int, Callable[[], None]] = {}
+        self._queue: list[tuple] = []
         self._next_seq = 0
-        self.events_processed = 0
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> int:
-        """Schedule ``callback`` to run ``delay`` time units from now.
-
-        Returns an opaque handle accepted by :meth:`cancel`.
-        """
+    def schedule(self, delay: float, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._callbacks[seq] = callback
-        heapq.heappush(self._queue, (self.now + delay, seq))
-        return seq
-
-    def cancel(self, handle: int) -> None:
-        """Cancel a previously scheduled event (lazy heap removal)."""
-        self._callbacks.pop(handle, None)
+        heappush(self._queue, (self.now + delay, seq, fn, args))
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled queued events (O(1))."""
-        return len(self._callbacks)
+        """Number of queued events."""
+        return len(self._queue)
+
+    @property
+    def events_processed(self) -> int:
+        """Number of events run (or running): every scheduled event is
+        either still queued or has been popped."""
+        return self._next_seq - len(self._queue)
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        queue = self._queue
-        callbacks = self._callbacks
-        while queue:
-            time, seq = heapq.heappop(queue)
-            callback = callbacks.pop(seq, None)
-            if callback is None:
-                continue  # cancelled
-            self.now = time
-            self.events_processed += 1
-            callback()
-            return True
-        return False
+        if not self._queue:
+            return False
+        self.now, _, fn, args = heappop(self._queue)
+        fn(*args)
+        return True
 
     def run(self, *, stop_when: Optional[Callable[[], bool]] = None) -> None:
         """Drain the event queue, or stop once ``stop_when()`` turns true
         (polled before every event)."""
-        queue = self._queue
-        callbacks = self._callbacks
-        while queue:
+        while self._queue:
             if stop_when is not None and stop_when():
                 return
-            if queue[0][1] not in callbacks:
-                heapq.heappop(queue)  # cancelled
-                continue
             self.step()

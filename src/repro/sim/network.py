@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .events import Simulator
@@ -79,8 +80,8 @@ class NetworkMetrics:
 
     messages: int = 0
     bytes: int = 0
-    by_type: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    bytes_by_type: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    by_type: dict[str, int] = field(default_factory=partial(defaultdict, int))
+    bytes_by_type: dict[str, int] = field(default_factory=partial(defaultdict, int))
 
     def record(self, type_name: str, size: int) -> None:
         self.messages += 1
@@ -166,16 +167,13 @@ class Network:
             decision = self.faults.decide(src, receiver.pid)
             if not decision.deliver:
                 return
+            schedule = self.simulator.schedule
             for copy in range(decision.duplicates):
-                self.simulator.schedule(
-                    decision.delay + 0.005 * (copy + 1),
-                    lambda m=message, s=src, r=receiver: r.receive(m, s),
+                schedule(
+                    decision.delay + 0.005 * (copy + 1), receiver.receive, message, src
                 )
             if decision.delay > 0:
-                self.simulator.schedule(
-                    decision.delay,
-                    lambda m=message, s=src, r=receiver: r.receive(m, s),
-                )
+                schedule(decision.delay, receiver.receive, message, src)
                 return
         receiver.receive(message, src)
 
@@ -194,12 +192,10 @@ class Network:
         type_name = type(message).__name__
         record = self.metrics.record
         condemn = getattr(self.faults, "condemn", None)
+        schedule, deliver = self.simulator.schedule, self._deliver
+        delay, rng, parties = self.delay_model.delay, self.rng, self.parties
         for dst in dsts:
             record(type_name, size)
             if condemn is not None and condemn(src, dst):
                 continue
-            delay = self.delay_model.delay(src, dst, self.rng)
-            receiver = self.parties[dst]
-            self.simulator.schedule(
-                delay, lambda m=message, s=src, r=receiver: self._deliver(s, r, m)
-            )
+            schedule(delay(src, dst, rng), deliver, src, parties[dst], message)

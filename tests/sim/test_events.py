@@ -50,23 +50,20 @@ class TestScheduling:
         assert order == ["outer", "inner"]
         assert sim.now == 2.0
 
-
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
+    def test_schedule_passes_args_and_keeps_fifo_ties(self):
+        """``schedule(delay, fn, *args)`` runs ``fn(*args)``; same-time
+        events run in scheduling order whether or not they carry args."""
         sim = Simulator()
-        ran = []
-        ev = sim.schedule(1.0, lambda: ran.append(1))
-        sim.cancel(ev)
+        order = []
+        sim.schedule(1.0, order.append, "a")
+        sim.schedule(1.0, lambda: order.append("b"))
+        sim.schedule(0.5, order.insert, 0, "first")
+        sim.schedule(1.0, order.append, "c")
+        sim.schedule(1.0, lambda: order.append("d"))
+        assert sim.pending == 5
         sim.run()
-        assert ran == []
-
-    def test_pending_excludes_cancelled(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.pending == 2
-        sim.cancel(ev)
-        assert sim.pending == 1
+        assert order == ["first", "a", "b", "c", "d"]
+        assert sim.pending == 0
 
 
 class TestRunLimits:

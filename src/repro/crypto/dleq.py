@@ -15,8 +15,9 @@ Two verification paths ship:
   Byzantine inputs (exponent range checks, identity-base rejection).
 * :func:`verify_dleq_batch` -- N proofs sharing the base pair
   ``(g1, g2)`` checked with one small-exponent random-linear-combination
-  aggregate: two multi-exponentiations and two fixed-base powers for
-  the whole batch instead of four full-width exponentiations per proof.
+  aggregate: two multi-exponentiations for the whole batch, the bases'
+  powers among them, instead of four full-width exponentiations per
+  proof.
   An aggregate failure bisects down to the oracle, pinpointing the bad
   proofs while the rest still verify in aggregate.
 
@@ -176,9 +177,8 @@ def verify_dleq_batch(
     what :func:`verify_dleq` would return (up to the ~2^-64 soundness
     error of the random linear combination).
 
-    The happy path costs two multi-exponentiations and two fixed-base
-    powers for the whole batch: with random ``z_i, z'_i`` of
-    :data:`_BATCH_EXP_BITS` bits,
+    The happy path costs two multi-exponentiations for the whole batch:
+    with random ``z_i, z'_i`` of :data:`_BATCH_EXP_BITS` bits,
 
     ``prod_i a1_i^{z_i} a2_i^{z'_i}  ==
     g1^{sum z_i r_i} g2^{sum z'_i r_i} prod_i y1_i^{z_i c_i} y2_i^{z'_i c_i}``
@@ -186,8 +186,11 @@ def verify_dleq_batch(
     holds for honest proofs by substituting ``a = g^r y^c``; a cheat in
     any position breaks the equation except with negligible probability
     over the ``z``.  Per-statement work is limited to the Fiat-Shamir
-    hash and squaring three roots.  The fixed-base side is taken on the
-    roots: ``g1^{r1} g2^{r2} = (root(g1)^{r1} root(g2)^{r2})^2``.
+    hash and squaring three roots.  Every exponent of the aggregate is
+    public, so both sides run on the engine's two-base kernel
+    (:meth:`~repro.crypto.group.GroupEngine.multi_exp`): the left side's
+    ``2N`` 64-bit exponents take ``N`` calls, the right side's ``2N``
+    ``z c`` exponents and the two full-width ones of the bases ``N + 1``.
     When the aggregate fails, the batch is bisected (re-randomizing each
     level) and the leaves are settled by the per-proof oracle -- one
     corrupted share in a batch of 64 costs ~log2(64) extra aggregates,
@@ -249,10 +252,9 @@ def verify_dleq_batch(
             rhs_pairs.append((y2, zp * c))
             r1 += z * r
             r2 += zp * r
-        lhs = group.multi_exp(lhs_pairs)
-        fixed = group.fast_power(g1, r1 % q) * group.fast_power(g2, r2 % q) % p
-        rhs = fixed * fixed % p * group.multi_exp(rhs_pairs) % p
-        return lhs == rhs
+        rhs_pairs.append((h1, r1))
+        rhs_pairs.append((h2, r2))
+        return group.multi_exp(lhs_pairs) == group.multi_exp(rhs_pairs)
 
     def oracle(item: tuple[int, int, int, int, int, int, int]) -> bool:
         y1, y2, proof = statements[item[0]]

@@ -44,7 +44,8 @@ class FeldmanCommitment:
         return self.values[0]
 
     def expected_share_commitment(self, index: int) -> int:
-        """``g^{f(index)}`` as one multi-exponentiation ``prod_j C_j^{index^j}``."""
+        """``g^{f(index)}`` as one multi-exponentiation ``prod_j C_j^{index^j}``
+        (public exponents: powers of the index)."""
         q = self.group.order
         pairs = []
         power = 1
@@ -90,6 +91,8 @@ class FeldmanCommitment:
                 for j in range(len(self.values)):
                     col_exps[j] = (col_exps[j] + z * power) % q
                     power = power * share.index % q
+            # The share values are secret: their combination takes the
+            # constant-time ``exp_g``; the columns hold only ``z`` and indices.
             lhs = group.exp_g(lhs_exp % q)
             rhs = group.multi_exp(list(zip(self.values, col_exps)))
             return lhs == rhs

@@ -13,20 +13,30 @@ parameter sizes) and a small 256-bit group for fast tests and simulations.
 Each group carries a lazily-built :class:`GroupEngine` -- the
 exponentiation substrate the signing and verification call sites run on:
 
-* **one Montgomery kernel** (:mod:`~repro.crypto.modexp`): every power
-  the engine computes is one ``BN_mod_exp_mont_consttime`` call into the
-  process's libcrypto, 2.4-2.7 ms for a full-width (2047-bit) exponent
-  at 2048 bits against 29-33 ms for builtin ``pow``, and 0.021-0.026 ms
-  against 0.14-0.19 ms at 256 bits, on one core of a shared 2-vCPU Intel
-  Xeon VM.  Fixed-base squaring ladders and Straus interleaving written
-  in Python took 6.1 ms per full-width power, so no base or product is
-  special-cased;
+* **two Montgomery kernels, split by whose exponent it is**
+  (:mod:`~repro.crypto.modexp`): a power whose exponent is secret (a
+  share value, a nonce, a dealer's coefficient) is one constant-time
+  ``BN_mod_exp_mont_consttime`` call into the process's libcrypto,
+  2.4-2.7 ms for a full-width (2047-bit) exponent at 2048 bits against
+  29-33 ms for builtin ``pow``, and 0.021-0.026 ms against 0.14-0.19 ms
+  at 256 bits.  :meth:`GroupEngine.multi_exp` takes public exponents
+  only (Lagrange and batch coefficients, challenges, responses) and
+  runs them variable-time, two bases per ``BN_mod_exp2_mont`` call:
+  2.5 ms for two full-width powers against 2 x 2.4 ms on the
+  constant-time kernel, 0.42 against 2 x 0.37 ms at 320 bits, and
+  0.015 ms for two 4-bit ones against 2 x 0.1 ms (the constant-time
+  kernel pads an exponent to whole 64-bit words).  Timings are on one
+  core of a shared 2-vCPU Intel Xeon VM; fixed-base squaring ladders
+  and Straus interleaving written in Python took 6.1 ms per full-width
+  power, so no base is special-cased;
 * **signed residues** in :meth:`GroupEngine.multi_exp`: an exponent
-  within half its bit length of ``q`` is rewritten as ``(b^-1)^(q - e)``,
-  so the small negative Lagrange coefficients of a contiguous quorum
-  (``-15 mod q`` is 2047 bits at 2048) cost an inverse and a one-word
-  power (0.44 + 0.14 ms at 2048 bits), not a full-width one.  Random and
-  scattered-quorum exponents are left as they are;
+  within half its bit length of ``q`` is rewritten as the power
+  ``(q - e)`` of the inverse, so the small negative Lagrange
+  coefficients of a contiguous quorum (``-15 mod q`` is 2047 bits at
+  2048) cost a 4-bit power, not a full-width one.  The rewritten pairs
+  are multiplied into one product and inverted once per call (0.35 ms
+  at 2048 bits).  Random and scattered-quorum exponents are left as
+  they are;
 * **canonical roots** (:meth:`SchnorrGroup.canonical_root`,
   :meth:`SchnorrGroup.decode_root`): ``p = 2q + 1`` is ``3 (mod 4)``, so
   every subgroup element ``x`` has the two square roots ``+-r`` and
@@ -90,10 +100,13 @@ def _jacobi(a: int, n: int) -> int:
 class GroupEngine:
     """The exponentiation engine of one Schnorr group.
 
-    Every power -- :meth:`power`, :meth:`generator_power`, each pair of
-    :meth:`multi_exp` and the canonical root ``generator_root`` itself --
-    is one call of :attr:`kernel`, libcrypto's Montgomery exponentiation
-    for ``p`` (:func:`~repro.crypto.modexp.mod_exp`).  Obtained via
+    Every power is one call of :attr:`kernel`, libcrypto's Montgomery
+    exponentiation for ``p`` (:func:`~repro.crypto.modexp.mod_exp`),
+    and the call site says whose exponent it is: :meth:`power`,
+    :meth:`generator_power` and the canonical root ``generator_root``
+    take any exponent, secret ones included, on the constant-time
+    kernel; :meth:`multi_exp` takes public exponents only, on the
+    variable-time two-base kernel.  Obtained via
     :meth:`SchnorrGroup.engine`; one engine is shared by all equal group
     instances.
     """
@@ -124,21 +137,25 @@ class GroupEngine:
     def multi_exp(self, pairs: Iterable[tuple[int, int]]) -> int:
         """``prod_i base_i^{exp_i} mod p`` over signed residues.
 
-        Exponents are reduced mod ``q`` -- bases must lie in the order-``q``
-        subgroup, or be canonical roots whose product the caller squares
-        (the rewrite below changes it only in sign) -- and that same fact
-        lets a residue just below ``q`` be read as a small negative one:
-        ``b^e == (b^-1)^(q - e)``.  When ``q - e`` has at most half the bits
-        of ``e`` the pair is rewritten at the price of one modular
-        inverse, and the kernel's cost follows the exponent's length in
-        64-bit words.  Lagrange coefficients of a contiguous index set
-        (``6, -15, 20, -15, 6, -1`` for ``{1..6}``; ``-15 mod q`` is 2047
-        bits at 2048) then cost a one-word power each instead of a
-        full-width one; a scattered set's coefficients are full-width on
-        both sides.
+        **Public exponents only**: the kernel's time follows each
+        exponent's length, so a secret exponent goes through
+        :meth:`power`.  Exponents are reduced mod ``q`` -- bases must lie
+        in the order-``q`` subgroup, or be canonical roots whose product
+        the caller squares (the rewrite below changes it only in sign) --
+        and that same fact lets a residue just below ``q`` be read as a
+        small negative one: ``b^e == (b^(q - e))^-1``.  When ``q - e`` has
+        at most half the bits of ``e`` the pair joins the rewritten ones,
+        whose product is inverted once.  Lagrange coefficients of a
+        contiguous index set (``6, -15, 20, -15, 6, -1`` for ``{1..6}``;
+        ``-15 mod q`` is 2047 bits at 2048) then cost a few-bit power each
+        instead of a full-width one; a scattered set's coefficients are
+        full-width on both sides.  Each product pairs its bases in the
+        order given, two per kernel call, so a caller lists exponents of
+        one width together (every caller's pairs already come that way).
         """
-        p, q, kernel = self.p, self.order, self.kernel
-        acc = 1
+        p, q = self.p, self.order
+        direct: list[tuple[int, int]] = []
+        inverted: list[tuple[int, int]] = []
         for base, exp in pairs:
             e = exp % q
             b = base % p
@@ -147,8 +164,12 @@ class GroupEngine:
             if b == 0:
                 return 0
             if (q - e).bit_length() <= e.bit_length() >> 1:
-                b, e = pow(b, -1, p), q - e
-            acc = acc * kernel(b, e) % p
+                inverted.append((b, q - e))
+            else:
+                direct.append((b, e))
+        acc = self.kernel.product(direct)
+        if inverted:
+            acc = acc * pow(self.kernel.product(inverted), -1, p) % p
         return acc
 
 
@@ -252,7 +273,8 @@ class SchnorrGroup:
         return self.engine.power(base, exponent)
 
     def multi_exp(self, pairs: Sequence[tuple[int, int]]) -> int:
-        """``prod_i base_i^{exp_i}`` over signed residues (the engine's)."""
+        """``prod_i base_i^{exp_i}`` over signed residues, public exponents
+        only (the engine's)."""
         return self.engine.multi_exp(pairs)
 
     def inv(self, a: int) -> int:

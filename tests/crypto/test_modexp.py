@@ -1,19 +1,21 @@
-"""The Montgomery kernel against builtin ``pow``: the kernel itself on
-both shipped groups' moduli and on small odd ones, every power the group
-engine takes, and the beacon run end to end on the ``pow`` fallback."""
+"""The Montgomery kernels against builtin ``pow``: the constant-time
+kernel on both shipped groups' moduli and on small odd ones, the paired
+public product against a product of ``pow``s on both paths, every power
+the group engine takes, and the beacon run end to end on the ``pow``
+fallback."""
 
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.crypto.group as group_mod
 import repro.crypto.modexp as modexp
 from repro.crypto.common_coin import WeightedCoin
 from repro.crypto.group import RFC3526_GROUP_2048, TEST_GROUP_256, GroupEngine
-from repro.crypto.modexp import ModExp, mod_exp
+from repro.crypto.modexp import ModExp, PowExp, mod_exp
 from repro.crypto.polynomial import lagrange_coefficients_at
 
 GROUPS = [TEST_GROUP_256, RFC3526_GROUP_2048]
@@ -22,6 +24,17 @@ IDS = ["256", "2048"]
 #: ``p`` and ``q`` of both shipped groups
 MODULI = {f"{name}-{side}": m for group, name in zip(GROUPS, IDS)
           for side, m in (("p", group.p), ("q", group.order))}
+
+
+@pytest.fixture(params=["kernel", "pow"])
+def path(request, monkeypatch):
+    """Both kernel paths: libcrypto's, or builtin ``pow`` with the library
+    taken away (engines built under it are the test's own)."""
+    if request.param == "pow":
+        monkeypatch.setattr(modexp, "_libcrypto", lambda: None)
+    expected = ModExp if request.param == "kernel" else PowExp
+    assert isinstance(mod_exp(TEST_GROUP_256.p), expected)
+    return request.param
 
 
 def _edge_bases(m):
@@ -72,15 +85,68 @@ class TestKernel:
         with pytest.raises(ValueError):
             mod_exp(m)
 
-    @pytest.mark.parametrize("path", ["kernel", "pow"])
-    def test_negative_exponent_is_refused_on_both_paths(self, path, monkeypatch):
-        if path == "pow":
-            monkeypatch.setattr(modexp, "_libcrypto", lambda: None)
+    def test_negative_exponent_is_refused_on_both_paths(self, path):
         kernel = mod_exp(TEST_GROUP_256.p)
-        assert isinstance(kernel, ModExp) == (path == "kernel")
         for e in (-1, -TEST_GROUP_256.order):
             with pytest.raises(ValueError):
                 kernel(2, e)
+
+
+def _naive(pairs, m):
+    acc = 1
+    for b, e in pairs:
+        acc = acc * pow(b, e, m) % m
+    return acc
+
+
+class TestPairedProduct:
+    """``kernel.product``: two pairs per ``BN_mod_exp2_mont`` call, one
+    ``BN_mod_exp_mont`` for an odd one out -- against ``pow``."""
+
+    @pytest.mark.parametrize("group", GROUPS, ids=IDS)
+    def test_every_pair_count_from_the_empty_product(self, group, path):
+        p = group.p
+        kernel = mod_exp(p)
+        rng = random.Random(f"count-{path}")
+        assert kernel.product([]) == 1
+        for n in range(1, 6):
+            pairs = [(rng.randrange(p), rng.randrange(group.order)) for _ in range(n)]
+            assert kernel.product(pairs) == _naive(pairs, p), n
+
+    @pytest.mark.parametrize("group", GROUPS, ids=IDS)
+    def test_mixed_widths_and_edge_bases(self, group, path):
+        """A 4-bit exponent next to a full-width one, exponents past the
+        modulus, and bases 0, 1 and at or past ``p``."""
+        p = group.p
+        kernel = mod_exp(p)
+        rng = random.Random(f"widths-{path}")
+        widths = (0, 1, 4, 64, 320, p.bit_length() - 1, p.bit_length() + 70)
+        exps = [rng.getrandbits(w) | (1 << w >> 1) for w in widths]
+        bases = [rng.randrange(2, p) for _ in exps]
+        assert kernel.product(list(zip(bases, exps))) == _naive(zip(bases, exps), p)
+        assert kernel.product([(bases[0], exps[2]), (bases[1], exps[5])]) == _naive(
+            [(bases[0], exps[2]), (bases[1], exps[5])], p)
+        for edge in (0, 1, p, p + 1, 2 * p - 1, 3 * p + 5):
+            for n in (1, 2, 3):
+                pairs = [(edge, exps[5])] + list(zip(bases, exps))[: n - 1]
+                assert kernel.product(pairs) == _naive(pairs, p), (edge, n)
+        assert kernel.product([(0, 0), (bases[0], 5)]) == pow(bases[0], 5, p)
+
+    def test_negative_exponent_is_refused(self, path):
+        kernel = mod_exp(TEST_GROUP_256.p)
+        for pairs in ([(2, -1)], [(2, 3), (5, -1)], [(2, 3), (5, 1), (7, -2)]):
+            with pytest.raises(ValueError):
+                kernel.product(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_small_odd_moduli(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=1 << 90).map(lambda k: 2 * k + 1))
+        pairs = data.draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=1 << 100),
+            st.integers(min_value=0, max_value=1 << 100),
+        ), max_size=7))
+        assert mod_exp(m).product(pairs) == _naive(pairs, m)
 
 
 def _mapped_libcryptos():
@@ -140,10 +206,11 @@ class TestEngine:
     @pytest.mark.parametrize("group", GROUPS, ids=IDS)
     @pytest.mark.parametrize("indices", [(1, 2, 3, 4, 5, 6), (2, 9, 17, 40)],
                              ids=["contiguous", "scattered"])
-    def test_lagrange_combine_over_roots(self, group, indices):
+    def test_lagrange_combine_over_roots(self, group, indices, path):
         """Share roots may have order ``2q``: the product is right up to
         sign, which the canonical root (or the square) removes."""
         p, q, canon = group.p, group.order, group.canonical_root
+        engine = _engine(group)
         rng = random.Random(repr(indices))
         roots = []  # orders 2q and q alternate
         while len(roots) < len(indices):
@@ -153,20 +220,23 @@ class TestEngine:
         lambdas = lagrange_coefficients_at(group.exponent_field, list(indices), 0)
         if indices[0] == 1:
             assert any((q - lam).bit_length() < 8 for lam in lambdas)  # near q
-        got = group.multi_exp(list(zip(roots, lambdas)))
+        got = engine.multi_exp(list(zip(roots, lambdas)))
         naive = 1
         for r, lam in zip(roots, lambdas):
             naive = naive * pow(r, lam, p) % p
         assert canon(got) == canon(naive)
         assert got * got % p == naive * naive % p
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_multi_exp_is_the_product_of_powers(self, data):
+    def test_multi_exp_is_the_product_of_powers(self, data, path):
         """Subgroup bases, exponents anywhere mod ``q`` and past it,
-        signed-residue rewrites included (``q - small``)."""
+        signed-residue rewrites included (``q - small``).  (``path`` is set
+        once for all examples.)"""
         G = TEST_GROUP_256
         p, q = G.p, G.order
+        engine = _engine(G)
         exponent = st.one_of(
             st.integers(min_value=0, max_value=3 * q),
             st.integers(min_value=1, max_value=1 << 20).map(lambda k: q - k),
@@ -178,7 +248,25 @@ class TestEngine:
         naive = 1
         for b, e in pairs:
             naive = naive * pow(b, e, p) % p
-        assert G.multi_exp(pairs) == naive
+        assert engine.multi_exp(pairs) == naive
+
+    @pytest.mark.parametrize("group", GROUPS, ids=IDS)
+    def test_only_negative_residues(self, group, path):
+        """Every pair rewritten: the direct product is empty and the one
+        inverse carries the whole result."""
+        engine, p, q = _engine(group), group.p, group.order
+        rng = random.Random(f"negative-{path}")
+        bases = [group.hash_to_group(b"neg-%d" % i) for i in range(5)]
+        for n in range(1, 6):
+            pairs = [(b, q - rng.randrange(1, 1 << 8)) for b in bases[:n]]
+            assert engine.multi_exp(pairs) == _naive(pairs, p), n
+
+    def test_a_late_zero_base_zeroes_the_product(self, path):
+        engine, q = _engine(TEST_GROUP_256), TEST_GROUP_256.order
+        pairs = [(TEST_GROUP_256.hash_to_group(b"late-%d" % i), e)
+                 for i, e in enumerate((9, q - 9, 1 << 63))]
+        assert engine.multi_exp(pairs + [(0, q - 2)]) == 0
+        assert engine.multi_exp(pairs + [(0, 5)]) == 0
 
 
 def _beacon_outputs(group):
